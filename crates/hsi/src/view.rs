@@ -15,7 +15,8 @@
 //! sample run without touching the data.
 //!
 //! The module also keeps the process-wide **clone ledger**: every deep copy
-//! of sub-cube payload bytes — [`CubeView::materialize`] and
+//! of sub-cube payload bytes — [`CubeView::copy_runs`] (and
+//! [`CubeView::materialize`] on top of it) and
 //! [`crate::SubCubeSpec::extract`] — is charged to it.  Pipelines and the
 //! service layer read deltas of this ledger to report `bytes_cloned`, which
 //! is how the zero-copy claim is measured rather than asserted.
@@ -32,7 +33,7 @@ static CLONE_LEDGER: AtomicU64 = AtomicU64::new(0);
 thread_local! {
     /// Per-thread mirror of [`CLONE_LEDGER`].  Serialization boundaries
     /// (the `wire` codec) assert "encode copied payload only via
-    /// [`CubeView::materialize`]" by comparing a before/after delta of this
+    /// [`CubeView::copy_runs`]" by comparing a before/after delta of this
     /// counter against the encoded views' payload bytes; the thread-local
     /// mirror makes that exact equality race-free even while other threads
     /// materialize concurrently.
@@ -56,8 +57,8 @@ pub fn cloned_bytes_total() -> u64 {
 
 /// Sub-cube payload bytes deep-copied *by the calling thread* so far.  The
 /// wire codec's encode path snapshots this around serialization to
-/// `debug_assert` that materializing the message's views is the only copy
-/// it performed — see the wire-invariant note on [`CubeView`].
+/// `debug_assert` that copying out the message's views is the only copy it
+/// performed — see the wire-invariant note on [`CubeView`].
 pub fn thread_cloned_bytes_total() -> u64 {
     THREAD_CLONE_LEDGER.with(|c| c.get())
 }
@@ -109,14 +110,14 @@ impl CloneLedger {
 /// A zero-copy window into a shared [`HyperCube`].
 ///
 /// Cloning a view is an `Arc` reference-count bump; the pixel data is never
-/// duplicated until [`CubeView::materialize`] is called (which charges the
-/// clone ledger).
+/// duplicated until [`CubeView::copy_runs`] or [`CubeView::materialize`] is
+/// called (which charge the clone ledger).
 ///
 /// # The wire invariant
 ///
-/// [`CubeView::materialize`] is the **only** path by which view payload
+/// [`CubeView::copy_runs`] is the **only** path by which view payload
 /// leaves the shared storage.  The `wire` codec relies on this: encoding a
-/// message materializes each embedded view straight into the frame body, so
+/// message copies each embedded view's runs straight into the frame body, so
 /// the clone-ledger delta across an encode equals exactly the sum of the
 /// encoded views' [`CubeView::payload_bytes`] — no hidden copy is possible
 /// without moving the ledger.  The encode path `debug_assert`s this
@@ -364,24 +365,32 @@ impl CubeView {
         self.iter_pixels().map(Vector::from).collect()
     }
 
-    /// Deep-copies the viewed window into an owned cube.  This is the only
+    /// Hands the window's samples to `sink` in materialization order (BIP,
+    /// row-major) as the longest contiguous runs the backing layout allows —
+    /// whole rows, or single pixels under a band window.  This is the only
     /// way pixel data leaves the shared storage — a true process or
-    /// serialization boundary — and it is charged to the clone ledger.
-    pub fn materialize(&self) -> HyperCube {
+    /// serialization boundary — so the whole payload is charged to the
+    /// clone ledger: a serializer copies each run straight into its output
+    /// with no owned cube in between.
+    pub fn copy_runs(&self, mut sink: impl FnMut(&[f64])) {
         charge_cloned_bytes(self.payload_bytes());
-        let dims = self.dims();
-        let mut samples = Vec::with_capacity(dims.samples());
-        let mut y = 0;
-        while y < self.height {
+        for y in 0..self.height {
             if let Some(row) = self.row_samples(y) {
-                samples.extend_from_slice(row);
+                sink(row);
             } else {
                 for x in 0..self.width {
-                    samples.extend_from_slice(self.pixel(x, y).expect("in bounds"));
+                    sink(self.pixel(x, y).expect("in bounds"));
                 }
             }
-            y += 1;
         }
+    }
+
+    /// Deep-copies the viewed window into an owned cube: [`CubeView::copy_runs`]
+    /// into fresh storage, charged to the clone ledger the same way.
+    pub fn materialize(&self) -> HyperCube {
+        let dims = self.dims();
+        let mut samples = Vec::with_capacity(dims.samples());
+        self.copy_runs(|run| samples.extend_from_slice(run));
         HyperCube::from_samples(dims, samples).expect("view dims are consistent")
     }
 }

@@ -10,9 +10,9 @@
 //! shared full cube, so building a task, storing it for re-issue, and
 //! fanning it out to every member of a replica group are all reference-count
 //! bumps instead of pixel copies.  In-process the `scp` router moves
-//! messages by ownership transfer; at a true process boundary a transport
-//! would call [`CubeView::materialize`] during serialization (charged to the
-//! clone ledger), which is the only point pixels would be copied.
+//! messages by ownership transfer; at a true process boundary the `wire`
+//! codec calls [`CubeView::copy_runs`] during serialization (charged to the
+//! clone ledger), which is the only point pixels are copied.
 //!
 //! The `Serialize`/`Deserialize` derives document that intent against the
 //! offline serde *shim* (whose traits are blanket markers).  Swapping in

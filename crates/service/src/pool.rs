@@ -16,7 +16,7 @@
 //!   sequential reference (`SequentialPct::run_shared`), which *is* the
 //!   service's byte-identity contract.  The cheapest path for small cubes;
 //! * **remote** — worker *processes* behind the versioned [`wire`] protocol,
-//!   each fronted by a [`crate::remote::RemoteLane`] bridge thread so the
+//!   each fronted by a [`crate::remote::RemoteLane`] bridge so the
 //!   scheduler addresses them like any standard worker.  Same task loop,
 //!   same heartbeat cadence, same watchdog — across a process boundary.
 //!

@@ -6,21 +6,27 @@
 //! CRC-checked, version-handshaken messages.  The scheduler stays oblivious:
 //! it addresses remote workers by routing name (`rw0`, `rw1`, ...) through
 //! the same `scp` message plane it uses for the standard lane, and a
-//! *bridge thread* per worker relays between the mailbox and the socket:
+//! full-duplex *bridge* per worker relays between the mailbox and the
+//! socket.  The bridge is two threads, each blocked on its own side, so a
+//! message moves the moment it exists and an idle bridge costs nothing:
 //!
 //! ```text
-//!  scheduler ──ctx.send("rw0")──▶ bridge ──wire frames──▶ worker process
-//!  scheduler ◀──send(MANAGER)─── bridge ◀──wire frames── (heartbeats,
-//!                                                          replies)
+//!  scheduler ──ctx.send("rw0")──▶ outbound half ──wire frames──▶ worker
+//!                                 (blocks on the mailbox)        process
+//!  scheduler ◀──send(MANAGER)──── inbound half ◀──wire frames── (heartbeats,
+//!               as "rw0"          (blocks on the socket)          replies)
 //! ```
 //!
-//! Failure detection needs no new machinery.  The bridge exits on any
-//! transport error — a `kill -9`'d worker closes its socket — and takes its
-//! mailbox receiver with it, so the scheduler's existing watchdog probe gets
-//! `ScpError::Disconnected` on the next send: exactly the signal a lost
-//! standard-lane *thread* produces.  From there the established loss path
-//! runs unchanged: confirm → orphan in-flight tasks → re-dispatch → lane
-//! failover if the lane is empty.
+//! Failure detection needs no new machinery.  Whichever half dies first —
+//! the inbound one on EOF, a reset, a corrupt or foreign frame, a stray
+//! `Hello`; the outbound one on a failed write or a forwarded `Shutdown` —
+//! shuts the socket down and wakes the other, and the outbound half takes
+//! the mailbox receiver with it, so the scheduler's existing watchdog probe
+//! gets `ScpError::Disconnected` on the next send: exactly the signal a
+//! lost standard-lane *thread* produces — a `kill -9`'d worker closes its
+//! socket.  From there the established loss path runs unchanged: confirm →
+//! orphan in-flight tasks → re-dispatch → lane failover if the lane is
+//! empty.
 //!
 //! Connection establishment is synchronous in [`RemoteLane::start`]
 //! (including the protocol-version handshake), so a mismatched or absent
@@ -30,7 +36,7 @@ use crate::config::RemoteWorkerSpec;
 use crate::{Result, ServiceError};
 use pct::distributed::MANAGER;
 use pct::messages::PctMessage;
-use scp::{Runtime, ScpError, ThreadContext};
+use scp::{Router, Runtime, SeqNum, ThreadContext};
 use std::net::{TcpListener, TcpStream};
 use std::time::{Duration, Instant};
 use wire::worker::HANDSHAKE_TIMEOUT;
@@ -39,17 +45,14 @@ use wire::{handshake, TcpTransport, Transport, WireMessage};
 /// How long the service waits for a spawned worker to dial back in.
 const ACCEPT_TIMEOUT: Duration = Duration::from_secs(10);
 
-/// Bridge relay tick: how long each side of the relay is polled before the
-/// other gets a turn.  Small, so neither direction starves the other.
-const RELAY_TICK: Duration = Duration::from_millis(5);
-
 /// One remote worker: its routing name, how to observe the process (when
-/// there is one), and the bridge thread relaying its traffic.
+/// there is one), and the bridge relaying its traffic.
 struct RemoteWorkerHandle {
     name: String,
     pid: Option<u32>,
     child: Option<std::process::Child>,
-    bridge: Option<std::thread::JoinHandle<()>>,
+    /// The bridge's two halves (see the module docs).
+    bridge: Vec<std::thread::JoinHandle<()>>,
     /// In-process protocol thread of [`RemoteWorkerSpec::Thread`] workers.
     worker_thread: Option<std::thread::JoinHandle<()>>,
 }
@@ -64,7 +67,7 @@ pub(crate) struct RemoteLane {
 impl RemoteLane {
     /// Establishes every configured worker — spawning processes or threads,
     /// accepting their connections, running the version handshake — and
-    /// starts one bridge thread per worker.
+    /// starts one bridge per worker.
     pub fn start(runtime: &Runtime<PctMessage>, specs: &[RemoteWorkerSpec]) -> Result<RemoteLane> {
         let mut workers = Vec::new();
         let mut handles = Vec::new();
@@ -73,17 +76,24 @@ impl RemoteLane {
             let ctx = runtime.context(name.clone())?;
             let (mut transport, child, worker_thread) = establish(&name, spec)?;
             handshake(&mut transport, HANDSHAKE_TIMEOUT)?;
+            // The handshake was read on `transport`, so that handle keeps
+            // receiving; its clone sends.
+            let sender = transport.try_clone()?;
             let pid = child.as_ref().map(|c| c.id());
-            let bridge = std::thread::Builder::new()
-                .name(format!("fusiond-bridge-{name}"))
-                .spawn(move || bridge_loop(ctx, transport))
-                .map_err(|e| ServiceError::Internal(format!("spawning bridge thread: {e}")))?;
+            let router = ctx.router();
+            let inbound_name = name.clone();
+            let bridge = vec![
+                spawn_half(&name, "out", move || relay_outbound(ctx, sender))?,
+                spawn_half(&name, "in", move || {
+                    relay_inbound(&inbound_name, &router, transport)
+                })?,
+            ];
             workers.push(name.clone());
             handles.push(RemoteWorkerHandle {
                 name,
                 pid,
                 child,
-                bridge: Some(bridge),
+                bridge,
                 worker_thread,
             });
         }
@@ -106,8 +116,8 @@ impl RemoteLane {
     /// a zombie child, both of which this collects.
     pub fn shutdown(&mut self) {
         for handle in &mut self.handles {
-            if let Some(bridge) = handle.bridge.take() {
-                let _ = bridge.join();
+            for half in handle.bridge.drain(..) {
+                let _ = half.join();
             }
             if let Some(worker) = handle.worker_thread.take() {
                 let _ = worker.join();
@@ -214,55 +224,65 @@ fn accept_with_deadline(listener: &TcpListener, name: &str) -> Result<TcpStream>
     }
 }
 
-/// Relays between one worker's mailbox and its transport until either side
-/// goes away.
+/// Starts one half of worker `name`'s bridge on a thread of its own.
+fn spawn_half(
+    name: &str,
+    half: &str,
+    body: impl FnOnce() + Send + 'static,
+) -> Result<std::thread::JoinHandle<()>> {
+    std::thread::Builder::new()
+        .name(format!("fusiond-bridge-{name}-{half}"))
+        .spawn(body)
+        .map_err(|e| ServiceError::Internal(format!("spawning bridge thread: {e}")))
+}
+
+/// Outbound half: scheduler → worker.  Blocks on the mailbox and writes
+/// each message as a frame; `Shutdown` is forwarded (so the worker process
+/// exits cleanly) and then ends the bridge, as does a failed write.  On the
+/// way out the socket is shut down, which ends the inbound half's blocked
+/// read.
 ///
-/// Exiting drops `ctx`, which drops the mailbox receiver: the scheduler's
+/// Returning drops `ctx`, which drops the mailbox receiver: the scheduler's
 /// next send to this worker gets `ScpError::Disconnected`, the exact signal
 /// its loss-confirmation probe looks for.  That makes a socket failure
 /// indistinguishable from a dead thread — deliberately, so one watchdog
 /// covers both.
-fn bridge_loop(mut ctx: ThreadContext<PctMessage>, mut transport: TcpTransport) {
-    loop {
-        // Outbound: scheduler → worker.  Shutdown is forwarded (so the
-        // worker process exits cleanly) and then ends the bridge.
-        match ctx.recv_timeout(RELAY_TICK) {
-            Ok(envelope) => {
-                let is_shutdown = matches!(envelope.payload, PctMessage::Shutdown);
-                if transport.send(&WireMessage::Pct(envelope.payload)).is_err() {
-                    return;
-                }
-                if is_shutdown {
-                    return;
-                }
-            }
-            Err(ScpError::Timeout) => {}
-            Err(_) => return,
-        }
-        // Inbound: worker → scheduler (replies and heartbeats).  Drain
-        // everything already buffered before yielding to the outbound side.
-        loop {
-            match transport.recv_timeout(RELAY_TICK) {
-                Ok(Some(WireMessage::Pct(msg))) => {
-                    if ctx.send(MANAGER, msg).is_err() {
-                        return;
-                    }
-                }
-                // A stray Hello after the handshake is a protocol violation;
-                // drop the connection and let the watchdog reclaim the lane
-                // slot rather than guessing at the peer's state.
-                Ok(Some(WireMessage::Hello { .. })) => return,
-                Ok(None) => break,
-                Err(_) => return,
-            }
+fn relay_outbound(ctx: ThreadContext<PctMessage>, mut sender: TcpTransport) {
+    while let Ok(envelope) = ctx.recv() {
+        let is_shutdown = matches!(envelope.payload, PctMessage::Shutdown);
+        if sender.send(&WireMessage::Pct(envelope.payload)).is_err() || is_shutdown {
+            break;
         }
     }
+    sender.shutdown();
+}
+
+/// Inbound half: worker → scheduler (replies and heartbeats), forwarded to
+/// `MANAGER` under the worker's routing name — the scheduler's stale-reply
+/// check and its watchdog both key on it.  Blocks on the socket; any
+/// receive error ends the bridge, and so does a stray `Hello` after the
+/// handshake: a protocol violation, answered by dropping the connection and
+/// letting the watchdog reclaim the lane slot rather than guessing at the
+/// peer's state.  On the way out the socket is shut down (so the outbound
+/// half's writes fail) and a `Shutdown` is posted to the worker's own
+/// mailbox to end the outbound half's blocked receive.
+fn relay_inbound(name: &str, router: &Router<PctMessage>, mut receiver: TcpTransport) {
+    let mut seq = SeqNum::FIRST;
+    while let Ok(WireMessage::Pct(msg)) = receiver.recv() {
+        if router.send(name, MANAGER, seq, msg).is_err() {
+            break;
+        }
+        seq = seq.next();
+    }
+    receiver.shutdown();
+    // The mailbox may be gone already, the outbound half having died first.
+    let _ = router.send(name, name, seq, PctMessage::Shutdown);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use scp::RuntimeConfig;
+    use scp::{RuntimeConfig, ScpError};
 
     #[test]
     fn thread_worker_round_trips_a_task_over_real_tcp() {
@@ -288,6 +308,8 @@ mod tests {
             .unwrap();
         let reply = loop {
             let envelope = manager.recv_timeout(Duration::from_secs(5)).unwrap();
+            // Replies and heartbeats arrive under the worker's routing name.
+            assert_eq!(envelope.from, "rw0");
             match envelope.payload {
                 PctMessage::Heartbeat => continue,
                 msg => break msg,
@@ -303,28 +325,64 @@ mod tests {
         lane.shutdown();
     }
 
+    /// Probes `rw0`'s mailbox the way the scheduler's watchdog does until a
+    /// send reports `Disconnected`, which must happen within one detector
+    /// window of the default pool — the bound the loss path is entitled to,
+    /// not "eventually".
+    fn assert_disconnects_within_a_detector_window(manager: &mut ThreadContext<PctMessage>) {
+        let window = Duration::from_millis(
+            crate::config::PoolConfig::default()
+                .standard_detector
+                .failure_timeout_ms(),
+        );
+        let start = Instant::now();
+        while !matches!(
+            manager.send("rw0", PctMessage::Heartbeat),
+            Err(ScpError::Disconnected(_))
+        ) {
+            assert!(
+                start.elapsed() < window,
+                "dead bridge did not surface as Disconnected within {window:?}"
+            );
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+
     #[test]
     fn dead_worker_surfaces_as_a_disconnected_mailbox() {
         let runtime: Runtime<PctMessage> = Runtime::new(RuntimeConfig::default());
         let mut manager = runtime.context(MANAGER).unwrap();
-        let mut lane = RemoteLane::start(&runtime, &[RemoteWorkerSpec::Thread]).unwrap();
+
         // A clean worker exit (Shutdown) ends the bridge the same way a
         // crash does: the mailbox dies and sends report Disconnected.
+        let mut lane = RemoteLane::start(&runtime, &[RemoteWorkerSpec::Thread]).unwrap();
         manager.send("rw0", PctMessage::Shutdown).unwrap();
-        let mut saw_disconnect = false;
-        for _ in 0..400 {
-            match manager.send("rw0", PctMessage::Heartbeat) {
-                Err(ScpError::Disconnected(_)) => {
-                    saw_disconnect = true;
-                    break;
-                }
-                _ => std::thread::sleep(Duration::from_millis(5)),
-            }
-        }
-        assert!(
-            saw_disconnect,
-            "dead bridge never surfaced as Disconnected to the sender"
-        );
+        assert_disconnects_within_a_detector_window(&mut manager);
+        lane.shutdown();
+    }
+
+    #[test]
+    fn peer_socket_dropped_mid_idle_surfaces_as_a_disconnected_mailbox() {
+        let runtime: Runtime<PctMessage> = Runtime::new(RuntimeConfig::default());
+        let mut manager = runtime.context(MANAGER).unwrap();
+
+        // The unclean exit: a peer that shook hands, then drops its socket
+        // while nothing is in flight — no Shutdown, no last frame.
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        let (drop_now, dropped) = std::sync::mpsc::channel::<()>();
+        let peer = std::thread::spawn(move || {
+            let (stream, _) = listener.accept().unwrap();
+            let mut transport = TcpTransport::new(stream).unwrap();
+            handshake(&mut transport, HANDSHAKE_TIMEOUT).unwrap();
+            dropped.recv().unwrap();
+        });
+        let mut lane = RemoteLane::start(&runtime, &[RemoteWorkerSpec::Connect { addr }]).unwrap();
+        // Both halves are up and blocked: the mailbox takes a probe.
+        manager.send("rw0", PctMessage::Heartbeat).unwrap();
+        drop_now.send(()).unwrap();
+        peer.join().unwrap();
+        assert_disconnects_within_a_detector_window(&mut manager);
         lane.shutdown();
     }
 }

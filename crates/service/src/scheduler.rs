@@ -44,7 +44,7 @@
 //! lane snapshot, which now reads the drained lane as disabled.
 //!
 //! The remote lane rides the same watchdog.  Remote workers are plain
-//! routing names behind bridge threads (see [`crate::remote`]); a killed
+//! routing names behind bridges (see [`crate::remote`]); a killed
 //! worker *process* closes its socket, its bridge exits, and the probe's
 //! `Disconnected` confirms the loss exactly as for a dead thread — the
 //! orphan/re-dispatch/failover path is shared code, not a parallel copy.

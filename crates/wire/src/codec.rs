@@ -18,13 +18,19 @@
 //! | `PctConfig`     | `[screening_angle_rad f64][output_components u32]`  |
 //! | `CubeView`      | `[x0 u32][row_start u32][w u32][h u32][bands u32][f64 × w·h·bands]` |
 //!
-//! A `CubeView` encodes via [`CubeView::materialize`] — the single charged
-//! deep-copy point — and decodes into a fresh owned shard wrapped in
-//! [`CubeView::standalone`], preserving the window's scene coordinates.
-//! [`encode_message`] `debug_assert`s, via the thread-local clone ledger,
-//! that materialization is the *only* payload copy the encoder performed.
+//! A `CubeView` encodes via [`CubeView::copy_runs`] — the charged deep-copy
+//! traversal, writing the window's samples straight into the frame — and
+//! decodes into a fresh owned shard wrapped in [`CubeView::standalone`],
+//! preserving the window's scene coordinates.  [`encode_message`]
+//! `debug_assert`s, via the thread-local clone ledger, that this is the
+//! *only* payload copy the encoder performed.
+//!
+//! A message is encoded into one buffer: [`encode_message`] allocates the
+//! frame at its exact size, reserves the header, writes the body behind it
+//! and seals the header in place ([`frame::seal`]).
 
-use crate::{frame, Result, WireError, PROTOCOL_VERSION};
+use crate::frame::{self, FRAME_HEADER_BYTES};
+use crate::{Result, WireError, PROTOCOL_VERSION};
 use hsi::{CubeDims, CubeView, HyperCube};
 use linalg::{Matrix, Vector};
 use pct::messages::PctMessage;
@@ -82,10 +88,16 @@ fn put_f64(out: &mut Vec<u8>, v: f64) {
     out.extend_from_slice(&v.to_le_bytes());
 }
 
+/// Appends `vs` as little-endian bytes, a block at a time: each block is
+/// converted on the stack and lands in `out` as one slice copy.
 fn put_f64s(out: &mut Vec<u8>, vs: &[f64]) {
-    out.reserve(vs.len() * 8);
-    for &v in vs {
-        put_f64(out, v);
+    let mut block = [0u8; 512];
+    for run in vs.chunks(block.len() / 8) {
+        let bytes = &mut block[..run.len() * 8];
+        for (dst, v) in bytes.chunks_exact_mut(8).zip(run) {
+            dst.copy_from_slice(&v.to_le_bytes());
+        }
+        out.extend_from_slice(bytes);
     }
 }
 
@@ -113,19 +125,22 @@ fn put_bytes(out: &mut Vec<u8>, bytes: &[u8]) {
 }
 
 fn put_view(out: &mut Vec<u8>, view: &CubeView) {
-    // The one charged deep copy: window samples leave shared storage here.
-    let shard = view.materialize();
-    let dims = shard.dims();
     put_u32(out, view.x0() as u32);
     put_u32(out, view.row_start() as u32);
-    put_u32(out, dims.width as u32);
-    put_u32(out, dims.height as u32);
-    put_u32(out, dims.bands as u32);
-    put_f64s(out, shard.samples());
+    put_u32(out, view.width() as u32);
+    put_u32(out, view.height() as u32);
+    put_u32(out, view.bands() as u32);
+    // The one charged deep copy: window samples leave shared storage here,
+    // straight into the frame.
+    view.copy_runs(|run| put_f64s(out, run));
 }
 
-fn encode_body(msg: &WireMessage) -> Vec<u8> {
-    let mut out = Vec::new();
+/// Encodes `msg` into a frame buffer allocated at its exact size: the
+/// header's bytes reserved (for [`frame::seal`]), the body behind them.
+fn encode_unsealed(msg: &WireMessage) -> Vec<u8> {
+    let len = FRAME_HEADER_BYTES + body_len(msg);
+    let mut out = Vec::with_capacity(len);
+    out.extend_from_slice(&[0; FRAME_HEADER_BYTES]);
     match msg {
         WireMessage::Hello { version } => {
             out.push(TAG_HELLO);
@@ -246,7 +261,47 @@ fn encode_body(msg: &WireMessage) -> Vec<u8> {
         WireMessage::Pct(PctMessage::Heartbeat) => out.push(TAG_HEARTBEAT),
         WireMessage::Pct(PctMessage::Shutdown) => out.push(TAG_SHUTDOWN),
     }
+    debug_assert_eq!(out.len(), len, "body_len disagrees with the encoder");
     out
+}
+
+/// Exact byte length of the body [`encode_unsealed`] writes for `msg`, so
+/// the frame buffer is allocated once at its final size.
+fn body_len(msg: &WireMessage) -> usize {
+    // `[tag u8][task u64]` opens every task and reply.
+    const TASK: usize = 1 + 8;
+    let vector = |v: &Vector| 4 + 8 * v.len();
+    let vectors = |vs: &[Vector]| 4 + vs.iter().map(vector).sum::<usize>();
+    let matrix = |m: &Matrix| 8 + 8 * m.as_slice().len();
+    let view = |v: &CubeView| 20 + v.payload_bytes();
+    let WireMessage::Pct(msg) = msg else {
+        return 1 + 4;
+    };
+    match msg {
+        PctMessage::ScreenTask { view: v, .. } => TASK + view(v) + 8,
+        PctMessage::UniqueSet { unique, .. } => TASK + vectors(unique),
+        PctMessage::CovarianceTask { mean, pixels, .. } => TASK + vector(mean) + vectors(pixels),
+        PctMessage::CovarianceSum { packed, .. } => TASK + 4 + 8 * packed.len() + 4 + 8,
+        PctMessage::TransformTask {
+            view: v,
+            mean,
+            transform,
+            scales,
+            ..
+        } => TASK + view(v) + vector(mean) + matrix(transform) + 4 + 16 * scales.len(),
+        PctMessage::RgbStrip { rgb, .. } => TASK + 12 + 4 + rgb.len(),
+        PctMessage::ScreenSeededTask { view: v, seed, .. } => TASK + view(v) + vectors(seed) + 8,
+        PctMessage::SeededUnique { accepted, .. } => TASK + vectors(accepted),
+        PctMessage::DeriveTask { unique, .. } => TASK + vectors(unique) + 8 + 4,
+        PctMessage::DerivedTransform {
+            mean,
+            transform,
+            eigenvalues,
+            ..
+        } => TASK + vector(mean) + matrix(transform) + 4 + 8 * eigenvalues.len(),
+        PctMessage::TaskFailed { error, .. } => TASK + 4 + error.len(),
+        PctMessage::Heartbeat | PctMessage::Shutdown => 1,
+    }
 }
 
 /// Sub-cube payload bytes the encoder is *expected* to copy for `msg`: the
@@ -258,22 +313,24 @@ fn expected_copy_bytes(msg: &WireMessage) -> u64 {
     }
 }
 
-/// Encodes a message into one complete frame (header + body).
+/// Encodes a message into one complete frame (header + body), in one
+/// buffer allocated at the frame's exact size.
 ///
 /// In debug builds this asserts the wire invariant: the calling thread's
 /// clone-ledger delta across encoding equals exactly the payload bytes of
-/// the message's embedded views — i.e. [`CubeView::materialize`] is the
-/// only deep copy the encoder performs, and every shipped payload byte is
+/// the message's embedded views — i.e. [`CubeView::copy_runs`] is the only
+/// deep copy the encoder performs, and every shipped payload byte is
 /// charged to the ledger.
 pub fn encode_message(msg: &WireMessage) -> Vec<u8> {
     let before = hsi::thread_cloned_bytes_total();
-    let body = encode_body(msg);
+    let mut out = encode_unsealed(msg);
     debug_assert_eq!(
         hsi::thread_cloned_bytes_total() - before,
         expected_copy_bytes(msg),
-        "wire encode must deep-copy payload only via CubeView::materialize"
+        "wire encode must deep-copy payload only via CubeView::copy_runs"
     );
-    frame::frame(&body)
+    frame::seal(&mut out);
+    out
 }
 
 // ----- decoding ---------------------------------------------------------------
@@ -549,15 +606,21 @@ mod tests {
         decode_body(&body).unwrap()
     }
 
-    #[test]
-    fn every_message_kind_round_trips() {
-        let view = coded_view(4, 3, 2);
+    /// One message of every kind.  The views are the awkward case on
+    /// purpose: a window that starts mid-row and mid-band-run, so its rows
+    /// are strided through the backing cube and not even contiguous.
+    fn one_of_every_kind() -> Vec<WireMessage> {
+        let view = CubeView::window(Arc::clone(coded_view(7, 6, 5).storage()), 2, 1, 4, 3)
+            .unwrap()
+            .with_band_window(1, 3)
+            .unwrap();
+        assert!(view.row_samples(0).is_none());
         let vecs = vec![
             Vector::from_vec(vec![1.0, -2.5]),
             Vector::from_vec(vec![f64::MIN_POSITIVE, 0.0]),
         ];
         let matrix = Matrix::from_row_major(2, 2, vec![1.0, 2.0, 3.0, 4.0]).unwrap();
-        let messages = vec![
+        vec![
             WireMessage::hello(),
             WireMessage::Pct(PctMessage::ScreenTask {
                 task: 7,
@@ -595,7 +658,7 @@ mod tests {
             }),
             WireMessage::Pct(PctMessage::ScreenSeededTask {
                 task: 13,
-                view: view.clone(),
+                view,
                 seed: vecs.clone(),
                 threshold_rad: 0.1,
             }),
@@ -623,10 +686,190 @@ mod tests {
             }),
             WireMessage::Pct(PctMessage::Heartbeat),
             WireMessage::Pct(PctMessage::Shutdown),
-        ];
-        for msg in messages {
+        ]
+    }
+
+    #[test]
+    fn every_message_kind_round_trips() {
+        for msg in one_of_every_kind() {
             assert_eq!(round_trip(msg.clone()), msg);
         }
+    }
+
+    /// The protocol-v1 encoder as first written — every field appended one
+    /// element at a time, views through [`CubeView::materialize`], the body
+    /// then wrapped by [`frame::frame`] — kept as the reference that freezes
+    /// the wire format: [`encode_message`] may get there any way it likes,
+    /// but not to different bytes.
+    fn reference_encode(msg: &WireMessage) -> Vec<u8> {
+        fn u32_(out: &mut Vec<u8>, v: usize) {
+            out.extend_from_slice(&(v as u32).to_le_bytes());
+        }
+        fn u64_(out: &mut Vec<u8>, v: u64) {
+            out.extend_from_slice(&v.to_le_bytes());
+        }
+        fn f64s(out: &mut Vec<u8>, vs: &[f64]) {
+            for v in vs {
+                out.extend_from_slice(&v.to_le_bytes());
+            }
+        }
+        fn vector(out: &mut Vec<u8>, v: &Vector) {
+            u32_(out, v.len());
+            f64s(out, v.as_slice());
+        }
+        fn vectors(out: &mut Vec<u8>, vs: &[Vector]) {
+            u32_(out, vs.len());
+            for v in vs {
+                vector(out, v);
+            }
+        }
+        fn matrix(out: &mut Vec<u8>, m: &Matrix) {
+            u32_(out, m.rows());
+            u32_(out, m.cols());
+            f64s(out, m.as_slice());
+        }
+        fn view(out: &mut Vec<u8>, view: &CubeView) {
+            let shard = view.materialize();
+            let dims = shard.dims();
+            for field in [
+                view.x0(),
+                view.row_start(),
+                dims.width,
+                dims.height,
+                dims.bands,
+            ] {
+                u32_(out, field);
+            }
+            f64s(out, shard.samples());
+        }
+        let out = &mut Vec::new();
+        let pct = match msg {
+            WireMessage::Hello { version } => {
+                out.push(0);
+                u32_(out, *version as usize);
+                return frame::frame(out);
+            }
+            WireMessage::Pct(pct) => pct,
+        };
+        let (tag, task) = match pct {
+            PctMessage::ScreenTask { task, .. } => (1, task),
+            PctMessage::UniqueSet { task, .. } => (2, task),
+            PctMessage::CovarianceTask { task, .. } => (3, task),
+            PctMessage::CovarianceSum { task, .. } => (4, task),
+            PctMessage::TransformTask { task, .. } => (5, task),
+            PctMessage::RgbStrip { task, .. } => (6, task),
+            PctMessage::ScreenSeededTask { task, .. } => (7, task),
+            PctMessage::SeededUnique { task, .. } => (8, task),
+            PctMessage::DeriveTask { task, .. } => (9, task),
+            PctMessage::DerivedTransform { task, .. } => (10, task),
+            PctMessage::TaskFailed { task, .. } => (11, task),
+            PctMessage::Heartbeat => return frame::frame(&[12]),
+            PctMessage::Shutdown => return frame::frame(&[13]),
+        };
+        out.push(tag);
+        u64_(out, *task as u64);
+        match pct {
+            PctMessage::ScreenTask {
+                view: v,
+                threshold_rad,
+                ..
+            } => {
+                view(out, v);
+                f64s(out, &[*threshold_rad]);
+            }
+            PctMessage::UniqueSet { unique: vs, .. }
+            | PctMessage::SeededUnique { accepted: vs, .. } => vectors(out, vs),
+            PctMessage::CovarianceTask { mean, pixels, .. } => {
+                vector(out, mean);
+                vectors(out, pixels);
+            }
+            PctMessage::CovarianceSum {
+                packed,
+                bands,
+                count,
+                ..
+            } => {
+                u32_(out, packed.len());
+                f64s(out, packed);
+                u32_(out, *bands);
+                u64_(out, *count);
+            }
+            PctMessage::TransformTask {
+                view: v,
+                mean,
+                transform,
+                scales,
+                ..
+            } => {
+                view(out, v);
+                vector(out, mean);
+                matrix(out, transform);
+                u32_(out, scales.len());
+                for (lo, hi) in scales {
+                    f64s(out, &[*lo, *hi]);
+                }
+            }
+            PctMessage::RgbStrip {
+                row_start,
+                rows,
+                width,
+                rgb,
+                ..
+            } => {
+                for field in [*row_start, *rows, *width, rgb.len()] {
+                    u32_(out, field);
+                }
+                out.extend_from_slice(rgb);
+            }
+            PctMessage::ScreenSeededTask {
+                view: v,
+                seed,
+                threshold_rad,
+                ..
+            } => {
+                view(out, v);
+                vectors(out, seed);
+                f64s(out, &[*threshold_rad]);
+            }
+            PctMessage::DeriveTask { unique, config, .. } => {
+                vectors(out, unique);
+                f64s(out, &[config.screening_angle_rad]);
+                u32_(out, config.output_components);
+            }
+            PctMessage::DerivedTransform {
+                mean,
+                transform,
+                eigenvalues,
+                ..
+            } => {
+                vector(out, mean);
+                matrix(out, transform);
+                u32_(out, eigenvalues.len());
+                f64s(out, eigenvalues);
+            }
+            PctMessage::TaskFailed { error, .. } => {
+                u32_(out, error.len());
+                out.extend_from_slice(error.as_bytes());
+            }
+            PctMessage::Heartbeat | PctMessage::Shutdown => unreachable!("returned above"),
+        }
+        frame::frame(out)
+    }
+
+    #[test]
+    fn wire_format_is_frozen_against_the_reference_encoder() {
+        for msg in one_of_every_kind() {
+            let frame = encode_message(&msg);
+            assert_eq!(frame, reference_encode(&msg), "{msg:?}");
+            // One buffer, allocated at the frame's exact size.
+            assert_eq!(frame.capacity(), frame.len(), "{msg:?}");
+        }
+        // And against literal bytes, so the header layout, the polynomial
+        // and the tag numbering are pinned to something no code here made.
+        assert_eq!(
+            encode_message(&WireMessage::hello()),
+            [b'F', b'U', b'S', b'1', 5, 0, 0, 0, 0x78, 0x90, 0x9e, 0x7e, 0, 1, 0, 0, 0]
+        );
     }
 
     #[test]

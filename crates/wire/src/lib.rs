@@ -6,10 +6,10 @@
 //! - [`codec`] — a fixed-layout little-endian encoding of
 //!   [`pct::messages::PctMessage`] plus the protocol-control handshake
 //!   message, wrapped in length-prefixed CRC-checked frames ([`frame`]).
-//!   Cube payloads serialize via [`hsi::CubeView::materialize`], the one
-//!   charged deep-copy point, so the clone ledger doubles as the wire-bytes
-//!   ledger — and the encode path `debug_assert`s that no other copy
-//!   happened.
+//!   Cube payloads are copied straight into the frame by
+//!   [`hsi::CubeView::copy_runs`], the one charged deep-copy point, so the
+//!   clone ledger doubles as the wire-bytes ledger — and the encode path
+//!   `debug_assert`s that no other copy happened.
 //! - [`transport`] — a [`Transport`] trait over whole messages with two
 //!   impls: an in-process [`transport::loopback_pair`] for deterministic
 //!   tests, and [`transport::TcpTransport`] over `std::net::TcpStream` for

@@ -9,8 +9,8 @@
 use crate::codec::{decode_body, encode_message, WireMessage};
 use crate::frame::FrameReader;
 use crate::{Result, WireError, PROTOCOL_VERSION};
-use std::io::{Read, Write};
-use std::net::TcpStream;
+use std::io::Write;
+use std::net::{Shutdown, TcpStream};
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 use std::time::Duration;
 
@@ -114,7 +114,9 @@ impl Transport for LoopbackTransport {
 ///
 /// Receives buffer partial frames across calls — a message split over many
 /// TCP segments reassembles transparently — and a read timeout that
-/// expires mid-frame simply returns `Ok(None)` without losing sync.
+/// expires mid-frame simply returns `Ok(None)` without losing sync.  Bytes
+/// are read from the socket straight into the frame's own buffer, never
+/// past the end of the frame being assembled.
 pub struct TcpTransport {
     stream: TcpStream,
     reader: FrameReader,
@@ -141,6 +143,63 @@ impl TcpTransport {
     pub fn connect(addr: &str) -> Result<Self> {
         Self::new(TcpStream::connect(addr)?)
     }
+
+    /// A second handle on the same connection, so one thread can block
+    /// receiving while another sends (full duplex).  The clone starts with
+    /// an empty frame buffer and shares the socket's read timeout, so only
+    /// one of the handles may receive; send on the other.
+    pub fn try_clone(&self) -> Result<Self> {
+        Ok(Self {
+            stream: self.stream.try_clone()?,
+            reader: FrameReader::new(),
+            peer: self.peer.clone(),
+        })
+    }
+
+    /// Shuts the connection down in both directions, on every handle: a
+    /// receive blocked on any clone returns a connection error, later sends
+    /// fail, and the peer reads end-of-stream after what was already sent.
+    pub fn shutdown(&self) {
+        // Already-closed is the state asked for.
+        let _ = self.stream.shutdown(Shutdown::Both);
+    }
+
+    /// Blocks until the next message arrives; every error is
+    /// connection-fatal (including a cleanly closed peer).
+    pub fn recv(&mut self) -> Result<WireMessage> {
+        self.stream.set_read_timeout(None)?;
+        loop {
+            if let Some(msg) = self.pump()? {
+                return Ok(msg);
+            }
+        }
+    }
+
+    /// Assembles and decodes the next frame under the socket's current
+    /// read timeout; `Ok(None)` when that timeout expires first.
+    fn pump(&mut self) -> Result<Option<WireMessage>> {
+        loop {
+            if let Some(body) = self.reader.next_frame()? {
+                return Ok(Some(decode_body(&body)?));
+            }
+            match self.reader.fill_from(&mut self.stream) {
+                Ok(0) => {
+                    return Err(WireError::Io(format!(
+                        "{} closed the connection",
+                        self.peer
+                    )))
+                }
+                Ok(_) => {}
+                Err(e)
+                    if e.kind() == std::io::ErrorKind::WouldBlock
+                        || e.kind() == std::io::ErrorKind::TimedOut =>
+                {
+                    return Ok(None)
+                }
+                Err(e) => return Err(e.into()),
+            }
+        }
+    }
 }
 
 impl Transport for TcpTransport {
@@ -154,28 +213,7 @@ impl Transport for TcpTransport {
         // A zero timeout would mean "block forever" to the socket API.
         let timeout = timeout.max(Duration::from_millis(1));
         self.stream.set_read_timeout(Some(timeout))?;
-        let mut chunk = [0u8; 64 * 1024];
-        loop {
-            if let Some(body) = self.reader.next_frame()? {
-                return Ok(Some(decode_body(&body)?));
-            }
-            match self.stream.read(&mut chunk) {
-                Ok(0) => {
-                    return Err(WireError::Io(format!(
-                        "{} closed the connection",
-                        self.peer
-                    )))
-                }
-                Ok(n) => self.reader.push(&chunk[..n]),
-                Err(e)
-                    if e.kind() == std::io::ErrorKind::WouldBlock
-                        || e.kind() == std::io::ErrorKind::TimedOut =>
-                {
-                    return Ok(None)
-                }
-                Err(e) => return Err(e.into()),
-            }
-        }
+        self.pump()
     }
 
     fn peer(&self) -> String {
