@@ -52,6 +52,11 @@
 #     two-worker lane; lane-drain kill on a one-worker lane backed by an
 #     inline executor).  Exact by construction (expected 2 / 1 / 1): any
 #     drift means detection or re-dispatch behaviour changed.
+#   * kernel_{screen_ns_per_px_unique,dot_fast_ns_per_elem,dot_ns_per_elem}
+#     — `bench --bin kernel_rows`: the screening engine on a 64x64x32 scene
+#     at 5 deg per pixel x unique member, and the plain and compensated dot
+#     kernels per element, each the median of 15 runs.  Wall-clock and
+#     trend-only.
 #
 # After appending, the committed trend chart bench/BENCH_trends.svg is
 # regenerated from the full history by `bench --bin plot_history`.
@@ -80,6 +85,7 @@ G16X2=$(echo "$FIG5" | awk '$1=="16" && $2!="sub-cubes:" {print $3; exit}')
 SVC=$(cargo run --release -q -p bench --bin service_throughput 2>/dev/null)
 ING=$(cargo run --release -q -p bench --bin ingest_throughput 2>/dev/null)
 SIM=$(cargo run --release -q -p bench --bin sim_throughput 2>/dev/null)
+KER=$(cargo run --release -q -p bench --bin kernel_rows 2>/dev/null)
 
 {
     echo "$STAMP,$REV,fig4_p16_plain_secs,$PLAIN16"
@@ -88,6 +94,7 @@ SIM=$(cargo run --release -q -p bench --bin sim_throughput 2>/dev/null)
     echo "$SVC" | awk -v s="$STAMP" -v r="$REV" '$1=="CSV" {print s "," r "," $2 "," $3}'
     echo "$ING" | awk -v s="$STAMP" -v r="$REV" '$1=="CSV" {print s "," r "," $2 "," $3}'
     echo "$SIM" | awk -v s="$STAMP" -v r="$REV" '$1=="CSV" {print s "," r "," $2 "," $3}'
+    echo "$KER" | awk -v s="$STAMP" -v r="$REV" '$1=="CSV" {print s "," r "," $2 "," $3}'
 } >> "$CSV"
 
 echo "recorded $(grep -c "^$STAMP,$REV," "$CSV") metrics for $REV into $CSV:"

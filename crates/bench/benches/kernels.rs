@@ -9,6 +9,7 @@ use linalg::eigen::{sorted_eigenpairs, JacobiOptions};
 use linalg::sym::SymMatrix;
 use pct::colormap::{map_cube, ComponentScale};
 use pct::pipeline::{derive_transform, transform_cube};
+use pct::reference::naive_screen;
 use pct::screening::screen_pixels;
 use pct::PctConfig;
 
@@ -28,6 +29,11 @@ fn bench_screening(c: &mut Criterion) {
             BenchmarkId::from_parameter(size * size),
             &pixels,
             |b, px| b.iter(|| screen_pixels(px, PctConfig::paper().screening_angle_rad)),
+        );
+        group.bench_with_input(
+            BenchmarkId::new("naive_reference", size * size),
+            &pixels,
+            |b, px| b.iter(|| naive_screen(px, PctConfig::paper().screening_angle_rad)),
         );
     }
     group.finish();

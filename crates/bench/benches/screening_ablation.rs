@@ -5,6 +5,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use hsi::{CubeDims, SceneConfig, SceneGenerator};
+use pct::reference::naive_screen;
 use pct::screening::screen_pixels;
 
 fn bench_thresholds(c: &mut Criterion) {
@@ -18,6 +19,7 @@ fn bench_thresholds(c: &mut Criterion) {
     for &degrees in &[1.0f64, 2.0, 5.0, 10.0, 20.0] {
         let threshold = degrees.to_radians();
         let unique = screen_pixels(&pixels, threshold);
+        assert_eq!(unique, naive_screen(&pixels, threshold));
         println!(
             "threshold {degrees:>5.1} deg -> {:>5} unique of {} pixels ({:.1}%)",
             unique.len(),
@@ -27,6 +29,11 @@ fn bench_thresholds(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::from_parameter(degrees), &threshold, |b, &t| {
             b.iter(|| screen_pixels(&pixels, t))
         });
+        group.bench_with_input(
+            BenchmarkId::new("naive_reference", degrees),
+            &threshold,
+            |b, &t| b.iter(|| naive_screen(&pixels, t)),
+        );
     }
     group.finish();
 }

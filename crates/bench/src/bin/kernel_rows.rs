@@ -1,0 +1,60 @@
+//! Screening-kernel timings for `bench/BENCH_history.csv`: the slice-fed
+//! screening engine on a 64×64×32 scene at 5°, per pixel·unique-member, and
+//! the two dot kernels behind it (plain `dot_fast`, compensated `dot`), per
+//! element.
+//!
+//! Lines starting with `CSV` are parsed by `bench/record.sh`.  Each value
+//! is the median of 15 timed runs after a warm-up; wall-clock and
+//! trend-only.
+
+use hsi::{CubeDims, SceneConfig, SceneGenerator};
+use pct::screening::screen_slices;
+use std::hint::black_box;
+use std::time::Instant;
+
+/// Median nanoseconds over 15 timed runs of `routine`, after one untimed
+/// warm-up.
+fn median_ns(mut routine: impl FnMut()) -> f64 {
+    routine();
+    let mut ns: Vec<f64> = (0..15)
+        .map(|_| {
+            let start = Instant::now();
+            routine();
+            start.elapsed().as_nanos() as f64
+        })
+        .collect();
+    ns.sort_by(f64::total_cmp);
+    ns[ns.len() / 2]
+}
+
+fn main() {
+    let mut config = SceneConfig::small(99);
+    config.dims = CubeDims::new(64, 64, 32);
+    let cube = SceneGenerator::new(config).unwrap().generate();
+    let threshold = 5.0_f64.to_radians();
+    let unique = screen_slices(cube.iter_pixels(), threshold).len();
+    let screen = median_ns(|| {
+        black_box(screen_slices(black_box(&cube).iter_pixels(), threshold));
+    });
+    println!(
+        "CSV kernel_screen_ns_per_px_unique {:.3}",
+        screen / (cube.pixels() * unique) as f64
+    );
+    // Each pixel against its successor: 4095 dots of 32 elements per run.
+    let pixels = cube.pixel_vectors();
+    let elems = ((pixels.len() - 1) * cube.bands()) as f64;
+    let dots = |dot: fn(&[f64], &[f64]) -> f64| {
+        median_ns(|| {
+            let sum: f64 = black_box(&pixels)
+                .windows(2)
+                .map(|w| dot(w[0].as_slice(), w[1].as_slice()))
+                .sum();
+            black_box(sum);
+        }) / elems
+    };
+    println!(
+        "CSV kernel_dot_fast_ns_per_elem {:.3}",
+        dots(linalg::dot_fast)
+    );
+    println!("CSV kernel_dot_ns_per_elem {:.3}", dots(linalg::dot));
+}

@@ -10,7 +10,9 @@
 //!
 //! * [`Vector`] — a dense `f64` vector with the dot products, norms and
 //!   spectral-angle helpers used by step 1 (spectral screening) and step 3
-//!   (mean vector).
+//!   (mean vector); [`dot`] and [`norm`] are the same compensated kernels
+//!   on slices, and [`dot_fast`] is the error-bounded plain dot the
+//!   screening prefilter decides on.
 //! * [`Matrix`] — a dense row-major `f64` matrix used for the transformation
 //!   matrix of step 6 and the colour-mapping matrix of step 8.
 //! * [`SymMatrix`] — a packed symmetric matrix used for covariance sums
@@ -40,7 +42,7 @@ pub use covariance::CovarianceAccumulator;
 pub use eigen::{sorted_eigenpairs, EigenDecomposition, JacobiOptions};
 pub use matrix::Matrix;
 pub use sym::SymMatrix;
-pub use vector::Vector;
+pub use vector::{dot, dot_fast, norm, Vector};
 
 /// Errors produced by linear-algebra operations.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -5,6 +5,51 @@ use crate::{LinalgError, Result};
 use serde::{Deserialize, Serialize};
 use std::ops::{Add, AddAssign, Index, IndexMut, Mul, Sub};
 
+/// Compensated (Neumaier) dot product of two equal-length slices: the
+/// arithmetic of [`Vector::dot`], for callers that hold borrowed pixels.
+#[inline]
+pub fn dot(a: &[f64], b: &[f64]) -> f64 {
+    debug_assert_eq!(a.len(), b.len());
+    reduce::neumaier_sum(a.iter().zip(b).map(|(a, b)| a * b))
+}
+
+/// Compensated Euclidean norm of a slice: the arithmetic of [`Vector::norm`].
+#[inline]
+pub fn norm(a: &[f64]) -> f64 {
+    reduce::neumaier_sum(a.iter().map(|x| x * x)).sqrt()
+}
+
+/// Independent partial sums kept by [`dot_fast`].
+const FAST_LANES: usize = 8;
+
+/// Plain multi-accumulator dot product of two equal-length slices.
+///
+/// Eight independent partial sums in a fixed lane order, so the result is
+/// deterministic and the loop vectorises; no compensation.  With
+/// `n = a.len()` and `u = 2^-53` it differs from the compensated [`dot`] by
+/// at most `(n + 4) * u * |a| * |b|`: both sum the same rounded products,
+/// plain summation of `n` terms errs by at most `(n - 1) u` of
+/// `sum |a_i b_i| <= (1 + u) |a| |b|` (Cauchy-Schwarz), and the compensated
+/// sum by at most `2u` of it.  Spectral screening decides a comparison on
+/// this value whenever it lies further than that from the threshold.
+pub fn dot_fast(a: &[f64], b: &[f64]) -> f64 {
+    assert_eq!(a.len(), b.len(), "dot_fast operands differ in length");
+    let mut lanes = [0.0_f64; FAST_LANES];
+    let (a_blocks, b_blocks) = (a.chunks_exact(FAST_LANES), b.chunks_exact(FAST_LANES));
+    let tail = a_blocks.remainder().iter().zip(b_blocks.remainder());
+    for (x, y) in a_blocks.zip(b_blocks) {
+        for lane in 0..FAST_LANES {
+            lanes[lane] += x[lane] * y[lane];
+        }
+    }
+    let mut sum = ((lanes[0] + lanes[4]) + (lanes[2] + lanes[6]))
+        + ((lanes[1] + lanes[5]) + (lanes[3] + lanes[7]));
+    for (x, y) in tail {
+        sum += x * y;
+    }
+    sum
+}
+
 /// A dense vector of `f64` values.
 ///
 /// In the fusion pipeline a `Vector` is most often a *pixel vector*: the
@@ -69,14 +114,12 @@ impl Vector {
                 right: other.len(),
             });
         }
-        Ok(reduce::neumaier_sum(
-            self.data.iter().zip(&other.data).map(|(a, b)| a * b),
-        ))
+        Ok(dot(&self.data, &other.data))
     }
 
     /// Euclidean (L2) norm.
     pub fn norm(&self) -> f64 {
-        reduce::neumaier_sum(self.data.iter().map(|x| x * x)).sqrt()
+        norm(&self.data)
     }
 
     /// L1 norm (sum of absolute values).
@@ -272,6 +315,7 @@ impl AddAssign<&Vector> for Vector {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use std::f64::consts::{FRAC_PI_2, PI};
 
     fn v(data: &[f64]) -> Vector {
@@ -398,5 +442,63 @@ mod tests {
         a[1] = 10.0;
         assert_eq!(a[1], 10.0);
         assert_eq!(a.as_slice(), &[1.0, 10.0, 3.0]);
+    }
+
+    /// `|dot_fast - dot| <= (n + 4) * 2^-53 * |a| * |b|`, the bound spectral
+    /// screening's fast tier is built on.
+    fn assert_dot_fast_within_bound(a: &[f64], b: &[f64]) {
+        let bound = (a.len() + 4) as f64 * (f64::EPSILON / 2.0) * norm(a) * norm(b);
+        let gap = (dot_fast(a, b) - dot(a, b)).abs();
+        assert!(
+            gap <= bound,
+            "n = {}: gap {gap:e} > bound {bound:e}",
+            a.len()
+        );
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn dot_fast_stays_within_its_bound_on_random_inputs(
+            samples in prop::collection::vec(-1.0e3..1.0e3f64, 0..460),
+            exponent in -100i32..100,
+        ) {
+            let (a, b) = samples.split_at(samples.len() / 2);
+            let a: Vec<f64> = a.iter().map(|x| x * 10f64.powi(exponent)).collect();
+            assert_dot_fast_within_bound(&a, &b[..a.len()]);
+        }
+
+        #[test]
+        fn dot_fast_stays_within_its_bound_under_heavy_cancellation(
+            samples in prop::collection::vec(0.5..2.0f64, 2..230),
+            tilt in -1.0e-9..1.0e-9f64,
+        ) {
+            // `a . b` is a sum of large terms that cancel in pairs, leaving
+            // a result many orders below the terms.
+            let (x, y) = samples.split_at(samples.len() / 2);
+            let a: Vec<f64> = x.iter().chain(x).copied().collect();
+            let b: Vec<f64> = y[..x.len()]
+                .iter()
+                .map(|v| v * 1e8)
+                .chain(y[..x.len()].iter().map(|v| -v * 1e8 * (1.0 + tilt)))
+                .collect();
+            assert_dot_fast_within_bound(&a, &b);
+        }
+    }
+
+    #[test]
+    fn dot_fast_is_exact_on_small_integers_of_every_length() {
+        for n in 0..40 {
+            let a: Vec<f64> = (0..n).map(|i| (i as f64) - 7.0).collect();
+            let b: Vec<f64> = (0..n).map(|i| ((i * 3 % 11) as f64) - 5.0).collect();
+            assert_eq!(dot_fast(&a, &b), dot(&a, &b), "length {n}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "dot_fast operands differ in length")]
+    fn dot_fast_rejects_mismatched_lengths() {
+        dot_fast(&[1.0, 2.0], &[1.0, 2.0, 3.0]);
     }
 }

@@ -13,7 +13,7 @@ use crate::colormap::{map_pixel, ComponentScale};
 use crate::config::{FusionOutput, PctConfig};
 use crate::messages::{PctMessage, TaskId};
 use crate::pipeline::{derive_transform, finalize_transform, TransformSpec};
-use crate::screening::{merge_unique_sets, screen_pixels, screen_pixels_seeded};
+use crate::screening::{merge_unique_sets, screen_slices, screen_slices_seeded};
 use crate::{PctError, Result};
 use hsi::partition::{GranularityPolicy, SubCubeSpec};
 use hsi::{CubeView, HyperCube, RgbImage};
@@ -119,7 +119,7 @@ pub fn handle_task(msg: PctMessage) -> Option<PctMessage> {
             view,
             threshold_rad,
         } => {
-            let unique = screen_pixels(&view.pixel_vectors(), threshold_rad);
+            let unique = screen_slices(view.iter_pixels(), threshold_rad);
             Some(PctMessage::UniqueSet { task, unique })
         }
         PctMessage::CovarianceTask { task, mean, pixels } => {
@@ -146,7 +146,7 @@ pub fn handle_task(msg: PctMessage) -> Option<PctMessage> {
             seed,
             threshold_rad,
         } => {
-            let accepted = screen_pixels_seeded(&seed, &view.pixel_vectors(), threshold_rad);
+            let accepted = screen_slices_seeded(seed, view.iter_pixels(), threshold_rad);
             Some(PctMessage::SeededUnique { task, accepted })
         }
         PctMessage::DeriveTask {
@@ -437,6 +437,7 @@ pub fn assemble_image(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::screening::screen_pixels;
     use crate::sequential::SequentialPct;
     use hsi::partition::partition_rows;
     use hsi::{SceneConfig, SceneGenerator};

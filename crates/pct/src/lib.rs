@@ -30,6 +30,8 @@ pub mod distributed;
 pub mod distributed_sim;
 pub mod messages;
 pub mod pipeline;
+#[doc(hidden)]
+pub mod reference;
 pub mod resilient;
 pub mod screening;
 pub mod sequential;

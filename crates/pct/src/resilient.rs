@@ -36,6 +36,7 @@ use resilience::{
     Regenerator,
 };
 use scp::{Runtime, RuntimeConfig, ScpError, ThreadContext, ThreadHandle};
+use std::any::Any;
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -112,8 +113,8 @@ pub struct ResilientRunReport {
 ///
 /// Owns everything needed to keep a set of replica groups alive: membership,
 /// the kill-switch registry used to emulate attacks, the heartbeat failure
-/// detector, the regeneration driver, the spawn handles of every member ever
-/// created, and the run accounting.  [`ResilientPct`] builds one per run;
+/// detector, the regeneration driver, the spawn handles of every member
+/// thread not yet reaped, and the run accounting.  [`ResilientPct`] builds one per run;
 /// the service layer's worker pool owns one for the lifetime of the process.
 pub struct ResilientManagerState {
     /// Replica-group membership, shared with the regenerator.
@@ -124,8 +125,10 @@ pub struct ResilientManagerState {
     pub detector: FailureDetector,
     /// The regeneration protocol driver.
     pub regenerator: Regenerator,
-    /// Handles of every member thread ever spawned (including regenerated
-    /// replacements and members later declared failed).
+    /// Handles of every member thread still running or not yet reaped
+    /// (including regenerated replacements and members falsely declared
+    /// failed); [`ResilientManagerState::handle_member_failure`] joins and
+    /// removes the ones that have exited.
     pub handles: Vec<ThreadHandle<()>>,
     /// Run accounting (heartbeats, duplicates, re-issues).
     pub report: ResilientRunReport,
@@ -136,6 +139,9 @@ pub struct ResilientManagerState {
     pub retransmit_after: Duration,
     /// Remaining send-fault injections: deliveries to drop per routing name.
     send_drops: HashMap<String, usize>,
+    /// The first panic of a member thread reaped mid-run, re-raised by
+    /// [`ResilientManagerState::shutdown`].
+    member_panic: Option<Box<dyn Any + Send>>,
     attack: AttackPlan,
     attack_fired: bool,
     results_seen: usize,
@@ -253,6 +259,7 @@ impl ResilientManagerState {
             report: ResilientRunReport::default(),
             retransmit_after: Duration::from_millis(500),
             send_drops,
+            member_panic: None,
             attack,
             attack_fired: false,
             results_seen: 0,
@@ -358,9 +365,32 @@ impl ResilientManagerState {
             regenerator,
             handles,
             report,
+            member_panic,
             ..
         } = self;
         detector.unwatch(failed);
+        // Reap the members whose threads have exited: joining releases the
+        // stack (the mailbox's queue went with its receiver), so neither
+        // accumulates per kill.  A panic is kept for `shutdown` to re-raise —
+        // a crashed member is regenerated like a killed one, it must not take
+        // the manager down mid-run.  Only `failed`, whose loss is confirmed,
+        // loses its routing entry: another exited member not yet reported
+        // must keep answering `Disconnected`, the one signal `group_send`
+        // and `sweep_and_probe` count as a death.  A member falsely declared
+        // failed is still running and stays listed and bound, so `shutdown`
+        // still reaches it.
+        let (exited, running): (Vec<_>, Vec<_>) =
+            handles.drain(..).partition(ThreadHandle::is_finished);
+        *handles = running;
+        for handle in exited {
+            if let Err(panic) = handle.try_join() {
+                member_panic.get_or_insert(panic);
+            }
+        }
+        let failed_name = failed.routing_name();
+        if !handles.iter().any(|handle| handle.name == failed_name) {
+            ctx.router().unbind(&failed_name);
+        }
         let event = regenerator.handle_failure(failed, |replacement, _node| {
             let handle = spawn_member(runtime, injector, replacement)
                 .map_err(|_| resilience::ResilienceError::InvalidConfig("spawn failed".into()))?;
@@ -413,19 +443,29 @@ impl ResilientManagerState {
         Ok(dead)
     }
 
-    /// Shuts down every member that ever existed — not just current group
+    /// Shuts down every member still running — not just current group
     /// membership.  A member falsely declared failed is removed from its
     /// group but its thread keeps running; addressing the shutdown by spawn
     /// handle reaches those orphans too, so the joins cannot hang on them.
     /// Folds the attack and regeneration logs into the report and returns it.
+    ///
+    /// # Panics
+    /// Re-raises the first panic of a member thread, whether joined here or
+    /// reaped earlier by [`ResilientManagerState::handle_member_failure`].
     pub fn shutdown(mut self, ctx: &mut ThreadContext<PctMessage>) -> ResilientRunReport {
         for handle in &self.handles {
             let _ = ctx.send(&handle.name, PctMessage::Shutdown);
         }
         // Killed members exit via their kill switches; joining is safe either
-        // way.
+        // way.  A member's panic — now or reaped earlier — propagates here,
+        // once every thread is joined.
         for handle in self.handles {
-            handle.join();
+            if let Err(panic) = handle.try_join() {
+                self.member_panic.get_or_insert(panic);
+            }
+        }
+        if let Some(panic) = self.member_panic {
+            std::panic::resume_unwind(panic);
         }
         self.report.regenerations = self.regenerator.history().to_vec();
         self.report.members_attacked = self.injector.attack_log();
@@ -1029,5 +1069,191 @@ mod tests {
         let report = state.shutdown(&mut ctx);
         assert_eq!(report.members_attacked, vec!["g0#0".to_string()]);
         assert_eq!(report.regenerations.len(), 1);
+    }
+
+    #[test]
+    fn repeated_kills_do_not_accumulate_handles_or_mailboxes() {
+        let runtime: Runtime<PctMessage> = Runtime::new(RuntimeConfig::default());
+        let mut ctx = runtime.context(MANAGER).unwrap();
+        let groups = vec!["g0".to_string()];
+        let mut state = ResilientManagerState::build(
+            &runtime,
+            &groups,
+            2,
+            DetectorConfig {
+                heartbeat_period_ms: 5,
+                miss_threshold: 2,
+            },
+            AttackPlan::none(),
+        )
+        .unwrap();
+        let mut outstanding = HashMap::new();
+        for round in 0..50 {
+            let victim = state.membership.get("g0").unwrap().members[0].clone();
+            assert!(state.injector.attack(&victim.routing_name()));
+            // The victim's mailbox goes with its thread; a send then reports it.
+            let start = Instant::now();
+            let dead = loop {
+                let dead = state
+                    .group_send(&mut ctx, "g0", &PctMessage::Heartbeat)
+                    .unwrap();
+                if !dead.is_empty() {
+                    break dead;
+                }
+                assert!(start.elapsed() < Duration::from_secs(5), "round {round}");
+                std::thread::sleep(Duration::from_millis(1));
+            };
+            assert_eq!(dead, vec![victim]);
+            state
+                .handle_member_failure(&mut ctx, &runtime, &mut outstanding, 0, &dead[0])
+                .unwrap();
+            let live = state.membership.get("g0").unwrap().members.len();
+            assert_eq!(live, 2);
+            // At most the member killed this round is still waiting to be
+            // reaped (its thread may not have fully exited yet).
+            assert!(state.handles.len() <= live + 1, "round {round}");
+            assert!(runtime.router().bound_names().len() <= live + 2);
+        }
+        let report = state.shutdown(&mut ctx);
+        assert_eq!(report.regenerations.len(), 50);
+    }
+
+    /// Builds two level-`level` groups `g0`/`g1` on a fresh runtime.
+    fn two_groups(
+        level: usize,
+    ) -> (
+        Runtime<PctMessage>,
+        ThreadContext<PctMessage>,
+        ResilientManagerState,
+    ) {
+        let runtime: Runtime<PctMessage> = Runtime::new(RuntimeConfig::default());
+        let ctx = runtime.context(MANAGER).unwrap();
+        let groups = vec!["g0".to_string(), "g1".to_string()];
+        let detector = DetectorConfig {
+            heartbeat_period_ms: 5,
+            miss_threshold: 2,
+        };
+        let state =
+            ResilientManagerState::build(&runtime, &groups, level, detector, AttackPlan::none())
+                .unwrap();
+        (runtime, ctx, state)
+    }
+
+    fn wait_until_all_exited(state: &ResilientManagerState, names: &[&str]) {
+        let start = Instant::now();
+        while state
+            .handles
+            .iter()
+            .any(|h| names.contains(&h.name.as_str()) && !h.is_finished())
+        {
+            assert!(
+                start.elapsed() < Duration::from_secs(5),
+                "{names:?} still run"
+            );
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+
+    #[test]
+    fn a_second_dead_member_is_still_detected_after_the_first_is_handled() {
+        // Two single-member groups lose their member at the same time; only
+        // g0's loss is reported.  Reaping g1's exited thread while handling
+        // g0 must leave g1#0 answering `Disconnected` — to the probe and to
+        // a group send — or g1 silently runs below its level for good.
+        let (runtime, mut ctx, mut state) = two_groups(1);
+        assert!(state.injector.attack("g0#0"));
+        assert!(state.injector.attack("g1#0"));
+        wait_until_all_exited(&state, &["g0#0", "g1#0"]);
+        let mut outstanding = HashMap::new();
+        let g0_dead = state
+            .group_send(&mut ctx, "g0", &PctMessage::Heartbeat)
+            .unwrap();
+        assert_eq!(g0_dead.len(), 1);
+        state
+            .handle_member_failure(&mut ctx, &runtime, &mut outstanding, 0, &g0_dead[0])
+            .unwrap();
+        // g1#0's thread was reaped with g0#0's, its loss not yet confirmed.
+        assert_eq!(state.handles.len(), 1);
+        assert!(!runtime.router().is_bound("g0#0"));
+        assert!(runtime.router().is_bound("g1#0"));
+        // Both detection paths still see it.
+        let suspects = state.sweep_and_probe(&mut ctx, 10_000);
+        assert_eq!(suspects.len(), 1, "{suspects:?}");
+        assert_eq!(suspects[0].routing_name(), "g1#0");
+        let g1_dead = state
+            .group_send(&mut ctx, "g1", &PctMessage::Heartbeat)
+            .unwrap();
+        assert_eq!(g1_dead, suspects);
+        state
+            .handle_member_failure(&mut ctx, &runtime, &mut outstanding, 10_000, &g1_dead[0])
+            .unwrap();
+        assert!(!runtime.router().is_bound("g1#0"));
+        for group in ["g0", "g1"] {
+            let members = state.membership.get(group).unwrap().members;
+            assert_eq!(members.len(), 1);
+            assert!(members[0].incarnation >= 1, "{group} was not regenerated");
+        }
+        let report = state.shutdown(&mut ctx);
+        assert_eq!(report.regenerations.len(), 2);
+    }
+
+    #[test]
+    fn a_falsely_failed_member_stays_bound_and_is_shut_down() {
+        let (runtime, mut ctx, mut state) = two_groups(2);
+        let alive = state.membership.get("g0").unwrap().members[0].clone();
+        state
+            .handle_member_failure(&mut ctx, &runtime, &mut HashMap::new(), 0, &alive)
+            .unwrap();
+        // Still running, so still listed and reachable: `shutdown` would
+        // hang on its join otherwise.
+        assert!(runtime.router().is_bound(&alive.routing_name()));
+        assert_eq!(state.handles.len(), 5);
+        let report = state.shutdown(&mut ctx);
+        assert_eq!(report.regenerations.len(), 1);
+    }
+
+    #[test]
+    fn a_panicked_member_is_regenerated_and_its_panic_surfaces_at_shutdown() {
+        let (runtime, mut ctx, mut state) = two_groups(2);
+        // A covariance task whose pixel has the wrong band count trips the
+        // worker's `uniform band count` expectation.
+        let poison = PctMessage::CovarianceTask {
+            task: 7,
+            mean: linalg::Vector::zeros(2),
+            pixels: vec![linalg::Vector::zeros(3)],
+        };
+        ctx.send("g0#0", poison).unwrap();
+        wait_until_all_exited(&state, &["g0#0"]);
+        let dead = state
+            .group_send(&mut ctx, "g0", &PctMessage::Heartbeat)
+            .unwrap();
+        assert_eq!(dead.len(), 1);
+        // Handling the crash regenerates the member and does not re-raise.
+        state
+            .handle_member_failure(&mut ctx, &runtime, &mut HashMap::new(), 0, &dead[0])
+            .unwrap();
+        assert_eq!(state.membership.get("g0").unwrap().members.len(), 2);
+        assert_eq!(state.regenerator.history().len(), 1);
+        assert_eq!(state.handles.len(), 4);
+        // ... and a later, unrelated failure is handled as well.
+        assert!(state.injector.attack("g1#1"));
+        wait_until_all_exited(&state, &["g1#1"]);
+        let dead = state
+            .group_send(&mut ctx, "g1", &PctMessage::Heartbeat)
+            .unwrap();
+        state
+            .handle_member_failure(&mut ctx, &runtime, &mut HashMap::new(), 0, &dead[0])
+            .unwrap();
+        // The crash is reported where it always was: at shutdown.
+        let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || {
+            state.shutdown(&mut ctx)
+        }))
+        .expect_err("the member's panic was swallowed");
+        let text = panic
+            .downcast_ref::<String>()
+            .cloned()
+            .or_else(|| panic.downcast_ref::<&str>().map(|s| s.to_string()))
+            .unwrap_or_default();
+        assert!(text.contains("uniform band count"), "{text}");
     }
 }

@@ -11,18 +11,44 @@
 //!
 //! ## Hot-path note
 //!
-//! Screening is O(unique × pixels) and dominates phase 1 at paper scale, so
-//! the membership test avoids redundant work: member norms are computed once
-//! when a vector joins the set (instead of once per comparison), and the
-//! angle test is decided on the cosine directly — `acos` is only evaluated
-//! inside a vanishingly narrow band around the threshold where the cheap
-//! cosine bound cannot decide.  The result is bit-for-bit identical to the
-//! naive `spectral_angle`-per-pair formulation (the fallback band is wide
-//! enough to absorb the `acos` rounding error), which the tests below check
-//! against a reference implementation.
+//! Screening is O(unique × pixels) and dominates phase 1 at paper scale.
+//! The membership test decides every comparison exactly as the naive
+//! `spectral_angle`-per-pair rule ([`crate::reference::naive_screen`]) would,
+//! with far less arithmetic:
+//!
+//! * **Cached norms.**  A member's norm is computed once, on admission; a
+//!   pixel's once per pixel.
+//! * **Exact tier** (`AngleGuard::similar`): compensated dot → clamp →
+//!   cosine band; `acos` runs only within `BOUND_SLACK_RAD` of the threshold,
+//!   a band far wider than the `acos` rounding error.
+//! * **Fast tier** (`AngleGuard::similar_fast`): the plain
+//!   [`linalg::dot_fast`] over the same cached norms.  Both dots sum the same
+//!   rounded products `p_i = fl(a_i b_i)`.  With `n` bands, `u = 2^-53` and
+//!   `N = |a||b|`: plain summation is off by at most `(n - 1) u Σ|p_i|`, the
+//!   compensated sum by at most `2u Σ|p_i|`, and `Σ|p_i| <= (1 + u) N` by
+//!   Cauchy–Schwarz, so `|fast - exact| <= (n + 4) u N`.  The cached
+//!   denominator is within `7u` of `N` and each of the two divisions rounds
+//!   by at most `u`, so the two cosines differ by less than `(n + 8) u`.
+//!   The fast cosine decides only when it clears a band edge by
+//!   `δ = (n + 16) · f64::EPSILON = 2 (n + 16) u` — at least twice that —
+//!   where the exact cosine is on the same side of the same edge and the
+//!   exact tier returns the same answer without reaching `acos`.  Everything
+//!   else falls through to the exact tier: a cosine inside `δ` of an edge, a
+//!   norm that is zero, non-finite or outside `FAST_NORM_RANGE` (where a
+//!   product could overflow or underflow and void the bound), and mismatched
+//!   band counts (which still panic there).
+//! * **Last-hit probe.**  Admission is the predicate "some member is within
+//!   the threshold", which no scan order can change.  The member that
+//!   rejected the latest rejected pixel is tested first; in spatially
+//!   coherent imagery it usually rejects the next pixel too, and after a
+//!   miss the scan skips it, so no member is tested twice.
+//!
+//! The engine takes borrowed `&[f64]` pixels; only admitted pixels are
+//! copied into a [`Vector`].
 
-use linalg::Vector;
+use linalg::{dot, dot_fast, norm, Vector};
 use std::f64::consts::FRAC_PI_2;
+use std::ops::RangeInclusive;
 
 /// Angular slack (radians) around the screening threshold inside which the
 /// cosine bound is considered inconclusive and the exact `acos` comparison
@@ -30,6 +56,11 @@ use std::f64::consts::FRAC_PI_2;
 /// cosine outside this band decides the comparison exactly as the naive
 /// formulation would.
 const BOUND_SLACK_RAD: f64 = 1e-9;
+
+/// Norms for which the fast tier's error bound holds: with both operands in
+/// this range no product or partial sum of `dot_fast` overflows, and what
+/// underflow can lose is below `1e-40` of the bound.
+const FAST_NORM_RANGE: RangeInclusive<f64> = 1e-140..=1e140;
 
 /// The spectral-angle acceptance rule with precomputed cosine bounds.
 #[derive(Debug, Clone, Copy)]
@@ -57,17 +88,19 @@ impl AngleGuard {
     /// Whether `pixel` and `other` are within the threshold angle (i.e.
     /// `other` *screens out* `pixel`).  `pixel_norm` and `other_norm` are the
     /// callers' cached Euclidean norms of the two vectors.
-    fn similar(&self, pixel: &Vector, pixel_norm: f64, other: &Vector, other_norm: f64) -> bool {
+    fn similar(&self, pixel: &[f64], pixel_norm: f64, other: &[f64], other_norm: f64) -> bool {
         let denom = pixel_norm * other_norm;
         if denom == 0.0 {
             // A zero pixel carries no spectral direction: the angle is
             // defined as pi/2 (see `Vector::spectral_angle`).
             return FRAC_PI_2 <= self.threshold_rad;
         }
-        let dot = pixel
-            .dot(other)
-            .expect("pixels in one scene share a band count");
-        let cos = (dot / denom).clamp(-1.0, 1.0);
+        assert_eq!(
+            pixel.len(),
+            other.len(),
+            "pixels in one scene share a band count"
+        );
+        let cos = (dot(pixel, other) / denom).clamp(-1.0, 1.0);
         if cos >= self.cos_similar {
             return true;
         }
@@ -76,28 +109,55 @@ impl AngleGuard {
         }
         cos.acos() <= self.threshold_rad
     }
+
+    /// [`AngleGuard::similar`] decided on the plain dot, or `None` where its
+    /// rounding error could reach a band edge (see the module's hot-path
+    /// note for the bound).
+    fn similar_fast(
+        &self,
+        pixel: &[f64],
+        pixel_norm: f64,
+        other: &[f64],
+        other_norm: f64,
+    ) -> Option<bool> {
+        if pixel.len() != other.len()
+            || !FAST_NORM_RANGE.contains(&pixel_norm)
+            || !FAST_NORM_RANGE.contains(&other_norm)
+        {
+            return None;
+        }
+        let cos = dot_fast(pixel, other) / (pixel_norm * other_norm);
+        let delta = (pixel.len() + 16) as f64 * f64::EPSILON;
+        if cos >= self.cos_similar + delta {
+            Some(true)
+        } else if cos < self.cos_distinct - delta {
+            Some(false)
+        } else {
+            None
+        }
+    }
 }
 
 /// An incrementally built unique set with cached member norms.
 ///
 /// This is the screening engine shared by [`screen_pixels`],
-/// [`screen_pixels_seeded`] and [`merge_unique_sets`]; the service layer's
-/// exact screening chain drives it through [`screen_pixels_seeded`].
+/// [`screen_pixels_seeded`], their slice-fed forms and
+/// [`merge_unique_sets`]; the service layer's exact screening chain drives
+/// it through [`screen_slices_seeded`].
 #[derive(Debug, Clone)]
 pub struct UniqueSet {
     guard: AngleGuard,
     vectors: Vec<Vector>,
     norms: Vec<f64>,
+    /// Index of the member that rejected the latest rejected pixel; probed
+    /// first.
+    last_hit: usize,
 }
 
 impl UniqueSet {
     /// Creates an empty unique set for the given screening threshold.
     pub fn new(threshold_rad: f64) -> Self {
-        Self {
-            guard: AngleGuard::new(threshold_rad),
-            vectors: Vec::new(),
-            norms: Vec::new(),
-        }
+        Self::seeded(Vec::new(), threshold_rad)
     }
 
     /// Creates a unique set pre-populated with `seed` — vectors that are
@@ -110,6 +170,7 @@ impl UniqueSet {
             guard: AngleGuard::new(threshold_rad),
             vectors,
             norms,
+            last_hit: 0,
         }
     }
 
@@ -135,30 +196,40 @@ impl UniqueSet {
 
     /// Whether `pixel` is separated from every member by more than the
     /// threshold angle.
-    pub fn is_unique(&self, pixel: &Vector) -> bool {
-        let norm = pixel.norm();
-        !self
-            .vectors
-            .iter()
-            .zip(&self.norms)
-            .any(|(other, &other_norm)| self.guard.similar(pixel, norm, other, other_norm))
+    pub fn is_unique(&self, pixel: &[f64]) -> bool {
+        self.screening_member(pixel, norm(pixel)).is_none()
     }
 
     /// Admits `pixel` if it is unique against the current members; returns
     /// whether it was admitted.
-    pub fn admit(&mut self, pixel: &Vector) -> bool {
-        let norm = pixel.norm();
-        let screened = self
-            .vectors
-            .iter()
-            .zip(&self.norms)
-            .any(|(other, &other_norm)| self.guard.similar(pixel, norm, other, other_norm));
-        if screened {
+    pub fn admit(&mut self, pixel: &[f64]) -> bool {
+        let norm = norm(pixel);
+        if let Some(hit) = self.screening_member(pixel, norm) {
+            self.last_hit = hit;
             return false;
         }
-        self.vectors.push(pixel.clone());
+        self.vectors.push(Vector::from(pixel));
         self.norms.push(norm);
         true
+    }
+
+    /// Index of a member within the threshold angle of `pixel`, if any:
+    /// the last hit when it still applies, else the first in admission order.
+    fn screening_member(&self, pixel: &[f64], pixel_norm: f64) -> Option<usize> {
+        let screens = |member: usize| {
+            let (other, other_norm) = (self.vectors[member].as_slice(), self.norms[member]);
+            let fast = self
+                .guard
+                .similar_fast(pixel, pixel_norm, other, other_norm);
+            #[cfg(test)]
+            tests::count_comparison(fast.is_none());
+            fast.unwrap_or_else(|| self.guard.similar(pixel, pixel_norm, other, other_norm))
+        };
+        let last = self.last_hit;
+        if last < self.len() && screens(last) {
+            return Some(last);
+        }
+        (0..self.len()).find(|&member| member != last && screens(member))
     }
 }
 
@@ -169,14 +240,16 @@ impl UniqueSet {
 /// already in the set exceeds `threshold_rad`.  With a threshold of zero the
 /// screening keeps every pixel (no screening).
 pub fn screen_pixels(pixels: &[Vector], threshold_rad: f64) -> Vec<Vector> {
-    if threshold_rad <= 0.0 {
-        return pixels.to_vec();
-    }
-    let mut unique = UniqueSet::new(threshold_rad);
-    for pixel in pixels {
-        unique.admit(pixel);
-    }
-    unique.into_vectors()
+    screen_slices(pixels.iter().map(Vector::as_slice), threshold_rad)
+}
+
+/// [`screen_pixels`] over borrowed pixel slices (`CubeView::iter_pixels`):
+/// only the admitted pixels are copied.
+pub fn screen_slices<'a>(
+    pixels: impl IntoIterator<Item = &'a [f64]>,
+    threshold_rad: f64,
+) -> Vec<Vector> {
+    screen_slices_seeded(Vec::new(), pixels, threshold_rad)
 }
 
 /// Greedy screening of `pixels` against an already-accepted `seed` set,
@@ -188,26 +261,30 @@ pub fn screen_pixels(pixels: &[Vector], threshold_rad: f64) -> Vec<Vector> {
 /// sequence bit-for-bit —
 /// `screen(A ++ B) == screen(A) ++ screen_seeded(screen(A), B)`.
 pub fn screen_pixels_seeded(seed: &[Vector], pixels: &[Vector], threshold_rad: f64) -> Vec<Vector> {
+    screen_slices_seeded(
+        seed.to_vec(),
+        pixels.iter().map(Vector::as_slice),
+        threshold_rad,
+    )
+}
+
+/// [`screen_pixels_seeded`] over an owned seed and borrowed pixel slices.
+pub fn screen_slices_seeded<'a>(
+    seed: Vec<Vector>,
+    pixels: impl IntoIterator<Item = &'a [f64]>,
+    threshold_rad: f64,
+) -> Vec<Vector> {
     if threshold_rad <= 0.0 {
-        return pixels.to_vec();
+        return pixels.into_iter().map(Vector::from).collect();
     }
-    let mut unique = UniqueSet::seeded(seed.iter().cloned(), threshold_rad);
-    let seeded = unique.len();
+    let seeded = seed.len();
+    let mut unique = UniqueSet::seeded(seed, threshold_rad);
     for pixel in pixels {
         unique.admit(pixel);
     }
     let mut vectors = unique.into_vectors();
-    vectors.split_off(seeded)
-}
-
-/// Whether `pixel` is separated from every member of `unique` by more than
-/// `threshold_rad`.
-pub fn is_unique_against(pixel: &Vector, unique: &[Vector], threshold_rad: f64) -> bool {
-    let guard = AngleGuard::new(threshold_rad);
-    let norm = pixel.norm();
-    !unique
-        .iter()
-        .any(|other| guard.similar(pixel, norm, other, other.norm()))
+    vectors.drain(..seeded);
+    vectors
 }
 
 /// Merges several per-worker unique sets into one (step 2), applying the same
@@ -219,8 +296,8 @@ pub fn merge_unique_sets(sets: Vec<Vec<Vector>>, threshold_rad: f64) -> Vec<Vect
     }
     let mut merged = UniqueSet::new(threshold_rad);
     for set in sets {
-        for pixel in set {
-            merged.admit(&pixel);
+        for pixel in &set {
+            merged.admit(pixel.as_slice());
         }
     }
     merged.into_vectors()
@@ -249,27 +326,32 @@ impl ScreeningSummary {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reference::naive_screen;
+    use std::cell::Cell;
+
+    mod bit_identity;
+
+    thread_local! {
+        /// `(comparisons, of which fell through to the exact tier)` made by
+        /// `UniqueSet` on this thread.
+        static TIER_COUNTS: Cell<(u64, u64)> = const { Cell::new((0, 0)) };
+    }
+
+    /// Called by `UniqueSet` for every member comparison.
+    pub(super) fn count_comparison(exact: bool) {
+        TIER_COUNTS.with(|c| {
+            let (all, fell_through) = c.get();
+            c.set((all + 1, fell_through + u64::from(exact)));
+        });
+    }
+
+    /// Resets this thread's tier counters, returning the old values.
+    fn take_tier_counts() -> (u64, u64) {
+        TIER_COUNTS.with(|c| c.replace((0, 0)))
+    }
 
     fn v(data: &[f64]) -> Vector {
         Vector::from_vec(data.to_vec())
-    }
-
-    /// The naive formulation the optimised path must match bit-for-bit: a
-    /// full `spectral_angle` (two norms, dot, `acos`) per comparison.
-    fn naive_screen(pixels: &[Vector], threshold_rad: f64) -> Vec<Vector> {
-        if threshold_rad <= 0.0 {
-            return pixels.to_vec();
-        }
-        let mut unique: Vec<Vector> = Vec::new();
-        for pixel in pixels {
-            let distinct = unique
-                .iter()
-                .all(|u| pixel.spectral_angle(u).unwrap() > threshold_rad);
-            if distinct {
-                unique.push(pixel.clone());
-            }
-        }
-        unique
     }
 
     /// A deterministic pseudo-random pixel cloud with clusters, outliers and
@@ -374,17 +456,6 @@ mod tests {
     }
 
     #[test]
-    fn is_unique_against_matches_set_membership_test() {
-        let pixels = pixel_cloud(120);
-        let threshold = 0.09;
-        let unique = screen_pixels(&pixels, threshold);
-        let set = UniqueSet::seeded(unique.iter().cloned(), threshold);
-        for p in &pixels {
-            assert_eq!(is_unique_against(p, &unique, threshold), set.is_unique(p));
-        }
-    }
-
-    #[test]
     fn seeded_screening_chain_equals_whole_screening() {
         let pixels = pixel_cloud(300);
         let threshold = 5.0_f64.to_radians();
@@ -410,11 +481,11 @@ mod tests {
     fn unique_set_admit_reports_membership() {
         let mut set = UniqueSet::new(0.3);
         assert!(set.is_empty());
-        assert!(set.admit(&v(&[1.0, 0.0])));
-        assert!(!set.admit(&v(&[1.0, 0.001])));
-        assert!(set.admit(&v(&[0.0, 1.0])));
+        assert!(set.admit(&[1.0, 0.0]));
+        assert!(!set.admit(&[1.0, 0.001]));
+        assert!(set.admit(&[0.0, 1.0]));
         assert_eq!(set.len(), 2);
-        assert!(!set.is_unique(&v(&[0.001, 1.0])));
+        assert!(!set.is_unique(&[0.001, 1.0]));
         assert_eq!(set.vectors().len(), 2);
         assert_eq!(set.clone().into_vectors().len(), 2);
     }

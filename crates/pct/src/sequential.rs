@@ -7,7 +7,7 @@
 use crate::colormap::{map_cube, ComponentScale};
 use crate::config::{FusionOutput, PctConfig};
 use crate::pipeline::{derive_transform, transform_cube, transform_view, TransformSpec};
-use crate::screening::screen_pixels;
+use crate::screening::screen_slices;
 use crate::Result;
 use hsi::{CubeView, HyperCube};
 use std::sync::Arc;
@@ -33,8 +33,7 @@ impl SequentialPct {
     /// the unique-set size.  Exposed so tests and ablations can inspect the
     /// statistics phase without paying for the full transform.
     pub fn derive(&self, cube: &HyperCube) -> Result<(TransformSpec, usize)> {
-        let pixels = cube.pixel_vectors();
-        let unique = screen_pixels(&pixels, self.config.screening_angle_rad);
+        let unique = screen_slices(cube.iter_pixels(), self.config.screening_angle_rad);
         let spec = derive_transform(&unique, &self.config)?;
         Ok((spec, unique.len()))
     }
@@ -67,8 +66,7 @@ impl SequentialPct {
     /// For a full-cube view this is byte-identical to [`SequentialPct::run`].
     pub fn run_view(&self, view: &CubeView) -> Result<FusionOutput> {
         self.config.validate()?;
-        let pixels = view.pixel_vectors();
-        let unique = screen_pixels(&pixels, self.config.screening_angle_rad);
+        let unique = screen_slices(view.iter_pixels(), self.config.screening_angle_rad);
         let spec = derive_transform(&unique, &self.config)?;
         let transformed = transform_view(&spec, view)?;
         let scales = ComponentScale::from_eigenvalues(&spec.eigenvalues, 3);

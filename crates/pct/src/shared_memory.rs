@@ -12,7 +12,7 @@
 use crate::colormap::{map_cube, ComponentScale};
 use crate::config::{FusionOutput, PctConfig};
 use crate::pipeline::{finalize_transform, transform_view};
-use crate::screening::{merge_unique_sets, screen_pixels};
+use crate::screening::{merge_unique_sets, screen_slices};
 use crate::Result;
 use hsi::partition::partition_views;
 use hsi::{CubeView, HyperCube};
@@ -74,7 +74,7 @@ impl SharedMemoryPct {
         // view of the shared cube.
         let per_block_unique: Vec<Vec<linalg::Vector>> = views
             .par_iter()
-            .map(|view| screen_pixels(&view.pixel_vectors(), self.config.screening_angle_rad))
+            .map(|view| screen_slices(view.iter_pixels(), self.config.screening_angle_rad))
             .collect();
 
         // Step 2 sequentially at the "manager" (the calling thread).

@@ -40,10 +40,17 @@ impl<T> ThreadHandle<T> {
     /// Panics propagate, mirroring `std::thread::JoinHandle::join` semantics
     /// but with the thread's name attached for easier diagnosis.
     pub fn join(self) -> T {
-        match self.join.join() {
+        match self.try_join() {
             Ok(v) => v,
             Err(e) => std::panic::resume_unwind(e),
         }
+    }
+
+    /// Waits for the thread to finish and returns its result, or the panic
+    /// payload if it panicked — for callers that must outlive a crashed
+    /// thread and decide themselves when (or whether) to re-raise.
+    pub fn try_join(self) -> std::thread::Result<T> {
+        self.join.join()
     }
 
     /// Whether the thread has finished executing.

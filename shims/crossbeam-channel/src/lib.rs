@@ -4,8 +4,9 @@
 //! exposing the subset of the crossbeam-channel API the `scp` runtime uses:
 //! `unbounded()`, cloneable `Sender`/`Receiver`, blocking/timeout/non-
 //! blocking receive, queue length, and crossbeam's disconnection semantics
-//! (send fails once every receiver is gone; receive fails once every sender
-//! is gone *and* the queue is drained).
+//! (send fails once every receiver is gone, and the messages still queued
+//! are dropped with the last receiver; receive fails once every sender is
+//! gone *and* the queue is drained).
 
 use std::collections::VecDeque;
 use std::fmt;
@@ -202,7 +203,16 @@ impl<T> Clone for Receiver<T> {
 
 impl<T> Drop for Receiver<T> {
     fn drop(&mut self) {
-        self.shared.inner.lock().unwrap().receivers -= 1;
+        let mut inner = self.shared.inner.lock().unwrap();
+        inner.receivers -= 1;
+        if inner.receivers == 0 {
+            // Nobody can receive these any more: discard them now, as
+            // crossbeam does, instead of when the last sender goes.  The
+            // messages are dropped outside the lock — their `Drop` may send.
+            let undeliverable = std::mem::take(&mut inner.queue);
+            drop(inner);
+            drop(undeliverable);
+        }
     }
 }
 
@@ -226,6 +236,20 @@ mod tests {
         let (tx, rx) = unbounded();
         drop(rx);
         assert!(tx.send(5).is_err());
+    }
+
+    #[test]
+    fn queued_messages_are_dropped_with_the_last_receiver() {
+        let payload = Arc::new(());
+        let (tx, rx) = unbounded();
+        let rx2 = rx.clone();
+        tx.send(Arc::clone(&payload)).unwrap();
+        drop(rx);
+        assert_eq!(Arc::strong_count(&payload), 2, "a receiver is left");
+        drop(rx2);
+        assert_eq!(Arc::strong_count(&payload), 1);
+        assert!(tx.send(Arc::clone(&payload)).is_err());
+        assert_eq!(Arc::strong_count(&payload), 1);
     }
 
     #[test]
