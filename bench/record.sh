@@ -57,6 +57,10 @@
 #     at 5 deg per pixel x unique member, and the plain and compensated dot
 #     kernels per element, each the median of 15 runs.  Wall-clock and
 #     trend-only.
+#   * kernel_eigen_210_ms — same binary: step 6 (`sorted_eigenpairs`) on the
+#     covariance of a 32x32x210 scene's unique set at 5 deg, median of 15.
+#     The binary prints the direct reference formulation's time and the
+#     ratio on the same line; only the kernel's own time is recorded.
 #
 # After appending, the committed trend chart bench/BENCH_trends.svg is
 # regenerated from the full history by `bench --bin plot_history`.

@@ -6,6 +6,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use hsi::{CubeDims, SceneConfig, SceneGenerator};
 use linalg::covariance::covariance_matrix;
 use linalg::eigen::{sorted_eigenpairs, JacobiOptions};
+use linalg::reference::{rank_one_update_reference, sorted_eigenpairs_reference};
 use linalg::sym::SymMatrix;
 use pct::colormap::{map_cube, ComponentScale};
 use pct::pipeline::{derive_transform, transform_cube};
@@ -74,7 +75,7 @@ fn bench_rank_one_update(c: &mut Criterion) {
         b.iter(|| {
             let mut m = SymMatrix::zeros(210);
             for x in &pixels {
-                m.rank_one_update_reference(x).unwrap();
+                rank_one_update_reference(&mut m, x).unwrap();
             }
             m
         })
@@ -82,6 +83,10 @@ fn bench_rank_one_update(c: &mut Criterion) {
     group.finish();
 }
 
+/// Step 6: the row-contiguous Jacobi schedule next to the direct
+/// formulation it is bit-identical to (asserted by the linalg
+/// `eigen::tests::bit_identity` suite); these rows track the speed
+/// difference.
 fn bench_eigen(c: &mut Criterion) {
     let mut group = c.benchmark_group("step6_jacobi_eigen");
     group.sample_size(10);
@@ -90,6 +95,9 @@ fn bench_eigen(c: &mut Criterion) {
         let cov = covariance_matrix(&cube.pixel_vectors()).unwrap();
         group.bench_with_input(BenchmarkId::from_parameter(bands), &cov, |b, cov| {
             b.iter(|| sorted_eigenpairs(cov, JacobiOptions::default()).unwrap())
+        });
+        group.bench_with_input(BenchmarkId::new("reference", bands), &cov, |b, cov| {
+            b.iter(|| sorted_eigenpairs_reference(cov, JacobiOptions::default()).unwrap())
         });
     }
     group.finish();

@@ -1,13 +1,18 @@
-//! Screening-kernel timings for `bench/BENCH_history.csv`: the slice-fed
-//! screening engine on a 64×64×32 scene at 5°, per pixel·unique-member, and
-//! the two dot kernels behind it (plain `dot_fast`, compensated `dot`), per
-//! element.
+//! Kernel timings for `bench/BENCH_history.csv`: the slice-fed screening
+//! engine on a 64×64×32 scene at 5°, per pixel·unique-member; the two dot
+//! kernels behind it (plain `dot_fast`, compensated `dot`), per element; and
+//! step 6 at the paper's 210 bands — `sorted_eigenpairs` on the covariance
+//! of a 32×32×210 scene's unique set at 5° — next to the direct formulation
+//! it is bit-identical to.
 //!
 //! Lines starting with `CSV` are parsed by `bench/record.sh`.  Each value
 //! is the median of 15 timed runs after a warm-up; wall-clock and
 //! trend-only.
 
 use hsi::{CubeDims, SceneConfig, SceneGenerator};
+use linalg::covariance::covariance_matrix;
+use linalg::eigen::{sorted_eigenpairs, JacobiOptions};
+use linalg::reference::sorted_eigenpairs_reference;
 use pct::screening::screen_slices;
 use std::hint::black_box;
 use std::time::Instant;
@@ -27,10 +32,14 @@ fn median_ns(mut routine: impl FnMut()) -> f64 {
     ns[ns.len() / 2]
 }
 
-fn main() {
+fn scene(width: usize, height: usize, bands: usize) -> hsi::HyperCube {
     let mut config = SceneConfig::small(99);
-    config.dims = CubeDims::new(64, 64, 32);
-    let cube = SceneGenerator::new(config).unwrap().generate();
+    config.dims = CubeDims::new(width, height, bands);
+    SceneGenerator::new(config).unwrap().generate()
+}
+
+fn main() {
+    let cube = scene(64, 64, 32);
     let threshold = 5.0_f64.to_radians();
     let unique = screen_slices(cube.iter_pixels(), threshold).len();
     let screen = median_ns(|| {
@@ -57,4 +66,20 @@ fn main() {
         dots(linalg::dot_fast)
     );
     println!("CSV kernel_dot_ns_per_elem {:.3}", dots(linalg::dot));
+
+    let unique = screen_slices(scene(32, 32, 210).iter_pixels(), threshold);
+    let covariance = covariance_matrix(&unique).unwrap();
+    let options = JacobiOptions::default();
+    let eigen = median_ns(|| {
+        black_box(sorted_eigenpairs(black_box(&covariance), options).unwrap());
+    });
+    let reference = median_ns(|| {
+        black_box(sorted_eigenpairs_reference(black_box(&covariance), options).unwrap());
+    });
+    println!(
+        "CSV kernel_eigen_210_ms {:.3} (reference {:.3} ms, ratio {:.2})",
+        eigen / 1e6,
+        reference / 1e6,
+        eigen / reference
+    );
 }

@@ -35,6 +35,8 @@ pub mod covariance;
 pub mod eigen;
 pub mod matrix;
 pub mod reduce;
+#[doc(hidden)]
+pub mod reference;
 pub mod sym;
 pub mod vector;
 
@@ -68,6 +70,11 @@ pub enum LinalgError {
         /// Human-readable description of the operation that failed.
         op: &'static str,
     },
+    /// An operation that requires finite input met a `NaN` or an infinity.
+    NonFinite {
+        /// Human-readable description of the operation that failed.
+        op: &'static str,
+    },
 }
 
 impl std::fmt::Display for LinalgError {
@@ -85,6 +92,12 @@ impl std::fmt::Display for LinalgError {
                 f64::from_bits(*off_norm_bits)
             ),
             LinalgError::Empty { op } => write!(f, "operation {op} requires a non-empty operand"),
+            LinalgError::NonFinite { op } => {
+                write!(
+                    f,
+                    "operation {op} requires finite input (found NaN or infinity)"
+                )
+            }
         }
     }
 }

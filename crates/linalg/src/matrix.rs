@@ -90,6 +90,12 @@ impl Matrix {
         &self.data
     }
 
+    /// Mutable view of the row-major storage (the eigensolver works on whole
+    /// rows of it in place).
+    pub(crate) fn as_mut_slice(&mut self) -> &mut [f64] {
+        &mut self.data
+    }
+
     /// Returns row `r` as a slice.
     pub fn row(&self, r: usize) -> &[f64] {
         &self.data[r * self.cols..(r + 1) * self.cols]

@@ -54,6 +54,11 @@ impl SymMatrix {
         &self.data
     }
 
+    /// Mutable view of the packed storage, for the retained reference kernel.
+    pub(crate) fn packed_mut(&mut self) -> &mut [f64] {
+        &mut self.data
+    }
+
     /// Reconstructs a symmetric matrix from packed storage.
     pub fn from_packed(n: usize, data: Vec<f64>) -> Result<Self> {
         if data.len() != n * (n + 1) / 2 {
@@ -102,8 +107,8 @@ impl SymMatrix {
     /// The triangular loop is blocked into `ROU_TILE`-wide column tiles.
     /// Each packed entry is still updated exactly once with
     /// the same single `+= x[i] * x[j]`, so the result is **bit-identical**
-    /// to the naive walk ([`SymMatrix::rank_one_update_reference`], kept as
-    /// the comparison oracle for tests and the kernels bench) — reordering
+    /// to the naive walk (`reference::rank_one_update_reference`, kept as the
+    /// comparison oracle for tests and the kernels bench) — reordering
     /// independent updates cannot change any entry's rounding.
     pub fn rank_one_update(&mut self, x: &Vector) -> Result<()> {
         if x.len() != self.n {
@@ -127,28 +132,6 @@ impl SymMatrix {
                 for (d, &xj) in dst.iter_mut().zip(src) {
                     *d += xi * xj;
                 }
-            }
-        }
-        Ok(())
-    }
-
-    /// The textbook triangular walk of the rank-one update: one linear pass
-    /// over the packed upper triangle.  Retained as the bit-exact reference
-    /// the blocked [`SymMatrix::rank_one_update`] is compared against.
-    pub fn rank_one_update_reference(&mut self, x: &Vector) -> Result<()> {
-        if x.len() != self.n {
-            return Err(LinalgError::DimensionMismatch {
-                op: "rank_one_update_reference",
-                left: self.n,
-                right: x.len(),
-            });
-        }
-        let xs = x.as_slice();
-        let mut idx = 0;
-        for (i, &xi) in xs.iter().enumerate() {
-            for &xj in &xs[i..] {
-                self.data[idx] += xi * xj;
-                idx += 1;
             }
         }
         Ok(())
@@ -247,6 +230,7 @@ impl SymMatrix {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reference::rank_one_update_reference;
 
     #[test]
     fn packed_indexing_is_symmetric() {
@@ -277,7 +261,7 @@ mod tests {
     fn rank_one_update_rejects_wrong_dimension() {
         let mut s = SymMatrix::zeros(3);
         assert!(s.rank_one_update(&Vector::zeros(4)).is_err());
-        assert!(s.rank_one_update_reference(&Vector::zeros(4)).is_err());
+        assert!(rank_one_update_reference(&mut s, &Vector::zeros(4)).is_err());
     }
 
     #[test]
@@ -299,7 +283,7 @@ mod tests {
                         .collect(),
                 );
                 blocked.rank_one_update(&x).unwrap();
-                naive.rank_one_update_reference(&x).unwrap();
+                rank_one_update_reference(&mut naive, &x).unwrap();
             }
             assert_eq!(
                 blocked.packed().len(),

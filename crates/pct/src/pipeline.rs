@@ -155,6 +155,45 @@ mod tests {
     }
 
     #[test]
+    fn eigen_bit_identity_derive_transform_equals_the_reference_kernel_spec() {
+        // The `derive_bound` workload's shape: the paper's 210 bands, fewer
+        // unique vectors than bands.
+        let mut scene = hsi::SceneConfig::small(14);
+        scene.dims = CubeDims::new(32, 32, 210);
+        let cube = hsi::SceneGenerator::new(scene).unwrap().generate();
+        let config = PctConfig::paper();
+        let unique =
+            crate::screening::screen_slices(cube.iter_pixels(), config.screening_angle_rad);
+        assert!(unique.len() < 210);
+        let spec = derive_transform(&unique, &config).unwrap();
+
+        let mean = mean_vector(&unique).unwrap();
+        let mut acc = CovarianceAccumulator::new(mean.clone());
+        acc.push_all(&unique).unwrap();
+        let (eigenvalues, full_transform) = linalg::reference::sorted_eigenpairs_reference(
+            &acc.finalize().unwrap(),
+            JacobiOptions::default(),
+        )
+        .unwrap();
+        let reference = TransformSpec {
+            mean,
+            transform: full_transform.top_rows(config.output_components),
+            eigenvalues,
+        };
+        assert!(spec == reference, "derive_transform left the reference");
+    }
+
+    #[test]
+    fn derive_transform_rejects_non_finite_samples() {
+        let mut pixels = correlated_pixels(40);
+        pixels[7][2] = f64::NAN;
+        assert!(matches!(
+            derive_transform(&pixels, &PctConfig::paper()),
+            Err(PctError::Linalg(linalg::LinalgError::NonFinite { .. }))
+        ));
+    }
+
+    #[test]
     fn derive_transform_rejects_empty_unique_set() {
         assert!(derive_transform(&[], &PctConfig::paper()).is_err());
     }

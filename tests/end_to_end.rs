@@ -928,6 +928,61 @@ fn standard_kill_matrix_every_job_survives_and_is_byte_identical_to_sequential()
     );
 }
 
+/// A single `NaN` sample reaches the covariance through the unique set.
+/// The eigensolver used to spend all 64 sweeps on it (over a second of a
+/// worker at 210 bands in release, half a minute in debug) and return `NaN`
+/// eigenpairs that colour-mapped into an image; it now rejects the matrix
+/// before the first sweep, the job fails with the typed cause, and the one
+/// worker of the lane goes on serving.
+#[test]
+fn standard_nan_sample_fails_the_job_typed_and_the_lane_keeps_serving() {
+    let service = FusionService::start(
+        ServiceConfig::builder()
+            .pool(failover_pool(1, 0, 0))
+            .queue_capacity(4)
+            .max_in_flight(1)
+            .build()
+            .expect("config validates"),
+    )
+    .expect("service starts");
+
+    let mut scene = SceneConfig::small(140);
+    scene.dims = CubeDims::new(32, 32, 210);
+    let mut poisoned = SceneGenerator::new(scene).unwrap().generate();
+    let mut pixel = poisoned.pixel(5, 9).unwrap().to_vec();
+    pixel[100] = f64::NAN;
+    poisoned.set_pixel(5, 9, &pixel).unwrap();
+    let spec = JobSpec::builder(CubeSource::InMemory(Arc::new(poisoned)))
+        .pinned(BackendKind::Standard)
+        .shards(3)
+        .build()
+        .unwrap();
+    let submitted = Instant::now();
+    let outcome = service.submit(spec).unwrap().wait().unwrap();
+    let took = submitted.elapsed();
+    match outcome {
+        JobOutcome::Failed(cause) => assert!(
+            cause.contains("jacobi_eigen requires finite input"),
+            "unexpected cause: {cause}"
+        ),
+        other => panic!("a NaN sample must fail the job, got {:?}", other.status()),
+    }
+    assert!(
+        took < Duration::from_secs(5),
+        "the NaN job held the worker for {took:?}"
+    );
+
+    for (mut handle, cube) in submit_standard_jobs(&service, 1, 141) {
+        let outcome = handle.wait().unwrap();
+        let reference = SequentialPct::new(PctConfig::paper()).run(&cube).unwrap();
+        assert_eq!(outcome.output().expect("job completes"), &reference);
+    }
+    let report = service.shutdown();
+    assert_eq!(report.jobs_failed, 1);
+    assert_eq!(report.jobs_completed, 1);
+    assert_eq!(report.workers_lost, 0);
+}
+
 /// Kill-during-reassignment: both svc0 and svc1 die at job 1's first
 /// screening dispatch, so the re-dispatch of svc0's task lands on (or is
 /// attempted at) the also-dead svc1 and must hop again to svc2 — the
