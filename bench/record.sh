@@ -61,6 +61,9 @@
 #     covariance of a 32x32x210 scene's unique set at 5 deg, median of 15.
 #     The binary prints the direct reference formulation's time and the
 #     ratio on the same line; only the kernel's own time is recorded.
+#   * loc_<crate> / loc_tests / loc_fusebench — `wc -l` over every `.rs`
+#     file under crates/<crate>/, tests/ and fusebench/src/ (tests and
+#     comments included): ROADMAP aim 2 tracks net line count per crate.
 #
 # After appending, the committed trend chart bench/BENCH_trends.svg is
 # regenerated from the full history by `bench --bin plot_history`.
@@ -99,6 +102,10 @@ KER=$(cargo run --release -q -p bench --bin kernel_rows 2>/dev/null)
     echo "$ING" | awk -v s="$STAMP" -v r="$REV" '$1=="CSV" {print s "," r "," $2 "," $3}'
     echo "$SIM" | awk -v s="$STAMP" -v r="$REV" '$1=="CSV" {print s "," r "," $2 "," $3}'
     echo "$KER" | awk -v s="$STAMP" -v r="$REV" '$1=="CSV" {print s "," r "," $2 "," $3}'
+    for dir in crates/*/ tests/ fusebench/src/; do
+        name=$(basename "${dir%/src/}")
+        echo "$STAMP,$REV,loc_$name,$(find "$dir" -name '*.rs' -exec cat {} + | wc -l)"
+    done
 } >> "$CSV"
 
 echo "recorded $(grep -c "^$STAMP,$REV," "$CSV") metrics for $REV into $CSV:"

@@ -1,26 +1,28 @@
 //! The manager/worker distributed implementation on real threads.
 //!
 //! This is the paper's message-passing algorithm (§3) on the `scp`
-//! substrate.  The manager partitions the cube into sub-cubes, distributes
-//! screening tasks through a work queue (a worker is sent its next task as
-//! soon as its previous result arrives, which is the "overlap the request
-//! for its next sub-problem with the calculation" optimisation), merges the
-//! unique sets, computes the statistics sequentially (steps 3, 5, 6), then
-//! distributes covariance and transform/colour tasks the same way, and
-//! finally reassembles the colour strips into the fused image.
+//! substrate.  The manager side — which tasks exist in which phase, how the
+//! unique sets merge, how the covariance sums add up and how the strips
+//! become the image — is [`crate::plan::run_paper_protocol`]; this module is
+//! its driver on plain worker threads: `distribute` runs one phase through a
+//! work queue (a worker is sent its next task as soon as its previous result
+//! arrives, which is the "overlap the request for its next sub-problem with
+//! the calculation" optimisation).  The worker side, [`handle_task`], is
+//! shared by every lane, the remote worker process and the simulator.
 
 use crate::colormap::{map_pixel, ComponentScale};
 use crate::config::{FusionOutput, PctConfig};
 use crate::messages::{PctMessage, TaskId};
-use crate::pipeline::{derive_transform, finalize_transform, TransformSpec};
-use crate::screening::{merge_unique_sets, screen_slices, screen_slices_seeded};
+use crate::pipeline::{derive_transform, TransformSpec};
+use crate::plan::run_paper_protocol;
+use crate::screening::{screen_slices, screen_slices_seeded};
 use crate::{PctError, Result};
-use hsi::partition::{GranularityPolicy, SubCubeSpec};
+use hsi::partition::GranularityPolicy;
 use hsi::{CubeView, HyperCube, RgbImage};
-use linalg::covariance::{mean_vector, CovarianceAccumulator};
-use linalg::{Matrix, SymMatrix, Vector};
+use linalg::covariance::CovarianceAccumulator;
+use linalg::{Matrix, Vector};
 use scp::{CommGraph, Runtime, RuntimeConfig, ThreadContext};
-use std::collections::HashMap;
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 /// Name used by the manager thread.
@@ -90,12 +92,12 @@ impl DistributedPct {
             })
             .collect::<scp::Result<Vec<_>>>()?;
 
-        let result = run_manager(
-            &mut manager_ctx,
-            &worker_names,
+        let result = run_paper_protocol(
             cube,
             &self.config,
+            self.workers,
             self.granularity,
+            |tasks, is_result| distribute(&mut manager_ctx, &worker_names, tasks, is_result),
         );
 
         // Always shut workers down, even if the manager phase failed.
@@ -211,8 +213,6 @@ fn transform_and_map(
 }
 
 /// The plain (non-replicated) worker loop: services tasks until shut down.
-/// Exposed so the service layer's long-lived pool can run the same loop on
-/// its standard (non-resilient) workers.
 pub fn worker_loop(mut ctx: ThreadContext<PctMessage>) {
     loop {
         let Ok(envelope) = ctx.recv() else { return };
@@ -231,24 +231,19 @@ pub fn worker_loop(mut ctx: ThreadContext<PctMessage>) {
     }
 }
 
-/// Work-queue distribution of a set of tasks over the workers: every worker
-/// gets one task immediately; each completed result triggers dispatch of the
-/// next pending task to the worker that just finished.
-fn distribute<T, F, G>(
+/// Work-queue distribution of one phase's tasks over the workers: every
+/// worker gets one task immediately; each completed result triggers dispatch
+/// of the next pending task to the worker that just finished.  Returns the
+/// results `is_result` recognises, sorted by task id.
+fn distribute(
     ctx: &mut ThreadContext<PctMessage>,
     worker_names: &[String],
     tasks: Vec<PctMessage>,
-    mut on_result: F,
-    mut extract: G,
-) -> Result<Vec<T>>
-where
-    F: FnMut(&PctMessage) -> bool,
-    G: FnMut(PctMessage) -> Option<T>,
-{
-    let mut pending: std::collections::VecDeque<PctMessage> = tasks.into();
+    is_result: fn(&PctMessage) -> bool,
+) -> Result<Vec<PctMessage>> {
+    let mut pending: VecDeque<PctMessage> = tasks.into();
     let total = pending.len();
-    let mut results: Vec<(Option<usize>, T)> = Vec::with_capacity(total);
-    let mut outstanding: HashMap<String, usize> = HashMap::new();
+    let mut results: Vec<PctMessage> = Vec::with_capacity(total);
 
     // Prime every worker with one task (two would also be reasonable; one
     // keeps the protocol simple while the work queue still provides overlap
@@ -256,165 +251,26 @@ where
     for name in worker_names {
         if let Some(task) = pending.pop_front() {
             ctx.send(name, task)?;
-            *outstanding.entry(name.clone()).or_insert(0) += 1;
         }
     }
 
-    let mut completed = 0;
-    while completed < total {
+    while results.len() < total {
         let envelope = ctx.recv()?;
-        let from = envelope.from.clone();
-        if !on_result(&envelope.payload) {
+        if !is_result(&envelope.payload) {
             // Not a result message (e.g. a stray heartbeat); ignore.
             continue;
         }
-        completed += 1;
-        let task_id = envelope.payload.task();
-        if let Some(value) = extract(envelope.payload) {
-            results.push((task_id, value));
-        }
+        results.push(envelope.payload);
         if let Some(task) = pending.pop_front() {
-            ctx.send(&from, task)?;
-        } else if let Some(count) = outstanding.get_mut(&from) {
-            *count = count.saturating_sub(1);
+            ctx.send(&envelope.from, task)?;
         }
     }
     // Results arrive in completion order, which depends on thread scheduling;
     // sort them back into task order so the manager's subsequent sequential
     // steps (unique-set merge, covariance accumulation) are deterministic and
     // independent of how the run was scheduled.
-    results.sort_by_key(|(task, _)| *task);
-    Ok(results.into_iter().map(|(_, value)| value).collect())
-}
-
-/// The manager side of the protocol, phases 1–3.
-fn run_manager(
-    ctx: &mut ThreadContext<PctMessage>,
-    worker_names: &[String],
-    cube: &Arc<HyperCube>,
-    config: &PctConfig,
-    granularity: GranularityPolicy,
-) -> Result<FusionOutput> {
-    let specs: Vec<SubCubeSpec> =
-        hsi::partition::partition_for_workers(cube.dims(), worker_names.len(), granularity)?;
-
-    // ---- Phase 1: screening (steps 1–2) ------------------------------------------
-    let screen_tasks: Vec<PctMessage> = specs
-        .iter()
-        .map(|spec| {
-            Ok(PctMessage::ScreenTask {
-                task: spec.id,
-                view: spec.view(cube)?,
-                threshold_rad: config.screening_angle_rad,
-            })
-        })
-        .collect::<Result<Vec<_>>>()?;
-    let unique_sets = distribute(
-        ctx,
-        worker_names,
-        screen_tasks,
-        |msg| matches!(msg, PctMessage::UniqueSet { .. }),
-        |msg| match msg {
-            PctMessage::UniqueSet { unique, .. } => Some(unique),
-            _ => None,
-        },
-    )?;
-    let unique = merge_unique_sets(unique_sets, config.screening_angle_rad);
-    let unique_count = unique.len();
-    if unique.is_empty() {
-        return Err(PctError::InvalidConfig(
-            "screening produced an empty unique set".into(),
-        ));
-    }
-
-    // ---- Phase 2: statistics (steps 3–6) ------------------------------------------
-    let mean = mean_vector(&unique)?;
-    let bands = mean.len();
-    let chunk = unique.len().div_ceil(worker_names.len());
-    let cov_tasks: Vec<PctMessage> = unique
-        .chunks(chunk.max(1))
-        .enumerate()
-        .map(|(i, pixels)| PctMessage::CovarianceTask {
-            task: i,
-            mean: mean.clone(),
-            pixels: pixels.to_vec(),
-        })
-        .collect();
-    let partials = distribute(
-        ctx,
-        worker_names,
-        cov_tasks,
-        |msg| matches!(msg, PctMessage::CovarianceSum { .. }),
-        |msg| match msg {
-            PctMessage::CovarianceSum {
-                packed,
-                bands,
-                count,
-                ..
-            } => Some((packed, bands, count)),
-            _ => None,
-        },
-    )?;
-    let mut sum = SymMatrix::zeros(bands);
-    let mut total_count = 0u64;
-    for (packed, b, count) in partials {
-        if b != bands {
-            return Err(PctError::InvalidConfig(format!(
-                "worker returned a {b}-band covariance sum for a {bands}-band image"
-            )));
-        }
-        sum.add_assign_sym(&SymMatrix::from_packed(b, packed)?)?;
-        total_count += count;
-    }
-    if total_count == 0 {
-        return Err(PctError::InvalidConfig(
-            "covariance phase accumulated no pixels".into(),
-        ));
-    }
-    sum.scale_in_place(1.0 / total_count as f64);
-    let spec = finalize_transform(mean, &sum, config)?;
-    let scales: Vec<(f64, f64)> = ComponentScale::from_eigenvalues(&spec.eigenvalues, 3)
-        .into_iter()
-        .map(|s| (s.min, s.max))
-        .collect();
-
-    // ---- Phase 3: transform + colour (steps 7–8) ----------------------------------
-    let transform_tasks: Vec<PctMessage> = specs
-        .iter()
-        .map(|sub_spec| {
-            Ok(PctMessage::TransformTask {
-                task: sub_spec.id,
-                view: sub_spec.view(cube)?,
-                mean: spec.mean.clone(),
-                transform: spec.transform.clone(),
-                scales: scales.clone(),
-            })
-        })
-        .collect::<Result<Vec<_>>>()?;
-    let strips = distribute(
-        ctx,
-        worker_names,
-        transform_tasks,
-        |msg| matches!(msg, PctMessage::RgbStrip { .. }),
-        |msg| match msg {
-            PctMessage::RgbStrip {
-                row_start,
-                rows,
-                width,
-                rgb,
-                ..
-            } => Some((row_start, rows, width, rgb)),
-            _ => None,
-        },
-    )?;
-
-    let image = assemble_image(cube.width(), cube.height(), strips)?;
-    Ok(FusionOutput {
-        image,
-        eigenvalues: spec.eigenvalues,
-        unique_count,
-        pixels: cube.pixels(),
-    })
+    results.sort_by_key(PctMessage::task);
+    Ok(results)
 }
 
 /// Reassembles worker colour strips into the final image.

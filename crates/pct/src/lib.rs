@@ -15,6 +15,14 @@
 //! | [`resilient::ResilientPct`] | `scp` + `resilience` | the intrusion-tolerant variant with replicated workers, attack injection and regeneration |
 //! | [`distributed_sim`] | `netsim` discrete-event cluster | regenerates Figures 4 and 5 on a simulated 16-node 100BaseT LAN |
 //!
+//! The manager side of the message-passing implementations is written once,
+//! sans-IO, in [`plan`]: [`plan::run_paper_protocol`] is the paper's three
+//! phases, driven by `DistributedPct` and `ResilientPct`;
+//! [`plan::ChainPlan`] is the seeded-chain protocol of the `service`
+//! scheduler and the `sim` crate's manager.  ([`distributed_sim`] is
+//! cost-only — no pixels, its own message type — and shares no code path
+//! with them.)
+//!
 //! The eight steps (paper §3): (1) spectral classification, (2) merge unique
 //! sets, (3) mean vector, (4) covariance sums, (5) covariance matrix,
 //! (6) transformation matrix, (7) transformation of the data, (8) colour
@@ -30,6 +38,7 @@ pub mod distributed;
 pub mod distributed_sim;
 pub mod messages;
 pub mod pipeline;
+pub mod plan;
 #[doc(hidden)]
 pub mod reference;
 pub mod resilient;

@@ -1,6 +1,8 @@
 //! The intrusion-tolerant (resilient) distributed implementation.
 //!
-//! Same protocol as [`crate::distributed`], but every logical worker is a
+//! The same manager protocol as [`crate::distributed`] — both drive
+//! [`crate::plan::run_paper_protocol`], so replication is transparent to the
+//! application by construction — but every logical worker is a
 //! *replica group*: `level` member threads that all receive every task and
 //! all return results, with the manager acting on the first result per task
 //! and discarding duplicates.  Members emit heartbeats; a failure detector at
@@ -18,17 +20,13 @@
 //! for the lifetime of the process — carries a single value instead of
 //! threading a dozen loose arguments.
 
-use crate::colormap::ComponentScale;
 use crate::config::{FusionOutput, PctConfig};
-use crate::distributed::{assemble_image, handle_task, MANAGER};
+use crate::distributed::{handle_task, MANAGER};
 use crate::messages::{PctMessage, TaskId};
-use crate::pipeline::finalize_transform;
-use crate::screening::merge_unique_sets;
+use crate::plan::run_paper_protocol;
 use crate::{PctError, Result};
-use hsi::partition::{partition_for_workers, GranularityPolicy};
+use hsi::partition::GranularityPolicy;
 use hsi::HyperCube;
-use linalg::covariance::mean_vector;
-use linalg::SymMatrix;
 use resilience::attack::AttackInjector;
 use resilience::group::ReplicaGroup;
 use resilience::{
@@ -37,7 +35,7 @@ use resilience::{
 };
 use scp::{Runtime, RuntimeConfig, ScpError, ThreadContext, ThreadHandle};
 use std::any::Any;
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -108,8 +106,7 @@ pub struct ResilientRunReport {
     pub bytes_cloned: u64,
 }
 
-/// The folded manager-side state of the resilient protocol (the former 13
-/// loose arguments of `run_resilient_manager`).
+/// The folded executor-side state of the resilient protocol.
 ///
 /// Owns everything needed to keep a set of replica groups alive: membership,
 /// the kill-switch registry used to emulate attacks, the heartbeat failure
@@ -147,6 +144,21 @@ pub struct ResilientManagerState {
     results_seen: usize,
 }
 
+/// The single retransmit-backoff policy of every manager — the resilient
+/// pipeline, the service scheduler and the simulator: the wait doubles with
+/// every attempt, capped at 32×, so a genuinely long task on a healthy group
+/// costs at most a handful of idempotent duplicates instead of a re-send
+/// storm, while a genuinely lost send is still recovered after one base
+/// timeout.
+///
+/// The base is the policy's single parameter.  On real threads it is
+/// [`ResilientManagerState::retransmit_after`], 500 ms; the simulator, whose
+/// task service time scales with the scenario, derives it on virtual time
+/// as `max(4 × detector window, 1 s)`.
+pub fn backoff_factor(attempts: u32) -> u32 {
+    1 << attempts.min(5)
+}
+
 /// A dispatched, not-yet-answered task: which group owes it, the (cheaply
 /// clonable) task message for re-issue, when it was last sent, and how many
 /// times it has been retransmitted.
@@ -173,14 +185,10 @@ impl OutstandingTask {
         }
     }
 
-    /// The single retransmit-backoff policy, shared by the resilient
-    /// pipeline and the service scheduler: the wait doubles with every
-    /// attempt (capped at 32×) so a genuinely long task on a healthy group
-    /// costs at most a handful of idempotent duplicates instead of a
-    /// re-send storm, while a genuinely lost send is still recovered after
-    /// one base timeout.
+    /// How long a task sent `attempts` times may go unanswered before it
+    /// is re-sent: `base` × [`backoff_factor`].
     pub fn backoff(base: Duration, attempts: u32) -> Duration {
-        base * (1u32 << attempts.min(5))
+        base * backoff_factor(attempts)
     }
 
     /// Whether the task has gone unanswered past its current backoff.
@@ -572,14 +580,26 @@ impl ResilientPct {
         let mut state =
             ResilientManagerState::build(&runtime, &groups, self.level, self.detector, attack)?;
 
+        // The membership table's (lexicographic) order is the priming order.
+        let groups = state.membership.group_names();
+        let start = Instant::now();
         let ledger = hsi::CloneLedger::snapshot();
-        let result = run_resilient_manager(
-            &mut manager_ctx,
-            &runtime,
+        let result = run_paper_protocol(
             cube,
             &self.config,
+            groups.len(),
             self.granularity,
-            &mut state,
+            |tasks, is_result| {
+                distribute_to_groups(
+                    &mut manager_ctx,
+                    &runtime,
+                    &groups,
+                    &mut state,
+                    start,
+                    tasks,
+                    is_result,
+                )
+            },
         );
         state.report.bytes_cloned = ledger.delta();
 
@@ -603,9 +623,13 @@ pub fn spawn_member(
     )?)
 }
 
-/// The reactive loop of one group member: service tasks, heartbeat while
-/// idle, and stop silently when attacked.
-fn member_loop(mut ctx: ThreadContext<PctMessage>, kill: KillSwitch) {
+/// The reactive loop of every killable worker — a replica-group member
+/// here, a standard-lane worker in the service pool: service tasks, poll the
+/// [`KillSwitch`] at every timeout boundary and before replying, heartbeat
+/// the manager while idle and after every reply (the feed of its failure
+/// detector), and stop silently when attacked.  No goodbye message is the
+/// point: the detector must notice the silence, not be told.
+pub fn member_loop(mut ctx: ThreadContext<PctMessage>, kill: KillSwitch) {
     loop {
         if kill.is_killed() {
             return;
@@ -635,23 +659,28 @@ fn member_loop(mut ctx: ThreadContext<PctMessage>, kill: KillSwitch) {
     }
 }
 
-/// Work-queue distribution of a set of tasks over the replica groups, with
-/// deduplication, failure detection, retransmission and regeneration driven
-/// by `state`.
-fn distribute_to_groups<T>(
+/// Work-queue distribution of one phase's tasks over the replica groups,
+/// with deduplication, failure detection, retransmission and regeneration
+/// driven by `state`.  Returns the first result per task that `is_result`
+/// recognises, sorted by task id.
+fn distribute_to_groups(
     ctx: &mut ThreadContext<PctMessage>,
     runtime: &Runtime<PctMessage>,
     groups: &[String],
     state: &mut ResilientManagerState,
     start: Instant,
-    tasks: Vec<(TaskId, PctMessage)>,
-    mut extract: impl FnMut(PctMessage) -> Option<T>,
-) -> Result<Vec<T>> {
-    let total = tasks.len();
-    let mut pending: VecDeque<(TaskId, PctMessage)> = tasks.into();
+    tasks: Vec<PctMessage>,
+    is_result: fn(&PctMessage) -> bool,
+) -> Result<Vec<PctMessage>> {
+    let mut pending: VecDeque<(TaskId, PctMessage)> = tasks
+        .into_iter()
+        .filter_map(|msg| Some((msg.task()?, msg)))
+        .collect();
+    let total = pending.len();
     let mut outstanding: HashMap<TaskId, OutstandingTask> = HashMap::new();
-    let mut completed: HashSet<TaskId> = HashSet::new();
-    let mut results: Vec<(TaskId, T)> = Vec::with_capacity(total);
+    // First result per task, in task order — so the merge and covariance
+    // steps are deterministic regardless of which replica answered first.
+    let mut results: BTreeMap<TaskId, PctMessage> = BTreeMap::new();
     let deadline = start + Duration::from_secs(300);
 
     // Prime each group with one task.
@@ -663,7 +692,7 @@ fn distribute_to_groups<T>(
         }
     }
 
-    while completed.len() < total {
+    while results.len() < total {
         if Instant::now() > deadline {
             return Err(PctError::WorkerLost(
                 "resilient run exceeded its deadline waiting for results".to_string(),
@@ -681,13 +710,14 @@ fn distribute_to_groups<T>(
                     msg => {
                         state.heartbeat_from(&from, now_ms);
                         let Some(task) = msg.task() else { continue };
-                        if completed.contains(&task) {
+                        if results.contains_key(&task) {
                             state.report.duplicates_ignored += 1;
                             continue;
                         }
-                        let Some(value) = extract(msg) else { continue };
-                        completed.insert(task);
-                        results.push((task, value));
+                        if !is_result(&msg) {
+                            continue;
+                        }
+                        results.insert(task, msg);
                         state.note_result();
                         // Hand the next pending task to the group that just
                         // finished this one.
@@ -727,157 +757,7 @@ fn distribute_to_groups<T>(
             state.handle_member_failure(ctx, runtime, &mut outstanding, now_ms, &failed)?;
         }
     }
-    // Sort back into task order so the merge and covariance steps are
-    // deterministic regardless of which replica answered first.
-    results.sort_by_key(|(task, _)| *task);
-    Ok(results.into_iter().map(|(_, value)| value).collect())
-}
-
-/// The manager side of the resilient protocol: the same three phases as the
-/// plain distributed manager, but with group addressing, deduplication,
-/// failure detection and regeneration — all carried by `state`.
-fn run_resilient_manager(
-    ctx: &mut ThreadContext<PctMessage>,
-    runtime: &Runtime<PctMessage>,
-    cube: &Arc<HyperCube>,
-    config: &PctConfig,
-    granularity: GranularityPolicy,
-    state: &mut ResilientManagerState,
-) -> Result<FusionOutput> {
-    let groups: Vec<String> = state.membership.group_names();
-    let specs = partition_for_workers(cube.dims(), groups.len(), granularity)?;
-    let start = Instant::now();
-
-    // ---- Phase 1: screening --------------------------------------------------------
-    let screen_tasks: Vec<(TaskId, PctMessage)> = specs
-        .iter()
-        .map(|spec| {
-            Ok((
-                spec.id,
-                PctMessage::ScreenTask {
-                    task: spec.id,
-                    view: spec.view(cube)?,
-                    threshold_rad: config.screening_angle_rad,
-                },
-            ))
-        })
-        .collect::<Result<Vec<_>>>()?;
-    let unique_sets = distribute_to_groups(
-        ctx,
-        runtime,
-        &groups,
-        state,
-        start,
-        screen_tasks,
-        |msg| match msg {
-            PctMessage::UniqueSet { unique, .. } => Some(unique),
-            _ => None,
-        },
-    )?;
-    let unique = merge_unique_sets(unique_sets, config.screening_angle_rad);
-    let unique_count = unique.len();
-    if unique.is_empty() {
-        return Err(PctError::InvalidConfig(
-            "screening produced an empty unique set".into(),
-        ));
-    }
-
-    // ---- Phase 2: statistics -------------------------------------------------------
-    let mean = mean_vector(&unique)?;
-    let bands = mean.len();
-    let chunk = unique.len().div_ceil(groups.len()).max(1);
-    let cov_tasks: Vec<(TaskId, PctMessage)> = unique
-        .chunks(chunk)
-        .enumerate()
-        .map(|(i, pixels)| {
-            (
-                i,
-                PctMessage::CovarianceTask {
-                    task: i,
-                    mean: mean.clone(),
-                    pixels: pixels.to_vec(),
-                },
-            )
-        })
-        .collect();
-    let partials =
-        distribute_to_groups(
-            ctx,
-            runtime,
-            &groups,
-            state,
-            start,
-            cov_tasks,
-            |msg| match msg {
-                PctMessage::CovarianceSum {
-                    packed,
-                    bands,
-                    count,
-                    ..
-                } => Some((packed, bands, count)),
-                _ => None,
-            },
-        )?;
-    let mut sum = SymMatrix::zeros(bands);
-    let mut total_count = 0u64;
-    for (packed, b, count) in partials {
-        sum.add_assign_sym(&SymMatrix::from_packed(b, packed)?)?;
-        total_count += count;
-    }
-    if total_count == 0 {
-        return Err(PctError::InvalidConfig(
-            "covariance phase accumulated no pixels".into(),
-        ));
-    }
-    sum.scale_in_place(1.0 / total_count as f64);
-    let spec = finalize_transform(mean, &sum, config)?;
-    let scales: Vec<(f64, f64)> = ComponentScale::from_eigenvalues(&spec.eigenvalues, 3)
-        .into_iter()
-        .map(|s| (s.min, s.max))
-        .collect();
-
-    // ---- Phase 3: transform + colour ------------------------------------------------
-    let transform_tasks: Vec<(TaskId, PctMessage)> = specs
-        .iter()
-        .map(|sub_spec| {
-            Ok((
-                sub_spec.id,
-                PctMessage::TransformTask {
-                    task: sub_spec.id,
-                    view: sub_spec.view(cube)?,
-                    mean: spec.mean.clone(),
-                    transform: spec.transform.clone(),
-                    scales: scales.clone(),
-                },
-            ))
-        })
-        .collect::<Result<Vec<_>>>()?;
-    let strips = distribute_to_groups(
-        ctx,
-        runtime,
-        &groups,
-        state,
-        start,
-        transform_tasks,
-        |msg| match msg {
-            PctMessage::RgbStrip {
-                row_start,
-                rows,
-                width,
-                rgb,
-                ..
-            } => Some((row_start, rows, width, rgb)),
-            _ => None,
-        },
-    )?;
-    let image = assemble_image(cube.width(), cube.height(), strips)?;
-
-    Ok(FusionOutput {
-        image,
-        eigenvalues: spec.eigenvalues,
-        unique_count,
-        pixels: cube.pixels(),
-    })
+    Ok(results.into_values().collect())
 }
 
 #[cfg(test)]
@@ -963,13 +843,17 @@ mod tests {
         assert_eq!(out.image, reference.image, "post-loss output diverges");
     }
 
-    #[test]
-    fn attack_on_one_member_is_survived_and_regenerated() {
-        // A somewhat larger scene so the run comfortably outlives the
-        // failure-detection latency after the attack fires.
+    /// A somewhat larger scene than `small_scene`, so a run outlives the
+    /// attack that fires after its first result.
+    fn attacked_scene() -> HyperCube {
         let mut config = SceneConfig::small(13);
         config.dims = hsi::CubeDims::new(64, 64, 24);
-        let cube = SceneGenerator::new(config).unwrap().generate();
+        SceneGenerator::new(config).unwrap().generate()
+    }
+
+    #[test]
+    fn attack_on_one_member_is_survived_and_regenerated() {
+        let cube = attacked_scene();
         let reference = reference(&cube);
         let (out, report) = ResilientPct::new(PctConfig::paper(), 2, 2)
             .run_with_attack(&cube, AttackPlan::kill_first_worker_member())
@@ -977,15 +861,48 @@ mod tests {
         // The fused image is still correct: identical to the undisturbed run.
         let diff = reference.image.mean_abs_diff(&out.image).unwrap();
         assert!(diff < 0.5, "post-attack output diverges: {diff}");
-        // The attack actually happened and was repaired.
         assert_eq!(report.members_attacked, vec!["worker0#0".to_string()]);
+        // The surviving replica answers every task, so the run may end
+        // inside the detection window: the one victim is regenerated at most
+        // once, and nothing else is.  That a loss *is* repaired is forced —
+        // not raced — in `attack_on_a_whole_group_forces_regeneration`.
+        assert!(report.regenerations.len() <= 1, "{report:?}");
+    }
+
+    #[test]
+    fn attack_on_a_whole_group_forces_regeneration() {
+        // With both members of worker0 dead nobody answers its tasks, and
+        // every phase primes every group: the run cannot complete until a
+        // member of worker0 is regenerated.
+        let cube = attacked_scene();
+        let reference = reference(&cube);
+        let attack = AttackPlan {
+            after_results: 1,
+            victims: vec!["worker0#0".to_string(), "worker0#1".to_string()],
+            drop_sends: Vec::new(),
+        };
+        let (out, report) = ResilientPct::new(PctConfig::paper(), 2, 2)
+            .run_with_attack(&cube, attack)
+            .unwrap();
+        // Regeneration is transparent: bit-for-bit the undisturbed run.
+        assert_eq!(out.image, reference.image, "post-attack output diverges");
+        assert_eq!(report.members_attacked, ["worker0#0", "worker0#1"]);
         assert!(
             !report.regenerations.is_empty(),
-            "the killed member was never regenerated: {report:?}"
+            "the killed group was never regenerated: {report:?}"
         );
         let regen = &report.regenerations[0];
         assert_eq!(regen.failed.group, "worker0");
         assert!(regen.replacement.incarnation >= 2);
+    }
+
+    #[test]
+    fn backoff_doubles_per_attempt_and_caps_at_32x() {
+        let factors: Vec<u32> = (0..=7).map(backoff_factor).collect();
+        assert_eq!(factors, [1, 2, 4, 8, 16, 32, 32, 32]);
+        let base = Duration::from_millis(500);
+        assert_eq!(OutstandingTask::backoff(base, 0), base);
+        assert_eq!(OutstandingTask::backoff(base, 7), base * 32);
     }
 
     #[test]

@@ -10,41 +10,10 @@
 //! of the chaos test matrix (member index × phase).
 
 use crate::job::JobId;
-use pct::messages::PctMessage;
 
-/// The job phase a [`PhaseKill`] is anchored to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ChaosPhase {
-    /// The seeded-screening chain (steps 1–2).
-    Screen,
-    /// The single derive task (steps 3–6).
-    Derive,
-    /// The transform/colour fan-out (steps 7–8).
-    Transform,
-}
-
-impl ChaosPhase {
-    /// The phase a dispatched task message belongs to, if it is a task.
-    pub fn of_message(msg: &PctMessage) -> Option<ChaosPhase> {
-        match msg {
-            PctMessage::ScreenTask { .. } | PctMessage::ScreenSeededTask { .. } => {
-                Some(ChaosPhase::Screen)
-            }
-            PctMessage::DeriveTask { .. } => Some(ChaosPhase::Derive),
-            PctMessage::TransformTask { .. } => Some(ChaosPhase::Transform),
-            _ => None,
-        }
-    }
-
-    /// A short label for reports and assertions.
-    pub fn label(&self) -> &'static str {
-        match self {
-            ChaosPhase::Screen => "screen",
-            ChaosPhase::Derive => "derive",
-            ChaosPhase::Transform => "transform",
-        }
-    }
-}
+/// The job phase a [`PhaseKill`] is anchored to: a phase of the job's
+/// [`pct::plan::ChainPlan`].
+pub use pct::plan::Phase as ChaosPhase;
 
 /// One scheduled kill: when the scheduler dispatches the first task of
 /// `phase` for job `job`, the member `member` is killed.
@@ -87,29 +56,6 @@ impl ChaosPlan {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hsi::{CubeDims, CubeView, HyperCube};
-    use std::sync::Arc;
-
-    #[test]
-    fn message_phases_are_classified() {
-        let cube = Arc::new(HyperCube::zeros(CubeDims::new(2, 2, 2)));
-        let view = CubeView::full(Arc::clone(&cube));
-        let screen = PctMessage::ScreenSeededTask {
-            task: 1,
-            view: view.clone(),
-            seed: vec![],
-            threshold_rad: 0.1,
-        };
-        assert_eq!(ChaosPhase::of_message(&screen), Some(ChaosPhase::Screen));
-        let derive = PctMessage::DeriveTask {
-            task: 2,
-            unique: vec![],
-            config: pct::PctConfig::paper(),
-        };
-        assert_eq!(ChaosPhase::of_message(&derive), Some(ChaosPhase::Derive));
-        assert_eq!(ChaosPhase::of_message(&PctMessage::Heartbeat), None);
-        assert_eq!(ChaosPhase::Transform.label(), "transform");
-    }
 
     #[test]
     fn kill_at_builds_a_single_entry_plan() {

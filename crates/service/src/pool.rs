@@ -2,11 +2,12 @@
 //!
 //! Four lanes:
 //!
-//! * **standard** — plain worker threads running a reactive task loop over
-//!   one `scp` runtime.  Each worker registers a kill switch in the pool's
-//!   shared [`AttackInjector`] and heartbeats the manager (idle and after
-//!   every reply), so the scheduler's watchdog can *detect* a lost worker
-//!   instead of discovering the dead mailbox at send time;
+//! * **standard** — plain worker threads running the replica members' own
+//!   loop ([`pct::resilient::member_loop`]) over one `scp` runtime.  Each
+//!   worker registers a kill switch in the pool's shared [`AttackInjector`]
+//!   and heartbeats the manager (idle and after every reply), so the
+//!   scheduler's watchdog can *detect* a lost worker instead of discovering
+//!   the dead mailbox at send time;
 //! * **resilient** — replica groups owned by a [`pct::ResilientManagerState`]
 //!   (kill switches, heartbeat detector, regenerator), the same machinery the
 //!   resilient pipeline uses per run, here owned for the pool's lifetime;
@@ -30,16 +31,15 @@ use crate::job::JobId;
 use crate::remote::RemoteLane;
 use crate::Result;
 use hsi::HyperCube;
-use pct::distributed::{handle_task, MANAGER};
+use pct::distributed::MANAGER;
 use pct::messages::PctMessage;
-use pct::resilient::{AttackPlan, ResilientManagerState, ResilientRunReport};
+use pct::resilient::{member_loop, AttackPlan, ResilientManagerState, ResilientRunReport};
 use pct::{FusionOutput, PctConfig, SequentialPct};
-use resilience::attack::{AttackInjector, KillSwitch};
-use scp::{Runtime, RuntimeConfig, ScpError, ThreadContext, ThreadHandle};
+use resilience::attack::AttackInjector;
+use scp::{Runtime, RuntimeConfig, ThreadContext, ThreadHandle};
 use std::collections::HashMap;
 use std::sync::mpsc::{Receiver, Sender};
 use std::sync::Arc;
-use std::time::Duration;
 
 /// One whole job handed to a shared-memory executor.
 pub(crate) struct InlineJob {
@@ -53,43 +53,6 @@ pub(crate) struct InlineResult {
     pub executor: String,
     pub job: JobId,
     pub result: std::result::Result<FusionOutput, String>,
-}
-
-/// The standard-lane worker loop: `pct::distributed::worker_loop` plus the
-/// two liveness hooks the resilient lane's `member_loop` proves out — a
-/// [`KillSwitch`] polled at every timeout boundary (so chaos drills can take
-/// a standard worker down mid-job) and heartbeats to the manager (idle and
-/// after every reply) that feed the scheduler's standard-lane watchdog.
-/// Dying silently — no goodbye message — is the point: the watchdog must
-/// detect the silence, not be told.
-fn standard_worker_loop(mut ctx: ThreadContext<PctMessage>, kill: KillSwitch) {
-    loop {
-        if kill.is_killed() {
-            return;
-        }
-        match ctx.recv_timeout(Duration::from_millis(25)) {
-            Ok(envelope) => match envelope.payload {
-                PctMessage::Shutdown => return,
-                msg => {
-                    if let Some(reply) = handle_task(msg) {
-                        if kill.is_killed() {
-                            return;
-                        }
-                        if ctx.send(MANAGER, reply).is_err() {
-                            return;
-                        }
-                        let _ = ctx.send(MANAGER, PctMessage::Heartbeat);
-                    }
-                }
-            },
-            Err(ScpError::Timeout) => {
-                if ctx.send(MANAGER, PctMessage::Heartbeat).is_err() {
-                    return;
-                }
-            }
-            Err(_) => return,
-        }
-    }
 }
 
 /// Best-effort rendering of a caught panic payload.
@@ -247,7 +210,7 @@ impl WorkerPool {
             .iter()
             .map(|name| {
                 let kill = resilient.injector.register(name.clone());
-                runtime.spawn(name.clone(), move |ctx| standard_worker_loop(ctx, kill))
+                runtime.spawn(name.clone(), move |ctx| member_loop(ctx, kill))
             })
             .collect::<scp::Result<Vec<_>>>()?;
 

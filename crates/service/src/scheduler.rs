@@ -4,16 +4,13 @@
 //! Each scheduler tick forms a dispatch batch: every runnable task of every
 //! admitted job, ordered by priority then submission, is matched against the
 //! free execution slots of its lane (standard workers, replica groups,
-//! shared-memory executors, or remote worker processes).  Message-plane jobs
-//! advance through three phases:
-//!
-//! 1. **Screen** — a chain of seeded screening tasks, one shard at a time,
-//!    so the accumulated unique set is bit-for-bit the whole-image greedy
-//!    screening (intra-job pipelining; cross-job concurrency fills the pool).
-//! 2. **Derive** — one task computing steps 3–6 over the merged unique set,
-//!    exactly as the sequential reference does.
-//! 3. **Transform** — per-shard transform/colour tasks fanned out freely
-//!    (per-pixel pure), reassembled into the fused image.
+//! shared-memory executors, or remote worker processes).  Each message-plane
+//! job owns a [`pct::plan::ChainPlan`] — seeded screening chain → one derive
+//! task → transform fan-out, byte-identical to the sequential reference —
+//! which alone decides which task comes next and what a result means.  The
+//! scheduler decides everything else: which slot runs a task
+//! ([`Scheduler::place`], the one function that sends one), and what happens
+//! when the slot dies.
 //!
 //! Shared-memory jobs skip the message plane entirely: the whole job is
 //! handed to an in-process executor that runs the sequential reference over
@@ -50,21 +47,19 @@
 //! orphan/re-dispatch/failover path is shared code, not a parallel copy.
 
 use crate::admission::{AdmissionGovernor, TenantId};
-use crate::chaos::{ChaosPhase, ChaosPlan};
+use crate::chaos::ChaosPlan;
 use crate::events::{EventBus, ServiceEvent};
 use crate::job::{BackendKind, JobId, JobStatus, Priority};
 use crate::pool::{InlineJob, InlineResult, WorkerPool};
 use crate::report::ServiceReport;
 use crate::routing::{LaneLoad, LaneSnapshot, Route, RoutingRequest};
 use crate::status::StatusTable;
-use hsi::partition::{partition_rows, SubCubeSpec};
-use hsi::{CloneLedger, HyperCube};
-use linalg::{Matrix, Vector};
-use pct::colormap::ComponentScale;
-use pct::distributed::assemble_image;
+use hsi::partition::partition_rows;
+use hsi::CloneLedger;
 use pct::messages::{PctMessage, TaskId};
+use pct::plan::{ChainPlan, Phase, Step};
 use pct::resilient::OutstandingTask;
-use pct::{FusionOutput, PctConfig};
+use pct::FusionOutput;
 use resilience::{DetectorConfig, FailureDetector, MemberId};
 use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -94,10 +89,10 @@ struct InFlight {
     attempts: u32,
 }
 
-/// A task pulled off a lost (or never-reached) execution slot, waiting to
-/// be re-dispatched by [`Scheduler::dispatch_orphans`].  Re-dispatch is
-/// idempotent by task id: whichever copy answers first wins, later copies
-/// are discarded as duplicates.
+/// A task ready for [`Scheduler::place`]: fresh from its job's plan, or
+/// pulled off a lost (or never-reached) execution slot and waiting in the
+/// orphan queue.  Re-dispatch is idempotent by task id: whichever copy
+/// answers first wins, later copies are discarded as duplicates.
 struct Orphan {
     task: TaskId,
     job: JobId,
@@ -111,38 +106,21 @@ struct Orphan {
     from: String,
 }
 
-/// Job execution phases (see module docs).
-enum Phase {
-    Screen,
-    Derive,
-    Transform,
-}
-
 /// Scheduler-side state of one admitted job.
 struct JobRun {
     tenant: TenantId,
     priority: Priority,
     /// The resolved execution lane.
     backend: BackendKind,
-    config: PctConfig,
-    cube: Arc<HyperCube>,
-    shards: Vec<SubCubeSpec>,
+    /// The job's protocol state; abandoned if the job runs (or is failed
+    /// over to run) on the shared-memory lane.
+    plan: ChainPlan,
+    /// Shard count, for routing decisions.
+    shards: usize,
     deadline: Option<Instant>,
     submitted: Instant,
-    phase: Phase,
-    unique: Vec<Vector>,
-    unique_count: usize,
-    screen_next: usize,
-    screen_outstanding: bool,
-    derive_outstanding: bool,
     /// Shared-memory lane: whether the whole job is already on an executor.
     inline_dispatched: bool,
-    transform_next: usize,
-    strips: Vec<(usize, usize, usize, Vec<u8>)>,
-    eigenvalues: Vec<f64>,
-    mean: Option<Vector>,
-    transform: Option<Matrix>,
-    scales: Vec<(f64, f64)>,
     /// Root telemetry span of the job's phase tree (carried over from
     /// submission; `None` when telemetry is disabled).
     span: Option<SpanId>,
@@ -153,54 +131,6 @@ struct JobRun {
     /// When the current phase was entered — the report's duration source
     /// when telemetry is disabled and spans return nothing.
     phase_entered: Instant,
-}
-
-impl JobRun {
-    /// Produces the next dispatchable task message, updating phase-progress
-    /// bookkeeping; `None` when the job is waiting on outstanding results.
-    fn next_task_message(&mut self, task: TaskId) -> Option<PctMessage> {
-        match self.phase {
-            Phase::Screen => {
-                if self.screen_outstanding || self.screen_next >= self.shards.len() {
-                    return None;
-                }
-                let view = self.shards[self.screen_next].view(&self.cube).ok()?;
-                self.screen_outstanding = true;
-                Some(PctMessage::ScreenSeededTask {
-                    task,
-                    view,
-                    seed: self.unique.clone(),
-                    threshold_rad: self.config.screening_angle_rad,
-                })
-            }
-            Phase::Derive => {
-                if self.derive_outstanding {
-                    return None;
-                }
-                self.derive_outstanding = true;
-                self.unique_count = self.unique.len();
-                Some(PctMessage::DeriveTask {
-                    task,
-                    unique: std::mem::take(&mut self.unique),
-                    config: self.config,
-                })
-            }
-            Phase::Transform => {
-                if self.transform_next >= self.shards.len() {
-                    return None;
-                }
-                let view = self.shards[self.transform_next].view(&self.cube).ok()?;
-                self.transform_next += 1;
-                Some(PctMessage::TransformTask {
-                    task,
-                    view,
-                    mean: self.mean.clone()?,
-                    transform: self.transform.clone()?,
-                    scales: self.scales.clone(),
-                })
-            }
-        }
-    }
 }
 
 /// Closes `job`'s open phase span, accounting its duration into the phase
@@ -228,14 +158,6 @@ fn roll_phase(
         job.phase_name = name;
         job.phase_entered = Instant::now();
     }
-}
-
-/// What a consumed result means for its job, decided while the job is
-/// borrowed and acted on afterwards.
-enum Outcome {
-    InProgress,
-    Complete,
-    Failed(String),
 }
 
 /// How many recently completed group-lane task ids are remembered for
@@ -519,24 +441,11 @@ impl Scheduler {
                 tenant,
                 priority: queued.spec.priority,
                 backend,
-                config: queued.spec.config,
-                cube,
-                shards,
+                shards: shards.len(),
+                plan: ChainPlan::new(cube, queued.spec.config, shards.clone(), shards),
                 deadline: queued.spec.timeout.map(|t| Instant::now() + t),
                 submitted: queued.submitted,
-                phase: Phase::Screen,
-                unique: Vec::new(),
-                unique_count: 0,
-                screen_next: 0,
-                screen_outstanding: false,
-                derive_outstanding: false,
                 inline_dispatched: false,
-                transform_next: 0,
-                strips: Vec::new(),
-                eigenvalues: Vec::new(),
-                mean: None,
-                transform: None,
-                scales: Vec::new(),
                 span: queued.span,
                 phase_span,
                 phase_name,
@@ -587,8 +496,8 @@ impl Scheduler {
         self.next_task += 1;
         let work = InlineJob {
             job: id,
-            cube: Arc::clone(&job.cube),
-            config: job.config,
+            cube: Arc::clone(job.plan.cube()),
+            config: job.plan.config(),
         };
         // No payload accounting here: the inline lane ships an `Arc`, not a
         // message, so it neither clones nor "ships" sub-cube bytes — keeping
@@ -640,121 +549,99 @@ impl Scheduler {
             // task construction deep-copies: 0 on the view-based plane, and
             // attributed per phase so the bench can prove it per phase.
             let ledger = CloneLedger::snapshot();
-            let Some(message) = job.next_task_message(task) else {
+            let Some(message) = job.plan.next_task(task) else {
                 return;
             };
             let cloned = ledger.delta();
-            match ChaosPhase::of_message(&message) {
-                Some(ChaosPhase::Screen) => self.report.bytes_cloned_screen += cloned,
-                Some(ChaosPhase::Transform) => self.report.bytes_cloned_transform += cloned,
-                _ => {}
+            let phase = job.plan.phase();
+            match phase {
+                Phase::Screen => self.report.bytes_cloned_screen += cloned,
+                Phase::Transform => self.report.bytes_cloned_transform += cloned,
+                Phase::Derive => {}
             }
             self.report.payload_bytes_shipped += message.payload_bytes();
-            self.fire_chaos_kills(id, &message);
+            self.fire_chaos_kills(id, phase);
             self.next_task += 1;
-            let Some(job) = self.running.get_mut(&id) else {
-                return;
+            let ready = Orphan {
+                task,
+                job: id,
+                message,
+                attempts: 0,
+                from: String::new(),
             };
-            let backend = job.backend;
-            let kind = message.kind();
-            match backend {
-                BackendKind::Standard | BackendKind::Remote => {
-                    let free = match backend {
-                        BackendKind::Standard => &mut self.free_workers,
-                        _ => &mut self.free_remote,
-                    };
-                    let Some(worker) = free.pop_front() else {
-                        // A loss landed between the lane check and the pop;
-                        // the task message is already built (and its phase
-                        // bookkeeping advanced), so park it for re-dispatch
-                        // instead of panicking.
-                        self.orphans.push_back(Orphan {
-                            task,
-                            job: id,
-                            message,
-                            attempts: 0,
-                            from: String::new(),
-                        });
-                        return;
-                    };
-                    self.tasks.insert(
-                        task,
-                        InFlight {
-                            job: id,
-                            assignee: Assignee::Worker(worker.clone()),
-                            message: message.clone(),
-                            sent_at: Instant::now(),
-                            attempts: 0,
-                        },
-                    );
-                    if self.ctx.send(&worker, message).is_err() {
-                        // Dead mailbox discovered at send time — the watchdog
-                        // would confirm it next sweep, but the task is
-                        // already recorded in flight, so confirm the loss now
-                        // and let the orphan queue re-dispatch it.
-                        self.on_worker_lost(&worker);
-                        return;
-                    }
-                    self.report.tasks_dispatched += 1;
-                    self.report.route_task(backend);
-                    self.events.publish(ServiceEvent::Dispatched {
-                        job: id,
-                        route: backend,
-                        task,
-                        kind,
-                    });
-                }
-                BackendKind::Resilient => {
-                    let Some(group) = self.free_groups.pop_front() else {
-                        self.orphans.push_back(Orphan {
-                            task,
-                            job: id,
-                            message,
-                            attempts: 0,
-                            from: String::new(),
-                        });
-                        return;
-                    };
-                    // Record the task before sending so a failure-triggered
-                    // re-issue covers it.
-                    self.tasks.insert(
-                        task,
-                        InFlight {
-                            job: id,
-                            assignee: Assignee::Group(group.clone()),
-                            message: message.clone(),
-                            sent_at: Instant::now(),
-                            attempts: 0,
-                        },
-                    );
-                    let dead = match self
-                        .pool
-                        .resilient
-                        .group_send(&mut self.ctx, &group, &message)
-                    {
-                        Ok(dead) => dead,
-                        Err(e) => {
-                            self.tasks.remove(&task);
-                            self.fail_job(id, JobStatus::Failed, e.to_string());
-                            return;
-                        }
-                    };
-                    self.report.tasks_dispatched += 1;
-                    self.report.route_task(BackendKind::Resilient);
-                    self.events.publish(ServiceEvent::Dispatched {
-                        job: id,
-                        route: BackendKind::Resilient,
-                        task,
-                        kind,
-                    });
-                    let now_ms = self.now_ms();
-                    for failed in dead {
-                        self.recover_member(failed, now_ms);
-                    }
-                }
-                BackendKind::SharedMemory => unreachable!("handled by dispatch_inline"),
+            // Handed back when a loss landed between the lane check and the
+            // pop: the plan has already issued the task, so park it.
+            let unplaced = self.place(ready);
+            self.orphans.extend(unplaced);
+            if !self.tasks.contains_key(&task) {
+                // Not in flight after all — parked, orphaned by a mailbox
+                // found dead, or its job failed: the next tick carries on.
+                return;
             }
         }
+    }
+
+    /// Puts one ready task on a free slot of its job's (possibly
+    /// failed-over) lane — the only place a task is recorded in flight and
+    /// sent.  Hands the task back when the lane has no free slot right now;
+    /// drops it when its job has finished or was failed over to an inline
+    /// executor (which recomputes the job start to finish, byte-identical
+    /// by construction).
+    fn place(&mut self, ready: Orphan) -> Option<Orphan> {
+        let backend = self.running.get(&ready.job)?.backend;
+        let (free, assignee): (_, fn(String) -> Assignee) = match backend {
+            BackendKind::Standard => (&mut self.free_workers, Assignee::Worker),
+            BackendKind::Remote => (&mut self.free_remote, Assignee::Worker),
+            BackendKind::Resilient => (&mut self.free_groups, Assignee::Group),
+            BackendKind::SharedMemory => return None,
+        };
+        let Some(slot) = free.pop_front() else {
+            return Some(ready);
+        };
+        // Recorded before sending, so a failure-triggered re-issue or
+        // orphaning covers it; the record keeps the message, the slot gets
+        // a copy.
+        self.tasks.insert(
+            ready.task,
+            InFlight {
+                job: ready.job,
+                assignee: assignee(slot.clone()),
+                message: ready.message,
+                sent_at: Instant::now(),
+                attempts: ready.attempts,
+            },
+        );
+        let message = &self.tasks[&ready.task].message;
+        if backend != BackendKind::Resilient {
+            if self.ctx.send(&slot, message.clone()).is_ok() {
+                self.note_placed(ready.task, &ready.from, backend, &slot);
+            } else {
+                // Dead mailbox discovered at send time — the watchdog would
+                // confirm it next sweep, but the task is already recorded in
+                // flight, so confirm the loss now: that orphans the task
+                // (and may orphan more) for a later placement.
+                self.on_worker_lost(&slot);
+            }
+            return None;
+        }
+        match self
+            .pool
+            .resilient
+            .group_send(&mut self.ctx, &slot, message)
+        {
+            Ok(dead) => {
+                self.note_placed(ready.task, &ready.from, backend, &slot);
+                let now_ms = self.now_ms();
+                for failed in dead {
+                    self.recover_member(failed, now_ms);
+                }
+            }
+            Err(e) => {
+                self.tasks.remove(&ready.task);
+                self.fail_job(ready.job, JobStatus::Failed, e.to_string());
+            }
+        }
+        None
     }
 
     /// Consumes one finished whole-job result from the shared-memory lane.
@@ -768,19 +655,7 @@ impl Scheduler {
         };
         debug_assert!(matches!(job.backend, BackendKind::SharedMemory));
         match result.result {
-            Ok(output) => {
-                let mut job = self.running.remove(&id).expect("present: checked above");
-                roll_phase(&self.telemetry, &mut self.report, &mut job, id, None);
-                self.telemetry
-                    .span_end_with_detail(job.span, Some("completed"));
-                self.report.jobs_completed += 1;
-                self.report.route_completed(BackendKind::SharedMemory);
-                self.telemetry
-                    .observe("fusiond_job_latency_seconds", &[], job.submitted.elapsed());
-                self.report
-                    .record_latency(job.priority, job.submitted.elapsed());
-                self.terminal_transition(id, job.tenant, JobStatus::Completed, Some(output), None);
-            }
+            Ok(output) => self.complete_job(id, Some(output)),
             Err(error) => self.fail_job(id, JobStatus::Failed, error),
         }
     }
@@ -854,69 +729,28 @@ impl Scheduler {
                     // Job already cancelled, timed out or failed.
                     return;
                 };
-                let outcome = match msg {
-                    PctMessage::SeededUnique { accepted, .. } => {
-                        job.unique.extend(accepted);
-                        job.screen_outstanding = false;
-                        job.screen_next += 1;
-                        if job.screen_next >= job.shards.len() {
-                            job.phase = Phase::Derive;
-                            roll_phase(&self.telemetry, &mut self.report, job, id, Some("derive"));
-                        }
-                        Outcome::InProgress
-                    }
-                    PctMessage::DerivedTransform {
-                        mean,
-                        transform,
-                        eigenvalues,
-                        ..
-                    } => {
-                        job.scales = ComponentScale::from_eigenvalues(&eigenvalues, 3)
-                            .into_iter()
-                            .map(|s| (s.min, s.max))
-                            .collect();
-                        job.mean = Some(mean);
-                        job.transform = Some(transform);
-                        job.eigenvalues = eigenvalues;
-                        job.phase = Phase::Transform;
+                match job.plan.accept(msg) {
+                    Ok(Step::Continue | Step::Stale) => {}
+                    Ok(Step::Entered(phase)) => {
                         roll_phase(
                             &self.telemetry,
                             &mut self.report,
                             job,
                             id,
-                            Some("transform"),
+                            Some(phase.name()),
                         );
-                        Outcome::InProgress
                     }
-                    PctMessage::RgbStrip {
-                        row_start,
-                        rows,
-                        width,
-                        rgb,
-                        ..
-                    } => {
-                        job.strips.push((row_start, rows, width, rgb));
-                        if job.strips.len() >= job.shards.len() {
-                            Outcome::Complete
-                        } else {
-                            Outcome::InProgress
-                        }
-                    }
-                    PctMessage::TaskFailed { error, .. } => Outcome::Failed(error),
-                    // Protocol messages the service never requests.
-                    _ => Outcome::InProgress,
-                };
-                match outcome {
-                    Outcome::InProgress => {}
-                    Outcome::Complete => self.complete_job(id),
-                    Outcome::Failed(error) => self.fail_job(id, JobStatus::Failed, error),
+                    Ok(Step::Complete) => self.complete_job(id, None),
+                    Err(error) => self.fail_job(id, JobStatus::Failed, error),
                 }
             }
         }
     }
 
-    /// Assembles and publishes a finished message-plane job.
-    fn complete_job(&mut self, id: JobId) {
+    /// Publishes a finished job.  `inline` is the whole-job output of a
+    /// shared-memory executor; a message-plane job's is assembled from its
+    /// plan.
+    fn complete_job(&mut self, id: JobId, inline: Option<FusionOutput>) {
         let Some(mut job) = self.running.remove(&id) else {
             return;
         };
@@ -925,14 +759,9 @@ impl Scheduler {
         }
         roll_phase(&self.telemetry, &mut self.report, &mut job, id, None);
         let tenant = job.tenant;
-        match assemble_image(job.cube.width(), job.cube.height(), job.strips) {
-            Ok(image) => {
-                let output = FusionOutput {
-                    image,
-                    eigenvalues: job.eigenvalues,
-                    unique_count: job.unique_count,
-                    pixels: job.cube.pixels(),
-                };
+        // Assembly runs after the roll, outside the `transform` span.
+        match inline.map_or_else(|| job.plan.into_output(), Ok) {
+            Ok(output) => {
                 self.telemetry
                     .span_end_with_detail(job.span, Some("completed"));
                 self.report.jobs_completed += 1;
@@ -984,14 +813,11 @@ impl Scheduler {
     }
 
     /// Fires every not-yet-fired chaos kill anchored to this dispatch event
-    /// (the first task of `job`'s phase, identified by the message kind).
-    fn fire_chaos_kills(&mut self, job: JobId, message: &PctMessage) {
+    /// (the first task of `job`'s `phase`).
+    fn fire_chaos_kills(&mut self, job: JobId, phase: Phase) {
         if self.chaos.kills.is_empty() {
             return;
         }
-        let Some(phase) = ChaosPhase::of_message(message) else {
-            return;
-        };
         let mut killed = Vec::new();
         for (kill, fired) in self.chaos.kills.iter().zip(self.chaos_fired.iter_mut()) {
             if !*fired && kill.job == job && kill.phase == phase {
@@ -1061,6 +887,24 @@ impl Scheduler {
         self.dispatch_orphans();
     }
 
+    /// Records a confirmed loss of `who` (a worker or a replica member) whose
+    /// kill was stamped: the `detect` span is back-dated to the kill, so its
+    /// width *is* the detection latency.
+    fn note_detected(&self, who: &str, affected: Option<JobId>, parent: Option<SpanId>) {
+        let Some(kill_nanos) = self.telemetry.take_kill(who) else {
+            return;
+        };
+        if let Some(now) = self.telemetry.now_nanos() {
+            self.telemetry.observe(
+                "fusiond_detection_latency_seconds",
+                &[],
+                Duration::from_nanos(now.saturating_sub(kill_nanos)),
+            );
+        }
+        self.telemetry
+            .span_closed("detect", parent, affected, kill_nanos, who);
+    }
+
     /// Handles one confirmed worker loss (standard thread or remote
     /// process): retire the worker, orphan its in-flight tasks for
     /// re-dispatch, and fail the lane over if it just drained to zero
@@ -1090,19 +934,7 @@ impl Scheduler {
             matches!(&inflight.assignee, Assignee::Worker(w) if w == worker).then_some(inflight.job)
         });
         let parent = affected.and_then(|id| self.running.get(&id).and_then(|j| j.phase_span));
-        if let Some(kill_nanos) = self.telemetry.take_kill(worker) {
-            // Back-date the `detect` span to the kill; its width *is* the
-            // detection latency.
-            if let Some(now) = self.telemetry.now_nanos() {
-                self.telemetry.observe(
-                    "fusiond_detection_latency_seconds",
-                    &[],
-                    Duration::from_nanos(now.saturating_sub(kill_nanos)),
-                );
-            }
-            self.telemetry
-                .span_closed("detect", parent, affected, kill_nanos, worker);
-        }
+        self.note_detected(worker, affected, parent);
         self.telemetry
             .instant("worker-lost", affected, parent, worker);
         self.events.publish_correlated(
@@ -1141,130 +973,47 @@ impl Scheduler {
         }
     }
 
-    /// Re-dispatches orphaned tasks to free slots of their job's (possibly
-    /// failed-over) lane.  Orphans whose lane has no free slot right now
-    /// stay queued for the next tick; orphans of finished jobs are dropped.
+    /// Re-dispatches orphaned tasks through [`Scheduler::place`].  Orphans
+    /// whose lane has no free slot right now stay queued for the next tick.
+    /// A worker found dead while draining may orphan more tasks onto the
+    /// queue being drained — they get their turn in this same loop.
     fn dispatch_orphans(&mut self) {
-        if self.orphans.is_empty() {
-            return;
-        }
         let mut deferred: VecDeque<Orphan> = VecDeque::new();
         while let Some(orphan) = self.orphans.pop_front() {
-            let Some(job) = self.running.get(&orphan.job) else {
-                continue;
-            };
-            match job.backend {
-                BackendKind::Standard | BackendKind::Remote => {
-                    let free = match job.backend {
-                        BackendKind::Standard => &mut self.free_workers,
-                        _ => &mut self.free_remote,
-                    };
-                    let Some(worker) = free.pop_front() else {
-                        deferred.push_back(orphan);
-                        continue;
-                    };
-                    self.tasks.insert(
-                        orphan.task,
-                        InFlight {
-                            job: orphan.job,
-                            assignee: Assignee::Worker(worker.clone()),
-                            message: orphan.message.clone(),
-                            sent_at: Instant::now(),
-                            attempts: orphan.attempts,
-                        },
-                    );
-                    if self.ctx.send(&worker, orphan.message.clone()).is_err() {
-                        // This worker is gone too: re-park the orphan and
-                        // retire the worker (which may orphan more tasks
-                        // onto the queue we are draining — they get their
-                        // turn in this same loop).
-                        self.tasks.remove(&orphan.task);
-                        deferred.push_back(orphan);
-                        self.on_worker_lost(&worker);
-                        continue;
-                    }
-                    self.note_reassigned(&orphan, &worker);
-                }
-                BackendKind::Resilient => {
-                    let Some(group) = self.free_groups.pop_front() else {
-                        deferred.push_back(orphan);
-                        continue;
-                    };
-                    self.tasks.insert(
-                        orphan.task,
-                        InFlight {
-                            job: orphan.job,
-                            assignee: Assignee::Group(group.clone()),
-                            message: orphan.message.clone(),
-                            sent_at: Instant::now(),
-                            attempts: orphan.attempts,
-                        },
-                    );
-                    let dead =
-                        match self
-                            .pool
-                            .resilient
-                            .group_send(&mut self.ctx, &group, &orphan.message)
-                        {
-                            Ok(dead) => dead,
-                            Err(e) => {
-                                self.tasks.remove(&orphan.task);
-                                self.fail_job(orphan.job, JobStatus::Failed, e.to_string());
-                                continue;
-                            }
-                        };
-                    self.note_reassigned(&orphan, &group);
-                    let now_ms = self.now_ms();
-                    for failed in dead {
-                        self.recover_member(failed, now_ms);
-                    }
-                }
-                // The whole job was failed over to an inline executor; its
-                // message-plane tasks are moot (the executor recomputes the
-                // job start to finish, byte-identical by construction).
-                BackendKind::SharedMemory => continue,
-            }
+            deferred.extend(self.place(orphan));
         }
         self.orphans = deferred;
     }
 
-    /// Accounts and publishes one orphan landing on a new slot: a
-    /// reassignment if it was ever delivered to a lost worker, a plain
-    /// (deferred) first dispatch otherwise.
-    fn note_reassigned(&mut self, orphan: &Orphan, to: &str) {
-        let span = self.running.get(&orphan.job).and_then(|j| j.phase_span);
-        let route = self
-            .running
-            .get(&orphan.job)
-            .map(|j| j.backend)
-            .unwrap_or(BackendKind::Standard);
-        if orphan.from.is_empty() {
+    /// Accounts and publishes the in-flight `task` landing on the slot `to`:
+    /// a reassignment if it was ever delivered to a lost worker (`from`), a
+    /// (possibly deferred) first dispatch otherwise.
+    fn note_placed(&mut self, task: TaskId, from: &str, route: BackendKind, to: &str) {
+        let placed = &self.tasks[&task];
+        let (job, kind) = (placed.job, placed.message.kind());
+        let span = self.running.get(&job).and_then(|j| j.phase_span);
+        if from.is_empty() {
             self.report.tasks_dispatched += 1;
             self.report.route_task(route);
-            self.events.publish_correlated(
-                ServiceEvent::Dispatched {
-                    job: orphan.job,
-                    route,
-                    task: orphan.task,
-                    kind: orphan.message.kind(),
-                },
-                span,
-            );
+            let dispatched = ServiceEvent::Dispatched {
+                job,
+                route,
+                task,
+                kind,
+            };
+            self.events.publish_correlated(dispatched, span);
         } else {
             self.report.tasks_reassigned += 1;
             self.telemetry
                 .count("fusiond_worker_reassignments_total", &[]);
-            self.telemetry
-                .instant("reassign", Some(orphan.job), span, to);
-            self.events.publish_correlated(
-                ServiceEvent::TaskReassigned {
-                    job: orphan.job,
-                    task: orphan.task,
-                    from: orphan.from.clone(),
-                    to: to.to_string(),
-                },
-                span,
-            );
+            self.telemetry.instant("reassign", Some(job), span, to);
+            let reassigned = ServiceEvent::TaskReassigned {
+                job,
+                task,
+                from: from.to_string(),
+                to: to.to_string(),
+            };
+            self.events.publish_correlated(reassigned, span);
         }
     }
 
@@ -1288,7 +1037,7 @@ impl Scheduler {
             let Some(job) = self.running.get(&id) else {
                 continue;
             };
-            let request = RoutingRequest::for_dims(job.cube.dims(), job.shards.len());
+            let request = RoutingRequest::for_dims(job.plan.cube().dims(), job.shards);
             let (target, _) = self.governor.resolve(Route::Auto, &request, &snapshot);
             if target == lane || !snapshot.lane(target).enabled() {
                 // The clamp found no other enabled lane.
@@ -1306,11 +1055,10 @@ impl Scheduler {
             job.backend = target;
             if target == BackendKind::SharedMemory {
                 // The inline lane recomputes the whole job from the shared
-                // cube; partial message-plane progress (strips, orphans) is
-                // discarded rather than merged, and the phase tree rolls to
-                // `inline` like a natively-routed inline job's.
+                // cube; partial message-plane progress (the plan, orphans)
+                // is abandoned rather than merged, and the phase tree rolls
+                // to `inline` like a natively-routed inline job's.
                 job.inline_dispatched = false;
-                job.strips.clear();
                 roll_phase(&self.telemetry, &mut self.report, job, id, Some("inline"));
                 self.orphans.retain(|o| o.job != id);
             }
@@ -1428,19 +1176,7 @@ impl Scheduler {
         });
         let parent = affected.and_then(|id| self.running.get(&id).and_then(|j| j.phase_span));
         let member = failed.routing_name();
-        if let Some(kill_nanos) = self.telemetry.take_kill(&member) {
-            // Back-date the `detect` span to the kill; its width *is* the
-            // detection latency.
-            if let Some(now) = self.telemetry.now_nanos() {
-                self.telemetry.observe(
-                    "fusiond_detection_latency_seconds",
-                    &[],
-                    Duration::from_nanos(now.saturating_sub(kill_nanos)),
-                );
-            }
-            self.telemetry
-                .span_closed("detect", parent, affected, kill_nanos, &member);
-        }
+        self.note_detected(&member, affected, parent);
         let regen_span = self
             .telemetry
             .span_start("regenerate", parent, affected, &member);

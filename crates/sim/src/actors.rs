@@ -1,10 +1,12 @@
 //! The manager and member actors that run the real fusion protocol on the
 //! simulated cluster.
 //!
-//! The manager mirrors the service scheduler's phase machine exactly —
-//! seeded screening chain → single derive task → transform fan-out — so
-//! the fused output is byte-identical to [`pct::SequentialPct`] by
-//! construction, whatever the fault schedule does.  Members execute tasks
+//! The manager drives the same [`pct::plan::ChainPlan`] as the service
+//! scheduler — seeded screening chain → single derive task → transform
+//! fan-out — so the fused output is byte-identical to
+//! [`pct::SequentialPct`] by construction, whatever the fault schedule
+//! does; what it adds is the executor side on virtual timers: detection,
+//! re-dispatch, regeneration and retransmission.  Members execute tasks
 //! with [`pct::distributed::handle_task`] (real pixels, real results)
 //! while the virtual clock is charged by the calibrated
 //! [`netsim::CostModel`] and messages are costed in real wire bytes by
@@ -17,19 +19,17 @@
 
 use crate::scenario::member_index;
 use crate::trace::TraceLog;
-use hsi::partition::SubCubeSpec;
-use hsi::{HyperCube, RgbImage};
+use hsi::RgbImage;
 use netsim::{wirecost, Actor, ActorContext, ActorId, CostModel, Duration, NodeId, SimTime};
-use pct::colormap::ComponentScale;
-use pct::distributed::{assemble_image, handle_task};
+use pct::distributed::handle_task;
 use pct::messages::{PctMessage, TaskId};
-use pct::PctConfig;
+use pct::plan::{ChainPlan, Phase, Step};
+use pct::resilient::backoff_factor;
 use resilience::DetectorConfig;
-use service::{ChaosPhase, ChaosPlan};
+use service::ChaosPlan;
 use std::cell::RefCell;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::rc::Rc;
-use std::sync::Arc;
 use telemetry::{SpanId, Telemetry};
 
 /// The manager's timer tag for the periodic detector sweep.
@@ -216,14 +216,6 @@ impl Actor<PctMessage> for MemberActor {
 
 // ---------------------------------------------------------------- manager
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Phase {
-    Screen,
-    Derive,
-    Transform,
-    Done,
-}
-
 struct Outstanding {
     msg: PctMessage,
     member: Option<usize>,
@@ -234,12 +226,8 @@ struct Outstanding {
 /// Everything the manager needs at construction.
 pub(crate) struct ManagerParams {
     pub scenario_name: String,
-    pub cube: Arc<HyperCube>,
-    pub config: PctConfig,
     pub members: usize,
     pub spares: usize,
-    pub screen_shards: Vec<SubCubeSpec>,
-    pub transform_shards: Vec<SubCubeSpec>,
     pub detector: DetectorConfig,
     pub chaos: ChaosPlan,
     pub attack_after_results: usize,
@@ -255,23 +243,14 @@ pub(crate) struct ManagerParams {
     pub output: SharedOutputCell,
 }
 
-/// The manager: phase machine, failure detector, retransmitter,
+/// The manager: the job's plan plus failure detector, retransmitter,
 /// regenerator and chaos injector, all on virtual timers.
 pub(crate) struct ManagerActor {
     p: ManagerParams,
     bands: usize,
-    phase: Phase,
-    unique: Vec<linalg::Vector>,
-    screen_next: usize,
-    screen_outstanding: bool,
-    derive_outstanding: bool,
-    transform_next: usize,
-    mean: Option<linalg::Vector>,
-    transform: Option<linalg::Matrix>,
-    scales: Vec<(f64, f64)>,
-    strips: Vec<(usize, usize, usize, Vec<u8>)>,
+    /// The job's protocol state; taken when the job completes.
+    plan: Option<ChainPlan>,
     outstanding: BTreeMap<TaskId, Outstanding>,
-    completed: BTreeSet<TaskId>,
     next_task: TaskId,
     /// Round-robin rotation of members currently eligible for work.
     active: Vec<usize>,
@@ -293,9 +272,9 @@ pub(crate) struct ManagerActor {
 }
 
 impl ManagerActor {
-    pub fn new(p: ManagerParams) -> Self {
+    pub fn new(plan: ChainPlan, p: ManagerParams) -> Self {
         let total = p.members + p.spares;
-        let bands = p.cube.bands();
+        let bands = plan.cube().bands();
         let mut kill_times = BTreeMap::new();
         for (member, at) in &p.machine_kill_times {
             kill_times.insert(*member, *at);
@@ -303,18 +282,8 @@ impl ManagerActor {
         let chaos_fired = vec![false; p.chaos.kills.len()];
         Self {
             bands,
-            phase: Phase::Screen,
-            unique: Vec::new(),
-            screen_next: 0,
-            screen_outstanding: false,
-            derive_outstanding: false,
-            transform_next: 0,
-            mean: None,
-            transform: None,
-            scales: Vec::new(),
-            strips: Vec::new(),
+            plan: Some(plan),
             outstanding: BTreeMap::new(),
-            completed: BTreeSet::new(),
             next_task: 1,
             active: (0..p.members).collect(),
             spare_pool: (p.members..total).collect(),
@@ -342,21 +311,17 @@ impl ManagerActor {
             .saturating_mul(self.p.detector.miss_threshold.max(1) as u64)
     }
 
-    /// Base retransmit timeout.  Dead members are recovered faster by the
-    /// detector (their tasks are orphaned and re-dispatched immediately),
-    /// so retransmits only chase frames lost in transit — the base sits
-    /// well above task service time (≥ `per_task_overhead` even on a
-    /// straggler) to avoid duplicate storms.
+    /// Base retransmit timeout on virtual time — the single parameter of
+    /// the shared [`backoff_factor`] policy.  Dead members are recovered
+    /// faster by the detector (their tasks are orphaned and re-dispatched
+    /// immediately), so retransmits only chase frames lost in transit — the
+    /// base sits well above task service time (≥ `per_task_overhead` even
+    /// on a straggler) to avoid duplicate storms.
     fn retransmit_base(&self) -> Duration {
         let window = self
             .hb_period()
             .saturating_mul(self.p.detector.miss_threshold.max(1) as u64 + 1);
-        let floor = Duration::from_millis(1_000);
-        if window.saturating_mul(4) > floor {
-            window.saturating_mul(4)
-        } else {
-            floor
-        }
+        window.saturating_mul(4).max(Duration::from_millis(1_000))
     }
 
     fn regen_delay(&self) -> Duration {
@@ -379,7 +344,7 @@ impl ManagerActor {
     /// Fires unfired chaos kills anchored on `phase`, exactly like the
     /// service scheduler: immediately before the first dispatch of that
     /// phase's task.
-    fn fire_chaos(&mut self, ctx: &mut ActorContext<'_, PctMessage>, phase: ChaosPhase) {
+    fn fire_chaos(&mut self, ctx: &mut ActorContext<'_, PctMessage>, phase: Phase) {
         for k in 0..self.p.chaos.kills.len() {
             if self.chaos_fired[k] || self.p.chaos.kills[k].phase != phase {
                 continue;
@@ -405,57 +370,6 @@ impl ManagerActor {
         }
     }
 
-    fn next_task_message(&mut self) -> Option<PctMessage> {
-        let task = self.next_task;
-        let msg = match self.phase {
-            Phase::Screen => {
-                if self.screen_outstanding || self.screen_next >= self.p.screen_shards.len() {
-                    return None;
-                }
-                let view = self.p.screen_shards[self.screen_next]
-                    .view(&self.p.cube)
-                    .ok()?;
-                self.screen_outstanding = true;
-                PctMessage::ScreenSeededTask {
-                    task,
-                    view,
-                    seed: self.unique.clone(),
-                    threshold_rad: self.p.config.screening_angle_rad,
-                }
-            }
-            Phase::Derive => {
-                if self.derive_outstanding {
-                    return None;
-                }
-                self.derive_outstanding = true;
-                PctMessage::DeriveTask {
-                    task,
-                    unique: std::mem::take(&mut self.unique),
-                    config: self.p.config,
-                }
-            }
-            Phase::Transform => {
-                if self.transform_next >= self.p.transform_shards.len() {
-                    return None;
-                }
-                let view = self.p.transform_shards[self.transform_next]
-                    .view(&self.p.cube)
-                    .ok()?;
-                self.transform_next += 1;
-                PctMessage::TransformTask {
-                    task,
-                    view,
-                    mean: self.mean.clone()?,
-                    transform: self.transform.clone()?,
-                    scales: self.scales.clone(),
-                }
-            }
-            Phase::Done => return None,
-        };
-        self.next_task += 1;
-        Some(msg)
-    }
-
     fn pick_member(&mut self) -> Option<usize> {
         if self.active.is_empty() {
             return None;
@@ -473,7 +387,7 @@ impl ManagerActor {
         member: usize,
         attempts: u32,
     ) {
-        if let Some(phase) = ChaosPhase::of_message(&msg) {
+        if let Some(phase) = self.plan.as_ref().map(ChainPlan::phase) {
             self.fire_chaos(ctx, phase);
         }
         self.p.trace.push(
@@ -515,23 +429,21 @@ impl ManagerActor {
                 return;
             }
             let task = self.next_task;
-            let Some(msg) = self.next_task_message() else {
+            let Some(msg) = self.plan.as_mut().and_then(|plan| plan.next_task(task)) else {
                 return;
             };
+            self.next_task += 1;
             let member = self.pick_member().expect("active checked non-empty");
             self.send_task(ctx, task, msg, member, 0);
         }
     }
 
-    fn roll_phase(
-        &mut self,
-        ctx: &mut ActorContext<'_, PctMessage>,
-        next: Phase,
-        name: &'static str,
-    ) {
+    /// Closes the open phase span and opens `next`'s (`None`: the job is
+    /// done).
+    fn roll_phase(&mut self, ctx: &mut ActorContext<'_, PctMessage>, next: Option<Phase>) {
         self.p.telemetry.span_end(self.phase_span.take());
-        self.phase = next;
-        if next != Phase::Done {
+        let name = next.map_or("done", Phase::name);
+        if next.is_some() {
             self.phase_span = self
                 .p
                 .telemetry
@@ -641,21 +553,6 @@ impl ManagerActor {
         self.p.telemetry.span_end(self.job_span.take());
         ctx.halt();
     }
-
-    /// Dedup-checked bookkeeping for an arriving task result.  Returns
-    /// false for duplicates (late results from partitioned or
-    /// falsely-declared members).
-    fn accept_result(&mut self, ctx: &mut ActorContext<'_, PctMessage>, task: TaskId) -> bool {
-        if self.completed.contains(&task) {
-            self.p.output.borrow_mut().duplicates += 1;
-            return false;
-        }
-        self.completed.insert(task);
-        self.outstanding.remove(&task);
-        self.results_seen += 1;
-        self.fire_attack_if_due(ctx);
-        true
-    }
 }
 
 impl Actor<PctMessage> for ManagerActor {
@@ -720,7 +617,8 @@ impl Actor<PctMessage> for ManagerActor {
             .iter()
             .filter(|(_, o)| {
                 o.member.is_some()
-                    && now.since(o.sent_at) > base.saturating_mul(1u64 << o.attempts.min(5))
+                    && now.since(o.sent_at)
+                        > base.saturating_mul(u64::from(backoff_factor(o.attempts)))
             })
             .map(|(t, _)| *t)
             .collect();
@@ -737,7 +635,7 @@ impl Actor<PctMessage> for ManagerActor {
             self.send_task(ctx, task, o.msg, member, o.attempts + 1);
         }
         self.try_dispatch(ctx);
-        if self.phase != Phase::Done {
+        if self.plan.is_some() {
             ctx.set_timer(SWEEP_TIMER, self.hb_period());
         }
     }
@@ -748,72 +646,51 @@ impl Actor<PctMessage> for ManagerActor {
         from: ActorId,
         msg: PctMessage,
     ) {
-        let member = self.p.member_actors.iter().position(|&a| a == from);
-        match msg {
-            PctMessage::Heartbeat => {
-                if let Some(m) = member {
-                    self.last_hb[m] = ctx.now();
-                }
+        if matches!(msg, PctMessage::Heartbeat) {
+            if let Some(m) = self.p.member_actors.iter().position(|&a| a == from) {
+                self.last_hb[m] = ctx.now();
             }
-            PctMessage::SeededUnique { task, accepted } => {
-                if !self.accept_result(ctx, task) {
-                    return;
-                }
-                self.unique.extend(accepted);
-                self.screen_outstanding = false;
-                self.screen_next += 1;
-                if self.screen_next >= self.p.screen_shards.len() {
-                    self.roll_phase(ctx, Phase::Derive, "derive");
-                }
+            return;
+        }
+        let (Some(task), Some(plan)) = (msg.task(), self.plan.as_mut()) else {
+            return;
+        };
+        let step = match plan.accept(msg) {
+            Err(error) => return self.fail(ctx, &format!("task {task} failed: {error}")),
+            // Late results from partitioned or falsely-declared members,
+            // and echoes of retransmits: the plan consumed the id already.
+            Ok(Step::Stale) => {
+                self.p.output.borrow_mut().duplicates += 1;
+                return;
+            }
+            Ok(step) => step,
+        };
+        let screening = plan.phase() == Phase::Screen;
+        self.outstanding.remove(&task);
+        self.results_seen += 1;
+        self.fire_attack_if_due(ctx);
+        match step {
+            // The chain's next link is sent from here, not the sweep timer;
+            // a transform strip frees nothing the plan is waiting on.
+            Step::Continue if screening => self.try_dispatch(ctx),
+            Step::Continue | Step::Stale => {}
+            Step::Entered(phase) => {
+                self.roll_phase(ctx, Some(phase));
                 self.try_dispatch(ctx);
             }
-            PctMessage::DerivedTransform {
-                task,
-                mean,
-                transform,
-                eigenvalues,
-            } => {
-                if !self.accept_result(ctx, task) {
-                    return;
-                }
-                self.scales = ComponentScale::from_eigenvalues(&eigenvalues, 3)
-                    .into_iter()
-                    .map(|s| (s.min, s.max))
-                    .collect();
-                self.mean = Some(mean);
-                self.transform = Some(transform);
-                self.roll_phase(ctx, Phase::Transform, "transform");
-                self.try_dispatch(ctx);
-            }
-            PctMessage::RgbStrip {
-                task,
-                row_start,
-                rows,
-                width,
-                rgb,
-            } => {
-                if !self.accept_result(ctx, task) {
-                    return;
-                }
-                self.strips.push((row_start, rows, width, rgb));
-                if self.strips.len() >= self.p.transform_shards.len() {
-                    let strips = std::mem::take(&mut self.strips);
-                    match assemble_image(self.p.cube.width(), self.p.cube.height(), strips) {
-                        Ok(image) => {
-                            self.p.output.borrow_mut().image = Some(image);
-                            self.roll_phase(ctx, Phase::Done, "done");
-                            self.p.telemetry.span_end(self.job_span.take());
-                            self.p.trace.push(ctx.now(), "job complete");
-                            ctx.halt();
-                        }
-                        Err(e) => self.fail(ctx, &format!("assembly failed: {e}")),
+            Step::Complete => {
+                let plan = self.plan.take().expect("the plan just accepted a result");
+                match plan.into_output() {
+                    Ok(output) => {
+                        self.p.output.borrow_mut().image = Some(output.image);
+                        self.roll_phase(ctx, None);
+                        self.p.telemetry.span_end(self.job_span.take());
+                        self.p.trace.push(ctx.now(), "job complete");
+                        ctx.halt();
                     }
+                    Err(e) => self.fail(ctx, &format!("assembly failed: {e}")),
                 }
             }
-            PctMessage::TaskFailed { task, error } => {
-                self.fail(ctx, &format!("task {task} failed: {error}"));
-            }
-            _ => {}
         }
     }
 }

@@ -14,6 +14,7 @@ use netsim::{
     SimConfig, SimTime,
 };
 use pct::messages::PctMessage;
+use pct::plan::ChainPlan;
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::fmt;
@@ -281,26 +282,30 @@ impl SimHarness {
         let manager = sim
             .add_actor(
                 manager_node,
-                Box::new(ManagerActor::new(ManagerParams {
-                    scenario_name: sc.name.clone(),
-                    cube: Arc::clone(&cube),
-                    config: sc.config,
-                    members: sc.members,
-                    spares: sc.spares,
-                    screen_shards,
-                    transform_shards,
-                    detector: sc.detector,
-                    chaos: sc.chaos.clone(),
-                    attack_after_results: sc.attack.after_results,
-                    attack_victims,
-                    machine_kill_times,
-                    kill_during_regeneration: sc.kill_during_regeneration,
-                    member_actors: member_actors.clone(),
-                    member_nodes: member_nodes.clone(),
-                    telemetry: telemetry.clone(),
-                    trace: trace.clone(),
-                    output: Rc::clone(&output),
-                })),
+                Box::new(ManagerActor::new(
+                    ChainPlan::new(
+                        Arc::clone(&cube),
+                        sc.config,
+                        screen_shards,
+                        transform_shards,
+                    ),
+                    ManagerParams {
+                        scenario_name: sc.name.clone(),
+                        members: sc.members,
+                        spares: sc.spares,
+                        detector: sc.detector,
+                        chaos: sc.chaos.clone(),
+                        attack_after_results: sc.attack.after_results,
+                        attack_victims,
+                        machine_kill_times,
+                        kill_during_regeneration: sc.kill_during_regeneration,
+                        member_actors: member_actors.clone(),
+                        member_nodes: member_nodes.clone(),
+                        telemetry: telemetry.clone(),
+                        trace: trace.clone(),
+                        output: Rc::clone(&output),
+                    },
+                )),
             )
             .map_err(|e| self.fail(format!("add manager: {e}")))?;
         let heartbeat = Duration::from_millis(sc.detector.heartbeat_period_ms.max(1));

@@ -42,7 +42,7 @@ pub const MAX_FRAME_BYTES: usize = 256 * 1024 * 1024;
 /// CRC state byte `b` leaves behind after `k` further zero bytes, so eight
 /// lookups — one per input byte, each in the table matching that byte's
 /// distance from the end of the block — advance the state by eight bytes.
-const CRC_TABLES: [[u32; 256]; 8] = {
+pub(crate) const CRC_TABLES: [[u32; 256]; 8] = {
     let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
@@ -224,20 +224,10 @@ impl FrameReader {
     }
 }
 
-/// The one-byte-at-a-time CRC-32 that slicing-by-8 replaced, kept as the
-/// reference the tests hold [`crc32`] to.
-#[cfg(test)]
-fn crc32_reference(bytes: &[u8]) -> u32 {
-    let mut c = !0u32;
-    for &b in bytes {
-        c = CRC_TABLES[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
-    }
-    !c
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reference::crc32_reference;
     use proptest::prelude::*;
 
     #[test]

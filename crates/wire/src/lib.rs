@@ -32,6 +32,8 @@
 
 pub mod codec;
 pub mod frame;
+#[doc(hidden)]
+pub mod reference;
 pub mod transport;
 pub mod worker;
 

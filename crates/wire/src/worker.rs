@@ -1,9 +1,10 @@
 //! The remote worker loop: what a `fusiond-worker` process runs after
 //! connecting back to the service.
 //!
-//! The loop mirrors the in-process standard worker
-//! (`service`'s `standard_worker_loop`) beat for beat so the scheduler's
-//! failure detector sees identical liveness behaviour from both lanes:
+//! The loop mirrors the in-process worker loop
+//! ([`pct::resilient::member_loop`], which the service's standard lane and
+//! every replica member run) beat for beat so the scheduler's failure
+//! detector sees identical liveness behaviour from both lanes:
 //! a 25 ms receive tick, a heartbeat after every reply, and a heartbeat
 //! on every idle tick.  Tasks are computed by
 //! [`pct::distributed::handle_task`] — the same function the in-process

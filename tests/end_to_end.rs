@@ -740,7 +740,7 @@ fn chaos_kill_matrix_every_surviving_output_is_byte_identical_to_sequential() {
             ChaosPhase::Transform,
         ] {
             let victim = format!("rg0#{member_index}");
-            let label = format!("kill {victim} at {}", phase.label());
+            let label = format!("kill {victim} at {}", phase.name());
             let service = FusionService::start(
                 ServiceConfig::builder()
                     .standard_workers(1)
@@ -882,7 +882,7 @@ fn standard_kill_matrix_every_job_survives_and_is_byte_identical_to_sequential()
             ChaosPhase::Transform,
         ] {
             let victim = format!("svc{worker_index}");
-            let label = format!("kill {victim} at {}", phase.label());
+            let label = format!("kill {victim} at {}", phase.name());
             let service = FusionService::start(
                 ServiceConfig::builder()
                     .pool(failover_pool(2, 0, 0))
