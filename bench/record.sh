@@ -30,6 +30,11 @@
 #     (both drive fixed tenant mixes through service::admission); all four
 #     counters per tenant are deterministic, so any drift means admission
 #     behaviour changed.
+#   * service_scheduler_turns_per_job — the same run's
+#     `ServiceReport::scheduler_turns` over its completed jobs: how often the
+#     event-driven scheduler woke (message, doorbell ring, timer) per job.
+#     Depends on how arrivals batch, so trend-only; a busy-polling
+#     regression would show as orders of magnitude.
 #   * {service,ingest}_telemetry_overhead_pct — wall-clock cost of the
 #     telemetry plane fully on (spans + metrics + flight recorder) versus
 #     disabled, measured on a compute-dominated serial probe (submit ->

@@ -395,6 +395,13 @@ fn main() {
         "CSV service_jobs_per_sec {:.2}",
         report.throughput_jobs_per_sec()
     );
+    // Scheduler wake-ups per job: it blocks between events, so this is the
+    // messages, doorbell rings and timers a job costs (batching lowers it,
+    // a spin would raise it by orders of magnitude).  Wall-clock dependent.
+    println!(
+        "CSV service_scheduler_turns_per_job {:.1}",
+        report.scheduler_turns as f64 / report.jobs_completed.max(1) as f64
+    );
 
     let overhead_pct =
         (enabled_wall.as_secs_f64() / disabled_wall.as_secs_f64().max(1e-9) - 1.0) * 100.0;

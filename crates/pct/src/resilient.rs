@@ -354,6 +354,13 @@ impl ResilientManagerState {
         failures
     }
 
+    /// The earliest `now_ms` at which [`ResilientManagerState::sweep_and_probe`]
+    /// has a suspect to probe ([`FailureDetector::next_deadline_ms`]); an
+    /// event-driven owner sleeps until then instead of sweeping on a tick.
+    pub fn next_sweep_ms(&self) -> Option<u64> {
+        self.detector.next_deadline_ms()
+    }
+
     /// Handles one member failure (reported by the detector or by a failed
     /// send): regenerate the member on another node, start watching the
     /// replacement, and re-issue every task its group still owes

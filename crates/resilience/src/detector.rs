@@ -134,20 +134,33 @@ impl FailureDetector {
     /// are *newly* declared failed (each failure is reported exactly once
     /// unless a later heartbeat clears it).
     pub fn sweep(&mut self, now_ms: u64) -> Vec<MemberId> {
+        let timeout = self.config.failure_timeout_ms();
         let mut newly_failed = Vec::new();
-        let members: Vec<MemberId> = self.last_heartbeat.keys().cloned().collect();
-        for member in members {
-            if self.health(&member, now_ms) == MemberHealth::Failed
-                && !self.declared_failed.contains_key(&member)
+        for (member, &last) in &self.last_heartbeat {
+            if now_ms.saturating_sub(last) >= timeout && !self.declared_failed.contains_key(member)
             {
                 self.declared_failed.insert(member.clone(), now_ms);
                 self.telemetry
                     .instant("member_failed", None, None, &member.routing_name());
                 self.telemetry.count("resilience_members_failed_total", &[]);
-                newly_failed.push(member);
+                newly_failed.push(member.clone());
             }
         }
         newly_failed
+    }
+
+    /// The earliest `now_ms` at which [`FailureDetector::sweep`] would
+    /// declare a member failed: the minimum, over watched members not yet
+    /// declared, of last heartbeat + failure timeout.  `None` when nothing
+    /// is watched or everything watched is already declared — the owner of
+    /// the detector sleeps until this instant instead of sweeping on a tick.
+    pub fn next_deadline_ms(&self) -> Option<u64> {
+        let timeout = self.config.failure_timeout_ms();
+        self.last_heartbeat
+            .iter()
+            .filter(|(member, _)| !self.declared_failed.contains_key(*member))
+            .map(|(_, &last)| last.saturating_add(timeout))
+            .min()
     }
 
     /// Number of members currently being monitored.
@@ -239,6 +252,32 @@ mod tests {
         assert_eq!(d.watched(), 1);
         d.unwatch(&member(9));
         assert_eq!(d.watched(), 0);
+    }
+
+    #[test]
+    fn next_deadline_is_the_first_instant_a_sweep_would_report() {
+        let mut d = FailureDetector::new(DetectorConfig {
+            heartbeat_period_ms: 100,
+            miss_threshold: 2,
+        });
+        assert_eq!(d.next_deadline_ms(), None, "nothing watched");
+        d.watch(member(0), 0);
+        d.watch(member(1), 50);
+        assert_eq!(d.next_deadline_ms(), Some(200));
+        // It moves with the heartbeat of the member that owned it.
+        d.heartbeat(&member(0), 120);
+        assert_eq!(d.next_deadline_ms(), Some(250));
+        assert!(d.sweep(249).is_empty());
+        assert_eq!(d.sweep(250), vec![member(1)]);
+        // A declared member no longer arms the timer; the other one does.
+        assert_eq!(d.next_deadline_ms(), Some(320));
+        assert_eq!(d.sweep(320), vec![member(0)]);
+        assert_eq!(d.next_deadline_ms(), None, "everything declared");
+        // A late heartbeat clears the declaration and re-arms it.
+        d.heartbeat(&member(1), 400);
+        assert_eq!(d.next_deadline_ms(), Some(600));
+        d.unwatch(&member(1));
+        assert_eq!(d.next_deadline_ms(), None, "unwatch clears it");
     }
 
     #[test]

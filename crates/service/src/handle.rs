@@ -24,6 +24,7 @@
 //! [`crate::FusionService::shutdown`].
 
 use crate::job::{JobId, JobStatus};
+use crate::pool::Doorbell;
 use crate::status::StatusTable;
 use crate::{Result, ServiceError};
 use pct::FusionOutput;
@@ -79,15 +80,17 @@ impl JobOutcome {
 pub(crate) struct HandlePlane {
     pub status: Arc<StatusTable>,
     pub cancels: Arc<Mutex<Vec<JobId>>>,
+    pub doorbell: Doorbell,
 }
 
 impl HandlePlane {
     /// Records a cancellation request if the job is known and not yet
-    /// terminal; the scheduler applies it asynchronously.
+    /// terminal, and wakes the scheduler, which applies it asynchronously.
     pub fn request_cancel(&self, id: JobId) -> bool {
         let live = matches!(self.status.status(id), Some(status) if !status.is_terminal());
         if live {
             self.cancels.lock().expect("cancel lock").push(id);
+            self.doorbell.ring();
         }
         live
     }
@@ -241,6 +244,8 @@ mod tests {
         HandlePlane {
             status: Arc::new(StatusTable::new()),
             cancels: Arc::new(Mutex::new(Vec::new())),
+            // Rings into a router with no manager bound: an ignored error.
+            doorbell: Doorbell::new(scp::Router::new()),
         }
     }
 

@@ -15,7 +15,10 @@
 //!   start-to-finish against the shared `Arc` cube with **zero protocol
 //!   messages**: work arrives over a plain channel and the pipeline is the
 //!   sequential reference (`SequentialPct::run_shared`), which *is* the
-//!   service's byte-identity contract.  The cheapest path for small cubes;
+//!   service's byte-identity contract.  Results return over a plain channel
+//!   too (they carry the full output); the executor then rings the
+//!   [`Doorbell`], the same wake-up clients use, so the blocked scheduler
+//!   collects them at once.  The cheapest path for small cubes;
 //! * **remote** — worker *processes* behind the versioned [`wire`] protocol,
 //!   each fronted by a [`crate::remote::RemoteLane`] bridge so the
 //!   scheduler addresses them like any standard worker.  Same task loop,
@@ -36,10 +39,44 @@ use pct::messages::PctMessage;
 use pct::resilient::{member_loop, AttackPlan, ResilientManagerState, ResilientRunReport};
 use pct::{FusionOutput, PctConfig, SequentialPct};
 use resilience::attack::AttackInjector;
-use scp::{Runtime, RuntimeConfig, ThreadContext, ThreadHandle};
+use scp::{Envelope, Router, Runtime, RuntimeConfig, SeqNum, ThreadContext, ThreadHandle};
 use std::collections::HashMap;
 use std::sync::mpsc::{Receiver, Sender};
 use std::sync::Arc;
+
+/// The sender name of every doorbell ring.  Pool members are named `svc<i>`,
+/// `rg<i>#<n>`, `shm<i>` and `rw<i>`, so none can have it.
+const DOORBELL: &str = "~doorbell";
+
+/// The one way to wake the scheduler from outside its mailbox: a zero-payload
+/// envelope posted to the manager under the reserved [`DOORBELL`] name.  The
+/// scheduler blocks on that mailbox alone, so whoever changes something it
+/// would otherwise have to poll — a submission, a cancellation, the shutdown
+/// flag, a finished shared-memory job — rings after making the change.  A
+/// ring is a queued message, not an edge: one that lands while the scheduler
+/// is mid-turn is found by its next receive.
+#[derive(Clone)]
+pub(crate) struct Doorbell(Router<PctMessage>);
+
+impl Doorbell {
+    pub fn new(router: Router<PctMessage>) -> Self {
+        Self(router)
+    }
+
+    /// Wakes the scheduler.  A ring into a stopped service finds the
+    /// manager mailbox gone; nothing is left to wake, so the error is
+    /// ignored.
+    pub fn ring(&self) {
+        let _ = self
+            .0
+            .send(DOORBELL, MANAGER, SeqNum::FIRST, PctMessage::Heartbeat);
+    }
+
+    /// Whether `envelope` is a ring rather than a member's message.
+    pub fn rang(envelope: &Envelope<PctMessage>) -> bool {
+        envelope.from == DOORBELL
+    }
+}
 
 /// One whole job handed to a shared-memory executor.
 pub(crate) struct InlineJob {
@@ -77,7 +114,7 @@ pub(crate) struct InlineLane {
 }
 
 impl InlineLane {
-    fn start(runtime: &Runtime<PctMessage>, count: usize) -> Result<InlineLane> {
+    fn start(doorbell: &Doorbell, count: usize) -> InlineLane {
         let (result_tx, results) = std::sync::mpsc::channel::<InlineResult>();
         let mut executors = Vec::new();
         let mut senders = HashMap::new();
@@ -87,12 +124,7 @@ impl InlineLane {
             let (tx, rx) = std::sync::mpsc::channel::<InlineJob>();
             let result_tx = result_tx.clone();
             let thread_name = name.clone();
-            // The executor also holds an scp context: results travel over
-            // the plain channel (they carry the full output), but a
-            // zero-payload doorbell through the message plane wakes the
-            // scheduler out of its recv timeout immediately, so inline
-            // completions are not quantized to the scheduler tick.
-            let mut doorbell = runtime.context(name.clone())?;
+            let doorbell = doorbell.clone();
             let handle = std::thread::Builder::new()
                 .name(format!("fusiond-{name}"))
                 .spawn(move || {
@@ -124,7 +156,7 @@ impl InlineLane {
                         {
                             return;
                         }
-                        let _ = doorbell.send(MANAGER, PctMessage::Heartbeat);
+                        doorbell.ring();
                     }
                 })
                 .expect("failed to spawn shared-memory executor");
@@ -132,12 +164,12 @@ impl InlineLane {
             senders.insert(name, tx);
             handles.push(handle);
         }
-        Ok(InlineLane {
+        InlineLane {
             executors,
             senders,
             results,
             handles,
-        })
+        }
     }
 
     /// Hands one whole job to a named executor.  Returns whether the
@@ -214,7 +246,10 @@ impl WorkerPool {
             })
             .collect::<scp::Result<Vec<_>>>()?;
 
-        let inline = InlineLane::start(&runtime, config.shared_memory_executors)?;
+        let inline = InlineLane::start(
+            &Doorbell::new(runtime.router()),
+            config.shared_memory_executors,
+        );
         let remote = RemoteLane::start(&runtime, &config.remote_workers)?;
 
         Ok((
@@ -229,6 +264,11 @@ impl WorkerPool {
             },
             ctx,
         ))
+    }
+
+    /// A doorbell onto this pool's manager mailbox.
+    pub fn doorbell(&self) -> Doorbell {
+        Doorbell::new(self.runtime.router())
     }
 
     /// The shared kill-switch registry covering both message-plane lanes —

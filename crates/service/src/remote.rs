@@ -193,12 +193,16 @@ fn bind_loopback(name: &str) -> Result<(TcpListener, String)> {
 }
 
 /// Accepts one connection, polling so a worker that never dials in fails
-/// service start with a typed error instead of hanging it.
+/// service start with a typed error instead of hanging it.  The poll backs
+/// off from 50 µs, doubling to a 5 ms cap: a thread or local process dials in
+/// within a few hundred microseconds, and service start should not round
+/// that up to a fixed sleep per worker.
 fn accept_with_deadline(listener: &TcpListener, name: &str) -> Result<TcpStream> {
     listener
         .set_nonblocking(true)
         .map_err(|e| ServiceError::Internal(format!("listener mode for {name}: {e}")))?;
     let deadline = Instant::now() + ACCEPT_TIMEOUT;
+    let mut pause = Duration::from_micros(50);
     loop {
         match listener.accept() {
             Ok((stream, _)) => {
@@ -213,7 +217,8 @@ fn accept_with_deadline(listener: &TcpListener, name: &str) -> Result<TcpStream>
                         "remote worker {name} never connected within {ACCEPT_TIMEOUT:?}"
                     )));
                 }
-                std::thread::sleep(Duration::from_millis(5));
+                std::thread::sleep(pause);
+                pause = (pause * 2).min(Duration::from_millis(5));
             }
             Err(e) => {
                 return Err(ServiceError::Internal(format!(

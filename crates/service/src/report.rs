@@ -100,6 +100,10 @@ pub struct ServiceReport {
     /// Heartbeats consumed from pool members (replica members and standard
     /// workers alike).
     pub heartbeats: u64,
+    /// Times the scheduler woke and ran a turn — on a message, a doorbell
+    /// ring (submit, cancel, shutdown, a finished shared-memory job) or an
+    /// armed timer.  It blocks in between, so an idle service adds none.
+    pub scheduler_turns: u64,
     /// Standard workers confirmed lost by the lane watchdog.
     pub workers_lost: u64,
     /// In-flight tasks of lost standard workers re-dispatched to surviving
@@ -220,12 +224,13 @@ impl ServiceReport {
             ));
         }
         out.push_str(&format!(
-            "  tasks:  {} dispatched, {} results ({} replica duplicates ignored, {} retransmits), {} heartbeats\n",
+            "  tasks:  {} dispatched, {} results ({} replica duplicates ignored, {} retransmits), {} heartbeats, {} scheduler turns\n",
             self.tasks_dispatched,
             self.results_received,
             self.duplicates_ignored,
             self.tasks_retransmitted,
             self.heartbeats,
+            self.scheduler_turns,
         ));
         out.push_str(&format!(
             "  copies: {} payload bytes cloned ({} screen, {} transform) of {} shipped by view\n",
@@ -349,6 +354,7 @@ mod tests {
         report.workers_lost = 1;
         report.tasks_reassigned = 2;
         report.lane_failovers = 1;
+        report.scheduler_turns = 11;
         report.record_latency(Priority::High, Duration::from_millis(12));
         report.route_admitted(BackendKind::SharedMemory, true);
         report.route_task(BackendKind::SharedMemory);
@@ -358,6 +364,7 @@ mod tests {
         assert!(text.contains("4 completed"));
         assert!(text.contains("1 rejected"));
         assert!(text.contains("high-water mark 3"));
+        assert!(text.contains("0 heartbeats, 11 scheduler turns"));
         assert!(text.contains("7 payload bytes cloned"));
         assert!(text.contains("99 shipped by view"));
         assert!(text.contains("latency   high"));

@@ -1,9 +1,23 @@
 //! The batch scheduler: admits jobs from the queue, resolves their routes,
 //! shards them, and multiplexes their tasks over the shared pool.
 //!
-//! Each scheduler tick forms a dispatch batch: every runnable task of every
-//! admitted job, ordered by priority then submission, is matched against the
-//! free execution slots of its lane (standard workers, replica groups,
+//! The scheduler is event-driven.  Everything it reacts to arrives in the one
+//! mailbox it blocks on — results and heartbeats from the pool, and a
+//! [`Doorbell`] ring from whoever changed something it would otherwise have
+//! to poll (a submission, a cancellation, the shutdown flag, a finished
+//! shared-memory job) — and every periodic duty is an explicit deadline:
+//! both failure detectors, the group-retransmit backoff and the job
+//! timeouts.  [`Scheduler::run`] blocks until a message or the earliest
+//! deadline and then runs one [`Scheduler::turn`], which is a function of the
+//! time it is told: consume what arrived (mailbox, shared-memory results,
+//! cancellations), run the timers that are due, admit, dispatch, and answer
+//! with the next deadline.  Nothing that can make a task runnable — a
+//! confirmed loss, a lane failover, a regeneration, an orphan — happens after
+//! the last dispatch of a turn, because no later event would pick it up.
+//!
+//! A dispatch forms a batch: every runnable task of every admitted job,
+//! ordered by priority then submission, is matched against the free
+//! execution slots of its lane (standard workers, replica groups,
 //! shared-memory executors, or remote worker processes).  Each message-plane
 //! job owns a [`pct::plan::ChainPlan`] — seeded screening chain → one derive
 //! task → transform fan-out, byte-identical to the sequential reference —
@@ -50,7 +64,7 @@ use crate::admission::{AdmissionGovernor, TenantId};
 use crate::chaos::ChaosPlan;
 use crate::events::{EventBus, ServiceEvent};
 use crate::job::{BackendKind, JobId, JobStatus, Priority};
-use crate::pool::{InlineJob, InlineResult, WorkerPool};
+use crate::pool::{Doorbell, InlineJob, InlineResult, WorkerPool};
 use crate::report::ServiceReport;
 use crate::routing::{LaneLoad, LaneSnapshot, Route, RoutingRequest};
 use crate::status::StatusTable;
@@ -87,6 +101,21 @@ struct InFlight {
     sent_at: Instant,
     /// Retransmissions so far (drives [`OutstandingTask::backoff`]).
     attempts: u32,
+}
+
+impl InFlight {
+    /// The group a group-lane task rides on and when it is next due for
+    /// retransmission (`base` is the lane's retransmit timeout).  Worker-lane
+    /// tasks are re-dispatched on a confirmed loss instead and arm no timer.
+    fn retransmit_due(&self, base: Duration) -> Option<(&str, Instant)> {
+        match &self.assignee {
+            Assignee::Group(group) => Some((
+                group,
+                self.sent_at + OutstandingTask::backoff(base, self.attempts),
+            )),
+            Assignee::Worker(_) => None,
+        }
+    }
 }
 
 /// A task ready for [`Scheduler::place`]: fresh from its job's plan, or
@@ -186,10 +215,6 @@ pub(crate) struct Scheduler {
     free_groups: VecDeque<String>,
     free_inline: VecDeque<String>,
     free_remote: VecDeque<String>,
-    /// Routing names of the shared-memory executors, to tell their wake-up
-    /// doorbells apart from real member heartbeats whatever the executors
-    /// happen to be called.
-    inline_names: HashSet<String>,
     next_task: TaskId,
     /// The worker watchdog of the standard *and* remote lanes: heartbeat
     /// silence flags a suspect, a mailbox probe confirms (workers are keyed
@@ -200,6 +225,15 @@ pub(crate) struct Scheduler {
     /// Tasks of lost workers awaiting re-dispatch, oldest first.
     orphans: VecDeque<Orphan>,
     started: Instant,
+    /// The time the current turn was told.  Every decision — detector
+    /// clocks, retransmit and job deadlines, `sent_at` stamps — reads this,
+    /// never the wall clock, so a turn can be replayed at any instant.
+    now: Instant,
+    /// Set when something happened that a finished admit-and-dispatch pass
+    /// would not have seen: a loss orphaned tasks or failed a lane over, or
+    /// a failed job freed an admission slot.  The turn repeats the pass
+    /// until one completes with this still clear.
+    unsettled: bool,
     report: ServiceReport,
     chaos: ChaosPlan,
     chaos_fired: Vec<bool>,
@@ -232,9 +266,9 @@ impl Scheduler {
         let free_workers = pool.standard.iter().cloned().collect();
         let free_remote = pool.remote.workers.iter().cloned().collect();
         let free_groups = pool.groups.iter().cloned().collect();
-        let free_inline: VecDeque<String> = pool.inline.executors.iter().cloned().collect();
-        let inline_names: HashSet<String> = pool.inline.executors.iter().cloned().collect();
+        let free_inline = pool.inline.executors.iter().cloned().collect();
         let chaos_fired = vec![false; chaos.kills.len()];
+        let started = Instant::now();
         let report = ServiceReport {
             started_at: Some(SystemTime::now()),
             ..ServiceReport::default()
@@ -257,11 +291,12 @@ impl Scheduler {
             free_groups,
             free_inline,
             free_remote,
-            inline_names,
             next_task: 1,
             standard_watch,
             orphans: VecDeque::new(),
-            started: Instant::now(),
+            started,
+            now: started,
+            unsettled: false,
             report,
             chaos,
             chaos_fired,
@@ -271,8 +306,9 @@ impl Scheduler {
         }
     }
 
+    /// The current turn's time on the detectors' millisecond clock.
     fn now_ms(&self) -> u64 {
-        self.started.elapsed().as_millis() as u64
+        self.now.saturating_duration_since(self.started).as_millis() as u64
     }
 
     /// The live occupancy of every lane, handed to the routing policy.
@@ -299,34 +335,92 @@ impl Scheduler {
 
     /// The scheduler main loop; returns the final report at shutdown.
     pub fn run(mut self) -> ServiceReport {
+        let mut woke = None;
         loop {
-            self.drain_cancels();
-            self.admit();
-            self.dispatch();
-            match self.ctx.recv_timeout(Duration::from_millis(5)) {
-                Ok(envelope) => {
-                    self.on_message(envelope);
-                    while let Ok(Some(envelope)) = self.ctx.try_recv() {
-                        self.on_message(envelope);
-                    }
-                }
-                Err(ScpError::Timeout) => {}
-                Err(_) => break,
-            }
-            while let Ok(result) = self.pool.inline.results.try_recv() {
-                self.on_inline_result(result);
-            }
-            self.maintain_resilient();
-            self.maintain_standard();
-            self.enforce_deadlines();
+            let next = self.turn(Instant::now(), woke.take());
             if self.shutdown.load(Ordering::Acquire)
                 && self.running.is_empty()
                 && self.governor.queue_is_empty()
             {
                 break;
             }
+            // The one place the scheduler blocks: until a message, or the
+            // earliest armed timer.  With no timer armed nothing can become
+            // due on its own, and whatever else changes rings the doorbell.
+            let received = match next {
+                Some(deadline) => self
+                    .ctx
+                    .recv_timeout(deadline.saturating_duration_since(Instant::now())),
+                None => self.ctx.recv(),
+            };
+            woke = match received {
+                Ok(envelope) => Some(envelope),
+                Err(ScpError::Timeout) => None,
+                Err(_) => break,
+            };
         }
         self.finalize()
+    }
+
+    /// One scheduler turn at `now`: consumes `woke` (the envelope that ended
+    /// the wait, if one did) and everything else that arrived, runs the
+    /// timers due at `now`, admits and dispatches, and returns the earliest
+    /// deadline still armed (`None`: nothing will become due by itself).
+    fn turn(&mut self, now: Instant, woke: Option<Envelope<PctMessage>>) -> Option<Instant> {
+        self.now = now;
+        self.report.scheduler_turns += 1;
+        if let Some(envelope) = woke {
+            self.on_message(envelope);
+        }
+        while let Ok(Some(envelope)) = self.ctx.try_recv() {
+            self.on_message(envelope);
+        }
+        while let Ok(result) = self.pool.inline.results.try_recv() {
+            self.on_inline_result(result);
+        }
+        self.drain_cancels();
+        self.maintain_resilient();
+        self.maintain_standard();
+        self.enforce_deadlines();
+        // Admit and dispatch last, and again for as long as the pass itself
+        // disturbs what it decided on (a slot found dead at send time, a job
+        // failed while placing): the scheduler blocks after this, so a task
+        // made runnable behind the last dispatch would wait for an unrelated
+        // event.  Every repeat costs a worker or a running job, so it ends.
+        loop {
+            self.unsettled = false;
+            self.admit();
+            self.dispatch_orphans();
+            self.dispatch();
+            if !self.unsettled {
+                break;
+            }
+        }
+        self.next_deadline()
+    }
+
+    /// The earliest armed timer: either failure detector's next suspicion,
+    /// the next group retransmit, the next job timeout.  Each is moved or
+    /// cleared by the duty it triggers, so a deadline returned twice means
+    /// nothing was due.
+    fn next_deadline(&self) -> Option<Instant> {
+        let detectors = [
+            self.pool.resilient.next_sweep_ms(),
+            self.standard_watch.next_deadline_ms(),
+        ];
+        let retransmit_after = self.pool.resilient.retransmit_after;
+        detectors
+            .into_iter()
+            .flatten()
+            .map(|ms| self.started + Duration::from_millis(ms))
+            .chain(
+                self.tasks
+                    .values()
+                    .filter_map(|inflight| inflight.retransmit_due(retransmit_after))
+                    .map(|(_, due)| due),
+            )
+            .chain(self.running.values().filter_map(|job| job.deadline))
+            .min()
     }
 
     /// Applies client cancellation requests.
@@ -443,7 +537,7 @@ impl Scheduler {
                 backend,
                 shards: shards.len(),
                 plan: ChainPlan::new(cube, queued.spec.config, shards.clone(), shards),
-                deadline: queued.spec.timeout.map(|t| Instant::now() + t),
+                deadline: queued.spec.timeout.map(|t| self.now + t),
                 submitted: queued.submitted,
                 inline_dispatched: false,
                 span: queued.span,
@@ -466,7 +560,7 @@ impl Scheduler {
         }
     }
 
-    /// Forms this tick's dispatch batch: runnable jobs in (priority,
+    /// Forms this turn's dispatch batch: runnable jobs in (priority,
     /// submission) order, each matched to free slots of its lane.
     fn dispatch(&mut self) {
         let mut order: Vec<(u8, JobId)> = self
@@ -575,7 +669,7 @@ impl Scheduler {
             self.orphans.extend(unplaced);
             if !self.tasks.contains_key(&task) {
                 // Not in flight after all — parked, orphaned by a mailbox
-                // found dead, or its job failed: the next tick carries on.
+                // found dead, or its job failed: a later pass carries on.
                 return;
             }
         }
@@ -607,7 +701,7 @@ impl Scheduler {
                 job: ready.job,
                 assignee: assignee(slot.clone()),
                 message: ready.message,
-                sent_at: Instant::now(),
+                sent_at: self.now,
                 attempts: ready.attempts,
             },
         );
@@ -617,9 +711,9 @@ impl Scheduler {
                 self.note_placed(ready.task, &ready.from, backend, &slot);
             } else {
                 // Dead mailbox discovered at send time — the watchdog would
-                // confirm it next sweep, but the task is already recorded in
-                // flight, so confirm the loss now: that orphans the task
-                // (and may orphan more) for a later placement.
+                // confirm it at its deadline, but the task is already
+                // recorded in flight, so confirm the loss now: that orphans
+                // the task (and may orphan more) for a later placement.
                 self.on_worker_lost(&slot);
             }
             return None;
@@ -660,19 +754,19 @@ impl Scheduler {
         }
     }
 
-    /// Consumes one envelope from the pool.
+    /// Consumes one envelope from the mailbox.
     fn on_message(&mut self, envelope: Envelope<PctMessage>) {
+        if Doorbell::rang(&envelope) {
+            // Its work is done: the scheduler is awake, and the turn looks
+            // at everything a ring can stand for.
+            return;
+        }
         let now_ms = self.now_ms();
         let from = envelope.from;
         match envelope.payload {
             PctMessage::Heartbeat => {
-                // Shared-memory executors ring a zero-payload doorbell after
-                // each completion purely to cut the recv timeout short; the
-                // results themselves are drained right after this match.
-                if !self.inline_names.contains(&from) {
-                    self.report.heartbeats += 1;
-                    self.note_liveness(&from, now_ms);
-                }
+                self.report.heartbeats += 1;
+                self.note_liveness(&from, now_ms);
             }
             msg => {
                 // Any traffic from a member is proof of life.
@@ -789,6 +883,7 @@ impl Scheduler {
         let Some(mut job) = self.running.remove(&id) else {
             return;
         };
+        self.unsettled = true;
         if let Some(span) = self.recompute.remove(&id) {
             self.telemetry.span_end(Some(span));
         }
@@ -837,7 +932,7 @@ impl Scheduler {
         }
     }
 
-    /// Periodic resilient-lane upkeep: sweep, probe, retransmit, regenerate.
+    /// Resilient-lane timers: sweep, probe, retransmit, regenerate.
     fn maintain_resilient(&mut self) {
         if self.pool.groups.is_empty() {
             return;
@@ -864,27 +959,20 @@ impl Scheduler {
         }
     }
 
-    /// Periodic standard/remote-lane upkeep: sweep the worker watchdog,
-    /// probe the suspects' mailboxes (only a dead mailbox confirms a loss —
-    /// anything else refreshes the lease, the `sweep_and_probe` pattern),
-    /// then re-dispatch any orphaned tasks.  Probing a remote worker rings
-    /// its bridge mailbox: a bridge that lost its socket has exited and
-    /// dropped the mailbox, so the probe reports `Disconnected` exactly as
-    /// a dead thread's would.
+    /// Standard/remote-lane timer: sweep the worker watchdog and probe the
+    /// suspects' mailboxes (only a dead mailbox confirms a loss — anything
+    /// else refreshes the lease, the `sweep_and_probe` pattern).  Probing a
+    /// remote worker rings its bridge mailbox: a bridge that lost its socket
+    /// has exited and dropped the mailbox, so the probe reports
+    /// `Disconnected` exactly as a dead thread's would.
     fn maintain_standard(&mut self) {
-        if !self.pool.standard.is_empty() || !self.pool.remote.workers.is_empty() {
-            let now_ms = self.now_ms();
-            for suspect in self.standard_watch.sweep(now_ms) {
-                match self.ctx.send(&suspect.group, PctMessage::Heartbeat) {
-                    Err(ScpError::Disconnected(_)) => {
-                        let worker = suspect.group.clone();
-                        self.on_worker_lost(&worker);
-                    }
-                    _ => self.standard_watch.heartbeat(&suspect, now_ms),
-                }
+        let now_ms = self.now_ms();
+        for suspect in self.standard_watch.sweep(now_ms) {
+            match self.ctx.send(&suspect.group, PctMessage::Heartbeat) {
+                Err(ScpError::Disconnected(_)) => self.on_worker_lost(&suspect.group),
+                _ => self.standard_watch.heartbeat(&suspect, now_ms),
             }
         }
-        self.dispatch_orphans();
     }
 
     /// Records a confirmed loss of `who` (a worker or a replica member) whose
@@ -927,6 +1015,7 @@ impl Scheduler {
             self.free_remote.retain(|w| w != worker);
         }
         self.standard_watch.unwatch(&MemberId::new(worker, 0));
+        self.unsettled = true;
         self.report.workers_lost += 1;
         // The loss's telemetry hangs under the phase span of the job whose
         // tasks were riding on the dead worker (if any).
@@ -974,7 +1063,8 @@ impl Scheduler {
     }
 
     /// Re-dispatches orphaned tasks through [`Scheduler::place`].  Orphans
-    /// whose lane has no free slot right now stay queued for the next tick.
+    /// whose lane has no free slot right now stay queued; the result that
+    /// frees one starts the turn that places them.
     /// A worker found dead while draining may orphan more tasks onto the
     /// queue being drained — they get their turn in this same loop.
     fn dispatch_orphans(&mut self) {
@@ -1086,35 +1176,32 @@ impl Scheduler {
     /// recompute and the result plane dedups by task id.
     fn retransmit_overdue_group_tasks(&mut self) {
         let retransmit_after = self.pool.resilient.retransmit_after;
+        let now = self.now;
         let overdue: Vec<(TaskId, String, PctMessage)> = self
             .tasks
             .iter()
-            .filter_map(|(task, inflight)| match &inflight.assignee {
-                Assignee::Group(group)
-                    if inflight.sent_at.elapsed()
-                        > OutstandingTask::backoff(retransmit_after, inflight.attempts) =>
-                {
-                    Some((*task, group.clone(), inflight.message.clone()))
-                }
-                _ => None,
+            .filter_map(|(task, inflight)| {
+                let (group, due) = inflight.retransmit_due(retransmit_after)?;
+                (now >= due).then(|| (*task, group.to_string(), inflight.message.clone()))
             })
             .collect();
         let now_ms = self.now_ms();
         for (task, group, message) in overdue {
-            let dead = match self
-                .pool
-                .resilient
-                .group_send(&mut self.ctx, &group, &message)
-            {
-                Ok(dead) => dead,
-                Err(_) => continue,
-            };
+            // The timer restarts whatever becomes of the send: a deadline
+            // left in the past would turn the blocked loop into a spin.
             let mut job = None;
             if let Some(inflight) = self.tasks.get_mut(&task) {
-                inflight.sent_at = Instant::now();
+                inflight.sent_at = now;
                 inflight.attempts = inflight.attempts.saturating_add(1);
                 job = Some(inflight.job);
             }
+            let Ok(dead) = self
+                .pool
+                .resilient
+                .group_send(&mut self.ctx, &group, &message)
+            else {
+                continue;
+            };
             self.report.tasks_retransmitted += 1;
             if let Some(job) = job {
                 let span = self.running.get(&job).and_then(|j| j.phase_span);
@@ -1205,10 +1292,10 @@ impl Scheduler {
                 }
             }
             // The re-issue just delivered these tasks afresh; restart their
-            // retransmit timers so the next sweep does not re-send them.
+            // retransmit timers so they are not re-sent on the old deadline.
             for inflight in self.tasks.values_mut() {
                 if matches!(&inflight.assignee, Assignee::Group(g) if *g == failed.group) {
-                    inflight.sent_at = Instant::now();
+                    inflight.sent_at = self.now;
                 }
             }
             // Publish every regeneration the protocol performed since the
@@ -1248,14 +1335,14 @@ impl Scheduler {
         }
     }
 
-    /// Abandons jobs past their deadline.
+    /// Abandons jobs whose deadline has come.
     fn enforce_deadlines(&mut self) {
-        let now = Instant::now();
+        let now = self.now;
         let expired: Vec<JobId> = self
             .running
             .iter()
             .filter_map(|(id, job)| match job.deadline {
-                Some(deadline) if now > deadline => Some(*id),
+                Some(deadline) if now >= deadline => Some(*id),
                 _ => None,
             })
             .collect();
@@ -1289,5 +1376,198 @@ impl Scheduler {
         self.report.elapsed = self.started.elapsed();
         self.report.finished_at = Some(SystemTime::now());
         self.report
+    }
+}
+
+/// The timers, without sleeping: no thread runs these schedulers, the tests
+/// call [`Scheduler::turn`] with times of their choosing.
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::config::{PoolConfig, ServiceConfig};
+    use crate::job::{CubeSource, JobSpec};
+    use crate::queue::QueuedJob;
+    use crate::status::JobRecord;
+    use hsi::SceneConfig;
+    use pct::distributed::{handle_task, MANAGER};
+
+    /// A scheduler whose only threads are one shared-memory executor and
+    /// the members of `replica_groups` level-2 groups.
+    fn scheduler(replica_groups: usize) -> Scheduler {
+        let config = ServiceConfig::builder()
+            .pool(PoolConfig {
+                standard_workers: 0,
+                replica_groups,
+                replication_level: 2,
+                shared_memory_executors: 1,
+                ..PoolConfig::default()
+            })
+            .build()
+            .unwrap();
+        let (pool, ctx) = WorkerPool::start(&config.pool, Telemetry::disabled()).unwrap();
+        let governor = AdmissionGovernor::new(
+            config.queue_capacity,
+            config.admission.clone(),
+            Arc::clone(&config.routing),
+        );
+        Scheduler::new(
+            pool,
+            ctx,
+            Arc::new(governor),
+            Arc::new(StatusTable::new()),
+            Arc::default(),
+            Arc::default(),
+            config.max_in_flight,
+            Arc::new(EventBus::new()),
+            config.chaos.clone(),
+            config.pool.standard_detector,
+            Telemetry::disabled(),
+        )
+    }
+
+    /// The standard-lane detector window.
+    fn window(scheduler: &Scheduler) -> Duration {
+        Duration::from_millis(scheduler.standard_watch.config().failure_timeout_ms())
+    }
+
+    /// Adds a standard-lane worker that is the test itself: tasks sent to it
+    /// queue in the returned context's mailbox, and nothing heartbeats or
+    /// answers unless the test does.
+    fn add_mute_worker(scheduler: &mut Scheduler, name: &str) -> ThreadContext<PctMessage> {
+        let worker = scheduler.pool.runtime.context(name).unwrap();
+        scheduler.pool.standard.push(name.to_string());
+        scheduler.free_workers.push_back(name.to_string());
+        scheduler.standard_watch.watch(MemberId::new(name, 0), 0);
+        worker
+    }
+
+    fn submit(scheduler: &Scheduler, id: JobId, spec: JobSpec) {
+        scheduler.status.insert(id, JobRecord::queued());
+        let queued = QueuedJob {
+            id,
+            submitted: Instant::now(),
+            spec,
+            span: None,
+            queued_span: None,
+        };
+        scheduler.governor.submit(queued, false).unwrap();
+    }
+
+    /// A synthetic unanswered task on `group`, last sent at `sent_at`.
+    fn add_group_task(scheduler: &mut Scheduler, task: TaskId, group: &str, sent_at: Instant) {
+        scheduler.tasks.insert(
+            task,
+            InFlight {
+                job: 0,
+                assignee: Assignee::Group(group.to_string()),
+                // Members ignore it: only the timer is under test.
+                message: PctMessage::Heartbeat,
+                sent_at,
+                attempts: 0,
+            },
+        );
+    }
+
+    #[test]
+    fn a_job_timeout_is_a_deadline_and_fires_at_the_time_told() {
+        let mut scheduler = scheduler(0);
+        let mut worker = add_mute_worker(&mut scheduler, "mute");
+        let timeout = Duration::from_millis(50);
+        submit(
+            &scheduler,
+            1,
+            JobSpec::builder(CubeSource::Synthetic(SceneConfig::small(3)))
+                .pinned(BackendKind::Standard)
+                .shards(2)
+                .timeout(timeout)
+                .build()
+                .unwrap(),
+        );
+        let t0 = scheduler.started;
+        assert_eq!(scheduler.turn(t0, None), Some(t0 + timeout));
+        assert_eq!(scheduler.status.status(1), Some(JobStatus::Running));
+        assert_eq!(worker.pending(), 1, "first screening task dispatched");
+        // Nothing is due one millisecond early: same state, same deadline.
+        let early = t0 + timeout - Duration::from_millis(1);
+        assert_eq!(scheduler.turn(early, None), Some(t0 + timeout));
+        assert_eq!(scheduler.status.status(1), Some(JobStatus::Running));
+        // Told a time past the deadline, the turn abandons the job and the
+        // detector (nobody heartbeat since t0) owns the next deadline.
+        let late = t0 + Duration::from_millis(60);
+        assert_eq!(scheduler.turn(late, None), Some(t0 + window(&scheduler)));
+        assert_eq!(scheduler.status.status(1), Some(JobStatus::TimedOut));
+        assert_eq!(scheduler.report.jobs_timed_out, 1);
+        assert_eq!(
+            scheduler.tasks.len(),
+            1,
+            "the outstanding task stays tabled so its result frees the slot"
+        );
+        assert!(scheduler.free_workers.is_empty());
+        // The late result does exactly that.
+        let task = worker.recv().unwrap().payload;
+        worker.send(MANAGER, handle_task(task).unwrap()).unwrap();
+        scheduler.turn(late, None);
+        assert!(scheduler.tasks.is_empty());
+        assert_eq!(scheduler.free_workers, ["mute"]);
+        scheduler.finalize();
+    }
+
+    #[test]
+    fn an_idle_turn_returns_exactly_the_detector_deadline_and_does_not_spin() {
+        let mut scheduler = scheduler(0);
+        let t0 = scheduler.started;
+        assert_eq!(
+            scheduler.turn(t0, None),
+            None,
+            "nothing watched, nothing running: no timer, block until rung"
+        );
+        let mut worker = add_mute_worker(&mut scheduler, "mute");
+        let window = window(&scheduler);
+        let deadline = t0 + window;
+        assert_eq!(scheduler.turn(t0, None), Some(deadline));
+        // A turn with nothing due answers with the same deadline.
+        let early = deadline - Duration::from_millis(1);
+        assert_eq!(scheduler.turn(early, None), Some(deadline));
+        assert_eq!(worker.pending(), 0, "not probed before its deadline");
+        // At the deadline the suspect is probed; its mailbox is alive, so
+        // its lease is refreshed and the timer moves a whole window on.
+        assert_eq!(scheduler.turn(deadline, None), Some(deadline + window));
+        assert_eq!(worker.pending(), 1, "probed once");
+        assert_eq!(scheduler.report.workers_lost, 0);
+        // A heartbeat moves it too.
+        worker.send(MANAGER, PctMessage::Heartbeat).unwrap();
+        let beat = deadline + Duration::from_millis(100);
+        assert_eq!(scheduler.turn(beat, None), Some(beat + window));
+        // A dead mailbox at the deadline confirms the loss and clears it.
+        drop(worker);
+        assert_eq!(scheduler.turn(beat + window, None), None);
+        assert_eq!(scheduler.report.workers_lost, 1);
+        scheduler.finalize();
+    }
+
+    #[test]
+    fn a_group_task_past_its_backoff_is_retransmitted_once_and_its_timer_moves() {
+        let mut scheduler = scheduler(1);
+        let t0 = scheduler.started;
+        let base = scheduler.pool.resilient.retransmit_after;
+        add_group_task(&mut scheduler, 1, "rg0", t0);
+        // No such group: `group_send` fails, and the timer must move anyway.
+        add_group_task(&mut scheduler, 2, "ghost", t0);
+        scheduler.turn(t0 + base - Duration::from_millis(1), None);
+        assert_eq!(scheduler.report.tasks_retransmitted, 0);
+        let now = t0 + base;
+        let next = scheduler.turn(now, None).expect("timers armed");
+        assert_eq!(scheduler.report.tasks_retransmitted, 1, "rg0 only");
+        for task in [1, 2] {
+            let inflight = &scheduler.tasks[&task];
+            assert_eq!((inflight.sent_at, inflight.attempts), (now, 1), "{task}");
+        }
+        // Nothing is left due at `now`: the next deadline is ahead (the
+        // detector's, or the doubled backoff), and a second turn at the
+        // same instant re-sends nothing.
+        assert!(next > now && next <= now + 2 * base);
+        assert!(scheduler.turn(now, None) > Some(now));
+        assert_eq!(scheduler.report.tasks_retransmitted, 1);
+        scheduler.finalize();
     }
 }

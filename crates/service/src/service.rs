@@ -10,7 +10,7 @@ use crate::config::ServiceConfig;
 use crate::events::{EventBus, EventSubscriber, ServiceEvent};
 use crate::handle::{HandlePlane, JobHandle};
 use crate::job::{BackendKind, JobId, JobSpec};
-use crate::pool::WorkerPool;
+use crate::pool::{Doorbell, WorkerPool};
 use crate::queue::QueuedJob;
 use crate::report::ServiceReport;
 use crate::routing::Route;
@@ -49,6 +49,9 @@ pub struct FusionService {
     status: Arc<StatusTable>,
     cancels: Arc<Mutex<Vec<JobId>>>,
     shutdown_flag: Arc<AtomicBool>,
+    /// Wakes the scheduler, which blocks on its mailbox alone: rung after
+    /// every change it must see (a submission, the shutdown flag).
+    doorbell: Doorbell,
     events: Arc<EventBus>,
     injector: resilience::attack::AttackInjector,
     lane_totals: [usize; 4],
@@ -66,6 +69,7 @@ impl FusionService {
         let telemetry = config.telemetry.clone();
         let (pool, ctx) = WorkerPool::start(&config.pool, telemetry.clone())?;
         let injector = pool.injector();
+        let doorbell = pool.doorbell();
         let lane_totals = [
             pool.standard.len(),
             pool.groups.len(),
@@ -107,6 +111,7 @@ impl FusionService {
             status,
             cancels,
             shutdown_flag,
+            doorbell,
             events,
             injector,
             lane_totals,
@@ -167,13 +172,17 @@ impl FusionService {
             queued_span,
         };
         match self.governor.submit(queued, blocking) {
-            Ok(()) => Ok(JobHandle::new(
-                id,
-                HandlePlane {
-                    status: Arc::clone(&self.status),
-                    cancels: Arc::clone(&self.cancels),
-                },
-            )),
+            Ok(()) => {
+                self.doorbell.ring();
+                Ok(JobHandle::new(
+                    id,
+                    HandlePlane {
+                        status: Arc::clone(&self.status),
+                        cancels: Arc::clone(&self.cancels),
+                        doorbell: self.doorbell.clone(),
+                    },
+                ))
+            }
             Err(e) => {
                 self.status.remove(id);
                 self.telemetry
@@ -287,24 +296,26 @@ impl FusionService {
     /// Outstanding [`JobHandle`]s stay valid: they hold the results plane
     /// and observe the final terminal states.
     pub fn shutdown(mut self) -> ServiceReport {
-        self.shutdown_flag.store(true, Ordering::Release);
-        self.governor.close();
-        let mut report = match self.scheduler.take() {
-            Some(handle) => handle.join().unwrap_or_default(),
-            None => ServiceReport::default(),
-        };
+        let mut report = self.stop().unwrap_or_default();
         self.governor.fold_into(&mut report);
         report
+    }
+
+    /// Stops the scheduler if it still runs and returns its report: the
+    /// flag and the closed governor are what it checks, the ring is what
+    /// makes it look.
+    fn stop(&mut self) -> Option<ServiceReport> {
+        let handle = self.scheduler.take()?;
+        self.shutdown_flag.store(true, Ordering::Release);
+        self.governor.close();
+        self.doorbell.ring();
+        handle.join().ok()
     }
 }
 
 impl Drop for FusionService {
     fn drop(&mut self) {
-        if let Some(handle) = self.scheduler.take() {
-            self.shutdown_flag.store(true, Ordering::Release);
-            self.governor.close();
-            let _ = handle.join();
-        }
+        self.stop();
     }
 }
 
@@ -466,6 +477,119 @@ mod tests {
         );
         let report = service.shutdown();
         assert_eq!(report.jobs_completed, 1);
+    }
+
+    /// A pool in which nothing heartbeats: one shared-memory executor and
+    /// no message-plane member.  The scheduler has no timer to arm there, so
+    /// a lost doorbell ring is a hang, not a few milliseconds' delay.
+    fn heartbeat_free(max_in_flight: usize) -> ServiceConfig {
+        ServiceConfig::builder()
+            .pool(PoolConfig {
+                standard_workers: 0,
+                replica_groups: 0,
+                shared_memory_executors: 1,
+                ..PoolConfig::default()
+            })
+            .queue_capacity(16)
+            .max_in_flight(max_in_flight)
+            .build()
+            .unwrap()
+    }
+
+    /// Runs `test` on a thread of its own and fails it after 20 s: the
+    /// failure these tests look for is a scheduler that never wakes.
+    fn within_watchdog(test: impl FnOnce() + Send + 'static) {
+        let (done, finished) = std::sync::mpsc::channel();
+        let body = std::thread::spawn(move || {
+            test();
+            let _ = done.send(());
+        });
+        if let Err(std::sync::mpsc::RecvTimeoutError::Timeout) =
+            finished.recv_timeout(Duration::from_secs(20))
+        {
+            panic!("hung: the scheduler was never woken");
+        }
+        // Finished, or panicked and dropped its sender: surface which.
+        if let Err(panic) = body.join() {
+            std::panic::resume_unwind(panic);
+        }
+    }
+
+    #[test]
+    fn scheduler_wakeup_every_submission_of_concurrent_callers_completes() {
+        within_watchdog(|| {
+            let service = FusionService::start(heartbeat_free(4)).unwrap();
+            let cube = Arc::new(SceneGenerator::new(scene(21, 8, 4)).unwrap().generate());
+            std::thread::scope(|scope| {
+                for _ in 0..4 {
+                    scope.spawn(|| {
+                        for _ in 0..200 {
+                            let spec = JobSpec::builder(CubeSource::InMemory(Arc::clone(&cube)))
+                                .build()
+                                .unwrap();
+                            let outcome = service.submit(spec).unwrap().wait().unwrap();
+                            assert_eq!(outcome.status(), JobStatus::Completed);
+                        }
+                    });
+                }
+            });
+            let report = service.shutdown();
+            assert_eq!(report.jobs_completed, 800);
+        });
+    }
+
+    #[test]
+    fn scheduler_wakeup_cancel_behind_a_blocker_and_idle_shutdown() {
+        within_watchdog(|| {
+            let service = FusionService::start(heartbeat_free(1)).unwrap();
+            let mut blocker = service
+                .submit(
+                    JobSpec::builder(CubeSource::Synthetic(scene(22, 64, 24)))
+                        .build()
+                        .unwrap(),
+                )
+                .unwrap();
+            // One job in flight at most: this one stays queued behind it.
+            let mut queued = service
+                .submit(
+                    JobSpec::builder(CubeSource::Synthetic(scene(23, 8, 4)))
+                        .build()
+                        .unwrap(),
+                )
+                .unwrap();
+            assert!(queued.cancel());
+            assert_eq!(queued.wait().unwrap(), JobOutcome::Cancelled);
+            assert_eq!(blocker.wait().unwrap().status(), JobStatus::Completed);
+            // Idle now, with no timer armed: only the ring ends the wait.
+            let report = service.shutdown();
+            assert_eq!((report.jobs_completed, report.jobs_cancelled), (1, 1));
+        });
+    }
+
+    #[test]
+    fn scheduler_wakeup_an_idle_service_takes_no_turns() {
+        within_watchdog(|| {
+            // Nothing heartbeats and nothing is submitted: the start-up turn
+            // and the shutdown ring are all there is (≈ 30 turns on a 5 ms
+            // tick).
+            let service = FusionService::start(heartbeat_free(4)).unwrap();
+            std::thread::sleep(Duration::from_millis(150));
+            let report = service.shutdown();
+            assert!(report.scheduler_turns <= 3, "{}", report.scheduler_turns);
+
+            // With workers, their idle heartbeats are the only wake-ups.
+            let mut config = heartbeat_free(4);
+            config.pool.standard_workers = 2;
+            let service = FusionService::start(config).unwrap();
+            std::thread::sleep(Duration::from_millis(300));
+            let report = service.shutdown();
+            assert!(
+                report.scheduler_turns < report.heartbeats + 8,
+                "{} turns for {} heartbeats",
+                report.scheduler_turns,
+                report.heartbeats
+            );
+        });
     }
 
     #[test]

@@ -79,8 +79,11 @@ impl StatusTable {
     }
 
     /// Transitions a job to a (possibly terminal) status, recording output or
-    /// error, and wakes waiters.  Terminal states are never overwritten; a
-    /// terminal transition of an abandoned record releases it immediately.
+    /// error.  Only a terminal transition wakes waiters: `wait_outcome`
+    /// leaves its loop on nothing else, so waking every parked caller at each
+    /// admission would be wasted context switches.  Terminal states are never
+    /// overwritten; a terminal transition of an abandoned record releases it
+    /// immediately.
     pub fn transition(
         &self,
         id: JobId,
@@ -101,7 +104,9 @@ impl StatusTable {
             }
         }
         drop(records);
-        self.changed.notify_all();
+        if status.is_terminal() {
+            self.changed.notify_all();
+        }
     }
 
     /// Marks a record as having no waiter left: if it is already terminal it
