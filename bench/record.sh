@@ -64,8 +64,10 @@
 #     trend-only.
 #   * kernel_eigen_210_ms — same binary: step 6 (`sorted_eigenpairs`) on the
 #     covariance of a 32x32x210 scene's unique set at 5 deg, median of 15.
-#     The binary prints the direct reference formulation's time and the
-#     ratio on the same line; only the kernel's own time is recorded.
+#     Householder + implicit QL since PR 20 (numerics version 2), the cyclic
+#     Jacobi before it — same row name, so the trend continues.  The binary
+#     prints the Jacobi oracle's time and the ratio on the same line; only
+#     the kernel's own time is recorded.
 #   * loc_<crate> / loc_tests / loc_fusebench — `wc -l` over every `.rs`
 #     file under crates/<crate>/, tests/ and fusebench/src/ (tests and
 #     comments included): ROADMAP aim 2 tracks net line count per crate.

@@ -2,8 +2,8 @@
 //! engine on a 64×64×32 scene at 5°, per pixel·unique-member; the two dot
 //! kernels behind it (plain `dot_fast`, compensated `dot`), per element; and
 //! step 6 at the paper's 210 bands — `sorted_eigenpairs` on the covariance
-//! of a 32×32×210 scene's unique set at 5° — next to the direct formulation
-//! it is bit-identical to.
+//! of a 32×32×210 scene's unique set at 5° — next to the cyclic Jacobi
+//! oracle (`linalg::reference`) it is held to within error bounds.
 //!
 //! Lines starting with `CSV` are parsed by `bench/record.sh`.  Each value
 //! is the median of 15 timed runs after a warm-up; wall-clock and
@@ -73,13 +73,13 @@ fn main() {
     let eigen = median_ns(|| {
         black_box(sorted_eigenpairs(black_box(&covariance), options).unwrap());
     });
-    let reference = median_ns(|| {
+    let oracle = median_ns(|| {
         black_box(sorted_eigenpairs_reference(black_box(&covariance), options).unwrap());
     });
     println!(
-        "CSV kernel_eigen_210_ms {:.3} (reference {:.3} ms, ratio {:.2})",
+        "CSV kernel_eigen_210_ms {:.3} (oracle {:.3} ms, ratio {:.3})",
         eigen / 1e6,
-        reference / 1e6,
-        eigen / reference
+        oracle / 1e6,
+        eigen / oracle
     );
 }

@@ -1,89 +1,73 @@
-//! Cyclic Jacobi eigensolver for symmetric matrices (algorithm step 6).
+//! Symmetric eigensolver (algorithm step 6): Householder tridiagonalisation,
+//! then implicit-shift QL with the eigenvectors accumulated along rows.
 //!
 //! Step 6 of the paper computes the eigenvectors of the covariance matrix and
 //! sorts them by descending eigenvalue so the high-variance spectral content
-//! is packed into the leading principal components.  The paper notes this
-//! step is `O(n^3)` in the number of bands and is executed sequentially by
-//! the manager because its cost depends on the band count (≤ 210), not the
-//! image size.
+//! is packed into the leading principal components.  It is `O(n^3)` in the
+//! band count (≤ 210), independent of the image size, and runs once per job
+//! in one process — the serial fraction no lane can spread.
 //!
-//! The cyclic Jacobi method is used here because it is simple, dependency
-//! free, numerically robust for symmetric matrices, and produces orthogonal
-//! eigenvectors to machine precision — properties the property-based tests in
-//! this module assert directly.
+//! # Why QL
 //!
-//! # The schedule
+//! A cyclic Jacobi method pays `O(n^3)` per *sweep* and needs 8–10 sweeps at
+//! 210 bands.  Reducing `A = Q T Q^T` to tridiagonal `T` once costs
+//! `4/3 n^3`, forming `Q` as much again, and the QL iteration on `T` converges
+//! cubically (under two iterations per eigenvalue) with `O(n)` work per
+//! rotation plus the eigenvector update.  The convergence test is absolute,
+//! `|e_m| <= eps * ||T||`, so the numerical null space of a rank-deficient
+//! covariance (fewer unique vectors than bands) deflates without a single
+//! rotation.  Eigenvalues and residuals carry an absolute error of a small
+//! multiple of `n * eps * ||A||`, which is what a principal-component
+//! transform needs; eigenvalues that small are rounding noise either way.
 //!
-//! A rotation `(p, q)` with cosine `c` and sine `s` does three things: it
-//! rotates columns `p, q` of `A` (the *column half* of `A <- J^T A J`), then
-//! rows `p, q` of `A` (the *row half*), then columns `p, q` of `V`.  Written
-//! down directly (`reference::jacobi_eigen_reference`) two of the three walk
-//! columns of row-major matrices.  Here every inner loop runs along a row:
+//! # Why `Q^T`
 //!
-//! * **`V` is accumulated transposed.**  Rotating columns `p, q` of `V` is
-//!   rotating rows `p, q` of `V^T`, the same loop as the row half of `A`.
-//!   Eigenvector `k` is then row `k`, which is what [`sorted_eigenpairs`]
-//!   copies out; [`jacobi_eigen`] transposes once to keep exposing
-//!   columns.
-//! * **The column half is deferred and applied along rows.**  Within one
-//!   `p`-batch (`q = p+1 .. n`) the column half of `(p, j)` touches
-//!   `a[k][p]` and `a[k][j]` of every row `k`, reading nothing but row `k`
-//!   and `(c_j, s_j)`; and nothing else reads row `k` until it is itself
-//!   the `q` row.  So `(c_j, s_j)` is recorded (or a skip marker when
-//!   `|a_pq| <= MIN_POSITIVE`), rotation `(p, q)` is applied at once only to
-//!   rows `p` and `q`, and row `k` receives its column halves later, in
-//!   ascending `j`, as one sweep along the row with `a[k][p]` carried in a
-//!   register: just before `(p, q)` row `q` is brought up to date with
-//!   `(p, p+1 .. q-1)`, and after the batch the rest is flushed — every
-//!   rotation of the batch for a row above `p`, those with `j > k` for a row
-//!   `k` below it.
+//! Everything runs along rows of one row-major buffer.  The reduction reads
+//! and updates the lower triangle by rows (`A u` is one dot and one update
+//! per row).  `Q^T = H_1 ... H_{n-1}` is then accumulated in the same buffer,
+//! one dot and one update per row.  A QL rotation of columns `i, i+1` of `Q`
+//! is a two-row rotation (`rotate_rows`) on `Q^T`, eigenvector `k` ends up
+//! as row `k`, and [`sorted_eigenpairs`] copies rows out in sorted order:
+//! two `n x n` buffers in all, no transpose.
 //!
-//! # Why the result has the same bits
+//! # Why no libm
 //!
-//! No arithmetic is changed, only the order in which independent operations
-//! are issued.  Every element sees the same sequence of
-//! `c*x - s*y` / `s*x + c*y` updates with the same operands as in the direct
-//! form: an element `a[k][j]` of a row `k != p` is written by the column
-//! half of `(p, j)` once per batch and `a[k][p]` by each of them in ascending
-//! `j`, which is the order they are replayed in; the row half reaches row
-//! `k` only when `k = q`, and by then the replay has caught up.  The
-//! rotation order (`p` outer, `q` inner), the angle formula, the skip test,
-//! the summation order of the off-diagonal norm and both convergence tests
-//! are the direct form's.  There is no fused multiply-add and no
-//! reassociation, so the data-flow graph — and with it every rounding — is
-//! identical; `eigen::tests::bit_identity` compares eigenvalues,
-//! eigenvectors and sweep counts by bit pattern.
+//! The identity contract is "same bytes from every process of one
+//! [`crate::NUMERICS_VERSION`]", on whatever platform each runs.  `+ - * /`
+//! and `sqrt` are correctly rounded by IEEE-754; library functions are not.
+//! So the solver uses those five only, sums in the order written (the one
+//! multi-lane sum is [`dot_fast`]'s fixed lane order), no fused multiply-add.
+//! What a library's overflow-safe `sqrt(x^2 + y^2)` would protect against is
+//! handled up front: the matrix is scaled by an exact power of two to a
+//! largest entry in `[1, 2)` — no sum of squares can overflow — and the
+//! eigenvalues are scaled back exactly; a sum of squares too small to be
+//! rounded relatively (`TINY`) is treated as the zero it is against entries
+//! of order one.
 //!
-//! Carrying one triangle and mirroring it would halve the work but is *not*
-//! the same graph: in the two-sided update `a[p][q]` and `a[q][p]` go
-//! through the column half and the row half in opposite roles and pick up
-//! different rounding residues, the two triangles drift apart by a few ulps,
-//! and that asymmetry feeds the diagonal through later rotations.  The full
-//! matrix is carried.
+//! # Where the oracle lives
 //!
-//! # Four rows at a time
-//!
-//! A row's replay is a serial chain through `a[k][p]` (a multiply and a
-//! subtract per step), but rows are independent, so the replay advances
-//! `ROW_BLOCK` = 4 rows in lock step: four chains in flight hide the
-//! latency of one.  Rows below `p` are grouped in blocks of four counted from
-//! `p + 1`; a block is brought up to its first row's position together, and
-//! the at most three rotations between rows of one block are replayed
-//! singly.
+//! [`crate::reference::jacobi_eigen_reference`] is the directly written
+//! cyclic Jacobi every build up to numerics version 1 was bit-identical to.
+//! It is the accuracy oracle of `eigen::tests::accuracy` and of the
+//! across-version property in `pct::pipeline`; nothing selects it at run
+//! time.
 
 use crate::matrix::Matrix;
 use crate::sym::SymMatrix;
+use crate::vector::dot_fast;
 use crate::{LinalgError, Result};
 use serde::{Deserialize, Serialize};
-use std::ops::Range;
 
-/// Options controlling the Jacobi iteration.
+/// Options controlling the eigensolver's iteration.
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
 pub struct JacobiOptions {
-    /// Maximum number of full sweeps over all off-diagonal entries.
+    /// Iteration cap: QL iterations spent on any one eigenvalue by
+    /// [`sorted_eigenpairs`], full sweeps of the Jacobi oracle.
     pub max_sweeps: usize,
-    /// Convergence threshold on the off-diagonal Frobenius norm relative to
-    /// the matrix Frobenius norm.
+    /// The Jacobi oracle's convergence threshold on the off-diagonal
+    /// Frobenius norm relative to the matrix Frobenius norm.
+    /// [`sorted_eigenpairs`] does not read it: QL deflates at
+    /// `eps * ||T||`.
     pub tolerance: f64,
 }
 
@@ -121,32 +105,13 @@ impl EigenDecomposition {
     }
 }
 
-pub(crate) fn off_diagonal_norm(a: &Matrix) -> f64 {
-    let n = a.rows();
-    let mut acc = 0.0;
-    for i in 0..n {
-        for j in 0..n {
-            if i != j {
-                acc += a[(i, j)] * a[(i, j)];
-            }
-        }
-    }
-    acc.sqrt()
-}
+/// A sum of squares at or below this has been rounded absolutely (gradual
+/// underflow), not relatively, and a reflector or rotation normalised by its
+/// root would not be orthogonal.  With the largest entry scaled to `[1, 2)`
+/// its terms are below `1e-146` and are dropped as zeros.
+const TINY: f64 = f64::MIN_POSITIVE / f64::EPSILON;
 
-/// Rows advanced together when pending column rotations are applied.  Each
-/// row's chain is serial through its `a[k][p]`; four independent chains fill
-/// the floating-point pipeline (eight measured slower: they spill registers).
-const ROW_BLOCK: usize = 4;
-
-/// The `(c, s)` of rotation `(p, q)` of the current `p`-batch, indexed by
-/// `q`; `None` where the rotation was skipped (`|a_pq| <= MIN_POSITIVE`).
-/// A skip cannot be recorded as the identity rotation: `1*x - 0*y` is not
-/// `x` for `x = -0.0` or non-finite `y`.
-type Rotation = Option<(f64, f64)>;
-
-/// `(x, y) <- (c*x - s*y, s*x + c*y)` along two rows: the row half of
-/// `A <- J^T A J`, and all of `V^T <- J^T V^T`.
+/// `(x, y) <- (c*x - s*y, s*x + c*y)` along two rows.
 fn rotate_rows(x: &mut [f64], y: &mut [f64], c: f64, s: f64) {
     for (x, y) in x.iter_mut().zip(y.iter_mut()) {
         let (xv, yv) = (*x, *y);
@@ -155,190 +120,188 @@ fn rotate_rows(x: &mut [f64], y: &mut [f64], c: f64, s: f64) {
     }
 }
 
-/// Applies the column halves of rotations `(p, j)`, `j` ascending over `js`,
-/// to each of `R` whole rows of `A`: `(a[k][p], a[k][j])` is rotated with
-/// `a[k][p]` carried in a register.  The `R` chains are independent and
-/// advance in lock step.
-fn apply_pending<const R: usize>(
-    mut rows: [&mut [f64]; R],
-    p: usize,
-    js: Range<usize>,
-    rotations: &[Rotation],
-) {
-    let mut x: [f64; R] = std::array::from_fn(|r| rows[r][p]);
-    {
-        let ys: [&mut [f64]; R] = rows.each_mut().map(|row| &mut row[js.clone()]);
-        for (i, rotation) in rotations[js].iter().enumerate() {
-            if let Some((c, s)) = *rotation {
-                let y: [f64; R] = std::array::from_fn(|r| ys[r][i]);
-                for r in 0..R {
-                    ys[r][i] = s * x[r] + c * y[r];
+/// `2^k` and `2^-k` such that the largest magnitude in `values` times `2^k`
+/// lies in `[1, 2)` (`k` clamped to what both powers can represent).
+fn power_of_two_scale(values: &[f64]) -> (f64, f64) {
+    let max = values.iter().fold(0.0_f64, |m, x| m.max(x.abs()));
+    let exponent = (max.to_bits() >> 52) as i64 - 1023;
+    let k = (-exponent).clamp(-1022, 1022);
+    let power = |k: i64| f64::from_bits(((1023 + k) as u64) << 52);
+    (power(k), power(-k))
+}
+
+/// Householder reduction of the symmetric matrix held in the lower triangle
+/// of the `n x n` row-major buffer `w` (its strict upper triangle zero) to
+/// tridiagonal form `T = Q^T A Q`.  Returns the diagonal of `T` and its
+/// sub-diagonal (`e[i]` couples `i - 1` and `i`; `e[0] = 0`) and leaves
+/// `Q^T` in `w`.
+fn tridiagonalise(w: &mut [f64], n: usize) -> (Vec<f64>, Vec<f64>) {
+    let mut e = vec![0.0; n];
+    // `h[i]` is `|u|^2 / 2` of the reflector that cleared row `i`, whose
+    // vector `u` stays in `w[i][..i]`; zero where none was needed.
+    let mut h = vec![0.0; n];
+    for i in (1..n).rev() {
+        let (above, row_i) = w.split_at_mut(i * n);
+        let u = &mut row_i[..i];
+        let l = i - 1;
+        let f = u[l];
+        let sigma = dot_fast(&u[..l], &u[..l]);
+        if sigma <= TINY {
+            e[i] = f;
+            continue;
+        }
+        let norm2 = sigma + f * f;
+        let g = if f >= 0.0 {
+            -norm2.sqrt()
+        } else {
+            norm2.sqrt()
+        };
+        e[i] = g;
+        h[i] = norm2 - f * g;
+        u[l] = f - g;
+        // p = A u / h over the leading i x i block, read by rows of its
+        // lower triangle: row j gives p[j] its dot and rows above it an
+        // update.
+        let p = &mut e[..i];
+        for j in 0..i {
+            let row = &above[j * n..j * n + j + 1];
+            p[j] = dot_fast(row, &u[..=j]);
+            for (pk, ajk) in p[..j].iter_mut().zip(row) {
+                *pk += ajk * u[j];
+            }
+        }
+        let mut up = 0.0;
+        for (pj, uj) in p.iter_mut().zip(u.iter()) {
+            *pj /= h[i];
+            up += *pj * uj;
+        }
+        // q = p - (u.p / 2h) u, then A <- A - u q^T - q u^T.
+        let k = up / (h[i] + h[i]);
+        for (qj, uj) in p.iter_mut().zip(u.iter()) {
+            *qj -= k * uj;
+        }
+        let q = &e[..i];
+        for j in 0..i {
+            let row = &mut above[j * n..j * n + j + 1];
+            let (uj, qj) = (u[j], q[j]);
+            for ((a, uk), qk) in row.iter_mut().zip(u.iter()).zip(q) {
+                *a -= uj * qk + qj * uk;
+            }
+        }
+    }
+    e[0] = 0.0;
+    // Q^T = H_1 ... H_{n-1}, smallest reflector first: before step i the
+    // product is the identity outside its leading (i-1) x (i-1) block.
+    let mut d = vec![0.0; n];
+    for i in 0..n {
+        let (above, row_i) = w.split_at_mut(i * n);
+        if h[i] != 0.0 {
+            let u = &row_i[..i];
+            for r in 0..i {
+                let row = &mut above[r * n..r * n + i];
+                let g = dot_fast(row, u) / h[i];
+                for (x, uk) in row.iter_mut().zip(u) {
+                    *x -= g * uk;
                 }
-                x = std::array::from_fn(|r| c * x[r] - s * y[r]);
             }
         }
+        d[i] = row_i[i];
+        row_i[..i].fill(0.0);
+        row_i[i] = 1.0;
     }
-    for r in 0..R {
-        rows[r][p] = x[r];
-    }
+    (d, e)
 }
 
-/// Rows `p < q` of a square matrix.
-fn two_rows_mut(m: &mut Matrix, p: usize, q: usize) -> (&mut [f64], &mut [f64]) {
-    let n = m.cols();
-    let (head, tail) = m.as_mut_slice().split_at_mut(q * n);
-    (&mut head[p * n..(p + 1) * n], &mut tail[..n])
-}
-
-/// [`apply_pending`] over the contiguous rows `rows` of `a`: [`ROW_BLOCK`]
-/// rows per pass, the remainder singly.
-fn apply_pending_to_rows(
-    a: &mut Matrix,
-    rows: Range<usize>,
-    p: usize,
-    js: Range<usize>,
-    rotations: &[Rotation],
-) {
-    if js.is_empty() {
-        return;
-    }
-    let n = a.cols();
-    let mut k = rows.start;
-    while k + ROW_BLOCK <= rows.end {
-        let mut tail = &mut a.as_mut_slice()[k * n..];
-        let block: [&mut [f64]; ROW_BLOCK] = std::array::from_fn(|_| {
-            tail.split_off_mut(..n)
-                .expect("the block lies inside the matrix")
-        });
-        apply_pending(block, p, js.clone(), rotations);
-        k += ROW_BLOCK;
-    }
-    for k in k..rows.end {
-        apply_pending([a.row_mut(k)], p, js.clone(), rotations);
-    }
-}
-
-/// The rotation that annihilates `a[p][q]`, or `None` when that entry is
-/// already negligible.
-fn annihilating_rotation(app: f64, aqq: f64, apq: f64) -> Rotation {
-    if apq.abs() <= f64::MIN_POSITIVE {
-        return None;
-    }
-    let theta = 0.5 * (aqq - app) / apq;
-    let t = if theta >= 0.0 {
-        1.0 / (theta + (1.0 + theta * theta).sqrt())
-    } else {
-        -1.0 / (-theta + (1.0 + theta * theta).sqrt())
-    };
-    let c = 1.0 / (1.0 + t * t).sqrt();
-    Some((c, t * c))
-}
-
-/// Everything rotation `(p, q)` does at once: `A <- J^T A J` on rows `p` and
-/// `q` — the column half on their four `(p, q)` entries, then the row half
-/// along both rows — and `V^T <- J^T V^T`.  The column half on the other
-/// rows stays pending.
-fn rotate_pivot_rows(a: &mut Matrix, vt: &mut Matrix, p: usize, q: usize, c: f64, s: f64) {
-    let (row_p, row_q) = two_rows_mut(a, p, q);
-    for row in [&mut *row_p, &mut *row_q] {
-        let (akp, akq) = (row[p], row[q]);
-        row[p] = c * akp - s * akq;
-        row[q] = s * akp + c * akq;
-    }
-    rotate_rows(row_p, row_q, c, s);
-    let (vt_p, vt_q) = two_rows_mut(vt, p, q);
-    rotate_rows(vt_p, vt_q, c, s);
-}
-
-/// One cyclic sweep over `a` (the matrix being diagonalised) and `vt` (the
-/// transposed eigenvector accumulator), in the schedule the module
-/// documentation describes.
-fn sweep(a: &mut Matrix, vt: &mut Matrix) {
-    let n = a.rows();
-    let mut rotations: Vec<Rotation> = vec![None; n];
-    for p in 0..n - 1 {
-        for q in p + 1..n {
-            // Row q still lacks the column halves of (p, p+1 .. q-1).  The
-            // first row of a block brings the whole block up to the block's
-            // start; the few rotations inside the block follow singly.
-            let block_start = q - (q - (p + 1)) % ROW_BLOCK;
-            if q == block_start {
-                let block = q..(q + ROW_BLOCK).min(n);
-                apply_pending_to_rows(a, block, p, p + 1..q, &rotations);
+/// Implicit-shift QL iteration on the tridiagonal matrix `(d, e)` produced by
+/// [`tridiagonalise`], applying every rotation to rows `i, i + 1` of `qt`.
+/// On return `d` holds the eigenvalues and row `k` of `qt` the eigenvector of
+/// `d[k]`.
+fn implicit_ql(d: &mut [f64], e: &mut [f64], qt: &mut [f64], max_iterations: usize) -> Result<()> {
+    let n = d.len();
+    e.copy_within(1.., 0);
+    e[n - 1] = 0.0;
+    // Absolute deflation threshold, eps * ||T||.
+    let norm = d.iter().zip(e.iter()).map(|(d, e)| d.abs() + e.abs());
+    let negligible = f64::EPSILON * norm.fold(0.0, f64::max);
+    for l in 0..n {
+        let mut iterations = 0;
+        'iterate: loop {
+            let m = (l..n - 1)
+                .find(|&m| e[m].abs() <= negligible)
+                .unwrap_or(n - 1);
+            if m == l {
+                break;
             }
-            apply_pending([a.row_mut(q)], p, block_start..q, &rotations);
-
-            rotations[q] = annihilating_rotation(a[(p, p)], a[(q, q)], a[(p, q)]);
-            if let Some((c, s)) = rotations[q] {
-                rotate_pivot_rows(a, vt, p, q, c, s);
+            if iterations == max_iterations {
+                return Err(LinalgError::NotConverged {
+                    sweeps: iterations,
+                    off_norm_bits: e[l].abs().to_bits(),
+                });
             }
-        }
-        // Flush what the batch left pending: every rotation for the rows
-        // above p, those with j > k for a row k below it.
-        apply_pending_to_rows(a, 0..p, p, p + 1..n, &rotations);
-        for block_start in (p + 1..n).step_by(ROW_BLOCK) {
-            let block_end = (block_start + ROW_BLOCK).min(n);
-            for k in block_start..block_end {
-                apply_pending([a.row_mut(k)], p, k + 1..block_end, &rotations);
+            iterations += 1;
+            // Wilkinson shift from the leading 2 x 2 of the block.
+            let g = (d[l + 1] - d[l]) / (2.0 * e[l]);
+            let r = (g * g + 1.0).sqrt();
+            let mut g = d[m] - d[l] + e[l] / (g + if g >= 0.0 { r } else { -r });
+            let (mut s, mut c, mut p) = (1.0, 1.0, 0.0);
+            for i in (l..m).rev() {
+                let f = s * e[i];
+                let b = c * e[i];
+                let norm2 = f * f + g * g;
+                let r = norm2.sqrt();
+                e[i + 1] = r;
+                if norm2 <= TINY {
+                    // The bulge vanished: the block splits at i + 1.
+                    d[i + 1] -= p;
+                    e[m] = 0.0;
+                    continue 'iterate;
+                }
+                s = f / r;
+                c = g / r;
+                g = d[i + 1] - p;
+                let r = (d[i] - g) * s + 2.0 * c * b;
+                p = s * r;
+                d[i + 1] = g + p;
+                g = c * r - b;
+                let (x, y) = qt[i * n..(i + 2) * n].split_at_mut(n);
+                rotate_rows(x, y, c, s);
             }
-            let block = block_start..block_end;
-            apply_pending_to_rows(a, block, p, block_end..n, &rotations);
+            d[l] -= p;
+            e[l] = g;
+            e[m] = 0.0;
         }
     }
+    Ok(())
 }
 
-/// The solver proper.  Returns the eigenvalues, the eigenvectors as *rows*
-/// (the accumulated `V^T`) and the sweep count.
-fn jacobi_rows(matrix: &SymMatrix, options: JacobiOptions) -> Result<(Vec<f64>, Matrix, usize)> {
-    // A NaN or an infinity fails both convergence tests for ever: the solver
-    // would spend every sweep and return garbage.
+/// The solver proper.  Returns the eigenvalues in the order the iteration
+/// left them and the eigenvectors as *rows*.
+fn eigen_rows(matrix: &SymMatrix, options: JacobiOptions) -> Result<(Vec<f64>, Matrix)> {
+    // A NaN or an infinity would fail every convergence test.
     if matrix.packed().iter().any(|x| !x.is_finite()) {
-        return Err(LinalgError::NonFinite { op: "jacobi_eigen" });
+        return Err(LinalgError::NonFinite {
+            op: "sorted_eigenpairs",
+        });
     }
     let n = matrix.dim();
+    let mut qt = Matrix::zeros(n, n);
     if n == 0 {
-        return Ok((Vec::new(), Matrix::zeros(0, 0), 0));
+        return Ok((Vec::new(), qt));
     }
-    let mut a = matrix.to_dense();
-    let mut vt = Matrix::identity(n);
-    let scale = a.frobenius_norm().max(f64::MIN_POSITIVE);
-
-    let mut sweeps = 0;
-    while sweeps < options.max_sweeps {
-        let off = off_diagonal_norm(&a);
-        if off <= options.tolerance * scale {
-            break;
+    let (scale, unscale) = power_of_two_scale(matrix.packed());
+    let w = qt.as_mut_slice();
+    let mut packed = matrix.packed().iter();
+    for i in 0..n {
+        for j in i..n {
+            w[j * n + i] = scale * packed.next().expect("n (n + 1) / 2 packed entries");
         }
-        sweeps += 1;
-        sweep(&mut a, &mut vt);
     }
-
-    let off = off_diagonal_norm(&a);
-    if off > options.tolerance * scale * 1e3 && sweeps >= options.max_sweeps {
-        return Err(LinalgError::NotConverged {
-            sweeps,
-            off_norm_bits: off.to_bits(),
-        });
+    let (mut d, mut e) = tridiagonalise(w, n);
+    implicit_ql(&mut d, &mut e, w, options.max_sweeps)?;
+    for lambda in &mut d {
+        *lambda *= unscale;
     }
-
-    let eigenvalues = (0..n).map(|i| a[(i, i)]).collect();
-    Ok((eigenvalues, vt, sweeps))
-}
-
-/// Computes the eigen-decomposition of a symmetric matrix with the cyclic
-/// Jacobi method.
-///
-/// Returns [`LinalgError::NonFinite`] before the first sweep when the matrix
-/// holds a `NaN` or an infinity, and [`LinalgError::NotConverged`] when
-/// `options.max_sweeps` sweeps leave the off-diagonal norm above a thousand
-/// times the tolerance.
-pub fn jacobi_eigen(matrix: &SymMatrix, options: JacobiOptions) -> Result<EigenDecomposition> {
-    let (eigenvalues, rows, sweeps) = jacobi_rows(matrix, options)?;
-    Ok(EigenDecomposition {
-        eigenvalues,
-        eigenvectors: rows.transpose(),
-        sweeps,
-    })
+    Ok((d, qt))
 }
 
 /// Computes the eigen-decomposition and returns the eigenpairs sorted by
@@ -348,8 +311,12 @@ pub fn jacobi_eigen(matrix: &SymMatrix, options: JacobiOptions) -> Result<EigenD
 ///
 /// The returned matrix has the sorted eigenvectors as *rows*, i.e. it is the
 /// transformation matrix `A` applied to centred pixel vectors in step 7.
+///
+/// Returns [`LinalgError::NonFinite`] before any work when the matrix holds
+/// a `NaN` or an infinity, and [`LinalgError::NotConverged`] when some
+/// eigenvalue is not isolated within `options.max_sweeps` QL iterations.
 pub fn sorted_eigenpairs(matrix: &SymMatrix, options: JacobiOptions) -> Result<(Vec<f64>, Matrix)> {
-    let (unsorted, rows, _) = jacobi_rows(matrix, options)?;
+    let (unsorted, rows) = eigen_rows(matrix, options)?;
     let n = unsorted.len();
     let mut order: Vec<usize> = (0..n).collect();
     order.sort_by(|&a, &b| {
@@ -390,7 +357,7 @@ mod tests {
     use super::*;
     use crate::Vector;
 
-    mod bit_identity;
+    mod accuracy;
 
     fn sym_from_rows(rows: &[Vec<f64>]) -> SymMatrix {
         SymMatrix::from_dense(&Matrix::from_rows(rows).unwrap()).unwrap()
@@ -476,12 +443,12 @@ mod tests {
     #[test]
     fn transform_of_eigenvector_scales_by_eigenvalue() {
         let m = sym_from_rows(&[vec![2.0, 1.0], vec![1.0, 2.0]]);
-        let decomp = jacobi_eigen(&m, JacobiOptions::default()).unwrap();
+        let (vals, t) = sorted_eigenpairs(&m, JacobiOptions::default()).unwrap();
         let dense = m.to_dense();
-        for k in 0..2 {
-            let v = decomp.eigenvector(k);
+        for (k, &lambda) in vals.iter().enumerate() {
+            let v = Vector::from(t.row(k));
             let av = dense.mul_vector(&v).unwrap();
-            let lv = v.scale(decomp.eigenvalues[k]);
+            let lv = v.scale(lambda);
             for (a, b) in av.iter().zip(lv.iter()) {
                 assert!((a - b).abs() < 1e-9);
             }
@@ -491,19 +458,22 @@ mod tests {
     #[test]
     fn empty_matrix_decomposes_trivially() {
         let m = SymMatrix::zeros(0);
-        let d = jacobi_eigen(&m, JacobiOptions::default()).unwrap();
-        assert!(d.eigenvalues.is_empty());
+        let (vals, t) = sorted_eigenpairs(&m, JacobiOptions::default()).unwrap();
+        assert!(vals.is_empty());
+        assert_eq!((t.rows(), t.cols()), (0, 0));
+    }
+
+    fn no_iterations() -> JacobiOptions {
+        JacobiOptions {
+            max_sweeps: 0,
+            ..JacobiOptions::default()
+        }
     }
 
     #[test]
     fn non_finite_input_is_rejected_before_the_first_sweep() {
-        // At a diagonal and at an off-diagonal position.  The direct
-        // formulation would spend all 64 sweeps on these and return NaNs;
-        // a sweep limit of zero shows the check comes first.
-        let no_sweeps = JacobiOptions {
-            max_sweeps: 0,
-            ..JacobiOptions::default()
-        };
+        // At a diagonal and at an off-diagonal position; an iteration limit
+        // of zero shows the check comes before any work.
         for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
             for (i, j) in [(1, 1), (0, 2)] {
                 let mut m = sym_from_rows(&[
@@ -512,13 +482,26 @@ mod tests {
                     vec![-2.0, 0.5, 3.0],
                 ]);
                 m.set(i, j, bad);
-                let rejected = LinalgError::NonFinite { op: "jacobi_eigen" };
-                for options in [JacobiOptions::default(), no_sweeps] {
-                    assert_eq!(jacobi_eigen(&m, options).err(), Some(rejected.clone()));
+                let rejected = LinalgError::NonFinite {
+                    op: "sorted_eigenpairs",
+                };
+                for options in [JacobiOptions::default(), no_iterations()] {
                     assert_eq!(sorted_eigenpairs(&m, options).err(), Some(rejected.clone()));
                 }
             }
         }
+    }
+
+    #[test]
+    fn an_exhausted_iteration_limit_is_a_typed_error() {
+        // A diagonal matrix needs no iteration; anything else needs one.
+        let diagonal = sym_from_rows(&[vec![3.0, 0.0], vec![0.0, 1.0]]);
+        assert!(sorted_eigenpairs(&diagonal, no_iterations()).is_ok());
+        let coupled = sym_from_rows(&[vec![2.0, 1.0], vec![1.0, 2.0]]);
+        assert!(matches!(
+            sorted_eigenpairs(&coupled, no_iterations()),
+            Err(LinalgError::NotConverged { sweeps: 0, .. })
+        ));
     }
 
     #[test]

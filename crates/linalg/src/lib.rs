@@ -19,8 +19,8 @@
 //!   (steps 4–5).
 //! * [`covariance`] — outer-product accumulation `C += (x - m)(x - m)^T`
 //!   exactly as written in step 4 of the paper.
-//! * [`eigen`] — a cyclic Jacobi eigensolver for symmetric matrices plus
-//!   eigenpair sorting by descending eigenvalue (step 6).
+//! * [`eigen`] — a Householder + implicit-QL eigensolver for symmetric
+//!   matrices plus eigenpair sorting by descending eigenvalue (step 6).
 //! * [`reduce`] — numerically robust reductions (Kahan/Neumaier summation,
 //!   pairwise mean) used wherever many floating point values are folded.
 //!
@@ -46,6 +46,17 @@ pub use matrix::Matrix;
 pub use sym::SymMatrix;
 pub use vector::{dot, dot_fast, norm, Vector};
 
+/// Version of the numerics of this build's kernels.  Two builds with the same
+/// value return the same bits from every kernel for the same input, which is
+/// what lets workers of different processes serve one job byte-identically;
+/// the wire handshake refuses a peer that announces another value.  Bumped
+/// by anything that can change a last bit of a kernel's output: another
+/// algorithm, another summation or rotation order, a fused or reassociated
+/// operation, a call into a maths library.  1 names every build whose step 6
+/// was the cyclic Jacobi kept as [`reference::jacobi_eigen_reference`]; 2
+/// has the Householder + QL solver of [`eigen`].
+pub const NUMERICS_VERSION: u32 = 2;
+
 /// Errors produced by linear-algebra operations.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum LinalgError {
@@ -58,11 +69,14 @@ pub enum LinalgError {
         /// Dimension of the right operand.
         right: usize,
     },
-    /// The Jacobi sweep limit was reached before convergence.
+    /// The eigensolver's iteration limit was reached before convergence.
     NotConverged {
-        /// Number of sweeps performed.
+        /// Iterations performed: QL iterations on the eigenvalue that did
+        /// not separate, sweeps of the Jacobi oracle.
         sweeps: usize,
-        /// Remaining off-diagonal Frobenius norm.
+        /// Bits of what was left to annihilate: the magnitude of the
+        /// coupling sub-diagonal entry (of the matrix scaled to a largest
+        /// entry in `[1, 2)`), the off-diagonal Frobenius norm of the oracle.
         off_norm_bits: u64,
     },
     /// An operation that requires a non-empty operand received an empty one.
@@ -88,7 +102,7 @@ impl std::fmt::Display for LinalgError {
                 off_norm_bits,
             } => write!(
                 f,
-                "Jacobi eigensolver did not converge after {sweeps} sweeps (off-diagonal norm {})",
+                "eigensolver did not converge after {sweeps} iterations (off-diagonal {} left)",
                 f64::from_bits(*off_norm_bits)
             ),
             LinalgError::Empty { op } => write!(f, "operation {op} requires a non-empty operand"),

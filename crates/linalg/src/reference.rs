@@ -1,9 +1,10 @@
-//! Retained reference kernels: the plain formulations the optimised kernels
-//! are proven bit-identical to, kept in one place so the unit and property
-//! suites and the benches all compare against the same code.  Not part of
+//! Retained reference kernels, kept in one place so the unit and property
+//! suites and the benches all compare against the same code: the plain
+//! formulation the optimised rank-one update is proven bit-identical to, and
+//! the cyclic Jacobi that is the eigensolver's accuracy oracle.  Not part of
 //! the supported API.
 
-use crate::eigen::{off_diagonal_norm, EigenDecomposition, JacobiOptions};
+use crate::eigen::{EigenDecomposition, JacobiOptions};
 use crate::matrix::Matrix;
 use crate::sym::SymMatrix;
 use crate::vector::Vector;
@@ -32,10 +33,24 @@ pub fn rank_one_update_reference(m: &mut SymMatrix, x: &Vector) -> Result<()> {
     Ok(())
 }
 
+fn off_diagonal_norm(a: &Matrix) -> f64 {
+    let n = a.rows();
+    let mut acc = 0.0;
+    for i in 0..n {
+        for j in 0..n {
+            if i != j {
+                acc += a[(i, j)] * a[(i, j)];
+            }
+        }
+    }
+    acc.sqrt()
+}
+
 /// The cyclic Jacobi method as first written: every rotation applied at
 /// once to two columns of `A`, two rows of `A` and two columns of `V`, all
-/// three stored row-major.  [`crate::eigen::jacobi_eigen`] must match this
-/// bit-for-bit — eigenvalues, eigenvectors and sweep count.  It does not
+/// three stored row-major.  Step 6 of every build of numerics version 1
+/// returned these bits; [`crate::eigen::sorted_eigenpairs`] is held to it
+/// within stated error bounds (`eigen::tests::accuracy`).  It does not
 /// reject non-finite input (it spends every sweep on it), so feed it finite
 /// matrices.
 pub fn jacobi_eigen_reference(
@@ -121,8 +136,8 @@ pub fn jacobi_eigen_reference(
 
 /// Step 6 as first written on top of [`jacobi_eigen_reference`]: sort by
 /// descending eigenvalue, copy each eigenvector *column* out as a row,
-/// canonicalise its sign.  [`crate::eigen::sorted_eigenpairs`] must match
-/// this bit-for-bit.
+/// canonicalise its sign — the oracle [`crate::eigen::sorted_eigenpairs`]
+/// is compared with.
 pub fn sorted_eigenpairs_reference(
     matrix: &SymMatrix,
     options: JacobiOptions,

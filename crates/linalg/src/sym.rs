@@ -160,7 +160,7 @@ impl SymMatrix {
         }
     }
 
-    /// Converts to a full dense matrix (needed by the Jacobi eigensolver).
+    /// Converts to a full dense matrix.
     pub fn to_dense(&self) -> Matrix {
         let mut m = Matrix::zeros(self.n, self.n);
         for i in 0..self.n {

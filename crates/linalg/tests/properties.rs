@@ -2,7 +2,7 @@
 //!
 //! These check the algebraic invariants the PCT pipeline relies on:
 //! scale-invariance of the spectral angle, mergeability of covariance
-//! accumulators, orthogonality of Jacobi eigenvectors and trace preservation.
+//! accumulators, orthogonality of the eigenvectors and trace preservation.
 
 use linalg::{
     covariance::{covariance_matrix, mean_vector, CovarianceAccumulator},

@@ -119,9 +119,9 @@ pub fn control_frame() -> u64 {
     framed(TAG_BYTES)
 }
 
-/// `Hello{version}` — the handshake frame.
+/// `Hello{version, numerics}` — the handshake frame.
 pub fn hello_frame() -> u64 {
-    framed(TAG_BYTES + 4)
+    framed(TAG_BYTES + 4 + 4)
 }
 
 #[cfg(test)]

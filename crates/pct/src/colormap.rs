@@ -24,15 +24,17 @@
 use hsi::{HyperCube, RgbImage};
 use linalg::Matrix;
 
-/// The 3×3 opponent-to-RGB matrix (rows produce R, G, B; columns consume the
-/// achromatic, red–green and blue–yellow components).
+/// The nine coefficients of the opponent-to-RGB matrix (rows produce R, G, B;
+/// columns consume the achromatic, red–green and blue–yellow components).
+const OPPONENT: [[f64; 3]; 3] = [
+    [0.4387, 0.4972, 0.0641],
+    [0.4972, -0.1403, 0.0795],
+    [0.1355, -0.0116, -0.4972],
+];
+
+/// The 3×3 opponent-to-RGB matrix [`map_pixel`] applies.
 pub fn opponent_matrix() -> Matrix {
-    Matrix::from_rows(&[
-        vec![0.4387, 0.4972, 0.0641],
-        vec![0.4972, -0.1403, 0.0795],
-        vec![0.1355, -0.0116, -0.4972],
-    ])
-    .expect("static 3x3 matrix is well formed")
+    Matrix::from_rows(&OPPONENT.map(Vec::from)).expect("static 3x3 matrix is well formed")
 }
 
 /// Per-component affine rescaling parameters mapping a principal component
@@ -71,12 +73,24 @@ impl ComponentScale {
     /// finishes — which is what lets the *workers* perform the colour
     /// mapping (step 8) in the distributed implementations without a second
     /// pass over the data, as the paper's decomposition requires.
+    ///
+    /// An eigenvalue at or below `8 n eps lambda_0` (`n` eigenvalues, the
+    /// largest first) is zero variance and maps to mid-grey.  A unique set
+    /// of rank `r` leaves `n - r` eigenvalues that are nothing but the
+    /// solver's rounding (measured at about `0.05 n eps lambda_0`), and a
+    /// range of `3.5 sqrt` of that would stretch rounding noise over all 256
+    /// levels of a colour channel.  8 is the multiple of
+    /// `n eps ||A||_F >= n eps lambda_0` the eigensolver's accuracy suite
+    /// holds every eigenvalue's error to: below it an eigenvalue is not told
+    /// from zero.
     pub fn from_eigenvalues(eigenvalues: &[f64], k: usize) -> Vec<ComponentScale> {
+        let largest = eigenvalues.first().map_or(0.0, |l| l.max(0.0));
+        let noise = 8.0 * eigenvalues.len() as f64 * f64::EPSILON * largest;
         eigenvalues
             .iter()
             .take(k)
             .map(|&lambda| {
-                let sigma = lambda.max(0.0).sqrt();
+                let sigma = if lambda <= noise { 0.0 } else { lambda.sqrt() };
                 ComponentScale {
                     min: -3.5 * sigma,
                     max: 3.5 * sigma,
@@ -98,7 +112,6 @@ impl ComponentScale {
 /// Maps one pixel's first three (rescaled) principal components to RGB using
 /// the paper's centred opponent transform.
 pub fn map_pixel(components: [f64; 3]) -> [u8; 3] {
-    let matrix = opponent_matrix();
     let centred = [
         components[0] - 128.0,
         components[1] - 128.0,
@@ -108,7 +121,7 @@ pub fn map_pixel(components: [f64; 3]) -> [u8; 3] {
     for (row, out) in rgb.iter_mut().enumerate() {
         let mut acc = 0.0;
         for (col, c) in centred.iter().enumerate() {
-            acc += matrix[(row, col)] * c;
+            acc += OPPONENT[row][col] * c;
         }
         *out = (128.0 + acc).round().clamp(0.0, 255.0) as u8;
     }
@@ -159,6 +172,30 @@ mod tests {
         expected.sort_by(|a, b| a.partial_cmp(b).unwrap());
         for (a, b) in magnitudes.iter().zip(&expected) {
             assert!((a - b).abs() < 1e-12);
+        }
+    }
+
+    #[test]
+    fn map_pixel_equals_the_matrix_form() {
+        // Every combination of the clamping corners, the centre, values that
+        // round at .5 and a coarse grid between them.
+        let matrix = opponent_matrix();
+        let mut values = vec![-40.0, 0.0, 0.5, 127.5, 128.0, 128.5, 254.5, 255.0, 300.0];
+        values.extend((0..16).map(|i| i as f64 * 17.3));
+        for &a in &values {
+            for &b in &values {
+                for &c in &values {
+                    let centred = [a - 128.0, b - 128.0, c - 128.0];
+                    let expected: [u8; 3] = std::array::from_fn(|row| {
+                        let mut acc = 0.0;
+                        for (col, x) in centred.iter().enumerate() {
+                            acc += matrix[(row, col)] * x;
+                        }
+                        (128.0 + acc).round().clamp(0.0, 255.0) as u8
+                    });
+                    assert_eq!(map_pixel([a, b, c]), expected, "{a} {b} {c}");
+                }
+            }
         }
     }
 
@@ -238,6 +275,24 @@ mod tests {
         assert!(scales[0].max > scales[1].max);
         // Zero variance degenerates to a point range -> midgray mapping.
         assert_eq!(scales[2].to_byte_range(0.0), 128.0);
+    }
+
+    #[test]
+    fn noise_eigenvalues_of_a_rank_deficient_set_are_zero_variance() {
+        // What a 32-band, 2-vector unique set leaves: one variance and
+        // rounding.
+        let mut eigenvalues = vec![6e5, 3e-11, 2e-11];
+        eigenvalues.resize(32, -1e-12);
+        let scales = ComponentScale::from_eigenvalues(&eigenvalues, 3);
+        assert!(scales[0].max > 2000.0);
+        for noise in &scales[1..] {
+            assert_eq!((noise.min, noise.max), (0.0, 0.0));
+            assert_eq!(noise.to_byte_range(1e-5), 128.0);
+        }
+        // A small variance that is a variance keeps its range.
+        let real = ComponentScale::from_eigenvalues(&[6e5, 1e-6, 2e-11], 3);
+        assert!((real[1].max - 3.5e-3).abs() < 1e-12);
+        assert_eq!(real[2].max, 0.0);
     }
 
     #[test]

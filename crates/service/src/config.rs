@@ -43,6 +43,11 @@ pub enum ConfigError {
     NoLanes,
     /// `replica_groups` is non-zero but `replication_level` is zero.
     ZeroReplicationLevel,
+    /// A failure detector of the pool has a heartbeat period or a miss
+    /// threshold of zero, hence a failure timeout of zero: every sweep would
+    /// declare every member failed, and the scheduler's next detector
+    /// deadline would always be "now".
+    ZeroFailureTimeout,
     /// A job spec asked for zero shards.
     ZeroShards,
     /// A tenant quota carries a fair-share weight of zero: the tenant
@@ -68,6 +73,10 @@ impl std::fmt::Display for ConfigError {
             ConfigError::ZeroReplicationLevel => {
                 write!(f, "replica groups need a replication level of at least 1")
             }
+            ConfigError::ZeroFailureTimeout => write!(
+                f,
+                "failure detectors need a heartbeat period and a miss threshold of at least 1"
+            ),
             ConfigError::ZeroShards => write!(f, "a job needs at least one shard"),
             ConfigError::ZeroTenantWeight(tenant) => {
                 write!(f, "tenant {tenant} needs a fair-share weight of at least 1")
@@ -227,6 +236,12 @@ impl ServiceConfig {
         }
         if pool.replica_groups > 0 && pool.replication_level == 0 {
             return Err(ConfigError::ZeroReplicationLevel);
+        }
+        if [pool.detector, pool.standard_detector]
+            .iter()
+            .any(|detector| detector.failure_timeout_ms() == 0)
+        {
+            return Err(ConfigError::ZeroFailureTimeout);
         }
         self.admission.validate()?;
         Ok(())
@@ -420,6 +435,35 @@ mod tests {
                 .unwrap_err(),
             ConfigError::ZeroReplicationLevel
         );
+    }
+
+    #[test]
+    fn a_zero_failure_timeout_is_rejected_on_either_detector() {
+        let zero_period = DetectorConfig {
+            heartbeat_period_ms: 0,
+            miss_threshold: 3,
+        };
+        let zero_threshold = DetectorConfig {
+            heartbeat_period_ms: 10,
+            miss_threshold: 0,
+        };
+        for bad in [zero_period, zero_threshold] {
+            for pool in [
+                PoolConfig {
+                    detector: bad,
+                    ..PoolConfig::default()
+                },
+                PoolConfig {
+                    standard_detector: bad,
+                    ..PoolConfig::default()
+                },
+            ] {
+                assert_eq!(
+                    ServiceConfig::builder().pool(pool).build().unwrap_err(),
+                    ConfigError::ZeroFailureTimeout
+                );
+            }
+        }
     }
 
     #[test]

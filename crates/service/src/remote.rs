@@ -29,8 +29,10 @@
 //! empty.
 //!
 //! Connection establishment is synchronous in [`RemoteLane::start`]
-//! (including the protocol-version handshake), so a mismatched or absent
-//! worker fails service start with a typed error instead of a dead lane.
+//! (including the handshake on protocol and numerics versions), so a
+//! mismatched or absent worker fails service start with a typed error instead
+//! of a dead lane — and with nothing left running: the workers established
+//! before it are shut down and joined first.
 
 use crate::config::RemoteWorkerSpec;
 use crate::{Result, ServiceError};
@@ -67,37 +69,75 @@ pub(crate) struct RemoteLane {
 impl RemoteLane {
     /// Establishes every configured worker — spawning processes or threads,
     /// accepting their connections, running the version handshake — and
-    /// starts one bridge per worker.
+    /// starts one bridge per worker.  When a worker cannot be established
+    /// (never dialled in, refused by the handshake) nothing outlives the
+    /// typed error: the workers before it are shut down and joined.
     pub fn start(runtime: &Runtime<PctMessage>, specs: &[RemoteWorkerSpec]) -> Result<RemoteLane> {
-        let mut workers = Vec::new();
-        let mut handles = Vec::new();
+        let mut lane = RemoteLane {
+            workers: Vec::new(),
+            handles: Vec::new(),
+        };
         for (i, spec) in specs.iter().enumerate() {
-            let name = format!("rw{i}");
-            let ctx = runtime.context(name.clone())?;
-            let (mut transport, child, worker_thread) = establish(&name, spec)?;
-            handshake(&mut transport, HANDSHAKE_TIMEOUT)?;
-            // The handshake was read on `transport`, so that handle keeps
-            // receiving; its clone sends.
-            let sender = transport.try_clone()?;
-            let pid = child.as_ref().map(|c| c.id());
-            let router = ctx.router();
-            let inbound_name = name.clone();
-            let bridge = vec![
-                spawn_half(&name, "out", move || relay_outbound(ctx, sender))?,
-                spawn_half(&name, "in", move || {
-                    relay_inbound(&inbound_name, &router, transport)
-                })?,
-            ];
-            workers.push(name.clone());
-            handles.push(RemoteWorkerHandle {
-                name,
-                pid,
-                child,
-                bridge,
-                worker_thread,
-            });
+            if let Err(e) = lane.start_worker(runtime, format!("rw{i}"), spec) {
+                lane.abandon(runtime);
+                return Err(e);
+            }
         }
-        Ok(RemoteLane { workers, handles })
+        Ok(lane)
+    }
+
+    /// Brings one worker up.  Its handle is in `self.handles` from the
+    /// moment anything of it exists, so a failure half-way leaves
+    /// [`RemoteLane::abandon`] something to reap.
+    fn start_worker(
+        &mut self,
+        runtime: &Runtime<PctMessage>,
+        name: String,
+        spec: &RemoteWorkerSpec,
+    ) -> Result<()> {
+        let ctx = runtime.context(name.clone())?;
+        self.handles.push(RemoteWorkerHandle {
+            name: name.clone(),
+            pid: None,
+            child: None,
+            bridge: Vec::new(),
+            worker_thread: None,
+        });
+        let handle = self.handles.last_mut().expect("just pushed");
+        let mut transport = establish(handle, spec)?;
+        handshake(&mut transport, HANDSHAKE_TIMEOUT)?;
+        // The handshake was read on `transport`, so that handle keeps
+        // receiving; its clone sends.
+        let sender = transport.try_clone()?;
+        let router = ctx.router();
+        let inbound_name = name.clone();
+        handle.bridge.push(spawn_half(&name, "out", move || {
+            relay_outbound(ctx, sender)
+        })?);
+        handle.bridge.push(spawn_half(&name, "in", move || {
+            relay_inbound(&inbound_name, &router, transport)
+        })?);
+        self.workers.push(name);
+        Ok(())
+    }
+
+    /// Ends what a failed start had established, on the path a service
+    /// shutdown takes: `Shutdown` into every worker's mailbox (its outbound
+    /// half forwards it and hangs up), then [`RemoteLane::shutdown`].  The
+    /// worker that failed has no bridge to tell: its connection, if it got
+    /// one, was closed by the error, and its process is killed in case it
+    /// never dialled in.
+    fn abandon(&mut self, runtime: &Runtime<PctMessage>) {
+        let router = runtime.router();
+        for handle in &mut self.handles {
+            if !handle.bridge.is_empty() {
+                let name = handle.name.as_str();
+                let _ = router.send(MANAGER, name, SeqNum::FIRST, PctMessage::Shutdown);
+            } else if let Some(child) = &mut handle.child {
+                let _ = child.kill();
+            }
+        }
+        self.shutdown();
     }
 
     /// `(routing name, OS pid)` of every worker; the pid is `None` for
@@ -130,20 +170,13 @@ impl RemoteLane {
 }
 
 /// Brings one worker endpoint up per its spec and returns the connected
-/// transport plus whatever owns the far side (a child process, an
-/// in-process thread, or nothing for `Connect`).
-#[allow(clippy::type_complexity)]
-fn establish(
-    name: &str,
-    spec: &RemoteWorkerSpec,
-) -> Result<(
-    TcpTransport,
-    Option<std::process::Child>,
-    Option<std::thread::JoinHandle<()>>,
-)> {
+/// transport.  Whatever owns the far side (a child process, an in-process
+/// thread, or nothing for `Connect`) goes into `handle` as soon as it exists.
+fn establish(handle: &mut RemoteWorkerHandle, spec: &RemoteWorkerSpec) -> Result<TcpTransport> {
+    let name = handle.name.clone();
     match spec {
         RemoteWorkerSpec::Spawn { command, args } => {
-            let (listener, addr) = bind_loopback(name)?;
+            let (listener, addr) = bind_loopback(&name)?;
             let child = std::process::Command::new(command)
                 .args(args)
                 .arg(&addr)
@@ -153,17 +186,15 @@ fn establish(
                         "spawning remote worker {name} ({command}): {e}"
                     ))
                 })?;
-            let stream = accept_with_deadline(&listener, name)?;
-            Ok((TcpTransport::new(stream)?, Some(child), None))
+            handle.pid = Some(child.id());
+            handle.child = Some(child);
+            Ok(TcpTransport::new(accept_with_deadline(&listener, &name)?)?)
         }
-        RemoteWorkerSpec::Connect { addr } => {
-            let transport = TcpTransport::connect(addr).map_err(|e| {
-                ServiceError::Internal(format!("connecting to remote worker {name} at {addr}: {e}"))
-            })?;
-            Ok((transport, None, None))
-        }
+        RemoteWorkerSpec::Connect { addr } => TcpTransport::connect(addr).map_err(|e| {
+            ServiceError::Internal(format!("connecting to remote worker {name} at {addr}: {e}"))
+        }),
         RemoteWorkerSpec::Thread => {
-            let (listener, addr) = bind_loopback(name)?;
+            let (listener, addr) = bind_loopback(&name)?;
             let thread_name = format!("fusiond-remote-{name}");
             let worker = std::thread::Builder::new()
                 .name(thread_name)
@@ -175,8 +206,8 @@ fn establish(
                     }
                 })
                 .map_err(|e| ServiceError::Internal(format!("spawning worker thread: {e}")))?;
-            let stream = accept_with_deadline(&listener, name)?;
-            Ok((TcpTransport::new(stream)?, None, Some(worker)))
+            handle.worker_thread = Some(worker);
+            Ok(TcpTransport::new(accept_with_deadline(&listener, &name)?)?)
         }
     }
 }

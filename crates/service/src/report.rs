@@ -208,6 +208,13 @@ impl ServiceReport {
     pub fn render(&self) -> String {
         let mut out = String::new();
         out.push_str("fusiond service report\n");
+        // What a remote worker must announce to join this service's pool:
+        // outputs are byte-identical within a numerics version only.
+        out.push_str(&format!(
+            "  build:  wire protocol v{}, numerics n{}\n",
+            wire::PROTOCOL_VERSION,
+            linalg::NUMERICS_VERSION,
+        ));
         out.push_str(&format!(
             "  jobs:   {} completed, {} failed, {} cancelled, {} timed out ({} submitted, {} rejected by backpressure)\n",
             self.jobs_completed,
@@ -361,6 +368,7 @@ mod tests {
         report.route_completed(BackendKind::SharedMemory);
         assert_eq!(report.bytes_cloned(), 7);
         let text = report.render();
+        assert!(text.contains("  build:  wire protocol v2, numerics n2\n"));
         assert!(text.contains("4 completed"));
         assert!(text.contains("1 rejected"));
         assert!(text.contains("high-water mark 3"));

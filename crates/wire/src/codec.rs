@@ -32,7 +32,7 @@
 use crate::frame::{self, FRAME_HEADER_BYTES};
 use crate::{Result, WireError, PROTOCOL_VERSION};
 use hsi::{CubeDims, CubeView, HyperCube};
-use linalg::{Matrix, Vector};
+use linalg::{Matrix, Vector, NUMERICS_VERSION};
 use pct::messages::PctMessage;
 use pct::PctConfig;
 use std::sync::Arc;
@@ -44,16 +44,19 @@ pub enum WireMessage {
     Hello {
         /// The sender's [`PROTOCOL_VERSION`].
         version: u32,
+        /// The sender's [`linalg::NUMERICS_VERSION`].
+        numerics: u32,
     },
     /// A fusion protocol message.
     Pct(PctMessage),
 }
 
 impl WireMessage {
-    /// A `Hello` announcing this build's protocol version.
+    /// A `Hello` announcing this build's protocol and numerics versions.
     pub fn hello() -> Self {
         WireMessage::Hello {
             version: PROTOCOL_VERSION,
+            numerics: NUMERICS_VERSION,
         }
     }
 }
@@ -142,9 +145,10 @@ fn encode_unsealed(msg: &WireMessage) -> Vec<u8> {
     let mut out = Vec::with_capacity(len);
     out.extend_from_slice(&[0; FRAME_HEADER_BYTES]);
     match msg {
-        WireMessage::Hello { version } => {
+        WireMessage::Hello { version, numerics } => {
             out.push(TAG_HELLO);
             put_u32(&mut out, *version);
+            put_u32(&mut out, *numerics);
         }
         WireMessage::Pct(PctMessage::ScreenTask {
             task,
@@ -275,7 +279,7 @@ fn body_len(msg: &WireMessage) -> usize {
     let matrix = |m: &Matrix| 8 + 8 * m.as_slice().len();
     let view = |v: &CubeView| 20 + v.payload_bytes();
     let WireMessage::Pct(msg) = msg else {
-        return 1 + 4;
+        return 1 + 4 + 4;
     };
     match msg {
         PctMessage::ScreenTask { view: v, .. } => TASK + view(v) + 8,
@@ -483,7 +487,12 @@ pub fn decode_body(body: &[u8]) -> Result<WireMessage> {
     let mut r = Reader::new(body);
     let tag = r.u8()?;
     let msg = match tag {
-        TAG_HELLO => WireMessage::Hello { version: r.u32()? },
+        TAG_HELLO => WireMessage::Hello {
+            version: r.u32()?,
+            // A body that ends here is a protocol-1 `Hello`; every such
+            // build had numerics version 1.
+            numerics: if r.remaining() == 0 { 1 } else { r.u32()? },
+        },
         TAG_SCREEN_TASK => WireMessage::Pct(PctMessage::ScreenTask {
             task: r.usize64()?,
             view: r.view()?,
@@ -696,11 +705,12 @@ mod tests {
         }
     }
 
-    /// The protocol-v1 encoder as first written — every field appended one
-    /// element at a time, views through [`CubeView::materialize`], the body
-    /// then wrapped by [`frame::frame`] — kept as the reference that freezes
-    /// the wire format: [`encode_message`] may get there any way it likes,
-    /// but not to different bytes.
+    /// The encoder as first written — every field appended one element at a
+    /// time, views through [`CubeView::materialize`], the body then wrapped
+    /// by [`frame::frame`] — kept as the reference that freezes the wire
+    /// format (protocol 1's, but for the `Hello`, which protocol 2 extended
+    /// by the numerics word): [`encode_message`] may get there any way it
+    /// likes, but not to different bytes.
     fn reference_encode(msg: &WireMessage) -> Vec<u8> {
         fn u32_(out: &mut Vec<u8>, v: usize) {
             out.extend_from_slice(&(v as u32).to_le_bytes());
@@ -744,9 +754,10 @@ mod tests {
         }
         let out = &mut Vec::new();
         let pct = match msg {
-            WireMessage::Hello { version } => {
+            WireMessage::Hello { version, numerics } => {
                 out.push(0);
                 u32_(out, *version as usize);
+                u32_(out, *numerics as usize);
                 return frame::frame(out);
             }
             WireMessage::Pct(pct) => pct,
@@ -868,7 +879,10 @@ mod tests {
         // and the tag numbering are pinned to something no code here made.
         assert_eq!(
             encode_message(&WireMessage::hello()),
-            [b'F', b'U', b'S', b'1', 5, 0, 0, 0, 0x78, 0x90, 0x9e, 0x7e, 0, 1, 0, 0, 0]
+            [
+                b'F', b'U', b'S', b'1', 9, 0, 0, 0, 0x58, 0xdb, 0x25, 0x0e, 0, 2, 0, 0, 0, 2, 0, 0,
+                0
+            ]
         );
     }
 

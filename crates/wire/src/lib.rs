@@ -14,7 +14,7 @@
 //!   impls: an in-process [`transport::loopback_pair`] for deterministic
 //!   tests, and [`transport::TcpTransport`] over `std::net::TcpStream` for
 //!   real worker processes.  [`transport::handshake`] exchanges protocol
-//!   versions and rejects mismatches with a typed error.
+//!   and numerics versions and rejects mismatches with a typed error.
 //! - [`worker`] — the remote worker loop: receive tasks, compute via
 //!   [`pct::distributed::handle_task`], reply, heartbeat.  The
 //!   `fusiond-worker` binary is a `main` around [`worker::run_worker`].
@@ -22,13 +22,27 @@
 //! # Version policy
 //!
 //! [`PROTOCOL_VERSION`] is bumped on **any** layout change — field order,
-//! widths, tag numbering, frame header.  Peers exchange `Hello{version}`
-//! frames first; a mismatch fails the connection with
-//! [`WireError::VersionMismatch`] before any payload is interpreted.  There
-//! is deliberately no in-band negotiation: a fleet rolls forward by
-//! draining workers on the old version, which the service's failover
-//! machinery already handles (a worker that disappears has its tasks
-//! re-dispatched).
+//! widths, tag numbering, frame header (2 since the `Hello` carries the
+//! numerics word).  [`linalg::NUMERICS_VERSION`] is bumped by anything that
+//! can change a last bit of a kernel's output.  Peers exchange
+//! `Hello{version, numerics}` frames first; [`transport::handshake`] alone
+//! compares them — protocol first, [`WireError::VersionMismatch`], then
+//! numerics, [`WireError::NumericsMismatch`] — and fails the connection
+//! before any payload is interpreted (a `Hello` that ends after the protocol
+//! word is a protocol-1 peer's and decodes with numerics 1).  There is
+//! deliberately no in-band negotiation: a fleet rolls forward by draining
+//! workers on the old version, which the service's failover machinery
+//! already handles (a worker that disappears has its tasks re-dispatched).
+//!
+//! # The identity contract
+//!
+//! Every lane's output is byte-identical to `SequentialPct`'s across lanes,
+//! faults and processes *within* a numerics version — the handshake is what
+//! keeps a job inside one.  *Across* versions eigenvalues, residuals and
+//! well-separated eigenvectors agree within stated multiples of
+//! `n * eps * ||A||` (`linalg`'s `eigen::tests::accuracy`,
+//! `pct::pipeline`'s `eigen_across_versions` property): a tolerance, not a
+//! hash.
 
 pub mod codec;
 pub mod frame;
@@ -43,7 +57,7 @@ pub use transport::{handshake, loopback_pair, LoopbackTransport, TcpTransport, T
 
 /// Protocol version spoken by this build.  Bumped on any layout change;
 /// see the crate-level version policy.
-pub const PROTOCOL_VERSION: u32 = 1;
+pub const PROTOCOL_VERSION: u32 = 2;
 
 /// Typed failures of the wire layer.  Decoding never panics: malformed,
 /// truncated, corrupted or incompatible input always surfaces as one of
@@ -81,6 +95,14 @@ pub enum WireError {
         /// The version the peer announced.
         theirs: u32,
     },
+    /// The peer speaks our protocol but its kernels are of another numerics
+    /// version: its results would not be byte-identical to ours.
+    NumericsMismatch {
+        /// Our [`linalg::NUMERICS_VERSION`].
+        ours: u32,
+        /// The numerics version the peer announced.
+        theirs: u32,
+    },
     /// The frame body starts with a tag no message is assigned to.
     UnknownTag(u8),
     /// A structurally invalid body: inconsistent lengths, dims that don't
@@ -115,6 +137,12 @@ impl std::fmt::Display for WireError {
                 write!(
                     f,
                     "protocol version mismatch: we speak v{ours}, peer speaks v{theirs}"
+                )
+            }
+            WireError::NumericsMismatch { ours, theirs } => {
+                write!(
+                    f,
+                    "numerics version mismatch: our kernels are n{ours}, the peer's n{theirs}"
                 )
             }
             WireError::UnknownTag(tag) => write!(f, "unknown message tag {tag}"),

@@ -3,12 +3,13 @@
 //!
 //! A [`Transport`] moves whole [`WireMessage`]s; framing, CRC checks and
 //! codec work happen inside the impls so callers never see partial frames.
-//! [`handshake`] runs the symmetric version exchange both peers perform
-//! before any payload flows.
+//! [`handshake`] runs the symmetric version exchange (protocol, then
+//! numerics) both peers perform before any payload flows.
 
 use crate::codec::{decode_body, encode_message, WireMessage};
 use crate::frame::FrameReader;
 use crate::{Result, WireError, PROTOCOL_VERSION};
+use linalg::NUMERICS_VERSION;
 use std::io::Write;
 use std::net::{Shutdown, TcpStream};
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
@@ -28,21 +29,31 @@ pub trait Transport: Send {
     fn peer(&self) -> String;
 }
 
-/// Runs the protocol-version handshake on a fresh connection.
+/// Runs the version handshake on a fresh connection.
 ///
-/// Both sides send `Hello{version}` first, then read the peer's.  The
-/// exchange is symmetric — neither side is the "client" — and safe on both
-/// transports because a `Hello` frame is tiny and never blocks a send.
-/// Any non-`Hello` first frame is [`WireError::Malformed`]; a differing
-/// version is [`WireError::VersionMismatch`].
+/// Both sides send `Hello{version, numerics}` first, then read the peer's.
+/// The exchange is symmetric — neither side is the "client" — and safe on
+/// both transports because a `Hello` frame is tiny and never blocks a send.
+/// Any non-`Hello` first frame is [`WireError::Malformed`].  This is the one
+/// place that decides compatibility: a differing protocol version is
+/// [`WireError::VersionMismatch`], and between peers of one protocol a
+/// differing numerics version is [`WireError::NumericsMismatch`].
 pub fn handshake(transport: &mut dyn Transport, timeout: Duration) -> Result<()> {
     transport.send(&WireMessage::hello())?;
     match transport.recv_timeout(timeout)? {
-        Some(WireMessage::Hello { version }) if version == PROTOCOL_VERSION => Ok(()),
-        Some(WireMessage::Hello { version }) => Err(WireError::VersionMismatch {
-            ours: PROTOCOL_VERSION,
-            theirs: version,
-        }),
+        Some(WireMessage::Hello { version, .. }) if version != PROTOCOL_VERSION => {
+            Err(WireError::VersionMismatch {
+                ours: PROTOCOL_VERSION,
+                theirs: version,
+            })
+        }
+        Some(WireMessage::Hello { numerics, .. }) if numerics != NUMERICS_VERSION => {
+            Err(WireError::NumericsMismatch {
+                ours: NUMERICS_VERSION,
+                theirs: numerics,
+            })
+        }
+        Some(WireMessage::Hello { .. }) => Ok(()),
         Some(_) => Err(WireError::Malformed("peer spoke before the handshake")),
         None => Err(WireError::Io(format!(
             "handshake with {} timed out",
@@ -255,7 +266,11 @@ mod tests {
     fn version_mismatch_is_a_typed_error() {
         let (mut a, mut b) = loopback_pair();
         // A peer from the future announces v999.
-        b.send(&WireMessage::Hello { version: 999 }).unwrap();
+        b.send(&WireMessage::Hello {
+            version: 999,
+            numerics: NUMERICS_VERSION,
+        })
+        .unwrap();
         let err = handshake(&mut a, TICK).unwrap_err();
         assert_eq!(
             err,
@@ -263,6 +278,32 @@ mod tests {
                 ours: PROTOCOL_VERSION,
                 theirs: 999
             }
+        );
+    }
+
+    #[test]
+    fn numerics_mismatch_between_peers_of_one_protocol_is_a_typed_error() {
+        let (mut a, mut b) = loopback_pair();
+        b.send(&WireMessage::Hello {
+            version: PROTOCOL_VERSION,
+            numerics: 1,
+        })
+        .unwrap();
+        assert_eq!(
+            handshake(&mut a, TICK).unwrap_err(),
+            WireError::NumericsMismatch { ours: 2, theirs: 1 }
+        );
+    }
+
+    #[test]
+    fn pre_numerics_hello_is_a_version_mismatch_not_a_truncation() {
+        // What every protocol-1 build sends: `[tag][protocol u32]`, no
+        // numerics word.
+        let (mut a, b) = loopback_pair();
+        b.tx.send(crate::frame::frame(&[0, 1, 0, 0, 0])).unwrap();
+        assert_eq!(
+            handshake(&mut a, TICK).unwrap_err(),
+            WireError::VersionMismatch { ours: 2, theirs: 1 }
         );
     }
 

@@ -4,7 +4,7 @@
 //! always surfaces a typed [`WireError`].
 
 use hsi::{CubeDims, CubeView, HyperCube};
-use linalg::{Matrix, Vector};
+use linalg::{Matrix, Vector, NUMERICS_VERSION};
 use pct::messages::PctMessage;
 use pct::PctConfig;
 use proptest::prelude::*;
@@ -176,7 +176,7 @@ proptest! {
             WireMessage::Pct(PctMessage::TaskFailed { task: 8, error: format!("err {salt}") }),
             WireMessage::Pct(PctMessage::Heartbeat),
             WireMessage::Pct(PctMessage::Shutdown),
-            WireMessage::Hello { version: count as u32 },
+            WireMessage::Hello { version: count as u32, numerics: b as u32 },
         ] {
             assert_bits_round_trip(&msg);
         }
@@ -271,11 +271,38 @@ proptest! {
     fn version_mismatches_are_typed(theirs in 0u32..10_000) {
         prop_assume!(theirs != PROTOCOL_VERSION);
         let (mut ours, mut peer) = wire::loopback_pair();
-        peer.send(&WireMessage::Hello { version: theirs }).unwrap();
+        peer.send(&WireMessage::Hello { version: theirs, numerics: NUMERICS_VERSION }).unwrap();
         let err = wire::handshake(&mut ours, std::time::Duration::from_millis(200)).unwrap_err();
         prop_assert_eq!(
             err,
             WireError::VersionMismatch { ours: PROTOCOL_VERSION, theirs }
+        );
+    }
+
+    /// A `Hello` carries protocol and numerics versions through a round
+    /// trip; cut after the protocol word it is a pre-numerics peer's, which
+    /// decodes (numerics 1) instead of reading as truncated; and whatever
+    /// foreign numerics a peer of our protocol announces, the handshake
+    /// refuses it typed, with both values.
+    #[test]
+    fn hello_numerics_round_trip_and_mismatches_are_typed(version in 0u32..10_000, numerics in 0u32..10_000) {
+        let hello = WireMessage::Hello { version, numerics };
+        assert_bits_round_trip(&hello);
+        let frame_bytes = encode_message(&hello);
+        let body = &frame_bytes[FRAME_HEADER_BYTES..];
+        prop_assert_eq!(
+            decode_body(&body[..5]),
+            Ok(WireMessage::Hello { version, numerics: 1 })
+        );
+        prop_assert!(matches!(decode_body(&body[..7]), Err(WireError::Truncated { .. })));
+
+        prop_assume!(numerics != NUMERICS_VERSION);
+        let (mut ours, mut peer) = wire::loopback_pair();
+        peer.send(&WireMessage::Hello { version: PROTOCOL_VERSION, numerics }).unwrap();
+        let err = wire::handshake(&mut ours, std::time::Duration::from_millis(200)).unwrap_err();
+        prop_assert_eq!(
+            err,
+            WireError::NumericsMismatch { ours: NUMERICS_VERSION, theirs: numerics }
         );
     }
 }

@@ -257,8 +257,17 @@ fn service_concurrent_jobs_are_byte_identical_to_sequential() {
 fn service_admission_queue_applies_backpressure() {
     // One job in flight, a queue of two: once the queue is full, try_submit
     // must reject with Saturated until the scheduler drains something.
+    //
+    // The three submissions below race the running job: were it to finish
+    // first, the scheduler would admit a queued job and the third submission
+    // would be accepted.  A 64x64 blocker runs for about 0.15 s in a debug
+    // build, which a loaded two-core box has been seen to eat; four times the
+    // pixels gives it the margin.  The form with no race is ROADMAP item 2's
+    // sweep (admission and the scheduler on virtual time).
     let service = test_service(2, 1);
-    let slow = JobSpec::builder(CubeSource::Synthetic(slow_job_scene(70)))
+    let mut blocker = slow_job_scene(70);
+    blocker.dims = CubeDims::new(128, 128, 32);
+    let slow = JobSpec::builder(CubeSource::Synthetic(blocker))
         .pinned(BackendKind::Standard)
         .shards(1)
         .build()
@@ -314,11 +323,28 @@ fn service_cancellation_mid_flight_and_while_queued() {
         .unwrap();
     wait_for_running(&running);
 
-    // Cancel the in-flight job mid-screening and the queued job behind it.
-    assert!(running.cancel());
+    // Cancel the queued job, then the in-flight job mid-screening.  In this
+    // order: the slot a cancelled running job frees could admit *and finish*
+    // a job this small before its own cancel landed.
     assert!(queued.cancel());
+    assert!(running.cancel());
     assert_eq!(running.wait().unwrap(), JobOutcome::Cancelled);
     assert_eq!(queued.wait().unwrap(), JobOutcome::Cancelled);
+
+    // The other order — the running job first, so the freed slot may admit
+    // the job behind it before that one's cancel lands — with a queued job
+    // slow enough to still be there, queued or running, when it does.
+    let slow_job = |seed| {
+        let scene = CubeSource::Synthetic(slow_job_scene(seed));
+        let spec = JobSpec::builder(scene).pinned(BackendKind::Standard);
+        service.submit(spec.shards(2).build().unwrap()).unwrap()
+    };
+    let (mut first, mut behind) = (slow_job(74), slow_job(79));
+    wait_for_running(&first);
+    assert!(first.cancel());
+    assert!(behind.cancel());
+    assert_eq!(first.wait().unwrap(), JobOutcome::Cancelled);
+    assert_eq!(behind.wait().unwrap(), JobOutcome::Cancelled);
     // The record is consumed, but the handle still answers — the old
     // UnknownJob footgun is gone.
     assert_eq!(running.status().unwrap(), JobStatus::Cancelled);
@@ -343,7 +369,7 @@ fn service_cancellation_mid_flight_and_while_queued() {
         .unwrap();
     assert_eq!(outcome, JobOutcome::Completed(reference));
     let report = service.shutdown();
-    assert_eq!(report.jobs_cancelled, 2);
+    assert_eq!(report.jobs_cancelled, 4);
     assert_eq!(report.jobs_completed, 1);
 }
 
@@ -962,7 +988,7 @@ fn standard_nan_sample_fails_the_job_typed_and_the_lane_keeps_serving() {
     let took = submitted.elapsed();
     match outcome {
         JobOutcome::Failed(cause) => assert!(
-            cause.contains("jacobi_eigen requires finite input"),
+            cause.contains("sorted_eigenpairs requires finite input"),
             "unexpected cause: {cause}"
         ),
         other => panic!("a NaN sample must fail the job, got {:?}", other.status()),
@@ -1397,6 +1423,57 @@ fn screening_threshold_trades_unique_set_size_for_work() {
     assert!(loose.variance_fraction(3) > 0.9);
 }
 
+/// A unique set of two vectors has one principal component; the second and
+/// third eigenvalues are the eigensolver's rounding and must not be stretched
+/// into colour.  With components two and three flat (128) every pixel is
+/// `128 + (0.4387, 0.4972, 0.1355) * t` for one `t`, rounded per channel.
+#[test]
+fn rank_two_unique_set_leaves_second_and_third_components_flat() {
+    // `ingest_replay`'s shape: 45 degree screening of a 64x64x32 scene.
+    let cube = Arc::new(SceneGenerator::new(slow_job_scene(150)).unwrap().generate());
+    let config = PctConfig {
+        screening_angle_rad: 45.0_f64.to_radians(),
+        ..PctConfig::paper()
+    };
+    let service = test_service(4, 2);
+    let mut handle = service
+        .submit(
+            JobSpec::builder(CubeSource::InMemory(Arc::clone(&cube)))
+                .config(config)
+                .pinned(BackendKind::Standard)
+                .shards(3)
+                .build()
+                .unwrap(),
+        )
+        .unwrap();
+    let outcome = handle.wait().unwrap();
+    let output = outcome.output().expect("job completes");
+    assert_eq!(output, &SequentialPct::new(config).run(&cube).unwrap());
+    assert_eq!(output.unique_count, 2);
+    assert!(output.eigenvalues[1].abs() < 1e-9 * output.eigenvalues[0]);
+    let mut levels = std::collections::BTreeSet::new();
+    for y in 0..output.image.height() {
+        for x in 0..output.image.width() {
+            let [r, g, b] = output
+                .image
+                .get(x, y)
+                .unwrap()
+                .map(|c| f64::from(c) - 128.0);
+            assert!(
+                (r - 0.4387 / 0.4972 * g).abs() <= 1.0,
+                "({x}, {y}): red {r}, green {g}"
+            );
+            assert!(
+                (b - 0.1355 / 0.4972 * g).abs() <= 1.0,
+                "({x}, {y}): blue {b}, green {g}"
+            );
+            levels.insert(g as i64);
+        }
+    }
+    assert!(levels.len() > 8, "the first component still varies");
+    service.shutdown();
+}
+
 /// The telemetry acceptance criterion: a chaos run with the flight recorder
 /// on yields a span tree in which detection, regeneration and recompute all
 /// nest inside the affected job's lifetime with intact parent links and
@@ -1418,23 +1495,35 @@ fn chaos_trace_nests_detect_regenerate_recompute_under_the_affected_job() {
             .unwrap(),
     )
     .unwrap();
+    let events = service.subscribe();
 
-    let cube = Arc::new(
-        SceneGenerator::new(small_job_scene(140))
-            .unwrap()
-            .generate(),
-    );
+    // The killed member still computes the link it was handed and exits
+    // after it; the loss is detected by the first send to its group that
+    // finds the mailbox gone.  For that send to belong to this job's
+    // screening phase, which the span assertions below require, the phase
+    // has to outlast the member's exit: eight links of a 64x64 cube leave it
+    // seven links' worth of time, where three links of a 20x20 cube left a
+    // millisecond (and were seen to lose on a loaded two-core box).
+    let cube = Arc::new(SceneGenerator::new(slow_job_scene(140)).unwrap().generate());
     let mut handle = service
         .submit(
             JobSpec::builder(CubeSource::InMemory(Arc::clone(&cube)))
                 .pinned(BackendKind::Resilient)
-                .shards(3)
+                .shards(8)
                 .build()
                 .unwrap(),
         )
         .unwrap();
     let id = handle.id();
     let outcome = handle.wait().unwrap();
+    // The regeneration is on the event stream before the report is closed:
+    // no hoping that detection beat completion.
+    events
+        .wait_for(
+            Duration::from_secs(30),
+            |e| matches!(e, ServiceEvent::MemberRegenerated { failed, .. } if failed == "rg0#1"),
+        )
+        .expect("the killed member is regenerated");
 
     // Byte-identity survives the kill: telemetry observes, never perturbs.
     let reference = SequentialPct::new(PctConfig::paper()).run(&cube).unwrap();

@@ -8,6 +8,11 @@
 //! worker, nothing may panic, and no bridge thread may outlive
 //! `FusionService::shutdown`.
 //!
+//! A fifth peer never gets that far: it announces another numerics version,
+//! and the service must refuse to start — typed, before any task frame is
+//! written to it, and with the healthy worker started before it shut down
+//! and joined.
+//!
 //! This file holds exactly one test so that the process-wide thread scan at
 //! the end of each case sees only this drill's bridges.
 
@@ -23,7 +28,7 @@ use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use wire::{decode_body, encode_message, FrameReader, WireMessage};
+use wire::{decode_body, encode_message, FrameReader, WireError, WireMessage, PROTOCOL_VERSION};
 
 /// The watchdog of the drill's pool: a 30 ms detector window.
 const DETECTOR: DetectorConfig = DetectorConfig {
@@ -219,6 +224,60 @@ fn drill(hostility: Hostility) {
     }
 }
 
+/// A peer of our protocol whose kernels are numerics version 1, behind a
+/// healthy worker: service start fails with the typed cause, the peer is
+/// sent the service's `Hello` and not one byte more, and neither the healthy
+/// worker's thread nor its bridge outlives the error.
+fn refuse_mixed_numerics() {
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap().to_string();
+    let fake = std::thread::spawn(move || {
+        let (mut stream, _) = listener.accept().expect("the service connects");
+        stream
+            .set_read_timeout(Some(Duration::from_secs(20)))
+            .unwrap();
+        let hello = WireMessage::Hello {
+            version: PROTOCOL_VERSION,
+            numerics: 1,
+        };
+        stream.write_all(&encode_message(&hello)).unwrap();
+        let mut received = Vec::new();
+        stream
+            .read_to_end(&mut received)
+            .expect("the service hangs up");
+        received
+    });
+
+    let started = FusionService::start(
+        ServiceConfig::builder()
+            .pool(PoolConfig {
+                standard_workers: 0,
+                replica_groups: 0,
+                shared_memory_executors: 0,
+                remote_workers: vec![RemoteWorkerSpec::Thread, RemoteWorkerSpec::Connect { addr }],
+                ..PoolConfig::default()
+            })
+            .build()
+            .expect("config validates"),
+    );
+    let error = started.err().expect("a mixed-numerics pool must not start");
+    let cause = WireError::NumericsMismatch { ours: 2, theirs: 1 }.to_string();
+    assert!(error.to_string().contains(&cause), "{error}");
+    assert_eq!(
+        fake.join().expect("the fake peer's own checks failed"),
+        encode_message(&WireMessage::hello()),
+        "the refused peer was sent more than the service's Hello"
+    );
+    #[cfg(target_os = "linux")]
+    {
+        let left: Vec<String> = live_thread_names()
+            .into_iter()
+            .filter(|name| name.starts_with("fusiond-bridge") || name.starts_with("fusiond-remote"))
+            .collect();
+        assert!(left.is_empty(), "threads outlived a failed start: {left:?}");
+    }
+}
+
 #[test]
 fn remote_worker_hostile_peers_are_retired_and_the_survivor_finishes_byte_identical() {
     for hostility in [
@@ -229,4 +288,5 @@ fn remote_worker_hostile_peers_are_retired_and_the_survivor_finishes_byte_identi
     ] {
         drill(hostility);
     }
+    refuse_mixed_numerics();
 }
