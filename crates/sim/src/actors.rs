@@ -76,7 +76,8 @@ pub(crate) fn wire_bytes(msg: &PctMessage, bands: usize) -> u64 {
             wirecost::TAG_BYTES
                 + wirecost::TASK_ID_BYTES
                 + wirecost::vector_set_bytes(unique.len() as u64, b)
-                + 2 * wirecost::SAMPLE_BYTES,
+                + wirecost::SAMPLE_BYTES
+                + wirecost::LEN_PREFIX_BYTES,
         ),
         PctMessage::DerivedTransform {
             mean,
@@ -96,9 +97,12 @@ pub(crate) fn wire_bytes(msg: &PctMessage, bands: usize) -> u64 {
         PctMessage::RgbStrip { rows, width, .. } => {
             wirecost::rgb_strip_frame((*rows * *width) as u64)
         }
-        PctMessage::TaskFailed { error, .. } => {
-            wirecost::framed(wirecost::TAG_BYTES + wirecost::TASK_ID_BYTES + error.len() as u64)
-        }
+        PctMessage::TaskFailed { error, .. } => wirecost::framed(
+            wirecost::TAG_BYTES
+                + wirecost::TASK_ID_BYTES
+                + wirecost::LEN_PREFIX_BYTES
+                + error.len() as u64,
+        ),
         PctMessage::Heartbeat | PctMessage::Shutdown => wirecost::control_frame(),
     }
 }
