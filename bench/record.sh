@@ -68,9 +68,10 @@
 #     Jacobi before it — same row name, so the trend continues.  The binary
 #     prints the Jacobi oracle's time and the ratio on the same line; only
 #     the kernel's own time is recorded.
-#   * loc_<crate> / loc_tests / loc_fusebench — `wc -l` over every `.rs`
-#     file under crates/<crate>/, tests/ and fusebench/src/ (tests and
-#     comments included): ROADMAP aim 2 tracks net line count per crate.
+#   * loc_<crate> / loc_tests / loc_shims / loc_examples / loc_fusebench —
+#     `wc -l` over every `.rs` file under crates/<crate>/, tests/, shims/,
+#     examples/ and fusebench/src/ (tests and comments included): ROADMAP
+#     aim 2 tracks net line count per crate.
 #
 # After appending, the committed trend chart bench/BENCH_trends.svg is
 # regenerated from the full history by `bench --bin plot_history`.
@@ -109,7 +110,7 @@ KER=$(cargo run --release -q -p bench --bin kernel_rows 2>/dev/null)
     echo "$ING" | awk -v s="$STAMP" -v r="$REV" '$1=="CSV" {print s "," r "," $2 "," $3}'
     echo "$SIM" | awk -v s="$STAMP" -v r="$REV" '$1=="CSV" {print s "," r "," $2 "," $3}'
     echo "$KER" | awk -v s="$STAMP" -v r="$REV" '$1=="CSV" {print s "," r "," $2 "," $3}'
-    for dir in crates/*/ tests/ fusebench/src/; do
+    for dir in crates/*/ tests/ shims/ examples/ fusebench/src/; do
         name=$(basename "${dir%/src/}")
         echo "$STAMP,$REV,loc_$name,$(find "$dir" -name '*.rs' -exec cat {} + | wc -l)"
     done

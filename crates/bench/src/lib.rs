@@ -1,17 +1,14 @@
-//! Benchmark harness utilities shared by the figure-regeneration binaries
-//! and the criterion benches.
+//! Benchmark harness utilities shared by the figure-regeneration binaries.
 //!
 //! Every table/figure of the paper's evaluation has a regenerating target:
 //!
-//! | Paper artefact | Binary | Criterion bench |
-//! |---|---|---|
-//! | Figure 4 (speed-up with/without resiliency) | `cargo run -p bench --bin fig4_speedup --release` | `benches/fig4_speedup.rs` |
-//! | Figure 5 (granularity control) | `cargo run -p bench --bin fig5_granularity --release` | `benches/fig5_granularity.rs` |
-//! | §4 shared-memory claim (within ~5 % of linear) | `cargo run -p bench --bin smp_speedup --release` | — |
-//! | Replication-level ablation (extension of Figure 4) | `cargo run -p bench --bin replication_levels --release` | — |
-//! | Kernel micro-benchmarks (supporting) | — | `benches/kernels.rs` |
-//! | Screening-threshold ablation | — | `benches/screening_ablation.rs` |
-//! | Failure-detector ablation | — | `benches/detector_ablation.rs` |
+//! | Paper artefact | Binary |
+//! |---|---|
+//! | Figure 4 (speed-up with/without resiliency) | `cargo run -p bench --bin fig4_speedup --release` |
+//! | Figure 5 (granularity control) | `cargo run -p bench --bin fig5_granularity --release` |
+//! | §4 shared-memory claim (within ~5 % of linear) | `cargo run -p bench --bin smp_speedup --release` |
+//! | Replication-level ablation (extension of Figure 4) | `cargo run -p bench --bin replication_levels --release` |
+//! | Kernel rows (screening, dot kernels, step 6) | `cargo run -p bench --bin kernel_rows --release` |
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -97,19 +97,6 @@ impl RgbImage {
         Ok(())
     }
 
-    /// Mean luma (Rec. 601 weights) of the image, used by tests to reason
-    /// about overall brightness of fused composites.
-    pub fn mean_luma(&self) -> f64 {
-        if self.data.is_empty() {
-            return 0.0;
-        }
-        let mut acc = 0.0;
-        for px in self.data.chunks_exact(3) {
-            acc += 0.299 * px[0] as f64 + 0.587 * px[1] as f64 + 0.114 * px[2] as f64;
-        }
-        acc / (self.width * self.height) as f64
-    }
-
     /// Root-mean-square contrast of the luma channel — the paper argues the
     /// fused composite shows "significantly improved contrast levels", and
     /// the integration tests quantify that with this metric.
@@ -155,7 +142,6 @@ mod tests {
     #[test]
     fn black_image_has_zero_luma_and_contrast() {
         let img = RgbImage::black(4, 4);
-        assert_eq!(img.mean_luma(), 0.0);
         assert_eq!(img.rms_contrast(), 0.0);
     }
 
@@ -192,7 +178,6 @@ mod tests {
             }
         }
         assert!(img.rms_contrast() > 100.0);
-        assert!((img.mean_luma() - 127.5).abs() < 1.0);
     }
 
     #[test]

@@ -297,11 +297,6 @@ impl CubeView {
         self.samples() * std::mem::size_of::<f64>()
     }
 
-    /// Whether the view covers its entire backing cube.
-    pub fn is_full(&self) -> bool {
-        self.x0 == 0 && self.y0 == 0 && self.band0 == 0 && self.dims() == self.storage.dims()
-    }
-
     /// Flat offset in the backing storage of view pixel `(x, y)`'s first
     /// exposed band.
     fn pixel_offset(&self, x: usize, y: usize) -> Result<usize> {
@@ -426,7 +421,6 @@ mod tests {
     fn full_view_exposes_the_whole_cube() {
         let cube = coded_cube(4, 3, 2);
         let view = CubeView::full(Arc::clone(&cube));
-        assert!(view.is_full());
         assert_eq!(view.dims(), cube.dims());
         assert_eq!(view.pixel(3, 2).unwrap(), cube.pixel(3, 2).unwrap());
         assert_eq!(view.pixels(), 12);
@@ -438,7 +432,6 @@ mod tests {
     fn window_view_reads_the_right_pixels_without_copying() {
         let cube = coded_cube(5, 4, 3);
         let view = CubeView::window(Arc::clone(&cube), 1, 2, 3, 2).unwrap();
-        assert!(!view.is_full());
         assert_eq!(view.row_start(), 2);
         assert_eq!(view.x0(), 1);
         for y in 0..2 {

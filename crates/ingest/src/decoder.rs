@@ -61,11 +61,6 @@ impl StreamDecoder {
         self.chunks
     }
 
-    /// Whether every announced sample has arrived.
-    pub fn is_complete(&self) -> bool {
-        self.filled == self.header.dims.samples() && self.carry_len == 0
-    }
-
     /// Decodes one chunk of file-order payload bytes, scattering every
     /// completed sample to its BIP offset.  Chunks may be any size,
     /// including sizes that split an `f64` across pushes.
@@ -187,7 +182,6 @@ mod tests {
             for chunk in payload.chunks(13) {
                 decoder.push(chunk).unwrap();
             }
-            assert!(decoder.is_complete());
             let decoded = decoder.finish().unwrap();
             assert_eq!(
                 decoded.samples(),
@@ -219,7 +213,6 @@ mod tests {
         decoder
             .push(&bytes[CUBE_FILE_HEADER_LEN..bytes.len() - 16])
             .unwrap();
-        assert!(!decoder.is_complete());
         assert!(matches!(
             decoder.finish(),
             Err(IngestError::Truncated { .. })

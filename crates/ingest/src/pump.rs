@@ -73,12 +73,6 @@ impl SheddingPolicy {
         }
     }
 
-    /// Sets the hard queue-depth watermark.
-    pub fn with_max_queue_depth(mut self, depth: usize) -> Self {
-        self.max_queue_depth = depth;
-        self
-    }
-
     /// Sets the hard in-flight-bytes watermark.
     pub fn with_max_in_flight_bytes(mut self, bytes: usize) -> Self {
         self.max_in_flight_bytes = bytes;

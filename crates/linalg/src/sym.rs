@@ -43,11 +43,6 @@ impl SymMatrix {
         self.n
     }
 
-    /// Number of stored (packed) entries.
-    pub fn packed_len(&self) -> usize {
-        self.data.len()
-    }
-
     /// Immutable view of the packed storage, used when shipping partial
     /// covariance sums between workers and the manager.
     pub fn packed(&self) -> &[f64] {
@@ -87,12 +82,6 @@ impl SymMatrix {
     pub fn set(&mut self, i: usize, j: usize, value: f64) {
         let idx = self.index(i, j);
         self.data[idx] = value;
-    }
-
-    /// Adds `value` to entry `(i, j)`.
-    pub fn add_to(&mut self, i: usize, j: usize, value: f64) {
-        let idx = self.index(i, j);
-        self.data[idx] += value;
     }
 
     /// Column-tile width of the blocked [`SymMatrix::rank_one_update`].
@@ -242,7 +231,7 @@ mod tests {
 
     #[test]
     fn packed_len_is_triangular_number() {
-        assert_eq!(SymMatrix::zeros(210).packed_len(), 210 * 211 / 2);
+        assert_eq!(SymMatrix::zeros(210).packed().len(), 210 * 211 / 2);
     }
 
     #[test]

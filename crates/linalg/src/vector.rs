@@ -95,16 +95,6 @@ impl Vector {
         &self.data
     }
 
-    /// Mutable view of the underlying slice.
-    pub fn as_mut_slice(&mut self) -> &mut [f64] {
-        &mut self.data
-    }
-
-    /// Consumes the vector and returns the underlying storage.
-    pub fn into_vec(self) -> Vec<f64> {
-        self.data
-    }
-
     /// Dot product `self . other`.
     pub fn dot(&self, other: &Vector) -> Result<f64> {
         if self.len() != other.len() {
@@ -120,16 +110,6 @@ impl Vector {
     /// Euclidean (L2) norm.
     pub fn norm(&self) -> f64 {
         norm(&self.data)
-    }
-
-    /// L1 norm (sum of absolute values).
-    pub fn norm_l1(&self) -> f64 {
-        reduce::neumaier_sum(self.data.iter().map(|x| x.abs()))
-    }
-
-    /// Maximum absolute component.
-    pub fn norm_inf(&self) -> f64 {
-        self.data.iter().fold(0.0_f64, |m, x| m.max(x.abs()))
     }
 
     /// Spectral angle between two pixel vectors in radians.

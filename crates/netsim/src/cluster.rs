@@ -36,18 +36,18 @@ impl std::fmt::Display for ActorId {
 /// message transfers advance the clock.
 pub trait Actor<M> {
     /// Called once when the simulation starts.
-    fn on_start(&mut self, _ctx: &mut ActorContext<'_, M>) {}
+    fn on_start(&mut self, _ctx: &mut ActorContext<M>) {}
 
     /// Called when a message addressed to this actor is delivered.
-    fn on_message(&mut self, ctx: &mut ActorContext<'_, M>, from: ActorId, msg: M);
+    fn on_message(&mut self, ctx: &mut ActorContext<M>, from: ActorId, msg: M);
 
     /// Called when a compute block previously requested with
     /// [`ActorContext::compute`] finishes.  `tag` is the caller-chosen tag.
-    fn on_compute_done(&mut self, _ctx: &mut ActorContext<'_, M>, _tag: u64) {}
+    fn on_compute_done(&mut self, _ctx: &mut ActorContext<M>, _tag: u64) {}
 
     /// Called when a timer previously armed with
     /// [`ActorContext::set_timer`] fires.  Timers on dead nodes never fire.
-    fn on_timer(&mut self, _ctx: &mut ActorContext<'_, M>, _tag: u64) {}
+    fn on_timer(&mut self, _ctx: &mut ActorContext<M>, _tag: u64) {}
 }
 
 /// Operations an actor can request during a callback.  They are buffered and
@@ -62,16 +62,14 @@ enum Op<M> {
 }
 
 /// The interface an actor uses to interact with the simulated world.
-pub struct ActorContext<'a, M> {
+pub struct ActorContext<M> {
     now: SimTime,
     self_id: ActorId,
     self_node: NodeId,
-    actor_nodes: &'a [NodeId],
-    node_alive: &'a [bool],
     ops: Vec<Op<M>>,
 }
 
-impl<'a, M> ActorContext<'a, M> {
+impl<M> ActorContext<M> {
     /// Current virtual time.
     pub fn now(&self) -> SimTime {
         self.now
@@ -85,21 +83,6 @@ impl<'a, M> ActorContext<'a, M> {
     /// The node this actor runs on.
     pub fn self_node(&self) -> NodeId {
         self.self_node
-    }
-
-    /// The node a given actor runs on, if the actor exists.
-    pub fn node_of(&self, actor: ActorId) -> Option<NodeId> {
-        self.actor_nodes.get(actor.0).copied()
-    }
-
-    /// Whether a node is currently alive.
-    pub fn is_node_alive(&self, node: NodeId) -> bool {
-        self.node_alive.get(node.0).copied().unwrap_or(false)
-    }
-
-    /// Number of actors registered with the simulation.
-    pub fn actor_count(&self) -> usize {
-        self.actor_nodes.len()
     }
 
     /// Sends `msg` to another actor.  `bytes` is the payload size used by the
@@ -279,11 +262,6 @@ impl<M> ClusterSim<M> {
         })
     }
 
-    /// Number of nodes in the cluster.
-    pub fn node_count(&self) -> usize {
-        self.nodes.len()
-    }
-
     /// Installs a per-send [`LinkFault`] hook (drops, delays, partitions,
     /// reorder jitter).  At most one hook is active; drivers compose
     /// multiple fault kinds inside it.
@@ -323,34 +301,25 @@ impl<M> ClusterSim<M> {
         }));
     }
 
-    fn node_alive_flags(&self) -> Vec<bool> {
-        self.nodes.iter().map(|n| n.alive).collect()
-    }
-
     /// Runs one actor callback and applies the operations it requested.
     fn dispatch<F>(&mut self, actor_id: ActorId, callback: F)
     where
-        F: FnOnce(&mut dyn Actor<M>, &mut ActorContext<'_, M>),
+        F: FnOnce(&mut dyn Actor<M>, &mut ActorContext<M>),
     {
         let Some(slot) = self.actors.get_mut(actor_id.0) else {
             return;
         };
         let Some(mut actor) = slot.take() else { return };
         let node = self.actor_nodes[actor_id.0];
-        let alive_flags = self.node_alive_flags();
         let mut ctx = ActorContext {
             now: self.now,
             self_id: actor_id,
             self_node: node,
-            actor_nodes: &self.actor_nodes,
-            node_alive: &alive_flags,
             ops: Vec::new(),
         };
         callback(actor.as_mut(), &mut ctx);
-        let ops = std::mem::take(&mut ctx.ops);
-        drop(ctx);
         self.actors[actor_id.0] = Some(actor);
-        self.apply_ops(actor_id, node, ops);
+        self.apply_ops(actor_id, node, ctx.ops);
     }
 
     fn apply_ops(&mut self, from: ActorId, from_node: NodeId, ops: Vec<Op<M>>) {
@@ -522,13 +491,13 @@ mod tests {
     }
 
     impl Actor<u32> for PingPong {
-        fn on_start(&mut self, ctx: &mut ActorContext<'_, u32>) {
+        fn on_start(&mut self, ctx: &mut ActorContext<u32>) {
             if self.initiator {
                 let peer = self.peer.expect("initiator knows its peer");
                 ctx.send(peer, self.remaining, 1000);
             }
         }
-        fn on_message(&mut self, ctx: &mut ActorContext<'_, u32>, from: ActorId, msg: u32) {
+        fn on_message(&mut self, ctx: &mut ActorContext<u32>, from: ActorId, msg: u32) {
             if msg == 0 {
                 self.finished_at.set(ctx.now().as_secs_f64());
                 ctx.halt();
@@ -606,11 +575,11 @@ mod tests {
         done_at: std::rc::Rc<std::cell::Cell<f64>>,
     }
     impl Actor<()> for Computer {
-        fn on_start(&mut self, ctx: &mut ActorContext<'_, ()>) {
+        fn on_start(&mut self, ctx: &mut ActorContext<()>) {
             ctx.compute(1, Duration::from_secs_f64(self.work_secs));
         }
-        fn on_message(&mut self, _ctx: &mut ActorContext<'_, ()>, _from: ActorId, _msg: ()) {}
-        fn on_compute_done(&mut self, ctx: &mut ActorContext<'_, ()>, tag: u64) {
+        fn on_message(&mut self, _ctx: &mut ActorContext<()>, _from: ActorId, _msg: ()) {}
+        fn on_compute_done(&mut self, ctx: &mut ActorContext<()>, tag: u64) {
             assert_eq!(tag, 1);
             self.done_at.set(ctx.now().as_secs_f64());
         }
@@ -677,17 +646,17 @@ mod tests {
         peer: ActorId,
     }
     impl Actor<u8> for Talker {
-        fn on_start(&mut self, ctx: &mut ActorContext<'_, u8>) {
+        fn on_start(&mut self, ctx: &mut ActorContext<u8>) {
             ctx.compute(0, Duration::from_secs(2));
         }
-        fn on_message(&mut self, _ctx: &mut ActorContext<'_, u8>, _from: ActorId, _msg: u8) {}
-        fn on_compute_done(&mut self, ctx: &mut ActorContext<'_, u8>, _tag: u64) {
+        fn on_message(&mut self, _ctx: &mut ActorContext<u8>, _from: ActorId, _msg: u8) {}
+        fn on_compute_done(&mut self, ctx: &mut ActorContext<u8>, _tag: u64) {
             ctx.send(self.peer, 7, 100);
         }
     }
     struct Sink;
     impl Actor<u8> for Sink {
-        fn on_message(&mut self, _ctx: &mut ActorContext<'_, u8>, _from: ActorId, _msg: u8) {
+        fn on_message(&mut self, _ctx: &mut ActorContext<u8>, _from: ActorId, _msg: u8) {
             panic!("dead node must not receive messages");
         }
     }
@@ -728,11 +697,11 @@ mod tests {
     /// event budget safety valve.
     struct Flood;
     impl Actor<u8> for Flood {
-        fn on_start(&mut self, ctx: &mut ActorContext<'_, u8>) {
+        fn on_start(&mut self, ctx: &mut ActorContext<u8>) {
             let me = ctx.self_id();
             ctx.send(me, 0, 1);
         }
-        fn on_message(&mut self, ctx: &mut ActorContext<'_, u8>, _from: ActorId, _msg: u8) {
+        fn on_message(&mut self, ctx: &mut ActorContext<u8>, _from: ActorId, _msg: u8) {
             let me = ctx.self_id();
             ctx.send(me, 0, 1);
         }
@@ -745,11 +714,11 @@ mod tests {
         stop_after: u32,
     }
     impl Actor<u8> for Ticker {
-        fn on_start(&mut self, ctx: &mut ActorContext<'_, u8>) {
+        fn on_start(&mut self, ctx: &mut ActorContext<u8>) {
             ctx.set_timer(1, self.period);
         }
-        fn on_message(&mut self, _ctx: &mut ActorContext<'_, u8>, _from: ActorId, _msg: u8) {}
-        fn on_timer(&mut self, ctx: &mut ActorContext<'_, u8>, tag: u64) {
+        fn on_message(&mut self, _ctx: &mut ActorContext<u8>, _from: ActorId, _msg: u8) {}
+        fn on_timer(&mut self, ctx: &mut ActorContext<u8>, tag: u64) {
             assert_eq!(tag, 1);
             self.ticks.set(self.ticks.get() + 1);
             if self.ticks.get() < self.stop_after {
@@ -805,11 +774,11 @@ mod tests {
         victim_actor: ActorId,
     }
     impl Actor<u8> for Assassin {
-        fn on_start(&mut self, ctx: &mut ActorContext<'_, u8>) {
+        fn on_start(&mut self, ctx: &mut ActorContext<u8>) {
             ctx.kill_node(self.victim_node);
             ctx.send(self.victim_actor, 1, 100);
         }
-        fn on_message(&mut self, _ctx: &mut ActorContext<'_, u8>, _from: ActorId, _msg: u8) {}
+        fn on_message(&mut self, _ctx: &mut ActorContext<u8>, _from: ActorId, _msg: u8) {}
     }
 
     #[test]
@@ -853,18 +822,18 @@ mod tests {
         count: u32,
     }
     impl Actor<u32> for Burst {
-        fn on_start(&mut self, ctx: &mut ActorContext<'_, u32>) {
+        fn on_start(&mut self, ctx: &mut ActorContext<u32>) {
             for i in 0..self.count {
                 ctx.send(self.peer, i, 100);
             }
         }
-        fn on_message(&mut self, _ctx: &mut ActorContext<'_, u32>, _from: ActorId, _msg: u32) {}
+        fn on_message(&mut self, _ctx: &mut ActorContext<u32>, _from: ActorId, _msg: u32) {}
     }
     struct Arrivals {
         log: std::rc::Rc<std::cell::RefCell<Vec<(u32, SimTime)>>>,
     }
     impl Actor<u32> for Arrivals {
-        fn on_message(&mut self, ctx: &mut ActorContext<'_, u32>, _from: ActorId, msg: u32) {
+        fn on_message(&mut self, ctx: &mut ActorContext<u32>, _from: ActorId, msg: u32) {
             self.log.borrow_mut().push((msg, ctx.now()));
         }
     }

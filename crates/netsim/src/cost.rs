@@ -13,27 +13,6 @@
 use crate::time::Duration;
 use serde::{Deserialize, Serialize};
 
-/// Machine classes with era-appropriate sustained floating-point rates.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum WorkstationClass {
-    /// The paper's testbed: 300 MHz UltraSPARC workstations.  Sustained
-    /// rate on cache-unfriendly image code of that era is far below peak;
-    /// 12 MFLOP/s reproduces the magnitude of the reported runtimes.
-    Sun300MHz,
-    /// A contemporary x86 core, for what-if extensions.
-    ModernCore,
-}
-
-impl WorkstationClass {
-    /// Sustained floating-point rate in operations per second.
-    pub fn sustained_flops(&self) -> f64 {
-        match self {
-            WorkstationClass::Sun300MHz => 12.0e6,
-            WorkstationClass::ModernCore => 2.0e9,
-        }
-    }
-}
-
 /// The cost model used by the DES-driven PCT implementation.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct CostModel {
@@ -65,21 +44,17 @@ impl CostModel {
     /// The calibration used for reproducing the paper's figures.
     pub fn paper() -> Self {
         Self {
-            flops: WorkstationClass::Sun300MHz.sustained_flops(),
+            // The paper's testbed: 300 MHz UltraSPARC workstations.  The
+            // sustained rate on cache-unfriendly image code of that era is
+            // far below peak; 12 MFLOP/s reproduces the magnitude of the
+            // reported runtimes.
+            flops: 12.0e6,
             bytes_per_sample: 2,
             screen_comparisons: 60.0,
             merge_comparisons: 6.0,
             unique_fraction: 0.02,
             output_components: 3,
             per_task_overhead_secs: 0.15,
-        }
-    }
-
-    /// A model for a modern machine (used in extension benches only).
-    pub fn modern() -> Self {
-        Self {
-            flops: WorkstationClass::ModernCore.sustained_flops(),
-            ..Self::paper()
         }
     }
 
@@ -295,12 +270,5 @@ mod tests {
         let m = CostModel::paper();
         let bytes = m.subcube_bytes(PIXELS, BANDS);
         assert!(bytes > 20_000_000 && bytes < 25_000_000);
-    }
-
-    #[test]
-    fn modern_core_is_much_faster() {
-        let paper = CostModel::paper().sequential_total(PIXELS, BANDS);
-        let modern = CostModel::modern().sequential_total(PIXELS, BANDS);
-        assert!(modern.as_secs_f64() * 50.0 < paper.as_secs_f64());
     }
 }

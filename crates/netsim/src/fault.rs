@@ -53,28 +53,6 @@ impl FaultPlan {
     pub fn failures(&self) -> &[(SimTime, NodeId)] {
         &self.failures
     }
-
-    /// Kills every node in `nodes` at evenly spaced times across
-    /// `[start, end]` — a "sweeping attack" scenario used in the extension
-    /// benches.
-    pub fn sweeping_attack(nodes: &[NodeId], start: SimTime, end: SimTime) -> Self {
-        if nodes.is_empty() {
-            return Self::none();
-        }
-        let span = end.since(start).as_nanos();
-        let step = span / nodes.len() as u64;
-        let failures = nodes
-            .iter()
-            .enumerate()
-            .map(|(i, &node)| {
-                (
-                    SimTime::from_nanos(start.as_nanos() + step * i as u64),
-                    node,
-                )
-            })
-            .collect();
-        Self { failures }
-    }
 }
 
 #[cfg(test)]
@@ -101,23 +79,5 @@ mod tests {
             .and_kill(NodeId(1), SimTime::from_secs_f64(1.0))
             .and_kill(NodeId(2), SimTime::from_secs_f64(2.0));
         assert_eq!(p.len(), 2);
-    }
-
-    #[test]
-    fn sweeping_attack_spreads_failures_over_the_window() {
-        let nodes: Vec<NodeId> = (0..4).map(NodeId).collect();
-        let p = FaultPlan::sweeping_attack(
-            &nodes,
-            SimTime::from_secs_f64(10.0),
-            SimTime::from_secs_f64(18.0),
-        );
-        assert_eq!(p.len(), 4);
-        let times: Vec<f64> = p.failures().iter().map(|(t, _)| t.as_secs_f64()).collect();
-        assert_eq!(times, vec![10.0, 12.0, 14.0, 16.0]);
-    }
-
-    #[test]
-    fn sweeping_attack_with_no_nodes_is_empty() {
-        assert!(FaultPlan::sweeping_attack(&[], SimTime::ZERO, SimTime::ZERO).is_empty());
     }
 }

@@ -19,8 +19,9 @@
 //! * fault/attack injection schedules that kill nodes at chosen virtual
 //!   times ([`fault`]),
 //! * a calibrated cost model translating PCT workload parameters (pixels,
-//!   bands, sub-cube sizes) into compute seconds and message bytes
-//!   ([`cost`]), and
+//!   bands, sub-cube sizes) into compute seconds and the *paper's* message
+//!   bytes ([`cost`]; the real protocol's frame sizes are `wire::frame_len`,
+//!   which the `sim` crate passes to [`ActorContext::send`]), and
 //! * execution traces and per-node utilisation metrics ([`trace`]).
 //!
 //! The `pct` crate drives this simulator with the actual manager/worker
@@ -36,12 +37,11 @@ pub mod link;
 pub mod node;
 pub mod time;
 pub mod trace;
-pub mod wirecost;
 
 pub use cluster::{
     Actor, ActorContext, ActorId, ClusterSim, LinkFault, LinkVerdict, SimConfig, SimOutcome,
 };
-pub use cost::{CostModel, WorkstationClass};
+pub use cost::CostModel;
 pub use fault::FaultPlan;
 pub use link::NetworkModel;
 pub use node::{NodeId, NodeSpec};

@@ -56,15 +56,6 @@ impl NetworkModel {
         }
     }
 
-    /// Gigabit Ethernet, for what-if extensions of the evaluation.
-    pub fn gigabit_ethernet() -> Self {
-        Self {
-            bandwidth_bps: 900.0e6,
-            latency: Duration::from_micros(50),
-            per_message_overhead: Duration::from_micros(100),
-        }
-    }
-
     /// An idealised zero-cost network; with this model the simulated speed-up
     /// should be essentially linear, which the tests use as a sanity check
     /// and the paper invokes when discussing shared-memory execution
@@ -142,13 +133,6 @@ mod tests {
         assert!(paper.point_to_point_time(1000) > raw.point_to_point_time(1000));
         // The effective stack throughput is below the raw link rate.
         assert!(paper.serialization_time(1_000_000) > raw.serialization_time(1_000_000));
-    }
-
-    #[test]
-    fn gigabit_is_faster_than_fast_ethernet() {
-        let fe = NetworkModel::fast_ethernet_100baset();
-        let ge = NetworkModel::gigabit_ethernet();
-        assert!(ge.point_to_point_time(1_000_000) < fe.point_to_point_time(1_000_000));
     }
 
     #[test]

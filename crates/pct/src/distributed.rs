@@ -58,11 +58,6 @@ impl DistributedPct {
         self
     }
 
-    /// Number of worker threads.
-    pub fn workers(&self) -> usize {
-        self.workers
-    }
-
     /// Runs the full pipeline on a borrowed cube.  The cube is copied once
     /// into shared storage at this ingestion boundary; callers that already
     /// hold an `Arc` use [`DistributedPct::run_shared`] and copy nothing.

@@ -90,17 +90,6 @@ pub struct SimReport {
     pub network_bytes: u64,
 }
 
-impl SimReport {
-    /// Speed-up relative to a reference (typically the 1-worker,
-    /// no-resiliency run).
-    pub fn speedup_vs(&self, reference_secs: f64) -> f64 {
-        if self.elapsed_secs <= 0.0 {
-            return 0.0;
-        }
-        reference_secs / self.elapsed_secs
-    }
-}
-
 /// Protocol messages of the simulated run.  Payload *sizes* are what the
 /// network model charges; the enum itself only carries identifiers.
 #[derive(Debug, Clone, PartialEq)]
@@ -144,7 +133,7 @@ impl WorkerActor {
         }
     }
 
-    fn start_next(&mut self, ctx: &mut ActorContext<'_, SimMsg>) {
+    fn start_next(&mut self, ctx: &mut ActorContext<SimMsg>) {
         if self.busy {
             return;
         }
@@ -170,7 +159,7 @@ impl WorkerActor {
 }
 
 impl Actor<SimMsg> for WorkerActor {
-    fn on_message(&mut self, ctx: &mut ActorContext<'_, SimMsg>, _from: ActorId, msg: SimMsg) {
+    fn on_message(&mut self, ctx: &mut ActorContext<SimMsg>, _from: ActorId, msg: SimMsg) {
         match msg {
             SimMsg::ScreenTask { .. } | SimMsg::CovTask { .. } | SimMsg::TransformTask { .. } => {
                 self.queue.push_back(msg);
@@ -180,7 +169,7 @@ impl Actor<SimMsg> for WorkerActor {
         }
     }
 
-    fn on_compute_done(&mut self, ctx: &mut ActorContext<'_, SimMsg>, _tag: u64) {
+    fn on_compute_done(&mut self, ctx: &mut ActorContext<SimMsg>, _tag: u64) {
         let finished = self
             .current
             .take()
@@ -257,7 +246,7 @@ struct ManagerActor {
 }
 
 impl ManagerActor {
-    fn send_task(&mut self, ctx: &mut ActorContext<'_, SimMsg>, group: usize, task: usize) {
+    fn send_task(&mut self, ctx: &mut ActorContext<SimMsg>, group: usize, task: usize) {
         let msg_and_bytes = match self.phase {
             Phase::Screening => {
                 let pixels = self.subcube_pixels[task];
@@ -298,7 +287,7 @@ impl ManagerActor {
     /// worker overlap the transfer of its next sub-problem with computation
     /// on the current one when the decomposition is finer than one sub-cube
     /// per worker.
-    fn prime(&mut self, ctx: &mut ActorContext<'_, SimMsg>) {
+    fn prime(&mut self, ctx: &mut ActorContext<SimMsg>) {
         for _depth in 0..2 {
             for group in 0..self.groups.len() {
                 if let Some(task) = self.pending.pop_front() {
@@ -316,7 +305,7 @@ impl ManagerActor {
         }
     }
 
-    fn begin_phase(&mut self, ctx: &mut ActorContext<'_, SimMsg>, phase: Phase) {
+    fn begin_phase(&mut self, ctx: &mut ActorContext<SimMsg>, phase: Phase) {
         self.phase = phase;
         self.completed.clear();
         self.outstanding.clear();
@@ -338,7 +327,7 @@ impl ManagerActor {
         }
     }
 
-    fn on_result(&mut self, ctx: &mut ActorContext<'_, SimMsg>, task: usize) {
+    fn on_result(&mut self, ctx: &mut ActorContext<SimMsg>, task: usize) {
         if !self.completed.insert(task) {
             return; // duplicate from a replica
         }
@@ -356,7 +345,7 @@ impl ManagerActor {
         }
     }
 
-    fn advance(&mut self, ctx: &mut ActorContext<'_, SimMsg>) {
+    fn advance(&mut self, ctx: &mut ActorContext<SimMsg>) {
         match self.phase {
             Phase::Screening => {
                 self.phase = Phase::MergeCompute;
@@ -383,11 +372,11 @@ impl ManagerActor {
 }
 
 impl Actor<SimMsg> for ManagerActor {
-    fn on_start(&mut self, ctx: &mut ActorContext<'_, SimMsg>) {
+    fn on_start(&mut self, ctx: &mut ActorContext<SimMsg>) {
         self.begin_phase(ctx, Phase::Screening);
     }
 
-    fn on_message(&mut self, ctx: &mut ActorContext<'_, SimMsg>, _from: ActorId, msg: SimMsg) {
+    fn on_message(&mut self, ctx: &mut ActorContext<SimMsg>, _from: ActorId, msg: SimMsg) {
         // Results are only meaningful in their own phase: a late duplicate
         // from a replica whose phase already finished must not be mistaken
         // for a result of the current phase.
@@ -412,7 +401,7 @@ impl Actor<SimMsg> for ManagerActor {
         }
     }
 
-    fn on_compute_done(&mut self, ctx: &mut ActorContext<'_, SimMsg>, tag: u64) {
+    fn on_compute_done(&mut self, ctx: &mut ActorContext<SimMsg>, tag: u64) {
         match tag {
             TAG_MERGE => {
                 // Build the covariance chunks from the merged unique set.

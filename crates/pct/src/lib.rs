@@ -31,7 +31,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod backend;
 pub mod colormap;
 pub mod config;
 pub mod distributed;
@@ -46,7 +45,6 @@ pub mod screening;
 pub mod sequential;
 pub mod shared_memory;
 
-pub use backend::FusionBackend;
 pub use config::{FusionOutput, PctConfig};
 pub use distributed::DistributedPct;
 pub use resilient::{ResilientManagerState, ResilientPct, ResilientRunReport};

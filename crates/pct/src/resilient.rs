@@ -494,8 +494,6 @@ pub struct ResilientPct {
     config: PctConfig,
     workers: usize,
     level: usize,
-    granularity: GranularityPolicy,
-    detector: DetectorConfig,
 }
 
 impl ResilientPct {
@@ -506,43 +504,7 @@ impl ResilientPct {
             config,
             workers: workers.max(1),
             level: level.max(1),
-            granularity: GranularityPolicy::PerWorkerMultiple(2),
-            detector: DetectorConfig {
-                heartbeat_period_ms: 50,
-                miss_threshold: 8,
-            },
         }
-    }
-
-    /// Overrides the granularity policy.
-    pub fn with_granularity(mut self, granularity: GranularityPolicy) -> Self {
-        self.granularity = granularity;
-        self
-    }
-
-    /// Overrides the failure-detector parameters (sweep interval and
-    /// silence threshold).  The default matches the historical constant
-    /// (50 ms heartbeats, declared failed after 8 misses); the simulator
-    /// sweeps this to measure detection latency as a parameter instead of
-    /// inheriting a constant.
-    pub fn with_detector(mut self, detector: DetectorConfig) -> Self {
-        self.detector = detector;
-        self
-    }
-
-    /// The failure-detector parameters this pipeline runs with.
-    pub fn detector(&self) -> DetectorConfig {
-        self.detector
-    }
-
-    /// Number of logical workers (replica groups).
-    pub fn workers(&self) -> usize {
-        self.workers
-    }
-
-    /// Members per replica group.
-    pub fn level(&self) -> usize {
-        self.level
     }
 
     /// Runs the pipeline with no attack.  The borrowed cube is copied once
@@ -584,8 +546,13 @@ impl ResilientPct {
         let mut manager_ctx = runtime.context(MANAGER)?;
 
         let groups: Vec<String> = (0..self.workers).map(|w| format!("worker{w}")).collect();
+        // 50 ms heartbeats, a member declared failed after 8 misses.
+        let detector = DetectorConfig {
+            heartbeat_period_ms: 50,
+            miss_threshold: 8,
+        };
         let mut state =
-            ResilientManagerState::build(&runtime, &groups, self.level, self.detector, attack)?;
+            ResilientManagerState::build(&runtime, &groups, self.level, detector, attack)?;
 
         // The membership table's (lexicographic) order is the priming order.
         let groups = state.membership.group_names();
@@ -595,7 +562,7 @@ impl ResilientPct {
             cube,
             &self.config,
             groups.len(),
-            self.granularity,
+            GranularityPolicy::PerWorkerMultiple(2),
             |tasks, is_result| {
                 distribute_to_groups(
                     &mut manager_ctx,
@@ -910,19 +877,6 @@ mod tests {
         let base = Duration::from_millis(500);
         assert_eq!(OutstandingTask::backoff(base, 0), base);
         assert_eq!(OutstandingTask::backoff(base, 7), base * 32);
-    }
-
-    #[test]
-    fn detector_config_is_swappable() {
-        let custom = ResilientPct::new(PctConfig::paper(), 2, 2).with_detector(DetectorConfig {
-            heartbeat_period_ms: 10,
-            miss_threshold: 3,
-        });
-        assert_eq!(custom.detector().heartbeat_period_ms, 10);
-        assert_eq!(custom.detector().miss_threshold, 3);
-        // The default stays the historical constant.
-        let d = ResilientPct::new(PctConfig::paper(), 2, 2).detector();
-        assert_eq!((d.heartbeat_period_ms, d.miss_threshold), (50, 8));
     }
 
     #[test]

@@ -6,10 +6,10 @@
 
 use crate::colormap::{map_cube, ComponentScale};
 use crate::config::{FusionOutput, PctConfig};
-use crate::pipeline::{derive_transform, transform_cube, transform_view, TransformSpec};
+use crate::pipeline::{derive_transform, transform_cube, TransformSpec};
 use crate::screening::screen_slices;
 use crate::Result;
-use hsi::{CubeView, HyperCube};
+use hsi::HyperCube;
 use std::sync::Arc;
 
 /// The sequential fusion pipeline.
@@ -59,24 +59,6 @@ impl SequentialPct {
     /// concurrent ones.
     pub fn run_shared(&self, cube: &Arc<HyperCube>) -> Result<FusionOutput> {
         self.run(cube)
-    }
-
-    /// Runs the full pipeline over an arbitrary zero-copy window of a
-    /// shared cube — fusing a region of interest without extracting it.
-    /// For a full-cube view this is byte-identical to [`SequentialPct::run`].
-    pub fn run_view(&self, view: &CubeView) -> Result<FusionOutput> {
-        self.config.validate()?;
-        let unique = screen_slices(view.iter_pixels(), self.config.screening_angle_rad);
-        let spec = derive_transform(&unique, &self.config)?;
-        let transformed = transform_view(&spec, view)?;
-        let scales = ComponentScale::from_eigenvalues(&spec.eigenvalues, 3);
-        let image = map_cube(&transformed, &scales);
-        Ok(FusionOutput {
-            image,
-            eigenvalues: spec.eigenvalues,
-            unique_count: unique.len(),
-            pixels: view.pixels(),
-        })
     }
 }
 
@@ -186,31 +168,6 @@ mod tests {
             dist > 20,
             "target and forest colours too similar: {t:?} vs {f:?}"
         );
-    }
-
-    #[test]
-    fn run_view_on_full_view_is_byte_identical_to_run() {
-        let cube = Arc::new(small_scene());
-        let pct = SequentialPct::default();
-        let from_cube = pct.run(&cube).unwrap();
-        let ledger = hsi::CloneLedger::snapshot();
-        let from_view = pct.run_view(&CubeView::full(Arc::clone(&cube))).unwrap();
-        assert_eq!(ledger.delta(), 0, "run_view deep-copied payload bytes");
-        assert_eq!(from_view, from_cube);
-    }
-
-    #[test]
-    fn run_view_fuses_a_window_without_extracting_it() {
-        let cube = Arc::new(small_scene());
-        let pct = SequentialPct::default();
-        let view = CubeView::window(Arc::clone(&cube), 2, 3, 20, 17).unwrap();
-        let windowed = pct.run_view(&view).unwrap();
-        // Same result as extracting the window the owned way and fusing the
-        // copy.  (cube.window, not view.materialize, keeps this binary free
-        // of clone-ledger charges so exact-zero ledger tests can't race.)
-        let owned = cube.window(2, 3, 20, 17).unwrap();
-        assert_eq!(windowed, pct.run(&owned).unwrap());
-        assert_eq!(windowed.pixels, 20 * 17);
     }
 
     #[test]

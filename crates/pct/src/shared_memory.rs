@@ -50,11 +50,6 @@ impl SharedMemoryPct {
         &self.config
     }
 
-    /// Number of parallel row blocks the data-parallel steps split into.
-    pub fn blocks(&self) -> usize {
-        self.blocks
-    }
-
     /// Runs the full pipeline on a borrowed cube.  The cube is copied once
     /// into shared storage at this ingestion boundary; `Arc` holders use
     /// [`SharedMemoryPct::run_shared`] and copy nothing.

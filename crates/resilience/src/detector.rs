@@ -46,18 +46,6 @@ impl Default for DetectorConfig {
     }
 }
 
-/// Health assessment of a single member.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum MemberHealth {
-    /// Heartbeats are arriving on schedule.
-    Healthy,
-    /// At least one heartbeat has been missed but the failure threshold has
-    /// not yet been crossed.
-    Suspect,
-    /// The failure threshold has been crossed.
-    Failed,
-}
-
 /// A deterministic heartbeat failure detector.
 #[derive(Debug, Clone)]
 pub struct FailureDetector {
@@ -81,12 +69,6 @@ impl FailureDetector {
     /// Attaches a telemetry handle: every newly declared failure is
     /// recorded as a `member_failed` instant and counted in
     /// `resilience_members_failed_total`.
-    pub fn with_telemetry(mut self, telemetry: telemetry::Telemetry) -> Self {
-        self.set_telemetry(telemetry);
-        self
-    }
-
-    /// In-place variant of [`FailureDetector::with_telemetry`].
     pub fn set_telemetry(&mut self, telemetry: telemetry::Telemetry) {
         self.telemetry = telemetry;
     }
@@ -113,21 +95,6 @@ impl FailureDetector {
     pub fn heartbeat(&mut self, member: &MemberId, now_ms: u64) {
         self.last_heartbeat.insert(member.clone(), now_ms);
         self.declared_failed.remove(member);
-    }
-
-    /// Health of one member at `now_ms`.
-    pub fn health(&self, member: &MemberId, now_ms: u64) -> MemberHealth {
-        let Some(&last) = self.last_heartbeat.get(member) else {
-            return MemberHealth::Failed;
-        };
-        let silence = now_ms.saturating_sub(last);
-        if silence >= self.config.failure_timeout_ms() {
-            MemberHealth::Failed
-        } else if silence >= self.config.heartbeat_period_ms.saturating_mul(2) {
-            MemberHealth::Suspect
-        } else {
-            MemberHealth::Healthy
-        }
     }
 
     /// Sweeps all watched members at `now_ms` and returns the members that
@@ -167,13 +134,6 @@ impl FailureDetector {
     pub fn watched(&self) -> usize {
         self.last_heartbeat.len()
     }
-
-    /// Detection latency of this configuration: the worst-case time between
-    /// a member dying (just after a heartbeat) and the sweep that reports
-    /// it, assuming sweeps run every `sweep_period_ms`.
-    pub fn worst_case_detection_ms(&self, sweep_period_ms: u64) -> u64 {
-        self.config.failure_timeout_ms() + sweep_period_ms
-    }
 }
 
 #[cfg(test)]
@@ -190,7 +150,6 @@ mod tests {
         d.watch(member(0), 0);
         for t in (250..5000).step_by(250) {
             d.heartbeat(&member(0), t);
-            assert_eq!(d.health(&member(0), t), MemberHealth::Healthy);
             assert!(d.sweep(t).is_empty());
         }
     }
@@ -203,10 +162,8 @@ mod tests {
         };
         let mut d = FailureDetector::new(config);
         d.watch(member(1), 0);
-        assert_eq!(d.health(&member(1), 150), MemberHealth::Healthy);
-        assert_eq!(d.health(&member(1), 250), MemberHealth::Suspect);
-        assert_eq!(d.health(&member(1), 399), MemberHealth::Suspect);
-        assert_eq!(d.health(&member(1), 400), MemberHealth::Failed);
+        assert!(d.sweep(399).is_empty());
+        assert_eq!(d.sweep(400), vec![member(1)]);
     }
 
     #[test]
@@ -238,7 +195,6 @@ mod tests {
         assert_eq!(d.sweep(250), vec![member(0)]);
         // The member was only partitioned; its heartbeat resumes.
         d.heartbeat(&member(0), 300);
-        assert_eq!(d.health(&member(0), 310), MemberHealth::Healthy);
         // If it goes silent again it is reported again.
         assert_eq!(d.sweep(600), vec![member(0)]);
     }
@@ -246,7 +202,6 @@ mod tests {
     #[test]
     fn unwatched_member_is_reported_failed_by_health_but_not_swept() {
         let mut d = FailureDetector::new(DetectorConfig::default_lan());
-        assert_eq!(d.health(&member(9), 0), MemberHealth::Failed);
         assert!(d.sweep(10_000).is_empty());
         d.watch(member(9), 0);
         assert_eq!(d.watched(), 1);
@@ -287,6 +242,5 @@ mod tests {
             miss_threshold: 4,
         });
         assert_eq!(d.config().failure_timeout_ms(), 1000);
-        assert_eq!(d.worst_case_detection_ms(100), 1100);
     }
 }

@@ -2,16 +2,16 @@
 //!
 //! A logical worker `worker3` replicated to level 2 is backed by two member
 //! threads, `worker3#0` and `worker3#1` (Figure 1's "shadow threads").  The
-//! manager addresses the *group*: [`GroupSender`] fans each message out to
-//! every live member, and because all members process the same inputs in the
-//! same order they produce the same results with the same sequence numbers,
-//! which the receiver's deduplication collapses back to a single logical
-//! stream.  Membership is tracked in a shared [`MembershipTable`] that the
-//! failure detector and the regeneration protocol update.
+//! manager addresses the *group*: `pct::ResilientManagerState::group_send`
+//! fans each task out to every live member, and because all members process
+//! the same inputs in the same order they produce the same results, which the
+//! manager's per-task-id deduplication (`pct::plan`) collapses back to a
+//! single logical stream.  Membership is tracked in a shared
+//! [`MembershipTable`] that the failure detector and the regeneration
+//! protocol update.
 
 use crate::{ResilienceError, Result};
 use parking_lot::RwLock;
-use scp::{Router, SeqNum};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -95,11 +95,6 @@ impl ReplicaGroup {
         })
     }
 
-    /// Whether the group still has at least one live member.
-    pub fn is_alive(&self) -> bool {
-        !self.members.is_empty()
-    }
-
     /// Whether the group is below its target replication level.
     pub fn is_degraded(&self) -> bool {
         self.members.len() < self.level
@@ -180,67 +175,6 @@ impl MembershipTable {
             .flat_map(|g| g.members.iter().cloned())
             .collect()
     }
-
-    /// Groups currently below their target replication level.
-    pub fn degraded_groups(&self) -> Vec<String> {
-        self.groups
-            .read()
-            .values()
-            .filter(|g| g.is_degraded())
-            .map(|g| g.name.clone())
-            .collect()
-    }
-}
-
-/// Sends messages to every live member of a group.
-pub struct GroupSender<M> {
-    router: Router<M>,
-    membership: MembershipTable,
-    from: String,
-    next_seq: SeqNum,
-}
-
-impl<M: Clone> GroupSender<M> {
-    /// Creates a group sender for messages originating from `from`.
-    pub fn new(router: Router<M>, membership: MembershipTable, from: impl Into<String>) -> Self {
-        Self {
-            router,
-            membership,
-            from: from.into(),
-            next_seq: SeqNum::FIRST,
-        }
-    }
-
-    /// The sequence number the next group send will carry.
-    pub fn next_seq(&self) -> SeqNum {
-        self.next_seq
-    }
-
-    /// Sends `payload` to every live member of `group` with a single logical
-    /// sequence number.  Returns the number of members reached.  Members
-    /// whose mailboxes are gone are skipped (the failure detector will deal
-    /// with them); it is an error only if the group has no members at all.
-    pub fn send_to_group(&mut self, group: &str, payload: M) -> Result<usize> {
-        let snapshot = self.membership.get(group)?;
-        if snapshot.members.is_empty() {
-            return Err(ResilienceError::GroupExhausted(group.to_string()));
-        }
-        let seq = self.next_seq;
-        self.next_seq = self.next_seq.next();
-        let mut reached = 0;
-        for member in &snapshot.members {
-            let result = self.router.send(
-                self.from.clone(),
-                member.routing_name(),
-                seq,
-                payload.clone(),
-            );
-            if result.is_ok() {
-                reached += 1;
-            }
-        }
-        Ok(reached)
-    }
 }
 
 #[cfg(test)]
@@ -261,7 +195,7 @@ mod tests {
         let g = ReplicaGroup::new("w0", 2, &[3, 5, 7]).unwrap();
         assert_eq!(g.members.len(), 2);
         assert_eq!(g.placements, vec![3, 5]);
-        assert!(g.is_alive());
+        assert!(!g.members.is_empty());
         assert!(!g.is_degraded());
     }
 
@@ -276,10 +210,10 @@ mod tests {
         let first = g.members[0].clone();
         assert!(g.remove_member(&first));
         assert!(g.is_degraded());
-        assert!(g.is_alive());
+        assert!(!g.members.is_empty());
         let second = g.members[0].clone();
         assert!(g.remove_member(&second));
-        assert!(!g.is_alive());
+        assert!(g.members.is_empty());
         assert!(!g.remove_member(&first));
     }
 
@@ -313,58 +247,6 @@ mod tests {
                 g.remove_member(&m);
             })
             .unwrap();
-        assert_eq!(table.degraded_groups(), vec!["w0".to_string()]);
-    }
-
-    #[test]
-    fn group_send_reaches_every_member_with_one_seq() {
-        let router: Router<&'static str> = Router::new();
-        let table = MembershipTable::new();
-        table.insert(ReplicaGroup::new("w0", 2, &[0, 1]).unwrap());
-        let rx0 = router.register("w0#0").unwrap();
-        let rx1 = router.register("w0#1").unwrap();
-
-        let mut sender = GroupSender::new(router, table, "manager");
-        let reached = sender.send_to_group("w0", "task").unwrap();
-        assert_eq!(reached, 2);
-        let e0 = rx0.recv().unwrap();
-        let e1 = rx1.recv().unwrap();
-        assert_eq!(e0.seq, e1.seq);
-        assert_eq!(e0.payload, "task");
-        assert_eq!(sender.next_seq(), SeqNum(2));
-    }
-
-    #[test]
-    fn group_send_skips_dead_mailboxes_but_fails_on_empty_group() {
-        let router: Router<u8> = Router::new();
-        let table = MembershipTable::new();
-        table.insert(ReplicaGroup::new("w0", 2, &[0, 1]).unwrap());
-        let _rx0 = router.register("w0#0").unwrap();
-        // w0#1 never registers: its sends fail, but the group send succeeds.
-        let mut sender = GroupSender::new(router, table.clone(), "manager");
-        assert_eq!(sender.send_to_group("w0", 1).unwrap(), 1);
-
-        // Remove every member: the group is exhausted.
-        table
-            .update("w0", |g| {
-                for m in g.members.clone() {
-                    g.remove_member(&m);
-                }
-            })
-            .unwrap();
-        assert!(matches!(
-            sender.send_to_group("w0", 2),
-            Err(ResilienceError::GroupExhausted(_))
-        ));
-    }
-
-    #[test]
-    fn unknown_group_send_errors() {
-        let router: Router<u8> = Router::new();
-        let mut sender = GroupSender::new(router, MembershipTable::new(), "manager");
-        assert!(matches!(
-            sender.send_to_group("ghost", 0),
-            Err(ResilienceError::UnknownGroup(_))
-        ));
+        assert!(table.get("w0").unwrap().is_degraded());
     }
 }

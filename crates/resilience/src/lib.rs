@@ -41,8 +41,8 @@ pub mod policy;
 pub mod regen;
 
 pub use attack::KillSwitch;
-pub use detector::{DetectorConfig, FailureDetector, MemberHealth};
-pub use group::{GroupSender, MemberId, MembershipTable, ReplicaGroup};
+pub use detector::{DetectorConfig, FailureDetector};
+pub use group::{MemberId, MembershipTable, ReplicaGroup};
 pub use overhead::OverheadModel;
 pub use policy::{PlacementPolicy, ReplicationPolicy};
 pub use regen::{RegenerationEvent, Regenerator};

@@ -65,35 +65,11 @@ impl OverheadModel {
         self.replication_level > 1
     }
 
-    /// How many copies of every worker-bound payload message the manager
-    /// sends (one per replica).
-    pub fn payload_copies(&self) -> usize {
-        self.replication_level
-    }
-
     /// Multiplier applied to worker compute time purely due to protocol
     /// processing (not replication — replication costs emerge from the
     /// duplicated work itself).
     pub fn compute_multiplier(&self) -> f64 {
         1.0 + self.protocol_overhead
-    }
-
-    /// Number of extra control messages (acknowledgements) exchanged per
-    /// payload message under the group protocols: one ack per replica copy.
-    pub fn acks_per_payload(&self) -> usize {
-        if self.is_resilient() {
-            self.replication_level
-        } else {
-            0
-        }
-    }
-
-    /// Heartbeat messages per second emitted by `members` monitored members.
-    pub fn heartbeats_per_second(&self, members: usize) -> f64 {
-        if self.heartbeat_period_ms == 0 {
-            return 0.0;
-        }
-        members as f64 * 1000.0 / self.heartbeat_period_ms as f64
     }
 
     /// The idealised slowdown the paper *expected* from replication alone
@@ -126,10 +102,7 @@ mod tests {
     fn none_model_costs_nothing() {
         let m = OverheadModel::none();
         assert!(!m.is_resilient());
-        assert_eq!(m.payload_copies(), 1);
         assert_eq!(m.compute_multiplier(), 1.0);
-        assert_eq!(m.acks_per_payload(), 0);
-        assert_eq!(m.heartbeats_per_second(8), 0.0);
         assert_eq!(m.predicted_slowdown(), 1.0);
     }
 
@@ -137,7 +110,6 @@ mod tests {
     fn paper_level_2_matches_reported_overheads() {
         let m = OverheadModel::paper_level_2();
         assert!(m.is_resilient());
-        assert_eq!(m.payload_copies(), 2);
         assert!((m.compute_multiplier() - 1.10).abs() < 1e-12);
         assert_eq!(m.expected_replication_slowdown(), 2.0);
         assert!((m.predicted_slowdown() - 2.2).abs() < 1e-12);
@@ -147,13 +119,6 @@ mod tests {
     fn with_level_one_degenerates_to_none() {
         assert_eq!(OverheadModel::with_level(1), OverheadModel::none());
         assert_eq!(OverheadModel::with_level(0), OverheadModel::none());
-    }
-
-    #[test]
-    fn heartbeat_rate_scales_with_members() {
-        let m = OverheadModel::paper_level_2();
-        assert!((m.heartbeats_per_second(4) - 16.0).abs() < 1e-12);
-        assert!((m.heartbeats_per_second(8) - 32.0).abs() < 1e-12);
     }
 
     #[test]

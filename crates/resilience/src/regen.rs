@@ -64,28 +64,8 @@ impl Regenerator {
     /// Attaches a telemetry handle: every regeneration is recorded as a
     /// `member_regenerated` instant and counted in
     /// `resilience_regenerations_total`.
-    pub fn with_telemetry(mut self, telemetry: telemetry::Telemetry) -> Self {
-        self.set_telemetry(telemetry);
-        self
-    }
-
-    /// In-place variant of [`Regenerator::with_telemetry`].
     pub fn set_telemetry(&mut self, telemetry: telemetry::Telemetry) {
         self.telemetry = telemetry;
-    }
-
-    /// Marks a node as unusable (it was attacked or failed); members cannot
-    /// be placed there any more.
-    pub fn mark_node_down(&mut self, node: usize) {
-        self.live_nodes.retain(|&n| n != node);
-    }
-
-    /// Marks a node as usable again.
-    pub fn mark_node_up(&mut self, node: usize) {
-        if !self.live_nodes.contains(&node) {
-            self.live_nodes.push(node);
-            self.live_nodes.sort_unstable();
-        }
     }
 
     /// Currently usable nodes.
@@ -246,23 +226,12 @@ mod tests {
     fn exhausted_node_pool_reports_group_exhausted() {
         let table = MembershipTable::new();
         table.insert(ReplicaGroup::new("w0", 2, &[0]).unwrap());
-        let mut regen = Regenerator::new(table, PlacementPolicy::SpreadAcrossNodes, vec![0]);
-        regen.mark_node_down(0);
+        let mut regen = Regenerator::new(table, PlacementPolicy::SpreadAcrossNodes, vec![]);
         let failed = MemberId::new("w0", 0);
         assert!(matches!(
             regen.handle_failure(&failed, |_, _| Ok(())),
             Err(ResilienceError::GroupExhausted(_))
         ));
-    }
-
-    #[test]
-    fn node_marking_updates_the_live_set() {
-        let (_, mut regen) = setup();
-        regen.mark_node_down(3);
-        assert!(!regen.live_nodes().contains(&3));
-        regen.mark_node_up(3);
-        regen.mark_node_up(3);
-        assert_eq!(regen.live_nodes().iter().filter(|&&n| n == 3).count(), 1);
     }
 
     #[test]

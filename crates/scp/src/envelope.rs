@@ -1,10 +1,10 @@
 //! Sequence-numbered message envelopes.
 //!
 //! Every message carries its sender's logical name and a per-sender sequence
-//! number.  The resiliency protocols need both: sequence numbers let a
-//! receiver discard duplicate deliveries from replicated senders, and they
-//! let a regenerated thread's peers detect whether anything was lost while
-//! communication was being reconfigured.
+//! number, so a regenerated thread's peers can tell whether anything was
+//! lost while communication was being reconfigured.  (Duplicate deliveries
+//! from replicated senders are discarded by task id, in `pct::plan`, not by
+//! sequence number here.)
 
 use serde::{Deserialize, Serialize};
 
@@ -21,11 +21,6 @@ impl SeqNum {
     /// The next sequence number after this one.
     pub fn next(self) -> SeqNum {
         SeqNum(self.0 + 1)
-    }
-
-    /// Whether `self` immediately follows `prev`.
-    pub fn follows(self, prev: SeqNum) -> bool {
-        self.0 == prev.0 + 1
     }
 }
 
@@ -71,48 +66,6 @@ impl<M> Envelope<M> {
     }
 }
 
-/// Tracks the highest sequence number seen from each sender, so replicated or
-/// re-sent messages can be recognised and dropped exactly once semantics can
-/// be provided to the application.
-#[derive(Debug, Clone, Default)]
-pub struct DedupLedger {
-    seen: std::collections::HashMap<String, SeqNum>,
-}
-
-impl DedupLedger {
-    /// Creates an empty ledger.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Records an envelope and reports whether it is a *new* message
-    /// (`true`) or a duplicate/stale one (`false`).
-    ///
-    /// A message is new when its sequence number is strictly greater than
-    /// the highest already seen from the same sender name.  Replicas of a
-    /// sender share the sender name and sequence numbering, so the second
-    /// replica's copy of the same logical message is suppressed here.
-    pub fn observe<M>(&mut self, envelope: &Envelope<M>) -> bool {
-        let entry = self.seen.entry(envelope.from.clone()).or_insert(SeqNum(0));
-        if envelope.seq > *entry {
-            *entry = envelope.seq;
-            true
-        } else {
-            false
-        }
-    }
-
-    /// The highest sequence number observed from `sender`, if any.
-    pub fn last_seen(&self, sender: &str) -> Option<SeqNum> {
-        self.seen.get(sender).copied()
-    }
-
-    /// Number of distinct senders observed.
-    pub fn senders(&self) -> usize {
-        self.seen.len()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -121,8 +74,6 @@ mod tests {
     fn seq_num_ordering_and_successor() {
         assert!(SeqNum(2) > SeqNum(1));
         assert_eq!(SeqNum(1).next(), SeqNum(2));
-        assert!(SeqNum(2).follows(SeqNum(1)));
-        assert!(!SeqNum(3).follows(SeqNum(1)));
     }
 
     #[test]
@@ -133,41 +84,5 @@ mod tests {
         assert_eq!(mapped.from, "a");
         assert_eq!(mapped.to, "b");
         assert_eq!(mapped.seq, SeqNum(5));
-    }
-
-    #[test]
-    fn dedup_accepts_increasing_sequences() {
-        let mut ledger = DedupLedger::new();
-        assert!(ledger.observe(&Envelope::new("w", "m", SeqNum(1), ())));
-        assert!(ledger.observe(&Envelope::new("w", "m", SeqNum(2), ())));
-        assert_eq!(ledger.last_seen("w"), Some(SeqNum(2)));
-    }
-
-    #[test]
-    fn dedup_rejects_duplicates_and_stale_messages() {
-        let mut ledger = DedupLedger::new();
-        assert!(ledger.observe(&Envelope::new("w", "m", SeqNum(3), ())));
-        assert!(!ledger.observe(&Envelope::new("w", "m", SeqNum(3), ())));
-        assert!(!ledger.observe(&Envelope::new("w", "m", SeqNum(2), ())));
-    }
-
-    #[test]
-    fn dedup_tracks_senders_independently() {
-        let mut ledger = DedupLedger::new();
-        assert!(ledger.observe(&Envelope::new("w1", "m", SeqNum(1), ())));
-        assert!(ledger.observe(&Envelope::new("w2", "m", SeqNum(1), ())));
-        assert_eq!(ledger.senders(), 2);
-        assert_eq!(ledger.last_seen("w3"), None);
-    }
-
-    #[test]
-    fn replicated_senders_share_sequence_space() {
-        // Two replicas of worker "w" both send the logical message #1; the
-        // receiver must act on it exactly once.
-        let mut ledger = DedupLedger::new();
-        let from_primary = Envelope::new("w", "m", SeqNum(1), "result");
-        let from_shadow = Envelope::new("w", "m", SeqNum(1), "result");
-        assert!(ledger.observe(&from_primary));
-        assert!(!ledger.observe(&from_shadow));
     }
 }

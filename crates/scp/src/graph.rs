@@ -51,17 +51,6 @@ impl CommGraph {
         self.channels.insert(key);
     }
 
-    /// Declares both directions between two threads.
-    pub fn declare_bidirectional(
-        &mut self,
-        a: impl Into<String> + Clone,
-        b: impl Into<String> + Clone,
-        label: impl Into<String> + Clone,
-    ) {
-        self.declare(a.clone(), b.clone(), label.clone());
-        self.declare(b, a, label);
-    }
-
     /// Whether `from -> to` has been declared.
     pub fn allows(&self, from: &str, to: &str) -> bool {
         self.channels.contains(&(from.to_string(), to.to_string()))
@@ -93,35 +82,6 @@ impl CommGraph {
         self.channels.is_empty()
     }
 
-    /// Every thread that sends to `name` — the peers whose routing entries
-    /// must be refreshed when `name` is regenerated elsewhere.
-    pub fn senders_to(&self, name: &str) -> Vec<String> {
-        self.channels
-            .iter()
-            .filter(|(_, to)| to == name)
-            .map(|(from, _)| from.clone())
-            .collect()
-    }
-
-    /// Every thread `name` sends to.
-    pub fn receivers_from(&self, name: &str) -> Vec<String> {
-        self.channels
-            .iter()
-            .filter(|(from, _)| from == name)
-            .map(|(_, to)| to.clone())
-            .collect()
-    }
-
-    /// All thread names mentioned anywhere in the graph.
-    pub fn threads(&self) -> BTreeSet<String> {
-        let mut names = BTreeSet::new();
-        for (from, to) in &self.channels {
-            names.insert(from.clone());
-            names.insert(to.clone());
-        }
-        names
-    }
-
     /// Builds the manager/worker star topology the paper's decomposition
     /// uses: the manager exchanges sub-problems and results with each of
     /// `workers` workers.
@@ -149,29 +109,11 @@ mod tests {
     }
 
     #[test]
-    fn bidirectional_declares_both_directions() {
-        let mut g = CommGraph::new();
-        g.declare_bidirectional("a", "b", "chat");
-        assert!(g.allows("a", "b"));
-        assert!(g.allows("b", "a"));
-        assert_eq!(g.len(), 2);
-    }
-
-    #[test]
     fn duplicate_declarations_are_idempotent() {
         let mut g = CommGraph::new();
         g.declare("a", "b", "x");
         g.declare("a", "b", "y");
         assert_eq!(g.len(), 1);
-    }
-
-    #[test]
-    fn senders_and_receivers_queries() {
-        let g = CommGraph::manager_worker("m", &["w0".into(), "w1".into(), "w2".into()]);
-        assert_eq!(g.senders_to("m").len(), 3);
-        assert_eq!(g.receivers_from("m").len(), 3);
-        assert_eq!(g.senders_to("w1"), vec!["m".to_string()]);
-        assert_eq!(g.threads().len(), 4);
     }
 
     #[test]
@@ -191,7 +133,6 @@ mod tests {
         let g = CommGraph::new();
         assert!(g.is_empty());
         assert!(g.channels().is_empty());
-        assert!(g.threads().is_empty());
     }
 
     #[test]

@@ -14,7 +14,6 @@ use crate::{Result, ScpError};
 use crossbeam_channel::{Receiver, Sender};
 use parking_lot::RwLock;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// A logical thread name.
@@ -22,8 +21,6 @@ pub type ThreadName = String;
 
 struct RouterInner<M> {
     bindings: RwLock<HashMap<ThreadName, Sender<Envelope<M>>>>,
-    sends: AtomicU64,
-    rebinds: AtomicU64,
 }
 
 /// A cloneable handle to the routing table shared by every thread in the
@@ -52,8 +49,6 @@ impl<M> Router<M> {
         Self {
             inner: Arc::new(RouterInner {
                 bindings: RwLock::new(HashMap::new()),
-                sends: AtomicU64::new(0),
-                rebinds: AtomicU64::new(0),
             }),
         }
     }
@@ -80,7 +75,6 @@ impl<M> Router<M> {
         let name = name.into();
         let (tx, rx) = crossbeam_channel::unbounded();
         self.inner.bindings.write().insert(name, tx);
-        self.inner.rebinds.fetch_add(1, Ordering::Relaxed);
         rx
     }
 
@@ -109,7 +103,6 @@ impl<M> Router<M> {
         };
         let to = envelope.to.clone();
         tx.send(envelope).map_err(|_| ScpError::Disconnected(to))?;
-        self.inner.sends.fetch_add(1, Ordering::Relaxed);
         Ok(())
     }
 
@@ -122,16 +115,6 @@ impl<M> Router<M> {
         payload: M,
     ) -> Result<()> {
         self.send_envelope(Envelope::new(from, to, seq, payload))
-    }
-
-    /// Total number of successful sends through this router.
-    pub fn send_count(&self) -> u64 {
-        self.inner.sends.load(Ordering::Relaxed)
-    }
-
-    /// Total number of rebinds (reconfigurations) performed.
-    pub fn rebind_count(&self) -> u64 {
-        self.inner.rebinds.load(Ordering::Relaxed)
     }
 }
 
@@ -149,7 +132,6 @@ mod tests {
         let env = rx.recv().unwrap();
         assert_eq!(env.payload, "hello");
         assert_eq!(env.from, "bob");
-        assert_eq!(router.send_count(), 1);
     }
 
     #[test]
@@ -198,7 +180,6 @@ mod tests {
             "old mailbox must not see new traffic"
         );
         assert_eq!(new_rx.recv().unwrap().payload, 2);
-        assert_eq!(router.rebind_count(), 1);
     }
 
     #[test]
@@ -253,6 +234,5 @@ mod tests {
             count += 1;
         }
         assert_eq!(count, 800);
-        assert_eq!(router.send_count(), 800);
     }
 }

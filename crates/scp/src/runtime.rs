@@ -5,10 +5,9 @@
 //! with [`Runtime::spawn`]; each receives a [`ThreadContext`] through which
 //! it sends and receives envelopes.  The context assigns outgoing sequence
 //! numbers automatically, so replicated senders created from the same
-//! logical state produce identical numbering — the property the resiliency
-//! layer's deduplication relies on.
+//! logical state produce identical numbering.
 
-use crate::envelope::{DedupLedger, Envelope, SeqNum};
+use crate::envelope::{Envelope, SeqNum};
 use crate::graph::CommGraph;
 use crate::router::{Router, ThreadName};
 use crate::{Result, ScpError};
@@ -67,7 +66,6 @@ pub struct ThreadContext<M> {
     graph: Arc<CommGraph>,
     validate: bool,
     next_seq: SeqNum,
-    dedup: DedupLedger,
 }
 
 impl<M> ThreadContext<M> {
@@ -106,27 +104,6 @@ impl<M> ThreadContext<M> {
         Ok(seq)
     }
 
-    /// Sends with an explicit sequence number, used by replicas that must
-    /// mirror their primary's numbering exactly.
-    pub fn send_with_seq(&mut self, to: &str, seq: SeqNum, payload: M) -> Result<()> {
-        if self.validate && !self.graph.allows(&self.name, to) {
-            return Err(ScpError::ChannelNotDeclared {
-                from: self.name.clone(),
-                to: to.to_string(),
-            });
-        }
-        self.router.send_envelope(Envelope::new(
-            self.name.clone(),
-            to.to_string(),
-            seq,
-            payload,
-        ))?;
-        if seq >= self.next_seq {
-            self.next_seq = seq.next();
-        }
-        Ok(())
-    }
-
     /// Blocks until an envelope arrives.
     pub fn recv(&self) -> Result<Envelope<M>> {
         self.receiver.recv().map_err(|_| ScpError::Shutdown)
@@ -146,33 +123,6 @@ impl<M> ThreadContext<M> {
             Ok(env) => Ok(Some(env)),
             Err(TryRecvError::Empty) => Ok(None),
             Err(TryRecvError::Disconnected) => Err(ScpError::Shutdown),
-        }
-    }
-
-    /// Blocks until a *new* (non-duplicate) envelope arrives, transparently
-    /// discarding duplicate deliveries from replicated senders.
-    pub fn recv_deduplicated(&mut self) -> Result<Envelope<M>> {
-        loop {
-            let env = self.recv()?;
-            if self.dedup.observe(&env) {
-                return Ok(env);
-            }
-        }
-    }
-
-    /// Like [`ThreadContext::recv_deduplicated`] but with a per-attempt
-    /// timeout.
-    pub fn recv_deduplicated_timeout(&mut self, timeout: Duration) -> Result<Envelope<M>> {
-        let deadline = std::time::Instant::now() + timeout;
-        loop {
-            let remaining = deadline.saturating_duration_since(std::time::Instant::now());
-            if remaining.is_zero() {
-                return Err(ScpError::Timeout);
-            }
-            let env = self.recv_timeout(remaining)?;
-            if self.dedup.observe(&env) {
-                return Ok(env);
-            }
         }
     }
 
@@ -227,7 +177,6 @@ impl<M: Send + 'static> Runtime<M> {
             graph: Arc::clone(&self.graph),
             validate: self.validate,
             next_seq: SeqNum::FIRST,
-            dedup: DedupLedger::new(),
         })
     }
 
@@ -248,7 +197,6 @@ impl<M: Send + 'static> Runtime<M> {
             graph: Arc::clone(&self.graph),
             validate: self.validate,
             next_seq: resume_seq,
-            dedup: DedupLedger::new(),
         }
     }
 
@@ -344,34 +292,6 @@ mod tests {
         let runtime: Runtime<()> = Runtime::unvalidated();
         let _a = runtime.context("same").unwrap();
         assert!(runtime.context("same").is_err());
-    }
-
-    #[test]
-    fn recv_deduplicated_suppresses_replica_copies() {
-        let runtime: Runtime<&'static str> = Runtime::unvalidated();
-        let mut receiver = runtime.context("manager").unwrap();
-        let router = runtime.router();
-        // Two replicas of "worker3" send the same logical messages.
-        router
-            .send("worker3", "manager", SeqNum(1), "result-1")
-            .unwrap();
-        router
-            .send("worker3", "manager", SeqNum(1), "result-1")
-            .unwrap();
-        router
-            .send("worker3", "manager", SeqNum(2), "result-2")
-            .unwrap();
-        router
-            .send("worker3", "manager", SeqNum(2), "result-2")
-            .unwrap();
-
-        assert_eq!(receiver.recv_deduplicated().unwrap().payload, "result-1");
-        assert_eq!(receiver.recv_deduplicated().unwrap().payload, "result-2");
-        // Nothing further: both remaining queued messages are duplicates.
-        assert!(matches!(
-            receiver.recv_deduplicated_timeout(Duration::from_millis(20)),
-            Err(ScpError::Timeout)
-        ));
     }
 
     #[test]

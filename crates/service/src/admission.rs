@@ -1,10 +1,9 @@
 //! The admission plane: one policy point for *who* gets in, *in what
 //! order*, *onto which lane*, and *what happens under pressure*.
 //!
-//! Before this module the service made admission decisions in three
-//! disconnected places: the queue ordered purely by priority, the routing
-//! policy resolved lanes at admission, and the ingest pump kept its own
-//! watermark arithmetic.  The [`AdmissionGovernor`] unifies them:
+//! The [`AdmissionGovernor`] holds the bounded queue, the byte and tenant
+//! accounting and the pressure ladder under one lock, so a submission's
+//! quota check, the load it is judged against and its push are one step:
 //!
 //! * **Tenancy** — every [`crate::JobSpec`] names a [`TenantId`] and a
 //!   [`JobClass`].  Per-tenant [`TenantQuota`]s bound how much queue a
@@ -30,15 +29,14 @@
 //!   clamping lives here too, so every route decision flows through one
 //!   place.
 
-use crate::job::{BackendKind, JobId, JobStatus, Priority};
-use crate::queue::{AdmissionQueue, QueuedJob};
+use crate::job::{BackendKind, JobId, JobSpec, JobStatus, Priority};
 use crate::report::{ServiceReport, TenantStats};
 use crate::routing::{LaneSnapshot, Route, RoutingRequest, SharedRoutingPolicy};
 use crate::ServiceError;
 use crate::ServiceEvent;
 use std::collections::{BTreeMap, BinaryHeap, HashMap};
-use std::sync::Mutex;
-use std::time::Duration;
+use std::sync::{Condvar, Mutex};
+use std::time::{Duration, Instant};
 
 /// Identifier of the tenant a job is submitted on behalf of.
 ///
@@ -249,12 +247,6 @@ impl PressurePolicy {
         self
     }
 
-    /// Sets the back-off hint attached to sheds and rejections.
-    pub fn with_retry_after(mut self, retry_after: Duration) -> Self {
-        self.retry_after = retry_after;
-        self
-    }
-
     /// The typed back-off hint for this policy's rejections.
     pub fn retry_hint(&self) -> RetryAfter {
         RetryAfter(self.retry_after)
@@ -372,8 +364,8 @@ struct Lane<T> {
 /// The property suite (`fairness_properties.rs`) checks this over seeded
 /// arbitrary arrival schedules.
 ///
-/// The structure is single-threaded; [`crate::AdmissionGovernor`] wraps it
-/// in the service's bounded blocking queue.
+/// The structure is single-threaded; [`crate::AdmissionGovernor`] holds it
+/// under its lock as the service's bounded blocking queue.
 pub struct DrrQueue<T> {
     lanes: BTreeMap<TenantId, Lane<T>>,
     /// The tenant currently being served (holding unspent deficit).
@@ -558,9 +550,33 @@ impl PressureGauge {
     }
 }
 
-/// Byte-level accounting the governor keeps under its own lock.
+/// A job as it travels from the front end to the scheduler.
+#[derive(Debug)]
+pub(crate) struct QueuedJob {
+    /// The job's identifier.
+    pub id: JobId,
+    /// When the front end accepted it (latency is measured from here).
+    pub submitted: Instant,
+    /// The full specification.
+    pub spec: JobSpec,
+    /// The job's root telemetry span, opened at submission (`None` with
+    /// telemetry disabled).
+    pub span: Option<telemetry::SpanId>,
+    /// The `queued` child span, closed at admission to measure queue wait.
+    pub queued_span: Option<telemetry::SpanId>,
+}
+
+/// Everything an admission decision reads or writes, under the governor's
+/// one lock: a quota check, the [`LoadView`] it decides against and the push
+/// that follows are one atomic step.
 #[derive(Default)]
-struct GovernorLoads {
+struct GovernorState {
+    /// Submitted, not yet scheduled: the bounded weighted-fair backlog.
+    queue: DrrQueue<QueuedJob>,
+    /// Deepest `queue` has ever been.
+    high_water: usize,
+    /// Set by [`AdmissionGovernor::close`]: no further submissions.
+    closed: bool,
     /// Payload bytes per accepted, not-yet-terminal job.
     in_flight: HashMap<JobId, usize>,
     /// Sum over `in_flight`.
@@ -569,36 +585,54 @@ struct GovernorLoads {
     tenants: BTreeMap<TenantId, TenantStats>,
 }
 
+impl GovernorState {
+    fn stats(&mut self, tenant: TenantId, weight: u64) -> &mut TenantStats {
+        self.tenants.entry(tenant).or_insert_with(|| TenantStats {
+            weight,
+            ..TenantStats::default()
+        })
+    }
+}
+
 /// The unified admission plane of a running service: quota checks, tiered
-/// degradation, the weighted fair queue, and route resolution.
+/// degradation, the bounded weighted fair queue, and route resolution.
 ///
 /// Constructed from [`crate::ServiceConfig`] at service start; the front
 /// end submits through it, the scheduler dequeues and routes through it,
 /// and every terminal transition is reported back so in-flight byte
 /// accounting and per-tenant counters stay exact.
+///
+/// It is the backpressure point of the service: a non-blocking submission
+/// to a full queue is rejected ([`ServiceError::Saturated`], with the
+/// plane's [`RetryAfter`] hint), a blocking one parks the submitter until
+/// the scheduler takes a job or the governor closes.
 pub struct AdmissionGovernor {
     quotas: BTreeMap<TenantId, TenantQuota>,
     default_quota: TenantQuota,
     pressure: PressurePolicy,
     routing: SharedRoutingPolicy,
-    queue: AdmissionQueue,
-    loads: Mutex<GovernorLoads>,
+    capacity: usize,
+    state: Mutex<GovernorState>,
+    /// Parks blocking submitters while the queue is full.
+    space: Condvar,
     telemetry: telemetry::Telemetry,
 }
 
 impl AdmissionGovernor {
+    /// A governor whose queue holds at most `queue_capacity` jobs (floor 1).
     pub(crate) fn new(
         queue_capacity: usize,
         admission: AdmissionConfig,
         routing: SharedRoutingPolicy,
     ) -> Self {
         Self {
-            queue: AdmissionQueue::new(queue_capacity, admission.pressure.retry_hint()),
             quotas: admission.quotas,
             default_quota: admission.default_quota,
             pressure: admission.pressure,
             routing,
-            loads: Mutex::new(GovernorLoads::default()),
+            capacity: queue_capacity.max(1),
+            state: Mutex::new(GovernorState::default()),
+            space: Condvar::new(),
             telemetry: telemetry::Telemetry::disabled(),
         }
     }
@@ -610,11 +644,11 @@ impl AdmissionGovernor {
         self
     }
 
-    /// Refreshes the `fusiond_queue_depth` gauge (one branch when
-    /// telemetry is disabled).
-    fn gauge_queue_depth(&self) {
+    /// Sets the `fusiond_queue_depth` gauge (one branch when telemetry is
+    /// disabled).
+    fn gauge_queue_depth(&self, depth: usize) {
         if let Some(gauge) = self.telemetry.gauge("fusiond_queue_depth", &[]) {
-            gauge.set(self.queue.len() as i64);
+            gauge.set(depth as i64);
         }
     }
 
@@ -626,107 +660,108 @@ impl AdmissionGovernor {
             .unwrap_or(self.default_quota)
     }
 
-    fn stats(loads: &mut GovernorLoads, tenant: TenantId, weight: u64) -> &mut TenantStats {
-        loads.tenants.entry(tenant).or_insert_with(|| TenantStats {
-            weight,
-            ..TenantStats::default()
-        })
-    }
-
     /// Front-end submission: quota check, pressure decision, downgrade,
-    /// then the bounded (optionally blocking) weighted-fair push.  Every
-    /// rejection carries the policy's [`RetryAfter`] hint.
+    /// then the bounded weighted-fair push — one step under the lock, taken
+    /// again from the top each time a `blocking` submitter wakes with space
+    /// in the queue.  Every rejection carries the policy's [`RetryAfter`]
+    /// hint.
     pub(crate) fn submit(&self, mut job: QueuedJob, blocking: bool) -> Result<(), ServiceError> {
         let tenant = job.spec.tenant;
         let class = job.spec.class;
         let quota = self.quota(tenant);
         let retry_after = self.pressure.retry_hint();
-        if let Some(max_queued) = quota.max_queued {
-            if self.queue.tenant_depth(tenant) >= max_queued {
-                let mut loads = self.loads.lock().expect("governor lock");
-                Self::stats(&mut loads, tenant, quota.weight).jobs_rejected += 1;
-                drop(loads);
-                self.telemetry.count(
-                    "fusiond_jobs_rejected_total",
-                    &[("tenant", &tenant.label()), ("reason", "quota")],
-                );
-                return Err(ServiceError::QuotaExceeded {
+        let mut state = self.state.lock().expect("governor lock");
+        let mut waited = false;
+        let refusal = loop {
+            if state.closed {
+                break ServiceError::ShuttingDown;
+            }
+            if quota
+                .max_queued
+                .is_some_and(|max| state.queue.tenant_len(tenant) >= max)
+            {
+                break ServiceError::QuotaExceeded {
                     tenant,
                     retry_after,
-                });
+                };
             }
-        }
-        let load = {
-            let loads = self.loads.lock().expect("governor lock");
-            LoadView {
-                queue_depth: self.queue.len(),
-                in_flight_bytes: loads.in_flight_bytes,
-            }
-        };
-        let downgrade = match self.pressure.decide(load, class) {
-            PressureDecision::Shed { reason } => {
-                let mut loads = self.loads.lock().expect("governor lock");
-                Self::stats(&mut loads, tenant, quota.weight).jobs_shed += 1;
-                drop(loads);
-                self.telemetry.count(
-                    "fusiond_jobs_shed_total",
-                    &[("tenant", &tenant.label()), ("reason", reason.label())],
-                );
-                return Err(ServiceError::Shed {
-                    reason,
-                    retry_after,
-                });
-            }
-            PressureDecision::Admit { downgrade } => downgrade,
-        };
-        if downgrade {
-            job.spec.priority = Priority::Low;
-        }
-        let id = job.id;
-        let bytes = job.spec.source.payload_bytes();
-        let pushed = if blocking {
-            self.queue.push_blocking(job, quota.weight)
-        } else {
-            self.queue.try_push(job, quota.weight)
-        };
-        match pushed {
-            Ok(()) => {
-                let mut loads = self.loads.lock().expect("governor lock");
-                loads.in_flight.insert(id, bytes);
-                loads.in_flight_bytes += bytes;
-                let stats = Self::stats(&mut loads, tenant, quota.weight);
-                stats.jobs_admitted += 1;
-                if downgrade {
-                    stats.jobs_downgraded += 1;
+            let load = LoadView {
+                queue_depth: state.queue.len(),
+                in_flight_bytes: state.in_flight_bytes,
+            };
+            let downgrade = match self.pressure.decide(load, class) {
+                PressureDecision::Shed { reason } => {
+                    break ServiceError::Shed {
+                        reason,
+                        retry_after,
+                    }
                 }
-                drop(loads);
+                PressureDecision::Admit { downgrade } => downgrade,
+            };
+            if state.queue.len() < self.capacity {
+                if downgrade {
+                    job.spec.priority = Priority::Low;
+                }
+                let bytes = job.spec.source.payload_bytes();
+                state.in_flight.insert(job.id, bytes);
+                state.in_flight_bytes += bytes;
+                let stats = state.stats(tenant, quota.weight);
+                stats.jobs_admitted += 1;
+                stats.jobs_downgraded += u64::from(downgrade);
+                let priority = job.spec.priority;
+                state.queue.push(tenant, quota.weight, priority, job);
+                let depth = state.queue.len();
+                state.high_water = state.high_water.max(depth);
+                drop(state);
                 self.telemetry
                     .count("fusiond_jobs_queued_total", &[("tenant", &tenant.label())]);
-                self.gauge_queue_depth();
-                Ok(())
+                self.gauge_queue_depth(depth);
+                return Ok(());
             }
-            Err(e) => {
-                if matches!(e, ServiceError::Saturated { .. }) {
-                    let mut loads = self.loads.lock().expect("governor lock");
-                    Self::stats(&mut loads, tenant, quota.weight).jobs_rejected += 1;
-                    drop(loads);
-                    self.telemetry.count(
-                        "fusiond_jobs_rejected_total",
-                        &[("tenant", &tenant.label()), ("reason", "saturated")],
-                    );
-                }
-                Err(e)
+            if !blocking {
+                break ServiceError::Saturated { retry_after };
+            }
+            waited = true;
+            state = self.space.wait(state).expect("governor lock");
+        };
+        // A closed governor counts nothing; every other refusal is the
+        // tenant's: shed at a watermark, or rejected by quota or saturation.
+        let counted = match &refusal {
+            ServiceError::Shed { reason, .. } => Some(("fusiond_jobs_shed_total", reason.label())),
+            ServiceError::QuotaExceeded { .. } => Some(("fusiond_jobs_rejected_total", "quota")),
+            ServiceError::Saturated { .. } => Some(("fusiond_jobs_rejected_total", "saturated")),
+            _ => None,
+        };
+        if counted.is_some() {
+            let stats = state.stats(tenant, quota.weight);
+            if matches!(refusal, ServiceError::Shed { .. }) {
+                stats.jobs_shed += 1;
+            } else {
+                stats.jobs_rejected += 1;
             }
         }
+        drop(state);
+        if waited {
+            // Woken for a slot it did not take: hand it to the next waiter.
+            self.space.notify_one();
+        }
+        if let Some((counter, reason)) = counted {
+            self.telemetry
+                .count(counter, &[("tenant", &tenant.label()), ("reason", reason)]);
+        }
+        Err(refusal)
     }
 
-    /// Scheduler side: the next job under weighted fair dequeue.
+    /// Scheduler side: the next job under weighted fair dequeue; frees one
+    /// slot for a parked submitter.
     pub(crate) fn next(&self) -> Option<QueuedJob> {
-        let popped = self.queue.pop();
-        if popped.is_some() {
-            self.gauge_queue_depth();
-        }
-        popped
+        let mut state = self.state.lock().expect("governor lock");
+        let (_, job) = state.queue.pop()?;
+        let depth = state.queue.len();
+        drop(state);
+        self.space.notify_one();
+        self.gauge_queue_depth(depth);
+        Some(job)
     }
 
     /// Resolves a route to a concrete, enabled lane.  Pinned routes were
@@ -759,58 +794,40 @@ impl AdmissionGovernor {
     /// Reports a job's terminal transition: releases its in-flight bytes
     /// and counts completions per tenant.
     pub(crate) fn note_terminal(&self, job: JobId, tenant: TenantId, status: JobStatus) {
-        let mut loads = self.loads.lock().expect("governor lock");
-        if let Some(bytes) = loads.in_flight.remove(&job) {
-            loads.in_flight_bytes -= bytes;
+        let mut state = self.state.lock().expect("governor lock");
+        if let Some(bytes) = state.in_flight.remove(&job) {
+            state.in_flight_bytes -= bytes;
         }
         if status == JobStatus::Completed {
             let weight = self.quota(tenant).weight;
-            Self::stats(&mut loads, tenant, weight).jobs_completed += 1;
+            state.stats(tenant, weight).jobs_completed += 1;
         }
     }
 
     /// Jobs currently queued (all tenants).
     pub fn queue_depth(&self) -> usize {
-        self.queue.len()
-    }
-
-    /// Jobs currently queued for one tenant.
-    pub fn tenant_depth(&self, tenant: TenantId) -> usize {
-        self.queue.tenant_depth(tenant)
-    }
-
-    /// Bound of the admission queue.
-    pub fn queue_capacity(&self) -> usize {
-        self.queue.capacity()
-    }
-
-    /// Whether nothing is queued.
-    pub(crate) fn queue_is_empty(&self) -> bool {
-        self.queue.is_empty()
+        self.state.lock().expect("governor lock").queue.len()
     }
 
     /// Deepest the queue has ever been.
     pub(crate) fn queue_high_water(&self) -> usize {
-        self.queue.high_water()
+        self.state.lock().expect("governor lock").high_water
     }
 
-    /// Stops accepting submissions and wakes blocked submitters.
+    /// Stops accepting submissions and wakes blocked submitters; jobs
+    /// already queued still drain through [`AdmissionGovernor::next`].
     pub(crate) fn close(&self) {
-        self.queue.close();
-    }
-
-    /// Payload bytes of accepted, not-yet-terminal jobs.
-    pub fn in_flight_bytes(&self) -> usize {
-        self.loads.lock().expect("governor lock").in_flight_bytes
+        self.state.lock().expect("governor lock").closed = true;
+        self.space.notify_all();
     }
 
     /// Folds the per-tenant counters into a finished report, deriving the
     /// aggregate shed/rejection totals from them.
     pub(crate) fn fold_into(&self, report: &mut ServiceReport) {
-        let loads = self.loads.lock().expect("governor lock");
-        report.jobs_shed = loads.tenants.values().map(|t| t.jobs_shed).sum();
-        report.jobs_rejected = loads.tenants.values().map(|t| t.jobs_rejected).sum();
-        report.tenants = loads.tenants.clone();
+        let state = self.state.lock().expect("governor lock");
+        report.jobs_shed = state.tenants.values().map(|t| t.jobs_shed).sum();
+        report.jobs_rejected = state.tenants.values().map(|t| t.jobs_rejected).sum();
+        report.tenants = state.tenants.clone();
     }
 }
 
@@ -1031,5 +1048,142 @@ mod tests {
         assert_eq!(ShedReason::Saturated.label(), "saturated");
         let hint = RetryAfter(Duration::from_millis(10));
         assert!(hint.to_string().contains("retry after"));
+    }
+
+    fn governor(capacity: usize, admission: AdmissionConfig) -> AdmissionGovernor {
+        AdmissionGovernor::new(capacity, admission, crate::routing::default_policy())
+    }
+
+    fn job(id: JobId, tenant: TenantId) -> QueuedJob {
+        use crate::job::CubeSource;
+        QueuedJob {
+            id,
+            submitted: Instant::now(),
+            spec: JobSpec::builder(CubeSource::Synthetic(hsi::SceneConfig::small(id)))
+                .tenant(tenant)
+                .build()
+                .unwrap(),
+            span: None,
+            queued_span: None,
+        }
+    }
+
+    fn saturated() -> ServiceError {
+        ServiceError::Saturated {
+            retry_after: PressurePolicy::unbounded().retry_hint(),
+        }
+    }
+
+    #[test]
+    fn saturation_rejects_and_high_water_tracks() {
+        let g = governor(2, AdmissionConfig::default());
+        let t = TenantId::default();
+        g.submit(job(1, t), false).unwrap();
+        g.submit(job(2, t), false).unwrap();
+        assert_eq!(g.submit(job(3, t), false).unwrap_err(), saturated());
+        assert_eq!(g.queue_depth(), 2);
+        assert_eq!(g.queue_high_water(), 2);
+        g.next().unwrap();
+        g.submit(job(3, t), false).unwrap();
+        assert_eq!(g.queue_high_water(), 2);
+    }
+
+    #[test]
+    fn blocking_push_waits_for_space() {
+        let g = std::sync::Arc::new(governor(1, AdmissionConfig::default()));
+        let t = TenantId::default();
+        g.submit(job(1, t), false).unwrap();
+        let (done, parked) = std::sync::mpsc::channel();
+        let g2 = std::sync::Arc::clone(&g);
+        let pusher = std::thread::spawn(move || {
+            let pushed = g2.submit(job(2, t), true);
+            done.send(()).unwrap();
+            pushed
+        });
+        // The submitter stays parked while the queue is full...
+        assert!(parked.recv_timeout(Duration::from_millis(30)).is_err());
+        // ...and gets in as soon as the scheduler takes a job.
+        assert_eq!(g.next().unwrap().id, 1);
+        pusher.join().unwrap().unwrap();
+        assert_eq!(g.next().unwrap().id, 2);
+    }
+
+    #[test]
+    fn close_rejects_and_wakes_blocked_pushers() {
+        let g = std::sync::Arc::new(governor(1, AdmissionConfig::default()));
+        let t = TenantId::default();
+        g.submit(job(1, t), false).unwrap();
+        let (done, parked) = std::sync::mpsc::channel();
+        let g2 = std::sync::Arc::clone(&g);
+        let pusher = std::thread::spawn(move || {
+            let pushed = g2.submit(job(2, t), true);
+            done.send(()).unwrap();
+            pushed
+        });
+        assert!(parked.recv_timeout(Duration::from_millis(30)).is_err());
+        g.close();
+        assert_eq!(
+            pusher.join().unwrap().unwrap_err(),
+            ServiceError::ShuttingDown
+        );
+        assert_eq!(
+            g.submit(job(3, t), false).unwrap_err(),
+            ServiceError::ShuttingDown
+        );
+        // Already-queued jobs still drain.
+        assert_eq!(g.next().unwrap().id, 1);
+        assert_eq!(g.queue_depth(), 0);
+    }
+
+    #[test]
+    fn capacity_floor_is_one() {
+        let g = governor(0, AdmissionConfig::default());
+        let t = TenantId::default();
+        g.submit(job(1, t), false).unwrap();
+        assert_eq!(g.submit(job(2, t), false).unwrap_err(), saturated());
+    }
+
+    /// The quota check and the push are one step: however eight submitters
+    /// of one tenant interleave, the tenant never holds more than its quota
+    /// and every attempt is either admitted or refused with the typed error.
+    #[test]
+    fn tenant_quota_holds_under_concurrent_submitters() {
+        const THREADS: u64 = 8;
+        const ATTEMPTS: u64 = 200;
+        let tenant = TenantId(7);
+        let mut admission = AdmissionConfig::default();
+        admission
+            .quotas
+            .insert(tenant, TenantQuota::weighted(1).with_max_queued(3));
+        let g = governor(64, admission);
+        let start = std::sync::Barrier::new(THREADS as usize);
+        let (admitted, refused, deepest) = std::thread::scope(|scope| {
+            let submitters: Vec<_> = (0..THREADS)
+                .map(|thread| {
+                    let (g, start) = (&g, &start);
+                    scope.spawn(move || {
+                        let (mut admitted, mut refused, mut deepest) = (0, 0, 0);
+                        start.wait();
+                        for attempt in 0..ATTEMPTS {
+                            match g.submit(job(thread * ATTEMPTS + attempt, tenant), false) {
+                                Ok(()) => admitted += 1,
+                                Err(ServiceError::QuotaExceeded { .. }) => refused += 1,
+                                Err(other) => panic!("unexpected refusal: {other:?}"),
+                            }
+                            deepest = deepest.max(g.queue_depth());
+                        }
+                        (admitted, refused, deepest)
+                    })
+                })
+                .collect();
+            submitters
+                .into_iter()
+                .map(|s| s.join().unwrap())
+                .fold((0, 0, 0), |a, b| (a.0 + b.0, a.1 + b.1, a.2.max(b.2)))
+        });
+        assert_eq!(deepest, 3);
+        assert_eq!(g.queue_depth(), 3);
+        assert_eq!(admitted, 3);
+        assert_eq!(admitted + refused, THREADS * ATTEMPTS);
     }
 }

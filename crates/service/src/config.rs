@@ -25,10 +25,9 @@
 
 use crate::admission::{AdmissionConfig, PressurePolicy, TenantId, TenantQuota};
 use crate::chaos::ChaosPlan;
-use crate::routing::{default_policy, RoutingPolicy, SharedRoutingPolicy};
+use crate::routing::{default_policy, SharedRoutingPolicy};
 use crate::ServiceError;
 use resilience::DetectorConfig;
-use std::sync::Arc;
 use telemetry::Telemetry;
 
 /// A typed configuration defect, produced by the validating builders.
@@ -303,12 +302,6 @@ impl ServiceConfigBuilder {
         self
     }
 
-    /// Appends one remote-lane worker.
-    pub fn remote_worker(mut self, spec: RemoteWorkerSpec) -> Self {
-        self.config.pool.remote_workers.push(spec);
-        self
-    }
-
     /// Bound of the admission queue.
     pub fn queue_capacity(mut self, capacity: usize) -> Self {
         self.config.queue_capacity = capacity;
@@ -318,12 +311,6 @@ impl ServiceConfigBuilder {
     /// Maximum number of concurrently running jobs.
     pub fn max_in_flight(mut self, max: usize) -> Self {
         self.config.max_in_flight = max;
-        self
-    }
-
-    /// The routing policy resolving [`crate::Route::Auto`] jobs.
-    pub fn routing_policy(mut self, policy: impl RoutingPolicy + 'static) -> Self {
-        self.config.routing = Arc::new(policy);
         self
     }
 
@@ -342,12 +329,6 @@ impl ServiceConfigBuilder {
     /// Sets one tenant's quota (fair-share weight and queue bound).
     pub fn tenant_quota(mut self, tenant: TenantId, quota: TenantQuota) -> Self {
         self.config.admission.quotas.insert(tenant, quota);
-        self
-    }
-
-    /// The quota of tenants without an explicit [`Self::tenant_quota`].
-    pub fn default_tenant_quota(mut self, quota: TenantQuota) -> Self {
-        self.config.admission.default_quota = quota;
         self
     }
 
@@ -383,6 +364,7 @@ impl ServiceConfigBuilder {
 mod tests {
     use super::*;
     use crate::routing::RoundRobinPolicy;
+    use std::sync::Arc;
 
     #[test]
     fn builder_produces_validated_defaults() {
@@ -423,7 +405,7 @@ mod tests {
             .standard_workers(0)
             .replica_groups(0)
             .shared_memory_executors(0)
-            .remote_worker(RemoteWorkerSpec::Thread)
+            .remote_workers(vec![RemoteWorkerSpec::Thread])
             .build()
             .unwrap();
         assert_eq!(remote_only.pool.remote_workers.len(), 1);
@@ -484,7 +466,6 @@ mod tests {
         );
         let config = ServiceConfig::builder()
             .tenant_quota(TenantId(4), TenantQuota::weighted(2).with_max_queued(8))
-            .default_tenant_quota(TenantQuota::weighted(1))
             .pressure(PressurePolicy::unbounded().with_downgrade_queue_depth(4))
             .build()
             .unwrap();
@@ -495,7 +476,7 @@ mod tests {
     #[test]
     fn builder_swaps_the_routing_policy() {
         let config = ServiceConfig::builder()
-            .routing_policy(RoundRobinPolicy::default())
+            .routing(Arc::new(RoundRobinPolicy::default()))
             .build()
             .unwrap();
         assert_eq!(config.routing.name(), "round-robin");

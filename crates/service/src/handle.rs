@@ -6,8 +6,8 @@
 //! a job's lifetime to the code that submitted it.  A [`JobHandle`] owns
 //! those concerns:
 //!
-//! * [`JobHandle::wait`] / [`JobHandle::wait_timeout`] / [`JobHandle::try_wait`]
-//!   resolve to a typed terminal [`JobOutcome`]; a second `wait` returns the
+//! * [`JobHandle::wait`] / [`JobHandle::wait_timeout`] resolve to a typed
+//!   terminal [`JobOutcome`]; a second `wait` returns the
 //!   typed [`ServiceError::OutcomeTaken`] instead of pretending the job
 //!   never existed.
 //! * [`JobHandle::status`] and [`JobHandle::cancel`] are handle methods, not
@@ -60,17 +60,6 @@ impl JobOutcome {
         match self {
             JobOutcome::Completed(output) => Some(output),
             _ => None,
-        }
-    }
-
-    /// Converts into the old-style result (`Completed` is `Ok`, every other
-    /// terminal state its matching [`ServiceError`]).
-    pub fn into_result(self) -> Result<FusionOutput> {
-        match self {
-            JobOutcome::Completed(output) => Ok(output),
-            JobOutcome::Failed(cause) => Err(ServiceError::Failed(cause)),
-            JobOutcome::Cancelled => Err(ServiceError::Cancelled),
-            JobOutcome::TimedOut => Err(ServiceError::TimedOut),
         }
     }
 }
@@ -183,12 +172,6 @@ impl JobHandle {
         self.wait_until(Some(Instant::now() + timeout))
     }
 
-    /// Non-blocking probe: `Ok(Some(..))` takes the outcome if the job is
-    /// already terminal, `Ok(None)` if it is still running.
-    pub fn try_wait(&mut self) -> Result<Option<JobOutcome>> {
-        self.wait_until(Some(Instant::now()))
-    }
-
     fn wait_until(&mut self, deadline: Option<Instant>) -> Result<Option<JobOutcome>> {
         if self.taken {
             return Err(ServiceError::OutcomeTaken(self.id));
@@ -254,18 +237,6 @@ mod tests {
         let failed = JobOutcome::Failed("boom".into());
         assert_eq!(failed.status(), JobStatus::Failed);
         assert!(failed.output().is_none());
-        assert_eq!(
-            failed.into_result().unwrap_err(),
-            ServiceError::Failed("boom".into())
-        );
-        assert_eq!(
-            JobOutcome::Cancelled.into_result().unwrap_err(),
-            ServiceError::Cancelled
-        );
-        assert_eq!(
-            JobOutcome::TimedOut.into_result().unwrap_err(),
-            ServiceError::TimedOut
-        );
     }
 
     #[test]
@@ -280,10 +251,6 @@ mod tests {
         assert!(handle.is_terminal());
         // ...and a second wait is a typed error, not UnknownJob.
         assert_eq!(handle.wait().unwrap_err(), ServiceError::OutcomeTaken(5));
-        assert_eq!(
-            handle.try_wait().unwrap_err(),
-            ServiceError::OutcomeTaken(5)
-        );
     }
 
     #[test]
@@ -295,7 +262,6 @@ mod tests {
             handle.wait_timeout(Duration::from_millis(20)).unwrap(),
             None
         );
-        assert_eq!(handle.try_wait().unwrap(), None);
         plane.status.transition(7, JobStatus::Completed, None, None);
         // Completed-without-output is an internal error — but the point
         // here is that the outcome is still takeable after the timeout.

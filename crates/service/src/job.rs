@@ -249,48 +249,6 @@ impl JobSpec {
         }
     }
 
-    /// Overrides the pipeline configuration.
-    pub fn with_config(mut self, config: PctConfig) -> Self {
-        self.config = config;
-        self
-    }
-
-    /// Sets the route (pinned lane or [`Route::Auto`]).
-    pub fn with_route(mut self, route: impl Into<Route>) -> Self {
-        self.route = route.into();
-        self
-    }
-
-    /// Overrides the priority.
-    pub fn with_priority(mut self, priority: Priority) -> Self {
-        self.priority = priority;
-        self
-    }
-
-    /// Attributes the job to a tenant.
-    pub fn with_tenant(mut self, tenant: TenantId) -> Self {
-        self.tenant = tenant;
-        self
-    }
-
-    /// Overrides the admission class.
-    pub fn with_class(mut self, class: JobClass) -> Self {
-        self.class = class;
-        self
-    }
-
-    /// Overrides the shard count (at least 1).
-    pub fn with_shards(mut self, shards: usize) -> Self {
-        self.shards = shards.max(1);
-        self
-    }
-
-    /// Sets a deadline relative to admission.
-    pub fn with_timeout(mut self, timeout: Duration) -> Self {
-        self.timeout = Some(timeout);
-        self
-    }
-
     /// Materialises a synthetic source into an in-memory cube.  The front
     /// end calls this on the submitting thread so scene generation never
     /// stalls the scheduler's dispatch/result loop.
@@ -395,8 +353,10 @@ mod tests {
 
     #[test]
     fn route_setters_pin_and_default_to_auto() {
-        let spec = JobSpec::new(CubeSource::Synthetic(SceneConfig::small(1)))
-            .with_route(Route::Pinned(BackendKind::SharedMemory));
+        let spec = JobSpec::builder(CubeSource::Synthetic(SceneConfig::small(1)))
+            .route(Route::Pinned(BackendKind::SharedMemory))
+            .build()
+            .unwrap();
         assert_eq!(spec.route, Route::Pinned(BackendKind::SharedMemory));
         assert_eq!(
             JobSpec::new(CubeSource::Synthetic(SceneConfig::small(1))).route,

@@ -10,16 +10,15 @@
 //!   validating [`JobSpec::builder`]) is submitted through a bounded
 //!   admission queue with backpressure ([`FusionService::submit`] blocks
 //!   when full, [`FusionService::try_submit`] rejects).  Submission returns
-//!   an owned [`JobHandle`]: `wait`/`wait_timeout`/`try_wait` resolve to a
+//!   an owned [`JobHandle`]: `wait`/`wait_timeout` resolve to a
 //!   typed [`JobOutcome`], `cancel` and `status` are handle methods, and a
 //!   dropped handle cancels its job unless [`JobHandle::detach`]ed.
 //! * **Policy-driven routing** — a job's [`Route`] is either pinned to a
 //!   lane or [`Route::Auto`], resolved at admission by the service's
-//!   pluggable [`RoutingPolicy`] (by cube size, lane load, round-robin, or
-//!   [`pct::FusionBackend::cost_hint`]) over four real lanes: *standard*
-//!   workers, *resilient* replica groups, in-process *shared-memory*
-//!   executors for small cubes, and *remote* worker processes spoken to
-//!   over the versioned [`wire`] protocol.
+//!   pluggable [`RoutingPolicy`] (by cube size, lane load or round-robin)
+//!   over four real lanes: *standard* workers, *resilient* replica groups,
+//!   in-process *shared-memory* executors for small cubes, and *remote*
+//!   worker processes spoken to over the versioned [`wire`] protocol.
 //! * **Batch scheduler** — admitted jobs are sharded via `hsi::partition`,
 //!   and their tasks are batch-dispatched in priority order onto a shared
 //!   pool of long-lived `scp` workers: a *standard* lane of plain worker
@@ -76,7 +75,6 @@ pub mod routing;
 pub mod service;
 
 mod pool;
-mod queue;
 mod remote;
 mod scheduler;
 mod status;
@@ -92,8 +90,8 @@ pub use handle::{JobHandle, JobOutcome};
 pub use job::{BackendKind, CubeSource, JobId, JobSpec, JobSpecBuilder, JobStatus, Priority};
 pub use report::{LatencyStats, RouteStats, ServiceReport, TenantStats};
 pub use routing::{
-    CostHintPolicy, LaneLoad, LaneSnapshot, LeastLoadedPolicy, RoundRobinPolicy, Route,
-    RoutingPolicy, RoutingRequest, SharedRoutingPolicy, SizeThresholdPolicy,
+    LaneLoad, LaneSnapshot, LeastLoadedPolicy, RoundRobinPolicy, Route, RoutingPolicy,
+    RoutingRequest, SharedRoutingPolicy, SizeThresholdPolicy,
 };
 pub use service::FusionService;
 

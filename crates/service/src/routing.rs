@@ -19,10 +19,6 @@
 //!   capacity, by free-slot fraction.
 //! * [`RoundRobinPolicy`] — rotate over the enabled lanes.
 //!
-//! A fourth, [`CostHintPolicy`], consults [`pct::FusionBackend::cost_hint`]
-//! exemplars to pick the lane with the lowest estimated cost for the job's
-//! cube — the trait-level hook a smarter scheduler can build on.
-//!
 //! Every policy only ever returns an *enabled* lane; the scheduler
 //! additionally clamps the answer (falling back to the first *enabled* lane
 //! in preference order — standard, then resilient, then shared-memory, then
@@ -30,7 +26,6 @@
 
 use crate::job::BackendKind;
 use hsi::CubeDims;
-use pct::FusionBackend;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -189,13 +184,6 @@ impl SizeThresholdPolicy {
     /// Default threshold: 256 KiB of samples (a 64×64×8 cube, say).  Small
     /// enough that per-task messaging overhead dominates compute.
     pub const DEFAULT_THRESHOLD_BYTES: u64 = 256 * 1024;
-
-    /// A policy with an explicit threshold.
-    pub fn with_threshold(small_cube_max_bytes: u64) -> Self {
-        Self {
-            small_cube_max_bytes,
-        }
-    }
 }
 
 impl Default for SizeThresholdPolicy {
@@ -270,85 +258,6 @@ impl RoutingPolicy for RoundRobinPolicy {
         }
         let slot = self.next.fetch_add(1, Ordering::Relaxed);
         enabled[slot % enabled.len()]
-    }
-}
-
-/// Routes to the lane whose exemplar backend reports the lowest
-/// [`FusionBackend::cost_hint`] for the job's cube — the hook that lets the
-/// pipeline implementations themselves describe their cost model.
-pub struct CostHintPolicy {
-    lanes: Vec<(BackendKind, Box<dyn FusionBackend>)>,
-}
-
-impl std::fmt::Debug for CostHintPolicy {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let labels: Vec<&'static str> = self.lanes.iter().map(|(_, b)| b.label()).collect();
-        f.debug_struct("CostHintPolicy")
-            .field("exemplars", &labels)
-            .finish()
-    }
-}
-
-impl CostHintPolicy {
-    /// Builds the policy from exemplar backends, one per lane it may route
-    /// to.  Lanes without an exemplar are never chosen.
-    pub fn new(lanes: Vec<(BackendKind, Box<dyn FusionBackend>)>) -> Self {
-        Self { lanes }
-    }
-
-    /// Exemplars mirroring the service's three in-process lanes: the
-    /// sequential path, a distributed pipeline sized like the standard lane,
-    /// and a resilient pipeline sized like the replica-group lane — each
-    /// lane's exemplar must mirror *that* lane's parallelism or the cost
-    /// ordering between lanes is wrong.  The remote lane carries no
-    /// exemplar, so this policy never routes to it: reach it by pinning
-    /// [`crate::Route::Pinned`] or with a custom policy.
-    pub fn for_pool(
-        standard_workers: usize,
-        replica_groups: usize,
-        replication_level: usize,
-    ) -> Self {
-        use pct::{DistributedPct, PctConfig, ResilientPct, SequentialPct};
-        Self::new(vec![
-            (
-                BackendKind::SharedMemory,
-                Box::new(SequentialPct::new(PctConfig::paper())),
-            ),
-            (
-                BackendKind::Standard,
-                Box::new(DistributedPct::new(PctConfig::paper(), standard_workers)),
-            ),
-            (
-                BackendKind::Resilient,
-                Box::new(ResilientPct::new(
-                    PctConfig::paper(),
-                    replica_groups.max(1),
-                    replication_level.max(1),
-                )),
-            ),
-        ])
-    }
-}
-
-impl RoutingPolicy for CostHintPolicy {
-    fn name(&self) -> &'static str {
-        "cost-hint"
-    }
-
-    fn route(&self, job: &RoutingRequest, lanes: &LaneSnapshot) -> BackendKind {
-        let mut best = BackendKind::Standard;
-        let mut best_cost = f64::INFINITY;
-        for (kind, backend) in &self.lanes {
-            if !lanes.lane(*kind).enabled() {
-                continue;
-            }
-            let cost = backend.cost_hint(&job.dims);
-            if cost < best_cost {
-                best = *kind;
-                best_cost = cost;
-            }
-        }
-        best
     }
 }
 
@@ -465,28 +374,6 @@ mod tests {
     }
 
     #[test]
-    fn cost_hint_policy_prefers_cheap_in_process_for_tiny_cubes() {
-        let policy = CostHintPolicy::for_pool(4, 2, 2);
-        let lanes = snapshot(4, 2, 2);
-        // Tiny cube: fixed per-task messaging overhead dominates, the
-        // in-process exemplar (no comm term) wins.
-        assert_eq!(
-            policy.route(&request(8, 4), &lanes),
-            BackendKind::SharedMemory
-        );
-        // Huge cube: parallel speed-up beats the single-threaded exemplar.
-        assert_eq!(
-            policy.route(&request(320, 105), &lanes),
-            BackendKind::Standard
-        );
-        // Never routes to a disabled lane.
-        assert_eq!(
-            policy.route(&request(8, 4), &snapshot(4, 2, 0)),
-            BackendKind::Standard
-        );
-    }
-
-    #[test]
     fn remote_lane_is_routable_but_least_preferred() {
         let mut lanes = snapshot(4, 0, 0);
         lanes.remote = LaneLoad { total: 2, free: 2 };
@@ -505,9 +392,6 @@ mod tests {
             lanes.enabled_lanes(),
             vec![BackendKind::Standard, BackendKind::Remote]
         );
-        // The cost-hint policy carries no remote exemplar and never picks it.
-        let policy = CostHintPolicy::for_pool(4, 2, 2);
-        assert_ne!(policy.route(&request(8, 4), &lanes), BackendKind::Remote);
     }
 
     #[test]

@@ -340,7 +340,7 @@ impl Scheduler {
             let next = self.turn(Instant::now(), woke.take());
             if self.shutdown.load(Ordering::Acquire)
                 && self.running.is_empty()
-                && self.governor.queue_is_empty()
+                && self.governor.queue_depth() == 0
             {
                 break;
             }
@@ -1384,9 +1384,9 @@ impl Scheduler {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::admission::QueuedJob;
     use crate::config::{PoolConfig, ServiceConfig};
     use crate::job::{CubeSource, JobSpec};
-    use crate::queue::QueuedJob;
     use crate::status::JobRecord;
     use hsi::SceneConfig;
     use pct::distributed::{handle_task, MANAGER};

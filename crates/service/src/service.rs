@@ -5,13 +5,12 @@
 //! cancellation and cancel-on-drop live there.  (The pre-handle id-keyed
 //! methods spent one release as `#[deprecated]` shims and are gone.)
 
-use crate::admission::{AdmissionGovernor, ShedReason, TenantId};
+use crate::admission::{AdmissionGovernor, QueuedJob, ShedReason, TenantId};
 use crate::config::ServiceConfig;
 use crate::events::{EventBus, EventSubscriber, ServiceEvent};
 use crate::handle::{HandlePlane, JobHandle};
 use crate::job::{BackendKind, JobId, JobSpec};
 use crate::pool::{Doorbell, WorkerPool};
-use crate::queue::QueuedJob;
 use crate::report::ServiceReport;
 use crate::routing::Route;
 use crate::scheduler::Scheduler;
@@ -238,22 +237,6 @@ impl FusionService {
     /// Number of jobs currently waiting in the admission queue.
     pub fn queue_depth(&self) -> usize {
         self.governor.queue_depth()
-    }
-
-    /// Number of jobs one tenant currently holds in the admission queue.
-    pub fn tenant_depth(&self, tenant: TenantId) -> usize {
-        self.governor.tenant_depth(tenant)
-    }
-
-    /// Bound of the admission queue (the backpressure point).
-    pub fn queue_capacity(&self) -> usize {
-        self.governor.queue_capacity()
-    }
-
-    /// The admission plane itself — effective quotas, live depths and
-    /// in-flight byte accounting.
-    pub fn admission(&self) -> &AdmissionGovernor {
-        &self.governor
     }
 
     /// Routing names of the resilient lane's live attack targets.

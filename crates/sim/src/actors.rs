@@ -9,8 +9,9 @@
 //! re-dispatch, regeneration and retransmission.  Members execute tasks
 //! with [`pct::distributed::handle_task`] (real pixels, real results)
 //! while the virtual clock is charged by the calibrated
-//! [`netsim::CostModel`] and messages are costed in real wire bytes by
-//! [`netsim::wirecost`].
+//! [`netsim::CostModel`] and every message is costed at the size of the frame
+//! the codec would write for it ([`wire::frame_len`]), so the simulator and
+//! the socket cannot disagree about a byte.
 //!
 //! All bookkeeping lives in `Vec`s and `BTreeMap`s: no iteration order in
 //! this module depends on a hash function, which is one of the three legs
@@ -20,7 +21,7 @@
 use crate::scenario::member_index;
 use crate::trace::TraceLog;
 use hsi::RgbImage;
-use netsim::{wirecost, Actor, ActorContext, ActorId, CostModel, Duration, NodeId, SimTime};
+use netsim::{Actor, ActorContext, ActorId, CostModel, Duration, NodeId, SimTime};
 use pct::distributed::handle_task;
 use pct::messages::{PctMessage, TaskId};
 use pct::plan::{ChainPlan, Phase, Step};
@@ -31,6 +32,7 @@ use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::rc::Rc;
 use telemetry::{SpanId, Telemetry};
+use wire::WireMessage;
 
 /// The manager's timer tag for the periodic detector sweep.
 const SWEEP_TIMER: u64 = 0;
@@ -55,56 +57,15 @@ pub(crate) struct SharedOutput {
 
 pub(crate) type SharedOutputCell = Rc<RefCell<SharedOutput>>;
 
-/// Exact wire bytes of a protocol message, per the `wirecost` formulas
-/// pinned to the real codec.  `bands` disambiguates empty vector sets.
-pub(crate) fn wire_bytes(msg: &PctMessage, bands: usize) -> u64 {
-    let b = bands as u64;
-    match msg {
-        PctMessage::ScreenTask { view, .. } => wirecost::screen_task_frame(view.pixels() as u64, b),
-        PctMessage::ScreenSeededTask { view, seed, .. } => {
-            wirecost::screen_seeded_task_frame(view.pixels() as u64, b, seed.len() as u64)
-        }
-        PctMessage::UniqueSet { unique, .. } => wirecost::unique_set_frame(unique.len() as u64, b),
-        PctMessage::SeededUnique { accepted, .. } => {
-            wirecost::unique_set_frame(accepted.len() as u64, b)
-        }
-        PctMessage::CovarianceTask { pixels, .. } => {
-            wirecost::covariance_task_frame(pixels.len() as u64, b)
-        }
-        PctMessage::CovarianceSum { bands, .. } => wirecost::covariance_sum_frame(*bands as u64),
-        PctMessage::DeriveTask { unique, .. } => wirecost::framed(
-            wirecost::TAG_BYTES
-                + wirecost::TASK_ID_BYTES
-                + wirecost::vector_set_bytes(unique.len() as u64, b)
-                + wirecost::SAMPLE_BYTES
-                + wirecost::LEN_PREFIX_BYTES,
-        ),
-        PctMessage::DerivedTransform {
-            mean,
-            transform,
-            eigenvalues,
-            ..
-        } => wirecost::framed(
-            wirecost::TAG_BYTES
-                + wirecost::TASK_ID_BYTES
-                + wirecost::vector_bytes(mean.len() as u64)
-                + wirecost::matrix_bytes(transform.rows() as u64, transform.cols() as u64)
-                + wirecost::vector_bytes(eigenvalues.len() as u64),
-        ),
-        PctMessage::TransformTask {
-            view, transform, ..
-        } => wirecost::transform_task_frame(view.pixels() as u64, b, transform.rows() as u64),
-        PctMessage::RgbStrip { rows, width, .. } => {
-            wirecost::rgb_strip_frame((*rows * *width) as u64)
-        }
-        PctMessage::TaskFailed { error, .. } => wirecost::framed(
-            wirecost::TAG_BYTES
-                + wirecost::TASK_ID_BYTES
-                + wirecost::LEN_PREFIX_BYTES
-                + error.len() as u64,
-        ),
-        PctMessage::Heartbeat | PctMessage::Shutdown => wirecost::control_frame(),
-    }
+/// Sends `msg` costed at the exact size of its frame on the real wire
+/// ([`wire::frame_len`]: read off the message, nothing encoded or copied).
+fn send_framed(ctx: &mut ActorContext<PctMessage>, to: ActorId, msg: PctMessage) {
+    let framed = WireMessage::Pct(msg);
+    let bytes = wire::frame_len(&framed) as u64;
+    let WireMessage::Pct(msg) = framed else {
+        unreachable!("wrapped three lines up");
+    };
+    ctx.send(to, msg, bytes);
 }
 
 /// Virtual CPU cost of executing a task, per the calibrated cost model.
@@ -167,27 +128,18 @@ impl MemberActor {
 }
 
 impl Actor<PctMessage> for MemberActor {
-    fn on_start(&mut self, ctx: &mut ActorContext<'_, PctMessage>) {
+    fn on_start(&mut self, ctx: &mut ActorContext<PctMessage>) {
         ctx.set_timer(HEARTBEAT_TIMER, self.heartbeat);
     }
 
-    fn on_timer(&mut self, ctx: &mut ActorContext<'_, PctMessage>, tag: u64) {
+    fn on_timer(&mut self, ctx: &mut ActorContext<PctMessage>, tag: u64) {
         if tag == HEARTBEAT_TIMER {
-            ctx.send(
-                self.manager,
-                PctMessage::Heartbeat,
-                wirecost::control_frame(),
-            );
+            send_framed(ctx, self.manager, PctMessage::Heartbeat);
             ctx.set_timer(HEARTBEAT_TIMER, self.heartbeat);
         }
     }
 
-    fn on_message(
-        &mut self,
-        ctx: &mut ActorContext<'_, PctMessage>,
-        _from: ActorId,
-        msg: PctMessage,
-    ) {
+    fn on_message(&mut self, ctx: &mut ActorContext<PctMessage>, _from: ActorId, msg: PctMessage) {
         if msg.task().is_none() {
             return;
         }
@@ -198,7 +150,7 @@ impl Actor<PctMessage> for MemberActor {
         ctx.compute(tag, work);
     }
 
-    fn on_compute_done(&mut self, ctx: &mut ActorContext<'_, PctMessage>, tag: u64) {
+    fn on_compute_done(&mut self, ctx: &mut ActorContext<PctMessage>, tag: u64) {
         let Some(task_msg) = self.pending.remove(&tag) else {
             return;
         };
@@ -212,8 +164,7 @@ impl Actor<PctMessage> for MemberActor {
                     result.task().map_or(-1, |t| t as i64)
                 ),
             );
-            let bytes = wire_bytes(&result, self.bands);
-            ctx.send(self.manager, result, bytes);
+            send_framed(ctx, self.manager, result);
         }
     }
 }
@@ -251,7 +202,6 @@ pub(crate) struct ManagerParams {
 /// regenerator and chaos injector, all on virtual timers.
 pub(crate) struct ManagerActor {
     p: ManagerParams,
-    bands: usize,
     /// The job's protocol state; taken when the job completes.
     plan: Option<ChainPlan>,
     outstanding: BTreeMap<TaskId, Outstanding>,
@@ -278,14 +228,12 @@ pub(crate) struct ManagerActor {
 impl ManagerActor {
     pub fn new(plan: ChainPlan, p: ManagerParams) -> Self {
         let total = p.members + p.spares;
-        let bands = plan.cube().bands();
         let mut kill_times = BTreeMap::new();
         for (member, at) in &p.machine_kill_times {
             kill_times.insert(*member, *at);
         }
         let chaos_fired = vec![false; p.chaos.kills.len()];
         Self {
-            bands,
             plan: Some(plan),
             outstanding: BTreeMap::new(),
             next_task: 1,
@@ -332,7 +280,7 @@ impl ManagerActor {
         self.hb_period()
     }
 
-    fn kill_member(&mut self, ctx: &mut ActorContext<'_, PctMessage>, member: usize, why: &str) {
+    fn kill_member(&mut self, ctx: &mut ActorContext<PctMessage>, member: usize, why: &str) {
         if self.kill_times.contains_key(&member) {
             return;
         }
@@ -348,7 +296,7 @@ impl ManagerActor {
     /// Fires unfired chaos kills anchored on `phase`, exactly like the
     /// service scheduler: immediately before the first dispatch of that
     /// phase's task.
-    fn fire_chaos(&mut self, ctx: &mut ActorContext<'_, PctMessage>, phase: Phase) {
+    fn fire_chaos(&mut self, ctx: &mut ActorContext<PctMessage>, phase: Phase) {
         for k in 0..self.p.chaos.kills.len() {
             if self.chaos_fired[k] || self.p.chaos.kills[k].phase != phase {
                 continue;
@@ -360,7 +308,7 @@ impl ManagerActor {
         }
     }
 
-    fn fire_attack_if_due(&mut self, ctx: &mut ActorContext<'_, PctMessage>) {
+    fn fire_attack_if_due(&mut self, ctx: &mut ActorContext<PctMessage>) {
         if self.attack_fired
             || self.p.attack_victims.is_empty()
             || self.results_seen < self.p.attack_after_results
@@ -385,7 +333,7 @@ impl ManagerActor {
 
     fn send_task(
         &mut self,
-        ctx: &mut ActorContext<'_, PctMessage>,
+        ctx: &mut ActorContext<PctMessage>,
         task: TaskId,
         msg: PctMessage,
         member: usize,
@@ -398,8 +346,7 @@ impl ManagerActor {
             ctx.now(),
             format!("manager -> m{member} {} task {task}", msg.kind()),
         );
-        let bytes = wire_bytes(&msg, self.bands);
-        ctx.send(self.p.member_actors[member], msg.clone(), bytes);
+        send_framed(ctx, self.p.member_actors[member], msg.clone());
         self.outstanding.insert(
             task,
             Outstanding {
@@ -413,7 +360,7 @@ impl ManagerActor {
 
     /// Re-sends unassigned outstanding tasks and pulls new phase tasks
     /// while members are available.
-    fn try_dispatch(&mut self, ctx: &mut ActorContext<'_, PctMessage>) {
+    fn try_dispatch(&mut self, ctx: &mut ActorContext<PctMessage>) {
         let orphans: Vec<TaskId> = self
             .outstanding
             .iter()
@@ -444,7 +391,7 @@ impl ManagerActor {
 
     /// Closes the open phase span and opens `next`'s (`None`: the job is
     /// done).
-    fn roll_phase(&mut self, ctx: &mut ActorContext<'_, PctMessage>, next: Option<Phase>) {
+    fn roll_phase(&mut self, ctx: &mut ActorContext<PctMessage>, next: Option<Phase>) {
         self.p.telemetry.span_end(self.phase_span.take());
         let name = next.map_or("done", Phase::name);
         if next.is_some() {
@@ -456,7 +403,7 @@ impl ManagerActor {
         self.p.trace.push(ctx.now(), format!("phase -> {name}"));
     }
 
-    fn declare_dead(&mut self, ctx: &mut ActorContext<'_, PctMessage>, member: usize) {
+    fn declare_dead(&mut self, ctx: &mut ActorContext<PctMessage>, member: usize) {
         if self.declared_dead[member] {
             return;
         }
@@ -526,7 +473,7 @@ impl ManagerActor {
         }
     }
 
-    fn start_regeneration(&mut self, ctx: &mut ActorContext<'_, PctMessage>) {
+    fn start_regeneration(&mut self, ctx: &mut ActorContext<PctMessage>) {
         if self.spare_pool.is_empty() {
             return;
         }
@@ -546,7 +493,7 @@ impl ManagerActor {
         }
     }
 
-    fn fail(&mut self, ctx: &mut ActorContext<'_, PctMessage>, why: &str) {
+    fn fail(&mut self, ctx: &mut ActorContext<PctMessage>, why: &str) {
         let mut out = self.p.output.borrow_mut();
         if out.error.is_none() {
             out.error = Some(why.to_string());
@@ -560,7 +507,7 @@ impl ManagerActor {
 }
 
 impl Actor<PctMessage> for ManagerActor {
-    fn on_start(&mut self, ctx: &mut ActorContext<'_, PctMessage>) {
+    fn on_start(&mut self, ctx: &mut ActorContext<PctMessage>) {
         self.job_span = self
             .p
             .telemetry
@@ -580,7 +527,7 @@ impl Actor<PctMessage> for ManagerActor {
         self.try_dispatch(ctx);
     }
 
-    fn on_timer(&mut self, ctx: &mut ActorContext<'_, PctMessage>, tag: u64) {
+    fn on_timer(&mut self, ctx: &mut ActorContext<PctMessage>, tag: u64) {
         if tag >= REGEN_TIMER_BASE {
             let spare = (tag - REGEN_TIMER_BASE) as usize;
             if let Some((span, started)) = self.regen_spans.remove(&spare) {
@@ -644,12 +591,7 @@ impl Actor<PctMessage> for ManagerActor {
         }
     }
 
-    fn on_message(
-        &mut self,
-        ctx: &mut ActorContext<'_, PctMessage>,
-        from: ActorId,
-        msg: PctMessage,
-    ) {
+    fn on_message(&mut self, ctx: &mut ActorContext<PctMessage>, from: ActorId, msg: PctMessage) {
         if matches!(msg, PctMessage::Heartbeat) {
             if let Some(m) = self.p.member_actors.iter().position(|&a| a == from) {
                 self.last_hb[m] = ctx.now();

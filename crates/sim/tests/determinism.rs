@@ -73,12 +73,12 @@ struct Burst {
 }
 
 impl Actor<u32> for Burst {
-    fn on_start(&mut self, ctx: &mut ActorContext<'_, u32>) {
+    fn on_start(&mut self, ctx: &mut ActorContext<u32>) {
         for i in 0..self.n {
             ctx.send(ctx.self_id(), i, 64);
         }
     }
-    fn on_message(&mut self, ctx: &mut ActorContext<'_, u32>, _from: ActorId, msg: u32) {
+    fn on_message(&mut self, ctx: &mut ActorContext<u32>, _from: ActorId, msg: u32) {
         self.log.borrow_mut().push(msg);
         if self.log.borrow().len() as u32 == self.n {
             ctx.halt();
@@ -94,18 +94,18 @@ struct TimerBurst {
 }
 
 impl Actor<u32> for TimerBurst {
-    fn on_start(&mut self, ctx: &mut ActorContext<'_, u32>) {
+    fn on_start(&mut self, ctx: &mut ActorContext<u32>) {
         for i in 0..self.n {
             ctx.set_timer(i as u64, Duration::from_millis(5));
         }
     }
-    fn on_timer(&mut self, ctx: &mut ActorContext<'_, u32>, tag: u64) {
+    fn on_timer(&mut self, ctx: &mut ActorContext<u32>, tag: u64) {
         self.log.borrow_mut().push(tag);
         if self.log.borrow().len() as u32 == self.n {
             ctx.halt();
         }
     }
-    fn on_message(&mut self, _ctx: &mut ActorContext<'_, u32>, _from: ActorId, _msg: u32) {}
+    fn on_message(&mut self, _ctx: &mut ActorContext<u32>, _from: ActorId, _msg: u32) {}
 }
 
 proptest! {

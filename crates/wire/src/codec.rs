@@ -141,7 +141,7 @@ fn put_view(out: &mut Vec<u8>, view: &CubeView) {
 /// Encodes `msg` into a frame buffer allocated at its exact size: the
 /// header's bytes reserved (for [`frame::seal`]), the body behind them.
 fn encode_unsealed(msg: &WireMessage) -> Vec<u8> {
-    let len = FRAME_HEADER_BYTES + body_len(msg);
+    let len = frame_len(msg);
     let mut out = Vec::with_capacity(len);
     out.extend_from_slice(&[0; FRAME_HEADER_BYTES]);
     match msg {
@@ -265,12 +265,20 @@ fn encode_unsealed(msg: &WireMessage) -> Vec<u8> {
         WireMessage::Pct(PctMessage::Heartbeat) => out.push(TAG_HEARTBEAT),
         WireMessage::Pct(PctMessage::Shutdown) => out.push(TAG_SHUTDOWN),
     }
-    debug_assert_eq!(out.len(), len, "body_len disagrees with the encoder");
+    debug_assert_eq!(out.len(), len, "frame_len disagrees with the encoder");
     out
 }
 
-/// Exact byte length of the body [`encode_unsealed`] writes for `msg`, so
-/// the frame buffer is allocated once at its final size.
+/// Exact byte length of the frame [`encode_message`] produces for `msg`,
+/// read off the message by reference: nothing is encoded, cloned or charged
+/// to the clone ledger.  The layout's sizes are stated in this module and
+/// nowhere else — the encoder allocates its one buffer by this, and the
+/// simulator costs every send with it.
+pub fn frame_len(msg: &WireMessage) -> usize {
+    FRAME_HEADER_BYTES + body_len(msg)
+}
+
+/// Exact byte length of the body [`encode_unsealed`] writes for `msg`.
 fn body_len(msg: &WireMessage) -> usize {
     // `[tag u8][task u64]` opens every task and reply.
     const TASK: usize = 1 + 8;

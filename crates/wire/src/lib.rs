@@ -51,7 +51,7 @@ pub mod reference;
 pub mod transport;
 pub mod worker;
 
-pub use codec::{decode_body, encode_message, WireMessage};
+pub use codec::{decode_body, encode_message, frame_len, WireMessage};
 pub use frame::{FrameReader, FRAME_HEADER_BYTES, MAX_FRAME_BYTES};
 pub use transport::{handshake, loopback_pair, LoopbackTransport, TcpTransport, Transport};
 

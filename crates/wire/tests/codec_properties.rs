@@ -41,6 +41,7 @@ fn coded_vectors(count: usize, bands: usize, salt: f64) -> Vec<Vector> {
 
 fn round_trip(msg: &WireMessage) -> WireMessage {
     let bytes = encode_message(msg);
+    assert_eq!(wire::frame_len(msg), bytes.len());
     let mut reader = FrameReader::new();
     reader.push(&bytes);
     let body = reader.next_frame().expect("valid frame").expect("complete");
