@@ -68,6 +68,15 @@
 #     Jacobi before it — same row name, so the trend continues.  The binary
 #     prints the Jacobi oracle's time and the ratio on the same line; only
 #     the kernel's own time is recorded.
+#   * kernel_transform_ns_per_px_band — same binary: step 7
+#     (`pct::pipeline::transform_cube`, three components) on the 64x64x32
+#     scene per pixel x band, median of 15.  ~0.85 since PR 23's blocked
+#     kernel (~6 with one serial sum per component and a `Vec` per pixel).
+#   * kernel_content_hash_ns_per_mb — same binary, same cube (1 MiB): the
+#     ingest store's `content_hash` per MiB, median of 15.  ~80 000 since
+#     PR 23's four-lane word-wise hash (1 300 000 as a bytewise FNV-1a);
+#     the bound is a `memcpy` of the cube (`machine.memcpy_ns_per_mb`,
+#     ~90 000 on the 2-core box).  Both wall-clock and trend-only.
 #   * loc_<crate> / loc_tests / loc_shims / loc_examples / loc_fusebench —
 #     `wc -l` over every `.rs` file under crates/<crate>/, tests/, shims/,
 #     examples/ and fusebench/src/ (tests and comments included): ROADMAP

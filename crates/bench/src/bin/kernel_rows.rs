@@ -3,7 +3,9 @@
 //! kernels behind it (plain `dot_fast`, compensated `dot`), per element; and
 //! step 6 at the paper's 210 bands — `sorted_eigenpairs` on the covariance
 //! of a 32×32×210 scene's unique set at 5° — next to the cyclic Jacobi
-//! oracle (`linalg::reference`) it is held to within error bounds.
+//! oracle (`linalg::reference`) it is held to within error bounds; step 7
+//! (`transform_cube`, three components) per pixel·band and the ingest
+//! store's `content_hash` per MiB, both on the 64×64×32 scene.
 //!
 //! Lines starting with `CSV` are parsed by `bench/record.sh`.  Each value
 //! is the median of 15 timed runs after a warm-up; wall-clock and
@@ -13,7 +15,9 @@ use hsi::{CubeDims, SceneConfig, SceneGenerator};
 use linalg::covariance::covariance_matrix;
 use linalg::eigen::{sorted_eigenpairs, JacobiOptions};
 use linalg::reference::sorted_eigenpairs_reference;
+use pct::pipeline::transform_cube;
 use pct::screening::screen_slices;
+use pct::SequentialPct;
 use std::hint::black_box;
 use std::time::Instant;
 
@@ -66,6 +70,22 @@ fn main() {
         dots(linalg::dot_fast)
     );
     println!("CSV kernel_dot_ns_per_elem {:.3}", dots(linalg::dot));
+
+    let (spec, _) = SequentialPct::default().derive(&cube).unwrap();
+    let transform = median_ns(|| {
+        black_box(transform_cube(black_box(&spec), black_box(&cube)).unwrap());
+    });
+    println!(
+        "CSV kernel_transform_ns_per_px_band {:.3}",
+        transform / (cube.pixels() * cube.bands()) as f64
+    );
+    let hash = median_ns(|| {
+        black_box(ingest::store::content_hash(black_box(&cube)));
+    });
+    println!(
+        "CSV kernel_content_hash_ns_per_mb {:.0}",
+        hash / (cube.byte_size() as f64 / (1 << 20) as f64)
+    );
 
     let unique = screen_slices(scene(32, 32, 210).iter_pixels(), threshold);
     let covariance = covariance_matrix(&unique).unwrap();

@@ -14,27 +14,59 @@ use std::collections::HashMap;
 use std::collections::VecDeque;
 use std::sync::Arc;
 
-/// 64-bit FNV-1a over the cube's dimensions and sample bit patterns.
-/// Stable across runs and platforms (no per-process hashing seed), which
-/// keeps store behaviour — and therefore the bench counters — replayable.
+/// 64-bit hash of the cube's dimensions and sample bit patterns in
+/// canonical BIP order, eight bytes at a time: the words go round four
+/// independent multiply-rotate lanes (so four multiplies are in flight and
+/// the hash runs at memory speed), a last partial round of one to three
+/// words is taken explicitly, and the lanes are folded together with the
+/// sample count and avalanched.  No per-process seed and no
+/// platform-dependent step (`f64::to_bits` words, wrapping `u64`
+/// arithmetic), so store behaviour — and therefore the bench counters —
+/// is replayable; the value is an in-process map key that nothing persists.
 pub fn content_hash(cube: &HyperCube) -> u64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut hash = OFFSET;
-    let mut eat = |bytes: &[u8]| {
-        for &byte in bytes {
-            hash ^= byte as u64;
-            hash = hash.wrapping_mul(PRIME);
-        }
+    const P1: u64 = 0x9E37_79B1_85EB_CA87;
+    const P2: u64 = 0xC2B2_AE3D_27D4_EB4F;
+    const P3: u64 = 0x1656_67B1_9E37_79F9;
+    let round = |lane: u64, word: u64| {
+        lane.wrapping_add(word.wrapping_mul(P2))
+            .rotate_left(31)
+            .wrapping_mul(P1)
     };
     let dims = cube.dims();
-    eat(&(dims.width as u64).to_le_bytes());
-    eat(&(dims.height as u64).to_le_bytes());
-    eat(&(dims.bands as u64).to_le_bytes());
-    for &sample in cube.samples() {
-        eat(&sample.to_le_bytes());
+    let mut lanes = [dims.width, dims.height, dims.bands, 0].map(|word| round(P3, word as u64));
+    let samples = cube.samples();
+    let mut blocks = samples.chunks_exact(lanes.len());
+    for block in &mut blocks {
+        for (lane, sample) in lanes.iter_mut().zip(block) {
+            *lane = round(*lane, sample.to_bits());
+        }
     }
-    hash
+    for (lane, sample) in lanes.iter_mut().zip(blocks.remainder()) {
+        *lane = round(*lane, sample.to_bits());
+    }
+    let mut hash = samples.len() as u64;
+    for lane in lanes {
+        hash = round(hash.rotate_left(27), lane);
+    }
+    hash ^= hash >> 33;
+    hash = hash.wrapping_mul(P2);
+    hash ^= hash >> 29;
+    hash = hash.wrapping_mul(P3);
+    hash ^ (hash >> 32)
+}
+
+/// Whether two cubes hold the same dimensions and the same sample *bit
+/// patterns* — the relation [`content_hash`] hashes, which `f64 ==` is not
+/// (a `NaN` differs from itself, `0.0 == -0.0`).  Differences are OR-ed
+/// over 64 samples between tests, which is what lets the compare run at
+/// `memcmp` speed.
+fn same_bits(a: &HyperCube, b: &HyperCube) -> bool {
+    let same = |(a, b): (&[f64], &[f64])| {
+        let differences = |bits, (x, y): (&f64, &f64)| bits | (x.to_bits() ^ y.to_bits());
+        a.iter().zip(b).fold(0, differences) == 0
+    };
+    let (a_runs, b_runs) = (a.samples().chunks(64), b.samples().chunks(64));
+    a.dims() == b.dims() && a_runs.zip(b_runs).all(same)
 }
 
 /// A content-addressed, LRU-evicted cache of ingested cubes.
@@ -82,7 +114,7 @@ impl CubeStore {
     pub fn intern(&mut self, cube: Arc<HyperCube>) -> (Arc<HyperCube>, bool) {
         let hash = content_hash(&cube);
         if let Some(stored) = self.resident.get(&hash) {
-            if **stored == *cube {
+            if same_bits(stored, &cube) {
                 self.hits += 1;
                 let stored = Arc::clone(stored);
                 self.touch(hash);
@@ -279,5 +311,120 @@ mod tests {
         )
         .unwrap();
         assert_ne!(content_hash(&a), content_hash(&flat));
+    }
+
+    #[test]
+    fn a_store_hit_is_bit_equality_like_the_hash() {
+        // A cube holding a NaN is not `==` to itself, yet re-arrives as a hit.
+        let mut samples = cube(3, 8).samples().to_vec();
+        samples[5] = f64::NAN;
+        let nan = |samples: &[f64]| {
+            Arc::new(HyperCube::from_samples(CubeDims::new(8, 8, 4), samples.to_vec()).unwrap())
+        };
+        let mut store = CubeStore::new(1 << 20);
+        let (first, _) = store.intern(nan(&samples));
+        let (second, hit) = store.intern(nan(&samples));
+        assert!(hit, "the same bits are the same cube");
+        assert!(Arc::ptr_eq(&first, &second));
+        assert_eq!((store.hits(), store.collisions(), store.len()), (1, 0, 1));
+        // Signed zeros are `==` but hash apart: two cubes, never a hit.
+        samples[5] = 0.0;
+        let (_, hit) = store.intern(nan(&samples));
+        samples[5] = -0.0;
+        let (negative, hit_negative) = store.intern(nan(&samples));
+        assert!(!hit && !hit_negative);
+        assert!(negative.samples()[5].is_sign_negative());
+        assert_eq!((store.collisions(), store.len()), (0, 3));
+    }
+
+    /// A seeded cube of `n` samples (`n x 1 x 1`), every one distinct.
+    fn line(n: usize, seed: u64) -> HyperCube {
+        let samples = (0..n as u64)
+            .map(|i| f64::from_bits((seed + i).wrapping_mul(0x2545_F491_4F6C_DD1D) >> 2))
+            .collect();
+        HyperCube::from_samples(CubeDims::new(n, 1, 1), samples).unwrap()
+    }
+
+    fn edited(cube: &HyperCube, edit: impl FnOnce(&mut [f64])) -> HyperCube {
+        let mut samples = cube.samples().to_vec();
+        edit(&mut samples);
+        HyperCube::from_samples(cube.dims(), samples).unwrap()
+    }
+
+    #[test]
+    fn content_hash_changes_with_any_one_bit_of_any_one_sample() {
+        // Lengths of every residue mod the four lanes, so the last sample
+        // falls in the explicit tail as well as in a whole round.
+        for n in [1, 2, 3, 4, 5, 6, 7, 8, 61, 62, 63, 64] {
+            let cube = line(n, 11);
+            let hash = content_hash(&cube);
+            for position in [n - 1, 0, n / 2, (n * 7 + 3) % n] {
+                for bit in 0..64 {
+                    let flipped = edited(&cube, |s| {
+                        s[position] = f64::from_bits(s[position].to_bits() ^ (1 << bit));
+                    });
+                    assert_ne!(
+                        hash,
+                        content_hash(&flipped),
+                        "{n} samples: {position}/{bit}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn content_hash_changes_when_two_samples_swap() {
+        let cube = line(23, 5);
+        let hash = content_hash(&cube);
+        // Neighbours, the same lane one and three rounds apart, and into
+        // the tail.
+        for (a, b) in [(0, 1), (2, 6), (3, 15), (1, 21), (20, 22), (0, 22)] {
+            let swapped = edited(&cube, |s| s.swap(a, b));
+            assert_ne!(hash, content_hash(&swapped), "swap {a} <-> {b}");
+        }
+    }
+
+    #[test]
+    fn content_hash_tells_prefixes_apart() {
+        let longest = line(9, 2);
+        let hashes: Vec<u64> = (1..=9)
+            .map(|n| {
+                let prefix = longest.samples()[..n].to_vec();
+                content_hash(&HyperCube::from_samples(CubeDims::new(n, 1, 1), prefix).unwrap())
+            })
+            .collect();
+        for (i, a) in hashes.iter().enumerate() {
+            for b in &hashes[i + 1..] {
+                assert_ne!(a, b);
+            }
+        }
+    }
+
+    #[test]
+    fn content_hash_is_pinned_across_runs_and_platforms() {
+        let cube = line(37, 0xF05E);
+        assert_eq!(content_hash(&cube), content_hash(&cube));
+        assert_eq!(content_hash(&cube), 0x42a4_4c23_5a19_b2b4);
+    }
+
+    #[test]
+    fn content_hash_interns_the_three_interleaves_of_a_scene_once() {
+        use crate::StreamDecoder;
+        use hsi::io::{interleave_to_bip_offset, CubeFileHeader, Interleave};
+        let scene = cube(6, 8);
+        let dims = scene.dims();
+        let mut store = CubeStore::new(1 << 20);
+        for interleave in Interleave::ALL {
+            let payload: Vec<u8> = (0..dims.samples())
+                .flat_map(|i| {
+                    scene.samples()[interleave_to_bip_offset(dims, interleave, i)].to_le_bytes()
+                })
+                .collect();
+            let mut decoder = StreamDecoder::new(CubeFileHeader::new(dims, interleave));
+            decoder.push(&payload).unwrap();
+            store.intern(decoder.finish().unwrap());
+        }
+        assert_eq!((store.len(), store.misses(), store.hits()), (1, 1, 2));
     }
 }

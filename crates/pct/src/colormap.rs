@@ -128,6 +128,16 @@ pub fn map_pixel(components: [f64; 3]) -> [u8; 3] {
     rgb
 }
 
+/// Step 8 for one pixel: its leading three components rescaled by `scales`
+/// (a component or scale that is not there is mid-grey), then [`map_pixel`].
+pub(crate) fn map_components(components: &[f64], scales: &[ComponentScale]) -> [u8; 3] {
+    let mut rescaled = [128.0_f64; 3];
+    for ((slot, &value), scale) in rescaled.iter_mut().zip(components).zip(scales) {
+        *slot = scale.to_byte_range(value);
+    }
+    map_pixel(rescaled)
+}
+
 /// Maps a transformed cube (principal components per pixel, leading three
 /// used) to the fused colour composite.  `scales` must have been computed
 /// over the *whole* image so distributed workers produce consistent colours;
@@ -139,14 +149,8 @@ pub fn map_cube(cube: &HyperCube, scales: &[ComponentScale]) -> RgbImage {
     for y in 0..height {
         for x in 0..width {
             let pixel = cube.pixel(x, y).expect("in-bounds iteration");
-            let mut components = [128.0_f64; 3];
-            for (c, slot) in components.iter_mut().enumerate() {
-                if c < pixel.len() && c < scales.len() {
-                    *slot = scales[c].to_byte_range(pixel[c]);
-                }
-            }
             image
-                .set(x, y, map_pixel(components))
+                .set(x, y, map_components(pixel, scales))
                 .expect("in-bounds write");
         }
     }

@@ -10,10 +10,10 @@
 //! the calculation" optimisation).  The worker side, [`handle_task`], is
 //! shared by every lane, the remote worker process and the simulator.
 
-use crate::colormap::{map_pixel, ComponentScale};
+use crate::colormap::{map_components, ComponentScale};
 use crate::config::{FusionOutput, PctConfig};
 use crate::messages::{PctMessage, TaskId};
-use crate::pipeline::{derive_transform, TransformSpec};
+use crate::pipeline::{derive_transform, project_pixels};
 use crate::plan::run_paper_protocol;
 use crate::screening::{screen_slices, screen_slices_seeded};
 use crate::{PctError, Result};
@@ -176,27 +176,22 @@ fn transform_and_map(
     transform: &Matrix,
     scales: &[(f64, f64)],
 ) -> PctMessage {
-    let spec = TransformSpec {
-        mean: mean.clone(),
-        transform: transform.clone(),
-        eigenvalues: Vec::new(),
-    };
-    let scale_structs: Vec<ComponentScale> = scales
+    let scales: Vec<ComponentScale> = scales
         .iter()
         .map(|&(min, max)| ComponentScale { min, max })
         .collect();
     let width = view.width();
     let rows = view.height();
+    let mut components = Vec::with_capacity(width * rows * transform.rows());
+    project_pixels(
+        mean.as_slice(),
+        transform,
+        view.iter_pixels(),
+        &mut components,
+    );
     let mut rgb = Vec::with_capacity(width * rows * 3);
-    for pixel in view.iter_pixels() {
-        let projected = crate::pipeline::transform_pixel(&spec, pixel);
-        let mut components = [128.0_f64; 3];
-        for (c, slot) in components.iter_mut().enumerate() {
-            if c < projected.len() && c < scale_structs.len() {
-                *slot = scale_structs[c].to_byte_range(projected[c]);
-            }
-        }
-        rgb.extend_from_slice(&map_pixel(components));
+    for pixel in components.chunks_exact(transform.rows().max(1)) {
+        rgb.extend_from_slice(&map_components(pixel, &scales));
     }
     PctMessage::RgbStrip {
         task,
@@ -440,6 +435,38 @@ mod tests {
                 assert_eq!(eigenvalues, spec.eigenvalues);
             }
             other => panic!("unexpected reply {}", other.kind()),
+        }
+    }
+
+    #[test]
+    fn projection_transform_task_is_map_cube_of_transform_cube_for_its_strip() {
+        use crate::colormap::map_cube;
+        use crate::pipeline::transform_cube;
+        let cube = Arc::new(small_scene());
+        let config = PctConfig::paper();
+        let unique = screen_pixels(&cube.pixel_vectors(), config.screening_angle_rad);
+        let spec = derive_transform(&unique, &config).unwrap();
+        let scales = ComponentScale::from_eigenvalues(&spec.eigenvalues, 3);
+        let whole = map_cube(&transform_cube(&spec, &cube).unwrap(), &scales);
+        // Strips of 5 rows: heights and pixel counts off the kernel's block.
+        for (task, rows) in partition_rows(cube.dims(), 5).unwrap().iter().enumerate() {
+            let view = rows.view(&cube).unwrap();
+            let reply = handle_task(PctMessage::TransformTask {
+                task,
+                view: view.clone(),
+                mean: spec.mean.clone(),
+                transform: spec.transform.clone(),
+                scales: scales.iter().map(|s| (s.min, s.max)).collect(),
+            });
+            let Some(PctMessage::RgbStrip { row_start, rgb, .. }) = reply else {
+                panic!("a transform task answers with a colour strip");
+            };
+            assert_eq!(row_start, view.row_start());
+            let bytes = cube.width() * 3;
+            assert_eq!(
+                rgb,
+                whole.raw()[row_start * bytes..(row_start + view.height()) * bytes]
+            );
         }
     }
 

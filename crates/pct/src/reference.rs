@@ -3,6 +3,7 @@
 //! the benches all compare against the same code.  Not part of the supported
 //! API.
 
+use crate::pipeline::TransformSpec;
 use linalg::Vector;
 
 /// Spectral screening as the paper states it: a full `spectral_angle` (two
@@ -28,4 +29,22 @@ pub fn naive_screen(pixels: &[Vector], threshold_rad: f64) -> Vec<Vector> {
         }
     }
     unique
+}
+
+/// Step 7 for one pixel as the paper states it: centre and project onto the
+/// leading eigenvectors, one component after the other.
+/// [`crate::pipeline::project_pixels`] must match this bit-for-bit.
+pub fn transform_pixel(spec: &TransformSpec, pixel: &[f64]) -> Vec<f64> {
+    let bands = spec.bands();
+    debug_assert_eq!(pixel.len(), bands);
+    let mut out = Vec::with_capacity(spec.components());
+    for row in 0..spec.components() {
+        let eigvec = spec.transform.row(row);
+        let mut acc = 0.0;
+        for b in 0..bands {
+            acc += eigvec[b] * (pixel[b] - spec.mean[b]);
+        }
+        out.push(acc);
+    }
+    out
 }
