@@ -1,4 +1,5 @@
-//! Benchmark harness utilities shared by the figure-regeneration binaries.
+//! The rows of the paper's figures, shared by the figure-regeneration
+//! binaries.
 //!
 //! Every table/figure of the paper's evaluation has a regenerating target:
 //!
@@ -8,7 +9,12 @@
 //! | Figure 5 (granularity control) | `cargo run -p bench --bin fig5_granularity --release` |
 //! | §4 shared-memory claim (within ~5 % of linear) | `cargo run -p bench --bin smp_speedup --release` |
 //! | Replication-level ablation (extension of Figure 4) | `cargo run -p bench --bin replication_levels --release` |
-//! | Kernel rows (screening, dot kernels, step 6) | `cargo run -p bench --bin kernel_rows --release` |
+//!
+//! The figure rows are simulated seconds — deterministic, so this crate's
+//! tests pin them at 16 processors as printed (26.0 / 52.1 / 26.0).  No
+//! wall-clock number of the service comes from here: `fusebench/` is the
+//! one instrument for those (`sim_throughput` times the simulator's own
+//! sweep, `smp_speedup` the shared-memory claim).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -109,6 +115,11 @@ mod tests {
             assert!(row.plain_secs > 0.0);
             assert!(row.resilient_secs > row.plain_secs);
         }
+        // The Figure 4 row at 16 processors, as `fig4_speedup` prints it.
+        let p16 = rows.last().unwrap();
+        assert_eq!(p16.processors, 16);
+        assert_eq!(format!("{:.1}", p16.plain_secs), "26.0");
+        assert_eq!(format!("{:.1}", p16.resilient_secs), "52.1");
     }
 
     #[test]
@@ -142,6 +153,11 @@ mod tests {
                     .elapsed_secs
             };
             assert!(t(2) <= t(1) * 1.001, "x2 slower than x1 at P={p}");
+            // The Figure 5 cell at 16 processors x 2, as `fig5_granularity`
+            // prints it.
+            if p == 16 {
+                assert_eq!(format!("{:.1}", t(2)), "26.0");
+            }
         }
     }
 }

@@ -266,19 +266,6 @@ impl HyperCube {
         Ok(())
     }
 
-    /// Keeps only the first `k` bands of every pixel, returning a new cube.
-    /// Used after the PCT transform to retain the leading principal
-    /// components for colour mapping (step 8 uses the first three).
-    pub fn truncate_bands(&self, k: usize) -> HyperCube {
-        let k = k.min(self.dims.bands);
-        let dims = CubeDims::new(self.dims.width, self.dims.height, k);
-        let mut data = Vec::with_capacity(dims.samples());
-        for pixel in self.iter_pixels() {
-            data.extend_from_slice(&pixel[..k]);
-        }
-        HyperCube { dims, data }
-    }
-
     /// Approximate in-memory size in bytes (used by the communication cost
     /// model when estimating sub-problem transfer times).
     pub fn byte_size(&self) -> usize {
@@ -387,20 +374,6 @@ mod tests {
         assert!(cube.blit(0, 0, &other).is_err());
         let big = HyperCube::zeros(CubeDims::new(4, 1, 4));
         assert!(cube.blit(0, 0, &big).is_err());
-    }
-
-    #[test]
-    fn truncate_bands_keeps_leading_components() {
-        let cube = small_cube();
-        let t = cube.truncate_bands(2);
-        assert_eq!(t.bands(), 2);
-        assert_eq!(t.pixel(2, 1).unwrap(), &[210.0, 211.0]);
-    }
-
-    #[test]
-    fn truncate_bands_saturates_at_band_count() {
-        let cube = small_cube();
-        assert_eq!(cube.truncate_bands(99).bands(), 4);
     }
 
     #[test]

@@ -2,22 +2,22 @@
 //!
 //! Provides binary PGM (P5) output for single spectral bands (the Figure 2
 //! frames), binary PPM (P6) output for fused colour composites (Figure 3),
-//! a minimal binary container (`.hsc`, "hyper-spectral cube") for
-//! persisting and reloading synthetic cubes so experiments can be re-run on
-//! identical data, and the self-describing band-interleaved container
-//! (`.hsif`) the streaming ingestion path reads: a fixed
+//! and the self-describing band-interleaved container (`.hsif`) that
+//! persists cubes and that the streaming ingestion path reads: a fixed
 //! [`CubeFileHeader`] (magic, version, [`Interleave`], dimensions) followed
 //! by the samples in BSQ, BIL or BIP order — the three layouts real
 //! imaging-spectrometer products ship in.
+//!
+//! Both readers take their sizes from the file, so both bound them before
+//! trusting them: a cube header beyond [`MAX_CUBE_FILE_PAYLOAD_BYTES`] and a
+//! PPM header whose pixel count overflows or exceeds the bytes present are
+//! typed errors, never an allocation or a slice index.
 
 use crate::cube::{CubeDims, HyperCube};
 use crate::rgb::RgbImage;
 use crate::{HsiError, Result};
 use std::io::{BufReader, BufWriter, Read, Write};
 use std::path::Path;
-
-/// Magic bytes identifying the binary cube container format.
-const HSC_MAGIC: &[u8; 4] = b"HSC1";
 
 /// Magic bytes identifying the self-describing interleaved cube file.
 pub const CUBE_FILE_MAGIC: &[u8; 4] = b"HSIF";
@@ -345,56 +345,15 @@ fn parse_ppm(bytes: &[u8]) -> Result<RgbImage> {
     }
     // Exactly one whitespace byte separates the header from pixel data.
     pos += 1;
-    let expected = width * height * 3;
-    if bytes.len() < pos + expected {
-        return Err(bad("truncated pixel data"));
-    }
-    RgbImage::from_raw(width, height, bytes[pos..pos + expected].to_vec())
-}
-
-/// Writes a cube to the binary `.hsc` container.
-///
-/// Layout: magic, three little-endian u64 dimensions, then all samples as
-/// little-endian f64 in BIP order.
-pub fn write_cube<P: AsRef<Path>>(cube: &HyperCube, path: P) -> Result<()> {
-    let file = std::fs::File::create(path)?;
-    let mut w = BufWriter::new(file);
-    w.write_all(HSC_MAGIC)?;
-    w.write_all(&(cube.width() as u64).to_le_bytes())?;
-    w.write_all(&(cube.height() as u64).to_le_bytes())?;
-    w.write_all(&(cube.bands() as u64).to_le_bytes())?;
-    for &s in cube.samples() {
-        w.write_all(&s.to_le_bytes())?;
-    }
-    w.flush()?;
-    Ok(())
-}
-
-/// Reads a cube from the binary `.hsc` container.
-pub fn read_cube<P: AsRef<Path>>(path: P) -> Result<HyperCube> {
-    let file = std::fs::File::open(path)?;
-    let mut r = BufReader::new(file);
-    let mut magic = [0u8; 4];
-    r.read_exact(&mut magic)?;
-    if &magic != HSC_MAGIC {
-        return Err(HsiError::InvalidConfig("not an HSC cube file".to_string()));
-    }
-    let mut u64buf = [0u8; 8];
-    let mut read_u64 = |r: &mut BufReader<std::fs::File>| -> Result<u64> {
-        r.read_exact(&mut u64buf)?;
-        Ok(u64::from_le_bytes(u64buf))
-    };
-    let width = read_u64(&mut r)? as usize;
-    let height = read_u64(&mut r)? as usize;
-    let bands = read_u64(&mut r)? as usize;
-    let dims = CubeDims::new(width, height, bands);
-    let mut data = Vec::with_capacity(dims.samples());
-    let mut f64buf = [0u8; 8];
-    for _ in 0..dims.samples() {
-        r.read_exact(&mut f64buf)?;
-        data.push(f64::from_le_bytes(f64buf));
-    }
-    HyperCube::from_samples(dims, data)
+    let end = width
+        .checked_mul(height)
+        .and_then(|pixels| pixels.checked_mul(3))
+        .and_then(|expected| pos.checked_add(expected))
+        .ok_or_else(|| bad("dimensions overflow"))?;
+    let pixels = bytes
+        .get(pos..end)
+        .ok_or_else(|| bad("truncated pixel data"))?;
+    RgbImage::from_raw(width, height, pixels.to_vec())
 }
 
 #[cfg(test)]
@@ -448,6 +407,17 @@ mod tests {
     }
 
     #[test]
+    fn parse_ppm_bounds_file_supplied_dimensions() {
+        // The product wraps `usize`: a panic in debug, a passing length
+        // check and a slice-range panic in release, before the checked form.
+        let err = parse_ppm(b"P6 18446744073709551615 2 255\n").unwrap_err();
+        assert!(err.to_string().contains("dimensions overflow"), "{err}");
+        // The product fits but is far beyond the bytes present.
+        let err = parse_ppm(b"P6 4294967296 1024 255\n").unwrap_err();
+        assert!(err.to_string().contains("truncated pixel data"), "{err}");
+    }
+
+    #[test]
     fn parse_ppm_reports_non_utf8_header_instead_of_mangling_it() {
         // A corrupt width token must surface as a header error, not be
         // lossily replaced with U+FFFD and misreported downstream.
@@ -478,18 +448,6 @@ mod tests {
             .unwrap()
             .generate();
         assert!(write_band_pgm(&cube, 99, temp_path("never.pgm")).is_err());
-    }
-
-    #[test]
-    fn cube_container_round_trip() {
-        let cube = SceneGenerator::new(SceneConfig::small(4))
-            .unwrap()
-            .generate();
-        let path = temp_path("cube.hsc");
-        write_cube(&cube, &path).unwrap();
-        let back = read_cube(&path).unwrap();
-        std::fs::remove_file(&path).ok();
-        assert_eq!(cube, back);
     }
 
     #[test]
@@ -568,14 +526,5 @@ mod tests {
         let result = read_cube_file(&path);
         std::fs::remove_file(&path).ok();
         assert!(matches!(result, Err(HsiError::ShapeMismatch { .. })));
-    }
-
-    #[test]
-    fn cube_reader_rejects_wrong_magic() {
-        let path = temp_path("bad.hsc");
-        std::fs::write(&path, b"XXXXGARBAGE").unwrap();
-        let result = read_cube(&path);
-        std::fs::remove_file(&path).ok();
-        assert!(result.is_err());
     }
 }

@@ -21,7 +21,7 @@ use hsi::partition::GranularityPolicy;
 use hsi::{CubeView, HyperCube, RgbImage};
 use linalg::covariance::CovarianceAccumulator;
 use linalg::{Matrix, Vector};
-use scp::{CommGraph, Runtime, RuntimeConfig, ThreadContext};
+use scp::{Runtime, ThreadContext};
 use std::collections::VecDeque;
 use std::sync::Arc;
 
@@ -70,11 +70,7 @@ impl DistributedPct {
     pub fn run_shared(&self, cube: &Arc<HyperCube>) -> Result<FusionOutput> {
         self.config.validate()?;
         let worker_names: Vec<String> = (0..self.workers).map(worker_name).collect();
-        let graph = CommGraph::manager_worker(MANAGER, &worker_names);
-        let runtime: Runtime<PctMessage> = Runtime::new(RuntimeConfig {
-            validate_channels: true,
-            graph,
-        });
+        let runtime: Runtime<PctMessage> = Runtime::new();
         let mut manager_ctx = runtime.context(MANAGER)?;
 
         // Spawn the workers.

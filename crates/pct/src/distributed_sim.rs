@@ -2,12 +2,19 @@
 //!
 //! The paper's performance numbers come from 16 Sun workstations on 100BaseT
 //! — hardware this reproduction substitutes with the `netsim` discrete-event
-//! cluster.  The manager and workers here are `netsim` actors that execute
-//! the *same protocol* as the real-thread implementation (work-queue
-//! distribution of screening, covariance and transform tasks, sequential
-//! merge/eigen at the manager), but instead of crunching real pixels they
-//! charge the calibrated [`CostModel`] for compute time and the
-//! [`NetworkModel`] for message bytes.  Replication is modelled faithfully:
+//! cluster.  The manager and workers here are `netsim` actors that follow
+//! the shape of the real-thread protocol (work-queue distribution of
+//! screening, covariance and transform tasks, sequential merge/eigen at the
+//! manager), but instead of crunching real pixels they charge the calibrated
+//! [`CostModel`] for compute time and the [`NetworkModel`] for message
+//! bytes.  It is a cost model of its own, not `pct::plan` on another
+//! transport, and differs from the real lanes in two modelled behaviours:
+//! each group is primed with up to *two* tasks, so the next transfer
+//! overlaps the current compute (the real managers keep one task per
+//! worker in flight), and a transform task is pinned to the group that
+//! screened its sub-cube, which still holds it, so only the small
+//! transform broadcast crosses the network (the real lanes ship the view
+//! again to whichever worker is free).  Replication is modelled faithfully:
 //! every member of a replica group receives every task, members share the
 //! worker nodes' CPUs, results are deduplicated at the manager, and the
 //! group protocols add the ~10 % processing overhead plus acknowledgement

@@ -33,7 +33,7 @@ use resilience::{
     DetectorConfig, FailureDetector, KillSwitch, MemberId, MembershipTable, PlacementPolicy,
     Regenerator,
 };
-use scp::{Runtime, RuntimeConfig, ScpError, ThreadContext, ThreadHandle};
+use scp::{Runtime, ScpError, ThreadContext, ThreadHandle};
 use std::any::Any;
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::Arc;
@@ -540,9 +540,7 @@ impl ResilientPct {
         attack: AttackPlan,
     ) -> Result<(FusionOutput, ResilientRunReport)> {
         self.config.validate()?;
-        // Channel validation is off: regenerated members introduce new
-        // routing names at runtime, which a static graph cannot anticipate.
-        let runtime: Runtime<PctMessage> = Runtime::new(RuntimeConfig::default());
+        let runtime: Runtime<PctMessage> = Runtime::new();
         let mut manager_ctx = runtime.context(MANAGER)?;
 
         let groups: Vec<String> = (0..self.workers).map(|w| format!("worker{w}")).collect();
@@ -889,7 +887,7 @@ mod tests {
 
     #[test]
     fn manager_state_builds_watches_and_shuts_down_cleanly() {
-        let runtime: Runtime<PctMessage> = Runtime::new(RuntimeConfig::default());
+        let runtime: Runtime<PctMessage> = Runtime::new();
         let mut ctx = runtime.context(MANAGER).unwrap();
         let groups = vec!["g0".to_string(), "g1".to_string()];
         let state = ResilientManagerState::build(
@@ -913,7 +911,7 @@ mod tests {
 
     #[test]
     fn manager_state_regenerates_a_killed_member_on_probe() {
-        let runtime: Runtime<PctMessage> = Runtime::new(RuntimeConfig::default());
+        let runtime: Runtime<PctMessage> = Runtime::new();
         let mut ctx = runtime.context(MANAGER).unwrap();
         let groups = vec!["g0".to_string()];
         let mut state = ResilientManagerState::build(
@@ -951,7 +949,7 @@ mod tests {
 
     #[test]
     fn repeated_kills_do_not_accumulate_handles_or_mailboxes() {
-        let runtime: Runtime<PctMessage> = Runtime::new(RuntimeConfig::default());
+        let runtime: Runtime<PctMessage> = Runtime::new();
         let mut ctx = runtime.context(MANAGER).unwrap();
         let groups = vec!["g0".to_string()];
         let mut state = ResilientManagerState::build(
@@ -1004,7 +1002,7 @@ mod tests {
         ThreadContext<PctMessage>,
         ResilientManagerState,
     ) {
-        let runtime: Runtime<PctMessage> = Runtime::new(RuntimeConfig::default());
+        let runtime: Runtime<PctMessage> = Runtime::new();
         let ctx = runtime.context(MANAGER).unwrap();
         let groups = vec!["g0".to_string(), "g1".to_string()];
         let detector = DetectorConfig {

@@ -11,17 +11,17 @@
 //!
 //! The pieces:
 //!
-//! * [`policy`] — replication policies: how many replicas each
-//!   mission-critical thread gets and where they are placed.  The paper
-//!   replicates all workers to level 2 and leaves the manager (the sensor)
-//!   unreplicated.
+//! * [`policy`] — the placement policy: where a group's members and their
+//!   regenerated replacements live.  (The paper replicates all workers to
+//!   level 2 and leaves the manager, the sensor, unreplicated; the level is
+//!   each group's own target.)
 //! * [`group`] — replica groups: a logical thread name backed by several
 //!   physical member threads, with group send (every live member receives
 //!   each message) and membership tracking.
 //! * [`detector`] — heartbeat-based failure detection with a deterministic
 //!   clock so detection latency and false-positive behaviour are testable.
 //! * [`regen`] — the regeneration protocol: pick a placement for the
-//!   replacement member, rebind its name in the router, restart it from the
+//!   replacement member, register it in the router, restart it from the
 //!   group's state, and bring membership back to the target level.
 //! * [`attack`] — kill switches used to emulate information-warfare attacks
 //!   against live worker threads in examples and tests.
@@ -44,7 +44,7 @@ pub use attack::KillSwitch;
 pub use detector::{DetectorConfig, FailureDetector};
 pub use group::{MemberId, MembershipTable, ReplicaGroup};
 pub use overhead::OverheadModel;
-pub use policy::{PlacementPolicy, ReplicationPolicy};
+pub use policy::PlacementPolicy;
 pub use regen::{RegenerationEvent, Regenerator};
 
 /// Errors produced by the resiliency layer.

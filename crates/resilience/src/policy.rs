@@ -1,67 +1,14 @@
-//! Replication and placement policies.
+//! Placement policy.
 //!
 //! "In any realistic system, there will never be sufficient resources to
 //! replicate all resources, therefore some policy-based methods for
-//! controlling replication are required."  A [`ReplicationPolicy`] states how
-//! many physical members each mission-critical thread gets; a
+//! controlling replication are required."  How many members a group gets is
+//! the `level` its owner passes to `ReplicaGroup::new`; a
 //! [`PlacementPolicy`] decides where members (and regenerated replacements)
 //! live, preferring to spread a group across distinct nodes so one node
 //! failure cannot take out a whole group.
 
 use serde::{Deserialize, Serialize};
-
-/// How many replicas a thread receives.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct ReplicationPolicy {
-    /// Replication level for mission-critical (worker) threads.  Level 1
-    /// means no redundancy; level 2 is the configuration evaluated in
-    /// Figure 4.
-    pub worker_level: usize,
-    /// Replication level for the manager.  The paper does not replicate the
-    /// manager ("the manager, which represents the sensor itself, was not
-    /// replicated"), so this defaults to 1.
-    pub manager_level: usize,
-}
-
-impl ReplicationPolicy {
-    /// No resiliency: every thread is a singleton.
-    pub fn none() -> Self {
-        Self {
-            worker_level: 1,
-            manager_level: 1,
-        }
-    }
-
-    /// The paper's evaluated configuration: workers replicated to `level`,
-    /// manager not replicated.
-    pub fn workers_at(level: usize) -> Self {
-        Self {
-            worker_level: level.max(1),
-            manager_level: 1,
-        }
-    }
-
-    /// The Figure 4 configuration (level 2).
-    pub fn paper_level_2() -> Self {
-        Self::workers_at(2)
-    }
-
-    /// Whether any replication is requested at all.
-    pub fn is_resilient(&self) -> bool {
-        self.worker_level > 1 || self.manager_level > 1
-    }
-
-    /// Total number of physical worker threads for `workers` logical workers.
-    pub fn physical_workers(&self, workers: usize) -> usize {
-        workers * self.worker_level
-    }
-}
-
-impl Default for ReplicationPolicy {
-    fn default() -> Self {
-        Self::none()
-    }
-}
 
 /// Where to place group members and regenerated replacements.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
@@ -111,27 +58,6 @@ impl PlacementPolicy {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn none_policy_is_not_resilient() {
-        let p = ReplicationPolicy::none();
-        assert!(!p.is_resilient());
-        assert_eq!(p.physical_workers(8), 8);
-    }
-
-    #[test]
-    fn paper_level_two_doubles_workers_only() {
-        let p = ReplicationPolicy::paper_level_2();
-        assert!(p.is_resilient());
-        assert_eq!(p.worker_level, 2);
-        assert_eq!(p.manager_level, 1);
-        assert_eq!(p.physical_workers(8), 16);
-    }
-
-    #[test]
-    fn workers_at_clamps_to_at_least_one() {
-        assert_eq!(ReplicationPolicy::workers_at(0).worker_level, 1);
-    }
 
     #[test]
     fn spread_prefers_unoccupied_nodes() {

@@ -82,9 +82,9 @@ impl Regenerator {
     /// replication level by creating one replacement, spawned via `factory`.
     ///
     /// `factory` receives the replacement's [`MemberId`] and chosen node and
-    /// must start the new thread (typically via `scp::Runtime::spawn` or
-    /// `regenerate_context`).  If the factory fails, membership is left
-    /// without the replacement so a later retry can run.
+    /// must start the new thread (typically via `scp::Runtime::spawn`).  If
+    /// the factory fails, membership is left without the replacement so a
+    /// later retry can run.
     ///
     /// Returns `Ok(None)` when the member was not present (already handled —
     /// e.g. both the detector and a send error reported the same failure).

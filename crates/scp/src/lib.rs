@@ -12,18 +12,19 @@
 //!
 //! This crate is that layer, re-imagined as safe Rust on OS threads:
 //!
-//! * [`envelope`] — sequence-numbered message envelopes.
-//! * [`graph`] — the explicit communication-structure descriptor
-//!   ([`graph::CommGraph`]), used both for documentation/validation and by
-//!   the resiliency layer to know which channels must be re-routed after a
-//!   failure.
+//! * [`envelope`] — message envelopes: a payload under its sender's name.
 //! * [`router`] — a dynamic name-to-mailbox registry ([`router::Router`]):
-//!   every send resolves the destination name at send time, so rebinding a
-//!   name (because a thread was regenerated elsewhere) transparently
-//!   redirects subsequent traffic.
+//!   every send resolves the destination name at send time, so a member
+//!   regenerated under a fresh name is reachable the moment it registers and
+//!   a send to a lost one fails typed.
 //! * [`runtime`] — thread spawning and the per-thread context
-//!   ([`runtime::ThreadContext`]) with blocking/timeout receive, send, and
-//!   barrier-style synchronisation.
+//!   ([`runtime::ThreadContext`]) with send and blocking / timeout /
+//!   non-blocking receive.
+//!
+//! It holds what the four execution lanes run and nothing else.  There is
+//! no static communication-graph descriptor and no per-sender sequence
+//! number: regenerated members introduce names a static graph cannot
+//! anticipate, and duplicates are discarded by task id in `pct::plan`.
 //!
 //! The `resilience` crate layers replication groups, failure detection and
 //! regeneration on top of these primitives, and `pct` uses both to run the
@@ -33,14 +34,12 @@
 #![warn(missing_docs)]
 
 pub mod envelope;
-pub mod graph;
 pub mod router;
 pub mod runtime;
 
-pub use envelope::{Envelope, SeqNum};
-pub use graph::{ChannelSpec, CommGraph};
+pub use envelope::Envelope;
 pub use router::{Router, ThreadName};
-pub use runtime::{Runtime, RuntimeConfig, ThreadContext, ThreadHandle};
+pub use runtime::{Runtime, ThreadContext, ThreadHandle};
 
 /// Errors produced by the message-passing layer.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -51,13 +50,6 @@ pub enum ScpError {
     Disconnected(String),
     /// A receive timed out.
     Timeout,
-    /// The communication graph does not declare the attempted channel.
-    ChannelNotDeclared {
-        /// Sending thread.
-        from: String,
-        /// Receiving thread.
-        to: String,
-    },
     /// A thread with this name is already registered.
     DuplicateName(String),
     /// The runtime has been shut down.
@@ -70,12 +62,6 @@ impl std::fmt::Display for ScpError {
             ScpError::UnknownDestination(name) => write!(f, "unknown destination '{name}'"),
             ScpError::Disconnected(name) => write!(f, "destination '{name}' disconnected"),
             ScpError::Timeout => write!(f, "receive timed out"),
-            ScpError::ChannelNotDeclared { from, to } => {
-                write!(
-                    f,
-                    "channel {from} -> {to} not declared in the communication graph"
-                )
-            }
             ScpError::DuplicateName(name) => write!(f, "thread name '{name}' already registered"),
             ScpError::Shutdown => write!(f, "runtime has been shut down"),
         }

@@ -3,13 +3,12 @@
 //! The router is the mechanism behind dynamic reconfiguration: senders
 //! address logical *names*, and the name-to-mailbox binding is resolved at
 //! send time under a read lock.  When the resiliency layer regenerates a
-//! thread on another node, it simply rebinds the name to the new thread's
-//! mailbox; every subsequent send — from any peer, with no peer involvement —
-//! flows to the new location.  Nothing already delivered is lost, and the
-//! sequence numbers in [`crate::envelope`] let the application reconcile
-//! anything that was in flight.
+//! member it registers the replacement under a fresh name and unbinds the
+//! dead one; a send to a name whose mailbox is gone fails typed
+//! ([`ScpError::Disconnected`] / [`ScpError::UnknownDestination`]), which is
+//! the signal the loss-confirmation probes look for.
 
-use crate::envelope::{Envelope, SeqNum};
+use crate::envelope::Envelope;
 use crate::{Result, ScpError};
 use crossbeam_channel::{Receiver, Sender};
 use parking_lot::RwLock;
@@ -55,8 +54,7 @@ impl<M> Router<M> {
 
     /// Creates a mailbox bound to `name` and returns its receiving end.
     ///
-    /// Fails if the name is already bound (use [`Router::rebind`] to move an
-    /// existing name to a new mailbox).
+    /// Fails if the name is already bound.
     pub fn register(&self, name: impl Into<ThreadName>) -> Result<Receiver<Envelope<M>>> {
         let name = name.into();
         let (tx, rx) = crossbeam_channel::unbounded();
@@ -66,16 +64,6 @@ impl<M> Router<M> {
         }
         bindings.insert(name, tx);
         Ok(rx)
-    }
-
-    /// Rebinds `name` to a fresh mailbox, returning the new receiving end.
-    /// Subsequent sends to `name` are delivered to the new mailbox; this is
-    /// the routing half of thread regeneration.
-    pub fn rebind(&self, name: impl Into<ThreadName>) -> Receiver<Envelope<M>> {
-        let name = name.into();
-        let (tx, rx) = crossbeam_channel::unbounded();
-        self.inner.bindings.write().insert(name, tx);
-        rx
     }
 
     /// Removes a binding entirely (the thread exited and will not return).
@@ -95,26 +83,15 @@ impl<M> Router<M> {
         names
     }
 
-    /// Sends an envelope to the thread currently bound to `envelope.to`.
-    pub fn send_envelope(&self, envelope: Envelope<M>) -> Result<()> {
+    /// Sends `payload`, enveloped with the sender's name, to the thread
+    /// currently bound to `to`.
+    pub fn send(&self, from: impl Into<ThreadName>, to: &str, payload: M) -> Result<()> {
         let bindings = self.inner.bindings.read();
-        let Some(tx) = bindings.get(&envelope.to) else {
-            return Err(ScpError::UnknownDestination(envelope.to));
+        let Some(tx) = bindings.get(to) else {
+            return Err(ScpError::UnknownDestination(to.to_string()));
         };
-        let to = envelope.to.clone();
-        tx.send(envelope).map_err(|_| ScpError::Disconnected(to))?;
-        Ok(())
-    }
-
-    /// Convenience: builds an envelope and sends it.
-    pub fn send(
-        &self,
-        from: impl Into<ThreadName>,
-        to: impl Into<ThreadName>,
-        seq: SeqNum,
-        payload: M,
-    ) -> Result<()> {
-        self.send_envelope(Envelope::new(from, to, seq, payload))
+        tx.send(Envelope::new(from, payload))
+            .map_err(|_| ScpError::Disconnected(to.to_string()))
     }
 }
 
@@ -126,9 +103,7 @@ mod tests {
     fn register_and_send_round_trip() {
         let router: Router<String> = Router::new();
         let rx = router.register("alice").unwrap();
-        router
-            .send("bob", "alice", SeqNum(1), "hello".to_string())
-            .unwrap();
+        router.send("bob", "alice", "hello".to_string()).unwrap();
         let env = rx.recv().unwrap();
         assert_eq!(env.payload, "hello");
         assert_eq!(env.from, "bob");
@@ -148,7 +123,7 @@ mod tests {
     fn sending_to_unknown_name_fails() {
         let router: Router<()> = Router::new();
         assert!(matches!(
-            router.send("a", "ghost", SeqNum(1), ()),
+            router.send("a", "ghost", ()),
             Err(ScpError::UnknownDestination(_))
         ));
     }
@@ -159,27 +134,9 @@ mod tests {
         let rx = router.register("x").unwrap();
         drop(rx);
         assert!(matches!(
-            router.send("a", "x", SeqNum(1), ()),
+            router.send("a", "x", ()),
             Err(ScpError::Disconnected(_))
         ));
-    }
-
-    #[test]
-    fn rebind_redirects_subsequent_traffic() {
-        let router: Router<u32> = Router::new();
-        let old_rx = router.register("worker").unwrap();
-        router.send("m", "worker", SeqNum(1), 1).unwrap();
-
-        // The worker is "regenerated": rebind the name to a new mailbox.
-        let new_rx = router.rebind("worker");
-        router.send("m", "worker", SeqNum(2), 2).unwrap();
-
-        assert_eq!(old_rx.recv().unwrap().payload, 1);
-        assert!(
-            old_rx.try_recv().is_err(),
-            "old mailbox must not see new traffic"
-        );
-        assert_eq!(new_rx.recv().unwrap().payload, 2);
     }
 
     #[test]
@@ -208,7 +165,7 @@ mod tests {
         let router: Router<u8> = Router::new();
         let clone = router.clone();
         let rx = router.register("r").unwrap();
-        clone.send("s", "r", SeqNum(1), 9).unwrap();
+        clone.send("s", "r", 9).unwrap();
         assert_eq!(rx.recv().unwrap().payload, 9);
     }
 
@@ -221,8 +178,7 @@ mod tests {
             let r = router.clone();
             handles.push(std::thread::spawn(move || {
                 for i in 0..100u64 {
-                    r.send(format!("t{t}"), "sink", SeqNum(i + 1), t * 1000 + i)
-                        .unwrap();
+                    r.send(format!("t{t}"), "sink", t * 1000 + i).unwrap();
                 }
             }));
         }

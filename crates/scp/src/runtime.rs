@@ -1,30 +1,15 @@
 //! Thread spawning and the per-thread communication context.
 //!
-//! A [`Runtime`] owns the shared [`Router`] and an optional
-//! [`CommGraph`] used to validate sends.  Application threads are spawned
-//! with [`Runtime::spawn`]; each receives a [`ThreadContext`] through which
-//! it sends and receives envelopes.  The context assigns outgoing sequence
-//! numbers automatically, so replicated senders created from the same
-//! logical state produce identical numbering.
+//! A [`Runtime`] owns the shared [`Router`].  Application threads are
+//! spawned with [`Runtime::spawn`]; each receives a [`ThreadContext`]
+//! through which it sends and receives envelopes under its own name.
 
-use crate::envelope::{Envelope, SeqNum};
-use crate::graph::CommGraph;
+use crate::envelope::Envelope;
 use crate::router::{Router, ThreadName};
 use crate::{Result, ScpError};
 use crossbeam_channel::{Receiver, RecvTimeoutError, TryRecvError};
-use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
-
-/// Configuration of a runtime instance.
-#[derive(Debug, Clone, Default)]
-pub struct RuntimeConfig {
-    /// When set, sends over channels not declared in `graph` are rejected
-    /// with [`ScpError::ChannelNotDeclared`].
-    pub validate_channels: bool,
-    /// The declared communication structure.
-    pub graph: CommGraph,
-}
 
 /// Handle to a spawned thread.
 pub struct ThreadHandle<T> {
@@ -63,9 +48,6 @@ pub struct ThreadContext<M> {
     name: ThreadName,
     router: Router<M>,
     receiver: Receiver<Envelope<M>>,
-    graph: Arc<CommGraph>,
-    validate: bool,
-    next_seq: SeqNum,
 }
 
 impl<M> ThreadContext<M> {
@@ -74,34 +56,15 @@ impl<M> ThreadContext<M> {
         &self.name
     }
 
-    /// A clone of the shared router (for advanced uses such as rebinding).
+    /// A clone of the shared router (for unbinding a lost member's name, or
+    /// sending under another name).
     pub fn router(&self) -> Router<M> {
         self.router.clone()
     }
 
-    /// The sequence number the next send will use.
-    pub fn next_seq(&self) -> SeqNum {
-        self.next_seq
-    }
-
-    /// Sends `payload` to the thread currently bound to `to`, assigning the
-    /// next sequence number.
-    pub fn send(&mut self, to: &str, payload: M) -> Result<SeqNum> {
-        if self.validate && !self.graph.allows(&self.name, to) {
-            return Err(ScpError::ChannelNotDeclared {
-                from: self.name.clone(),
-                to: to.to_string(),
-            });
-        }
-        let seq = self.next_seq;
-        self.router.send_envelope(Envelope::new(
-            self.name.clone(),
-            to.to_string(),
-            seq,
-            payload,
-        ))?;
-        self.next_seq = self.next_seq.next();
-        Ok(seq)
+    /// Sends `payload` to the thread currently bound to `to`.
+    pub fn send(&mut self, to: &str, payload: M) -> Result<()> {
+        self.router.send(self.name.clone(), to, payload)
     }
 
     /// Blocks until an envelope arrives.
@@ -135,33 +98,25 @@ impl<M> ThreadContext<M> {
 /// The thread runtime: spawning, routing and shutdown.
 pub struct Runtime<M> {
     router: Router<M>,
-    graph: Arc<CommGraph>,
-    validate: bool,
+}
+
+impl<M: Send + 'static> Default for Runtime<M> {
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
 impl<M: Send + 'static> Runtime<M> {
-    /// Creates a runtime with the given configuration.
-    pub fn new(config: RuntimeConfig) -> Self {
+    /// Creates a runtime with an empty router.
+    pub fn new() -> Self {
         Self {
             router: Router::new(),
-            graph: Arc::new(config.graph),
-            validate: config.validate_channels,
         }
-    }
-
-    /// Creates a runtime with no channel validation (the common case).
-    pub fn unvalidated() -> Self {
-        Self::new(RuntimeConfig::default())
     }
 
     /// The shared router.
     pub fn router(&self) -> Router<M> {
         self.router.clone()
-    }
-
-    /// The declared communication graph.
-    pub fn graph(&self) -> &CommGraph {
-        &self.graph
     }
 
     /// Creates a [`ThreadContext`] bound to `name` without spawning a thread
@@ -174,30 +129,7 @@ impl<M: Send + 'static> Runtime<M> {
             name,
             router: self.router.clone(),
             receiver,
-            graph: Arc::clone(&self.graph),
-            validate: self.validate,
-            next_seq: SeqNum::FIRST,
         })
-    }
-
-    /// Re-creates a context for an existing name by rebinding its mailbox —
-    /// the runtime half of regenerating a thread.  `resume_seq` lets the new
-    /// incarnation continue the sequence numbering of the old one.
-    pub fn regenerate_context(
-        &self,
-        name: impl Into<ThreadName>,
-        resume_seq: SeqNum,
-    ) -> ThreadContext<M> {
-        let name = name.into();
-        let receiver = self.router.rebind(name.clone());
-        ThreadContext {
-            name,
-            router: self.router.clone(),
-            receiver,
-            graph: Arc::clone(&self.graph),
-            validate: self.validate,
-            next_seq: resume_seq,
-        }
     }
 
     /// Spawns a named thread running `body` with its own context.
@@ -223,7 +155,7 @@ mod tests {
 
     #[test]
     fn spawn_and_exchange_messages() {
-        let runtime: Runtime<String> = Runtime::unvalidated();
+        let runtime: Runtime<String> = Runtime::new();
         let mut manager = runtime.context("manager").unwrap();
         let worker = runtime
             .spawn("worker", |mut ctx: ThreadContext<String>| {
@@ -242,35 +174,8 @@ mod tests {
     }
 
     #[test]
-    fn sequence_numbers_increment_per_sender() {
-        let runtime: Runtime<u32> = Runtime::unvalidated();
-        let mut a = runtime.context("a").unwrap();
-        let _b_rx = runtime.router().register("b").unwrap();
-        assert_eq!(a.send("b", 1).unwrap(), SeqNum(1));
-        assert_eq!(a.send("b", 2).unwrap(), SeqNum(2));
-        assert_eq!(a.next_seq(), SeqNum(3));
-    }
-
-    #[test]
-    fn channel_validation_rejects_undeclared_sends() {
-        let mut graph = CommGraph::new();
-        graph.declare("a", "b", "ok");
-        let runtime: Runtime<()> = Runtime::new(RuntimeConfig {
-            validate_channels: true,
-            graph,
-        });
-        let mut a = runtime.context("a").unwrap();
-        let mut b = runtime.context("b").unwrap();
-        assert!(a.send("b", ()).is_ok());
-        assert!(matches!(
-            b.send("a", ()),
-            Err(ScpError::ChannelNotDeclared { .. })
-        ));
-    }
-
-    #[test]
     fn recv_timeout_times_out() {
-        let runtime: Runtime<()> = Runtime::unvalidated();
+        let runtime: Runtime<()> = Runtime::new();
         let ctx = runtime.context("lonely").unwrap();
         let err = ctx.recv_timeout(Duration::from_millis(20)).unwrap_err();
         assert_eq!(err, ScpError::Timeout);
@@ -278,7 +183,7 @@ mod tests {
 
     #[test]
     fn try_recv_returns_none_when_empty() {
-        let runtime: Runtime<u8> = Runtime::unvalidated();
+        let runtime: Runtime<u8> = Runtime::new();
         let mut a = runtime.context("a").unwrap();
         let b = runtime.context("b").unwrap();
         assert!(b.try_recv().unwrap().is_none());
@@ -289,35 +194,14 @@ mod tests {
 
     #[test]
     fn duplicate_name_rejected_for_contexts() {
-        let runtime: Runtime<()> = Runtime::unvalidated();
+        let runtime: Runtime<()> = Runtime::new();
         let _a = runtime.context("same").unwrap();
         assert!(runtime.context("same").is_err());
     }
 
     #[test]
-    fn regenerate_context_takes_over_a_name() {
-        let runtime: Runtime<u32> = Runtime::unvalidated();
-        let mut manager = runtime.context("manager").unwrap();
-        let original = runtime.context("worker").unwrap();
-        manager.send("worker", 1).unwrap();
-        assert_eq!(original.recv().unwrap().payload, 1);
-
-        // Simulate the worker being lost and regenerated: rebind the name.
-        let regenerated = runtime.regenerate_context("worker", SeqNum(10));
-        manager.send("worker", 2).unwrap();
-        assert_eq!(regenerated.recv().unwrap().payload, 2);
-        // The original mailbox no longer receives anything: its sender was
-        // replaced by the rebind, so it reports either empty or shutdown.
-        assert!(matches!(
-            original.try_recv(),
-            Ok(None) | Err(ScpError::Shutdown)
-        ));
-        assert_eq!(regenerated.next_seq(), SeqNum(10));
-    }
-
-    #[test]
     fn many_workers_round_trip() {
-        let runtime: Runtime<usize> = Runtime::unvalidated();
+        let runtime: Runtime<usize> = Runtime::new();
         let mut manager = runtime.context("manager").unwrap();
         let handles: Vec<_> = (0..8)
             .map(|i| {
@@ -345,7 +229,7 @@ mod tests {
 
     #[test]
     fn handle_reports_finished_state() {
-        let runtime: Runtime<()> = Runtime::unvalidated();
+        let runtime: Runtime<()> = Runtime::new();
         let handle = runtime.spawn("quick", |_ctx| 42u8).unwrap();
         let value = handle.join();
         assert_eq!(value, 42);

@@ -290,12 +290,6 @@ impl ServiceConfigBuilder {
         self
     }
 
-    /// Failure-detector tuning for the standard lane's worker watchdog.
-    pub fn standard_detector(mut self, detector: DetectorConfig) -> Self {
-        self.config.pool.standard_detector = detector;
-        self
-    }
-
     /// Replaces the remote-lane worker specs (empty disables the lane).
     pub fn remote_workers(mut self, specs: Vec<RemoteWorkerSpec>) -> Self {
         self.config.pool.remote_workers = specs;

@@ -39,7 +39,7 @@ use pct::messages::PctMessage;
 use pct::resilient::{member_loop, AttackPlan, ResilientManagerState, ResilientRunReport};
 use pct::{FusionOutput, PctConfig, SequentialPct};
 use resilience::attack::AttackInjector;
-use scp::{Envelope, Router, Runtime, RuntimeConfig, SeqNum, ThreadContext, ThreadHandle};
+use scp::{Envelope, Router, Runtime, ThreadContext, ThreadHandle};
 use std::collections::HashMap;
 use std::sync::mpsc::{Receiver, Sender};
 use std::sync::Arc;
@@ -67,9 +67,7 @@ impl Doorbell {
     /// manager mailbox gone; nothing is left to wake, so the error is
     /// ignored.
     pub fn ring(&self) {
-        let _ = self
-            .0
-            .send(DOORBELL, MANAGER, SeqNum::FIRST, PctMessage::Heartbeat);
+        let _ = self.0.send(DOORBELL, MANAGER, PctMessage::Heartbeat);
     }
 
     /// Whether `envelope` is a ring rather than a member's message.
@@ -214,10 +212,7 @@ impl WorkerPool {
         config: &PoolConfig,
         telemetry: telemetry::Telemetry,
     ) -> Result<(WorkerPool, ThreadContext<PctMessage>)> {
-        // Channel validation is off for the same reason as the resilient
-        // pipeline: regenerated members introduce routing names a static
-        // graph cannot anticipate.
-        let runtime: Runtime<PctMessage> = Runtime::new(RuntimeConfig::default());
+        let runtime: Runtime<PctMessage> = Runtime::new();
         let ctx = runtime.context(MANAGER)?;
 
         let groups: Vec<String> = (0..config.replica_groups)

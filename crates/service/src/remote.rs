@@ -38,7 +38,7 @@ use crate::config::RemoteWorkerSpec;
 use crate::{Result, ServiceError};
 use pct::distributed::MANAGER;
 use pct::messages::PctMessage;
-use scp::{Router, Runtime, SeqNum, ThreadContext};
+use scp::{Router, Runtime, ThreadContext};
 use std::net::{TcpListener, TcpStream};
 use std::time::{Duration, Instant};
 use wire::worker::HANDSHAKE_TIMEOUT;
@@ -132,7 +132,7 @@ impl RemoteLane {
         for handle in &mut self.handles {
             if !handle.bridge.is_empty() {
                 let name = handle.name.as_str();
-                let _ = router.send(MANAGER, name, SeqNum::FIRST, PctMessage::Shutdown);
+                let _ = router.send(MANAGER, name, PctMessage::Shutdown);
             } else if let Some(child) = &mut handle.child {
                 let _ = child.kill();
             }
@@ -303,26 +303,24 @@ fn relay_outbound(ctx: ThreadContext<PctMessage>, mut sender: TcpTransport) {
 /// half's writes fail) and a `Shutdown` is posted to the worker's own
 /// mailbox to end the outbound half's blocked receive.
 fn relay_inbound(name: &str, router: &Router<PctMessage>, mut receiver: TcpTransport) {
-    let mut seq = SeqNum::FIRST;
     while let Ok(WireMessage::Pct(msg)) = receiver.recv() {
-        if router.send(name, MANAGER, seq, msg).is_err() {
+        if router.send(name, MANAGER, msg).is_err() {
             break;
         }
-        seq = seq.next();
     }
     receiver.shutdown();
     // The mailbox may be gone already, the outbound half having died first.
-    let _ = router.send(name, name, seq, PctMessage::Shutdown);
+    let _ = router.send(name, name, PctMessage::Shutdown);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use scp::{RuntimeConfig, ScpError};
+    use scp::ScpError;
 
     #[test]
     fn thread_worker_round_trips_a_task_over_real_tcp() {
-        let runtime: Runtime<PctMessage> = Runtime::new(RuntimeConfig::default());
+        let runtime: Runtime<PctMessage> = Runtime::new();
         let mut manager = runtime.context(MANAGER).unwrap();
         let mut lane = RemoteLane::start(&runtime, &[RemoteWorkerSpec::Thread]).unwrap();
         assert_eq!(lane.workers, vec!["rw0"]);
@@ -386,7 +384,7 @@ mod tests {
 
     #[test]
     fn dead_worker_surfaces_as_a_disconnected_mailbox() {
-        let runtime: Runtime<PctMessage> = Runtime::new(RuntimeConfig::default());
+        let runtime: Runtime<PctMessage> = Runtime::new();
         let mut manager = runtime.context(MANAGER).unwrap();
 
         // A clean worker exit (Shutdown) ends the bridge the same way a
@@ -399,7 +397,7 @@ mod tests {
 
     #[test]
     fn peer_socket_dropped_mid_idle_surfaces_as_a_disconnected_mailbox() {
-        let runtime: Runtime<PctMessage> = Runtime::new(RuntimeConfig::default());
+        let runtime: Runtime<PctMessage> = Runtime::new();
         let mut manager = runtime.context(MANAGER).unwrap();
 
         // The unclean exit: a peer that shook hands, then drops its socket

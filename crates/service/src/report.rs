@@ -199,11 +199,6 @@ impl ServiceReport {
         self.routes.get(&route).copied().unwrap_or_default()
     }
 
-    /// The stats of one tenant (all-zero if it never submitted).
-    pub fn tenant(&self, tenant: TenantId) -> TenantStats {
-        self.tenants.get(&tenant).copied().unwrap_or_default()
-    }
-
     /// A human-readable multi-line rendering for examples and logs.
     pub fn render(&self) -> String {
         let mut out = String::new();

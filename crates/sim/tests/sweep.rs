@@ -53,14 +53,23 @@ fn thousand_scenario_sweep_holds_the_byte_identity_and_makespan_contract() {
         );
     }
     assert!(report.rows.iter().map(|r| r.kills).sum::<u32>() > 500);
-    assert!(report.rows.iter().map(|r| r.detections).sum::<u32>() > 500);
     assert!(report.rows.iter().map(|r| r.regenerations).sum::<u32>() > 500);
     assert!(
         report.rows.iter().map(|r| r.false_positives).sum::<u32>() > 0,
         "partitions should provoke at least one false-positive detection"
     );
-    assert!(report.detection_latency_quantile_ns(0.99).is_some());
     assert!(report.worst.is_some());
+
+    // Exact rows: pure functions of the sweep seed on virtual time.  A
+    // deliberate change to detector or protocol behaviour edits these in the
+    // same commit, with the reason.
+    assert_eq!(report.passed(), 1000);
+    assert_eq!(report.rows.iter().map(|r| r.detections).sum::<u32>(), 1117);
+    assert_eq!(report.detection_latency_quantile_ns(0.5), Some(60_208_666));
+    assert_eq!(
+        report.detection_latency_quantile_ns(0.99),
+        Some(450_000_000)
+    );
 
     // The whole point: thousands of scenarios per minute, not per day.
     assert!(

@@ -24,8 +24,11 @@
 //! let tel = Telemetry::enabled();
 //! let job = tel.span_start("job", None, Some(1), "");
 //! let phase = tel.span_start("screen", job, Some(1), "");
-//! tel.histogram("fusiond_phase_duration_seconds", &[("phase", "screen")])
-//!     .map(|h| h.observe(std::time::Duration::from_millis(3)));
+//! tel.observe(
+//!     "fusiond_phase_duration_seconds",
+//!     &[("phase", "screen")],
+//!     std::time::Duration::from_millis(3),
+//! );
 //! tel.span_end(phase);
 //! tel.span_end(job);
 //! assert_eq!(tel.spans().len(), 2);
@@ -238,14 +241,6 @@ impl Telemetry {
     /// The gauge `name{labels}`, or `None` when disabled.
     pub fn gauge(&self, name: &str, labels: &[(&str, &str)]) -> Option<Gauge> {
         self.inner.as_ref().map(|i| i.metrics.gauge(name, labels))
-    }
-
-    /// The latency histogram `name{labels}` with default edges, or `None`
-    /// when disabled.
-    pub fn histogram(&self, name: &str, labels: &[(&str, &str)]) -> Option<Histogram> {
-        self.inner
-            .as_ref()
-            .map(|i| i.metrics.histogram(name, labels))
     }
 
     /// Records `d` into histogram `name{labels}` in one call.

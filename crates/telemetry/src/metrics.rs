@@ -127,35 +127,6 @@ impl Histogram {
             .zip(self.buckets.iter().map(|b| b.load(Ordering::Relaxed)))
             .collect()
     }
-
-    /// Estimates the `q`-quantile (0.0..=1.0) in seconds by linear
-    /// interpolation within the bucket that holds it, as Prometheus'
-    /// `histogram_quantile` does.  Returns `None` with no observations.
-    pub fn quantile(&self, q: f64) -> Option<f64> {
-        let total = self.count();
-        if total == 0 {
-            return None;
-        }
-        let rank = q.clamp(0.0, 1.0) * total as f64;
-        let mut seen = 0u64;
-        let mut lower = 0.0f64;
-        for (edge, count) in self.buckets() {
-            let next = seen + count;
-            if (next as f64) >= rank && count > 0 {
-                if edge.is_infinite() {
-                    // Open-ended final bucket: report its lower edge.
-                    return Some(lower);
-                }
-                let within = (rank - seen as f64) / count as f64;
-                return Some(lower + (edge - lower) * within.clamp(0.0, 1.0));
-            }
-            seen = next;
-            if edge.is_finite() {
-                lower = edge;
-            }
-        }
-        Some(lower)
-    }
 }
 
 /// One registry entry: the instrument plus its identity.
@@ -362,20 +333,6 @@ mod tests {
         assert_eq!(buckets[3].1, 1);
         assert_eq!(h.count(), 3);
         assert_eq!(h.sum(), Duration::from_millis(1003));
-    }
-
-    #[test]
-    fn histogram_quantile_interpolates() {
-        let reg = MetricsRegistry::new();
-        let h = reg.histogram_with_edges("lat", &[], &[0.1, 0.2, 0.4]);
-        for _ in 0..10 {
-            h.observe(Duration::from_millis(150)); // bucket (0.1, 0.2]
-        }
-        let p50 = h.quantile(0.5).unwrap();
-        assert!(p50 > 0.1 && p50 <= 0.2, "p50 = {p50}");
-        assert_eq!(h.quantile(0.0), Some(0.1));
-        let empty = reg.histogram_with_edges("lat2", &[], &[0.1]);
-        assert_eq!(empty.quantile(0.5), None);
     }
 
     #[test]

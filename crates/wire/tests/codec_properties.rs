@@ -327,3 +327,55 @@ fn byte_dribbled_frames_reassemble() {
     }
     assert_eq!(decoded, Some(msg));
 }
+
+/// Exact rows: the fixed message set of a three-shard fusion exchange on a
+/// 28×28×14 scene (handshake; a screening and a transform task per shard; a
+/// 17-vector unique-set reply; heartbeat; shutdown).  Its frame and byte
+/// counts pin the binary layout — a deliberate layout change edits the
+/// literals in the same commit, with the reason — and the bytes this thread
+/// deep-copied while encoding are exactly the payload of the embedded views
+/// (each in two messages): the codec copies pixel data nowhere else.
+#[test]
+fn fixed_message_set_pins_the_layout_and_reconciles_with_the_clone_ledger() {
+    let mut config = hsi::SceneConfig::small(500);
+    config.dims = CubeDims::new(28, 28, 14);
+    let cube = Arc::new(hsi::SceneGenerator::new(config).unwrap().generate());
+    let views = hsi::partition::partition_views(&cube, 3).expect("three shards");
+    let bands = cube.dims().bands;
+    let transform =
+        Matrix::from_row_major(3, bands, (0..3 * bands).map(|i| i as f64 * 0.01).collect())
+            .expect("dims consistent");
+    let unique: Vec<Vector> = (0..17)
+        .map(|i| Vector::from_vec((0..bands).map(|k| (i * bands + k) as f64).collect()))
+        .collect();
+
+    let mut messages = vec![WireMessage::hello()];
+    for (i, view) in views.iter().enumerate() {
+        messages.push(WireMessage::Pct(PctMessage::ScreenTask {
+            task: i,
+            view: view.clone(),
+            threshold_rad: 0.0874,
+        }));
+        messages.push(WireMessage::Pct(PctMessage::TransformTask {
+            task: 100 + i,
+            view: view.clone(),
+            mean: Vector::from_vec(vec![0.5; bands]),
+            transform: transform.clone(),
+            scales: vec![(0.0, 1.0); 3],
+        }));
+    }
+    messages.push(WireMessage::Pct(PctMessage::UniqueSet { task: 7, unique }));
+    messages.push(WireMessage::Pct(PctMessage::Heartbeat));
+    messages.push(WireMessage::Pct(PctMessage::Shutdown));
+
+    let before = hsi::thread_cloned_bytes_total();
+    let encoded: Vec<Vec<u8>> = messages.iter().map(encode_message).collect();
+    let view_payload: u64 = views.iter().map(|v| 2 * v.payload_bytes() as u64).sum();
+    assert_eq!(hsi::thread_cloned_bytes_total() - before, view_payload);
+
+    assert_eq!(encoded.len(), 10);
+    assert_eq!(encoded.iter().map(Vec::len).sum::<usize>(), 179466);
+    for message in &messages {
+        assert_eq!(&round_trip(message), message);
+    }
+}

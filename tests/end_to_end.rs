@@ -139,12 +139,12 @@ fn figure5_shape_holds_end_to_end() {
 fn cube_files_round_trip_through_disk() {
     let cube = test_scene(4);
     let dir = std::env::temp_dir();
-    let cube_path = dir.join(format!("e2e_cube_{}.hsc", std::process::id()));
+    let cube_path = dir.join(format!("e2e_cube_{}.hsif", std::process::id()));
     let ppm_path = dir.join(format!("e2e_fused_{}.ppm", std::process::id()));
 
-    io::write_cube(&cube, &cube_path).unwrap();
-    let reloaded = io::read_cube(&cube_path).unwrap();
-    assert_eq!(cube, reloaded);
+    io::write_cube_as(&cube, hsi::Interleave::Bip, &cube_path).unwrap();
+    let (reloaded, interleave) = io::read_cube_file(&cube_path).unwrap();
+    assert_eq!((&reloaded, interleave), (&cube, hsi::Interleave::Bip));
 
     let fused = SequentialPct::new(PctConfig::paper())
         .run(&reloaded)
@@ -557,10 +557,10 @@ fn multi_tenant_chaos_fair_share_and_byte_identity_survive_member_kill() {
         report.regenerations >= 1,
         "killed member was never regenerated: {report:?}"
     );
-    let h = report.tenant(heavy);
+    let h = report.tenants[&heavy];
     assert_eq!((h.weight, h.jobs_admitted, h.jobs_completed), (4, 8, 8));
     assert_eq!((h.jobs_shed, h.jobs_rejected), (0, 0));
-    let l = report.tenant(light);
+    let l = report.tenants[&light];
     assert_eq!((l.weight, l.jobs_admitted, l.jobs_completed), (1, 2, 2));
     assert_eq!((l.jobs_shed, l.jobs_rejected), (0, 0));
     let rendered = report.render();
