@@ -1,111 +1,33 @@
-//! The manager/worker distributed implementation on real threads.
+//! The worker side of both protocols.
 //!
-//! This is the paper's message-passing algorithm (§3) on the `scp`
-//! substrate.  The manager side — which tasks exist in which phase, how the
-//! unique sets merge, how the covariance sums add up and how the strips
-//! become the image — is [`crate::plan::run_paper_protocol`]; this module is
-//! its driver on plain worker threads: `distribute` runs one phase through a
-//! work queue (a worker is sent its next task as soon as its previous result
-//! arrives, which is the "overlap the request for its next sub-problem with
-//! the calculation" optimisation).  The worker side, [`handle_task`], is
-//! shared by every lane, the remote worker process and the simulator.
+//! [`handle_task`] computes one task's result from the task alone.  It is
+//! shared by every lane, the remote worker process and the simulator, so a
+//! result is byte-identical whichever of them computed it.  The manager
+//! side is [`crate::plan`].  [`assemble_image`], which puts the strips back
+//! together, and [`MANAGER`], the name in-process executors receive results
+//! under, are imported from here by `wire`, `service` and `fusebench`.
 
 use crate::colormap::{map_components, ComponentScale};
-use crate::config::{FusionOutput, PctConfig};
 use crate::messages::{PctMessage, TaskId};
 use crate::pipeline::{derive_transform, project_pixels};
-use crate::plan::run_paper_protocol;
 use crate::screening::{screen_slices, screen_slices_seeded};
 use crate::{PctError, Result};
-use hsi::partition::GranularityPolicy;
-use hsi::{CubeView, HyperCube, RgbImage};
+use hsi::{CubeView, RgbImage};
 use linalg::covariance::CovarianceAccumulator;
 use linalg::{Matrix, Vector};
-use scp::{Runtime, ThreadContext};
-use std::collections::VecDeque;
-use std::sync::Arc;
 
 /// Name used by the manager thread.
 pub const MANAGER: &str = "manager";
 
-/// Routing name of worker `i`.
-pub fn worker_name(i: usize) -> String {
-    format!("worker{i}")
-}
-
-/// The distributed fusion pipeline.
-#[derive(Debug, Clone)]
-pub struct DistributedPct {
-    config: PctConfig,
-    workers: usize,
-    granularity: GranularityPolicy,
-}
-
-impl DistributedPct {
-    /// Creates a distributed pipeline with `workers` worker threads and one
-    /// sub-cube per worker.
-    pub fn new(config: PctConfig, workers: usize) -> Self {
-        Self {
-            config,
-            workers: workers.max(1),
-            granularity: GranularityPolicy::PerWorkerMultiple(2),
-        }
-    }
-
-    /// Overrides the granularity policy (Figure 5's experimental knob).
-    pub fn with_granularity(mut self, granularity: GranularityPolicy) -> Self {
-        self.granularity = granularity;
-        self
-    }
-
-    /// Runs the full pipeline on a borrowed cube.  The cube is copied once
-    /// into shared storage at this ingestion boundary; callers that already
-    /// hold an `Arc` use [`DistributedPct::run_shared`] and copy nothing.
-    pub fn run(&self, cube: &HyperCube) -> Result<FusionOutput> {
-        self.run_shared(&Arc::new(cube.clone()))
-    }
-
-    /// Runs the full pipeline on real threads over shared storage: every
-    /// task payload is a zero-copy [`CubeView`] window of `cube`.
-    pub fn run_shared(&self, cube: &Arc<HyperCube>) -> Result<FusionOutput> {
-        self.config.validate()?;
-        let worker_names: Vec<String> = (0..self.workers).map(worker_name).collect();
-        let runtime: Runtime<PctMessage> = Runtime::new();
-        let mut manager_ctx = runtime.context(MANAGER)?;
-
-        // Spawn the workers.
-        let handles: Vec<_> = worker_names
-            .iter()
-            .map(|name| {
-                runtime.spawn(name.clone(), move |ctx: ThreadContext<PctMessage>| {
-                    worker_loop(ctx)
-                })
-            })
-            .collect::<scp::Result<Vec<_>>>()?;
-
-        let result = run_paper_protocol(
-            cube,
-            &self.config,
-            self.workers,
-            self.granularity,
-            |tasks, is_result| distribute(&mut manager_ctx, &worker_names, tasks, is_result),
-        );
-
-        // Always shut workers down, even if the manager phase failed.
-        for name in &worker_names {
-            let _ = manager_ctx.send(name, PctMessage::Shutdown);
-        }
-        for handle in handles {
-            handle.join();
-        }
-        result
-    }
-}
-
-/// The worker side of the protocol: a reactive loop that services tasks until
-/// told to shut down.  Exposed so the resilient implementation can reuse the
-/// exact same task handling inside replicated members.
+/// Computes the result of one task; `None` for a message that is not one.
+///
+/// The codec decodes each length of a task on its own, so a well-formed
+/// frame can still carry parts that disagree in shape — a covariance pixel,
+/// a transform's mean or rows, or a seed vector of another band count than
+/// the rest.  Such a task is answered `TaskFailed`, never a panic, and the
+/// worker goes on serving.
 pub fn handle_task(msg: PctMessage) -> Option<PctMessage> {
+    let failed = |task, error| Some(PctMessage::TaskFailed { task, error });
     match msg {
         PctMessage::ScreenTask {
             task,
@@ -118,7 +40,9 @@ pub fn handle_task(msg: PctMessage) -> Option<PctMessage> {
         PctMessage::CovarianceTask { task, mean, pixels } => {
             let bands = mean.len();
             let mut acc = CovarianceAccumulator::new(mean);
-            acc.push_all(&pixels).expect("uniform band count");
+            if let Err(e) = acc.push_all(&pixels) {
+                return failed(task, e.to_string());
+            }
             Some(PctMessage::CovarianceSum {
                 task,
                 packed: acc.raw_sum().packed().to_vec(),
@@ -132,13 +56,22 @@ pub fn handle_task(msg: PctMessage) -> Option<PctMessage> {
             mean,
             transform,
             scales,
-        } => Some(transform_and_map(task, &view, &mean, &transform, &scales)),
+        } => {
+            let bands = [mean.len(), view.bands(), transform.cols()];
+            if bands[1..] != [bands[0]; 2] {
+                return failed(task, format!("bands of mean, view, transform: {bands:?}"));
+            }
+            Some(transform_and_map(task, &view, &mean, &transform, &scales))
+        }
         PctMessage::ScreenSeededTask {
             task,
             view,
             seed,
             threshold_rad,
         } => {
+            if seed.iter().any(|v| v.len() != view.bands()) {
+                return failed(task, format!("a seed vector not of {} bands", view.bands()));
+            }
             let accepted = screen_slices_seeded(seed, view.iter_pixels(), threshold_rad);
             Some(PctMessage::SeededUnique { task, accepted })
         }
@@ -146,18 +79,15 @@ pub fn handle_task(msg: PctMessage) -> Option<PctMessage> {
             task,
             unique,
             config,
-        } => Some(match derive_transform(&unique, &config) {
-            Ok(spec) => PctMessage::DerivedTransform {
+        } => match derive_transform(&unique, &config) {
+            Ok(spec) => Some(PctMessage::DerivedTransform {
                 task,
                 mean: spec.mean,
                 transform: spec.transform,
                 eigenvalues: spec.eigenvalues,
-            },
-            Err(e) => PctMessage::TaskFailed {
-                task,
-                error: e.to_string(),
-            },
-        }),
+            }),
+            Err(e) => failed(task, e.to_string()),
+        },
         // Results, heartbeats and shutdown are not tasks.
         _ => None,
     }
@@ -198,67 +128,6 @@ fn transform_and_map(
     }
 }
 
-/// The plain (non-replicated) worker loop: services tasks until shut down.
-pub fn worker_loop(mut ctx: ThreadContext<PctMessage>) {
-    loop {
-        let Ok(envelope) = ctx.recv() else { return };
-        match envelope.payload {
-            PctMessage::Shutdown => return,
-            msg => {
-                if let Some(reply) = handle_task(msg) {
-                    // The manager may already have shut down if it errored;
-                    // a failed send just ends this worker.
-                    if ctx.send(&envelope.from, reply).is_err() {
-                        return;
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// Work-queue distribution of one phase's tasks over the workers: every
-/// worker gets one task immediately; each completed result triggers dispatch
-/// of the next pending task to the worker that just finished.  Returns the
-/// results `is_result` recognises, sorted by task id.
-fn distribute(
-    ctx: &mut ThreadContext<PctMessage>,
-    worker_names: &[String],
-    tasks: Vec<PctMessage>,
-    is_result: fn(&PctMessage) -> bool,
-) -> Result<Vec<PctMessage>> {
-    let mut pending: VecDeque<PctMessage> = tasks.into();
-    let total = pending.len();
-    let mut results: Vec<PctMessage> = Vec::with_capacity(total);
-
-    // Prime every worker with one task (two would also be reasonable; one
-    // keeps the protocol simple while the work queue still provides overlap
-    // because task grain is finer than a worker's full share).
-    for name in worker_names {
-        if let Some(task) = pending.pop_front() {
-            ctx.send(name, task)?;
-        }
-    }
-
-    while results.len() < total {
-        let envelope = ctx.recv()?;
-        if !is_result(&envelope.payload) {
-            // Not a result message (e.g. a stray heartbeat); ignore.
-            continue;
-        }
-        results.push(envelope.payload);
-        if let Some(task) = pending.pop_front() {
-            ctx.send(&envelope.from, task)?;
-        }
-    }
-    // Results arrive in completion order, which depends on thread scheduling;
-    // sort them back into task order so the manager's subsequent sequential
-    // steps (unique-set merge, covariance accumulation) are deterministic and
-    // independent of how the run was scheduled.
-    results.sort_by_key(PctMessage::task);
-    Ok(results)
-}
-
 /// Reassembles worker colour strips into the final image.
 pub fn assemble_image(
     width: usize,
@@ -267,7 +136,8 @@ pub fn assemble_image(
 ) -> Result<RgbImage> {
     let mut data = vec![0u8; width * height * 3];
     for (row_start, rows, strip_width, rgb) in strips {
-        if strip_width != width || rgb.len() != rows * width * 3 {
+        let past_the_end = row_start.checked_add(rows).is_none_or(|end| end > height);
+        if strip_width != width || rgb.len() != rows * width * 3 || past_the_end {
             return Err(PctError::InvalidConfig("malformed colour strip".into()));
         }
         let offset = row_start * width * 3;
@@ -280,58 +150,15 @@ pub fn assemble_image(
 mod tests {
     use super::*;
     use crate::screening::screen_pixels;
-    use crate::sequential::SequentialPct;
+    use crate::PctConfig;
     use hsi::partition::partition_rows;
-    use hsi::{SceneConfig, SceneGenerator};
+    use hsi::{HyperCube, SceneConfig, SceneGenerator};
+    use std::sync::Arc;
 
     fn small_scene() -> HyperCube {
         SceneGenerator::new(SceneConfig::small(5))
             .unwrap()
             .generate()
-    }
-
-    #[test]
-    fn distributed_matches_sequential_output_closely() {
-        let cube = small_scene();
-        let seq = SequentialPct::default().run(&cube).unwrap();
-        let dist = DistributedPct::new(PctConfig::paper(), 4)
-            .run(&cube)
-            .unwrap();
-        assert_eq!(dist.pixels, seq.pixels);
-        let diff = seq.image.mean_abs_diff(&dist.image).unwrap();
-        assert!(
-            diff < 10.0,
-            "distributed output diverges: mean abs diff {diff}"
-        );
-        assert!(dist.variance_fraction(3) > 0.95);
-    }
-
-    #[test]
-    fn worker_count_does_not_change_the_image_materially() {
-        let cube = small_scene();
-        let one = DistributedPct::new(PctConfig::paper(), 1)
-            .run(&cube)
-            .unwrap();
-        let four = DistributedPct::new(PctConfig::paper(), 4)
-            .run(&cube)
-            .unwrap();
-        let diff = one.image.mean_abs_diff(&four.image).unwrap();
-        assert!(diff < 10.0, "worker-count sensitivity {diff}");
-    }
-
-    #[test]
-    fn granularity_policy_does_not_change_the_image_materially() {
-        let cube = small_scene();
-        let coarse = DistributedPct::new(PctConfig::paper(), 2)
-            .with_granularity(GranularityPolicy::OnePerWorker)
-            .run(&cube)
-            .unwrap();
-        let fine = DistributedPct::new(PctConfig::paper(), 2)
-            .with_granularity(GranularityPolicy::PerWorkerMultiple(3))
-            .run(&cube)
-            .unwrap();
-        let diff = coarse.image.mean_abs_diff(&fine.image).unwrap();
-        assert!(diff < 10.0, "granularity sensitivity {diff}");
     }
 
     #[test]
@@ -492,6 +319,7 @@ mod tests {
     fn assemble_image_rejects_malformed_strips() {
         assert!(assemble_image(4, 4, vec![(0, 2, 3, vec![0; 18])]).is_err());
         assert!(assemble_image(4, 4, vec![(0, 2, 4, vec![0; 5])]).is_err());
+        assert!(assemble_image(4, 4, vec![(3, 2, 4, vec![0; 24])]).is_err());
         let ok = assemble_image(4, 4, vec![(0, 4, 4, vec![7; 48])]).unwrap();
         assert_eq!(ok.get(3, 3).unwrap(), [7, 7, 7]);
     }

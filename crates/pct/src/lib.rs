@@ -11,17 +11,15 @@
 //! |---|---|---|
 //! | [`sequential::SequentialPct`] | single thread | reference semantics; every other implementation is validated against it |
 //! | [`shared_memory::SharedMemoryPct`] | rayon thread pool | the paper's shared-memory-multiprocessor result (§4: within ~5 % of linear speed-up) |
-//! | [`distributed::DistributedPct`] | `scp` threads (manager/worker) | the paper's message-passing implementation, runnable on a real machine |
-//! | [`resilient::ResilientPct`] | `scp` + `resilience` | the intrusion-tolerant variant with replicated workers, attack injection and regeneration |
+//! | [`resilient::ResilientPct`] | `scp` + `resilience` | the paper's message-passing implementation on real threads: replica groups with attack injection and regeneration (level 1 is the plain manager/worker run) |
 //! | [`distributed_sim`] | `netsim` discrete-event cluster | regenerates Figures 4 and 5 on a simulated 16-node 100BaseT LAN |
 //!
 //! The manager side of the message-passing implementations is written once,
-//! sans-IO, in [`plan`]: [`plan::run_paper_protocol`] is the paper's three
-//! phases, driven by `DistributedPct` and `ResilientPct`;
-//! [`plan::ChainPlan`] is the seeded-chain protocol of the `service`
-//! scheduler and the `sim` crate's manager.  ([`distributed_sim`] is
-//! cost-only — no pixels, its own message type — and shares no code path
-//! with them.)
+//! sans-IO, in [`plan`]: [`plan::PaperPlan`] is the paper's protocol, run by
+//! `ResilientPct`; [`plan::ChainPlan`] is the seeded-chain protocol of the
+//! `service` scheduler and the `sim` crate's manager.  The worker side is
+//! [`distributed::handle_task`].  ([`distributed_sim`] is cost-only — no
+//! pixels, its own message type — and shares no code path with them.)
 //!
 //! The eight steps (paper §3): (1) spectral classification, (2) merge unique
 //! sets, (3) mean vector, (4) covariance sums, (5) covariance matrix,
@@ -46,7 +44,6 @@ pub mod sequential;
 pub mod shared_memory;
 
 pub use config::{FusionOutput, PctConfig};
-pub use distributed::DistributedPct;
 pub use resilient::{ResilientManagerState, ResilientPct, ResilientRunReport};
 pub use sequential::SequentialPct;
 pub use shared_memory::SharedMemoryPct;

@@ -1,13 +1,14 @@
 //! The manager side of the fusion protocols, written once and sans-IO.
 //!
-//! Two protocols run in this tree.  The **paper's** (§3) screens every
-//! sub-cube independently, merges the unique sets, fans the covariance sums
-//! out and fans the transform out: [`run_paper_protocol`], driven by
-//! [`crate::DistributedPct`] and [`crate::ResilientPct`].  The **service's**
-//! folds the sub-cubes through a *seeded screening chain* (so the unique set
-//! is bit-for-bit whole-image screening), derives the transform in one task
-//! and fans the transform out: [`ChainPlan`], driven by the `service`
-//! scheduler (one plan per job) and by the `sim` crate's manager actor.
+//! Two protocols run in this tree, as two plans of one shape.  The
+//! **paper's** (§3) screens every sub-cube independently, merges the unique
+//! sets, fans the covariance sums out and fans the transform out:
+//! [`PaperPlan`], driven by [`crate::ResilientPct`].  The **service's** folds
+//! the sub-cubes through a *seeded screening chain* (so the unique set is
+//! bit-for-bit whole-image screening), derives the transform in one task and
+//! fans the transform out: [`ChainPlan`], driven by the `service` scheduler
+//! (one plan per job) and by the `sim` crate's manager actor.  Both end in
+//! the same transform fan-out.
 //!
 //! Nothing here owns a thread, a mailbox, a clock, a telemetry handle or a
 //! simulator type.  *Who* executes a task, *how* it travels and *what
@@ -25,51 +26,24 @@ use crate::messages::{PctMessage, TaskId};
 use crate::pipeline::{finalize_transform, TransformSpec};
 use crate::screening::merge_unique_sets;
 use crate::{PctError, Result};
-use hsi::partition::{partition_for_workers, GranularityPolicy, SubCubeSpec};
-use hsi::{CubeView, HyperCube};
+use hsi::partition::SubCubeSpec;
+use hsi::HyperCube;
 use linalg::covariance::mean_vector;
 use linalg::{SymMatrix, Vector};
-use std::collections::BTreeSet;
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// A colour strip as [`assemble_image`] takes it.
 type Strip = (usize, usize, usize, Vec<u8>);
 
-/// A transform/colour task (steps 7–8) over `view`.  The per-component
-/// `(min, max)` colour scales ride along so workers colour-map locally.
-fn transform_task(task: TaskId, view: CubeView, spec: &TransformSpec) -> PctMessage {
-    PctMessage::TransformTask {
-        task,
-        view,
-        mean: spec.mean.clone(),
-        transform: spec.transform.clone(),
-        scales: ComponentScale::from_eigenvalues(&spec.eigenvalues, 3)
-            .into_iter()
-            .map(|s| (s.min, s.max))
-            .collect(),
-    }
-}
-
-/// The strip a transform task's result carries; `None` for any other kind.
-fn into_strip(msg: PctMessage) -> Option<Strip> {
-    match msg {
-        PctMessage::RgbStrip {
-            row_start,
-            rows,
-            width,
-            rgb,
-            ..
-        } => Some((row_start, rows, width, rgb)),
-        _ => None,
-    }
-}
-
-/// The phases of the service's chain protocol.
+/// The phases of both protocols.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Phase {
-    /// The seeded screening chain, one link outstanding at a time.
+    /// Screening: the chain's seeded links one at a time, or the paper's
+    /// per-shard fan-out.
     Screen,
-    /// The single task computing steps 3–6 over the merged unique set.
+    /// Steps 3–6: the chain's single derive task over the merged unique set,
+    /// or the paper's covariance fan-out.
     Derive,
     /// The per-shard transform/colour fan-out.
     Transform,
@@ -96,29 +70,155 @@ pub enum Step {
     Stale,
     /// The result closed its phase; the plan entered this one.
     Entered(Phase),
-    /// The last strip arrived; [`ChainPlan::into_output`] assembles them.
+    /// The last strip arrived; the plan's `into_output` assembles them.
     Complete,
+}
+
+/// One fan-out: tasks issued in order under the owner's ids, each result
+/// held under its issue index until the last one is in.
+struct Fanout<T> {
+    /// Outstanding task id → issue index.
+    outstanding: BTreeMap<TaskId, usize>,
+    results: Vec<Option<T>>,
+    issued: usize,
+}
+
+impl<T> Fanout<T> {
+    fn new(width: usize) -> Self {
+        Self {
+            outstanding: BTreeMap::new(),
+            results: (0..width).map(|_| None).collect(),
+            issued: 0,
+        }
+    }
+
+    /// The task `make` builds for the next issue index, under `task`.
+    /// `None` — and nothing consumed — once every task is issued or when
+    /// `make` declines.
+    fn issue(
+        &mut self,
+        task: TaskId,
+        make: impl FnOnce(usize) -> Option<PctMessage>,
+    ) -> Option<PctMessage> {
+        if self.issued == self.results.len() {
+            return None;
+        }
+        let message = make(self.issued)?;
+        self.outstanding.insert(task, self.issued);
+        self.issued += 1;
+        Some(message)
+    }
+
+    fn is_outstanding(&self, task: TaskId) -> bool {
+        self.outstanding.contains_key(&task)
+    }
+
+    /// Files the result of the outstanding `task`; whether it was the last.
+    fn fill(&mut self, task: TaskId, value: T) -> bool {
+        if let Some(index) = self.outstanding.remove(&task) {
+            self.results[index] = Some(value);
+        }
+        self.is_complete()
+    }
+
+    fn is_complete(&self) -> bool {
+        self.issued == self.results.len() && self.outstanding.is_empty()
+    }
+
+    /// The results, in issue order.
+    fn take(&mut self) -> Vec<T> {
+        std::mem::take(&mut self.results)
+            .into_iter()
+            .flatten()
+            .collect()
+    }
+}
+
+/// Steps 7–8, the fan-out both plans end in: one transform/colour task per
+/// shard — the per-component `(min, max)` colour scales ride along so
+/// workers colour-map locally — and the strips assembled once all are in.
+struct TransformPhase {
+    spec: TransformSpec,
+    strips: Fanout<Strip>,
+}
+
+impl TransformPhase {
+    fn new(spec: TransformSpec, shards: usize) -> Self {
+        Self {
+            spec,
+            strips: Fanout::new(shards),
+        }
+    }
+
+    fn next_task(
+        &mut self,
+        task: TaskId,
+        cube: &Arc<HyperCube>,
+        shards: &[SubCubeSpec],
+    ) -> Option<PctMessage> {
+        let spec = &self.spec;
+        self.strips.issue(task, |index| {
+            Some(PctMessage::TransformTask {
+                task,
+                view: shards.get(index)?.view(cube).ok()?,
+                mean: spec.mean.clone(),
+                transform: spec.transform.clone(),
+                scales: ComponentScale::from_eigenvalues(&spec.eigenvalues, 3)
+                    .into_iter()
+                    .map(|s| (s.min, s.max))
+                    .collect(),
+            })
+        })
+    }
+
+    /// Consumes a result of the outstanding `task`: stale unless a strip.
+    fn accept(&mut self, task: TaskId, result: PctMessage) -> Step {
+        let PctMessage::RgbStrip {
+            row_start,
+            rows,
+            width,
+            rgb,
+            ..
+        } = result
+        else {
+            return Step::Stale;
+        };
+        if self.strips.fill(task, (row_start, rows, width, rgb)) {
+            Step::Complete
+        } else {
+            Step::Continue
+        }
+    }
+}
+
+/// The fused output of a plan whose transform fan-out is `phase`.
+///
+/// # Errors
+/// `InvalidConfig` before completion, or on a malformed strip.
+fn finish(
+    phase: Option<TransformPhase>,
+    cube: &HyperCube,
+    unique_count: usize,
+) -> Result<FusionOutput> {
+    match phase {
+        Some(mut phase) if phase.strips.is_complete() => Ok(FusionOutput {
+            image: assemble_image(cube.width(), cube.height(), phase.strips.take())?,
+            eigenvalues: phase.spec.eigenvalues,
+            unique_count,
+            pixels: cube.pixels(),
+        }),
+        _ => Err(PctError::InvalidConfig("the plan has not completed".into())),
+    }
 }
 
 /// Per-phase state: each variant holds only what its phase can use, so a
 /// screening plan has no transform to put in a task.
 enum Progress {
-    Screen {
-        unique: Vec<Vector>,
-        next: usize,
-        outstanding: Option<TaskId>,
-    },
-    Derive {
-        /// Moved into the derive task when it is issued.
-        unique: Vec<Vector>,
-        outstanding: Option<TaskId>,
-    },
-    Transform {
-        spec: TransformSpec,
-        next: usize,
-        outstanding: BTreeSet<TaskId>,
-        strips: Vec<Strip>,
-    },
+    /// The seeded chain: one link outstanding at a time.
+    Screen(Fanout<Vec<Vector>>),
+    /// The single derive task; the unique set moves into it when issued.
+    Derive(Vec<Vector>, Fanout<()>),
+    Transform(TransformPhase),
 }
 
 /// The manager side of one job of the chain protocol: seeded screening
@@ -151,16 +251,12 @@ impl ChainPlan {
         transform_shards: Vec<SubCubeSpec>,
     ) -> Self {
         Self {
+            progress: Progress::Screen(Fanout::new(screen_shards.len())),
             cube,
             config,
             screen_shards,
             transform_shards,
             unique_count: 0,
-            progress: Progress::Screen {
-                unique: Vec::new(),
-                next: 0,
-                outstanding: None,
-            },
         }
     }
 
@@ -177,9 +273,9 @@ impl ChainPlan {
     /// The phase the plan is in.
     pub fn phase(&self) -> Phase {
         match self.progress {
-            Progress::Screen { .. } => Phase::Screen,
-            Progress::Derive { .. } => Phase::Derive,
-            Progress::Transform { .. } => Phase::Transform,
+            Progress::Screen(_) => Phase::Screen,
+            Progress::Derive(..) => Phase::Derive,
+            Progress::Transform(_) => Phase::Transform,
         }
     }
 
@@ -187,50 +283,30 @@ impl ChainPlan {
     /// not consumed, so the owner offers it again — while the plan waits on a
     /// chain link or the derive task, or once everything is issued.
     pub fn next_task(&mut self, task: TaskId) -> Option<PctMessage> {
+        let (cube, config) = (&self.cube, self.config);
         match &mut self.progress {
-            Progress::Screen {
-                unique,
-                next,
-                outstanding,
-            } => {
-                if outstanding.is_some() {
-                    return None;
-                }
-                let view = self.screen_shards.get(*next)?.view(&self.cube).ok()?;
-                *outstanding = Some(task);
-                Some(PctMessage::ScreenSeededTask {
-                    task,
-                    view,
-                    seed: unique.clone(),
-                    threshold_rad: self.config.screening_angle_rad,
+            Progress::Screen(links) if links.outstanding.is_empty() => {
+                let seed = links.results.iter().flatten().flatten().cloned().collect();
+                links.issue(task, |index| {
+                    Some(PctMessage::ScreenSeededTask {
+                        task,
+                        view: self.screen_shards.get(index)?.view(cube).ok()?,
+                        seed,
+                        threshold_rad: config.screening_angle_rad,
+                    })
                 })
             }
-            Progress::Derive {
-                unique,
-                outstanding,
-            } => {
-                if outstanding.is_some() {
-                    return None;
-                }
-                *outstanding = Some(task);
+            Progress::Screen(_) => None,
+            Progress::Derive(unique, derive) => derive.issue(task, |_| {
                 self.unique_count = unique.len();
+                let unique = std::mem::take(unique);
                 Some(PctMessage::DeriveTask {
                     task,
-                    unique: std::mem::take(unique),
-                    config: self.config,
+                    unique,
+                    config,
                 })
-            }
-            Progress::Transform {
-                spec,
-                next,
-                outstanding,
-                ..
-            } => {
-                let view = self.transform_shards.get(*next)?.view(&self.cube).ok()?;
-                *next += 1;
-                outstanding.insert(task);
-                Some(transform_task(task, view, spec))
-            }
+            }),
+            Progress::Transform(phase) => phase.next_task(task, cube, &self.transform_shards),
         }
     }
 
@@ -242,10 +318,9 @@ impl ChainPlan {
     /// the job cannot complete.
     pub fn accept(&mut self, result: PctMessage) -> std::result::Result<Step, String> {
         let issued = |task| match &self.progress {
-            Progress::Screen { outstanding, .. } | Progress::Derive { outstanding, .. } => {
-                *outstanding == Some(task)
-            }
-            Progress::Transform { outstanding, .. } => outstanding.contains(&task),
+            Progress::Screen(links) => links.is_outstanding(task),
+            Progress::Derive(_, derive) => derive.is_outstanding(task),
+            Progress::Transform(phase) => phase.strips.is_outstanding(task),
         };
         let Some(task) = result.task().filter(|task| issued(*task)) else {
             return Ok(Step::Stale);
@@ -256,27 +331,17 @@ impl ChainPlan {
         // An outstanding id under a kind this phase does not produce is
         // stale too, and the id stays outstanding.
         match &mut self.progress {
-            Progress::Screen {
-                unique,
-                next,
-                outstanding,
-            } => {
+            Progress::Screen(links) => {
                 let PctMessage::SeededUnique { accepted, .. } = result else {
                     return Ok(Step::Stale);
                 };
-                unique.extend(accepted);
-                *outstanding = None;
-                *next += 1;
-                if *next < self.screen_shards.len() {
+                if !links.fill(task, accepted) {
                     return Ok(Step::Continue);
                 }
-                self.progress = Progress::Derive {
-                    unique: std::mem::take(unique),
-                    outstanding: None,
-                };
+                self.progress = Progress::Derive(links.take().concat(), Fanout::new(1));
                 Ok(Step::Entered(Phase::Derive))
             }
-            Progress::Derive { .. } => {
+            Progress::Derive(..) => {
                 let PctMessage::DerivedTransform {
                     mean,
                     transform,
@@ -286,33 +351,16 @@ impl ChainPlan {
                 else {
                     return Ok(Step::Stale);
                 };
-                self.progress = Progress::Transform {
-                    spec: TransformSpec {
-                        mean,
-                        transform,
-                        eigenvalues,
-                    },
-                    next: 0,
-                    outstanding: BTreeSet::new(),
-                    strips: Vec::new(),
+                let spec = TransformSpec {
+                    mean,
+                    transform,
+                    eigenvalues,
                 };
+                self.progress =
+                    Progress::Transform(TransformPhase::new(spec, self.transform_shards.len()));
                 Ok(Step::Entered(Phase::Transform))
             }
-            Progress::Transform {
-                outstanding,
-                strips,
-                ..
-            } => {
-                let Some(strip) = into_strip(result) else {
-                    return Ok(Step::Stale);
-                };
-                outstanding.remove(&task);
-                strips.push(strip);
-                if strips.len() < self.transform_shards.len() {
-                    return Ok(Step::Continue);
-                }
-                Ok(Step::Complete)
-            }
+            Progress::Transform(phase) => Ok(phase.accept(task, result)),
         }
     }
 
@@ -321,140 +369,237 @@ impl ChainPlan {
     /// # Errors
     /// `InvalidConfig` before completion, or on a malformed strip.
     pub fn into_output(self) -> Result<FusionOutput> {
-        match self.progress {
-            Progress::Transform { spec, strips, .. }
-                if strips.len() == self.transform_shards.len() =>
-            {
-                Ok(FusionOutput {
-                    image: assemble_image(self.cube.width(), self.cube.height(), strips)?,
-                    eigenvalues: spec.eigenvalues,
-                    unique_count: self.unique_count,
-                    pixels: self.cube.pixels(),
-                })
-            }
-            _ => Err(PctError::InvalidConfig(
-                "the chain plan has not completed".into(),
-            )),
-        }
+        let phase = match self.progress {
+            Progress::Transform(phase) => Some(phase),
+            _ => None,
+        };
+        finish(phase, &self.cube, self.unique_count)
     }
 }
 
-/// The manager side of the paper's protocol (§3, steps 1–8) over `slots`
-/// execution slots (workers, or replica groups).
+/// A worker's covariance sum over one chunk: packed upper triangle, band
+/// count, vectors accumulated.
+type PartialSum = (Vec<f64>, usize, u64);
+
+/// Per-phase state of the paper's protocol.
+enum PaperProgress {
+    Screen(Fanout<Vec<Vector>>),
+    Covariance {
+        mean: Vector,
+        unique: Vec<Vector>,
+        /// Vectors per covariance task.
+        chunk: usize,
+        sums: Fanout<PartialSum>,
+    },
+    Transform(TransformPhase),
+}
+
+/// The manager side of one run of the paper's protocol (§3, steps 1–8):
+/// screening fan-out → merge → covariance fan-out → transform fan-out.
 ///
-/// `distribute` runs one phase: it gets the phase's tasks and a predicate
-/// recognising the phase's result kind, has every task executed once, and
-/// returns the accepted results sorted by task id — so the merge and the
-/// covariance accumulation are independent of how the run was scheduled or
-/// which replica answered first.  The predicate is not decoration: task ids
-/// restart in every phase, so a late replica's `UniqueSet { task: 0 }`
-/// arriving in the covariance phase is told apart only by its kind.
-pub fn run_paper_protocol(
-    cube: &Arc<HyperCube>,
-    config: &PctConfig,
-    slots: usize,
-    granularity: GranularityPolicy,
-    mut distribute: impl FnMut(Vec<PctMessage>, fn(&PctMessage) -> bool) -> Result<Vec<PctMessage>>,
-) -> Result<FusionOutput> {
-    let specs = partition_for_workers(cube.dims(), slots, granularity)?;
+/// Driven exactly like [`ChainPlan`].  The owner's task ids are unique
+/// across phases, so a second replica's answer, a retransmit's echo and a
+/// result of an earlier phase are all [`Step::Stale`].  Results are held by
+/// id and merged (unique sets) or summed (covariance) in issue order once
+/// the phase's last one is in, so the output is a function of the cube, the
+/// configuration, the shards and the covariance width alone — not of which
+/// executor answered when.
+pub struct PaperPlan {
+    cube: Arc<HyperCube>,
+    config: PctConfig,
+    shards: Vec<SubCubeSpec>,
+    covariance_tasks: usize,
+    /// Size of the merged unique set, fixed when screening closes.
+    unique_count: usize,
+    progress: PaperProgress,
+}
 
-    // Phase 1: screening (steps 1–2).
-    let screen_tasks = specs
-        .iter()
-        .map(|spec| {
-            Ok(PctMessage::ScreenTask {
-                task: spec.id,
-                view: spec.view(cube)?,
-                threshold_rad: config.screening_angle_rad,
-            })
-        })
-        .collect::<Result<Vec<_>>>()?;
-    let unique_sets = distribute(screen_tasks, |msg| {
-        matches!(msg, PctMessage::UniqueSet { .. })
-    })?
-    .into_iter()
-    .filter_map(|msg| match msg {
-        PctMessage::UniqueSet { unique, .. } => Some(unique),
-        _ => None,
-    })
-    .collect();
-    let unique = merge_unique_sets(unique_sets, config.screening_angle_rad);
-    let unique_count = unique.len();
-    if unique.is_empty() {
-        return Err(PctError::InvalidConfig(
-            "screening produced an empty unique set".into(),
-        ));
-    }
-
-    // Phase 2: statistics (steps 3–6); the covariance sums are distributed.
-    let mean = mean_vector(&unique)?;
-    let bands = mean.len();
-    let chunk = unique.len().div_ceil(slots).max(1);
-    let cov_tasks = unique
-        .chunks(chunk)
-        .enumerate()
-        .map(|(task, pixels)| PctMessage::CovarianceTask {
-            task,
-            mean: mean.clone(),
-            pixels: pixels.to_vec(),
-        })
-        .collect();
-    let mut sum = SymMatrix::zeros(bands);
-    let mut total_count = 0u64;
-    for partial in distribute(cov_tasks, |msg| {
-        matches!(msg, PctMessage::CovarianceSum { .. })
-    })? {
-        let PctMessage::CovarianceSum {
-            packed,
-            bands: b,
-            count,
-            ..
-        } = partial
-        else {
-            continue;
-        };
-        if b != bands {
-            return Err(PctError::InvalidConfig(format!(
-                "worker returned a {b}-band covariance sum for a {bands}-band image"
-            )));
+impl PaperPlan {
+    /// A plan over `cube` that screens and transforms `shards` and splits
+    /// the covariance sums over the merged unique set into (at most)
+    /// `covariance_tasks` chunks.
+    pub fn new(
+        cube: Arc<HyperCube>,
+        config: PctConfig,
+        shards: Vec<SubCubeSpec>,
+        covariance_tasks: usize,
+    ) -> Self {
+        Self {
+            progress: PaperProgress::Screen(Fanout::new(shards.len())),
+            cube,
+            config,
+            shards,
+            covariance_tasks: covariance_tasks.max(1),
+            unique_count: 0,
         }
-        sum.add_assign_sym(&SymMatrix::from_packed(b, packed)?)?;
-        total_count += count;
     }
-    if total_count == 0 {
-        return Err(PctError::InvalidConfig(
-            "covariance phase accumulated no pixels".into(),
-        ));
-    }
-    sum.scale_in_place(1.0 / total_count as f64);
-    let spec = finalize_transform(mean, &sum, config)?;
 
-    // Phase 3: transform + colour (steps 7–8).
-    let transform_tasks = specs
-        .iter()
-        .map(|shard| Ok(transform_task(shard.id, shard.view(cube)?, &spec)))
-        .collect::<Result<Vec<_>>>()?;
-    let strips = distribute(transform_tasks, |msg| {
-        matches!(msg, PctMessage::RgbStrip { .. })
-    })?
-    .into_iter()
-    .filter_map(into_strip)
-    .collect();
-    Ok(FusionOutput {
-        image: assemble_image(cube.width(), cube.height(), strips)?,
-        eigenvalues: spec.eigenvalues,
-        unique_count,
-        pixels: cube.pixels(),
-    })
+    /// The phase the plan is in (the covariance fan-out is
+    /// [`Phase::Derive`]).
+    pub fn phase(&self) -> Phase {
+        match self.progress {
+            PaperProgress::Screen(_) => Phase::Screen,
+            PaperProgress::Covariance { .. } => Phase::Derive,
+            PaperProgress::Transform(_) => Phase::Transform,
+        }
+    }
+
+    /// The next dispatchable task, under the id `task`.  `None` — and the id
+    /// not consumed — while the phase waits on its last results, or once
+    /// everything is issued.
+    pub fn next_task(&mut self, task: TaskId) -> Option<PctMessage> {
+        let (cube, shards) = (&self.cube, &self.shards);
+        let threshold_rad = self.config.screening_angle_rad;
+        match &mut self.progress {
+            PaperProgress::Screen(sets) => sets.issue(task, |index| {
+                Some(PctMessage::ScreenTask {
+                    task,
+                    view: shards.get(index)?.view(cube).ok()?,
+                    threshold_rad,
+                })
+            }),
+            PaperProgress::Covariance {
+                mean,
+                unique,
+                chunk,
+                sums,
+            } => sums.issue(task, |index| {
+                Some(PctMessage::CovarianceTask {
+                    task,
+                    mean: mean.clone(),
+                    pixels: unique.chunks(*chunk).nth(index)?.to_vec(),
+                })
+            }),
+            PaperProgress::Transform(phase) => phase.next_task(task, cube, shards),
+        }
+    }
+
+    /// Consumes one arriving message.  Each issued task id is accepted once:
+    /// anything else is [`Step::Stale`] and leaves the plan untouched.
+    ///
+    /// # Errors
+    /// The cause a worker reported in `TaskFailed` for an outstanding task,
+    /// or a phase that cannot go on: an empty unique set, a covariance sum
+    /// of the wrong band count, or sums that accumulated no pixels.
+    pub fn accept(&mut self, result: PctMessage) -> std::result::Result<Step, String> {
+        let issued = |task| match &self.progress {
+            PaperProgress::Screen(sets) => sets.is_outstanding(task),
+            PaperProgress::Covariance { sums, .. } => sums.is_outstanding(task),
+            PaperProgress::Transform(phase) => phase.strips.is_outstanding(task),
+        };
+        let Some(task) = result.task().filter(|task| issued(*task)) else {
+            return Ok(Step::Stale);
+        };
+        if let PctMessage::TaskFailed { error, .. } = result {
+            return Err(error);
+        }
+        match &mut self.progress {
+            PaperProgress::Screen(sets) => {
+                let PctMessage::UniqueSet { unique, .. } = result else {
+                    return Ok(Step::Stale);
+                };
+                if !sets.fill(task, unique) {
+                    return Ok(Step::Continue);
+                }
+                let sets = sets.take();
+                self.progress = self.covariance_phase(sets)?;
+                Ok(Step::Entered(Phase::Derive))
+            }
+            PaperProgress::Covariance { mean, sums, .. } => {
+                let PctMessage::CovarianceSum {
+                    packed,
+                    bands,
+                    count,
+                    ..
+                } = result
+                else {
+                    return Ok(Step::Stale);
+                };
+                if !sums.fill(task, (packed, bands, count)) {
+                    return Ok(Step::Continue);
+                }
+                let (mean, sums) = (mean.clone(), sums.take());
+                self.progress = self.transform_phase(mean, sums)?;
+                Ok(Step::Entered(Phase::Transform))
+            }
+            PaperProgress::Transform(phase) => Ok(phase.accept(task, result)),
+        }
+    }
+
+    /// Steps 2–3: merges the unique sets in issue order and chunks the
+    /// merged set for the covariance fan-out.
+    fn covariance_phase(
+        &mut self,
+        sets: Vec<Vec<Vector>>,
+    ) -> std::result::Result<PaperProgress, String> {
+        let unique = merge_unique_sets(sets, self.config.screening_angle_rad);
+        if unique.is_empty() {
+            return Err("screening produced an empty unique set".into());
+        }
+        self.unique_count = unique.len();
+        let mean = mean_vector(&unique).map_err(|e| e.to_string())?;
+        let chunk = unique.len().div_ceil(self.covariance_tasks);
+        Ok(PaperProgress::Covariance {
+            mean,
+            sums: Fanout::new(unique.len().div_ceil(chunk)),
+            unique,
+            chunk,
+        })
+    }
+
+    /// Steps 5–6: sums the partial covariances in issue order and derives
+    /// the transform the last fan-out applies.
+    fn transform_phase(
+        &self,
+        mean: Vector,
+        partials: Vec<PartialSum>,
+    ) -> std::result::Result<PaperProgress, String> {
+        let bands = mean.len();
+        let mut sum = SymMatrix::zeros(bands);
+        let mut total_count = 0u64;
+        for (packed, b, count) in partials {
+            if b != bands {
+                return Err(format!(
+                    "worker returned a {b}-band covariance sum for a {bands}-band image"
+                ));
+            }
+            SymMatrix::from_packed(b, packed)
+                .and_then(|partial| sum.add_assign_sym(&partial))
+                .map_err(|e| e.to_string())?;
+            total_count += count;
+        }
+        if total_count == 0 {
+            return Err("covariance phase accumulated no pixels".into());
+        }
+        sum.scale_in_place(1.0 / total_count as f64);
+        let spec = finalize_transform(mean, &sum, &self.config).map_err(|e| e.to_string())?;
+        Ok(PaperProgress::Transform(TransformPhase::new(
+            spec,
+            self.shards.len(),
+        )))
+    }
+
+    /// Assembles the fused output after [`Step::Complete`].
+    ///
+    /// # Errors
+    /// `InvalidConfig` before completion, or on a malformed strip.
+    pub fn into_output(self) -> Result<FusionOutput> {
+        let phase = match self.progress {
+            PaperProgress::Transform(phase) => Some(phase),
+            _ => None,
+        };
+        finish(phase, &self.cube, self.unique_count)
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::distributed::{handle_task, DistributedPct};
+    use crate::distributed::handle_task;
+    use crate::resilient::ResilientPct;
     use crate::sequential::SequentialPct;
-    use hsi::partition::partition_rows;
-    use hsi::{SceneConfig, SceneGenerator};
+    use hsi::partition::{partition_for_workers, partition_rows, GranularityPolicy};
+    use hsi::{CubeDims, SceneConfig, SceneGenerator};
     use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -476,15 +621,25 @@ mod tests {
         )
     }
 
-    /// Everything the plan will issue right now, ids counted up from `*next`.
-    fn issue_all(plan: &mut ChainPlan, next: &mut TaskId) -> Vec<PctMessage> {
+    /// Everything a plan will issue right now, ids counted up from `*next`.
+    fn issue_all(
+        mut next_task: impl FnMut(TaskId) -> Option<PctMessage>,
+        next: &mut TaskId,
+    ) -> Vec<PctMessage> {
         let mut batch = Vec::new();
-        while let Some(task) = plan.next_task(*next) {
+        while let Some(task) = next_task(*next) {
             assert_eq!(task.task(), Some(*next));
             *next += 1;
             batch.push(task);
         }
         batch
+    }
+
+    /// Shuffles `batch` with `rng`.
+    fn shuffle(batch: &mut [PctMessage], rng: &mut StdRng) {
+        for i in (1..batch.len()).rev() {
+            batch.swap(i, rng.gen_range(0..i + 1));
+        }
     }
 
     proptest! {
@@ -506,11 +661,9 @@ mod tests {
             let mut rng = StdRng::seed_from_u64(seed);
             let (mut next, mut echoes) = (1, Vec::new());
             'run: loop {
-                let mut batch = issue_all(&mut plan, &mut next);
+                let mut batch = issue_all(|id| plan.next_task(id), &mut next);
                 prop_assert!(!batch.is_empty(), "the plan stalled in {:?}", plan.phase());
-                for i in (1..batch.len()).rev() {
-                    batch.swap(i, rng.gen_range(0..i + 1));
-                }
+                shuffle(&mut batch, &mut rng);
                 for task in batch {
                     let result = handle_task(task).unwrap();
                     echoes.push(result.clone());
@@ -530,9 +683,56 @@ mod tests {
             let reference = SequentialPct::new(PctConfig::paper()).run(&cube).unwrap();
             prop_assert_eq!(plan.into_output().unwrap(), reference);
         }
+
+        /// (b) The paper's plan over any shard count and covariance width,
+        /// results in any order, every result delivered again after every
+        /// batch: the output is the in-order drive's and every repeat is
+        /// stale.
+        #[test]
+        fn a_paper_plan_is_independent_of_arrival_order_and_accepts_each_id_once(
+            seed in 0u64..1 << 40,
+            shards in 1usize..9,
+            slots in 1usize..5,
+        ) {
+            let cube = scene(seed);
+            let plan = || PaperPlan::new(
+                Arc::clone(&cube),
+                PctConfig::paper(),
+                partition_rows(cube.dims(), shards).unwrap(),
+                slots,
+            );
+            let in_order = drive(plan(), |_| {}).unwrap();
+            let mut plan = plan();
+            let mut rng = StdRng::seed_from_u64(seed);
+            let (mut next, mut echoes) = (7, Vec::<PctMessage>::new());
+            'run: loop {
+                let mut batch = issue_all(|id| plan.next_task(id), &mut next);
+                prop_assert!(!batch.is_empty(), "the plan stalled in {:?}", plan.phase());
+                // Every earlier answer again while this batch is outstanding
+                // — in the covariance phase, the screening answers.
+                for echo in &echoes {
+                    prop_assert_eq!(plan.accept(echo.clone()), Ok(Step::Stale));
+                }
+                shuffle(&mut batch, &mut rng);
+                for task in batch {
+                    let result = handle_task(task).unwrap();
+                    echoes.push(result.clone());
+                    let step = plan.accept(result.clone()).unwrap();
+                    prop_assert!(step != Step::Stale, "a first delivery was stale");
+                    if step == Step::Complete {
+                        break 'run;
+                    }
+                    prop_assert_eq!(plan.accept(result), Ok(Step::Stale));
+                }
+            }
+            for echo in echoes {
+                prop_assert_eq!(plan.accept(echo), Ok(Step::Stale));
+            }
+            prop_assert_eq!(plan.into_output().unwrap(), in_order);
+        }
     }
 
-    /// (b) What a phase cannot produce or consume, it does not.
+    /// (c) What a phase cannot produce or consume, it does not.
     #[test]
     fn phases_are_typed() {
         let cube = scene(3);
@@ -592,7 +792,7 @@ mod tests {
         // A transform plan has no use for a unique set under an outstanding
         // id; messages without a task id are stale everywhere.
         let mut next = 4;
-        let tasks = issue_all(&mut plan, &mut next);
+        let tasks = issue_all(|id| plan.next_task(id), &mut next);
         assert_eq!(tasks.len(), 3);
         let foreign = PctMessage::SeededUnique {
             task: 4,
@@ -609,51 +809,114 @@ mod tests {
         assert_eq!(plan.into_output().unwrap(), reference);
     }
 
-    /// Runs one phase in-thread: every task through `handle_task`, results
-    /// produced in reverse task order, then sorted as `distribute` promises.
-    fn in_thread(tasks: Vec<PctMessage>, is_result: fn(&PctMessage) -> bool) -> Vec<PctMessage> {
-        let mut results: Vec<PctMessage> = tasks
-            .into_iter()
-            .rev()
-            .filter_map(handle_task)
-            .filter(is_result)
-            .collect();
-        assert!(results.len() < 2 || results[0].task() > results[1].task());
-        results.sort_by_key(PctMessage::task);
-        results
+    /// Drives a paper plan in-thread, as an executor does: every task
+    /// through `handle_task`, each batch answered in reverse issue order and
+    /// `tamper`ed with first, a plan error as `InvalidConfig`.
+    fn drive(mut plan: PaperPlan, tamper: fn(&mut PctMessage)) -> Result<FusionOutput> {
+        let mut next = 0;
+        loop {
+            let batch = issue_all(|id| plan.next_task(id), &mut next);
+            assert!(!batch.is_empty(), "the plan stalled in {:?}", plan.phase());
+            for task in batch.into_iter().rev() {
+                let mut result = handle_task(task).unwrap();
+                tamper(&mut result);
+                if plan.accept(result).map_err(PctError::InvalidConfig)? == Step::Complete {
+                    return plan.into_output();
+                }
+            }
+        }
     }
 
-    /// (c) The paper's protocol over an in-thread `distribute` is the
-    /// threaded `DistributedPct`, output for output.
+    /// FNV-1a (64-bit) over the image bytes, then the eigenvalues' bits.
+    fn fingerprint(output: &FusionOutput) -> u64 {
+        let eigenvalue_bytes = output
+            .eigenvalues
+            .iter()
+            .flat_map(|e| e.to_bits().to_le_bytes());
+        output
+            .image
+            .raw()
+            .iter()
+            .copied()
+            .chain(eigenvalue_bytes)
+            .fold(0xcbf2_9ce4_8422_2325, |hash, byte| {
+                (hash ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3)
+            })
+    }
+
+    /// (d) Pinned rows of the paper's protocol — `(scene, slots, unique
+    /// count, fingerprint)` — for `SceneConfig::small(5)` and the 48×48×24
+    /// end-to-end scene, sharded `PerWorkerMultiple(2)` over `slots` with
+    /// `slots` covariance tasks: in-thread, and through `ResilientPct` at
+    /// levels 1 and 2.  They predate the plan; a change that moves one
+    /// changes what the protocol computes.
     #[test]
-    fn the_paper_protocol_in_thread_equals_distributed_pct() {
-        let cube = scene(5);
-        let config = PctConfig::paper();
-        for workers in [1, 3, 4] {
-            let pipeline = DistributedPct::new(config, workers);
-            let in_thread = run_paper_protocol(
-                &cube,
-                &config,
-                workers,
-                GranularityPolicy::PerWorkerMultiple(2),
-                |tasks, is_result| Ok(in_thread(tasks, is_result)),
-            )
-            .unwrap();
-            assert_eq!(in_thread, pipeline.run_shared(&cube).unwrap());
+    fn the_paper_plan_reproduces_its_pinned_rows_in_thread_and_at_levels_1_and_2() {
+        let mut e2e = SceneConfig::small(1);
+        e2e.dims = CubeDims::new(48, 48, 24);
+        let e2e = Arc::new(SceneGenerator::new(e2e).unwrap().generate());
+        let small = scene(5);
+        let rows = [
+            (&small, 1, 108, 0x1e2a_8d0e_50f5_cea2),
+            (&small, 3, 108, 0x6124_e2d4_a91b_5626),
+            (&small, 4, 108, 0xec53_b25d_80b8_91f3),
+            (&e2e, 3, 197, 0xfc01_55e6_8987_ff29),
+        ];
+        for (cube, slots, unique, hash) in rows {
+            let shards =
+                partition_for_workers(cube.dims(), slots, GranularityPolicy::PerWorkerMultiple(2))
+                    .unwrap();
+            let plan = PaperPlan::new(Arc::clone(cube), PctConfig::paper(), shards, slots);
+            let output = drive(plan, |_| {}).unwrap();
+            assert_eq!(
+                (output.unique_count, fingerprint(&output)),
+                (unique, hash),
+                "{slots} slots"
+            );
+            for level in [1, 2] {
+                let run = ResilientPct::new(PctConfig::paper(), slots, level).run(cube);
+                assert_eq!(run.unwrap(), output, "{slots} slots, level {level}");
+            }
         }
+    }
+
+    /// (e) Ids are unique across phases: a screening answer delivered again
+    /// in the covariance phase — the late replica a kind predicate once had
+    /// to filter — is stale, and so is a unique set under an outstanding
+    /// covariance id.
+    #[test]
+    fn a_screening_answer_delivered_again_in_the_covariance_phase_is_stale() {
+        let cube = scene(3);
+        let shards = partition_rows(cube.dims(), 2).unwrap();
+        let mut plan = PaperPlan::new(Arc::clone(&cube), PctConfig::paper(), shards, 2);
+        let mut next = 0;
+        let screening = issue_all(|id| plan.next_task(id), &mut next);
+        let answers: Vec<PctMessage> = screening.into_iter().flat_map(handle_task).collect();
+        for answer in answers.clone() {
+            assert_ne!(plan.accept(answer), Ok(Step::Stale));
+        }
+        let covariance = issue_all(|id| plan.next_task(id), &mut next);
+        let Some(PctMessage::UniqueSet { unique, .. }) = answers.first().cloned() else {
+            panic!("a screening task answers with a unique set");
+        };
+        let task = covariance[0].task().unwrap();
+        for late in [answers[0].clone(), PctMessage::UniqueSet { task, unique }] {
+            assert_eq!(plan.accept(late), Ok(Step::Stale));
+        }
+        let steps: Vec<Step> = covariance
+            .into_iter()
+            .map(|task| plan.accept(handle_task(task).unwrap()).unwrap())
+            .collect();
+        assert_eq!(steps, [Step::Continue, Step::Entered(Phase::Transform)]);
     }
 
     #[test]
     fn degenerate_phases_of_the_paper_protocol_are_typed_errors() {
         let cube = scene(5);
         let run = |tamper: fn(&mut PctMessage)| {
-            let distribute = |tasks, is_result| {
-                let mut results = in_thread(tasks, is_result);
-                results.iter_mut().for_each(tamper);
-                Ok(results)
-            };
-            let policy = GranularityPolicy::OnePerWorker;
-            match run_paper_protocol(&cube, &PctConfig::paper(), 2, policy, distribute) {
+            let shards = partition_rows(cube.dims(), 4).unwrap();
+            let plan = PaperPlan::new(Arc::clone(&cube), PctConfig::paper(), shards, 2);
+            match drive(plan, tamper) {
                 Err(PctError::InvalidConfig(message)) => message,
                 other => panic!("expected InvalidConfig, got {other:?}"),
             }
@@ -663,18 +926,24 @@ mod tests {
                 unique.clear();
             }
         });
-        assert!(empty_screening.contains("empty unique set"));
+        assert_eq!(empty_screening, "screening produced an empty unique set");
         let nothing_accumulated = run(|msg| {
             if let PctMessage::CovarianceSum { count, .. } = msg {
                 *count = 0;
             }
         });
-        assert!(nothing_accumulated.contains("accumulated no pixels"));
+        assert_eq!(
+            nothing_accumulated,
+            "covariance phase accumulated no pixels"
+        );
         let wrong_bands = run(|msg| {
             if let PctMessage::CovarianceSum { bands, .. } = msg {
                 *bands = 2;
             }
         });
-        assert!(wrong_bands.contains("2-band covariance sum"));
+        assert_eq!(
+            wrong_bands,
+            "worker returned a 2-band covariance sum for a 16-band image"
+        );
     }
 }

@@ -63,7 +63,7 @@ impl<M> ThreadContext<M> {
     }
 
     /// Sends `payload` to the thread currently bound to `to`.
-    pub fn send(&mut self, to: &str, payload: M) -> Result<()> {
+    pub fn send(&self, to: &str, payload: M) -> Result<()> {
         self.router.send(self.name.clone(), to, payload)
     }
 
@@ -156,9 +156,9 @@ mod tests {
     #[test]
     fn spawn_and_exchange_messages() {
         let runtime: Runtime<String> = Runtime::new();
-        let mut manager = runtime.context("manager").unwrap();
+        let manager = runtime.context("manager").unwrap();
         let worker = runtime
-            .spawn("worker", |mut ctx: ThreadContext<String>| {
+            .spawn("worker", |ctx: ThreadContext<String>| {
                 let env = ctx.recv().unwrap();
                 ctx.send(&env.from, format!("echo:{}", env.payload))
                     .unwrap();
@@ -184,7 +184,7 @@ mod tests {
     #[test]
     fn try_recv_returns_none_when_empty() {
         let runtime: Runtime<u8> = Runtime::new();
-        let mut a = runtime.context("a").unwrap();
+        let a = runtime.context("a").unwrap();
         let b = runtime.context("b").unwrap();
         assert!(b.try_recv().unwrap().is_none());
         a.send("b", 7).unwrap();
@@ -202,17 +202,14 @@ mod tests {
     #[test]
     fn many_workers_round_trip() {
         let runtime: Runtime<usize> = Runtime::new();
-        let mut manager = runtime.context("manager").unwrap();
+        let manager = runtime.context("manager").unwrap();
         let handles: Vec<_> = (0..8)
             .map(|i| {
                 runtime
-                    .spawn(
-                        format!("worker{i}"),
-                        move |mut ctx: ThreadContext<usize>| {
-                            let env = ctx.recv().unwrap();
-                            ctx.send("manager", env.payload * env.payload).unwrap();
-                        },
-                    )
+                    .spawn(format!("worker{i}"), move |ctx: ThreadContext<usize>| {
+                        let env = ctx.recv().unwrap();
+                        ctx.send("manager", env.payload * env.payload).unwrap();
+                    })
                     .unwrap()
             })
             .collect();

@@ -23,7 +23,8 @@
 //!   and their tasks are batch-dispatched in priority order onto a shared
 //!   pool of long-lived `scp` workers: a *standard* lane of plain worker
 //!   threads and a *resilient* lane of `resilience` replica groups owned by
-//!   one [`pct::ResilientManagerState`] — no per-request pipeline spawning.
+//!   one [`pct::ResilientManagerState`], the state `pct::ResilientPct`
+//!   builds per run — no per-request pipeline spawning.
 //!   Shared-memory jobs bypass the message plane entirely.
 //! * **Results plane** — typed per-job outcomes through the handle,
 //!   cancellation, per-job timeouts, a subscribable [`ServiceEvent`] stream

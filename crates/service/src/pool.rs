@@ -9,8 +9,8 @@
 //!   scheduler's watchdog can *detect* a lost worker instead of discovering
 //!   the dead mailbox at send time;
 //! * **resilient** — replica groups owned by a [`pct::ResilientManagerState`]
-//!   (kill switches, heartbeat detector, regenerator), the same machinery the
-//!   resilient pipeline uses per run, here owned for the pool's lifetime;
+//!   (kill switches, heartbeat detector, regenerator), the state
+//!   `pct::ResilientPct` builds per run, here owned for the pool's lifetime;
 //! * **shared-memory** — in-process executor threads that run whole jobs
 //!   start-to-finish against the shared `Arc` cube with **zero protocol
 //!   messages**: work arrives over a plain channel and the pipeline is the
@@ -36,7 +36,7 @@ use crate::Result;
 use hsi::HyperCube;
 use pct::distributed::MANAGER;
 use pct::messages::PctMessage;
-use pct::resilient::{member_loop, AttackPlan, ResilientManagerState, ResilientRunReport};
+use pct::resilient::{member_loop, ResilientManagerState, ResilientRunReport};
 use pct::{FusionOutput, PctConfig, SequentialPct};
 use resilience::attack::AttackInjector;
 use scp::{Envelope, Router, Runtime, ThreadContext, ThreadHandle};
@@ -207,7 +207,9 @@ pub(crate) struct WorkerPool {
 
 impl WorkerPool {
     /// Spawns the pool and returns it together with the manager context the
-    /// scheduler drives it through.
+    /// scheduler drives it through.  Start-up is all-or-nothing: when a lane
+    /// fails to start, every lane started before it is shut down and joined
+    /// before the error returns.
     pub fn start(
         config: &PoolConfig,
         telemetry: telemetry::Telemetry,
@@ -223,42 +225,45 @@ impl WorkerPool {
             &groups,
             config.replication_level.max(1),
             config.detector,
-            AttackPlan::none(),
         )?
         .with_telemetry(telemetry);
+        let inline = InlineLane::start(&Doorbell::new(runtime.router()), 0);
+        let mut pool = WorkerPool {
+            runtime,
+            standard: Vec::new(),
+            groups,
+            standard_handles: Vec::new(),
+            resilient,
+            inline,
+            remote: RemoteLane::default(),
+        };
+        match pool.start_lanes(config) {
+            Ok(()) => Ok((pool, ctx)),
+            Err(e) => {
+                pool.shutdown(&ctx);
+                Err(e)
+            }
+        }
+    }
 
+    /// Starts the standard, shared-memory and remote lanes, in that order,
+    /// into a pool whose resilient lane is up.
+    fn start_lanes(&mut self, config: &PoolConfig) -> Result<()> {
         // Standard workers register kill switches in the *same* injector as
         // the replica members, so one attack surface (`inject_attack`,
         // `ChaosPlan`) covers both message-plane lanes.
-        let standard: Vec<String> = (0..config.standard_workers)
-            .map(|i| format!("svc{i}"))
-            .collect();
-        let standard_handles = standard
-            .iter()
-            .map(|name| {
-                let kill = resilient.injector.register(name.clone());
-                runtime.spawn(name.clone(), move |ctx| member_loop(ctx, kill))
-            })
-            .collect::<scp::Result<Vec<_>>>()?;
-
-        let inline = InlineLane::start(
-            &Doorbell::new(runtime.router()),
-            config.shared_memory_executors,
-        );
-        let remote = RemoteLane::start(&runtime, &config.remote_workers)?;
-
-        Ok((
-            WorkerPool {
-                runtime,
-                standard,
-                groups,
-                standard_handles,
-                resilient,
-                inline,
-                remote,
-            },
-            ctx,
-        ))
+        for i in 0..config.standard_workers {
+            let name = format!("svc{i}");
+            let kill = self.resilient.injector.register(name.clone());
+            let handle = self
+                .runtime
+                .spawn(name.clone(), move |ctx| member_loop(ctx, kill))?;
+            self.standard_handles.push(handle);
+            self.standard.push(name);
+        }
+        self.inline = InlineLane::start(&self.doorbell(), config.shared_memory_executors);
+        self.remote = RemoteLane::start(&self.runtime, &config.remote_workers)?;
+        Ok(())
     }
 
     /// A doorbell onto this pool's manager mailbox.
@@ -274,7 +279,7 @@ impl WorkerPool {
 
     /// Shuts all four lanes down and returns the resilient lane's run
     /// report.
-    pub fn shutdown(mut self, ctx: &mut ThreadContext<PctMessage>) -> ResilientRunReport {
+    pub fn shutdown(mut self, ctx: &ThreadContext<PctMessage>) -> ResilientRunReport {
         for name in &self.standard {
             let _ = ctx.send(name, PctMessage::Shutdown);
         }
@@ -306,7 +311,7 @@ mod tests {
             shared_memory_executors: 2,
             ..PoolConfig::default()
         };
-        let (pool, mut ctx) = WorkerPool::start(&config, telemetry::Telemetry::disabled()).unwrap();
+        let (pool, ctx) = WorkerPool::start(&config, telemetry::Telemetry::disabled()).unwrap();
         assert_eq!(pool.standard, vec!["svc0", "svc1"]);
         assert_eq!(pool.groups, vec!["rg0", "rg1"]);
         assert_eq!(pool.inline.executors, vec!["shm0", "shm1"]);
@@ -319,7 +324,7 @@ mod tests {
             vec!["rg0#0", "rg0#1", "rg1#0", "rg1#1", "svc0", "svc1"],
             "standard workers share the replica members' kill registry"
         );
-        let report = pool.shutdown(&mut ctx);
+        let report = pool.shutdown(&ctx);
         assert!(report.regenerations.is_empty());
     }
 
@@ -331,17 +336,17 @@ mod tests {
             shared_memory_executors: 0,
             ..PoolConfig::default()
         };
-        let (pool, mut ctx) = WorkerPool::start(&config, telemetry::Telemetry::disabled()).unwrap();
+        let (pool, ctx) = WorkerPool::start(&config, telemetry::Telemetry::disabled()).unwrap();
         assert!(pool.groups.is_empty());
         assert!(pool.inline.executors.is_empty());
         assert!(pool.resilient.membership.all_members().is_empty());
-        let report = pool.shutdown(&mut ctx);
+        let report = pool.shutdown(&ctx);
         assert!(report.members_attacked.is_empty());
     }
 
     #[test]
     fn inline_lane_computes_the_sequential_reference() {
-        let (pool, mut ctx) = WorkerPool::start(
+        let (pool, ctx) = WorkerPool::start(
             &PoolConfig {
                 standard_workers: 1,
                 replica_groups: 0,
@@ -377,6 +382,6 @@ mod tests {
         assert_eq!(result.executor, "shm0");
         let reference = SequentialPct::new(PctConfig::paper()).run(&cube).unwrap();
         assert_eq!(result.result.unwrap(), reference);
-        pool.shutdown(&mut ctx);
+        pool.shutdown(&ctx);
     }
 }

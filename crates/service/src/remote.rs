@@ -60,6 +60,7 @@ struct RemoteWorkerHandle {
 }
 
 /// The remote lane: all workers, started together, shut down together.
+#[derive(Default)]
 pub(crate) struct RemoteLane {
     /// Routing names of the remote workers (`rw0`, `rw1`, ...).
     pub workers: Vec<String>,
@@ -73,10 +74,7 @@ impl RemoteLane {
     /// (never dialled in, refused by the handshake) nothing outlives the
     /// typed error: the workers before it are shut down and joined.
     pub fn start(runtime: &Runtime<PctMessage>, specs: &[RemoteWorkerSpec]) -> Result<RemoteLane> {
-        let mut lane = RemoteLane {
-            workers: Vec::new(),
-            handles: Vec::new(),
-        };
+        let mut lane = RemoteLane::default();
         for (i, spec) in specs.iter().enumerate() {
             if let Err(e) = lane.start_worker(runtime, format!("rw{i}"), spec) {
                 lane.abandon(runtime);
@@ -321,7 +319,7 @@ mod tests {
     #[test]
     fn thread_worker_round_trips_a_task_over_real_tcp() {
         let runtime: Runtime<PctMessage> = Runtime::new();
-        let mut manager = runtime.context(MANAGER).unwrap();
+        let manager = runtime.context(MANAGER).unwrap();
         let mut lane = RemoteLane::start(&runtime, &[RemoteWorkerSpec::Thread]).unwrap();
         assert_eq!(lane.workers, vec!["rw0"]);
         assert_eq!(lane.worker_pids(), vec![("rw0".to_string(), None)]);

@@ -35,11 +35,11 @@
 //! and the live lane loads.  Every resolution is counted per route in the
 //! [`ServiceReport`] and published on the [`ServiceEvent`] stream.
 //!
-//! The resilient lane reuses [`pct::ResilientManagerState`]: heartbeats are
-//! consumed here, silence-flagged members are probed, dead members are
-//! regenerated and their groups' outstanding tasks re-issued, and duplicate
-//! replica results are discarded by task id — all without disturbing job
-//! outputs.
+//! The resilient lane reuses [`pct::ResilientManagerState`], the state
+//! `pct::ResilientPct` builds per run: heartbeats are consumed here,
+//! silence-flagged members are probed, dead members are regenerated and the
+//! tasks their groups owe re-issued, and duplicate replica results are
+//! discarded by task id — all without disturbing job outputs.
 //!
 //! The standard lane gets the same *detection* without the replication: a
 //! [`resilience::FailureDetector`] watches every worker's heartbeats
@@ -72,7 +72,7 @@ use hsi::partition::partition_rows;
 use hsi::CloneLedger;
 use pct::messages::{PctMessage, TaskId};
 use pct::plan::{ChainPlan, Phase, Step};
-use pct::resilient::OutstandingTask;
+use pct::resilient::backoff_factor;
 use pct::FusionOutput;
 use resilience::{DetectorConfig, FailureDetector, MemberId};
 use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
@@ -99,7 +99,7 @@ struct InFlight {
     message: PctMessage,
     /// When the task was last (re)transmitted.
     sent_at: Instant,
-    /// Retransmissions so far (drives [`OutstandingTask::backoff`]).
+    /// Retransmissions so far (drives [`backoff_factor`]).
     attempts: u32,
 }
 
@@ -109,10 +109,9 @@ impl InFlight {
     /// tasks are re-dispatched on a confirmed loss instead and arm no timer.
     fn retransmit_due(&self, base: Duration) -> Option<(&str, Instant)> {
         match &self.assignee {
-            Assignee::Group(group) => Some((
-                group,
-                self.sent_at + OutstandingTask::backoff(base, self.attempts),
-            )),
+            Assignee::Group(group) => {
+                Some((group, self.sent_at + base * backoff_factor(self.attempts)))
+            }
             Assignee::Worker(_) => None,
         }
     }
@@ -718,11 +717,7 @@ impl Scheduler {
             }
             return None;
         }
-        match self
-            .pool
-            .resilient
-            .group_send(&mut self.ctx, &slot, message)
-        {
+        match self.pool.resilient.group_send(&self.ctx, &slot, message) {
             Ok(dead) => {
                 self.note_placed(ready.task, &ready.from, backend, &slot);
                 let now_ms = self.now_ms();
@@ -938,7 +933,7 @@ impl Scheduler {
             return;
         }
         let now_ms = self.now_ms();
-        let failures = self.pool.resilient.sweep_and_probe(&mut self.ctx, now_ms);
+        let failures = self.pool.resilient.sweep_and_probe(&self.ctx, now_ms);
         for failed in failures {
             self.recover_member(failed, now_ms);
         }
@@ -1169,11 +1164,11 @@ impl Scheduler {
     }
 
     /// Re-sends group-lane tasks that have gone unanswered past their
-    /// backoff (the shared [`OutstandingTask::backoff`] policy) to every
+    /// backoff (the shared [`backoff_factor`] policy) to every
     /// *current* member of their group — covering survivors that never
-    /// received the original send, the same task-loss window `pct`'s
-    /// resilient manager closes.  Retransmits are idempotent: workers
-    /// recompute and the result plane dedups by task id.
+    /// received the original send, the same task-loss window
+    /// `pct::ResilientPct`'s executor closes.  Retransmits are idempotent:
+    /// workers recompute and the result plane dedups by task id.
     fn retransmit_overdue_group_tasks(&mut self) {
         let retransmit_after = self.pool.resilient.retransmit_after;
         let now = self.now;
@@ -1195,11 +1190,7 @@ impl Scheduler {
                 inflight.attempts = inflight.attempts.saturating_add(1);
                 job = Some(inflight.job);
             }
-            let Ok(dead) = self
-                .pool
-                .resilient
-                .group_send(&mut self.ctx, &group, &message)
-            else {
+            let Ok(dead) = self.pool.resilient.group_send(&self.ctx, &group, &message) else {
                 continue;
             };
             self.report.tasks_retransmitted += 1;
@@ -1235,44 +1226,38 @@ impl Scheduler {
         }
     }
 
-    /// Tasks currently in flight on one replica group, keyed for re-issue.
-    /// Only that group's tasks are referenced — re-issue never touches
-    /// others, and with view payloads the message clones are `Arc` bumps.
-    fn group_outstanding(&self, group: &str) -> HashMap<TaskId, OutstandingTask> {
-        self.tasks
-            .iter()
-            .filter_map(|(task, inflight)| match &inflight.assignee {
-                Assignee::Group(g) if g == group => Some((
-                    *task,
-                    OutstandingTask::new(g.clone(), inflight.message.clone()),
-                )),
-                _ => None,
-            })
-            .collect()
-    }
-
     /// Regenerates a failed member; if regeneration is impossible, fails the
     /// jobs whose tasks were riding on that group.
     fn recover_member(&mut self, failed: MemberId, now_ms: u64) {
-        let mut outstanding = self.group_outstanding(&failed.group);
+        let on_group = |inflight: &InFlight| match &inflight.assignee {
+            Assignee::Group(g) => *g == failed.group,
+            Assignee::Worker(_) => false,
+        };
         // The failure's telemetry hangs under the phase span of the job
         // whose tasks were riding on the dead member's group (if any).
-        let affected = self.tasks.values().find_map(|inflight| {
-            matches!(&inflight.assignee, Assignee::Group(g) if *g == failed.group)
-                .then_some(inflight.job)
-        });
+        let affected = self
+            .tasks
+            .values()
+            .find_map(|inflight| on_group(inflight).then_some(inflight.job));
         let parent = affected.and_then(|id| self.running.get(&id).and_then(|j| j.phase_span));
         let member = failed.routing_name();
         self.note_detected(&member, affected, parent);
         let regen_span = self
             .telemetry
             .span_start("regenerate", parent, affected, &member);
+        // What the group owes, re-issued to the replacement (view payloads
+        // make the message clones `Arc` bumps).
+        let owed = self
+            .tasks
+            .values()
+            .filter(|t| on_group(t))
+            .map(|t| &t.message);
         let result = self.pool.resilient.handle_member_failure(
-            &mut self.ctx,
+            &self.ctx,
             &self.pool.runtime,
-            &mut outstanding,
             now_ms,
             &failed,
+            owed,
         );
         if let Some(regen_time) = self.telemetry.span_end(regen_span) {
             self.telemetry
@@ -1293,10 +1278,8 @@ impl Scheduler {
             }
             // The re-issue just delivered these tasks afresh; restart their
             // retransmit timers so they are not re-sent on the old deadline.
-            for inflight in self.tasks.values_mut() {
-                if matches!(&inflight.assignee, Assignee::Group(g) if *g == failed.group) {
-                    inflight.sent_at = self.now;
-                }
+            for inflight in self.tasks.values_mut().filter(|t| on_group(t)) {
+                inflight.sent_at = self.now;
             }
             // Publish every regeneration the protocol performed since the
             // last look (normally exactly one).  The regenerator's history
@@ -1369,7 +1352,7 @@ impl Scheduler {
                 Some("service stopped".to_string()),
             );
         }
-        let resilient_report = self.pool.shutdown(&mut self.ctx);
+        let resilient_report = self.pool.shutdown(&self.ctx);
         self.report.regenerations = resilient_report.regenerations.len();
         self.report.members_attacked = resilient_report.members_attacked;
         self.report.queue_high_water = self.governor.queue_high_water();
@@ -1471,7 +1454,7 @@ mod tests {
     #[test]
     fn a_job_timeout_is_a_deadline_and_fires_at_the_time_told() {
         let mut scheduler = scheduler(0);
-        let mut worker = add_mute_worker(&mut scheduler, "mute");
+        let worker = add_mute_worker(&mut scheduler, "mute");
         let timeout = Duration::from_millis(50);
         submit(
             &scheduler,
@@ -1521,7 +1504,7 @@ mod tests {
             None,
             "nothing watched, nothing running: no timer, block until rung"
         );
-        let mut worker = add_mute_worker(&mut scheduler, "mute");
+        let worker = add_mute_worker(&mut scheduler, "mute");
         let window = window(&scheduler);
         let deadline = t0 + window;
         assert_eq!(scheduler.turn(t0, None), Some(deadline));

@@ -7,9 +7,10 @@
 //! detector sees identical liveness behaviour from both lanes:
 //! a 25 ms receive tick, a heartbeat after every reply, and a heartbeat
 //! on every idle tick.  Tasks are computed by
-//! [`pct::distributed::handle_task`] — the same function the in-process
-//! distributed pipeline uses — so results are byte-identical by
-//! construction.
+//! [`pct::distributed::handle_task`] — the same function every in-process
+//! lane and the simulator use — so results are byte-identical by
+//! construction, and a task whose parts disagree in shape is answered
+//! `TaskFailed` instead of ending the process.
 
 use crate::codec::WireMessage;
 use crate::transport::{handshake, Transport};
@@ -58,9 +59,30 @@ pub fn serve(transport: &mut dyn Transport) -> Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::transport::loopback_pair;
+    use crate::transport::{loopback_pair, LoopbackTransport};
     use hsi::{CubeDims, CubeView, HyperCube};
+    use linalg::{Matrix, Vector};
     use std::sync::Arc;
+
+    /// A 2×2 view whose four pixels screen to two unique vectors.
+    fn two_signature_view() -> CubeView {
+        let mut cube = HyperCube::zeros(CubeDims::new(2, 2, 2));
+        cube.set_pixel(0, 0, &[1.0, 0.0]).unwrap();
+        cube.set_pixel(1, 0, &[0.0, 1.0]).unwrap();
+        cube.set_pixel(0, 1, &[1.0, 0.05]).unwrap();
+        cube.set_pixel(1, 1, &[0.05, 1.0]).unwrap();
+        CubeView::full(Arc::new(cube))
+    }
+
+    /// The next message that is not a heartbeat.
+    fn next_reply(manager: &mut LoopbackTransport) -> WireMessage {
+        loop {
+            match manager.recv_timeout(Duration::from_secs(2)).unwrap() {
+                Some(WireMessage::Pct(PctMessage::Heartbeat)) | None => continue,
+                Some(msg) => return msg,
+            }
+        }
+    }
 
     #[test]
     fn worker_computes_screen_tasks_and_heartbeats() {
@@ -68,28 +90,16 @@ mod tests {
         let t = std::thread::spawn(move || run_worker(&mut worker));
         handshake(&mut manager, HANDSHAKE_TIMEOUT).unwrap();
 
-        let mut cube = HyperCube::zeros(CubeDims::new(2, 2, 2));
-        cube.set_pixel(0, 0, &[1.0, 0.0]).unwrap();
-        cube.set_pixel(1, 0, &[0.0, 1.0]).unwrap();
-        cube.set_pixel(0, 1, &[1.0, 0.05]).unwrap();
-        cube.set_pixel(1, 1, &[0.05, 1.0]).unwrap();
-        let view = CubeView::full(Arc::new(cube));
         manager
             .send(&WireMessage::Pct(PctMessage::ScreenTask {
                 task: 4,
-                view,
+                view: two_signature_view(),
                 threshold_rad: 0.1,
             }))
             .unwrap();
 
         // First non-heartbeat reply is the unique set.
-        let reply = loop {
-            match manager.recv_timeout(Duration::from_secs(2)).unwrap() {
-                Some(WireMessage::Pct(PctMessage::Heartbeat)) => continue,
-                Some(msg) => break msg,
-                None => continue,
-            }
-        };
+        let reply = next_reply(&mut manager);
         let WireMessage::Pct(PctMessage::UniqueSet { task, unique }) = reply else {
             panic!("expected a unique set, got {reply:?}");
         };
@@ -109,6 +119,64 @@ mod tests {
         handshake(&mut manager, HANDSHAKE_TIMEOUT).unwrap();
         let beat = manager.recv_timeout(Duration::from_secs(2)).unwrap();
         assert_eq!(beat, Some(WireMessage::Pct(PctMessage::Heartbeat)));
+        manager
+            .send(&WireMessage::Pct(PctMessage::Shutdown))
+            .unwrap();
+        t.join().unwrap().unwrap();
+    }
+
+    /// Each length of a task decodes on its own, so a well-formed frame can
+    /// carry parts of disagreeing shapes.  Every such task is answered
+    /// `TaskFailed`, and the worker goes on serving.
+    #[test]
+    fn a_task_of_mismatched_shapes_fails_typed_and_the_worker_keeps_serving() {
+        let (mut manager, mut worker) = loopback_pair();
+        let t = std::thread::spawn(move || serve(&mut worker));
+        let view = two_signature_view();
+        let transform = |mean: usize, cols: usize| PctMessage::TransformTask {
+            task: mean,
+            view: view.clone(),
+            mean: Vector::zeros(mean),
+            transform: Matrix::zeros(3, cols),
+            scales: vec![(0.0, 1.0); 3],
+        };
+        let malformed = [
+            PctMessage::CovarianceTask {
+                task: 1,
+                mean: Vector::zeros(2),
+                pixels: vec![Vector::from_vec(vec![1.0, 2.0, 3.0])],
+            },
+            // A mean longer than the view's bands, then than the rows.
+            transform(3, 3),
+            transform(2, 1),
+            PctMessage::ScreenSeededTask {
+                task: 4,
+                view: view.clone(),
+                seed: vec![Vector::from_vec(vec![1.0, 0.0, 0.0])],
+                threshold_rad: 0.1,
+            },
+        ];
+        for task in malformed {
+            let id = task.task();
+            manager.send(&WireMessage::Pct(task)).unwrap();
+            let reply = next_reply(&mut manager);
+            let WireMessage::Pct(PctMessage::TaskFailed { task, .. }) = reply else {
+                panic!("expected TaskFailed, got {reply:?}");
+            };
+            assert_eq!(Some(task), id);
+        }
+        manager
+            .send(&WireMessage::Pct(PctMessage::ScreenTask {
+                task: 5,
+                view,
+                threshold_rad: 0.1,
+            }))
+            .unwrap();
+        let reply = next_reply(&mut manager);
+        assert!(matches!(
+            reply,
+            WireMessage::Pct(PctMessage::UniqueSet { task: 5, .. })
+        ));
         manager
             .send(&WireMessage::Pct(PctMessage::Shutdown))
             .unwrap();

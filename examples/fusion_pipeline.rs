@@ -1,13 +1,12 @@
 //! Full fusion pipeline on a paper-scale scene: reproduces the qualitative
 //! artefacts of Figures 2 and 3 — two single-band frames (near 400 nm and
-//! 1998 nm) and the fused colour composite — and compares the sequential and
-//! distributed implementations.
+//! 1998 nm) and the fused colour composite.
 //!
 //! Run with: `cargo run --example fusion_pipeline --release`
 //! (Pass a directory argument to choose where the images are written.)
 
 use hsi::{io, SceneConfig, SceneGenerator};
-use pct::{DistributedPct, PctConfig, SequentialPct};
+use pct::{PctConfig, SequentialPct};
 use std::path::PathBuf;
 
 fn main() {
@@ -47,18 +46,5 @@ fn main() {
         fused_path.display(),
         sequential.unique_count,
         100.0 * sequential.variance_fraction(3)
-    );
-
-    // The distributed manager/worker implementation must agree with it.
-    let distributed = DistributedPct::new(PctConfig::paper(), 4)
-        .run(&cube)
-        .expect("distributed fusion");
-    let diff = sequential
-        .image
-        .mean_abs_diff(&distributed.image)
-        .expect("same image size");
-    println!(
-        "distributed (4 workers) vs sequential: mean per-channel difference {:.2} (out of 255)",
-        diff
     );
 }

@@ -6,17 +6,17 @@
 
 use hsi::{CubeDims, SceneConfig, SceneGenerator};
 use pct::resilient::{AttackPlan, ResilientPct};
-use pct::{DistributedPct, PctConfig};
+use pct::PctConfig;
 
 fn main() {
     let mut config = SceneConfig::small(7);
     config.dims = CubeDims::new(64, 64, 32);
     let cube = SceneGenerator::new(config).expect("valid scene").generate();
 
-    // Reference: the plain distributed run.
-    let reference = DistributedPct::new(PctConfig::paper(), 2)
+    // Reference: the undisturbed run without replication (level 1).
+    let reference = ResilientPct::new(PctConfig::paper(), 2, 1)
         .run(&cube)
-        .expect("distributed fusion");
+        .expect("unreplicated fusion");
 
     // Resilient run with level-2 replication while worker0#0 is killed.
     let (output, report) = ResilientPct::new(PctConfig::paper(), 2, 2)

@@ -7,7 +7,7 @@ use hsi::{io, CubeDims, SceneConfig, SceneGenerator};
 use ingest::{DirectorySource, IngestConfig, IngestPump, ShedReason, SheddingPolicy};
 use pct::distributed_sim::{simulate_fusion, SimParams};
 use pct::resilient::{AttackPlan, ResilientPct};
-use pct::{DistributedPct, PctConfig, SequentialPct, SharedMemoryPct};
+use pct::{PctConfig, SequentialPct, SharedMemoryPct};
 use resilience::DetectorConfig;
 use service::{
     BackendKind, ChaosPhase, ChaosPlan, CubeSource, FusionService, JobHandle, JobOutcome, JobSpec,
@@ -29,7 +29,7 @@ fn all_implementations_agree_on_the_fused_image() {
     let cube = test_scene(1);
     let sequential = SequentialPct::new(PctConfig::paper()).run(&cube).unwrap();
     let shared = SharedMemoryPct::new(PctConfig::paper()).run(&cube).unwrap();
-    let distributed = DistributedPct::new(PctConfig::paper(), 3)
+    let distributed = ResilientPct::new(PctConfig::paper(), 3, 1)
         .run(&cube)
         .unwrap();
     let resilient = ResilientPct::new(PctConfig::paper(), 3, 2)
@@ -38,8 +38,8 @@ fn all_implementations_agree_on_the_fused_image() {
 
     for (name, other) in [
         ("shared-memory", &shared),
-        ("distributed", &distributed),
-        ("resilient", &resilient),
+        ("distributed (level 1)", &distributed),
+        ("resilient (level 2)", &resilient),
     ] {
         assert_eq!(other.pixels, sequential.pixels);
         let diff = sequential.image.mean_abs_diff(&other.image).unwrap();
@@ -49,9 +49,9 @@ fn all_implementations_agree_on_the_fused_image() {
             "{name} lost variance compaction"
         );
     }
-    // Distributed and resilient share the exact same decomposition and
-    // deterministic merge order, so they agree bit-for-bit.
-    assert_eq!(distributed.image, resilient.image);
+    // Levels 1 and 2 run the same plan over the same decomposition, so
+    // replication is transparent bit-for-bit.
+    assert_eq!(distributed, resilient);
 }
 
 #[test]
@@ -89,7 +89,7 @@ fn resilient_run_under_attack_matches_undisturbed_run() {
     // the regeneration-specific assertions live in the pct unit tests.
     let cube = test_scene(3);
 
-    let reference = DistributedPct::new(PctConfig::paper(), 2)
+    let reference = ResilientPct::new(PctConfig::paper(), 2, 1)
         .run(&cube)
         .unwrap();
     let (attacked, report) = ResilientPct::new(PctConfig::paper(), 2, 2)

@@ -10,8 +10,9 @@
 //!
 //! A fifth peer never gets that far: it announces another numerics version,
 //! and the service must refuse to start — typed, before any task frame is
-//! written to it, and with the healthy worker started before it shut down
-//! and joined.
+//! written to it, and with every lane started before it (replica groups,
+//! standard workers, shared-memory executors, the healthy remote worker)
+//! shut down and joined.
 //!
 //! This file holds exactly one test so that the process-wide thread scan at
 //! the end of each case sees only this drill's bridges.
@@ -226,8 +227,9 @@ fn drill(hostility: Hostility) {
 
 /// A peer of our protocol whose kernels are numerics version 1, behind a
 /// healthy worker: service start fails with the typed cause, the peer is
-/// sent the service's `Hello` and not one byte more, and neither the healthy
-/// worker's thread nor its bridge outlives the error.
+/// sent the service's `Hello` and not one byte more, and no thread of a lane
+/// started before it — replica member, standard worker, shared-memory
+/// executor, the healthy worker or its bridge — outlives the error.
 fn refuse_mixed_numerics() {
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap().to_string();
@@ -251,9 +253,9 @@ fn refuse_mixed_numerics() {
     let started = FusionService::start(
         ServiceConfig::builder()
             .pool(PoolConfig {
-                standard_workers: 0,
-                replica_groups: 0,
-                shared_memory_executors: 0,
+                standard_workers: 2,
+                replica_groups: 2,
+                shared_memory_executors: 2,
                 remote_workers: vec![RemoteWorkerSpec::Thread, RemoteWorkerSpec::Connect { addr }],
                 ..PoolConfig::default()
             })
@@ -270,9 +272,12 @@ fn refuse_mixed_numerics() {
     );
     #[cfg(target_os = "linux")]
     {
+        // Replica members, standard workers, then every `fusiond-*` thread
+        // (shared-memory executors, remote workers and their bridges).
+        let lanes = ["rg", "svc", "fusiond-"];
         let left: Vec<String> = live_thread_names()
             .into_iter()
-            .filter(|name| name.starts_with("fusiond-bridge") || name.starts_with("fusiond-remote"))
+            .filter(|name| lanes.iter().any(|lane| name.starts_with(lane)))
             .collect();
         assert!(left.is_empty(), "threads outlived a failed start: {left:?}");
     }
