@@ -15,12 +15,16 @@
 //! computational resiliency.
 //!
 //! The machinery that keeps groups alive (membership, kill switches,
-//! failure detection, regeneration, spawn handles and run accounting) is
+//! failure detection, regeneration, member start and run accounting) is
 //! one owned [`ResilientManagerState`], shared with the service layer's
-//! worker pool, which owns one for the lifetime of the process.  What only
-//! a run of the paper's protocol needs — its in-flight table, the
-//! retransmit sweep and the staged [`AttackPlan`] — stays with the
-//! executor.
+//! worker pool, which owns one for the lifetime of the process.  Starting a
+//! member is the owner's effect, handed to [`ResilientManagerState::build`]
+//! once and used for every member it starts and every replacement it
+//! regenerates: [`ResilientPct`] and the threaded pool start a
+//! [`member_loop`] thread, a pool hosted on virtual time binds a mailbox its
+//! host drives.  What only a run of the paper's protocol needs — its
+//! in-flight table, the retransmit sweep and the staged [`AttackPlan`] —
+//! stays with the executor.
 
 use crate::config::{FusionOutput, PctConfig};
 use crate::distributed::{handle_task, MANAGER};
@@ -108,14 +112,19 @@ pub struct ResilientRunReport {
     pub bytes_cloned: u64,
 }
 
+/// Starts one member under its routing name with the kill switch its loop
+/// must poll.  A thread start returns the thread's handle, which the state
+/// reaps and joins; a member whose mailbox its owner drives returns `None`.
+type StartMember = Box<dyn FnMut(&str, KillSwitch) -> scp::Result<Option<ThreadHandle<()>>> + Send>;
+
 /// The folded executor-side state of a set of replica groups.
 ///
 /// Owns everything needed to keep the groups alive: membership, the
 /// kill-switch registry used to emulate attacks, the heartbeat failure
-/// detector, the regeneration driver, the spawn handles of every member
-/// thread not yet reaped, and the run accounting.  [`ResilientPct`] builds
-/// one per run; the service layer's worker pool owns one for the lifetime
-/// of the process.
+/// detector, the regeneration driver, the owner's member start, the handles
+/// of every member thread not yet reaped, and the run accounting.
+/// [`ResilientPct`] builds one per run; the service layer's worker pool owns
+/// one for the lifetime of the process.
 pub struct ResilientManagerState {
     /// Replica-group membership, shared with the regenerator.
     pub membership: MembershipTable,
@@ -125,10 +134,10 @@ pub struct ResilientManagerState {
     pub detector: FailureDetector,
     /// The regeneration protocol driver.
     pub regenerator: Regenerator,
-    /// Handles of every member thread still running or not yet reaped
-    /// (including regenerated replacements and members falsely declared
-    /// failed); [`ResilientManagerState::handle_member_failure`] joins and
-    /// removes the ones that have exited.
+    /// Handles of every thread-started member still running or not yet
+    /// reaped (including regenerated replacements and members falsely
+    /// declared failed); [`ResilientManagerState::handle_member_failure`]
+    /// joins and removes the ones that have exited.
     pub handles: Vec<ThreadHandle<()>>,
     /// Run accounting (heartbeats, duplicates, re-issues).
     pub report: ResilientRunReport,
@@ -147,19 +156,20 @@ pub struct ResilientManagerState {
     /// The first panic of a member thread reaped mid-run, re-raised by
     /// [`ResilientManagerState::shutdown`].
     member_panic: Option<Box<dyn Any + Send>>,
+    /// How a member is started: at build and for every replacement.
+    start: StartMember,
 }
 
-/// The single retransmit-backoff policy of every manager — the resilient
-/// pipeline, the service scheduler and the simulator: the wait doubles with
+/// The single retransmit-backoff policy of both managers — the resilient
+/// pipeline's executor and the service scheduler: the wait doubles with
 /// every attempt, capped at 32×, so a genuinely long task on a healthy group
 /// costs at most a handful of idempotent duplicates instead of a re-send
 /// storm, while a genuinely lost send is still recovered after one base
 /// timeout.
 ///
-/// The base is the policy's single parameter.  On real threads it is
-/// [`ResilientManagerState::retransmit_after`], 500 ms; the simulator, whose
-/// task service time scales with the scenario, derives it on virtual time
-/// as `max(4 × detector window, 1 s)`.
+/// The base is the policy's single parameter,
+/// [`ResilientManagerState::retransmit_after`]: 500 ms, of wall time on
+/// threads and of virtual time in the simulator.
 pub fn backoff_factor(attempts: u32) -> u32 {
     1 << attempts.min(5)
 }
@@ -176,51 +186,51 @@ impl ResilientManagerState {
     }
 
     /// Builds the state for one replica group per name in `group_names`,
-    /// each with `level` members, spawning every member on `runtime` and
-    /// watching it in a detector configured by `detector_config`.  Members
-    /// are placed round-robin over virtual nodes `0..group_names.len()`
-    /// (placement bookkeeping only — all members are OS threads on this
-    /// machine).
+    /// each with `level` members, starting every member with `start` (which
+    /// also starts every later replacement) and watching it in a detector
+    /// configured by `detector_config`.  Members are placed round-robin over
+    /// virtual nodes `0..group_names.len()` (placement bookkeeping only).
     pub fn build(
-        runtime: &Runtime<PctMessage>,
         group_names: &[String],
         level: usize,
         detector_config: DetectorConfig,
+        start: impl FnMut(&str, KillSwitch) -> scp::Result<Option<ThreadHandle<()>>> + Send + 'static,
     ) -> Result<Self> {
         let membership = MembershipTable::new();
-        let injector = AttackInjector::new();
-        let mut handles: Vec<ThreadHandle<()>> = Vec::new();
         let nodes: Vec<usize> = (0..group_names.len()).collect();
+        let regenerator = Regenerator::new(
+            membership.clone(),
+            PlacementPolicy::SpreadAcrossNodes,
+            nodes,
+        );
+        let mut state = Self {
+            membership,
+            injector: AttackInjector::new(),
+            detector: FailureDetector::new(detector_config),
+            regenerator,
+            handles: Vec::new(),
+            report: ResilientRunReport::default(),
+            retransmit_after: Duration::from_millis(500),
+            send_drops: HashMap::new(),
+            member_panic: None,
+            start: Box::new(start),
+        };
         for (w, name) in group_names.iter().enumerate() {
             let placements: Vec<usize> = (0..level)
                 .map(|m| (w + m) % group_names.len().max(1))
                 .collect();
             let group = ReplicaGroup::new(name.clone(), level, &placements)?;
             for member in &group.members {
-                handles.push(spawn_member(runtime, &injector, member)?);
+                let name = member.routing_name();
+                let kill = state.injector.register(name.clone());
+                state.handles.extend((state.start)(&name, kill)?);
             }
-            membership.insert(group);
+            state.membership.insert(group);
         }
-        let mut detector = FailureDetector::new(detector_config);
-        for member in membership.all_members() {
-            detector.watch(member, 0);
+        for member in state.membership.all_members() {
+            state.detector.watch(member, 0);
         }
-        let regenerator = Regenerator::new(
-            membership.clone(),
-            PlacementPolicy::SpreadAcrossNodes,
-            nodes,
-        );
-        Ok(Self {
-            membership,
-            injector,
-            detector,
-            regenerator,
-            handles,
-            report: ResilientRunReport::default(),
-            retransmit_after: Duration::from_millis(500),
-            send_drops: HashMap::new(),
-            member_panic: None,
-        })
+        Ok(state)
     }
 
     /// Records a heartbeat-equivalent signal from the routing name `from` at
@@ -293,14 +303,14 @@ impl ResilientManagerState {
     }
 
     /// Handles one member failure (reported by the detector or by a failed
-    /// send): regenerate the member on another node, start watching the
-    /// replacement, and re-issue to it the tasks its group still `owed`.
-    /// Returns whether a replacement was spawned — `false` when `failed`
-    /// had already left its group, and nothing was re-issued.
+    /// send): regenerate the member on another node through the start
+    /// function, start watching the replacement, and re-issue to it the
+    /// tasks its group still `owed`.  Returns whether a replacement was
+    /// started — `false` when `failed` had already left its group, and
+    /// nothing was re-issued.
     pub fn handle_member_failure<'a>(
         &mut self,
         ctx: &ThreadContext<PctMessage>,
-        runtime: &Runtime<PctMessage>,
         now_ms: u64,
         failed: &MemberId,
         owed: impl IntoIterator<Item = &'a PctMessage>,
@@ -312,19 +322,20 @@ impl ResilientManagerState {
             handles,
             report,
             member_panic,
+            start,
             ..
         } = self;
         detector.unwatch(failed);
-        // Reap the members whose threads have exited: joining releases the
-        // stack (the mailbox's queue went with its receiver), so neither
+        // Reap the thread-started members that have exited: joining releases
+        // the stack (the mailbox's queue went with its receiver), so neither
         // accumulates per kill.  A panic is kept for `shutdown` to re-raise —
         // a crashed member is regenerated like a killed one, it must not take
         // the manager down mid-run.  Only `failed`, whose loss is confirmed,
         // loses its routing entry: another exited member not yet reported
         // must keep answering `Disconnected`, the one signal `group_send`
-        // and `sweep_and_probe` count as a death.  A member falsely declared
-        // failed is still running and stays listed and bound, so `shutdown`
-        // still reaches it.
+        // and `sweep_and_probe` count as a death.  A member thread falsely
+        // declared failed is still running and stays listed and bound, so
+        // `shutdown` still reaches it.
         let (exited, running): (Vec<_>, Vec<_>) =
             handles.drain(..).partition(ThreadHandle::is_finished);
         *handles = running;
@@ -338,9 +349,10 @@ impl ResilientManagerState {
             ctx.router().unbind(&failed_name);
         }
         let event = regenerator.handle_failure(failed, |replacement, _node| {
-            let handle = spawn_member(runtime, injector, replacement)
-                .map_err(|_| resilience::ResilienceError::InvalidConfig("spawn failed".into()))?;
-            handles.push(handle);
+            let name = replacement.routing_name();
+            let started = start(&name, injector.register(name.clone()));
+            let refused = |_| resilience::ResilienceError::InvalidConfig("start failed".into());
+            handles.extend(started.map_err(refused)?);
             Ok(())
         })?;
         let Some(event) = event else {
@@ -354,11 +366,12 @@ impl ResilientManagerState {
         Ok(true)
     }
 
-    /// Shuts down every member still running — not just current group
+    /// Shuts down every member thread still running — not just current group
     /// membership.  A member falsely declared failed is removed from its
     /// group but its thread keeps running; addressing the shutdown by spawn
     /// handle reaches those orphans too, so the joins cannot hang on them.
-    /// Folds the attack and regeneration logs into the report and returns it.
+    /// Members without a thread are their owner's to stop.  Folds the attack
+    /// and regeneration logs into the report and returns it.
     ///
     /// # Panics
     /// Re-raises the first panic of a member thread, whether joined here or
@@ -436,28 +449,27 @@ impl ResilientPct {
             heartbeat_period_ms: 50,
             miss_threshold: 8,
         };
-        let mut state = ResilientManagerState::build(&runtime, &groups, self.level, detector)?;
+        let start = thread_start(runtime.clone());
+        let mut state = ResilientManagerState::build(&groups, self.level, detector, start)?;
         state.send_drops = attack.drop_sends.iter().cloned().collect();
 
         let ledger = hsi::CloneLedger::snapshot();
-        let result = execute(&ctx, &runtime, &mut state, plan, attack);
+        let result = execute(&ctx, &mut state, plan, attack);
         state.report.bytes_cloned = ledger.delta();
         let report = state.shutdown(&ctx);
         result.map(|out| (out, report))
     }
 }
 
-/// Spawns one replica-group member thread and registers its kill switch.
-fn spawn_member(
-    runtime: &Runtime<PctMessage>,
-    injector: &AttackInjector,
-    member: &MemberId,
-) -> Result<ThreadHandle<()>> {
-    let kill = injector.register(member.routing_name());
-    Ok(runtime.spawn(
-        member.routing_name(),
-        move |ctx: ThreadContext<PctMessage>| member_loop(ctx, kill),
-    )?)
+/// The thread start: one [`member_loop`] thread per member on `runtime`.
+fn thread_start(
+    runtime: Runtime<PctMessage>,
+) -> impl FnMut(&str, KillSwitch) -> scp::Result<Option<ThreadHandle<()>>> + Send + 'static {
+    move |name, kill| {
+        runtime
+            .spawn(name, move |ctx| member_loop(ctx, kill))
+            .map(Some)
+    }
 }
 
 /// The reactive loop of every killable worker — a replica-group member
@@ -520,7 +532,6 @@ struct Outstanding {
 /// owes.
 fn execute(
     ctx: &ThreadContext<PctMessage>,
-    runtime: &Runtime<PctMessage>,
     state: &mut ResilientManagerState,
     mut plan: PaperPlan,
     attack: AttackPlan,
@@ -610,7 +621,7 @@ fn execute(
                 .values()
                 .filter(|task| task.group == failed.group);
             let owed = owed.map(|task| &task.message);
-            if state.handle_member_failure(ctx, runtime, now_ms, &failed, owed)? {
+            if state.handle_member_failure(ctx, now_ms, &failed, owed)? {
                 // The re-issue restarts the owed tasks' retransmit timers.
                 for task in outstanding.values_mut() {
                     if task.group == failed.group {
@@ -798,7 +809,8 @@ mod tests {
             heartbeat_period_ms: 5,
             miss_threshold: 2,
         };
-        let state = ResilientManagerState::build(&runtime, &names, level, detector).unwrap();
+        let start = thread_start(runtime.clone());
+        let state = ResilientManagerState::build(&names, level, detector, start).unwrap();
         (runtime, ctx, state)
     }
 
@@ -841,16 +853,14 @@ mod tests {
 
     #[test]
     fn manager_state_regenerates_a_killed_member_on_probe() {
-        let (runtime, ctx, mut state) = groups(&["g0"], 2);
+        let (_runtime, ctx, mut state) = groups(&["g0"], 2);
         // Kill one member and wait for its thread to exit (mailbox gone).
         assert!(state.injector.attack("g0#0"));
         wait_until_all_exited(&state, &["g0#0"]);
         // A send now reports the death; hand it to the failure handler.
         let dead = probe(&mut state, &ctx, "g0");
         assert_eq!(dead.len(), 1);
-        state
-            .handle_member_failure(&ctx, &runtime, 0, &dead[0], [])
-            .unwrap();
+        state.handle_member_failure(&ctx, 0, &dead[0], []).unwrap();
         assert_eq!(state.regenerator.history().len(), 1);
         assert_eq!(state.membership.get("g0").unwrap().members.len(), 2);
         let report = state.shutdown(&ctx);
@@ -875,9 +885,7 @@ mod tests {
                 std::thread::sleep(Duration::from_millis(1));
             };
             assert_eq!(dead, vec![victim]);
-            state
-                .handle_member_failure(&ctx, &runtime, 0, &dead[0], [])
-                .unwrap();
+            state.handle_member_failure(&ctx, 0, &dead[0], []).unwrap();
             let live = state.membership.get("g0").unwrap().members.len();
             assert_eq!(live, 2);
             // At most the member killed this round is still waiting to be
@@ -902,7 +910,7 @@ mod tests {
         let g0_dead = probe(&mut state, &ctx, "g0");
         assert_eq!(g0_dead.len(), 1);
         state
-            .handle_member_failure(&ctx, &runtime, 0, &g0_dead[0], [])
+            .handle_member_failure(&ctx, 0, &g0_dead[0], [])
             .unwrap();
         // g1#0's thread was reaped with g0#0's, its loss not yet confirmed.
         assert_eq!(state.handles.len(), 1);
@@ -915,7 +923,7 @@ mod tests {
         let g1_dead = probe(&mut state, &ctx, "g1");
         assert_eq!(g1_dead, suspects);
         state
-            .handle_member_failure(&ctx, &runtime, 10_000, &g1_dead[0], [])
+            .handle_member_failure(&ctx, 10_000, &g1_dead[0], [])
             .unwrap();
         assert!(!runtime.router().is_bound("g1#0"));
         for group in ["g0", "g1"] {
@@ -931,9 +939,7 @@ mod tests {
     fn a_falsely_failed_member_stays_bound_and_is_shut_down() {
         let (runtime, ctx, mut state) = groups(&["g0", "g1"], 2);
         let alive = state.membership.get("g0").unwrap().members[0].clone();
-        state
-            .handle_member_failure(&ctx, &runtime, 0, &alive, [])
-            .unwrap();
+        state.handle_member_failure(&ctx, 0, &alive, []).unwrap();
         // Still running, so still listed and reachable: `shutdown` would
         // hang on its join otherwise.
         assert!(runtime.router().is_bound(&alive.routing_name()));
@@ -956,9 +962,7 @@ mod tests {
         let dead = probe(&mut state, &ctx, "g0");
         assert_eq!(dead.len(), 1);
         // Handling the crash regenerates the member and does not re-raise.
-        state
-            .handle_member_failure(&ctx, &runtime, 0, &dead[0], [])
-            .unwrap();
+        state.handle_member_failure(&ctx, 0, &dead[0], []).unwrap();
         assert_eq!(state.membership.get("g0").unwrap().members.len(), 2);
         assert_eq!(state.regenerator.history().len(), 1);
         assert_eq!(state.handles.len(), 4);
@@ -966,9 +970,7 @@ mod tests {
         assert!(state.injector.attack("g1#1"));
         wait_until_all_exited(&state, &["g1#1"]);
         let dead = probe(&mut state, &ctx, "g1");
-        state
-            .handle_member_failure(&ctx, &runtime, 0, &dead[0], [])
-            .unwrap();
+        state.handle_member_failure(&ctx, 0, &dead[0], []).unwrap();
         // The crash is reported where it always was: at shutdown.
         let panic =
             std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || state.shutdown(&ctx)))

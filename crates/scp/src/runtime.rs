@@ -95,9 +95,18 @@ impl<M> ThreadContext<M> {
     }
 }
 
-/// The thread runtime: spawning, routing and shutdown.
+/// The thread runtime: spawning, routing and shutdown.  Clones share one
+/// router, so a clone spawns into the same name space.
 pub struct Runtime<M> {
     router: Router<M>,
+}
+
+impl<M> Clone for Runtime<M> {
+    fn clone(&self) -> Self {
+        Self {
+            router: self.router.clone(),
+        }
+    }
 }
 
 impl<M: Send + 'static> Default for Runtime<M> {

@@ -94,6 +94,7 @@ pub use routing::{
     LaneLoad, LaneSnapshot, LeastLoadedPolicy, RoundRobinPolicy, Route, RoutingPolicy,
     RoutingRequest, SharedRoutingPolicy, SizeThresholdPolicy,
 };
+pub use scheduler::HostedScheduler;
 pub use service::FusionService;
 
 /// Errors produced by the fusion service.

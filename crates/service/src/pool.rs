@@ -28,6 +28,12 @@
 //! [`ThreadContext`] and the shared-memory lane through [`InlineLane`];
 //! all threads are spawned once at service start and live until shutdown —
 //! no per-request pipeline spawning.
+//!
+//! A *hosted* pool (started with a host) has the standard and resilient
+//! lanes only, and starts no thread: every member, and every replacement
+//! the resilient lane regenerates, is a mailbox bound under its routing
+//! name and handed to the host, which delivers its messages and answers
+//! for it on virtual time.
 
 use crate::config::PoolConfig;
 use crate::job::JobId;
@@ -39,10 +45,34 @@ use pct::messages::PctMessage;
 use pct::resilient::{member_loop, ResilientManagerState, ResilientRunReport};
 use pct::{FusionOutput, PctConfig, SequentialPct};
 use resilience::attack::AttackInjector;
+use resilience::KillSwitch;
 use scp::{Envelope, Router, Runtime, ThreadContext, ThreadHandle};
 use std::collections::HashMap;
 use std::sync::mpsc::{Receiver, Sender};
 use std::sync::Arc;
+
+/// A member's mailbox and kill switch, handed to the host of a hosted pool.
+pub(crate) type HostedMember = (ThreadContext<PctMessage>, KillSwitch);
+
+/// Starts one pool member under its routing name: a [`member_loop`] thread,
+/// or (`host` given) a mailbox handed to the host.
+fn member_start(
+    runtime: &Runtime<PctMessage>,
+    host: Option<&Sender<HostedMember>>,
+) -> impl FnMut(&str, KillSwitch) -> scp::Result<Option<ThreadHandle<()>>> + Send + 'static {
+    let runtime = runtime.clone();
+    let host = host.cloned();
+    move |name, kill| match &host {
+        None => runtime
+            .spawn(name, move |ctx| member_loop(ctx, kill))
+            .map(Some),
+        Some(host) => {
+            // A host that has gone drops the mailbox: a dead member.
+            let _ = host.send((runtime.context(name)?, kill));
+            Ok(None)
+        }
+    }
+}
 
 /// The sender name of every doorbell ring.  Pool members are named `svc<i>`,
 /// `rg<i>#<n>`, `shm<i>` and `rw<i>`, so none can have it.
@@ -195,6 +225,7 @@ pub(crate) struct WorkerPool {
     pub standard: Vec<String>,
     /// Logical group names of the resilient lane.
     pub groups: Vec<String>,
+    /// Threads of the standard lane (none in a hosted pool).
     standard_handles: Vec<ThreadHandle<()>>,
     /// The folded resilient-lane state (membership, detector, regenerator,
     /// member handles).
@@ -209,10 +240,12 @@ impl WorkerPool {
     /// Spawns the pool and returns it together with the manager context the
     /// scheduler drives it through.  Start-up is all-or-nothing: when a lane
     /// fails to start, every lane started before it is shut down and joined
-    /// before the error returns.
+    /// before the error returns.  With a `host`, the pool starts no thread:
+    /// each member's mailbox and kill switch go to the host instead.
     pub fn start(
         config: &PoolConfig,
         telemetry: telemetry::Telemetry,
+        host: Option<Sender<HostedMember>>,
     ) -> Result<(WorkerPool, ThreadContext<PctMessage>)> {
         let runtime: Runtime<PctMessage> = Runtime::new();
         let ctx = runtime.context(MANAGER)?;
@@ -221,10 +254,10 @@ impl WorkerPool {
             .map(|i| format!("rg{i}"))
             .collect();
         let resilient = ResilientManagerState::build(
-            &runtime,
             &groups,
             config.replication_level.max(1),
             config.detector,
+            member_start(&runtime, host.as_ref()),
         )?
         .with_telemetry(telemetry);
         let inline = InlineLane::start(&Doorbell::new(runtime.router()), 0);
@@ -237,7 +270,7 @@ impl WorkerPool {
             inline,
             remote: RemoteLane::default(),
         };
-        match pool.start_lanes(config) {
+        match pool.start_lanes(config, host.as_ref()) {
             Ok(()) => Ok((pool, ctx)),
             Err(e) => {
                 pool.shutdown(&ctx);
@@ -248,17 +281,19 @@ impl WorkerPool {
 
     /// Starts the standard, shared-memory and remote lanes, in that order,
     /// into a pool whose resilient lane is up.
-    fn start_lanes(&mut self, config: &PoolConfig) -> Result<()> {
+    fn start_lanes(
+        &mut self,
+        config: &PoolConfig,
+        host: Option<&Sender<HostedMember>>,
+    ) -> Result<()> {
         // Standard workers register kill switches in the *same* injector as
         // the replica members, so one attack surface (`inject_attack`,
         // `ChaosPlan`) covers both message-plane lanes.
+        let mut start = member_start(&self.runtime, host);
         for i in 0..config.standard_workers {
             let name = format!("svc{i}");
             let kill = self.resilient.injector.register(name.clone());
-            let handle = self
-                .runtime
-                .spawn(name.clone(), move |ctx| member_loop(ctx, kill))?;
-            self.standard_handles.push(handle);
+            self.standard_handles.extend(start(&name, kill)?);
             self.standard.push(name);
         }
         self.inline = InlineLane::start(&self.doorbell(), config.shared_memory_executors);
@@ -311,7 +346,8 @@ mod tests {
             shared_memory_executors: 2,
             ..PoolConfig::default()
         };
-        let (pool, ctx) = WorkerPool::start(&config, telemetry::Telemetry::disabled()).unwrap();
+        let (pool, ctx) =
+            WorkerPool::start(&config, telemetry::Telemetry::disabled(), None).unwrap();
         assert_eq!(pool.standard, vec!["svc0", "svc1"]);
         assert_eq!(pool.groups, vec!["rg0", "rg1"]);
         assert_eq!(pool.inline.executors, vec!["shm0", "shm1"]);
@@ -336,7 +372,8 @@ mod tests {
             shared_memory_executors: 0,
             ..PoolConfig::default()
         };
-        let (pool, ctx) = WorkerPool::start(&config, telemetry::Telemetry::disabled()).unwrap();
+        let (pool, ctx) =
+            WorkerPool::start(&config, telemetry::Telemetry::disabled(), None).unwrap();
         assert!(pool.groups.is_empty());
         assert!(pool.inline.executors.is_empty());
         assert!(pool.resilient.membership.all_members().is_empty());
@@ -354,6 +391,7 @@ mod tests {
                 ..PoolConfig::default()
             },
             telemetry::Telemetry::disabled(),
+            None,
         )
         .unwrap();
         let cube = Arc::new(

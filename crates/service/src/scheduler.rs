@@ -7,13 +7,19 @@
 //! to poll (a submission, a cancellation, the shutdown flag, a finished
 //! shared-memory job) — and every periodic duty is an explicit deadline:
 //! both failure detectors, the group-retransmit backoff and the job
-//! timeouts.  [`Scheduler::run`] blocks until a message or the earliest
-//! deadline and then runs one [`Scheduler::turn`], which is a function of the
-//! time it is told: consume what arrived (mailbox, shared-memory results,
-//! cancellations), run the timers that are due, admit, dispatch, and answer
-//! with the next deadline.  Nothing that can make a task runnable — a
-//! confirmed loss, a lane failover, a regeneration, an orphan — happens after
-//! the last dispatch of a turn, because no later event would pick it up.
+//! timeouts.  One [`Scheduler::turn`] is a function of the time it is told:
+//! consume what arrived (mailbox, shared-memory results, cancellations), run
+//! the timers that are due, admit, dispatch, and answer with the next
+//! deadline.  Nothing that can make a task runnable — a confirmed loss, a
+//! lane failover, a regeneration, an orphan — happens after the last
+//! dispatch of a turn, because no later event would pick it up.
+//!
+//! The turn has two hosts, and nothing in it knows which one drives it.
+//! [`Scheduler::run`], on the service's own thread, blocks until a message
+//! or the earliest deadline and turns at the wall clock.  A
+//! [`HostedScheduler`] is turned by its host instead — the cluster simulator
+//! turns it at virtual instants after every delivery and timer, and carries
+//! what it sends to the members' mailboxes across its simulated network.
 //!
 //! A dispatch forms a batch: every runnable task of every admitted job,
 //! ordered by priority then submission, is matched against the free
@@ -75,7 +81,7 @@ use pct::plan::{ChainPlan, Phase, Step};
 use pct::resilient::backoff_factor;
 use pct::FusionOutput;
 use resilience::{DetectorConfig, FailureDetector, MemberId};
-use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant, SystemTime};
@@ -161,30 +167,34 @@ struct JobRun {
     phase_entered: Instant,
 }
 
-/// Closes `job`'s open phase span, accounting its duration into the phase
-/// histogram and the report's per-phase totals, then opens the span of
-/// `next` (when the job is moving on rather than terminating).  A free
-/// function so it can run while `job` is borrowed out of the run table.
-fn roll_phase(
-    telemetry: &Telemetry,
-    report: &mut ServiceReport,
-    job: &mut JobRun,
-    id: JobId,
-    next: Option<&'static str>,
-) {
-    let ended = telemetry
-        .span_end(job.phase_span.take())
-        .unwrap_or_else(|| job.phase_entered.elapsed());
-    telemetry.observe(
-        "fusiond_phase_duration_seconds",
-        &[("phase", job.phase_name)],
-        ended,
-    );
-    report.record_phase(job.phase_name, ended);
-    if let Some(name) = next {
-        job.phase_span = telemetry.span_start(name, job.span, Some(id), "");
-        job.phase_name = name;
-        job.phase_entered = Instant::now();
+impl JobRun {
+    /// Closes the open phase span at `now`, accounting its duration into
+    /// the phase histogram and the report's per-phase totals, then opens the
+    /// span of `next` (when the job is moving on rather than terminating).
+    /// Takes the scheduler's parts, so it can run while the job is borrowed
+    /// out of the run table.
+    fn roll_phase(
+        &mut self,
+        telemetry: &Telemetry,
+        report: &mut ServiceReport,
+        id: JobId,
+        next: Option<&'static str>,
+        now: Instant,
+    ) {
+        let ended = telemetry
+            .span_end(self.phase_span.take())
+            .unwrap_or_else(|| now.saturating_duration_since(self.phase_entered));
+        telemetry.observe(
+            "fusiond_phase_duration_seconds",
+            &[("phase", self.phase_name)],
+            ended,
+        );
+        report.record_phase(self.phase_name, ended);
+        if let Some(name) = next {
+            self.phase_span = telemetry.span_start(name, self.span, Some(id), "");
+            self.phase_name = name;
+            self.phase_entered = now;
+        }
     }
 }
 
@@ -206,7 +216,10 @@ pub(crate) struct Scheduler {
     max_in_flight: usize,
     events: Arc<EventBus>,
     running: BTreeMap<JobId, JobRun>,
-    tasks: HashMap<TaskId, InFlight>,
+    /// Every table the turn iterates is ordered, so what it does with them —
+    /// the order of retransmits and orphans, which job a loss is charged to —
+    /// is a function of the turn's inputs, the same on every replay.
+    tasks: BTreeMap<TaskId, InFlight>,
     completed_group_tasks: HashSet<TaskId>,
     completed_group_order: VecDeque<TaskId>,
     cancelled_queued: HashSet<JobId>,
@@ -240,12 +253,15 @@ pub(crate) struct Scheduler {
     telemetry: Telemetry,
     /// Open `recompute` spans: jobs whose group tasks were re-issued after a
     /// regeneration, closed when the job next consumes a result (or ends).
-    recompute: HashMap<JobId, SpanId>,
+    recompute: BTreeMap<JobId, SpanId>,
 }
 
 impl Scheduler {
+    /// A scheduler over `pool` whose clock starts at `started`: the
+    /// detectors' millisecond clock counts from there.
     #[allow(clippy::too_many_arguments)]
     pub fn new(
+        started: Instant,
         pool: WorkerPool,
         ctx: ThreadContext<PctMessage>,
         governor: Arc<AdmissionGovernor>,
@@ -267,7 +283,6 @@ impl Scheduler {
         let free_groups = pool.groups.iter().cloned().collect();
         let free_inline = pool.inline.executors.iter().cloned().collect();
         let chaos_fired = vec![false; chaos.kills.len()];
-        let started = Instant::now();
         let report = ServiceReport {
             started_at: Some(SystemTime::now()),
             ..ServiceReport::default()
@@ -282,7 +297,7 @@ impl Scheduler {
             max_in_flight: max_in_flight.max(1),
             events,
             running: BTreeMap::new(),
-            tasks: HashMap::new(),
+            tasks: BTreeMap::new(),
             completed_group_tasks: HashSet::new(),
             completed_group_order: VecDeque::new(),
             cancelled_queued: HashSet::new(),
@@ -301,7 +316,7 @@ impl Scheduler {
             chaos_fired,
             regenerations_seen: 0,
             telemetry,
-            recompute: HashMap::new(),
+            recompute: BTreeMap::new(),
         }
     }
 
@@ -520,7 +535,7 @@ impl Scheduler {
             let wait = self
                 .telemetry
                 .span_end(queued.queued_span)
-                .unwrap_or_else(|| queued.submitted.elapsed());
+                .unwrap_or_else(|| self.now.saturating_duration_since(queued.submitted));
             self.telemetry
                 .observe("fusiond_admission_wait_seconds", &[], wait);
             let phase_name = match backend {
@@ -542,7 +557,7 @@ impl Scheduler {
                 span: queued.span,
                 phase_span,
                 phase_name,
-                phase_entered: Instant::now(),
+                phase_entered: self.now,
             };
             self.status
                 .transition(queued.id, JobStatus::Running, None, None);
@@ -821,12 +836,12 @@ impl Scheduler {
                 match job.plan.accept(msg) {
                     Ok(Step::Continue | Step::Stale) => {}
                     Ok(Step::Entered(phase)) => {
-                        roll_phase(
+                        job.roll_phase(
                             &self.telemetry,
                             &mut self.report,
-                            job,
                             id,
                             Some(phase.name()),
+                            self.now,
                         );
                     }
                     Ok(Step::Complete) => self.complete_job(id, None),
@@ -846,7 +861,7 @@ impl Scheduler {
         if let Some(span) = self.recompute.remove(&id) {
             self.telemetry.span_end(Some(span));
         }
-        roll_phase(&self.telemetry, &mut self.report, &mut job, id, None);
+        job.roll_phase(&self.telemetry, &mut self.report, id, None, self.now);
         let tenant = job.tenant;
         // Assembly runs after the roll, outside the `transform` span.
         match inline.map_or_else(|| job.plan.into_output(), Ok) {
@@ -855,10 +870,10 @@ impl Scheduler {
                     .span_end_with_detail(job.span, Some("completed"));
                 self.report.jobs_completed += 1;
                 self.report.route_completed(job.backend);
+                let latency = self.now.saturating_duration_since(job.submitted);
                 self.telemetry
-                    .observe("fusiond_job_latency_seconds", &[], job.submitted.elapsed());
-                self.report
-                    .record_latency(job.priority, job.submitted.elapsed());
+                    .observe("fusiond_job_latency_seconds", &[], latency);
+                self.report.record_latency(job.priority, latency);
                 self.terminal_transition(id, tenant, JobStatus::Completed, Some(output), None);
             }
             Err(e) => {
@@ -882,7 +897,7 @@ impl Scheduler {
         if let Some(span) = self.recompute.remove(&id) {
             self.telemetry.span_end(Some(span));
         }
-        roll_phase(&self.telemetry, &mut self.report, &mut job, id, None);
+        job.roll_phase(&self.telemetry, &mut self.report, id, None, self.now);
         let label = match status {
             JobStatus::Cancelled => "cancelled",
             JobStatus::TimedOut => "timed-out",
@@ -1144,7 +1159,13 @@ impl Scheduler {
                 // is abandoned rather than merged, and the phase tree rolls
                 // to `inline` like a natively-routed inline job's.
                 job.inline_dispatched = false;
-                roll_phase(&self.telemetry, &mut self.report, job, id, Some("inline"));
+                job.roll_phase(
+                    &self.telemetry,
+                    &mut self.report,
+                    id,
+                    Some("inline"),
+                    self.now,
+                );
                 self.orphans.retain(|o| o.job != id);
             }
             self.report.lane_failovers += 1;
@@ -1252,13 +1273,10 @@ impl Scheduler {
             .values()
             .filter(|t| on_group(t))
             .map(|t| &t.message);
-        let result = self.pool.resilient.handle_member_failure(
-            &self.ctx,
-            &self.pool.runtime,
-            now_ms,
-            &failed,
-            owed,
-        );
+        let result = self
+            .pool
+            .resilient
+            .handle_member_failure(&self.ctx, now_ms, &failed, owed);
         if let Some(regen_time) = self.telemetry.span_end(regen_span) {
             self.telemetry
                 .observe("fusiond_regeneration_seconds", &[], regen_time);
@@ -1352,6 +1370,16 @@ impl Scheduler {
                 Some("service stopped".to_string()),
             );
         }
+        // A replica member attacked too late for a probe or a send to find
+        // it gone — a kill at shutdown — is as lost as one they found: the
+        // books close with every attacked member regenerated.
+        let attacked = self.pool.resilient.injector.attack_log();
+        let now_ms = self.now_ms();
+        for member in self.pool.resilient.membership.all_members() {
+            if attacked.contains(&member.routing_name()) {
+                self.recover_member(member, now_ms);
+            }
+        }
         let resilient_report = self.pool.shutdown(&self.ctx);
         self.report.regenerations = resilient_report.regenerations.len();
         self.report.members_attacked = resilient_report.members_attacked;
@@ -1359,6 +1387,48 @@ impl Scheduler {
         self.report.elapsed = self.started.elapsed();
         self.report.finished_at = Some(SystemTime::now());
         self.report
+    }
+}
+
+/// The scheduler of a hosted service ([`crate::FusionService::hosted`]),
+/// turned by its host instead of a thread of its own: the same turn the
+/// threaded service runs, at instants the host chooses.
+pub struct HostedScheduler(pub(crate) Scheduler);
+
+impl HostedScheduler {
+    /// One scheduler turn at `now`: consumes `woke` and everything else in
+    /// the manager mailbox, runs the timers due at `now`, admits and
+    /// dispatches.  Returns the earliest deadline still armed — the host
+    /// turns again by then — or `None` when nothing becomes due by itself.
+    pub fn turn(&mut self, now: Instant, woke: Option<Envelope<PctMessage>>) -> Option<Instant> {
+        self.0.turn(now, woke)
+    }
+
+    /// Whether the service has drained: nothing queued, running, in flight
+    /// or orphaned, no recompute span open, and every execution slot free.
+    pub fn idle(&self) -> bool {
+        let s = &self.0;
+        let l = s.lane_snapshot();
+        let lanes = [l.standard, l.resilient, l.shared_memory, l.remote];
+        s.running.is_empty()
+            && s.tasks.is_empty()
+            && s.orphans.is_empty()
+            && s.recompute.is_empty()
+            && s.governor.queue_depth() == 0
+            && lanes.iter().all(|lane| lane.free == lane.total)
+    }
+
+    /// Shuts the service down and closes the books: admission closes,
+    /// anything still queued or running fails, the pool is torn down, and
+    /// the report [`crate::FusionService::shutdown`] would return comes back.
+    pub fn finish(self) -> ServiceReport {
+        let scheduler = self.0;
+        scheduler.shutdown.store(true, Ordering::Release);
+        scheduler.governor.close();
+        let governor = Arc::clone(&scheduler.governor);
+        let mut report = scheduler.finalize();
+        governor.fold_into(&mut report);
+        report
     }
 }
 
@@ -1387,13 +1457,14 @@ mod tests {
             })
             .build()
             .unwrap();
-        let (pool, ctx) = WorkerPool::start(&config.pool, Telemetry::disabled()).unwrap();
+        let (pool, ctx) = WorkerPool::start(&config.pool, Telemetry::disabled(), None).unwrap();
         let governor = AdmissionGovernor::new(
             config.queue_capacity,
             config.admission.clone(),
             Arc::clone(&config.routing),
         );
         Scheduler::new(
+            Instant::now(),
             pool,
             ctx,
             Arc::new(governor),

@@ -13,14 +13,21 @@ use crate::job::{BackendKind, JobId, JobSpec};
 use crate::pool::{Doorbell, WorkerPool};
 use crate::report::ServiceReport;
 use crate::routing::Route;
-use crate::scheduler::Scheduler;
+use crate::scheduler::{HostedScheduler, Scheduler};
 use crate::status::{JobRecord, StatusTable};
 use crate::{Result, ServiceError};
+use pct::messages::PctMessage;
+use resilience::KillSwitch;
+use scp::ThreadContext;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::mpsc::Receiver;
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Instant;
 use telemetry::Telemetry;
+
+/// The submitters' clock: stamps each job's submission.
+type Clock = Arc<dyn Fn() -> Instant + Send + Sync>;
 
 /// A running fusion service: one scheduler thread driving one long-lived
 /// four-lane worker pool, fed through a bounded admission queue.
@@ -59,14 +66,60 @@ pub struct FusionService {
     next_job: AtomicU64,
     scheduler: Option<JoinHandle<ServiceReport>>,
     telemetry: Telemetry,
+    clock: Clock,
 }
 
 impl FusionService {
     /// Starts the pool and the scheduler thread.
     pub fn start(config: ServiceConfig) -> Result<FusionService> {
         config.validate()?;
+        let (pool, ctx) = WorkerPool::start(&config.pool, config.telemetry.clone(), None)?;
+        let (mut service, scheduler) = Self::assemble(config, pool, ctx, Arc::new(Instant::now));
+        let handle = std::thread::Builder::new()
+            .name("fusiond-scheduler".to_string())
+            .spawn(move || scheduler.run())
+            .expect("failed to spawn scheduler thread");
+        service.scheduler = Some(handle);
+        Ok(service)
+    }
+
+    /// Builds the same service, governor and scheduler as
+    /// [`FusionService::start`] for a host that drives them on its own clock
+    /// (the cluster simulator's virtual time), starting no thread.  Jobs are
+    /// stamped with `clock`.  Returns the service, the scheduler's driver,
+    /// and the mailboxes of the pool's members — at start, then each
+    /// replacement — with the kill switches the pool's injector holds for
+    /// them.  Standard and resilient lanes only; the final report comes from
+    /// [`HostedScheduler::finish`].
+    #[allow(clippy::type_complexity)]
+    pub fn hosted(
+        config: ServiceConfig,
+        clock: impl Fn() -> Instant + Send + Sync + 'static,
+    ) -> Result<(
+        FusionService,
+        HostedScheduler,
+        Receiver<(ThreadContext<PctMessage>, KillSwitch)>,
+    )> {
+        config.validate()?;
+        if config.pool.shared_memory_executors > 0 || !config.pool.remote_workers.is_empty() {
+            return Err(ServiceError::InvalidConfig(
+                "a hosted pool has standard workers and replica groups only".into(),
+            ));
+        }
+        let (host, members) = std::sync::mpsc::channel();
+        let (pool, ctx) = WorkerPool::start(&config.pool, config.telemetry.clone(), Some(host))?;
+        let (service, scheduler) = Self::assemble(config, pool, ctx, Arc::new(clock));
+        Ok((service, HostedScheduler(scheduler), members))
+    }
+
+    /// The service and its scheduler over a started pool.
+    fn assemble(
+        config: ServiceConfig,
+        pool: WorkerPool,
+        ctx: ThreadContext<PctMessage>,
+        clock: Clock,
+    ) -> (FusionService, Scheduler) {
         let telemetry = config.telemetry.clone();
-        let (pool, ctx) = WorkerPool::start(&config.pool, telemetry.clone())?;
         let injector = pool.injector();
         let doorbell = pool.doorbell();
         let lane_totals = [
@@ -89,6 +142,7 @@ impl FusionService {
         let shutdown_flag = Arc::new(AtomicBool::new(false));
         let events = Arc::new(EventBus::with_telemetry(telemetry.clone()));
         let scheduler = Scheduler::new(
+            clock(),
             pool,
             ctx,
             Arc::clone(&governor),
@@ -101,11 +155,7 @@ impl FusionService {
             config.pool.standard_detector,
             telemetry.clone(),
         );
-        let handle = std::thread::Builder::new()
-            .name("fusiond-scheduler".to_string())
-            .spawn(move || scheduler.run())
-            .expect("failed to spawn scheduler thread");
-        Ok(FusionService {
+        let service = FusionService {
             governor,
             status,
             cancels,
@@ -116,9 +166,11 @@ impl FusionService {
             lane_totals,
             remote_workers,
             next_job: AtomicU64::new(1),
-            scheduler: Some(handle),
+            scheduler: None,
             telemetry,
-        })
+            clock,
+        };
+        (service, scheduler)
     }
 
     /// Whether the pool has the lane a pinned route asks for.
@@ -165,7 +217,7 @@ impl FusionService {
         let queued_span = self.telemetry.span_start("queued", span, Some(id), "");
         let queued = QueuedJob {
             id,
-            submitted: Instant::now(),
+            submitted: (self.clock)(),
             spec,
             span,
             queued_span,
@@ -284,15 +336,15 @@ impl FusionService {
         report
     }
 
-    /// Stops the scheduler if it still runs and returns its report: the
-    /// flag and the closed governor are what it checks, the ring is what
-    /// makes it look.
+    /// Closes admission and stops the scheduler thread if one still runs,
+    /// returning its report: the flag and the closed governor are what it
+    /// checks, the ring is what makes it look.  A hosted scheduler drains
+    /// on its host's turns and reports through its own `finish`.
     fn stop(&mut self) -> Option<ServiceReport> {
-        let handle = self.scheduler.take()?;
         self.shutdown_flag.store(true, Ordering::Release);
         self.governor.close();
         self.doorbell.ring();
-        handle.join().ok()
+        self.scheduler.take()?.join().ok()
     }
 }
 

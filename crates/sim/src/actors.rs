@@ -1,61 +1,73 @@
-//! The manager and member actors that run the real fusion protocol on the
-//! simulated cluster.
+//! The host and member actors: the service's own scheduler on the simulated
+//! cluster, and the pool members it schedules onto.
 //!
-//! The manager drives the same [`pct::plan::ChainPlan`] as the service
-//! scheduler — seeded screening chain → single derive task → transform
-//! fan-out — so the fused output is byte-identical to
-//! [`pct::SequentialPct`] by construction, whatever the fault schedule
-//! does; what it adds is the executor side on virtual timers: detection,
-//! re-dispatch, regeneration and retransmission.  Members execute tasks
-//! with [`pct::distributed::handle_task`] (real pixels, real results)
-//! while the virtual clock is charged by the calibrated
-//! [`netsim::CostModel`] and every message is costed at the size of the frame
-//! the codec would write for it ([`wire::frame_len`]), so the simulator and
-//! the socket cannot disagree about a byte.
+//! The host is node 0.  It holds a hosted [`FusionService`] and its
+//! [`HostedScheduler`], owns every member's mailbox, and keeps no table of
+//! tasks, no detector and no timer of the protocol — those are the
+//! scheduler's.  It performs effects: it submits jobs at their arrival
+//! instants and plays their clients off the event stream; turns the
+//! scheduler after every delivery and timer and arms one timer at the
+//! deadline the turn returns; carries what a mailbox holds to the member's
+//! node, costed at [`wire::frame_len`], and posts the member's replies and
+//! heartbeats under its routing name; and when a kill switch flips or a
+//! machine is scheduled to crash, kills the node and drops the mailbox, so
+//! the next send or probe reads `Disconnected` as for a dead thread.  A
+//! replacement the resilient lane starts is bound to a spare node.
 //!
-//! All bookkeeping lives in `Vec`s and `BTreeMap`s: no iteration order in
-//! this module depends on a hash function, which is one of the three legs
-//! the determinism contract stands on (the others are the integer-nanos
-//! virtual clock and the `(SimTime, sequence)` event tie-break).
+//! Members execute tasks with [`pct::distributed::handle_task`] on real
+//! pixels while the virtual clock is charged by [`netsim::CostModel`].
+//! Every table here and in the scheduler is ordered: no iteration depends
+//! on a hash function, one leg of the determinism contract (the others are
+//! the integer-nanos virtual clock and the `(SimTime, sequence)` tie-break).
 
-use crate::scenario::member_index;
+use crate::scenario::{Boundary, Client, Scenario};
 use crate::trace::TraceLog;
-use hsi::RgbImage;
 use netsim::{Actor, ActorContext, ActorId, CostModel, Duration, NodeId, SimTime};
 use pct::distributed::handle_task;
-use pct::messages::{PctMessage, TaskId};
-use pct::plan::{ChainPlan, Phase, Step};
-use pct::resilient::backoff_factor;
-use resilience::DetectorConfig;
-use service::ChaosPlan;
+use pct::messages::PctMessage;
+use resilience::KillSwitch;
+use service::{
+    CubeSource, EventSubscriber, FusionService, HostedScheduler, JobHandle, JobId, JobOutcome,
+    JobSpec, JobStatus, ServiceError, ServiceEvent, ServiceReport, TenantId,
+};
 use std::cell::RefCell;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::rc::Rc;
-use telemetry::{SpanId, Telemetry};
+use std::sync::Arc;
+use std::time::Instant;
+use telemetry::Telemetry;
 use wire::WireMessage;
 
-/// The manager's timer tag for the periodic detector sweep.
-const SWEEP_TIMER: u64 = 0;
-/// Base of regeneration-completion timer tags (`REGEN_TIMER_BASE + spare`).
-const REGEN_TIMER_BASE: u64 = 1_000;
 /// A member's heartbeat timer tag.
 const HEARTBEAT_TIMER: u64 = 0;
+/// Host timer tags: arrivals (the job's index), machine crashes, then one
+/// tag each.
+const CRASH_TIMER: u64 = 1 << 20;
+const ATTACK_TIMER: u64 = 2 << 20;
+const SHUTDOWN_TIMER: u64 = (2 << 20) + 1;
+const HORIZON_TIMER: u64 = (2 << 20) + 2;
+/// Turn timers carry a generation above this base; only the newest counts.
+const TURN_TIMER: u64 = 3 << 20;
 
-/// Counters and artefacts the manager publishes to the harness.
-#[derive(Debug, Default)]
-pub(crate) struct SharedOutput {
-    pub image: Option<RgbImage>,
-    pub error: Option<String>,
-    pub kills_injected: u32,
-    pub detections: u32,
-    pub false_positives: u32,
-    pub regenerations: u32,
-    pub duplicates: u32,
-    pub retransmits: u32,
-    pub detection_latency_ns: Vec<u64>,
+/// A member mailbox, held as the closure that takes its next message: its
+/// type belongs to the message-passing crate, which `sim` does not depend
+/// on.  Dropping it closes the mailbox.
+pub(crate) type Mailbox = Box<dyn FnMut() -> Option<PctMessage>>;
+
+/// Posts into the manager mailbox under a routing name.
+pub(crate) type Post = Rc<dyn Fn(&str, PctMessage)>;
+
+/// A member's mailbox handed to the host.
+pub(crate) struct Joined {
+    /// The member's routing name.
+    pub name: String,
+    /// The next message the scheduler queued for the member.
+    pub next: Mailbox,
+    /// Posts into the manager mailbox under a routing name.
+    pub post: Post,
+    /// The kill switch registered for the member.
+    pub kill: KillSwitch,
 }
-
-pub(crate) type SharedOutputCell = Rc<RefCell<SharedOutput>>;
 
 /// Sends `msg` costed at the exact size of its frame on the real wire
 /// ([`wire::frame_len`]: read off the message, nothing encoded or copied).
@@ -68,20 +80,27 @@ fn send_framed(ctx: &mut ActorContext<PctMessage>, to: ActorId, msg: PctMessage)
     ctx.send(to, msg, bytes);
 }
 
-/// Virtual CPU cost of executing a task, per the calibrated cost model.
-pub(crate) fn compute_cost(model: &CostModel, msg: &PctMessage, bands: usize) -> Duration {
+/// Virtual CPU cost of executing a task: the paper's calibration with a
+/// 5 ms per-task overhead instead of its 150 ms, so a tiny cube's job takes
+/// tens of virtual milliseconds against detection windows of 10–400 ms.
+fn compute_cost(msg: &PctMessage) -> Duration {
+    let model = CostModel {
+        per_task_overhead_secs: 0.005,
+        ..CostModel::paper()
+    };
     match msg {
         PctMessage::ScreenTask { view, .. } | PctMessage::ScreenSeededTask { view, .. } => {
-            model.screening_work(view.pixels(), bands) + model.per_task_overhead()
+            model.screening_work(view.pixels(), view.bands()) + model.per_task_overhead()
         }
         PctMessage::DeriveTask { unique, .. } => {
+            let bands = unique.first().map_or(0, |v| v.len());
             model.mean_work(unique.len(), bands)
                 + model.covariance_work(unique.len(), bands)
                 + model.eigen_work(bands)
                 + model.per_task_overhead()
         }
         PctMessage::TransformTask { view, .. } => {
-            model.transform_work(view.pixels(), bands)
+            model.transform_work(view.pixels(), view.bands())
                 + model.colormap_work(view.pixels())
                 + model.per_task_overhead()
         }
@@ -91,36 +110,26 @@ pub(crate) fn compute_cost(model: &CostModel, msg: &PctMessage, bands: usize) ->
 
 // ---------------------------------------------------------------- members
 
-/// A replica-group member: heartbeats on a virtual timer and executes
-/// every task it receives with the real `handle_task`, charging the
-/// virtual CPU before replying.
+/// A pool member: heartbeats the host on a virtual timer and executes every
+/// task it receives with the real `handle_task`, charging the virtual CPU
+/// before replying.  Members at start beat out of phase with each other, as
+/// threads do; a spare stays silent until the first message for the
+/// replacement bound to it arrives.
 pub(crate) struct MemberActor {
-    pub manager: ActorId,
-    pub bands: usize,
-    pub heartbeat: Duration,
-    pub cost: CostModel,
-    pub trace: TraceLog,
-    pub name: String,
+    host: ActorId,
+    heartbeat: Duration,
+    /// When the first heartbeat is due; `None` for a spare.
+    first_beat: Option<Duration>,
     pending: BTreeMap<u64, PctMessage>,
     next_tag: u64,
 }
 
 impl MemberActor {
-    pub fn new(
-        manager: ActorId,
-        bands: usize,
-        heartbeat: Duration,
-        cost: CostModel,
-        trace: TraceLog,
-        name: String,
-    ) -> Self {
+    pub fn new(host: ActorId, heartbeat: Duration, first_beat: Option<Duration>) -> Self {
         Self {
-            manager,
-            bands,
+            host,
             heartbeat,
-            cost,
-            trace,
-            name,
+            first_beat,
             pending: BTreeMap::new(),
             next_tag: 1,
         }
@@ -129,21 +138,25 @@ impl MemberActor {
 
 impl Actor<PctMessage> for MemberActor {
     fn on_start(&mut self, ctx: &mut ActorContext<PctMessage>) {
+        if let Some(first) = self.first_beat {
+            ctx.set_timer(HEARTBEAT_TIMER, first);
+        }
+    }
+
+    fn on_timer(&mut self, ctx: &mut ActorContext<PctMessage>, _tag: u64) {
+        send_framed(ctx, self.host, PctMessage::Heartbeat);
         ctx.set_timer(HEARTBEAT_TIMER, self.heartbeat);
     }
 
-    fn on_timer(&mut self, ctx: &mut ActorContext<PctMessage>, tag: u64) {
-        if tag == HEARTBEAT_TIMER {
-            send_framed(ctx, self.manager, PctMessage::Heartbeat);
+    fn on_message(&mut self, ctx: &mut ActorContext<PctMessage>, _from: ActorId, msg: PctMessage) {
+        if self.first_beat.is_none() {
+            self.first_beat = Some(self.heartbeat);
             ctx.set_timer(HEARTBEAT_TIMER, self.heartbeat);
         }
-    }
-
-    fn on_message(&mut self, ctx: &mut ActorContext<PctMessage>, _from: ActorId, msg: PctMessage) {
         if msg.task().is_none() {
             return;
         }
-        let work = compute_cost(&self.cost, &msg, self.bands);
+        let work = compute_cost(&msg);
         let tag = self.next_tag;
         self.next_tag += 1;
         self.pending.insert(tag, msg);
@@ -151,492 +164,567 @@ impl Actor<PctMessage> for MemberActor {
     }
 
     fn on_compute_done(&mut self, ctx: &mut ActorContext<PctMessage>, tag: u64) {
-        let Some(task_msg) = self.pending.remove(&tag) else {
-            return;
-        };
-        if let Some(result) = handle_task(task_msg) {
-            self.trace.push(
-                ctx.now(),
-                format!(
-                    "{} -> manager {} task {}",
-                    self.name,
-                    result.kind(),
-                    result.task().map_or(-1, |t| t as i64)
-                ),
-            );
-            send_framed(ctx, self.manager, result);
+        if let Some(result) = self.pending.remove(&tag).and_then(handle_task) {
+            send_framed(ctx, self.host, result);
         }
     }
 }
 
-// ---------------------------------------------------------------- manager
+// ------------------------------------------------------------------- host
 
-struct Outstanding {
-    msg: PctMessage,
-    member: Option<usize>,
-    sent_at: SimTime,
-    attempts: u32,
+/// What the host saw of one job, for the harness to judge.
+#[derive(Debug, Default)]
+pub(crate) struct JobFacts {
+    /// The id of the accepted submission; `None` if it was refused.
+    pub id: Option<JobId>,
+    /// The refusal, when `try_submit` bounced.
+    pub refused: Option<ServiceError>,
+    pub submitted_at: Option<SimTime>,
+    pub admitted_at: Option<SimTime>,
+    /// Every `Terminal` event of the job, with its instant.
+    pub terminals: Vec<(SimTime, JobStatus)>,
+    /// The outcome a waiting client took.
+    pub outcome: Option<JobOutcome>,
+    /// A cancel or drop landed while the job was live.
+    pub cancelled: bool,
+    /// The client took its outcome after admission had closed, through a
+    /// handle that outlived the service.
+    pub taken_after_shutdown: bool,
 }
 
-/// Everything the manager needs at construction.
-pub(crate) struct ManagerParams {
-    pub scenario_name: String,
-    pub members: usize,
-    pub spares: usize,
-    pub detector: DetectorConfig,
-    pub chaos: ChaosPlan,
-    pub attack_after_results: usize,
-    pub attack_victims: Vec<usize>,
-    /// Ground-truth kill times of scheduled machine kills, for detection
-    /// latency measurement.
-    pub machine_kill_times: Vec<(usize, SimTime)>,
-    pub kill_during_regeneration: bool,
-    pub member_actors: Vec<ActorId>,
-    pub member_nodes: Vec<NodeId>,
+/// Everything the host records for the harness.
+#[derive(Default)]
+pub(crate) struct HostOutput {
+    pub jobs: Vec<JobFacts>,
+    /// The admission queue's transitions in order: `(popped, tenant)`.
+    pub queue: Vec<(bool, u64)>,
+    /// Members whose node the host killed.
+    pub killed: BTreeSet<String>,
+    /// Replica members attacked while live.
+    pub attacked: BTreeSet<String>,
+    /// Regenerated members.
+    pub regenerated: BTreeSet<String>,
+    /// Things that must not happen, seen as they happened.
+    pub anomalies: Vec<String>,
+    /// Messages other than `Shutdown` left in a mailbox after finish.
+    pub leftovers: usize,
+    /// Every service event, stamped with virtual nanoseconds.
+    pub log: Vec<String>,
+    pub report: Option<ServiceReport>,
+    pub finished_at: Option<SimTime>,
+}
+
+/// A pool member as the host holds it.
+struct Member {
+    actor: ActorId,
+    node: NodeId,
+    /// `None` once dead: dropped with the node.
+    next: Option<Mailbox>,
+    /// Kept after death, so a reply already in flight is still posted.
+    post: Post,
+    kill: KillSwitch,
+}
+
+/// One job, its client's handle, and what was seen of it.
+struct Job {
+    cube: Arc<hsi::HyperCube>,
+    handle: Option<JobHandle>,
+    acted: bool,
+    facts: JobFacts,
+}
+
+/// Everything the host needs at construction besides the service.
+pub(crate) struct HostParams {
+    pub scenario: Scenario,
+    /// Each job's cube, in job order.
+    pub cubes: Vec<Arc<hsi::HyperCube>>,
+    pub events: EventSubscriber,
+    /// Yields each member mailbox the pool hands over: the members at start,
+    /// then every replacement.
+    pub joined: Box<dyn FnMut() -> Option<Joined>>,
     pub telemetry: Telemetry,
+    /// The instant virtual time zero stands for on the scheduler's clock.
+    pub epoch: Instant,
+    /// Actor and node of every member at start, by routing name.
+    pub initial: BTreeMap<String, (ActorId, NodeId)>,
+    /// Actor and node of every spare, in binding order.
+    pub spares: VecDeque<(ActorId, NodeId)>,
     pub trace: TraceLog,
-    pub output: SharedOutputCell,
+    /// Filled when the run ends.
+    pub output: Rc<RefCell<HostOutput>>,
 }
 
-/// The manager: the job's plan plus failure detector, retransmitter,
-/// regenerator and chaos injector, all on virtual timers.
-pub(crate) struct ManagerActor {
-    p: ManagerParams,
-    /// The job's protocol state; taken when the job completes.
-    plan: Option<ChainPlan>,
-    outstanding: BTreeMap<TaskId, Outstanding>,
-    next_task: TaskId,
-    /// Round-robin rotation of members currently eligible for work.
-    active: Vec<usize>,
-    spare_pool: Vec<usize>,
-    rr: usize,
-    last_hb: Vec<SimTime>,
-    declared_dead: Vec<bool>,
-    /// Ground truth: when each member's node actually died (scheduled
-    /// machine kills are pre-seeded; chaos/attack kills recorded as they
-    /// fire).  Detections without an entry are false positives.
-    kill_times: BTreeMap<usize, SimTime>,
-    chaos_fired: Vec<bool>,
-    attack_fired: bool,
-    results_seen: usize,
-    kdr_fired: bool,
-    regen_spans: BTreeMap<usize, (Option<SpanId>, SimTime)>,
-    job_span: Option<SpanId>,
-    phase_span: Option<SpanId>,
+/// Node 0: the hosted service, its clients, and the members' mailboxes.
+pub(crate) struct HostActor {
+    p: HostParams,
+    /// Dropped at shutdown, which closes admission.
+    service: Option<FusionService>,
+    /// Taken by `finish`.
+    driver: Option<HostedScheduler>,
+    jobs: Vec<Job>,
+    by_id: BTreeMap<JobId, usize>,
+    members: BTreeMap<String, Member>,
+    /// The routing name bound to each member actor.
+    names: BTreeMap<ActorId, String>,
+    out: HostOutput,
+    arrivals_left: usize,
+    /// The instant of the armed turn timer, and its generation.
+    armed: Option<SimTime>,
+    turn_generation: u64,
+    shut: bool,
 }
 
-impl ManagerActor {
-    pub fn new(plan: ChainPlan, p: ManagerParams) -> Self {
-        let total = p.members + p.spares;
-        let mut kill_times = BTreeMap::new();
-        for (member, at) in &p.machine_kill_times {
-            kill_times.insert(*member, *at);
-        }
-        let chaos_fired = vec![false; p.chaos.kills.len()];
-        Self {
-            plan: Some(plan),
-            outstanding: BTreeMap::new(),
-            next_task: 1,
-            active: (0..p.members).collect(),
-            spare_pool: (p.members..total).collect(),
-            rr: 0,
-            last_hb: vec![SimTime::ZERO; total],
-            declared_dead: vec![false; total],
-            kill_times,
-            chaos_fired,
-            attack_fired: false,
-            results_seen: 0,
-            kdr_fired: false,
-            regen_spans: BTreeMap::new(),
-            job_span: None,
-            phase_span: None,
-            p,
-        }
-    }
-
-    fn hb_period(&self) -> Duration {
-        Duration::from_millis(self.p.detector.heartbeat_period_ms.max(1))
-    }
-
-    fn silence_threshold(&self) -> Duration {
-        self.hb_period()
-            .saturating_mul(self.p.detector.miss_threshold.max(1) as u64)
-    }
-
-    /// Base retransmit timeout on virtual time — the single parameter of
-    /// the shared [`backoff_factor`] policy.  Dead members are recovered
-    /// faster by the detector (their tasks are orphaned and re-dispatched
-    /// immediately), so retransmits only chase frames lost in transit — the
-    /// base sits well above task service time (≥ `per_task_overhead` even
-    /// on a straggler) to avoid duplicate storms.
-    fn retransmit_base(&self) -> Duration {
-        let window = self
-            .hb_period()
-            .saturating_mul(self.p.detector.miss_threshold.max(1) as u64 + 1);
-        window.saturating_mul(4).max(Duration::from_millis(1_000))
-    }
-
-    fn regen_delay(&self) -> Duration {
-        self.hb_period()
-    }
-
-    fn kill_member(&mut self, ctx: &mut ActorContext<PctMessage>, member: usize, why: &str) {
-        if self.kill_times.contains_key(&member) {
-            return;
-        }
-        self.kill_times.insert(member, ctx.now());
-        self.p.output.borrow_mut().kills_injected += 1;
-        self.p.telemetry.note_kill(&crate::member_name(member));
-        ctx.kill_node(self.p.member_nodes[member]);
-        self.p
-            .trace
-            .push(ctx.now(), format!("kill m{member} ({why})"));
-    }
-
-    /// Fires unfired chaos kills anchored on `phase`, exactly like the
-    /// service scheduler: immediately before the first dispatch of that
-    /// phase's task.
-    fn fire_chaos(&mut self, ctx: &mut ActorContext<PctMessage>, phase: Phase) {
-        for k in 0..self.p.chaos.kills.len() {
-            if self.chaos_fired[k] || self.p.chaos.kills[k].phase != phase {
-                continue;
-            }
-            self.chaos_fired[k] = true;
-            if let Some(m) = member_index(&self.p.chaos.kills[k].member) {
-                self.kill_member(ctx, m, "chaos");
-            }
-        }
-    }
-
-    fn fire_attack_if_due(&mut self, ctx: &mut ActorContext<PctMessage>) {
-        if self.attack_fired
-            || self.p.attack_victims.is_empty()
-            || self.results_seen < self.p.attack_after_results
-        {
-            return;
-        }
-        self.attack_fired = true;
-        let victims = self.p.attack_victims.clone();
-        for m in victims {
-            self.kill_member(ctx, m, "attack");
-        }
-    }
-
-    fn pick_member(&mut self) -> Option<usize> {
-        if self.active.is_empty() {
-            return None;
-        }
-        let m = self.active[self.rr % self.active.len()];
-        self.rr += 1;
-        Some(m)
-    }
-
-    fn send_task(
-        &mut self,
-        ctx: &mut ActorContext<PctMessage>,
-        task: TaskId,
-        msg: PctMessage,
-        member: usize,
-        attempts: u32,
-    ) {
-        if let Some(phase) = self.plan.as_ref().map(ChainPlan::phase) {
-            self.fire_chaos(ctx, phase);
-        }
-        self.p.trace.push(
-            ctx.now(),
-            format!("manager -> m{member} {} task {task}", msg.kind()),
-        );
-        send_framed(ctx, self.p.member_actors[member], msg.clone());
-        self.outstanding.insert(
-            task,
-            Outstanding {
-                msg,
-                member: Some(member),
-                sent_at: ctx.now(),
-                attempts,
-            },
-        );
-    }
-
-    /// Re-sends unassigned outstanding tasks and pulls new phase tasks
-    /// while members are available.
-    fn try_dispatch(&mut self, ctx: &mut ActorContext<PctMessage>) {
-        let orphans: Vec<TaskId> = self
-            .outstanding
-            .iter()
-            .filter(|(_, o)| o.member.is_none())
-            .map(|(t, _)| *t)
+impl HostActor {
+    pub fn new(service: FusionService, driver: HostedScheduler, mut p: HostParams) -> Self {
+        let jobs: Vec<Job> = std::mem::take(&mut p.cubes)
+            .into_iter()
+            .map(|cube| Job {
+                cube,
+                handle: None,
+                acted: false,
+                facts: JobFacts::default(),
+            })
             .collect();
-        for task in orphans {
-            let Some(member) = self.pick_member() else {
-                return;
-            };
-            let o = self.outstanding.remove(&task).expect("orphan exists");
-            self.p.output.borrow_mut().retransmits += 1;
-            self.send_task(ctx, task, o.msg, member, o.attempts + 1);
-        }
-        loop {
-            if self.active.is_empty() {
-                return;
-            }
-            let task = self.next_task;
-            let Some(msg) = self.plan.as_mut().and_then(|plan| plan.next_task(task)) else {
-                return;
-            };
-            self.next_task += 1;
-            let member = self.pick_member().expect("active checked non-empty");
-            self.send_task(ctx, task, msg, member, 0);
+        Self {
+            arrivals_left: jobs.len(),
+            p,
+            service: Some(service),
+            driver: Some(driver),
+            jobs,
+            by_id: BTreeMap::new(),
+            members: BTreeMap::new(),
+            names: BTreeMap::new(),
+            out: HostOutput::default(),
+            armed: None,
+            turn_generation: 0,
+            shut: false,
         }
     }
 
-    /// Closes the open phase span and opens `next`'s (`None`: the job is
-    /// done).
-    fn roll_phase(&mut self, ctx: &mut ActorContext<PctMessage>, next: Option<Phase>) {
-        self.p.telemetry.span_end(self.phase_span.take());
-        let name = next.map_or("done", Phase::name);
-        if next.is_some() {
-            self.phase_span = self
-                .p
-                .telemetry
-                .span_start(name, self.job_span, Some(1), "");
-        }
-        self.p.trace.push(ctx.now(), format!("phase -> {name}"));
+    fn anomaly(&mut self, now: SimTime, what: String) {
+        self.p.trace.push(now, format!("ANOMALY: {what}"));
+        self.out.anomalies.push(what);
     }
 
-    fn declare_dead(&mut self, ctx: &mut ActorContext<PctMessage>, member: usize) {
-        if self.declared_dead[member] {
-            return;
-        }
-        self.declared_dead[member] = true;
-        self.active.retain(|&m| m != member);
-        self.spare_pool.retain(|&m| m != member);
-        let now = ctx.now();
-        let name = crate::member_name(member);
-        match self
-            .kill_times
-            .get(&member)
-            .copied()
-            .filter(|kt| *kt <= now)
-        {
-            Some(kt) => {
-                let latency = now.since(kt);
-                let mut out = self.p.output.borrow_mut();
-                out.detections += 1;
-                out.detection_latency_ns.push(latency.as_nanos());
-                drop(out);
-                let _ = self.p.telemetry.take_kill(&name);
-                self.p.telemetry.span_closed(
-                    "detect",
-                    self.phase_span,
-                    Some(1),
-                    kt.as_nanos(),
-                    &name,
-                );
-                self.p.telemetry.observe(
-                    "sim_detection_latency_seconds",
-                    &[],
-                    std::time::Duration::from_nanos(latency.as_nanos()),
-                );
-                self.p.trace.push(
-                    now,
-                    format!(
-                        "detected death of m{member} after {} ns",
-                        latency.as_nanos()
-                    ),
-                );
-            }
-            None => {
-                self.p.output.borrow_mut().false_positives += 1;
-                self.p.telemetry.span_closed(
-                    "detect",
-                    self.phase_span,
-                    Some(1),
-                    now.as_nanos()
-                        .saturating_sub(self.silence_threshold().as_nanos()),
-                    "false-positive",
-                );
-                self.p
-                    .trace
-                    .push(now, format!("false-positive detection of m{member}"));
-            }
-        }
-        // Orphan the dead member's outstanding tasks for re-dispatch.
-        for o in self.outstanding.values_mut() {
-            if o.member == Some(member) {
-                o.member = None;
-            }
-        }
-        self.start_regeneration(ctx);
-        self.try_dispatch(ctx);
-        if self.active.is_empty() && self.regen_spans.is_empty() && self.spare_pool.is_empty() {
-            self.fail(ctx, "all members dead and no spares left");
-        }
-    }
-
-    fn start_regeneration(&mut self, ctx: &mut ActorContext<PctMessage>) {
-        if self.spare_pool.is_empty() {
-            return;
-        }
-        let spare = self.spare_pool.remove(0);
-        let span = self
-            .p
-            .telemetry
-            .span_start("regenerate", self.job_span, Some(1), "");
-        self.regen_spans.insert(spare, (span, ctx.now()));
-        ctx.set_timer(REGEN_TIMER_BASE + spare as u64, self.regen_delay());
-        self.p
-            .trace
-            .push(ctx.now(), format!("regenerating via spare m{spare}"));
-        if self.p.kill_during_regeneration && !self.kdr_fired {
-            self.kdr_fired = true;
-            self.kill_member(ctx, spare, "kill-during-regeneration");
-        }
-    }
-
-    fn fail(&mut self, ctx: &mut ActorContext<PctMessage>, why: &str) {
-        let mut out = self.p.output.borrow_mut();
-        if out.error.is_none() {
-            out.error = Some(why.to_string());
-        }
-        drop(out);
-        self.p.trace.push(ctx.now(), format!("FAILED: {why}"));
-        self.p.telemetry.span_end(self.phase_span.take());
-        self.p.telemetry.span_end(self.job_span.take());
+    /// Ends the run: hands what the host saw to the harness and halts.
+    fn stop(&mut self, ctx: &mut ActorContext<PctMessage>) {
+        self.out.jobs = self
+            .jobs
+            .iter_mut()
+            .map(|j| std::mem::take(&mut j.facts))
+            .collect();
+        *self.p.output.borrow_mut() = std::mem::take(&mut self.out);
+        self.driver = None;
         ctx.halt();
     }
+
+    /// Turns the scheduler at `ctx.now()` and performs what the turn asks
+    /// for, turning again at the same instant while a client acted or
+    /// admission closed, until the run settles on its next deadline — or
+    /// has drained after shutdown, and finishes.
+    fn pump(&mut self, ctx: &mut ActorContext<PctMessage>) {
+        let now = ctx.now();
+        loop {
+            let Some(driver) = self.driver.as_mut() else {
+                return;
+            };
+            let at = self.p.epoch + std::time::Duration::from_nanos(now.as_nanos());
+            let deadline = driver.turn(at, None);
+            self.bind(ctx);
+            self.reap(ctx);
+            let acted = self.observe();
+            self.ship(ctx);
+            if acted {
+                continue;
+            }
+            if self.may_shut_down(now) {
+                self.shut_down(now);
+                continue;
+            }
+            if self.shut && self.driver.as_ref().is_some_and(HostedScheduler::idle) {
+                return self.finish(ctx);
+            }
+            return self.arm(ctx, deadline);
+        }
+    }
+
+    /// Binds every mailbox the pool handed over since the last look: a
+    /// member at start to its own node, a replacement to the next spare.
+    fn bind(&mut self, ctx: &mut ActorContext<PctMessage>) {
+        while let Some(joined) = (self.p.joined)() {
+            let name = joined.name;
+            let initial = self.p.initial.remove(&name);
+            let Some((actor, node)) = initial.or_else(|| self.p.spares.pop_front()) else {
+                self.anomaly(ctx.now(), format!("no spare node for {name}"));
+                continue;
+            };
+            self.names.insert(actor, name.clone());
+            let member = Member {
+                actor,
+                node,
+                next: Some(joined.next),
+                post: joined.post,
+                kill: joined.kill,
+            };
+            self.members.insert(name.clone(), member);
+            if initial.is_none() {
+                let line = format!("bind {name} to spare node {}", node.0);
+                self.p.trace.push(ctx.now(), line);
+                if std::mem::take(&mut self.p.scenario.kill_during_regeneration) {
+                    if let Some(service) = &self.service {
+                        service.inject_attack(&name);
+                    }
+                }
+            }
+        }
+    }
+
+    /// Kills the node and drops the mailbox of every live member whose kill
+    /// switch has flipped.
+    fn reap(&mut self, ctx: &mut ActorContext<PctMessage>) {
+        let flipped: Vec<String> = self
+            .members
+            .iter()
+            .filter(|(_, m)| m.next.is_some() && m.kill.is_killed())
+            .map(|(name, _)| name.clone())
+            .collect();
+        for name in flipped {
+            if name.contains('#') {
+                self.out.attacked.insert(name.clone());
+            }
+            self.kill(ctx, &name, "kill switch");
+        }
+    }
+
+    fn kill(&mut self, ctx: &mut ActorContext<PctMessage>, name: &str, why: &str) {
+        let Some(member) = self.members.get_mut(name) else {
+            return;
+        };
+        if member.next.take().is_none() {
+            return;
+        }
+        ctx.kill_node(member.node);
+        self.out.killed.insert(name.to_string());
+        self.p.trace.push(ctx.now(), format!("kill {name} ({why})"));
+    }
+
+    /// Carries every message the scheduler queued for a live member to the
+    /// member's node.
+    fn ship(&mut self, ctx: &mut ActorContext<PctMessage>) {
+        for (name, member) in &mut self.members {
+            let Some(next) = member.next.as_mut() else {
+                continue;
+            };
+            while let Some(msg) = next() {
+                if let Some(task) = msg.task() {
+                    let line = format!("host -> {name} {} task {task}", msg.kind());
+                    self.p.trace.push(ctx.now(), line);
+                }
+                send_framed(ctx, member.actor, msg);
+            }
+        }
+    }
+
+    /// Arms the one turn timer at `deadline`, unless it already is.
+    fn arm(&mut self, ctx: &mut ActorContext<PctMessage>, deadline: Option<Instant>) {
+        let Some(deadline) = deadline else {
+            return;
+        };
+        let nanos = deadline.saturating_duration_since(self.p.epoch).as_nanos() as u64;
+        let at = SimTime::from_nanos(nanos);
+        if self.armed == Some(at) {
+            return;
+        }
+        if at <= ctx.now() {
+            self.anomaly(
+                ctx.now(),
+                format!("a turn answered {nanos} ns, not after now"),
+            );
+            return self.stop(ctx);
+        }
+        self.turn_generation += 1;
+        self.armed = Some(at);
+        ctx.set_timer(TURN_TIMER + self.turn_generation, at.since(ctx.now()));
+    }
+
+    /// Submits job `i` as its arrival timer fires.
+    fn submit(&mut self, now: SimTime, i: usize) {
+        self.arrivals_left -= 1;
+        let Some(service) = &self.service else {
+            return;
+        };
+        let plan = &self.p.scenario.jobs[i];
+        let job = &mut self.jobs[i];
+        let mut spec = JobSpec::builder(CubeSource::InMemory(Arc::clone(&job.cube)))
+            .config(self.p.scenario.config)
+            .pinned(plan.route)
+            .tenant(TenantId(plan.tenant))
+            .priority(plan.priority)
+            .shards(plan.shards);
+        if let Some(timeout) = plan.timeout {
+            spec = spec.timeout(std::time::Duration::from_nanos(timeout.as_nanos()));
+        }
+        let handle = match service.try_submit(spec.build().expect("scenario jobs are valid")) {
+            Ok(handle) => handle,
+            Err(refusal) => {
+                self.p
+                    .trace
+                    .push(now, format!("job {i} refused: {refusal}"));
+                job.facts.refused = Some(refusal);
+                return;
+            }
+        };
+        let id = handle.id();
+        self.p.trace.push(now, format!("job {i} submitted as {id}"));
+        job.facts.id = Some(id);
+        job.facts.submitted_at = Some(now);
+        self.out.queue.push((false, plan.tenant));
+        self.by_id.insert(id, i);
+        match plan.client {
+            Client::Detach => {
+                handle.detach();
+            }
+            Client::Cancel(Boundary::Queued) | Client::Drop(Boundary::Queued) => {
+                job.handle = Some(handle);
+                self.act(now, i);
+            }
+            _ => job.handle = Some(handle),
+        }
+    }
+
+    /// A cancelling client acts: cancels through its handle, or drops it
+    /// (cancel-on-drop).  Records whether the cancel landed on a live job.
+    fn act(&mut self, now: SimTime, i: usize) {
+        let job = &mut self.jobs[i];
+        let Some(handle) = job.handle.take().filter(|_| !job.acted) else {
+            return;
+        };
+        job.acted = true;
+        let how = if let Client::Cancel(_) = self.p.scenario.jobs[i].client {
+            job.facts.cancelled = handle.cancel();
+            job.handle = Some(handle);
+            "cancels"
+        } else {
+            job.facts.cancelled = !handle.is_terminal();
+            drop(handle);
+            "drops"
+        };
+        let line = format!("client of job {i} {how} its handle");
+        self.p.trace.push(now, line);
+    }
+
+    /// Reads every new service event: logs it, plays the clients it cues,
+    /// and records what the harness judges.  Returns whether a client
+    /// acted, which the scheduler must see at this same instant.
+    fn observe(&mut self) -> bool {
+        let mut acted = false;
+        while let Some(stamped) = self.p.events.try_next_stamped() {
+            let at = SimTime::from_nanos(stamped.at_nanos.unwrap_or_default());
+            let event = stamped.event;
+            self.out
+                .log
+                .push(format!("{:>15} {event:?}", at.as_nanos()));
+            let job = match &event {
+                ServiceEvent::Admitted { job, .. }
+                | ServiceEvent::Dispatched { job, .. }
+                | ServiceEvent::Terminal { job, .. } => *job,
+                // Only a dead mailbox confirms a loss: a retired member
+                // must have been killed.
+                ServiceEvent::WorkerLost { worker: retired }
+                | ServiceEvent::MemberRegenerated {
+                    failed: retired, ..
+                } => {
+                    if !self.out.killed.contains(retired) {
+                        let what = format!("{retired} was retired but never killed");
+                        self.out.anomalies.push(what);
+                    }
+                    if matches!(event, ServiceEvent::MemberRegenerated { .. }) {
+                        self.out.regenerated.insert(retired.clone());
+                    }
+                    continue;
+                }
+                _ => continue,
+            };
+            let Some(&i) = self.by_id.get(&job) else {
+                self.out
+                    .anomalies
+                    .push(format!("an event of job {job}, never accepted"));
+                continue;
+            };
+            let client = self.p.scenario.jobs[i].client;
+            let job = &mut self.jobs[i];
+            match event {
+                ServiceEvent::Admitted { tenant, .. } => {
+                    self.out.queue.push((true, tenant.0));
+                    job.facts.admitted_at = Some(at);
+                    let early = job
+                        .handle
+                        .as_mut()
+                        .map(|h| h.wait_timeout(std::time::Duration::ZERO));
+                    if !matches!(early, None | Some(Ok(None))) {
+                        let what =
+                            format!("job {i}'s outcome was takeable at admission: {early:?}");
+                        self.out.anomalies.push(what);
+                    }
+                }
+                ServiceEvent::Dispatched { kind, .. } => {
+                    if let Client::Cancel(Boundary::Dispatch(phase))
+                    | Client::Drop(Boundary::Dispatch(phase)) = client
+                    {
+                        if !job.acted && kind.starts_with(phase.name()) {
+                            self.act(at, i);
+                            acted = true;
+                        }
+                    }
+                }
+                ServiceEvent::Terminal { tenant, status, .. } => {
+                    // Popped off the queue without an admission: cancelled
+                    // while queued, or failed at shutdown.
+                    if job.facts.admitted_at.is_none() && job.facts.terminals.is_empty() {
+                        self.out.queue.push((true, tenant.0));
+                    }
+                    job.facts.terminals.push((at, status));
+                    let Some(handle) = job.handle.as_mut().filter(|_| job.facts.outcome.is_none())
+                    else {
+                        continue;
+                    };
+                    job.facts.taken_after_shutdown = self.shut;
+                    match handle.wait_timeout(std::time::Duration::ZERO) {
+                        Ok(Some(outcome)) => job.facts.outcome = Some(outcome),
+                        other => self.out.anomalies.push(format!(
+                            "job {i}'s terminal outcome is not takeable: {other:?}"
+                        )),
+                    }
+                }
+                _ => {}
+            }
+        }
+        acted
+    }
+
+    /// Whether admission closes now: every job has arrived, and either the
+    /// scenario's shutdown instant has come or every accepted job is
+    /// terminal.
+    fn may_shut_down(&self, now: SimTime) -> bool {
+        if self.shut || self.arrivals_left > 0 {
+            return false;
+        }
+        match self.p.scenario.shutdown_at {
+            Some(at) => now >= SimTime::ZERO + at,
+            None => self
+                .jobs
+                .iter()
+                .all(|job| job.facts.id.is_none() || !job.facts.terminals.is_empty()),
+        }
+    }
+
+    /// Closes admission (an attack due "at shutdown" lands first); running
+    /// jobs drain on the turns that follow.
+    fn shut_down(&mut self, now: SimTime) {
+        let attack = self
+            .p
+            .scenario
+            .attack
+            .as_ref()
+            .filter(|(_, at)| at.is_none());
+        if let (Some((member, _)), Some(service)) = (attack, &self.service) {
+            service.inject_attack(member);
+        }
+        self.p.trace.push(now, "shutdown: admission closes");
+        self.service = None;
+        self.shut = true;
+    }
+
+    /// Closes the books once the service has drained: what the pool's
+    /// teardown leaves in a mailbox must be its `Shutdown`.
+    fn finish(&mut self, ctx: &mut ActorContext<PctMessage>) {
+        let report = self.driver.take().expect("finishes once").finish();
+        self.bind(ctx);
+        self.observe();
+        self.out.leftovers = self
+            .members
+            .values_mut()
+            .filter_map(|member| member.next.as_mut())
+            .map(|next| {
+                std::iter::from_fn(next)
+                    .filter(|msg| !matches!(msg, PctMessage::Shutdown))
+                    .count()
+            })
+            .sum();
+        self.out.report = Some(report);
+        self.out.finished_at = Some(ctx.now());
+        self.p.trace.push(ctx.now(), "finished");
+        self.stop(ctx);
+    }
 }
 
-impl Actor<PctMessage> for ManagerActor {
+impl Actor<PctMessage> for HostActor {
     fn on_start(&mut self, ctx: &mut ActorContext<PctMessage>) {
-        self.job_span = self
-            .p
-            .telemetry
-            .span_start("job", None, Some(1), &self.p.scenario_name);
-        self.phase_span = self
-            .p
-            .telemetry
-            .span_start("screen", self.job_span, Some(1), "");
-        let now = ctx.now();
-        for hb in &mut self.last_hb {
-            *hb = now;
+        let sc = &self.p.scenario;
+        for (i, job) in sc.jobs.iter().enumerate() {
+            ctx.set_timer(i as u64, job.arrival);
         }
-        ctx.set_timer(SWEEP_TIMER, self.hb_period());
-        if self.p.attack_after_results == 0 {
-            self.fire_attack_if_due(ctx);
+        for (i, (at, _)) in sc.machine_kills.iter().enumerate() {
+            ctx.set_timer(CRASH_TIMER + i as u64, *at);
         }
-        self.try_dispatch(ctx);
+        if let Some(at) = sc.attack.as_ref().and_then(|(_, at)| *at) {
+            ctx.set_timer(ATTACK_TIMER, at);
+        }
+        if let Some(at) = sc.shutdown_at {
+            ctx.set_timer(SHUTDOWN_TIMER, at);
+        }
+        ctx.set_timer(HORIZON_TIMER, sc.makespan_bound);
+        self.pump(ctx);
     }
 
     fn on_timer(&mut self, ctx: &mut ActorContext<PctMessage>, tag: u64) {
-        if tag >= REGEN_TIMER_BASE {
-            let spare = (tag - REGEN_TIMER_BASE) as usize;
-            if let Some((span, started)) = self.regen_spans.remove(&spare) {
-                self.p.telemetry.span_end(span);
-                if self.declared_dead[spare] {
-                    self.p.trace.push(
-                        ctx.now(),
-                        format!("regeneration via m{spare} failed (spare died)"),
-                    );
-                } else {
-                    self.active.push(spare);
-                    self.p.output.borrow_mut().regenerations += 1;
-                    self.p.telemetry.observe(
-                        "sim_regeneration_seconds",
-                        &[],
-                        std::time::Duration::from_nanos(ctx.now().since(started).as_nanos()),
-                    );
-                    self.p
-                        .trace
-                        .push(ctx.now(), format!("m{spare} joined as replacement"));
-                    self.try_dispatch(ctx);
-                }
-            }
+        if self.driver.is_none() {
             return;
         }
-        // Detector sweep + retransmit pass.
         let now = ctx.now();
-        let threshold = self.silence_threshold();
-        let total = self.p.members + self.p.spares;
-        for member in 0..total {
-            if !self.declared_dead[member] && now.since(self.last_hb[member]) > threshold {
-                self.declare_dead(ctx, member);
+        match tag {
+            TURN_TIMER.. => {
+                if tag - TURN_TIMER != self.turn_generation {
+                    return;
+                }
+                self.armed = None;
             }
+            HORIZON_TIMER => {
+                self.anomaly(now, "the run did not finish within its bound".into());
+                return self.stop(ctx);
+            }
+            SHUTDOWN_TIMER => {}
+            ATTACK_TIMER => match (&self.service, &self.p.scenario.attack) {
+                (Some(service), Some((member, _))) => {
+                    service.inject_attack(member);
+                }
+                _ => self.p.trace.push(now, "attack after shutdown: skipped"),
+            },
+            CRASH_TIMER.. => {
+                let name = self.p.scenario.machine_kills[(tag - CRASH_TIMER) as usize]
+                    .1
+                    .clone();
+                if self.members.get(&name).is_some_and(|m| m.next.is_some()) {
+                    self.p.telemetry.note_kill(&name);
+                    self.kill(ctx, &name, "machine crash");
+                }
+            }
+            _ => self.submit(now, tag as usize),
         }
-        let base = self.retransmit_base();
-        let overdue: Vec<TaskId> = self
-            .outstanding
-            .iter()
-            .filter(|(_, o)| {
-                o.member.is_some()
-                    && now.since(o.sent_at)
-                        > base.saturating_mul(u64::from(backoff_factor(o.attempts)))
-            })
-            .map(|(t, _)| *t)
-            .collect();
-        for task in overdue {
-            let Some(member) = self.pick_member() else {
-                break;
-            };
-            let o = self.outstanding.remove(&task).expect("overdue task exists");
-            self.p.output.borrow_mut().retransmits += 1;
-            self.p.trace.push(
-                now,
-                format!("retransmit task {task} (attempt {})", o.attempts + 1),
-            );
-            self.send_task(ctx, task, o.msg, member, o.attempts + 1);
-        }
-        self.try_dispatch(ctx);
-        if self.plan.is_some() {
-            ctx.set_timer(SWEEP_TIMER, self.hb_period());
-        }
+        self.pump(ctx);
     }
 
     fn on_message(&mut self, ctx: &mut ActorContext<PctMessage>, from: ActorId, msg: PctMessage) {
-        if matches!(msg, PctMessage::Heartbeat) {
-            if let Some(m) = self.p.member_actors.iter().position(|&a| a == from) {
-                self.last_hb[m] = ctx.now();
-            }
+        if self.driver.is_none() {
             return;
         }
-        let (Some(task), Some(plan)) = (msg.task(), self.plan.as_mut()) else {
-            return;
-        };
-        let step = match plan.accept(msg) {
-            Err(error) => return self.fail(ctx, &format!("task {task} failed: {error}")),
-            // Late results from partitioned or falsely-declared members,
-            // and echoes of retransmits: the plan consumed the id already.
-            Ok(Step::Stale) => {
-                self.p.output.borrow_mut().duplicates += 1;
-                return;
+        if let Some(name) = self.names.get(&from) {
+            if let Some(task) = msg.task() {
+                let line = format!("{name} -> manager {} task {task}", msg.kind());
+                self.p.trace.push(ctx.now(), line);
             }
-            Ok(step) => step,
-        };
-        let screening = plan.phase() == Phase::Screen;
-        self.outstanding.remove(&task);
-        self.results_seen += 1;
-        self.fire_attack_if_due(ctx);
-        match step {
-            // The chain's next link is sent from here, not the sweep timer;
-            // a transform strip frees nothing the plan is waiting on.
-            Step::Continue if screening => self.try_dispatch(ctx),
-            Step::Continue | Step::Stale => {}
-            Step::Entered(phase) => {
-                self.roll_phase(ctx, Some(phase));
-                self.try_dispatch(ctx);
-            }
-            Step::Complete => {
-                let plan = self.plan.take().expect("the plan just accepted a result");
-                match plan.into_output() {
-                    Ok(output) => {
-                        self.p.output.borrow_mut().image = Some(output.image);
-                        self.roll_phase(ctx, None);
-                        self.p.telemetry.span_end(self.job_span.take());
-                        self.p.trace.push(ctx.now(), "job complete");
-                        ctx.halt();
-                    }
-                    Err(e) => self.fail(ctx, &format!("assembly failed: {e}")),
-                }
-            }
+            (self.members[name].post)(name, msg);
         }
+        self.pump(ctx);
     }
 }

@@ -1,43 +1,37 @@
-//! Deterministic cluster simulator: thousands of seeded fault scenarios
-//! per second on virtual time.
+//! Deterministic cluster simulator: the fusion service itself, proven over
+//! thousands of seeded scenarios on virtual time.
 //!
-//! The e2e chaos matrix proves the resilient pipeline survives a handful
-//! of kill schedules in wall-clock time.  This crate proves it for
-//! *families* of schedules: a seeded discrete-event [`SimHarness`] drives
-//! the real fusion protocol — real [`pct::messages::PctMessage`]s carrying
-//! real pixel data through [`pct::distributed::handle_task`] — as actors
-//! on the [`netsim`] cluster model, so every scenario's fused output can
-//! be compared byte-for-byte against [`pct::SequentialPct`] while the
-//! clock is purely virtual.
+//! The service's own [`service::FusionService`], admission governor and
+//! scheduler run here unchanged, built by [`service::FusionService::hosted`]
+//! instead of `start`: no thread, a clock the simulator owns.  A host actor
+//! on node 0 turns the scheduler after every delivery and timer; every pool
+//! member is a mailbox the host owns, delivered to a member actor on its own
+//! [`netsim`] node that computes with the real
+//! [`pct::distributed::handle_task`].  What the sweep proves is the product,
+//! not a model of it.
 //!
-//! The pieces:
+//! * [`SimClock`] — the virtual clock as a `telemetry::Clock`, so spans,
+//!   event stamps and detection latencies are exact virtual time.
+//! * [`Scenario`] — one seeded experiment: the pool, the jobs and what
+//!   their clients do, detector parameters and the fault schedule.
+//! * [`SimHarness`] — runs a scenario and judges it into a
+//!   [`ScenarioReport`].
+//! * [`Sweep`] — seeded enumeration over twelve families and a pass table.
 //!
-//! * [`SimClock`] — a `telemetry::Clock` bound to the simulator's virtual
-//!   clock, so spans, histograms and detection-latency measurements are
-//!   exact virtual time instead of jittery wall clock.
-//! * [`Scenario`] — one seeded experiment: topology (members + spares +
-//!   stragglers), workload shape, failure-detector parameters
-//!   ([`resilience::DetectorConfig`], a swept parameter rather than a
-//!   constant), and the composed fault schedule — [`netsim::FaultPlan`]
-//!   machine kills, [`service::ChaosPlan`] phase-anchored member kills
-//!   (including kills *during* regeneration), [`pct::resilient::AttackPlan`]
-//!   after-N-results kills and transit loss, plus message
-//!   delay/reorder/partition injectors over the link model.
-//! * [`SimHarness`] — builds the cluster, runs the scenario to completion
-//!   on virtual time, and returns a [`ScenarioReport`]: the fused image,
-//!   the virtual makespan, detection/regeneration counts and latencies,
-//!   a deterministic event trace, the telemetry span tree and the
-//!   histogram snapshot — an assertable record instead of printf
-//!   forensics.
-//! * [`Sweep`] — a property-style sweep runner ("any 2 kills at any phase
-//!   × any topology up to 8 nodes ⇒ byte-identical output, bounded
-//!   virtual makespan"): seeded scenario enumeration, per-cube reference
-//!   caching, and a pass table.
+//! **What a scenario must satisfy.**  Every admitted job has exactly one
+//! `Terminal` event; every completed output a client takes is
+//! byte-identical to `SequentialPct`; cancelled and timed-out jobs end that
+//! way (a timeout exactly at its deadline) and their slots come back; no
+//! backlogged tenant is dequeued more than one round past its
+//! deficit-round-robin share; no member is retired unless it was killed,
+//! and every attacked replica member is regenerated; each job's latency and
+//! the makespan stay under the scenario's bound; after the service finishes
+//! nothing is left — no running job, task in flight, orphan, open span or
+//! undelivered mailbox message.
 //!
-//! **Seed/replay contract.** Everything is a pure function of the
-//! scenario (and sweep) seed: the same seed reproduces the same event
-//! order — including ties, which pop in insertion-sequence order — the
-//! same trace byte-for-byte, and the same fused image.  A failing sweep
+//! **Seed/replay contract.** Everything is a pure function of the scenario
+//! (and sweep) seed: the same event order — ties pop in insertion order —
+//! the same event log, trace, service counters and images.  A failing sweep
 //! row is reproduced by constructing the sweep with the same seed and
 //! running the named scenario alone.
 
@@ -52,11 +46,9 @@ mod sweep;
 mod trace;
 
 pub use clock::SimClock;
-pub use harness::{ScenarioReport, SimFailure, SimHarness};
-pub use scenario::{
-    member_name, CubeSpec, LinkDelay, Partition, ReorderJitter, Scenario, Straggler,
-};
-pub use sweep::{Sweep, SweepReport, SweepRow};
+pub use harness::{JobInput, ScenarioReport, SimFailure, SimHarness};
+pub use scenario::{Boundary, Client, CubeSpec, JobPlan, Partition, Scenario};
+pub use sweep::{Sweep, SweepReport};
 pub use trace::{render_span_tree, TraceLog};
 
 /// A tiny deterministic RNG (splitmix64) used for scenario generation and

@@ -1,26 +1,18 @@
-//! The scenario DSL: one seeded experiment over the simulated cluster.
+//! The scenario DSL: one seeded experiment — a pool, a workload of jobs and
+//! what their clients do, and a fault schedule — over the simulated cluster.
+//!
+//! Members are addressed by the pool's own routing names: standard workers
+//! `svc0`, `svc1`, … and replica members `rg<g>#<m>`; a replacement the
+//! resilient lane regenerates takes the next incarnation of its group.
 
 use hsi::{CubeDims, HyperCube, SceneConfig, SceneGenerator};
-use netsim::{Duration, FaultPlan, NetworkModel};
-use pct::resilient::AttackPlan;
+use netsim::{Duration, NetworkModel};
 use pct::PctConfig;
 use resilience::DetectorConfig;
-use service::{ChaosPhase, ChaosPlan};
+use service::{BackendKind, ChaosPhase, ChaosPlan, PhaseKill, Priority};
 
-/// Routing name of simulated member `i` (`m0`, `m1`, …).  Used by
-/// [`ChaosPlan`] and [`AttackPlan`] entries inside a [`Scenario`].
-pub fn member_name(i: usize) -> String {
-    format!("m{i}")
-}
-
-/// Parses a [`member_name`] back to its index.
-pub(crate) fn member_index(name: &str) -> Option<usize> {
-    name.strip_prefix('m')?.parse().ok()
-}
-
-/// The synthetic cube a scenario fuses.  Kept tiny so thousands of
-/// scenarios run per second; the byte-identity oracle does not care about
-/// size.
+/// The synthetic cube a job fuses.  Kept tiny so thousands of scenarios run
+/// per second; the byte-identity oracle does not care about size.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CubeSpec {
     /// Cube width in pixels.
@@ -65,52 +57,81 @@ impl CubeSpec {
     }
 }
 
-/// A node-pair partition window: messages between the manager and
-/// `member` are dropped in both directions while `from <= now < until`.
-/// Heartbeats lost to a partition produce *false-positive* detections —
-/// the protocol must still converge to the byte-identical output.
+/// When a cancelling client acts, read off the event stream.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Boundary {
+    /// Right after the submission is accepted, while the job is queued.
+    Queued,
+    /// At the job's first `Dispatched` event of the phase.
+    Dispatch(ChaosPhase),
+}
+
+/// What a job's client does with its handle.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Client {
+    /// Keeps the handle and takes the outcome at the job's `Terminal`
+    /// event; at admission it checks the job is not yet takeable.
+    Wait,
+    /// Detaches the handle at submission: only the event stream sees the
+    /// outcome.
+    Detach,
+    /// Cancels through the handle at the boundary.
+    Cancel(Boundary),
+    /// Drops the handle at the boundary (cancel-on-drop).
+    Drop(Boundary),
+}
+
+/// One job of the workload.
+#[derive(Debug, Clone)]
+pub struct JobPlan {
+    /// Virtual instant of the submission (`try_submit`).
+    pub arrival: Duration,
+    /// The cube it fuses.
+    pub cube: CubeSpec,
+    /// The lane it is pinned to.
+    pub route: BackendKind,
+    /// Its tenant.
+    pub tenant: u64,
+    /// Its priority.
+    pub priority: Priority,
+    /// Shards of its screening chain and transform fan-out.
+    pub shards: usize,
+    /// Its deadline after admission, if any.
+    pub timeout: Option<Duration>,
+    /// What its client does.
+    pub client: Client,
+}
+
+impl JobPlan {
+    /// A waited job of the tiny cube, pinned to `route`, arriving at once.
+    pub fn new(route: BackendKind) -> Self {
+        Self {
+            arrival: Duration::ZERO,
+            cube: CubeSpec::tiny(1),
+            route,
+            tenant: 0,
+            priority: Priority::Normal,
+            shards: 3,
+            timeout: None,
+            client: Client::Wait,
+        }
+    }
+}
+
+/// A window in which messages between the host and a replica member are
+/// dropped in both directions (`from <= now < until`).  The member stays
+/// alive: its silence is probed, never taken for a death.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Partition {
-    /// The member cut off from the manager.
-    pub member: usize,
+    /// The replica member cut off.
+    pub member: String,
     /// Window start (virtual time since simulation start).
     pub from: Duration,
     /// Window end (exclusive).
     pub until: Duration,
 }
 
-/// A constant extra transit delay on every message to or from `member`.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct LinkDelay {
-    /// The member whose link is slow.
-    pub member: usize,
-    /// Extra one-way delay added on top of the modelled latency.
-    pub extra: Duration,
-}
-
-/// Deterministic reorder jitter: every inter-node send gets an extra
-/// delay drawn from `[0, max)` by a seeded splitmix64 stream, which
-/// genuinely reorders deliveries while staying a pure function of the
-/// scenario seed.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ReorderJitter {
-    /// Upper bound (exclusive) of the per-message jitter.
-    pub max: Duration,
-    /// Stream seed (folded with the scenario seed by the harness).
-    pub salt: u64,
-}
-
-/// A slow node: `member` computes at `speed` times the reference rate
-/// (0.25 = a 4× straggler).
-#[derive(Debug, Clone, PartialEq)]
-pub struct Straggler {
-    /// The slow member.
-    pub member: usize,
-    /// Relative CPU speed in `(0, 1]`.
-    pub speed: f64,
-}
-
-/// One seeded experiment: topology, workload, detector parameters and the
+/// One seeded experiment: pool, workload, detector parameters and the
 /// composed fault schedule.  Everything observable about a run is a pure
 /// function of this value.
 #[derive(Debug, Clone)]
@@ -119,195 +140,215 @@ pub struct Scenario {
     pub name: String,
     /// Scenario seed: folds into jitter streams and the trace header.
     pub seed: u64,
-    /// The cube to fuse.
-    pub cube: CubeSpec,
-    /// Pipeline configuration (screening angle, output components).
+    /// Pipeline configuration of every job.
     pub config: PctConfig,
-    /// Active worker members at start (`m0` … `m{members-1}`).
-    pub members: usize,
-    /// Spare members (`m{members}` …) held for regeneration.
+    /// The jobs, in arrival order.
+    pub jobs: Vec<JobPlan>,
+    /// Standard workers (`svc<i>`).
+    pub standard_workers: usize,
+    /// Replica groups (`rg<g>`).
+    pub replica_groups: usize,
+    /// Members per replica group.
+    pub replication_level: usize,
+    /// Spare nodes, one per replacement the resilient lane may start.
     pub spares: usize,
-    /// Sub-cubes in the seeded screening chain.
-    pub screen_tasks: usize,
-    /// Sub-cubes in the transform fan-out.
-    pub transform_tasks: usize,
-    /// Failure-detector parameters — the swept quantity: heartbeat period
-    /// and silence threshold, both on *virtual* time.
+    /// The admission queue's bound.
+    pub queue_capacity: usize,
+    /// Jobs running at once.
+    pub max_in_flight: usize,
+    /// `(tenant, fair-share weight)` of every tenant with a quota.
+    pub weights: Vec<(u64, u64)>,
+    /// Failure-detector parameters of both lanes, on *virtual* time; the
+    /// members heartbeat at its period.
     pub detector: DetectorConfig,
     /// The LAN model messages travel over, costed in real wire bytes.
     pub network: NetworkModel,
-    /// Machine kills at fixed virtual times.  `NodeId(i)` in this plan
-    /// addresses *member* `i`; the harness maps it onto the member's
-    /// cluster node.
-    pub machine_kills: FaultPlan,
-    /// Phase-anchored member kills (fired immediately before the first
-    /// task of the anchor phase is dispatched).  Member routing names use
-    /// [`member_name`]; the job id is ignored (the simulator runs one
-    /// job).
+    /// Phase-anchored kills, fired by the scheduler itself.
     pub chaos: ChaosPlan,
-    /// After-N-results kills and transit loss, with [`member_name`]
-    /// victims.
-    pub attack: AttackPlan,
-    /// Manager↔member partition windows.
-    pub partitions: Vec<Partition>,
-    /// Constant per-member link delays.
-    pub link_delays: Vec<LinkDelay>,
-    /// Seeded reorder jitter, if any.
-    pub reorder: Option<ReorderJitter>,
-    /// Slow nodes.
-    pub stragglers: Vec<Straggler>,
-    /// If set, the first member regeneration is itself attacked: the spare
-    /// being brought up is killed while its activation is in flight.
+    /// Machine crashes at fixed virtual times, by routing name: the node
+    /// dies and the mailbox with it, unknown to the service's injector.
+    pub machine_kills: Vec<(Duration, String)>,
+    /// An attack through the service's own injector on a member, at a
+    /// virtual instant or (`None`) at the shutdown instant, just before
+    /// admission closes.
+    pub attack: Option<(String, Option<Duration>)>,
+    /// If set, the first replacement is attacked as it is bound to its
+    /// spare node, while the tasks re-issued to it are in flight.
     pub kill_during_regeneration: bool,
-    /// Virtual makespan bound the run must finish under.
+    /// Host↔replica-member partition windows.
+    pub partitions: Vec<Partition>,
+    /// `(replica member, count)`: the next `count` tasks sent to the member
+    /// are lost in transit.
+    pub drops: Vec<(String, usize)>,
+    /// `(member, extra)`: a constant extra one-way delay on every message
+    /// to or from the member.
+    pub link_delays: Vec<(String, Duration)>,
+    /// `(max, salt)`: every inter-node send waits an extra `[0, max)` drawn
+    /// from a splitmix64 stream seeded with `seed ^ salt` — deliveries
+    /// genuinely reorder, and stay a pure function of the seed.
+    pub reorder: Option<(Duration, u64)>,
+    /// `(member, speed)`: a slow node computing at `speed` in `(0, 1]` of
+    /// the reference rate (0.25 is a 4× straggler).
+    pub stragglers: Vec<(String, f64)>,
+    /// When admission closes: at this instant (after the last arrival),
+    /// jobs still running drain; `None` closes it once every job is
+    /// terminal.
+    pub shutdown_at: Option<Duration>,
+    /// Virtual bound on every job's latency and on the makespan.
     pub makespan_bound: Duration,
-    /// Event budget safety valve.
-    pub max_events: u64,
 }
 
 impl Scenario {
-    /// A baseline scenario with no faults: 3 members, 1 spare, the tiny
-    /// cube, paper detector parameters scaled to virtual time.
+    /// A fault-free scenario: one standard worker, two level-2 replica
+    /// groups, two spares, one waited resilient job of the tiny cube.
     pub fn baseline(name: impl Into<String>, seed: u64) -> Self {
         Self {
             name: name.into(),
             seed,
-            cube: CubeSpec::tiny(1),
             config: PctConfig::paper(),
-            members: 3,
-            spares: 1,
-            screen_tasks: 3,
-            transform_tasks: 3,
+            jobs: vec![JobPlan::new(BackendKind::Resilient)],
+            standard_workers: 1,
+            replica_groups: 2,
+            replication_level: 2,
+            spares: 2,
+            queue_capacity: 8,
+            max_in_flight: 4,
+            weights: Vec::new(),
             detector: DetectorConfig {
                 heartbeat_period_ms: 20,
                 miss_threshold: 4,
             },
             network: NetworkModel::fast_ethernet_100baset(),
-            machine_kills: FaultPlan::none(),
             chaos: ChaosPlan::none(),
-            attack: AttackPlan::none(),
+            machine_kills: Vec::new(),
+            attack: None,
+            kill_during_regeneration: false,
             partitions: Vec::new(),
+            drops: Vec::new(),
             link_delays: Vec::new(),
             reorder: None,
             stragglers: Vec::new(),
-            kill_during_regeneration: false,
+            shutdown_at: None,
             makespan_bound: Duration::from_secs(30),
-            max_events: 2_000_000,
         }
     }
 
-    /// Adds a phase-anchored member kill (builder style).
-    pub fn with_chaos_kill(mut self, phase: ChaosPhase, member: usize) -> Self {
-        self.chaos.kills.push(service::PhaseKill {
+    /// Adds a kill of `member` at job 1's first dispatch of `phase`
+    /// (builder style).
+    pub fn with_chaos_kill(mut self, phase: ChaosPhase, member: &str) -> Self {
+        self.chaos.kills.push(PhaseKill {
             job: 1,
             phase,
-            member: member_name(member),
+            member: member.to_string(),
         });
         self
     }
 
-    /// Total members including spares.
-    pub fn total_members(&self) -> usize {
-        self.members + self.spares
+    /// Routing names of the pool's members at start, in node order:
+    /// standard workers, then each group's members.
+    pub fn members(&self) -> Vec<String> {
+        let standard = (0..self.standard_workers).map(|i| format!("svc{i}"));
+        let replicas = (0..self.replica_groups)
+            .flat_map(|g| (0..self.replication_level).map(move |m| format!("rg{g}#{m}")));
+        standard.chain(replicas).collect()
     }
 
-    /// Number of kills the schedule can inject (chaos + attack victims +
-    /// machine kills + the kill-during-regeneration rider).
-    pub fn scheduled_kills(&self) -> usize {
-        self.chaos.kills.len()
-            + self.attack.victims.len()
-            + self.machine_kills.len()
+    /// Kills the schedule can land on replica members, each of which the
+    /// resilient lane answers with a replacement on a spare node.
+    fn replica_kills(&self) -> usize {
+        let chaos = self.chaos.kills.iter().map(|k| &k.member);
+        let machine = self.machine_kills.iter().map(|(_, m)| m);
+        let attack = self.attack.iter().map(|(m, _)| m);
+        chaos
+            .chain(machine)
+            .chain(attack)
+            .filter(|m| m.contains('#'))
+            .count()
             + usize::from(self.kill_during_regeneration)
     }
 
-    /// A generous-but-finite virtual makespan bound derived from the
-    /// scenario's own disruption schedule: the fault-free run takes well
-    /// under a second of virtual time on the tiny cubes, and each
-    /// disruption can cost at most a few detection windows plus
-    /// retransmit backoff.
+    /// A finite virtual bound on each job's latency and on the makespan,
+    /// derived from the scenario's own schedule: a fault-free job takes
+    /// tens of virtual milliseconds and jobs behind a narrow admission queue
+    /// wait for each other; a kill costs a few detection windows, a lost
+    /// message the resilient lane's retransmit backoff (500 ms, then 1 s).
     pub fn derived_makespan_bound(&self) -> Duration {
-        let detect_window_ms = self
-            .detector
-            .heartbeat_period_ms
-            .saturating_mul(self.detector.miss_threshold as u64 + 1);
-        // Mirrors the manager's retransmit base: max(4 windows, 1 s).
-        let retransmit_ms = (detect_window_ms * 4).max(1_000);
-        let disruptions =
-            (self.scheduled_kills() + self.partitions.len() + self.attack.drop_sends.len() + 2)
-                as u64;
+        let window_ms = self.detector.failure_timeout_ms();
+        let kills = (self.chaos.kills.len()
+            + self.machine_kills.len()
+            + usize::from(self.attack.is_some())
+            + usize::from(self.kill_during_regeneration)) as u64;
+        let losses = (self.partitions.len() + self.drops.len()) as u64;
+        let jobs = self.jobs.len() as u64;
         let mut bound = Duration::from_millis(
-            2_000 + disruptions * (detect_window_ms * 12 + retransmit_ms * 4),
+            100 * jobs + 2 * window_ms + kills * (3 * window_ms + 100) + losses * 1_500,
         );
-        for p in &self.partitions {
-            bound = bound + p.until + p.until;
+        let instants = self.jobs.iter().map(|job| job.arrival);
+        let instants = instants
+            .chain(self.partitions.iter().map(|p| p.until))
+            .chain(self.machine_kills.iter().map(|(at, _)| *at));
+        let delays = self.link_delays.iter().map(|(_, extra)| *extra);
+        for at in instants {
+            bound += at;
         }
-        for (t, _) in self.machine_kills.failures() {
-            bound += t.since(netsim::SimTime::ZERO);
-        }
-        for d in &self.link_delays {
-            bound += d.extra.saturating_mul(64);
-        }
-        if let Some(j) = &self.reorder {
-            bound += j.max.saturating_mul(64);
+        for delay in delays.chain(self.reorder.map(|(max, _)| max)) {
+            bound += delay.saturating_mul(64);
         }
         let min_speed = self
             .stragglers
             .iter()
-            .map(|s| s.speed)
+            .map(|(_, speed)| *speed)
             .fold(1.0_f64, f64::min)
             .max(0.01);
         bound.mul_f64(1.0 / min_speed)
     }
 
-    /// Validates internal consistency: member references in range and at
-    /// least one member guaranteed to survive the schedule.
+    /// Validates internal consistency: every name is a member of the pool
+    /// (a replica member where only replica members lose messages), every
+    /// job's lane exists, every straggler's speed is in `(0, 1]`, and there
+    /// is a spare node for every replacement.
     pub fn validate(&self) -> Result<(), String> {
-        if self.members == 0 {
-            return Err("scenario needs at least one active member".into());
+        if self.jobs.is_empty() || self.replica_groups == 0 || self.replication_level == 0 {
+            return Err("a scenario needs a job and a resilient lane to fail over to".into());
         }
-        if self.scheduled_kills() >= self.total_members() {
+        if let Some(job) = self.jobs.iter().find(|job| match job.route {
+            BackendKind::Standard => self.standard_workers == 0,
+            route => route != BackendKind::Resilient,
+        }) {
             return Err(format!(
-                "schedule kills {} of {} members — nobody left to finish the job",
-                self.scheduled_kills(),
-                self.total_members()
+                "a job is pinned to the absent {} lane",
+                job.route.label()
             ));
         }
-        let check = |idx: usize, what: &str| {
-            if idx >= self.total_members() {
-                Err(format!("{what} references member {idx} out of range"))
-            } else {
-                Ok(())
+        let members = self.members();
+        let any = self.chaos.kills.iter().map(|k| &k.member);
+        let any = any
+            .chain(self.machine_kills.iter().map(|(_, m)| m))
+            .chain(self.attack.iter().map(|(m, _)| m))
+            .chain(self.link_delays.iter().map(|(m, _)| m))
+            .chain(self.stragglers.iter().map(|(m, _)| m));
+        let replica = self.partitions.iter().map(|p| &p.member);
+        let replica = replica.chain(self.drops.iter().map(|(m, _)| m));
+        for (member, replica_only) in any.map(|m| (m, false)).chain(replica.map(|m| (m, true))) {
+            if !members.contains(member) || (replica_only && !member.contains('#')) {
+                return Err(format!("{member:?} is not a member that can be named here"));
             }
-        };
-        for kill in &self.chaos.kills {
-            let idx = member_index(&kill.member)
-                .ok_or_else(|| format!("chaos kill member {:?} is not m<i>", kill.member))?;
-            check(idx, "chaos kill")?;
         }
-        for victim in &self.attack.victims {
-            let idx = member_index(victim)
-                .ok_or_else(|| format!("attack victim {victim:?} is not m<i>"))?;
-            check(idx, "attack victim")?;
+        if let Some((member, speed)) = self
+            .stragglers
+            .iter()
+            .find(|(_, s)| !(*s > 0.0 && *s <= 1.0))
+        {
+            return Err(format!(
+                "straggler {member} has speed {speed}, outside (0, 1]"
+            ));
         }
-        for (target, _) in &self.attack.drop_sends {
-            let idx = member_index(target)
-                .ok_or_else(|| format!("drop_sends target {target:?} is not m<i>"))?;
-            check(idx, "drop_sends")?;
-        }
-        for (_, node) in self.machine_kills.failures() {
-            check(node.0, "machine kill")?;
-        }
-        for p in &self.partitions {
-            check(p.member, "partition")?;
-        }
-        for d in &self.link_delays {
-            check(d.member, "link delay")?;
-        }
-        for s in &self.stragglers {
-            check(s.member, "straggler")?;
-            if !(s.speed > 0.0 && s.speed <= 1.0) {
-                return Err(format!("straggler speed {} outside (0, 1]", s.speed));
-            }
+        if self.replica_kills() > self.spares {
+            let kills = self.replica_kills();
+            return Err(format!(
+                "{kills} replica kills but {} spare nodes",
+                self.spares
+            ));
         }
         Ok(())
     }
@@ -316,13 +357,15 @@ impl Scenario {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use netsim::{NodeId, SimTime};
 
     #[test]
     fn member_names_round_trip() {
-        assert_eq!(member_name(3), "m3");
-        assert_eq!(member_index("m3"), Some(3));
-        assert_eq!(member_index("worker0#0"), None);
+        let sc = Scenario::baseline("names", 1);
+        assert_eq!(sc.members(), ["svc0", "rg0#0", "rg0#1", "rg1#0", "rg1#1"]);
+        for name in &sc.members()[1..] {
+            let member = resilience::MemberId::parse(name).expect("a replica member");
+            assert_eq!(&member.routing_name(), name);
+        }
     }
 
     #[test]
@@ -335,30 +378,36 @@ mod tests {
 
     #[test]
     fn validation_rejects_total_annihilation() {
-        let mut sc = Scenario::baseline("all-dead", 1);
-        sc.members = 2;
-        sc.spares = 0;
-        sc = sc
-            .with_chaos_kill(ChaosPhase::Screen, 0)
-            .with_chaos_kill(ChaosPhase::Transform, 1);
-        assert!(sc.validate().is_err());
-        let ok = Scenario::baseline("one-kill", 1).with_chaos_kill(ChaosPhase::Screen, 0);
+        // Every killed replica member needs a spare node to come back on.
+        let ok = Scenario::baseline("one-kill", 1).with_chaos_kill(ChaosPhase::Screen, "rg0#0");
         assert!(ok.validate().is_ok());
+        let mut spareless = ok.with_chaos_kill(ChaosPhase::Transform, "rg1#1");
+        spareless.spares = 1;
+        assert!(spareless.validate().is_err());
     }
 
     #[test]
     fn validation_rejects_out_of_range_references() {
-        let mut sc = Scenario::baseline("bad", 1);
-        sc.machine_kills = FaultPlan::kill_at(NodeId(99), SimTime::from_secs_f64(0.1));
-        assert!(sc.validate().is_err());
+        let ghost = Scenario::baseline("ghost", 1).with_chaos_kill(ChaosPhase::Screen, "m3");
+        assert!(ghost.validate().is_err());
+        let mut partitioned = Scenario::baseline("svc-partition", 1);
+        partitioned.partitions.push(Partition {
+            member: "svc0".into(),
+            from: Duration::ZERO,
+            until: Duration::from_millis(10),
+        });
+        assert!(
+            partitioned.validate().is_err(),
+            "standard lanes have no retransmit"
+        );
     }
 
     #[test]
     fn derived_bound_grows_with_disruptions() {
         let calm = Scenario::baseline("calm", 1);
         let stormy = Scenario::baseline("stormy", 1)
-            .with_chaos_kill(ChaosPhase::Screen, 0)
-            .with_chaos_kill(ChaosPhase::Transform, 1);
+            .with_chaos_kill(ChaosPhase::Screen, "rg0#0")
+            .with_chaos_kill(ChaosPhase::Transform, "rg1#1");
         assert!(stormy.derived_makespan_bound() > calm.derived_makespan_bound());
     }
 }

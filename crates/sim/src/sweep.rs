@@ -1,27 +1,21 @@
-//! The property-style sweep runner: seeded enumeration of fault scenarios
-//! and the pass/fail evidence table.
+//! The property-style sweep runner: seeded enumeration of scenarios over
+//! the service — fault families, arrival bursts, cancellations, timeouts,
+//! lane drains, kills at shutdown — and the pass/fail evidence table.
 
-use crate::harness::{ScenarioReport, SimFailure, SimHarness};
-use crate::scenario::{
-    member_name, CubeSpec, LinkDelay, Partition, ReorderJitter, Scenario, Straggler,
-};
+use crate::harness::{JobInput, ScenarioReport, SimFailure, SimHarness};
+use crate::scenario::{Boundary, Client, CubeSpec, JobPlan, Partition, Scenario};
 use crate::SplitMix64;
-use hsi::HyperCube;
-use netsim::{Duration, FaultPlan, NodeId, SimTime};
+use netsim::Duration;
 use pct::SequentialPct;
-use service::ChaosPhase;
+use service::{BackendKind, ChaosPhase, JobStatus, Priority};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::Arc;
 
-/// Cube cache keyed by [`crate::CubeSpec::key`]: the generated cube plus
-/// the raw bytes of its sequential reference image.
-type CubeCache = BTreeMap<(usize, usize, usize, u64), (Arc<HyperCube>, Vec<u8>)>;
-
 /// The scenario families a sweep cycles through, in order, so any sweep of
 /// at least this many scenarios covers every family (and every
 /// [`ChaosPhase`]).
-const KINDS: [&str; 7] = [
+const KINDS: [&str; 12] = [
     "screen-kill",
     "derive-kill",
     "transform-kill",
@@ -29,6 +23,11 @@ const KINDS: [&str; 7] = [
     "regen-kill",
     "machine-kill",
     "mischief",
+    "burst",
+    "cancel",
+    "timeout",
+    "drain",
+    "shutdown-kill",
 ];
 
 const PHASES: [ChaosPhase; 3] = [
@@ -37,46 +36,12 @@ const PHASES: [ChaosPhase; 3] = [
     ChaosPhase::Transform,
 ];
 
-/// One row of sweep evidence.
-#[derive(Debug, Clone)]
-pub struct SweepRow {
-    /// Scenario name (`s0042-double-kill-m3s1`).
-    pub name: String,
-    /// Scenario seed (derived from the sweep seed).
-    pub seed: u64,
-    /// Scenario family.
-    pub kind: String,
-    /// Byte-identity AND makespan bound held.
-    pub passed: bool,
-    /// Fused image identical to the sequential reference.
-    pub byte_identical: bool,
-    /// Virtual makespan under the scenario's bound.
-    pub within_bound: bool,
-    /// Virtual makespan.
-    pub makespan: Duration,
-    /// The scenario's bound.
-    pub bound: Duration,
-    /// Kills injected.
-    pub kills: u32,
-    /// True-positive detections.
-    pub detections: u32,
-    /// False-positive detections.
-    pub false_positives: u32,
-    /// Completed regenerations.
-    pub regenerations: u32,
-    /// Retransmissions.
-    pub retransmits: u32,
-    /// Duplicate results discarded.
-    pub duplicates: u32,
-    /// Detection latencies in virtual nanoseconds.
-    pub detection_latency_ns: Vec<u64>,
-}
-
 /// The outcome of a full sweep.
 #[derive(Debug, Clone)]
 pub struct SweepReport {
-    /// One row per scenario, in sweep order.
-    pub rows: Vec<SweepRow>,
+    /// Every scenario's report, in sweep order, without its logs and
+    /// renderings (a thousand of those would be megabytes).
+    pub rows: Vec<ScenarioReport>,
     /// Full report of the scenario with the worst virtual makespan.
     pub worst: Option<ScenarioReport>,
 }
@@ -84,7 +49,7 @@ pub struct SweepReport {
 impl SweepReport {
     /// Number of passing rows.
     pub fn passed(&self) -> usize {
-        self.rows.iter().filter(|r| r.passed).count()
+        self.rows.iter().filter(|r| r.passed()).count()
     }
 
     /// Whether every row passed.
@@ -92,12 +57,14 @@ impl SweepReport {
         self.passed() == self.rows.len()
     }
 
-    /// The worst virtual makespan across the sweep.
-    pub fn worst_makespan(&self) -> Duration {
-        self.rows
-            .iter()
-            .map(|r| r.makespan)
-            .fold(Duration::ZERO, |a, b| if b > a { b } else { a })
+    /// The rows of one scenario family (`"burst"`, `"cancel"`, …).
+    pub fn family<'a>(&'a self, kind: &'a str) -> impl Iterator<Item = &'a ScenarioReport> {
+        self.rows.iter().filter(move |r| kind_of(&r.name) == kind)
+    }
+
+    /// Jobs across the sweep that ended with `status`.
+    pub fn terminal_count(&self, status: JobStatus) -> usize {
+        self.rows.iter().map(|r| r.terminal_count(status)).sum()
     }
 
     /// All detection latencies across the sweep, sorted ascending.
@@ -124,56 +91,50 @@ impl SweepReport {
 
     /// A per-family pass table.
     pub fn pass_table(&self) -> String {
-        let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "{:<16} {:>5} {:>5} {:>6} {:>6} {:>9} {:>9} {:>11} {:>17}",
+        let mut out = format!(
+            "{:<15}{:>5}{:>5}{:>6}{:>8}{:>7}{:>6}{:>5}{:>7}{:>4}{:>8}{:>18}\n",
             "kind",
             "runs",
             "pass",
-            "ident",
-            "bound",
             "kills",
             "detects",
             "regens",
+            "done",
+            "fail",
+            "cancel",
+            "t/o",
+            "refused",
             "worst_ms(virtual)"
         );
-        for kind in KINDS {
-            let rows: Vec<&SweepRow> = self.rows.iter().filter(|r| r.kind == kind).collect();
-            if rows.is_empty() {
-                continue;
-            }
+        for kind in KINDS.into_iter().chain(["TOTAL"]) {
+            let rows: Vec<&ScenarioReport> = match kind {
+                "TOTAL" => self.rows.iter().collect(),
+                _ => self.family(kind).collect(),
+            };
+            let sum =
+                |f: &dyn Fn(&ScenarioReport) -> usize| rows.iter().map(|r| f(r)).sum::<usize>();
+            let count = |status| sum(&|r| r.terminal_count(status));
             let worst = rows
                 .iter()
-                .map(|r| r.makespan)
-                .fold(Duration::ZERO, |a, b| if b > a { b } else { a });
+                .map(|r| r.makespan.as_secs_f64())
+                .fold(0.0, f64::max);
             let _ = writeln!(
                 out,
-                "{:<16} {:>5} {:>5} {:>6} {:>6} {:>9} {:>9} {:>11} {:>17.1}",
+                "{:<15}{:>5}{:>5}{:>6}{:>8}{:>7}{:>6}{:>5}{:>7}{:>4}{:>8}{:>18.1}",
                 kind,
                 rows.len(),
-                rows.iter().filter(|r| r.passed).count(),
-                rows.iter().filter(|r| r.byte_identical).count(),
-                rows.iter().filter(|r| r.within_bound).count(),
-                rows.iter().map(|r| r.kills).sum::<u32>(),
-                rows.iter().map(|r| r.detections).sum::<u32>(),
-                rows.iter().map(|r| r.regenerations).sum::<u32>(),
-                worst.as_secs_f64() * 1e3,
+                sum(&|r| usize::from(r.passed())),
+                sum(&|r| r.kills as usize),
+                sum(&|r| r.detections as usize),
+                sum(&|r| r.service.regenerations),
+                count(JobStatus::Completed),
+                count(JobStatus::Failed),
+                count(JobStatus::Cancelled),
+                count(JobStatus::TimedOut),
+                sum(&|r| r.refused()),
+                worst * 1e3,
             );
         }
-        let _ = writeln!(
-            out,
-            "{:<16} {:>5} {:>5} {:>6} {:>6} {:>9} {:>9} {:>11} {:>17.1}",
-            "TOTAL",
-            self.rows.len(),
-            self.passed(),
-            self.rows.iter().filter(|r| r.byte_identical).count(),
-            self.rows.iter().filter(|r| r.within_bound).count(),
-            self.rows.iter().map(|r| r.kills).sum::<u32>(),
-            self.rows.iter().map(|r| r.detections).sum::<u32>(),
-            self.rows.iter().map(|r| r.regenerations).sum::<u32>(),
-            self.worst_makespan().as_secs_f64() * 1e3,
-        );
         out
     }
 }
@@ -184,6 +145,10 @@ impl SweepReport {
 /// seed, so "reproduce row `s0042-…`" is: construct the same sweep,
 /// [`Sweep::scenarios`], pick index 42, run it alone under a
 /// [`SimHarness`].
+///
+/// Out of scope: a standard worker on a lost link.  The worker lanes have
+/// no retransmit, so partitions and transit drops target replica members
+/// only; a standard worker's messages are lost only with its node.
 #[derive(Debug, Clone)]
 pub struct Sweep {
     seed: u64,
@@ -196,184 +161,249 @@ impl Sweep {
         Self { seed, count }
     }
 
-    /// The sweep seed.
-    pub fn seed(&self) -> u64 {
-        self.seed
-    }
-
-    /// Number of scenarios.
-    pub fn count(&self) -> usize {
-        self.count
-    }
-
     /// Enumerates the sweep's scenarios deterministically.
     pub fn scenarios(&self) -> Vec<Scenario> {
         let mut rng = SplitMix64::new(self.seed);
         (0..self.count).map(|i| generate(&mut rng, i)).collect()
     }
 
-    /// Runs every scenario against its cached sequential reference.
-    /// Returns `Err` if any scenario fails to *converge* (protocol stall /
-    /// event-budget exhaustion); scenarios that converge to a wrong image
-    /// or blow their makespan bound are reported as failing rows instead.
+    /// Runs every scenario against its cached sequential references.
+    /// Returns `Err` only for a scenario that cannot be built or simulated;
+    /// a broken invariant is a failing row.
     pub fn run(&self) -> Result<SweepReport, SimFailure> {
-        let mut cache: CubeCache = BTreeMap::new();
+        let mut cache: BTreeMap<(usize, usize, usize, u64), JobInput> = BTreeMap::new();
         let mut rows = Vec::with_capacity(self.count);
         let mut worst: Option<ScenarioReport> = None;
         for sc in self.scenarios() {
-            let (cube, reference) = cache.entry(sc.cube.key()).or_insert_with(|| {
-                let cube = Arc::new(sc.cube.generate());
-                let reference = SequentialPct::new(sc.config)
-                    .run(&cube)
-                    .expect("sequential reference on a valid cube")
-                    .image
-                    .raw()
-                    .to_vec();
-                (cube, reference)
-            });
-            let report = SimHarness::new(sc.clone()).run_on(Arc::clone(cube))?;
-            let byte_identical = report.image.raw() == &reference[..];
-            rows.push(SweepRow {
-                name: sc.name.clone(),
-                seed: sc.seed,
-                kind: kind_of(&sc.name),
-                passed: byte_identical && report.within_bound,
-                byte_identical,
-                within_bound: report.within_bound,
-                makespan: report.makespan,
-                bound: report.makespan_bound,
-                kills: report.kills_injected,
-                detections: report.detections,
-                false_positives: report.false_positives,
-                regenerations: report.regenerations,
-                retransmits: report.retransmits,
-                duplicates: report.duplicates,
-                detection_latency_ns: report.detection_latency_ns.clone(),
-            });
+            let inputs: Vec<JobInput> = sc
+                .jobs
+                .iter()
+                .map(|job| {
+                    let (cube, reference) = cache.entry(job.cube.key()).or_insert_with(|| {
+                        let cube = Arc::new(job.cube.generate());
+                        let reference = SequentialPct::new(sc.config)
+                            .run(&cube)
+                            .expect("sequential reference on a valid cube");
+                        (cube, Arc::new(reference))
+                    });
+                    (Arc::clone(cube), Arc::clone(reference))
+                })
+                .collect();
+            let report = SimHarness::new(sc).run_on(&inputs)?;
             if worst.as_ref().is_none_or(|w| report.makespan > w.makespan) {
-                worst = Some(report);
+                worst = Some(report.clone());
             }
+            rows.push(ScenarioReport {
+                event_log: String::new(),
+                trace: String::new(),
+                span_tree: String::new(),
+                metrics_snapshot: String::new(),
+                ..report
+            });
         }
         Ok(SweepReport { rows, worst })
     }
 }
 
-fn kind_of(name: &str) -> String {
+/// The family of a scenario, read off its name (`s0042-burst-1s2x2`).
+fn kind_of(name: &str) -> &'static str {
     KINDS
-        .iter()
-        .find(|k| name.contains(*k))
-        .map(|k| k.to_string())
-        .unwrap_or_else(|| "other".to_string())
+        .into_iter()
+        .find(|k| name.contains(&format!("-{k}-")))
+        .unwrap_or("")
 }
 
-/// Generates scenario `index` of a sweep.  Topology stays within the
-/// contract's 8-node ceiling (1 manager + members + spares ≤ 8).
+fn pick(rng: &mut SplitMix64, names: &[String]) -> String {
+    names[rng.range(0, names.len() - 1)].clone()
+}
+
+fn millis(rng: &mut SplitMix64, lo: u64, span: u64) -> Duration {
+    Duration::from_millis(lo + rng.below(span))
+}
+
+/// Generates scenario `index` of a sweep.
 fn generate(rng: &mut SplitMix64, index: usize) -> Scenario {
     let kind = KINDS[index % KINDS.len()];
-    let members = rng.range(2, 5);
-    let spares = rng.range(1, 2);
-    let dims_palette = [(12, 10, 4), (10, 12, 4), (14, 8, 3), (8, 14, 5)];
-    let (width, height, bands) = dims_palette[rng.range(0, dims_palette.len() - 1)];
-    let cube = CubeSpec {
-        width,
-        height,
-        bands,
-        seed: 1 + rng.below(2),
+    let mut sc = Scenario::baseline(String::new(), rng.next_u64());
+    sc.standard_workers = if kind == "drain" {
+        rng.range(1, 3)
+    } else {
+        rng.range(0, 3)
     };
-    let periods = [5u64, 10, 20, 50];
-    let misses = [2u32, 3, 4, 8];
-    let mut sc = Scenario::baseline(String::new(), 0);
-    sc.seed = rng.next_u64();
-    sc.cube = cube;
-    sc.members = members;
-    sc.spares = spares;
-    sc.screen_tasks = rng.range(2, 4);
-    sc.transform_tasks = rng.range(2, 5);
-    sc.detector.heartbeat_period_ms = periods[rng.range(0, periods.len() - 1)];
-    sc.detector.miss_threshold = misses[rng.range(0, misses.len() - 1)];
+    sc.replica_groups = rng.range(1, 3);
+    sc.replication_level = rng.range(1, 2);
+    sc.detector.heartbeat_period_ms = [5u64, 10, 20, 50][rng.range(0, 3)];
+    sc.detector.miss_threshold = [2u32, 3, 4, 8][rng.range(0, 3)];
+    let members = sc.members();
+    let replicas: Vec<String> = members
+        .iter()
+        .filter(|m| m.contains('#'))
+        .cloned()
+        .collect();
+    let dims_palette = [(12, 10, 4), (10, 12, 4), (14, 8, 3), (8, 14, 5)];
+    let lanes = sc.standard_workers;
+    let job = |rng: &mut SplitMix64| {
+        let (width, height, bands) = dims_palette[rng.range(0, dims_palette.len() - 1)];
+        let route = if lanes > 0 && rng.chance(1, 2) {
+            BackendKind::Standard
+        } else {
+            BackendKind::Resilient
+        };
+        JobPlan {
+            cube: CubeSpec {
+                width,
+                height,
+                bands,
+                seed: 1 + rng.below(2),
+            },
+            shards: rng.range(2, 4),
+            ..JobPlan::new(route)
+        }
+    };
+    let jobs = if kind == "burst" {
+        rng.range(2, 6)
+    } else {
+        rng.range(1, 2)
+    };
+    sc.jobs = (0..jobs).map(|_| job(rng)).collect();
+    for (i, plan) in sc.jobs.iter_mut().enumerate() {
+        plan.arrival = millis(rng, 0, 40) + Duration::from_nanos(i as u64);
+    }
+    sc.jobs.sort_by_key(|plan| plan.arrival);
 
     match kind {
-        "screen-kill" => {
-            sc = sc.with_chaos_kill(ChaosPhase::Screen, rng.range(0, members - 1));
-        }
-        "derive-kill" => {
-            sc = sc.with_chaos_kill(ChaosPhase::Derive, rng.range(0, members - 1));
-        }
-        "transform-kill" => {
-            sc = sc.with_chaos_kill(ChaosPhase::Transform, rng.range(0, members - 1));
+        "screen-kill" | "derive-kill" | "transform-kill" => {
+            // The first three families, in phase order.
+            let phase = PHASES[index % KINDS.len()];
+            sc = sc.with_chaos_kill(phase, &pick(rng, &members));
         }
         "double-kill" => {
-            let first = rng.range(0, members - 1);
-            let second = (first + 1 + rng.range(0, members - 2)) % members;
-            sc = sc
-                .with_chaos_kill(PHASES[rng.range(0, 2)], first)
-                .with_chaos_kill(PHASES[rng.range(0, 2)], second);
+            let first = rng.range(0, members.len() - 1);
+            let second =
+                (first + 1 + rng.range(0, members.len().saturating_sub(2))) % members.len();
+            for victim in [first, second] {
+                sc = sc.with_chaos_kill(PHASES[rng.range(0, 2)], &members[victim]);
+            }
         }
         "regen-kill" => {
-            sc = sc.with_chaos_kill(PHASES[rng.range(0, 2)], rng.range(0, members - 1));
+            sc = sc.with_chaos_kill(PHASES[rng.range(0, 2)], &pick(rng, &replicas));
             sc.kill_during_regeneration = true;
         }
         "machine-kill" => {
-            let at = SimTime::from_nanos(Duration::from_millis(20 + rng.below(100)).as_nanos());
-            sc.machine_kills = FaultPlan::kill_at(NodeId(rng.range(0, members - 1)), at);
+            sc.machine_kills
+                .push((millis(rng, 5, 60), pick(rng, &members)));
             if rng.chance(1, 2) {
-                let from = Duration::from_millis(10 + rng.below(30));
+                let from = millis(rng, 5, 30);
                 sc.partitions.push(Partition {
-                    member: rng.range(0, members - 1),
+                    member: pick(rng, &replicas),
                     from,
-                    until: from + Duration::from_millis(30 + rng.below(50)),
+                    until: from + millis(rng, 20, 60),
                 });
             }
         }
-        _ => {
-            // "mischief": no kills — partitions, transit loss, jitter,
-            // slow links and stragglers must all converge byte-identically.
-            let from = Duration::from_millis(5 + rng.below(30));
+        "mischief" => {
+            // No kills: partitions, transit loss, jitter, slow links and
+            // stragglers must all converge byte-identically.
+            let from = millis(rng, 0, 30);
             sc.partitions.push(Partition {
-                member: rng.range(0, members - 1),
+                member: pick(rng, &replicas),
                 from,
-                until: from + Duration::from_millis(30 + rng.below(60)),
+                until: from + millis(rng, 20, 60),
             });
-            sc.attack
-                .drop_sends
-                .push((member_name(rng.range(0, members - 1)), 1 + rng.range(0, 1)));
-            sc.reorder = Some(ReorderJitter {
-                max: Duration::from_micros(200 + rng.below(1_800)),
-                salt: rng.next_u64(),
-            });
-            sc.link_delays.push(LinkDelay {
-                member: rng.range(0, members - 1),
-                extra: Duration::from_micros(50 + rng.below(450)),
-            });
-            sc.stragglers.push(Straggler {
-                member: rng.range(0, members - 1),
-                speed: [0.5, 0.25][rng.range(0, 1)],
-            });
+            sc.drops.push((pick(rng, &replicas), rng.range(1, 2)));
+            sc.reorder = Some((
+                Duration::from_micros(200 + rng.below(1_800)),
+                rng.next_u64(),
+            ));
+            sc.link_delays.push((
+                pick(rng, &members),
+                Duration::from_micros(50 + rng.below(450)),
+            ));
+            sc.stragglers
+                .push((pick(rng, &members), [0.5, 0.25][rng.range(0, 1)]));
+        }
+        "burst" => {
+            // More arrivals than the queue and the in-flight cap hold, from
+            // one or two weighted tenants over three priorities.
+            sc.queue_capacity = rng.range(1, 2);
+            sc.max_in_flight = rng.range(1, 2);
+            let tenants = rng.range(1, 2) as u64;
+            sc.weights = (0..tenants).map(|t| (t, 1 + rng.below(4))).collect();
+            for plan in &mut sc.jobs {
+                plan.tenant = rng.below(tenants);
+                plan.priority = Priority::ALL[rng.range(0, 2)];
+            }
+            if rng.chance(1, 2) {
+                sc = sc.with_chaos_kill(PHASES[rng.range(0, 2)], &pick(rng, &members));
+            }
+        }
+        "cancel" => {
+            let boundary = match rng.range(0, 3) {
+                0 => Boundary::Queued,
+                b => Boundary::Dispatch(PHASES[b - 1]),
+            };
+            let victim = rng.range(0, sc.jobs.len() - 1);
+            sc.jobs[victim].client = if rng.chance(1, 2) {
+                Client::Cancel(boundary)
+            } else {
+                Client::Drop(boundary)
+            };
+            if let Some(other) = sc.jobs.iter_mut().find(|plan| plan.client == Client::Wait) {
+                if rng.chance(1, 2) {
+                    other.client = Client::Detach;
+                }
+            }
+        }
+        "timeout" => {
+            let victim = rng.range(0, sc.jobs.len() - 1);
+            sc.jobs[victim].timeout = Some(millis(rng, 1, 40));
+        }
+        "drain" => {
+            // Every standard worker dies at job 1's first screening
+            // dispatch: its running standard jobs fail over.
+            for plan in &mut sc.jobs {
+                plan.route = BackendKind::Standard;
+            }
+            for w in 0..sc.standard_workers {
+                sc = sc.with_chaos_kill(ChaosPhase::Screen, &format!("svc{w}"));
+            }
+        }
+        _ => {
+            // "shutdown-kill": an attack at a seeded instant up to and
+            // including shutdown, which may itself come while jobs run.
+            let at = rng.chance(1, 2).then(|| millis(rng, 0, 80));
+            sc.attack = Some((pick(rng, &replicas), at));
+            if rng.chance(1, 2) {
+                let last = sc.jobs.last().map_or(Duration::ZERO, |plan| plan.arrival);
+                sc.shutdown_at = Some(last + millis(rng, 0, 60));
+            }
         }
     }
-    // Independent riders on the kill families: slow nodes and jittery
-    // links compose with every kill schedule.
+    // Independent riders on every family but mischief: slow nodes and
+    // jittery links compose with every schedule.
     if kind != "mischief" {
         if rng.chance(1, 4) {
-            sc.stragglers.push(Straggler {
-                member: rng.range(0, members - 1),
-                speed: [0.5, 0.25][rng.range(0, 1)],
-            });
+            sc.stragglers
+                .push((pick(rng, &members), [0.5, 0.25][rng.range(0, 1)]));
         }
         if rng.chance(1, 4) {
-            sc.reorder = Some(ReorderJitter {
-                max: Duration::from_micros(100 + rng.below(900)),
-                salt: rng.next_u64(),
-            });
+            sc.reorder = Some((Duration::from_micros(100 + rng.below(900)), rng.next_u64()));
         }
         if rng.chance(1, 4) {
-            sc.link_delays.push(LinkDelay {
-                member: rng.range(0, members - 1),
-                extra: Duration::from_micros(50 + rng.below(250)),
-            });
+            sc.link_delays.push((
+                pick(rng, &members),
+                Duration::from_micros(50 + rng.below(250)),
+            ));
         }
     }
-    sc.name = format!("s{index:04}-{kind}-m{members}s{spares}");
+    sc.spares = sc.chaos.kills.len()
+        + sc.machine_kills.len()
+        + usize::from(sc.attack.is_some())
+        + usize::from(sc.kill_during_regeneration);
+    sc.name = format!(
+        "s{index:04}-{kind}-{}s{}x{}",
+        sc.standard_workers, sc.replica_groups, sc.replication_level
+    );
     sc.makespan_bound = sc.derived_makespan_bound();
     sc
 }
@@ -384,16 +414,16 @@ mod tests {
 
     #[test]
     fn sweep_enumeration_is_deterministic_and_covers_every_kind() {
-        let a = Sweep::new(99, 21).scenarios();
-        let b = Sweep::new(99, 21).scenarios();
-        assert_eq!(a.len(), 21);
+        let a = Sweep::new(99, 36).scenarios();
+        let b = Sweep::new(99, 36).scenarios();
+        assert_eq!(a.len(), 36);
         for (x, y) in a.iter().zip(&b) {
             assert_eq!(x.name, y.name);
             assert_eq!(x.seed, y.seed);
         }
         for kind in KINDS {
             assert!(
-                a.iter().any(|s| s.name.contains(kind)),
+                a.iter().any(|s| kind_of(&s.name) == kind),
                 "kind {kind} missing"
             );
         }
@@ -404,11 +434,10 @@ mod tests {
 
     #[test]
     fn small_sweep_passes_end_to_end() {
-        let report = Sweep::new(7, 14).run().expect("sweep converges");
+        let report = Sweep::new(7, 24).run().expect("sweep runs");
         assert!(report.all_passed(), "\n{}", report.pass_table());
         assert!(report.rows.iter().any(|r| r.detections > 0));
-        let table = report.pass_table();
-        assert!(table.contains("TOTAL"));
+        assert!(report.pass_table().contains("TOTAL"));
         assert!(report.worst.is_some());
     }
 }

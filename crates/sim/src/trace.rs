@@ -30,16 +30,6 @@ impl TraceLog {
             .push(format!("{:>15} {}", now.as_nanos(), line.as_ref()));
     }
 
-    /// Number of recorded lines.
-    pub fn len(&self) -> usize {
-        self.lines.borrow().len()
-    }
-
-    /// Whether the log is empty.
-    pub fn is_empty(&self) -> bool {
-        self.lines.borrow().is_empty()
-    }
-
     /// Renders the log as one newline-joined string.
     pub fn render(&self) -> String {
         self.lines.borrow().join("\n")
@@ -90,8 +80,6 @@ mod tests {
         assert_eq!(lines.len(), 2);
         assert!(lines[0].ends_with("first"));
         assert!(lines[1].ends_with("second"));
-        assert_eq!(log.len(), 2);
-        assert!(!log.is_empty());
     }
 
     #[test]

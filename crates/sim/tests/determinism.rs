@@ -1,8 +1,9 @@
 //! Seeded-determinism property suite for the cluster simulator.
 //!
 //! * **replay** — the same scenario (same seed) produces a byte-identical
-//!   replay blob: fused image, virtual makespan, event counts, trace,
-//!   span tree and metrics snapshot all reproduce exactly;
+//!   replay blob: job statuses and output digests, virtual makespan, event
+//!   counts, the service's event log and report counters, trace, span tree
+//!   and metrics snapshot all reproduce exactly;
 //! * **tie order** — simulator events scheduled for the same virtual
 //!   instant pop in insertion-sequence order, for both messages and
 //!   timers (the `(SimTime, sequence)` heap key);
@@ -23,25 +24,18 @@ proptest! {
     #[test]
     fn same_seed_reproduces_the_run_byte_for_byte(
         sweep_seed in 0u64..1_000_000,
-        index in 0usize..21,
+        index in 0usize..36,
     ) {
         let scenario = Sweep::new(sweep_seed, index + 1)
             .scenarios()
             .pop()
             .expect("sweep enumerates requested count");
-        let cube = std::sync::Arc::new(scenario.cube.generate());
-        let a = SimHarness::new(scenario.clone())
-            .run_on(std::sync::Arc::clone(&cube))
-            .expect("scenario converges");
-        let b = SimHarness::new(scenario)
-            .run_on(cube)
-            .expect("scenario converges");
-        prop_assert_eq!(a.image.raw(), b.image.raw());
-        prop_assert_eq!(a.makespan, b.makespan);
-        prop_assert_eq!(a.events, b.events);
-        prop_assert_eq!(a.messages_sent, b.messages_sent);
-        prop_assert_eq!(a.messages_dropped, b.messages_dropped);
-        prop_assert_eq!(&a.detection_latency_ns, &b.detection_latency_ns);
+        let a = SimHarness::new(scenario.clone()).run().expect("scenario runs");
+        let b = SimHarness::new(scenario).run().expect("scenario runs");
+        prop_assert_eq!(&a.event_log, &b.event_log);
+        prop_assert_eq!(format!("{:?}", a.service), format!("{:?}", b.service));
+        // Statuses, image digests, makespan, event and message counts,
+        // detection latencies, trace, span tree and metrics.
         prop_assert_eq!(a.replay_blob(), b.replay_blob());
     }
 
@@ -56,7 +50,7 @@ proptest! {
         for (x, y) in a.iter().zip(&b) {
             prop_assert_eq!(&x.name, &y.name);
             prop_assert_eq!(x.seed, y.seed);
-            prop_assert_eq!(x.members, y.members);
+            prop_assert_eq!(x.members(), y.members());
             prop_assert_eq!(x.makespan_bound, y.makespan_bound);
         }
     }

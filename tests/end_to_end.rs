@@ -11,9 +11,8 @@ use pct::{PctConfig, SequentialPct, SharedMemoryPct};
 use resilience::DetectorConfig;
 use service::{
     BackendKind, ChaosPhase, ChaosPlan, CubeSource, FusionService, JobHandle, JobOutcome, JobSpec,
-    JobStatus, LeastLoadedPolicy, PhaseKill, PoolConfig, Priority, RemoteWorkerSpec,
-    RoundRobinPolicy, Route, ServiceConfig, ServiceError, ServiceEvent, SharedRoutingPolicy,
-    SizeThresholdPolicy, TenantId, TenantQuota,
+    JobStatus, LeastLoadedPolicy, PoolConfig, Priority, RemoteWorkerSpec, RoundRobinPolicy, Route,
+    ServiceConfig, ServiceEvent, SharedRoutingPolicy, SizeThresholdPolicy, TenantId,
 };
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -182,24 +181,12 @@ fn small_job_scene(seed: u64) -> SceneConfig {
     config
 }
 
-/// A cube big enough that a debug-build screening task reliably outlives the
-/// cancellation / backpressure assertions racing against it.
+/// A cube big enough that a debug-build screening task reliably outlives
+/// the kill or the burst racing against it.
 fn slow_job_scene(seed: u64) -> SceneConfig {
     let mut config = SceneConfig::small(seed);
     config.dims = CubeDims::new(64, 64, 32);
     config
-}
-
-fn wait_for_running(handle: &JobHandle) {
-    let deadline = Instant::now() + Duration::from_secs(20);
-    while handle.status().unwrap() == JobStatus::Queued {
-        assert!(
-            Instant::now() < deadline,
-            "job {} never started running",
-            handle.id()
-        );
-        std::thread::sleep(Duration::from_millis(2));
-    }
 }
 
 #[test]
@@ -251,323 +238,6 @@ fn service_concurrent_jobs_are_byte_identical_to_sequential() {
             kind.label()
         );
     }
-}
-
-#[test]
-fn service_admission_queue_applies_backpressure() {
-    // One job in flight, a queue of two: once the queue is full, try_submit
-    // must reject with Saturated until the scheduler drains something.
-    //
-    // The three submissions below race the running job: were it to finish
-    // first, the scheduler would admit a queued job and the third submission
-    // would be accepted.  A 64x64 blocker runs for about 0.15 s in a debug
-    // build, which a loaded two-core box has been seen to eat; four times the
-    // pixels gives it the margin.  The form with no race is ROADMAP item 2's
-    // sweep (admission and the scheduler on virtual time).
-    let service = test_service(2, 1);
-    let mut blocker = slow_job_scene(70);
-    blocker.dims = CubeDims::new(128, 128, 32);
-    let slow = JobSpec::builder(CubeSource::Synthetic(blocker))
-        .pinned(BackendKind::Standard)
-        .shards(1)
-        .build()
-        .unwrap();
-    let mut running = service.submit(slow.clone()).unwrap();
-    wait_for_running(&running);
-
-    // The scheduler is saturated (max_in_flight=1), so these two fill the
-    // queue deterministically...
-    let queued_a = service.try_submit(slow.clone()).unwrap();
-    let queued_b = service.try_submit(slow.clone()).unwrap();
-    assert_eq!(service.queue_depth(), 2);
-    // ...and the third submission bounces, carrying a typed retry hint.
-    let err = service.try_submit(slow.clone()).unwrap_err();
-    assert!(
-        matches!(
-            err,
-            ServiceError::Saturated { retry_after } if retry_after.0 > Duration::ZERO
-        ),
-        "expected Saturated with a retry hint, got {err:?}"
-    );
-
-    // Cancel the queued work so shutdown only waits for the running job.
-    assert!(queued_a.cancel());
-    assert!(queued_b.cancel());
-    assert!(matches!(running.wait(), Ok(JobOutcome::Completed(_))));
-    drop(queued_a);
-    drop(queued_b);
-    let report = service.shutdown();
-    assert_eq!(report.jobs_rejected, 1);
-    assert_eq!(report.jobs_cancelled, 2);
-    assert_eq!(report.queue_high_water, 2);
-}
-
-#[test]
-fn service_cancellation_mid_flight_and_while_queued() {
-    let service = test_service(8, 1);
-    let mut running = service
-        .submit(
-            JobSpec::builder(CubeSource::Synthetic(slow_job_scene(71)))
-                .pinned(BackendKind::Standard)
-                .shards(2)
-                .build()
-                .unwrap(),
-        )
-        .unwrap();
-    let mut queued = service
-        .submit(
-            JobSpec::builder(CubeSource::Synthetic(small_job_scene(72)))
-                .build()
-                .unwrap(),
-        )
-        .unwrap();
-    wait_for_running(&running);
-
-    // Cancel the queued job, then the in-flight job mid-screening.  In this
-    // order: the slot a cancelled running job frees could admit *and finish*
-    // a job this small before its own cancel landed.
-    assert!(queued.cancel());
-    assert!(running.cancel());
-    assert_eq!(running.wait().unwrap(), JobOutcome::Cancelled);
-    assert_eq!(queued.wait().unwrap(), JobOutcome::Cancelled);
-
-    // The other order — the running job first, so the freed slot may admit
-    // the job behind it before that one's cancel lands — with a queued job
-    // slow enough to still be there, queued or running, when it does.
-    let slow_job = |seed| {
-        let scene = CubeSource::Synthetic(slow_job_scene(seed));
-        let spec = JobSpec::builder(scene).pinned(BackendKind::Standard);
-        service.submit(spec.shards(2).build().unwrap()).unwrap()
-    };
-    let (mut first, mut behind) = (slow_job(74), slow_job(79));
-    wait_for_running(&first);
-    assert!(first.cancel());
-    assert!(behind.cancel());
-    assert_eq!(first.wait().unwrap(), JobOutcome::Cancelled);
-    assert_eq!(behind.wait().unwrap(), JobOutcome::Cancelled);
-    // The record is consumed, but the handle still answers — the old
-    // UnknownJob footgun is gone.
-    assert_eq!(running.status().unwrap(), JobStatus::Cancelled);
-    // A second wait is a typed error.
-    assert_eq!(
-        running.wait().unwrap_err(),
-        ServiceError::OutcomeTaken(running.id())
-    );
-
-    // The pool survives cancellation: fresh work still completes correctly.
-    let fresh_cube = Arc::new(SceneGenerator::new(small_job_scene(73)).unwrap().generate());
-    let mut fresh = service
-        .submit(
-            JobSpec::builder(CubeSource::InMemory(Arc::clone(&fresh_cube)))
-                .build()
-                .unwrap(),
-        )
-        .unwrap();
-    let outcome = fresh.wait().unwrap();
-    let reference = SequentialPct::new(PctConfig::paper())
-        .run(&fresh_cube)
-        .unwrap();
-    assert_eq!(outcome, JobOutcome::Completed(reference));
-    let report = service.shutdown();
-    assert_eq!(report.jobs_cancelled, 4);
-    assert_eq!(report.jobs_completed, 1);
-}
-
-#[test]
-fn service_handle_lifecycle_timeout_drop_detach_and_shutdown() {
-    let service = test_service(8, 4);
-
-    // wait_timeout on a job that is still running returns Ok(None) and the
-    // outcome stays takeable.
-    let mut slow = service
-        .submit(
-            JobSpec::builder(CubeSource::Synthetic(slow_job_scene(75)))
-                .pinned(BackendKind::Standard)
-                .shards(2)
-                .build()
-                .unwrap(),
-        )
-        .unwrap();
-    assert_eq!(slow.wait_timeout(Duration::ZERO).unwrap(), None);
-    assert!(matches!(slow.wait().unwrap(), JobOutcome::Completed(_)));
-
-    // Cancel-on-drop: a dropped handle cancels its job...
-    let dropped = service
-        .submit(
-            JobSpec::builder(CubeSource::Synthetic(slow_job_scene(76)))
-                .pinned(BackendKind::Standard)
-                .shards(2)
-                .build()
-                .unwrap(),
-        )
-        .unwrap();
-    drop(dropped);
-
-    // ...while detach() lets the job run fire-and-forget: the event stream
-    // observes its completion without any handle or poll.
-    let events = service.subscribe();
-    let cube = Arc::new(SceneGenerator::new(small_job_scene(77)).unwrap().generate());
-    let detached_id = service
-        .submit(
-            JobSpec::builder(CubeSource::InMemory(Arc::clone(&cube)))
-                .build()
-                .unwrap(),
-        )
-        .unwrap()
-        .detach();
-    let terminal = events
-        .wait_for(
-            Duration::from_secs(30),
-            |e| matches!(e, ServiceEvent::Terminal { job, .. } if *job == detached_id),
-        )
-        .expect("detached job reaches a terminal state");
-    assert_eq!(
-        terminal,
-        ServiceEvent::Terminal {
-            job: detached_id,
-            tenant: TenantId::default(),
-            status: JobStatus::Completed
-        }
-    );
-
-    // A handle outlives shutdown: it holds the results plane by Arc and
-    // observes the final terminal state.
-    let mut survivor = service
-        .submit(
-            JobSpec::builder(CubeSource::Synthetic(small_job_scene(78)))
-                .build()
-                .unwrap(),
-        )
-        .unwrap();
-    let report = service.shutdown();
-    assert!(matches!(survivor.wait().unwrap(), JobOutcome::Completed(_)));
-    assert_eq!(survivor.status().unwrap(), JobStatus::Completed);
-    // The dropped job either cancelled or raced to completion; it must be
-    // accounted either way.
-    assert_eq!(
-        report.jobs_completed + report.jobs_cancelled,
-        4,
-        "dropped job unaccounted: {report:?}"
-    );
-}
-
-#[test]
-fn service_resilient_jobs_survive_member_kill() {
-    // Kill a replica-group member while resilient jobs stream through the
-    // pool: the member is regenerated and every output stays byte-identical.
-    let service = test_service(16, 4);
-    let mut jobs = Vec::new();
-    for i in 0..6u64 {
-        let cube = Arc::new(
-            SceneGenerator::new(small_job_scene(80 + i))
-                .unwrap()
-                .generate(),
-        );
-        let spec = JobSpec::builder(CubeSource::InMemory(Arc::clone(&cube)))
-            .pinned(BackendKind::Resilient)
-            .shards(4)
-            .build()
-            .unwrap();
-        jobs.push((service.submit(spec).unwrap(), cube));
-        if i == 0 {
-            assert!(service.inject_attack("rg0#0"));
-        }
-    }
-    for (mut handle, cube) in jobs {
-        let outcome = handle.wait().unwrap();
-        let reference = SequentialPct::new(PctConfig::paper()).run(&cube).unwrap();
-        assert_eq!(
-            outcome.output().expect("job completes"),
-            &reference,
-            "job {} diverged after the attack",
-            handle.id()
-        );
-    }
-    let report = service.shutdown();
-    assert_eq!(report.jobs_completed, 6);
-    assert_eq!(report.members_attacked, vec!["rg0#0".to_string()]);
-    assert!(
-        report.regenerations >= 1,
-        "killed member was never regenerated: {report:?}"
-    );
-}
-
-#[test]
-fn multi_tenant_chaos_fair_share_and_byte_identity_survive_member_kill() {
-    // The admission-plane acceptance scenario: two tenants with a 4:1
-    // weight ratio burst-submit onto a deliberately narrow service while a
-    // chaos plan kills a replica-group member mid-run.  The starved
-    // low-weight tenant must still complete every job, every output must
-    // stay byte-identical to the sequential reference, and the shutdown
-    // report must attribute the work per tenant.
-    let heavy = TenantId(1);
-    let light = TenantId(2);
-    let service = FusionService::start(
-        ServiceConfig::builder()
-            .pool(PoolConfig {
-                standard_workers: 2,
-                replica_groups: 1,
-                replication_level: 2,
-                shared_memory_executors: 1,
-                ..PoolConfig::default()
-            })
-            .queue_capacity(32)
-            .max_in_flight(2)
-            .tenant_quota(heavy, TenantQuota::weighted(4))
-            .tenant_quota(light, TenantQuota::weighted(1))
-            .chaos(ChaosPlan::kill_at(1, ChaosPhase::Screen, "rg0#0"))
-            .build()
-            .unwrap(),
-    )
-    .unwrap();
-
-    // Burst everything up front so the DRR queue is genuinely contended:
-    // the heavy tenant's eight jobs arrive before the light tenant's two.
-    let mut jobs = Vec::new();
-    for i in 0..10u64 {
-        let tenant = if i < 8 { heavy } else { light };
-        let cube = Arc::new(
-            SceneGenerator::new(small_job_scene(140 + i))
-                .unwrap()
-                .generate(),
-        );
-        let spec = JobSpec::builder(CubeSource::InMemory(Arc::clone(&cube)))
-            .tenant(tenant)
-            .pinned(BackendKind::ALL[i as usize % 3])
-            .shards(2 + i as usize % 3)
-            .build()
-            .unwrap();
-        jobs.push((service.submit(spec).unwrap(), cube));
-    }
-    for (mut handle, cube) in jobs {
-        let outcome = handle.wait().unwrap();
-        let reference = SequentialPct::new(PctConfig::paper()).run(&cube).unwrap();
-        assert_eq!(
-            outcome.output().expect("job completes"),
-            &reference,
-            "job {} diverged under multi-tenant chaos",
-            handle.id()
-        );
-    }
-
-    let report = service.shutdown();
-    assert_eq!(report.jobs_completed, 10);
-    assert_eq!(report.jobs_failed, 0);
-    assert!(
-        report.regenerations >= 1,
-        "killed member was never regenerated: {report:?}"
-    );
-    let h = report.tenants[&heavy];
-    assert_eq!((h.weight, h.jobs_admitted, h.jobs_completed), (4, 8, 8));
-    assert_eq!((h.jobs_shed, h.jobs_rejected), (0, 0));
-    let l = report.tenants[&light];
-    assert_eq!((l.weight, l.jobs_admitted, l.jobs_completed), (1, 2, 2));
-    assert_eq!((l.jobs_shed, l.jobs_rejected), (0, 0));
-    let rendered = report.render();
-    assert!(
-        rendered.contains("tenant     t1 (w4)") && rendered.contains("tenant     t2 (w1)"),
-        "per-tenant attribution missing from rendered report:\n{rendered}"
-    );
 }
 
 /// The acceptance matrix of the routing redesign: every route — the three
@@ -751,96 +421,13 @@ fn event_stream_observes_kill_regeneration_and_completion_without_polling() {
     assert!(report.regenerations >= 1);
 }
 
-/// The seeded chaos matrix: every (member index × job phase) combination is
-/// replayed as a deterministic kill over the resilient lane.  The kill is
-/// anchored to a scheduler event (dispatch of the first task of that phase
-/// of job 1), the workload is seeded scenes, and every surviving output
-/// must stay **byte-identical** to the sequential reference — while the
-/// zero-copy message plane reports 0 cloned payload bytes per phase.
-#[test]
-fn chaos_kill_matrix_every_surviving_output_is_byte_identical_to_sequential() {
-    for member_index in 0..2usize {
-        for phase in [
-            ChaosPhase::Screen,
-            ChaosPhase::Derive,
-            ChaosPhase::Transform,
-        ] {
-            let victim = format!("rg0#{member_index}");
-            let label = format!("kill {victim} at {}", phase.name());
-            let service = FusionService::start(
-                ServiceConfig::builder()
-                    .standard_workers(1)
-                    .replica_groups(1)
-                    .replication_level(2)
-                    .shared_memory_executors(1)
-                    .queue_capacity(8)
-                    .max_in_flight(4)
-                    .chaos(ChaosPlan::kill_at(1, phase, victim.clone()))
-                    .build()
-                    .expect("config validates"),
-            )
-            .expect("service starts");
-
-            let mut jobs = Vec::new();
-            for i in 0..3u64 {
-                let cube = Arc::new(
-                    SceneGenerator::new(small_job_scene(90 + i))
-                        .unwrap()
-                        .generate(),
-                );
-                let spec = JobSpec::builder(CubeSource::InMemory(Arc::clone(&cube)))
-                    .pinned(BackendKind::Resilient)
-                    .shards(3)
-                    .build()
-                    .unwrap();
-                jobs.push((service.submit(spec).unwrap(), cube));
-            }
-            for (mut handle, cube) in jobs {
-                let outcome = handle.wait().unwrap();
-                let reference = SequentialPct::new(PctConfig::paper()).run(&cube).unwrap();
-                assert_eq!(
-                    outcome.output().expect("job completes"),
-                    &reference,
-                    "{label}: job {} diverged",
-                    handle.id()
-                );
-            }
-
-            let report = service.shutdown();
-            assert_eq!(report.jobs_completed, 3, "{label}: jobs lost");
-            assert_eq!(
-                report.members_attacked,
-                vec![victim.clone()],
-                "{label}: kill never fired"
-            );
-            assert!(
-                report.regenerations >= 1,
-                "{label}: killed member was never regenerated: {report:?}"
-            );
-            // The zero-copy acceptance criterion, measured per phase.
-            assert_eq!(
-                report.bytes_cloned_screen, 0,
-                "{label}: screening cloned payload bytes"
-            );
-            assert_eq!(
-                report.bytes_cloned_transform, 0,
-                "{label}: transform cloned payload bytes"
-            );
-            assert!(
-                report.payload_bytes_shipped > 0,
-                "{label}: no payload accounted"
-            );
-        }
-    }
-}
-
 /// A pool tuned for the standard-lane failover tests: the worker watchdog
 /// confirms a suspect after ~30 ms of heartbeat silence (plus the mailbox
 /// probe), so a kill is detected well inside the test window.
-fn failover_pool(standard: usize, groups: usize, shm: usize) -> PoolConfig {
+fn failover_pool(standard: usize, shm: usize) -> PoolConfig {
     PoolConfig {
         standard_workers: standard,
-        replica_groups: groups,
+        replica_groups: 0,
         replication_level: 2,
         shared_memory_executors: shm,
         standard_detector: DetectorConfig {
@@ -851,107 +438,19 @@ fn failover_pool(standard: usize, groups: usize, shm: usize) -> PoolConfig {
     }
 }
 
-/// Submits `count` standard-pinned jobs and returns (handle, cube) pairs.
-fn submit_standard_jobs(
-    service: &FusionService,
-    count: u64,
-    seed_base: u64,
-) -> Vec<(JobHandle, Arc<hsi::HyperCube>)> {
-    (0..count)
-        .map(|i| {
-            let cube = Arc::new(
-                SceneGenerator::new(small_job_scene(seed_base + i))
-                    .unwrap()
-                    .generate(),
-            );
-            let spec = JobSpec::builder(CubeSource::InMemory(Arc::clone(&cube)))
-                .pinned(BackendKind::Standard)
-                .shards(3)
-                .build()
-                .unwrap();
-            (service.submit(spec).unwrap(), cube)
-        })
-        .collect()
-}
-
-/// Blocks until `count` [`ServiceEvent::WorkerLost`] events have appeared
-/// on the subscription (the watchdog runs on its own clock, so the jobs
-/// can finish before the loss is confirmed).
-fn await_worker_losses(events: &service::EventSubscriber, count: usize, label: &str) {
-    let deadline = Instant::now() + Duration::from_secs(20);
-    let mut seen = 0usize;
-    while seen < count {
-        assert!(
-            Instant::now() < deadline,
-            "{label}: only {seen}/{count} worker losses observed"
-        );
-        if let Some(ServiceEvent::WorkerLost { .. }) =
-            events.next_timeout(Duration::from_millis(100))
-        {
-            seen += 1;
-        }
-    }
-}
-
-/// The standard-lane kill matrix (worker index × phase): killing either
-/// worker of a two-worker lane at any phase of job 1 must lose **zero**
-/// jobs — the watchdog confirms the silence, the dead worker's in-flight
-/// tasks are re-dispatched to the survivor, and every output stays
-/// byte-identical to the sequential reference.
-#[test]
-fn standard_kill_matrix_every_job_survives_and_is_byte_identical_to_sequential() {
-    let mut total_reassigned = 0u64;
-    for worker_index in 0..2usize {
-        for phase in [
-            ChaosPhase::Screen,
-            ChaosPhase::Derive,
-            ChaosPhase::Transform,
-        ] {
-            let victim = format!("svc{worker_index}");
-            let label = format!("kill {victim} at {}", phase.name());
-            let service = FusionService::start(
-                ServiceConfig::builder()
-                    .pool(failover_pool(2, 0, 0))
-                    .queue_capacity(8)
-                    .max_in_flight(4)
-                    .chaos(ChaosPlan::kill_at(1, phase, victim.clone()))
-                    .build()
-                    .expect("config validates"),
-            )
-            .expect("service starts");
-            let events = service.subscribe();
-
-            for (mut handle, cube) in submit_standard_jobs(&service, 3, 150) {
-                let outcome = handle.wait().unwrap();
-                let reference = SequentialPct::new(PctConfig::paper()).run(&cube).unwrap();
-                assert_eq!(
-                    outcome.output().expect("job completes"),
-                    &reference,
-                    "{label}: job {} diverged",
-                    handle.id()
-                );
-            }
-            await_worker_losses(&events, 1, &label);
-
-            let report = service.shutdown();
-            assert_eq!(report.jobs_completed, 3, "{label}: jobs lost");
-            assert_eq!(report.jobs_failed, 0, "{label}: a job failed");
-            assert_eq!(
-                report.members_attacked,
-                vec![victim.clone()],
-                "{label}: kill never fired"
-            );
-            assert_eq!(report.workers_lost, 1, "{label}: loss not confirmed");
-            total_reassigned += report.tasks_reassigned;
-        }
-    }
-    // At least the (svc0, screen) cell is deterministic: job 1's first
-    // screening task lands on svc0 (free-list order), the kill anchors to
-    // that dispatch, and the task must be re-issued to svc1.
-    assert!(
-        total_reassigned >= 1,
-        "no task was ever reassigned across the matrix"
+/// Submits a standard-pinned job and returns its handle and cube.
+fn submit_standard_job(service: &FusionService, seed: u64) -> (JobHandle, Arc<hsi::HyperCube>) {
+    let cube = Arc::new(
+        SceneGenerator::new(small_job_scene(seed))
+            .unwrap()
+            .generate(),
     );
+    let spec = JobSpec::builder(CubeSource::InMemory(Arc::clone(&cube)))
+        .pinned(BackendKind::Standard)
+        .shards(3)
+        .build()
+        .unwrap();
+    (service.submit(spec).unwrap(), cube)
 }
 
 /// A single `NaN` sample reaches the covariance through the unique set.
@@ -964,7 +463,7 @@ fn standard_kill_matrix_every_job_survives_and_is_byte_identical_to_sequential()
 fn standard_nan_sample_fails_the_job_typed_and_the_lane_keeps_serving() {
     let service = FusionService::start(
         ServiceConfig::builder()
-            .pool(failover_pool(1, 0, 0))
+            .pool(failover_pool(1, 0))
             .queue_capacity(4)
             .max_in_flight(1)
             .build()
@@ -998,130 +497,27 @@ fn standard_nan_sample_fails_the_job_typed_and_the_lane_keeps_serving() {
         "the NaN job held the worker for {took:?}"
     );
 
-    for (mut handle, cube) in submit_standard_jobs(&service, 1, 141) {
-        let outcome = handle.wait().unwrap();
-        let reference = SequentialPct::new(PctConfig::paper()).run(&cube).unwrap();
-        assert_eq!(outcome.output().expect("job completes"), &reference);
-    }
+    let (mut handle, cube) = submit_standard_job(&service, 141);
+    let outcome = handle.wait().unwrap();
+    let reference = SequentialPct::new(PctConfig::paper()).run(&cube).unwrap();
+    assert_eq!(outcome.output().expect("job completes"), &reference);
     let report = service.shutdown();
     assert_eq!(report.jobs_failed, 1);
     assert_eq!(report.jobs_completed, 1);
     assert_eq!(report.workers_lost, 0);
 }
 
-/// Kill-during-reassignment: both svc0 and svc1 die at job 1's first
-/// screening dispatch, so the re-dispatch of svc0's task lands on (or is
-/// attempted at) the also-dead svc1 and must hop again to svc2 — the
-/// orphan queue survives losing its new assignee.
-#[test]
-fn standard_kill_during_reassignment_still_completes_byte_identical() {
-    let chaos = ChaosPlan {
-        kills: vec![
-            PhaseKill {
-                job: 1,
-                phase: ChaosPhase::Screen,
-                member: "svc0".to_string(),
-            },
-            PhaseKill {
-                job: 1,
-                phase: ChaosPhase::Screen,
-                member: "svc1".to_string(),
-            },
-        ],
-    };
-    let service = FusionService::start(
-        ServiceConfig::builder()
-            .pool(failover_pool(3, 0, 0))
-            .queue_capacity(8)
-            .max_in_flight(4)
-            .chaos(chaos)
-            .build()
-            .expect("config validates"),
-    )
-    .expect("service starts");
-    let events = service.subscribe();
-
-    for (mut handle, cube) in submit_standard_jobs(&service, 2, 170) {
-        let outcome = handle.wait().unwrap();
-        let reference = SequentialPct::new(PctConfig::paper()).run(&cube).unwrap();
-        assert_eq!(
-            outcome.output().expect("job completes"),
-            &reference,
-            "job {} diverged",
-            handle.id()
-        );
-    }
-    await_worker_losses(&events, 2, "double kill");
-
-    let report = service.shutdown();
-    assert_eq!(report.jobs_completed, 2);
-    assert_eq!(report.jobs_failed, 0);
-    assert_eq!(report.workers_lost, 2);
-    assert!(
-        report.tasks_reassigned >= 1,
-        "the orphaned screening task was never re-issued: {report:?}"
-    );
-}
-
-/// Losing the *last* standard worker drains the lane: running standard
-/// jobs must fail over to a surviving lane through the routing policy
-/// (resilient when only replica groups remain, shared-memory when only
-/// inline executors remain) and still finish byte-identical — and when no
-/// other lane exists, the job fails with a diagnosis instead of hanging.
+/// Losing the *last* standard worker drains the lane: a running standard
+/// job must fail over to a surviving lane through the routing policy — here
+/// the shared-memory lane, which recomputes it whole — and still finish
+/// byte-identical; when no other lane exists, the job fails with a
+/// diagnosis instead of hanging.  (Failover to replica groups, which
+/// re-run the orphaned tasks, is the simulator sweep's `drain` family.)
 #[test]
 fn standard_lane_drain_fails_over_running_jobs_to_surviving_lanes() {
-    for (groups, shm, expect_lane) in [
-        (1usize, 0usize, BackendKind::Resilient),
-        (0, 1, BackendKind::SharedMemory),
-    ] {
-        let label = format!("failover to {}", expect_lane.label());
-        let service = FusionService::start(
-            ServiceConfig::builder()
-                .pool(failover_pool(1, groups, shm))
-                .queue_capacity(8)
-                .max_in_flight(4)
-                .chaos(ChaosPlan::kill_at(1, ChaosPhase::Screen, "svc0"))
-                .build()
-                .expect("config validates"),
-        )
-        .expect("service starts");
-        let events = service.subscribe();
-
-        let mut jobs = submit_standard_jobs(&service, 1, 180);
-        let (handle, cube) = &mut jobs[0];
-        let outcome = handle.wait().unwrap();
-        let reference = SequentialPct::new(PctConfig::paper()).run(cube).unwrap();
-        assert_eq!(
-            outcome.output().expect("job completes"),
-            &reference,
-            "{label}: output diverged"
-        );
-
-        // The failover must have been announced with the expected target.
-        let deadline = Instant::now() + Duration::from_secs(20);
-        let observed = loop {
-            assert!(Instant::now() < deadline, "{label}: no LaneFailover event");
-            match events.next_timeout(Duration::from_millis(100)) {
-                Some(ServiceEvent::LaneFailover { from, to, .. }) => {
-                    assert_eq!(from, BackendKind::Standard, "{label}");
-                    break to;
-                }
-                _ => continue,
-            }
-        };
-        assert_eq!(observed, expect_lane, "{label}: wrong target lane");
-
-        let report = service.shutdown();
-        assert_eq!(report.jobs_completed, 1, "{label}: job lost");
-        assert_eq!(report.jobs_failed, 0, "{label}: job failed");
-        assert_eq!(report.workers_lost, 1, "{label}: loss not confirmed");
-        assert_eq!(report.lane_failovers, 1, "{label}: failover not counted");
-    }
-
-    // No surviving lane at all: the job must fail with a diagnosis.
     let service = FusionService::start(
         ServiceConfig::builder()
-            .pool(failover_pool(1, 0, 0))
+            .pool(failover_pool(1, 1))
             .queue_capacity(8)
             .max_in_flight(4)
             .chaos(ChaosPlan::kill_at(1, ChaosPhase::Screen, "svc0"))
@@ -1129,8 +525,46 @@ fn standard_lane_drain_fails_over_running_jobs_to_surviving_lanes() {
             .expect("config validates"),
     )
     .expect("service starts");
-    let mut jobs = submit_standard_jobs(&service, 1, 185);
-    match jobs[0].0.wait().unwrap() {
+    let events = service.subscribe();
+
+    let (mut handle, cube) = submit_standard_job(&service, 180);
+    let outcome = handle.wait().unwrap();
+    let reference = SequentialPct::new(PctConfig::paper()).run(&cube).unwrap();
+    assert_eq!(outcome.output().expect("job completes"), &reference);
+
+    // The failover must have been announced with the expected target.
+    let failover = |e: &ServiceEvent| matches!(e, ServiceEvent::LaneFailover { .. });
+    let announced = events.wait_for(Duration::from_secs(20), failover);
+    assert!(
+        matches!(
+            announced,
+            Some(ServiceEvent::LaneFailover {
+                from: BackendKind::Standard,
+                to: BackendKind::SharedMemory,
+                ..
+            })
+        ),
+        "{announced:?}"
+    );
+
+    let report = service.shutdown();
+    assert_eq!(report.jobs_completed, 1, "job lost");
+    assert_eq!(report.jobs_failed, 0, "job failed");
+    assert_eq!(report.workers_lost, 1, "loss not confirmed");
+    assert_eq!(report.lane_failovers, 1, "failover not counted");
+
+    // No surviving lane at all: the job must fail with a diagnosis.
+    let service = FusionService::start(
+        ServiceConfig::builder()
+            .pool(failover_pool(1, 0))
+            .queue_capacity(8)
+            .max_in_flight(4)
+            .chaos(ChaosPlan::kill_at(1, ChaosPhase::Screen, "svc0"))
+            .build()
+            .expect("config validates"),
+    )
+    .expect("service starts");
+    match submit_standard_job(&service, 185).0.wait().unwrap() {
         JobOutcome::Failed(cause) => assert!(
             cause.contains("standard lane drained"),
             "unexpected failure cause: {cause}"
@@ -1287,7 +721,13 @@ fn remote_worker_sigkill_mid_screen_reassigns_tasks_and_stays_byte_identical() {
         &reference,
         "output diverged after SIGKILL of a worker process"
     );
-    await_worker_losses(&events, 1, "remote sigkill");
+    // The watchdog runs on its own clock: the job can finish first.
+    let lost = |e: &ServiceEvent| matches!(e, ServiceEvent::WorkerLost { .. });
+    let confirmed = events.wait_for(Duration::from_secs(20), lost);
+    assert!(
+        confirmed.is_some(),
+        "remote sigkill: the loss was never confirmed"
+    );
 
     let report = service.shutdown();
     assert_eq!(report.jobs_completed, 1, "job lost: {report:?}");
