@@ -5,21 +5,21 @@
 //! image into a single colour-composite image using three techniques:
 //! spectral-angle classification (screening), principal component
 //! transformation, and human-centred colour mapping.  This crate provides
-//! four interchangeable implementations of the same eight-step pipeline:
+//! the same eight-step pipeline on four substrates:
 //!
 //! | Implementation | Substrate | Purpose |
 //! |---|---|---|
 //! | [`sequential::SequentialPct`] | single thread | reference semantics; every other implementation is validated against it |
 //! | [`shared_memory::SharedMemoryPct`] | rayon thread pool | the paper's shared-memory-multiprocessor result (§4: within ~5 % of linear speed-up) |
-//! | [`resilient::ResilientPct`] | `scp` + `resilience` | the paper's message-passing implementation on real threads: replica groups with attack injection and regeneration (level 1 is the plain manager/worker run) |
+//! | [`plan::Plan`] + [`distributed::handle_task`] | manager and worker sides, sans-IO, executed by the `service` scheduler over `scp` + `resilience` replica groups | the paper's message-passing implementation (and the service's seeded chain): replica groups with attack injection and regeneration (level 1 is the plain manager/worker run); [`plan::Plan::run_in_thread`] is its in-thread reference |
 //! | [`distributed_sim`] | `netsim` discrete-event cluster | regenerates Figures 4 and 5 on a simulated 16-node 100BaseT LAN |
 //!
-//! The manager side of the message-passing implementations is written once,
-//! sans-IO, in [`plan`]: [`plan::PaperPlan`] is the paper's protocol, run by
-//! `ResilientPct`; [`plan::ChainPlan`] is the seeded-chain protocol of the
-//! `service` scheduler and the `sim` crate's manager.  The worker side is
-//! [`distributed::handle_task`].  ([`distributed_sim`] is cost-only — no
-//! pixels, its own message type — and shares no code path with them.)
+//! The manager side of the message-passing implementation is written once,
+//! sans-IO, in [`plan`], over both protocols ([`plan::Protocol`]): the
+//! paper's and the seeded chain.  The worker side is
+//! [`distributed::handle_task`]; [`resilient`] keeps the replica groups
+//! alive.  ([`distributed_sim`] is cost-only — no pixels, its own message
+//! type — and shares no code path with them.)
 //!
 //! The eight steps (paper §3): (1) spectral classification, (2) merge unique
 //! sets, (3) mean vector, (4) covariance sums, (5) covariance matrix,
@@ -44,7 +44,7 @@ pub mod sequential;
 pub mod shared_memory;
 
 pub use config::{FusionOutput, PctConfig};
-pub use resilient::{ResilientManagerState, ResilientPct, ResilientRunReport};
+pub use resilient::{ResilientManagerState, ResilientRunReport};
 pub use sequential::SequentialPct;
 pub use shared_memory::SharedMemoryPct;
 

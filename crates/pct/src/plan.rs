@@ -1,14 +1,13 @@
 //! The manager side of the fusion protocols, written once and sans-IO.
 //!
-//! Two protocols run in this tree, as two plans of one shape.  The
-//! **paper's** (§3) screens every sub-cube independently, merges the unique
-//! sets, fans the covariance sums out and fans the transform out:
-//! [`PaperPlan`], driven by [`crate::ResilientPct`].  The **service's** folds
+//! Two protocols run in this tree, as one [`Plan`].  The **paper's** (§3)
+//! screens every sub-cube independently, merges the unique sets, fans the
+//! covariance sums out and fans the transform out.  The **service's** folds
 //! the sub-cubes through a *seeded screening chain* (so the unique set is
 //! bit-for-bit whole-image screening), derives the transform in one task and
-//! fans the transform out: [`ChainPlan`], driven by the `service` scheduler
-//! (one plan per job) and by the `sim` crate's manager actor.  Both end in
-//! the same transform fan-out.
+//! fans the transform out.  Both end in the same transform fan-out, and both
+//! are executed by the `service` scheduler, one plan per job; the paper's
+//! reference is [`Plan::run_in_thread`].
 //!
 //! Nothing here owns a thread, a mailbox, a clock, a telemetry handle or a
 //! simulator type.  *Who* executes a task, *how* it travels and *what
@@ -21,7 +20,7 @@
 
 use crate::colormap::ComponentScale;
 use crate::config::{FusionOutput, PctConfig};
-use crate::distributed::assemble_image;
+use crate::distributed::{assemble_image, handle_task};
 use crate::messages::{PctMessage, TaskId};
 use crate::pipeline::{finalize_transform, TransformSpec};
 use crate::screening::merge_unique_sets;
@@ -134,7 +133,7 @@ impl<T> Fanout<T> {
     }
 }
 
-/// Steps 7–8, the fan-out both plans end in: one transform/colour task per
+/// Steps 7–8, the fan-out both protocols end in: one transform/colour task per
 /// shard — the per-component `(min, max)` colour scales ride along so
 /// workers colour-map locally — and the strips assembled once all are in.
 struct TransformPhase {
@@ -191,71 +190,87 @@ impl TransformPhase {
     }
 }
 
-/// The fused output of a plan whose transform fan-out is `phase`.
-///
-/// # Errors
-/// `InvalidConfig` before completion, or on a malformed strip.
-fn finish(
-    phase: Option<TransformPhase>,
-    cube: &HyperCube,
-    unique_count: usize,
-) -> Result<FusionOutput> {
-    match phase {
-        Some(mut phase) if phase.strips.is_complete() => Ok(FusionOutput {
-            image: assemble_image(cube.width(), cube.height(), phase.strips.take())?,
-            eigenvalues: phase.spec.eigenvalues,
-            unique_count,
-            pixels: cube.pixels(),
-        }),
-        _ => Err(PctError::InvalidConfig("the plan has not completed".into())),
-    }
+/// Which protocol a [`Plan`] runs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Protocol {
+    /// The service's: seeded screening chain → one derive task → transform
+    /// fan-out, byte-identical to [`crate::SequentialPct`].
+    Chain,
+    /// The paper's (§3): screening fan-out → merge → covariance fan-out →
+    /// transform fan-out.  Its output depends on the partition.
+    Paper,
 }
 
-/// Per-phase state: each variant holds only what its phase can use, so a
-/// screening plan has no transform to put in a task.
+/// A worker's covariance sum over one chunk: packed upper triangle, band
+/// count, vectors accumulated.
+type PartialSum = (Vec<f64>, usize, u64);
+
+/// Per-phase state of both protocols: each variant holds only what its
+/// phase can use, so a screening plan has no transform to put in a task.
 enum Progress {
-    /// The seeded chain: one link outstanding at a time.
-    Screen(Fanout<Vec<Vector>>),
-    /// The single derive task; the unique set moves into it when issued.
+    /// The chain's seeded links, one outstanding at a time.
+    Chain(Fanout<Vec<Vector>>),
+    /// The chain's single derive task; the unique set moves into it when
+    /// issued.
     Derive(Vec<Vector>, Fanout<()>),
+    /// The paper's per-shard screening fan-out.
+    Screen(Fanout<Vec<Vector>>),
+    /// The paper's covariance fan-out over the merged unique set.
+    Covariance {
+        mean: Vector,
+        unique: Vec<Vector>,
+        /// Vectors per covariance task.
+        chunk: usize,
+        sums: Fanout<PartialSum>,
+    },
     Transform(TransformPhase),
 }
 
-/// The manager side of one job of the chain protocol: seeded screening
-/// chain → single derive task → transform fan-out.
+/// The manager side of one job, under either [`Protocol`].
 ///
-/// The owner asks for work with [`ChainPlan::next_task`] whenever it has a
-/// free executor, feeds every arriving result to [`ChainPlan::accept`], and
-/// on [`Step::Complete`] takes the output with [`ChainPlan::into_output`].
-/// Because every screening link is seeded with everything accepted before
-/// it, and steps 3–6 run once over the whole unique set, the output is
-/// byte-identical to [`crate::SequentialPct`] whatever the partitions and
-/// whatever order the strips arrive in.
-pub struct ChainPlan {
+/// The owner asks for work with [`Plan::next_task`] whenever it has a free
+/// executor, feeds every arriving result to [`Plan::accept`], and on
+/// [`Step::Complete`] takes the output with [`Plan::into_output`].  The
+/// owner's task ids are unique across phases, so a second replica's answer,
+/// a retransmit's echo and a result of an earlier phase are all
+/// [`Step::Stale`].
+///
+/// Under [`Protocol::Chain`] every screening link is seeded with everything
+/// accepted before it and steps 3–6 run once over the whole unique set, so
+/// the output is byte-identical to [`crate::SequentialPct`] whatever the
+/// partition.  Under [`Protocol::Paper`] results are held by id and merged
+/// (unique sets) or summed (covariance) in issue order once the phase's last
+/// one is in, so the output is a function of the cube, the configuration and
+/// the shards alone — [`Plan::run_in_thread`] computes it.  Either way it
+/// does not depend on which executor answered when.
+pub struct Plan {
     cube: Arc<HyperCube>,
     config: PctConfig,
-    screen_shards: Vec<SubCubeSpec>,
-    transform_shards: Vec<SubCubeSpec>,
-    /// Size of the merged unique set, fixed when the derive task is issued.
+    shards: Vec<SubCubeSpec>,
+    /// Size of the merged unique set, fixed when screening closes.
     unique_count: usize,
     progress: Progress,
 }
 
-impl ChainPlan {
-    /// A plan over `cube`, screening `screen_shards` in order and
-    /// transforming `transform_shards` (the two partitions may differ).
+impl Plan {
+    /// A plan of `protocol` over `cube` that screens and transforms
+    /// `shards`.  The paper's covariance fan-out has ⌈shards / 2⌉ tasks: two
+    /// sub-cubes and one covariance chunk per worker.
     pub fn new(
+        protocol: Protocol,
         cube: Arc<HyperCube>,
         config: PctConfig,
-        screen_shards: Vec<SubCubeSpec>,
-        transform_shards: Vec<SubCubeSpec>,
+        shards: Vec<SubCubeSpec>,
     ) -> Self {
+        let screening = Fanout::new(shards.len());
         Self {
-            progress: Progress::Screen(Fanout::new(screen_shards.len())),
+            progress: match protocol {
+                Protocol::Chain => Progress::Chain(screening),
+                Protocol::Paper => Progress::Screen(screening),
+            },
             cube,
             config,
-            screen_shards,
-            transform_shards,
+            shards,
             unique_count: 0,
         }
     }
@@ -270,33 +285,36 @@ impl ChainPlan {
         self.config
     }
 
-    /// The phase the plan is in.
+    /// The phase the plan is in (the paper's covariance fan-out is
+    /// [`Phase::Derive`]).
     pub fn phase(&self) -> Phase {
         match self.progress {
-            Progress::Screen(_) => Phase::Screen,
-            Progress::Derive(..) => Phase::Derive,
+            Progress::Chain(_) | Progress::Screen(_) => Phase::Screen,
+            Progress::Derive(..) | Progress::Covariance { .. } => Phase::Derive,
             Progress::Transform(_) => Phase::Transform,
         }
     }
 
     /// The next dispatchable task, under the id `task`.  `None` — and the id
     /// not consumed, so the owner offers it again — while the plan waits on a
-    /// chain link or the derive task, or once everything is issued.
+    /// chain link, the derive task or a phase's last results, or once
+    /// everything is issued.
     pub fn next_task(&mut self, task: TaskId) -> Option<PctMessage> {
-        let (cube, config) = (&self.cube, self.config);
+        let (cube, shards, config) = (&self.cube, &self.shards, self.config);
+        let threshold_rad = config.screening_angle_rad;
         match &mut self.progress {
-            Progress::Screen(links) if links.outstanding.is_empty() => {
+            Progress::Chain(links) if links.outstanding.is_empty() => {
                 let seed = links.results.iter().flatten().flatten().cloned().collect();
                 links.issue(task, |index| {
                     Some(PctMessage::ScreenSeededTask {
                         task,
-                        view: self.screen_shards.get(index)?.view(cube).ok()?,
+                        view: shards.get(index)?.view(cube).ok()?,
                         seed,
-                        threshold_rad: config.screening_angle_rad,
+                        threshold_rad,
                     })
                 })
             }
-            Progress::Screen(_) => None,
+            Progress::Chain(_) => None,
             Progress::Derive(unique, derive) => derive.issue(task, |_| {
                 self.unique_count = unique.len();
                 let unique = std::mem::take(unique);
@@ -306,7 +324,26 @@ impl ChainPlan {
                     config,
                 })
             }),
-            Progress::Transform(phase) => phase.next_task(task, cube, &self.transform_shards),
+            Progress::Screen(sets) => sets.issue(task, |index| {
+                Some(PctMessage::ScreenTask {
+                    task,
+                    view: shards.get(index)?.view(cube).ok()?,
+                    threshold_rad,
+                })
+            }),
+            Progress::Covariance {
+                mean,
+                unique,
+                chunk,
+                sums,
+            } => sums.issue(task, |index| {
+                Some(PctMessage::CovarianceTask {
+                    task,
+                    mean: mean.clone(),
+                    pixels: unique.chunks(*chunk).nth(index)?.to_vec(),
+                })
+            }),
+            Progress::Transform(phase) => phase.next_task(task, cube, shards),
         }
     }
 
@@ -314,12 +351,15 @@ impl ChainPlan {
     /// anything else is [`Step::Stale`] and leaves the plan untouched.
     ///
     /// # Errors
-    /// The cause a worker reported in `TaskFailed` for an outstanding task;
-    /// the job cannot complete.
+    /// The cause a worker reported in `TaskFailed` for an outstanding task,
+    /// or a paper phase that cannot go on: an empty unique set, a
+    /// covariance sum of the wrong band count, or sums that accumulated no
+    /// pixels.
     pub fn accept(&mut self, result: PctMessage) -> std::result::Result<Step, String> {
         let issued = |task| match &self.progress {
-            Progress::Screen(links) => links.is_outstanding(task),
+            Progress::Chain(links) | Progress::Screen(links) => links.is_outstanding(task),
             Progress::Derive(_, derive) => derive.is_outstanding(task),
+            Progress::Covariance { sums, .. } => sums.is_outstanding(task),
             Progress::Transform(phase) => phase.strips.is_outstanding(task),
         };
         let Some(task) = result.task().filter(|task| issued(*task)) else {
@@ -331,7 +371,7 @@ impl ChainPlan {
         // An outstanding id under a kind this phase does not produce is
         // stale too, and the id stays outstanding.
         match &mut self.progress {
-            Progress::Screen(links) => {
+            Progress::Chain(links) => {
                 let PctMessage::SeededUnique { accepted, .. } = result else {
                     return Ok(Step::Stale);
                 };
@@ -356,145 +396,10 @@ impl ChainPlan {
                     transform,
                     eigenvalues,
                 };
-                self.progress =
-                    Progress::Transform(TransformPhase::new(spec, self.transform_shards.len()));
+                self.progress = Progress::Transform(TransformPhase::new(spec, self.shards.len()));
                 Ok(Step::Entered(Phase::Transform))
             }
-            Progress::Transform(phase) => Ok(phase.accept(task, result)),
-        }
-    }
-
-    /// Assembles the fused output after [`Step::Complete`].
-    ///
-    /// # Errors
-    /// `InvalidConfig` before completion, or on a malformed strip.
-    pub fn into_output(self) -> Result<FusionOutput> {
-        let phase = match self.progress {
-            Progress::Transform(phase) => Some(phase),
-            _ => None,
-        };
-        finish(phase, &self.cube, self.unique_count)
-    }
-}
-
-/// A worker's covariance sum over one chunk: packed upper triangle, band
-/// count, vectors accumulated.
-type PartialSum = (Vec<f64>, usize, u64);
-
-/// Per-phase state of the paper's protocol.
-enum PaperProgress {
-    Screen(Fanout<Vec<Vector>>),
-    Covariance {
-        mean: Vector,
-        unique: Vec<Vector>,
-        /// Vectors per covariance task.
-        chunk: usize,
-        sums: Fanout<PartialSum>,
-    },
-    Transform(TransformPhase),
-}
-
-/// The manager side of one run of the paper's protocol (§3, steps 1–8):
-/// screening fan-out → merge → covariance fan-out → transform fan-out.
-///
-/// Driven exactly like [`ChainPlan`].  The owner's task ids are unique
-/// across phases, so a second replica's answer, a retransmit's echo and a
-/// result of an earlier phase are all [`Step::Stale`].  Results are held by
-/// id and merged (unique sets) or summed (covariance) in issue order once
-/// the phase's last one is in, so the output is a function of the cube, the
-/// configuration, the shards and the covariance width alone — not of which
-/// executor answered when.
-pub struct PaperPlan {
-    cube: Arc<HyperCube>,
-    config: PctConfig,
-    shards: Vec<SubCubeSpec>,
-    covariance_tasks: usize,
-    /// Size of the merged unique set, fixed when screening closes.
-    unique_count: usize,
-    progress: PaperProgress,
-}
-
-impl PaperPlan {
-    /// A plan over `cube` that screens and transforms `shards` and splits
-    /// the covariance sums over the merged unique set into (at most)
-    /// `covariance_tasks` chunks.
-    pub fn new(
-        cube: Arc<HyperCube>,
-        config: PctConfig,
-        shards: Vec<SubCubeSpec>,
-        covariance_tasks: usize,
-    ) -> Self {
-        Self {
-            progress: PaperProgress::Screen(Fanout::new(shards.len())),
-            cube,
-            config,
-            shards,
-            covariance_tasks: covariance_tasks.max(1),
-            unique_count: 0,
-        }
-    }
-
-    /// The phase the plan is in (the covariance fan-out is
-    /// [`Phase::Derive`]).
-    pub fn phase(&self) -> Phase {
-        match self.progress {
-            PaperProgress::Screen(_) => Phase::Screen,
-            PaperProgress::Covariance { .. } => Phase::Derive,
-            PaperProgress::Transform(_) => Phase::Transform,
-        }
-    }
-
-    /// The next dispatchable task, under the id `task`.  `None` — and the id
-    /// not consumed — while the phase waits on its last results, or once
-    /// everything is issued.
-    pub fn next_task(&mut self, task: TaskId) -> Option<PctMessage> {
-        let (cube, shards) = (&self.cube, &self.shards);
-        let threshold_rad = self.config.screening_angle_rad;
-        match &mut self.progress {
-            PaperProgress::Screen(sets) => sets.issue(task, |index| {
-                Some(PctMessage::ScreenTask {
-                    task,
-                    view: shards.get(index)?.view(cube).ok()?,
-                    threshold_rad,
-                })
-            }),
-            PaperProgress::Covariance {
-                mean,
-                unique,
-                chunk,
-                sums,
-            } => sums.issue(task, |index| {
-                Some(PctMessage::CovarianceTask {
-                    task,
-                    mean: mean.clone(),
-                    pixels: unique.chunks(*chunk).nth(index)?.to_vec(),
-                })
-            }),
-            PaperProgress::Transform(phase) => phase.next_task(task, cube, shards),
-        }
-    }
-
-    /// Consumes one arriving message.  Each issued task id is accepted once:
-    /// anything else is [`Step::Stale`] and leaves the plan untouched.
-    ///
-    /// # Errors
-    /// The cause a worker reported in `TaskFailed` for an outstanding task,
-    /// or a phase that cannot go on: an empty unique set, a covariance sum
-    /// of the wrong band count, or sums that accumulated no pixels.
-    pub fn accept(&mut self, result: PctMessage) -> std::result::Result<Step, String> {
-        let issued = |task| match &self.progress {
-            PaperProgress::Screen(sets) => sets.is_outstanding(task),
-            PaperProgress::Covariance { sums, .. } => sums.is_outstanding(task),
-            PaperProgress::Transform(phase) => phase.strips.is_outstanding(task),
-        };
-        let Some(task) = result.task().filter(|task| issued(*task)) else {
-            return Ok(Step::Stale);
-        };
-        if let PctMessage::TaskFailed { error, .. } = result {
-            return Err(error);
-        }
-        match &mut self.progress {
-            PaperProgress::Screen(sets) => {
+            Progress::Screen(sets) => {
                 let PctMessage::UniqueSet { unique, .. } = result else {
                     return Ok(Step::Stale);
                 };
@@ -505,7 +410,7 @@ impl PaperPlan {
                 self.progress = self.covariance_phase(sets)?;
                 Ok(Step::Entered(Phase::Derive))
             }
-            PaperProgress::Covariance { mean, sums, .. } => {
+            Progress::Covariance { mean, sums, .. } => {
                 let PctMessage::CovarianceSum {
                     packed,
                     bands,
@@ -522,24 +427,24 @@ impl PaperPlan {
                 self.progress = self.transform_phase(mean, sums)?;
                 Ok(Step::Entered(Phase::Transform))
             }
-            PaperProgress::Transform(phase) => Ok(phase.accept(task, result)),
+            Progress::Transform(phase) => Ok(phase.accept(task, result)),
         }
     }
 
-    /// Steps 2–3: merges the unique sets in issue order and chunks the
-    /// merged set for the covariance fan-out.
+    /// Steps 2–3 of the paper: merges the unique sets in issue order and
+    /// chunks the merged set for the covariance fan-out.
     fn covariance_phase(
         &mut self,
         sets: Vec<Vec<Vector>>,
-    ) -> std::result::Result<PaperProgress, String> {
+    ) -> std::result::Result<Progress, String> {
         let unique = merge_unique_sets(sets, self.config.screening_angle_rad);
         if unique.is_empty() {
             return Err("screening produced an empty unique set".into());
         }
         self.unique_count = unique.len();
         let mean = mean_vector(&unique).map_err(|e| e.to_string())?;
-        let chunk = unique.len().div_ceil(self.covariance_tasks);
-        Ok(PaperProgress::Covariance {
+        let chunk = unique.len().div_ceil(self.shards.len().div_ceil(2));
+        Ok(Progress::Covariance {
             mean,
             sums: Fanout::new(unique.len().div_ceil(chunk)),
             unique,
@@ -547,13 +452,13 @@ impl PaperPlan {
         })
     }
 
-    /// Steps 5–6: sums the partial covariances in issue order and derives
-    /// the transform the last fan-out applies.
+    /// Steps 5–6 of the paper: sums the partial covariances in issue order
+    /// and derives the transform the last fan-out applies.
     fn transform_phase(
         &self,
         mean: Vector,
         partials: Vec<PartialSum>,
-    ) -> std::result::Result<PaperProgress, String> {
+    ) -> std::result::Result<Progress, String> {
         let bands = mean.len();
         let mut sum = SymMatrix::zeros(bands);
         let mut total_count = 0u64;
@@ -573,7 +478,7 @@ impl PaperPlan {
         }
         sum.scale_in_place(1.0 / total_count as f64);
         let spec = finalize_transform(mean, &sum, &self.config).map_err(|e| e.to_string())?;
-        Ok(PaperProgress::Transform(TransformPhase::new(
+        Ok(Progress::Transform(TransformPhase::new(
             spec,
             self.shards.len(),
         )))
@@ -584,21 +489,58 @@ impl PaperPlan {
     /// # Errors
     /// `InvalidConfig` before completion, or on a malformed strip.
     pub fn into_output(self) -> Result<FusionOutput> {
-        let phase = match self.progress {
-            PaperProgress::Transform(phase) => Some(phase),
-            _ => None,
-        };
-        finish(phase, &self.cube, self.unique_count)
+        match self.progress {
+            Progress::Transform(mut phase) if phase.strips.is_complete() => Ok(FusionOutput {
+                image: assemble_image(self.cube.width(), self.cube.height(), phase.strips.take())?,
+                eigenvalues: phase.spec.eigenvalues,
+                unique_count: self.unique_count,
+                pixels: self.cube.pixels(),
+            }),
+            _ => Err(PctError::InvalidConfig("the plan has not completed".into())),
+        }
+    }
+
+    /// Runs the plan to completion in the calling thread, every task through
+    /// [`handle_task`] — the reference a run of the paper's protocol on any
+    /// executor must equal byte for byte.
+    ///
+    /// # Errors
+    /// A plan error as `InvalidConfig`.
+    pub fn run_in_thread(self) -> Result<FusionOutput> {
+        self.drive(|_| {})
+    }
+
+    /// [`Plan::run_in_thread`], with every answer `tamper`ed with before the
+    /// plan sees it; each batch is answered in reverse issue order.
+    fn drive(mut self, tamper: fn(&mut PctMessage)) -> Result<FusionOutput> {
+        let mut next = 0;
+        loop {
+            let mut batch = Vec::new();
+            while let Some(task) = self.next_task(next) {
+                next += 1;
+                batch.push(task);
+            }
+            if batch.is_empty() {
+                let phase = self.phase().name();
+                return Err(PctError::InvalidConfig(format!(
+                    "the plan stalled in {phase}"
+                )));
+            }
+            for mut result in batch.into_iter().rev().filter_map(handle_task) {
+                tamper(&mut result);
+                if self.accept(result).map_err(PctError::InvalidConfig)? == Step::Complete {
+                    return self.into_output();
+                }
+            }
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::distributed::handle_task;
-    use crate::resilient::ResilientPct;
     use crate::sequential::SequentialPct;
-    use hsi::partition::{partition_for_workers, partition_rows, GranularityPolicy};
+    use hsi::partition::partition_rows;
     use hsi::{CubeDims, SceneConfig, SceneGenerator};
     use proptest::prelude::*;
     use rand::rngs::StdRng;
@@ -612,22 +554,15 @@ mod tests {
         )
     }
 
-    fn plan_over(cube: &Arc<HyperCube>, screen: usize, transform: usize) -> ChainPlan {
-        ChainPlan::new(
-            Arc::clone(cube),
-            PctConfig::paper(),
-            partition_rows(cube.dims(), screen).unwrap(),
-            partition_rows(cube.dims(), transform).unwrap(),
-        )
+    fn plan_over(protocol: Protocol, cube: &Arc<HyperCube>, shards: usize) -> Plan {
+        let shards = partition_rows(cube.dims(), shards).unwrap();
+        Plan::new(protocol, Arc::clone(cube), PctConfig::paper(), shards)
     }
 
     /// Everything a plan will issue right now, ids counted up from `*next`.
-    fn issue_all(
-        mut next_task: impl FnMut(TaskId) -> Option<PctMessage>,
-        next: &mut TaskId,
-    ) -> Vec<PctMessage> {
+    fn issue_all(plan: &mut Plan, next: &mut TaskId) -> Vec<PctMessage> {
         let mut batch = Vec::new();
-        while let Some(task) = next_task(*next) {
+        while let Some(task) = plan.next_task(*next) {
             assert_eq!(task.task(), Some(*next));
             *next += 1;
             batch.push(task);
@@ -645,23 +580,21 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(24))]
 
-        /// (a) Any screen partition, a different transform partition, strips
-        /// in any order, every result delivered again after every batch (so
-        /// in its own phase and in every later one): the output is the
-        /// sequential reference's and every repeat is stale.
+        /// (a) Any partition, strips in any order, every result delivered
+        /// again after every batch (so in its own phase and in every later
+        /// one): the chain's output is the sequential reference's and every
+        /// repeat is stale.
         #[test]
         fn a_chain_plan_equals_the_sequential_reference_and_accepts_each_id_once(
             seed in 0u64..1 << 40,
-            screen in 1usize..9,
-            offset in 1usize..8,
+            shards in 1usize..9,
         ) {
-            let transform = 1 + (screen - 1 + offset) % 8;
             let cube = scene(seed);
-            let mut plan = plan_over(&cube, screen, transform);
+            let mut plan = plan_over(Protocol::Chain, &cube, shards);
             let mut rng = StdRng::seed_from_u64(seed);
             let (mut next, mut echoes) = (1, Vec::new());
             'run: loop {
-                let mut batch = issue_all(|id| plan.next_task(id), &mut next);
+                let mut batch = issue_all(&mut plan, &mut next);
                 prop_assert!(!batch.is_empty(), "the plan stalled in {:?}", plan.phase());
                 shuffle(&mut batch, &mut rng);
                 for task in batch {
@@ -684,29 +617,21 @@ mod tests {
             prop_assert_eq!(plan.into_output().unwrap(), reference);
         }
 
-        /// (b) The paper's plan over any shard count and covariance width,
-        /// results in any order, every result delivered again after every
-        /// batch: the output is the in-order drive's and every repeat is
-        /// stale.
+        /// (b) The paper's protocol over any shard count, results in any
+        /// order, every result delivered again after every batch: the output
+        /// is `run_in_thread`'s and every repeat is stale.
         #[test]
         fn a_paper_plan_is_independent_of_arrival_order_and_accepts_each_id_once(
             seed in 0u64..1 << 40,
             shards in 1usize..9,
-            slots in 1usize..5,
         ) {
             let cube = scene(seed);
-            let plan = || PaperPlan::new(
-                Arc::clone(&cube),
-                PctConfig::paper(),
-                partition_rows(cube.dims(), shards).unwrap(),
-                slots,
-            );
-            let in_order = drive(plan(), |_| {}).unwrap();
-            let mut plan = plan();
+            let in_thread = plan_over(Protocol::Paper, &cube, shards).run_in_thread().unwrap();
+            let mut plan = plan_over(Protocol::Paper, &cube, shards);
             let mut rng = StdRng::seed_from_u64(seed);
             let (mut next, mut echoes) = (7, Vec::<PctMessage>::new());
             'run: loop {
-                let mut batch = issue_all(|id| plan.next_task(id), &mut next);
+                let mut batch = issue_all(&mut plan, &mut next);
                 prop_assert!(!batch.is_empty(), "the plan stalled in {:?}", plan.phase());
                 // Every earlier answer again while this batch is outstanding
                 // — in the covariance phase, the screening answers.
@@ -728,7 +653,7 @@ mod tests {
             for echo in echoes {
                 prop_assert_eq!(plan.accept(echo), Ok(Step::Stale));
             }
-            prop_assert_eq!(plan.into_output().unwrap(), in_order);
+            prop_assert_eq!(plan.into_output().unwrap(), in_thread);
         }
     }
 
@@ -737,9 +662,9 @@ mod tests {
     fn phases_are_typed() {
         let cube = scene(3);
         let reference = SequentialPct::new(PctConfig::paper()).run(&cube).unwrap();
-        let unfinished = plan_over(&cube, 1, 1).into_output();
+        let unfinished = plan_over(Protocol::Chain, &cube, 1).into_output();
         assert!(matches!(unfinished, Err(PctError::InvalidConfig(_))));
-        let mut plan = plan_over(&cube, 2, 3);
+        let mut plan = plan_over(Protocol::Chain, &cube, 2);
         let failed = |task| PctMessage::TaskFailed {
             task,
             error: "boom".into(),
@@ -792,8 +717,8 @@ mod tests {
         // A transform plan has no use for a unique set under an outstanding
         // id; messages without a task id are stale everywhere.
         let mut next = 4;
-        let tasks = issue_all(|id| plan.next_task(id), &mut next);
-        assert_eq!(tasks.len(), 3);
+        let tasks = issue_all(&mut plan, &mut next);
+        assert_eq!(tasks.len(), 2);
         let foreign = PctMessage::SeededUnique {
             task: 4,
             accepted: vec![Vector::zeros(cube.bands())],
@@ -805,26 +730,8 @@ mod tests {
             .into_iter()
             .map(|task| plan.accept(handle_task(task).unwrap()).unwrap())
             .collect();
-        assert_eq!(steps, [Step::Continue, Step::Continue, Step::Complete]);
+        assert_eq!(steps, [Step::Continue, Step::Complete]);
         assert_eq!(plan.into_output().unwrap(), reference);
-    }
-
-    /// Drives a paper plan in-thread, as an executor does: every task
-    /// through `handle_task`, each batch answered in reverse issue order and
-    /// `tamper`ed with first, a plan error as `InvalidConfig`.
-    fn drive(mut plan: PaperPlan, tamper: fn(&mut PctMessage)) -> Result<FusionOutput> {
-        let mut next = 0;
-        loop {
-            let batch = issue_all(|id| plan.next_task(id), &mut next);
-            assert!(!batch.is_empty(), "the plan stalled in {:?}", plan.phase());
-            for task in batch.into_iter().rev() {
-                let mut result = handle_task(task).unwrap();
-                tamper(&mut result);
-                if plan.accept(result).map_err(PctError::InvalidConfig)? == Step::Complete {
-                    return plan.into_output();
-                }
-            }
-        }
     }
 
     /// FNV-1a (64-bit) over the image bytes, then the eigenvalues' bits.
@@ -846,12 +753,12 @@ mod tests {
 
     /// (d) Pinned rows of the paper's protocol — `(scene, slots, unique
     /// count, fingerprint)` — for `SceneConfig::small(5)` and the 48×48×24
-    /// end-to-end scene, sharded `PerWorkerMultiple(2)` over `slots` with
-    /// `slots` covariance tasks: in-thread, and through `ResilientPct` at
-    /// levels 1 and 2.  They predate the plan; a change that moves one
-    /// changes what the protocol computes.
+    /// end-to-end scene over `2 · slots` shards (so `slots` covariance
+    /// tasks), run in-thread.  They predate the plan; a change that moves
+    /// one changes what the protocol computes.  `tests/exact_rows.rs` holds
+    /// the same rows through the service at levels 1 and 2.
     #[test]
-    fn the_paper_plan_reproduces_its_pinned_rows_in_thread_and_at_levels_1_and_2() {
+    fn the_paper_plan_reproduces_its_pinned_rows_in_thread() {
         let mut e2e = SceneConfig::small(1);
         e2e.dims = CubeDims::new(48, 48, 24);
         let e2e = Arc::new(SceneGenerator::new(e2e).unwrap().generate());
@@ -863,20 +770,14 @@ mod tests {
             (&e2e, 3, 197, 0xfc01_55e6_8987_ff29),
         ];
         for (cube, slots, unique, hash) in rows {
-            let shards =
-                partition_for_workers(cube.dims(), slots, GranularityPolicy::PerWorkerMultiple(2))
-                    .unwrap();
-            let plan = PaperPlan::new(Arc::clone(cube), PctConfig::paper(), shards, slots);
-            let output = drive(plan, |_| {}).unwrap();
+            let output = plan_over(Protocol::Paper, cube, 2 * slots)
+                .run_in_thread()
+                .unwrap();
             assert_eq!(
                 (output.unique_count, fingerprint(&output)),
                 (unique, hash),
                 "{slots} slots"
             );
-            for level in [1, 2] {
-                let run = ResilientPct::new(PctConfig::paper(), slots, level).run(cube);
-                assert_eq!(run.unwrap(), output, "{slots} slots, level {level}");
-            }
         }
     }
 
@@ -887,15 +788,14 @@ mod tests {
     #[test]
     fn a_screening_answer_delivered_again_in_the_covariance_phase_is_stale() {
         let cube = scene(3);
-        let shards = partition_rows(cube.dims(), 2).unwrap();
-        let mut plan = PaperPlan::new(Arc::clone(&cube), PctConfig::paper(), shards, 2);
+        let mut plan = plan_over(Protocol::Paper, &cube, 4);
         let mut next = 0;
-        let screening = issue_all(|id| plan.next_task(id), &mut next);
+        let screening = issue_all(&mut plan, &mut next);
         let answers: Vec<PctMessage> = screening.into_iter().flat_map(handle_task).collect();
         for answer in answers.clone() {
             assert_ne!(plan.accept(answer), Ok(Step::Stale));
         }
-        let covariance = issue_all(|id| plan.next_task(id), &mut next);
+        let covariance = issue_all(&mut plan, &mut next);
         let Some(PctMessage::UniqueSet { unique, .. }) = answers.first().cloned() else {
             panic!("a screening task answers with a unique set");
         };
@@ -913,13 +813,11 @@ mod tests {
     #[test]
     fn degenerate_phases_of_the_paper_protocol_are_typed_errors() {
         let cube = scene(5);
-        let run = |tamper: fn(&mut PctMessage)| {
-            let shards = partition_rows(cube.dims(), 4).unwrap();
-            let plan = PaperPlan::new(Arc::clone(&cube), PctConfig::paper(), shards, 2);
-            match drive(plan, tamper) {
-                Err(PctError::InvalidConfig(message)) => message,
-                other => panic!("expected InvalidConfig, got {other:?}"),
-            }
+        let run = |tamper: fn(&mut PctMessage)| match plan_over(Protocol::Paper, &cube, 4)
+            .drive(tamper)
+        {
+            Err(PctError::InvalidConfig(message)) => message,
+            other => panic!("expected InvalidConfig, got {other:?}"),
         };
         let empty_screening = run(|msg| {
             if let PctMessage::UniqueSet { unique, .. } = msg {

@@ -1,115 +1,49 @@
-//! The intrusion-tolerant (resilient) distributed implementation, and the
-//! one executor of the paper's protocol.
+//! The replica-group machinery of the resilient lane: the paper's
+//! intrusion tolerance.
 //!
-//! [`ResilientPct`] runs one [`PaperPlan`] over replica groups: every
-//! logical worker is a *replica group* of `level` member threads that all
-//! receive every task and all return results.  The plan acts on the first
+//! Every logical worker is a *replica group* of members that all receive
+//! every task and all return results; the manager's plan acts on the first
 //! result per task id and calls the others stale, so replication is
-//! transparent to the application by construction; level 1 is the plain
-//! manager/worker run.  Members emit heartbeats; a failure detector at the
+//! transparent to the application by construction (level 1 is the plain
+//! manager/worker run).  Members emit heartbeats; a failure detector at the
 //! manager notices a member that has gone silent (because an attack killed
-//! it), and the regeneration protocol immediately spawns a replacement
-//! member — rebinding its routing name and re-issuing any tasks its group
-//! still owes — restoring the replication level instead of merely degrading.
-//! That restore-not-degrade behaviour is the paper's definition of
-//! computational resiliency.
+//! it), and regeneration immediately starts a replacement member —
+//! rebinding its routing name and re-issuing the tasks its group still owes
+//! — restoring the replication level instead of merely degrading.  That
+//! restore-not-degrade behaviour is the paper's definition of computational
+//! resiliency.
 //!
 //! The machinery that keeps groups alive (membership, kill switches,
-//! failure detection, regeneration, member start and run accounting) is
-//! one owned [`ResilientManagerState`], shared with the service layer's
-//! worker pool, which owns one for the lifetime of the process.  Starting a
-//! member is the owner's effect, handed to [`ResilientManagerState::build`]
+//! failure detection, regeneration, member start and run accounting) is one
+//! owned [`ResilientManagerState`], which the `service` worker pool owns for
+//! the lifetime of the process and the `service` scheduler drives.  Starting
+//! a member is the owner's effect, handed to [`ResilientManagerState::build`]
 //! once and used for every member it starts and every replacement it
-//! regenerates: [`ResilientPct`] and the threaded pool start a
-//! [`member_loop`] thread, a pool hosted on virtual time binds a mailbox its
-//! host drives.  What only a run of the paper's protocol needs — its
-//! in-flight table, the retransmit sweep and the staged [`AttackPlan`] —
-//! stays with the executor.
+//! regenerates: the threaded pool starts a [`member_loop`] thread, a pool
+//! hosted on virtual time binds a mailbox its host drives.
 
-use crate::config::{FusionOutput, PctConfig};
 use crate::distributed::{handle_task, MANAGER};
-use crate::messages::{PctMessage, TaskId};
-use crate::plan::{PaperPlan, Step};
-use crate::{PctError, Result};
-use hsi::partition::{partition_for_workers, GranularityPolicy};
-use hsi::HyperCube;
+use crate::messages::PctMessage;
+use crate::Result;
 use resilience::attack::AttackInjector;
 use resilience::group::ReplicaGroup;
 use resilience::{
     DetectorConfig, FailureDetector, KillSwitch, MemberId, MembershipTable, PlacementPolicy,
     Regenerator,
 };
-use scp::{Runtime, ScpError, ThreadContext, ThreadHandle};
+use scp::{ScpError, ThreadContext, ThreadHandle};
 use std::any::Any;
-use std::collections::{HashMap, VecDeque};
-use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-/// A staged attack against the running computation: after the manager has
-/// received `after_results` task results, the listed member routing names are
-/// killed.  This emulates an adversary taking out processes mid-run.
-///
-/// `drop_sends` additionally emulates *lost messages*: the next `count`
-/// group-send deliveries to each listed member are silently discarded in
-/// transit (the send "succeeds" but nothing arrives).  Dropping the sends to
-/// every member of a group loses the task entirely without killing anyone —
-/// the task-loss window that retransmit-on-timeout closes.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct AttackPlan {
-    /// Number of results to wait for before the attack fires.
-    pub after_results: usize,
-    /// Member routing names (e.g. `worker0#0`) to kill.
-    pub victims: Vec<String>,
-    /// `(member routing name, deliveries to drop)` send-fault injections.
-    pub drop_sends: Vec<(String, usize)>,
-}
-
-impl AttackPlan {
-    /// No attack.
-    pub fn none() -> Self {
-        Self::default()
-    }
-
-    /// Kills one member of logical worker 0 early in the run.
-    pub fn kill_first_worker_member() -> Self {
-        Self {
-            after_results: 1,
-            victims: vec!["worker0#0".to_string()],
-            drop_sends: Vec::new(),
-        }
-    }
-
-    /// Drops the next delivery to each listed member without killing anyone:
-    /// a group send made "mid-group" reaches nobody on the first attempt.
-    pub fn drop_next_send_to(members: &[&str]) -> Self {
-        Self {
-            after_results: 0,
-            victims: Vec::new(),
-            drop_sends: members.iter().map(|m| (m.to_string(), 1)).collect(),
-        }
-    }
-}
-
-/// What happened during a resilient run, beyond the fused output.
+/// What the replica groups went through, folded at shutdown.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ResilientRunReport {
-    /// Heartbeats the manager consumed.
-    pub heartbeats: u64,
-    /// Duplicate task results discarded by the manager.
-    pub duplicates_ignored: u64,
-    /// Members the attack plan killed.
+    /// Members attacked through the kill-switch registry.
     pub members_attacked: Vec<String>,
     /// Regenerations the protocol performed.
     pub regenerations: Vec<resilience::RegenerationEvent>,
     /// Tasks that had to be re-issued after a regeneration.
     pub tasks_reissued: u64,
-    /// Whole-group retransmissions of tasks that timed out without a result
-    /// (covers sends lost in transit to members that never acked).
-    pub retransmits: u64,
-    /// Sub-cube payload bytes deep-copied while building and routing task
-    /// messages (clone-ledger delta over the run): 0 on the view-based
-    /// message plane.
-    pub bytes_cloned: u64,
 }
 
 /// Starts one member under its routing name with the kill switch its loop
@@ -122,9 +56,8 @@ type StartMember = Box<dyn FnMut(&str, KillSwitch) -> scp::Result<Option<ThreadH
 /// Owns everything needed to keep the groups alive: membership, the
 /// kill-switch registry used to emulate attacks, the heartbeat failure
 /// detector, the regeneration driver, the owner's member start, the handles
-/// of every member thread not yet reaped, and the run accounting.
-/// [`ResilientPct`] builds one per run; the service layer's worker pool owns
-/// one for the lifetime of the process.
+/// of every member thread not yet reaped, and the run accounting.  The
+/// service layer's worker pool owns one for the lifetime of the process.
 pub struct ResilientManagerState {
     /// Replica-group membership, shared with the regenerator.
     pub membership: MembershipTable,
@@ -139,7 +72,7 @@ pub struct ResilientManagerState {
     /// declared failed); [`ResilientManagerState::handle_member_failure`]
     /// joins and removes the ones that have exited.
     pub handles: Vec<ThreadHandle<()>>,
-    /// Run accounting (heartbeats, duplicates, re-issues).
+    /// Run accounting (re-issues; attacks and regenerations at shutdown).
     pub report: ResilientRunReport,
     /// How long an outstanding task may go unanswered before it is re-sent
     /// to every current member of its group (× [`backoff_factor`]).
@@ -147,12 +80,6 @@ pub struct ResilientManagerState {
     /// task id), so a conservative default only costs latency on genuinely
     /// lost sends.
     pub retransmit_after: Duration,
-    /// Remaining send-fault injections ([`AttackPlan::drop_sends`]):
-    /// deliveries to drop per routing name.  Empty but for a
-    /// [`ResilientPct`] run under attack, which sets it: the drops act on
-    /// single member deliveries, and [`ResilientManagerState::group_send`]
-    /// is the one loop that makes them.
-    send_drops: HashMap<String, usize>,
     /// The first panic of a member thread reaped mid-run, re-raised by
     /// [`ResilientManagerState::shutdown`].
     member_panic: Option<Box<dyn Any + Send>>,
@@ -160,9 +87,8 @@ pub struct ResilientManagerState {
     start: StartMember,
 }
 
-/// The single retransmit-backoff policy of both managers — the resilient
-/// pipeline's executor and the service scheduler: the wait doubles with
-/// every attempt, capped at 32×, so a genuinely long task on a healthy group
+/// The retransmit-backoff policy of the scheduler's group lane: the wait
+/// doubles with every attempt, capped at 32×, so a genuinely long task on a healthy group
 /// costs at most a handful of idempotent duplicates instead of a re-send
 /// storm, while a genuinely lost send is still recovered after one base
 /// timeout.
@@ -211,7 +137,6 @@ impl ResilientManagerState {
             handles: Vec::new(),
             report: ResilientRunReport::default(),
             retransmit_after: Duration::from_millis(500),
-            send_drops: HashMap::new(),
             member_panic: None,
             start: Box::new(start),
         };
@@ -247,10 +172,7 @@ impl ResilientManagerState {
     /// report that complements the heartbeat detector.
     ///
     /// Message clones here are `Arc` bumps on view payloads, so replicating
-    /// a task across a group costs reference counts, not pixel copies.  A
-    /// pending send-fault injection ([`AttackPlan::drop_sends`]) consumes
-    /// one delivery: the message is discarded in transit while the send
-    /// appears to succeed.
+    /// a task across a group costs reference counts, not pixel copies.
     pub fn group_send(
         &mut self,
         ctx: &ThreadContext<PctMessage>,
@@ -261,12 +183,6 @@ impl ResilientManagerState {
         let mut dead = Vec::new();
         for member in &snapshot.members {
             let name = member.routing_name();
-            if let Some(remaining) = self.send_drops.get_mut(&name) {
-                if *remaining > 0 {
-                    *remaining -= 1;
-                    continue;
-                }
-            }
             if let Err(ScpError::Disconnected(_)) = ctx.send(&name, msg.clone()) {
                 dead.push(member.clone());
             }
@@ -397,81 +313,6 @@ impl ResilientManagerState {
     }
 }
 
-/// The resilient distributed fusion pipeline.
-#[derive(Debug, Clone)]
-pub struct ResilientPct {
-    config: PctConfig,
-    workers: usize,
-    level: usize,
-}
-
-impl ResilientPct {
-    /// Creates a resilient pipeline with `workers` logical workers replicated
-    /// to `level` members each (the paper evaluates level 2; level 1 is the
-    /// plain manager/worker run).
-    pub fn new(config: PctConfig, workers: usize, level: usize) -> Self {
-        Self {
-            config,
-            workers: workers.max(1),
-            level: level.max(1),
-        }
-    }
-
-    /// Runs the pipeline with no attack.
-    pub fn run(&self, cube: &HyperCube) -> Result<FusionOutput> {
-        self.run_with_attack(cube, AttackPlan::none())
-            .map(|(out, _)| out)
-    }
-
-    /// Runs the pipeline while an [`AttackPlan`] kills members (and drops
-    /// sends) mid-run.  The cube is copied once into shared storage at this
-    /// ingestion boundary; every task payload is then a zero-copy
-    /// [`hsi::CubeView`] of it, and the report's `bytes_cloned` measures
-    /// (via the clone ledger) that no sub-cube payload was deep-copied.
-    pub fn run_with_attack(
-        &self,
-        cube: &HyperCube,
-        attack: AttackPlan,
-    ) -> Result<(FusionOutput, ResilientRunReport)> {
-        self.config.validate()?;
-        let cube = Arc::new(cube.clone());
-        let shards = partition_for_workers(
-            cube.dims(),
-            self.workers,
-            GranularityPolicy::PerWorkerMultiple(2),
-        )?;
-        let plan = PaperPlan::new(Arc::clone(&cube), self.config, shards, self.workers);
-        let runtime: Runtime<PctMessage> = Runtime::new();
-        let ctx = runtime.context(MANAGER)?;
-        let groups: Vec<String> = (0..self.workers).map(|w| format!("worker{w}")).collect();
-        // 50 ms heartbeats, a member declared failed after 8 misses.
-        let detector = DetectorConfig {
-            heartbeat_period_ms: 50,
-            miss_threshold: 8,
-        };
-        let start = thread_start(runtime.clone());
-        let mut state = ResilientManagerState::build(&groups, self.level, detector, start)?;
-        state.send_drops = attack.drop_sends.iter().cloned().collect();
-
-        let ledger = hsi::CloneLedger::snapshot();
-        let result = execute(&ctx, &mut state, plan, attack);
-        state.report.bytes_cloned = ledger.delta();
-        let report = state.shutdown(&ctx);
-        result.map(|out| (out, report))
-    }
-}
-
-/// The thread start: one [`member_loop`] thread per member on `runtime`.
-fn thread_start(
-    runtime: Runtime<PctMessage>,
-) -> impl FnMut(&str, KillSwitch) -> scp::Result<Option<ThreadHandle<()>>> + Send + 'static {
-    move |name, kill| {
-        runtime
-            .spawn(name, move |ctx| member_loop(ctx, kill))
-            .map(Some)
-    }
-}
-
 /// The reactive loop of every killable worker — a replica-group member
 /// here, a standard-lane worker in the service pool: service tasks, poll the
 /// [`KillSwitch`] at every timeout boundary and before replying, heartbeat
@@ -508,289 +349,16 @@ pub fn member_loop(ctx: ThreadContext<PctMessage>, kill: KillSwitch) {
     }
 }
 
-/// A task sent to a group and not yet answered.
-struct Outstanding {
-    group: String,
-    /// Kept for retransmission and re-issue (view payloads make cloning an
-    /// `Arc` bump).
-    message: PctMessage,
-    /// When the task was last delivered.
-    sent_at: Instant,
-    /// Retransmissions so far (drives the backoff).
-    attempts: u32,
-}
-
-/// The one executor of the paper's protocol: runs `plan` to completion over
-/// the replica groups of `state`.
-///
-/// Free groups wait in a queue, first in the membership's (lexicographic)
-/// order.  Each turn hands the plan's next tasks to free groups, feeds one
-/// arrival to [`PaperPlan::accept`] (a heartbeat is stale there; a
-/// result's group goes back on the queue unless it was stale too), fires
-/// the staged attack once enough results are in, retransmits overdue tasks,
-/// and regenerates every member confirmed lost, re-issuing what its group
-/// owes.
-fn execute(
-    ctx: &ThreadContext<PctMessage>,
-    state: &mut ResilientManagerState,
-    mut plan: PaperPlan,
-    attack: AttackPlan,
-) -> Result<FusionOutput> {
-    let start = Instant::now();
-    let deadline = start + Duration::from_secs(300);
-    let mut free: VecDeque<String> = state.membership.group_names().into();
-    let mut outstanding: HashMap<TaskId, Outstanding> = HashMap::new();
-    let mut next_id: TaskId = 0;
-    let mut dead_members: Vec<MemberId> = Vec::new();
-    let (mut victims, mut results) = (attack.victims, 0);
-    loop {
-        while let Some(group) = free.pop_front() {
-            let Some(message) = plan.next_task(next_id) else {
-                free.push_front(group);
-                break;
-            };
-            dead_members.extend(state.group_send(ctx, &group, &message)?);
-            let sent_at = Instant::now();
-            let task = Outstanding {
-                group,
-                message,
-                sent_at,
-                attempts: 0,
-            };
-            outstanding.insert(next_id, task);
-            next_id += 1;
-        }
-        if Instant::now() > deadline {
-            return Err(PctError::WorkerLost(
-                "resilient run exceeded its deadline waiting for results".to_string(),
-            ));
-        }
-        let now_ms = start.elapsed().as_millis() as u64;
-        match ctx.recv_timeout(Duration::from_millis(25)) {
-            Ok(envelope) => {
-                state.heartbeat_from(&envelope.from, now_ms);
-                let task = envelope.payload.task();
-                match plan
-                    .accept(envelope.payload)
-                    .map_err(PctError::InvalidConfig)?
-                {
-                    Step::Complete => return plan.into_output(),
-                    Step::Stale if task.is_none() => state.report.heartbeats += 1,
-                    Step::Stale => state.report.duplicates_ignored += 1,
-                    Step::Continue | Step::Entered(_) => {
-                        results += 1;
-                        if let Some(done) = task.and_then(|task| outstanding.remove(&task)) {
-                            free.push_back(done.group);
-                        }
-                    }
-                }
-            }
-            Err(ScpError::Timeout) => {}
-            Err(e) => return Err(e.into()),
-        }
-
-        if results >= attack.after_results {
-            for victim in victims.drain(..) {
-                state.injector.attack(&victim);
-            }
-        }
-
-        // Retransmit tasks that have gone unanswered too long to every
-        // current member of their group: a send lost in transit (or a
-        // member that died holding the only copy) leaves survivors that
-        // never received the task, which regeneration-only re-issue would
-        // never repair.
-        let base = state.retransmit_after;
-        for task in outstanding.values_mut() {
-            if task.sent_at.elapsed() > base * backoff_factor(task.attempts) {
-                dead_members.extend(state.group_send(ctx, &task.group, &task.message)?);
-                task.sent_at = Instant::now();
-                task.attempts = task.attempts.saturating_add(1);
-                state.report.retransmits += 1;
-            }
-        }
-
-        // Attack assessment: anything whose heartbeat stopped (and whose
-        // mailbox probe confirms the silence), or whose mailbox vanished
-        // under a send, is regenerated immediately.
-        let now_ms = start.elapsed().as_millis() as u64;
-        let mut failures = state.sweep_and_probe(ctx, now_ms);
-        failures.append(&mut dead_members);
-        for failed in failures {
-            let owed = outstanding
-                .values()
-                .filter(|task| task.group == failed.group);
-            let owed = owed.map(|task| &task.message);
-            if state.handle_member_failure(ctx, now_ms, &failed, owed)? {
-                // The re-issue restarts the owed tasks' retransmit timers.
-                for task in outstanding.values_mut() {
-                    if task.group == failed.group {
-                        task.sent_at = Instant::now();
-                    }
-                }
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hsi::{SceneConfig, SceneGenerator};
-
-    fn small_scene() -> HyperCube {
-        SceneGenerator::new(SceneConfig::small(13))
-            .unwrap()
-            .generate()
-    }
-
-    /// The non-replicated run with the identical decomposition — the
-    /// resilient pipeline must produce exactly the same statistics and
-    /// image, since replication and regeneration are transparent to the
-    /// application.
-    fn reference(cube: &HyperCube) -> FusionOutput {
-        ResilientPct::new(PctConfig::paper(), 2, 1)
-            .run(cube)
-            .unwrap()
-    }
-
-    #[test]
-    fn resilient_level_1_matches_sequential() {
-        let cube = SceneGenerator::new(SceneConfig::small(5))
-            .unwrap()
-            .generate();
-        let sequential = crate::SequentialPct::new(PctConfig::paper())
-            .run(&cube)
-            .unwrap();
-        let runs = [1, 4].map(|workers| {
-            ResilientPct::new(PctConfig::paper(), workers, 1)
-                .run(&cube)
-                .unwrap()
-        });
-        for res in &runs {
-            assert_eq!(res.pixels, sequential.pixels);
-            let diff = sequential.image.mean_abs_diff(&res.image).unwrap();
-            assert!(diff < 10.0, "level-1 resilient output diverges: {diff}");
-            assert!(res.variance_fraction(3) > 0.95);
-        }
-        let diff = runs[0].image.mean_abs_diff(&runs[1].image).unwrap();
-        assert!(diff < 10.0, "worker-count sensitivity {diff}");
-    }
-
-    #[test]
-    fn resilient_level_2_matches_sequential_and_dedups() {
-        let cube = small_scene();
-        let reference = reference(&cube);
-        let (out, report) = ResilientPct::new(PctConfig::paper(), 2, 2)
-            .run_with_attack(&cube, AttackPlan::none())
-            .unwrap();
-        let diff = reference.image.mean_abs_diff(&out.image).unwrap();
-        assert!(diff < 0.5, "level-2 resilient output diverges: {diff}");
-        // With two members per group, every task produces a duplicate result.
-        assert!(
-            report.duplicates_ignored > 0,
-            "no duplicates observed: {report:?}"
-        );
-        assert!(report.regenerations.is_empty());
-        // The view-based message plane never deep-copies a sub-cube payload.
-        assert_eq!(report.bytes_cloned, 0, "payload bytes were cloned");
-    }
-
-    #[test]
-    fn lost_group_send_is_retransmitted_to_surviving_members() {
-        // Drop the first delivery to BOTH members of worker0's group: the
-        // primed screening task is lost in transit while every member stays
-        // alive and heartbeating.  No failure is ever detected, so the old
-        // regeneration-only re-issue path would stall until the run
-        // deadline; retransmit-on-timeout re-sends the task to the
-        // survivors that never acked it.
-        let cube = small_scene();
-        let reference = reference(&cube);
-        let (out, report) = ResilientPct::new(PctConfig::paper(), 2, 2)
-            .run_with_attack(
-                &cube,
-                AttackPlan::drop_next_send_to(&["worker0#0", "worker0#1"]),
-            )
-            .unwrap();
-        assert!(
-            report.retransmits >= 1,
-            "the dropped task was never retransmitted: {report:?}"
-        );
-        assert!(
-            report.regenerations.is_empty(),
-            "nobody died, nothing should regenerate: {report:?}"
-        );
-        // Retransmission is transparent: the fused image stays bit-for-bit
-        // identical to the undisturbed distributed run with the same
-        // decomposition.
-        assert_eq!(out.image, reference.image, "post-loss output diverges");
-    }
-
-    /// A somewhat larger scene than `small_scene`, so a run outlives the
-    /// attack that fires after its first result.
-    fn attacked_scene() -> HyperCube {
-        let mut config = SceneConfig::small(13);
-        config.dims = hsi::CubeDims::new(64, 64, 24);
-        SceneGenerator::new(config).unwrap().generate()
-    }
-
-    #[test]
-    fn attack_on_one_member_is_survived_and_regenerated() {
-        let cube = attacked_scene();
-        let reference = reference(&cube);
-        let (out, report) = ResilientPct::new(PctConfig::paper(), 2, 2)
-            .run_with_attack(&cube, AttackPlan::kill_first_worker_member())
-            .unwrap();
-        // The fused image is still correct: identical to the undisturbed run.
-        let diff = reference.image.mean_abs_diff(&out.image).unwrap();
-        assert!(diff < 0.5, "post-attack output diverges: {diff}");
-        assert_eq!(report.members_attacked, vec!["worker0#0".to_string()]);
-        // The surviving replica answers every task, so the run may end
-        // inside the detection window: the one victim is regenerated at most
-        // once, and nothing else is.  That a loss *is* repaired is forced —
-        // not raced — in `attack_on_a_whole_group_forces_regeneration`.
-        assert!(report.regenerations.len() <= 1, "{report:?}");
-    }
-
-    #[test]
-    fn attack_on_a_whole_group_forces_regeneration() {
-        // With both members of worker0 dead nobody answers its tasks, and
-        // every phase primes every group: the run cannot complete until a
-        // member of worker0 is regenerated.
-        let cube = attacked_scene();
-        let reference = reference(&cube);
-        let attack = AttackPlan {
-            after_results: 1,
-            victims: vec!["worker0#0".to_string(), "worker0#1".to_string()],
-            drop_sends: Vec::new(),
-        };
-        let (out, report) = ResilientPct::new(PctConfig::paper(), 2, 2)
-            .run_with_attack(&cube, attack)
-            .unwrap();
-        // Regeneration is transparent: bit-for-bit the undisturbed run.
-        assert_eq!(out.image, reference.image, "post-attack output diverges");
-        assert_eq!(report.members_attacked, ["worker0#0", "worker0#1"]);
-        assert!(
-            !report.regenerations.is_empty(),
-            "the killed group was never regenerated: {report:?}"
-        );
-        let regen = &report.regenerations[0];
-        assert_eq!(regen.failed.group, "worker0");
-        assert!(regen.replacement.incarnation >= 2);
-    }
+    use scp::Runtime;
+    use std::time::Instant;
 
     #[test]
     fn backoff_doubles_per_attempt_and_caps_at_32x() {
         let factors: Vec<u32> = (0..=7).map(backoff_factor).collect();
         assert_eq!(factors, [1, 2, 4, 8, 16, 32, 32, 32]);
-    }
-
-    #[test]
-    fn attack_plan_constructors() {
-        assert_eq!(AttackPlan::none().victims.len(), 0);
-        let plan = AttackPlan::kill_first_worker_member();
-        assert_eq!(plan.victims, vec!["worker0#0".to_string()]);
-        assert_eq!(plan.after_results, 1);
     }
 
     /// Builds level-`level` groups named `names` on a fresh runtime.
@@ -809,7 +377,11 @@ mod tests {
             heartbeat_period_ms: 5,
             miss_threshold: 2,
         };
-        let start = thread_start(runtime.clone());
+        let threads = runtime.clone();
+        let start = move |name: &str, kill| {
+            let member = threads.spawn(name, move |ctx| member_loop(ctx, kill));
+            member.map(Some)
+        };
         let state = ResilientManagerState::build(&names, level, detector, start).unwrap();
         (runtime, ctx, state)
     }

@@ -12,7 +12,7 @@
 use crate::job::JobId;
 
 /// The job phase a [`PhaseKill`] is anchored to: a phase of the job's
-/// [`pct::plan::ChainPlan`].
+/// [`pct::plan::Plan`], under either protocol.
 pub use pct::plan::Phase as ChaosPhase;
 
 /// One scheduled kill: when the scheduler dispatches the first task of

@@ -49,6 +49,11 @@ pub enum ConfigError {
     ZeroFailureTimeout,
     /// A job spec asked for zero shards.
     ZeroShards,
+    /// A job of the paper's protocol is not pinned to the resilient lane.
+    /// Its output depends on its partition, so no other lane — above all
+    /// the inline lane, which computes the sequential reference — may run
+    /// it, and only the resilient lane regenerates instead of failing over.
+    PaperJobOffResilientLane,
     /// A tenant quota carries a fair-share weight of zero: the tenant
     /// could never be dequeued.
     ZeroTenantWeight(TenantId),
@@ -77,6 +82,10 @@ impl std::fmt::Display for ConfigError {
                 "failure detectors need a heartbeat period and a miss threshold of at least 1"
             ),
             ConfigError::ZeroShards => write!(f, "a job needs at least one shard"),
+            ConfigError::PaperJobOffResilientLane => write!(
+                f,
+                "a job of the paper's protocol must be pinned to the resilient lane"
+            ),
             ConfigError::ZeroTenantWeight(tenant) => {
                 write!(f, "tenant {tenant} needs a fair-share weight of at least 1")
             }

@@ -9,6 +9,8 @@ use pct::PctConfig;
 use std::sync::Arc;
 use std::time::Duration;
 
+pub use pct::plan::Protocol;
+
 /// Identifier of one submitted fusion job, unique within a service instance.
 pub type JobId = u64;
 
@@ -162,6 +164,10 @@ pub struct JobSpec {
     /// Optional deadline measured from admission; an expired job is
     /// abandoned with [`crate::JobStatus::TimedOut`].
     pub timeout: Option<Duration>,
+    /// The manager protocol: the seeded chain, byte-identical to
+    /// [`pct::SequentialPct`] on every lane (the default), or the paper's,
+    /// which must be pinned to [`BackendKind::Resilient`].
+    pub protocol: Protocol,
 }
 
 /// Validating builder for [`JobSpec`] — see [`JobSpec::builder`].
@@ -219,6 +225,12 @@ impl JobSpecBuilder {
         self
     }
 
+    /// Sets the manager protocol.
+    pub fn protocol(mut self, protocol: Protocol) -> Self {
+        self.spec.protocol = protocol;
+        self
+    }
+
     /// Validates and produces the spec.
     pub fn build(self) -> std::result::Result<JobSpec, ConfigError> {
         self.spec.validate()?;
@@ -228,7 +240,7 @@ impl JobSpecBuilder {
 
 impl JobSpec {
     /// Creates a spec with the paper configuration, automatic routing,
-    /// normal priority and four shards.
+    /// normal priority, four shards and the seeded-chain protocol.
     pub fn new(source: CubeSource) -> Self {
         Self {
             source,
@@ -239,6 +251,7 @@ impl JobSpec {
             class: JobClass::default(),
             shards: 4,
             timeout: None,
+            protocol: Protocol::Chain,
         }
     }
 
@@ -264,6 +277,10 @@ impl JobSpec {
     pub fn validate(&self) -> std::result::Result<(), ConfigError> {
         if self.shards == 0 {
             return Err(ConfigError::ZeroShards);
+        }
+        let resilient = Route::Pinned(BackendKind::Resilient);
+        if self.protocol == Protocol::Paper && self.route != resilient {
+            return Err(ConfigError::PaperJobOffResilientLane);
         }
         self.config
             .validate()
@@ -349,6 +366,29 @@ mod tests {
             ServiceError::from(err),
             ServiceError::InvalidConfig(_)
         ));
+    }
+
+    #[test]
+    fn a_paper_job_must_be_pinned_to_the_resilient_lane() {
+        let paper = || {
+            JobSpec::builder(CubeSource::Synthetic(SceneConfig::small(1))).protocol(Protocol::Paper)
+        };
+        let routes = [Route::Auto].into_iter().chain(
+            [
+                BackendKind::Standard,
+                BackendKind::SharedMemory,
+                BackendKind::Remote,
+            ]
+            .map(Route::Pinned),
+        );
+        for route in routes {
+            let err = paper().route(route).build().unwrap_err();
+            assert_eq!(err, ConfigError::PaperJobOffResilientLane, "{route:?}");
+        }
+        let spec = paper().pinned(BackendKind::Resilient).build().unwrap();
+        assert_eq!(spec.protocol, Protocol::Paper);
+        let default = JobSpec::builder(CubeSource::Synthetic(SceneConfig::small(1)));
+        assert_eq!(default.build().unwrap().protocol, Protocol::Chain);
     }
 
     #[test]

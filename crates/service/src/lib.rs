@@ -6,7 +6,7 @@
 //! requests over one long-lived, sharded worker pool:
 //!
 //! * **Ingestion front end** — a [`JobSpec`] (cube source, [`pct::PctConfig`],
-//!   [`Route`], priority, shard count, optional deadline; built with the
+//!   [`Route`], priority, shard count, optional deadline, [`Protocol`]; built with the
 //!   validating [`JobSpec::builder`]) is submitted through a bounded
 //!   admission queue with backpressure ([`FusionService::submit`] blocks
 //!   when full, [`FusionService::try_submit`] rejects).  Submission returns
@@ -23,8 +23,10 @@
 //!   and their tasks are batch-dispatched in priority order onto a shared
 //!   pool of long-lived `scp` workers: a *standard* lane of plain worker
 //!   threads and a *resilient* lane of `resilience` replica groups owned by
-//!   one [`pct::ResilientManagerState`], the state `pct::ResilientPct`
-//!   builds per run — no per-request pipeline spawning.
+//!   one [`pct::ResilientManagerState`] — no per-request pipeline spawning.
+//!   The scheduler is the one executor of both manager protocols
+//!   ([`pct::plan::Plan`]): the seeded chain below and, on the resilient
+//!   lane, the paper's own.
 //!   Shared-memory jobs bypass the message plane entirely.
 //! * **Results plane** — typed per-job outcomes through the handle,
 //!   cancellation, per-job timeouts, a subscribable [`ServiceEvent`] stream
@@ -34,8 +36,8 @@
 //!
 //! ## Determinism
 //!
-//! Scheduling is concurrent, but every job's output is **byte-identical to
-//! [`pct::SequentialPct`]** on the same cube and configuration, regardless of
+//! Scheduling is concurrent, but every chain job's output is **byte-identical
+//! to [`pct::SequentialPct`]** on the same cube and configuration, regardless of
 //! pool size, lane, interleaving with other jobs, or worker kills on the
 //! resilient lane.  Three properties make that exact:
 //!
@@ -49,7 +51,10 @@
 //!
 //! Intra-job screening is therefore pipelined rather than fanned out; pool
 //! utilisation comes from running many jobs concurrently, which is the
-//! service's reason to exist.
+//! service's reason to exist.  A job of the paper's protocol
+//! ([`Protocol::Paper`]) fans screening and covariance out instead; its
+//! output is a function of its partition, byte-identical to
+//! [`pct::plan::Plan::run_in_thread`] over the same shards.
 //!
 //! ## Admission & tenancy
 //!
@@ -88,7 +93,9 @@ pub use chaos::{ChaosPhase, ChaosPlan, PhaseKill};
 pub use config::{ConfigError, PoolConfig, RemoteWorkerSpec, ServiceConfig, ServiceConfigBuilder};
 pub use events::{EventSubscriber, ServiceEvent, StampedEvent};
 pub use handle::{JobHandle, JobOutcome};
-pub use job::{BackendKind, CubeSource, JobId, JobSpec, JobSpecBuilder, JobStatus, Priority};
+pub use job::{
+    BackendKind, CubeSource, JobId, JobSpec, JobSpecBuilder, JobStatus, Priority, Protocol,
+};
 pub use report::{LatencyStats, RouteStats, ServiceReport, TenantStats};
 pub use routing::{
     LaneLoad, LaneSnapshot, LeastLoadedPolicy, RoundRobinPolicy, Route, RoutingPolicy,

@@ -9,8 +9,8 @@
 //!   scheduler's watchdog can *detect* a lost worker instead of discovering
 //!   the dead mailbox at send time;
 //! * **resilient** — replica groups owned by a [`pct::ResilientManagerState`]
-//!   (kill switches, heartbeat detector, regenerator), the state
-//!   `pct::ResilientPct` builds per run, here owned for the pool's lifetime;
+//!   (kill switches, heartbeat detector, regenerator) for the pool's
+//!   lifetime;
 //! * **shared-memory** — in-process executor threads that run whole jobs
 //!   start-to-finish against the shared `Arc` cube with **zero protocol
 //!   messages**: work arrives over a plain channel and the pipeline is the

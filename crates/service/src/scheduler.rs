@@ -25,10 +25,12 @@
 //! ordered by priority then submission, is matched against the free
 //! execution slots of its lane (standard workers, replica groups,
 //! shared-memory executors, or remote worker processes).  Each message-plane
-//! job owns a [`pct::plan::ChainPlan`] — seeded screening chain → one derive
-//! task → transform fan-out, byte-identical to the sequential reference —
-//! which alone decides which task comes next and what a result means.  The
-//! scheduler decides everything else: which slot runs a task
+//! job owns a [`pct::plan::Plan`] of its [`crate::Protocol`] — the seeded
+//! chain (screening chain → one derive task → transform fan-out,
+//! byte-identical to the sequential reference) or, on the resilient lane,
+//! the paper's (screening, covariance and transform fan-outs) — which alone
+//! decides which task comes next and what a result means.  The scheduler is
+//! the one executor of both and decides everything else: which slot runs a task
 //! ([`Scheduler::place`], the one function that sends one), and what happens
 //! when the slot dies.
 //!
@@ -41,8 +43,8 @@
 //! and the live lane loads.  Every resolution is counted per route in the
 //! [`ServiceReport`] and published on the [`ServiceEvent`] stream.
 //!
-//! The resilient lane reuses [`pct::ResilientManagerState`], the state
-//! `pct::ResilientPct` builds per run: heartbeats are consumed here,
+//! The resilient lane drives the pool's [`pct::ResilientManagerState`]:
+//! heartbeats are consumed here,
 //! silence-flagged members are probed, dead members are regenerated and the
 //! tasks their groups owe re-issued, and duplicate replica results are
 //! discarded by task id — all without disturbing job outputs.
@@ -77,7 +79,7 @@ use crate::status::StatusTable;
 use hsi::partition::partition_rows;
 use hsi::CloneLedger;
 use pct::messages::{PctMessage, TaskId};
-use pct::plan::{ChainPlan, Phase, Step};
+use pct::plan::{Phase, Plan, Step};
 use pct::resilient::backoff_factor;
 use pct::FusionOutput;
 use resilience::{DetectorConfig, FailureDetector, MemberId};
@@ -148,7 +150,7 @@ struct JobRun {
     backend: BackendKind,
     /// The job's protocol state; abandoned if the job runs (or is failed
     /// over to run) on the shared-memory lane.
-    plan: ChainPlan,
+    plan: Plan,
     /// Shard count, for routing decisions.
     shards: usize,
     deadline: Option<Instant>,
@@ -550,7 +552,7 @@ impl Scheduler {
                 priority: queued.spec.priority,
                 backend,
                 shards: shards.len(),
-                plan: ChainPlan::new(cube, queued.spec.config, shards.clone(), shards),
+                plan: Plan::new(queued.spec.protocol, cube, queued.spec.config, shards),
                 deadline: queued.spec.timeout.map(|t| self.now + t),
                 submitted: queued.submitted,
                 inline_dispatched: false,
@@ -1187,8 +1189,9 @@ impl Scheduler {
     /// Re-sends group-lane tasks that have gone unanswered past their
     /// backoff (the shared [`backoff_factor`] policy) to every
     /// *current* member of their group — covering survivors that never
-    /// received the original send, the same task-loss window
-    /// `pct::ResilientPct`'s executor closes.  Retransmits are idempotent:
+    /// received the original send (a send lost in transit, or a member that
+    /// died holding the only copy), which regeneration-only re-issue would
+    /// never repair.  Retransmits are idempotent:
     /// workers recompute and the result plane dedups by task id.
     fn retransmit_overdue_group_tasks(&mut self) {
         let retransmit_after = self.pool.resilient.retransmit_after;
@@ -1439,7 +1442,7 @@ mod tests {
     use super::*;
     use crate::admission::QueuedJob;
     use crate::config::{PoolConfig, ServiceConfig};
-    use crate::job::{CubeSource, JobSpec};
+    use crate::job::{CubeSource, JobSpec, Protocol};
     use crate::status::JobRecord;
     use hsi::SceneConfig;
     use pct::distributed::{handle_task, MANAGER};
@@ -1597,6 +1600,28 @@ mod tests {
         assert_eq!(scheduler.turn(beat + window, None), None);
         assert_eq!(scheduler.report.workers_lost, 1);
         scheduler.finalize();
+    }
+
+    #[test]
+    fn one_turn_fans_a_paper_job_out_over_free_groups_and_a_chain_job_one_link() {
+        for (protocol, kind, dispatched) in [
+            (Protocol::Paper, "screen-task", 3),
+            (Protocol::Chain, "screen-seeded-task", 1),
+        ] {
+            let mut scheduler = scheduler(3);
+            let spec = JobSpec::builder(CubeSource::Synthetic(SceneConfig::small(3)))
+                .pinned(BackendKind::Resilient)
+                .protocol(protocol)
+                .shards(3)
+                .build()
+                .unwrap();
+            submit(&scheduler, 1, spec);
+            scheduler.turn(scheduler.started, None);
+            let kinds: Vec<&str> = scheduler.tasks.values().map(|t| t.message.kind()).collect();
+            assert_eq!(kinds, vec![kind; dispatched], "{protocol:?}");
+            assert_eq!(scheduler.free_groups.len(), 3 - dispatched, "{protocol:?}");
+            scheduler.finalize();
+        }
     }
 
     #[test]

@@ -28,7 +28,7 @@ use pct::messages::PctMessage;
 use resilience::KillSwitch;
 use service::{
     CubeSource, EventSubscriber, FusionService, HostedScheduler, JobHandle, JobId, JobOutcome,
-    JobSpec, JobStatus, ServiceError, ServiceEvent, ServiceReport, TenantId,
+    JobSpec, JobStatus, Protocol, ServiceError, ServiceEvent, ServiceReport, TenantId,
 };
 use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
@@ -98,6 +98,9 @@ fn compute_cost(msg: &PctMessage) -> Duration {
                 + model.covariance_work(unique.len(), bands)
                 + model.eigen_work(bands)
                 + model.per_task_overhead()
+        }
+        PctMessage::CovarianceTask { mean, pixels, .. } => {
+            model.covariance_work(pixels.len(), mean.len()) + model.per_task_overhead()
         }
         PctMessage::TransformTask { view, .. } => {
             model.transform_work(view.pixels(), view.bands())
@@ -458,6 +461,7 @@ impl HostActor {
         let mut spec = JobSpec::builder(CubeSource::InMemory(Arc::clone(&job.cube)))
             .config(self.p.scenario.config)
             .pinned(plan.route)
+            .protocol(plan.protocol)
             .tenant(TenantId(plan.tenant))
             .priority(plan.priority)
             .shards(plan.shards);
@@ -551,7 +555,8 @@ impl HostActor {
                     .push(format!("an event of job {job}, never accepted"));
                 continue;
             };
-            let client = self.p.scenario.jobs[i].client;
+            let plan = &self.p.scenario.jobs[i];
+            let (client, protocol) = (plan.client, plan.protocol);
             let job = &mut self.jobs[i];
             match event {
                 ServiceEvent::Admitted { tenant, .. } => {
@@ -568,10 +573,24 @@ impl HostActor {
                     }
                 }
                 ServiceEvent::Dispatched { kind, .. } => {
+                    // What the task says of its job: the protocol it runs,
+                    // which must be the one it was submitted with, and its
+                    // phase (the paper's covariance fan-out is `derive`).
+                    let (ran, task_phase) = match kind {
+                        "screen-task" => (Protocol::Paper, "screen"),
+                        "covariance-task" => (Protocol::Paper, "derive"),
+                        "screen-seeded-task" => (Protocol::Chain, "screen"),
+                        "derive-task" => (Protocol::Chain, "derive"),
+                        kind => (protocol, kind),
+                    };
+                    if ran != protocol {
+                        let what = format!("job {i} dispatched a {kind} under {protocol:?}");
+                        self.out.anomalies.push(what);
+                    }
                     if let Client::Cancel(Boundary::Dispatch(phase))
                     | Client::Drop(Boundary::Dispatch(phase)) = client
                     {
-                        if !job.acted && kind.starts_with(phase.name()) {
+                        if !job.acted && task_phase.starts_with(phase.name()) {
                             self.act(at, i);
                             acted = true;
                         }

@@ -14,7 +14,7 @@ use netsim::{
 };
 use pct::distributed::MANAGER;
 use pct::messages::PctMessage;
-use pct::{FusionOutput, SequentialPct};
+use pct::FusionOutput;
 use service::{
     FusionService, JobOutcome, JobStatus, PoolConfig, ServiceConfig, ServiceError, ServiceReport,
     TenantId, TenantQuota,
@@ -45,7 +45,7 @@ impl fmt::Display for SimFailure {
 
 impl std::error::Error for SimFailure {}
 
-/// A job's cube and its sequential reference output.
+/// A job's cube and its reference output.
 pub type JobInput = (Arc<HyperCube>, Arc<FusionOutput>);
 
 /// Everything observable about one scenario run — a pure function of the
@@ -206,9 +206,9 @@ impl SimHarness {
             .iter()
             .map(|job| {
                 let cube = Arc::new(job.cube.generate());
-                let reference = SequentialPct::new(self.scenario.config)
-                    .run(&cube)
-                    .map_err(|e| self.fail(format!("sequential reference: {e}")))?;
+                let reference = job
+                    .reference(&cube, self.scenario.config)
+                    .map_err(|e| self.fail(format!("reference: {e}")))?;
                 Ok((cube, Arc::new(reference)))
             })
             .collect::<Result<_, SimFailure>>()?;
@@ -481,7 +481,7 @@ fn judge(
         let waits = matches!(plan.client, Client::Wait | Client::Cancel(_));
         match &facts.outcome {
             Some(JobOutcome::Completed(output)) if output != reference.as_ref() => {
-                violations.push(format!("job {i}'s output differs from SequentialPct"))
+                violations.push(format!("job {i}'s output differs from its reference"))
             }
             Some(outcome) if outcome.status() != status => violations.push(format!(
                 "job {i}'s outcome {:?} is not its event",

@@ -5,11 +5,14 @@
 //! `svc0`, `svc1`, … and replica members `rg<g>#<m>`; a replacement the
 //! resilient lane regenerates takes the next incarnation of its group.
 
+use hsi::partition::partition_rows;
 use hsi::{CubeDims, HyperCube, SceneConfig, SceneGenerator};
 use netsim::{Duration, NetworkModel};
-use pct::PctConfig;
+use pct::plan::Plan;
+use pct::{FusionOutput, PctConfig, SequentialPct};
 use resilience::DetectorConfig;
-use service::{BackendKind, ChaosPhase, ChaosPlan, PhaseKill, Priority};
+use service::{BackendKind, ChaosPhase, ChaosPlan, PhaseKill, Priority, Protocol};
+use std::sync::Arc;
 
 /// The synthetic cube a job fuses.  Kept tiny so thousands of scenarios run
 /// per second; the byte-identity oracle does not care about size.
@@ -100,6 +103,8 @@ pub struct JobPlan {
     pub timeout: Option<Duration>,
     /// What its client does.
     pub client: Client,
+    /// Its manager protocol; [`Protocol::Paper`] only on the resilient lane.
+    pub protocol: Protocol,
 }
 
 impl JobPlan {
@@ -114,6 +119,27 @@ impl JobPlan {
             shards: 3,
             timeout: None,
             client: Client::Wait,
+            protocol: Protocol::Chain,
+        }
+    }
+
+    /// What identifies the job's reference output besides the
+    /// configuration: the cube, and for a paper job its shard count.
+    pub fn reference_key(&self) -> ((usize, usize, usize, u64), Option<usize>) {
+        let paper = self.protocol == Protocol::Paper;
+        (self.cube.key(), paper.then_some(self.shards))
+    }
+
+    /// The output the job must produce on `cube`: a chain job's is
+    /// [`SequentialPct`]'s, a paper job's is [`Plan::run_in_thread`]'s over
+    /// the partition the service cuts for it.
+    pub fn reference(&self, cube: &Arc<HyperCube>, config: PctConfig) -> pct::Result<FusionOutput> {
+        match self.protocol {
+            Protocol::Chain => SequentialPct::new(config).run(cube),
+            Protocol::Paper => {
+                let shards = partition_rows(cube.dims(), self.shards)?;
+                Plan::new(Protocol::Paper, Arc::clone(cube), config, shards).run_in_thread()
+            }
         }
     }
 }
@@ -305,7 +331,7 @@ impl Scenario {
 
     /// Validates internal consistency: every name is a member of the pool
     /// (a replica member where only replica members lose messages), every
-    /// job's lane exists, every straggler's speed is in `(0, 1]`, and there
+    /// job's lane exists (the resilient one for a paper job), every straggler's speed is in `(0, 1]`, and there
     /// is a spare node for every replacement.
     pub fn validate(&self) -> Result<(), String> {
         if self.jobs.is_empty() || self.replica_groups == 0 || self.replication_level == 0 {
@@ -319,6 +345,14 @@ impl Scenario {
                 "a job is pinned to the absent {} lane",
                 job.route.label()
             ));
+        }
+        let resilient = BackendKind::Resilient;
+        if self
+            .jobs
+            .iter()
+            .any(|job| job.protocol == Protocol::Paper && job.route != resilient)
+        {
+            return Err("a paper job is pinned off the resilient lane".into());
         }
         let members = self.members();
         let any = self.chaos.kills.iter().map(|k| &k.member);
@@ -384,6 +418,15 @@ mod tests {
         let mut spareless = ok.with_chaos_kill(ChaosPhase::Transform, "rg1#1");
         spareless.spares = 1;
         assert!(spareless.validate().is_err());
+    }
+
+    #[test]
+    fn validation_keeps_paper_jobs_on_the_resilient_lane() {
+        let mut sc = Scenario::baseline("paper", 1);
+        sc.jobs[0].protocol = Protocol::Paper;
+        assert!(sc.validate().is_ok());
+        sc.jobs[0].route = BackendKind::Standard;
+        assert!(sc.validate().is_err());
     }
 
     #[test]

@@ -6,8 +6,7 @@ use crate::harness::{JobInput, ScenarioReport, SimFailure, SimHarness};
 use crate::scenario::{Boundary, Client, CubeSpec, JobPlan, Partition, Scenario};
 use crate::SplitMix64;
 use netsim::Duration;
-use pct::SequentialPct;
-use service::{BackendKind, ChaosPhase, JobStatus, Priority};
+use service::{BackendKind, ChaosPhase, JobStatus, Priority, Protocol};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::Arc;
@@ -153,25 +152,47 @@ impl SweepReport {
 pub struct Sweep {
     seed: u64,
     count: usize,
+    /// Jobs pinned to the resilient lane run the paper's protocol.
+    paper: bool,
 }
 
 impl Sweep {
     /// A sweep of `count` scenarios from `seed`.
     pub fn new(seed: u64, count: usize) -> Self {
-        Self { seed, count }
+        Self {
+            seed,
+            count,
+            paper: false,
+        }
+    }
+
+    /// The same scenarios, with every job pinned to the resilient lane
+    /// switched to [`Protocol::Paper`] (builder style).  Nothing else
+    /// changes: the generator draws the same numbers.
+    pub fn paper_protocol(mut self) -> Self {
+        self.paper = true;
+        self
     }
 
     /// Enumerates the sweep's scenarios deterministically.
     pub fn scenarios(&self) -> Vec<Scenario> {
         let mut rng = SplitMix64::new(self.seed);
-        (0..self.count).map(|i| generate(&mut rng, i)).collect()
+        let mut scenarios: Vec<Scenario> = (0..self.count).map(|i| generate(&mut rng, i)).collect();
+        if self.paper {
+            for job in scenarios.iter_mut().flat_map(|sc| &mut sc.jobs) {
+                if job.route == BackendKind::Resilient {
+                    job.protocol = Protocol::Paper;
+                }
+            }
+        }
+        scenarios
     }
 
-    /// Runs every scenario against its cached sequential references.
-    /// Returns `Err` only for a scenario that cannot be built or simulated;
-    /// a broken invariant is a failing row.
+    /// Runs every scenario against its cached references.  Returns `Err`
+    /// only for a scenario that cannot be built or simulated; a broken
+    /// invariant is a failing row.
     pub fn run(&self) -> Result<SweepReport, SimFailure> {
-        let mut cache: BTreeMap<(usize, usize, usize, u64), JobInput> = BTreeMap::new();
+        let mut cache = BTreeMap::new();
         let mut rows = Vec::with_capacity(self.count);
         let mut worst: Option<ScenarioReport> = None;
         for sc in self.scenarios() {
@@ -179,13 +200,14 @@ impl Sweep {
                 .jobs
                 .iter()
                 .map(|job| {
-                    let (cube, reference) = cache.entry(job.cube.key()).or_insert_with(|| {
-                        let cube = Arc::new(job.cube.generate());
-                        let reference = SequentialPct::new(sc.config)
-                            .run(&cube)
-                            .expect("sequential reference on a valid cube");
-                        (cube, Arc::new(reference))
-                    });
+                    let (cube, reference): &mut JobInput =
+                        cache.entry(job.reference_key()).or_insert_with(|| {
+                            let cube = Arc::new(job.cube.generate());
+                            let reference = job
+                                .reference(&cube, sc.config)
+                                .expect("reference on a valid cube");
+                            (cube, Arc::new(reference))
+                        });
                     (Arc::clone(cube), Arc::clone(reference))
                 })
                 .collect();

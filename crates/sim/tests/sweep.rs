@@ -88,3 +88,42 @@ fn failing_scenario_is_reproducible_from_the_sweep_seed_alone() {
         assert!(first.trace.contains("seed"));
     }
 }
+
+/// The same 1000 scenarios with every job pinned to the resilient lane
+/// running the paper's protocol — screening and covariance fan out over the
+/// replica groups, so the kill families land on fan-outs — and every
+/// invariant of the harness holding, each completed paper output
+/// byte-identical to `Plan::run_in_thread` over the job's partition.
+#[test]
+fn the_same_thousand_scenarios_hold_every_invariant_under_the_paper_protocol() {
+    let report = Sweep::new(SWEEP_SEED, 1000)
+        .paper_protocol()
+        .run()
+        .expect("every scenario runs");
+    let failures: Vec<String> = report
+        .rows
+        .iter()
+        .filter(|r| !r.passed())
+        .map(|r| format!("{}: {:?}", r.name, r.violations))
+        .collect();
+    assert!(
+        failures.is_empty(),
+        "failing rows:\n{}\n{}",
+        failures.join("\n"),
+        report.pass_table()
+    );
+
+    // Exact rows, as above; they differ from the chain's because the paper
+    // jobs' tasks, and so their timing, differ.
+    let total = |f: fn(&ScenarioReport) -> usize| report.rows.iter().map(f).sum::<usize>();
+    assert_eq!(report.passed(), 1000);
+    assert_eq!(total(|r| r.detections as usize), 883);
+    assert_eq!(report.detection_latency_quantile_ns(0.5), Some(17_000_000));
+    assert_eq!(
+        report.detection_latency_quantile_ns(0.99),
+        Some(392_261_763)
+    );
+    let terminals = [Completed, Failed, Cancelled, TimedOut].map(|s| report.terminal_count(s));
+    assert_eq!(terminals, [1452, 0, 83, 79]);
+    assert_eq!(total(ScenarioReport::refused), 88);
+}

@@ -6,13 +6,13 @@
 use hsi::{io, CubeDims, SceneConfig, SceneGenerator};
 use ingest::{DirectorySource, IngestConfig, IngestPump, ShedReason, SheddingPolicy};
 use pct::distributed_sim::{simulate_fusion, SimParams};
-use pct::resilient::{AttackPlan, ResilientPct};
-use pct::{PctConfig, SequentialPct, SharedMemoryPct};
+use pct::{FusionOutput, PctConfig, SequentialPct, SharedMemoryPct};
 use resilience::DetectorConfig;
 use service::{
     BackendKind, ChaosPhase, ChaosPlan, CubeSource, FusionService, JobHandle, JobOutcome, JobSpec,
-    JobStatus, LeastLoadedPolicy, PoolConfig, Priority, RemoteWorkerSpec, RoundRobinPolicy, Route,
-    ServiceConfig, ServiceEvent, SharedRoutingPolicy, SizeThresholdPolicy, TenantId,
+    JobStatus, LeastLoadedPolicy, PoolConfig, Priority, Protocol, RemoteWorkerSpec,
+    RoundRobinPolicy, Route, ServiceConfig, ServiceEvent, SharedRoutingPolicy, SizeThresholdPolicy,
+    TenantId,
 };
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -23,17 +23,36 @@ fn test_scene(seed: u64) -> hsi::HyperCube {
     SceneGenerator::new(config).unwrap().generate()
 }
 
+/// One job of the paper's protocol over `2 · groups` shards, on a service
+/// of `groups` replica groups of `level` members and no other lane.
+fn paper_job(cube: &hsi::HyperCube, groups: usize, level: usize) -> FusionOutput {
+    let service = FusionService::start(
+        ServiceConfig::builder()
+            .standard_workers(0)
+            .replica_groups(groups)
+            .replication_level(level)
+            .shared_memory_executors(0)
+            .build()
+            .unwrap(),
+    )
+    .unwrap();
+    let spec = JobSpec::builder(CubeSource::InMemory(Arc::new(cube.clone())))
+        .pinned(BackendKind::Resilient)
+        .protocol(Protocol::Paper)
+        .shards(2 * groups)
+        .build()
+        .unwrap();
+    let outcome = service.submit(spec).unwrap().wait().unwrap();
+    service.shutdown();
+    outcome.output().cloned().expect("the job completes")
+}
+
 #[test]
 fn all_implementations_agree_on_the_fused_image() {
     let cube = test_scene(1);
     let sequential = SequentialPct::new(PctConfig::paper()).run(&cube).unwrap();
     let shared = SharedMemoryPct::new(PctConfig::paper()).run(&cube).unwrap();
-    let distributed = ResilientPct::new(PctConfig::paper(), 3, 1)
-        .run(&cube)
-        .unwrap();
-    let resilient = ResilientPct::new(PctConfig::paper(), 3, 2)
-        .run(&cube)
-        .unwrap();
+    let [distributed, resilient] = [1, 2].map(|level| paper_job(&cube, 3, level));
 
     for (name, other) in [
         ("shared-memory", &shared),
@@ -80,24 +99,6 @@ fn fused_composite_improves_contrast_over_single_bands() {
         best_band_contrast
     );
     assert!(fused.image.rms_contrast() > 5.0);
-}
-
-#[test]
-fn resilient_run_under_attack_matches_undisturbed_run() {
-    // Kept modest so the whole run (two fusions) stays fast in debug builds;
-    // the regeneration-specific assertions live in the pct unit tests.
-    let cube = test_scene(3);
-
-    let reference = ResilientPct::new(PctConfig::paper(), 2, 1)
-        .run(&cube)
-        .unwrap();
-    let (attacked, report) = ResilientPct::new(PctConfig::paper(), 2, 2)
-        .run_with_attack(&cube, AttackPlan::kill_first_worker_member())
-        .unwrap();
-
-    assert_eq!(report.members_attacked.len(), 1);
-    let diff = reference.image.mean_abs_diff(&attacked.image).unwrap();
-    assert!(diff < 0.5, "attacked run diverged: {diff}");
 }
 
 #[test]

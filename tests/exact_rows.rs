@@ -6,16 +6,18 @@
 //! A deliberate behaviour change edits the literal in the same commit, with
 //! the reason.  The sibling literals live beside the suites that already
 //! drove their configuration: the wire message set in
-//! `crates/wire/tests/codec_properties.rs`, the 1000-scenario sweep in
-//! `crates/sim/tests/sweep.rs`, Figures 4 / 5 in `crates/bench/src/lib.rs`.
+//! `crates/wire/tests/codec_properties.rs`, the 1000-scenario sweeps in
+//! `crates/sim/tests/sweep.rs`, Figures 4 / 5 in `crates/bench/src/lib.rs`,
+//! the paper's protocol run in-thread in `crates/pct/src/plan.rs`.
 
 use hsi::io::{write_cube_as, Interleave};
 use hsi::{CubeDims, SceneConfig, SceneGenerator};
 use ingest::{DirectorySource, IngestConfig, IngestPump, SheddingPolicy};
+use pct::FusionOutput;
 use resilience::DetectorConfig;
 use service::{
     BackendKind, ChaosPhase, ChaosPlan, CubeSource, FusionService, JobSpec, PoolConfig, Priority,
-    Route, ServiceConfig, ServiceReport, TenantId, TenantQuota, TenantStats,
+    Protocol, Route, ServiceConfig, ServiceReport, TenantId, TenantQuota, TenantStats,
 };
 use std::sync::Arc;
 use telemetry::Telemetry;
@@ -165,6 +167,70 @@ fn failover_counters_are_exact() {
     assert_eq!(reassign.workers_lost + drain.workers_lost, 2);
     assert_eq!(reassign.tasks_reassigned, 1);
     assert_eq!(drain.lane_failovers, 1);
+}
+
+/// FNV-1a (64-bit) over the image bytes, then the eigenvalues' bits.
+fn fingerprint(output: &FusionOutput) -> u64 {
+    let eigenvalue_bytes = output
+        .eigenvalues
+        .iter()
+        .flat_map(|e| e.to_bits().to_le_bytes());
+    output
+        .image
+        .raw()
+        .iter()
+        .copied()
+        .chain(eigenvalue_bytes)
+        .fold(0xcbf2_9ce4_8422_2325, |hash, byte| {
+            (hash ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3)
+        })
+}
+
+/// The paper's protocol through a threaded service: the four pinned rows
+/// `pct::plan` computes in-thread — `(scene, slots, unique count,
+/// fingerprint)` for `SceneConfig::small(5)` and the 48×48×24 end-to-end
+/// scene — as one paper job over `2 · slots` shards on `slots` replica
+/// groups and no other lane, at replication levels 1 and 2.  Replication is
+/// transparent bit for bit.
+#[test]
+fn the_paper_rows_come_out_of_the_service_at_levels_1_and_2() {
+    let small = cube(SceneConfig::small(5));
+    let e2e = cube(scene(1, 48, 24));
+    let rows = [
+        (&small, 1, 108, 0x1e2a_8d0e_50f5_cea2),
+        (&small, 3, 108, 0x6124_e2d4_a91b_5626),
+        (&small, 4, 108, 0xec53_b25d_80b8_91f3),
+        (&e2e, 3, 197, 0xfc01_55e6_8987_ff29),
+    ];
+    for (cube, slots, unique, hash) in rows {
+        for level in [1, 2] {
+            let service = FusionService::start(
+                ServiceConfig::builder()
+                    .standard_workers(0)
+                    .replica_groups(slots)
+                    .replication_level(level)
+                    .shared_memory_executors(0)
+                    .build()
+                    .expect("config validates"),
+            )
+            .expect("service starts");
+            let spec = JobSpec::builder(CubeSource::InMemory(Arc::clone(cube)))
+                .pinned(BackendKind::Resilient)
+                .protocol(Protocol::Paper)
+                .shards(2 * slots)
+                .build()
+                .expect("valid spec");
+            let outcome = service.submit(spec).expect("accepted").wait();
+            let output = outcome.expect("terminal").output().cloned();
+            let output = output.expect("the job completes");
+            assert_eq!(
+                (output.unique_count, fingerprint(&output)),
+                (unique, hash),
+                "{slots} slots, level {level}"
+            );
+            service.shutdown();
+        }
+    }
 }
 
 /// Twelve cube files — a 64×64×32 blocker, eight distinct 24×24×12 scenes,
