@@ -65,8 +65,6 @@ pub enum PctError {
     Sim(netsim::SimError),
     /// The pipeline was configured inconsistently.
     InvalidConfig(String),
-    /// A worker failed and could not be recovered.
-    WorkerLost(String),
 }
 
 impl std::fmt::Display for PctError {
@@ -78,7 +76,6 @@ impl std::fmt::Display for PctError {
             PctError::Resilience(e) => write!(f, "resiliency error: {e}"),
             PctError::Sim(e) => write!(f, "simulator error: {e}"),
             PctError::InvalidConfig(msg) => write!(f, "invalid configuration: {msg}"),
-            PctError::WorkerLost(name) => write!(f, "worker '{name}' was lost and not recovered"),
         }
     }
 }

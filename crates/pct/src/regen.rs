@@ -30,7 +30,8 @@ mod tests {
             Ok(None)
         };
         let names = ["w0".to_string(), "w1".to_string()];
-        let state = ResilientManagerState::build(&names, 2, start).unwrap();
+        let injector = resilience::attack::AttackInjector::new();
+        let state = ResilientManagerState::build(&names, 2, injector, start).unwrap();
         (ctx, state, started)
     }
 

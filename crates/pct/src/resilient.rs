@@ -101,15 +101,17 @@ impl ResilientManagerState {
 
     /// Builds the state for one replica group per name in `group_names`,
     /// each with `level` members, starting every member with `start` (which
-    /// also starts every later replacement).
+    /// also starts every later replacement) and registering its kill switch
+    /// in `injector`.
     pub fn build(
         group_names: &[String],
         level: usize,
+        injector: AttackInjector,
         start: impl FnMut(&str, KillSwitch) -> scp::Result<Option<ThreadHandle<()>>> + Send + 'static,
     ) -> Result<Self> {
         let mut state = Self {
             groups: BTreeMap::new(),
-            injector: AttackInjector::new(),
+            injector,
             handles: Vec::new(),
             report: ResilientRunReport::default(),
             member_panic: None,
@@ -169,8 +171,10 @@ impl ResilientManagerState {
     /// next incarnation through the start function, and re-issue to it the
     /// tasks its group still `owed`.  Returns the regeneration — `None`
     /// when `failed` had already left its group, and nothing was started.
-    /// A start that fails is rolled back (the group keeps its survivors and
-    /// records no regeneration) and returned with its `scp` cause.
+    /// A start that fails — or that the owner refuses, for a group that is
+    /// not to be regenerated — is rolled back (the group keeps its
+    /// survivors, possibly none, and records no regeneration) and returned
+    /// with its `scp` cause.
     pub fn handle_member_failure<'a>(
         &mut self,
         ctx: &ThreadContext<PctMessage>,
@@ -219,8 +223,10 @@ impl ResilientManagerState {
         match start(&name, injector.register(name.clone())) {
             Ok(handle) => handles.extend(handle),
             Err(e) => {
-                // The group must not list a member that never started.
+                // Neither the group nor the injector may list a member that
+                // never started.
                 group.remove_member(&replacement);
+                injector.unregister(&name);
                 return Err(ResilienceError::Scp(e).into());
             }
         }
@@ -348,7 +354,8 @@ mod tests {
     ) -> (ThreadContext<PctMessage>, ResilientManagerState) {
         let ctx = runtime.context(MANAGER).unwrap();
         let names: Vec<String> = names.iter().map(|name| name.to_string()).collect();
-        let state = ResilientManagerState::build(&names, level, start).unwrap();
+        let state =
+            ResilientManagerState::build(&names, level, AttackInjector::new(), start).unwrap();
         (ctx, state)
     }
 
@@ -525,6 +532,9 @@ mod tests {
             .expect_err("the start was refused");
         assert_eq!(members_of(&state, "g0"), [MemberId::new("g0", 1)]);
         assert!(state.report.regenerations.is_empty());
+        // No kill switch is left for the member that never ran.
+        assert_eq!(state.injector.targets(), ["g0#0", "g0#1"]);
+        assert!(!state.injector.attack("g0#2"));
         assert!(
             error
                 .to_string()

@@ -59,6 +59,11 @@ impl AttackInjector {
         switch
     }
 
+    /// Removes a target: a member that never started.
+    pub fn unregister(&self, name: &str) {
+        self.switches.write().remove(name);
+    }
+
     /// Attacks a target by routing name; returns `true` if the target was
     /// registered.
     pub fn attack(&self, name: &str) -> bool {

@@ -1,10 +1,11 @@
 //! Heartbeat-based failure detection ("attack assessment").
 //!
-//! Every pool member — a replica-group member or a plain worker —
-//! periodically sends heartbeats to a monitor.  A member whose heartbeat has
-//! not been seen for more than `miss_threshold × heartbeat_period` is
-//! declared failed; regeneration then restores a group's replication level,
-//! and a lost worker's tasks are re-dispatched.  The detector is
+//! Every pool member — a member of a replica group, a plain worker being a
+//! group of one — periodically sends heartbeats to a monitor.  A member
+//! whose heartbeat has not been seen for more than
+//! `miss_threshold × heartbeat_period` is declared failed; regeneration then
+//! restores its group's replication level, or the group is retired and its
+//! tasks are re-dispatched.  The detector is
 //! written against an explicit millisecond clock rather than `Instant` so
 //! detection latency and false-positive behaviour are deterministic in tests
 //! and in the detector-ablation benchmark.
@@ -90,12 +91,16 @@ impl FailureDetector {
         self.declared_failed.remove(member);
     }
 
-    /// Records a heartbeat from a member at `now_ms`.  A heartbeat from a
-    /// member previously declared failed clears the declaration (it was a
-    /// false positive — e.g. a transient network partition).
+    /// Records a heartbeat from a watched member at `now_ms`.  A heartbeat
+    /// from a member previously declared failed clears the declaration (it
+    /// was a false positive — e.g. a transient network partition).  One from
+    /// a member not watched — never, or no longer since its loss — changes
+    /// nothing: a retired member's late message is not proof of life.
     pub fn heartbeat(&mut self, member: &MemberId, now_ms: u64) {
-        self.last_heartbeat.insert(member.clone(), now_ms);
-        self.declared_failed.remove(member);
+        if let Some(last) = self.last_heartbeat.get_mut(member) {
+            *last = now_ms;
+            self.declared_failed.remove(member);
+        }
     }
 
     /// Sweeps all watched members at `now_ms` and returns the members that
@@ -201,13 +206,20 @@ mod tests {
     }
 
     #[test]
-    fn unwatched_member_is_reported_failed_by_health_but_not_swept() {
+    fn an_unwatched_member_is_not_swept_and_its_heartbeat_does_not_watch_it() {
         let mut d = FailureDetector::new(DetectorConfig::default_lan());
         assert!(d.sweep(10_000).is_empty());
+        d.heartbeat(&member(9), 0);
+        assert_eq!(d.watched(), 0, "never watched");
         d.watch(member(9), 0);
         assert_eq!(d.watched(), 1);
         d.unwatch(&member(9));
         assert_eq!(d.watched(), 0);
+        // A late message of the retired member is no proof of life.
+        d.heartbeat(&member(9), 20_000);
+        assert_eq!(d.watched(), 0);
+        assert!(d.sweep(30_000).is_empty());
+        assert_eq!(d.next_deadline_ms(), None);
     }
 
     #[test]

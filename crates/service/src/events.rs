@@ -5,8 +5,9 @@
 //! was doing by polling `status()` in a loop.  The scheduler now publishes a
 //! typed event at every interesting lifecycle point — admission (with the
 //! resolved route), task dispatch, retransmission, member kill, member
-//! regeneration, standard-worker loss (with each task reassignment and any
-//! lane failover), and every terminal transition — to every live subscriber.
+//! regeneration, worker loss (a group retired, with each task reassignment
+//! and any lane failover), and every terminal transition — to every live
+//! subscriber.
 //!
 //! When the service runs with an enabled [`telemetry::Telemetry`], every
 //! event is stamped with the telemetry clock and, where one applies, the
@@ -98,26 +99,28 @@ pub enum ServiceEvent {
     /// A resilient-lane member or standard worker was killed (chaos plan or
     /// attack drill).
     MemberKilled {
-        /// Routing name of the victim (e.g. `rg0#1` or `svc0`).
+        /// Routing name of the victim (e.g. `rg0#1` or `svc0#0`).
         member: String,
     },
-    /// The scheduler's watchdog confirmed a standard or remote worker lost
-    /// (heartbeat silence plus a dead mailbox probe).  Its in-flight tasks are
-    /// re-dispatched, not failed.
+    /// A confirmed loss (heartbeat silence plus a dead mailbox probe, or a
+    /// send that found the mailbox dead) left a group empty and its lane
+    /// would not replace the member — always so for a standard or remote
+    /// worker.  The group is retired; its in-flight tasks are re-dispatched,
+    /// not failed.
     WorkerLost {
-        /// Name of the lost worker (e.g. `svc0`).
+        /// Routing name of the lost member (e.g. `svc0#0` or `rw0#0`).
         worker: String,
     },
-    /// An in-flight task of a lost standard worker was re-dispatched.
+    /// An in-flight task of a retired group was re-dispatched.
     TaskReassigned {
         /// The job the task belongs to.
         job: JobId,
         /// The task identifier (re-dispatch is idempotent by task id).
         task: TaskId,
-        /// The worker that was lost holding the task.
+        /// The member that was lost holding the task.
         from: String,
-        /// The execution slot that took it over (a surviving worker, or a
-        /// replica group after a lane failover).
+        /// The group that took it over (a surviving worker, or a replica
+        /// group after a lane failover).
         to: String,
     },
     /// A running job was moved off a drained lane onto another enabled

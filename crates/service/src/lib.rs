@@ -21,9 +21,10 @@
 //!   worker processes spoken to over the versioned [`wire`] protocol.
 //! * **Batch scheduler** — admitted jobs are sharded via `hsi::partition`,
 //!   and their tasks are batch-dispatched in priority order onto a shared
-//!   pool of long-lived `scp` workers: a *standard* lane of plain worker
-//!   threads and a *resilient* lane of `resilience` replica groups owned by
-//!   one [`pct::ResilientManagerState`] — no per-request pipeline spawning.
+//!   pool of long-lived `scp` workers — no per-request pipeline spawning.
+//!   Every message-plane lane is a set of `resilience` replica groups owned
+//!   by one [`pct::ResilientManagerState`]: *standard* and *remote* workers
+//!   are level-1 groups, the *resilient* lane's groups are regenerated.
 //!   The scheduler is the one executor of both manager protocols
 //!   ([`pct::plan::Plan`]): the seeded chain below and, on the resilient
 //!   lane, the paper's own.

@@ -1,15 +1,16 @@
 //! The long-lived worker pool shared by every job.
 //!
-//! Four lanes:
+//! Four lanes.  The three message-plane lanes are each a set of replica
+//! groups with one owner, a [`pct::ResilientManagerState`] (membership,
+//! kill switches, member handles, regeneration):
 //!
-//! * **standard** — plain worker threads running the replica members' own
-//!   loop ([`pct::resilient::member_loop`]) over one `scp` runtime.  Each
-//!   worker registers a kill switch in the pool's shared [`AttackInjector`]
-//!   and heartbeats the manager (idle and after every reply), so the
-//!   scheduler's watchdog can *detect* a lost worker instead of discovering
-//!   the dead mailbox at send time;
-//! * **resilient** — replica groups owned by a [`pct::ResilientManagerState`]
-//!   (membership, kill switches, regeneration) for the pool's lifetime;
+//! * **standard** — worker `svc<i>` is a level-1 group whose member
+//!   `svc<i>#0` is a thread running the replica members' own loop
+//!   ([`pct::resilient::member_loop`]): it registers a kill switch in the
+//!   pool's shared [`AttackInjector`] and heartbeats the manager.  A lost
+//!   worker is not replaced: the lane refuses, and the group is retired;
+//! * **resilient** — replica groups `rg<i>` of the configured level, whose
+//!   lost members are regenerated;
 //! * **shared-memory** — in-process executor threads that run whole jobs
 //!   start-to-finish against the shared `Arc` cube with **zero protocol
 //!   messages**: work arrives over a plain channel and the pipeline is the
@@ -18,10 +19,11 @@
 //!   too (they carry the full output); the executor then rings the
 //!   [`Doorbell`], the same wake-up clients use, so the blocked scheduler
 //!   collects them at once.  The cheapest path for small cubes;
-//! * **remote** — worker *processes* behind the versioned [`wire`] protocol,
-//!   each fronted by a [`crate::remote::RemoteLane`] bridge so the
-//!   scheduler addresses them like any standard worker.  Same task loop,
-//!   same heartbeat cadence, same watchdog — across a process boundary.
+//! * **remote** — worker *processes* behind the versioned [`wire`] protocol:
+//!   worker `rw<i>` is a level-1 group whose member `rw<i>#0` is the mailbox
+//!   of its [`crate::remote::RemoteLane`] bridge, and which, like a standard
+//!   worker, is retired when lost.  Same task loop, same heartbeat cadence,
+//!   same watchdog — across a process boundary.
 //!
 //! The scheduler addresses the message-plane lanes through the manager
 //! [`ThreadContext`] and the shared-memory lane through [`InlineLane`];
@@ -35,7 +37,7 @@
 //! for it on virtual time.
 
 use crate::config::PoolConfig;
-use crate::job::JobId;
+use crate::job::{BackendKind, JobId};
 use crate::remote::RemoteLane;
 use crate::Result;
 use hsi::HyperCube;
@@ -44,9 +46,9 @@ use pct::messages::PctMessage;
 use pct::resilient::{member_loop, ResilientManagerState, ResilientRunReport};
 use pct::{FusionOutput, PctConfig, SequentialPct};
 use resilience::attack::AttackInjector;
-use resilience::KillSwitch;
-use scp::{Envelope, Router, Runtime, ThreadContext, ThreadHandle};
-use std::collections::HashMap;
+use resilience::{KillSwitch, MemberId};
+use scp::{Envelope, Router, Runtime, ScpError, ThreadContext, ThreadHandle};
+use std::collections::{BTreeMap, HashMap};
 use std::sync::mpsc::{Receiver, Sender};
 use std::sync::Arc;
 
@@ -73,8 +75,8 @@ fn member_start(
     }
 }
 
-/// The sender name of every doorbell ring.  Pool members are named `svc<i>`,
-/// `rg<i>#<n>`, `shm<i>` and `rw<i>`, so none can have it.
+/// The sender name of every doorbell ring.  Pool members are named
+/// `svc<i>#0`, `rg<i>#<n>`, `shm<i>` and `rw<i>#0`, so none can have it.
 const DOORBELL: &str = "~doorbell";
 
 /// The one way to wake the scheduler from outside its mailbox: a zero-payload
@@ -218,17 +220,30 @@ impl InlineLane {
     }
 }
 
+/// Starts incarnation 0 of each member with `start` and refuses every
+/// replacement: the start effect of a lane whose groups are not regenerated,
+/// so a lost member retires its group.
+fn without_replacements(
+    mut start: impl FnMut(&str, KillSwitch) -> scp::Result<Option<ThreadHandle<()>>> + Send + 'static,
+) -> impl FnMut(&str, KillSwitch) -> scp::Result<Option<ThreadHandle<()>>> + Send + 'static {
+    move |name, kill| match MemberId::parse(name) {
+        Some(member) if member.incarnation == 0 => start(name, kill),
+        _ => Err(ScpError::UnknownDestination(name.to_string())),
+    }
+}
+
+/// The groups `<prefix>0`, `<prefix>1`, … of a lane.
+fn group_names(prefix: &str, count: usize) -> Vec<String> {
+    (0..count).map(|i| format!("{prefix}{i}")).collect()
+}
+
 pub(crate) struct WorkerPool {
     pub runtime: Runtime<PctMessage>,
-    /// Routing names of the standard-lane workers.
-    pub standard: Vec<String>,
-    /// Logical group names of the resilient lane.
-    pub groups: Vec<String>,
-    /// Threads of the standard lane (none in a hosted pool).
-    standard_handles: Vec<ThreadHandle<()>>,
-    /// The one owner of the replica groups (membership, kill switches,
-    /// regeneration, member handles).
-    pub resilient: ResilientManagerState,
+    /// The replica groups of each message-plane lane, each lane with its
+    /// one owner (membership, kill switches, regeneration, member handles).
+    pub lanes: BTreeMap<BackendKind, ResilientManagerState>,
+    /// The kill-switch registry the standard and resilient lanes share.
+    pub injector: AttackInjector,
     /// The in-process shared-memory executor lane.
     pub inline: InlineLane,
     /// The remote worker-process lane (wire protocol over TCP).
@@ -248,27 +263,15 @@ impl WorkerPool {
     ) -> Result<(WorkerPool, ThreadContext<PctMessage>)> {
         let runtime: Runtime<PctMessage> = Runtime::new();
         let ctx = runtime.context(MANAGER)?;
-
-        let groups: Vec<String> = (0..config.replica_groups)
-            .map(|i| format!("rg{i}"))
-            .collect();
-        let resilient = ResilientManagerState::build(
-            &groups,
-            config.replication_level.max(1),
-            member_start(&runtime, host.as_ref()),
-        )?
-        .with_telemetry(telemetry);
         let inline = InlineLane::start(&Doorbell::new(runtime.router()), 0);
         let mut pool = WorkerPool {
             runtime,
-            standard: Vec::new(),
-            groups,
-            standard_handles: Vec::new(),
-            resilient,
+            lanes: BTreeMap::new(),
+            injector: AttackInjector::new(),
             inline,
             remote: RemoteLane::default(),
         };
-        match pool.start_lanes(config, host.as_ref()) {
+        match pool.start_lanes(config, telemetry, host.as_ref()) {
             Ok(()) => Ok((pool, ctx)),
             Err(e) => {
                 pool.shutdown(&ctx);
@@ -277,25 +280,43 @@ impl WorkerPool {
         }
     }
 
-    /// Starts the standard, shared-memory and remote lanes, in that order,
-    /// into a pool whose resilient lane is up.
+    /// Starts the resilient, standard, shared-memory and remote lanes, in
+    /// that order.  Standard workers are level-1 groups whose replacements
+    /// are refused, and they register their kill switches in the *same*
+    /// injector as the replica members, so one attack surface
+    /// (`inject_attack`, `ChaosPlan`) covers both lanes.  A remote worker
+    /// is a level-1 group whose one member is the bridge mailbox its lane
+    /// bound; its attack surface is the process, not the injector.
     fn start_lanes(
         &mut self,
         config: &PoolConfig,
+        telemetry: telemetry::Telemetry,
         host: Option<&Sender<HostedMember>>,
     ) -> Result<()> {
-        // Standard workers register kill switches in the *same* injector as
-        // the replica members, so one attack surface (`inject_attack`,
-        // `ChaosPlan`) covers both message-plane lanes.
-        let mut start = member_start(&self.runtime, host);
-        for i in 0..config.standard_workers {
-            let name = format!("svc{i}");
-            let kill = self.resilient.injector.register(name.clone());
-            self.standard_handles.extend(start(&name, kill)?);
-            self.standard.push(name);
-        }
+        let resilient = ResilientManagerState::build(
+            &group_names("rg", config.replica_groups),
+            config.replication_level.max(1),
+            self.injector.clone(),
+            member_start(&self.runtime, host),
+        )?;
+        self.lanes
+            .insert(BackendKind::Resilient, resilient.with_telemetry(telemetry));
+        let standard = ResilientManagerState::build(
+            &group_names("svc", config.standard_workers),
+            1,
+            self.injector.clone(),
+            without_replacements(member_start(&self.runtime, host)),
+        )?;
+        self.lanes.insert(BackendKind::Standard, standard);
         self.inline = InlineLane::start(&self.doorbell(), config.shared_memory_executors);
         self.remote = RemoteLane::start(&self.runtime, &config.remote_workers)?;
+        let remote = ResilientManagerState::build(
+            &self.remote.workers,
+            1,
+            AttackInjector::new(),
+            without_replacements(|_, _| Ok(None)),
+        )?;
+        self.lanes.insert(BackendKind::Remote, remote);
         Ok(())
     }
 
@@ -304,29 +325,53 @@ impl WorkerPool {
         Doorbell::new(self.runtime.router())
     }
 
-    /// The shared kill-switch registry covering both message-plane lanes —
-    /// replica members *and* standard workers (for attack drills).
-    pub fn injector(&self) -> AttackInjector {
-        self.resilient.injector.clone()
+    /// The execution slots of a lane, in start order: its groups (`rg2`
+    /// before `rg10`), or its executors.
+    pub fn slots(&self, lane: BackendKind) -> Vec<String> {
+        let Some(state) = self.lanes.get(&lane) else {
+            return self.inline.executors.clone();
+        };
+        let mut groups: Vec<String> = state.groups.keys().cloned().collect();
+        groups.sort_by_key(|name| (name.len(), name.clone()));
+        groups
     }
 
-    /// Shuts all four lanes down and returns the resilient lane's run
-    /// report.
+    /// How many execution slots a lane has in service.
+    pub fn capacity(&self, lane: BackendKind) -> usize {
+        match self.lanes.get(&lane) {
+            Some(state) => state.groups.len(),
+            None => self.inline.executors.len(),
+        }
+    }
+
+    /// The message-plane lane `group` belongs to, while it is in service.
+    pub fn lane_of(&self, group: &str) -> Option<BackendKind> {
+        self.lanes
+            .iter()
+            .find_map(|(lane, state)| state.groups.contains_key(group).then_some(*lane))
+    }
+
+    /// Shuts all four lanes down and returns the run report of their
+    /// groups: the shared injector's attacks and every regeneration.
     pub fn shutdown(mut self, ctx: &ThreadContext<PctMessage>) -> ResilientRunReport {
-        for name in &self.standard {
-            let _ = ctx.send(name, PctMessage::Shutdown);
-        }
-        // Remote workers get Shutdown through their bridge mailboxes; a
-        // worker lost earlier has a dead mailbox and the send just fails.
-        for name in &self.remote.workers {
-            let _ = ctx.send(name, PctMessage::Shutdown);
-        }
-        for handle in self.standard_handles.drain(..) {
-            handle.join();
+        // Members without a thread — remote bridges, a host's mailboxes —
+        // are the pool's to stop; a member lost earlier has a dead mailbox
+        // and the send just fails.
+        for state in self.lanes.values() {
+            for member in state.members() {
+                let _ = ctx.send(&member.routing_name(), PctMessage::Shutdown);
+            }
         }
         self.inline.shutdown();
         self.remote.shutdown();
-        self.resilient.shutdown(ctx)
+        let mut report = ResilientRunReport::default();
+        for state in self.lanes.into_values() {
+            report
+                .regenerations
+                .extend(state.shutdown(ctx).regenerations);
+        }
+        report.members_attacked = self.injector.attack_log();
+        report
     }
 }
 
@@ -346,16 +391,19 @@ mod tests {
         };
         let (pool, ctx) =
             WorkerPool::start(&config, telemetry::Telemetry::disabled(), None).unwrap();
-        assert_eq!(pool.standard, vec!["svc0", "svc1"]);
-        assert_eq!(pool.groups, vec!["rg0", "rg1"]);
-        assert_eq!(pool.inline.executors, vec!["shm0", "shm1"]);
-        assert!(pool.remote.workers.is_empty());
-        assert_eq!(pool.resilient.members().len(), 4);
-        let mut targets = pool.injector().targets();
-        targets.sort();
+        assert_eq!(pool.slots(BackendKind::Standard), ["svc0", "svc1"]);
+        assert_eq!(pool.slots(BackendKind::Resilient), ["rg0", "rg1"]);
+        assert_eq!(pool.slots(BackendKind::SharedMemory), ["shm0", "shm1"]);
+        assert!(pool.slots(BackendKind::Remote).is_empty());
+        let standard = pool.lanes[&BackendKind::Standard].members();
         assert_eq!(
-            targets,
-            vec!["rg0#0", "rg0#1", "rg1#0", "rg1#1", "svc0", "svc1"],
+            standard,
+            [MemberId::new("svc0", 0), MemberId::new("svc1", 0)]
+        );
+        assert_eq!(pool.lanes[&BackendKind::Resilient].members().len(), 4);
+        assert_eq!(
+            pool.injector.targets(),
+            ["rg0#0", "rg0#1", "rg1#0", "rg1#1", "svc0#0", "svc1#0"],
             "standard workers share the replica members' kill registry"
         );
         let report = pool.shutdown(&ctx);
@@ -372,9 +420,9 @@ mod tests {
         };
         let (pool, ctx) =
             WorkerPool::start(&config, telemetry::Telemetry::disabled(), None).unwrap();
-        assert!(pool.groups.is_empty());
-        assert!(pool.inline.executors.is_empty());
-        assert!(pool.resilient.members().is_empty());
+        assert_eq!(pool.capacity(BackendKind::Resilient), 0);
+        assert_eq!(pool.capacity(BackendKind::SharedMemory), 0);
+        assert!(pool.lanes[&BackendKind::Resilient].members().is_empty());
         let report = pool.shutdown(&ctx);
         assert!(report.members_attacked.is_empty());
     }

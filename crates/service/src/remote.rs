@@ -4,17 +4,17 @@
 //! Each remote worker is a separate endpoint — usually a separate OS
 //! process — reached over a [`wire::Transport`] carrying framed,
 //! CRC-checked, version-handshaken messages.  The scheduler stays oblivious:
-//! it addresses remote workers by routing name (`rw0`, `rw1`, ...) through
-//! the same `scp` message plane it uses for the standard lane, and a
-//! full-duplex *bridge* per worker relays between the mailbox and the
+//! each worker `rw<i>` is a level-1 group like a standard worker, whose one
+//! member `rw<i>#0` is a mailbox on the same `scp` message plane, and a
+//! full-duplex *bridge* per worker relays between that mailbox and the
 //! socket.  The bridge is two threads, each blocked on its own side, so a
 //! message moves the moment it exists and an idle bridge costs nothing:
 //!
 //! ```text
-//!  scheduler ──ctx.send("rw0")──▶ outbound half ──wire frames──▶ worker
-//!                                 (blocks on the mailbox)        process
-//!  scheduler ◀──send(MANAGER)──── inbound half ◀──wire frames── (heartbeats,
-//!               as "rw0"          (blocks on the socket)          replies)
+//!  scheduler ──ctx.send("rw0#0")──▶ outbound half ──wire frames──▶ worker
+//!                                   (blocks on the mailbox)        process
+//!  scheduler ◀──send(MANAGER)────── inbound half ◀──wire frames── (heartbeats,
+//!               as "rw0#0"          (blocks on the socket)          replies)
 //! ```
 //!
 //! Failure detection needs no new machinery.  Whichever half dies first —
@@ -24,9 +24,10 @@
 //! the mailbox receiver with it, so the scheduler's existing watchdog probe
 //! gets `ScpError::Disconnected` on the next send: exactly the signal a
 //! lost standard-lane *thread* produces — a `kill -9`'d worker closes its
-//! socket.  From there the established loss path runs unchanged: confirm →
-//! orphan in-flight tasks → re-dispatch → lane failover if the lane is
-//! empty.
+//! socket.  From there the scheduler's one loss path runs: there is no
+//! process to respawn, so the lane refuses the replacement, the emptied
+//! group is retired, its in-flight tasks are re-dispatched to the lane's
+//! other workers, and the lane fails over once none is left.
 //!
 //! Connection establishment is synchronous in [`RemoteLane::start`]
 //! (including the handshake on protocol and numerics versions), so a
@@ -38,6 +39,7 @@ use crate::config::RemoteWorkerSpec;
 use crate::{Result, ServiceError};
 use pct::distributed::MANAGER;
 use pct::messages::PctMessage;
+use resilience::MemberId;
 use scp::{Router, Runtime, ThreadContext};
 use std::net::{TcpListener, TcpStream};
 use std::time::{Duration, Instant};
@@ -47,8 +49,13 @@ use wire::{handshake, TcpTransport, Transport, WireMessage};
 /// How long the service waits for a spawned worker to dial back in.
 const ACCEPT_TIMEOUT: Duration = Duration::from_secs(10);
 
-/// One remote worker: its routing name, how to observe the process (when
-/// there is one), and the bridge relaying its traffic.
+/// The routing name of worker `name`'s mailbox: the one member of its group.
+fn mailbox(name: &str) -> String {
+    MemberId::new(name, 0).routing_name()
+}
+
+/// One remote worker: its name, how to observe the process (when there is
+/// one), and the bridge relaying its traffic.
 struct RemoteWorkerHandle {
     name: String,
     pid: Option<u32>,
@@ -62,7 +69,8 @@ struct RemoteWorkerHandle {
 /// The remote lane: all workers, started together, shut down together.
 #[derive(Default)]
 pub(crate) struct RemoteLane {
-    /// Routing names of the remote workers (`rw0`, `rw1`, ...).
+    /// Names of the remote workers (`rw0`, `rw1`, ...), each the group of
+    /// one bridge mailbox.
     pub workers: Vec<String>,
     handles: Vec<RemoteWorkerHandle>,
 }
@@ -70,7 +78,7 @@ pub(crate) struct RemoteLane {
 impl RemoteLane {
     /// Establishes every configured worker — spawning processes or threads,
     /// accepting their connections, running the version handshake — and
-    /// starts one bridge per worker.  When a worker cannot be established
+    /// starts one bridge per worker, bound as the worker's member mailbox.  When a worker cannot be established
     /// (never dialled in, refused by the handshake) nothing outlives the
     /// typed error: the workers before it are shut down and joined.
     pub fn start(runtime: &Runtime<PctMessage>, specs: &[RemoteWorkerSpec]) -> Result<RemoteLane> {
@@ -93,7 +101,7 @@ impl RemoteLane {
         name: String,
         spec: &RemoteWorkerSpec,
     ) -> Result<()> {
-        let ctx = runtime.context(name.clone())?;
+        let ctx = runtime.context(mailbox(&name))?;
         self.handles.push(RemoteWorkerHandle {
             name: name.clone(),
             pid: None,
@@ -108,12 +116,12 @@ impl RemoteLane {
         // receiving; its clone sends.
         let sender = transport.try_clone()?;
         let router = ctx.router();
-        let inbound_name = name.clone();
+        let member = mailbox(&name);
         handle.bridge.push(spawn_half(&name, "out", move || {
             relay_outbound(ctx, sender)
         })?);
         handle.bridge.push(spawn_half(&name, "in", move || {
-            relay_inbound(&inbound_name, &router, transport)
+            relay_inbound(&member, &router, transport)
         })?);
         self.workers.push(name);
         Ok(())
@@ -129,8 +137,7 @@ impl RemoteLane {
         let router = runtime.router();
         for handle in &mut self.handles {
             if !handle.bridge.is_empty() {
-                let name = handle.name.as_str();
-                let _ = router.send(MANAGER, name, PctMessage::Shutdown);
+                let _ = router.send(MANAGER, &mailbox(&handle.name), PctMessage::Shutdown);
             } else if let Some(child) = &mut handle.child {
                 let _ = child.kill();
             }
@@ -138,7 +145,7 @@ impl RemoteLane {
         self.shutdown();
     }
 
-    /// `(routing name, OS pid)` of every worker; the pid is `None` for
+    /// `(name, OS pid)` of every worker; the pid is `None` for
     /// workers that are not separate processes ([`RemoteWorkerSpec::Thread`]
     /// and [`RemoteWorkerSpec::Connect`]).
     pub fn worker_pids(&self) -> Vec<(String, Option<u32>)> {
@@ -292,7 +299,7 @@ fn relay_outbound(ctx: ThreadContext<PctMessage>, mut sender: TcpTransport) {
 }
 
 /// Inbound half: worker → scheduler (replies and heartbeats), forwarded to
-/// `MANAGER` under the worker's routing name — the scheduler's stale-reply
+/// `MANAGER` under the worker's member name — the scheduler's stale-reply
 /// check and its watchdog both key on it.  Blocks on the socket; any
 /// receive error ends the bridge, and so does a stray `Hello` after the
 /// handshake: a protocol violation, answered by dropping the connection and
@@ -330,7 +337,7 @@ mod tests {
         let view = hsi::CubeView::full(std::sync::Arc::new(cube));
         manager
             .send(
-                "rw0",
+                "rw0#0",
                 PctMessage::ScreenTask {
                     task: 7,
                     view,
@@ -340,8 +347,8 @@ mod tests {
             .unwrap();
         let reply = loop {
             let envelope = manager.recv_timeout(Duration::from_secs(5)).unwrap();
-            // Replies and heartbeats arrive under the worker's routing name.
-            assert_eq!(envelope.from, "rw0");
+            // Replies and heartbeats arrive under the worker's member name.
+            assert_eq!(envelope.from, "rw0#0");
             match envelope.payload {
                 PctMessage::Heartbeat => continue,
                 msg => break msg,
@@ -353,11 +360,11 @@ mod tests {
         assert_eq!(task, 7);
         assert_eq!(unique.len(), 2);
 
-        manager.send("rw0", PctMessage::Shutdown).unwrap();
+        manager.send("rw0#0", PctMessage::Shutdown).unwrap();
         lane.shutdown();
     }
 
-    /// Probes `rw0`'s mailbox the way the scheduler's watchdog does until a
+    /// Probes `rw0#0`'s mailbox the way the scheduler's watchdog does until a
     /// send reports `Disconnected`, which must happen within one detector
     /// window of the default pool — the bound the loss path is entitled to,
     /// not "eventually".
@@ -369,7 +376,7 @@ mod tests {
         );
         let start = Instant::now();
         while !matches!(
-            manager.send("rw0", PctMessage::Heartbeat),
+            manager.send("rw0#0", PctMessage::Heartbeat),
             Err(ScpError::Disconnected(_))
         ) {
             assert!(
@@ -388,7 +395,7 @@ mod tests {
         // A clean worker exit (Shutdown) ends the bridge the same way a
         // crash does: the mailbox dies and sends report Disconnected.
         let mut lane = RemoteLane::start(&runtime, &[RemoteWorkerSpec::Thread]).unwrap();
-        manager.send("rw0", PctMessage::Shutdown).unwrap();
+        manager.send("rw0#0", PctMessage::Shutdown).unwrap();
         assert_disconnects_within_a_detector_window(&mut manager);
         lane.shutdown();
     }
@@ -411,7 +418,7 @@ mod tests {
         });
         let mut lane = RemoteLane::start(&runtime, &[RemoteWorkerSpec::Connect { addr }]).unwrap();
         // Both halves are up and blocked: the mailbox takes a probe.
-        manager.send("rw0", PctMessage::Heartbeat).unwrap();
+        manager.send("rw0#0", PctMessage::Heartbeat).unwrap();
         drop_now.send(()).unwrap();
         peer.join().unwrap();
         assert_disconnects_within_a_detector_window(&mut manager);

@@ -91,11 +91,12 @@ pub struct ServiceReport {
     pub tasks_dispatched: u64,
     /// First-per-task results consumed.
     pub results_received: u64,
-    /// Duplicate replica results discarded.
+    /// Duplicate results discarded: replicas, retransmit echoes, and
+    /// replies of a group the task was moved away from.
     pub duplicates_ignored: u64,
-    /// Group-lane tasks re-sent to every current member after going
+    /// Tasks re-sent to every current member of their group after going
     /// unanswered past the retransmit timeout (covers lost sends to
-    /// members that never acked).
+    /// members that never acked), on every lane.
     pub tasks_retransmitted: u64,
     /// Heartbeats consumed from pool members (replica members and standard
     /// workers alike).
@@ -104,11 +105,11 @@ pub struct ServiceReport {
     /// ring (submit, cancel, shutdown, a finished shared-memory job) or an
     /// armed timer.  It blocks in between, so an idle service adds none.
     pub scheduler_turns: u64,
-    /// Standard and remote workers confirmed lost by the scheduler's
-    /// watchdog.
+    /// Groups retired by a confirmed loss their lane would not replace —
+    /// every lost standard or remote worker.
     pub workers_lost: u64,
-    /// In-flight tasks of lost standard workers re-dispatched to surviving
-    /// slots (idempotent by task id, like group retransmits).
+    /// In-flight tasks of retired groups re-dispatched to surviving groups
+    /// (idempotent by task id, like retransmits).
     pub tasks_reassigned: u64,
     /// Running jobs moved off a drained lane onto another enabled lane.
     pub lane_failovers: u64,

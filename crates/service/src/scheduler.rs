@@ -6,11 +6,10 @@
 //! [`Doorbell`] ring from whoever changed something it would otherwise have
 //! to poll (a submission, a cancellation, the shutdown flag, a finished
 //! shared-memory job) — and every periodic duty is an explicit deadline:
-//! the failure detector, the group-retransmit backoff and the job
-//! timeouts.  One [`Scheduler::turn`] is a function of the time it is told:
-//! consume what arrived (mailbox, shared-memory results, cancellations), run
-//! the timers that are due, admit, dispatch, and answer with the next
-//! deadline.  Nothing that can make a task runnable — a confirmed loss, a
+//! the failure detector, the retransmit backoff and the job timeouts.  One
+//! [`Scheduler::turn`] is a function of the time it is told: consume what
+//! arrived (mailbox, shared-memory results, cancellations), run the timers
+//! that are due, admit, dispatch, and answer with the next deadline.  Nothing that can make a task runnable — a confirmed loss, a
 //! lane failover, a regeneration, an orphan — happens after the last
 //! dispatch of a turn, because no later event would pick it up.
 //!
@@ -23,8 +22,8 @@
 //!
 //! A dispatch forms a batch: every runnable task of every admitted job,
 //! ordered by priority then submission, is matched against the free
-//! execution slots of its lane (standard workers, replica groups,
-//! shared-memory executors, or remote worker processes).  Each message-plane
+//! execution slots of its lane (replica groups — standard and remote workers
+//! are groups of one — or shared-memory executors).  Each message-plane
 //! job owns a [`pct::plan::Plan`] of its [`crate::Protocol`] — the seeded
 //! chain (screening chain → one derive task → transform fan-out,
 //! byte-identical to the sequential reference) or, on the resilient lane,
@@ -43,39 +42,38 @@
 //! and the live lane loads.  Every resolution is counted per route in the
 //! [`ServiceReport`] and published on the [`ServiceEvent`] stream.
 //!
-//! One watchdog covers the whole pool: a [`resilience::FailureDetector`]
-//! watches the heartbeats of every replica member, standard worker and
-//! remote worker, and flags one that falls silent; a mailbox probe then
-//! confirms the loss (an accepted probe refreshes the lease — a member deep
-//! in a long task is silent too).  The member's name decides what a
-//! confirmed loss means.
+//! Every message-plane slot is a replica group owned by its lane's
+//! [`pct::ResilientManagerState`]; a standard worker `svc<i>` and a remote
+//! worker `rw<i>` are level-1 groups whose one member is `svc<i>#0` /
+//! `rw<i>#0`.  One watchdog covers every member: a
+//! [`resilience::FailureDetector`] flags one whose heartbeats stop, and a
+//! mailbox probe confirms the loss (an accepted probe refreshes the lease —
+//! a member deep in a long task is silent too).  The remote lane rides it
+//! too: a killed worker *process* closes its socket, its bridge exits, and
+//! the probe reads `Disconnected` as for a dead thread (see
+//! [`crate::remote`]).
 //!
-//! A lost replica member is regenerated by the pool's
-//! [`pct::ResilientManagerState`], which re-issues the tasks its group
-//! owes; duplicate replica results are discarded by task id — all without
-//! disturbing job outputs.
+//! A confirmed loss takes one path on every lane.  The lane's owner starts
+//! the member's next incarnation and re-issues what its group owes: the
+//! resilient lane regenerates, all without disturbing job outputs, while
+//! the standard and remote lanes refuse (no thread is restarted, no process
+//! respawned).  A refused group with survivors keeps its tasks; one left
+//! empty is retired, and its tasks are re-dispatched to the lane's other
+//! groups — idempotent by task id, byte-identical because every task message
+//! is deterministic in its inputs.  A lane drained to zero groups *fails
+//! over* each running job through the routing policy to another enabled
+//! lane (whose groups re-run the orphans, or whose shared-memory executor
+//! recomputes the job) — save a job on the paper's protocol, which no other
+//! lane runs.  Queued jobs need nothing: admission reads the live snapshot.
 //!
-//! A lost standard worker gets the same *detection* without the
-//! replication.  The loss orphans the worker's
-//! in-flight tasks, which are re-dispatched to surviving workers —
-//! idempotent by task id, byte-identical because every task message is
-//! deterministic in its inputs.  If the lane drains to zero workers, each
-//! running standard job *fails over* through the routing policy to another
-//! enabled lane (replica groups re-run the orphaned tasks; the shared-memory
-//! lane recomputes the whole job inline) instead of failing.  Queued jobs
-//! need no special handling: admission resolves routes against the live
-//! lane snapshot, which now reads the drained lane as disabled.
-//!
-//! The remote lane rides the same detector.  Remote workers are plain
-//! routing names behind bridges (see [`crate::remote`]); a killed
-//! worker *process* closes its socket, its bridge exits, and the probe's
-//! `Disconnected` confirms the loss exactly as for a dead thread — the
-//! orphan/re-dispatch/failover path is shared code, not a parallel copy.
+//! Every in-flight task has one retransmit timer: unanswered past its
+//! backoff, it is re-sent to every current member of its group, which
+//! repairs a send lost in transit on any lane.
 
 use crate::admission::{AdmissionGovernor, TenantId};
 use crate::chaos::ChaosPlan;
 use crate::events::{EventBus, ServiceEvent};
-use crate::job::{BackendKind, JobId, JobStatus, Priority};
+use crate::job::{BackendKind, JobId, JobStatus, Priority, Protocol};
 use crate::pool::{Doorbell, InlineJob, InlineResult, WorkerPool};
 use crate::report::ServiceReport;
 use crate::routing::{LaneLoad, LaneSnapshot, Route, RoutingRequest};
@@ -95,19 +93,14 @@ use telemetry::{SpanId, Telemetry};
 
 use scp::{Envelope, ScpError, ThreadContext};
 
-/// Which pool slot a task occupies.
-#[derive(Debug, Clone)]
-enum Assignee {
-    Worker(String),
-    Group(String),
-}
-
 /// One dispatched, not-yet-answered task.
 struct InFlight {
     job: JobId,
-    assignee: Assignee,
-    /// Kept for re-issue when a replica-group member is regenerated; view
-    /// payloads make holding and cloning this an `Arc` bump.
+    /// The lane and the group the task rides on.
+    lane: BackendKind,
+    group: String,
+    /// Kept for re-issue to a regenerated member and for retransmission;
+    /// view payloads make holding and cloning this an `Arc` bump.
     message: PctMessage,
     /// When the task was last (re)transmitted.
     sent_at: Instant,
@@ -116,17 +109,9 @@ struct InFlight {
 }
 
 impl InFlight {
-    /// The group a group-lane task rides on and when it is next due for
-    /// retransmission.  Worker-lane tasks are re-dispatched on a confirmed
-    /// loss instead and arm no timer.
-    fn retransmit_due(&self) -> Option<(&str, Instant)> {
-        match &self.assignee {
-            Assignee::Group(group) => Some((
-                group,
-                self.sent_at + RETRANSMIT_AFTER * backoff_factor(self.attempts),
-            )),
-            Assignee::Worker(_) => None,
-        }
+    /// When the task is next due for retransmission to its group.
+    fn retransmit_due(&self) -> Instant {
+        self.sent_at + RETRANSMIT_AFTER * backoff_factor(self.attempts)
     }
 }
 
@@ -138,10 +123,10 @@ struct Orphan {
     task: TaskId,
     job: JobId,
     message: PctMessage,
-    /// Deliveries so far (carried into the new [`InFlight`] so group
-    /// retransmit backoff keeps compounding across reassignments).
+    /// Deliveries so far (carried into the new [`InFlight`] so retransmit
+    /// backoff keeps compounding across reassignments).
     attempts: u32,
-    /// The worker that was lost holding the task; empty for a task that
+    /// The member that was lost holding the task; empty for a task that
     /// was never sent (a loss landed between the lane check and the pop),
     /// which re-dispatches as a plain first delivery.
     from: String,
@@ -153,6 +138,8 @@ struct JobRun {
     priority: Priority,
     /// The resolved execution lane.
     backend: BackendKind,
+    /// The manager protocol its plan runs.
+    protocol: Protocol,
     /// The job's protocol state; abandoned if the job runs (or is failed
     /// over to run) on the shared-memory lane.
     plan: Plan,
@@ -205,11 +192,11 @@ impl JobRun {
     }
 }
 
-/// How many recently completed group-lane task ids are remembered for
-/// duplicate accounting.  Only replica groups produce duplicates (level - 1
-/// extra results per task, plus re-issues), and those arrive promptly, so a
-/// small bounded window keeps `duplicates_ignored` accurate without growing
-/// with service lifetime.  An evicted id merely stops being counted.
+/// How many recently completed task ids are remembered for duplicate
+/// accounting.  Duplicates — level - 1 extra replica results per task,
+/// re-issues and retransmits — arrive promptly, so a small bounded window
+/// keeps `duplicates_ignored` accurate without growing with service
+/// lifetime.  An evicted id merely stops being counted.
 const DEDUP_WINDOW: usize = 4096;
 
 /// The scheduler: owns the pool and drives everything from one thread.
@@ -227,21 +214,19 @@ pub(crate) struct Scheduler {
     /// the order of retransmits and orphans, which job a loss is charged to —
     /// is a function of the turn's inputs, the same on every replay.
     tasks: BTreeMap<TaskId, InFlight>,
-    completed_group_tasks: HashSet<TaskId>,
-    completed_group_order: VecDeque<TaskId>,
+    completed_tasks: HashSet<TaskId>,
+    completed_order: VecDeque<TaskId>,
     cancelled_queued: HashSet<JobId>,
-    free_workers: VecDeque<String>,
-    free_groups: VecDeque<String>,
-    free_inline: VecDeque<String>,
-    free_remote: VecDeque<String>,
+    /// The free execution slots of every lane, each in start order until
+    /// results reorder it.
+    free: BTreeMap<BackendKind, VecDeque<String>>,
     next_task: TaskId,
-    /// The pool's one watchdog, over replica members, standard workers and
-    /// remote workers: heartbeat silence flags a suspect, a mailbox probe
-    /// confirms.  Workers are keyed as incarnation-0 [`MemberId`]s of their
-    /// own name.  Remote workers heartbeat over the wire through their
-    /// bridges, so one detector covers both sides of the process boundary.
+    /// The pool's one watchdog, over the members of every message-plane
+    /// lane: heartbeat silence flags a suspect, a mailbox probe confirms.
+    /// Remote workers heartbeat over the wire through their bridges, so one
+    /// detector covers both sides of the process boundary.
     watch: FailureDetector,
-    /// Tasks of lost workers awaiting re-dispatch, oldest first.
+    /// Tasks of retired groups awaiting re-dispatch, oldest first.
     orphans: VecDeque<Orphan>,
     started: Instant,
     /// The time the current turn was told.  Every decision — detector
@@ -283,16 +268,13 @@ impl Scheduler {
     ) -> Self {
         let mut watch = FailureDetector::new(detector);
         watch.set_telemetry(telemetry.clone());
-        for member in pool.resilient.members() {
+        for member in pool.lanes.values().flat_map(|state| state.members()) {
             watch.watch(member, 0);
         }
-        for name in pool.standard.iter().chain(&pool.remote.workers) {
-            watch.watch(MemberId::new(name.clone(), 0), 0);
-        }
-        let free_workers = pool.standard.iter().cloned().collect();
-        let free_remote = pool.remote.workers.iter().cloned().collect();
-        let free_groups = pool.groups.iter().cloned().collect();
-        let free_inline = pool.inline.executors.iter().cloned().collect();
+        let free = BackendKind::ALL
+            .into_iter()
+            .map(|lane| (lane, pool.slots(lane).into()))
+            .collect();
         let chaos_fired = vec![false; chaos.kills.len()];
         let report = ServiceReport {
             started_at: Some(SystemTime::now()),
@@ -309,13 +291,10 @@ impl Scheduler {
             events,
             running: BTreeMap::new(),
             tasks: BTreeMap::new(),
-            completed_group_tasks: HashSet::new(),
-            completed_group_order: VecDeque::new(),
+            completed_tasks: HashSet::new(),
+            completed_order: VecDeque::new(),
             cancelled_queued: HashSet::new(),
-            free_workers,
-            free_groups,
-            free_inline,
-            free_remote,
+            free,
             next_task: 1,
             watch,
             orphans: VecDeque::new(),
@@ -337,23 +316,15 @@ impl Scheduler {
 
     /// The live occupancy of every lane, handed to the routing policy.
     fn lane_snapshot(&self) -> LaneSnapshot {
+        let load = |lane| LaneLoad {
+            total: self.pool.capacity(lane),
+            free: self.free[&lane].len(),
+        };
         LaneSnapshot {
-            standard: LaneLoad {
-                total: self.pool.standard.len(),
-                free: self.free_workers.len(),
-            },
-            resilient: LaneLoad {
-                total: self.pool.groups.len(),
-                free: self.free_groups.len(),
-            },
-            shared_memory: LaneLoad {
-                total: self.pool.inline.executors.len(),
-                free: self.free_inline.len(),
-            },
-            remote: LaneLoad {
-                total: self.pool.remote.workers.len(),
-                free: self.free_remote.len(),
-            },
+            standard: load(BackendKind::Standard),
+            resilient: load(BackendKind::Resilient),
+            shared_memory: load(BackendKind::SharedMemory),
+            remote: load(BackendKind::Remote),
         }
     }
 
@@ -404,7 +375,7 @@ impl Scheduler {
         }
         self.drain_cancels();
         self.sweep_and_probe();
-        self.retransmit_overdue_group_tasks();
+        self.retransmit_overdue_tasks();
         self.enforce_deadlines();
         // Admit and dispatch last, and again for as long as the pass itself
         // disturbs what it decided on (a slot found dead at send time, a job
@@ -424,7 +395,7 @@ impl Scheduler {
     }
 
     /// The earliest armed timer: the failure detector's next suspicion,
-    /// the next group retransmit, the next job timeout.  Each is moved or
+    /// the next retransmit, the next job timeout.  Each is moved or
     /// cleared by the duty it triggers, so a deadline returned twice means
     /// nothing was due.
     fn next_deadline(&self) -> Option<Instant> {
@@ -432,12 +403,7 @@ impl Scheduler {
             .next_deadline_ms()
             .map(|ms| self.started + Duration::from_millis(ms))
             .into_iter()
-            .chain(
-                self.tasks
-                    .values()
-                    .filter_map(InFlight::retransmit_due)
-                    .map(|(_, due)| due),
-            )
+            .chain(self.tasks.values().map(InFlight::retransmit_due))
             .chain(self.running.values().filter_map(|job| job.deadline))
             .min()
     }
@@ -495,39 +461,21 @@ impl Scheduler {
                 self.terminal_transition(queued.id, tenant, JobStatus::Cancelled, None, None);
                 continue;
             }
-            let cube = match queued.spec.source.realize() {
-                Ok(cube) => cube,
-                Err(e) => {
+            let prepared = queued.spec.source.realize().map_err(|e| e.to_string());
+            let prepared = prepared.and_then(|cube| {
+                let shards = partition_rows(cube.dims(), queued.spec.shards);
+                Ok((cube, shards.map_err(|e| e.to_string())?))
+            });
+            let (cube, shards) = match prepared {
+                Ok(prepared) => prepared,
+                Err(error) => {
                     self.report.jobs_failed += 1;
                     self.telemetry
                         .span_end_with_detail(queued.queued_span, Some("failed"));
                     self.telemetry
                         .span_end_with_detail(queued.span, Some("failed"));
-                    self.terminal_transition(
-                        queued.id,
-                        tenant,
-                        JobStatus::Failed,
-                        None,
-                        Some(e.to_string()),
-                    );
-                    continue;
-                }
-            };
-            let shards = match partition_rows(cube.dims(), queued.spec.shards) {
-                Ok(shards) => shards,
-                Err(e) => {
-                    self.report.jobs_failed += 1;
-                    self.telemetry
-                        .span_end_with_detail(queued.queued_span, Some("failed"));
-                    self.telemetry
-                        .span_end_with_detail(queued.span, Some("failed"));
-                    self.terminal_transition(
-                        queued.id,
-                        tenant,
-                        JobStatus::Failed,
-                        None,
-                        Some(e.to_string()),
-                    );
+                    let error = Some(error);
+                    self.terminal_transition(queued.id, tenant, JobStatus::Failed, None, error);
                     continue;
                 }
             };
@@ -554,6 +502,7 @@ impl Scheduler {
                 tenant,
                 priority: queued.spec.priority,
                 backend,
+                protocol: queued.spec.protocol,
                 shards: shards.len(),
                 plan: Plan::new(queued.spec.protocol, cube, queued.spec.config, shards),
                 deadline: queued.spec.timeout.map(|t| self.now + t),
@@ -601,7 +550,8 @@ impl Scheduler {
         if job.inline_dispatched {
             return;
         }
-        let Some(executor) = self.free_inline.pop_front() else {
+        let free = self.free.entry(BackendKind::SharedMemory).or_default();
+        let Some(executor) = free.pop_front() else {
             return;
         };
         job.inline_dispatched = true;
@@ -648,13 +598,7 @@ impl Scheduler {
             let Some(job) = self.running.get_mut(&id) else {
                 return;
             };
-            let lane_free = match job.backend {
-                BackendKind::Standard => !self.free_workers.is_empty(),
-                BackendKind::Resilient => !self.free_groups.is_empty(),
-                BackendKind::Remote => !self.free_remote.is_empty(),
-                BackendKind::SharedMemory => unreachable!("handled by dispatch_inline"),
-            };
-            if !lane_free {
+            if self.free[&job.backend].is_empty() {
                 return;
             }
             let task = self.next_task;
@@ -701,61 +645,53 @@ impl Scheduler {
     /// executor (which recomputes the job start to finish, byte-identical
     /// by construction).
     fn place(&mut self, ready: Orphan) -> Option<Orphan> {
-        let backend = self.running.get(&ready.job)?.backend;
-        let (free, assignee): (_, fn(String) -> Assignee) = match backend {
-            BackendKind::Standard => (&mut self.free_workers, Assignee::Worker),
-            BackendKind::Remote => (&mut self.free_remote, Assignee::Worker),
-            BackendKind::Resilient => (&mut self.free_groups, Assignee::Group),
-            BackendKind::SharedMemory => return None,
-        };
-        let Some(slot) = free.pop_front() else {
+        let lane = self.running.get(&ready.job)?.backend;
+        if lane == BackendKind::SharedMemory {
+            return None;
+        }
+        let Some(group) = self.free.entry(lane).or_default().pop_front() else {
             return Some(ready);
         };
         // Recorded before sending, so a failure-triggered re-issue or
-        // orphaning covers it; the record keeps the message, the slot gets
-        // a copy.
+        // orphaning covers it; the record keeps the message, the group gets
+        // copies.
         self.tasks.insert(
             ready.task,
             InFlight {
                 job: ready.job,
-                assignee: assignee(slot.clone()),
+                lane,
+                group: group.clone(),
                 message: ready.message,
                 sent_at: self.now,
                 attempts: ready.attempts,
             },
         );
         let message = &self.tasks[&ready.task].message;
-        if backend != BackendKind::Resilient {
-            if self.ctx.send(&slot, message.clone()).is_ok() {
-                self.note_placed(ready.task, &ready.from, backend, &slot);
-            } else {
-                // Dead mailbox discovered at send time — the watchdog would
-                // confirm it at its deadline, but the task is already
-                // recorded in flight, so confirm the loss now: that orphans
-                // the task (and may orphan more) for a later placement.
-                self.on_worker_lost(&slot);
-            }
-            return None;
+        let state = &self.pool.lanes[&lane];
+        let level = state.groups[&group].members.len();
+        // A free group is in service, so the send can only find members dead.
+        let dead = state
+            .group_send(&self.ctx, &group, message)
+            .unwrap_or_default();
+        // Dead mailboxes discovered at send time: the watchdog would confirm
+        // them at its deadline, but the task is already recorded in flight,
+        // so confirm the losses now.  A task that reached no live member is
+        // placed only if its group outlives them.
+        let mut unplaced = Some((ready.task, ready.from.as_str()));
+        if dead.len() < level {
+            self.note_placed(ready.task, &ready.from, lane, &group);
+            unplaced = None;
         }
-        match self.pool.resilient.group_send(&self.ctx, &slot, message) {
-            Ok(dead) => {
-                self.note_placed(ready.task, &ready.from, backend, &slot);
-                let now_ms = self.now_ms();
-                for failed in dead {
-                    self.recover_member(failed, now_ms);
-                }
-            }
-            Err(e) => {
-                self.tasks.remove(&ready.task);
-                self.fail_job(ready.job, JobStatus::Failed, e.to_string());
-            }
+        for failed in dead {
+            self.on_member_lost(lane, failed, unplaced.take());
         }
         None
     }
 
     /// Consumes one finished whole-job result from the shared-memory lane.
     fn on_inline_result(&mut self, result: InlineResult) {
-        self.free_inline.push_back(result.executor);
+        let free = self.free.entry(BackendKind::SharedMemory).or_default();
+        free.push_back(result.executor);
         self.report.results_received += 1;
         let id = result.job;
         let Some(job) = self.running.get(&id) else {
@@ -776,57 +712,45 @@ impl Scheduler {
             // at everything a ring can stand for.
             return;
         }
-        let now_ms = self.now_ms();
-        let from = envelope.from;
+        // Any traffic from a watched member is proof of life.
+        let member = MemberId::parse(&envelope.from);
+        if let Some(member) = &member {
+            self.watch.heartbeat(member, self.now_ms());
+        }
         match envelope.payload {
-            PctMessage::Heartbeat => {
-                self.report.heartbeats += 1;
-                self.note_liveness(&from, now_ms);
-            }
+            PctMessage::Heartbeat => self.report.heartbeats += 1,
             msg => {
-                // Any traffic from a member is proof of life.
-                self.note_liveness(&from, now_ms);
                 let Some(task) = msg.task() else { return };
-                // A reply from a worker the task has been reassigned away
-                // from (it got its answer out just before dying, after the
-                // watchdog re-dispatched): the live assignment stands, the
-                // stale copy is a duplicate.
-                if let Some(InFlight {
-                    assignee: Assignee::Worker(name),
-                    ..
-                }) = self.tasks.get(&task)
-                {
-                    if *name != from {
+                let id = match self.tasks.get(&task) {
+                    // A reply from a group the task has been moved away from
+                    // (it got its answer out just before its loss, after the
+                    // task was re-dispatched): the live assignment stands,
+                    // the stale copy is a duplicate.
+                    Some(inflight)
+                        if member.as_ref().map(|m| m.group.as_str()) != Some(&inflight.group) =>
+                    {
                         self.report.duplicates_ignored += 1;
                         return;
                     }
-                }
-                let id = if let Some(inflight) = self.tasks.remove(&task) {
-                    match inflight.assignee {
-                        Assignee::Worker(name) => {
-                            if self.pool.remote.workers.contains(&name) {
-                                self.free_remote.push_back(name);
-                            } else {
-                                self.free_workers.push_back(name);
+                    Some(_) => {
+                        let inflight = self.tasks.remove(&task).expect("just found");
+                        let free = self.free.entry(inflight.lane).or_default();
+                        free.push_back(inflight.group);
+                        self.remember_completed(task);
+                        inflight.job
+                    }
+                    None => {
+                        // The lost member got its reply out before its group
+                        // was retired: consume it and drop the pending
+                        // re-dispatch (there is no slot to return).
+                        let Some(pos) = self.orphans.iter().position(|o| o.task == task) else {
+                            if self.completed_tasks.contains(&task) {
+                                self.report.duplicates_ignored += 1;
                             }
-                        }
-                        Assignee::Group(name) => {
-                            self.free_groups.push_back(name);
-                            self.remember_completed_group_task(task);
-                        }
+                            return;
+                        };
+                        self.orphans.remove(pos).expect("position just found").job
                     }
-                    inflight.job
-                } else if let Some(pos) = self.orphans.iter().position(|o| o.task == task) {
-                    // The lost worker got its reply out before dying:
-                    // consume it and drop the pending re-dispatch (there is
-                    // no slot to return — the worker is gone).
-                    let orphan = self.orphans.remove(pos).expect("position just found");
-                    orphan.job
-                } else {
-                    if self.completed_group_tasks.contains(&task) {
-                        self.report.duplicates_ignored += 1;
-                    }
-                    return;
                 };
                 self.report.results_received += 1;
                 // A consumed result proves the post-regeneration pipeline is
@@ -903,18 +827,13 @@ impl Scheduler {
             self.telemetry.span_end(Some(span));
         }
         job.roll_phase(&self.telemetry, &mut self.report, id, None, self.now);
-        let label = match status {
-            JobStatus::Cancelled => "cancelled",
-            JobStatus::TimedOut => "timed-out",
-            _ => "failed",
+        let (label, count) = match status {
+            JobStatus::Cancelled => ("cancelled", &mut self.report.jobs_cancelled),
+            JobStatus::TimedOut => ("timed-out", &mut self.report.jobs_timed_out),
+            _ => ("failed", &mut self.report.jobs_failed),
         };
+        *count += 1;
         self.telemetry.span_end_with_detail(job.span, Some(label));
-        match status {
-            JobStatus::Failed => self.report.jobs_failed += 1,
-            JobStatus::Cancelled => self.report.jobs_cancelled += 1,
-            JobStatus::TimedOut => self.report.jobs_timed_out += 1,
-            _ => {}
-        }
         if status == JobStatus::Failed {
             self.telemetry.dump_failure(Some(id), &error);
         }
@@ -931,7 +850,7 @@ impl Scheduler {
         let mut killed = Vec::new();
         for (kill, fired) in self.chaos.kills.iter().zip(self.chaos_fired.iter_mut()) {
             if !*fired && kill.job == job && kill.phase == phase {
-                self.pool.resilient.injector.attack(&kill.member);
+                self.pool.injector.attack(&kill.member);
                 // Stamp the kill time so the detection that eventually fires
                 // can report its latency and back-date the `detect` span.
                 self.telemetry.note_kill(&kill.member);
@@ -947,115 +866,149 @@ impl Scheduler {
         }
     }
 
-    /// Whether `name` is a live worker of the standard or remote lane.
-    fn is_worker(&self, name: &str) -> bool {
-        self.pool.standard.iter().any(|w| w == name)
-            || self.pool.remote.workers.iter().any(|w| w == name)
-    }
-
-    /// Refreshes the failure-detector lease of `from`: a live worker, or
-    /// any `group#incarnation` routing name.  A retired worker's late
-    /// message is not proof of anything.
-    fn note_liveness(&mut self, from: &str, now_ms: u64) {
-        let member = if self.is_worker(from) {
-            Some(MemberId::new(from, 0))
-        } else {
-            MemberId::parse(from)
-        };
-        if let Some(member) = member {
-            self.watch.heartbeat(&member, now_ms);
-        }
-    }
-
     /// The watchdog's timer: sweep the detector and probe each suspect's
     /// mailbox.  Only a dead mailbox confirms a loss — anything else
-    /// refreshes the lease.  A confirmed worker is lost, a confirmed replica
-    /// member regenerated.  Probing a remote worker rings its bridge
+    /// refreshes the lease.  Probing a remote worker rings its bridge
     /// mailbox: a bridge that lost its socket has exited and dropped the
     /// mailbox, so the probe reports `Disconnected` exactly as a dead
     /// thread's would.
     fn sweep_and_probe(&mut self) {
         let now_ms = self.now_ms();
         for suspect in self.watch.sweep(now_ms) {
-            let worker = self.is_worker(&suspect.group);
-            let name = if worker {
-                suspect.group.clone()
-            } else {
-                suspect.routing_name()
-            };
-            match self.ctx.send(&name, PctMessage::Heartbeat) {
-                Err(ScpError::Disconnected(_)) if worker => self.on_worker_lost(&name),
-                Err(ScpError::Disconnected(_)) => self.recover_member(suspect, now_ms),
+            let probe = self
+                .ctx
+                .send(&suspect.routing_name(), PctMessage::Heartbeat);
+            match (probe, self.pool.lane_of(&suspect.group)) {
+                (Err(ScpError::Disconnected(_)), Some(lane)) => {
+                    self.on_member_lost(lane, suspect, None)
+                }
                 _ => self.watch.heartbeat(&suspect, now_ms),
             }
         }
     }
 
-    /// Records a confirmed loss of `who` (a worker or a replica member) whose
-    /// kill was stamped: the `detect` span is back-dated to the kill, so its
-    /// width *is* the detection latency.
-    fn note_detected(&self, who: &str, affected: Option<JobId>, parent: Option<SpanId>) {
-        let Some(kill_nanos) = self.telemetry.take_kill(who) else {
+    /// Handles one confirmed loss of a member of `lane`, the same on every
+    /// lane: the lane's owner starts the member's next incarnation and
+    /// re-issues to it what the group owes.  After a refusal, a group with
+    /// survivors keeps its tasks in flight, and one left empty is retired.
+    /// `unplaced` is a task whose send just found the group dead: it is
+    /// placed if the group outlives the loss, and orphaned with it if not.
+    fn on_member_lost(
+        &mut self,
+        lane: BackendKind,
+        failed: MemberId,
+        unplaced: Option<(TaskId, &str)>,
+    ) {
+        let group = failed.group.clone();
+        // The loss's telemetry hangs under the phase span of the job whose
+        // tasks were riding on the group (if any).
+        let affected = self
+            .tasks
+            .values()
+            .find_map(|inflight| (inflight.group == group).then_some(inflight.job));
+        let parent = affected.and_then(|id| self.running.get(&id).and_then(|j| j.phase_span));
+        let member = failed.routing_name();
+        // A stamped kill back-dates the `detect` span, so its width *is* the
+        // detection latency.
+        if let Some(kill) = self.telemetry.take_kill(&member) {
+            let now = self.telemetry.now_nanos().unwrap_or(kill);
+            let latency = Duration::from_nanos(now.saturating_sub(kill));
+            self.telemetry
+                .observe("fusiond_detection_latency_seconds", &[], latency);
+            self.telemetry
+                .span_closed("detect", parent, affected, kill, &member);
+        }
+        self.watch.unwatch(&failed);
+        let started = self.telemetry.now_nanos();
+        // What the group owes, re-issued to the replacement (view payloads
+        // make the message clones `Arc` bumps).
+        let owed = self.tasks.values().filter(|t| t.group == group);
+        let state = self
+            .pool
+            .lanes
+            .get_mut(&lane)
+            .expect("a message-plane lane");
+        let result = state.handle_member_failure(&self.ctx, &failed, owed.map(|t| &t.message));
+        if result.is_err()
+            && state
+                .groups
+                .get(&group)
+                .is_some_and(|g| g.members.is_empty())
+        {
+            return self.retire(lane, &group, &member, affected, parent);
+        }
+        if let Some((task, from)) = unplaced {
+            self.note_placed(task, from, lane, &group);
+        }
+        // A refused group with survivors keeps its tasks in flight.
+        let Ok(Some(regen)) = result else {
             return;
         };
-        if let Some(now) = self.telemetry.now_nanos() {
+        if let Some(start) = started {
+            self.telemetry
+                .span_closed("regenerate", parent, affected, start, &member);
+            let took = self.telemetry.now_nanos().unwrap_or(start) - start;
             self.telemetry.observe(
-                "fusiond_detection_latency_seconds",
+                "fusiond_regeneration_seconds",
                 &[],
-                Duration::from_nanos(now.saturating_sub(kill_nanos)),
+                Duration::from_nanos(took),
             );
         }
-        self.telemetry
-            .span_closed("detect", parent, affected, kill_nanos, who);
-    }
-
-    /// Handles one confirmed worker loss (standard thread or remote
-    /// process): retire the worker, orphan its in-flight tasks for
-    /// re-dispatch, and fail the lane over if it just drained to zero
-    /// workers.
-    fn on_worker_lost(&mut self, worker: &str) {
-        let lane = if self.pool.standard.iter().any(|w| w == worker) {
-            BackendKind::Standard
-        } else if self.pool.remote.workers.iter().any(|w| w == worker) {
-            BackendKind::Remote
-        } else {
-            // Already retired (a send failure and the watchdog can both
-            // report the same loss).
-            return;
-        };
-        if lane == BackendKind::Standard {
-            self.pool.standard.retain(|w| w != worker);
-            self.free_workers.retain(|w| w != worker);
-        } else {
-            self.pool.remote.workers.retain(|w| w != worker);
-            self.free_remote.retain(|w| w != worker);
+        // The re-issued tasks now recompute lost work; the span closes when
+        // the job next consumes a result.
+        if let Some(id) = affected.filter(|id| !self.recompute.contains_key(id)) {
+            let span = self
+                .telemetry
+                .span_start("recompute", parent, Some(id), &group);
+            self.recompute.extend(span.map(|span| (id, span)));
         }
-        self.watch.unwatch(&MemberId::new(worker, 0));
-        self.unsettled = true;
-        self.report.workers_lost += 1;
-        // The loss's telemetry hangs under the phase span of the job whose
-        // tasks were riding on the dead worker (if any).
-        let affected = self.tasks.values().find_map(|inflight| {
-            matches!(&inflight.assignee, Assignee::Worker(w) if w == worker).then_some(inflight.job)
-        });
-        let parent = affected.and_then(|id| self.running.get(&id).and_then(|j| j.phase_span));
-        self.note_detected(worker, affected, parent);
-        self.telemetry
-            .instant("worker-lost", affected, parent, worker);
+        // The re-issue just delivered these tasks afresh; restart their
+        // retransmit timers so they are not re-sent on the old deadline.
+        for inflight in self.tasks.values_mut().filter(|t| t.group == group) {
+            inflight.sent_at = self.now;
+        }
+        self.watch.watch(regen.replacement.clone(), self.now_ms());
         self.events.publish_correlated(
-            ServiceEvent::WorkerLost {
-                worker: worker.to_string(),
+            ServiceEvent::MemberRegenerated {
+                failed: member,
+                replacement: regen.replacement.routing_name(),
             },
             parent,
         );
-        // Orphan every task the dead worker was holding; dropping tasks of
+    }
+
+    /// Retires `group`, left empty by the loss of `member`: it leaves its
+    /// lane's owner and free list, its in-flight tasks are orphaned for
+    /// re-dispatch to the lane's other groups, and the lane fails over once
+    /// it has none.
+    fn retire(
+        &mut self,
+        lane: BackendKind,
+        group: &str,
+        member: &str,
+        affected: Option<JobId>,
+        parent: Option<SpanId>,
+    ) {
+        if let Some(state) = self.pool.lanes.get_mut(&lane) {
+            state.groups.remove(group);
+        }
+        self.free.entry(lane).or_default().retain(|g| g != group);
+        self.unsettled = true;
+        self.report.workers_lost += 1;
+        self.telemetry
+            .instant("worker-lost", affected, parent, member);
+        self.events.publish_correlated(
+            ServiceEvent::WorkerLost {
+                worker: member.to_string(),
+            },
+            parent,
+        );
+        // Orphan every task the group was holding, dropping tasks of
         // already-terminal jobs on the floor.
         let orphaned: Vec<TaskId> = self
             .tasks
             .iter()
-            .filter_map(|(task, inflight)| {
-                matches!(&inflight.assignee, Assignee::Worker(w) if w == worker).then_some(*task)
-            })
+            .filter_map(|(task, inflight)| (inflight.group == group).then_some(*task))
             .collect();
         for task in orphaned {
             let inflight = self.tasks.remove(&task).expect("key just listed");
@@ -1065,15 +1018,11 @@ impl Scheduler {
                     job: inflight.job,
                     message: inflight.message,
                     attempts: inflight.attempts.saturating_add(1),
-                    from: worker.to_string(),
+                    from: member.to_string(),
                 });
             }
         }
-        let lane_empty = match lane {
-            BackendKind::Standard => self.pool.standard.is_empty(),
-            _ => self.pool.remote.workers.is_empty(),
-        };
-        if lane_empty {
+        if self.pool.capacity(lane) == 0 {
             self.fail_over_jobs(lane);
         }
     }
@@ -1081,8 +1030,8 @@ impl Scheduler {
     /// Re-dispatches orphaned tasks through [`Scheduler::place`].  Orphans
     /// whose lane has no free slot right now stay queued; the result that
     /// frees one starts the turn that places them.
-    /// A worker found dead while draining may orphan more tasks onto the
-    /// queue being drained — they get their turn in this same loop.
+    /// A group retired while draining may orphan more tasks onto the queue
+    /// being drained — they get their turn in this same loop.
     fn dispatch_orphans(&mut self) {
         let mut deferred: VecDeque<Orphan> = VecDeque::new();
         while let Some(orphan) = self.orphans.pop_front() {
@@ -1091,8 +1040,8 @@ impl Scheduler {
         self.orphans = deferred;
     }
 
-    /// Accounts and publishes the in-flight `task` landing on the slot `to`:
-    /// a reassignment if it was ever delivered to a lost worker (`from`), a
+    /// Accounts and publishes the in-flight `task` landing on the group `to`:
+    /// a reassignment if it was ever delivered to a lost member (`from`), a
     /// (possibly deferred) first dispatch otherwise.
     fn note_placed(&mut self, task: TaskId, from: &str, route: BackendKind, to: &str) {
         let placed = &self.tasks[&task];
@@ -1123,11 +1072,12 @@ impl Scheduler {
         }
     }
 
-    /// A worker lane (`Standard` or `Remote`) drained to zero workers: move
-    /// every running job of that lane to another enabled lane through the
-    /// routing policy (honouring its lane clamps) instead of failing it.
-    /// Queued jobs need nothing — admission resolves against the live
-    /// snapshot, which now reads the lane as disabled.
+    /// A message-plane lane drained to zero groups: move every running job
+    /// of that lane to another enabled lane through the routing policy
+    /// (honouring its lane clamps) instead of failing it — but fail a job on
+    /// the paper's protocol, which no other lane runs.  Queued jobs need
+    /// nothing — admission resolves against the live snapshot, which now
+    /// reads the lane as disabled.
     fn fail_over_jobs(&mut self, lane: BackendKind) {
         let stranded: Vec<JobId> = self
             .running
@@ -1145,16 +1095,15 @@ impl Scheduler {
             };
             let request = RoutingRequest::for_dims(job.plan.cube().dims(), job.shards);
             let (target, _) = self.governor.resolve(Route::Auto, &request, &snapshot);
-            if target == lane || !snapshot.lane(target).enabled() {
-                // The clamp found no other enabled lane.
-                self.fail_job(
-                    id,
-                    JobStatus::Failed,
-                    format!(
-                        "{} lane drained and no other lane is configured",
-                        lane.label()
-                    ),
+            // No other lane runs the paper's protocol; the clamp may have
+            // found no other enabled lane.
+            if job.protocol == Protocol::Paper || target == lane || !snapshot.lane(target).enabled()
+            {
+                let error = format!(
+                    "{} lane drained and no other lane can run the job",
+                    lane.label()
                 );
+                self.fail_job(id, JobStatus::Failed, error);
                 continue;
             }
             let job = self.running.get_mut(&id).expect("present: checked above");
@@ -1190,151 +1139,54 @@ impl Scheduler {
         }
     }
 
-    /// Re-sends group-lane tasks that have gone unanswered past their
-    /// backoff (the shared [`backoff_factor`] policy) to every
-    /// *current* member of their group — covering survivors that never
-    /// received the original send (a send lost in transit, or a member that
-    /// died holding the only copy), which regeneration-only re-issue would
-    /// never repair.  Retransmits are idempotent:
-    /// workers recompute and the result plane dedups by task id.
-    fn retransmit_overdue_group_tasks(&mut self) {
+    /// Re-sends tasks that have gone unanswered past their backoff (the
+    /// shared [`backoff_factor`] policy) to every *current* member of their
+    /// group — covering a send lost in transit, or a member that died
+    /// holding the only copy, which regeneration-only re-issue would never
+    /// repair.  Retransmits are idempotent: members recompute and the
+    /// result plane dedups by task id.
+    fn retransmit_overdue_tasks(&mut self) {
         let now = self.now;
-        let overdue: Vec<(TaskId, String, PctMessage)> = self
+        let overdue: Vec<(TaskId, BackendKind, String, PctMessage)> = self
             .tasks
             .iter()
-            .filter_map(|(task, inflight)| {
-                let (group, due) = inflight.retransmit_due()?;
-                (now >= due).then(|| (*task, group.to_string(), inflight.message.clone()))
-            })
+            .filter(|(_, inflight)| now >= inflight.retransmit_due())
+            .map(|(task, t)| (*task, t.lane, t.group.clone(), t.message.clone()))
             .collect();
-        let now_ms = self.now_ms();
-        for (task, group, message) in overdue {
+        for (task, lane, group, message) in overdue {
+            // Gone only if a retirement earlier in this loop orphaned it.
+            let Some(inflight) = self.tasks.get_mut(&task) else {
+                continue;
+            };
             // The timer restarts whatever becomes of the send: a deadline
             // left in the past would turn the blocked loop into a spin.
-            let mut job = None;
-            if let Some(inflight) = self.tasks.get_mut(&task) {
-                inflight.sent_at = now;
-                inflight.attempts = inflight.attempts.saturating_add(1);
-                job = Some(inflight.job);
-            }
-            let Ok(dead) = self.pool.resilient.group_send(&self.ctx, &group, &message) else {
+            inflight.sent_at = now;
+            inflight.attempts = inflight.attempts.saturating_add(1);
+            let job = inflight.job;
+            let Ok(dead) = self.pool.lanes[&lane].group_send(&self.ctx, &group, &message) else {
                 continue;
             };
             self.report.tasks_retransmitted += 1;
-            if let Some(job) = job {
-                let span = self.running.get(&job).and_then(|j| j.phase_span);
-                self.telemetry
-                    .instant("retransmit", Some(job), span, &group);
-                self.events.publish_correlated(
-                    ServiceEvent::Retransmitted {
-                        job,
-                        task,
-                        group: group.clone(),
-                    },
-                    span,
-                );
-            }
-            for failed in dead {
-                self.recover_member(failed, now_ms);
-            }
-        }
-    }
-
-    /// Records a completed group-lane task id in the bounded duplicate
-    /// window (replica results for it may still be in flight).
-    fn remember_completed_group_task(&mut self, task: TaskId) {
-        if self.completed_group_tasks.insert(task) {
-            self.completed_group_order.push_back(task);
-            if self.completed_group_order.len() > DEDUP_WINDOW {
-                if let Some(evicted) = self.completed_group_order.pop_front() {
-                    self.completed_group_tasks.remove(&evicted);
-                }
-            }
-        }
-    }
-
-    /// Regenerates a failed member; if regeneration is impossible, fails the
-    /// jobs whose tasks were riding on that group.
-    fn recover_member(&mut self, failed: MemberId, now_ms: u64) {
-        let on_group = |inflight: &InFlight| match &inflight.assignee {
-            Assignee::Group(g) => *g == failed.group,
-            Assignee::Worker(_) => false,
-        };
-        // The failure's telemetry hangs under the phase span of the job
-        // whose tasks were riding on the dead member's group (if any).
-        let affected = self
-            .tasks
-            .values()
-            .find_map(|inflight| on_group(inflight).then_some(inflight.job));
-        let parent = affected.and_then(|id| self.running.get(&id).and_then(|j| j.phase_span));
-        let member = failed.routing_name();
-        self.note_detected(&member, affected, parent);
-        self.watch.unwatch(&failed);
-        let regen_span = self
-            .telemetry
-            .span_start("regenerate", parent, affected, &member);
-        // What the group owes, re-issued to the replacement (view payloads
-        // make the message clones `Arc` bumps).
-        let owed = self
-            .tasks
-            .values()
-            .filter(|t| on_group(t))
-            .map(|t| &t.message);
-        let result = self
-            .pool
-            .resilient
-            .handle_member_failure(&self.ctx, &failed, owed);
-        if let Some(regen_time) = self.telemetry.span_end(regen_span) {
+            let span = self.running.get(&job).and_then(|j| j.phase_span);
             self.telemetry
-                .observe("fusiond_regeneration_seconds", &[], regen_time);
+                .instant("retransmit", Some(job), span, &group);
+            let retransmitted = ServiceEvent::Retransmitted { job, task, group };
+            self.events.publish_correlated(retransmitted, span);
+            for failed in dead {
+                self.on_member_lost(lane, failed, None);
+            }
         }
-        if let Ok(regenerated) = &result {
-            // The re-issued tasks now recompute lost work; the span closes
-            // when the job next consumes a result.
-            if let Some(id) = affected {
-                if !self.recompute.contains_key(&id) {
-                    if let Some(span) =
-                        self.telemetry
-                            .span_start("recompute", parent, Some(id), &failed.group)
-                    {
-                        self.recompute.insert(id, span);
-                    }
+    }
+
+    /// Records a completed task id in the bounded duplicate window (replica
+    /// results and retransmit echoes for it may still be in flight).
+    fn remember_completed(&mut self, task: TaskId) {
+        if self.completed_tasks.insert(task) {
+            self.completed_order.push_back(task);
+            if self.completed_order.len() > DEDUP_WINDOW {
+                if let Some(evicted) = self.completed_order.pop_front() {
+                    self.completed_tasks.remove(&evicted);
                 }
-            }
-            // The re-issue just delivered these tasks afresh; restart their
-            // retransmit timers so they are not re-sent on the old deadline.
-            for inflight in self.tasks.values_mut().filter(|t| on_group(t)) {
-                inflight.sent_at = self.now;
-            }
-            if let Some(regen) = regenerated {
-                self.watch.watch(regen.replacement.clone(), now_ms);
-                self.events.publish_correlated(
-                    ServiceEvent::MemberRegenerated {
-                        failed: member,
-                        replacement: regen.replacement.routing_name(),
-                    },
-                    parent,
-                );
-            }
-        }
-        if let Err(e) = result {
-            let affected: Vec<(TaskId, JobId)> = self
-                .tasks
-                .iter()
-                .filter_map(|(task, inflight)| match &inflight.assignee {
-                    Assignee::Group(group) if *group == failed.group => Some((*task, inflight.job)),
-                    _ => None,
-                })
-                .collect();
-            for (task, _) in &affected {
-                self.tasks.remove(task);
-            }
-            for (_, id) in affected {
-                self.fail_job(
-                    id,
-                    JobStatus::Failed,
-                    format!("replica group '{}' unrecoverable: {e}", failed.group),
-                );
             }
         }
     }
@@ -1365,23 +1217,22 @@ impl Scheduler {
         while let Some(queued) = self.governor.next() {
             self.report.jobs_submitted += 1;
             self.report.jobs_failed += 1;
-            self.terminal_transition(
-                queued.id,
-                queued.spec.tenant,
-                JobStatus::Failed,
-                None,
-                Some("service stopped".to_string()),
-            );
+            let (error, tenant) = (Some("service stopped".to_string()), queued.spec.tenant);
+            self.terminal_transition(queued.id, tenant, JobStatus::Failed, None, error);
         }
-        // A replica member attacked too late for a probe or a send to find
-        // it gone — a kill at shutdown — is as lost as one they found: the
-        // books close with every attacked member regenerated.
-        let attacked = self.pool.resilient.injector.attack_log();
-        let now_ms = self.now_ms();
-        for member in self.pool.resilient.members() {
-            if attacked.contains(&member.routing_name()) {
-                self.recover_member(member, now_ms);
-            }
+        // A member attacked too late for a probe or a send to find it gone —
+        // a kill at shutdown — is as lost as one they found: the books close
+        // with every attacked member regenerated or its group retired.
+        let attacked = self.pool.injector.attack_log();
+        let lost: Vec<(BackendKind, MemberId)> = self
+            .pool
+            .lanes
+            .iter()
+            .flat_map(|(lane, state)| state.members().into_iter().map(|m| (*lane, m)))
+            .filter(|(_, member)| attacked.contains(&member.routing_name()))
+            .collect();
+        for (lane, member) in lost {
+            self.on_member_lost(lane, member, None);
         }
         let resilient_report = self.pool.shutdown(&self.ctx);
         self.report.regenerations = resilient_report.regenerations.len();
@@ -1411,14 +1262,12 @@ impl HostedScheduler {
     /// or orphaned, no recompute span open, and every execution slot free.
     pub fn idle(&self) -> bool {
         let s = &self.0;
-        let l = s.lane_snapshot();
-        let lanes = [l.standard, l.resilient, l.shared_memory, l.remote];
         s.running.is_empty()
             && s.tasks.is_empty()
             && s.orphans.is_empty()
             && s.recompute.is_empty()
             && s.governor.queue_depth() == 0
-            && lanes.iter().all(|lane| lane.free == lane.total)
+            && (s.free.iter()).all(|(lane, free)| free.len() == s.pool.capacity(*lane))
     }
 
     /// Shuts the service down and closes the books: admission closes,
@@ -1450,11 +1299,16 @@ mod tests {
     /// A scheduler whose only threads are one shared-memory executor and
     /// the members of `replica_groups` level-2 groups.
     fn scheduler(replica_groups: usize) -> Scheduler {
+        scheduler_at_level(replica_groups, 2)
+    }
+
+    /// The same, with groups of `level` members.
+    fn scheduler_at_level(replica_groups: usize, level: usize) -> Scheduler {
         let config = ServiceConfig::builder()
             .pool(PoolConfig {
                 standard_workers: 0,
                 replica_groups,
-                replication_level: 2,
+                replication_level: level,
                 shared_memory_executors: 1,
                 ..PoolConfig::default()
             })
@@ -1487,15 +1341,52 @@ mod tests {
         Duration::from_millis(scheduler.watch.config().failure_timeout_ms())
     }
 
-    /// Adds a standard-lane worker that is the test itself: tasks sent to it
-    /// queue in the returned context's mailbox, and nothing heartbeats or
-    /// answers unless the test does.
+    /// Adds a standard-lane worker — the level-1 group `name` — whose one
+    /// member is the test itself: tasks sent to it queue in the returned
+    /// context's mailbox, and nothing heartbeats or answers unless the test
+    /// does.
     fn add_mute_worker(scheduler: &mut Scheduler, name: &str) -> ThreadContext<PctMessage> {
-        let worker = scheduler.pool.runtime.context(name).unwrap();
-        scheduler.pool.standard.push(name.to_string());
-        scheduler.free_workers.push_back(name.to_string());
-        scheduler.watch.watch(MemberId::new(name, 0), 0);
-        worker
+        let (member, lane) = (MemberId::new(name, 0), BackendKind::Standard);
+        let worker = scheduler.pool.runtime.context(member.routing_name());
+        let group = resilience::ReplicaGroup::new(name, 1);
+        let state = scheduler.pool.lanes.get_mut(&lane).unwrap();
+        state.groups.insert(name.into(), group);
+        scheduler
+            .free
+            .entry(lane)
+            .or_default()
+            .push_back(name.into());
+        scheduler.watch.watch(member, 0);
+        worker.unwrap()
+    }
+
+    /// The free slots of `lane`.
+    fn free(scheduler: &Scheduler, lane: BackendKind) -> Vec<&str> {
+        scheduler.free[&lane].iter().map(String::as_str).collect()
+    }
+
+    /// Attacks the resilient member `name` and waits for its thread to exit.
+    fn kill_and_wait(scheduler: &Scheduler, name: &str) {
+        assert!(scheduler.pool.injector.attack(name));
+        let start = Instant::now();
+        while !scheduler.pool.lanes[&BackendKind::Resilient]
+            .handles
+            .iter()
+            .any(|h| h.name == name && h.is_finished())
+        {
+            assert!(
+                start.elapsed() < Duration::from_secs(5),
+                "{name} still runs"
+            );
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+
+    /// A two-shard chain job of a small synthetic cube, pinned to `lane`.
+    fn job(lane: BackendKind) -> crate::job::JobSpecBuilder {
+        JobSpec::builder(CubeSource::Synthetic(SceneConfig::small(3)))
+            .pinned(lane)
+            .shards(2)
     }
 
     fn submit(scheduler: &Scheduler, id: JobId, spec: JobSpec) {
@@ -1516,7 +1407,8 @@ mod tests {
             task,
             InFlight {
                 job: 0,
-                assignee: Assignee::Group(group.to_string()),
+                lane: BackendKind::Resilient,
+                group: group.to_string(),
                 // Members ignore it: only the timer is under test.
                 message: PctMessage::Heartbeat,
                 sent_at,
@@ -1533,12 +1425,7 @@ mod tests {
         submit(
             &scheduler,
             1,
-            JobSpec::builder(CubeSource::Synthetic(SceneConfig::small(3)))
-                .pinned(BackendKind::Standard)
-                .shards(2)
-                .timeout(timeout)
-                .build()
-                .unwrap(),
+            job(BackendKind::Standard).timeout(timeout).build().unwrap(),
         );
         let t0 = scheduler.started;
         assert_eq!(scheduler.turn(t0, None), Some(t0 + timeout));
@@ -1549,8 +1436,10 @@ mod tests {
         assert_eq!(scheduler.turn(early, None), Some(t0 + timeout));
         assert_eq!(scheduler.status.status(1), Some(JobStatus::Running));
         // Told a time past the deadline, the turn abandons the job and the
-        // detector (nobody heartbeat since t0) owns the next deadline.
+        // detector (nobody heartbeat since t0) owns the next deadline, ahead
+        // of the outstanding task's retransmit.
         let late = t0 + Duration::from_millis(60);
+        assert!(window(&scheduler) < RETRANSMIT_AFTER);
         assert_eq!(scheduler.turn(late, None), Some(t0 + window(&scheduler)));
         assert_eq!(scheduler.status.status(1), Some(JobStatus::TimedOut));
         assert_eq!(scheduler.report.jobs_timed_out, 1);
@@ -1559,13 +1448,13 @@ mod tests {
             1,
             "the outstanding task stays tabled so its result frees the slot"
         );
-        assert!(scheduler.free_workers.is_empty());
+        assert!(free(&scheduler, BackendKind::Standard).is_empty());
         // The late result does exactly that.
         let task = worker.recv().unwrap().payload;
         worker.send(MANAGER, handle_task(task).unwrap()).unwrap();
         scheduler.turn(late, None);
         assert!(scheduler.tasks.is_empty());
-        assert_eq!(scheduler.free_workers, ["mute"]);
+        assert_eq!(free(&scheduler, BackendKind::Standard), ["mute"]);
         scheduler.finalize();
     }
 
@@ -1607,29 +1496,10 @@ mod tests {
         let mut scheduler = scheduler(1);
         // `rg0#0` dies without a word; whatever it said before is read by
         // the first turn, at t0.
-        assert!(scheduler.pool.resilient.injector.attack("rg0#0"));
-        let start = Instant::now();
-        while !scheduler
-            .pool
-            .resilient
-            .handles
-            .iter()
-            .any(|h| h.name == "rg0#0" && h.is_finished())
-        {
-            assert!(start.elapsed() < Duration::from_secs(5), "rg0#0 still runs");
-            std::thread::sleep(Duration::from_millis(1));
-        }
+        kill_and_wait(&scheduler, "rg0#0");
         let lost = add_mute_worker(&mut scheduler, "lost");
         let spare = add_mute_worker(&mut scheduler, "spare");
-        submit(
-            &scheduler,
-            1,
-            JobSpec::builder(CubeSource::Synthetic(SceneConfig::small(3)))
-                .pinned(BackendKind::Standard)
-                .shards(2)
-                .build()
-                .unwrap(),
-        );
+        submit(&scheduler, 1, job(BackendKind::Standard).build().unwrap());
         // Workers and members are watched from t0 by the one detector: one
         // deadline covers both lanes.
         let t0 = scheduler.started;
@@ -1645,10 +1515,11 @@ mod tests {
         assert_eq!(scheduler.report.workers_lost, 1);
         assert_eq!(scheduler.report.tasks_reassigned, 1);
         assert_eq!(spare.pending(), 2, "its probe, then the orphaned task");
-        let regenerated = &scheduler.pool.resilient.report.regenerations;
+        let resilient = &scheduler.pool.lanes[&BackendKind::Resilient];
+        let regenerated = &resilient.report.regenerations;
         assert_eq!(regenerated.len(), 1);
         assert_eq!(regenerated[0].failed, MemberId::new("rg0", 0));
-        let members = scheduler.pool.resilient.members();
+        let members = resilient.members();
         assert_eq!(members, [MemberId::new("rg0", 1), MemberId::new("rg0", 2)]);
         scheduler.finalize();
     }
@@ -1660,17 +1531,13 @@ mod tests {
             (Protocol::Chain, "screen-seeded-task", 1),
         ] {
             let mut scheduler = scheduler(3);
-            let spec = JobSpec::builder(CubeSource::Synthetic(SceneConfig::small(3)))
-                .pinned(BackendKind::Resilient)
-                .protocol(protocol)
-                .shards(3)
-                .build()
-                .unwrap();
-            submit(&scheduler, 1, spec);
+            let spec = job(BackendKind::Resilient).protocol(protocol).shards(3);
+            submit(&scheduler, 1, spec.build().unwrap());
             scheduler.turn(scheduler.started, None);
             let kinds: Vec<&str> = scheduler.tasks.values().map(|t| t.message.kind()).collect();
             assert_eq!(kinds, vec![kind; dispatched], "{protocol:?}");
-            assert_eq!(scheduler.free_groups.len(), 3 - dispatched, "{protocol:?}");
+            let free = free(&scheduler, BackendKind::Resilient);
+            assert_eq!(free.len(), 3 - dispatched, "{protocol:?}");
             scheduler.finalize();
         }
     }
@@ -1698,6 +1565,66 @@ mod tests {
         assert!(next > now && next <= now + 2 * base);
         assert!(scheduler.turn(now, None) > Some(now));
         assert_eq!(scheduler.report.tasks_retransmitted, 1);
+        scheduler.finalize();
+    }
+
+    #[test]
+    fn a_refused_regeneration_retires_the_group_and_a_survivor_finishes_its_job() {
+        let mut scheduler = scheduler_at_level(2, 1);
+        // The replacement's name is taken, so its spawn is refused.
+        let _squatter = scheduler.pool.runtime.context("rg0#1").unwrap();
+        kill_and_wait(&scheduler, "rg0#0");
+        submit(&scheduler, 1, job(BackendKind::Resilient).build().unwrap());
+        // The turns are told one instant: no timer fires, only results move
+        // the job.  The first task goes to rg0, whose dead member is found
+        // by the send and cannot be replaced.
+        let t0 = scheduler.started;
+        scheduler.turn(t0, None);
+        let give_up = Instant::now() + Duration::from_secs(20);
+        while scheduler.status.status(1) == Some(JobStatus::Running) {
+            let envelope = scheduler.ctx.recv_timeout(Duration::from_secs(5)).unwrap();
+            scheduler.turn(t0, Some(envelope));
+            assert!(Instant::now() < give_up, "the job never finished");
+        }
+        assert_eq!(scheduler.status.status(1), Some(JobStatus::Completed));
+        let members = scheduler.pool.lanes[&BackendKind::Resilient].members();
+        assert_eq!(members, [MemberId::new("rg1", 0)], "rg0 retired");
+        assert!(!scheduler.pool.injector.targets().contains(&"rg0#1".into()));
+        let report = &scheduler.report;
+        assert_eq!((report.workers_lost, report.tasks_reassigned), (1, 1));
+        let resilient = scheduler.lane_snapshot().resilient;
+        assert_eq!(resilient, LaneLoad { total: 1, free: 1 });
+        let hosted = HostedScheduler(scheduler);
+        assert!(hosted.idle(), "every slot is free again");
+        hosted.0.finalize();
+    }
+
+    #[test]
+    fn a_standard_task_lost_in_transit_is_sent_again_at_its_retransmit_deadline() {
+        let mut scheduler = scheduler(0);
+        let worker = add_mute_worker(&mut scheduler, "mute");
+        submit(&scheduler, 1, job(BackendKind::Standard).build().unwrap());
+        let t0 = scheduler.started;
+        let due = t0 + RETRANSMIT_AFTER;
+        scheduler.turn(t0, None);
+        // The worker heartbeats, but the task never reaches it.
+        let lost = worker.recv().unwrap().payload;
+        worker.send(MANAGER, PctMessage::Heartbeat).unwrap();
+        let early = due - Duration::from_millis(1);
+        assert_eq!(scheduler.turn(early, None), Some(due));
+        assert_eq!(scheduler.report.tasks_retransmitted, 0);
+        scheduler.turn(due, None);
+        assert_eq!(scheduler.report.tasks_retransmitted, 1);
+        assert_eq!(scheduler.report.workers_lost, 0);
+        let again = worker.recv().unwrap().payload;
+        assert_eq!(again.task(), lost.task());
+        // Its answer moves the chain on; a late echo is a duplicate.
+        let reply = handle_task(again).unwrap();
+        worker.send(MANAGER, reply.clone()).unwrap();
+        worker.send(MANAGER, reply).unwrap();
+        scheduler.turn(due, None);
+        assert_eq!(scheduler.report.duplicates_ignored, 1);
+        assert_eq!(worker.pending(), 1, "the chain's next link");
         scheduler.finalize();
     }
 }

@@ -120,14 +120,9 @@ impl FusionService {
         clock: Clock,
     ) -> (FusionService, Scheduler) {
         let telemetry = config.telemetry.clone();
-        let injector = pool.injector();
+        let injector = pool.injector.clone();
         let doorbell = pool.doorbell();
-        let lane_totals = [
-            pool.standard.len(),
-            pool.groups.len(),
-            pool.inline.executors.len(),
-            pool.remote.workers.len(),
-        ];
+        let lane_totals = BackendKind::ALL.map(|lane| pool.capacity(lane));
         let remote_workers = pool.remote.worker_pids();
         let governor = Arc::new(
             AdmissionGovernor::new(
@@ -291,13 +286,14 @@ impl FusionService {
         self.governor.queue_depth()
     }
 
-    /// Routing names of the resilient lane's live attack targets.
+    /// Routing names of the attack targets: the replica members and the
+    /// standard workers.
     pub fn attack_targets(&self) -> Vec<String> {
         self.injector.targets()
     }
 
     /// Kills a pool member by routing name — a replica member (`rg0#1`) or
-    /// a standard worker (`svc0`) — as an attack drill.  Returns whether
+    /// a standard worker (`svc0#0`) — as an attack drill.  Returns whether
     /// the member was a registered target.
     pub fn inject_attack(&self, member: &str) -> bool {
         let hit = self.injector.attack(member);

@@ -392,7 +392,7 @@ impl HostActor {
             .map(|(name, _)| name.clone())
             .collect();
         for name in flipped {
-            if name.contains('#') {
+            if Scenario::is_replica(&name) {
                 self.out.attacked.insert(name.clone());
             }
             self.kill(ctx, &name, "kill switch");

@@ -638,7 +638,7 @@ mod tests {
 
     #[test]
     fn same_scenario_replays_byte_identically() {
-        let sc = Scenario::baseline("replay", 42).with_chaos_kill(ChaosPhase::Derive, "svc0");
+        let sc = Scenario::baseline("replay", 42).with_chaos_kill(ChaosPhase::Derive, "svc0#0");
         let a = SimHarness::new(sc.clone()).run().unwrap();
         let b = SimHarness::new(sc).run().unwrap();
         assert_eq!(a.replay_blob(), b.replay_blob());

@@ -1,9 +1,11 @@
 //! The scenario DSL: one seeded experiment — a pool, a workload of jobs and
 //! what their clients do, and a fault schedule — over the simulated cluster.
 //!
-//! Members are addressed by the pool's own routing names: standard workers
-//! `svc0`, `svc1`, … and replica members `rg<g>#<m>`; a replacement the
-//! resilient lane regenerates takes the next incarnation of its group.
+//! Members are addressed by the pool's own routing names, `group#incarnation`:
+//! standard workers are level-1 groups `svc<i>` whose one member is
+//! `svc<i>#0`, and replica members are `rg<g>#<m>`.  A replacement the
+//! resilient lane regenerates takes the next incarnation of its group; a
+//! standard worker is never replaced.
 
 use hsi::partition::partition_rows;
 use hsi::{CubeDims, HyperCube, SceneConfig, SceneGenerator};
@@ -170,7 +172,7 @@ pub struct Scenario {
     pub config: PctConfig,
     /// The jobs, in arrival order.
     pub jobs: Vec<JobPlan>,
-    /// Standard workers (`svc<i>`).
+    /// Standard workers (`svc<i>#0`).
     pub standard_workers: usize,
     /// Replica groups (`rg<g>`).
     pub replica_groups: usize,
@@ -273,10 +275,16 @@ impl Scenario {
     /// Routing names of the pool's members at start, in node order:
     /// standard workers, then each group's members.
     pub fn members(&self) -> Vec<String> {
-        let standard = (0..self.standard_workers).map(|i| format!("svc{i}"));
+        let standard = (0..self.standard_workers).map(|i| format!("svc{i}#0"));
         let replicas = (0..self.replica_groups)
             .flat_map(|g| (0..self.replication_level).map(move |m| format!("rg{g}#{m}")));
         standard.chain(replicas).collect()
+    }
+
+    /// Whether `member` is a replica member: a member of the resilient
+    /// lane, the one lane that regenerates.
+    pub fn is_replica(member: &str) -> bool {
+        member.starts_with("rg")
     }
 
     /// Kills the schedule can land on replica members, each of which the
@@ -288,7 +296,7 @@ impl Scenario {
         chaos
             .chain(machine)
             .chain(attack)
-            .filter(|m| m.contains('#'))
+            .filter(|m| Self::is_replica(m))
             .count()
             + usize::from(self.kill_during_regeneration)
     }
@@ -364,7 +372,7 @@ impl Scenario {
         let replica = self.partitions.iter().map(|p| &p.member);
         let replica = replica.chain(self.drops.iter().map(|(m, _)| m));
         for (member, replica_only) in any.map(|m| (m, false)).chain(replica.map(|m| (m, true))) {
-            if !members.contains(member) || (replica_only && !member.contains('#')) {
+            if !members.contains(member) || (replica_only && !Self::is_replica(member)) {
                 return Err(format!("{member:?} is not a member that can be named here"));
             }
         }
@@ -395,10 +403,11 @@ mod tests {
     #[test]
     fn member_names_round_trip() {
         let sc = Scenario::baseline("names", 1);
-        assert_eq!(sc.members(), ["svc0", "rg0#0", "rg0#1", "rg1#0", "rg1#1"]);
-        for name in &sc.members()[1..] {
-            let member = resilience::MemberId::parse(name).expect("a replica member");
+        assert_eq!(sc.members(), ["svc0#0", "rg0#0", "rg0#1", "rg1#0", "rg1#1"]);
+        for name in &sc.members() {
+            let member = resilience::MemberId::parse(name).expect("a member");
             assert_eq!(&member.routing_name(), name);
+            assert_eq!(Scenario::is_replica(name), member.group.starts_with("rg"));
         }
     }
 
@@ -435,7 +444,7 @@ mod tests {
         assert!(ghost.validate().is_err());
         let mut partitioned = Scenario::baseline("svc-partition", 1);
         partitioned.partitions.push(Partition {
-            member: "svc0".into(),
+            member: "svc0#0".into(),
             from: Duration::ZERO,
             until: Duration::from_millis(10),
         });

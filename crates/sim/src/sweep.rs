@@ -259,7 +259,7 @@ fn generate(rng: &mut SplitMix64, index: usize) -> Scenario {
     let members = sc.members();
     let replicas: Vec<String> = members
         .iter()
-        .filter(|m| m.contains('#'))
+        .filter(|m| Scenario::is_replica(m))
         .cloned()
         .collect();
     let dims_palette = [(12, 10, 4), (10, 12, 4), (14, 8, 3), (8, 14, 5)];
@@ -387,7 +387,7 @@ fn generate(rng: &mut SplitMix64, index: usize) -> Scenario {
                 plan.route = BackendKind::Standard;
             }
             for w in 0..sc.standard_workers {
-                sc = sc.with_chaos_kill(ChaosPhase::Screen, &format!("svc{w}"));
+                sc = sc.with_chaos_kill(ChaosPhase::Screen, &format!("svc{w}#0"));
             }
         }
         _ => {

@@ -58,8 +58,8 @@ fn thousand_scenario_sweep_holds_the_byte_identity_and_makespan_contract() {
     // deliberate change to scheduling, detection or the protocol edits these
     // in the same commit, with the reason.
     assert_eq!(report.passed(), 1000);
-    assert_eq!(total(|r| r.detections as usize), 888);
-    assert_eq!(report.detection_latency_quantile_ns(0.5), Some(16_530_054));
+    assert_eq!(total(|r| r.detections as usize), 913);
+    assert_eq!(report.detection_latency_quantile_ns(0.5), Some(17_000_000));
     assert_eq!(
         report.detection_latency_quantile_ns(0.99),
         Some(389_000_000)
@@ -117,8 +117,8 @@ fn the_same_thousand_scenarios_hold_every_invariant_under_the_paper_protocol() {
     // jobs' tasks, and so their timing, differ.
     let total = |f: fn(&ScenarioReport) -> usize| report.rows.iter().map(f).sum::<usize>();
     assert_eq!(report.passed(), 1000);
-    assert_eq!(total(|r| r.detections as usize), 883);
-    assert_eq!(report.detection_latency_quantile_ns(0.5), Some(17_000_000));
+    assert_eq!(total(|r| r.detections as usize), 906);
+    assert_eq!(report.detection_latency_quantile_ns(0.5), Some(17_671_556));
     assert_eq!(
         report.detection_latency_quantile_ns(0.99),
         Some(392_261_763)

@@ -521,7 +521,7 @@ fn standard_lane_drain_fails_over_running_jobs_to_surviving_lanes() {
             .pool(failover_pool(1, 1))
             .queue_capacity(8)
             .max_in_flight(4)
-            .chaos(ChaosPlan::kill_at(1, ChaosPhase::Screen, "svc0"))
+            .chaos(ChaosPlan::kill_at(1, ChaosPhase::Screen, "svc0#0"))
             .build()
             .expect("config validates"),
     )
@@ -560,7 +560,7 @@ fn standard_lane_drain_fails_over_running_jobs_to_surviving_lanes() {
             .pool(failover_pool(1, 0))
             .queue_capacity(8)
             .max_in_flight(4)
-            .chaos(ChaosPlan::kill_at(1, ChaosPhase::Screen, "svc0"))
+            .chaos(ChaosPlan::kill_at(1, ChaosPhase::Screen, "svc0#0"))
             .build()
             .expect("config validates"),
     )

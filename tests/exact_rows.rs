@@ -121,7 +121,7 @@ fn mixed_workload_counters_are_exact() {
     assert_eq!((traced.jobs_completed, traced_unique_sum), (32, 3148));
 }
 
-/// A chaos kill takes `svc0` down at the first screening dispatch of the one
+/// A chaos kill takes `svc0#0` down at the first screening dispatch of the one
 /// job.  The screening chain is serial, so the dead worker holds exactly one
 /// task in flight.
 fn failover_probe(standard_workers: usize, shared_memory_executors: usize) -> ServiceReport {
@@ -139,7 +139,7 @@ fn failover_probe(standard_workers: usize, shared_memory_executors: usize) -> Se
             })
             .queue_capacity(4)
             .max_in_flight(2)
-            .chaos(ChaosPlan::kill_at(1, ChaosPhase::Screen, "svc0"))
+            .chaos(ChaosPlan::kill_at(1, ChaosPhase::Screen, "svc0#0"))
             .build()
             .expect("config validates"),
     )

@@ -189,7 +189,7 @@ fn drill(hostility: Hostility) {
             events.next_timeout(Duration::from_millis(100))
         {
             assert_eq!(
-                worker, "rw0",
+                worker, "rw0#0",
                 "{hostility:?}: the honest worker was retired"
             );
             break;
