@@ -146,12 +146,12 @@ impl JobPlan {
     }
 }
 
-/// A window in which messages between the host and a replica member are
-/// dropped in both directions (`from <= now < until`).  The member stays
-/// alive: its silence is probed, never taken for a death.
+/// A window in which messages between the host and a member are dropped
+/// in both directions (`from <= now < until`).  The member stays alive: its
+/// silence is probed, never taken for a death.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Partition {
-    /// The replica member cut off.
+    /// The member cut off.
     pub member: String,
     /// Window start (virtual time since simulation start).
     pub from: Duration,
@@ -203,10 +203,10 @@ pub struct Scenario {
     /// If set, the first replacement is attacked as it is bound to its
     /// spare node, while the tasks re-issued to it are in flight.
     pub kill_during_regeneration: bool,
-    /// Host↔replica-member partition windows.
+    /// Host↔member partition windows.
     pub partitions: Vec<Partition>,
-    /// `(replica member, count)`: the next `count` tasks sent to the member
-    /// are lost in transit.
+    /// `(member, count)`: the next `count` tasks sent to the member are
+    /// lost in transit.
     pub drops: Vec<(String, usize)>,
     /// `(member, extra)`: a constant extra one-way delay on every message
     /// to or from the member.
@@ -305,7 +305,7 @@ impl Scenario {
     /// derived from the scenario's own schedule: a fault-free job takes
     /// tens of virtual milliseconds and jobs behind a narrow admission queue
     /// wait for each other; a kill costs a few detection windows, a lost
-    /// message the resilient lane's retransmit backoff (500 ms, then 1 s).
+    /// message the retransmit backoff (500 ms, then 1 s).
     pub fn derived_makespan_bound(&self) -> Duration {
         let window_ms = self.detector.failure_timeout_ms();
         let kills = (self.chaos.kills.len()
@@ -337,10 +337,10 @@ impl Scenario {
         bound.mul_f64(1.0 / min_speed)
     }
 
-    /// Validates internal consistency: every name is a member of the pool
-    /// (a replica member where only replica members lose messages), every
-    /// job's lane exists (the resilient one for a paper job), every straggler's speed is in `(0, 1]`, and there
-    /// is a spare node for every replacement.
+    /// Validates internal consistency: every name is a member of the pool,
+    /// every job's lane exists (the resilient one for a paper job), every
+    /// straggler's speed is in `(0, 1]`, and there is a spare node for
+    /// every replacement.
     pub fn validate(&self) -> Result<(), String> {
         if self.jobs.is_empty() || self.replica_groups == 0 || self.replication_level == 0 {
             return Err("a scenario needs a job and a resilient lane to fail over to".into());
@@ -363,18 +363,16 @@ impl Scenario {
             return Err("a paper job is pinned off the resilient lane".into());
         }
         let members = self.members();
-        let any = self.chaos.kills.iter().map(|k| &k.member);
-        let any = any
+        let named = self.chaos.kills.iter().map(|k| &k.member);
+        let mut named = named
             .chain(self.machine_kills.iter().map(|(_, m)| m))
             .chain(self.attack.iter().map(|(m, _)| m))
             .chain(self.link_delays.iter().map(|(m, _)| m))
-            .chain(self.stragglers.iter().map(|(m, _)| m));
-        let replica = self.partitions.iter().map(|p| &p.member);
-        let replica = replica.chain(self.drops.iter().map(|(m, _)| m));
-        for (member, replica_only) in any.map(|m| (m, false)).chain(replica.map(|m| (m, true))) {
-            if !members.contains(member) || (replica_only && !Self::is_replica(member)) {
-                return Err(format!("{member:?} is not a member that can be named here"));
-            }
+            .chain(self.stragglers.iter().map(|(m, _)| m))
+            .chain(self.partitions.iter().map(|p| &p.member))
+            .chain(self.drops.iter().map(|(m, _)| m));
+        if let Some(member) = named.find(|m| !members.contains(m)) {
+            return Err(format!("{member:?} is not a member of the pool"));
         }
         if let Some((member, speed)) = self
             .stragglers
@@ -442,16 +440,6 @@ mod tests {
     fn validation_rejects_out_of_range_references() {
         let ghost = Scenario::baseline("ghost", 1).with_chaos_kill(ChaosPhase::Screen, "m3");
         assert!(ghost.validate().is_err());
-        let mut partitioned = Scenario::baseline("svc-partition", 1);
-        partitioned.partitions.push(Partition {
-            member: "svc0#0".into(),
-            from: Duration::ZERO,
-            until: Duration::from_millis(10),
-        });
-        assert!(
-            partitioned.validate().is_err(),
-            "standard lanes have no retransmit"
-        );
     }
 
     #[test]

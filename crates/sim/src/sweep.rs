@@ -144,10 +144,6 @@ impl SweepReport {
 /// seed, so "reproduce row `s0042-…`" is: construct the same sweep,
 /// [`Sweep::scenarios`], pick index 42, run it alone under a
 /// [`SimHarness`].
-///
-/// Out of scope: a standard worker on a lost link.  The worker lanes have
-/// no retransmit, so partitions and transit drops target replica members
-/// only; a standard worker's messages are lost only with its node.
 #[derive(Debug, Clone)]
 pub struct Sweep {
     seed: u64,
@@ -328,11 +324,11 @@ fn generate(rng: &mut SplitMix64, index: usize) -> Scenario {
             // stragglers must all converge byte-identically.
             let from = millis(rng, 0, 30);
             sc.partitions.push(Partition {
-                member: pick(rng, &replicas),
+                member: pick(rng, &members),
                 from,
                 until: from + millis(rng, 20, 60),
             });
-            sc.drops.push((pick(rng, &replicas), rng.range(1, 2)));
+            sc.drops.push((pick(rng, &members), rng.range(1, 2)));
             sc.reorder = Some((
                 Duration::from_micros(200 + rng.below(1_800)),
                 rng.next_u64(),
