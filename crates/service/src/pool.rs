@@ -232,11 +232,6 @@ fn without_replacements(
     }
 }
 
-/// The groups `<prefix>0`, `<prefix>1`, … of a lane.
-fn group_names(prefix: &str, count: usize) -> Vec<String> {
-    (0..count).map(|i| format!("{prefix}{i}")).collect()
-}
-
 pub(crate) struct WorkerPool {
     pub runtime: Runtime<PctMessage>,
     /// The replica groups of each message-plane lane, each lane with its
@@ -293,8 +288,9 @@ impl WorkerPool {
         telemetry: telemetry::Telemetry,
         host: Option<&Sender<HostedMember>>,
     ) -> Result<()> {
+        let groups = |prefix, n| (0..n).map(|i| format!("{prefix}{i}")).collect::<Vec<_>>();
         let resilient = ResilientManagerState::build(
-            &group_names("rg", config.replica_groups),
+            &groups("rg", config.replica_groups),
             config.replication_level.max(1),
             self.injector.clone(),
             member_start(&self.runtime, host),
@@ -302,7 +298,7 @@ impl WorkerPool {
         self.lanes
             .insert(BackendKind::Resilient, resilient.with_telemetry(telemetry));
         let standard = ResilientManagerState::build(
-            &group_names("svc", config.standard_workers),
+            &groups("svc", config.standard_workers),
             1,
             self.injector.clone(),
             without_replacements(member_start(&self.runtime, host)),

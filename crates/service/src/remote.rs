@@ -78,9 +78,10 @@ pub(crate) struct RemoteLane {
 impl RemoteLane {
     /// Establishes every configured worker — spawning processes or threads,
     /// accepting their connections, running the version handshake — and
-    /// starts one bridge per worker, bound as the worker's member mailbox.  When a worker cannot be established
-    /// (never dialled in, refused by the handshake) nothing outlives the
-    /// typed error: the workers before it are shut down and joined.
+    /// starts one bridge per worker, bound as the worker's member mailbox.
+    /// When a worker cannot be established (never dialled in, refused by
+    /// the handshake) nothing outlives the typed error: the workers before
+    /// it are shut down and joined.
     pub fn start(runtime: &Runtime<PctMessage>, specs: &[RemoteWorkerSpec]) -> Result<RemoteLane> {
         let mut lane = RemoteLane::default();
         for (i, spec) in specs.iter().enumerate() {

@@ -9,9 +9,10 @@
 //! the failure detector, the retransmit backoff and the job timeouts.  One
 //! [`Scheduler::turn`] is a function of the time it is told: consume what
 //! arrived (mailbox, shared-memory results, cancellations), run the timers
-//! that are due, admit, dispatch, and answer with the next deadline.  Nothing that can make a task runnable — a confirmed loss, a
-//! lane failover, a regeneration, an orphan — happens after the last
-//! dispatch of a turn, because no later event would pick it up.
+//! that are due, admit, dispatch, and answer with the next deadline.
+//! Nothing that can make a task runnable — a confirmed loss, a lane
+//! failover, a regeneration, an orphan — happens after the last dispatch of
+//! a turn, because no later event would pick it up.
 //!
 //! The turn has two hosts, and nothing in it knows which one drives it.
 //! [`Scheduler::run`], on the service's own thread, blocks until a message
