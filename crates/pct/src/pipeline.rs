@@ -203,6 +203,8 @@ mod tests {
     use super::*;
     use crate::reference::transform_pixel;
 
+    mod image_rows;
+
     fn correlated_pixels(n: usize) -> Vec<Vector> {
         (0..n)
             .map(|i| {
