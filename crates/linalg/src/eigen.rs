@@ -1,56 +1,74 @@
-//! Symmetric eigensolver (algorithm step 6): Householder tridiagonalisation,
-//! then implicit-shift QL with the eigenvectors accumulated along rows.
+//! Symmetric eigensolver (algorithm step 6): Householder reduction and
+//! values-only QL for every eigenvalue; inverse iteration and a
+//! back-transform for only the eigenvectors asked for.
 //!
-//! Step 6 of the paper computes the eigenvectors of the covariance matrix and
-//! sorts them by descending eigenvalue so the high-variance spectral content
-//! is packed into the leading principal components.  It is `O(n^3)` in the
-//! band count (≤ 210), independent of the image size, and runs once per job
-//! in one process — the serial fraction no lane can spread.
+//! Step 6 of the paper sorts the covariance's eigenvectors by descending
+//! eigenvalue so the leading principal components carry the most variance.
+//! It is `O(n^3)` in the band count (≤ 210) and runs once per job in one
+//! process — the serial fraction no lane can spread.  Step 7 reads only the
+//! leading `output_components` eigenvectors (3 of the paper's 210), while
+//! the whole spectrum is an output (`FusionOutput::eigenvalues`, the colour
+//! map's noise floor); [`leading_eigenpairs`] splits the work along that line.
 //!
-//! # Why QL
+//! # Every output: reduction and values-only QL
 //!
-//! A cyclic Jacobi method pays `O(n^3)` per *sweep* and needs 8–10 sweeps at
-//! 210 bands.  Reducing `A = Q T Q^T` to tridiagonal `T` once costs
-//! `4/3 n^3`, forming `Q` as much again, and the QL iteration on `T` converges
-//! cubically (under two iterations per eigenvalue) with `O(n)` work per
-//! rotation plus the eigenvector update.  The convergence test is absolute,
-//! `|e_m| <= eps * ||T||`, so the numerical null space of a rank-deficient
-//! covariance (fewer unique vectors than bands) deflates without a single
-//! rotation.  Eigenvalues and residuals carry an absolute error of a small
-//! multiple of `n * eps * ||A||`, which is what a principal-component
-//! transform needs; eigenvalues that small are rounding noise either way.
+//! `A = Q T Q^T` is reduced to tridiagonal `T` in `4/3 n^3` along rows of the
+//! lower triangle of one row-major buffer, where the reflectors stay: `Q` is
+//! never formed.  QL finds every eigenvalue of `T` in `O(n^2)`.  Deflation is
+//! absolute, `|e_m| <= eps * ||T||`, so the null space of a rank-deficient
+//! covariance costs no rotation; eigenvalues carry an absolute error of a
+//! small multiple of `n * eps * ||A||`.
 //!
-//! # Why `Q^T`
+//! # Only the k rows: inverse iteration, back-transform
 //!
-//! Everything runs along rows of one row-major buffer.  The reduction reads
-//! and updates the lower triangle by rows (`A u` is one dot and one update
-//! per row).  `Q^T = H_1 ... H_{n-1}` is then accumulated in the same buffer,
-//! one dot and one update per row.  A QL rotation of columns `i, i+1` of `Q`
-//! is a two-row rotation (`rotate_rows`) on `Q^T`, eigenvector `k` ends up
-//! as row `k`, and [`sorted_eigenpairs`] copies rows out in sorted order:
-//! two `n x n` buffers in all, no transpose.
+//! For each of the `k` largest eigenvalues, descending (`||T||` is the
+//! largest absolute row sum of `T`):
+//!
+//! * the shift is the eigenvalue, pushed down to `10 * eps * ||T||` below
+//!   the previous shift if closer (LAPACK `dstein`'s rule);
+//! * `(T - shift I) x = b` is solved by Gaussian elimination with partial
+//!   pivoting, a pivot below `eps * ||T||` in magnitude (zero included)
+//!   replaced by `eps * ||T||` with its sign;
+//! * `x` starts from a SplitMix64 stream seeded by the row's index, and
+//!   each of its three solves (`INVERSE_ITERATIONS`) is followed by the
+//!   reorthogonalisation below and a normalisation;
+//! * consecutive eigenvalues at most `||T|| / (2n)` apart share a *cluster*,
+//!   and `x` is orthogonalised (modified Gram–Schmidt, twice) against the
+//!   earlier vectors of its own cluster only.  Why that gap: inverse
+//!   iteration leaves a residual of order `eps * ||T||`, so by Davis–Kahan a
+//!   vector lies within `eps * ||T|| / gap` of its eigenvector, `gap` being
+//!   the distance to the nearest eigenvalue outside its cluster, here over
+//!   `||T|| / (2n)`.  Vectors of two clusters are then within `4n * eps` of
+//!   orthogonal — half the accuracy suite's `8n * eps` bound, the other half
+//!   left to the back-transform — and those of one cluster are orthogonal to
+//!   working precision.
+//!
+//! Each tridiagonal eigenvector `y` becomes `Q y = H_{n-1} ... H_1 y`, `H_1`
+//! first, one dot and one update per reflector (`O(n^2 k)` in all), and its
+//! largest-magnitude entry is made positive.  Row `j` depends on the
+//! eigenvalues, its seed and the earlier rows of its cluster, never on a
+//! later row: the first `k` rows are the same bits for every larger `k`
+//! (*prefix-stable*), and [`sorted_eigenpairs`] is the call for all `n`.
 //!
 //! # Why no libm
 //!
 //! The identity contract is "same bytes from every process of one
 //! [`crate::NUMERICS_VERSION`]", on whatever platform each runs.  `+ - * /`
 //! and `sqrt` are correctly rounded by IEEE-754; library functions are not.
-//! So the solver uses those five only, sums in the order written (the one
-//! multi-lane sum is [`dot_fast`]'s fixed lane order), no fused multiply-add.
-//! What a library's overflow-safe `sqrt(x^2 + y^2)` would protect against is
-//! handled up front: the matrix is scaled by an exact power of two to a
-//! largest entry in `[1, 2)` — no sum of squares can overflow — and the
-//! eigenvalues are scaled back exactly; a sum of squares too small to be
-//! rounded relatively (`TINY`) is treated as the zero it is against entries
-//! of order one.
+//! So the solver uses those five only (and exact sign and magnitude
+//! operations), sums in the order written (the multi-lane sums are
+//! [`dot_fast`]'s fixed lane order), no fused multiply-add.  The matrix is
+//! scaled by an exact power of two to a largest entry in `[1, 2)` — no sum of
+//! squares can overflow, and `||T|| >= 1` — and the eigenvalues are scaled
+//! back exactly; a sum of squares too small to be rounded relatively
+//! (`TINY`) is treated as the zero it is against entries of order one.
 //!
 //! # Where the oracle lives
 //!
-//! [`crate::reference::jacobi_eigen_reference`] is the directly written
-//! cyclic Jacobi every build up to numerics version 1 was bit-identical to.
-//! It is the accuracy oracle of `eigen::tests::accuracy` and of the
-//! across-version property in `pct::pipeline`; nothing selects it at run
-//! time.
+//! [`crate::reference::jacobi_eigen_reference`], the cyclic Jacobi of
+//! numerics version 1, is the accuracy oracle of `eigen::tests::accuracy`
+//! and of the across-version property in `pct::pipeline`; nothing selects
+//! it at run time.
 
 use crate::matrix::Matrix;
 use crate::sym::SymMatrix;
@@ -62,12 +80,11 @@ use serde::{Deserialize, Serialize};
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
 pub struct JacobiOptions {
     /// Iteration cap: QL iterations spent on any one eigenvalue by
-    /// [`sorted_eigenpairs`], full sweeps of the Jacobi oracle.
+    /// [`leading_eigenpairs`], full sweeps of the Jacobi oracle in
+    /// [`crate::reference`].
     pub max_sweeps: usize,
-    /// The Jacobi oracle's convergence threshold on the off-diagonal
-    /// Frobenius norm relative to the matrix Frobenius norm.
-    /// [`sorted_eigenpairs`] does not read it: QL deflates at
-    /// `eps * ||T||`.
+    /// Read by the Jacobi oracle only: its threshold on the off-diagonal
+    /// Frobenius norm relative to the matrix's.
     pub tolerance: f64,
 }
 
@@ -80,45 +97,14 @@ impl Default for JacobiOptions {
     }
 }
 
-/// Result of an eigen-decomposition: `A = V diag(lambda) V^T`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct EigenDecomposition {
-    /// Eigenvalues, in the order produced by the solver (see
-    /// [`sorted_eigenpairs`] for the descending order the PCT needs).
-    pub eigenvalues: Vec<f64>,
-    /// Eigenvectors stored as *columns* of this matrix, in the same order as
-    /// `eigenvalues`.
-    pub eigenvectors: Matrix,
-    /// Number of sweeps the solver performed.
-    pub sweeps: usize,
-}
-
-impl EigenDecomposition {
-    /// Returns eigenvector `k` as a row vector.
-    pub fn eigenvector(&self, k: usize) -> crate::Vector {
-        self.eigenvectors.column(k)
-    }
-
-    /// Dimension of the decomposed matrix.
-    pub fn dim(&self) -> usize {
-        self.eigenvalues.len()
-    }
-}
-
 /// A sum of squares at or below this has been rounded absolutely (gradual
 /// underflow), not relatively, and a reflector or rotation normalised by its
 /// root would not be orthogonal.  With the largest entry scaled to `[1, 2)`
 /// its terms are below `1e-146` and are dropped as zeros.
 const TINY: f64 = f64::MIN_POSITIVE / f64::EPSILON;
 
-/// `(x, y) <- (c*x - s*y, s*x + c*y)` along two rows.
-fn rotate_rows(x: &mut [f64], y: &mut [f64], c: f64, s: f64) {
-    for (x, y) in x.iter_mut().zip(y.iter_mut()) {
-        let (xv, yv) = (*x, *y);
-        *x = c * xv - s * yv;
-        *y = s * xv + c * yv;
-    }
-}
+/// Solves of inverse iteration per eigenvector.
+const INVERSE_ITERATIONS: usize = 3;
 
 /// `2^k` and `2^-k` such that the largest magnitude in `values` times `2^k`
 /// lies in `[1, 2)` (`k` clamped to what both powers can represent).
@@ -132,13 +118,12 @@ fn power_of_two_scale(values: &[f64]) -> (f64, f64) {
 
 /// Householder reduction of the symmetric matrix held in the lower triangle
 /// of the `n x n` row-major buffer `w` (its strict upper triangle zero) to
-/// tridiagonal form `T = Q^T A Q`.  Returns the diagonal of `T` and its
-/// sub-diagonal (`e[i]` couples `i - 1` and `i`; `e[0] = 0`) and leaves
-/// `Q^T` in `w`.
-fn tridiagonalise(w: &mut [f64], n: usize) -> (Vec<f64>, Vec<f64>) {
+/// tridiagonal form `T = Q^T A Q`.  Returns the diagonal of `T`, its
+/// sub-diagonal (`e[i]` couples `i - 1` and `i`; `e[0] = 0`) and `h`: the
+/// reflector `H_i = I - u u^T / h[i]` that cleared row `i` keeps its vector
+/// `u` in `w[i][..i]` (`h[i] = 0`: none was needed), and `Q = H_{n-1} ... H_1`.
+fn tridiagonalise(w: &mut [f64], n: usize) -> (Vec<f64>, Vec<f64>, Vec<f64>) {
     let mut e = vec![0.0; n];
-    // `h[i]` is `|u|^2 / 2` of the reflector that cleared row `i`, whose
-    // vector `u` stays in `w[i][..i]`; zero where none was needed.
     let mut h = vec![0.0; n];
     for i in (1..n).rev() {
         let (above, row_i) = w.split_at_mut(i * n);
@@ -190,33 +175,13 @@ fn tridiagonalise(w: &mut [f64], n: usize) -> (Vec<f64>, Vec<f64>) {
         }
     }
     e[0] = 0.0;
-    // Q^T = H_1 ... H_{n-1}, smallest reflector first: before step i the
-    // product is the identity outside its leading (i-1) x (i-1) block.
-    let mut d = vec![0.0; n];
-    for i in 0..n {
-        let (above, row_i) = w.split_at_mut(i * n);
-        if h[i] != 0.0 {
-            let u = &row_i[..i];
-            for r in 0..i {
-                let row = &mut above[r * n..r * n + i];
-                let g = dot_fast(row, u) / h[i];
-                for (x, uk) in row.iter_mut().zip(u) {
-                    *x -= g * uk;
-                }
-            }
-        }
-        d[i] = row_i[i];
-        row_i[..i].fill(0.0);
-        row_i[i] = 1.0;
-    }
-    (d, e)
+    let d = (0..n).map(|i| w[i * n + i]).collect();
+    (d, e, h)
 }
 
 /// Implicit-shift QL iteration on the tridiagonal matrix `(d, e)` produced by
-/// [`tridiagonalise`], applying every rotation to rows `i, i + 1` of `qt`.
-/// On return `d` holds the eigenvalues and row `k` of `qt` the eigenvector of
-/// `d[k]`.
-fn implicit_ql(d: &mut [f64], e: &mut [f64], qt: &mut [f64], max_iterations: usize) -> Result<()> {
+/// [`tridiagonalise`]; on return `d` holds the eigenvalues and `e` is spent.
+fn implicit_ql(d: &mut [f64], e: &mut [f64], max_iterations: usize) -> Result<()> {
     let n = d.len();
     e.copy_within(1.., 0);
     e[n - 1] = 0.0;
@@ -263,8 +228,6 @@ fn implicit_ql(d: &mut [f64], e: &mut [f64], qt: &mut [f64], max_iterations: usi
                 p = s * r;
                 d[i + 1] = g + p;
                 g = c * r - b;
-                let (x, y) = qt[i * n..(i + 2) * n].split_at_mut(n);
-                rotate_rows(x, y, c, s);
             }
             d[l] -= p;
             e[l] = g;
@@ -274,82 +237,168 @@ fn implicit_ql(d: &mut [f64], e: &mut [f64], qt: &mut [f64], max_iterations: usi
     Ok(())
 }
 
-/// The solver proper.  Returns the eigenvalues in the order the iteration
-/// left them and the eigenvectors as *rows*.
-fn eigen_rows(matrix: &SymMatrix, options: JacobiOptions) -> Result<(Vec<f64>, Matrix)> {
+/// `x <- (T - shift I)^-1 x` for the tridiagonal `(d, e)`, by the
+/// elimination the module describes; `u` receives the rows of `U`
+/// (`[pivot, (i, i + 1), (i, i + 2)]`), each summed left to right.
+fn solve_shifted(d: &[f64], e: &[f64], shift: f64, floor: f64, x: &mut [f64], u: &mut [[f64; 3]]) {
+    let n = d.len();
+    let off = |i: usize| e.get(i).copied().unwrap_or(0.0);
+    let at_least = |p: f64| p.abs().max(floor).copysign(p);
+    // Row i as elimination reaches it: columns i and i + 1, right-hand side.
+    let (mut a, mut b, mut r) = (d[0] - shift, off(1), x[0]);
+    for i in 0..n - 1 {
+        // Row i + 1: columns i, i + 1 and i + 2, right-hand side.
+        let (c, dc, f, s) = (e[i + 1], d[i + 1] - shift, off(i + 2), x[i + 1]);
+        if a.abs() >= c.abs() {
+            let p = at_least(a);
+            let m = c / p;
+            (u[i], x[i]) = ([p, b, 0.0], r);
+            (a, b, r) = (dc - m * b, f, s - m * r);
+        } else {
+            let p = at_least(c);
+            let m = a / p;
+            (u[i], x[i]) = ([p, dc, f], s);
+            (a, b, r) = (b - m * dc, -(m * f), r - m * s);
+        }
+    }
+    (u[n - 1], x[n - 1]) = ([at_least(a), 0.0, 0.0], r);
+    for i in (0..n).rev() {
+        // Past the last row both terms are an exact +0.0.
+        let at = |k: usize| x.get(k).copied().unwrap_or(0.0);
+        x[i] = (x[i] - u[i][1] * at(i + 1) - u[i][2] * at(i + 2)) / u[i][0];
+    }
+}
+
+/// Inverse iteration on the tridiagonal `(d, e)`: row `j` of the row-major
+/// `vectors` becomes the unit eigenvector of `shifts[j]` (the eigenvalues
+/// QL found, descending), by the module's rules.
+fn inverse_iteration(d: &[f64], e: &[f64], shifts: &[f64], vectors: &mut [f64]) -> Result<()> {
+    let n = d.len();
+    let off = |i: usize| e.get(i).map_or(0.0, |x| x.abs());
+    let norm = (0..n)
+        .map(|i| off(i) + d[i].abs() + off(i + 1))
+        .fold(1.0, f64::max);
+    let floor = f64::EPSILON * norm;
+    let mut u = vec![[0.0; 3]; n];
+    let (mut cluster, mut shift) = (0, f64::INFINITY);
+    for (j, &lambda) in shifts.iter().enumerate() {
+        if j > 0 && shifts[j - 1] - lambda > norm / (2 * n) as f64 {
+            cluster = j;
+        }
+        shift = lambda.min(shift - 10.0 * floor);
+        let (earlier, rest) = vectors.split_at_mut(j * n);
+        let x = &mut rest[..n];
+        // SplitMix64 seeded by j, entries in [-1, 1).
+        let mut state = (j as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        for x in x.iter_mut() {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let z = (state ^ (state >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            let z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            *x = ((z ^ (z >> 31)) >> 11) as f64 / (1_u64 << 52) as f64 - 1.0;
+        }
+        for _ in 0..INVERSE_ITERATIONS {
+            solve_shifted(d, e, shift, floor, x, &mut u);
+            for v in earlier[cluster * n..]
+                .chunks_exact(n)
+                .chain(earlier[cluster * n..].chunks_exact(n))
+            {
+                let c = dot_fast(v, x);
+                for (x, v) in x.iter_mut().zip(v) {
+                    *x -= c * v;
+                }
+            }
+            let length = dot_fast(x, x).sqrt();
+            if !(length > 0.0 && length.is_finite()) {
+                return Err(LinalgError::NotConverged {
+                    sweeps: INVERSE_ITERATIONS,
+                    off_norm_bits: length.to_bits(),
+                });
+            }
+            x.iter_mut().for_each(|x| *x /= length);
+        }
+    }
+    Ok(())
+}
+
+/// `y <- H_{n-1} ... H_1 y` for every row `y` of the row-major `vectors`,
+/// with the reflectors [`tridiagonalise`] left in `w` and `h`.
+fn back_transform(w: &[f64], h: &[f64], vectors: &mut [f64]) {
+    let n = h.len();
+    for i in 1..n {
+        if h[i] == 0.0 {
+            continue;
+        }
+        let u = &w[i * n..i * n + i];
+        for y in vectors.chunks_exact_mut(n) {
+            let g = dot_fast(&y[..i], u) / h[i];
+            for (y, u) in y[..i].iter_mut().zip(u) {
+                *y -= g * u;
+            }
+        }
+    }
+}
+
+/// Step 6 as step 7 reads it: every eigenvalue of `matrix`, descending, and
+/// as the *rows* of the returned matrix the unit eigenvectors of the leading
+/// `min(k, n)` — the transformation matrix applied to centred pixels in
+/// step 7.  Each row's largest-magnitude entry is positive, so equivalent
+/// inputs (covariances of slightly different unique sets) cannot invert a
+/// colour channel.  Prefix-stable: the rows do not depend on `k`.
+///
+/// Returns [`LinalgError::NonFinite`] before any work when the matrix holds
+/// a `NaN` or an infinity, and [`LinalgError::NotConverged`] when some
+/// eigenvalue is not isolated within `options.max_sweeps` QL iterations.
+pub fn leading_eigenpairs(
+    matrix: &SymMatrix,
+    k: usize,
+    options: JacobiOptions,
+) -> Result<(Vec<f64>, Matrix)> {
     // A NaN or an infinity would fail every convergence test.
     if matrix.packed().iter().any(|x| !x.is_finite()) {
         return Err(LinalgError::NonFinite {
-            op: "sorted_eigenpairs",
+            op: "leading_eigenpairs",
         });
     }
     let n = matrix.dim();
-    let mut qt = Matrix::zeros(n, n);
     if n == 0 {
-        return Ok((Vec::new(), qt));
+        return Ok((Vec::new(), Matrix::zeros(0, 0)));
     }
     let (scale, unscale) = power_of_two_scale(matrix.packed());
-    let w = qt.as_mut_slice();
+    let mut w = vec![0.0; n * n];
     let mut packed = matrix.packed().iter();
     for i in 0..n {
         for j in i..n {
             w[j * n + i] = scale * packed.next().expect("n (n + 1) / 2 packed entries");
         }
     }
-    let (mut d, mut e) = tridiagonalise(w, n);
-    implicit_ql(&mut d, &mut e, w, options.max_sweeps)?;
-    for lambda in &mut d {
-        *lambda *= unscale;
-    }
-    Ok((d, qt))
-}
-
-/// Computes the eigen-decomposition and returns the eigenpairs sorted by
-/// descending eigenvalue, as step 6 of the paper requires ("sorted according
-/// to their corresponding eigenvalues which provide a measure of their
-/// variances").
-///
-/// The returned matrix has the sorted eigenvectors as *rows*, i.e. it is the
-/// transformation matrix `A` applied to centred pixel vectors in step 7.
-///
-/// Returns [`LinalgError::NonFinite`] before any work when the matrix holds
-/// a `NaN` or an infinity, and [`LinalgError::NotConverged`] when some
-/// eigenvalue is not isolated within `options.max_sweeps` QL iterations.
-pub fn sorted_eigenpairs(matrix: &SymMatrix, options: JacobiOptions) -> Result<(Vec<f64>, Matrix)> {
-    let (unsorted, rows) = eigen_rows(matrix, options)?;
-    let n = unsorted.len();
+    let (d, e, h) = tridiagonalise(&mut w, n);
+    let (mut values, mut spent) = (d.clone(), e.clone());
+    implicit_ql(&mut values, &mut spent, options.max_sweeps)?;
+    let unscaled: Vec<f64> = values.iter().map(|lambda| lambda * unscale).collect();
     let mut order: Vec<usize> = (0..n).collect();
     order.sort_by(|&a, &b| {
-        unsorted[b]
-            .partial_cmp(&unsorted[a])
+        unscaled[b]
+            .partial_cmp(&unscaled[a])
             .unwrap_or(std::cmp::Ordering::Equal)
     });
-    let eigenvalues: Vec<f64> = order.iter().map(|&i| unsorted[i]).collect();
-    let mut transform = Matrix::zeros(n, n);
-    for (row, &src) in order.iter().enumerate() {
-        let row = transform.row_mut(row);
-        row.copy_from_slice(rows.row(src));
-        // Canonicalise the sign: eigenvectors are only defined up to sign,
-        // and different (but equivalent) inputs — e.g. covariance matrices
-        // built from slightly different unique sets in the sequential versus
-        // distributed pipelines — could otherwise flip a component and
-        // invert a colour channel.  Make the largest-magnitude entry
-        // positive so every implementation agrees.
-        let mut max_idx = 0;
-        let mut max_abs = 0.0_f64;
-        for (k, x) in row.iter().enumerate() {
-            if x.abs() > max_abs {
-                max_abs = x.abs();
-                max_idx = k;
-            }
-        }
-        if row[max_idx] < 0.0 {
-            for x in row.iter_mut() {
-                *x = -*x;
-            }
+    let k = k.min(n);
+    let shifts: Vec<f64> = order[..k].iter().map(|&i| values[i]).collect();
+    let mut transform = Matrix::zeros(k, n);
+    inverse_iteration(&d, &e, &shifts, transform.as_mut_slice())?;
+    back_transform(&w, &h, transform.as_mut_slice());
+    for row in transform.as_mut_slice().chunks_exact_mut(n) {
+        // The first entry of largest magnitude.
+        let largest = (0..n).fold(0, |m, i| if row[i].abs() > row[m].abs() { i } else { m });
+        if row[largest] < 0.0 {
+            row.iter_mut().for_each(|x| *x = -*x);
         }
     }
-    Ok((eigenvalues, transform))
+    Ok((order.iter().map(|&i| unscaled[i]).collect(), transform))
+}
+
+/// [`leading_eigenpairs`] for all `n` eigenvectors.
+pub fn sorted_eigenpairs(matrix: &SymMatrix, options: JacobiOptions) -> Result<(Vec<f64>, Matrix)> {
+    leading_eigenpairs(matrix, matrix.dim(), options)
 }
 
 #[cfg(test)]
@@ -483,10 +532,16 @@ mod tests {
                 ]);
                 m.set(i, j, bad);
                 let rejected = LinalgError::NonFinite {
-                    op: "sorted_eigenpairs",
+                    op: "leading_eigenpairs",
                 };
                 for options in [JacobiOptions::default(), no_iterations()] {
                     assert_eq!(sorted_eigenpairs(&m, options).err(), Some(rejected.clone()));
+                    for k in [0, 1, 5] {
+                        assert_eq!(
+                            leading_eigenpairs(&m, k, options).err(),
+                            Some(rejected.clone())
+                        );
+                    }
                 }
             }
         }
@@ -502,6 +557,33 @@ mod tests {
             sorted_eigenpairs(&coupled, no_iterations()),
             Err(LinalgError::NotConverged { sweeps: 0, .. })
         ));
+        // Every eigenvalue is computed whatever k asks for.
+        for k in [0, 1, 3] {
+            assert!(leading_eigenpairs(&diagonal, k, no_iterations()).is_ok());
+            assert!(matches!(
+                leading_eigenpairs(&coupled, k, no_iterations()),
+                Err(LinalgError::NotConverged { sweeps: 0, .. })
+            ));
+        }
+    }
+
+    #[test]
+    fn zero_rows_and_more_rows_than_bands() {
+        let m = sym_from_rows(&[
+            vec![4.0, 1.0, -2.0],
+            vec![1.0, 2.0, 0.5],
+            vec![-2.0, 0.5, 3.0],
+        ]);
+        let options = JacobiOptions::default();
+        let (values, all) = sorted_eigenpairs(&m, options).unwrap();
+        let (none_values, none) = leading_eigenpairs(&m, 0, options).unwrap();
+        assert_eq!(none_values, values);
+        assert_eq!((none.rows(), none.cols()), (0, 3));
+        let (more_values, more) = leading_eigenpairs(&m, 7, options).unwrap();
+        assert_eq!((more_values, more), (values, all));
+        let (empty_values, empty) = leading_eigenpairs(&SymMatrix::zeros(0), 2, options).unwrap();
+        assert!(empty_values.is_empty());
+        assert_eq!((empty.rows(), empty.cols()), (0, 0));
     }
 
     #[test]

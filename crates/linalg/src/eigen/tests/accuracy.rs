@@ -1,10 +1,12 @@
-//! Accuracy of [`sorted_eigenpairs`] against the matrix itself and against
-//! the Jacobi oracle in [`crate::reference`], whatever the matrix: residual,
-//! orthonormality and eigenvalue error inside stated multiples of
-//! `n * eps * ||A||_F`, well-separated eigenvectors inside a Davis–Kahan
-//! bound, descending order, canonical signs, finite output, and the same bits
-//! from a second call.  Bits are *not* compared with the oracle: that is the
-//! contract within a numerics version, this is the one across versions.
+//! Accuracy of [`leading_eigenpairs`] against the matrix itself and against
+//! the Jacobi oracle in [`crate::reference`], whatever the matrix, for the
+//! leading 1, 3 and all `n` rows: residual, orthonormality and eigenvalue
+//! error inside stated multiples of `n * eps * ||A||_F`, well-separated
+//! eigenvectors inside a Davis–Kahan bound, descending order, canonical
+//! signs, finite output, the same bits from a second call, and prefix
+//! stability — the `k` rows are the first `k` of the `n`, bit for bit.  Bits
+//! are *not* compared with the oracle: that is the contract within a
+//! numerics version, this is the one across versions.
 
 use super::*;
 use crate::covariance::covariance_matrix;
@@ -48,16 +50,44 @@ const SEPARATED: f64 = 1e-6;
 /// Every property of the module documentation, for one matrix.
 fn assert_accurate(matrix: &SymMatrix, what: &str) {
     let options = JacobiOptions::default();
-    let (values, rows) = sorted_eigenpairs(matrix, options).expect(what);
-    let (again_values, again_rows) = sorted_eigenpairs(matrix, options).expect(what);
+    let n = matrix.dim();
+    let (values, all_rows) = leading_eigenpairs(matrix, n, options).expect(what);
+    let oracle = JacobiOptions {
+        tolerance: ORACLE_TOLERANCE,
+        ..options
+    };
+    let (oracle_values, oracle_rows) = sorted_eigenpairs_reference(matrix, oracle).expect(what);
     let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
-    assert_eq!(bits(&values), bits(&again_values), "{what}: second call");
-    assert_eq!(
-        bits(rows.as_slice()),
-        bits(again_rows.as_slice()),
-        "{what}: second call"
-    );
+    for k in [1, 3, n] {
+        let what = &format!("{what}, k {k}");
+        let (k_values, rows) = leading_eigenpairs(matrix, k, options).expect(what);
+        let (again_values, again_rows) = leading_eigenpairs(matrix, k, options).expect(what);
+        assert_eq!(bits(&k_values), bits(&again_values), "{what}: second call");
+        assert_eq!(
+            bits(rows.as_slice()),
+            bits(again_rows.as_slice()),
+            "{what}: second call"
+        );
+        assert_eq!(bits(&k_values), bits(&values), "{what}: eigenvalues");
+        assert_eq!((rows.rows(), rows.cols()), (k.min(n), n), "{what}: shape");
+        assert_eq!(
+            bits(rows.as_slice()),
+            bits(&all_rows.as_slice()[..k.min(n) * n]),
+            "{what}: prefix stability"
+        );
+        assert_rows_accurate(matrix, &values, &rows, (&oracle_values, &oracle_rows), what);
+    }
+}
 
+/// The returned `rows` against the matrix and against the oracle's pairs;
+/// `values` and the oracle's are all `n` eigenvalues.
+fn assert_rows_accurate(
+    matrix: &SymMatrix,
+    values: &[f64],
+    rows: &Matrix,
+    (oracle_values, oracle_rows): (&[f64], &Matrix),
+    what: &str,
+) {
     let n = matrix.dim();
     let dense = matrix.to_dense();
     let norm = matrix.frobenius_norm();
@@ -67,7 +97,7 @@ fn assert_accurate(matrix: &SymMatrix, what: &str) {
         "{what}: non-finite output"
     );
     assert!(values.windows(2).all(|w| w[0] >= w[1]), "{what}: order");
-    for (k, &lambda) in values.iter().enumerate() {
+    for (k, &lambda) in values.iter().enumerate().take(rows.rows()) {
         let v = rows.row(k);
         let largest = v.iter().fold(0.0_f64, |m, x| m.max(x.abs()));
         let first = v.iter().find(|x| x.abs() == largest).unwrap();
@@ -88,11 +118,6 @@ fn assert_accurate(matrix: &SymMatrix, what: &str) {
         }
     }
 
-    let oracle = JacobiOptions {
-        tolerance: ORACLE_TOLERANCE,
-        ..options
-    };
-    let (oracle_values, oracle_rows) = sorted_eigenpairs_reference(matrix, oracle).expect(what);
     // Davis–Kahan: a unit vector with residual r against an eigenvalue `gap`
     // away from the rest of the spectrum lies within sin(theta) <= r / gap
     // of the eigenvector; here r is this solver's bound plus the off-diagonal
@@ -109,7 +134,7 @@ fn assert_accurate(matrix: &SymMatrix, what: &str) {
             .flatten()
             .map(|j| (oracle_values[k] - oracle_values[j]).abs())
             .fold(f64::INFINITY, f64::min);
-        if gap > SEPARATED * norm {
+        if k < rows.rows() && gap > SEPARATED * norm {
             let sin = both_residuals / gap;
             assert!(
                 1.0 - dot(rows.row(k), oracle_rows.row(k)).abs()
@@ -273,6 +298,30 @@ fn interleaved_blocks_with_entries_around_min_positive() {
             );
         }
     }
+}
+
+/// Every vector of the zero matrix is an eigenvector: the rows must still be
+/// orthonormal.
+#[test]
+fn zero_matrices() {
+    for n in small_sizes() {
+        assert_accurate(&SymMatrix::zeros(n), &format!("zero, n {n}"));
+    }
+}
+
+/// The 45 degree shape's case, k > rank: a covariance of two samples over
+/// 32 bands has rank one, so the leading three rows hold two vectors of its
+/// null space.
+#[test]
+fn leading_rows_past_the_rank() {
+    let mut rng = StdRng::seed_from_u64(1650);
+    let matrix = covariance(&mut rng, 32, 2);
+    let (values, _) = leading_eigenpairs(&matrix, 0, JacobiOptions::default()).unwrap();
+    assert!(
+        values[1].abs() <= 32.0 * f64::EPSILON * values[0],
+        "rank one"
+    );
+    assert_accurate(&matrix, "covariance of 2 samples, n 32");
 }
 
 #[test]

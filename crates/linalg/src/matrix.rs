@@ -101,11 +101,6 @@ impl Matrix {
         &self.data[r * self.cols..(r + 1) * self.cols]
     }
 
-    /// Returns a mutable slice of row `r`.
-    pub fn row_mut(&mut self, r: usize) -> &mut [f64] {
-        &mut self.data[r * self.cols..(r + 1) * self.cols]
-    }
-
     /// Returns column `c` as a freshly allocated vector.
     pub fn column(&self, c: usize) -> Vector {
         Vector::from_vec((0..self.rows).map(|r| self[(r, c)]).collect())

@@ -4,11 +4,23 @@
 //! the cyclic Jacobi that is the eigensolver's accuracy oracle.  Not part of
 //! the supported API.
 
-use crate::eigen::{EigenDecomposition, JacobiOptions};
+use crate::eigen::JacobiOptions;
 use crate::matrix::Matrix;
 use crate::sym::SymMatrix;
 use crate::vector::Vector;
 use crate::{LinalgError, Result};
+
+/// What the Jacobi oracle returns: `A = V diag(lambda) V^T`.
+#[derive(Debug, Clone, PartialEq)]
+pub struct EigenDecomposition {
+    /// Eigenvalues, in the order the sweeps left them.
+    pub eigenvalues: Vec<f64>,
+    /// Eigenvectors stored as *columns* of this matrix, in the same order as
+    /// `eigenvalues`.
+    pub eigenvectors: Matrix,
+    /// Number of sweeps the solver performed.
+    pub sweeps: usize,
+}
 
 /// The textbook triangular walk of the rank-one update `m += x x^T`: one
 /// linear pass over the packed upper triangle.  The blocked
@@ -143,7 +155,7 @@ pub fn sorted_eigenpairs_reference(
     options: JacobiOptions,
 ) -> Result<(Vec<f64>, Matrix)> {
     let decomp = jacobi_eigen_reference(matrix, options)?;
-    let n = decomp.dim();
+    let n = decomp.eigenvalues.len();
     let mut order: Vec<usize> = (0..n).collect();
     order.sort_by(|&a, &b| {
         decomp.eigenvalues[b]

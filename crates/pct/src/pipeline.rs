@@ -10,15 +10,15 @@
 //! Step 7 lives here and nowhere else: [`project_pixels`] is the one loop
 //! behind [`transform_cube`], [`transform_view`] and the workers' transform
 //! task.  Its per-component sum order (ascending bands, from `0.0`, nothing
-//! fused) is part of numerics version 2; what it is free to choose is how
-//! many such sums run side by side.
+//! fused) has been fixed since numerics version 2; what it is free to choose
+//! is how many such sums run side by side.
 
 use crate::config::PctConfig;
 use crate::{PctError, Result};
 use hsi::{CubeDims, CubeView, HyperCube};
 use linalg::{
     covariance::{mean_vector, CovarianceAccumulator},
-    eigen::{sorted_eigenpairs, JacobiOptions},
+    eigen::{leading_eigenpairs, JacobiOptions},
     Matrix, SymMatrix, Vector,
 };
 
@@ -28,9 +28,9 @@ use linalg::{
 pub struct TransformSpec {
     /// Mean vector of the unique set (step 3).
     pub mean: Vector,
-    /// Rows are the leading eigenvectors of the covariance matrix, sorted by
-    /// descending eigenvalue (step 6); only the first `output_components`
-    /// rows are retained.
+    /// Rows are the leading `output_components` eigenvectors of the
+    /// covariance matrix, sorted by descending eigenvalue (step 6); the rest
+    /// are never computed.
     pub transform: Matrix,
     /// All eigenvalues, sorted descending.
     pub eigenvalues: Vec<f64>,
@@ -65,17 +65,22 @@ pub fn derive_transform(unique: &[Vector], config: &PctConfig) -> Result<Transfo
 }
 
 /// Step 5–6 only: given the already-merged covariance matrix (the manager's
-/// view in the distributed protocol), sort the eigenpairs and truncate.
+/// view in the distributed protocol), every eigenvalue and the leading
+/// `config.output_components` eigenvectors, by
+/// [`linalg::eigen::leading_eigenpairs`].
 pub fn finalize_transform(
     mean: Vector,
     covariance: &SymMatrix,
     config: &PctConfig,
 ) -> Result<TransformSpec> {
-    let (eigenvalues, full_transform) = sorted_eigenpairs(covariance, JacobiOptions::default())?;
-    let components = config.output_components.min(full_transform.rows());
+    let (eigenvalues, transform) = leading_eigenpairs(
+        covariance,
+        config.output_components,
+        JacobiOptions::default(),
+    )?;
     Ok(TransformSpec {
         mean,
-        transform: full_transform.top_rows(components),
+        transform,
         eigenvalues,
     })
 }
@@ -88,8 +93,8 @@ const COMPONENT_BLOCK: usize = 3;
 /// Step 7, written once: appends to `out`, pixel after pixel, the
 /// `transform.rows()` principal components of every pixel — each the sum
 /// over ascending bands `b` of `e[b] * (pixel[b] - mean[b])`, started from
-/// `0.0`, nothing fused or reassociated (that order is part of numerics
-/// version 2; `crate::reference` keeps the per-pixel oracle).
+/// `0.0`, nothing fused or reassociated (that order has been fixed since
+/// numerics version 2; `crate::reference` keeps the per-pixel oracle).
 ///
 /// The speed is in what runs beside each sum, not inside it: a pass carries
 /// `PIXEL_BLOCK` x `COMPONENT_BLOCK` independent sums, so no addition waits
@@ -230,7 +235,7 @@ mod tests {
     #[test]
     fn eigen_across_versions_derive_transform_agrees_with_the_oracle_spec() {
         use crate::colormap::{map_cube, ComponentScale};
-        // Numerics version 2 against version 1 (the Jacobi oracle), on the
+        // This numerics version against version 1 (the Jacobi oracle), on the
         // `derive_bound` workload's shape — the paper's 210 bands, fewer
         // unique vectors than bands — and on `ingest_replay`'s, whose 45
         // degree screening leaves a unique set of rank below three.

@@ -365,7 +365,7 @@ mod tests {
         report.route_completed(BackendKind::SharedMemory);
         assert_eq!(report.bytes_cloned(), 7);
         let text = report.render();
-        assert!(text.contains("  build:  wire protocol v2, numerics n2\n"));
+        assert!(text.contains("  build:  wire protocol v2, numerics n3\n"));
         assert!(text.contains("4 completed"));
         assert!(text.contains("1 rejected"));
         assert!(text.contains("high-water mark 3"));

@@ -888,7 +888,7 @@ mod tests {
         assert_eq!(
             encode_message(&WireMessage::hello()),
             [
-                b'F', b'U', b'S', b'1', 9, 0, 0, 0, 0x58, 0xdb, 0x25, 0x0e, 0, 2, 0, 0, 0, 2, 0, 0,
+                b'F', b'U', b'S', b'1', 9, 0, 0, 0, 0x3d, 0xbc, 0x99, 0xb6, 0, 2, 0, 0, 0, 3, 0, 0,
                 0
             ]
         );

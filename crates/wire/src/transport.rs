@@ -291,7 +291,7 @@ mod tests {
         .unwrap();
         assert_eq!(
             handshake(&mut a, TICK).unwrap_err(),
-            WireError::NumericsMismatch { ours: 2, theirs: 1 }
+            WireError::NumericsMismatch { ours: 3, theirs: 1 }
         );
     }
 

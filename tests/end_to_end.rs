@@ -488,7 +488,7 @@ fn standard_nan_sample_fails_the_job_typed_and_the_lane_keeps_serving() {
     let took = submitted.elapsed();
     match outcome {
         JobOutcome::Failed(cause) => assert!(
-            cause.contains("sorted_eigenpairs requires finite input"),
+            cause.contains("leading_eigenpairs requires finite input"),
             "unexpected cause: {cause}"
         ),
         other => panic!("a NaN sample must fail the job, got {:?}", other.status()),

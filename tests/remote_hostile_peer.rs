@@ -263,7 +263,7 @@ fn refuse_mixed_numerics() {
             .expect("config validates"),
     );
     let error = started.err().expect("a mixed-numerics pool must not start");
-    let cause = WireError::NumericsMismatch { ours: 2, theirs: 1 }.to_string();
+    let cause = WireError::NumericsMismatch { ours: 3, theirs: 1 }.to_string();
     assert!(error.to_string().contains(&cause), "{error}");
     assert_eq!(
         fake.join().expect("the fake peer's own checks failed"),
