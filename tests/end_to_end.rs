@@ -332,7 +332,7 @@ fn route_matrix_every_route_is_byte_identical_to_sequential() {
 }
 
 /// The event-stream acceptance criterion: a subscriber observes the chaos
-/// kill → regeneration → completion sequence during a chaos run without a
+/// kill, the regeneration and the completion during a chaos run without a
 /// single `status()` poll.
 #[test]
 fn event_stream_observes_kill_regeneration_and_completion_without_polling() {
@@ -365,54 +365,66 @@ fn event_stream_observes_kill_regeneration_and_completion_without_polling() {
         .unwrap();
     let id = handle.id();
 
-    let timeout = Duration::from_secs(30);
-    let admitted = events
-        .wait_for(
-            timeout,
-            |e| matches!(e, ServiceEvent::Admitted { job, .. } if *job == id),
-        )
-        .expect("admission event");
+    // Collect the stream until the regeneration and the job's terminal event
+    // have both arrived: a level-2 group can finish the job before the
+    // killed member's loss is confirmed, so those two come in either order.
+    let is_regenerated = |e: &ServiceEvent| matches!(e, ServiceEvent::MemberRegenerated { .. });
+    let is_terminal =
+        |e: &ServiceEvent| matches!(e, ServiceEvent::Terminal { job, .. } if *job == id);
+    let deadline = Instant::now() + Duration::from_secs(30);
+    let mut seen = Vec::new();
+    while !(seen.iter().any(is_regenerated) && seen.iter().any(is_terminal)) {
+        let remaining = deadline.saturating_duration_since(Instant::now());
+        match events.next_timeout(remaining) {
+            Some(event) => seen.push(event),
+            None => panic!("timed out; events so far: {seen:?}"),
+        }
+    }
+    seen.extend(events.drain());
+    // Each event exactly once, and where it sits in the stream.
+    let once = |what: &str, is: &dyn Fn(&ServiceEvent) -> bool| {
+        let at: Vec<usize> = (0..seen.len()).filter(|&i| is(&seen[i])).collect();
+        assert_eq!(at.len(), 1, "{what} not seen exactly once in {seen:?}");
+        (at[0], &seen[at[0]])
+    };
+    let (admitted_at, admitted) = once(
+        "admission",
+        &|e| matches!(e, ServiceEvent::Admitted { job, .. } if *job == id),
+    );
     assert_eq!(
         admitted,
-        ServiceEvent::Admitted {
+        &ServiceEvent::Admitted {
             job: id,
             tenant: TenantId::default(),
             route: BackendKind::Resilient,
             auto: false
         }
     );
-    let killed = events
-        .wait_for(timeout, |e| matches!(e, ServiceEvent::MemberKilled { .. }))
-        .expect("kill event");
+    let (killed_at, killed) = once("kill", &|e| matches!(e, ServiceEvent::MemberKilled { .. }));
     assert_eq!(
         killed,
-        ServiceEvent::MemberKilled {
+        &ServiceEvent::MemberKilled {
             member: "rg0#1".into()
         }
     );
-    let regenerated = events
-        .wait_for(timeout, |e| {
-            matches!(e, ServiceEvent::MemberRegenerated { .. })
-        })
-        .expect("regeneration event");
+    let (regenerated_at, regenerated) = once("regeneration", &is_regenerated);
     assert!(matches!(
         regenerated,
-        ServiceEvent::MemberRegenerated { ref failed, .. } if failed == "rg0#1"
+        ServiceEvent::MemberRegenerated { failed, .. } if failed == "rg0#1"
     ));
-    let terminal = events
-        .wait_for(
-            timeout,
-            |e| matches!(e, ServiceEvent::Terminal { job, .. } if *job == id),
-        )
-        .expect("terminal event");
+    let (_, terminal) = once("terminal", &is_terminal);
     assert_eq!(
         terminal,
-        ServiceEvent::Terminal {
+        &ServiceEvent::Terminal {
             job: id,
             tenant: TenantId::default(),
             status: JobStatus::Completed
         }
     );
+    // The orders the scheduler guarantees; the terminal event may come
+    // before or after the regeneration.
+    assert!(admitted_at < killed_at, "{seen:?}");
+    assert!(killed_at < regenerated_at, "{seen:?}");
 
     // Only now touch the results plane: the output survived the kill.
     let outcome = handle.wait().unwrap();
