@@ -238,10 +238,11 @@ fn implicit_ql(d: &mut [f64], e: &mut [f64], max_iterations: usize) -> Result<()
 }
 
 /// `x <- (T - shift I)^-1 x` for the tridiagonal `(d, e)`, by the
-/// elimination the module describes; `u` receives the rows of `U`
-/// (`[pivot, (i, i + 1), (i, i + 2)]`), each summed left to right.
-fn solve_shifted(d: &[f64], e: &[f64], shift: f64, floor: f64, x: &mut [f64], u: &mut [[f64; 3]]) {
+/// elimination the module describes, each row of `U` summed left to right.
+fn solve_shifted(d: &[f64], e: &[f64], shift: f64, floor: f64, x: &mut [f64]) {
     let n = d.len();
+    // The rows of U: pivot, entries (i, i + 1) and (i, i + 2).
+    let mut u = vec![[0.0; 3]; n];
     let off = |i: usize| e.get(i).copied().unwrap_or(0.0);
     let at_least = |p: f64| p.abs().max(floor).copysign(p);
     // Row i as elimination reaches it: columns i and i + 1, right-hand side.
@@ -279,7 +280,6 @@ fn inverse_iteration(d: &[f64], e: &[f64], shifts: &[f64], vectors: &mut [f64]) 
         .map(|i| off(i) + d[i].abs() + off(i + 1))
         .fold(1.0, f64::max);
     let floor = f64::EPSILON * norm;
-    let mut u = vec![[0.0; 3]; n];
     let (mut cluster, mut shift) = (0, f64::INFINITY);
     for (j, &lambda) in shifts.iter().enumerate() {
         if j > 0 && shifts[j - 1] - lambda > norm / (2 * n) as f64 {
@@ -287,6 +287,7 @@ fn inverse_iteration(d: &[f64], e: &[f64], shifts: &[f64], vectors: &mut [f64]) 
         }
         shift = lambda.min(shift - 10.0 * floor);
         let (earlier, rest) = vectors.split_at_mut(j * n);
+        let cluster_rows = &earlier[cluster * n..];
         let x = &mut rest[..n];
         // SplitMix64 seeded by j, entries in [-1, 1).
         let mut state = (j as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
@@ -297,11 +298,12 @@ fn inverse_iteration(d: &[f64], e: &[f64], shifts: &[f64], vectors: &mut [f64]) 
             *x = ((z ^ (z >> 31)) >> 11) as f64 / (1_u64 << 52) as f64 - 1.0;
         }
         for _ in 0..INVERSE_ITERATIONS {
-            solve_shifted(d, e, shift, floor, x, &mut u);
-            for v in earlier[cluster * n..]
+            solve_shifted(d, e, shift, floor, x);
+            // Modified Gram–Schmidt, twice.
+            let twice = cluster_rows
                 .chunks_exact(n)
-                .chain(earlier[cluster * n..].chunks_exact(n))
-            {
+                .chain(cluster_rows.chunks_exact(n));
+            for v in twice {
                 let c = dot_fast(v, x);
                 for (x, v) in x.iter_mut().zip(v) {
                     *x -= c * v;

@@ -72,14 +72,16 @@ pub enum LinalgError {
         /// Dimension of the right operand.
         right: usize,
     },
-    /// The eigensolver's iteration limit was reached before convergence.
+    /// The eigensolver's iteration limit was reached before convergence, or
+    /// inverse iteration produced a vector of no usable length.
     NotConverged {
         /// Iterations performed: QL iterations on the eigenvalue that did
-        /// not separate, sweeps of the Jacobi oracle.
+        /// not separate, inverse-iteration solves, sweeps of the Jacobi oracle.
         sweeps: usize,
         /// Bits of what was left to annihilate: the magnitude of the
         /// coupling sub-diagonal entry (of the matrix scaled to a largest
-        /// entry in `[1, 2)`), the off-diagonal Frobenius norm of the oracle.
+        /// entry in `[1, 2)`), the vector's length (zero or not finite), the
+        /// off-diagonal Frobenius norm of the oracle.
         off_norm_bits: u64,
     },
     /// An operation that requires a non-empty operand received an empty one.

@@ -182,17 +182,6 @@ impl Matrix {
             .zip(&other.data)
             .fold(0.0_f64, |m, (a, b)| m.max((a - b).abs())))
     }
-
-    /// Returns the top `k` rows as a new matrix (used to keep the first few
-    /// principal components).
-    pub fn top_rows(&self, k: usize) -> Matrix {
-        let k = k.min(self.rows);
-        Matrix {
-            rows: k,
-            cols: self.cols,
-            data: self.data[..k * self.cols].to_vec(),
-        }
-    }
 }
 
 impl std::ops::Index<(usize, usize)> for Matrix {
@@ -264,13 +253,6 @@ mod tests {
     fn column_extraction() {
         let a = Matrix::from_rows(&[vec![1.0, 2.0], vec![3.0, 4.0], vec![5.0, 6.0]]).unwrap();
         assert_eq!(a.column(1).as_slice(), &[2.0, 4.0, 6.0]);
-    }
-
-    #[test]
-    fn top_rows_truncates_and_saturates() {
-        let a = Matrix::from_rows(&[vec![1.0], vec![2.0], vec![3.0]]).unwrap();
-        assert_eq!(a.top_rows(2).as_slice(), &[1.0, 2.0]);
-        assert_eq!(a.top_rows(10).rows(), 3);
     }
 
     #[test]

@@ -262,9 +262,15 @@ mod tests {
             let options = JacobiOptions::default();
             let (eigenvalues, full_transform) =
                 linalg::reference::sorted_eigenpairs_reference(&covariance, options).unwrap();
+            let leading = &full_transform.as_slice()[..config.output_components * dims.bands];
             let oracle = TransformSpec {
                 mean,
-                transform: full_transform.top_rows(config.output_components),
+                transform: Matrix::from_row_major(
+                    config.output_components,
+                    dims.bands,
+                    leading.to_vec(),
+                )
+                .unwrap(),
                 eigenvalues,
             };
 
