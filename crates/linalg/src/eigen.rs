@@ -12,12 +12,10 @@
 //!
 //! # Every output: reduction and values-only QL
 //!
-//! `A = Q T Q^T` is reduced to tridiagonal `T` in `4/3 n^3` along rows of the
-//! lower triangle of one row-major buffer, where the reflectors stay: `Q` is
-//! never formed.  QL finds every eigenvalue of `T` in `O(n^2)`.  Deflation is
-//! absolute, `|e_m| <= eps * ||T||`, so the null space of a rank-deficient
-//! covariance costs no rotation; eigenvalues carry an absolute error of a
-//! small multiple of `n * eps * ||A||`.
+//! `A = Q T Q^T` is reduced to tridiagonal `T` in `4/3 n^3` by rows of one
+//! row-major buffer, where the reflectors stay (`Q` is never formed); QL finds
+//! every eigenvalue of `T` in `O(n^2)`, deflating at `|e_m| <= eps * ||T||`,
+//! so a rank-deficient covariance's null space costs no rotation.
 //!
 //! # Only the k rows: inverse iteration, back-transform
 //!
@@ -30,8 +28,11 @@
 //!   pivoting, a pivot below `eps * ||T||` in magnitude (zero included)
 //!   replaced by `eps * ||T||` with its sign;
 //! * `x` starts from a SplitMix64 stream seeded by the row's index, and
-//!   each of its three solves (`INVERSE_ITERATIONS`) is followed by the
-//!   reorthogonalisation below and a normalisation;
+//!   each solve is followed by the reorthogonalisation below and a
+//!   normalisation.  A unit vector a solve grows to length `g` has a
+//!   residual of about `1 / g` against the shift, so the first solve that
+//!   brings `1 / g` within `n * eps * ||T||` of the shift's distance to its
+//!   eigenvalue has converged; two more follow, eight solves at most;
 //! * consecutive eigenvalues at most `||T|| / (2n)` apart share a *cluster*,
 //!   and `x` is orthogonalised (modified Gram–Schmidt, twice) against the
 //!   earlier vectors of its own cluster only.  Why that gap: inverse
@@ -103,8 +104,10 @@ impl Default for JacobiOptions {
 /// its terms are below `1e-146` and are dropped as zeros.
 const TINY: f64 = f64::MIN_POSITIVE / f64::EPSILON;
 
-/// Solves of inverse iteration per eigenvector.
-const INVERSE_ITERATIONS: usize = 3;
+/// Inverse iteration's solves per eigenvector: at most `MAX_SOLVES`, and
+/// `EXTRA_SOLVES` after the first that converges.
+const MAX_SOLVES: usize = 8;
+const EXTRA_SOLVES: usize = 2;
 
 /// `2^k` and `2^-k` such that the largest magnitude in `values` times `2^k`
 /// lies in `[1, 2)` (`k` clamped to what both powers can represent).
@@ -270,6 +273,13 @@ fn solve_shifted(d: &[f64], e: &[f64], shift: f64, floor: f64, x: &mut [f64]) {
     }
 }
 
+/// Scales `x` to unit length and returns the length it had.
+fn normalise(x: &mut [f64]) -> f64 {
+    let length = dot_fast(x, x).sqrt();
+    x.iter_mut().for_each(|x| *x /= length);
+    length
+}
+
 /// Inverse iteration on the tridiagonal `(d, e)`: row `j` of the row-major
 /// `vectors` becomes the unit eigenvector of `shifts[j]` (the eigenvalues
 /// QL found, descending), by the module's rules.
@@ -297,7 +307,13 @@ fn inverse_iteration(d: &[f64], e: &[f64], shifts: &[f64], vectors: &mut [f64]) 
             let z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
             *x = ((z ^ (z >> 31)) >> 11) as f64 / (1_u64 << 52) as f64 - 1.0;
         }
-        for _ in 0..INVERSE_ITERATIONS {
+        normalise(x);
+        // A unit vector grown to `length` by a solve leaves a residual
+        // against the shift of about 1 / length: converged at `target`.
+        let target = lambda - shift + n as f64 * floor;
+        let mut left = MAX_SOLVES;
+        while left > 0 {
+            left -= 1;
             solve_shifted(d, e, shift, floor, x);
             // Modified Gram–Schmidt, twice.
             let twice = cluster_rows
@@ -309,14 +325,9 @@ fn inverse_iteration(d: &[f64], e: &[f64], shifts: &[f64], vectors: &mut [f64]) 
                     *x -= c * v;
                 }
             }
-            let length = dot_fast(x, x).sqrt();
-            if !(length > 0.0 && length.is_finite()) {
-                return Err(LinalgError::NotConverged {
-                    sweeps: INVERSE_ITERATIONS,
-                    off_norm_bits: length.to_bits(),
-                });
+            if normalise(x) * target >= 1.0 && left > EXTRA_SOLVES {
+                left = EXTRA_SOLVES;
             }
-            x.iter_mut().for_each(|x| *x /= length);
         }
     }
     Ok(())

@@ -19,9 +19,8 @@
 //!   (steps 4–5).
 //! * [`covariance`] — outer-product accumulation `C += (x - m)(x - m)^T`
 //!   exactly as written in step 4 of the paper.
-//! * [`eigen`] — step 6's symmetric eigensolver: every eigenvalue by
-//!   Householder reduction and QL, sorted descending, and only the leading
-//!   eigenvectors asked for, by inverse iteration.
+//! * [`eigen`] — step 6: every eigenvalue by Householder + values-only QL,
+//!   sorted descending, and the leading eigenvectors by inverse iteration.
 //! * [`reduce`] — numerically robust reductions (Kahan/Neumaier summation,
 //!   pairwise mean) used wherever many floating point values are folded.
 //!
@@ -72,16 +71,14 @@ pub enum LinalgError {
         /// Dimension of the right operand.
         right: usize,
     },
-    /// The eigensolver's iteration limit was reached before convergence, or
-    /// inverse iteration produced a vector of no usable length.
+    /// The eigensolver's iteration limit was reached before convergence.
     NotConverged {
         /// Iterations performed: QL iterations on the eigenvalue that did
-        /// not separate, inverse-iteration solves, sweeps of the Jacobi oracle.
+        /// not separate, sweeps of the Jacobi oracle.
         sweeps: usize,
         /// Bits of what was left to annihilate: the magnitude of the
         /// coupling sub-diagonal entry (of the matrix scaled to a largest
-        /// entry in `[1, 2)`), the vector's length (zero or not finite), the
-        /// off-diagonal Frobenius norm of the oracle.
+        /// entry in `[1, 2)`), the off-diagonal Frobenius norm of the oracle.
         off_norm_bits: u64,
     },
     /// An operation that requires a non-empty operand received an empty one.
