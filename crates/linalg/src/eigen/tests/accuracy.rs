@@ -32,8 +32,11 @@ fn large_sizes() -> impl Iterator<Item = usize> {
     sizes.iter().copied()
 }
 
-// The multiples: the largest seen over these suites and 20 000 further
-// random cases was 2.1 / 2.2 / 2.3 (all at n = 3; they fall as n grows).
+// The multiples: the largest residual / orthonormality seen over these
+// suites run with 3 000 property cases was 2.6 / 2.3, and over 160 000
+// further random matrices 5.8 / 2.3 — the residual's in the clustered
+// family, where shifts pushed apart converge slowly.  Eigenvalues are
+// version 2's: 2.3.
 /// `||A v - lambda v||_2 <= RESIDUAL * n * eps * ||A||_F` for every pair.
 const RESIDUAL: f64 = 8.0;
 /// `|<v_i, v_j> - delta_ij| <= ORTHONORMALITY * n * eps` for every two rows.
