@@ -46,7 +46,7 @@ pub mod sequential;
 pub mod shared_memory;
 
 pub use config::{FusionOutput, PctConfig};
-pub use resilient::{ResilientManagerState, ResilientRunReport};
+pub use resilient::ResilientManagerState;
 pub use sequential::SequentialPct;
 pub use shared_memory::SharedMemoryPct;
 

@@ -14,7 +14,7 @@
 //! of computational resiliency.
 //!
 //! The groups have one owner, [`ResilientManagerState`]: membership, kill
-//! switches, regeneration, member start and run accounting.  The `service`
+//! switches, regeneration and member start.  The `service`
 //! worker pool owns it for the lifetime of the process and the `service`
 //! scheduler drives it.  Starting a member is the owner's effect, handed to
 //! [`ResilientManagerState::build`] once and used for every member it
@@ -32,15 +32,6 @@ use std::any::Any;
 use std::collections::BTreeMap;
 use std::time::Duration;
 
-/// What the replica groups went through, folded at shutdown.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct ResilientRunReport {
-    /// Members attacked through the kill-switch registry.
-    pub members_attacked: Vec<String>,
-    /// Regenerations performed, in order.
-    pub regenerations: Vec<RegenerationEvent>,
-}
-
 /// Starts one member under its routing name with the kill switch its loop
 /// must poll.  A thread start returns the thread's handle, which the state
 /// reaps and joins; a member whose mailbox its owner drives returns `None`.
@@ -50,9 +41,11 @@ type StartMember = Box<dyn FnMut(&str, KillSwitch) -> scp::Result<Option<ThreadH
 ///
 /// Owns everything needed to keep the groups alive: the groups themselves,
 /// the kill-switch registry used to emulate attacks, the owner's member
-/// start, the handles of every member thread not yet reaped, and the run
-/// accounting.  The service layer's worker pool owns one for the lifetime
-/// of the process; the scheduler's failure detector reports the losses.
+/// start, and the handles of every member thread not yet reaped.  The
+/// service layer's worker pool owns one for the lifetime of the process;
+/// the scheduler's failure detector reports the losses, and the scheduler
+/// records each regeneration [`ResilientManagerState::handle_member_failure`]
+/// returns.
 pub struct ResilientManagerState {
     /// The replica groups, by name.
     pub groups: BTreeMap<String, ReplicaGroup>,
@@ -63,15 +56,11 @@ pub struct ResilientManagerState {
     /// declared failed); [`ResilientManagerState::handle_member_failure`]
     /// joins and removes the ones that have exited.
     pub handles: Vec<ThreadHandle<()>>,
-    /// Run accounting: regenerations as they happen, attacks at shutdown.
-    pub report: ResilientRunReport,
     /// The first panic of a member thread reaped mid-run, re-raised by
     /// [`ResilientManagerState::shutdown`].
     member_panic: Option<Box<dyn Any + Send>>,
     /// How a member is started: at build and for every replacement.
     start: StartMember,
-    /// Records `member_regenerated` instants and their counter.
-    telemetry: telemetry::Telemetry,
 }
 
 /// How long a group-lane task may go unanswered before it is re-sent to
@@ -91,14 +80,6 @@ pub fn backoff_factor(attempts: u32) -> u32 {
 }
 
 impl ResilientManagerState {
-    /// Attaches a telemetry handle: every regeneration is recorded as a
-    /// `member_regenerated` instant and counted in
-    /// `resilience_regenerations_total`.
-    pub fn with_telemetry(mut self, telemetry: telemetry::Telemetry) -> Self {
-        self.telemetry = telemetry;
-        self
-    }
-
     /// Builds the state for one replica group per name in `group_names`,
     /// each with `level` members, starting every member with `start` (which
     /// also starts every later replacement) and registering its kill switch
@@ -113,10 +94,8 @@ impl ResilientManagerState {
             groups: BTreeMap::new(),
             injector,
             handles: Vec::new(),
-            report: ResilientRunReport::default(),
             member_panic: None,
             start: Box::new(start),
-            telemetry: telemetry::Telemetry::disabled(),
         };
         for name in group_names {
             let group = ReplicaGroup::new(name.clone(), level);
@@ -185,10 +164,8 @@ impl ResilientManagerState {
             groups,
             injector,
             handles,
-            report,
             member_panic,
             start,
-            telemetry,
         } = self;
         // Reap the thread-started members that have exited: joining releases
         // the stack (the mailbox's queue went with its receiver), so neither
@@ -230,35 +207,25 @@ impl ResilientManagerState {
                 return Err(ResilienceError::Scp(e).into());
             }
         }
-        telemetry.instant(
-            "member_regenerated",
-            None,
-            None,
-            &format!("{failed} -> {name}"),
-        );
-        telemetry.count("resilience_regenerations_total", &[]);
         for message in owed {
             let _ = ctx.send(&name, message.clone());
         }
-        let event = RegenerationEvent {
+        Ok(Some(RegenerationEvent {
             failed: failed.clone(),
             replacement,
-        };
-        report.regenerations.push(event.clone());
-        Ok(Some(event))
+        }))
     }
 
     /// Shuts down every member thread still running — not just current group
     /// membership.  A member falsely declared failed is removed from its
     /// group but its thread keeps running; addressing the shutdown by spawn
     /// handle reaches those orphans too, so the joins cannot hang on them.
-    /// Members without a thread are their owner's to stop.  Folds the attack
-    /// log into the report and returns it.
+    /// Members without a thread are their owner's to stop.
     ///
     /// # Panics
     /// Re-raises the first panic of a member thread, whether joined here or
     /// reaped earlier by [`ResilientManagerState::handle_member_failure`].
-    pub fn shutdown(mut self, ctx: &ThreadContext<PctMessage>) -> ResilientRunReport {
+    pub fn shutdown(mut self, ctx: &ThreadContext<PctMessage>) {
         for handle in &self.handles {
             let _ = ctx.send(&handle.name, PctMessage::Shutdown);
         }
@@ -273,8 +240,6 @@ impl ResilientManagerState {
         if let Some(panic) = self.member_panic {
             std::panic::resume_unwind(panic);
         }
-        self.report.members_attacked = self.injector.attack_log();
-        self.report
     }
 }
 
@@ -405,9 +370,8 @@ mod tests {
                 _
             )))
         ));
-        let report = state.shutdown(&ctx);
-        assert!(report.regenerations.is_empty());
-        assert!(report.members_attacked.is_empty());
+        assert!(state.injector.attack_log().is_empty());
+        state.shutdown(&ctx);
     }
 
     #[test]
@@ -428,14 +392,15 @@ mod tests {
             state.handle_member_failure(&ctx, &dead[0], []).unwrap(),
             None
         );
-        let report = state.shutdown(&ctx);
-        assert_eq!(report.members_attacked, vec!["g0#0".to_string()]);
-        assert_eq!(report.regenerations, vec![event]);
+        assert_eq!(state.injector.attack_log(), vec!["g0#0".to_string()]);
+        assert_eq!(event.failed, dead[0]);
+        state.shutdown(&ctx);
     }
 
     #[test]
     fn repeated_kills_do_not_accumulate_handles_or_mailboxes() {
         let (runtime, ctx, mut state) = groups(&["g0"], 2);
+        let mut regenerations = 0;
         for round in 0..50 {
             let victim = members_of(&state, "g0")[0].clone();
             assert!(state.injector.attack(&victim.routing_name()));
@@ -450,7 +415,8 @@ mod tests {
                 std::thread::sleep(Duration::from_millis(1));
             };
             assert_eq!(dead, vec![victim]);
-            state.handle_member_failure(&ctx, &dead[0], []).unwrap();
+            let event = state.handle_member_failure(&ctx, &dead[0], []).unwrap();
+            regenerations += usize::from(event.is_some());
             let live = members_of(&state, "g0").len();
             assert_eq!(live, 2);
             // At most the member killed this round is still waiting to be
@@ -458,8 +424,8 @@ mod tests {
             assert!(state.handles.len() <= live + 1, "round {round}");
             assert!(runtime.router().bound_names().len() <= live + 2);
         }
-        let report = state.shutdown(&ctx);
-        assert_eq!(report.regenerations.len(), 50);
+        assert_eq!(regenerations, 50);
+        state.shutdown(&ctx);
     }
 
     #[test]
@@ -475,7 +441,7 @@ mod tests {
         wait_until_all_exited(&state, &["g0#0", "g1#0"]);
         let g0_dead = probe(&state, &ctx, "g0");
         assert_eq!(g0_dead.len(), 1);
-        state.handle_member_failure(&ctx, &g0_dead[0], []).unwrap();
+        let g0_event = state.handle_member_failure(&ctx, &g0_dead[0], []).unwrap();
         // g1#0's thread was reaped with g0#0's, its loss not yet confirmed.
         assert_eq!(state.handles.len(), 1);
         assert!(!runtime.router().is_bound("g0#0"));
@@ -487,28 +453,28 @@ mod tests {
         ));
         let g1_dead = probe(&state, &ctx, "g1");
         assert_eq!(g1_dead, [MemberId::new("g1", 0)]);
-        state.handle_member_failure(&ctx, &g1_dead[0], []).unwrap();
+        let g1_event = state.handle_member_failure(&ctx, &g1_dead[0], []).unwrap();
         assert!(!runtime.router().is_bound("g1#0"));
         for group in ["g0", "g1"] {
             let members = members_of(&state, group);
             assert_eq!(members.len(), 1);
             assert!(members[0].incarnation >= 1, "{group} was not regenerated");
         }
-        let report = state.shutdown(&ctx);
-        assert_eq!(report.regenerations.len(), 2);
+        assert!(g0_event.is_some() && g1_event.is_some());
+        state.shutdown(&ctx);
     }
 
     #[test]
     fn a_falsely_failed_member_stays_bound_and_is_shut_down() {
         let (runtime, ctx, mut state) = groups(&["g0", "g1"], 2);
         let alive = members_of(&state, "g0")[0].clone();
-        state.handle_member_failure(&ctx, &alive, []).unwrap();
+        let event = state.handle_member_failure(&ctx, &alive, []).unwrap();
         // Still running, so still listed and reachable: `shutdown` would
         // hang on its join otherwise.
         assert!(runtime.router().is_bound(&alive.routing_name()));
         assert_eq!(state.handles.len(), 5);
-        let report = state.shutdown(&ctx);
-        assert_eq!(report.regenerations.len(), 1);
+        assert_eq!(event.map(|e| e.failed), Some(alive));
+        state.shutdown(&ctx);
     }
 
     #[test]
@@ -531,7 +497,6 @@ mod tests {
             .handle_member_failure(&ctx, &failed, [])
             .expect_err("the start was refused");
         assert_eq!(members_of(&state, "g0"), [MemberId::new("g0", 1)]);
-        assert!(state.report.regenerations.is_empty());
         // No kill switch is left for the member that never ran.
         assert_eq!(state.injector.targets(), ["g0#0", "g0#1"]);
         assert!(!state.injector.attack("g0#2"));
@@ -552,7 +517,7 @@ mod tests {
             .unwrap_err();
         assert!(error.to_string().contains("'g0#3'"), "{error}");
         assert!(members_of(&state, "g0").is_empty());
-        assert!(state.shutdown(&ctx).regenerations.is_empty());
+        state.shutdown(&ctx);
     }
 
     #[test]
@@ -569,9 +534,9 @@ mod tests {
         let dead = probe(&state, &ctx, "g0");
         assert_eq!(dead.len(), 1);
         // Handling the crash regenerates the member and does not re-raise.
-        state.handle_member_failure(&ctx, &dead[0], []).unwrap();
+        let event = state.handle_member_failure(&ctx, &dead[0], []).unwrap();
         assert_eq!(members_of(&state, "g0").len(), 2);
-        assert_eq!(state.report.regenerations.len(), 1);
+        assert_eq!(event.map(|e| e.failed), Some(dead[0].clone()));
         assert_eq!(state.handles.len(), 4);
         // ... and a later, unrelated failure is handled as well.
         assert!(state.injector.attack("g1#1"));

@@ -54,7 +54,6 @@ pub struct FailureDetector {
     config: DetectorConfig,
     last_heartbeat: BTreeMap<MemberId, u64>,
     declared_failed: BTreeMap<MemberId, u64>,
-    telemetry: telemetry::Telemetry,
 }
 
 impl FailureDetector {
@@ -64,15 +63,7 @@ impl FailureDetector {
             config,
             last_heartbeat: BTreeMap::new(),
             declared_failed: BTreeMap::new(),
-            telemetry: telemetry::Telemetry::disabled(),
         }
-    }
-
-    /// Attaches a telemetry handle: every newly declared failure is
-    /// recorded as a `member_failed` instant and counted in
-    /// `resilience_members_failed_total`.
-    pub fn set_telemetry(&mut self, telemetry: telemetry::Telemetry) {
-        self.telemetry = telemetry;
     }
 
     /// The detector's configuration.
@@ -105,7 +96,9 @@ impl FailureDetector {
 
     /// Sweeps all watched members at `now_ms` and returns the members that
     /// are *newly* declared failed (each failure is reported exactly once
-    /// unless a later heartbeat clears it).
+    /// unless a later heartbeat clears it).  A declaration is a suspicion,
+    /// not a fact: its owner confirms the loss (the service's scheduler
+    /// probes the member's mailbox) and records only a confirmed one.
     pub fn sweep(&mut self, now_ms: u64) -> Vec<MemberId> {
         let timeout = self.config.failure_timeout_ms();
         let mut newly_failed = Vec::new();
@@ -113,9 +106,6 @@ impl FailureDetector {
             if now_ms.saturating_sub(last) >= timeout && !self.declared_failed.contains_key(member)
             {
                 self.declared_failed.insert(member.clone(), now_ms);
-                self.telemetry
-                    .instant("member_failed", None, None, &member.routing_name());
-                self.telemetry.count("resilience_members_failed_total", &[]);
                 newly_failed.push(member.clone());
             }
         }

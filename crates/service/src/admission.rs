@@ -24,14 +24,14 @@
 //!   all decided by one [`PressurePolicy::decide`].  The ingest crate's
 //!   `SheddingPolicy` is a thin adapter over the same function, fed by the
 //!   same [`crate::ServiceEvent`] stream through a [`PressureGauge`].
-//! * **Routing** — [`crate::RoutingPolicy`] implementations are strategies
-//!   *consulted by* the governor ([`AdmissionGovernor::resolve`]); lane
-//!   clamping lives here too, so every route decision flows through one
-//!   place.
+//! * **Routing** — the governor resolves every route
+//!   ([`AdmissionGovernor::resolve`]): the size rule ([`crate::routing::route`])
+//!   for an auto route, then the clamp to an enabled lane, so every route
+//!   decision flows through one place.
 
-use crate::job::{BackendKind, JobId, JobSpec, JobStatus, Priority};
+use crate::job::{BackendKind, JobId, JobSpec, Priority};
 use crate::report::{ServiceReport, TenantStats};
-use crate::routing::{LaneSnapshot, Route, RoutingRequest, SharedRoutingPolicy};
+use crate::routing::{self, LaneSnapshot, Route};
 use crate::ServiceError;
 use crate::ServiceEvent;
 use std::collections::{BTreeMap, BinaryHeap, HashMap};
@@ -581,7 +581,8 @@ struct GovernorState {
     in_flight: HashMap<JobId, usize>,
     /// Sum over `in_flight`.
     in_flight_bytes: usize,
-    /// Per-tenant admission counters, folded into the report at shutdown.
+    /// Per-tenant weights and queue counters (admitted, downgraded), folded
+    /// into the report at shutdown.
     tenants: BTreeMap<TenantId, TenantStats>,
 }
 
@@ -610,7 +611,6 @@ pub struct AdmissionGovernor {
     quotas: BTreeMap<TenantId, TenantQuota>,
     default_quota: TenantQuota,
     pressure: PressurePolicy,
-    routing: SharedRoutingPolicy,
     capacity: usize,
     state: Mutex<GovernorState>,
     /// Parks blocking submitters while the queue is full.
@@ -620,16 +620,11 @@ pub struct AdmissionGovernor {
 
 impl AdmissionGovernor {
     /// A governor whose queue holds at most `queue_capacity` jobs (floor 1).
-    pub(crate) fn new(
-        queue_capacity: usize,
-        admission: AdmissionConfig,
-        routing: SharedRoutingPolicy,
-    ) -> Self {
+    pub(crate) fn new(queue_capacity: usize, admission: AdmissionConfig) -> Self {
         Self {
             quotas: admission.quotas,
             default_quota: admission.default_quota,
             pressure: admission.pressure,
-            routing,
             capacity: queue_capacity.max(1),
             state: Mutex::new(GovernorState::default()),
             space: Condvar::new(),
@@ -637,8 +632,8 @@ impl AdmissionGovernor {
         }
     }
 
-    /// Attaches a telemetry handle: per-tenant admitted/shed/rejected
-    /// counters and the live queue-depth gauge.
+    /// Attaches a telemetry handle: the per-tenant queued counter and the
+    /// live queue-depth gauge.
     pub(crate) fn with_telemetry(mut self, telemetry: telemetry::Telemetry) -> Self {
         self.telemetry = telemetry;
         self
@@ -724,30 +719,16 @@ impl AdmissionGovernor {
             waited = true;
             state = self.space.wait(state).expect("governor lock");
         };
-        // A closed governor counts nothing; every other refusal is the
-        // tenant's: shed at a watermark, or rejected by quota or saturation.
-        let counted = match &refusal {
-            ServiceError::Shed { reason, .. } => Some(("fusiond_jobs_shed_total", reason.label())),
-            ServiceError::QuotaExceeded { .. } => Some(("fusiond_jobs_rejected_total", "quota")),
-            ServiceError::Saturated { .. } => Some(("fusiond_jobs_rejected_total", "saturated")),
-            _ => None,
-        };
-        if counted.is_some() {
-            let stats = state.stats(tenant, quota.weight);
-            if matches!(refusal, ServiceError::Shed { .. }) {
-                stats.jobs_shed += 1;
-            } else {
-                stats.jobs_rejected += 1;
-            }
+        // A refused tenant still gets its report row and weight (the front
+        // end records the refusal itself); a closed governor's refusal is
+        // not the tenant's.
+        if !matches!(refusal, ServiceError::ShuttingDown) {
+            state.stats(tenant, quota.weight);
         }
         drop(state);
         if waited {
             // Woken for a slot it did not take: hand it to the next waiter.
             self.space.notify_one();
-        }
-        if let Some((counter, reason)) = counted {
-            self.telemetry
-                .count(counter, &[("tenant", &tenant.label()), ("reason", reason)]);
         }
         Err(refusal)
     }
@@ -765,20 +746,20 @@ impl AdmissionGovernor {
     }
 
     /// Resolves a route to a concrete, enabled lane.  Pinned routes were
-    /// validated at submission; auto routes consult the routing-policy
-    /// strategy, and anything pointing at a disabled lane is clamped to
-    /// the first enabled lane in preference order (a misbehaving policy
-    /// cannot strand a job).  Returns the lane and whether the policy
-    /// (rather than the caller) chose it.
+    /// validated at submission; an auto route of a job of `payload_bytes`
+    /// takes the size rule ([`routing::route`]), and anything pointing at a
+    /// disabled lane is clamped to the first enabled lane in preference
+    /// order (a drained lane cannot strand a job).  Returns the lane and
+    /// whether the size rule (rather than the caller) chose it.
     pub fn resolve(
         &self,
         route: Route,
-        request: &RoutingRequest,
+        payload_bytes: u64,
         lanes: &LaneSnapshot,
     ) -> (BackendKind, bool) {
         let (kind, auto) = match route {
             Route::Pinned(kind) => (kind, false),
-            Route::Auto => (self.routing.route(request, lanes), true),
+            Route::Auto => (routing::route(payload_bytes, lanes), true),
         };
         if lanes.lane(kind).enabled() {
             return (kind, auto);
@@ -791,16 +772,11 @@ impl AdmissionGovernor {
         (fallback, auto)
     }
 
-    /// Reports a job's terminal transition: releases its in-flight bytes
-    /// and counts completions per tenant.
-    pub(crate) fn note_terminal(&self, job: JobId, tenant: TenantId, status: JobStatus) {
+    /// Reports a job's terminal transition: releases its in-flight bytes.
+    pub(crate) fn note_terminal(&self, job: JobId) {
         let mut state = self.state.lock().expect("governor lock");
         if let Some(bytes) = state.in_flight.remove(&job) {
             state.in_flight_bytes -= bytes;
-        }
-        if status == JobStatus::Completed {
-            let weight = self.quota(tenant).weight;
-            state.stats(tenant, weight).jobs_completed += 1;
         }
     }
 
@@ -821,19 +797,23 @@ impl AdmissionGovernor {
         self.space.notify_all();
     }
 
-    /// Folds the per-tenant counters into a finished report, deriving the
-    /// aggregate shed/rejection totals from them.
+    /// Folds what only the governor knows into a finished report: each
+    /// tenant's weight and its admitted and downgraded jobs.
     pub(crate) fn fold_into(&self, report: &mut ServiceReport) {
         let state = self.state.lock().expect("governor lock");
-        report.jobs_shed = state.tenants.values().map(|t| t.jobs_shed).sum();
-        report.jobs_rejected = state.tenants.values().map(|t| t.jobs_rejected).sum();
-        report.tenants = state.tenants.clone();
+        for (tenant, ours) in &state.tenants {
+            let stats = report.tenants.entry(*tenant).or_default();
+            stats.weight = ours.weight;
+            stats.jobs_admitted = ours.jobs_admitted;
+            stats.jobs_downgraded = ours.jobs_downgraded;
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::job::JobStatus;
 
     #[test]
     fn tenant_ids_label_and_order() {
@@ -1014,6 +994,7 @@ mod tests {
             job: 99,
             tenant: TenantId::default(),
             status: JobStatus::Completed,
+            route: None,
         });
         assert_eq!(gauge.in_flight_bytes(), 150);
         // Admission moves queued -> running; terminal releases the bytes.
@@ -1029,6 +1010,7 @@ mod tests {
             job: 1,
             tenant: TenantId::default(),
             status: JobStatus::Completed,
+            route: Some(BackendKind::Standard),
         });
         assert_eq!(gauge.in_flight_bytes(), 50);
         assert_eq!(
@@ -1051,7 +1033,7 @@ mod tests {
     }
 
     fn governor(capacity: usize, admission: AdmissionConfig) -> AdmissionGovernor {
-        AdmissionGovernor::new(capacity, admission, crate::routing::default_policy())
+        AdmissionGovernor::new(capacity, admission)
     }
 
     fn job(id: JobId, tenant: TenantId) -> QueuedJob {

@@ -25,7 +25,6 @@
 
 use crate::admission::{AdmissionConfig, PressurePolicy, TenantId, TenantQuota};
 use crate::chaos::ChaosPlan;
-use crate::routing::{default_policy, SharedRoutingPolicy};
 use crate::ServiceError;
 use resilience::DetectorConfig;
 use telemetry::Telemetry;
@@ -182,8 +181,6 @@ pub struct ServiceConfig {
     pub queue_capacity: usize,
     /// Maximum number of jobs admitted (running) concurrently.
     pub max_in_flight: usize,
-    /// The policy resolving [`crate::Route::Auto`] jobs to a lane.
-    pub routing: SharedRoutingPolicy,
     /// The admission plane: tenant quotas, fair-share weights, and the
     /// tiered-degradation watermarks.
     pub admission: AdmissionConfig,
@@ -202,7 +199,6 @@ impl Default for ServiceConfig {
             pool: PoolConfig::default(),
             queue_capacity: 64,
             max_in_flight: 16,
-            routing: default_policy(),
             admission: AdmissionConfig::default(),
             chaos: ChaosPlan::none(),
             telemetry: Telemetry::disabled(),
@@ -308,12 +304,6 @@ impl ServiceConfigBuilder {
         self
     }
 
-    /// A pre-shared routing policy handle.
-    pub fn routing(mut self, policy: SharedRoutingPolicy) -> Self {
-        self.config.routing = policy;
-        self
-    }
-
     /// Replaces the whole admission-plane block.
     pub fn admission(mut self, admission: AdmissionConfig) -> Self {
         self.config.admission = admission;
@@ -357,8 +347,6 @@ impl ServiceConfigBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::routing::RoundRobinPolicy;
-    use std::sync::Arc;
 
     #[test]
     fn builder_produces_validated_defaults() {
@@ -366,7 +354,6 @@ mod tests {
         assert_eq!(config.queue_capacity, 64);
         assert_eq!(config.max_in_flight, 16);
         assert_eq!(config.pool.shared_memory_executors, 2);
-        assert_eq!(config.routing.name(), "size-threshold");
     }
 
     #[test]
@@ -464,15 +451,6 @@ mod tests {
             .unwrap();
         assert_eq!(config.admission.quotas.get(&TenantId(4)).unwrap().weight, 2);
         assert_eq!(config.admission.pressure.downgrade_queue_depth, 4);
-    }
-
-    #[test]
-    fn builder_swaps_the_routing_policy() {
-        let config = ServiceConfig::builder()
-            .routing(Arc::new(RoundRobinPolicy::default()))
-            .build()
-            .unwrap();
-        assert_eq!(config.routing.name(), "round-robin");
     }
 
     #[test]

@@ -1,24 +1,31 @@
-//! The subscribable [`ServiceEvent`] stream: observing the service without
-//! polling.
+//! The subscribable [`ServiceEvent`] stream, and the one record of every
+//! lifecycle fact of the service.
 //!
-//! Examples, the chaos harness and operators used to learn what the service
-//! was doing by polling `status()` in a loop.  The scheduler now publishes a
-//! typed event at every interesting lifecycle point — admission (with the
-//! resolved route), task dispatch, retransmission, member kill, member
-//! regeneration, worker loss (a group retired, with each task reassignment
-//! and any lane failover), and every terminal transition — to every live
-//! subscriber.
+//! Each fact of a run — an admission (with the resolved route) or a refused
+//! submission, a task dispatch, a retransmission, a member kill, a worker
+//! loss with each task reassignment and any lane failover, a member
+//! regeneration, a terminal transition — is a [`ServiceEvent`], and is
+//! written exactly once, by the service's recorder.  One record does five
+//! things, in order:
 //!
-//! When the service runs with an enabled [`telemetry::Telemetry`], every
-//! event is stamped with the telemetry clock and, where one applies, the
-//! [`telemetry::SpanId`] of the span it belongs to; [`EventSubscriber::
-//! try_next_stamped`] exposes the envelope, while the plain accessors keep
-//! returning bare [`ServiceEvent`]s.
+//! 1. stamps the event with the telemetry clock (when telemetry is enabled)
+//!    and the [`telemetry::SpanId`] of the span it belongs to;
+//! 2. folds it into the run's counters with [`ServiceReport::record`] — the
+//!    same function a subscriber can fold its stream with;
+//! 3. bumps one telemetry counter, `fusiond_<kind>_total` after
+//!    [`ServiceEvent::kind`], labelled with the event's bounded fields
+//!    (`lane`, `status`, `reason`, `tenant`);
+//! 4. for a fault or its repair — a kill, a worker loss, a task
+//!    reassignment, a lane failover, a retransmission, a regeneration —
+//!    writes one flight-recorder instant named after its kind;
+//! 5. fans the stamped event out to every live subscriber.
 //!
-//! Subscriptions are independent unbounded channels: a slow subscriber
-//! buffers, it never blocks the scheduler, and dropping the
-//! [`EventSubscriber`] unsubscribes (the bus prunes disconnected channels
-//! on both publish and subscribe).
+//! [`EventSubscriber::try_next_stamped`] exposes the envelope, while the
+//! plain accessors return bare [`ServiceEvent`]s.  Subscriptions are
+//! independent unbounded channels: a slow subscriber buffers, it never
+//! blocks the scheduler, and dropping the [`EventSubscriber`] unsubscribes
+//! (the recorder prunes disconnected channels on both record and
+//! subscribe).
 //!
 //! ```no_run
 //! use service::{ServiceConfig, ServiceEvent};
@@ -38,6 +45,7 @@
 
 use crate::admission::{RetryAfter, ShedReason, TenantId};
 use crate::job::{BackendKind, JobId, JobStatus};
+use crate::report::ServiceReport;
 use pct::messages::TaskId;
 use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender, TryRecvError};
 use std::sync::{Arc, Mutex, Weak};
@@ -48,8 +56,8 @@ use telemetry::{SpanId, Telemetry};
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ServiceEvent {
     /// A job left the admission queue and entered execution; `route` is the
-    /// lane it was resolved to, `auto` whether the routing policy (rather
-    /// than the caller) chose it.
+    /// lane it was resolved to, `auto` whether the size rule (rather than
+    /// the caller) chose it.
     Admitted {
         /// The job.
         job: JobId,
@@ -57,7 +65,7 @@ pub enum ServiceEvent {
         tenant: TenantId,
         /// The resolved execution lane.
         route: BackendKind,
-        /// Whether the lane came from the routing policy ([`crate::Route::Auto`]).
+        /// Whether the lane came from the size rule ([`crate::Route::Auto`]).
         auto: bool,
     },
     /// The admission plane refused a submission: shed at a watermark,
@@ -124,7 +132,7 @@ pub enum ServiceEvent {
         to: String,
     },
     /// A running job was moved off a drained lane onto another enabled
-    /// lane (resolved through the routing policy).
+    /// lane (resolved through the size rule).
     LaneFailover {
         /// The job that moved.
         job: JobId,
@@ -149,7 +157,88 @@ pub enum ServiceEvent {
         /// The terminal status (`Completed`, `Failed`, `Cancelled` or
         /// `TimedOut`).
         status: JobStatus,
+        /// The lane the job ended on; `None` if it never left the queue.
+        route: Option<BackendKind>,
     },
+}
+
+impl ServiceEvent {
+    /// The event's kind, in snake case (`member_killed`, `terminal`, ...):
+    /// it names the event's telemetry counter, `fusiond_<kind>_total`, and
+    /// the flight-recorder instant of a fault.
+    pub fn kind(&self) -> &'static str {
+        match self {
+            ServiceEvent::Admitted { .. } => "admitted",
+            ServiceEvent::Rejected { .. } => "rejected",
+            ServiceEvent::Dispatched { .. } => "dispatched",
+            ServiceEvent::Retransmitted { .. } => "retransmitted",
+            ServiceEvent::MemberKilled { .. } => "member_killed",
+            ServiceEvent::WorkerLost { .. } => "worker_lost",
+            ServiceEvent::TaskReassigned { .. } => "task_reassigned",
+            ServiceEvent::LaneFailover { .. } => "lane_failover",
+            ServiceEvent::MemberRegenerated { .. } => "member_regenerated",
+            ServiceEvent::Terminal { .. } => "terminal",
+        }
+    }
+
+    /// The job the event is about, if it is about one.
+    fn job(&self) -> Option<JobId> {
+        match self {
+            ServiceEvent::Admitted { job, .. }
+            | ServiceEvent::Rejected { job, .. }
+            | ServiceEvent::Dispatched { job, .. }
+            | ServiceEvent::Retransmitted { job, .. }
+            | ServiceEvent::TaskReassigned { job, .. }
+            | ServiceEvent::LaneFailover { job, .. }
+            | ServiceEvent::Terminal { job, .. } => Some(*job),
+            _ => None,
+        }
+    }
+
+    /// The event's bounded fields, as metric labels.
+    fn labels(&self) -> Vec<(&'static str, String)> {
+        let lane = |route: &BackendKind| ("lane", route.label().to_string());
+        let tenant = |tenant: &TenantId| ("tenant", tenant.label());
+        match self {
+            ServiceEvent::Admitted {
+                tenant: t, route, ..
+            } => vec![lane(route), tenant(t)],
+            ServiceEvent::Rejected {
+                tenant: t, reason, ..
+            } => vec![("reason", reason.label().to_string()), tenant(t)],
+            ServiceEvent::Dispatched { route, .. } => vec![lane(route)],
+            ServiceEvent::LaneFailover { to, .. } => vec![lane(to)],
+            ServiceEvent::Terminal {
+                tenant: t,
+                status,
+                route,
+                ..
+            } => {
+                let status = ("status", status.label().to_string());
+                route.iter().map(lane).chain([status, tenant(t)]).collect()
+            }
+            _ => Vec::new(),
+        }
+    }
+
+    /// For a fault or its repair — a kill, a worker loss, a reassignment, a
+    /// lane failover, a retransmission, a regeneration — what its
+    /// flight-recorder instant names: the member, group or lane involved.
+    /// `None` for the other kinds, which the recorder keeps no instant of.
+    fn fault_detail(&self) -> Option<String> {
+        Some(match self {
+            ServiceEvent::MemberKilled { member } => member.clone(),
+            ServiceEvent::WorkerLost { worker } => worker.clone(),
+            ServiceEvent::TaskReassigned { to, .. } => to.clone(),
+            ServiceEvent::LaneFailover { to, .. } => to.label().to_string(),
+            ServiceEvent::Retransmitted { group, .. } => group.clone(),
+            ServiceEvent::MemberRegenerated {
+                failed,
+                replacement,
+            } => format!("{failed} -> {replacement}"),
+            _ => return None,
+        })
+    }
 }
 
 /// A [`ServiceEvent`] plus its telemetry envelope: when it was published
@@ -173,24 +262,28 @@ struct Subscription {
     alive: Weak<()>,
 }
 
-/// The scheduler-side publisher: fans every event out to all subscribers.
+/// The one writer of the service's lifecycle facts, shared by the
+/// scheduler and the front end: each [`Recorder::record`] stamps, folds,
+/// counts, keeps a fault's instant and fans out, under one lock.
 #[derive(Default)]
-pub(crate) struct EventBus {
-    subscribers: Mutex<Vec<Subscription>>,
+pub(crate) struct Recorder {
+    books: Mutex<Books>,
     telemetry: Telemetry,
 }
 
-impl EventBus {
-    /// A bus with telemetry disabled (events carry no stamps).
-    #[cfg(test)]
-    pub fn new() -> Self {
-        Self::default()
-    }
+/// What the recorder's lock guards.
+#[derive(Default)]
+struct Books {
+    subscribers: Vec<Subscription>,
+    /// The fold of every event recorded so far.
+    report: ServiceReport,
+}
 
-    /// A bus stamping events with the given telemetry clock.
-    pub fn with_telemetry(telemetry: Telemetry) -> Self {
+impl Recorder {
+    /// A recorder stamping, counting and keeping instants with `telemetry`.
+    pub fn new(telemetry: Telemetry) -> Self {
         Self {
-            subscribers: Mutex::new(Vec::new()),
+            books: Mutex::default(),
             telemetry,
         }
     }
@@ -200,9 +293,9 @@ impl EventBus {
     pub fn subscribe(&self) -> EventSubscriber {
         let (tx, rx) = std::sync::mpsc::channel();
         let token = Arc::new(());
-        let mut subscribers = self.subscribers.lock().expect("event bus lock");
-        subscribers.retain(|s| s.alive.upgrade().is_some());
-        subscribers.push(Subscription {
+        let mut books = self.books.lock().expect("recorder lock");
+        books.subscribers.retain(|s| s.alive.upgrade().is_some());
+        books.subscribers.push(Subscription {
             sender: tx,
             alive: Arc::downgrade(&token),
         });
@@ -212,28 +305,40 @@ impl EventBus {
         }
     }
 
-    /// Publishes one event to every live subscriber, pruning dead ones.
-    /// Publishing with no subscribers is free apart from the lock.
-    pub fn publish(&self, event: ServiceEvent) {
-        self.publish_correlated(event, None);
-    }
-
-    /// Publishes one event correlated with `span`, stamped with the
-    /// telemetry clock when telemetry is enabled.
-    pub fn publish_correlated(&self, event: ServiceEvent, span: Option<SpanId>) {
+    /// Records one lifecycle fact, correlated with `span`: the five steps
+    /// of the module documentation, in order.
+    pub fn record(&self, event: ServiceEvent, span: Option<SpanId>) {
+        let mut books = self.books.lock().expect("recorder lock");
+        let at_nanos = self.telemetry.now_nanos();
+        books.report.record(&event);
+        if self.telemetry.is_enabled() {
+            let labels = event.labels();
+            let labels: Vec<(&str, &str)> = labels.iter().map(|(k, v)| (*k, v.as_str())).collect();
+            let kind = event.kind();
+            self.telemetry
+                .count(&format!("fusiond_{kind}_total"), &labels);
+            if let Some(detail) = event.fault_detail() {
+                self.telemetry.instant(kind, event.job(), span, &detail);
+            }
+        }
         let stamped = StampedEvent {
-            at_nanos: self.telemetry.now_nanos(),
+            at_nanos,
             span,
             event,
         };
-        let mut subscribers = self.subscribers.lock().expect("event bus lock");
+        let subscribers = &mut books.subscribers;
         subscribers.retain(|s| s.sender.send(stamped.clone()).is_ok());
     }
 
+    /// The fold of every event recorded so far.
+    pub fn report(&self) -> ServiceReport {
+        self.books.lock().expect("recorder lock").report.clone()
+    }
+
     /// Number of live subscriptions (dead ones linger until the next
-    /// publish or subscribe prunes them).
+    /// record or subscribe prunes them).
     pub fn subscriber_count(&self) -> usize {
-        self.subscribers.lock().expect("event bus lock").len()
+        self.books.lock().expect("recorder lock").subscribers.len()
     }
 }
 
@@ -299,18 +404,81 @@ impl EventSubscriber {
     }
 }
 
+/// One event of every kind, in declaration order: job 1 of tenant 2 is
+/// admitted to the standard lane, loses its worker, fails over and
+/// completes on the shared-memory lane; job 2 bounces off its quota.
+#[cfg(test)]
+pub(crate) fn one_of_each() -> Vec<ServiceEvent> {
+    let tenant = TenantId(2);
+    vec![
+        ServiceEvent::Admitted {
+            job: 1,
+            tenant,
+            route: BackendKind::Standard,
+            auto: true,
+        },
+        ServiceEvent::Rejected {
+            job: 2,
+            tenant,
+            reason: ShedReason::Quota,
+            retry_after: RetryAfter::default(),
+        },
+        ServiceEvent::Dispatched {
+            job: 1,
+            route: BackendKind::Standard,
+            task: 7,
+            kind: "derive-task",
+        },
+        ServiceEvent::Retransmitted {
+            job: 1,
+            task: 7,
+            group: "svc0".into(),
+        },
+        ServiceEvent::MemberKilled {
+            member: "svc0#0".into(),
+        },
+        ServiceEvent::WorkerLost {
+            worker: "svc0#0".into(),
+        },
+        ServiceEvent::TaskReassigned {
+            job: 1,
+            task: 7,
+            from: "svc0#0".into(),
+            to: "svc1".into(),
+        },
+        ServiceEvent::LaneFailover {
+            job: 1,
+            from: BackendKind::Standard,
+            to: BackendKind::SharedMemory,
+        },
+        ServiceEvent::MemberRegenerated {
+            failed: "rg0#0".into(),
+            replacement: "rg0#2".into(),
+        },
+        ServiceEvent::Terminal {
+            job: 1,
+            tenant,
+            status: JobStatus::Completed,
+            route: Some(BackendKind::SharedMemory),
+        },
+    ]
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn events_fan_out_to_every_subscriber() {
-        let bus = EventBus::new();
+        let bus = Recorder::default();
         let a = bus.subscribe();
         let b = bus.subscribe();
-        bus.publish(ServiceEvent::MemberKilled {
-            member: "rg0#0".into(),
-        });
+        bus.record(
+            ServiceEvent::MemberKilled {
+                member: "rg0#0".into(),
+            },
+            None,
+        );
         for sub in [&a, &b] {
             assert_eq!(
                 sub.try_next(),
@@ -324,23 +492,27 @@ mod tests {
 
     #[test]
     fn dropped_subscribers_are_pruned_on_publish() {
-        let bus = EventBus::new();
+        let bus = Recorder::default();
         let keep = bus.subscribe();
         let dropped = bus.subscribe();
         drop(dropped);
         assert_eq!(bus.subscriber_count(), 2);
-        bus.publish(ServiceEvent::Terminal {
-            job: 1,
-            tenant: TenantId::default(),
-            status: JobStatus::Completed,
-        });
+        bus.record(
+            ServiceEvent::Terminal {
+                job: 1,
+                tenant: TenantId::default(),
+                status: JobStatus::Completed,
+                route: None,
+            },
+            None,
+        );
         assert_eq!(bus.subscriber_count(), 1);
         assert!(keep.try_next().is_some());
     }
 
     #[test]
     fn dropped_subscribers_are_pruned_on_subscribe_too() {
-        let bus = EventBus::new();
+        let bus = Recorder::default();
         let dropped = bus.subscribe();
         drop(dropped);
         assert_eq!(bus.subscriber_count(), 1);
@@ -354,12 +526,15 @@ mod tests {
 
     #[test]
     fn drain_yields_buffered_events_then_stops() {
-        let bus = EventBus::new();
+        let bus = Recorder::default();
         let sub = bus.subscribe();
         for member in ["rg0#0", "rg0#1"] {
-            bus.publish(ServiceEvent::MemberKilled {
-                member: member.into(),
-            });
+            bus.record(
+                ServiceEvent::MemberKilled {
+                    member: member.into(),
+                },
+                None,
+            );
         }
         let drained: Vec<ServiceEvent> = sub.drain().collect();
         assert_eq!(drained.len(), 2);
@@ -370,10 +545,10 @@ mod tests {
     fn stamped_events_carry_clock_and_span() {
         let clock = Arc::new(telemetry::ManualClock::new());
         let tel = Telemetry::with_clock(clock.clone(), 16);
-        let bus = EventBus::with_telemetry(tel);
+        let bus = Recorder::new(tel);
         let sub = bus.subscribe();
         clock.advance(1_500);
-        bus.publish_correlated(
+        bus.record(
             ServiceEvent::MemberKilled {
                 member: "rg0#0".into(),
             },
@@ -384,11 +559,14 @@ mod tests {
         assert_eq!(stamped.span, Some(SpanId(42)));
 
         // Telemetry disabled → no stamps, same event payload.
-        let bare = EventBus::new();
+        let bare = Recorder::default();
         let sub = bare.subscribe();
-        bare.publish(ServiceEvent::MemberKilled {
-            member: "rg0#0".into(),
-        });
+        bare.record(
+            ServiceEvent::MemberKilled {
+                member: "rg0#0".into(),
+            },
+            None,
+        );
         let stamped = sub.try_next_stamped().unwrap();
         assert_eq!(stamped.at_nanos, None);
         assert_eq!(stamped.span, None);
@@ -396,19 +574,26 @@ mod tests {
 
     #[test]
     fn wait_for_skips_non_matching_events() {
-        let bus = EventBus::new();
+        let bus = Recorder::default();
         let sub = bus.subscribe();
-        bus.publish(ServiceEvent::Admitted {
-            job: 1,
-            tenant: TenantId::default(),
-            route: BackendKind::Standard,
-            auto: true,
-        });
-        bus.publish(ServiceEvent::Terminal {
-            job: 1,
-            tenant: TenantId::default(),
-            status: JobStatus::Completed,
-        });
+        bus.record(
+            ServiceEvent::Admitted {
+                job: 1,
+                tenant: TenantId::default(),
+                route: BackendKind::Standard,
+                auto: true,
+            },
+            None,
+        );
+        bus.record(
+            ServiceEvent::Terminal {
+                job: 1,
+                tenant: TenantId::default(),
+                status: JobStatus::Completed,
+                route: None,
+            },
+            None,
+        );
         let hit = sub.wait_for(Duration::from_millis(100), |e| {
             matches!(e, ServiceEvent::Terminal { .. })
         });
@@ -417,10 +602,56 @@ mod tests {
             Some(ServiceEvent::Terminal {
                 job: 1,
                 tenant: TenantId::default(),
-                status: JobStatus::Completed
+                status: JobStatus::Completed,
+                route: None,
             })
         );
         // The stream is now drained and the timeout path returns None.
         assert_eq!(sub.wait_for(Duration::from_millis(10), |_| true), None);
+    }
+
+    #[test]
+    fn record_writes_one_counter_per_event_and_an_instant_per_fault_kind() {
+        let clock = Arc::new(telemetry::ManualClock::new());
+        let tel = Telemetry::with_clock(clock, 64);
+        let recorder = Recorder::new(tel.clone());
+        let events = one_of_each();
+        for event in &events {
+            recorder.record(event.clone(), None);
+        }
+        let metrics = tel.snapshot_prometheus().unwrap();
+        for event in &events {
+            let name = format!("fusiond_{}_total", event.kind());
+            let samples: Vec<&str> = metrics.lines().filter(|l| l.starts_with(&name)).collect();
+            assert_eq!(samples.len(), 1, "{name}: {samples:?}");
+            assert!(samples[0].ends_with("} 1") || samples[0] == format!("{name} 1"));
+        }
+        let terminal =
+            r#"fusiond_terminal_total{lane="shared-memory",status="completed",tenant="t2"} 1"#;
+        assert!(metrics.contains(terminal), "{metrics}");
+        // One instant for each of the six fault kinds, in record order.
+        let instants: Vec<(&str, Option<u64>, String)> = tel
+            .records()
+            .into_iter()
+            .filter_map(|record| match record {
+                telemetry::TraceRecord::Instant {
+                    name, job, detail, ..
+                } => Some((name, job, detail)),
+                telemetry::TraceRecord::Span(_) => None,
+            })
+            .collect();
+        let expected = [
+            ("retransmitted", Some(1), "svc0"),
+            ("member_killed", None, "svc0#0"),
+            ("worker_lost", None, "svc0#0"),
+            ("task_reassigned", Some(1), "svc1"),
+            ("lane_failover", Some(1), "shared-memory"),
+            ("member_regenerated", None, "rg0#0 -> rg0#2"),
+        ];
+        assert_eq!(instants, expected.map(|(n, job, d)| (n, job, d.into())));
+        // The recorder's fold saw every event too.
+        let report = recorder.report();
+        assert_eq!((report.jobs_submitted, report.jobs_rejected), (1, 1));
+        assert_eq!(report.members_attacked, ["svc0#0"]);
     }
 }

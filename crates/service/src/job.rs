@@ -147,8 +147,8 @@ pub struct JobSpec {
     pub source: CubeSource,
     /// Pipeline configuration (screening angle, output components).
     pub config: PctConfig,
-    /// Which pool lane executes the job: pinned, or resolved by the
-    /// service's routing policy at admission.
+    /// Which pool lane executes the job: pinned, or resolved by the size
+    /// rule at admission.
     pub route: Route,
     /// Scheduling priority.
     pub priority: Priority,
@@ -313,6 +313,18 @@ impl JobStatus {
             self,
             JobStatus::Completed | JobStatus::Failed | JobStatus::Cancelled | JobStatus::TimedOut
         )
+    }
+
+    /// A short label for spans and metrics.
+    pub fn label(&self) -> &'static str {
+        match self {
+            JobStatus::Queued => "queued",
+            JobStatus::Running => "running",
+            JobStatus::Completed => "completed",
+            JobStatus::Failed => "failed",
+            JobStatus::Cancelled => "cancelled",
+            JobStatus::TimedOut => "timed-out",
+        }
     }
 }
 

@@ -13,10 +13,9 @@
 //!   an owned [`JobHandle`]: `wait`/`wait_timeout` resolve to a
 //!   typed [`JobOutcome`], `cancel` and `status` are handle methods, and a
 //!   dropped handle cancels its job unless [`JobHandle::detach`]ed.
-//! * **Policy-driven routing** — a job's [`Route`] is either pinned to a
-//!   lane or [`Route::Auto`], resolved at admission by the service's
-//!   pluggable [`RoutingPolicy`] (by cube size, lane load or round-robin)
-//!   over four real lanes: *standard* workers, *resilient* replica groups,
+//! * **Routing** — a job's [`Route`] is either pinned to a lane or
+//!   [`Route::Auto`], resolved at admission by the size rule
+//!   ([`routing::route`]) over four real lanes: *standard* workers, *resilient* replica groups,
 //!   in-process *shared-memory* executors for small cubes, and *remote*
 //!   worker processes spoken to over the versioned [`wire`] protocol.
 //! * **Batch scheduler** — admitted jobs are sharded via `hsi::partition`,
@@ -98,10 +97,7 @@ pub use job::{
     BackendKind, CubeSource, JobId, JobSpec, JobSpecBuilder, JobStatus, Priority, Protocol,
 };
 pub use report::{LatencyStats, RouteStats, ServiceReport, TenantStats};
-pub use routing::{
-    LaneLoad, LaneSnapshot, LeastLoadedPolicy, RoundRobinPolicy, Route, RoutingPolicy,
-    RoutingRequest, SharedRoutingPolicy, SizeThresholdPolicy,
-};
+pub use routing::{LaneLoad, LaneSnapshot, Route};
 pub use scheduler::HostedScheduler;
 pub use service::FusionService;
 

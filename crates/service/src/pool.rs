@@ -43,7 +43,7 @@ use crate::Result;
 use hsi::HyperCube;
 use pct::distributed::MANAGER;
 use pct::messages::PctMessage;
-use pct::resilient::{member_loop, ResilientManagerState, ResilientRunReport};
+use pct::resilient::{member_loop, ResilientManagerState};
 use pct::{FusionOutput, PctConfig, SequentialPct};
 use resilience::attack::AttackInjector;
 use resilience::{KillSwitch, MemberId};
@@ -253,7 +253,6 @@ impl WorkerPool {
     /// each member's mailbox and kill switch go to the host instead.
     pub fn start(
         config: &PoolConfig,
-        telemetry: telemetry::Telemetry,
         host: Option<Sender<HostedMember>>,
     ) -> Result<(WorkerPool, ThreadContext<PctMessage>)> {
         let runtime: Runtime<PctMessage> = Runtime::new();
@@ -266,7 +265,7 @@ impl WorkerPool {
             inline,
             remote: RemoteLane::default(),
         };
-        match pool.start_lanes(config, telemetry, host.as_ref()) {
+        match pool.start_lanes(config, host.as_ref()) {
             Ok(()) => Ok((pool, ctx)),
             Err(e) => {
                 pool.shutdown(&ctx);
@@ -285,7 +284,6 @@ impl WorkerPool {
     fn start_lanes(
         &mut self,
         config: &PoolConfig,
-        telemetry: telemetry::Telemetry,
         host: Option<&Sender<HostedMember>>,
     ) -> Result<()> {
         let groups = |prefix, n| (0..n).map(|i| format!("{prefix}{i}")).collect::<Vec<_>>();
@@ -295,8 +293,7 @@ impl WorkerPool {
             self.injector.clone(),
             member_start(&self.runtime, host),
         )?;
-        self.lanes
-            .insert(BackendKind::Resilient, resilient.with_telemetry(telemetry));
+        self.lanes.insert(BackendKind::Resilient, resilient);
         let standard = ResilientManagerState::build(
             &groups("svc", config.standard_workers),
             1,
@@ -347,9 +344,12 @@ impl WorkerPool {
             .find_map(|(lane, state)| state.groups.contains_key(group).then_some(*lane))
     }
 
-    /// Shuts all four lanes down and returns the run report of their
-    /// groups: the shared injector's attacks and every regeneration.
-    pub fn shutdown(mut self, ctx: &ThreadContext<PctMessage>) -> ResilientRunReport {
+    /// Shuts all four lanes down.
+    ///
+    /// # Panics
+    /// Re-raises the first panic of a member thread (see
+    /// [`ResilientManagerState::shutdown`]).
+    pub fn shutdown(mut self, ctx: &ThreadContext<PctMessage>) {
         // Members without a thread — remote bridges, a host's mailboxes —
         // are the pool's to stop; a member lost earlier has a dead mailbox
         // and the send just fails.
@@ -360,14 +360,9 @@ impl WorkerPool {
         }
         self.inline.shutdown();
         self.remote.shutdown();
-        let mut report = ResilientRunReport::default();
         for state in self.lanes.into_values() {
-            report
-                .regenerations
-                .extend(state.shutdown(ctx).regenerations);
+            state.shutdown(ctx);
         }
-        report.members_attacked = self.injector.attack_log();
-        report
     }
 }
 
@@ -385,8 +380,7 @@ mod tests {
             shared_memory_executors: 2,
             ..PoolConfig::default()
         };
-        let (pool, ctx) =
-            WorkerPool::start(&config, telemetry::Telemetry::disabled(), None).unwrap();
+        let (pool, ctx) = WorkerPool::start(&config, None).unwrap();
         assert_eq!(pool.slots(BackendKind::Standard), ["svc0", "svc1"]);
         assert_eq!(pool.slots(BackendKind::Resilient), ["rg0", "rg1"]);
         assert_eq!(pool.slots(BackendKind::SharedMemory), ["shm0", "shm1"]);
@@ -402,8 +396,7 @@ mod tests {
             ["rg0#0", "rg0#1", "rg1#0", "rg1#1", "svc0#0", "svc1#0"],
             "standard workers share the replica members' kill registry"
         );
-        let report = pool.shutdown(&ctx);
-        assert!(report.regenerations.is_empty());
+        pool.shutdown(&ctx);
     }
 
     #[test]
@@ -414,13 +407,12 @@ mod tests {
             shared_memory_executors: 0,
             ..PoolConfig::default()
         };
-        let (pool, ctx) =
-            WorkerPool::start(&config, telemetry::Telemetry::disabled(), None).unwrap();
+        let (pool, ctx) = WorkerPool::start(&config, None).unwrap();
         assert_eq!(pool.capacity(BackendKind::Resilient), 0);
         assert_eq!(pool.capacity(BackendKind::SharedMemory), 0);
         assert!(pool.lanes[&BackendKind::Resilient].members().is_empty());
-        let report = pool.shutdown(&ctx);
-        assert!(report.members_attacked.is_empty());
+        assert!(pool.injector.attack_log().is_empty());
+        pool.shutdown(&ctx);
     }
 
     #[test]
@@ -432,7 +424,6 @@ mod tests {
                 shared_memory_executors: 1,
                 ..PoolConfig::default()
             },
-            telemetry::Telemetry::disabled(),
             None,
         )
         .unwrap();

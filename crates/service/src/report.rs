@@ -1,13 +1,15 @@
 //! The [`ServiceReport`]: counters and latency statistics describing one
 //! service lifetime.
 
-use crate::admission::TenantId;
-use crate::job::{BackendKind, Priority};
+use crate::admission::{ShedReason, TenantId};
+use crate::events::ServiceEvent;
+use crate::job::{BackendKind, JobStatus, Priority};
 use std::collections::BTreeMap;
 use std::time::{Duration, SystemTime};
 
-/// Per-tenant admission accounting, kept by the
-/// [`crate::AdmissionGovernor`] and folded into the report at shutdown.
+/// Per-tenant accounting.  `weight`, `jobs_admitted` and `jobs_downgraded`
+/// are kept by the [`crate::AdmissionGovernor`] and folded into the report
+/// at shutdown; the rest is the fold of the tenant's events.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TenantStats {
     /// The tenant's fair-share weight at the time it was first seen.
@@ -30,7 +32,7 @@ pub struct TenantStats {
 pub struct RouteStats {
     /// Jobs admitted onto this lane (pinned or auto-routed).
     pub jobs_routed: u64,
-    /// Of those, jobs the routing policy chose ([`crate::Route::Auto`]).
+    /// Of those, jobs the size rule chose ([`crate::Route::Auto`]).
     pub auto_routed: u64,
     /// Jobs that completed successfully on this lane.
     pub jobs_completed: u64,
@@ -70,7 +72,21 @@ impl LatencyStats {
 
 /// Aggregate accounting of one service lifetime, returned by
 /// [`crate::FusionService::shutdown`].
-#[derive(Debug, Clone, Default)]
+///
+/// Two kinds of field.  The *fold* is what the run's [`ServiceEvent`]s say,
+/// and [`ServiceReport::record`] is its only writer: the job counts
+/// (`jobs_*`), the task counts `tasks_dispatched`, `tasks_retransmitted` and
+/// `tasks_reassigned`, `workers_lost`, `lane_failovers`, `regenerations`,
+/// `members_attacked`, every [`RouteStats`] field, and each tenant's
+/// `jobs_shed`, `jobs_rejected` and `jobs_completed`.  Folding a
+/// subscriber's stream from [`ServiceReport::default`] reproduces them
+/// ([`ServiceReport::facts`]).  Everything else is a *measurement* no event
+/// carries — message counts (`heartbeats`, `scheduler_turns`,
+/// `results_received`, `duplicates_ignored`), the byte ledger, the queue's
+/// high-water mark, phase durations, latencies, wall-clock times — or a
+/// tenant's `weight`, `jobs_admitted` and `jobs_downgraded`, which only the
+/// admission governor knows.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ServiceReport {
     /// Jobs accepted into the queue (admitted or still queued at shutdown).
     pub jobs_submitted: u64,
@@ -143,7 +159,7 @@ pub struct ServiceReport {
     /// Submit-to-completion latency per priority class.
     pub latency: BTreeMap<Priority, LatencyStats>,
     /// Per-route accounting: jobs and tasks per execution lane, and how many
-    /// lane choices came from the routing policy.
+    /// lane choices came from the size rule.
     pub routes: BTreeMap<BackendKind, RouteStats>,
     /// Per-tenant admission accounting (weights, admissions, downgrades,
     /// sheds, rejections, completions).
@@ -177,23 +193,93 @@ impl ServiceReport {
         *self.phase_durations.entry(phase).or_default() += duration;
     }
 
-    /// Records one job's admission onto a lane.
-    pub fn route_admitted(&mut self, route: BackendKind, auto: bool) {
-        let stats = self.routes.entry(route).or_default();
-        stats.jobs_routed += 1;
-        if auto {
-            stats.auto_routed += 1;
+    /// Folds one event into the report: the only writer of the fold fields
+    /// (see the type's documentation).  Every job taken off the admission
+    /// queue ends in exactly one `Terminal`, so `jobs_submitted` counts
+    /// those; a refusal is `Rejected` — quota and saturation count as
+    /// rejected, a watermark as shed.
+    pub fn record(&mut self, event: &ServiceEvent) {
+        match event {
+            ServiceEvent::Admitted { route, auto, .. } => {
+                let stats = self.routes.entry(*route).or_default();
+                stats.jobs_routed += 1;
+                stats.auto_routed += u64::from(*auto);
+            }
+            ServiceEvent::Rejected { tenant, reason, .. } => {
+                let stats = self.tenants.entry(*tenant).or_default();
+                if matches!(reason, ShedReason::Quota | ShedReason::Saturated) {
+                    self.jobs_rejected += 1;
+                    stats.jobs_rejected += 1;
+                } else {
+                    self.jobs_shed += 1;
+                    stats.jobs_shed += 1;
+                }
+            }
+            ServiceEvent::Dispatched { route, .. } => {
+                self.tasks_dispatched += 1;
+                self.routes.entry(*route).or_default().tasks_dispatched += 1;
+            }
+            ServiceEvent::Retransmitted { .. } => self.tasks_retransmitted += 1,
+            ServiceEvent::MemberKilled { member } => self.members_attacked.push(member.clone()),
+            ServiceEvent::WorkerLost { .. } => self.workers_lost += 1,
+            ServiceEvent::TaskReassigned { .. } => self.tasks_reassigned += 1,
+            ServiceEvent::LaneFailover { .. } => self.lane_failovers += 1,
+            ServiceEvent::MemberRegenerated { .. } => self.regenerations += 1,
+            ServiceEvent::Terminal {
+                tenant,
+                status,
+                route,
+                ..
+            } => {
+                self.jobs_submitted += 1;
+                let stats = self.tenants.entry(*tenant).or_default();
+                match status {
+                    JobStatus::Completed => {
+                        self.jobs_completed += 1;
+                        stats.jobs_completed += 1;
+                        if let Some(route) = route {
+                            self.routes.entry(*route).or_default().jobs_completed += 1;
+                        }
+                    }
+                    JobStatus::Cancelled => self.jobs_cancelled += 1,
+                    JobStatus::TimedOut => self.jobs_timed_out += 1,
+                    _ => self.jobs_failed += 1,
+                }
+            }
         }
     }
 
-    /// Records one task dispatch onto a lane.
-    pub fn route_task(&mut self, route: BackendKind) {
-        self.routes.entry(route).or_default().tasks_dispatched += 1;
+    /// This report's fold fields with `measured`'s measurements.
+    pub(crate) fn with_measurements(self, measured: ServiceReport) -> ServiceReport {
+        ServiceReport {
+            results_received: measured.results_received,
+            duplicates_ignored: measured.duplicates_ignored,
+            heartbeats: measured.heartbeats,
+            scheduler_turns: measured.scheduler_turns,
+            bytes_cloned_screen: measured.bytes_cloned_screen,
+            bytes_cloned_transform: measured.bytes_cloned_transform,
+            payload_bytes_shipped: measured.payload_bytes_shipped,
+            queue_high_water: measured.queue_high_water,
+            elapsed: measured.elapsed,
+            started_at: measured.started_at,
+            finished_at: measured.finished_at,
+            phase_durations: measured.phase_durations,
+            latency: measured.latency,
+            ..self
+        }
     }
 
-    /// Records one successful completion on a lane.
-    pub fn route_completed(&mut self, route: BackendKind) {
-        self.routes.entry(route).or_default().jobs_completed += 1;
+    /// The fold fields alone, every measurement and governor field at its
+    /// default: what folding the run's event stream from
+    /// [`ServiceReport::default`] with [`ServiceReport::record`] gives.
+    pub fn facts(&self) -> ServiceReport {
+        let mut facts = self.clone().with_measurements(ServiceReport::default());
+        for stats in facts.tenants.values_mut() {
+            stats.weight = 0;
+            stats.jobs_admitted = 0;
+            stats.jobs_downgraded = 0;
+        }
+        facts
     }
 
     /// The stats of one lane (all-zero if nothing ever ran there).
@@ -325,6 +411,7 @@ fn unix_secs(t: SystemTime) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::events::one_of_each;
 
     #[test]
     fn latency_stats_track_mean_and_max() {
@@ -346,36 +433,32 @@ mod tests {
     #[test]
     fn render_mentions_the_headline_numbers() {
         let mut report = ServiceReport {
-            jobs_submitted: 5,
-            jobs_completed: 4,
-            jobs_rejected: 1,
             queue_high_water: 3,
             elapsed: Duration::from_secs(2),
             ..ServiceReport::default()
         };
         report.bytes_cloned_screen = 7;
         report.payload_bytes_shipped = 99;
-        report.workers_lost = 1;
-        report.tasks_reassigned = 2;
-        report.lane_failovers = 1;
         report.scheduler_turns = 11;
         report.record_latency(Priority::High, Duration::from_millis(12));
-        report.route_admitted(BackendKind::SharedMemory, true);
-        report.route_task(BackendKind::SharedMemory);
-        report.route_completed(BackendKind::SharedMemory);
+        for event in &one_of_each() {
+            report.record(event);
+        }
         assert_eq!(report.bytes_cloned(), 7);
         let text = report.render();
         assert!(text.contains("  build:  wire protocol v2, numerics n3\n"));
-        assert!(text.contains("4 completed"));
+        assert!(text.contains("1 completed"));
         assert!(text.contains("1 rejected"));
         assert!(text.contains("high-water mark 3"));
         assert!(text.contains("0 heartbeats, 11 scheduler turns"));
         assert!(text.contains("7 payload bytes cloned"));
         assert!(text.contains("99 shipped by view"));
         assert!(text.contains("latency   high"));
-        assert!(text.contains("route shared-memory: 1 jobs (1 auto-routed), 1 completed, 1 tasks"));
-        assert!(text.contains("1 workers lost, 2 tasks reassigned, 1 lane failovers"));
-        assert!((report.throughput_jobs_per_sec() - 2.0).abs() < 1e-9);
+        assert!(text.contains("route      standard: 1 jobs (1 auto-routed), 0 completed, 1 tasks"));
+        assert!(text.contains("route shared-memory: 0 jobs (0 auto-routed), 1 completed, 0 tasks"));
+        assert!(text.contains("1 workers lost, 1 tasks reassigned, 1 lane failovers"));
+        assert!(text.contains("1 regenerations, attacked members: [\"svc0#0\"]"));
+        assert!((report.throughput_jobs_per_sec() - 0.5).abs() < 1e-9);
     }
 
     #[test]
@@ -401,16 +484,111 @@ mod tests {
     #[test]
     fn route_stats_accumulate_per_lane() {
         let mut report = ServiceReport::default();
-        report.route_admitted(BackendKind::Standard, false);
-        report.route_admitted(BackendKind::Standard, true);
-        report.route_task(BackendKind::Standard);
-        report.route_completed(BackendKind::Standard);
+        for event in one_of_each().iter().chain(&one_of_each()) {
+            report.record(event);
+        }
         let stats = report.route(BackendKind::Standard);
         assert_eq!(stats.jobs_routed, 2);
-        assert_eq!(stats.auto_routed, 1);
-        assert_eq!(stats.jobs_completed, 1);
-        assert_eq!(stats.tasks_dispatched, 1);
+        assert_eq!(stats.auto_routed, 2);
+        assert_eq!(stats.tasks_dispatched, 2);
+        // The job completes on the lane it failed over to.
+        assert_eq!(stats.jobs_completed, 0);
+        assert_eq!(report.route(BackendKind::SharedMemory).jobs_completed, 2);
         // Lanes nothing ran on read as all-zero.
         assert_eq!(report.route(BackendKind::Resilient), RouteStats::default());
+    }
+
+    #[test]
+    fn a_stream_of_every_kind_folds_to_exact_counters() {
+        use JobStatus::{Cancelled, Failed, TimedOut};
+        use ShedReason::{InFlightBytes, QueueDepth, Saturated};
+        let (a, b) = (TenantId(2), TenantId(5));
+        // Every kind once (a failover before a completion among them), then
+        // a terminal of every other status and a refusal of every other
+        // reason.
+        let mut stream = one_of_each();
+        for (job, tenant, status) in [(3, a, Failed), (4, b, Cancelled), (5, b, TimedOut)] {
+            let route = Some(BackendKind::Resilient).filter(|_| status != Cancelled);
+            stream.push(ServiceEvent::Terminal {
+                job,
+                tenant,
+                status,
+                route,
+            });
+        }
+        for (job, reason) in [(6, QueueDepth), (7, InFlightBytes), (8, Saturated)] {
+            let retry_after = crate::RetryAfter::default();
+            stream.push(ServiceEvent::Rejected {
+                job,
+                tenant: b,
+                reason,
+                retry_after,
+            });
+        }
+        let mut report = ServiceReport::default();
+        for event in &stream {
+            report.record(event);
+        }
+        let jobs = [
+            report.jobs_submitted,
+            report.jobs_completed,
+            report.jobs_failed,
+            report.jobs_cancelled,
+            report.jobs_timed_out,
+            report.jobs_rejected,
+            report.jobs_shed,
+        ];
+        assert_eq!(jobs, [4, 1, 1, 1, 1, 2, 2]);
+        let faults = [
+            report.tasks_dispatched,
+            report.tasks_retransmitted,
+            report.workers_lost,
+            report.tasks_reassigned,
+            report.lane_failovers,
+        ];
+        assert_eq!(faults, [1, 1, 1, 1, 1]);
+        assert_eq!(report.regenerations, 1);
+        assert_eq!(report.members_attacked, ["svc0#0"]);
+        let route = |jobs_routed, auto_routed, jobs_completed, tasks_dispatched| RouteStats {
+            jobs_routed,
+            auto_routed,
+            jobs_completed,
+            tasks_dispatched,
+        };
+        let routes = BTreeMap::from([
+            (BackendKind::Standard, route(1, 1, 0, 1)),
+            (BackendKind::SharedMemory, route(0, 0, 1, 0)),
+        ]);
+        assert_eq!(report.routes, routes);
+        let tenant = |jobs_shed, jobs_rejected, jobs_completed| TenantStats {
+            jobs_shed,
+            jobs_rejected,
+            jobs_completed,
+            ..TenantStats::default()
+        };
+        let tenants = BTreeMap::from([(a, tenant(0, 1, 1)), (b, tenant(2, 1, 0))]);
+        assert_eq!(report.tenants, tenants);
+        // Nothing but the fold moved, so the report is its own facts.
+        assert_eq!(report.facts(), report);
+    }
+
+    #[test]
+    fn facts_keep_the_fold_and_drop_the_measurements() {
+        let mut report = ServiceReport {
+            heartbeats: 3,
+            queue_high_water: 2,
+            ..ServiceReport::default()
+        };
+        for event in &one_of_each() {
+            report.record(event);
+        }
+        report.tenants.get_mut(&TenantId(2)).unwrap().weight = 4;
+        let facts = report.facts();
+        assert_eq!((facts.jobs_completed, facts.heartbeats), (1, 0));
+        assert_eq!(facts.tenants[&TenantId(2)].weight, 0);
+        assert_eq!(facts.tenants[&TenantId(2)].jobs_completed, 1);
+        // Measurements come back over the fold.
+        let merged = facts.with_measurements(report.clone());
+        assert_eq!((merged.heartbeats, merged.queue_high_water), (3, 2));
     }
 }

@@ -39,9 +39,12 @@
 //! the shared cube — byte-identical by construction.
 //!
 //! A job's lane comes from its [`Route`]: pinned by the caller, or resolved
-//! at admission by the service's [`crate::RoutingPolicy`] from the job shape
-//! and the live lane loads.  Every resolution is counted per route in the
-//! [`ServiceReport`] and published on the [`ServiceEvent`] stream.
+//! at admission by the size rule ([`crate::routing::route`]) against the
+//! live lane loads.  Every lifecycle fact — an admission with its route, a
+//! dispatch, a kill, a loss, a regeneration, a terminal transition — is one
+//! [`ServiceEvent`] written once through the service's recorder (see
+//! [`crate::events`]), which derives the [`ServiceReport`]'s counters, the
+//! telemetry counters and instants and the subscribers' stream from it.
 //!
 //! Every message-plane slot is a replica group owned by its lane's
 //! [`pct::ResilientManagerState`]; a standard worker `svc<i>` and a remote
@@ -62,7 +65,7 @@
 //! empty is retired, and its tasks are re-dispatched to the lane's other
 //! groups — idempotent by task id, byte-identical because every task message
 //! is deterministic in its inputs.  A lane drained to zero groups *fails
-//! over* each running job through the routing policy to another enabled
+//! over* each running job through the size rule to another enabled
 //! lane (whose groups re-run the orphans, or whose shared-memory executor
 //! recomputes the job) — save a job on the paper's protocol, which no other
 //! lane runs.  Queued jobs need nothing: admission reads the live snapshot.
@@ -73,11 +76,11 @@
 
 use crate::admission::{AdmissionGovernor, TenantId};
 use crate::chaos::ChaosPlan;
-use crate::events::{EventBus, ServiceEvent};
+use crate::events::{Recorder, ServiceEvent};
 use crate::job::{BackendKind, JobId, JobStatus, Priority, Protocol};
 use crate::pool::{Doorbell, InlineJob, InlineResult, WorkerPool};
 use crate::report::ServiceReport;
-use crate::routing::{LaneLoad, LaneSnapshot, Route, RoutingRequest};
+use crate::routing::{LaneLoad, LaneSnapshot, Route};
 use crate::status::StatusTable;
 use hsi::partition::partition_rows;
 use hsi::CloneLedger;
@@ -144,8 +147,6 @@ struct JobRun {
     /// The job's protocol state; abandoned if the job runs (or is failed
     /// over to run) on the shared-memory lane.
     plan: Plan,
-    /// Shard count, for routing decisions.
-    shards: usize,
     deadline: Option<Instant>,
     submitted: Instant,
     /// Shared-memory lane: whether the whole job is already on an executor.
@@ -209,7 +210,8 @@ pub(crate) struct Scheduler {
     cancels: Arc<Mutex<Vec<JobId>>>,
     shutdown: Arc<AtomicBool>,
     max_in_flight: usize,
-    events: Arc<EventBus>,
+    /// The one writer of lifecycle facts, shared with the front end.
+    recorder: Arc<Recorder>,
     running: BTreeMap<JobId, JobRun>,
     /// Every table the turn iterates is ordered, so what it does with them —
     /// the order of retransmits and orphans, which job a loss is charged to —
@@ -239,6 +241,9 @@ pub(crate) struct Scheduler {
     /// a failed job freed an admission slot.  The turn repeats the pass
     /// until one completes with this still clear.
     unsettled: bool,
+    /// The measurements no event carries; the counters of lifecycle facts
+    /// are the recorder's fold and the governor's, merged in at
+    /// [`Scheduler::finalize`].
     report: ServiceReport,
     chaos: ChaosPlan,
     chaos_fired: Vec<bool>,
@@ -262,13 +267,12 @@ impl Scheduler {
         cancels: Arc<Mutex<Vec<JobId>>>,
         shutdown: Arc<AtomicBool>,
         max_in_flight: usize,
-        events: Arc<EventBus>,
+        recorder: Arc<Recorder>,
         chaos: ChaosPlan,
         detector: DetectorConfig,
         telemetry: Telemetry,
     ) -> Self {
         let mut watch = FailureDetector::new(detector);
-        watch.set_telemetry(telemetry.clone());
         for member in pool.lanes.values().flat_map(|state| state.members()) {
             watch.watch(member, 0);
         }
@@ -289,7 +293,7 @@ impl Scheduler {
             cancels,
             shutdown,
             max_in_flight: max_in_flight.max(1),
-            events,
+            recorder,
             running: BTreeMap::new(),
             tasks: BTreeMap::new(),
             completed_tasks: HashSet::new(),
@@ -315,7 +319,7 @@ impl Scheduler {
         self.now.saturating_duration_since(self.started).as_millis() as u64
     }
 
-    /// The live occupancy of every lane, handed to the routing policy.
+    /// The live occupancy of every lane, read when a route is resolved.
     fn lane_snapshot(&self) -> LaneSnapshot {
         let load = |lane| LaneLoad {
             total: self.pool.capacity(lane),
@@ -425,23 +429,27 @@ impl Scheduler {
     }
 
     /// Marks a job terminal in the results plane, reports it back to the
-    /// admission governor (releasing its in-flight bytes and crediting the
-    /// tenant), and publishes the event.
+    /// admission governor (releasing its in-flight bytes), and records the
+    /// fact.  `route` is the lane the job ended on, `None` if it never left
+    /// the queue.
     fn terminal_transition(
         &mut self,
         id: JobId,
         tenant: TenantId,
         status: JobStatus,
+        route: Option<BackendKind>,
         output: Option<FusionOutput>,
         error: Option<String>,
     ) {
-        self.governor.note_terminal(id, tenant, status);
+        self.governor.note_terminal(id);
         self.status.transition(id, status, output, error);
-        self.events.publish(ServiceEvent::Terminal {
+        let terminal = ServiceEvent::Terminal {
             job: id,
             tenant,
             status,
-        });
+            route,
+        };
+        self.recorder.record(terminal, None);
     }
 
     /// Admits queued jobs while in-flight capacity remains, resolving each
@@ -452,14 +460,13 @@ impl Scheduler {
                 break;
             };
             let tenant = queued.spec.tenant;
-            self.report.jobs_submitted += 1;
             if self.cancelled_queued.remove(&queued.id) {
-                self.report.jobs_cancelled += 1;
                 self.telemetry
                     .span_end_with_detail(queued.queued_span, Some("cancelled"));
                 self.telemetry
                     .span_end_with_detail(queued.span, Some("cancelled"));
-                self.terminal_transition(queued.id, tenant, JobStatus::Cancelled, None, None);
+                let cancelled = JobStatus::Cancelled;
+                self.terminal_transition(queued.id, tenant, cancelled, None, None, None);
                 continue;
             }
             let prepared = queued.spec.source.realize().map_err(|e| e.to_string());
@@ -470,21 +477,19 @@ impl Scheduler {
             let (cube, shards) = match prepared {
                 Ok(prepared) => prepared,
                 Err(error) => {
-                    self.report.jobs_failed += 1;
                     self.telemetry
                         .span_end_with_detail(queued.queued_span, Some("failed"));
                     self.telemetry
                         .span_end_with_detail(queued.span, Some("failed"));
-                    let error = Some(error);
-                    self.terminal_transition(queued.id, tenant, JobStatus::Failed, None, error);
+                    let (failed, error) = (JobStatus::Failed, Some(error));
+                    self.terminal_transition(queued.id, tenant, failed, None, None, error);
                     continue;
                 }
             };
-            let request = RoutingRequest::for_dims(cube.dims(), shards.len());
+            let bytes = cube.dims().byte_size() as u64;
             let (backend, auto_routed) =
                 self.governor
-                    .resolve(queued.spec.route, &request, &self.lane_snapshot());
-            self.report.route_admitted(backend, auto_routed);
+                    .resolve(queued.spec.route, bytes, &self.lane_snapshot());
             // Close the `queued` span: its duration *is* the admission wait.
             let wait = self
                 .telemetry
@@ -504,7 +509,6 @@ impl Scheduler {
                 priority: queued.spec.priority,
                 backend,
                 protocol: queued.spec.protocol,
-                shards: shards.len(),
                 plan: Plan::new(queued.spec.protocol, cube, queued.spec.config, shards),
                 deadline: queued.spec.timeout.map(|t| self.now + t),
                 submitted: queued.submitted,
@@ -516,15 +520,13 @@ impl Scheduler {
             };
             self.status
                 .transition(queued.id, JobStatus::Running, None, None);
-            self.events.publish_correlated(
-                ServiceEvent::Admitted {
-                    job: queued.id,
-                    tenant,
-                    route: backend,
-                    auto: auto_routed,
-                },
-                queued.span,
-            );
+            let admitted = ServiceEvent::Admitted {
+                job: queued.id,
+                tenant,
+                route: backend,
+                auto: auto_routed,
+            };
+            self.recorder.record(admitted, queued.span);
             self.running.insert(queued.id, run);
         }
     }
@@ -568,14 +570,13 @@ impl Scheduler {
         // `payload_bytes_shipped` the message-plane denominator it has
         // always been in BENCH_history.csv.
         if self.pool.inline.dispatch(&executor, work) {
-            self.report.tasks_dispatched += 1;
-            self.report.route_task(BackendKind::SharedMemory);
-            self.events.publish(ServiceEvent::Dispatched {
+            let dispatched = ServiceEvent::Dispatched {
                 job: id,
                 route: BackendKind::SharedMemory,
                 task,
                 kind: "inline-job",
-            });
+            };
+            self.recorder.record(dispatched, None);
         } else {
             // The executor thread is gone; its slot is not returned.
             self.fail_job(
@@ -792,27 +793,26 @@ impl Scheduler {
             self.telemetry.span_end(Some(span));
         }
         job.roll_phase(&self.telemetry, &mut self.report, id, None, self.now);
-        let tenant = job.tenant;
+        let (tenant, route) = (job.tenant, Some(job.backend));
         // Assembly runs after the roll, outside the `transform` span.
         match inline.map_or_else(|| job.plan.into_output(), Ok) {
             Ok(output) => {
                 self.telemetry
                     .span_end_with_detail(job.span, Some("completed"));
-                self.report.jobs_completed += 1;
-                self.report.route_completed(job.backend);
                 let latency = self.now.saturating_duration_since(job.submitted);
                 self.telemetry
                     .observe("fusiond_job_latency_seconds", &[], latency);
                 self.report.record_latency(job.priority, latency);
-                self.terminal_transition(id, tenant, JobStatus::Completed, Some(output), None);
+                let (completed, output) = (JobStatus::Completed, Some(output));
+                self.terminal_transition(id, tenant, completed, route, output, None);
             }
             Err(e) => {
                 let error = e.to_string();
                 self.telemetry
                     .span_end_with_detail(job.span, Some("failed"));
                 self.telemetry.dump_failure(Some(id), &error);
-                self.report.jobs_failed += 1;
-                self.terminal_transition(id, tenant, JobStatus::Failed, None, Some(error));
+                let (failed, error) = (JobStatus::Failed, Some(error));
+                self.terminal_transition(id, tenant, failed, route, None, error);
             }
         }
     }
@@ -828,42 +828,37 @@ impl Scheduler {
             self.telemetry.span_end(Some(span));
         }
         job.roll_phase(&self.telemetry, &mut self.report, id, None, self.now);
-        let (label, count) = match status {
-            JobStatus::Cancelled => ("cancelled", &mut self.report.jobs_cancelled),
-            JobStatus::TimedOut => ("timed-out", &mut self.report.jobs_timed_out),
-            _ => ("failed", &mut self.report.jobs_failed),
-        };
-        *count += 1;
-        self.telemetry.span_end_with_detail(job.span, Some(label));
+        self.telemetry
+            .span_end_with_detail(job.span, Some(status.label()));
         if status == JobStatus::Failed {
             self.telemetry.dump_failure(Some(id), &error);
         }
         let error = if error.is_empty() { None } else { Some(error) };
-        self.terminal_transition(id, job.tenant, status, None, error);
+        let route = Some(job.backend);
+        self.terminal_transition(id, job.tenant, status, route, None, error);
     }
 
     /// Fires every not-yet-fired chaos kill anchored to this dispatch event
-    /// (the first task of `job`'s `phase`).
+    /// (the first task of `job`'s `phase`).  A kill naming no registered
+    /// member misses: it fires, and nothing is killed, stamped or recorded.
     fn fire_chaos_kills(&mut self, job: JobId, phase: Phase) {
         if self.chaos.kills.is_empty() {
             return;
         }
-        let mut killed = Vec::new();
+        let span = self.running.get(&job).and_then(|j| j.phase_span);
         for (kill, fired) in self.chaos.kills.iter().zip(self.chaos_fired.iter_mut()) {
-            if !*fired && kill.job == job && kill.phase == phase {
-                self.pool.injector.attack(&kill.member);
+            if *fired || kill.job != job || kill.phase != phase {
+                continue;
+            }
+            *fired = true;
+            if self.pool.injector.attack(&kill.member) {
                 // Stamp the kill time so the detection that eventually fires
                 // can report its latency and back-date the `detect` span.
                 self.telemetry.note_kill(&kill.member);
-                killed.push(kill.member.clone());
-                *fired = true;
+                let member = kill.member.clone();
+                self.recorder
+                    .record(ServiceEvent::MemberKilled { member }, span);
             }
-        }
-        let span = self.running.get(&job).and_then(|j| j.phase_span);
-        for member in killed {
-            self.telemetry.instant("kill", Some(job), span, &member);
-            self.events
-                .publish_correlated(ServiceEvent::MemberKilled { member }, span);
         }
     }
 
@@ -936,7 +931,7 @@ impl Scheduler {
                 .get(&group)
                 .is_some_and(|g| g.members.is_empty())
         {
-            return self.retire(lane, &group, &member, affected, parent);
+            return self.retire(lane, &group, &member, parent);
         }
         if let Some((task, from)) = unplaced {
             self.note_placed(task, from, lane, &group);
@@ -969,41 +964,26 @@ impl Scheduler {
             inflight.sent_at = self.now;
         }
         self.watch.watch(regen.replacement.clone(), self.now_ms());
-        self.events.publish_correlated(
-            ServiceEvent::MemberRegenerated {
-                failed: member,
-                replacement: regen.replacement.routing_name(),
-            },
-            parent,
-        );
+        let regenerated = ServiceEvent::MemberRegenerated {
+            failed: member,
+            replacement: regen.replacement.routing_name(),
+        };
+        self.recorder.record(regenerated, parent);
     }
 
     /// Retires `group`, left empty by the loss of `member`: it leaves its
     /// lane's owner and free list, its in-flight tasks are orphaned for
     /// re-dispatch to the lane's other groups, and the lane fails over once
     /// it has none.
-    fn retire(
-        &mut self,
-        lane: BackendKind,
-        group: &str,
-        member: &str,
-        affected: Option<JobId>,
-        parent: Option<SpanId>,
-    ) {
+    fn retire(&mut self, lane: BackendKind, group: &str, member: &str, parent: Option<SpanId>) {
         if let Some(state) = self.pool.lanes.get_mut(&lane) {
             state.groups.remove(group);
         }
         self.free.entry(lane).or_default().retain(|g| g != group);
         self.unsettled = true;
-        self.report.workers_lost += 1;
-        self.telemetry
-            .instant("worker-lost", affected, parent, member);
-        self.events.publish_correlated(
-            ServiceEvent::WorkerLost {
-                worker: member.to_string(),
-            },
-            parent,
-        );
+        let worker = member.to_string();
+        self.recorder
+            .record(ServiceEvent::WorkerLost { worker }, parent);
         // Orphan every task the group was holding, dropping tasks of
         // already-terminal jobs on the floor.
         let orphaned: Vec<TaskId> = self
@@ -1041,41 +1021,34 @@ impl Scheduler {
         self.orphans = deferred;
     }
 
-    /// Accounts and publishes the in-flight `task` landing on the group `to`:
-    /// a reassignment if it was ever delivered to a lost member (`from`), a
+    /// Records the in-flight `task` landing on the group `to`: a
+    /// reassignment if it was ever delivered to a lost member (`from`), a
     /// (possibly deferred) first dispatch otherwise.
     fn note_placed(&mut self, task: TaskId, from: &str, route: BackendKind, to: &str) {
         let placed = &self.tasks[&task];
         let (job, kind) = (placed.job, placed.message.kind());
         let span = self.running.get(&job).and_then(|j| j.phase_span);
-        if from.is_empty() {
-            self.report.tasks_dispatched += 1;
-            self.report.route_task(route);
-            let dispatched = ServiceEvent::Dispatched {
+        let placed = if from.is_empty() {
+            ServiceEvent::Dispatched {
                 job,
                 route,
                 task,
                 kind,
-            };
-            self.events.publish_correlated(dispatched, span);
+            }
         } else {
-            self.report.tasks_reassigned += 1;
-            self.telemetry
-                .count("fusiond_worker_reassignments_total", &[]);
-            self.telemetry.instant("reassign", Some(job), span, to);
-            let reassigned = ServiceEvent::TaskReassigned {
+            ServiceEvent::TaskReassigned {
                 job,
                 task,
                 from: from.to_string(),
                 to: to.to_string(),
-            };
-            self.events.publish_correlated(reassigned, span);
-        }
+            }
+        };
+        self.recorder.record(placed, span);
     }
 
     /// A message-plane lane drained to zero groups: move every running job
-    /// of that lane to another enabled lane through the routing policy
-    /// (honouring its lane clamps) instead of failing it — but fail a job on
+    /// of that lane to another enabled lane through the size rule and the
+    /// lane clamp instead of failing it — but fail a job on
     /// the paper's protocol, which no other lane runs.  Queued jobs need
     /// nothing — admission resolves against the live snapshot, which now
     /// reads the lane as disabled.
@@ -1094,8 +1067,8 @@ impl Scheduler {
             let Some(job) = self.running.get(&id) else {
                 continue;
             };
-            let request = RoutingRequest::for_dims(job.plan.cube().dims(), job.shards);
-            let (target, _) = self.governor.resolve(Route::Auto, &request, &snapshot);
+            let bytes = job.plan.cube().dims().byte_size() as u64;
+            let (target, _) = self.governor.resolve(Route::Auto, bytes, &snapshot);
             // No other lane runs the paper's protocol; the clamp may have
             // found no other enabled lane.
             if job.protocol == Protocol::Paper || target == lane || !snapshot.lane(target).enabled()
@@ -1124,19 +1097,13 @@ impl Scheduler {
                 );
                 self.orphans.retain(|o| o.job != id);
             }
-            self.report.lane_failovers += 1;
-            self.telemetry.count("fusiond_lane_failovers_total", &[]);
             let span = self.running.get(&id).and_then(|j| j.phase_span);
-            self.telemetry
-                .instant("lane-failover", Some(id), span, target.label());
-            self.events.publish_correlated(
-                ServiceEvent::LaneFailover {
-                    job: id,
-                    from: lane,
-                    to: target,
-                },
-                span,
-            );
+            let failover = ServiceEvent::LaneFailover {
+                job: id,
+                from: lane,
+                to: target,
+            };
+            self.recorder.record(failover, span);
         }
     }
 
@@ -1167,12 +1134,9 @@ impl Scheduler {
             let Ok(dead) = self.pool.lanes[&lane].group_send(&self.ctx, &group, &message) else {
                 continue;
             };
-            self.report.tasks_retransmitted += 1;
             let span = self.running.get(&job).and_then(|j| j.phase_span);
-            self.telemetry
-                .instant("retransmit", Some(job), span, &group);
             let retransmitted = ServiceEvent::Retransmitted { job, task, group };
-            self.events.publish_correlated(retransmitted, span);
+            self.recorder.record(retransmitted, span);
             for failed in dead {
                 self.on_member_lost(lane, failed, None);
             }
@@ -1216,10 +1180,8 @@ impl Scheduler {
             self.fail_job(id, JobStatus::Failed, "service stopped".to_string());
         }
         while let Some(queued) = self.governor.next() {
-            self.report.jobs_submitted += 1;
-            self.report.jobs_failed += 1;
             let (error, tenant) = (Some("service stopped".to_string()), queued.spec.tenant);
-            self.terminal_transition(queued.id, tenant, JobStatus::Failed, None, error);
+            self.terminal_transition(queued.id, tenant, JobStatus::Failed, None, None, error);
         }
         // A member attacked too late for a probe or a send to find it gone —
         // a kill at shutdown — is as lost as one they found: the books close
@@ -1235,13 +1197,13 @@ impl Scheduler {
         for (lane, member) in lost {
             self.on_member_lost(lane, member, None);
         }
-        let resilient_report = self.pool.shutdown(&self.ctx);
-        self.report.regenerations = resilient_report.regenerations.len();
-        self.report.members_attacked = resilient_report.members_attacked;
+        self.pool.shutdown(&self.ctx);
         self.report.queue_high_water = self.governor.queue_high_water();
         self.report.elapsed = self.started.elapsed();
         self.report.finished_at = Some(SystemTime::now());
-        self.report
+        let mut report = self.recorder.report().with_measurements(self.report);
+        self.governor.fold_into(&mut report);
+        report
     }
 }
 
@@ -1278,10 +1240,7 @@ impl HostedScheduler {
         let scheduler = self.0;
         scheduler.shutdown.store(true, Ordering::Release);
         scheduler.governor.close();
-        let governor = Arc::clone(&scheduler.governor);
-        let mut report = scheduler.finalize();
-        governor.fold_into(&mut report);
-        report
+        scheduler.finalize()
     }
 }
 
@@ -1315,12 +1274,8 @@ mod tests {
             })
             .build()
             .unwrap();
-        let (pool, ctx) = WorkerPool::start(&config.pool, Telemetry::disabled(), None).unwrap();
-        let governor = AdmissionGovernor::new(
-            config.queue_capacity,
-            config.admission.clone(),
-            Arc::clone(&config.routing),
-        );
+        let (pool, ctx) = WorkerPool::start(&config.pool, None).unwrap();
+        let governor = AdmissionGovernor::new(config.queue_capacity, config.admission.clone());
         Scheduler::new(
             Instant::now(),
             pool,
@@ -1330,7 +1285,7 @@ mod tests {
             Arc::default(),
             Arc::default(),
             config.max_in_flight,
-            Arc::new(EventBus::new()),
+            Arc::new(Recorder::default()),
             config.chaos.clone(),
             config.pool.detector,
             Telemetry::disabled(),
@@ -1443,7 +1398,7 @@ mod tests {
         assert!(window(&scheduler) < RETRANSMIT_AFTER);
         assert_eq!(scheduler.turn(late, None), Some(t0 + window(&scheduler)));
         assert_eq!(scheduler.status.status(1), Some(JobStatus::TimedOut));
-        assert_eq!(scheduler.report.jobs_timed_out, 1);
+        assert_eq!(scheduler.recorder.report().jobs_timed_out, 1);
         assert_eq!(
             scheduler.tasks.len(),
             1,
@@ -1480,7 +1435,7 @@ mod tests {
         // its lease is refreshed and the timer moves a whole window on.
         assert_eq!(scheduler.turn(deadline, None), Some(deadline + window));
         assert_eq!(worker.pending(), 1, "probed once");
-        assert_eq!(scheduler.report.workers_lost, 0);
+        assert_eq!(scheduler.recorder.report().workers_lost, 0);
         // A heartbeat moves it too.
         worker.send(MANAGER, PctMessage::Heartbeat).unwrap();
         let beat = deadline + Duration::from_millis(100);
@@ -1488,7 +1443,7 @@ mod tests {
         // A dead mailbox at the deadline confirms the loss and clears it.
         drop(worker);
         assert_eq!(scheduler.turn(beat + window, None), None);
-        assert_eq!(scheduler.report.workers_lost, 1);
+        assert_eq!(scheduler.recorder.report().workers_lost, 1);
         scheduler.finalize();
     }
 
@@ -1503,6 +1458,7 @@ mod tests {
         submit(&scheduler, 1, job(BackendKind::Standard).build().unwrap());
         // Workers and members are watched from t0 by the one detector: one
         // deadline covers both lanes.
+        let events = scheduler.recorder.subscribe();
         let t0 = scheduler.started;
         let deadline = t0 + window(&scheduler);
         assert_eq!(scheduler.turn(t0, None), Some(deadline));
@@ -1513,14 +1469,22 @@ mod tests {
         scheduler.turn(deadline, None);
         // Both losses are confirmed by the same turn's probes: the worker's
         // task moves to the spare, and the member is regenerated.
-        assert_eq!(scheduler.report.workers_lost, 1);
-        assert_eq!(scheduler.report.tasks_reassigned, 1);
+        assert_eq!(scheduler.recorder.report().workers_lost, 1);
+        assert_eq!(scheduler.recorder.report().tasks_reassigned, 1);
         assert_eq!(spare.pending(), 2, "its probe, then the orphaned task");
-        let resilient = &scheduler.pool.lanes[&BackendKind::Resilient];
-        let regenerated = &resilient.report.regenerations;
-        assert_eq!(regenerated.len(), 1);
-        assert_eq!(regenerated[0].failed, MemberId::new("rg0", 0));
-        let members = resilient.members();
+        let regenerated: Vec<ServiceEvent> = events
+            .drain()
+            .filter(|e| matches!(e, ServiceEvent::MemberRegenerated { .. }))
+            .collect();
+        let replacement = "rg0#2".to_string();
+        let failed = "rg0#0".to_string();
+        let regeneration = ServiceEvent::MemberRegenerated {
+            failed,
+            replacement,
+        };
+        assert_eq!(regenerated, [regeneration]);
+        assert_eq!(scheduler.recorder.report().regenerations, 1);
+        let members = scheduler.pool.lanes[&BackendKind::Resilient].members();
         assert_eq!(members, [MemberId::new("rg0", 1), MemberId::new("rg0", 2)]);
         scheduler.finalize();
     }
@@ -1552,10 +1516,14 @@ mod tests {
         // No such group: `group_send` fails, and the timer must move anyway.
         add_group_task(&mut scheduler, 2, "ghost", t0);
         scheduler.turn(t0 + base - Duration::from_millis(1), None);
-        assert_eq!(scheduler.report.tasks_retransmitted, 0);
+        assert_eq!(scheduler.recorder.report().tasks_retransmitted, 0);
         let now = t0 + base;
         let next = scheduler.turn(now, None).expect("timers armed");
-        assert_eq!(scheduler.report.tasks_retransmitted, 1, "rg0 only");
+        assert_eq!(
+            scheduler.recorder.report().tasks_retransmitted,
+            1,
+            "rg0 only"
+        );
         for task in [1, 2] {
             let inflight = &scheduler.tasks[&task];
             assert_eq!((inflight.sent_at, inflight.attempts), (now, 1), "{task}");
@@ -1565,7 +1533,7 @@ mod tests {
         // same instant re-sends nothing.
         assert!(next > now && next <= now + 2 * base);
         assert!(scheduler.turn(now, None) > Some(now));
-        assert_eq!(scheduler.report.tasks_retransmitted, 1);
+        assert_eq!(scheduler.recorder.report().tasks_retransmitted, 1);
         scheduler.finalize();
     }
 
@@ -1591,7 +1559,7 @@ mod tests {
         let members = scheduler.pool.lanes[&BackendKind::Resilient].members();
         assert_eq!(members, [MemberId::new("rg1", 0)], "rg0 retired");
         assert!(!scheduler.pool.injector.targets().contains(&"rg0#1".into()));
-        let report = &scheduler.report;
+        let report = scheduler.recorder.report();
         assert_eq!((report.workers_lost, report.tasks_reassigned), (1, 1));
         let resilient = scheduler.lane_snapshot().resilient;
         assert_eq!(resilient, LaneLoad { total: 1, free: 1 });
@@ -1613,10 +1581,10 @@ mod tests {
         worker.send(MANAGER, PctMessage::Heartbeat).unwrap();
         let early = due - Duration::from_millis(1);
         assert_eq!(scheduler.turn(early, None), Some(due));
-        assert_eq!(scheduler.report.tasks_retransmitted, 0);
+        assert_eq!(scheduler.recorder.report().tasks_retransmitted, 0);
         scheduler.turn(due, None);
-        assert_eq!(scheduler.report.tasks_retransmitted, 1);
-        assert_eq!(scheduler.report.workers_lost, 0);
+        assert_eq!(scheduler.recorder.report().tasks_retransmitted, 1);
+        assert_eq!(scheduler.recorder.report().workers_lost, 0);
         let again = worker.recv().unwrap().payload;
         assert_eq!(again.task(), lost.task());
         // Its answer moves the chain on; a late echo is a duplicate.

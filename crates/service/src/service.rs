@@ -7,7 +7,7 @@
 
 use crate::admission::{AdmissionGovernor, QueuedJob, ShedReason, TenantId};
 use crate::config::ServiceConfig;
-use crate::events::{EventBus, EventSubscriber, ServiceEvent};
+use crate::events::{EventSubscriber, Recorder, ServiceEvent};
 use crate::handle::{HandlePlane, JobHandle};
 use crate::job::{BackendKind, JobId, JobSpec};
 use crate::pool::{Doorbell, WorkerPool};
@@ -58,7 +58,8 @@ pub struct FusionService {
     /// Wakes the scheduler, which blocks on its mailbox alone: rung after
     /// every change it must see (a submission, the shutdown flag).
     doorbell: Doorbell,
-    events: Arc<EventBus>,
+    /// The one writer of lifecycle facts, shared with the scheduler.
+    recorder: Arc<Recorder>,
     injector: resilience::attack::AttackInjector,
     lane_totals: [usize; 4],
     /// `(routing name, OS pid)` of every remote worker, captured at start.
@@ -73,7 +74,7 @@ impl FusionService {
     /// Starts the pool and the scheduler thread.
     pub fn start(config: ServiceConfig) -> Result<FusionService> {
         config.validate()?;
-        let (pool, ctx) = WorkerPool::start(&config.pool, config.telemetry.clone(), None)?;
+        let (pool, ctx) = WorkerPool::start(&config.pool, None)?;
         let (mut service, scheduler) = Self::assemble(config, pool, ctx, Arc::new(Instant::now));
         let handle = std::thread::Builder::new()
             .name("fusiond-scheduler".to_string())
@@ -107,7 +108,7 @@ impl FusionService {
             ));
         }
         let (host, members) = std::sync::mpsc::channel();
-        let (pool, ctx) = WorkerPool::start(&config.pool, config.telemetry.clone(), Some(host))?;
+        let (pool, ctx) = WorkerPool::start(&config.pool, Some(host))?;
         let (service, scheduler) = Self::assemble(config, pool, ctx, Arc::new(clock));
         Ok((service, HostedScheduler(scheduler), members))
     }
@@ -125,17 +126,13 @@ impl FusionService {
         let lane_totals = BackendKind::ALL.map(|lane| pool.capacity(lane));
         let remote_workers = pool.remote.worker_pids();
         let governor = Arc::new(
-            AdmissionGovernor::new(
-                config.queue_capacity,
-                config.admission.clone(),
-                Arc::clone(&config.routing),
-            )
-            .with_telemetry(telemetry.clone()),
+            AdmissionGovernor::new(config.queue_capacity, config.admission.clone())
+                .with_telemetry(telemetry.clone()),
         );
         let status = Arc::new(StatusTable::new());
         let cancels = Arc::new(Mutex::new(Vec::new()));
         let shutdown_flag = Arc::new(AtomicBool::new(false));
-        let events = Arc::new(EventBus::with_telemetry(telemetry.clone()));
+        let recorder = Arc::new(Recorder::new(telemetry.clone()));
         let scheduler = Scheduler::new(
             clock(),
             pool,
@@ -145,7 +142,7 @@ impl FusionService {
             Arc::clone(&cancels),
             Arc::clone(&shutdown_flag),
             config.max_in_flight,
-            Arc::clone(&events),
+            Arc::clone(&recorder),
             config.chaos.clone(),
             config.pool.detector,
             telemetry.clone(),
@@ -156,7 +153,7 @@ impl FusionService {
             cancels,
             shutdown_flag,
             doorbell,
-            events,
+            recorder,
             injector,
             lane_totals,
             remote_workers,
@@ -234,15 +231,15 @@ impl FusionService {
                 self.telemetry
                     .span_end_with_detail(queued_span, Some("rejected"));
                 self.telemetry.span_end_with_detail(span, Some("rejected"));
-                self.publish_rejection(id, tenant, &e);
+                self.record_rejection(id, tenant, &e);
                 Err(e)
             }
         }
     }
 
-    /// Mirrors a typed admission refusal onto the event stream, so
-    /// observers can account rejections they did not themselves submit.
-    fn publish_rejection(&self, id: JobId, tenant: TenantId, error: &ServiceError) {
+    /// Records a typed admission refusal, so the report and observers
+    /// account rejections they did not themselves submit.
+    fn record_rejection(&self, id: JobId, tenant: TenantId, error: &ServiceError) {
         let (reason, retry_after) = match error {
             ServiceError::Saturated { retry_after } => (ShedReason::Saturated, *retry_after),
             ServiceError::Shed {
@@ -253,12 +250,13 @@ impl FusionService {
             // Shutdown (and anything else) is not an admission verdict.
             _ => return,
         };
-        self.events.publish(ServiceEvent::Rejected {
+        let rejected = ServiceEvent::Rejected {
             job: id,
             tenant,
             reason,
             retry_after,
-        });
+        };
+        self.recorder.record(rejected, None);
     }
 
     /// Submits a job, blocking while the admission queue is full.  The
@@ -278,7 +276,7 @@ impl FusionService {
     /// (admissions with their resolved route, dispatches, retransmits,
     /// member kills and regenerations, terminal transitions).
     pub fn subscribe(&self) -> EventSubscriber {
-        self.events.subscribe()
+        self.recorder.subscribe()
     }
 
     /// Number of jobs currently waiting in the admission queue.
@@ -301,17 +299,16 @@ impl FusionService {
             // Stamp the kill time so the eventual detection can report its
             // latency and back-date the `detect` span.
             self.telemetry.note_kill(member);
-            self.telemetry.instant("kill", None, None, member);
-            self.events.publish(ServiceEvent::MemberKilled {
-                member: member.to_string(),
-            });
+            let member = member.to_string();
+            self.recorder
+                .record(ServiceEvent::MemberKilled { member }, None);
         }
         hit
     }
 
     /// Number of live event-stream subscriptions.
     pub fn subscriber_count(&self) -> usize {
-        self.events.subscriber_count()
+        self.recorder.subscriber_count()
     }
 
     /// The service's telemetry handle: spans, metrics snapshot
@@ -327,9 +324,7 @@ impl FusionService {
     /// Outstanding [`JobHandle`]s stay valid: they hold the results plane
     /// and observe the final terminal states.
     pub fn shutdown(mut self) -> ServiceReport {
-        let mut report = self.stop().unwrap_or_default();
-        self.governor.fold_into(&mut report);
-        report
+        self.stop().unwrap_or_default()
     }
 
     /// Closes admission and stops the scheduler thread if one still runs,
@@ -444,6 +439,52 @@ mod tests {
     }
 
     #[test]
+    fn a_chaos_kill_naming_no_member_is_not_recorded_as_a_kill() {
+        let telemetry = Telemetry::enabled();
+        let config = ServiceConfig::builder()
+            .pool(PoolConfig {
+                standard_workers: 0,
+                replica_groups: 1,
+                replication_level: 2,
+                shared_memory_executors: 0,
+                ..PoolConfig::default()
+            })
+            .chaos(crate::ChaosPlan::kill_at(
+                1,
+                crate::ChaosPhase::Screen,
+                "rg0#9",
+            ))
+            .telemetry(telemetry.clone())
+            .build()
+            .unwrap();
+        let service = FusionService::start(config).unwrap();
+        let events = service.subscribe();
+        let cube = Arc::new(SceneGenerator::new(scene(11, 16, 8)).unwrap().generate());
+        let spec = JobSpec::builder(CubeSource::InMemory(Arc::clone(&cube)))
+            .pinned(BackendKind::Resilient)
+            .shards(2)
+            .build()
+            .unwrap();
+        let outcome = service.submit(spec).unwrap().wait().unwrap();
+        let reference = SequentialPct::new(PctConfig::paper()).run(&cube).unwrap();
+        assert_eq!(outcome, JobOutcome::Completed(reference));
+        let report = service.shutdown();
+        let kills = events
+            .drain()
+            .filter(|e| matches!(e, ServiceEvent::MemberKilled { .. }))
+            .count();
+        assert_eq!(kills, 0, "a kill that missed was recorded");
+        assert!(report.members_attacked.is_empty());
+        assert_eq!(report.regenerations, 0);
+        // Nor was it stamped for a detection that will never come.
+        assert_eq!(telemetry.take_kill("rg0#9"), None);
+        let instants = telemetry.records().into_iter().filter(|r| {
+            matches!(r, telemetry::TraceRecord::Instant { name, .. } if *name == "member_killed")
+        });
+        assert_eq!(instants.count(), 0);
+    }
+
+    #[test]
     fn pinned_submission_without_lane_is_rejected() {
         let mut config = tiny_pool();
         config.pool.replica_groups = 0;
@@ -503,7 +544,8 @@ mod tests {
             crate::ServiceEvent::Terminal {
                 job: id,
                 tenant: TenantId::default(),
-                status: JobStatus::Completed
+                status: JobStatus::Completed,
+                route: Some(BackendKind::SharedMemory),
             }
         );
         let report = service.shutdown();

@@ -213,6 +213,8 @@ pub(crate) struct HostOutput {
     pub leftovers: usize,
     /// Every service event, stamped with virtual nanoseconds.
     pub log: Vec<String>,
+    /// Every service event folded with [`ServiceReport::record`].
+    pub fold: ServiceReport,
     pub report: Option<ServiceReport>,
     pub finished_at: Option<SimTime>,
 }
@@ -528,6 +530,7 @@ impl HostActor {
             self.out
                 .log
                 .push(format!("{:>15} {event:?}", at.as_nanos()));
+            self.out.fold.record(&event);
             let job = match &event {
                 ServiceEvent::Admitted { job, .. }
                 | ServiceEvent::Dispatched { job, .. }

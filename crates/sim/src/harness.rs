@@ -528,10 +528,18 @@ fn judge(
 }
 
 /// The report's accounting against what the clients saw: per tenant,
-/// admissions, completions and refusals; and no payload byte deep-copied
-/// into a task on the view message plane.
+/// admissions, completions and refusals; every counter of a lifecycle fact
+/// exactly what the host's subscription folds to; and no payload byte
+/// deep-copied into a task on the view message plane.
 fn attribution(sc: &Scenario, out: &HostOutput, report: &ServiceReport) -> Vec<String> {
     let mut violations = Vec::new();
+    if out.fold != report.facts() {
+        violations.push(format!(
+            "the event stream folds to {:?}, the report's facts are {:?}",
+            out.fold,
+            report.facts()
+        ));
+    }
     let mut seen: BTreeMap<u64, (u64, u64, u64)> = BTreeMap::new();
     for (plan, facts) in sc.jobs.iter().zip(&out.jobs) {
         let tenant = seen.entry(plan.tenant).or_default();

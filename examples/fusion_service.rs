@@ -42,7 +42,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Submit 64 jobs: priorities cycle high/normal/low; every third job is
     // pinned to the resilient lane, every third to standard, and the rest
-    // go through the routing policy (`Auto`); shard counts vary per job.
+    // go through the size rule (`Auto`); shard counts vary per job.
     let mut jobs: Vec<(JobHandle, Arc<HyperCube>, &'static str, &'static str)> = Vec::new();
     let mut attacked = false;
     for i in 0..JOBS {

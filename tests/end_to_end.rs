@@ -10,9 +10,8 @@ use pct::{FusionOutput, PctConfig, SequentialPct, SharedMemoryPct};
 use resilience::DetectorConfig;
 use service::{
     BackendKind, ChaosPhase, ChaosPlan, CubeSource, FusionService, JobHandle, JobOutcome, JobSpec,
-    JobStatus, LeastLoadedPolicy, PoolConfig, Priority, Protocol, RemoteWorkerSpec,
-    RoundRobinPolicy, Route, ServiceConfig, ServiceEvent, SharedRoutingPolicy, SizeThresholdPolicy,
-    TenantId,
+    JobStatus, PoolConfig, Priority, Protocol, RemoteWorkerSpec, Route, ServiceConfig,
+    ServiceEvent, TenantId,
 };
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -241,33 +240,21 @@ fn service_concurrent_jobs_are_byte_identical_to_sequential() {
     }
 }
 
-/// The acceptance matrix of the routing redesign: every route — the three
-/// lanes pinned, plus `Auto` under each shipped routing policy — produces
-/// output **byte-identical** to `SequentialPct`, including one chaos kill
-/// on the pinned resilient route.
+/// The acceptance matrix of routing: every route — the three lanes pinned,
+/// plus `Auto` under the size rule — produces output **byte-identical** to
+/// `SequentialPct`, including one chaos kill on the pinned resilient route.
 #[test]
 fn route_matrix_every_route_is_byte_identical_to_sequential() {
-    let policies: Vec<(&str, Option<SharedRoutingPolicy>)> = vec![
-        ("pinned-standard", None),
-        ("pinned-resilient", None),
-        ("pinned-shared-memory", None),
+    let routes = [
+        ("pinned-standard", Route::Pinned(BackendKind::Standard)),
+        ("pinned-resilient", Route::Pinned(BackendKind::Resilient)),
         (
-            "auto-size-threshold",
-            Some(Arc::new(SizeThresholdPolicy::default())),
+            "pinned-shared-memory",
+            Route::Pinned(BackendKind::SharedMemory),
         ),
-        ("auto-least-loaded", Some(Arc::new(LeastLoadedPolicy))),
-        (
-            "auto-round-robin",
-            Some(Arc::new(RoundRobinPolicy::default())),
-        ),
+        ("auto-size-threshold", Route::Auto),
     ];
-    for (name, policy) in policies {
-        let route = match name {
-            "pinned-standard" => Route::Pinned(BackendKind::Standard),
-            "pinned-resilient" => Route::Pinned(BackendKind::Resilient),
-            "pinned-shared-memory" => Route::Pinned(BackendKind::SharedMemory),
-            _ => Route::Auto,
-        };
+    for (name, route) in routes {
         let mut builder = ServiceConfig::builder()
             .standard_workers(2)
             .replica_groups(1)
@@ -275,9 +262,6 @@ fn route_matrix_every_route_is_byte_identical_to_sequential() {
             .shared_memory_executors(1)
             .queue_capacity(8)
             .max_in_flight(4);
-        if let Some(policy) = policy {
-            builder = builder.routing(policy);
-        }
         // The resilient route additionally takes a chaos kill mid-screen.
         if route == Route::Pinned(BackendKind::Resilient) {
             builder = builder.chaos(ChaosPlan::kill_at(1, ChaosPhase::Screen, "rg0#0"));
@@ -322,7 +306,7 @@ fn route_matrix_every_route_is_byte_identical_to_sequential() {
                 .iter()
                 .map(|kind| report.route(*kind).auto_routed)
                 .sum();
-            assert_eq!(auto, 3, "{name}: policy decisions uncounted");
+            assert_eq!(auto, 3, "{name}: size-rule decisions uncounted");
         }
         if route == Route::Pinned(BackendKind::Resilient) {
             assert_eq!(report.members_attacked, vec!["rg0#0".to_string()]);
@@ -418,7 +402,8 @@ fn event_stream_observes_kill_regeneration_and_completion_without_polling() {
         &ServiceEvent::Terminal {
             job: id,
             tenant: TenantId::default(),
-            status: JobStatus::Completed
+            status: JobStatus::Completed,
+            route: Some(BackendKind::Resilient),
         }
     );
     // The orders the scheduler guarantees; the terminal event may come
@@ -521,7 +506,7 @@ fn standard_nan_sample_fails_the_job_typed_and_the_lane_keeps_serving() {
 }
 
 /// Losing the *last* standard worker drains the lane: a running standard
-/// job must fail over to a surviving lane through the routing policy — here
+/// job must fail over to a surviving lane through the size rule — here
 /// the shared-memory lane, which recomputes it whole — and still finish
 /// byte-identical; when no other lane exists, the job fails with a
 /// diagnosis instead of hanging.  (Failover to replica groups, which
@@ -1063,7 +1048,7 @@ fn chaos_trace_nests_detect_regenerate_recompute_under_the_affected_job() {
         "\"detect\"",
         "\"regenerate\"",
         "\"recompute\"",
-        "\"kill\"",
+        "\"member_killed\"",
     ] {
         assert!(
             written.contains(name),
