@@ -18,6 +18,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 use pct::distributed_sim::{simulate_fusion, SimParams, SimReport};
 

@@ -9,7 +9,7 @@
 //! imaging-spectrometer products ship in.
 //!
 //! Both readers take their sizes from the file, so both bound them before
-//! trusting them: a cube header beyond [`MAX_CUBE_FILE_PAYLOAD_BYTES`] and a
+//! trusting them: a cube header beyond a 16 GiB payload and a
 //! PPM header whose pixel count overflows or exceeds the bytes present are
 //! typed errors, never an allocation or a slice index.
 
@@ -20,10 +20,10 @@ use std::io::{BufReader, BufWriter, Read, Write};
 use std::path::Path;
 
 /// Magic bytes identifying the self-describing interleaved cube file.
-pub const CUBE_FILE_MAGIC: &[u8; 4] = b"HSIF";
+const CUBE_FILE_MAGIC: &[u8; 4] = b"HSIF";
 
 /// Version byte of the interleaved cube file format.
-pub const CUBE_FILE_VERSION: u8 = 1;
+const CUBE_FILE_VERSION: u8 = 1;
 
 /// Encoded size of a [`CubeFileHeader`]: magic, version, interleave, three
 /// little-endian `u64` dimensions.
@@ -37,7 +37,7 @@ pub const CUBE_FILE_EXTENSION: &str = "hsif";
 /// are rejected at parse time so a corrupt or hostile file surfaces as a
 /// typed error in the reader instead of a multi-terabyte allocation (and
 /// likely abort) in whoever trusts the dimensions.
-pub const MAX_CUBE_FILE_PAYLOAD_BYTES: u64 = 16 << 30;
+const MAX_CUBE_FILE_PAYLOAD_BYTES: u64 = 16 << 30;
 
 /// Sample ordering of an interleaved cube file.
 ///
@@ -71,7 +71,7 @@ impl Interleave {
     }
 
     /// The header byte encoding this interleave.
-    pub fn as_byte(&self) -> u8 {
+    fn as_byte(&self) -> u8 {
         match self {
             Interleave::Bip => 0,
             Interleave::Bil => 1,
@@ -80,7 +80,7 @@ impl Interleave {
     }
 
     /// Decodes a header byte.
-    pub fn from_byte(byte: u8) -> Result<Interleave> {
+    fn from_byte(byte: u8) -> Result<Interleave> {
         match byte {
             0 => Ok(Interleave::Bip),
             1 => Ok(Interleave::Bil),

@@ -23,17 +23,15 @@
 //!   plus the process-wide clone ledger that proves it (`bytes_cloned`).
 //! * [`io`] — PGM/PPM writers for single bands and fused colour composites,
 //!   plus a simple binary cube format for persisting synthetic scenes.
-//! * [`stats`] — per-band statistics and image-quality metrics (contrast,
-//!   entropy) used by the tests and the screening ablation bench.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 pub mod cube;
 pub mod io;
 pub mod partition;
 pub mod rgb;
-pub mod stats;
 pub mod synthetic;
 pub mod view;
 
@@ -42,10 +40,7 @@ pub use io::{CubeFileHeader, Interleave};
 pub use partition::{GranularityPolicy, SubCube, SubCubeSpec};
 pub use rgb::RgbImage;
 pub use synthetic::{Material, SceneConfig, SceneGenerator};
-pub use view::{
-    assembled_bytes_total, charge_assembled_bytes, cloned_bytes_total, thread_cloned_bytes_total,
-    CloneLedger, CubeView,
-};
+pub use view::{charge_assembled_bytes, thread_cloned_bytes_total, CloneLedger, CubeView};
 
 /// Errors produced by the hyper-spectral imagery substrate.
 #[derive(Debug)]

@@ -89,7 +89,7 @@ impl SubCubeSpec {
     /// This is the pre-view code path, kept for true process/serialization
     /// boundaries and as the byte-identity reference the view property tests
     /// compare against.  The copy is charged to the clone ledger
-    /// ([`crate::view::cloned_bytes_total`]); the in-process message plane
+    /// (`crate::view::cloned_bytes_total`); the in-process message plane
     /// uses [`SubCubeSpec::view`] instead, which copies nothing.
     pub fn extract(&self, cube: &HyperCube) -> Result<SubCube> {
         crate::view::charge_cloned_bytes(self.payload_bytes());
@@ -121,14 +121,6 @@ pub struct SubCube {
     pub spec: SubCubeSpec,
     /// The pixel payload.
     pub data: HyperCube,
-}
-
-impl SubCube {
-    /// Writes this sub-cube's payload back into the full-size `target` cube
-    /// (manager-side reassembly after step 7/8).
-    pub fn blit_into(&self, target: &mut HyperCube) -> Result<()> {
-        target.blit(0, self.spec.row_start, &self.data)
-    }
 }
 
 /// Partitions a cube into `count` sub-cubes of (nearly) equal row counts.
@@ -172,15 +164,6 @@ pub fn partition_views(cube: &Arc<HyperCube>, count: usize) -> Result<Vec<CubeVi
         .iter()
         .map(|spec| spec.view(cube))
         .collect()
-}
-
-/// Convenience: partition according to a [`GranularityPolicy`].
-pub fn partition_for_workers(
-    dims: CubeDims,
-    workers: usize,
-    policy: GranularityPolicy,
-) -> Result<Vec<SubCubeSpec>> {
-    partition_rows(dims, policy.sub_cube_count(workers))
 }
 
 #[cfg(test)]
@@ -256,7 +239,7 @@ mod tests {
         for spec in &specs {
             let sub = spec.extract(&cube).unwrap();
             assert_eq!(sub.data.height(), spec.rows);
-            sub.blit_into(&mut rebuilt).unwrap();
+            rebuilt.blit(0, spec.row_start, &sub.data).unwrap();
         }
         assert_eq!(rebuilt, cube);
     }
@@ -290,14 +273,6 @@ mod tests {
         assert!(spec.view(&other).is_err());
         let narrow = Arc::new(HyperCube::zeros(CubeDims::new(3, 4, 3)));
         assert!(spec.view(&narrow).is_err());
-    }
-
-    #[test]
-    fn partition_for_workers_matches_policy() {
-        let dims = CubeDims::new(64, 64, 8);
-        let specs =
-            partition_for_workers(dims, 4, GranularityPolicy::PerWorkerMultiple(2)).unwrap();
-        assert_eq!(specs.len(), 8);
     }
 
     #[test]

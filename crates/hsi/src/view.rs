@@ -51,7 +51,7 @@ pub(crate) fn charge_cloned_bytes(bytes: usize) {
 }
 
 /// Total sub-cube payload bytes deep-copied by this process so far.
-pub fn cloned_bytes_total() -> u64 {
+pub(crate) fn cloned_bytes_total() -> u64 {
     CLONE_LEDGER.load(Ordering::Relaxed)
 }
 
@@ -73,7 +73,7 @@ pub fn charge_assembled_bytes(bytes: usize) {
 }
 
 /// Total payload bytes assembled in place by this process so far.
-pub fn assembled_bytes_total() -> u64 {
+pub(crate) fn assembled_bytes_total() -> u64 {
     ASSEMBLY_LEDGER.load(Ordering::Relaxed)
 }
 

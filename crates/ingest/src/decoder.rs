@@ -52,7 +52,7 @@ impl StreamDecoder {
     }
 
     /// Samples decoded and placed so far.
-    pub fn samples_filled(&self) -> usize {
+    pub(crate) fn samples_filled(&self) -> usize {
         self.filled
     }
 

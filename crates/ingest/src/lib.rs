@@ -25,21 +25,21 @@
 //!   ever reaches admission.
 //! * [`IngestPump`] — drives sources → decoder → store →
 //!   [`service::FusionService::submit`] through the builder/handle API.
-//!   Load shedding is the service's admission plane: the
-//!   [`SheddingPolicy`] is a thin adapter over
-//!   [`service::PressurePolicy`], fed by a [`service::PressureGauge`]
-//!   over the [`service::ServiceEvent`] stream — queue-depth and
-//!   in-flight-bytes watermarks reject or down-prioritize arrivals
-//!   instead of blocking, jobs are attributed to the configured
-//!   [`service::TenantId`] as [`service::JobClass::Bulk`], and every
-//!   decision (with its [`service::RetryAfter`] hint) is surfaced in the
-//!   [`IngestReport`] and per-source counters.
+//!   It never blocks on the service: the [`SheddingPolicy`]'s one
+//!   watermark sheds an arrival while the pump's own submitted, not yet
+//!   terminal jobs hold too many payload bytes (counted from the
+//!   [`service::ServiceEvent`] stream), and a submission the service
+//!   refuses as saturated is shed too.  Jobs are attributed to the
+//!   configured [`service::TenantId`], and every shed (with its
+//!   [`service::RetryAfter`] hint) is surfaced in the [`IngestReport`] and
+//!   per-source counters.
 //!
 //! Admitted cubes keep the service's determinism contract: each fused
 //! output is byte-identical to `pct::SequentialPct` on the same cube.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 pub mod decoder;
 pub mod pump;

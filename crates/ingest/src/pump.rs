@@ -4,25 +4,20 @@
 //! The pump pulls [`crate::SourceEvent`]s from its sources, assembles each
 //! arrival with a [`crate::StreamDecoder`], interns the result in the
 //! [`CubeStore`] (dedup happens *before* admission, so a repeated scene is
-//! an `Arc` bump even when it is later shed), and then consults the
-//! service's admission plane.  The [`SheddingPolicy`] is a thin adapter
-//! over [`service::PressurePolicy`] — the same tiered downgrade → shed
-//! ladder the service itself applies — and its view of the service is a
-//! [`service::PressureGauge`] fed entirely by the subscribed
-//! [`service::ServiceEvent`] stream: a submission enters the *queued* set, an
-//! `Admitted` event moves it to *running*, a `Terminal` event retires it
-//! and releases its bytes.  Arrivals beyond a hard watermark are **shed**
-//! (dropped, counted with a [`RetryAfter`] hint, never blocking the
-//! source), arrivals beyond the soft watermark are **down-prioritized** to
-//! [`Priority::Low`] — production back-pressure behaviour instead of an
-//! unbounded mirror of the admission queue.
+//! an `Arc` bump even when it is later shed), and then submits it without
+//! blocking.  The [`SheddingPolicy`] has one watermark, on the payload
+//! bytes of the pump's submitted, not yet terminal jobs.  The pump counts
+//! those bytes itself, from its subscription to the
+//! [`service::ServiceEvent`] stream: a submission adds its bytes, its
+//! `Terminal` event releases them.  An arrival at or past the watermark is
+//! **shed** (dropped and counted with a [`RetryAfter`] hint, never blocking
+//! the source).
 //!
-//! The watermarks govern ingest-originated load: jobs submitted by other
-//! clients of the same service are not counted (they are invisible to the
-//! gauge even though their events arrive; only tracked job ids move the
-//! state).  Whatever the service's own admission plane refuses —
-//! saturation, a shed watermark of its own, or the ingest tenant's quota —
-//! comes back as a typed error the pump folds into the same shed
+//! The watermark governs ingest-originated load: jobs submitted by other
+//! clients of the same service are not counted (their events arrive, but
+//! only the pump's own job ids move the count).  A submission the service
+//! refuses because its queue is full comes back as
+//! [`ServiceError::Saturated`], which the pump folds into the same shed
 //! accounting.
 
 use crate::report::{IngestReport, ShedReason};
@@ -32,72 +27,70 @@ use crate::{Result, StreamDecoder};
 use hsi::{CloneLedger, HyperCube};
 use pct::PctConfig;
 use service::{
-    CubeSource as JobCubeSource, EventSubscriber, FusionService, JobClass, JobHandle, JobOutcome,
-    JobSpec, JobStatus, PressureDecision, PressureGauge, PressurePolicy, Priority, RetryAfter,
-    Route, ServiceError, TenantId,
+    CubeSource as JobCubeSource, EventSubscriber, FusionService, JobHandle, JobId, JobOutcome,
+    JobSpec, JobStatus, Priority, RetryAfter, Route, ServiceError, ServiceEvent, TenantId,
+    RETRY_AFTER,
 };
+use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant, SystemTime};
 use telemetry::{SpanId, Telemetry};
 
-/// Watermarks deciding when arrivals are shed or down-prioritized instead
-/// of submitted at the configured priority.  `usize::MAX` (the default)
-/// disables a watermark.
-///
-/// This is a thin adapter over the service's [`PressurePolicy`]
-/// ([`SheddingPolicy::plane`]): the pump keeps no watermark arithmetic of
-/// its own, it feeds the shared ladder with an event-fed
-/// [`PressureGauge`].
+/// The watermark deciding when arrivals are shed instead of submitted.
+/// `usize::MAX` (the default) disables it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SheddingPolicy {
-    /// Hard watermark on the number of ingest jobs submitted but not yet
-    /// admitted by the scheduler: at or above it, arrivals are shed with
-    /// [`ShedReason::QueueDepth`].
-    pub max_queue_depth: usize,
-    /// Hard watermark on the payload bytes of ingest jobs submitted but
+    /// Watermark on the payload bytes of ingest jobs submitted but
     /// not yet terminal: at or above it, arrivals are shed with
     /// [`ShedReason::InFlightBytes`].
     pub max_in_flight_bytes: usize,
-    /// Soft watermark on queue depth: at or above it (but below the hard
-    /// watermarks), arrivals are admitted at [`Priority::Low`].
-    pub downgrade_queue_depth: usize,
 }
 
 impl SheddingPolicy {
-    /// No watermarks: every decodable arrival is submitted.
+    /// No watermark: every decodable arrival is submitted.
     pub fn unbounded() -> Self {
         Self {
-            max_queue_depth: usize::MAX,
             max_in_flight_bytes: usize::MAX,
-            downgrade_queue_depth: usize::MAX,
         }
     }
 
-    /// Sets the hard in-flight-bytes watermark.
+    /// Sets the in-flight-bytes watermark.
     pub fn with_max_in_flight_bytes(mut self, bytes: usize) -> Self {
         self.max_in_flight_bytes = bytes;
         self
-    }
-
-    /// Sets the soft down-prioritization watermark.
-    pub fn with_downgrade_queue_depth(mut self, depth: usize) -> Self {
-        self.downgrade_queue_depth = depth;
-        self
-    }
-
-    /// The service-side pressure ladder these watermarks adapt to: every
-    /// pump decision is a [`PressurePolicy::decide`] call on this value.
-    pub fn plane(&self) -> PressurePolicy {
-        PressurePolicy::unbounded()
-            .with_downgrade_queue_depth(self.downgrade_queue_depth)
-            .with_shed_queue_depth(self.max_queue_depth)
-            .with_shed_in_flight_bytes(self.max_in_flight_bytes)
     }
 }
 
 impl Default for SheddingPolicy {
     fn default() -> Self {
         Self::unbounded()
+    }
+}
+
+/// Payload bytes of the pump's own submitted, not yet terminal jobs, fed
+/// by its event subscription: events of other clients' jobs fall through
+/// untouched.
+#[derive(Debug, Default)]
+struct ByteGauge {
+    jobs: HashMap<JobId, usize>,
+    bytes: usize,
+}
+
+impl ByteGauge {
+    /// Records one accepted submission.
+    fn on_submit(&mut self, job: JobId, bytes: usize) {
+        self.jobs.insert(job, bytes);
+        self.bytes += bytes;
+    }
+
+    /// Applies one service event; only a tracked job's `Terminal` moves the
+    /// count.
+    fn observe(&mut self, event: &ServiceEvent) {
+        if let ServiceEvent::Terminal { job, .. } = event {
+            if let Some(bytes) = self.jobs.remove(job) {
+                self.bytes -= bytes;
+            }
+        }
     }
 }
 
@@ -140,18 +133,12 @@ impl ActiveDecode {
 pub struct IngestConfig {
     /// The shedding watermarks.
     pub shedding: SheddingPolicy,
-    /// The tenant submitted jobs are attributed to (fair-share weight and
-    /// quota come from the service's [`service::AdmissionConfig`]).
+    /// The tenant submitted jobs are attributed to (its fair-share weight
+    /// comes from [`service::ServiceConfig::tenant_quotas`]).
     pub tenant: TenantId,
-    /// The admission class of submitted jobs.  Defaults to
-    /// [`JobClass::Bulk`]: streaming arrivals are degradable *and*
-    /// sheddable, so the service-side ladder treats them exactly as the
-    /// pump's own watermarks do.
-    pub class: JobClass,
     /// Route of submitted jobs (pinned lane or [`Route::Auto`]).
     pub route: Route,
-    /// Priority of submitted jobs (downgraded to [`Priority::Low`] past the
-    /// soft watermark).
+    /// Priority of submitted jobs.
     pub priority: Priority,
     /// Shard count of submitted jobs.
     pub shards: usize,
@@ -168,7 +155,6 @@ impl Default for IngestConfig {
         Self {
             shedding: SheddingPolicy::unbounded(),
             tenant: TenantId::default(),
-            class: JobClass::Bulk,
             route: Route::Auto,
             priority: Priority::Normal,
             shards: 4,
@@ -189,8 +175,6 @@ pub struct IngestedJob {
     /// The store-resident cube the job fused (shared storage — equal
     /// content means `Arc`-equal cubes).
     pub cube: Arc<HyperCube>,
-    /// The effective priority it was submitted at.
-    pub priority: Priority,
     /// The job's typed terminal outcome.
     pub outcome: JobOutcome,
 }
@@ -206,7 +190,7 @@ pub struct ShedCube {
     pub reason: ShedReason,
     /// Its payload size.
     pub bytes: usize,
-    /// The machine-readable back-off hint the admission plane attached.
+    /// The machine-readable back-off hint.
     pub retry_after: RetryAfter,
 }
 
@@ -279,8 +263,8 @@ impl<'a> IngestPump<'a> {
             ..IngestReport::default()
         };
         let ingest_span = self.telemetry.span_start("ingest", None, None, "");
-        let mut gauge = PressureGauge::new();
-        let mut pending: Vec<(String, String, Arc<HyperCube>, Priority, JobHandle)> = Vec::new();
+        let mut gauge = ByteGauge::default();
+        let mut pending: Vec<(String, String, Arc<HyperCube>, JobHandle)> = Vec::new();
         let mut shed = Vec::new();
 
         for source in sources.iter_mut() {
@@ -380,7 +364,7 @@ impl<'a> IngestPump<'a> {
 
         // Resolve every admitted job's terminal outcome.
         let mut jobs = Vec::with_capacity(pending.len());
-        for (source, tag, cube, priority, mut handle) in pending {
+        for (source, tag, cube, mut handle) in pending {
             let outcome = handle.wait()?;
             match outcome.status() {
                 JobStatus::Completed => report.jobs_completed += 1,
@@ -393,7 +377,6 @@ impl<'a> IngestPump<'a> {
                 source,
                 tag,
                 cube,
-                priority,
                 outcome,
             });
         }
@@ -412,17 +395,17 @@ impl<'a> IngestPump<'a> {
         })
     }
 
-    /// Applies the admission-plane decision for one decoded arrival and
-    /// submits it if admitted.
+    /// Applies the watermark to one decoded arrival and submits it if it
+    /// is under.
     #[allow(clippy::too_many_arguments)]
     fn admit(
         &mut self,
         source: &str,
         tag: String,
         cube: Arc<HyperCube>,
-        gauge: &mut PressureGauge,
+        gauge: &mut ByteGauge,
         report: &mut IngestReport,
-        pending: &mut Vec<(String, String, Arc<HyperCube>, Priority, JobHandle)>,
+        pending: &mut Vec<(String, String, Arc<HyperCube>, JobHandle)>,
         shed: &mut Vec<ShedCube>,
     ) -> Result<()> {
         // Fold in everything the service reported since the last arrival.
@@ -430,64 +413,33 @@ impl<'a> IngestPump<'a> {
             gauge.observe(&event);
         }
         let counters = report.sources.get_mut(source).expect("entry inserted");
-        let plane = self.config.shedding.plane();
         let bytes = cube.byte_size();
-        let downgraded = match plane.decide(gauge.load(), self.config.class) {
-            PressureDecision::Shed { reason } => {
-                counters.record_shed(reason);
-                self.telemetry
-                    .count("ingest_cubes_shed_total", &[("reason", reason.label())]);
-                shed.push(ShedCube {
-                    source: source.to_string(),
-                    tag,
-                    reason,
-                    bytes,
-                    retry_after: plane.retry_hint(),
-                });
-                return Ok(());
-            }
-            PressureDecision::Admit { downgrade } => downgrade,
-        };
-        let priority = if downgraded {
-            Priority::Low
+        let refusal = if gauge.bytes >= self.config.shedding.max_in_flight_bytes {
+            (ShedReason::InFlightBytes, RETRY_AFTER)
         } else {
-            self.config.priority
-        };
-        let mut builder = JobSpec::builder(JobCubeSource::InMemory(Arc::clone(&cube)))
-            .route(self.config.route)
-            .priority(priority)
-            .tenant(self.config.tenant)
-            .class(self.config.class)
-            .shards(self.config.shards)
-            .config(self.config.pct);
-        if let Some(timeout) = self.config.timeout {
-            builder = builder.timeout(timeout);
-        }
-        let spec = builder.build().map_err(ServiceError::from)?;
-        // The service's own admission plane may still refuse: saturation,
-        // a service-side watermark, or the ingest tenant's quota.  Each
-        // refusal carries a typed reason and retry hint the shed
-        // accounting preserves.
-        let refusal = match self.service.try_submit(spec) {
-            Ok(handle) => {
-                counters.cubes_admitted += 1;
-                self.telemetry.count("ingest_cubes_admitted_total", &[]);
-                if downgraded {
-                    counters.cubes_downgraded += 1;
+            let mut builder = JobSpec::builder(JobCubeSource::InMemory(Arc::clone(&cube)))
+                .route(self.config.route)
+                .priority(self.config.priority)
+                .tenant(self.config.tenant)
+                .shards(self.config.shards)
+                .config(self.config.pct);
+            if let Some(timeout) = self.config.timeout {
+                builder = builder.timeout(timeout);
+            }
+            let spec = builder.build().map_err(ServiceError::from)?;
+            match self.service.try_submit(spec) {
+                Ok(handle) => {
+                    counters.cubes_admitted += 1;
+                    self.telemetry.count("ingest_cubes_admitted_total", &[]);
+                    gauge.on_submit(handle.id(), bytes);
+                    pending.push((source.to_string(), tag, cube, handle));
+                    return Ok(());
                 }
-                gauge.on_submit(handle.id(), bytes);
-                pending.push((source.to_string(), tag, cube, priority, handle));
-                return Ok(());
+                Err(ServiceError::Saturated { retry_after }) => {
+                    (ShedReason::Saturated, retry_after)
+                }
+                Err(e) => return Err(e.into()),
             }
-            Err(ServiceError::Saturated { retry_after }) => (ShedReason::Saturated, retry_after),
-            Err(ServiceError::Shed {
-                reason,
-                retry_after,
-            }) => (reason, retry_after),
-            Err(ServiceError::QuotaExceeded { retry_after, .. }) => {
-                (ShedReason::Quota, retry_after)
-            }
-            Err(e) => return Err(e.into()),
         };
         let (reason, retry_after) = refusal;
         counters.record_shed(reason);
@@ -622,65 +574,30 @@ mod tests {
     }
 
     #[test]
-    fn downgrade_watermark_lowers_priority_without_shedding() {
-        let service = FusionService::start(
-            ServiceConfig::builder()
-                .standard_workers(1)
-                .replica_groups(0)
-                .shared_memory_executors(0)
-                .queue_capacity(16)
-                .max_in_flight(1)
-                .build()
-                .unwrap(),
-        )
-        .unwrap();
-        // A blocker submitted *outside* the pump occupies the only in-flight
-        // slot before ingestion starts, so every pump submission stays
-        // queued deterministically (the pump only tracks its own jobs).
-        let blocker_cube = Arc::new(
-            hsi::SceneGenerator::new(scene(80, 64, 32))
-                .unwrap()
-                .generate(),
-        );
-        let mut blocker = service
-            .submit(
-                JobSpec::builder(JobCubeSource::InMemory(blocker_cube))
-                    .route(Route::Pinned(BackendKind::Standard))
-                    .shards(2)
-                    .build()
-                    .unwrap(),
-            )
-            .unwrap();
-        while blocker.status().unwrap() == JobStatus::Queued {
-            std::thread::sleep(Duration::from_millis(2));
-        }
-
-        let arrivals = (0..4u64)
-            .map(|i| (format!("late-{i}"), scene(90 + i, 10, 5), Interleave::Bsq))
-            .collect();
-        let source = SyntheticSource::new("soft", arrivals, 8192);
-        // Soft watermark only: once two ingest jobs sit in the queue,
-        // later arrivals are admitted at Low priority.
-        let config = IngestConfig {
-            shedding: SheddingPolicy::unbounded().with_downgrade_queue_depth(2),
-            route: Route::Pinned(BackendKind::Standard),
-            priority: Priority::High,
-            shards: 2,
-            ..IngestConfig::default()
+    fn byte_gauge_tracks_only_its_own_jobs() {
+        use service::BackendKind;
+        let mut gauge = ByteGauge::default();
+        gauge.on_submit(1, 100);
+        gauge.on_submit(2, 50);
+        assert_eq!(gauge.bytes, 150);
+        let terminal = |job, route| ServiceEvent::Terminal {
+            job,
+            tenant: TenantId::default(),
+            status: JobStatus::Completed,
+            route,
         };
-        let run = IngestPump::new(&service, config)
-            .run(vec![Box::new(source)])
-            .unwrap();
-        assert!(matches!(blocker.wait().unwrap(), JobOutcome::Completed(_)));
-        service.shutdown();
-
-        let totals = run.report.totals();
-        assert_eq!(totals.cubes_admitted, 4, "soft watermark never sheds");
-        assert_eq!(totals.cubes_downgraded, 2, "arrivals at queue depth >= 2");
-        assert_eq!(run.jobs[0].priority, Priority::High);
-        assert_eq!(run.jobs[1].priority, Priority::High);
-        assert_eq!(run.jobs[2].priority, Priority::Low);
-        assert_eq!(run.jobs[3].priority, Priority::Low);
-        assert_eq!(run.report.jobs_completed, 4);
+        // A foreign job's events fall through untouched.
+        gauge.observe(&terminal(99, None));
+        assert_eq!(gauge.bytes, 150);
+        // Admission moves nothing; terminal releases the bytes.
+        gauge.observe(&ServiceEvent::Admitted {
+            job: 1,
+            tenant: TenantId::default(),
+            route: BackendKind::Standard,
+            auto: true,
+        });
+        assert_eq!(gauge.bytes, 150);
+        gauge.observe(&terminal(1, Some(BackendKind::Standard)));
+        assert_eq!(gauge.bytes, 50);
     }
 }

@@ -6,10 +6,26 @@ use service::TenantId;
 use std::collections::BTreeMap;
 use std::time::{Duration, SystemTime};
 
-// The shed taxonomy is the admission plane's: one enum shared by the
-// service's typed errors/events and the pump's counters, so a
-// `ServiceError::Shed` maps onto an ingest counter without translation.
-pub use service::ShedReason;
+/// Why the pump shed an arrival instead of submitting it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub enum ShedReason {
+    /// The payload bytes of the pump's submitted, not yet terminal jobs
+    /// were at or above [`crate::SheddingPolicy::max_in_flight_bytes`].
+    InFlightBytes,
+    /// The service refused the submission because its admission queue was
+    /// full ([`service::ServiceError::Saturated`]).
+    Saturated,
+}
+
+impl ShedReason {
+    /// A short label for reports and metric labels.
+    pub fn label(&self) -> &'static str {
+        match self {
+            ShedReason::InFlightBytes => "in-flight-bytes",
+            ShedReason::Saturated => "saturated",
+        }
+    }
+}
 
 /// Counters for one source.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -18,14 +34,8 @@ pub struct SourceCounters {
     pub cubes_seen: u64,
     /// Arrivals submitted to the service.
     pub cubes_admitted: u64,
-    /// Of the admitted, arrivals down-prioritized by the soft watermark.
-    pub cubes_downgraded: u64,
-    /// Arrivals shed at the queue-depth watermark.
-    pub shed_queue_depth: u64,
     /// Arrivals shed at the in-flight-bytes watermark.
     pub shed_in_flight_bytes: u64,
-    /// Arrivals bounced off the ingest tenant's queued-job quota.
-    pub shed_quota: u64,
     /// Arrivals shed by service admission backpressure.
     pub shed_saturated: u64,
     /// Payload chunks decoded.
@@ -44,15 +54,13 @@ pub struct SourceCounters {
 impl SourceCounters {
     /// Arrivals shed for any reason.
     pub fn cubes_shed(&self) -> u64 {
-        self.shed_queue_depth + self.shed_in_flight_bytes + self.shed_quota + self.shed_saturated
+        self.shed_in_flight_bytes + self.shed_saturated
     }
 
     /// Records a shed under its reason.
     pub(crate) fn record_shed(&mut self, reason: ShedReason) {
         match reason {
-            ShedReason::QueueDepth => self.shed_queue_depth += 1,
             ShedReason::InFlightBytes => self.shed_in_flight_bytes += 1,
-            ShedReason::Quota => self.shed_quota += 1,
             ShedReason::Saturated => self.shed_saturated += 1,
         }
     }
@@ -61,10 +69,7 @@ impl SourceCounters {
     fn add(&mut self, other: &SourceCounters) {
         self.cubes_seen += other.cubes_seen;
         self.cubes_admitted += other.cubes_admitted;
-        self.cubes_downgraded += other.cubes_downgraded;
-        self.shed_queue_depth += other.shed_queue_depth;
         self.shed_in_flight_bytes += other.shed_in_flight_bytes;
-        self.shed_quota += other.shed_quota;
         self.shed_saturated += other.shed_saturated;
         self.chunks += other.chunks;
         self.bytes_assembled += other.bytes_assembled;
@@ -124,15 +129,12 @@ impl IngestReport {
         out.push_str(&format!("ingest report (tenant {})\n", self.tenant.label()));
         for (name, c) in &self.sources {
             out.push_str(&format!(
-                "  source {name}: {} seen, {} admitted ({} downgraded), {} shed \
-                 ({} queue-depth, {} in-flight-bytes, {} quota, {} saturated), {} decode errors\n",
+                "  source {name}: {} seen, {} admitted, {} shed \
+                 ({} in-flight-bytes, {} saturated), {} decode errors\n",
                 c.cubes_seen,
                 c.cubes_admitted,
-                c.cubes_downgraded,
                 c.cubes_shed(),
-                c.shed_queue_depth,
                 c.shed_in_flight_bytes,
-                c.shed_quota,
                 c.shed_saturated,
                 c.decode_errors,
             ));
@@ -179,7 +181,7 @@ mod tests {
         let a = report.sources.entry("a".into()).or_default();
         a.cubes_seen = 3;
         a.cubes_admitted = 2;
-        a.record_shed(ShedReason::QueueDepth);
+        a.record_shed(ShedReason::InFlightBytes);
         a.store_misses = 2;
         let b = report.sources.entry("b".into()).or_default();
         b.cubes_seen = 2;
@@ -216,16 +218,14 @@ mod tests {
 
     #[test]
     fn shed_reasons_label_and_count() {
-        assert_eq!(ShedReason::QueueDepth.label(), "queue-depth");
         assert_eq!(ShedReason::InFlightBytes.label(), "in-flight-bytes");
-        assert_eq!(ShedReason::Quota.label(), "quota");
         assert_eq!(ShedReason::Saturated.label(), "saturated");
         let mut c = SourceCounters::default();
         c.record_shed(ShedReason::InFlightBytes);
         c.record_shed(ShedReason::InFlightBytes);
-        c.record_shed(ShedReason::Quota);
+        c.record_shed(ShedReason::Saturated);
         assert_eq!(c.cubes_shed(), 3);
         assert_eq!(c.shed_in_flight_bytes, 2);
-        assert_eq!(c.shed_quota, 1);
+        assert_eq!(c.shed_saturated, 1);
     }
 }

@@ -17,7 +17,7 @@ use std::io::Read;
 use std::path::{Path, PathBuf};
 
 /// Default payload chunk size of the shipped sources (64 KiB).
-pub const DEFAULT_CHUNK_BYTES: usize = 64 * 1024;
+const DEFAULT_CHUNK_BYTES: usize = 64 * 1024;
 
 /// One event of a cube arrival stream.
 #[derive(Debug)]

@@ -172,7 +172,7 @@ impl CubeStore {
     }
 
     /// Payload bytes currently resident.
-    pub fn resident_bytes(&self) -> usize {
+    pub(crate) fn resident_bytes(&self) -> usize {
         self.resident_bytes
     }
 
@@ -192,7 +192,7 @@ impl CubeStore {
     }
 
     /// Entries evicted to hold the byte bound.
-    pub fn evictions(&self) -> u64 {
+    pub(crate) fn evictions(&self) -> u64 {
         self.evictions
     }
 

@@ -65,7 +65,6 @@ enum Op<M> {
 pub struct ActorContext<M> {
     now: SimTime,
     self_id: ActorId,
-    self_node: NodeId,
     ops: Vec<Op<M>>,
 }
 
@@ -78,11 +77,6 @@ impl<M> ActorContext<M> {
     /// This actor's identifier.
     pub fn self_id(&self) -> ActorId {
         self.self_id
-    }
-
-    /// The node this actor runs on.
-    pub fn self_node(&self) -> NodeId {
-        self.self_node
     }
 
     /// Sends `msg` to another actor.  `bytes` is the payload size used by the
@@ -314,7 +308,6 @@ impl<M> ClusterSim<M> {
         let mut ctx = ActorContext {
             now: self.now,
             self_id: actor_id,
-            self_node: node,
             ops: Vec::new(),
         };
         callback(actor.as_mut(), &mut ctx);

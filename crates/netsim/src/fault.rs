@@ -33,12 +33,6 @@ impl FaultPlan {
         }
     }
 
-    /// Adds a failure to the plan (builder style).
-    pub fn and_kill(mut self, node: NodeId, time: SimTime) -> Self {
-        self.failures.push((time, node));
-        self
-    }
-
     /// Number of scheduled failures.
     pub fn len(&self) -> usize {
         self.failures.len()
@@ -71,13 +65,5 @@ mod tests {
         let p = FaultPlan::kill_at(NodeId(3), SimTime::from_secs_f64(2.0));
         assert_eq!(p.len(), 1);
         assert_eq!(p.failures()[0], (SimTime::from_secs_f64(2.0), NodeId(3)));
-    }
-
-    #[test]
-    fn builder_accumulates_failures() {
-        let p = FaultPlan::none()
-            .and_kill(NodeId(1), SimTime::from_secs_f64(1.0))
-            .and_kill(NodeId(2), SimTime::from_secs_f64(2.0));
-        assert_eq!(p.len(), 2);
     }
 }

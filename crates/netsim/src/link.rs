@@ -69,7 +69,7 @@ impl NetworkModel {
     }
 
     /// Time the payload occupies a NIC (serialisation time).
-    pub fn serialization_time(&self, bytes: u64) -> Duration {
+    pub(crate) fn serialization_time(&self, bytes: u64) -> Duration {
         if !self.bandwidth_bps.is_finite() || self.bandwidth_bps <= 0.0 {
             return Duration::ZERO;
         }
@@ -77,14 +77,8 @@ impl NetworkModel {
     }
 
     /// Total sender-side occupancy for one message (overhead + serialisation).
-    pub fn sender_occupancy(&self, bytes: u64) -> Duration {
+    pub(crate) fn sender_occupancy(&self, bytes: u64) -> Duration {
         self.per_message_overhead + self.serialization_time(bytes)
-    }
-
-    /// End-to-end delivery time for one message on an otherwise idle path:
-    /// sender occupancy, propagation, and receiver-side serialisation.
-    pub fn point_to_point_time(&self, bytes: u64) -> Duration {
-        self.sender_occupancy(bytes) + self.latency + self.serialization_time(bytes)
     }
 }
 
@@ -97,6 +91,13 @@ impl Default for NetworkModel {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// End-to-end delivery time for one message on an otherwise idle path,
+    /// as the cluster charges it: sender occupancy, propagation, and
+    /// receiver-side serialisation.
+    fn point_to_point_time(net: &NetworkModel, bytes: u64) -> Duration {
+        net.sender_occupancy(bytes) + net.latency + net.serialization_time(bytes)
+    }
 
     #[test]
     fn serialization_time_scales_with_bytes() {
@@ -111,7 +112,7 @@ mod tests {
     #[test]
     fn ideal_network_is_free() {
         let net = NetworkModel::ideal();
-        assert_eq!(net.point_to_point_time(10_000_000), Duration::ZERO);
+        assert_eq!(point_to_point_time(&net, 10_000_000), Duration::ZERO);
     }
 
     #[test]
@@ -121,7 +122,7 @@ mod tests {
             latency: Duration::from_micros(100),
             per_message_overhead: Duration::from_micros(50),
         };
-        let t = net.point_to_point_time(1000);
+        let t = point_to_point_time(&net, 1000);
         // 50us overhead + 1000us tx + 100us latency + 1000us rx = 2150us.
         assert_eq!(t, Duration::from_micros(2150));
     }
@@ -130,7 +131,7 @@ mod tests {
     fn paper_lan_pays_more_per_message_than_raw_fast_ethernet() {
         let raw = NetworkModel::fast_ethernet_100baset();
         let paper = NetworkModel::paper_lan();
-        assert!(paper.point_to_point_time(1000) > raw.point_to_point_time(1000));
+        assert!(point_to_point_time(&paper, 1000) > point_to_point_time(&raw, 1000));
         // The effective stack throughput is below the raw link rate.
         assert!(paper.serialization_time(1_000_000) > raw.serialization_time(1_000_000));
     }
@@ -138,7 +139,7 @@ mod tests {
     #[test]
     fn zero_byte_message_still_pays_overhead_and_latency() {
         let net = NetworkModel::fast_ethernet_100baset();
-        let t = net.point_to_point_time(0);
+        let t = point_to_point_time(&net, 0);
         assert_eq!(t, Duration::from_micros(600));
     }
 }

@@ -64,7 +64,7 @@ pub(crate) struct NodeState {
 }
 
 impl NodeState {
-    pub fn new(spec: NodeSpec) -> Self {
+    pub(crate) fn new(spec: NodeSpec) -> Self {
         Self {
             spec,
             cpu_free_at: SimTime::ZERO,
@@ -79,7 +79,7 @@ impl NodeState {
 
     /// Reserves the CPU for `reference_work` seconds of reference-speed work
     /// starting no earlier than `now`; returns the completion time.
-    pub fn reserve_cpu(&mut self, now: SimTime, reference_work: Duration) -> SimTime {
+    pub(crate) fn reserve_cpu(&mut self, now: SimTime, reference_work: Duration) -> SimTime {
         let scaled = if self.spec.speed > 0.0 {
             reference_work.mul_f64(1.0 / self.spec.speed)
         } else {
@@ -94,7 +94,7 @@ impl NodeState {
 
     /// Reserves the transmit side of the NIC for `occupancy` starting no
     /// earlier than `now`; returns the time transmission finishes.
-    pub fn reserve_tx(&mut self, now: SimTime, occupancy: Duration, bytes: u64) -> SimTime {
+    pub(crate) fn reserve_tx(&mut self, now: SimTime, occupancy: Duration, bytes: u64) -> SimTime {
         let start = self.tx_free_at.max(now);
         let done = start + occupancy;
         self.tx_free_at = done;
@@ -103,7 +103,7 @@ impl NodeState {
     }
 
     /// Reserves the receive side of the NIC.
-    pub fn reserve_rx(&mut self, now: SimTime, occupancy: Duration, bytes: u64) -> SimTime {
+    pub(crate) fn reserve_rx(&mut self, now: SimTime, occupancy: Duration, bytes: u64) -> SimTime {
         let start = self.rx_free_at.max(now);
         let done = start + occupancy;
         self.rx_free_at = done;

@@ -33,31 +33,6 @@ impl SimMetrics {
             ..Self::default()
         }
     }
-
-    /// Total CPU busy time across all nodes.
-    pub fn total_busy(&self) -> Duration {
-        self.per_node_busy
-            .iter()
-            .fold(Duration::ZERO, |acc, &d| acc + d)
-    }
-
-    /// Average CPU utilisation over the run: total busy time divided by
-    /// `nodes * makespan`.  Returns 0 when the makespan is zero.
-    pub fn average_utilization(&self, makespan: Duration) -> f64 {
-        let nodes = self.per_node_busy.len();
-        if nodes == 0 || makespan == Duration::ZERO {
-            return 0.0;
-        }
-        self.total_busy().as_secs_f64() / (nodes as f64 * makespan.as_secs_f64())
-    }
-
-    /// Fraction of attempted messages that were delivered.
-    pub fn delivery_ratio(&self) -> f64 {
-        if self.messages_sent == 0 {
-            return 1.0;
-        }
-        self.messages_delivered as f64 / self.messages_sent as f64
-    }
 }
 
 #[cfg(test)]
@@ -67,32 +42,8 @@ mod tests {
     #[test]
     fn new_metrics_are_zeroed() {
         let m = SimMetrics::new(4);
-        assert_eq!(m.per_node_busy.len(), 4);
-        assert_eq!(m.total_busy(), Duration::ZERO);
-        assert_eq!(m.delivery_ratio(), 1.0);
-    }
-
-    #[test]
-    fn utilization_is_busy_over_capacity() {
-        let mut m = SimMetrics::new(2);
-        m.per_node_busy[0] = Duration::from_secs(6);
-        m.per_node_busy[1] = Duration::from_secs(2);
-        let util = m.average_utilization(Duration::from_secs(8));
-        assert!((util - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn utilization_of_zero_makespan_is_zero() {
-        let m = SimMetrics::new(2);
-        assert_eq!(m.average_utilization(Duration::ZERO), 0.0);
-    }
-
-    #[test]
-    fn delivery_ratio_counts_drops() {
-        let mut m = SimMetrics::new(1);
-        m.messages_sent = 10;
-        m.messages_delivered = 9;
-        m.messages_dropped = 1;
-        assert!((m.delivery_ratio() - 0.9).abs() < 1e-12);
+        assert_eq!(m.per_node_busy, [Duration::ZERO; 4]);
+        assert_eq!(m.per_node_bytes_sent, [0; 4]);
+        assert_eq!((m.messages_sent, m.messages_delivered), (0, 0));
     }
 }

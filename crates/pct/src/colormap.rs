@@ -22,7 +22,6 @@
 //! PC1 drives luminance, PC2/PC3 drive hue — is preserved.
 
 use hsi::{HyperCube, RgbImage};
-use linalg::Matrix;
 
 /// The nine coefficients of the opponent-to-RGB matrix (rows produce R, G, B;
 /// columns consume the achromatic, red–green and blue–yellow components).
@@ -31,11 +30,6 @@ const OPPONENT: [[f64; 3]; 3] = [
     [0.4972, -0.1403, 0.0795],
     [0.1355, -0.0116, -0.4972],
 ];
-
-/// The 3×3 opponent-to-RGB matrix [`map_pixel`] applies.
-pub fn opponent_matrix() -> Matrix {
-    Matrix::from_rows(&OPPONENT.map(Vec::from)).expect("static 3x3 matrix is well formed")
-}
 
 /// Per-component affine rescaling parameters mapping a principal component
 /// into the 8-bit range.
@@ -48,23 +42,6 @@ pub struct ComponentScale {
 }
 
 impl ComponentScale {
-    /// Computes scales for the first `k` bands of a transformed cube.
-    pub fn from_cube(cube: &HyperCube, k: usize) -> Vec<ComponentScale> {
-        let k = k.min(cube.bands());
-        (0..k)
-            .map(|band| {
-                let mut min = f64::INFINITY;
-                let mut max = f64::NEG_INFINITY;
-                for pixel in cube.iter_pixels() {
-                    let v = pixel[band];
-                    min = min.min(v);
-                    max = max.max(v);
-                }
-                ComponentScale { min, max }
-            })
-            .collect()
-    }
-
     /// Derives scales from the per-component eigenvalues (variances): the
     /// component is mapped from `[-3.5 sigma, +3.5 sigma]` to `[0, 255]`.
     ///
@@ -100,7 +77,7 @@ impl ComponentScale {
     }
 
     /// Maps a raw component value into `[0, 255]`.
-    pub fn to_byte_range(&self, value: f64) -> f64 {
+    fn to_byte_range(self, value: f64) -> f64 {
         let range = self.max - self.min;
         if range <= 0.0 {
             return 128.0;
@@ -111,7 +88,7 @@ impl ComponentScale {
 
 /// Maps one pixel's first three (rescaled) principal components to RGB using
 /// the paper's centred opponent transform.
-pub fn map_pixel(components: [f64; 3]) -> [u8; 3] {
+fn map_pixel(components: [f64; 3]) -> [u8; 3] {
     let centred = [
         components[0] - 128.0,
         components[1] - 128.0,
@@ -164,11 +141,7 @@ mod tests {
 
     #[test]
     fn opponent_matrix_uses_papers_coefficients() {
-        let m = opponent_matrix();
-        let mut magnitudes: Vec<f64> = (0..3)
-            .flat_map(|r| (0..3).map(move |c| (r, c)))
-            .map(|(r, c)| m[(r, c)].abs())
-            .collect();
+        let mut magnitudes: Vec<f64> = OPPONENT.iter().flatten().map(|c| c.abs()).collect();
         magnitudes.sort_by(|a, b| a.partial_cmp(b).unwrap());
         let mut expected = vec![
             0.4387, 0.4972, 0.0641, 0.4972, 0.1403, 0.0795, 0.1355, 0.0116, 0.4972,
@@ -183,7 +156,6 @@ mod tests {
     fn map_pixel_equals_the_matrix_form() {
         // Every combination of the clamping corners, the centre, values that
         // round at .5 and a coarse grid between them.
-        let matrix = opponent_matrix();
         let mut values = vec![-40.0, 0.0, 0.5, 127.5, 128.0, 128.5, 254.5, 255.0, 300.0];
         values.extend((0..16).map(|i| i as f64 * 17.3));
         for &a in &values {
@@ -193,7 +165,7 @@ mod tests {
                     let expected: [u8; 3] = std::array::from_fn(|row| {
                         let mut acc = 0.0;
                         for (col, x) in centred.iter().enumerate() {
-                            acc += matrix[(row, col)] * x;
+                            acc += OPPONENT[row][col] * x;
                         }
                         (128.0 + acc).round().clamp(0.0, 255.0) as u8
                     });
@@ -263,7 +235,8 @@ mod tests {
                     .unwrap();
             }
         }
-        let scales = ComponentScale::from_cube(&cube, 3);
+        let scales =
+            [(0.0, 5.0), (0.0, 3.0), (0.0, 2.0)].map(|(min, max)| ComponentScale { min, max });
         let img = map_cube(&cube, &scales);
         assert_eq!((img.width(), img.height()), (4, 3));
         // Different pixels get different colours.
@@ -297,12 +270,5 @@ mod tests {
         let real = ComponentScale::from_eigenvalues(&[6e5, 1e-6, 2e-11], 3);
         assert!((real[1].max - 3.5e-3).abs() < 1e-12);
         assert_eq!(real[2].max, 0.0);
-    }
-
-    #[test]
-    fn scales_from_cube_cover_requested_components() {
-        let cube = HyperCube::zeros(CubeDims::new(2, 2, 5));
-        assert_eq!(ComponentScale::from_cube(&cube, 3).len(), 3);
-        assert_eq!(ComponentScale::from_cube(&cube, 9).len(), 5);
     }
 }

@@ -7,8 +7,8 @@
 //! and resilient variants produce the same transformation matrix given the
 //! same unique set.
 //!
-//! Step 7 lives here and nowhere else: [`project_pixels`] is the one loop
-//! behind [`transform_cube`], [`transform_view`] and the workers' transform
+//! Step 7 lives here and nowhere else: `project_pixels` is the one loop
+//! behind `transform_cube`, [`transform_view`] and the workers' transform
 //! task.  Its per-component sum order (ascending bands, from `0.0`, nothing
 //! fused) has been fixed since numerics version 2; what it is free to choose
 //! is how many such sums run side by side.
@@ -68,7 +68,7 @@ pub fn derive_transform(unique: &[Vector], config: &PctConfig) -> Result<Transfo
 /// view in the distributed protocol), every eigenvalue and the leading
 /// `config.output_components` eigenvectors, by
 /// [`linalg::eigen::leading_eigenpairs`].
-pub fn finalize_transform(
+pub(crate) fn finalize_transform(
     mean: Vector,
     covariance: &SymMatrix,
     config: &PctConfig,
@@ -100,7 +100,7 @@ const COMPONENT_BLOCK: usize = 3;
 /// `PIXEL_BLOCK` x `COMPONENT_BLOCK` independent sums, so no addition waits
 /// on its neighbour, and centres each sample once for all of them.  Panics
 /// if a pixel or a transform row is shorter than `mean`.
-pub fn project_pixels<'a>(
+pub(crate) fn project_pixels<'a>(
     mean: &[f64],
     transform: &Matrix,
     pixels: impl Iterator<Item = &'a [f64]>,
@@ -191,12 +191,12 @@ fn project_to_cube<'a>(
 
 /// Step 7 for a whole cube (or sub-cube): produces a cube whose "bands" are
 /// the leading principal components.
-pub fn transform_cube(spec: &TransformSpec, cube: &HyperCube) -> Result<HyperCube> {
+pub(crate) fn transform_cube(spec: &TransformSpec, cube: &HyperCube) -> Result<HyperCube> {
     project_to_cube(spec, cube.dims(), cube.iter_pixels())
 }
 
 /// Step 7 for a zero-copy sub-cube view: identical arithmetic to
-/// [`transform_cube`], reading pixels straight out of the shared storage.
+/// `transform_cube`, reading pixels straight out of the shared storage.
 /// The produced component cube is new data (it has different values, not a
 /// copy), so this is not a clone in the message-plane sense.
 pub fn transform_view(spec: &TransformSpec, view: &CubeView) -> Result<HyperCube> {

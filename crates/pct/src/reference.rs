@@ -33,7 +33,7 @@ pub fn naive_screen(pixels: &[Vector], threshold_rad: f64) -> Vec<Vector> {
 
 /// Step 7 for one pixel as the paper states it: centre and project onto the
 /// leading eigenvectors, one component after the other.
-/// [`crate::pipeline::project_pixels`] must match this bit-for-bit.
+/// `crate::pipeline::project_pixels` must match this bit-for-bit.
 pub fn transform_pixel(spec: &TransformSpec, pixel: &[f64]) -> Vec<f64> {
     let bands = spec.bands();
     debug_assert_eq!(pixel.len(), bands);

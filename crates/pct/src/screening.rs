@@ -142,8 +142,8 @@ impl AngleGuard {
 ///
 /// This is the screening engine shared by [`screen_pixels`],
 /// [`screen_pixels_seeded`], their slice-fed forms and
-/// [`merge_unique_sets`]; the service layer's exact screening chain drives
-/// it through [`screen_slices_seeded`].
+/// `merge_unique_sets`; the service layer's exact screening chain drives
+/// it through `screen_slices_seeded`.
 #[derive(Debug, Clone)]
 pub struct UniqueSet {
     guard: AngleGuard,
@@ -190,7 +190,7 @@ impl UniqueSet {
     }
 
     /// Consumes the set and returns its vectors in admission order.
-    pub fn into_vectors(self) -> Vec<Vector> {
+    fn into_vectors(self) -> Vec<Vector> {
         self.vectors
     }
 
@@ -245,7 +245,7 @@ pub fn screen_pixels(pixels: &[Vector], threshold_rad: f64) -> Vec<Vector> {
 
 /// [`screen_pixels`] over borrowed pixel slices (`CubeView::iter_pixels`):
 /// only the admitted pixels are copied.
-pub fn screen_slices<'a>(
+pub(crate) fn screen_slices<'a>(
     pixels: impl IntoIterator<Item = &'a [f64]>,
     threshold_rad: f64,
 ) -> Vec<Vector> {
@@ -269,7 +269,7 @@ pub fn screen_pixels_seeded(seed: &[Vector], pixels: &[Vector], threshold_rad: f
 }
 
 /// [`screen_pixels_seeded`] over an owned seed and borrowed pixel slices.
-pub fn screen_slices_seeded<'a>(
+pub(crate) fn screen_slices_seeded<'a>(
     seed: Vec<Vector>,
     pixels: impl IntoIterator<Item = &'a [f64]>,
     threshold_rad: f64,
@@ -290,7 +290,7 @@ pub fn screen_slices_seeded<'a>(
 /// Merges several per-worker unique sets into one (step 2), applying the same
 /// screening rule across sets so signatures found by two different workers
 /// are not duplicated.
-pub fn merge_unique_sets(sets: Vec<Vec<Vector>>, threshold_rad: f64) -> Vec<Vector> {
+pub(crate) fn merge_unique_sets(sets: Vec<Vec<Vector>>, threshold_rad: f64) -> Vec<Vector> {
     if threshold_rad <= 0.0 {
         return sets.into_iter().flatten().collect();
     }
@@ -301,26 +301,6 @@ pub fn merge_unique_sets(sets: Vec<Vec<Vector>>, threshold_rad: f64) -> Vec<Vect
         }
     }
     merged.into_vectors()
-}
-
-/// Summary of a screening pass, reported by the examples and the screening
-/// ablation benchmark.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ScreeningSummary {
-    /// Number of pixels examined.
-    pub input_pixels: usize,
-    /// Number of unique vectors retained.
-    pub unique_pixels: usize,
-}
-
-impl ScreeningSummary {
-    /// Fraction of pixels retained by screening.
-    pub fn retention(&self) -> f64 {
-        if self.input_pixels == 0 {
-            return 0.0;
-        }
-        self.unique_pixels as f64 / self.input_pixels as f64
-    }
 }
 
 #[cfg(test)]
@@ -537,19 +517,5 @@ mod tests {
                 assert!(a.spectral_angle(b).unwrap() > threshold);
             }
         }
-    }
-
-    #[test]
-    fn summary_retention() {
-        let s = ScreeningSummary {
-            input_pixels: 200,
-            unique_pixels: 20,
-        };
-        assert!((s.retention() - 0.1).abs() < 1e-12);
-        let empty = ScreeningSummary {
-            input_pixels: 0,
-            unique_pixels: 0,
-        };
-        assert_eq!(empty.retention(), 0.0);
     }
 }

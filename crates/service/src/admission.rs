@@ -1,13 +1,13 @@
 //! The admission plane: one policy point for *who* gets in, *in what
-//! order*, *onto which lane*, and *what happens under pressure*.
+//! order* and *onto which lane*.
 //!
-//! The [`AdmissionGovernor`] holds the bounded queue, the byte and tenant
-//! accounting and the pressure ladder under one lock, so a submission's
-//! quota check, the load it is judged against and its push are one step:
+//! The service's admission governor holds the bounded queue and the
+//! per-tenant accounting under one lock, so a submission's capacity check
+//! and its push are one step:
 //!
-//! * **Tenancy** — every [`crate::JobSpec`] names a [`TenantId`] and a
-//!   [`JobClass`].  Per-tenant [`TenantQuota`]s bound how much queue a
-//!   tenant may hold and weight its share of dequeue bandwidth.
+//! * **Tenancy** — every [`crate::JobSpec`] names a [`TenantId`].  A
+//!   tenant's [`TenantQuota`] weights its share of dequeue bandwidth;
+//!   tenants without one weigh 1.
 //! * **Weighted fair dequeue** — the queue is drained by a deterministic
 //!   deficit-round-robin over tenants ([`DrrQueue`]): each backlogged
 //!   tenant receives `weight` pops per round, visited in `TenantId` order,
@@ -16,31 +16,25 @@
 //!   regardless of scheduling), so fairness composes with the determinism
 //!   contract, and the order itself is replayable for a fixed arrival
 //!   order.
-//! * **Tiered degradation** — under pressure the governor first
-//!   *downgrades* degradable jobs to [`Priority::Low`], then *sheds*
-//!   sheddable jobs, then *rejects* with a typed
-//!   [`RetryAfter`] hint ([`crate::ServiceError::Saturated`] /
-//!   [`crate::ServiceError::Shed`] / [`crate::ServiceError::QuotaExceeded`]),
-//!   all decided by one [`PressurePolicy::decide`].  The ingest crate's
-//!   `SheddingPolicy` is a thin adapter over the same function, fed by the
-//!   same [`crate::ServiceEvent`] stream through a [`PressureGauge`].
-//! * **Routing** — the governor resolves every route
-//!   ([`AdmissionGovernor::resolve`]): the size rule ([`crate::routing::route`])
-//!   for an auto route, then the clamp to an enabled lane, so every route
-//!   decision flows through one place.
+//! * **Backpressure** — a non-blocking submission to a full queue is
+//!   refused with [`crate::ServiceError::Saturated`] carrying the
+//!   [`RETRY_AFTER`] hint; a blocking one parks until the scheduler takes a
+//!   job or the service shuts down.
+//! * **Routing** — the governor resolves every route: the size rule
+//!   ([`crate::routing::route`]) for an auto route, then the clamp to an
+//!   enabled lane, so every route decision flows through one place.
 
 use crate::job::{BackendKind, JobId, JobSpec, Priority};
 use crate::report::{ServiceReport, TenantStats};
 use crate::routing::{self, LaneSnapshot, Route};
 use crate::ServiceError;
-use crate::ServiceEvent;
-use std::collections::{BTreeMap, BinaryHeap, HashMap};
+use std::collections::{BTreeMap, BinaryHeap};
 use std::sync::{Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 /// Identifier of the tenant a job is submitted on behalf of.
 ///
-/// Tenants are the unit of fairness and quota accounting.  The default
+/// Tenants are the unit of fair-share accounting.  The default
 /// tenant (`TenantId(0)`) keeps every pre-tenancy call site working: a
 /// service with one tenant degenerates to the old global priority queue.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -59,47 +53,8 @@ impl std::fmt::Display for TenantId {
     }
 }
 
-/// How a job may be degraded under pressure.  The class decides which tier
-/// of the downgrade → shed → reject ladder applies to it.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub enum JobClass {
-    /// Never downgraded, never shed: rejected only by hard backpressure
-    /// (queue saturation or tenant quota).
-    Interactive,
-    /// May be downgraded to [`Priority::Low`] past the soft watermark, but
-    /// never shed.  The default for directly submitted jobs.
-    #[default]
-    Standard,
-    /// May be downgraded *and* shed at the hard watermarks.  The default
-    /// for streaming ingest, where dropping an arrival is cheaper than
-    /// drowning the queue.
-    Bulk,
-}
-
-impl JobClass {
-    /// Whether the soft watermark may lower this class to [`Priority::Low`].
-    pub fn degradable(&self) -> bool {
-        matches!(self, JobClass::Standard | JobClass::Bulk)
-    }
-
-    /// Whether the hard watermarks may drop this class entirely.
-    pub fn sheddable(&self) -> bool {
-        matches!(self, JobClass::Bulk)
-    }
-
-    /// A short label for reports.
-    pub fn label(&self) -> &'static str {
-        match self {
-            JobClass::Interactive => "interactive",
-            JobClass::Standard => "standard",
-            JobClass::Bulk => "bulk",
-        }
-    }
-}
-
-/// A machine-readable back-off hint attached to every admission rejection
-/// ([`crate::ServiceError::Saturated`], [`crate::ServiceError::Shed`],
-/// [`crate::ServiceError::QuotaExceeded`]) and to the corresponding
+/// A machine-readable back-off hint attached to every admission refusal
+/// ([`crate::ServiceError::Saturated`]) and to the corresponding
 /// [`crate::ServiceEvent::Rejected`], so clients wait instead of
 /// hot-looping resubmission.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -111,206 +66,21 @@ impl std::fmt::Display for RetryAfter {
     }
 }
 
-/// Why an arrival was shed or rejected instead of admitted.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub enum ShedReason {
-    /// The queue depth was at or above the hard watermark.
-    QueueDepth,
-    /// The payload bytes of submitted-but-unfinished jobs were at or above
-    /// the hard watermark.
-    InFlightBytes,
-    /// The submitting tenant already holds its `max_queued` quota.
-    Quota,
-    /// The bounded admission queue itself was full
-    /// ([`crate::ServiceError::Saturated`]).
-    Saturated,
-}
+/// The back-off hint of every admission refusal.
+pub const RETRY_AFTER: RetryAfter = RetryAfter(Duration::from_millis(25));
 
-impl ShedReason {
-    /// A short label for reports.
-    pub fn label(&self) -> &'static str {
-        match self {
-            ShedReason::QueueDepth => "queue-depth",
-            ShedReason::InFlightBytes => "in-flight-bytes",
-            ShedReason::Quota => "quota",
-            ShedReason::Saturated => "saturated",
-        }
-    }
-}
-
-/// Per-tenant admission limits: fair-share weight and queue quota.
+/// A tenant's fair-share weight.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TenantQuota {
     /// Dequeue bandwidth share: a backlogged tenant receives `weight` pops
     /// per deficit-round-robin round.  Must be at least 1.
     pub weight: u64,
-    /// Hard bound on the tenant's queued (submitted, not yet scheduled)
-    /// jobs; `None` leaves the tenant bounded only by queue capacity.
-    pub max_queued: Option<usize>,
 }
 
 impl TenantQuota {
-    /// A quota with the given fair-share weight and no queue bound.
+    /// A quota with the given fair-share weight.
     pub fn weighted(weight: u64) -> Self {
-        Self {
-            weight,
-            max_queued: None,
-        }
-    }
-
-    /// Bounds how many jobs the tenant may hold queued at once.
-    pub fn with_max_queued(mut self, max_queued: usize) -> Self {
-        self.max_queued = Some(max_queued);
-        self
-    }
-}
-
-impl Default for TenantQuota {
-    fn default() -> Self {
-        Self {
-            weight: 1,
-            max_queued: None,
-        }
-    }
-}
-
-/// The load the pressure policy decides against.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct LoadView {
-    /// Jobs submitted but not yet scheduled.
-    pub queue_depth: usize,
-    /// Payload bytes of jobs submitted but not yet terminal.
-    pub in_flight_bytes: usize,
-}
-
-/// The outcome of one [`PressurePolicy::decide`] call.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PressureDecision {
-    /// Admit the job; `downgrade` asks the caller to lower it to
-    /// [`Priority::Low`] first (soft watermark on a degradable class).
-    Admit {
-        /// Whether the job should be admitted at [`Priority::Low`].
-        downgrade: bool,
-    },
-    /// Drop the job (hard watermark on a sheddable class).
-    Shed {
-        /// Which watermark fired.
-        reason: ShedReason,
-    },
-}
-
-/// Watermarks of the tiered degradation ladder, shared by the service
-/// front end and the ingest pump (whose `SheddingPolicy` is an adapter
-/// over this type).  `usize::MAX` (the default) disables a watermark.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PressurePolicy {
-    /// Soft watermark: at or above this queue depth, degradable classes
-    /// are admitted at [`Priority::Low`].
-    pub downgrade_queue_depth: usize,
-    /// Hard watermark: at or above this queue depth, sheddable classes
-    /// are shed with [`ShedReason::QueueDepth`].
-    pub shed_queue_depth: usize,
-    /// Hard watermark: at or above these in-flight payload bytes,
-    /// sheddable classes are shed with [`ShedReason::InFlightBytes`].
-    pub shed_in_flight_bytes: usize,
-    /// The back-off hint attached to every shed and rejection.
-    pub retry_after: Duration,
-}
-
-impl PressurePolicy {
-    /// No watermarks: everything is admitted at its requested priority
-    /// until the bounded queue itself saturates.
-    pub fn unbounded() -> Self {
-        Self {
-            downgrade_queue_depth: usize::MAX,
-            shed_queue_depth: usize::MAX,
-            shed_in_flight_bytes: usize::MAX,
-            retry_after: Duration::from_millis(25),
-        }
-    }
-
-    /// Sets the soft down-prioritization watermark.
-    pub fn with_downgrade_queue_depth(mut self, depth: usize) -> Self {
-        self.downgrade_queue_depth = depth;
-        self
-    }
-
-    /// Sets the hard queue-depth watermark.
-    pub fn with_shed_queue_depth(mut self, depth: usize) -> Self {
-        self.shed_queue_depth = depth;
-        self
-    }
-
-    /// Sets the hard in-flight-bytes watermark.
-    pub fn with_shed_in_flight_bytes(mut self, bytes: usize) -> Self {
-        self.shed_in_flight_bytes = bytes;
-        self
-    }
-
-    /// The typed back-off hint for this policy's rejections.
-    pub fn retry_hint(&self) -> RetryAfter {
-        RetryAfter(self.retry_after)
-    }
-
-    /// The single tiered-degradation decision: shed a sheddable class past
-    /// a hard watermark, otherwise admit, downgrading a degradable class
-    /// past the soft watermark.  Every watermark decision of the service
-    /// *and* of the ingest pump goes through here.
-    pub fn decide(&self, load: LoadView, class: JobClass) -> PressureDecision {
-        if class.sheddable() {
-            if load.queue_depth >= self.shed_queue_depth {
-                return PressureDecision::Shed {
-                    reason: ShedReason::QueueDepth,
-                };
-            }
-            if load.in_flight_bytes >= self.shed_in_flight_bytes {
-                return PressureDecision::Shed {
-                    reason: ShedReason::InFlightBytes,
-                };
-            }
-        }
-        PressureDecision::Admit {
-            downgrade: class.degradable() && load.queue_depth >= self.downgrade_queue_depth,
-        }
-    }
-}
-
-impl Default for PressurePolicy {
-    fn default() -> Self {
-        Self::unbounded()
-    }
-}
-
-/// Admission-plane configuration: tenant quotas and the pressure ladder.
-#[derive(Debug, Clone, Default)]
-pub struct AdmissionConfig {
-    /// Per-tenant quotas; tenants not listed use `default_quota`.
-    pub quotas: BTreeMap<TenantId, TenantQuota>,
-    /// The quota of tenants without an explicit entry.
-    pub default_quota: TenantQuota,
-    /// The tiered-degradation watermarks applied at submission.
-    pub pressure: PressurePolicy,
-}
-
-impl AdmissionConfig {
-    /// Validates every quota (weights must be at least 1, explicit queue
-    /// quotas at least 1).
-    pub fn validate(&self) -> Result<(), crate::config::ConfigError> {
-        use crate::config::ConfigError;
-        for (tenant, quota) in self
-            .quotas
-            .iter()
-            .map(|(t, q)| (*t, *q))
-            .chain(std::iter::once((TenantId::default(), self.default_quota)))
-        {
-            if quota.weight == 0 {
-                return Err(ConfigError::ZeroTenantWeight(tenant));
-            }
-            if quota.max_queued == Some(0) {
-                return Err(ConfigError::ZeroTenantQuota(tenant));
-            }
-        }
-        Ok(())
+        Self { weight }
     }
 }
 
@@ -364,7 +134,7 @@ struct Lane<T> {
 /// The property suite (`fairness_properties.rs`) checks this over seeded
 /// arbitrary arrival schedules.
 ///
-/// The structure is single-threaded; [`crate::AdmissionGovernor`] holds it
+/// The structure is single-threaded; the service's admission governor holds it
 /// under its lock as the service's bounded blocking queue.
 pub struct DrrQueue<T> {
     lanes: BTreeMap<TenantId, Lane<T>>,
@@ -399,11 +169,6 @@ impl<T> DrrQueue<T> {
     /// Whether nothing is queued.
     pub fn is_empty(&self) -> bool {
         self.len == 0
-    }
-
-    /// Queued items of one tenant.
-    pub fn tenant_len(&self, tenant: TenantId) -> usize {
-        self.lanes.get(&tenant).map_or(0, |lane| lane.heap.len())
     }
 
     /// Enqueues `item` for `tenant` at `priority`.  `weight` (re)sets the
@@ -484,72 +249,6 @@ impl<T> DrrQueue<T> {
     }
 }
 
-/// The event-fed view of service load, shared by every consumer of the
-/// pressure plane that sits *outside* the service (the ingest pump today).
-///
-/// Feed it every [`ServiceEvent`] from a subscription opened before the
-/// first submission, and tell it about each submission with
-/// [`PressureGauge::on_submit`]; it tracks queued jobs and in-flight
-/// payload bytes for exactly the jobs it was told about — events of other
-/// clients' jobs fall through untouched.
-#[derive(Debug, Default)]
-pub struct PressureGauge {
-    /// Submitted, not yet admitted by the scheduler (bytes per job).
-    queued: HashMap<JobId, usize>,
-    /// Admitted, not yet terminal (bytes per job).
-    running: HashMap<JobId, usize>,
-    /// Sum of bytes across both maps.
-    in_flight_bytes: usize,
-}
-
-impl PressureGauge {
-    /// A gauge tracking nothing yet.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Records one accepted submission.
-    pub fn on_submit(&mut self, job: JobId, bytes: usize) {
-        self.queued.insert(job, bytes);
-        self.in_flight_bytes += bytes;
-    }
-
-    /// Applies one service event; events of untracked jobs are ignored.
-    pub fn observe(&mut self, event: &ServiceEvent) {
-        match event {
-            ServiceEvent::Admitted { job, .. } => {
-                if let Some(bytes) = self.queued.remove(job) {
-                    self.running.insert(*job, bytes);
-                }
-            }
-            ServiceEvent::Terminal { job, .. } => {
-                if let Some(bytes) = self.queued.remove(job).or_else(|| self.running.remove(job)) {
-                    self.in_flight_bytes -= bytes;
-                }
-            }
-            _ => {}
-        }
-    }
-
-    /// Tracked jobs submitted but not yet admitted.
-    pub fn queue_depth(&self) -> usize {
-        self.queued.len()
-    }
-
-    /// Payload bytes of tracked jobs submitted but not yet terminal.
-    pub fn in_flight_bytes(&self) -> usize {
-        self.in_flight_bytes
-    }
-
-    /// The load view handed to [`PressurePolicy::decide`].
-    pub fn load(&self) -> LoadView {
-        LoadView {
-            queue_depth: self.queue_depth(),
-            in_flight_bytes: self.in_flight_bytes,
-        }
-    }
-}
-
 /// A job as it travels from the front end to the scheduler.
 #[derive(Debug)]
 pub(crate) struct QueuedJob {
@@ -566,9 +265,8 @@ pub(crate) struct QueuedJob {
     pub queued_span: Option<telemetry::SpanId>,
 }
 
-/// Everything an admission decision reads or writes, under the governor's
-/// one lock: a quota check, the [`LoadView`] it decides against and the push
-/// that follows are one atomic step.
+/// Everything a submission reads or writes, under the governor's one lock:
+/// the capacity check and the push that follows are one atomic step.
 #[derive(Default)]
 struct GovernorState {
     /// Submitted, not yet scheduled: the bounded weighted-fair backlog.
@@ -577,12 +275,8 @@ struct GovernorState {
     high_water: usize,
     /// Set by [`AdmissionGovernor::close`]: no further submissions.
     closed: bool,
-    /// Payload bytes per accepted, not-yet-terminal job.
-    in_flight: HashMap<JobId, usize>,
-    /// Sum over `in_flight`.
-    in_flight_bytes: usize,
-    /// Per-tenant weights and queue counters (admitted, downgraded), folded
-    /// into the report at shutdown.
+    /// Per-tenant weights and admission counts, folded into the report at
+    /// shutdown.
     tenants: BTreeMap<TenantId, TenantStats>,
 }
 
@@ -595,22 +289,19 @@ impl GovernorState {
     }
 }
 
-/// The unified admission plane of a running service: quota checks, tiered
-/// degradation, the bounded weighted fair queue, and route resolution.
+/// The admission plane of a running service: the bounded weighted fair
+/// queue and route resolution.
 ///
 /// Constructed from [`crate::ServiceConfig`] at service start; the front
-/// end submits through it, the scheduler dequeues and routes through it,
-/// and every terminal transition is reported back so in-flight byte
-/// accounting and per-tenant counters stay exact.
+/// end submits through it and the scheduler dequeues and routes through
+/// it.
 ///
 /// It is the backpressure point of the service: a non-blocking submission
 /// to a full queue is rejected ([`ServiceError::Saturated`], with the
-/// plane's [`RetryAfter`] hint), a blocking one parks the submitter until
-/// the scheduler takes a job or the governor closes.
-pub struct AdmissionGovernor {
-    quotas: BTreeMap<TenantId, TenantQuota>,
-    default_quota: TenantQuota,
-    pressure: PressurePolicy,
+/// [`RETRY_AFTER`] hint), a blocking one parks the submitter until the
+/// scheduler takes a job or the governor closes.
+pub(crate) struct AdmissionGovernor {
+    weights: BTreeMap<TenantId, TenantQuota>,
     capacity: usize,
     state: Mutex<GovernorState>,
     /// Parks blocking submitters while the queue is full.
@@ -619,12 +310,11 @@ pub struct AdmissionGovernor {
 }
 
 impl AdmissionGovernor {
-    /// A governor whose queue holds at most `queue_capacity` jobs (floor 1).
-    pub(crate) fn new(queue_capacity: usize, admission: AdmissionConfig) -> Self {
+    /// A governor whose queue holds at most `queue_capacity` jobs (floor 1),
+    /// weighting each tenant by its entry in `weights` (1 if it has none).
+    pub(crate) fn new(queue_capacity: usize, weights: BTreeMap<TenantId, TenantQuota>) -> Self {
         Self {
-            quotas: admission.quotas,
-            default_quota: admission.default_quota,
-            pressure: admission.pressure,
+            weights,
             capacity: queue_capacity.max(1),
             state: Mutex::new(GovernorState::default()),
             space: Condvar::new(),
@@ -647,64 +337,27 @@ impl AdmissionGovernor {
         }
     }
 
-    /// The effective quota of `tenant`.
-    pub fn quota(&self, tenant: TenantId) -> TenantQuota {
-        self.quotas
-            .get(&tenant)
-            .copied()
-            .unwrap_or(self.default_quota)
+    /// The fair-share weight of `tenant`.
+    fn weight(&self, tenant: TenantId) -> u64 {
+        self.weights.get(&tenant).map_or(1, |quota| quota.weight)
     }
 
-    /// Front-end submission: quota check, pressure decision, downgrade,
-    /// then the bounded weighted-fair push — one step under the lock, taken
-    /// again from the top each time a `blocking` submitter wakes with space
-    /// in the queue.  Every rejection carries the policy's [`RetryAfter`]
-    /// hint.
-    pub(crate) fn submit(&self, mut job: QueuedJob, blocking: bool) -> Result<(), ServiceError> {
+    /// Front-end submission: the capacity check and the bounded
+    /// weighted-fair push, one step under the lock, taken again from the
+    /// top each time a `blocking` submitter wakes with space in the queue.
+    pub(crate) fn submit(&self, job: QueuedJob, blocking: bool) -> Result<(), ServiceError> {
         let tenant = job.spec.tenant;
-        let class = job.spec.class;
-        let quota = self.quota(tenant);
-        let retry_after = self.pressure.retry_hint();
+        let weight = self.weight(tenant);
         let mut state = self.state.lock().expect("governor lock");
         let mut waited = false;
         let refusal = loop {
             if state.closed {
                 break ServiceError::ShuttingDown;
             }
-            if quota
-                .max_queued
-                .is_some_and(|max| state.queue.tenant_len(tenant) >= max)
-            {
-                break ServiceError::QuotaExceeded {
-                    tenant,
-                    retry_after,
-                };
-            }
-            let load = LoadView {
-                queue_depth: state.queue.len(),
-                in_flight_bytes: state.in_flight_bytes,
-            };
-            let downgrade = match self.pressure.decide(load, class) {
-                PressureDecision::Shed { reason } => {
-                    break ServiceError::Shed {
-                        reason,
-                        retry_after,
-                    }
-                }
-                PressureDecision::Admit { downgrade } => downgrade,
-            };
             if state.queue.len() < self.capacity {
-                if downgrade {
-                    job.spec.priority = Priority::Low;
-                }
-                let bytes = job.spec.source.payload_bytes();
-                state.in_flight.insert(job.id, bytes);
-                state.in_flight_bytes += bytes;
-                let stats = state.stats(tenant, quota.weight);
-                stats.jobs_admitted += 1;
-                stats.jobs_downgraded += u64::from(downgrade);
+                state.stats(tenant, weight).jobs_admitted += 1;
                 let priority = job.spec.priority;
-                state.queue.push(tenant, quota.weight, priority, job);
+                state.queue.push(tenant, weight, priority, job);
                 let depth = state.queue.len();
                 state.high_water = state.high_water.max(depth);
                 drop(state);
@@ -714,7 +367,9 @@ impl AdmissionGovernor {
                 return Ok(());
             }
             if !blocking {
-                break ServiceError::Saturated { retry_after };
+                break ServiceError::Saturated {
+                    retry_after: RETRY_AFTER,
+                };
             }
             waited = true;
             state = self.space.wait(state).expect("governor lock");
@@ -723,7 +378,7 @@ impl AdmissionGovernor {
         // end records the refusal itself); a closed governor's refusal is
         // not the tenant's.
         if !matches!(refusal, ServiceError::ShuttingDown) {
-            state.stats(tenant, quota.weight);
+            state.stats(tenant, weight);
         }
         drop(state);
         if waited {
@@ -751,7 +406,7 @@ impl AdmissionGovernor {
     /// disabled lane is clamped to the first enabled lane in preference
     /// order (a drained lane cannot strand a job).  Returns the lane and
     /// whether the size rule (rather than the caller) chose it.
-    pub fn resolve(
+    pub(crate) fn resolve(
         &self,
         route: Route,
         payload_bytes: u64,
@@ -772,16 +427,8 @@ impl AdmissionGovernor {
         (fallback, auto)
     }
 
-    /// Reports a job's terminal transition: releases its in-flight bytes.
-    pub(crate) fn note_terminal(&self, job: JobId) {
-        let mut state = self.state.lock().expect("governor lock");
-        if let Some(bytes) = state.in_flight.remove(&job) {
-            state.in_flight_bytes -= bytes;
-        }
-    }
-
     /// Jobs currently queued (all tenants).
-    pub fn queue_depth(&self) -> usize {
+    pub(crate) fn queue_depth(&self) -> usize {
         self.state.lock().expect("governor lock").queue.len()
     }
 
@@ -798,14 +445,13 @@ impl AdmissionGovernor {
     }
 
     /// Folds what only the governor knows into a finished report: each
-    /// tenant's weight and its admitted and downgraded jobs.
+    /// tenant's weight and its admitted jobs.
     pub(crate) fn fold_into(&self, report: &mut ServiceReport) {
         let state = self.state.lock().expect("governor lock");
         for (tenant, ours) in &state.tenants {
             let stats = report.tenants.entry(*tenant).or_default();
             stats.weight = ours.weight;
             stats.jobs_admitted = ours.jobs_admitted;
-            stats.jobs_downgraded = ours.jobs_downgraded;
         }
     }
 }
@@ -813,7 +459,6 @@ impl AdmissionGovernor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::job::JobStatus;
 
     #[test]
     fn tenant_ids_label_and_order() {
@@ -821,98 +466,6 @@ mod tests {
         assert_eq!(TenantId(3).to_string(), "t3");
         assert!(TenantId(1) < TenantId(2));
         assert_eq!(TenantId::default(), TenantId(0));
-    }
-
-    #[test]
-    fn job_classes_govern_the_degradation_tiers() {
-        assert!(!JobClass::Interactive.degradable());
-        assert!(!JobClass::Interactive.sheddable());
-        assert!(JobClass::Standard.degradable());
-        assert!(!JobClass::Standard.sheddable());
-        assert!(JobClass::Bulk.degradable());
-        assert!(JobClass::Bulk.sheddable());
-        assert_eq!(JobClass::default(), JobClass::Standard);
-        assert_eq!(JobClass::Bulk.label(), "bulk");
-    }
-
-    #[test]
-    fn pressure_decisions_follow_the_ladder() {
-        let policy = PressurePolicy::unbounded()
-            .with_downgrade_queue_depth(2)
-            .with_shed_queue_depth(4)
-            .with_shed_in_flight_bytes(1000);
-        let calm = LoadView {
-            queue_depth: 0,
-            in_flight_bytes: 0,
-        };
-        let soft = LoadView {
-            queue_depth: 2,
-            in_flight_bytes: 0,
-        };
-        let deep = LoadView {
-            queue_depth: 4,
-            in_flight_bytes: 0,
-        };
-        let heavy = LoadView {
-            queue_depth: 0,
-            in_flight_bytes: 1000,
-        };
-        for class in [JobClass::Interactive, JobClass::Standard, JobClass::Bulk] {
-            assert_eq!(
-                policy.decide(calm, class),
-                PressureDecision::Admit { downgrade: false }
-            );
-        }
-        // Soft watermark downgrades degradable classes only.
-        assert_eq!(
-            policy.decide(soft, JobClass::Interactive),
-            PressureDecision::Admit { downgrade: false }
-        );
-        assert_eq!(
-            policy.decide(soft, JobClass::Standard),
-            PressureDecision::Admit { downgrade: true }
-        );
-        // Hard watermarks shed bulk only; standard is downgraded instead.
-        assert_eq!(
-            policy.decide(deep, JobClass::Bulk),
-            PressureDecision::Shed {
-                reason: ShedReason::QueueDepth
-            }
-        );
-        assert_eq!(
-            policy.decide(deep, JobClass::Standard),
-            PressureDecision::Admit { downgrade: true }
-        );
-        assert_eq!(
-            policy.decide(heavy, JobClass::Bulk),
-            PressureDecision::Shed {
-                reason: ShedReason::InFlightBytes
-            }
-        );
-        assert_eq!(
-            policy.decide(heavy, JobClass::Interactive),
-            PressureDecision::Admit { downgrade: false }
-        );
-        assert_eq!(policy.retry_hint(), RetryAfter(Duration::from_millis(25)));
-    }
-
-    #[test]
-    fn admission_config_validates_quotas() {
-        let mut config = AdmissionConfig::default();
-        assert!(config.validate().is_ok());
-        config.quotas.insert(TenantId(1), TenantQuota::weighted(0));
-        assert_eq!(
-            config.validate().unwrap_err(),
-            crate::config::ConfigError::ZeroTenantWeight(TenantId(1))
-        );
-        config.quotas.clear();
-        config
-            .quotas
-            .insert(TenantId(2), TenantQuota::weighted(1).with_max_queued(0));
-        assert_eq!(
-            config.validate().unwrap_err(),
-            crate::config::ConfigError::ZeroTenantQuota(TenantId(2))
-        );
     }
 
     #[test]
@@ -983,57 +536,13 @@ mod tests {
     }
 
     #[test]
-    fn pressure_gauge_tracks_only_its_own_jobs() {
-        let mut gauge = PressureGauge::new();
-        gauge.on_submit(1, 100);
-        gauge.on_submit(2, 50);
-        assert_eq!(gauge.queue_depth(), 2);
-        assert_eq!(gauge.in_flight_bytes(), 150);
-        // A foreign job's events fall through untouched.
-        gauge.observe(&ServiceEvent::Terminal {
-            job: 99,
-            tenant: TenantId::default(),
-            status: JobStatus::Completed,
-            route: None,
-        });
-        assert_eq!(gauge.in_flight_bytes(), 150);
-        // Admission moves queued -> running; terminal releases the bytes.
-        gauge.observe(&ServiceEvent::Admitted {
-            job: 1,
-            tenant: TenantId::default(),
-            route: BackendKind::Standard,
-            auto: true,
-        });
-        assert_eq!(gauge.queue_depth(), 1);
-        assert_eq!(gauge.in_flight_bytes(), 150);
-        gauge.observe(&ServiceEvent::Terminal {
-            job: 1,
-            tenant: TenantId::default(),
-            status: JobStatus::Completed,
-            route: Some(BackendKind::Standard),
-        });
-        assert_eq!(gauge.in_flight_bytes(), 50);
-        assert_eq!(
-            gauge.load(),
-            LoadView {
-                queue_depth: 1,
-                in_flight_bytes: 50
-            }
-        );
+    fn retry_hints_render() {
+        assert_eq!(RETRY_AFTER, RetryAfter(Duration::from_millis(25)));
+        assert!(RETRY_AFTER.to_string().contains("retry after"));
     }
 
-    #[test]
-    fn shed_reasons_and_retry_hints_render() {
-        assert_eq!(ShedReason::QueueDepth.label(), "queue-depth");
-        assert_eq!(ShedReason::InFlightBytes.label(), "in-flight-bytes");
-        assert_eq!(ShedReason::Quota.label(), "quota");
-        assert_eq!(ShedReason::Saturated.label(), "saturated");
-        let hint = RetryAfter(Duration::from_millis(10));
-        assert!(hint.to_string().contains("retry after"));
-    }
-
-    fn governor(capacity: usize, admission: AdmissionConfig) -> AdmissionGovernor {
-        AdmissionGovernor::new(capacity, admission)
+    fn governor(capacity: usize) -> AdmissionGovernor {
+        AdmissionGovernor::new(capacity, BTreeMap::new())
     }
 
     fn job(id: JobId, tenant: TenantId) -> QueuedJob {
@@ -1052,13 +561,13 @@ mod tests {
 
     fn saturated() -> ServiceError {
         ServiceError::Saturated {
-            retry_after: PressurePolicy::unbounded().retry_hint(),
+            retry_after: RETRY_AFTER,
         }
     }
 
     #[test]
     fn saturation_rejects_and_high_water_tracks() {
-        let g = governor(2, AdmissionConfig::default());
+        let g = governor(2);
         let t = TenantId::default();
         g.submit(job(1, t), false).unwrap();
         g.submit(job(2, t), false).unwrap();
@@ -1072,7 +581,7 @@ mod tests {
 
     #[test]
     fn blocking_push_waits_for_space() {
-        let g = std::sync::Arc::new(governor(1, AdmissionConfig::default()));
+        let g = std::sync::Arc::new(governor(1));
         let t = TenantId::default();
         g.submit(job(1, t), false).unwrap();
         let (done, parked) = std::sync::mpsc::channel();
@@ -1092,7 +601,7 @@ mod tests {
 
     #[test]
     fn close_rejects_and_wakes_blocked_pushers() {
-        let g = std::sync::Arc::new(governor(1, AdmissionConfig::default()));
+        let g = std::sync::Arc::new(governor(1));
         let t = TenantId::default();
         g.submit(job(1, t), false).unwrap();
         let (done, parked) = std::sync::mpsc::channel();
@@ -1119,25 +628,21 @@ mod tests {
 
     #[test]
     fn capacity_floor_is_one() {
-        let g = governor(0, AdmissionConfig::default());
+        let g = governor(0);
         let t = TenantId::default();
         g.submit(job(1, t), false).unwrap();
         assert_eq!(g.submit(job(2, t), false).unwrap_err(), saturated());
     }
 
-    /// The quota check and the push are one step: however eight submitters
-    /// of one tenant interleave, the tenant never holds more than its quota
-    /// and every attempt is either admitted or refused with the typed error.
+    /// The capacity check and the push are one step: however eight
+    /// submitters interleave, the queue never holds more than its capacity
+    /// and every attempt is either admitted or refused as saturated.
     #[test]
-    fn tenant_quota_holds_under_concurrent_submitters() {
+    fn capacity_holds_under_concurrent_submitters() {
         const THREADS: u64 = 8;
         const ATTEMPTS: u64 = 200;
         let tenant = TenantId(7);
-        let mut admission = AdmissionConfig::default();
-        admission
-            .quotas
-            .insert(tenant, TenantQuota::weighted(1).with_max_queued(3));
-        let g = governor(64, admission);
+        let g = governor(3);
         let start = std::sync::Barrier::new(THREADS as usize);
         let (admitted, refused, deepest) = std::thread::scope(|scope| {
             let submitters: Vec<_> = (0..THREADS)
@@ -1149,7 +654,7 @@ mod tests {
                         for attempt in 0..ATTEMPTS {
                             match g.submit(job(thread * ATTEMPTS + attempt, tenant), false) {
                                 Ok(()) => admitted += 1,
-                                Err(ServiceError::QuotaExceeded { .. }) => refused += 1,
+                                Err(ServiceError::Saturated { .. }) => refused += 1,
                                 Err(other) => panic!("unexpected refusal: {other:?}"),
                             }
                             deepest = deepest.max(g.queue_depth());

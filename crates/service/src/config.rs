@@ -23,10 +23,11 @@
 //! # }
 //! ```
 
-use crate::admission::{AdmissionConfig, PressurePolicy, TenantId, TenantQuota};
+use crate::admission::{TenantId, TenantQuota};
 use crate::chaos::ChaosPlan;
 use crate::ServiceError;
 use resilience::DetectorConfig;
+use std::collections::BTreeMap;
 use telemetry::Telemetry;
 
 /// A typed configuration defect, produced by the validating builders.
@@ -56,9 +57,6 @@ pub enum ConfigError {
     /// A tenant quota carries a fair-share weight of zero: the tenant
     /// could never be dequeued.
     ZeroTenantWeight(TenantId),
-    /// A tenant quota bounds the tenant's queue at zero jobs: no
-    /// submission of that tenant could ever be accepted.
-    ZeroTenantQuota(TenantId),
     /// The embedded pipeline configuration is invalid; the payload is the
     /// pipeline's own message.
     Pipeline(String),
@@ -87,9 +85,6 @@ impl std::fmt::Display for ConfigError {
             ),
             ConfigError::ZeroTenantWeight(tenant) => {
                 write!(f, "tenant {tenant} needs a fair-share weight of at least 1")
-            }
-            ConfigError::ZeroTenantQuota(tenant) => {
-                write!(f, "tenant {tenant} needs a queue quota of at least 1")
             }
             ConfigError::Pipeline(msg) => write!(f, "pipeline configuration: {msg}"),
         }
@@ -181,9 +176,8 @@ pub struct ServiceConfig {
     pub queue_capacity: usize,
     /// Maximum number of jobs admitted (running) concurrently.
     pub max_in_flight: usize,
-    /// The admission plane: tenant quotas, fair-share weights, and the
-    /// tiered-degradation watermarks.
-    pub admission: AdmissionConfig,
+    /// Each listed tenant's fair-share weight; unlisted tenants weigh 1.
+    pub tenant_quotas: BTreeMap<TenantId, TenantQuota>,
     /// Deterministic chaos schedule: member kills anchored to scheduler
     /// dispatch events (empty by default).
     pub chaos: ChaosPlan,
@@ -199,7 +193,7 @@ impl Default for ServiceConfig {
             pool: PoolConfig::default(),
             queue_capacity: 64,
             max_in_flight: 16,
-            admission: AdmissionConfig::default(),
+            tenant_quotas: BTreeMap::new(),
             chaos: ChaosPlan::none(),
             telemetry: Telemetry::disabled(),
         }
@@ -238,7 +232,9 @@ impl ServiceConfig {
         if pool.detector.failure_timeout_ms() == 0 {
             return Err(ConfigError::ZeroFailureTimeout);
         }
-        self.admission.validate()?;
+        if let Some((tenant, _)) = self.tenant_quotas.iter().find(|(_, q)| q.weight == 0) {
+            return Err(ConfigError::ZeroTenantWeight(*tenant));
+        }
         Ok(())
     }
 }
@@ -304,21 +300,9 @@ impl ServiceConfigBuilder {
         self
     }
 
-    /// Replaces the whole admission-plane block.
-    pub fn admission(mut self, admission: AdmissionConfig) -> Self {
-        self.config.admission = admission;
-        self
-    }
-
-    /// Sets one tenant's quota (fair-share weight and queue bound).
+    /// Sets one tenant's fair-share weight.
     pub fn tenant_quota(mut self, tenant: TenantId, quota: TenantQuota) -> Self {
-        self.config.admission.quotas.insert(tenant, quota);
-        self
-    }
-
-    /// The tiered-degradation watermarks applied at submission.
-    pub fn pressure(mut self, pressure: PressurePolicy) -> Self {
-        self.config.admission.pressure = pressure;
+        self.config.tenant_quotas.insert(tenant, quota);
         self
     }
 
@@ -437,20 +421,11 @@ mod tests {
                 .unwrap_err(),
             ConfigError::ZeroTenantWeight(TenantId(4))
         );
-        assert_eq!(
-            ServiceConfig::builder()
-                .tenant_quota(TenantId(4), TenantQuota::weighted(2).with_max_queued(0))
-                .build()
-                .unwrap_err(),
-            ConfigError::ZeroTenantQuota(TenantId(4))
-        );
         let config = ServiceConfig::builder()
-            .tenant_quota(TenantId(4), TenantQuota::weighted(2).with_max_queued(8))
-            .pressure(PressurePolicy::unbounded().with_downgrade_queue_depth(4))
+            .tenant_quota(TenantId(4), TenantQuota::weighted(2))
             .build()
             .unwrap();
-        assert_eq!(config.admission.quotas.get(&TenantId(4)).unwrap().weight, 2);
-        assert_eq!(config.admission.pressure.downgrade_queue_depth, 4);
+        assert_eq!(config.tenant_quotas[&TenantId(4)].weight, 2);
     }
 
     #[test]

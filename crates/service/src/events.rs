@@ -14,7 +14,7 @@
 //!    same function a subscriber can fold its stream with;
 //! 3. bumps one telemetry counter, `fusiond_<kind>_total` after
 //!    [`ServiceEvent::kind`], labelled with the event's bounded fields
-//!    (`lane`, `status`, `reason`, `tenant`);
+//!    (`lane`, `status`, `tenant`);
 //! 4. for a fault or its repair — a kill, a worker loss, a task
 //!    reassignment, a lane failover, a retransmission, a regeneration —
 //!    writes one flight-recorder instant named after its kind;
@@ -43,7 +43,7 @@
 //! # }
 //! ```
 
-use crate::admission::{RetryAfter, ShedReason, TenantId};
+use crate::admission::{RetryAfter, TenantId};
 use crate::job::{BackendKind, JobId, JobStatus};
 use crate::report::ServiceReport;
 use pct::messages::TaskId;
@@ -68,17 +68,15 @@ pub enum ServiceEvent {
         /// Whether the lane came from the size rule ([`crate::Route::Auto`]).
         auto: bool,
     },
-    /// The admission plane refused a submission: shed at a watermark,
-    /// bounced off a tenant quota, or rejected by queue saturation.  The
-    /// event mirrors the typed error the submitter saw, so observers can
-    /// account rejections they did not themselves submit.
+    /// The admission plane refused a submission because its queue was full.
+    /// The event mirrors the typed error the submitter saw
+    /// ([`crate::ServiceError::Saturated`]), so observers can account
+    /// rejections they did not themselves submit.
     Rejected {
         /// The id the front end had assigned (never admitted).
         job: JobId,
         /// The tenant whose submission was refused.
         tenant: TenantId,
-        /// Why it was refused.
-        reason: ShedReason,
         /// The machine-readable back-off hint the submitter received.
         retry_after: RetryAfter,
     },
@@ -203,9 +201,7 @@ impl ServiceEvent {
             ServiceEvent::Admitted {
                 tenant: t, route, ..
             } => vec![lane(route), tenant(t)],
-            ServiceEvent::Rejected {
-                tenant: t, reason, ..
-            } => vec![("reason", reason.label().to_string()), tenant(t)],
+            ServiceEvent::Rejected { tenant: t, .. } => vec![tenant(t)],
             ServiceEvent::Dispatched { route, .. } => vec![lane(route)],
             ServiceEvent::LaneFailover { to, .. } => vec![lane(to)],
             ServiceEvent::Terminal {
@@ -281,7 +277,7 @@ struct Books {
 
 impl Recorder {
     /// A recorder stamping, counting and keeping instants with `telemetry`.
-    pub fn new(telemetry: Telemetry) -> Self {
+    pub(crate) fn new(telemetry: Telemetry) -> Self {
         Self {
             books: Mutex::default(),
             telemetry,
@@ -290,7 +286,7 @@ impl Recorder {
 
     /// Opens a new independent subscription, pruning any subscriptions
     /// whose subscriber has been dropped.
-    pub fn subscribe(&self) -> EventSubscriber {
+    pub(crate) fn subscribe(&self) -> EventSubscriber {
         let (tx, rx) = std::sync::mpsc::channel();
         let token = Arc::new(());
         let mut books = self.books.lock().expect("recorder lock");
@@ -307,7 +303,7 @@ impl Recorder {
 
     /// Records one lifecycle fact, correlated with `span`: the five steps
     /// of the module documentation, in order.
-    pub fn record(&self, event: ServiceEvent, span: Option<SpanId>) {
+    pub(crate) fn record(&self, event: ServiceEvent, span: Option<SpanId>) {
         let mut books = self.books.lock().expect("recorder lock");
         let at_nanos = self.telemetry.now_nanos();
         books.report.record(&event);
@@ -331,13 +327,13 @@ impl Recorder {
     }
 
     /// The fold of every event recorded so far.
-    pub fn report(&self) -> ServiceReport {
+    pub(crate) fn report(&self) -> ServiceReport {
         self.books.lock().expect("recorder lock").report.clone()
     }
 
     /// Number of live subscriptions (dead ones linger until the next
     /// record or subscribe prunes them).
-    pub fn subscriber_count(&self) -> usize {
+    pub(crate) fn subscriber_count(&self) -> usize {
         self.books.lock().expect("recorder lock").subscribers.len()
     }
 }
@@ -406,7 +402,7 @@ impl EventSubscriber {
 
 /// One event of every kind, in declaration order: job 1 of tenant 2 is
 /// admitted to the standard lane, loses its worker, fails over and
-/// completes on the shared-memory lane; job 2 bounces off its quota.
+/// completes on the shared-memory lane; job 2 finds the queue full.
 #[cfg(test)]
 pub(crate) fn one_of_each() -> Vec<ServiceEvent> {
     let tenant = TenantId(2);
@@ -420,7 +416,6 @@ pub(crate) fn one_of_each() -> Vec<ServiceEvent> {
         ServiceEvent::Rejected {
             job: 2,
             tenant,
-            reason: ShedReason::Quota,
             retry_after: RetryAfter::default(),
         },
         ServiceEvent::Dispatched {

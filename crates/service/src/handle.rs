@@ -75,7 +75,7 @@ pub(crate) struct HandlePlane {
 impl HandlePlane {
     /// Records a cancellation request if the job is known and not yet
     /// terminal, and wakes the scheduler, which applies it asynchronously.
-    pub fn request_cancel(&self, id: JobId) -> bool {
+    fn request_cancel(&self, id: JobId) -> bool {
         let live = matches!(self.status.status(id), Some(status) if !status.is_terminal());
         if live {
             self.cancels.lock().expect("cancel lock").push(id);

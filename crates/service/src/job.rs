@@ -1,6 +1,6 @@
 //! Job specifications, identifiers, priorities and lifecycle states.
 
-use crate::admission::{JobClass, TenantId};
+use crate::admission::TenantId;
 use crate::config::ConfigError;
 use crate::routing::Route;
 use crate::Result;
@@ -102,23 +102,13 @@ pub enum CubeSource {
 
 impl CubeSource {
     /// Materialises the cube.
-    pub fn realize(&self) -> Result<Arc<HyperCube>> {
+    pub(crate) fn realize(&self) -> Result<Arc<HyperCube>> {
         match self {
             CubeSource::InMemory(cube) => Ok(Arc::clone(cube)),
             CubeSource::Synthetic(config) => {
                 let generator = SceneGenerator::new(config.clone())?;
                 Ok(Arc::new(generator.generate()))
             }
-        }
-    }
-
-    /// Payload bytes of the cube this source yields, used for the
-    /// admission plane's in-flight byte accounting (exact for in-memory
-    /// cubes, derived from the dimensions for synthetic scenes).
-    pub fn payload_bytes(&self) -> usize {
-        match self {
-            CubeSource::InMemory(cube) => cube.byte_size(),
-            CubeSource::Synthetic(config) => config.dims.byte_size(),
         }
     }
 }
@@ -152,11 +142,9 @@ pub struct JobSpec {
     pub route: Route,
     /// Scheduling priority.
     pub priority: Priority,
-    /// The tenant the job is submitted on behalf of (fairness and quota
+    /// The tenant the job is submitted on behalf of (fair-share
     /// accounting; defaults to [`TenantId`]`(0)`).
     pub tenant: TenantId,
-    /// How the admission plane may degrade the job under pressure.
-    pub class: JobClass,
     /// Number of sub-cubes the job is sharded into (clamped to the cube's
     /// row count at admission).  The decomposition is fixed per job, so the
     /// output does not depend on pool width.
@@ -207,12 +195,6 @@ impl JobSpecBuilder {
         self
     }
 
-    /// Overrides the admission class.
-    pub fn class(mut self, class: JobClass) -> Self {
-        self.spec.class = class;
-        self
-    }
-
     /// Overrides the shard count.
     pub fn shards(mut self, shards: usize) -> Self {
         self.spec.shards = shards;
@@ -248,7 +230,6 @@ impl JobSpec {
             route: Route::Auto,
             priority: Priority::Normal,
             tenant: TenantId::default(),
-            class: JobClass::default(),
             shards: 4,
             timeout: None,
             protocol: Protocol::Chain,
@@ -265,7 +246,7 @@ impl JobSpec {
     /// Materialises a synthetic source into an in-memory cube.  The front
     /// end calls this on the submitting thread so scene generation never
     /// stalls the scheduler's dispatch/result loop.
-    pub fn into_realized(mut self) -> Result<Self> {
+    pub(crate) fn into_realized(mut self) -> Result<Self> {
         let cube = self.source.realize()?;
         self.source = CubeSource::InMemory(cube);
         Ok(self)
@@ -340,7 +321,6 @@ mod tests {
             .pinned(BackendKind::Resilient)
             .priority(Priority::High)
             .tenant(TenantId(7))
-            .class(JobClass::Bulk)
             .shards(2)
             .timeout(Duration::from_secs(5))
             .build()
@@ -348,14 +328,12 @@ mod tests {
         assert_eq!(spec.route, Route::Pinned(BackendKind::Resilient));
         assert_eq!(spec.priority, Priority::High);
         assert_eq!(spec.tenant, TenantId(7));
-        assert_eq!(spec.class, JobClass::Bulk);
         assert_eq!(spec.shards, 2);
         assert!(spec.timeout.is_some());
         assert!(spec.validate().is_ok());
         // The defaults keep pre-tenancy call sites on the public tenant.
         let plain = JobSpec::new(CubeSource::Synthetic(SceneConfig::small(1)));
         assert_eq!(plain.tenant, TenantId::default());
-        assert_eq!(plain.class, JobClass::Standard);
     }
 
     #[test]

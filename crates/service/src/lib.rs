@@ -58,17 +58,16 @@
 //!
 //! ## Admission & tenancy
 //!
-//! Every admission decision — queueing, route resolution and load shedding —
-//! flows through one [`AdmissionGovernor`] (module [`admission`]).  Jobs
-//! carry a [`TenantId`] and a [`JobClass`]; tenants get weighted fair-share
-//! dequeueing (deterministic deficit round-robin) plus optional per-tenant
-//! quotas, and a tiered [`PressurePolicy`] degrades load in order —
-//! *downgrade* priority, then *shed*, then *reject* — with every refusal
-//! carrying a machine-readable [`RetryAfter`] hint in both the typed
-//! [`ServiceError`] and the [`ServiceEvent::Rejected`] event.
+//! Every admission decision — queueing and route resolution — flows
+//! through one governor (module [`admission`]).  Jobs carry a [`TenantId`];
+//! tenants get weighted fair-share dequeueing (deterministic deficit round
+//! robin, weights from [`TenantQuota`]).  The one refusal is a full queue,
+//! [`ServiceError::Saturated`], carrying the [`RETRY_AFTER`] hint in both
+//! the typed error and the [`ServiceEvent::Rejected`] event.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 pub mod admission;
 pub mod chaos;
@@ -85,10 +84,7 @@ mod remote;
 mod scheduler;
 mod status;
 
-pub use admission::{
-    AdmissionConfig, AdmissionGovernor, DrrQueue, JobClass, LoadView, PressureDecision,
-    PressureGauge, PressurePolicy, RetryAfter, ShedReason, TenantId, TenantQuota,
-};
+pub use admission::{DrrQueue, RetryAfter, TenantId, TenantQuota, RETRY_AFTER};
 pub use chaos::{ChaosPhase, ChaosPlan, PhaseKill};
 pub use config::{ConfigError, PoolConfig, RemoteWorkerSpec, ServiceConfig, ServiceConfigBuilder};
 pub use events::{EventSubscriber, ServiceEvent, StampedEvent};
@@ -107,20 +103,6 @@ pub enum ServiceError {
     /// The admission queue is full (backpressure): the job was rejected.
     /// The hint tells the submitter when a retry is worthwhile.
     Saturated {
-        /// Machine-readable back-off hint.
-        retry_after: RetryAfter,
-    },
-    /// The admission plane shed the job at a pressure watermark.
-    Shed {
-        /// The watermark (or quota) that triggered the shed.
-        reason: ShedReason,
-        /// Machine-readable back-off hint.
-        retry_after: RetryAfter,
-    },
-    /// The tenant's per-tenant queued-job quota is exhausted.
-    QuotaExceeded {
-        /// The tenant whose quota is exhausted.
-        tenant: TenantId,
         /// Machine-readable back-off hint.
         retry_after: RetryAfter,
     },
@@ -147,26 +129,6 @@ impl std::fmt::Display for ServiceError {
         match self {
             ServiceError::Saturated { retry_after } => {
                 write!(f, "admission queue is full ({retry_after})")
-            }
-            ServiceError::Shed {
-                reason,
-                retry_after,
-            } => {
-                write!(
-                    f,
-                    "job shed at {} watermark ({retry_after})",
-                    reason.label()
-                )
-            }
-            ServiceError::QuotaExceeded {
-                tenant,
-                retry_after,
-            } => {
-                write!(
-                    f,
-                    "tenant {} queued-job quota exhausted ({retry_after})",
-                    tenant.label()
-                )
             }
             ServiceError::ShuttingDown => write!(f, "service is shutting down"),
             ServiceError::UnknownJob(id) => write!(f, "unknown job {id}"),

@@ -90,19 +90,19 @@ const DOORBELL: &str = "~doorbell";
 pub(crate) struct Doorbell(Router<PctMessage>);
 
 impl Doorbell {
-    pub fn new(router: Router<PctMessage>) -> Self {
+    pub(crate) fn new(router: Router<PctMessage>) -> Self {
         Self(router)
     }
 
     /// Wakes the scheduler.  A ring into a stopped service finds the
     /// manager mailbox gone; nothing is left to wake, so the error is
     /// ignored.
-    pub fn ring(&self) {
+    pub(crate) fn ring(&self) {
         let _ = self.0.send(DOORBELL, MANAGER, PctMessage::Heartbeat);
     }
 
     /// Whether `envelope` is a ring rather than a member's message.
-    pub fn rang(envelope: &Envelope<PctMessage>) -> bool {
+    pub(crate) fn rang(envelope: &Envelope<PctMessage>) -> bool {
         envelope.from == DOORBELL
     }
 }
@@ -203,7 +203,7 @@ impl InlineLane {
 
     /// Hands one whole job to a named executor.  Returns whether the
     /// executor accepted it (false only if its thread died).
-    pub fn dispatch(&self, executor: &str, work: InlineJob) -> bool {
+    pub(crate) fn dispatch(&self, executor: &str, work: InlineJob) -> bool {
         match self.senders.get(executor) {
             Some(tx) => tx.send(work).is_ok(),
             None => false,
@@ -251,7 +251,7 @@ impl WorkerPool {
     /// fails to start, every lane started before it is shut down and joined
     /// before the error returns.  With a `host`, the pool starts no thread:
     /// each member's mailbox and kill switch go to the host instead.
-    pub fn start(
+    pub(crate) fn start(
         config: &PoolConfig,
         host: Option<Sender<HostedMember>>,
     ) -> Result<(WorkerPool, ThreadContext<PctMessage>)> {
@@ -314,13 +314,13 @@ impl WorkerPool {
     }
 
     /// A doorbell onto this pool's manager mailbox.
-    pub fn doorbell(&self) -> Doorbell {
+    pub(crate) fn doorbell(&self) -> Doorbell {
         Doorbell::new(self.runtime.router())
     }
 
     /// The execution slots of a lane, in start order: its groups (`rg2`
     /// before `rg10`), or its executors.
-    pub fn slots(&self, lane: BackendKind) -> Vec<String> {
+    pub(crate) fn slots(&self, lane: BackendKind) -> Vec<String> {
         let Some(state) = self.lanes.get(&lane) else {
             return self.inline.executors.clone();
         };
@@ -330,7 +330,7 @@ impl WorkerPool {
     }
 
     /// How many execution slots a lane has in service.
-    pub fn capacity(&self, lane: BackendKind) -> usize {
+    pub(crate) fn capacity(&self, lane: BackendKind) -> usize {
         match self.lanes.get(&lane) {
             Some(state) => state.groups.len(),
             None => self.inline.executors.len(),
@@ -338,7 +338,7 @@ impl WorkerPool {
     }
 
     /// The message-plane lane `group` belongs to, while it is in service.
-    pub fn lane_of(&self, group: &str) -> Option<BackendKind> {
+    pub(crate) fn lane_of(&self, group: &str) -> Option<BackendKind> {
         self.lanes
             .iter()
             .find_map(|(lane, state)| state.groups.contains_key(group).then_some(*lane))
@@ -349,7 +349,7 @@ impl WorkerPool {
     /// # Panics
     /// Re-raises the first panic of a member thread (see
     /// [`ResilientManagerState::shutdown`]).
-    pub fn shutdown(mut self, ctx: &ThreadContext<PctMessage>) {
+    pub(crate) fn shutdown(mut self, ctx: &ThreadContext<PctMessage>) {
         // Members without a thread — remote bridges, a host's mailboxes —
         // are the pool's to stop; a member lost earlier has a dead mailbox
         // and the send just fails.

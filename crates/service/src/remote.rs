@@ -82,7 +82,10 @@ impl RemoteLane {
     /// When a worker cannot be established (never dialled in, refused by
     /// the handshake) nothing outlives the typed error: the workers before
     /// it are shut down and joined.
-    pub fn start(runtime: &Runtime<PctMessage>, specs: &[RemoteWorkerSpec]) -> Result<RemoteLane> {
+    pub(crate) fn start(
+        runtime: &Runtime<PctMessage>,
+        specs: &[RemoteWorkerSpec],
+    ) -> Result<RemoteLane> {
         let mut lane = RemoteLane::default();
         for (i, spec) in specs.iter().enumerate() {
             if let Err(e) = lane.start_worker(runtime, format!("rw{i}"), spec) {
@@ -149,7 +152,7 @@ impl RemoteLane {
     /// `(name, OS pid)` of every worker; the pid is `None` for
     /// workers that are not separate processes ([`RemoteWorkerSpec::Thread`]
     /// and [`RemoteWorkerSpec::Connect`]).
-    pub fn worker_pids(&self) -> Vec<(String, Option<u32>)> {
+    pub(crate) fn worker_pids(&self) -> Vec<(String, Option<u32>)> {
         self.handles
             .iter()
             .map(|h| (h.name.clone(), h.pid))
@@ -160,7 +163,7 @@ impl RemoteLane {
     /// already sent `Shutdown` through each worker's mailbox by the time
     /// this runs; a worker that died earlier (chaos) has a dead bridge and
     /// a zombie child, both of which this collects.
-    pub fn shutdown(&mut self) {
+    pub(crate) fn shutdown(&mut self) {
         for handle in &mut self.handles {
             for half in handle.bridge.drain(..) {
                 let _ = half.join();

@@ -1,26 +1,22 @@
 //! The [`ServiceReport`]: counters and latency statistics describing one
 //! service lifetime.
 
-use crate::admission::{ShedReason, TenantId};
+use crate::admission::TenantId;
 use crate::events::ServiceEvent;
 use crate::job::{BackendKind, JobStatus, Priority};
 use std::collections::BTreeMap;
 use std::time::{Duration, SystemTime};
 
-/// Per-tenant accounting.  `weight`, `jobs_admitted` and `jobs_downgraded`
-/// are kept by the [`crate::AdmissionGovernor`] and folded into the report
-/// at shutdown; the rest is the fold of the tenant's events.
+/// Per-tenant accounting.  `weight` and `jobs_admitted` are kept by the
+/// admission governor and folded into the report at shutdown; the rest is
+/// the fold of the tenant's events.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TenantStats {
     /// The tenant's fair-share weight at the time it was first seen.
     pub weight: u64,
     /// Jobs accepted into the admission queue.
     pub jobs_admitted: u64,
-    /// Of the admitted, jobs down-prioritized by the soft watermark.
-    pub jobs_downgraded: u64,
-    /// Submissions shed at a hard watermark.
-    pub jobs_shed: u64,
-    /// Submissions rejected (queue saturation or tenant quota).
+    /// Submissions rejected by queue saturation.
     pub jobs_rejected: u64,
     /// Admitted jobs that completed successfully.
     pub jobs_completed: u64,
@@ -78,14 +74,14 @@ impl LatencyStats {
 /// (`jobs_*`), the task counts `tasks_dispatched`, `tasks_retransmitted` and
 /// `tasks_reassigned`, `workers_lost`, `lane_failovers`, `regenerations`,
 /// `members_attacked`, every [`RouteStats`] field, and each tenant's
-/// `jobs_shed`, `jobs_rejected` and `jobs_completed`.  Folding a
+/// `jobs_rejected` and `jobs_completed`.  Folding a
 /// subscriber's stream from [`ServiceReport::default`] reproduces them
 /// ([`ServiceReport::facts`]).  Everything else is a *measurement* no event
 /// carries — message counts (`heartbeats`, `scheduler_turns`,
 /// `results_received`, `duplicates_ignored`), the byte ledger, the queue's
 /// high-water mark, phase durations, latencies, wall-clock times — or a
-/// tenant's `weight`, `jobs_admitted` and `jobs_downgraded`, which only the
-/// admission governor knows.
+/// tenant's `weight` and `jobs_admitted`, which only the admission governor
+/// knows.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ServiceReport {
     /// Jobs accepted into the queue (admitted or still queued at shutdown).
@@ -98,11 +94,8 @@ pub struct ServiceReport {
     pub jobs_cancelled: u64,
     /// Jobs abandoned after exceeding their deadline.
     pub jobs_timed_out: u64,
-    /// Submissions rejected by admission backpressure (queue saturation or
-    /// tenant quota).
+    /// Submissions rejected by admission backpressure (queue saturation).
     pub jobs_rejected: u64,
-    /// Submissions shed by the pressure ladder's hard watermarks.
-    pub jobs_shed: u64,
     /// Tasks dispatched to the pool (group sends count once).
     pub tasks_dispatched: u64,
     /// First-per-task results consumed.
@@ -161,8 +154,8 @@ pub struct ServiceReport {
     /// Per-route accounting: jobs and tasks per execution lane, and how many
     /// lane choices came from the size rule.
     pub routes: BTreeMap<BackendKind, RouteStats>,
-    /// Per-tenant admission accounting (weights, admissions, downgrades,
-    /// sheds, rejections, completions).
+    /// Per-tenant admission accounting (weights, admissions, rejections,
+    /// completions).
     pub tenants: BTreeMap<TenantId, TenantStats>,
 }
 
@@ -174,7 +167,7 @@ impl ServiceReport {
     }
 
     /// Completed jobs per wall-clock second.
-    pub fn throughput_jobs_per_sec(&self) -> f64 {
+    fn throughput_jobs_per_sec(&self) -> f64 {
         let secs = self.elapsed.as_secs_f64();
         if secs <= 0.0 {
             0.0
@@ -184,20 +177,19 @@ impl ServiceReport {
     }
 
     /// Records one completed job's latency under its priority class.
-    pub fn record_latency(&mut self, priority: Priority, latency: Duration) {
+    pub(crate) fn record_latency(&mut self, priority: Priority, latency: Duration) {
         self.latency.entry(priority).or_default().record(latency);
     }
 
     /// Accumulates one job's time spent in `phase`.
-    pub fn record_phase(&mut self, phase: &'static str, duration: Duration) {
+    pub(crate) fn record_phase(&mut self, phase: &'static str, duration: Duration) {
         *self.phase_durations.entry(phase).or_default() += duration;
     }
 
     /// Folds one event into the report: the only writer of the fold fields
     /// (see the type's documentation).  Every job taken off the admission
     /// queue ends in exactly one `Terminal`, so `jobs_submitted` counts
-    /// those; a refusal is `Rejected` — quota and saturation count as
-    /// rejected, a watermark as shed.
+    /// those; a refusal is `Rejected`.
     pub fn record(&mut self, event: &ServiceEvent) {
         match event {
             ServiceEvent::Admitted { route, auto, .. } => {
@@ -205,15 +197,9 @@ impl ServiceReport {
                 stats.jobs_routed += 1;
                 stats.auto_routed += u64::from(*auto);
             }
-            ServiceEvent::Rejected { tenant, reason, .. } => {
-                let stats = self.tenants.entry(*tenant).or_default();
-                if matches!(reason, ShedReason::Quota | ShedReason::Saturated) {
-                    self.jobs_rejected += 1;
-                    stats.jobs_rejected += 1;
-                } else {
-                    self.jobs_shed += 1;
-                    stats.jobs_shed += 1;
-                }
+            ServiceEvent::Rejected { tenant, .. } => {
+                self.jobs_rejected += 1;
+                self.tenants.entry(*tenant).or_default().jobs_rejected += 1;
             }
             ServiceEvent::Dispatched { route, .. } => {
                 self.tasks_dispatched += 1;
@@ -277,7 +263,6 @@ impl ServiceReport {
         for stats in facts.tenants.values_mut() {
             stats.weight = 0;
             stats.jobs_admitted = 0;
-            stats.jobs_downgraded = 0;
         }
         facts
     }
@@ -307,12 +292,6 @@ impl ServiceReport {
             self.jobs_submitted,
             self.jobs_rejected,
         ));
-        if self.jobs_shed > 0 {
-            out.push_str(&format!(
-                "          {} shed by pressure watermarks\n",
-                self.jobs_shed
-            ));
-        }
         out.push_str(&format!(
             "  tasks:  {} dispatched, {} results ({} replica duplicates ignored, {} retransmits), {} heartbeats, {} scheduler turns\n",
             self.tasks_dispatched,
@@ -343,12 +322,10 @@ impl ServiceReport {
         }
         for (tenant, stats) in &self.tenants {
             out.push_str(&format!(
-                "  tenant {:>6} (w{}): {} admitted ({} downgraded), {} shed, {} rejected, {} completed\n",
+                "  tenant {:>6} (w{}): {} admitted, {} rejected, {} completed\n",
                 tenant.label(),
                 stats.weight,
                 stats.jobs_admitted,
-                stats.jobs_downgraded,
-                stats.jobs_shed,
                 stats.jobs_rejected,
                 stats.jobs_completed,
             ));
@@ -501,11 +478,9 @@ mod tests {
     #[test]
     fn a_stream_of_every_kind_folds_to_exact_counters() {
         use JobStatus::{Cancelled, Failed, TimedOut};
-        use ShedReason::{InFlightBytes, QueueDepth, Saturated};
         let (a, b) = (TenantId(2), TenantId(5));
         // Every kind once (a failover before a completion among them), then
-        // a terminal of every other status and a refusal of every other
-        // reason.
+        // a terminal of every other status and three more refusals.
         let mut stream = one_of_each();
         for (job, tenant, status) in [(3, a, Failed), (4, b, Cancelled), (5, b, TimedOut)] {
             let route = Some(BackendKind::Resilient).filter(|_| status != Cancelled);
@@ -516,13 +491,11 @@ mod tests {
                 route,
             });
         }
-        for (job, reason) in [(6, QueueDepth), (7, InFlightBytes), (8, Saturated)] {
-            let retry_after = crate::RetryAfter::default();
+        for job in 6..9 {
             stream.push(ServiceEvent::Rejected {
                 job,
                 tenant: b,
-                reason,
-                retry_after,
+                retry_after: crate::RETRY_AFTER,
             });
         }
         let mut report = ServiceReport::default();
@@ -536,9 +509,8 @@ mod tests {
             report.jobs_cancelled,
             report.jobs_timed_out,
             report.jobs_rejected,
-            report.jobs_shed,
         ];
-        assert_eq!(jobs, [4, 1, 1, 1, 1, 2, 2]);
+        assert_eq!(jobs, [4, 1, 1, 1, 1, 4]);
         let faults = [
             report.tasks_dispatched,
             report.tasks_retransmitted,
@@ -560,13 +532,12 @@ mod tests {
             (BackendKind::SharedMemory, route(0, 0, 1, 0)),
         ]);
         assert_eq!(report.routes, routes);
-        let tenant = |jobs_shed, jobs_rejected, jobs_completed| TenantStats {
-            jobs_shed,
+        let tenant = |jobs_rejected, jobs_completed| TenantStats {
             jobs_rejected,
             jobs_completed,
             ..TenantStats::default()
         };
-        let tenants = BTreeMap::from([(a, tenant(0, 1, 1)), (b, tenant(2, 1, 0))]);
+        let tenants = BTreeMap::from([(a, tenant(1, 1)), (b, tenant(3, 0))]);
         assert_eq!(report.tenants, tenants);
         // Nothing but the fold moved, so the report is its own facts.
         assert_eq!(report.facts(), report);

@@ -78,7 +78,7 @@ impl LaneSnapshot {
     }
 
     /// The lanes that exist in this pool, in preference order.
-    pub fn enabled_lanes(&self) -> Vec<BackendKind> {
+    pub(crate) fn enabled_lanes(&self) -> Vec<BackendKind> {
         BackendKind::ALL
             .into_iter()
             .filter(|kind| self.lane(*kind).enabled())
@@ -89,7 +89,7 @@ impl LaneSnapshot {
 /// Largest job payload (in bytes of samples) [`route`] sends to the
 /// shared-memory lane: 256 KiB (a 64×64×8 cube, say), small enough that
 /// per-task messaging overhead dominates compute.
-pub const SMALL_CUBE_MAX_BYTES: u64 = 256 * 1024;
+const SMALL_CUBE_MAX_BYTES: u64 = 256 * 1024;
 
 /// The lane of an [`Route::Auto`] job of `payload_bytes` (the whole cube,
 /// before sharding): the in-process shared-memory lane for a small cube,

@@ -258,7 +258,7 @@ impl Scheduler {
     /// millisecond clock of its failure detector, tuned by `detector`,
     /// counts from there.
     #[allow(clippy::too_many_arguments)]
-    pub fn new(
+    pub(crate) fn new(
         started: Instant,
         pool: WorkerPool,
         ctx: ThreadContext<PctMessage>,
@@ -334,7 +334,7 @@ impl Scheduler {
     }
 
     /// The scheduler main loop; returns the final report at shutdown.
-    pub fn run(mut self) -> ServiceReport {
+    pub(crate) fn run(mut self) -> ServiceReport {
         let mut woke = None;
         loop {
             let next = self.turn(Instant::now(), woke.take());
@@ -441,7 +441,6 @@ impl Scheduler {
         output: Option<FusionOutput>,
         error: Option<String>,
     ) {
-        self.governor.note_terminal(id);
         self.status.transition(id, status, output, error);
         let terminal = ServiceEvent::Terminal {
             job: id,
@@ -810,7 +809,6 @@ impl Scheduler {
                 let error = e.to_string();
                 self.telemetry
                     .span_end_with_detail(job.span, Some("failed"));
-                self.telemetry.dump_failure(Some(id), &error);
                 let (failed, error) = (JobStatus::Failed, Some(error));
                 self.terminal_transition(id, tenant, failed, route, None, error);
             }
@@ -830,9 +828,6 @@ impl Scheduler {
         job.roll_phase(&self.telemetry, &mut self.report, id, None, self.now);
         self.telemetry
             .span_end_with_detail(job.span, Some(status.label()));
-        if status == JobStatus::Failed {
-            self.telemetry.dump_failure(Some(id), &error);
-        }
         let error = if error.is_empty() { None } else { Some(error) };
         let route = Some(job.backend);
         self.terminal_transition(id, job.tenant, status, route, None, error);
@@ -1275,7 +1270,7 @@ mod tests {
             .build()
             .unwrap();
         let (pool, ctx) = WorkerPool::start(&config.pool, None).unwrap();
-        let governor = AdmissionGovernor::new(config.queue_capacity, config.admission.clone());
+        let governor = AdmissionGovernor::new(config.queue_capacity, config.tenant_quotas.clone());
         Scheduler::new(
             Instant::now(),
             pool,

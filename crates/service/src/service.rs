@@ -5,7 +5,7 @@
 //! cancellation and cancel-on-drop live there.  (The pre-handle id-keyed
 //! methods spent one release as `#[deprecated]` shims and are gone.)
 
-use crate::admission::{AdmissionGovernor, QueuedJob, ShedReason, TenantId};
+use crate::admission::{AdmissionGovernor, QueuedJob, TenantId};
 use crate::config::ServiceConfig;
 use crate::events::{EventSubscriber, Recorder, ServiceEvent};
 use crate::handle::{HandlePlane, JobHandle};
@@ -126,7 +126,7 @@ impl FusionService {
         let lane_totals = BackendKind::ALL.map(|lane| pool.capacity(lane));
         let remote_workers = pool.remote.worker_pids();
         let governor = Arc::new(
-            AdmissionGovernor::new(config.queue_capacity, config.admission.clone())
+            AdmissionGovernor::new(config.queue_capacity, config.tenant_quotas.clone())
                 .with_telemetry(telemetry.clone()),
         );
         let status = Arc::new(StatusTable::new());
@@ -240,20 +240,13 @@ impl FusionService {
     /// Records a typed admission refusal, so the report and observers
     /// account rejections they did not themselves submit.
     fn record_rejection(&self, id: JobId, tenant: TenantId, error: &ServiceError) {
-        let (reason, retry_after) = match error {
-            ServiceError::Saturated { retry_after } => (ShedReason::Saturated, *retry_after),
-            ServiceError::Shed {
-                reason,
-                retry_after,
-            } => (*reason, *retry_after),
-            ServiceError::QuotaExceeded { retry_after, .. } => (ShedReason::Quota, *retry_after),
-            // Shutdown (and anything else) is not an admission verdict.
-            _ => return,
+        // Shutdown (and anything else) is not an admission verdict.
+        let ServiceError::Saturated { retry_after } = *error else {
+            return;
         };
         let rejected = ServiceEvent::Rejected {
             job: id,
             tenant,
-            reason,
             retry_after,
         };
         self.recorder.record(rejected, None);

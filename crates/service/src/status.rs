@@ -22,7 +22,7 @@ pub(crate) struct JobRecord {
 }
 
 impl JobRecord {
-    pub fn queued() -> Self {
+    pub(crate) fn queued() -> Self {
         Self {
             status: JobStatus::Queued,
             output: None,
@@ -58,19 +58,19 @@ pub(crate) struct StatusTable {
 }
 
 impl StatusTable {
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
-    pub fn insert(&self, id: JobId, record: JobRecord) {
+    pub(crate) fn insert(&self, id: JobId, record: JobRecord) {
         self.records.lock().expect("status lock").insert(id, record);
     }
 
-    pub fn remove(&self, id: JobId) {
+    pub(crate) fn remove(&self, id: JobId) {
         self.records.lock().expect("status lock").remove(&id);
     }
 
-    pub fn status(&self, id: JobId) -> Option<JobStatus> {
+    pub(crate) fn status(&self, id: JobId) -> Option<JobStatus> {
         self.records
             .lock()
             .expect("status lock")
@@ -84,7 +84,7 @@ impl StatusTable {
     /// admission would be wasted context switches.  Terminal states are never
     /// overwritten; a terminal transition of an abandoned record releases it
     /// immediately.
-    pub fn transition(
+    pub(crate) fn transition(
         &self,
         id: JobId,
         status: JobStatus,
@@ -111,7 +111,7 @@ impl StatusTable {
 
     /// Marks a record as having no waiter left: if it is already terminal it
     /// is released now, otherwise the terminal transition releases it.
-    pub fn abandon(&self, id: JobId) {
+    pub(crate) fn abandon(&self, id: JobId) {
         let mut records = self.records.lock().expect("status lock");
         if let Some(record) = records.get_mut(&id) {
             if record.status.is_terminal() {
@@ -130,7 +130,11 @@ impl StatusTable {
     /// `Ok(None)` means the deadline expired first; the record is untouched
     /// and a later call can still take the outcome.  An unknown id is
     /// [`ServiceError::UnknownJob`].
-    pub fn wait_outcome(&self, id: JobId, deadline: Option<Instant>) -> Result<Option<JobOutcome>> {
+    pub(crate) fn wait_outcome(
+        &self,
+        id: JobId,
+        deadline: Option<Instant>,
+    ) -> Result<Option<JobOutcome>> {
         let mut records = self.records.lock().expect("status lock");
         loop {
             let Some(record) = records.get(&id) else {

@@ -128,7 +128,7 @@ pub(crate) struct MemberActor {
 }
 
 impl MemberActor {
-    pub fn new(host: ActorId, heartbeat: Duration, first_beat: Option<Duration>) -> Self {
+    pub(crate) fn new(host: ActorId, heartbeat: Duration, first_beat: Option<Duration>) -> Self {
         Self {
             host,
             heartbeat,
@@ -280,7 +280,7 @@ pub(crate) struct HostActor {
 }
 
 impl HostActor {
-    pub fn new(service: FusionService, driver: HostedScheduler, mut p: HostParams) -> Self {
+    pub(crate) fn new(service: FusionService, driver: HostedScheduler, mut p: HostParams) -> Self {
         let jobs: Vec<Job> = std::mem::take(&mut p.cubes)
             .into_iter()
             .map(|cube| Job {

@@ -224,7 +224,7 @@ impl SimHarness {
 
     /// Runs the scenario on already-generated inputs, one per job (the
     /// sweep runner caches cubes and references across scenarios).
-    pub fn run_on(&self, inputs: &[JobInput]) -> Result<ScenarioReport, SimFailure> {
+    pub(crate) fn run_on(&self, inputs: &[JobInput]) -> Result<ScenarioReport, SimFailure> {
         let sc = &self.scenario;
         sc.validate().map_err(|e| self.fail(e))?;
         let members = sc.members();

@@ -37,6 +37,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 mod actors;
 mod clock;
@@ -49,7 +50,7 @@ pub use clock::SimClock;
 pub use harness::{JobInput, ScenarioReport, SimFailure, SimHarness};
 pub use scenario::{Boundary, Client, CubeSpec, JobPlan, Partition, Scenario};
 pub use sweep::{Sweep, SweepReport};
-pub use trace::{render_span_tree, TraceLog};
+pub use trace::TraceLog;
 
 /// A tiny deterministic RNG (splitmix64) used for scenario generation and
 /// reorder jitter.  Not cryptographic; chosen because its sequence is a
@@ -86,7 +87,7 @@ impl SplitMix64 {
     }
 
     /// A coin flip with probability `num/den`.
-    pub fn chance(&mut self, num: u64, den: u64) -> bool {
+    pub(crate) fn chance(&mut self, num: u64, den: u64) -> bool {
         self.below(den) < num
     }
 }

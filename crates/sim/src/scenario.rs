@@ -127,7 +127,7 @@ impl JobPlan {
 
     /// What identifies the job's reference output besides the
     /// configuration: the cube, and for a paper job its shard count.
-    pub fn reference_key(&self) -> ((usize, usize, usize, u64), Option<usize>) {
+    pub(crate) fn reference_key(&self) -> ((usize, usize, usize, u64), Option<usize>) {
         let paper = self.protocol == Protocol::Paper;
         (self.cube.key(), paper.then_some(self.shards))
     }
@@ -263,7 +263,7 @@ impl Scenario {
 
     /// Adds a kill of `member` at job 1's first dispatch of `phase`
     /// (builder style).
-    pub fn with_chaos_kill(mut self, phase: ChaosPhase, member: &str) -> Self {
+    pub(crate) fn with_chaos_kill(mut self, phase: ChaosPhase, member: &str) -> Self {
         self.chaos.kills.push(PhaseKill {
             job: 1,
             phase,
@@ -283,7 +283,7 @@ impl Scenario {
 
     /// Whether `member` is a replica member: a member of the resilient
     /// lane, the one lane that regenerates.
-    pub fn is_replica(member: &str) -> bool {
+    pub(crate) fn is_replica(member: &str) -> bool {
         member.starts_with("rg")
     }
 
@@ -306,7 +306,7 @@ impl Scenario {
     /// tens of virtual milliseconds and jobs behind a narrow admission queue
     /// wait for each other; a kill costs a few detection windows, a lost
     /// message the retransmit backoff (500 ms, then 1 s).
-    pub fn derived_makespan_bound(&self) -> Duration {
+    pub(crate) fn derived_makespan_bound(&self) -> Duration {
         let window_ms = self.detector.failure_timeout_ms();
         let kills = (self.chaos.kills.len()
             + self.machine_kills.len()

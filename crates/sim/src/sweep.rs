@@ -67,7 +67,7 @@ impl SweepReport {
     }
 
     /// All detection latencies across the sweep, sorted ascending.
-    pub fn detection_latencies_ns(&self) -> Vec<u64> {
+    fn detection_latencies_ns(&self) -> Vec<u64> {
         let mut all: Vec<u64> = self
             .rows
             .iter()

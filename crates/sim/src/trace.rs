@@ -38,7 +38,7 @@ impl TraceLog {
 
 /// Renders closed telemetry spans as an indented tree, children ordered
 /// by start time (ties by span id — both exact virtual quantities).
-pub fn render_span_tree(spans: &[Span]) -> String {
+pub(crate) fn render_span_tree(spans: &[Span]) -> String {
     let mut out = String::new();
     let mut children: Vec<usize> = (0..spans.len()).collect();
     children.sort_by_key(|&i| (spans[i].start_nanos, spans[i].id.0));

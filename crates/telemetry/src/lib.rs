@@ -37,6 +37,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 mod clock;
 mod metrics;
@@ -50,13 +51,12 @@ pub use span::{Span, SpanId};
 
 use span::OpenSpan;
 use std::collections::HashMap;
-use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 /// Default flight-recorder window, in records.
-pub const DEFAULT_RECORDER_CAPACITY: usize = 4096;
+const DEFAULT_RECORDER_CAPACITY: usize = 4096;
 
 struct Inner {
     clock: SharedClock,
@@ -68,8 +68,6 @@ struct Inner {
     /// Clock time at which each killed member went down, for detection
     /// latency: `note_kill` writes, `take_kill` consumes.
     kills: Mutex<HashMap<String, u64>>,
-    /// Where to dump a Chrome trace when a job fails, if anywhere.
-    failure_dump: Mutex<Option<PathBuf>>,
 }
 
 /// The shared telemetry handle.  Clone freely — all clones observe the
@@ -111,7 +109,6 @@ impl Telemetry {
                 next_span: AtomicU64::new(1),
                 open: Mutex::new(HashMap::new()),
                 kills: Mutex::new(HashMap::new()),
-                failure_dump: Mutex::new(None),
             })),
         }
     }
@@ -300,24 +297,6 @@ impl Telemetry {
             .map(|i| i.recorder.dropped())
             .unwrap_or(0)
     }
-
-    /// Arms the automatic failure dump: when [`Telemetry::dump_failure`]
-    /// fires (a job fails), the Chrome trace is written to `path`.
-    pub fn dump_to_on_failure(&self, path: PathBuf) {
-        if let Some(inner) = &self.inner {
-            *inner.failure_dump.lock().unwrap() = Some(path);
-        }
-    }
-
-    /// Dumps the Chrome trace to the armed failure path, if one is set.
-    /// Returns the path written, or `None` when disabled/unarmed/unwritable.
-    pub fn dump_failure(&self, job: Option<u64>, cause: &str) -> Option<PathBuf> {
-        let inner = self.inner.as_ref()?;
-        let path = inner.failure_dump.lock().unwrap().clone()?;
-        self.instant("job_failed", job, None, cause);
-        std::fs::write(&path, inner.recorder.chrome_trace()).ok()?;
-        Some(path)
-    }
 }
 
 #[cfg(test)]
@@ -427,22 +406,5 @@ mod tests {
         let spans = tel.spans();
         assert_eq!(spans[0].start_nanos, 2_000);
         assert_eq!(spans[0].end_nanos, 5_000);
-    }
-
-    #[test]
-    fn failure_dump_writes_chrome_trace() {
-        let (_, tel) = manual();
-        let dir = std::env::temp_dir().join("telemetry-failure-dump-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("trace.json");
-        tel.dump_to_on_failure(path.clone());
-        let id = tel.span_start("job", None, Some(1), "");
-        tel.span_end(id);
-        let written = tel.dump_failure(Some(1), "deadline exceeded").unwrap();
-        assert_eq!(written, path);
-        let text = std::fs::read_to_string(&path).unwrap();
-        assert!(text.contains("\"traceEvents\""));
-        assert!(text.contains("job_failed"));
-        std::fs::remove_file(&path).ok();
     }
 }

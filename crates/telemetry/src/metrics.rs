@@ -119,7 +119,7 @@ impl Histogram {
 
     /// Per-bucket (edge, non-cumulative count) pairs; the final entry uses
     /// `f64::INFINITY` as its edge.
-    pub fn buckets(&self) -> Vec<(f64, u64)> {
+    fn buckets(&self) -> Vec<(f64, u64)> {
         self.edges
             .iter()
             .copied()
@@ -211,7 +211,7 @@ impl MetricsRegistry {
 
     /// Returns the histogram `name{labels}` with explicit bucket edges,
     /// creating it on first use.  Edges must be sorted ascending.
-    pub fn histogram_with_edges(
+    fn histogram_with_edges(
         &self,
         name: &str,
         labels: &[(&str, &str)],
@@ -232,7 +232,7 @@ impl MetricsRegistry {
     }
 
     /// Renders every instrument in Prometheus text exposition format.
-    pub fn render_prometheus(&self) -> String {
+    pub(crate) fn render_prometheus(&self) -> String {
         let map = self.instruments.lock().unwrap();
         let mut out = String::new();
         let mut last_family: Option<&str> = None;

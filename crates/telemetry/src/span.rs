@@ -59,7 +59,7 @@ pub(crate) struct OpenSpan {
 
 impl OpenSpan {
     /// Closes the span at `end_nanos`.
-    pub fn close(self, id: SpanId, end_nanos: u64) -> Span {
+    pub(crate) fn close(self, id: SpanId, end_nanos: u64) -> Span {
         Span {
             id,
             parent: self.parent,

@@ -44,6 +44,8 @@
 //! `pct::pipeline`'s `eigen_across_versions` property): a tolerance, not a
 //! hash.
 
+#![warn(unreachable_pub)]
+
 pub mod codec;
 pub mod frame;
 #[doc(hidden)]

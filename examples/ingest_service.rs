@@ -1,6 +1,6 @@
 //! End-to-end streaming ingestion: cube *files* on disk → chunked in-place
 //! decode → content-addressed store → `fusiond` jobs — plus a burst that
-//! trips the shedding watermarks deterministically.
+//! trips the shedding watermark deterministically.
 //!
 //! The example proves the ingest subsystem's four claims with measured
 //! numbers, not assertions in prose:

@@ -1,17 +1,67 @@
-//! The telemetry plane end to end: run a small mixed workload (including a
-//! deterministic chaos kill) with spans, metrics and the flight recorder
-//! all on, then print the Prometheus exposition snapshot, the span tree of
-//! the attacked job, and dump the whole run as a Chrome `trace_event` JSON
-//! file loadable in `chrome://tracing` or Perfetto.
+//! Observing `fusiond` end to end: run a small mixed workload, including a
+//! deterministic chaos kill of a replica-group member, with spans, metrics
+//! and the flight recorder all on.  The run is narrated from the
+//! [`ServiceEvent`] stream as it happens — no status polling — and checks
+//! itself: the kill and the regeneration must both be seen, and every
+//! output must be byte-identical to `SequentialPct`.  Then it prints the
+//! Prometheus exposition snapshot and the span tree of the attacked job,
+//! and dumps the whole run as a Chrome `trace_event` JSON file loadable in
+//! `chrome://tracing` or Perfetto.
 //!
 //! Run with: `cargo run --release --example observability`
 
 use hsi::{CubeDims, SceneConfig, SceneGenerator};
 use service::{
     BackendKind, ChaosPhase, ChaosPlan, CubeSource, FusionService, JobSpec, Route, ServiceConfig,
+    ServiceEvent,
 };
 use std::sync::Arc;
+use std::time::Duration;
 use telemetry::Telemetry;
+
+/// One line of narration per event.
+fn narrate(event: &ServiceEvent) -> String {
+    match event {
+        ServiceEvent::Admitted {
+            job,
+            tenant,
+            route,
+            auto,
+        } => format!(
+            "job {job} (tenant {tenant}) admitted onto the {} lane (auto: {auto})",
+            route.label()
+        ),
+        ServiceEvent::Rejected {
+            job,
+            tenant,
+            retry_after,
+        } => format!("job {job} (tenant {tenant}) refused: queue full ({retry_after})"),
+        ServiceEvent::Dispatched {
+            job, task, kind, ..
+        } => format!("job {job}: task {task} dispatched ({kind})"),
+        ServiceEvent::Retransmitted { job, task, group } => {
+            format!("job {job}: task {task} retransmitted to {group}")
+        }
+        ServiceEvent::MemberKilled { member } => format!("CHAOS: {member} killed"),
+        ServiceEvent::MemberRegenerated {
+            failed,
+            replacement,
+        } => format!("RECOVERY: {failed} regenerated as {replacement}"),
+        ServiceEvent::WorkerLost { worker } => format!("CHAOS: worker {worker} lost"),
+        ServiceEvent::TaskReassigned {
+            job,
+            task,
+            from,
+            to,
+        } => format!("job {job}: task {task} reassigned {from} -> {to}"),
+        ServiceEvent::LaneFailover { job, from, to } => format!(
+            "job {job}: lane failover {} -> {}",
+            from.label(),
+            to.label()
+        ),
+        ServiceEvent::Terminal { job, status, .. } => format!("job {job} terminal: {status:?}"),
+    }
+}
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let telemetry = Telemetry::enabled();
@@ -27,6 +77,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             .telemetry(telemetry.clone())
             .build()?,
     )?;
+    let events = service.subscribe();
 
     let mut config = SceneConfig::small(77);
     config.dims = CubeDims::new(24, 24, 12);
@@ -34,23 +85,48 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Job 1 rides the resilient lane into the chaos kill; the others fan
     // out over the standard and shared-memory lanes.
-    let mut handles = Vec::new();
-    for route in [
+    let routes = [
         Route::Pinned(BackendKind::Resilient),
         Route::Pinned(BackendKind::Standard),
         Route::Auto,
-    ] {
+    ];
+    let mut handles = Vec::new();
+    for route in routes {
         let spec = JobSpec::builder(CubeSource::InMemory(Arc::clone(&cube)))
             .route(route)
             .shards(3)
             .build()?;
         handles.push(service.submit(spec)?);
     }
-    for handle in &mut handles {
-        handle.wait()?;
+
+    println!("--- event stream ---");
+    let (mut seen_kill, mut seen_regen, mut terminals) = (false, false, 0);
+    while terminals < routes.len() {
+        let Some(event) = events.next_timeout(Duration::from_secs(30)) else {
+            break;
+        };
+        seen_kill |= matches!(event, ServiceEvent::MemberKilled { .. });
+        seen_regen |= matches!(event, ServiceEvent::MemberRegenerated { .. });
+        terminals += usize::from(matches!(event, ServiceEvent::Terminal { .. }));
+        println!("{}", narrate(&event));
     }
+    assert!(seen_kill, "the chaos kill must appear on the event stream");
+    assert!(
+        seen_regen,
+        "the regeneration must appear on the event stream"
+    );
+
+    // Every output survived the kill byte-for-byte.
+    let reference = pct::SequentialPct::new(pct::PctConfig::paper()).run(&cube)?;
+    for handle in &mut handles {
+        let outcome = handle.wait()?;
+        assert_eq!(outcome.output().expect("job completed"), &reference);
+    }
+    println!("{} outputs byte-identical to SequentialPct", handles.len());
+
     let report = service.shutdown();
-    print!("{}", report.render());
+    assert!(report.regenerations >= 1);
+    print!("\n{}", report.render());
 
     // The metrics registry, in Prometheus exposition format.
     println!("\n--- prometheus snapshot ---");

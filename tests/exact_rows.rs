@@ -104,8 +104,7 @@ fn mixed_workload_counters_are_exact() {
     assert_eq!(report.bytes_cloned_transform, 0);
     assert_eq!(report.payload_bytes_shipped, 4214784);
 
-    // The queue holds the whole burst, so admission downgrades, sheds and
-    // rejects nothing.
+    // The queue holds the whole burst, so admission rejects nothing.
     for (tenant, weight, jobs) in [(TenantId(1), 3, 24), (TenantId(2), 1, 8)] {
         let expected = TenantStats {
             weight,
@@ -293,5 +292,5 @@ fn ingest_replay_counters_are_exact() {
     assert_eq!(totals.bytes_assembled, 1656832);
     let tenant = report.tenants[&TENANT];
     assert_eq!(tenant.jobs_admitted, 4);
-    assert_eq!((tenant.jobs_downgraded, tenant.jobs_rejected), (0, 0));
+    assert_eq!(tenant.jobs_rejected, 0);
 }

@@ -124,15 +124,26 @@ fn hostile_worker(listener: TcpListener, hostility: Hostility) {
     }
 }
 
-/// Names of this process's live threads (Linux: `/proc/self/task/*/comm`,
-/// which keeps the first 15 bytes of the name).
+/// Names of this process's live threads that start with one of `prefixes`
+/// (Linux: `/proc/self/task/*/comm`, which keeps the first 15 bytes of the
+/// name).  A joined thread can stay listed until the kernel reaps it, so a
+/// non-empty listing is read again until it clears or five seconds pass;
+/// what is still listed then is returned.
 #[cfg(target_os = "linux")]
-fn live_thread_names() -> Vec<String> {
-    std::fs::read_dir("/proc/self/task")
-        .expect("/proc/self/task lists")
-        .filter_map(|task| std::fs::read_to_string(task.ok()?.path().join("comm")).ok())
-        .map(|name| name.trim_end().to_string())
-        .collect()
+fn leftover_threads(prefixes: &[&str]) -> Vec<String> {
+    let deadline = Instant::now() + Duration::from_secs(5);
+    loop {
+        let left: Vec<String> = std::fs::read_dir("/proc/self/task")
+            .expect("/proc/self/task lists")
+            .filter_map(|task| std::fs::read_to_string(task.ok()?.path().join("comm")).ok())
+            .map(|name| name.trim_end().to_string())
+            .filter(|name| prefixes.iter().any(|prefix| name.starts_with(prefix)))
+            .collect();
+        if left.is_empty() || Instant::now() >= deadline {
+            return left;
+        }
+        std::thread::sleep(Duration::from_millis(10));
+    }
 }
 
 fn drill(hostility: Hostility) {
@@ -214,10 +225,7 @@ fn drill(hostility: Hostility) {
     );
     #[cfg(target_os = "linux")]
     {
-        let bridges: Vec<String> = live_thread_names()
-            .into_iter()
-            .filter(|name| name.starts_with("fusiond-bridge"))
-            .collect();
+        let bridges = leftover_threads(&["fusiond-bridge"]);
         assert!(
             bridges.is_empty(),
             "{hostility:?}: bridge threads outlived shutdown: {bridges:?}"
@@ -274,11 +282,7 @@ fn refuse_mixed_numerics() {
     {
         // Replica members, standard workers, then every `fusiond-*` thread
         // (shared-memory executors, remote workers and their bridges).
-        let lanes = ["rg", "svc", "fusiond-"];
-        let left: Vec<String> = live_thread_names()
-            .into_iter()
-            .filter(|name| lanes.iter().any(|lane| name.starts_with(lane)))
-            .collect();
+        let left = leftover_threads(&["rg", "svc", "fusiond-"]);
         assert!(left.is_empty(), "threads outlived a failed start: {left:?}");
     }
 }
