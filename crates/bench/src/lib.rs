@@ -116,6 +116,9 @@ mod tests {
             assert!(row.plain_secs > 0.0);
             assert!(row.resilient_secs > row.plain_secs);
         }
+        let p8 = rows.iter().find(|r| r.processors == 8).unwrap();
+        let speedup = p8.plain_speedup(rows[0].plain_secs);
+        assert!(speedup > 6.0, "8-processor speed-up only {speedup}");
         // The Figure 4 row at 16 processors, as `fig4_speedup` prints it.
         let p16 = rows.last().unwrap();
         assert_eq!(p16.processors, 16);

@@ -6,12 +6,14 @@
 //! persists cubes and that the streaming ingestion path reads: a fixed
 //! [`CubeFileHeader`] (magic, version, [`Interleave`], dimensions) followed
 //! by the samples in BSQ, BIL or BIP order — the three layouts real
-//! imaging-spectrometer products ship in.
+//! imaging-spectrometer products ship in.  [`encode_cube`] is the format's
+//! one encoder; its one decoder is the `ingest` crate's streaming
+//! `StreamDecoder`.
 //!
-//! Both readers take their sizes from the file, so both bound them before
-//! trusting them: a cube header beyond a 16 GiB payload and a
-//! PPM header whose pixel count overflows or exceeds the bytes present are
-//! typed errors, never an allocation or a slice index.
+//! Sizes read from a file are bounded before they are trusted: a cube
+//! header beyond a 16 GiB payload and a PPM header whose pixel count
+//! overflows or exceeds the bytes present are typed errors, never an
+//! allocation or a slice index.
 
 use crate::cube::{CubeDims, HyperCube};
 use crate::rgb::RgbImage;
@@ -204,52 +206,29 @@ pub fn interleave_to_bip_offset(dims: CubeDims, interleave: Interleave, index: u
     }
 }
 
-/// Writes a cube as a self-describing interleaved cube file (`.hsif`):
-/// [`CubeFileHeader`] followed by all samples as little-endian `f64` in the
-/// requested interleave order.
+/// Encodes a cube into `out` as a self-describing interleaved cube file
+/// (`.hsif`): [`CubeFileHeader`] followed by all samples as little-endian
+/// `f64` in the requested interleave order.
+pub fn encode_cube<W: Write>(cube: &HyperCube, interleave: Interleave, out: &mut W) -> Result<()> {
+    out.write_all(&CubeFileHeader::new(cube.dims(), interleave).encode())?;
+    let samples = cube.samples();
+    for index in 0..cube.dims().samples() {
+        let bip = interleave_to_bip_offset(cube.dims(), interleave, index);
+        out.write_all(&samples[bip].to_le_bytes())?;
+    }
+    Ok(())
+}
+
+/// Writes a cube to `path` as an interleaved cube file ([`encode_cube`]).
 pub fn write_cube_as<P: AsRef<Path>>(
     cube: &HyperCube,
     interleave: Interleave,
     path: P,
 ) -> Result<()> {
-    let header = CubeFileHeader::new(cube.dims(), interleave);
-    let file = std::fs::File::create(path)?;
-    let mut w = BufWriter::new(file);
-    w.write_all(&header.encode())?;
-    let samples = cube.samples();
-    for index in 0..cube.dims().samples() {
-        let bip = interleave_to_bip_offset(cube.dims(), interleave, index);
-        w.write_all(&samples[bip].to_le_bytes())?;
-    }
+    let mut w = BufWriter::new(std::fs::File::create(path)?);
+    encode_cube(cube, interleave, &mut w)?;
     w.flush()?;
     Ok(())
-}
-
-/// Reads a whole interleaved cube file back into a BIP [`HyperCube`] (the
-/// non-streaming convenience counterpart of the `ingest` crate's chunked
-/// decoder; used by tests and small tools).
-pub fn read_cube_file<P: AsRef<Path>>(path: P) -> Result<(HyperCube, Interleave)> {
-    let mut bytes = Vec::new();
-    BufReader::new(std::fs::File::open(path)?).read_to_end(&mut bytes)?;
-    let header = CubeFileHeader::parse(&bytes)?;
-    let payload = &bytes[CUBE_FILE_HEADER_LEN..];
-    if payload.len() != header.payload_bytes() {
-        return Err(HsiError::ShapeMismatch {
-            expected: header.payload_bytes(),
-            actual: payload.len(),
-        });
-    }
-    let mut data = vec![0.0_f64; header.dims.samples()];
-    for (index, chunk) in payload.chunks_exact(8).enumerate() {
-        let mut buf = [0u8; 8];
-        buf.copy_from_slice(chunk);
-        data[interleave_to_bip_offset(header.dims, header.interleave, index)] =
-            f64::from_le_bytes(buf);
-    }
-    Ok((
-        HyperCube::from_samples(header.dims, data)?,
-        header.interleave,
-    ))
 }
 
 /// Linearly rescales a band plane to 8-bit grey values.
@@ -451,23 +430,6 @@ mod tests {
     }
 
     #[test]
-    fn interleaved_files_round_trip_in_every_order() {
-        let cube = SceneGenerator::new(SceneConfig::small(6))
-            .unwrap()
-            .generate();
-        for interleave in Interleave::ALL {
-            let path = temp_path(&format!("cube_{}.hsif", interleave.label()));
-            write_cube_as(&cube, interleave, &path).unwrap();
-            let expected = CUBE_FILE_HEADER_LEN + cube.byte_size();
-            assert_eq!(std::fs::metadata(&path).unwrap().len() as usize, expected);
-            let (back, read_interleave) = read_cube_file(&path).unwrap();
-            std::fs::remove_file(&path).ok();
-            assert_eq!(read_interleave, interleave);
-            assert_eq!(back, cube, "{} round trip", interleave.label());
-        }
-    }
-
-    #[test]
     fn interleave_offsets_are_a_bijection() {
         let dims = CubeDims::new(3, 4, 5);
         for interleave in Interleave::ALL {
@@ -511,20 +473,5 @@ mod tests {
             wrapping[off..off + 8].copy_from_slice(&(1u64 << 32).to_le_bytes());
         }
         assert!(CubeFileHeader::parse(&wrapping).is_err(), "wrapped product");
-    }
-
-    #[test]
-    fn read_cube_file_rejects_truncated_payload() {
-        let cube = SceneGenerator::new(SceneConfig::small(8))
-            .unwrap()
-            .generate();
-        let path = temp_path("truncated.hsif");
-        write_cube_as(&cube, Interleave::Bsq, &path).unwrap();
-        let mut bytes = std::fs::read(&path).unwrap();
-        bytes.truncate(bytes.len() - 9);
-        std::fs::write(&path, &bytes).unwrap();
-        let result = read_cube_file(&path);
-        std::fs::remove_file(&path).ok();
-        assert!(matches!(result, Err(HsiError::ShapeMismatch { .. })));
     }
 }

@@ -143,9 +143,8 @@ impl StreamDecoder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hsi::io::{write_cube_as, Interleave, CUBE_FILE_HEADER_LEN};
+    use hsi::io::{encode_cube, Interleave, CUBE_FILE_HEADER_LEN};
     use hsi::{CloneLedger, CubeDims, SceneConfig, SceneGenerator};
-    use std::sync::atomic::{AtomicUsize, Ordering};
 
     fn scene_cube() -> HyperCube {
         let mut config = SceneConfig::small(17);
@@ -154,19 +153,8 @@ mod tests {
     }
 
     fn file_bytes(cube: &HyperCube, interleave: Interleave) -> Vec<u8> {
-        // The harness runs these tests on parallel threads: a path shared
-        // between calls lets one test remove the file another is reading.
-        static CALLS: AtomicUsize = AtomicUsize::new(0);
-        let mut path = std::env::temp_dir();
-        path.push(format!(
-            "ingest_decoder_{}_{}_{}.hsif",
-            std::process::id(),
-            CALLS.fetch_add(1, Ordering::Relaxed),
-            interleave.label()
-        ));
-        write_cube_as(cube, interleave, &path).unwrap();
-        let bytes = std::fs::read(&path).unwrap();
-        std::fs::remove_file(&path).ok();
+        let mut bytes = Vec::new();
+        encode_cube(cube, interleave, &mut bytes).unwrap();
         bytes
     }
 

@@ -7,16 +7,16 @@
 //! the reproduction into an end-to-end service:
 //!
 //! * [`CubeSource`] — a pull-based stream of cube arrivals.  Real
-//!   implementations: [`FileSource`] (one self-describing BSQ/BIL/BIP
-//!   `.hsif` file, read in byte chunks), [`DirectorySource`] (replays a
-//!   folder of cube files as a deterministic arrival schedule and picks up
-//!   files dropped in while it runs), and [`SyntheticSource`] (seeded
-//!   scenes encoded and chunked exactly like a file read — the
-//!   deterministic source for tests and benches).
-//! * [`StreamDecoder`] — assembles arbitrary byte chunks directly into the
-//!   final `Arc<HyperCube>` BIP storage: each completed `f64` is scattered
-//!   to its in-memory offset as it arrives, so there is **no post-assembly
-//!   copy**.  The `hsi` ledger proves it: assembly charges
+//!   implementations: [`DirectorySource`] (replays a folder of
+//!   self-describing BSQ/BIL/BIP `.hsif` cube files, read in byte chunks,
+//!   as a deterministic arrival schedule and picks up files dropped in
+//!   while it runs), and [`SyntheticSource`] (seeded scenes encoded and
+//!   chunked exactly like a file read — the deterministic source for tests
+//!   and benches).
+//! * [`StreamDecoder`] — the one decoder of the `.hsif` format: assembles
+//!   arbitrary byte chunks directly into the final `Arc<HyperCube>` BIP
+//!   storage: each completed `f64` is scattered to its in-memory offset as
+//!   it arrives, so there is **no post-assembly copy**.  The `hsi` ledger proves it: assembly charges
 //!   [`hsi::charge_assembled_bytes`] while [`hsi::CloneLedger::delta`]
 //!   stays zero.
 //! * [`CubeStore`] — a content-addressed cache (hash of dimensions +
@@ -50,7 +50,7 @@ pub mod store;
 pub use decoder::StreamDecoder;
 pub use pump::{IngestConfig, IngestPump, IngestRun, IngestedJob, ShedCube, SheddingPolicy};
 pub use report::{IngestReport, ShedReason, SourceCounters};
-pub use source::{CubeSource, DirectorySource, FileSource, SourceEvent, SyntheticSource};
+pub use source::{CubeSource, DirectorySource, SourceEvent, SyntheticSource};
 pub use store::CubeStore;
 
 /// Errors produced by the ingestion layer.

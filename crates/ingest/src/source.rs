@@ -8,9 +8,7 @@
 //! reproducible.
 
 use crate::{IngestError, Result};
-use hsi::io::{
-    interleave_to_bip_offset, CubeFileHeader, Interleave, CUBE_FILE_EXTENSION, CUBE_FILE_HEADER_LEN,
-};
+use hsi::io::{encode_cube, CubeFileHeader, Interleave, CUBE_FILE_EXTENSION, CUBE_FILE_HEADER_LEN};
 use hsi::{SceneConfig, SceneGenerator};
 use std::collections::BTreeSet;
 use std::io::Read;
@@ -48,7 +46,7 @@ pub trait CubeSource {
     fn next_event(&mut self) -> Option<Result<SourceEvent>>;
 }
 
-/// Shared machinery: streams one opened cube file as header + byte chunks.
+/// Streams one opened cube file as header + byte chunks.
 struct FileStream {
     tag: String,
     file: std::fs::File,
@@ -140,56 +138,6 @@ impl FileStream {
         buf.truncate(read);
         self.remaining -= read;
         Some(Ok(SourceEvent::Chunk(buf)))
-    }
-}
-
-/// Streams one interleaved cube file as chunked arrivals.
-pub struct FileSource {
-    name: String,
-    path: PathBuf,
-    chunk_bytes: usize,
-    stream: Option<FileStream>,
-    opened: bool,
-}
-
-impl FileSource {
-    /// Creates a source over one `.hsif` file with the default chunk size.
-    pub fn new(path: impl Into<PathBuf>) -> Self {
-        Self::with_chunk_bytes(path, DEFAULT_CHUNK_BYTES)
-    }
-
-    /// Creates a source reading the file in `chunk_bytes`-sized chunks.
-    pub fn with_chunk_bytes(path: impl Into<PathBuf>, chunk_bytes: usize) -> Self {
-        let path = path.into();
-        Self {
-            name: format!("file:{}", path.display()),
-            path,
-            chunk_bytes,
-            stream: None,
-            opened: false,
-        }
-    }
-}
-
-impl CubeSource for FileSource {
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn next_event(&mut self) -> Option<Result<SourceEvent>> {
-        if !self.opened {
-            self.opened = true;
-            match FileStream::open(&self.path) {
-                Ok(stream) => self.stream = Some(stream),
-                Err(e) => return Some(Err(e)),
-            }
-        }
-        let stream = self.stream.as_mut()?;
-        let event = stream.next_event(self.chunk_bytes);
-        if event.is_none() {
-            self.stream = None;
-        }
-        event
     }
 }
 
@@ -309,20 +257,14 @@ impl SyntheticSource {
         }
     }
 
-    /// Encodes one scene into full wire bytes (header + payload) in
-    /// memory, sample for sample what `hsi::io::write_cube_as` puts on
-    /// disk (same header, same [`interleave_to_bip_offset`] gather order)
-    /// — no filesystem involved, so concurrent sources cannot race.
+    /// Encodes one scene into full wire bytes (header + payload) in memory
+    /// with the format's one encoder, byte for byte what
+    /// `hsi::io::write_cube_as` puts on disk — no filesystem involved, so
+    /// concurrent sources cannot race.
     fn encode(config: &SceneConfig, interleave: Interleave) -> Result<Vec<u8>> {
         let cube = SceneGenerator::new(config.clone())?.generate();
-        let header = CubeFileHeader::new(cube.dims(), interleave);
-        let mut bytes = Vec::with_capacity(CUBE_FILE_HEADER_LEN + header.payload_bytes());
-        bytes.extend_from_slice(&header.encode());
-        let samples = cube.samples();
-        for index in 0..cube.dims().samples() {
-            let bip = interleave_to_bip_offset(cube.dims(), interleave, index);
-            bytes.extend_from_slice(&samples[bip].to_le_bytes());
-        }
+        let mut bytes = Vec::with_capacity(CUBE_FILE_HEADER_LEN + cube.byte_size());
+        encode_cube(&cube, interleave, &mut bytes)?;
         Ok(bytes)
     }
 }
@@ -418,9 +360,8 @@ mod tests {
     fn file_source_streams_a_cube_in_chunks() {
         let dir = temp_dir("file");
         let cube = SceneGenerator::new(scene(21, 11, 6)).unwrap().generate();
-        let path = dir.join("one.hsif");
-        write_cube_as(&cube, Interleave::Bil, &path).unwrap();
-        let mut source = FileSource::with_chunk_bytes(&path, 37);
+        write_cube_as(&cube, Interleave::Bil, dir.join("one.hsif")).unwrap();
+        let mut source = DirectorySource::with_chunk_bytes(&dir, 37);
         let (cubes, errors) = drain(&mut source);
         std::fs::remove_dir_all(&dir).ok();
         assert_eq!(errors, 0);
@@ -485,21 +426,6 @@ mod tests {
         assert_ne!(cubes[0].0, cubes[1].0, "tags must not collide");
         for (_, decoded) in &cubes {
             assert_eq!(**decoded, cube);
-        }
-    }
-
-    #[test]
-    fn synthetic_encoding_matches_the_file_writer_byte_for_byte() {
-        let config = scene(33, 7, 4);
-        let cube = SceneGenerator::new(config.clone()).unwrap().generate();
-        for interleave in Interleave::ALL {
-            let in_memory = SyntheticSource::encode(&config, interleave).unwrap();
-            let dir = temp_dir("encode");
-            let path = dir.join("ref.hsif");
-            write_cube_as(&cube, interleave, &path).unwrap();
-            let on_disk = std::fs::read(&path).unwrap();
-            std::fs::remove_dir_all(&dir).ok();
-            assert_eq!(in_memory, on_disk, "{} wire bytes", interleave.label());
         }
     }
 

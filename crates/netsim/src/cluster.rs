@@ -3,11 +3,12 @@
 //! Applications are written as *actors*: reactive processes pinned to a node
 //! that change state when a message arrives or a requested compute block
 //! finishes — the same reactive model SCPlib uses ("the important transitions
-//! between data states occur at the receipt of messages").  The `pct` crate
-//! implements the paper's manager and worker threads as actors and runs them
-//! on a simulated 16-node 100BaseT cluster to regenerate Figures 4 and 5.
+//! between data states occur at the receipt of messages").  Two drivers use
+//! it: `pct::distributed_sim` models the paper's manager and worker costs
+//! (its own messages, no pixels) on a simulated 16-node 100BaseT cluster to
+//! regenerate Figures 4 and 5, and the `sim` crate hosts the service's
+//! scheduler and workers, running the real protocol, on virtual time.
 
-use crate::fault::FaultPlan;
 use crate::link::NetworkModel;
 use crate::node::{NodeId, NodeSpec, NodeState};
 use crate::time::{Duration, SimTime};
@@ -103,12 +104,11 @@ impl<M> ActorContext<M> {
         self.ops.push(Op::Timer { tag, delay });
     }
 
-    /// Kills a node immediately (chaos directed *by an actor* rather than
-    /// scheduled ahead of time in a [`FaultPlan`]) — the hook a driver's
-    /// fault-injection logic uses to anchor kills on protocol events
-    /// ("the first transform task was just dispatched") instead of virtual
-    /// times.  The node stops computing, sending and receiving; messages
-    /// already in flight toward it are dropped at delivery.
+    /// Kills a node immediately — the hook a driver's fault-injection logic
+    /// uses to anchor kills on protocol events ("the first transform task
+    /// was just dispatched") or on virtual times (a timer).  The node stops
+    /// computing, sending and receiving; its timers never fire, and
+    /// messages already in flight toward it are dropped at delivery.
     pub fn kill_node(&mut self, node: NodeId) {
         self.ops.push(Op::KillNode { node });
     }
@@ -124,7 +124,6 @@ enum Event<M> {
     Deliver { from: ActorId, to: ActorId, msg: M },
     ComputeDone { actor: ActorId, tag: u64 },
     Timer { actor: ActorId, tag: u64 },
-    NodeFailure { node: NodeId },
 }
 
 /// What a link-fault hook decides about one inter-node send.
@@ -180,8 +179,6 @@ pub struct SimConfig {
     pub nodes: Vec<NodeSpec>,
     /// LAN model.
     pub network: NetworkModel,
-    /// Scheduled node failures / attacks.
-    pub faults: FaultPlan,
     /// Safety valve: maximum number of events to process before reporting a
     /// livelock.  The Figure 4/5 runs need well under a million events.
     pub max_events: u64,
@@ -194,7 +191,6 @@ impl SimConfig {
         Self {
             nodes: NodeSpec::uniform(n),
             network: NetworkModel::fast_ethernet_100baset(),
-            faults: FaultPlan::none(),
             max_events: 10_000_000,
         }
     }
@@ -207,9 +203,7 @@ pub struct SimOutcome {
     pub finished_at: SimTime,
     /// Number of events processed.
     pub events_processed: u64,
-    /// Whether an actor called [`ActorContext::halt`].
-    pub halted: bool,
-    /// Aggregated traffic and utilisation metrics.
+    /// Aggregated traffic metrics.
     pub metrics: SimMetrics,
 }
 
@@ -223,7 +217,6 @@ pub struct ClusterSim<M> {
     seq: u64,
     now: SimTime,
     metrics: SimMetrics,
-    faults: FaultPlan,
     max_events: u64,
     halted: bool,
     link_fault: Option<Box<dyn LinkFault<M>>>,
@@ -238,7 +231,6 @@ impl<M> ClusterSim<M> {
                 "cluster needs at least one node".into(),
             ));
         }
-        let metrics = SimMetrics::new(config.nodes.len());
         Ok(Self {
             nodes: config.nodes.into_iter().map(NodeState::new).collect(),
             network: config.network,
@@ -247,8 +239,7 @@ impl<M> ClusterSim<M> {
             queue: BinaryHeap::new(),
             seq: 0,
             now: SimTime::ZERO,
-            metrics,
-            faults: config.faults,
+            metrics: SimMetrics::default(),
             max_events: config.max_events,
             halted: false,
             link_fault: None,
@@ -333,9 +324,8 @@ impl<M> ClusterSim<M> {
                     self.push_event(self.now + delay, Event::Timer { actor: from, tag });
                 }
                 Op::KillNode { node } => {
-                    if node.0 < self.nodes.len() && self.nodes[node.0].alive {
-                        self.nodes[node.0].alive = false;
-                        self.metrics.node_failures += 1;
+                    if let Some(node) = self.nodes.get_mut(node.0) {
+                        node.alive = false;
                     }
                 }
                 Op::Halt => self.halted = true,
@@ -354,7 +344,6 @@ impl<M> ClusterSim<M> {
             return;
         }
         self.metrics.messages_sent += 1;
-        self.metrics.bytes_sent += bytes;
 
         if from_node == to_node {
             // Intra-node delivery: memory copy, no network involvement.  A
@@ -373,7 +362,7 @@ impl<M> ClusterSim<M> {
         };
 
         let occupancy = self.network.sender_occupancy(bytes);
-        let tx_done = self.nodes[from_node.0].reserve_tx(self.now, occupancy, bytes);
+        let tx_done = self.nodes[from_node.0].reserve_tx(self.now, occupancy);
         if let LinkVerdict::Drop = verdict {
             self.metrics.messages_dropped += 1;
             self.metrics.network_bytes += bytes;
@@ -388,7 +377,7 @@ impl<M> ClusterSim<M> {
             // delay verdict genuinely reorder deliveries.
             arrival + extra + rx_occupancy
         } else {
-            self.nodes[to_node.0].reserve_rx(arrival, rx_occupancy, bytes)
+            self.nodes[to_node.0].reserve_rx(arrival, rx_occupancy)
         };
         self.metrics.network_bytes += bytes;
         self.push_event(delivered, Event::Deliver { from, to, msg });
@@ -397,12 +386,6 @@ impl<M> ClusterSim<M> {
     /// Runs the simulation until the event queue drains, an actor halts it,
     /// or the event budget is exhausted.
     pub fn run(&mut self) -> Result<SimOutcome> {
-        // Schedule configured node failures.
-        let failures: Vec<(SimTime, NodeId)> = self.faults.failures().to_vec();
-        for (time, node) in failures {
-            self.push_event(time, Event::NodeFailure { node });
-        }
-
         // Start every actor.
         for i in 0..self.actors.len() {
             self.dispatch(ActorId(i), |actor, ctx| actor.on_start(ctx));
@@ -431,7 +414,6 @@ impl<M> ClusterSim<M> {
                         self.metrics.messages_dropped += 1;
                         continue;
                     }
-                    self.metrics.messages_delivered += 1;
                     self.dispatch(to, |actor, ctx| actor.on_message(ctx, from, msg));
                 }
                 Event::ComputeDone { actor, tag } => {
@@ -448,24 +430,12 @@ impl<M> ClusterSim<M> {
                     }
                     self.dispatch(actor, |a, ctx| a.on_timer(ctx, tag));
                 }
-                Event::NodeFailure { node } => {
-                    if node.0 < self.nodes.len() {
-                        self.nodes[node.0].alive = false;
-                        self.metrics.node_failures += 1;
-                    }
-                }
             }
-        }
-
-        for (i, node) in self.nodes.iter().enumerate() {
-            self.metrics.per_node_busy[i] = node.cpu_busy;
-            self.metrics.per_node_bytes_sent[i] = node.bytes_sent;
         }
 
         Ok(SimOutcome {
             finished_at: self.now,
             events_processed: processed,
-            halted: self.halted,
             metrics: self.metrics.clone(),
         })
     }
@@ -504,7 +474,6 @@ mod tests {
         let config = SimConfig {
             nodes: NodeSpec::uniform(2),
             network,
-            faults: FaultPlan::none(),
             max_events: 100_000,
         };
         let mut sim: ClusterSim<u32> = ClusterSim::new(config).unwrap();
@@ -537,10 +506,9 @@ mod tests {
 
     #[test]
     fn ping_pong_time_scales_with_rounds() {
-        let (t10, o10) = pingpong_sim(NetworkModel::fast_ethernet_100baset(), 10);
-        let (t20, o20) = pingpong_sim(NetworkModel::fast_ethernet_100baset(), 20);
-        assert!(o10.halted && o20.halted);
-        assert!(t10 > 0.0);
+        let (t10, _) = pingpong_sim(NetworkModel::fast_ethernet_100baset(), 10);
+        let (t20, _) = pingpong_sim(NetworkModel::fast_ethernet_100baset(), 20);
+        assert!(t10 > 0.0 && t20 > 0.0, "a run never reached round 0");
         // Twice the rounds, roughly twice the time.
         assert!((t20 / t10 - 2.0).abs() < 0.15, "ratio {}", t20 / t10);
     }
@@ -548,7 +516,7 @@ mod tests {
     #[test]
     fn ideal_network_ping_pong_is_instant() {
         let (t, outcome) = pingpong_sim(NetworkModel::ideal(), 50);
-        assert!(outcome.halted);
+        assert_eq!(outcome.metrics.messages_sent, 51);
         assert!(t < 1e-6);
     }
 
@@ -557,9 +525,8 @@ mod tests {
         let (_, outcome) = pingpong_sim(NetworkModel::fast_ethernet_100baset(), 10);
         // 11 messages cross the network (rounds 10..=0).
         assert_eq!(outcome.metrics.messages_sent, 11);
-        assert_eq!(outcome.metrics.messages_delivered, 11);
         assert_eq!(outcome.metrics.messages_dropped, 0);
-        assert_eq!(outcome.metrics.bytes_sent, 11 * 1000);
+        assert_eq!(outcome.metrics.network_bytes, 11 * 1000);
     }
 
     /// An actor that performs a fixed compute block then halts.
@@ -654,19 +621,34 @@ mod tests {
         }
     }
 
+    /// Kills `victim` when its timer fires, `after` the start.
+    struct Executioner {
+        victim: NodeId,
+        after: Duration,
+    }
+    impl Actor<u8> for Executioner {
+        fn on_start(&mut self, ctx: &mut ActorContext<u8>) {
+            ctx.set_timer(0, self.after);
+        }
+        fn on_message(&mut self, _ctx: &mut ActorContext<u8>, _from: ActorId, _msg: u8) {}
+        fn on_timer(&mut self, ctx: &mut ActorContext<u8>, _tag: u64) {
+            ctx.kill_node(self.victim);
+        }
+    }
+
     #[test]
     fn messages_to_killed_nodes_are_dropped() {
-        let mut config = SimConfig::lan_of_workstations(2);
-        config.faults = FaultPlan::kill_at(NodeId(1), SimTime::from_secs_f64(1.0));
-        let mut sim: ClusterSim<u8> = ClusterSim::new(config).unwrap();
+        let mut sim: ClusterSim<u8> = ClusterSim::new(SimConfig::lan_of_workstations(2)).unwrap();
         // Register the sink first so the talker knows its id.
         let sink = sim.add_actor(NodeId(1), Box::new(Sink)).unwrap();
         sim.add_actor(NodeId(0), Box::new(Talker { peer: sink }))
             .unwrap();
+        let victim = NodeId(1);
+        let after = Duration::from_secs(1);
+        sim.add_actor(NodeId(0), Box::new(Executioner { victim, after }))
+            .unwrap();
         let outcome = sim.run().unwrap();
-        assert_eq!(outcome.metrics.node_failures, 1);
         assert_eq!(outcome.metrics.messages_dropped, 1);
-        assert_eq!(outcome.metrics.messages_delivered, 0);
     }
 
     #[test]
@@ -674,7 +656,6 @@ mod tests {
         let config = SimConfig {
             nodes: vec![],
             network: NetworkModel::ideal(),
-            faults: FaultPlan::none(),
             max_events: 100,
         };
         assert!(ClusterSim::<u8>::new(config).is_err());
@@ -742,9 +723,7 @@ mod tests {
 
     #[test]
     fn timers_on_killed_nodes_never_fire() {
-        let mut config = SimConfig::lan_of_workstations(1);
-        config.faults = FaultPlan::kill_at(NodeId(0), SimTime::from_nanos(75_000_000));
-        let mut sim: ClusterSim<u8> = ClusterSim::new(config).unwrap();
+        let mut sim: ClusterSim<u8> = ClusterSim::new(SimConfig::lan_of_workstations(2)).unwrap();
         let ticks = std::rc::Rc::new(std::cell::Cell::new(0));
         sim.add_actor(
             NodeId(0),
@@ -755,10 +734,13 @@ mod tests {
             }),
         )
         .unwrap();
-        let outcome = sim.run().unwrap();
+        let victim = NodeId(0);
+        let after = Duration::from_millis(75);
+        sim.add_actor(NodeId(1), Box::new(Executioner { victim, after }))
+            .unwrap();
+        sim.run().unwrap();
         // Only the 50 ms tick precedes the 75 ms kill.
         assert_eq!(ticks.get(), 1);
-        assert!(!outcome.halted);
     }
 
     /// An actor that kills a target node on start, then messages it.
@@ -787,8 +769,6 @@ mod tests {
         )
         .unwrap();
         let outcome = sim.run().unwrap();
-        assert_eq!(outcome.metrics.node_failures, 1);
-        assert_eq!(outcome.metrics.messages_delivered, 0);
         assert_eq!(outcome.metrics.messages_dropped, 1);
     }
 

@@ -13,19 +13,19 @@
 //! * a switched-LAN network model with per-message overhead, latency and
 //!   bandwidth-limited NIC serialisation ([`link`]),
 //! * an actor-style programming interface in which reactive processes
-//!   exchange messages and request compute blocks ([`cluster`]) — the same
-//!   "important transitions happen at message receipt" model the paper
-//!   adopts from SCPlib,
-//! * fault/attack injection schedules that kill nodes at chosen virtual
-//!   times ([`fault`]),
+//!   exchange messages, request compute blocks and kill nodes
+//!   ([`cluster`]) — the same "important transitions happen at message
+//!   receipt" model the paper adopts from SCPlib,
 //! * a calibrated cost model translating PCT workload parameters (pixels,
 //!   bands, sub-cube sizes) into compute seconds and the *paper's* message
 //!   bytes ([`cost`]; the real protocol's frame sizes are `wire::frame_len`,
 //!   which the `sim` crate passes to [`ActorContext::send`]), and
-//! * execution traces and per-node utilisation metrics ([`trace`]).
+//! * traffic metrics of a run ([`trace`]).
 //!
-//! The `pct` crate drives this simulator with the actual manager/worker
-//! protocol of the paper to regenerate Figures 4 and 5.
+//! Two crates drive it.  `pct::distributed_sim` models the costs of the
+//! paper's manager/worker protocol — its own messages, no pixels — to
+//! regenerate Figures 4 and 5; the `sim` crate hosts the service's real
+//! scheduler and workers, running the actual protocol, on virtual time.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -33,7 +33,6 @@
 
 pub mod cluster;
 pub mod cost;
-pub mod fault;
 pub mod link;
 pub mod node;
 pub mod time;
@@ -43,7 +42,6 @@ pub use cluster::{
     Actor, ActorContext, ActorId, ClusterSim, LinkFault, LinkVerdict, SimConfig, SimOutcome,
 };
 pub use cost::CostModel;
-pub use fault::FaultPlan;
 pub use link::NetworkModel;
 pub use node::{NodeId, NodeSpec};
 pub use time::{Duration, SimTime};

@@ -60,7 +60,8 @@ impl NetworkModel {
     /// should be essentially linear, which the tests use as a sanity check
     /// and the paper invokes when discussing shared-memory execution
     /// ("no communication overhead involved in the algorithm").
-    pub fn ideal() -> Self {
+    #[cfg(test)]
+    pub(crate) fn ideal() -> Self {
         Self {
             bandwidth_bps: f64::INFINITY,
             latency: Duration::ZERO,

@@ -42,8 +42,7 @@ impl NodeSpec {
     }
 }
 
-/// Dynamic per-node simulation state: CPU and NIC availability plus
-/// accumulated utilisation statistics.
+/// Dynamic per-node simulation state: CPU and NIC availability.
 #[derive(Debug, Clone)]
 pub(crate) struct NodeState {
     pub spec: NodeSpec,
@@ -53,13 +52,7 @@ pub(crate) struct NodeState {
     pub tx_free_at: SimTime,
     /// Earliest time the NIC can start receiving a new incoming message.
     pub rx_free_at: SimTime,
-    /// Total CPU busy time, for utilisation metrics.
-    pub cpu_busy: Duration,
-    /// Total bytes sent.
-    pub bytes_sent: u64,
-    /// Total bytes received.
-    pub bytes_received: u64,
-    /// Whether the node is alive (fault injection can kill it).
+    /// Whether the node is alive (an actor can kill it).
     pub alive: bool,
 }
 
@@ -70,9 +63,6 @@ impl NodeState {
             cpu_free_at: SimTime::ZERO,
             tx_free_at: SimTime::ZERO,
             rx_free_at: SimTime::ZERO,
-            cpu_busy: Duration::ZERO,
-            bytes_sent: 0,
-            bytes_received: 0,
             alive: true,
         }
     }
@@ -88,26 +78,23 @@ impl NodeState {
         let start = self.cpu_free_at.max(now);
         let done = start + scaled;
         self.cpu_free_at = done;
-        self.cpu_busy += scaled;
         done
     }
 
     /// Reserves the transmit side of the NIC for `occupancy` starting no
     /// earlier than `now`; returns the time transmission finishes.
-    pub(crate) fn reserve_tx(&mut self, now: SimTime, occupancy: Duration, bytes: u64) -> SimTime {
+    pub(crate) fn reserve_tx(&mut self, now: SimTime, occupancy: Duration) -> SimTime {
         let start = self.tx_free_at.max(now);
         let done = start + occupancy;
         self.tx_free_at = done;
-        self.bytes_sent += bytes;
         done
     }
 
     /// Reserves the receive side of the NIC.
-    pub(crate) fn reserve_rx(&mut self, now: SimTime, occupancy: Duration, bytes: u64) -> SimTime {
+    pub(crate) fn reserve_rx(&mut self, now: SimTime, occupancy: Duration) -> SimTime {
         let start = self.rx_free_at.max(now);
         let done = start + occupancy;
         self.rx_free_at = done;
-        self.bytes_received += bytes;
         done
     }
 }
@@ -130,7 +117,6 @@ mod tests {
         let t2 = node.reserve_cpu(SimTime::ZERO, Duration::from_secs(3));
         assert_eq!(t1, SimTime::from_nanos(2_000_000_000));
         assert_eq!(t2, SimTime::from_nanos(5_000_000_000));
-        assert_eq!(node.cpu_busy, Duration::from_secs(5));
     }
 
     #[test]
@@ -159,12 +145,10 @@ mod tests {
     #[test]
     fn nic_sides_are_independent() {
         let mut node = NodeState::new(NodeSpec::default());
-        let tx = node.reserve_tx(SimTime::ZERO, Duration::from_millis(10), 1000);
-        let rx = node.reserve_rx(SimTime::ZERO, Duration::from_millis(4), 500);
+        let tx = node.reserve_tx(SimTime::ZERO, Duration::from_millis(10));
+        let rx = node.reserve_rx(SimTime::ZERO, Duration::from_millis(4));
         assert_eq!(tx, SimTime::from_nanos(10_000_000));
         assert_eq!(rx, SimTime::from_nanos(4_000_000));
-        assert_eq!(node.bytes_sent, 1000);
-        assert_eq!(node.bytes_received, 500);
     }
 
     #[test]

@@ -105,7 +105,8 @@ impl SimTime {
     }
 
     /// Creates a time point from fractional seconds since the epoch.
-    pub fn from_secs_f64(secs: f64) -> Self {
+    #[cfg(test)]
+    pub(crate) fn from_secs_f64(secs: f64) -> Self {
         SimTime(Duration::from_secs_f64(secs).as_nanos())
     }
 

@@ -24,8 +24,8 @@ use crate::{PctError, Result};
 use hsi::partition::{partition_rows, GranularityPolicy};
 use hsi::CubeDims;
 use netsim::{
-    Actor, ActorContext, ActorId, ClusterSim, CostModel, Duration, FaultPlan, NetworkModel, NodeId,
-    NodeSpec, SimConfig,
+    Actor, ActorContext, ActorId, ClusterSim, CostModel, Duration, NetworkModel, NodeId, NodeSpec,
+    SimConfig,
 };
 use resilience::OverheadModel;
 use std::cell::RefCell;
@@ -453,7 +453,6 @@ pub fn simulate_fusion(params: &SimParams) -> Result<SimReport> {
     let config = SimConfig {
         nodes: NodeSpec::uniform(params.workers + 1),
         network: params.network,
-        faults: FaultPlan::none(),
         max_events: 10_000_000,
     };
     let mut sim: ClusterSim<SimMsg> = ClusterSim::new(config)?;

@@ -10,13 +10,13 @@
 //! | Implementation | Substrate | Purpose |
 //! |---|---|---|
 //! | [`sequential::SequentialPct`] | single thread | reference semantics; every other implementation is validated against it |
-//! | [`shared_memory::SharedMemoryPct`] | rayon thread pool | the paper's shared-memory-multiprocessor result (§4: within ~5 % of linear speed-up) |
-//! | [`plan::Plan`] + [`distributed::handle_task`] | manager and worker sides, sans-IO, executed by the `service` scheduler over `scp` + `resilience` replica groups | the paper's message-passing implementation (and the service's seeded chain): replica groups with attack injection and regeneration (level 1 is the plain manager/worker run); [`plan::Plan::run_in_thread`] is its in-thread reference |
+//! | [`plan::Plan`] + [`distributed::handle_task`] | manager and worker sides, sans-IO, executed by the `service` scheduler over `scp` + `resilience` replica groups | the paper's message-passing implementation (and the service's seeded chain): replica groups with attack injection and regeneration (level 1 is the plain manager/worker run); [`plan::Plan::run_in_process`] is its in-process reference |
+//! | [`shared_memory::SharedMemoryPct`] | rayon thread pool | the paper's shared-memory-multiprocessor result (§4: within ~5 % of linear speed-up): the paper's [`plan::Plan`] run by [`plan::Plan::run_in_process`], each fan-out on the pool |
 //! | [`distributed_sim`] | `netsim` discrete-event cluster | regenerates Figures 4 and 5 on a simulated 16-node 100BaseT LAN |
 //!
-//! The manager side of the message-passing implementation is written once,
-//! sans-IO, in [`plan`], over both protocols ([`plan::Protocol`]): the
-//! paper's and the seeded chain.  The worker side is
+//! The manager side of the message-passing and shared-memory
+//! implementations is written once, sans-IO, in [`plan`], over both
+//! protocols ([`plan::Protocol`]): the paper's and the seeded chain.  The worker side is
 //! [`distributed::handle_task`]; [`resilient`] keeps the replica groups
 //! alive.  ([`distributed_sim`] is cost-only — no pixels, its own message
 //! type — and shares no code path with them.)

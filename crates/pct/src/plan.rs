@@ -6,13 +6,15 @@
 //! the sub-cubes through a *seeded screening chain* (so the unique set is
 //! bit-for-bit whole-image screening), derives the transform in one task and
 //! fans the transform out.  Both end in the same transform fan-out, and both
-//! are executed by the `service` scheduler, one plan per job; the paper's
-//! reference is [`Plan::run_in_thread`].
+//! are executed by the `service` scheduler, one plan per job.  The one
+//! in-process driver, [`Plan::run_in_process`], runs each fan-out on the
+//! rayon pool: it is the paper's reference and [`crate::SharedMemoryPct`].
 //!
-//! Nothing here owns a thread, a mailbox, a clock, a telemetry handle or a
-//! simulator type.  *Who* executes a task, *how* it travels and *what
-//! happens when its executor dies* (replication, detection, regeneration,
-//! retransmission, slot accounting) stay with the owner; *which* task
+//! Nothing here owns a thread (the in-process driver borrows the rayon
+//! pool), a mailbox, a clock, a telemetry handle or a simulator type.
+//! *Who* executes a task, *how* it travels and *what happens when its
+//! executor dies* (replication, detection, regeneration, retransmission,
+//! slot accounting) stay with the owner; *which* task
 //! exists, in which order, and what its result means is decided here and
 //! nowhere else.  Replication is therefore transparent by construction: a
 //! second replica's answer or a retransmit's echo carries a task id the plan
@@ -29,6 +31,7 @@ use hsi::partition::SubCubeSpec;
 use hsi::HyperCube;
 use linalg::covariance::mean_vector;
 use linalg::{SymMatrix, Vector};
+use rayon::prelude::*;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -241,7 +244,7 @@ enum Progress {
 /// partition.  Under [`Protocol::Paper`] results are held by id and merged
 /// (unique sets) or summed (covariance) in issue order once the phase's last
 /// one is in, so the output is a function of the cube, the configuration and
-/// the shards alone — [`Plan::run_in_thread`] computes it.  Either way it
+/// the shards alone — [`Plan::run_in_process`] computes it.  Either way it
 /// does not depend on which executor answered when.
 pub struct Plan {
     cube: Arc<HyperCube>,
@@ -500,18 +503,20 @@ impl Plan {
         }
     }
 
-    /// Runs the plan to completion in the calling thread, every task through
-    /// [`handle_task`] — the reference a run of the paper's protocol on any
-    /// executor must equal byte for byte.
+    /// Runs the plan to completion in this process: each batch of tasks
+    /// through [`handle_task`] in parallel on the rayon pool, the merge, the
+    /// covariance sum and the eigen-decomposition on the calling thread.
+    /// This is the reference a run of the paper's protocol on any executor
+    /// must equal byte for byte.
     ///
     /// # Errors
     /// A plan error as `InvalidConfig`.
-    pub fn run_in_thread(self) -> Result<FusionOutput> {
+    pub fn run_in_process(self) -> Result<FusionOutput> {
         self.drive(|_| {})
     }
 
-    /// [`Plan::run_in_thread`], with every answer `tamper`ed with before the
-    /// plan sees it; each batch is answered in reverse issue order.
+    /// [`Plan::run_in_process`], with every answer `tamper`ed with before
+    /// the plan sees it; each batch is accepted in reverse issue order.
     fn drive(mut self, tamper: fn(&mut PctMessage)) -> Result<FusionOutput> {
         let mut next = 0;
         loop {
@@ -526,7 +531,8 @@ impl Plan {
                     "the plan stalled in {phase}"
                 )));
             }
-            for mut result in batch.into_iter().rev().filter_map(handle_task) {
+            let results: Vec<Option<PctMessage>> = batch.into_par_iter().map(handle_task).collect();
+            for mut result in results.into_iter().rev().flatten() {
                 tamper(&mut result);
                 if self.accept(result).map_err(PctError::InvalidConfig)? == Step::Complete {
                     return self.into_output();
@@ -619,14 +625,14 @@ mod tests {
 
         /// (b) The paper's protocol over any shard count, results in any
         /// order, every result delivered again after every batch: the output
-        /// is `run_in_thread`'s and every repeat is stale.
+        /// is `run_in_process`'s and every repeat is stale.
         #[test]
         fn a_paper_plan_is_independent_of_arrival_order_and_accepts_each_id_once(
             seed in 0u64..1 << 40,
             shards in 1usize..9,
         ) {
             let cube = scene(seed);
-            let in_thread = plan_over(Protocol::Paper, &cube, shards).run_in_thread().unwrap();
+            let in_process = plan_over(Protocol::Paper, &cube, shards).run_in_process().unwrap();
             let mut plan = plan_over(Protocol::Paper, &cube, shards);
             let mut rng = StdRng::seed_from_u64(seed);
             let (mut next, mut echoes) = (7, Vec::<PctMessage>::new());
@@ -653,7 +659,7 @@ mod tests {
             for echo in echoes {
                 prop_assert_eq!(plan.accept(echo), Ok(Step::Stale));
             }
-            prop_assert_eq!(plan.into_output().unwrap(), in_thread);
+            prop_assert_eq!(plan.into_output().unwrap(), in_process);
         }
     }
 
@@ -754,7 +760,7 @@ mod tests {
     /// (d) Pinned rows of the paper's protocol — `(scene, slots, unique
     /// count, fingerprint)` — for `SceneConfig::small(5)` and the 48×48×24
     /// end-to-end scene over `2 · slots` shards (so `slots` covariance
-    /// tasks), run in-thread.  They predate the plan; a change that moves
+    /// tasks), run in process.  They predate the plan; a change that moves
     /// one changes what the protocol computes.  `tests/exact_rows.rs` holds
     /// the same rows through the service at levels 1 and 2.
     #[test]
@@ -771,7 +777,7 @@ mod tests {
         ];
         for (cube, slots, unique, hash) in rows {
             let output = plan_over(Protocol::Paper, cube, 2 * slots)
-                .run_in_thread()
+                .run_in_process()
                 .unwrap();
             assert_eq!(
                 (output.unique_count, fingerprint(&output)),

@@ -3,46 +3,31 @@
 //! Section 4 of the paper notes that on a shared-memory multiprocessor the
 //! concurrent algorithm "operates within 5 % of linear speedup on a wide
 //! range of problem sizes and machine sizes" because no communication is
-//! involved.  This implementation reproduces that variant: the data-parallel
-//! steps (screening, covariance accumulation, transformation, colour
-//! mapping) run as rayon parallel folds over row blocks of the cube, while
-//! the small sequential steps (merge, eigen-decomposition) stay on the
-//! calling thread exactly as in the paper.
+//! involved.  This implementation is that variant: the paper's [`Plan`]
+//! over four row shards per rayon thread, run by [`Plan::run_in_process`] —
+//! each fan-out (screening, covariance sums, transform and colour mapping)
+//! in parallel on the pool, the merge and the eigen-decomposition on the
+//! calling thread, exactly as in the paper.  The manager is the
+//! message-passing implementation's, so the output is the paper protocol's
+//! over the same shards, byte for byte.
 
-use crate::colormap::{map_cube, ComponentScale};
 use crate::config::{FusionOutput, PctConfig};
-use crate::pipeline::{finalize_transform, transform_view};
-use crate::screening::{merge_unique_sets, screen_slices};
+use crate::plan::{Plan, Protocol};
 use crate::Result;
-use hsi::partition::partition_views;
-use hsi::{CubeView, HyperCube};
-use linalg::covariance::{mean_vector, CovarianceAccumulator};
-use rayon::prelude::*;
+use hsi::partition::partition_rows;
+use hsi::HyperCube;
 use std::sync::Arc;
 
 /// The shared-memory fusion pipeline.
 #[derive(Debug, Clone)]
 pub struct SharedMemoryPct {
     config: PctConfig,
-    /// Number of row blocks the data-parallel steps are split into.  More
-    /// blocks than threads keeps the pool busy; the default matches rayon's
-    /// current thread count times four.
-    blocks: usize,
 }
 
 impl SharedMemoryPct {
-    /// Creates a shared-memory pipeline using the global rayon pool.
+    /// Creates a shared-memory pipeline on the current rayon pool.
     pub fn new(config: PctConfig) -> Self {
-        Self {
-            config,
-            blocks: rayon::current_num_threads().max(1) * 4,
-        }
-    }
-
-    /// Overrides the number of parallel row blocks.
-    pub fn with_blocks(mut self, blocks: usize) -> Self {
-        self.blocks = blocks.max(1);
-        self
+        Self { config }
     }
 
     /// The pipeline configuration.
@@ -57,74 +42,13 @@ impl SharedMemoryPct {
         self.run_shared(&Arc::new(cube.clone()))
     }
 
-    /// Runs the full pipeline over shared storage: the data-parallel steps
-    /// read zero-copy row-band [`CubeView`]s instead of extracting owned
-    /// sub-cubes per block (the pre-view implementation copied every block
-    /// twice — once for screening, once for the transform).
+    /// Runs the full pipeline over shared storage: every task reads a
+    /// zero-copy row-band view of `cube`.  The cube is cut into four shards
+    /// per thread of the current rayon pool, which keeps the pool busy.
     pub fn run_shared(&self, cube: &Arc<HyperCube>) -> Result<FusionOutput> {
         self.config.validate()?;
-        let views: Vec<CubeView> = partition_views(cube, self.blocks)?;
-
-        // Step 1 in parallel: each block screens its own pixels through its
-        // view of the shared cube.
-        let per_block_unique: Vec<Vec<linalg::Vector>> = views
-            .par_iter()
-            .map(|view| screen_slices(view.iter_pixels(), self.config.screening_angle_rad))
-            .collect();
-
-        // Step 2 sequentially at the "manager" (the calling thread).
-        let unique = merge_unique_sets(per_block_unique, self.config.screening_angle_rad);
-        let unique_count = unique.len();
-
-        // Step 3 sequential (cheap), steps 4 in parallel over chunks of the
-        // unique set, step 5 merge, step 6 sequential eigen.
-        let mean = mean_vector(&unique)?;
-        let chunk = (unique.len() / self.blocks.max(1)).max(1);
-        let partials: Vec<CovarianceAccumulator> = unique
-            .par_chunks(chunk)
-            .map(|pixels| {
-                let mut acc = CovarianceAccumulator::new(mean.clone());
-                acc.push_all(pixels).expect("uniform band count");
-                acc
-            })
-            .collect();
-        let mut total = CovarianceAccumulator::new(mean.clone());
-        for p in &partials {
-            total.merge(p)?;
-        }
-        let covariance = total.finalize()?;
-        let spec = finalize_transform(mean, &covariance, &self.config)?;
-
-        // Step 7 in parallel over row-band views, reassembled into one cube.
-        let transformed_blocks: Vec<(usize, HyperCube)> = views
-            .par_iter()
-            .map(|view| {
-                (
-                    view.row_start(),
-                    transform_view(&spec, view).expect("band counts match"),
-                )
-            })
-            .collect();
-        let mut transformed = HyperCube::zeros(hsi::CubeDims::new(
-            cube.width(),
-            cube.height(),
-            spec.components(),
-        ));
-        for (row_start, block) in &transformed_blocks {
-            transformed.blit(0, *row_start, block)?;
-        }
-
-        // Step 8: eigenvalue-derived scales (known after step 6) then the
-        // colour mapping; cheap relative to step 7.
-        let scales = ComponentScale::from_eigenvalues(&spec.eigenvalues, 3);
-        let image = map_cube(&transformed, &scales);
-
-        Ok(FusionOutput {
-            image,
-            eigenvalues: spec.eigenvalues,
-            unique_count,
-            pixels: cube.pixels(),
-        })
+        let shards = partition_rows(cube.dims(), rayon::current_num_threads() * 4)?;
+        Plan::new(Protocol::Paper, Arc::clone(cube), self.config, shards).run_in_process()
     }
 }
 
@@ -161,17 +85,23 @@ mod tests {
         assert!(par.variance_fraction(3) > 0.95);
     }
 
+    /// The paper's protocol over `shards` row shards, run in process.
+    fn paper_plan(cube: &HyperCube, shards: usize) -> FusionOutput {
+        let shards = partition_rows(cube.dims(), shards).unwrap();
+        Plan::new(
+            Protocol::Paper,
+            Arc::new(cube.clone()),
+            PctConfig::paper(),
+            shards,
+        )
+        .run_in_process()
+        .unwrap()
+    }
+
     #[test]
     fn block_count_does_not_change_the_result_materially() {
         let cube = small_scene();
-        let a = SharedMemoryPct::default()
-            .with_blocks(2)
-            .run(&cube)
-            .unwrap();
-        let b = SharedMemoryPct::default()
-            .with_blocks(8)
-            .run(&cube)
-            .unwrap();
+        let (a, b) = (paper_plan(&cube, 2), paper_plan(&cube, 8));
         let diff = a.image.mean_abs_diff(&b.image).unwrap();
         assert!(diff < 10.0, "block-count sensitivity {diff}");
     }
@@ -212,11 +142,6 @@ mod tests {
     fn single_block_degenerates_to_sequential_semantics() {
         let cube = small_scene();
         let seq = SequentialPct::default().run(&cube).unwrap();
-        let par = SharedMemoryPct::default()
-            .with_blocks(1)
-            .run(&cube)
-            .unwrap();
-        assert_eq!(par.unique_count, seq.unique_count);
-        assert_eq!(par.image, seq.image);
+        assert_eq!(paper_plan(&cube, 1), seq);
     }
 }

@@ -54,7 +54,7 @@
 //! service's reason to exist.  A job of the paper's protocol
 //! ([`Protocol::Paper`]) fans screening and covariance out instead; its
 //! output is a function of its partition, byte-identical to
-//! [`pct::plan::Plan::run_in_thread`] over the same shards.
+//! [`pct::plan::Plan::run_in_process`] over the same shards.
 //!
 //! ## Admission & tenancy
 //!

@@ -9,8 +9,7 @@ use crate::trace::{render_span_tree, TraceLog};
 use crate::SplitMix64;
 use hsi::HyperCube;
 use netsim::{
-    ActorId, ClusterSim, Duration, FaultPlan, LinkFault, LinkVerdict, NodeId, NodeSpec, SimConfig,
-    SimTime,
+    ActorId, ClusterSim, Duration, LinkFault, LinkVerdict, NodeId, NodeSpec, SimConfig, SimTime,
 };
 use pct::distributed::MANAGER;
 use pct::messages::PctMessage;
@@ -236,7 +235,6 @@ impl SimHarness {
         let mut sim = ClusterSim::<PctMessage>::new(SimConfig {
             nodes,
             network: sc.network,
-            faults: FaultPlan::none(),
             max_events: 2_000_000,
         })
         .map_err(|e| self.fail(format!("cluster build: {e}")))?;

@@ -133,14 +133,14 @@ impl JobPlan {
     }
 
     /// The output the job must produce on `cube`: a chain job's is
-    /// [`SequentialPct`]'s, a paper job's is [`Plan::run_in_thread`]'s over
+    /// [`SequentialPct`]'s, a paper job's is [`Plan::run_in_process`]'s over
     /// the partition the service cuts for it.
     pub fn reference(&self, cube: &Arc<HyperCube>, config: PctConfig) -> pct::Result<FusionOutput> {
         match self.protocol {
             Protocol::Chain => SequentialPct::new(config).run(cube),
             Protocol::Paper => {
                 let shards = partition_rows(cube.dims(), self.shards)?;
-                Plan::new(Protocol::Paper, Arc::clone(cube), config, shards).run_in_thread()
+                Plan::new(Protocol::Paper, Arc::clone(cube), config, shards).run_in_process()
             }
         }
     }

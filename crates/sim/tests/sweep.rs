@@ -93,7 +93,7 @@ fn failing_scenario_is_reproducible_from_the_sweep_seed_alone() {
 /// running the paper's protocol — screening and covariance fan out over the
 /// replica groups, so the kill families land on fan-outs — and every
 /// invariant of the harness holding, each completed paper output
-/// byte-identical to `Plan::run_in_thread` over the job's partition.
+/// byte-identical to `Plan::run_in_process` over the job's partition.
 #[test]
 fn the_same_thousand_scenarios_hold_every_invariant_under_the_paper_protocol() {
     let report = Sweep::new(SWEEP_SEED, 1000)

@@ -1,10 +1,11 @@
 //! Offline shim of `rayon`.
 //!
 //! Implements the subset the shared-memory PCT pipeline uses —
-//! `slice.par_iter()`, `slice.par_chunks(n)`, `.map(f).collect()` and
-//! `current_num_threads()` — with genuine data parallelism: items are split
-//! into one contiguous batch per available core and mapped on scoped OS
-//! threads, preserving input order in the collected output.  There is no
+//! `slice.par_iter()`, `slice.par_chunks(n)`, `vec.into_par_iter()`,
+//! `.map(f).collect()` and `current_num_threads()` — with genuine data
+//! parallelism: items are split into one contiguous batch per available
+//! core and mapped on scoped OS threads, preserving input order in the
+//! collected output.  There is no
 //! work stealing; the map closures in this workspace are close enough to
 //! uniform that static batching keeps the cores busy.
 
@@ -97,6 +98,7 @@ impl ThreadPool {
 
 /// Import surface mirroring `rayon::prelude`.
 pub mod prelude {
+    pub use crate::iter::IntoParallelIterator;
     pub use crate::slice::ParallelSlice;
 }
 
@@ -129,6 +131,23 @@ pub mod slice {
 
 pub mod iter {
     //! Minimal parallel-iterator pipeline: source -> map -> collect.
+
+    /// Conversion into a parallel iterator that owns its items.
+    pub trait IntoParallelIterator {
+        /// The items the iterator yields.
+        type Item: Send;
+
+        /// A parallel iterator over the items, consuming `self`.
+        fn into_par_iter(self) -> ParIter<Self::Item>;
+    }
+
+    impl<T: Send> IntoParallelIterator for Vec<T> {
+        type Item = T;
+
+        fn into_par_iter(self) -> ParIter<T> {
+            ParIter::new(self)
+        }
+    }
 
     /// A parallel iterator over an eagerly materialised item list.
     pub struct ParIter<I> {
@@ -227,6 +246,16 @@ mod tests {
         assert_eq!(doubled.len(), input.len());
         for (i, v) in doubled.iter().enumerate() {
             assert_eq!(*v, 2 * i as u64);
+        }
+    }
+
+    #[test]
+    fn into_par_iter_moves_each_item_once_in_order() {
+        let input: Vec<String> = (0..100).map(|i| i.to_string()).collect();
+        let moved: Vec<String> = input.into_par_iter().map(|s| s + "!").collect();
+        assert_eq!(moved.len(), 100);
+        for (i, s) in moved.iter().enumerate() {
+            assert_eq!(*s, format!("{i}!"));
         }
     }
 
