@@ -42,6 +42,43 @@
 //!   rejected the latest rejected pixel is tested first; in spatially
 //!   coherent imagery it usually rejects the next pixel too, and after a
 //!   miss the scan skips it, so no member is tested twice.
+//! * **Pivot index.**  The spectral angle is a metric on the sphere, so for
+//!   any pivot `r`, `θ(p, u) >= |θ(p, r) - θ(u, r)|`: a member whose angle
+//!   to a pivot differs from the pixel's by more than the threshold cannot
+//!   screen the pixel and is not tested (LAESA-style pivot indexing).  The
+//!   pivots are the first `PIVOTS` regular members admitted; every other
+//!   regular member stores its angles to them and is kept sorted by its
+//!   angle to the first.  A pixel that misses the last-hit probe computes its
+//!   own pivot angles once; a binary search gives the members inside
+//!   `θ(p, r₀) ± reach`, and of those only the ones within `reach` of its
+//!   angle to the second pivot too are tested.  A pivot is tested from the
+//!   very fast-tier cosine its angle comes from, so the pivot angles cost no
+//!   test of their own, and their `acos` runs only when the index holds a
+//!   member besides the pivots.
+//!   - *The slack.*  `reach = t + 3·acos(1 - (n + 16) ε) + 2·BOUND_SLACK_RAD`.
+//!     Either tier's cosine is within `e = (n + 16) ε = 2 (n + 16) u` of the
+//!     true cosine: the `(n + 8) u` above, plus at most `11 u` for the
+//!     rounding of the products, the compensated sum, the norms and the
+//!     division.  `acos` is ill-conditioned next to ±1, where
+//!     `|acos c₁ - acos c₂| <= acos(1 - |c₁ - c₂|)`, so a computed angle is
+//!     within `η = acos(1 - e)` of the true one, and a member the guard
+//!     calls similar is truly within `t + η` of the pixel.  By the triangle
+//!     inequality its computed pivot angle then differs from the pixel's by
+//!     at most `t + 3η`; the `2·BOUND_SLACK_RAD` covers the rounding of
+//!     `acos` and of the window's own sums, each below `1e-15` rad.
+//!   - *The bypass.*  A vector is *regular* when its norm is in
+//!     `FAST_NORM_RANGE` (so it is non-zero and finite) and it has the first
+//!     pivot's band count.  Only regular members enter the index and only
+//!     regular pixels search it.  The rest — zero, non-finite, out-of-range
+//!     or of another band count — are tested the linear way: an irregular
+//!     member by every regular pixel that misses the probe, an irregular
+//!     pixel against every member in admission order, so a mismatched band
+//!     count still panics as before.
+//!
+//! A NaN sample that reaches screening (one that skipped ingest's checks)
+//! makes its pixel's norm NaN, and every angle to that pixel NaN, which is
+//! never within the threshold: the pixel is distinct from every member, so
+//! it is always admitted, and as a member it screens nothing.
 //!
 //! The engine takes borrowed `&[f64]` pixels; only admitted pixels are
 //! copied into a [`Vector`].
@@ -126,8 +163,16 @@ impl AngleGuard {
         {
             return None;
         }
-        let cos = dot_fast(pixel, other) / (pixel_norm * other_norm);
-        let delta = (pixel.len() + 16) as f64 * f64::EPSILON;
+        self.decide_fast(
+            fast_cosine(pixel, pixel_norm, other, other_norm),
+            pixel.len(),
+        )
+    }
+
+    /// The fast tier's decision on a cosine from [`fast_cosine`] over
+    /// `bands` bands, or `None` inside its error band.
+    fn decide_fast(&self, cos: f64, bands: usize) -> Option<bool> {
+        let delta = (bands + 16) as f64 * f64::EPSILON;
         if cos >= self.cos_similar + delta {
             Some(true)
         } else if cos < self.cos_distinct - delta {
@@ -138,9 +183,43 @@ impl AngleGuard {
     }
 }
 
-/// An incrementally built unique set with cached member norms.
+/// The fast tier's cosine: the plain dot over the cached norms.
+fn fast_cosine(a: &[f64], a_norm: f64, b: &[f64], b_norm: f64) -> f64 {
+    dot_fast(a, b) / (a_norm * b_norm)
+}
+
+/// The angle a [`fast_cosine`] stands for.
+fn angle(cos: f64) -> f64 {
+    cos.clamp(-1.0, 1.0).acos()
+}
+
+/// Pivots of the index.  In a probe that counted tests, two left fewer
+/// than one on `screen_bound`'s cube (39 709 against 44 711) and at
+/// 160 × 160 × 48 (1 169 997 against 1 351 231); four and eight left more
+/// at 210 bands.
+const PIVOTS: usize = 2;
+
+/// The index's half-width around a pixel's pivot angle at `bands` bands:
+/// the threshold plus the slack derived in the module's hot-path note.
+fn reach(threshold_rad: f64, bands: usize) -> f64 {
+    let cosine_error = (bands + 16) as f64 * f64::EPSILON;
+    threshold_rad + 3.0 * (1.0 - cosine_error).acos() + 2.0 * BOUND_SLACK_RAD
+}
+
+/// A pixel's cosines to the pivots, as far as they have been computed.
+type Cosines = [Option<f64>; PIVOTS];
+
+/// A regular member other than a pivot, placed by its angles to the pivots.
+#[derive(Debug, Clone, Copy)]
+struct Entry {
+    angles: [f64; PIVOTS],
+    member: usize,
+}
+
+/// An incrementally built unique set with cached member norms and an exact
+/// pivot index (see the module's hot-path note).
 ///
-/// This is the screening engine shared by [`screen_pixels`],
+/// This is the screening engine shared by `screen_pixels`,
 /// [`screen_pixels_seeded`], their slice-fed forms and
 /// `merge_unique_sets`; the service layer's exact screening chain drives
 /// it through `screen_slices_seeded`.
@@ -152,6 +231,14 @@ pub struct UniqueSet {
     /// Index of the member that rejected the latest rejected pixel; probed
     /// first.
     last_hit: usize,
+    /// The first `PIVOTS` regular members, in admission order.
+    pivots: Vec<usize>,
+    /// Every other regular member, sorted by its angle to the first pivot.
+    index: Vec<Entry>,
+    /// The members that are not regular, in admission order.
+    bypass: Vec<usize>,
+    /// [`reach`] at the first pivot's band count.
+    reach: f64,
 }
 
 impl UniqueSet {
@@ -164,14 +251,21 @@ impl UniqueSet {
     /// already known to satisfy the screening rule (a previously computed
     /// unique set) and are therefore admitted without re-checking.
     pub fn seeded(seed: impl IntoIterator<Item = Vector>, threshold_rad: f64) -> Self {
-        let vectors: Vec<Vector> = seed.into_iter().collect();
-        let norms = vectors.iter().map(Vector::norm).collect();
-        Self {
+        let mut set = Self {
             guard: AngleGuard::new(threshold_rad),
-            vectors,
-            norms,
+            vectors: Vec::new(),
+            norms: Vec::new(),
             last_hit: 0,
+            pivots: Vec::with_capacity(PIVOTS),
+            index: Vec::new(),
+            bypass: Vec::new(),
+            reach: 0.0,
+        };
+        for vector in seed {
+            let norm = vector.norm();
+            set.push(vector, norm, [None; PIVOTS]);
         }
+        set
     }
 
     /// Number of vectors in the set.
@@ -196,40 +290,179 @@ impl UniqueSet {
 
     /// Whether `pixel` is separated from every member by more than the
     /// threshold angle.
-    pub fn is_unique(&self, pixel: &[f64]) -> bool {
-        self.screening_member(pixel, norm(pixel)).is_none()
+    #[cfg(test)]
+    pub(crate) fn is_unique(&self, pixel: &[f64]) -> bool {
+        self.screening_member(pixel, norm(pixel), &mut [None; PIVOTS])
+            .is_none()
     }
 
     /// Admits `pixel` if it is unique against the current members; returns
     /// whether it was admitted.
     pub fn admit(&mut self, pixel: &[f64]) -> bool {
         let norm = norm(pixel);
-        if let Some(hit) = self.screening_member(pixel, norm) {
-            self.last_hit = hit;
-            return false;
+        match self.probe(pixel, norm) {
+            Some(cosines) => {
+                self.push(Vector::from(pixel), norm, cosines);
+                true
+            }
+            None => false,
         }
-        self.vectors.push(Vector::from(pixel));
-        self.norms.push(norm);
-        true
     }
 
-    /// Index of a member within the threshold angle of `pixel`, if any:
-    /// the last hit when it still applies, else the first in admission order.
-    fn screening_member(&self, pixel: &[f64], pixel_norm: f64) -> Option<usize> {
-        let screens = |member: usize| {
-            let (other, other_norm) = (self.vectors[member].as_slice(), self.norms[member]);
-            let fast = self
-                .guard
-                .similar_fast(pixel, pixel_norm, other, other_norm);
-            #[cfg(test)]
-            tests::count_comparison(fast.is_none());
-            fast.unwrap_or_else(|| self.guard.similar(pixel, pixel_norm, other, other_norm))
-        };
-        let last = self.last_hit;
-        if last < self.len() && screens(last) {
-            return Some(last);
+    /// The cosines a unique `pixel` was found with, or `None` when a member
+    /// screens it (that member becomes the last hit).
+    fn probe(&mut self, pixel: &[f64], pixel_norm: f64) -> Option<Cosines> {
+        let mut cosines = [None; PIVOTS];
+        match self.screening_member(pixel, pixel_norm, &mut cosines) {
+            Some(hit) => {
+                self.last_hit = hit;
+                None
+            }
+            None => Some(cosines),
         }
-        (0..self.len()).find(|&member| member != last && screens(member))
+    }
+
+    /// Appends `vector`, which no member screens, and indexes it if it is
+    /// regular, computing whatever of its `cosines` to the pivots is missing.
+    fn push(&mut self, vector: Vector, norm: f64, mut cosines: Cosines) {
+        let member = self.len();
+        if !self.is_regular(vector.as_slice(), norm) {
+            self.bypass.push(member);
+        } else if self.pivots.len() < PIVOTS {
+            if self.pivots.is_empty() {
+                self.reach = reach(self.guard.threshold_rad, vector.len());
+            }
+            self.pivots.push(member);
+        } else {
+            for (cos, &pivot) in cosines.iter_mut().zip(&self.pivots) {
+                cos.get_or_insert_with(|| {
+                    #[cfg(test)]
+                    tests::count_comparison(false);
+                    fast_cosine(
+                        vector.as_slice(),
+                        norm,
+                        self.vectors[pivot].as_slice(),
+                        self.norms[pivot],
+                    )
+                });
+            }
+            let angles = cosines.map(|cos| angle(cos.expect("every pivot's cosine is known")));
+            let at = self.index.partition_point(|e| e.angles[0] <= angles[0]);
+            self.index.insert(at, Entry { angles, member });
+        }
+        self.vectors.push(vector);
+        self.norms.push(norm);
+    }
+
+    /// Whether the index may hold or search `pixel` (the bypass rule).
+    fn is_regular(&self, pixel: &[f64], pixel_norm: f64) -> bool {
+        FAST_NORM_RANGE.contains(&pixel_norm)
+            && self
+                .pivots
+                .first()
+                .is_none_or(|&first| self.vectors[first].len() == pixel.len())
+    }
+
+    /// Whether `member` screens `pixel`, decided in two tiers.
+    fn screens(&self, pixel: &[f64], pixel_norm: f64, member: usize) -> bool {
+        let (other, other_norm) = (self.vectors[member].as_slice(), self.norms[member]);
+        let fast = self
+            .guard
+            .similar_fast(pixel, pixel_norm, other, other_norm);
+        self.decide(fast, pixel, pixel_norm, member)
+    }
+
+    /// [`UniqueSet::screens`] for pivot `j` and a regular `pixel`: the same
+    /// decision on the same cosine, which is kept for the pixel's angle.
+    fn screens_as_pivot(
+        &self,
+        pixel: &[f64],
+        pixel_norm: f64,
+        j: usize,
+        cosines: &mut Cosines,
+    ) -> bool {
+        let pivot = self.pivots[j];
+        let cos = fast_cosine(
+            pixel,
+            pixel_norm,
+            self.vectors[pivot].as_slice(),
+            self.norms[pivot],
+        );
+        cosines[j] = Some(cos);
+        self.decide(
+            self.guard.decide_fast(cos, pixel.len()),
+            pixel,
+            pixel_norm,
+            pivot,
+        )
+    }
+
+    /// The fast tier's answer, or the exact tier's where it has none.
+    fn decide(&self, fast: Option<bool>, pixel: &[f64], pixel_norm: f64, member: usize) -> bool {
+        #[cfg(test)]
+        tests::count_comparison(fast.is_none());
+        fast.unwrap_or_else(|| {
+            let (other, other_norm) = (self.vectors[member].as_slice(), self.norms[member]);
+            self.guard.similar(pixel, pixel_norm, other, other_norm)
+        })
+    }
+
+    /// Index of a member within the threshold angle of `pixel`, if any: the
+    /// last hit when it still applies, else one the pivot index cannot rule
+    /// out.  Fills in the pixel's `cosines` to the pivots on the way.
+    fn screening_member(
+        &self,
+        pixel: &[f64],
+        pixel_norm: f64,
+        cosines: &mut Cosines,
+    ) -> Option<usize> {
+        let regular = self.is_regular(pixel, pixel_norm);
+        let last = self.last_hit;
+        if last < self.len() {
+            let hit = match self.pivots.iter().position(|&pivot| pivot == last) {
+                Some(j) if regular => self.screens_as_pivot(pixel, pixel_norm, j, cosines),
+                _ => self.screens(pixel, pixel_norm, last),
+            };
+            if hit {
+                return Some(last);
+            }
+        }
+        let screens = |member: usize| member != last && self.screens(pixel, pixel_norm, member);
+        if !regular {
+            return (0..self.len()).find(|&member| screens(member));
+        }
+        if let Some(&member) = self.bypass.iter().find(|&&member| screens(member)) {
+            return Some(member);
+        }
+        for (j, &pivot) in self.pivots.iter().enumerate() {
+            if cosines[j].is_none() && self.screens_as_pivot(pixel, pixel_norm, j, cosines) {
+                return Some(pivot);
+            }
+        }
+        if self.index.is_empty() {
+            return None;
+        }
+        // The index holds members only once every pivot is chosen, so every
+        // cosine is known here.
+        let angles = cosines.map(|cos| angle(cos.expect("every pivot's cosine is known")));
+        // A member is a candidate when `|a - b| <= reach` for its angle `a`
+        // and the pixel's `b` to every pivot.  The differences are monotone
+        // in `a`, so on the sorted first angles the candidates are one run.
+        let reach = self.reach;
+        let from = self
+            .index
+            .partition_point(|e| angles[0] - e.angles[0] > reach);
+        self.index[from..]
+            .iter()
+            .take_while(|e| e.angles[0] - angles[0] <= reach)
+            .filter(|e| {
+                e.angles[1..]
+                    .iter()
+                    .zip(&angles[1..])
+                    .all(|(a, b)| (a - b).abs() <= reach)
+            })
+            .map(|e| e.member)
+            .find(|&member| screens(member))
     }
 }
 
@@ -239,11 +472,12 @@ impl UniqueSet {
 /// A pixel joins the unique set if its spectral angle to *every* vector
 /// already in the set exceeds `threshold_rad`.  With a threshold of zero the
 /// screening keeps every pixel (no screening).
-pub fn screen_pixels(pixels: &[Vector], threshold_rad: f64) -> Vec<Vector> {
+#[cfg(test)]
+pub(crate) fn screen_pixels(pixels: &[Vector], threshold_rad: f64) -> Vec<Vector> {
     screen_slices(pixels.iter().map(Vector::as_slice), threshold_rad)
 }
 
-/// [`screen_pixels`] over borrowed pixel slices (`CubeView::iter_pixels`):
+/// `screen_pixels` over borrowed pixel slices (`CubeView::iter_pixels`):
 /// only the admitted pixels are copied.
 pub(crate) fn screen_slices<'a>(
     pixels: impl IntoIterator<Item = &'a [f64]>,
@@ -257,7 +491,7 @@ pub(crate) fn screen_slices<'a>(
 ///
 /// This is the exactness primitive of the service layer's screening chain:
 /// for any split of a pixel sequence into consecutive parts, folding the
-/// parts through seeded screening reproduces [`screen_pixels`] of the whole
+/// parts through seeded screening reproduces `screen_pixels` of the whole
 /// sequence bit-for-bit —
 /// `screen(A ++ B) == screen(A) ++ screen_seeded(screen(A), B)`.
 pub fn screen_pixels_seeded(seed: &[Vector], pixels: &[Vector], threshold_rad: f64) -> Vec<Vector> {
@@ -290,14 +524,36 @@ pub(crate) fn screen_slices_seeded<'a>(
 /// Merges several per-worker unique sets into one (step 2), applying the same
 /// screening rule across sets so signatures found by two different workers
 /// are not duplicated.
+///
+/// The result is greedy screening of the sets' concatenation, in filter
+/// form: set k's survivors are exactly its members that no survivor of sets
+/// 0..k screens, so each member is tested against those alone.  Two facts
+/// make that exact.  Each set is an unseeded screen at the same threshold
+/// (a worker's answer to a `ScreenTask`), so the guard already found each of
+/// its members unique against every earlier member of the set; testing the
+/// set against its own survivors could only repeat those answers.  And the
+/// guard's predicate is symmetric bit for bit — both tiers' dots sum the
+/// same commuted products in the same order, over a commuted product of the
+/// same two norms — so those answers hold whichever vector of a pair is the
+/// pixel.  A set that is not such a screen (a faulty or hostile worker's)
+/// makes the merged set wrong under the admission loop as well; nothing
+/// here guards against it.
 pub(crate) fn merge_unique_sets(sets: Vec<Vec<Vector>>, threshold_rad: f64) -> Vec<Vector> {
     if threshold_rad <= 0.0 {
         return sets.into_iter().flatten().collect();
     }
     let mut merged = UniqueSet::new(threshold_rad);
     for set in sets {
-        for pixel in &set {
-            merged.admit(pixel.as_slice());
+        let survivors: Vec<_> = set
+            .into_iter()
+            .filter_map(|vector| {
+                let norm = vector.norm();
+                let cosines = merged.probe(vector.as_slice(), norm)?;
+                Some((vector, norm, cosines))
+            })
+            .collect();
+        for (vector, norm, cosines) in survivors {
+            merged.push(vector, norm, cosines);
         }
     }
     merged.into_vectors()
@@ -516,6 +772,36 @@ mod tests {
             for b in merged.iter().skip(i + 1) {
                 assert!(a.spectral_angle(b).unwrap() > threshold);
             }
+        }
+    }
+
+    /// Step 1's comparisons, pivot cosines included, on the first cube
+    /// `fusebench --seed 1` generates for each of its five shapes (the
+    /// `image_rows` cubes), with the unique count they leave.  This is the
+    /// count the pivot index drives down: before it, the same screens made
+    /// 11 466, 185 250, 9 825, 4 268 and 4 096 comparisons.
+    #[test]
+    fn comparisons_per_fusebench_shape_are_pinned() {
+        use hsi::{CubeDims, SceneConfig, SceneGenerator};
+        let shapes = [
+            (32, 32, 210, 5.0, 128, 4_542),
+            (64, 64, 32, 5.0, 427, 37_166),
+            (28, 28, 14, 5.0, 100, 2_604),
+            (64, 64, 64, 30.0, 13, 4_255),
+            (64, 64, 32, 45.0, 2, 4_096),
+        ];
+        for (width, height, bands, degrees, unique, comparisons) in shapes {
+            let mut scene = SceneConfig::small(1_000_003);
+            scene.dims = CubeDims::new(width, height, bands);
+            let cube = SceneGenerator::new(scene).unwrap().generate();
+            take_tier_counts();
+            let screened = screen_slices(cube.iter_pixels(), f64::to_radians(degrees));
+            let (all, exact) = take_tier_counts();
+            assert_eq!(
+                (screened.len(), all, exact),
+                (unique, comparisons, 0),
+                "{width} x {height} x {bands} at {degrees} degrees"
+            );
         }
     }
 }

@@ -229,3 +229,213 @@ fn degenerate_pixels_match_naive() {
 fn mismatched_band_counts_still_panic() {
     screen_pixels(&[v(&[1.0, 2.0]), v(&[1.0, 2.0, 3.0])], 0.1);
 }
+
+/// A random orthonormal frame of `k` directions in `bands`-space
+/// (Gram–Schmidt over random vectors; `k <= bands`).
+fn frame(rng: &mut StdRng, bands: usize, k: usize) -> Vec<Vector> {
+    let mut basis: Vec<Vector> = Vec::new();
+    while basis.len() < k {
+        let mut w = Vector::from(
+            (0..bands)
+                .map(|_| rng.gen_range(-1.0..1.0))
+                .collect::<Vec<f64>>(),
+        );
+        for e in &basis {
+            w = w.sub_vec(&e.scale(w.dot(e).unwrap())).unwrap();
+        }
+        if w.norm() > 1e-3 {
+            basis.push(w.normalized());
+        }
+    }
+    basis
+}
+
+/// The point at `angle` from `e1` towards `e2` on their great circle.
+fn on_circle(e1: &Vector, e2: &Vector, angle: f64, scale: f64) -> Vector {
+    e1.scale(scale * angle.cos())
+        .add_vec(&e2.scale(scale * angle.sin()))
+        .unwrap()
+}
+
+/// Vectors the index must leave to the linear path.
+fn irregular(ordinary: &Vector) -> Vec<Vector> {
+    let bands = ordinary.len();
+    let mut poisoned = ordinary.clone();
+    poisoned[bands / 2] = f64::NAN;
+    vec![
+        Vector::filled(bands, f64::NAN),
+        Vector::filled(bands, f64::INFINITY),
+        Vector::filled(bands, f64::NEG_INFINITY),
+        Vector::zeros(bands),
+        ordinary.scale(1e-150),
+        ordinary.scale(1e150),
+        poisoned,
+    ]
+}
+
+/// Where the index is most fragile: pixels within 1e-7 rad of a pivot and
+/// of its antipode (where `acos` is ill-conditioned), and pixel–member
+/// pairs on one great circle with the first pivot, so their pivot angles
+/// differ by their whole angle, at `threshold ± ε` — with irregular vectors
+/// admitted before, between and after the pivots.
+#[test]
+fn pivot_neighbourhoods_match_naive() {
+    let mut rng = StdRng::seed_from_u64(41);
+    for bands in [1, 3, 32, 210, 224] {
+        for threshold in thresholds() {
+            let (e1, e2) = if bands == 1 {
+                (v(&[1.0]), v(&[0.0]))
+            } else {
+                let f = frame(&mut rng, bands, 2);
+                (f[0].clone(), f[1].clone())
+            };
+            let pivot = e1.scale(rng.gen_range(0.5..5.0));
+            let second = on_circle(&e1, &e2, (threshold + 0.3).min(PI), 2.0);
+            let mut pixels = irregular(&pivot);
+            pixels.push(pivot.clone());
+            pixels.extend(irregular(&second));
+            pixels.push(second);
+            pixels.extend(irregular(&pivot).into_iter().rev());
+            for eps in [0.0, 1e-15, 1e-12, 1e-9, 1e-7] {
+                for (near, far) in [(eps, threshold), (PI - eps, PI - eps - threshold)] {
+                    let scale = rng.gen_range(0.5..50.0);
+                    pixels.push(on_circle(&e1, &e2, near, scale));
+                    for delta in [-1e-9, -1e-12, 0.0, 1e-12, 1e-9] {
+                        pixels.push(on_circle(&e1, &e2, (far + delta).clamp(0.0, PI), scale));
+                    }
+                }
+                for centre in [0.4, 1.3, 2.5] {
+                    for offset in [-eps, eps] {
+                        pixels.push(on_circle(&e1, &e2, centre, 3.0));
+                        pixels.push(on_circle(&e1, &e2, centre + threshold + offset, 7.0));
+                    }
+                }
+            }
+            pixels.extend(irregular(&pivot));
+            assert_matches_naive(&pixels, threshold, "pivot neighbourhoods");
+            let mut chained: Vec<Vector> = Vec::new();
+            for part in pixels.chunks(17) {
+                chained.extend(screen_pixels_seeded(&chained, part, threshold));
+            }
+            assert_eq!(bits(&chained), bits(&naive_screen(&pixels, threshold)));
+        }
+    }
+}
+
+/// A member whose pivot angle differs from the pixel's by the last float
+/// inside the index's reach is tested; one a float further out is not.
+/// Found by bisection on the member's place on the pixel's great circle
+/// through the pivot, for the first and the second pivot, on either side.
+#[test]
+fn the_window_edge_is_inclusive_to_the_float() {
+    let mut rng = StdRng::seed_from_u64(43);
+    for bands in [3, 32, 210, 224] {
+        for threshold in thresholds().into_iter().filter(|&t| t < 0.6) {
+            let basis = frame(&mut rng, bands, 3);
+            let (e1, e2, off) = (&basis[0], &basis[1], basis[2].scale(4.0));
+            let reach = reach(threshold, bands);
+            for in_plane in 0..2 {
+                // The pivots, in admission order: the one on the circle is
+                // pivot `in_plane`; the other is a right angle off it.
+                let on = e1.scale(2.0);
+                let pivots = if in_plane == 0 {
+                    [on.clone(), off.clone()]
+                } else {
+                    [off.clone(), on.clone()]
+                };
+                let pixel_at = 2.0 * threshold + 0.25;
+                let pixel = on_circle(e1, e2, pixel_at, 1.5);
+                let angle_to_pivot = |x: &Vector| {
+                    angle(fast_cosine(
+                        x.as_slice(),
+                        x.norm(),
+                        on.as_slice(),
+                        on.norm(),
+                    ))
+                };
+                let pixel_angle = angle_to_pivot(&pixel);
+                for side in [1.0, -1.0] {
+                    let gap = |at: f64| {
+                        side * (angle_to_pivot(&on_circle(e1, e2, at, 0.8)) - pixel_angle)
+                    };
+                    let (mut inside, mut outside) = (
+                        pixel_at + side * (reach - 1e-6),
+                        pixel_at + side * (reach + 1e-6),
+                    );
+                    assert!(gap(inside) <= reach && gap(outside) > reach);
+                    while (inside - outside).abs() > f64::EPSILON * inside.abs() {
+                        let mid = 0.5 * (inside + outside);
+                        if gap(mid) <= reach {
+                            inside = mid;
+                        } else {
+                            outside = mid;
+                        }
+                    }
+                    for (at, tested) in [(inside, true), (outside, false)] {
+                        assert!((gap(at) - reach).abs() < 1e-13);
+                        let member = on_circle(e1, e2, at, 0.8);
+                        let mut set = UniqueSet::seeded(
+                            [pivots[0].clone(), pivots[1].clone(), member.clone()],
+                            threshold,
+                        );
+                        take_tier_counts();
+                        let unique = set.admit(pixel.as_slice());
+                        let (comparisons, _) = take_tier_counts();
+                        assert_eq!(
+                            comparisons,
+                            2 + u64::from(tested),
+                            "bands {bands} threshold {threshold} pivot {in_plane} side {side}"
+                        );
+                        let all = [pivots[0].clone(), pivots[1].clone(), member, pixel.clone()];
+                        assert_eq!(unique, naive_screen(&all, threshold).len() == 4);
+                        assert_eq!(bits(set.vectors()), bits(&naive_screen(&all, threshold)));
+                    }
+                }
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Step 2 in filter form is the admission loop it replaced: every
+    /// vector of every set, in order, admitted against all admitted so far
+    /// — over sets that are screens of consecutive parts of one cloud with
+    /// zero vectors and NaN samples in it, at the eight thresholds and 0.
+    #[test]
+    fn merge_equals_the_admission_loop(
+        seed in 0u64..1 << 40,
+        bands in 1usize..40,
+        parts in 1usize..7,
+        pick in 0usize..9,
+    ) {
+        let threshold = thresholds().get(pick).copied().unwrap_or(0.0);
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut pixels = cloud(&mut rng, 150, bands);
+        for i in (0..pixels.len()).step_by(11) {
+            if rng.gen_range(0..2usize) == 0 {
+                pixels[i] = Vector::zeros(bands);
+            } else {
+                pixels[i][rng.gen_range(0..bands)] = f64::NAN;
+            }
+        }
+        let size = pixels.len().div_ceil(parts);
+        let sets: Vec<Vec<Vector>> = pixels
+            .chunks(size)
+            .map(|part| screen_pixels(part, threshold))
+            .collect();
+        let looped = if threshold <= 0.0 {
+            sets.concat()
+        } else {
+            let mut merged = UniqueSet::new(threshold);
+            for vector in sets.iter().flatten() {
+                merged.admit(vector.as_slice());
+            }
+            merged.into_vectors()
+        };
+        let filtered = merge_unique_sets(sets.clone(), threshold);
+        prop_assert_eq!(bits(&filtered), bits(&looped));
+        prop_assert_eq!(bits(&filtered), bits(&naive_screen(&sets.concat(), threshold)));
+    }
+}
