@@ -377,26 +377,32 @@ impl<'a> Reader<'a> {
         Ok(s)
     }
 
+    fn array<const N: usize>(&mut self) -> Result<[u8; N]> {
+        let rest = &self.buf[self.pos..];
+        let Some(&bytes) = rest.first_chunk::<N>() else {
+            return Err(WireError::Truncated {
+                needed: N,
+                have: rest.len(),
+            });
+        };
+        self.pos += N;
+        Ok(bytes)
+    }
+
     fn u8(&mut self) -> Result<u8> {
         Ok(self.take(1)?[0])
     }
 
     fn u32(&mut self) -> Result<u32> {
-        Ok(u32::from_le_bytes(
-            self.take(4)?.try_into().expect("4 bytes"),
-        ))
+        Ok(u32::from_le_bytes(self.array()?))
     }
 
     fn u64(&mut self) -> Result<u64> {
-        Ok(u64::from_le_bytes(
-            self.take(8)?.try_into().expect("8 bytes"),
-        ))
+        Ok(u64::from_le_bytes(self.array()?))
     }
 
     fn f64(&mut self) -> Result<f64> {
-        Ok(f64::from_le_bytes(
-            self.take(8)?.try_into().expect("8 bytes"),
-        ))
+        Ok(f64::from_le_bytes(self.array()?))
     }
 
     fn usize64(&mut self) -> Result<usize> {
@@ -409,10 +415,8 @@ impl<'a> Reader<'a> {
                 .checked_mul(8)
                 .ok_or(WireError::Malformed("sample count overflows"))?,
         )?;
-        Ok(bytes
-            .chunks_exact(8)
-            .map(|c| f64::from_le_bytes(c.try_into().expect("8 bytes")))
-            .collect())
+        let (samples, _) = bytes.as_chunks::<8>();
+        Ok(samples.iter().map(|&c| f64::from_le_bytes(c)).collect())
     }
 
     fn vector(&mut self) -> Result<Vector> {

@@ -45,6 +45,8 @@
 //! hash.
 
 #![warn(unreachable_pub)]
+#![deny(unsafe_code)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod codec;
 pub mod frame;

@@ -5,8 +5,9 @@
 
 use crate::frame::CRC_TABLES;
 
-/// The one-byte-at-a-time CRC-32 that slicing-by-8 replaced.
-/// [`crate::frame::crc32`] must match this on every input.
+/// The one-byte-at-a-time CRC-32.  [`crate::frame::crc32`] and each of its
+/// two kernels, the carry-less folding and the slicing-by-8 table, must
+/// match this on every input.
 pub fn crc32_reference(bytes: &[u8]) -> u32 {
     let mut c = !0u32;
     for &b in bytes {
