@@ -32,6 +32,7 @@ const FAST_LANES: usize = 8;
 /// `sum |a_i b_i| <= (1 + u) |a| |b|` (Cauchy-Schwarz), and the compensated
 /// sum by at most `2u` of it.  Spectral screening decides a comparison on
 /// this value whenever it lies further than that from the threshold.
+#[inline(always)]
 pub fn dot_fast(a: &[f64], b: &[f64]) -> f64 {
     assert_eq!(a.len(), b.len(), "dot_fast operands differ in length");
     let mut lanes = [0.0_f64; FAST_LANES];

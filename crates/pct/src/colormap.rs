@@ -100,9 +100,22 @@ fn map_pixel(components: [f64; 3]) -> [u8; 3] {
         for (col, c) in centred.iter().enumerate() {
             acc += OPPONENT[row][col] * c;
         }
-        *out = (128.0 + acc).round().clamp(0.0, 255.0) as u8;
+        *out = to_byte(128.0 + acc);
     }
     rgb
+}
+
+/// `x.round().clamp(0.0, 255.0) as u8`, bit for bit, without `f64::round`,
+/// which is a libm call on the baseline x86-64 target: clamp, truncate,
+/// and round half away from zero on the remainder.  NaN clamps to NaN and
+/// truncates to 0, as before.
+fn to_byte(x: f64) -> u8 {
+    let clamped = x.clamp(0.0, 255.0);
+    let whole = clamped as u8;
+    // Exact: below 1 it is `clamped` itself, above it both operands share
+    // a binade, so no bit of the fraction is lost.
+    let fraction = clamped - f64::from(whole);
+    whole + u8::from(fraction >= 0.5)
 }
 
 /// Step 8 for one pixel: its leading three components rescaled by `scales`
@@ -172,6 +185,32 @@ mod tests {
                     assert_eq!(map_pixel([a, b, c]), expected, "{a} {b} {c}");
                 }
             }
+        }
+    }
+
+    /// `to_byte` against the expression it replaced, at every half-way
+    /// point `k + 0.5` and the four floats either side for `k` in
+    /// `-1..=256`, at the whole numbers, at ±0, ±∞ and NaN, and on a seeded
+    /// sample spread over and around the byte range.
+    #[test]
+    fn to_byte_rounds_as_round_clamp_cast() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let old = |x: f64| x.round().clamp(0.0, 255.0) as u8;
+        let step = |x: f64, ulps: i64| {
+            let bits = x.to_bits() as i64;
+            f64::from_bits(if x >= 0.0 { bits + ulps } else { bits - ulps } as u64)
+        };
+        let mut values = vec![0.0, -0.0, f64::INFINITY, f64::NEG_INFINITY, f64::NAN];
+        for k in -1..=256 {
+            for centre in [k as f64 + 0.5, k as f64] {
+                values.extend((-4..=4).map(|ulps| step(centre, ulps)));
+            }
+        }
+        let mut rng = StdRng::seed_from_u64(8);
+        values.extend((0..100_000).map(|_| rng.gen_range(-300.0..600.0)));
+        for x in values {
+            assert_eq!(to_byte(x), old(x), "{x:e} ({:#x})", x.to_bits());
         }
     }
 

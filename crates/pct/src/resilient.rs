@@ -246,9 +246,10 @@ impl ResilientManagerState {
 /// The reactive loop of every killable worker — a replica-group member
 /// here, a standard-lane worker in the service pool: service tasks, poll the
 /// [`KillSwitch`] at every timeout boundary and before replying, heartbeat
-/// the manager while idle and after every reply (the feed of its failure
-/// detector), and stop silently when attacked.  No goodbye message is the
-/// point: the detector must notice the silence, not be told.
+/// the manager while idle (the feed of its failure detector, which counts
+/// a reply as proof of life too), and stop silently when attacked.  No
+/// goodbye message is the point: the detector must notice the silence, not
+/// be told.
 pub fn member_loop(ctx: ThreadContext<PctMessage>, kill: KillSwitch) {
     loop {
         if kill.is_killed() {
@@ -265,7 +266,6 @@ pub fn member_loop(ctx: ThreadContext<PctMessage>, kill: KillSwitch) {
                         if ctx.send(MANAGER, reply).is_err() {
                             return;
                         }
-                        let _ = ctx.send(MANAGER, PctMessage::Heartbeat);
                     }
                 }
             },

@@ -11,69 +11,101 @@
 //!
 //! ## Hot-path note
 //!
-//! Screening is O(unique × pixels) and dominates phase 1 at paper scale.
 //! The membership test decides every comparison exactly as the naive
-//! `spectral_angle`-per-pair rule ([`crate::reference::naive_screen`]) would,
-//! with far less arithmetic:
+//! `spectral_angle`-per-pair rule ([`crate::reference::naive_screen`]) would.
+//! A test costs about one plain dot product, and most pixels need few:
 //!
-//! * **Cached norms.**  A member's norm is computed once, on admission; a
-//!   pixel's once per pixel.
-//! * **Exact tier** (`AngleGuard::similar`): compensated dot → clamp →
-//!   cosine band; `acos` runs only within `BOUND_SLACK_RAD` of the threshold,
-//!   a band far wider than the `acos` rounding error.
-//! * **Fast tier** (`AngleGuard::similar_fast`): the plain
-//!   [`linalg::dot_fast`] over the same cached norms.  Both dots sum the same
-//!   rounded products `p_i = fl(a_i b_i)`.  With `n` bands, `u = 2^-53` and
-//!   `N = |a||b|`: plain summation is off by at most `(n - 1) u Σ|p_i|`, the
-//!   compensated sum by at most `2u Σ|p_i|`, and `Σ|p_i| <= (1 + u) N` by
-//!   Cauchy–Schwarz, so `|fast - exact| <= (n + 4) u N`.  The cached
-//!   denominator is within `7u` of `N` and each of the two divisions rounds
-//!   by at most `u`, so the two cosines differ by less than `(n + 8) u`.
-//!   The fast cosine decides only when it clears a band edge by
-//!   `δ = (n + 16) · f64::EPSILON = 2 (n + 16) u` — at least twice that —
-//!   where the exact cosine is on the same side of the same edge and the
-//!   exact tier returns the same answer without reaching `acos`.  Everything
-//!   else falls through to the exact tier: a cosine inside `δ` of an edge, a
-//!   norm that is zero, non-finite or outside `FAST_NORM_RANGE` (where a
-//!   product could overflow or underflow and void the bound), and mismatched
-//!   band counts (which still panic there).
+//! * **Cost model.**  Every pixel pays its fast norm (one plain dot) and the
+//!   last-hit probe (one test), which settles most pixels of coherent land.
+//!   A pixel that misses it pays its two pivot tests (which give its pivot
+//!   angles) and then a search by one of two kernels: the pivot index,
+//!   whose cost is the rows of the buckets its window meets, or the dense
+//!   kernel, one bound check per row admitted before its block and a test
+//!   for each row the bound leaves.  Admitting a pixel appends it, and
+//!   files it in one bucket.  A chain link's seed is filed the same way, in
+//!   one pass.
+//! * **Fast tier** (`AngleGuard::decide_fast`): the cosine of
+//!   [`linalg::dot_fast`] over *fast norms*, `sqrt(dot_fast(v, v))`, cached
+//!   once per member and computed once per pixel.  With `n` bands,
+//!   `u = 2^-53`, `γ_n = n u / (1 - n u)` and true norms `N = |a||b|`: each
+//!   rounded product reaches the plain sum through at most `n - 1`
+//!   additions, so whatever the order of the sum the dot is within
+//!   `γ_n Σ|a_i b_i| <= γ_n N` (Cauchy–Schwarz) of `a·b`; a sum of squares
+//!   is within `γ_n` relative, its root within `γ_n / 2 + u`, the product of
+//!   two roots within `γ_n + 3u` of `N`, and the division rounds by `u`.  So
+//!   the fast cosine is within `2γ_n + 4u + O(n²u²) < (2n + 5) u` of the
+//!   true one.
+//! * **Exact tier** (`AngleGuard::similar`): the naive rule's arithmetic —
+//!   compensated dot over compensated norms, which it computes itself on
+//!   the rare fall-through → clamp → cosine band; `acos` runs only within
+//!   `BOUND_SLACK_RAD` of the threshold, a band far wider than the `acos`
+//!   rounding error.  Its products round by `u`, its sums by `2u` plus
+//!   `O(n u²)`, its norms by `2.5u` each and its division by `u`, so its
+//!   cosine is within `11u` of the true one.
+//! * **The two tiers agree.**  They differ by less than `(2n + 16) u`.  The
+//!   fast cosine decides only when it clears a band edge by
+//!   `δ = (n + 16) · f64::EPSILON = (2n + 32) u`, where the exact cosine is
+//!   at least `16u` past the same edge and the exact tier returns the same
+//!   answer without reaching `acos`.  Everything else falls through to the
+//!   exact tier: a cosine inside `δ` of an edge, a norm that is zero,
+//!   non-finite or outside `FAST_NORM_RANGE` (where a product could overflow
+//!   or underflow and void the bound), and mismatched band counts (which
+//!   still panic there).  The dense kernel's cosines are `dot_fast`'s, summed
+//!   in its order; the bound above holds for any order, so a kernel that
+//!   summed otherwise (a register tile) would need no new one.
 //! * **Last-hit probe.**  Admission is the predicate "some member is within
 //!   the threshold", which no scan order can change.  The member that
 //!   rejected the latest rejected pixel is tested first; in spatially
 //!   coherent imagery it usually rejects the next pixel too, and after a
-//!   miss the scan skips it, so no member is tested twice.
-//! * **Pivot index.**  The spectral angle is a metric on the sphere, so for
+//!   miss the search skips it, so no member is tested twice.
+//! * **Pivot bound.**  The spectral angle is a metric on the sphere, so for
 //!   any pivot `r`, `θ(p, u) >= |θ(p, r) - θ(u, r)|`: a member whose angle
 //!   to a pivot differs from the pixel's by more than the threshold cannot
-//!   screen the pixel and is not tested (LAESA-style pivot indexing).  The
-//!   pivots are the first `PIVOTS` regular members admitted; every other
-//!   regular member stores its angles to them and is kept sorted by its
-//!   angle to the first.  A pixel that misses the last-hit probe computes its
-//!   own pivot angles once; a binary search gives the members inside
-//!   `θ(p, r₀) ± reach`, and of those only the ones within `reach` of its
-//!   angle to the second pivot too are tested.  A pivot is tested from the
-//!   very fast-tier cosine its angle comes from, so the pivot angles cost no
-//!   test of their own, and their `acos` runs only when the index holds a
-//!   member besides the pivots.
+//!   screen the pixel and is not tested (LAESA-style pivot indexing).  Every
+//!   angle here is `acos` of a fast cosine, clamped.
 //!   - *The slack.*  `reach = t + 3·acos(1 - (n + 16) ε) + 2·BOUND_SLACK_RAD`.
-//!     Either tier's cosine is within `e = (n + 16) ε = 2 (n + 16) u` of the
-//!     true cosine: the `(n + 8) u` above, plus at most `11 u` for the
-//!     rounding of the products, the compensated sum, the norms and the
-//!     division.  `acos` is ill-conditioned next to ±1, where
+//!     Either tier's cosine is within `e = (n + 16) ε = (2n + 32) u` of the
+//!     true cosine (above).  `acos` is ill-conditioned next to ±1, where
 //!     `|acos c₁ - acos c₂| <= acos(1 - |c₁ - c₂|)`, so a computed angle is
 //!     within `η = acos(1 - e)` of the true one, and a member the guard
 //!     calls similar is truly within `t + η` of the pixel.  By the triangle
 //!     inequality its computed pivot angle then differs from the pixel's by
 //!     at most `t + 3η`; the `2·BOUND_SLACK_RAD` covers the rounding of
-//!     `acos` and of the window's own sums, each below `1e-15` rad.
-//!   - *The bypass.*  A vector is *regular* when its norm is in
+//!     `acos` and of the bound's own differences, each below `1e-15` rad.
+//!     A pivot is tested from the very fast-tier cosine its angle comes
+//!     from, so a pivot angle costs no test of its own.
+//!   - *The bypass.*  A vector is *regular* when its fast norm is in
 //!     `FAST_NORM_RANGE` (so it is non-zero and finite) and it has the first
-//!     pivot's band count.  Only regular members enter the index and only
-//!     regular pixels search it.  The rest — zero, non-finite, out-of-range
-//!     or of another band count — are tested the linear way: an irregular
-//!     member by every regular pixel that misses the probe, an irregular
-//!     pixel against every member in admission order, so a mismatched band
-//!     count still panics as before.
+//!     pivot's band count.  The first `PIVOTS` regular members are the
+//!     pivots; every other regular member is a *row*.  Only rows are
+//!     searched and only regular pixels search them.  The rest — zero,
+//!     non-finite, out-of-range or of another band count — are tested the
+//!     linear way: an irregular member by every regular pixel that misses
+//!     the probe, an irregular pixel against every member in admission
+//!     order, so a mismatched band count still panics as before.
+//! * **Pivot index** (the index kernel).  Each row is filed with its angles
+//!   to the two pivots in a bucket of its first angle, `reach` wide (wider
+//!   only below a threshold of about 5e-5 rad), in admission order.  A pixel
+//!   searches the at most four buckets its window `θ(p, r₀) ± reach` meets
+//!   and tests the rows within `reach` of both of its pivot angles.  The
+//!   order in which a search meets the rows may change which member is
+//!   found first, and so `last_hit` and the count of tests, never a verdict.
+//! * **Dense kernel** (the river kernel).  Where every pixel is unique — a
+//!   river at 5°, where 48-band noise vectors all lie at about the same
+//!   angle to any pivot — a window holds most of the index and searching it
+//!   costs more than a plain scan.  The dense kernel screens a block in two
+//!   passes: it drops every pixel that a member admitted before the block
+//!   screens, then takes the survivors in order, each against the rows the
+//!   block has admitted before it, so it is exact for any block.  Its
+//!   first pass tests the first `KERNEL_PIVOTS` rows (its own pivots) from
+//!   the cosines that give the pixel's angles to them, and every other row
+//!   only inside the pivot bound at all of them, checked without a branch
+//!   over rows stored contiguously, a chunk at a time.  The kernel for each
+//!   block of `BLOCK` pixels is chosen from the one before it: the dense
+//!   kernel when the buckets its pixels' windows met held more than half of
+//!   the index, the index otherwise — the windows' size, not how many
+//!   pixels survive, so an all-unique cube at 1e-4 rad, whose windows are
+//!   nearly empty, stays on the index.
 //!
 //! A NaN sample that reaches screening (one that skipped ingest's checks)
 //! makes its pixel's norm NaN, and every angle to that pixel NaN, which is
@@ -81,10 +113,11 @@
 //! it is always admitted, and as a member it screens nothing.
 //!
 //! The engine takes borrowed `&[f64]` pixels; only admitted pixels are
-//! copied into a [`Vector`].
+//! copied: into a [`Vector`], and a row's samples also into the contiguous
+//! store the kernels read.
 
 use linalg::{dot, dot_fast, norm, Vector};
-use std::f64::consts::FRAC_PI_2;
+use std::f64::consts::{FRAC_PI_2, PI};
 use std::ops::RangeInclusive;
 
 /// Angular slack (radians) around the screening threshold inside which the
@@ -116,17 +149,15 @@ impl AngleGuard {
         Self {
             threshold_rad,
             cos_similar: (threshold_rad - BOUND_SLACK_RAD).max(0.0).cos(),
-            cos_distinct: (threshold_rad + BOUND_SLACK_RAD)
-                .min(std::f64::consts::PI)
-                .cos(),
+            cos_distinct: (threshold_rad + BOUND_SLACK_RAD).min(PI).cos(),
         }
     }
 
     /// Whether `pixel` and `other` are within the threshold angle (i.e.
-    /// `other` *screens out* `pixel`).  `pixel_norm` and `other_norm` are the
-    /// callers' cached Euclidean norms of the two vectors.
-    fn similar(&self, pixel: &[f64], pixel_norm: f64, other: &[f64], other_norm: f64) -> bool {
-        let denom = pixel_norm * other_norm;
+    /// `other` *screens out* `pixel`), decided on the compensated dot over
+    /// the compensated norms: the naive rule's arithmetic.
+    fn similar(&self, pixel: &[f64], other: &[f64]) -> bool {
+        let denom = norm(pixel) * norm(other);
         if denom == 0.0 {
             // A zero pixel carries no spectral direction: the angle is
             // defined as pi/2 (see `Vector::spectral_angle`).
@@ -147,9 +178,9 @@ impl AngleGuard {
         cos.acos() <= self.threshold_rad
     }
 
-    /// [`AngleGuard::similar`] decided on the plain dot, or `None` where its
-    /// rounding error could reach a band edge (see the module's hot-path
-    /// note for the bound).
+    /// [`AngleGuard::similar`] decided on the fast tier's cosine, or `None`
+    /// where its rounding error could reach a band edge (see the module's
+    /// hot-path note for the bound).
     fn similar_fast(
         &self,
         pixel: &[f64],
@@ -171,6 +202,7 @@ impl AngleGuard {
 
     /// The fast tier's decision on a cosine from [`fast_cosine`] over
     /// `bands` bands, or `None` inside its error band.
+    #[inline(always)]
     fn decide_fast(&self, cos: f64, bands: usize) -> Option<bool> {
         let delta = (bands + 16) as f64 * f64::EPSILON;
         if cos >= self.cos_similar + delta {
@@ -183,7 +215,12 @@ impl AngleGuard {
     }
 }
 
-/// The fast tier's cosine: the plain dot over the cached norms.
+/// The fast tier's norm: the plain dot of a vector with itself, rooted.
+fn fast_norm(v: &[f64]) -> f64 {
+    dot_fast(v, v).sqrt()
+}
+
+/// The fast tier's cosine: the plain dot over the two fast norms.
 fn fast_cosine(a: &[f64], a_norm: f64, b: &[f64], b_norm: f64) -> f64 {
     dot_fast(a, b) / (a_norm * b_norm)
 }
@@ -206,18 +243,141 @@ fn reach(threshold_rad: f64, bands: usize) -> f64 {
     threshold_rad + 3.0 * (1.0 - cosine_error).acos() + 2.0 * BOUND_SLACK_RAD
 }
 
-/// A pixel's cosines to the pivots, as far as they have been computed.
-type Cosines = [Option<f64>; PIVOTS];
+/// A pixel's angles to the pivots, as far as they have been computed.
+type Angles = [Option<f64>; PIVOTS];
 
-/// A regular member other than a pivot, placed by its angles to the pivots.
-#[derive(Debug, Clone, Copy)]
-struct Entry {
-    angles: [f64; PIVOTS],
-    member: usize,
+/// Whether the pivot angles `a` and `b` are all within `reach` of each
+/// other: the pivot bound, without which no member can screen a pixel.
+/// Every pair is compared, without a branch.
+#[inline(always)]
+fn near<const N: usize>(a: &[f64; N], b: &[f64; N], reach: f64) -> bool {
+    let mut near = true;
+    for (x, y) in a.iter().zip(b) {
+        near &= (x - y).abs() <= reach;
+    }
+    near
 }
 
-/// An incrementally built unique set with cached member norms and an exact
-/// pivot index (see the module's hot-path note).
+/// Most buckets a [`PivotIndex`] may have: a bucket is `reach` wide down to
+/// a threshold of about 5e-5 rad, and never narrower than `π / 2^16`.
+const MAX_BUCKETS: usize = 1 << 16;
+
+/// Past a window's ends by at most this much (radians), a first angle is
+/// certainly outside it: far above the rounding of `angle ± reach`.
+const WINDOW_MARGIN: f64 = 1e-12;
+
+/// The rows of one bucket of a [`PivotIndex`], in admission order, with
+/// their angles to the pivots.
+#[derive(Debug, Clone, Default)]
+struct Bucket {
+    angles: Vec<[f64; PIVOTS]>,
+    rows: Vec<usize>,
+}
+
+/// The indexed members (the rows) in buckets of their angle to the first
+/// pivot, each bucket `width >= reach` wide.  A member within `reach` of a
+/// pixel's first angle is in one of the at most four buckets the window
+/// `θ ± reach` meets, so a search scans those and an insert is a push.
+#[derive(Debug, Clone)]
+struct PivotIndex {
+    width: f64,
+    buckets: Vec<Bucket>,
+}
+
+impl PivotIndex {
+    fn new(reach: f64) -> Self {
+        Self {
+            width: reach.max(PI / MAX_BUCKETS as f64),
+            buckets: Vec::new(),
+        }
+    }
+
+    /// The bucket of a first angle: monotone in it, and 0 below zero.
+    fn bucket(&self, first_angle: f64) -> usize {
+        (first_angle / self.width) as usize
+    }
+
+    /// Files `row` under its `angles` to the pivots.
+    fn insert(&mut self, angles: [f64; PIVOTS], row: usize) {
+        let at = self.bucket(angles[0]);
+        if at >= self.buckets.len() {
+            self.buckets.resize_with(at + 1, Bucket::default);
+        }
+        self.buckets[at].angles.push(angles);
+        self.buckets[at].rows.push(row);
+    }
+
+    /// The buckets the window `first_angle ± reach` meets.  A window is
+    /// `2 reach` wide (plus margins far below a bucket) and a bucket at least
+    /// `reach`, so it meets at most four.
+    fn met(&self, first_angle: f64, reach: f64) -> &[Bucket] {
+        let last = self.bucket(first_angle + reach + WINDOW_MARGIN);
+        let to = self.buckets.len().min(last.saturating_add(1));
+        let from = self.bucket(first_angle - reach - WINDOW_MARGIN).min(to);
+        assert!(to - from <= 4, "a window meets at most four buckets");
+        &self.buckets[from..to]
+    }
+}
+
+/// How a pixel that gets past the last hit, the bypass and the pivots looks
+/// for the rest of the members (see the module's hot-path note).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Kernel {
+    /// Only the rows in the buckets its window meets, in the pivot index.
+    Index,
+    /// Every row admitted before the block, in admission order, behind the
+    /// dense kernel's pivot bound.
+    Dense,
+}
+
+/// The dense kernel's pivots: the first this many rows.  On the river of
+/// `smp_speedup`'s cube (rows 0–8 at 160 × 160 × 48, 5°) the bound leaves
+/// 65 % of the pairs to test with two pivots, 46 % with four and 24 % with
+/// eight.
+const KERNEL_PIVOTS: usize = 8;
+
+/// Rows the dense kernel bounds before it tests the ones left.
+const CHUNK: usize = 64;
+
+/// Pixels screened as one block; the kernel for the next block is chosen
+/// from the windows of this one.
+const BLOCK: usize = 64;
+
+/// Rows the index must hold, on average over a block's searches, before
+/// the dense kernel may screen the next block: below it, the dense
+/// kernel's own pivot tests and bounds cost more than they save.
+const DENSE_ROWS: usize = 256;
+
+/// What the windows of a block's `searches` met: `held` rows in the
+/// buckets met, out of `of` rows in the index at the time.
+#[derive(Debug, Clone, Copy, Default)]
+struct Windows {
+    searches: usize,
+    held: usize,
+    of: usize,
+}
+
+impl Windows {
+    /// The kernel for the next block: the dense one when the windows met
+    /// most of the index, where the index only adds its own cost.
+    fn kernel(self) -> Kernel {
+        #[cfg(test)]
+        if let Some((kernel, _)) = tests::forced_kernel() {
+            return kernel;
+        }
+        if self.held * 2 > self.of && self.of >= DENSE_ROWS * self.searches {
+            Kernel::Dense
+        } else {
+            Kernel::Index
+        }
+    }
+}
+
+/// The pixels of one block, with their fast norms.
+type Block<'a> = Vec<(&'a [f64], f64)>;
+
+/// An incrementally built unique set with cached member norms, an exact
+/// pivot index and the dense kernel (see the module's hot-path note).
 ///
 /// This is the screening engine shared by `screen_pixels`,
 /// [`screen_pixels_seeded`], their slice-fed forms and
@@ -227,18 +387,29 @@ struct Entry {
 pub struct UniqueSet {
     guard: AngleGuard,
     vectors: Vec<Vector>,
+    /// Each member's fast norm.
     norms: Vec<f64>,
     /// Index of the member that rejected the latest rejected pixel; probed
     /// first.
     last_hit: usize,
     /// The first `PIVOTS` regular members, in admission order.
     pivots: Vec<usize>,
-    /// Every other regular member, sorted by its angle to the first pivot.
-    index: Vec<Entry>,
     /// The members that are not regular, in admission order.
     bypass: Vec<usize>,
-    /// [`reach`] at the first pivot's band count.
+    /// The first pivot's band count: every regular vector's.
+    bands: usize,
+    /// [`reach`] at `bands` bands.
     reach: f64,
+    /// Every other regular member (a *row*), in admission order.
+    rows: Vec<usize>,
+    /// The rows' fast norms.
+    row_norms: Vec<f64>,
+    /// The rows' samples, `bands` to a row.
+    samples: Vec<f64>,
+    /// The rows by their angles to the pivots.
+    index: PivotIndex,
+    /// The angles of a prefix of the rows to the dense kernel's pivots.
+    kernel_angles: Vec<[f64; KERNEL_PIVOTS]>,
 }
 
 impl UniqueSet {
@@ -249,7 +420,8 @@ impl UniqueSet {
 
     /// Creates a unique set pre-populated with `seed` — vectors that are
     /// already known to satisfy the screening rule (a previously computed
-    /// unique set) and are therefore admitted without re-checking.
+    /// unique set) and are therefore admitted without re-checking, in one
+    /// pass.
     pub fn seeded(seed: impl IntoIterator<Item = Vector>, threshold_rad: f64) -> Self {
         let mut set = Self {
             guard: AngleGuard::new(threshold_rad),
@@ -257,12 +429,17 @@ impl UniqueSet {
             norms: Vec::new(),
             last_hit: 0,
             pivots: Vec::with_capacity(PIVOTS),
-            index: Vec::new(),
             bypass: Vec::new(),
+            bands: 0,
             reach: 0.0,
+            rows: Vec::new(),
+            row_norms: Vec::new(),
+            samples: Vec::new(),
+            index: PivotIndex::new(0.0),
+            kernel_angles: Vec::new(),
         };
         for vector in seed {
-            let norm = vector.norm();
+            let norm = fast_norm(vector.as_slice());
             set.push(vector, norm, [None; PIVOTS]);
         }
         set
@@ -292,63 +469,161 @@ impl UniqueSet {
     /// threshold angle.
     #[cfg(test)]
     pub(crate) fn is_unique(&self, pixel: &[f64]) -> bool {
-        self.screening_member(pixel, norm(pixel), &mut [None; PIVOTS])
-            .is_none()
+        let (mut angles, mut windows) = ([None; PIVOTS], Windows::default());
+        self.screening_member(
+            pixel,
+            fast_norm(pixel),
+            &mut angles,
+            Kernel::Index,
+            &mut windows,
+        )
+        .is_none()
     }
 
     /// Admits `pixel` if it is unique against the current members; returns
     /// whether it was admitted.
     pub fn admit(&mut self, pixel: &[f64]) -> bool {
-        let norm = norm(pixel);
-        match self.probe(pixel, norm) {
-            Some(cosines) => {
-                self.push(Vector::from(pixel), norm, cosines);
+        self.admit_one(pixel, fast_norm(pixel), &mut Windows::default())
+    }
+
+    /// [`UniqueSet::admit`] over the pivot index, recording its window.
+    fn admit_one(&mut self, pixel: &[f64], norm: f64, windows: &mut Windows) -> bool {
+        match self.probe(pixel, norm, Kernel::Index, windows) {
+            Some(angles) => {
+                self.push(Vector::from(pixel), norm, angles);
                 true
             }
             None => false,
         }
     }
 
-    /// The cosines a unique `pixel` was found with, or `None` when a member
-    /// screens it (that member becomes the last hit).
-    fn probe(&mut self, pixel: &[f64], pixel_norm: f64) -> Option<Cosines> {
-        let mut cosines = [None; PIVOTS];
-        match self.screening_member(pixel, pixel_norm, &mut cosines) {
+    /// Screens `pixels` in order, admitting each one no member screens, in
+    /// blocks of [`BLOCK`] pixels: each block on the kernel the windows of
+    /// the one before chose.
+    fn extend<'a>(&mut self, pixels: impl IntoIterator<Item = &'a [f64]>) {
+        let size = block_size();
+        let mut block: Block<'a> = Vec::with_capacity(size);
+        let (mut windows, mut kernel, mut seen) = (Windows::default(), Kernel::Index, 0);
+        for pixel in pixels {
+            let norm = fast_norm(pixel);
+            // A dense block holds regular pixels after the pivots: any
+            // other pixel ends it and is admitted alone.
+            if kernel == Kernel::Dense
+                && self.pivots.len() == PIVOTS
+                && self.is_regular(pixel, norm)
+            {
+                block.push((pixel, norm));
+            } else {
+                self.screen_block(&mut block, &mut windows);
+                self.admit_one(pixel, norm, &mut windows);
+            }
+            seen += 1;
+            if seen == size {
+                self.screen_block(&mut block, &mut windows);
+                kernel = std::mem::take(&mut windows).kernel();
+                seen = 0;
+            }
+        }
+        self.screen_block(&mut block, &mut windows);
+    }
+
+    /// The dense kernel over a block of regular pixels, which it empties:
+    /// filter the block against the members admitted before it, then take
+    /// the survivors in order, each against the rows the block admitted
+    /// before it.
+    fn screen_block(&mut self, block: &mut Block<'_>, windows: &mut Windows) {
+        if block.is_empty() {
+            return;
+        }
+        let before = self.rows.len();
+        self.bound_rows();
+        let survivors: Vec<_> = block
+            .drain(..)
+            .filter_map(|(pixel, norm)| {
+                let angles = self.probe(pixel, norm, Kernel::Dense, windows)?;
+                Some((pixel, norm, angles))
+            })
+            .collect();
+        for (pixel, norm, angles) in survivors {
+            match self.scan(pixel, norm, before..self.rows.len(), usize::MAX) {
+                Some(hit) => self.last_hit = hit,
+                None => self.push(Vector::from(pixel), norm, angles),
+            }
+        }
+    }
+
+    /// Gives every row its angles to the dense kernel's pivots, once there
+    /// are that many rows.
+    fn bound_rows(&mut self) {
+        if self.rows.len() < KERNEL_PIVOTS {
+            return;
+        }
+        for row in self.kernel_angles.len()..self.rows.len() {
+            let (samples, norm) = (self.row_samples(row), self.row_norms[row]);
+            let angles = std::array::from_fn(|pivot| {
+                #[cfg(test)]
+                tests::count_comparison(false);
+                angle(fast_cosine(
+                    samples,
+                    norm,
+                    self.row_samples(pivot),
+                    self.row_norms[pivot],
+                ))
+            });
+            self.kernel_angles.push(angles);
+        }
+    }
+
+    /// The pivot angles a unique `pixel` was found with, or `None` when a
+    /// member screens it (that member becomes the last hit).
+    fn probe(
+        &mut self,
+        pixel: &[f64],
+        pixel_norm: f64,
+        kernel: Kernel,
+        windows: &mut Windows,
+    ) -> Option<Angles> {
+        let mut angles = [None; PIVOTS];
+        match self.screening_member(pixel, pixel_norm, &mut angles, kernel, windows) {
             Some(hit) => {
                 self.last_hit = hit;
                 None
             }
-            None => Some(cosines),
+            None => Some(angles),
         }
     }
 
     /// Appends `vector`, which no member screens, and indexes it if it is
-    /// regular, computing whatever of its `cosines` to the pivots is missing.
-    fn push(&mut self, vector: Vector, norm: f64, mut cosines: Cosines) {
+    /// regular, computing whatever of its `angles` to the pivots is missing.
+    fn push(&mut self, vector: Vector, norm: f64, mut angles: Angles) {
         let member = self.len();
         if !self.is_regular(vector.as_slice(), norm) {
             self.bypass.push(member);
         } else if self.pivots.len() < PIVOTS {
             if self.pivots.is_empty() {
-                self.reach = reach(self.guard.threshold_rad, vector.len());
+                self.bands = vector.len();
+                self.reach = reach(self.guard.threshold_rad, self.bands);
+                self.index = PivotIndex::new(self.reach);
             }
             self.pivots.push(member);
         } else {
-            for (cos, &pivot) in cosines.iter_mut().zip(&self.pivots) {
-                cos.get_or_insert_with(|| {
+            for (slot, &pivot) in angles.iter_mut().zip(&self.pivots) {
+                slot.get_or_insert_with(|| {
                     #[cfg(test)]
                     tests::count_comparison(false);
-                    fast_cosine(
+                    angle(fast_cosine(
                         vector.as_slice(),
                         norm,
                         self.vectors[pivot].as_slice(),
                         self.norms[pivot],
-                    )
+                    ))
                 });
             }
-            let angles = cosines.map(|cos| angle(cos.expect("every pivot's cosine is known")));
-            let at = self.index.partition_point(|e| e.angles[0] <= angles[0]);
-            self.index.insert(at, Entry { angles, member });
+            let angles = angles.map(|angle| angle.expect("every pivot's angle is known"));
+            self.index.insert(angles, self.rows.len());
+            self.rows.push(member);
+            self.row_norms.push(norm);
+            self.samples.extend_from_slice(vector.as_slice());
         }
         self.vectors.push(vector);
         self.norms.push(norm);
@@ -357,10 +632,12 @@ impl UniqueSet {
     /// Whether the index may hold or search `pixel` (the bypass rule).
     fn is_regular(&self, pixel: &[f64], pixel_norm: f64) -> bool {
         FAST_NORM_RANGE.contains(&pixel_norm)
-            && self
-                .pivots
-                .first()
-                .is_none_or(|&first| self.vectors[first].len() == pixel.len())
+            && (self.pivots.is_empty() || self.bands == pixel.len())
+    }
+
+    /// The samples of row `row`.
+    fn row_samples(&self, row: usize) -> &[f64] {
+        &self.samples[row * self.bands..][..self.bands]
     }
 
     /// Whether `member` screens `pixel`, decided in two tiers.
@@ -369,17 +646,17 @@ impl UniqueSet {
         let fast = self
             .guard
             .similar_fast(pixel, pixel_norm, other, other_norm);
-        self.decide(fast, pixel, pixel_norm, member)
+        self.decide(fast, pixel, member)
     }
 
-    /// [`UniqueSet::screens`] for pivot `j` and a regular `pixel`: the same
-    /// decision on the same cosine, which is kept for the pixel's angle.
+    /// [`UniqueSet::screens`] for a regular `pixel` and pivot `j`, on the
+    /// fast tier's cosine, whose angle is kept as the pixel's.
     fn screens_as_pivot(
         &self,
         pixel: &[f64],
         pixel_norm: f64,
         j: usize,
-        cosines: &mut Cosines,
+        angles: &mut Angles,
     ) -> bool {
         let pivot = self.pivots[j];
         let cos = fast_cosine(
@@ -388,39 +665,152 @@ impl UniqueSet {
             self.vectors[pivot].as_slice(),
             self.norms[pivot],
         );
-        cosines[j] = Some(cos);
-        self.decide(
-            self.guard.decide_fast(cos, pixel.len()),
+        angles[j] = Some(angle(cos));
+        self.decide_regular(cos, pixel, pivot)
+    }
+
+    /// [`UniqueSet::screens`] for a regular `pixel` and row `row`.
+    #[inline(always)]
+    fn screens_row(&self, pixel: &[f64], pixel_norm: f64, row: usize) -> bool {
+        let cos = self.row_cosine(pixel, pixel_norm, row);
+        self.decide_regular(cos, pixel, self.rows[row])
+    }
+
+    /// The fast tier's cosine of a regular `pixel` and row `row`.
+    #[inline(always)]
+    fn row_cosine(&self, pixel: &[f64], pixel_norm: f64, row: usize) -> f64 {
+        fast_cosine(
             pixel,
             pixel_norm,
-            pivot,
+            self.row_samples(row),
+            self.row_norms[row],
         )
     }
 
+    /// [`UniqueSet::decide`] on the fast tier's cosine of a regular pixel
+    /// and a regular member.
+    #[inline(always)]
+    fn decide_regular(&self, cos: f64, pixel: &[f64], member: usize) -> bool {
+        self.decide(self.guard.decide_fast(cos, self.bands), pixel, member)
+    }
+
     /// The fast tier's answer, or the exact tier's where it has none.
-    fn decide(&self, fast: Option<bool>, pixel: &[f64], pixel_norm: f64, member: usize) -> bool {
+    #[inline(always)]
+    fn decide(&self, fast: Option<bool>, pixel: &[f64], member: usize) -> bool {
+        match fast {
+            Some(similar) => {
+                #[cfg(test)]
+                tests::count_comparison(false);
+                similar
+            }
+            None => self.exact(pixel, member),
+        }
+    }
+
+    /// The exact tier's answer: the naive rule's.
+    #[cold]
+    fn exact(&self, pixel: &[f64], member: usize) -> bool {
         #[cfg(test)]
-        tests::count_comparison(fast.is_none());
-        fast.unwrap_or_else(|| {
-            let (other, other_norm) = (self.vectors[member].as_slice(), self.norms[member]);
-            self.guard.similar(pixel, pixel_norm, other, other_norm)
-        })
+        tests::count_comparison(true);
+        self.guard.similar(pixel, self.vectors[member].as_slice())
+    }
+
+    /// The rows of the pivot index's window around `angles` but `skip`'s:
+    /// the first that screens the regular `pixel`, and how many rows the
+    /// buckets met hold.
+    fn search(
+        &self,
+        pixel: &[f64],
+        pixel_norm: f64,
+        angles: &[f64; PIVOTS],
+        skip: usize,
+    ) -> (Option<usize>, usize) {
+        let met = self.index.met(angles[0], self.reach);
+        let held = met.iter().map(|bucket| bucket.rows.len()).sum();
+        #[cfg(test)]
+        tests::count_index_work(held);
+        for bucket in met {
+            for (bound, &row) in bucket.angles.iter().zip(&bucket.rows) {
+                if near(bound, angles, self.reach)
+                    && self.rows[row] != skip
+                    && self.screens_row(pixel, pixel_norm, row)
+                {
+                    return (Some(self.rows[row]), held);
+                }
+            }
+        }
+        (None, held)
+    }
+
+    /// The dense kernel: the first row but `skip`'s that screens the regular
+    /// `pixel`.  The kernel's pivots are tested first, from the cosines the
+    /// pixel's angles to them come from; every other row with angles is
+    /// tested only inside the pivot bound, a chunk of rows bounded at a
+    /// time; the rows after those are tested outright.
+    fn dense(&self, pixel: &[f64], pixel_norm: f64, skip: usize) -> Option<usize> {
+        let bounded = self.kernel_angles.len();
+        let mut angles = [0.0; KERNEL_PIVOTS];
+        if bounded > 0 {
+            for (row, slot) in angles.iter_mut().enumerate() {
+                let (member, cos) = (self.rows[row], self.row_cosine(pixel, pixel_norm, row));
+                if member != skip && self.decide_regular(cos, pixel, member) {
+                    return Some(member);
+                }
+                *slot = angle(cos);
+            }
+        }
+        let from = KERNEL_PIVOTS.min(bounded);
+        let mut candidates = [0; CHUNK];
+        for (first, bounds) in (from..bounded)
+            .step_by(CHUNK)
+            .zip(self.kernel_angles[from..].chunks(CHUNK))
+        {
+            let mut found = 0;
+            for (row, bound) in (first..).zip(bounds) {
+                candidates[found] = row;
+                found += usize::from(near(bound, &angles, self.reach));
+            }
+            let hit = candidates[..found]
+                .iter()
+                .find(|&&row| self.rows[row] != skip && self.screens_row(pixel, pixel_norm, row));
+            if let Some(&row) = hit {
+                return Some(self.rows[row]);
+            }
+        }
+        self.scan(pixel, pixel_norm, bounded..self.rows.len(), skip)
+    }
+
+    /// The first of `rows` but `skip`'s that screens the regular `pixel`,
+    /// each tested in turn.
+    fn scan(
+        &self,
+        pixel: &[f64],
+        pixel_norm: f64,
+        rows: std::ops::Range<usize>,
+        skip: usize,
+    ) -> Option<usize> {
+        rows.into_iter()
+            .find(|&row| self.rows[row] != skip && self.screens_row(pixel, pixel_norm, row))
+            .map(|row| self.rows[row])
     }
 
     /// Index of a member within the threshold angle of `pixel`, if any: the
-    /// last hit when it still applies, else one the pivot index cannot rule
-    /// out.  Fills in the pixel's `cosines` to the pivots on the way.
+    /// last hit when it still applies, else one the pivot bound cannot rule
+    /// out, found by `kernel`.  Fills in the pixel's `angles` to the pivots
+    /// on the way, and records its window in `windows`.
     fn screening_member(
         &self,
         pixel: &[f64],
         pixel_norm: f64,
-        cosines: &mut Cosines,
+        angles: &mut Angles,
+        kernel: Kernel,
+        windows: &mut Windows,
     ) -> Option<usize> {
         let regular = self.is_regular(pixel, pixel_norm);
         let last = self.last_hit;
         if last < self.len() {
             let hit = match self.pivots.iter().position(|&pivot| pivot == last) {
-                Some(j) if regular => self.screens_as_pivot(pixel, pixel_norm, j, cosines),
+                Some(j) if regular => self.screens_as_pivot(pixel, pixel_norm, j, angles),
                 _ => self.screens(pixel, pixel_norm, last),
             };
             if hit {
@@ -435,35 +825,38 @@ impl UniqueSet {
             return Some(member);
         }
         for (j, &pivot) in self.pivots.iter().enumerate() {
-            if cosines[j].is_none() && self.screens_as_pivot(pixel, pixel_norm, j, cosines) {
+            if angles[j].is_none() && self.screens_as_pivot(pixel, pixel_norm, j, angles) {
                 return Some(pivot);
             }
         }
-        if self.index.is_empty() {
+        if self.rows.is_empty() {
             return None;
         }
-        // The index holds members only once every pivot is chosen, so every
-        // cosine is known here.
-        let angles = cosines.map(|cos| angle(cos.expect("every pivot's cosine is known")));
-        // A member is a candidate when `|a - b| <= reach` for its angle `a`
-        // and the pixel's `b` to every pivot.  The differences are monotone
-        // in `a`, so on the sorted first angles the candidates are one run.
-        let reach = self.reach;
-        let from = self
-            .index
-            .partition_point(|e| angles[0] - e.angles[0] > reach);
-        self.index[from..]
-            .iter()
-            .take_while(|e| e.angles[0] - angles[0] <= reach)
-            .filter(|e| {
-                e.angles[1..]
-                    .iter()
-                    .zip(&angles[1..])
-                    .all(|(a, b)| (a - b).abs() <= reach)
-            })
-            .map(|e| e.member)
-            .find(|&member| screens(member))
+        // The index holds rows only once every pivot is chosen, so every
+        // angle is known here.
+        let angles = angles.map(|angle| angle.expect("every pivot's angle is known"));
+        let (hit, held) = match kernel {
+            Kernel::Index => self.search(pixel, pixel_norm, &angles, last),
+            Kernel::Dense => {
+                let met = self.index.met(angles[0], self.reach);
+                let held = met.iter().map(|bucket| bucket.rows.len()).sum();
+                (self.dense(pixel, pixel_norm, last), held)
+            }
+        };
+        windows.searches += 1;
+        windows.held += held;
+        windows.of += self.rows.len();
+        hit
     }
+}
+
+/// Pixels per block: [`BLOCK`], or what a test sets.
+fn block_size() -> usize {
+    #[cfg(test)]
+    if let Some((_, size)) = tests::forced_kernel() {
+        return size;
+    }
+    BLOCK
 }
 
 /// Builds the unique set of a collection of pixel vectors using greedy
@@ -513,9 +906,7 @@ pub(crate) fn screen_slices_seeded<'a>(
     }
     let seeded = seed.len();
     let mut unique = UniqueSet::seeded(seed, threshold_rad);
-    for pixel in pixels {
-        unique.admit(pixel);
-    }
+    unique.extend(pixels);
     let mut vectors = unique.into_vectors();
     vectors.drain(..seeded);
     vectors
@@ -543,17 +934,22 @@ pub(crate) fn merge_unique_sets(sets: Vec<Vec<Vector>>, threshold_rad: f64) -> V
         return sets.into_iter().flatten().collect();
     }
     let mut merged = UniqueSet::new(threshold_rad);
+    let mut windows = Windows::default();
     for set in sets {
+        let kernel = std::mem::take(&mut windows).kernel();
+        if kernel == Kernel::Dense {
+            merged.bound_rows();
+        }
         let survivors: Vec<_> = set
             .into_iter()
             .filter_map(|vector| {
-                let norm = vector.norm();
-                let cosines = merged.probe(vector.as_slice(), norm)?;
-                Some((vector, norm, cosines))
+                let norm = fast_norm(vector.as_slice());
+                let angles = merged.probe(vector.as_slice(), norm, kernel, &mut windows)?;
+                Some((vector, norm, angles))
             })
             .collect();
-        for (vector, norm, cosines) in survivors {
-            merged.push(vector, norm, cosines);
+        for (vector, norm, angles) in survivors {
+            merged.push(vector, norm, angles);
         }
     }
     merged.into_vectors()
@@ -584,6 +980,38 @@ mod tests {
     /// Resets this thread's tier counters, returning the old values.
     fn take_tier_counts() -> (u64, u64) {
         TIER_COUNTS.with(|c| c.replace((0, 0)))
+    }
+
+    thread_local! {
+        /// Rows in the pivot-index buckets searched on this thread.
+        static INDEX_WORK: Cell<u64> = const { Cell::new(0) };
+        /// The kernel and block size every screen on this thread uses, when
+        /// set.
+        static FORCED: Cell<Option<(Kernel, usize)>> = const { Cell::new(None) };
+    }
+
+    /// Called by `UniqueSet` for the rows of the buckets it searches.
+    pub(super) fn count_index_work(rows: usize) {
+        INDEX_WORK.with(|c| c.set(c.get() + rows as u64));
+    }
+
+    /// Resets this thread's index-work counter, returning the old value.
+    fn take_index_work() -> u64 {
+        INDEX_WORK.with(|c| c.replace(0))
+    }
+
+    /// The kernel and block size forced on this thread, if any.
+    pub(super) fn forced_kernel() -> Option<(Kernel, usize)> {
+        FORCED.with(Cell::get)
+    }
+
+    /// Runs `f` with every screen on this thread on `kernel` in blocks of
+    /// `block` pixels.
+    fn forcing<T>(kernel: Kernel, block: usize, f: impl FnOnce() -> T) -> T {
+        let old = FORCED.with(|c| c.replace(Some((kernel, block))));
+        let out = f();
+        FORCED.with(|c| c.set(old));
+        out
     }
 
     fn v(data: &[f64]) -> Vector {
@@ -779,15 +1207,17 @@ mod tests {
     /// `fusebench --seed 1` generates for each of its five shapes (the
     /// `image_rows` cubes), with the unique count they leave.  This is the
     /// count the pivot index drives down: before it, the same screens made
-    /// 11 466, 185 250, 9 825, 4 268 and 4 096 comparisons.
+    /// 11 466, 185 250, 9 825, 4 268 and 4 096 comparisons, and with the
+    /// index kept sorted by first angle 4 542, 37 166, 2 604, 4 255 and
+    /// 4 096.  None of these shapes holds enough rows for the dense kernel.
     #[test]
     fn comparisons_per_fusebench_shape_are_pinned() {
         use hsi::{CubeDims, SceneConfig, SceneGenerator};
         let shapes = [
-            (32, 32, 210, 5.0, 128, 4_542),
-            (64, 64, 32, 5.0, 427, 37_166),
-            (28, 28, 14, 5.0, 100, 2_604),
-            (64, 64, 64, 30.0, 13, 4_255),
+            (32, 32, 210, 5.0, 128, 4_234),
+            (64, 64, 32, 5.0, 427, 33_248),
+            (28, 28, 14, 5.0, 100, 2_464),
+            (64, 64, 64, 30.0, 13, 4_250),
             (64, 64, 32, 45.0, 2, 4_096),
         ];
         for (width, height, bands, degrees, unique, comparisons) in shapes {

@@ -348,9 +348,9 @@ fn the_window_edge_is_inclusive_to_the_float() {
                 let angle_to_pivot = |x: &Vector| {
                     angle(fast_cosine(
                         x.as_slice(),
-                        x.norm(),
+                        fast_norm(x.as_slice()),
                         on.as_slice(),
-                        on.norm(),
+                        fast_norm(on.as_slice()),
                     ))
                 };
                 let pixel_angle = angle_to_pivot(&pixel);
@@ -438,4 +438,172 @@ proptest! {
         prop_assert_eq!(bits(&filtered), bits(&looped));
         prop_assert_eq!(bits(&filtered), bits(&naive_screen(&sets.concat(), threshold)));
     }
+}
+
+/// The top rows of a `width`-wide scene 160 rows tall: ten rows of river,
+/// where at small thresholds every pixel is unique, then six of land.
+fn river_rows(seed: u64, width: usize, bands: usize) -> Vec<Vector> {
+    let cube = scene(seed, width, 160, bands);
+    cube.iter_pixels()
+        .take(width * 16)
+        .map(Vector::from)
+        .collect()
+}
+
+/// [`cloud`] with a zero, a NaN-bearing and an out-of-range vector among
+/// every 40 pixels: irregular pixels end a dense block.
+fn irregular_cloud(rng: &mut StdRng, pixels: usize, bands: usize) -> Vec<Vector> {
+    let mut cloud = cloud(rng, pixels, bands);
+    for (i, pixel) in cloud.iter_mut().enumerate() {
+        match i % 40 {
+            13 => *pixel = Vector::zeros(bands),
+            27 => pixel[i % bands] = f64::NAN,
+            33 => *pixel = pixel.scale(1e150),
+            _ => {}
+        }
+    }
+    cloud
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Whichever kernel screens each block, and at any block size, a whole
+    /// screen, a chain over any split and a merge admit what the naive rule
+    /// admits: over river-heavy scenes and clouds with irregular vectors, at
+    /// the eight thresholds and 1e-4.
+    #[test]
+    fn the_dense_kernel_and_the_index_admit_the_same_vectors(
+        seed in 0u64..1 << 40,
+        bands in 1usize..64,
+        pick in 0usize..9,
+        size in 0usize..4,
+        river in 0usize..2,
+    ) {
+        let threshold = thresholds().get(pick).copied().unwrap_or(1e-4);
+        let block = [1, 7, 64, 1024][size];
+        let mut rng = StdRng::seed_from_u64(seed);
+        let pixels = if river == 1 {
+            river_rows(seed, 12 + (seed % 8) as usize, bands)
+        } else {
+            irregular_cloud(&mut rng, 200, bands)
+        };
+        let naive = bits(&naive_screen(&pixels, threshold));
+        let mut cuts: Vec<usize> = (0..rng.gen_range(0..5usize))
+            .map(|_| rng.gen_range(0..pixels.len() + 1))
+            .collect();
+        cuts.extend([0, pixels.len()]);
+        cuts.sort_unstable();
+        for kernel in [Kernel::Index, Kernel::Dense] {
+            forcing(kernel, block, || {
+                let whole = screen_pixels(&pixels, threshold);
+                prop_assert_eq!(bits(&whole), naive.clone(), "{:?} whole, block {}", kernel, block);
+                let mut chained: Vec<Vector> = Vec::new();
+                for link in cuts.windows(2) {
+                    chained.extend(screen_pixels_seeded(&chained, &pixels[link[0]..link[1]], threshold));
+                }
+                prop_assert_eq!(bits(&chained), naive.clone(), "{:?} chain, cuts {:?}", kernel, cuts);
+                let sets: Vec<Vec<Vector>> = cuts
+                    .windows(2)
+                    .map(|link| screen_pixels(&pixels[link[0]..link[1]], threshold))
+                    .collect();
+                let merged = merge_unique_sets(sets.clone(), threshold);
+                prop_assert_eq!(bits(&merged), bits(&naive_screen(&sets.concat(), threshold)));
+            });
+        }
+    }
+}
+
+/// Admission at 1e-4 rad, where every pixel of `paper_eval(11)` at
+/// `side × side × 16` is unique and the windows are nearly empty.  Counted,
+/// not timed: a search visits only rows whose first pivot angle is within
+/// `2 reach` of the pixel's (the buckets `reach` wide that its window
+/// `± reach` meets), checked against a scan of the whole index for every
+/// 61st pixel; an insert is a push, so nothing moves (the sorted vector
+/// this replaced moved half the index per admission); and the dense kernel
+/// is never chosen.
+fn admission_work_is_bounded(side: usize) {
+    let mut config = SceneConfig::paper_eval(11);
+    config.dims = CubeDims::new(side, side, 16);
+    let cube = SceneGenerator::new(config).unwrap().generate();
+    let threshold = 1e-4;
+    let mut set = UniqueSet::new(threshold);
+    take_index_work();
+    let (mut visited, mut sampled, mut windows) = (0, 0, 0);
+    for (i, pixel) in cube.iter_pixels().enumerate() {
+        // The pixel's first pivot angle, as the engine computes it, and
+        // the rows within one and two reaches of it.
+        let first = set.pivots.first().map(|&pivot| {
+            let norm = fast_norm(pixel);
+            angle(fast_cosine(
+                pixel,
+                norm,
+                set.vectors[pivot].as_slice(),
+                set.norms[pivot],
+            ))
+        });
+        let within = |reach: f64| -> u64 {
+            let first = first.expect("a sampled pixel has a pivot angle");
+            let angles = set.index.buckets.iter().flat_map(|bucket| &bucket.angles);
+            angles.filter(|a| (a[0] - first).abs() <= reach).count() as u64
+        };
+        let sample = i % 61 == 0 && first.is_some();
+        let (window, double) = if sample {
+            (
+                within(set.reach),
+                within(2.0 * set.reach + 2.0 * WINDOW_MARGIN),
+            )
+        } else {
+            (0, 0)
+        };
+        set.admit(pixel);
+        let rows = take_index_work();
+        visited += rows;
+        if sample {
+            assert!(
+                rows <= double,
+                "pixel {i} searched {rows} rows, {double} within 2 reach"
+            );
+            (sampled, windows) = (sampled + rows, windows + window);
+        }
+    }
+    let pixels = (side * side) as u64;
+    assert_eq!(
+        set.len() as u64,
+        pixels,
+        "every pixel is unique at 1e-4 rad"
+    );
+    assert_eq!(set.index.width, set.reach, "the buckets are reach wide");
+    eprintln!(
+        "{side} x {side}: {visited} rows searched; sampled pixels searched {sampled} \
+         rows for windows of {windows}"
+    );
+    let mut blocks = UniqueSet::new(threshold);
+    blocks.extend(cube.iter_pixels());
+    assert!(blocks.kernel_angles.is_empty(), "the dense kernel ran");
+    assert_eq!(bits(blocks.vectors()), bits(set.vectors()));
+}
+
+#[test]
+fn admission_work_is_bounded_at_160_by_160() {
+    admission_work_is_bounded(160);
+}
+
+/// The same at 320 × 320 × 16, in under 100 ms of wall time (release only:
+/// `cargo test --release -p pct admission_work -- --ignored`).
+#[test]
+#[ignore = "release only"]
+fn admission_work_is_bounded_at_320_by_320() {
+    let mut config = SceneConfig::paper_eval(11);
+    config.dims = CubeDims::new(320, 320, 16);
+    let cube = SceneGenerator::new(config).unwrap().generate();
+    let start = std::time::Instant::now();
+    let unique = screen_slices(cube.iter_pixels(), 1e-4);
+    let elapsed = start.elapsed();
+    assert_eq!(unique.len(), 320 * 320);
+    assert!(
+        elapsed.as_millis() < 100,
+        "{elapsed:?} to screen 320 x 320 x 16 at 1e-4 rad"
+    );
+    admission_work_is_bounded(320);
 }
