@@ -113,8 +113,8 @@
 //! it is always admitted, and as a member it screens nothing.
 //!
 //! The engine takes borrowed `&[f64]` pixels; only admitted pixels are
-//! copied: into a [`Vector`], and a row's samples also into the contiguous
-//! store the kernels read.
+//! copied into a [`Vector`], and a row's samples into the dense kernel's
+//! contiguous store once that kernel first runs.
 
 use linalg::{dot, dot_fast, norm, Vector};
 use std::f64::consts::{FRAC_PI_2, PI};
@@ -404,7 +404,8 @@ pub struct UniqueSet {
     rows: Vec<usize>,
     /// The rows' fast norms.
     row_norms: Vec<f64>,
-    /// The rows' samples, `bands` to a row.
+    /// The samples of the rows with kernel angles, `bands` to a row: the
+    /// dense kernel reads them in order.
     samples: Vec<f64>,
     /// The rows by their angles to the pivots.
     index: PivotIndex,
@@ -552,13 +553,15 @@ impl UniqueSet {
         }
     }
 
-    /// Gives every row its angles to the dense kernel's pivots, once there
-    /// are that many rows.
+    /// Gives every row its angles to the dense kernel's pivots, and copies
+    /// its samples into the kernel's store, once there are that many rows.
     fn bound_rows(&mut self) {
         if self.rows.len() < KERNEL_PIVOTS {
             return;
         }
         for row in self.kernel_angles.len()..self.rows.len() {
+            let samples = self.vectors[self.rows[row]].as_slice();
+            self.samples.extend_from_slice(samples);
             let (samples, norm) = (self.row_samples(row), self.row_norms[row]);
             let angles = std::array::from_fn(|pivot| {
                 #[cfg(test)]
@@ -623,7 +626,6 @@ impl UniqueSet {
             self.index.insert(angles, self.rows.len());
             self.rows.push(member);
             self.row_norms.push(norm);
-            self.samples.extend_from_slice(vector.as_slice());
         }
         self.vectors.push(vector);
         self.norms.push(norm);
@@ -635,9 +637,14 @@ impl UniqueSet {
             && (self.pivots.is_empty() || self.bands == pixel.len())
     }
 
-    /// The samples of row `row`.
+    /// The samples of row `row`: from the dense kernel's store once the row
+    /// is there, else from its vector.
+    #[inline(always)]
     fn row_samples(&self, row: usize) -> &[f64] {
-        &self.samples[row * self.bands..][..self.bands]
+        match self.samples.get(row * self.bands..(row + 1) * self.bands) {
+            Some(samples) => samples,
+            None => self.vectors[self.rows[row]].as_slice(),
+        }
     }
 
     /// Whether `member` screens `pixel`, decided in two tiers.
