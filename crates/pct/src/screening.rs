@@ -722,31 +722,27 @@ impl UniqueSet {
         self.guard.similar(pixel, self.vectors[member].as_slice())
     }
 
-    /// The rows of the pivot index's window around `angles` but `skip`'s:
-    /// the first that screens the regular `pixel`, and how many rows the
-    /// buckets met hold.
+    /// The index kernel: the first row but `skip`'s in the buckets `met`
+    /// within the pivot bound of `angles` that screens the regular `pixel`.
     fn search(
         &self,
         pixel: &[f64],
         pixel_norm: f64,
         angles: &[f64; PIVOTS],
+        met: &[Bucket],
         skip: usize,
-    ) -> (Option<usize>, usize) {
-        let met = self.index.met(angles[0], self.reach);
-        let held = met.iter().map(|bucket| bucket.rows.len()).sum();
-        #[cfg(test)]
-        tests::count_index_work(held);
+    ) -> Option<usize> {
         for bucket in met {
             for (bound, &row) in bucket.angles.iter().zip(&bucket.rows) {
                 if near(bound, angles, self.reach)
                     && self.rows[row] != skip
                     && self.screens_row(pixel, pixel_norm, row)
                 {
-                    return (Some(self.rows[row]), held);
+                    return Some(self.rows[row]);
                 }
             }
         }
-        (None, held)
+        None
     }
 
     /// The dense kernel: the first row but `skip`'s that screens the regular
@@ -842,18 +838,19 @@ impl UniqueSet {
         // The index holds rows only once every pivot is chosen, so every
         // angle is known here.
         let angles = angles.map(|angle| angle.expect("every pivot's angle is known"));
-        let (hit, held) = match kernel {
-            Kernel::Index => self.search(pixel, pixel_norm, &angles, last),
-            Kernel::Dense => {
-                let met = self.index.met(angles[0], self.reach);
-                let held = met.iter().map(|bucket| bucket.rows.len()).sum();
-                (self.dense(pixel, pixel_norm, last), held)
-            }
-        };
+        let met = self.index.met(angles[0], self.reach);
+        let held: usize = met.iter().map(|bucket| bucket.rows.len()).sum();
         windows.searches += 1;
         windows.held += held;
         windows.of += self.rows.len();
-        hit
+        match kernel {
+            Kernel::Index => {
+                #[cfg(test)]
+                tests::count_index_work(held);
+                self.search(pixel, pixel_norm, &angles, met, last)
+            }
+            Kernel::Dense => self.dense(pixel, pixel_norm, last),
+        }
     }
 }
 
@@ -935,7 +932,9 @@ pub(crate) fn screen_slices_seeded<'a>(
 /// same two norms — so those answers hold whichever vector of a pair is the
 /// pixel.  A set that is not such a screen (a faulty or hostile worker's)
 /// makes the merged set wrong under the admission loop as well; nothing
-/// here guards against it.
+/// here guards against it.  This is the dense kernel's first pass with the
+/// sets for blocks, each set on the kernel the windows of the one before
+/// chose.
 pub(crate) fn merge_unique_sets(sets: Vec<Vec<Vector>>, threshold_rad: f64) -> Vec<Vector> {
     if threshold_rad <= 0.0 {
         return sets.into_iter().flatten().collect();
