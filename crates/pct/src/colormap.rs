@@ -107,12 +107,12 @@ fn map_pixel(components: [f64; 3]) -> [u8; 3] {
 
 /// `x.round().clamp(0.0, 255.0) as u8`, bit for bit, without `f64::round`,
 /// which is a library call on the baseline x86-64 target.  For `c` in
-/// `[0, 255]`, `2c` is exact and `floor(c + 1/2) = (floor(2c) + 1) div 2`,
+/// `[0, 255]`, `2c` is exact and `floor(c + 1/2) = ceil(floor(2c) / 2)`,
 /// which is rounding half away from zero; NaN clamps to NaN and truncates
 /// to 0, as before.
 fn to_byte(x: f64) -> u8 {
     let doubled = x.clamp(0.0, 255.0) * 2.0;
-    ((doubled as u16 + 1) / 2) as u8
+    (doubled as u16).div_ceil(2) as u8
 }
 
 /// Step 8 for one pixel: its leading three components rescaled by `scales`

@@ -331,9 +331,10 @@ enum Kernel {
 }
 
 /// The dense kernel's pivots: the first this many rows.  On the river of
-/// `smp_speedup`'s cube (rows 0–8 at 160 × 160 × 48, 5°) the bound leaves
-/// 65 % of the pairs to test with two pivots, 46 % with four and 24 % with
-/// eight.
+/// `smp_speedup`'s cube (rows 0–8 at 160 × 160 × 48, 5°) the screen makes
+/// 330 565 tests for its 1 036 080 pairs, where the two-pivot index makes
+/// 682 067; in a probe, two, four and eight pivots spread over the river
+/// left 65 %, 46 % and 24 % of the pairs to test.
 const KERNEL_PIVOTS: usize = 8;
 
 /// Rows the dense kernel bounds before it tests the ones left.
