@@ -1241,4 +1241,51 @@ mod tests {
             );
         }
     }
+
+    /// The river of `smp_speedup`'s cube (rows 0–8 of `paper_eval(11)` at
+    /// 160 × 160 × 48, every pixel unique at 5°) screens in less time than
+    /// the plain all-pairs `dot_fast` loop over the same pixels, the best
+    /// of seven runs each, in the same process (release only:
+    /// `cargo test --release -p pct river -- --ignored`).
+    #[test]
+    #[ignore = "release only: a timing"]
+    fn the_river_screens_faster_than_all_pairs_dot_fast() {
+        use hsi::{CubeDims, SceneConfig, SceneGenerator};
+        use std::hint::black_box;
+        use std::time::Instant;
+        let mut config = SceneConfig::paper_eval(11);
+        config.dims = CubeDims::new(160, 160, 48);
+        let cube = SceneGenerator::new(config).unwrap().generate();
+        let river: Vec<&[f64]> = cube.iter_pixels().take(160 * 9).collect();
+        let best = |run: &mut dyn FnMut() -> usize| {
+            (0..7)
+                .map(|_| {
+                    let start = Instant::now();
+                    black_box(run());
+                    start.elapsed()
+                })
+                .min()
+                .expect("seven runs")
+        };
+        let threshold = 5.0_f64.to_radians();
+        let screen = best(&mut || screen_slices(river.iter().copied(), threshold).len());
+        let all_pairs = best(&mut || {
+            let mut sum = 0.0;
+            for (i, a) in river.iter().enumerate() {
+                for b in &river[..i] {
+                    sum += dot_fast(a, b);
+                }
+            }
+            black_box(sum) as usize
+        });
+        assert_eq!(
+            screen_slices(river.iter().copied(), threshold).len(),
+            river.len()
+        );
+        eprintln!("river: screen {screen:?}, all-pairs dot_fast {all_pairs:?}");
+        assert!(
+            screen < all_pairs,
+            "screen {screen:?}, all pairs {all_pairs:?}"
+        );
+    }
 }
