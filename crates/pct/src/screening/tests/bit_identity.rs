@@ -589,7 +589,8 @@ fn admission_work_is_bounded_at_160_by_160() {
     admission_work_is_bounded(160);
 }
 
-/// The same at 320 × 320 × 16, in under 100 ms of wall time (release only:
+/// The same at 320 × 320 × 16, screened in under 100 ms of wall time, the
+/// best of three (release only:
 /// `cargo test --release -p pct admission_work -- --ignored`).
 #[test]
 #[ignore = "release only"]
@@ -597,10 +598,16 @@ fn admission_work_is_bounded_at_320_by_320() {
     let mut config = SceneConfig::paper_eval(11);
     config.dims = CubeDims::new(320, 320, 16);
     let cube = SceneGenerator::new(config).unwrap().generate();
-    let start = std::time::Instant::now();
-    let unique = screen_slices(cube.iter_pixels(), 1e-4);
-    let elapsed = start.elapsed();
-    assert_eq!(unique.len(), 320 * 320);
+    let elapsed = (0..3)
+        .map(|_| {
+            let start = std::time::Instant::now();
+            let unique = screen_slices(cube.iter_pixels(), 1e-4);
+            assert_eq!(unique.len(), 320 * 320);
+            start.elapsed()
+        })
+        .min()
+        .expect("three runs");
+    eprintln!("320 x 320 x 16 at 1e-4 rad: {elapsed:?}");
     assert!(
         elapsed.as_millis() < 100,
         "{elapsed:?} to screen 320 x 320 x 16 at 1e-4 rad"
