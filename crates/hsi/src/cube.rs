@@ -206,7 +206,8 @@ impl HyperCube {
     }
 
     /// Extracts a spatial window `[x0, x0+w) x [y0, y0+h)` as a new cube with
-    /// the same band count.  This is the manager's sub-cube extraction.
+    /// the same band count: an owned copy, the reference the zero-copy
+    /// [`crate::CubeView`] tests compare against.
     pub fn window(&self, x0: usize, y0: usize, w: usize, h: usize) -> Result<HyperCube> {
         if x0 + w > self.dims.width {
             return Err(HsiError::OutOfBounds {
@@ -231,39 +232,6 @@ impl HyperCube {
             out.data[dst_off..dst_off + len].copy_from_slice(&self.data[src_off..src_off + len]);
         }
         Ok(out)
-    }
-
-    /// Writes a smaller cube back into this cube at spatial offset
-    /// `(x0, y0)`; the inverse of [`HyperCube::window`], used when the
-    /// manager reassembles transformed sub-cubes in step 7.
-    pub fn blit(&mut self, x0: usize, y0: usize, src: &HyperCube) -> Result<()> {
-        if src.bands() != self.bands() {
-            return Err(HsiError::ShapeMismatch {
-                expected: self.bands(),
-                actual: src.bands(),
-            });
-        }
-        if x0 + src.width() > self.dims.width {
-            return Err(HsiError::OutOfBounds {
-                what: "blit x extent",
-                index: x0 + src.width(),
-                bound: self.dims.width,
-            });
-        }
-        if y0 + src.height() > self.dims.height {
-            return Err(HsiError::OutOfBounds {
-                what: "blit y extent",
-                index: y0 + src.height(),
-                bound: self.dims.height,
-            });
-        }
-        for dy in 0..src.height() {
-            let dst_off = ((y0 + dy) * self.dims.width + x0) * self.dims.bands;
-            let src_off = dy * src.width() * src.bands();
-            let len = src.width() * src.bands();
-            self.data[dst_off..dst_off + len].copy_from_slice(&src.data[src_off..src_off + len]);
-        }
-        Ok(())
     }
 
     /// Approximate in-memory size in bytes (used by the communication cost
@@ -353,27 +321,6 @@ mod tests {
         let cube = small_cube();
         assert!(cube.window(2, 0, 2, 1).is_err());
         assert!(cube.window(0, 1, 1, 2).is_err());
-    }
-
-    #[test]
-    fn blit_is_inverse_of_window() {
-        let cube = small_cube();
-        let win = cube.window(1, 0, 2, 2).unwrap();
-        let mut target = HyperCube::zeros(cube.dims());
-        target.blit(1, 0, &win).unwrap();
-        assert_eq!(target.pixel(1, 0).unwrap(), cube.pixel(1, 0).unwrap());
-        assert_eq!(target.pixel(2, 1).unwrap(), cube.pixel(2, 1).unwrap());
-        // Pixels outside the blit stay zero.
-        assert_eq!(target.pixel(0, 0).unwrap(), &[0.0; 4]);
-    }
-
-    #[test]
-    fn blit_rejects_band_mismatch_and_overflow() {
-        let mut cube = small_cube();
-        let other = HyperCube::zeros(CubeDims::new(1, 1, 3));
-        assert!(cube.blit(0, 0, &other).is_err());
-        let big = HyperCube::zeros(CubeDims::new(4, 1, 4));
-        assert!(cube.blit(0, 0, &big).is_err());
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! redistributable, this crate provides:
 //!
 //! * [`HyperCube`] — the in-memory cube representation (band-interleaved by
-//!   pixel) with pixel-vector access, band planes and sub-cube extraction.
+//!   pixel) with pixel-vector access, band planes and owned windows.
 //! * [`synthetic`] — a deterministic synthetic scene generator that builds a
 //!   HYDICE-like cube from material spectral signatures (forest, grass,
 //!   soil, road, water, vehicle paint, camouflage net), spatial layout and
@@ -16,9 +16,8 @@
 //!   handful of dominant background materials and rare, spectrally distinct
 //!   targets.
 //! * [`partition`] — manager-side decomposition of a cube into sub-cubes
-//!   (the unit of work handed to workers) with the granularity control
-//!   studied in Figure 5.
-//! * [`view`] — zero-copy `Arc`-backed [`CubeView`] windows over a shared
+//!   (the unit of work handed to workers): runs of whole rows.
+//! * [`view`] — zero-copy `Arc`-backed [`CubeView`] row bands of a shared
 //!   cube: what the message plane ships instead of owned sub-cube copies,
 //!   plus the process-wide clone ledger that proves it (`bytes_cloned`).
 //! * [`io`] — PGM/PPM writers for single bands and fused colour composites,
@@ -37,7 +36,7 @@ pub mod view;
 
 pub use cube::{CubeDims, HyperCube};
 pub use io::{CubeFileHeader, Interleave};
-pub use partition::{GranularityPolicy, SubCube, SubCubeSpec};
+pub use partition::SubCubeSpec;
 pub use rgb::RgbImage;
 pub use synthetic::{Material, SceneConfig, SceneGenerator};
 pub use view::{charge_assembled_bytes, thread_cloned_bytes_total, CloneLedger, CubeView};

@@ -1,4 +1,4 @@
-//! Sub-cube decomposition and granularity control.
+//! Sub-cube decomposition.
 //!
 //! The distributed algorithm of the paper partitions the hyper-spectral cube
 //! into sub-cubes that the manager hands to workers ("Each sub-problem is a
@@ -11,8 +11,8 @@
 //!
 //! Sub-cubes are horizontal row bands of the image: contiguous rows keep the
 //! BIP samples of a sub-cube contiguous in memory, which both the real
-//! runtime (cheap copies) and the cost model (message size = contiguous byte
-//! range) rely on.
+//! runtime (a [`CubeView`] is one slice of the shared cube) and the cost
+//! model (message size = contiguous byte range) rely on.
 
 use crate::cube::{CubeDims, HyperCube};
 use crate::view::CubeView;
@@ -20,39 +20,10 @@ use crate::{HsiError, Result};
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
-/// How many sub-cubes to create for a given worker count.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum GranularityPolicy {
-    /// Exactly one sub-cube per worker (`#sub-cube = #proc` in Figure 5).
-    OnePerWorker,
-    /// `multiplier` sub-cubes per worker (`#proc × 2`, `#proc × 3`, …).
-    PerWorkerMultiple(
-        /// Sub-cubes per worker.
-        usize,
-    ),
-    /// A fixed total number of sub-cubes regardless of worker count.
-    FixedTotal(
-        /// Total number of sub-cubes.
-        usize,
-    ),
-}
-
-impl GranularityPolicy {
-    /// The number of sub-cubes this policy produces for `workers` workers.
-    pub fn sub_cube_count(&self, workers: usize) -> usize {
-        let count = match self {
-            GranularityPolicy::OnePerWorker => workers,
-            GranularityPolicy::PerWorkerMultiple(m) => workers * m.max(&1),
-            GranularityPolicy::FixedTotal(n) => *n,
-        };
-        count.max(1)
-    }
-}
-
 /// Description of one sub-cube: a contiguous range of image rows.
 ///
-/// The spec is what travels in control messages; the pixel payload itself is
-/// extracted lazily with [`SubCubeSpec::extract`].
+/// The spec is what travels in control messages; the payload a task carries
+/// is [`SubCubeSpec::view`], a zero-copy row band of the shared cube.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct SubCubeSpec {
     /// Stable identifier (0-based, in row order).
@@ -84,25 +55,8 @@ impl SubCubeSpec {
         self.samples() * std::mem::size_of::<f64>()
     }
 
-    /// Extracts the pixel payload from the full cube as an owned deep copy.
-    ///
-    /// This is the pre-view code path, kept for true process/serialization
-    /// boundaries and as the byte-identity reference the view property tests
-    /// compare against.  The copy is charged to the clone ledger
-    /// (`crate::view::cloned_bytes_total`); the in-process message plane
-    /// uses [`SubCubeSpec::view`] instead, which copies nothing.
-    pub fn extract(&self, cube: &HyperCube) -> Result<SubCube> {
-        crate::view::charge_cloned_bytes(self.payload_bytes());
-        let window = cube.window(0, self.row_start, self.width, self.rows)?;
-        Ok(SubCube {
-            spec: *self,
-            data: window,
-        })
-    }
-
-    /// A zero-copy [`CubeView`] of this sub-cube's window over the shared
-    /// full cube: the payload the message plane ships instead of an owned
-    /// [`SubCube`].
+    /// A zero-copy [`CubeView`] of this sub-cube's rows of the shared full
+    /// cube: the payload the message plane ships.
     pub fn view(&self, cube: &Arc<HyperCube>) -> Result<CubeView> {
         if self.bands != cube.bands() || self.width != cube.width() {
             return Err(HsiError::ShapeMismatch {
@@ -110,17 +64,8 @@ impl SubCubeSpec {
                 actual: cube.width() * cube.bands(),
             });
         }
-        CubeView::window(Arc::clone(cube), 0, self.row_start, self.width, self.rows)
+        CubeView::window(Arc::clone(cube), self.row_start, self.rows)
     }
-}
-
-/// A sub-cube with its payload: the unit of work a worker receives.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct SubCube {
-    /// The spec describing where this sub-cube sits in the full image.
-    pub spec: SubCubeSpec,
-    /// The pixel payload.
-    pub data: HyperCube,
 }
 
 /// Partitions a cube into `count` sub-cubes of (nearly) equal row counts.
@@ -172,18 +117,6 @@ mod tests {
     use crate::synthetic::{SceneConfig, SceneGenerator};
 
     #[test]
-    fn policy_counts() {
-        assert_eq!(GranularityPolicy::OnePerWorker.sub_cube_count(8), 8);
-        assert_eq!(
-            GranularityPolicy::PerWorkerMultiple(3).sub_cube_count(8),
-            24
-        );
-        assert_eq!(GranularityPolicy::FixedTotal(32).sub_cube_count(8), 32);
-        assert_eq!(GranularityPolicy::PerWorkerMultiple(0).sub_cube_count(8), 8);
-        assert_eq!(GranularityPolicy::FixedTotal(0).sub_cube_count(8), 1);
-    }
-
-    #[test]
     fn partition_covers_every_row_exactly_once() {
         let dims = CubeDims::new(10, 37, 4);
         let specs = partition_rows(dims, 5).unwrap();
@@ -231,20 +164,6 @@ mod tests {
     }
 
     #[test]
-    fn extract_and_blit_reassemble_the_original() {
-        let gen = SceneGenerator::new(SceneConfig::small(9)).unwrap();
-        let cube = gen.generate();
-        let specs = partition_rows(cube.dims(), 5).unwrap();
-        let mut rebuilt = HyperCube::zeros(cube.dims());
-        for spec in &specs {
-            let sub = spec.extract(&cube).unwrap();
-            assert_eq!(sub.data.height(), spec.rows);
-            rebuilt.blit(0, spec.row_start, &sub.data).unwrap();
-        }
-        assert_eq!(rebuilt, cube);
-    }
-
-    #[test]
     fn views_read_byte_identical_to_extracted_sub_cubes() {
         let gen = SceneGenerator::new(SceneConfig::small(9)).unwrap();
         let cube = Arc::new(gen.generate());
@@ -252,11 +171,13 @@ mod tests {
         let views = partition_views(&cube, 7).unwrap();
         assert_eq!(specs.len(), views.len());
         for (spec, view) in specs.iter().zip(&views) {
-            let owned = spec.extract(&cube).unwrap();
+            let owned = cube
+                .window(0, spec.row_start, spec.width, spec.rows)
+                .unwrap();
             assert_eq!(view.row_start(), spec.row_start);
-            assert_eq!(view.dims(), owned.data.dims());
-            assert_eq!(view.materialize(), owned.data);
-            assert_eq!(view.pixel_vectors(), owned.data.pixel_vectors());
+            assert_eq!(view.dims(), owned.dims());
+            assert_eq!(view.materialize(), owned);
+            assert_eq!(view.pixel_vectors(), owned.pixel_vectors());
         }
     }
 

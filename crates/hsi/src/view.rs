@@ -1,25 +1,19 @@
-//! Zero-copy, `Arc`-backed views into a [`HyperCube`].
+//! Zero-copy, `Arc`-backed row bands of a [`HyperCube`].
 //!
 //! The distributed protocols ship every sub-cube to workers twice per run
-//! (screening and transform phases).  Shipping an owned [`crate::SubCube`]
-//! deep-copies the payload for every task; a [`CubeView`] instead shares the
-//! full cube behind an `Arc` and carries only a window spec, so cloning a
-//! view — and therefore cloning any task message built from one — moves a
-//! reference count, not pixels.
-//!
-//! A view selects a spatial window `[x0, x0+width) × [y0, y0+height)` and a
-//! band window `[band0, band0+bands)`.  Rows of the window are strided
-//! through the backing cube's BIP layout (`storage_width × storage_bands`
-//! samples apart), and the band window makes per-pixel access strided too,
-//! so a view can describe anything from the full cube down to a single
-//! sample run without touching the data.
+//! (screening and transform phases).  A sub-cube is a run of whole image
+//! rows ([`crate::partition::partition_rows`]), and a [`CubeView`] is
+//! exactly that: the full cube behind an `Arc`, the band's first row and
+//! its row count.  Cloning a view — and therefore cloning any task message
+//! built from one — moves a reference count, not pixels.  Every row of a
+//! band spans the full width and every spectral band, so a view's samples
+//! are one contiguous slice of the backing cube's BIP storage.
 //!
 //! The module also keeps the process-wide **clone ledger**: every deep copy
-//! of sub-cube payload bytes — [`CubeView::copy_runs`] (and
-//! [`CubeView::materialize`] on top of it) and
-//! [`crate::SubCubeSpec::extract`] — is charged to it.  Pipelines and the
-//! service layer read deltas of this ledger to report `bytes_cloned`, which
-//! is how the zero-copy claim is measured rather than asserted.
+//! of sub-cube payload bytes goes through [`CubeView::copy_runs`] (and
+//! [`CubeView::materialize`] on top of it), which charges it.  Pipelines and
+//! the service layer read deltas of this ledger to report `bytes_cloned`,
+//! which is how the zero-copy claim is measured rather than asserted.
 
 use crate::cube::{CubeDims, HyperCube};
 use crate::{HsiError, Result};
@@ -107,7 +101,8 @@ impl CloneLedger {
     }
 }
 
-/// A zero-copy window into a shared [`HyperCube`].
+/// A zero-copy row band of a shared [`HyperCube`]: the rows
+/// `[row_start, row_start + height)`, every column, every band.
 ///
 /// Cloning a view is an `Arc` reference-count bump; the pixel data is never
 /// duplicated until [`CubeView::copy_runs`] or [`CubeView::materialize`] is
@@ -117,91 +112,56 @@ impl CloneLedger {
 ///
 /// [`CubeView::copy_runs`] is the **only** path by which view payload
 /// leaves the shared storage.  The `wire` codec relies on this: encoding a
-/// message copies each embedded view's runs straight into the frame body, so
-/// the clone-ledger delta across an encode equals exactly the sum of the
-/// encoded views' [`CubeView::payload_bytes`] — no hidden copy is possible
-/// without moving the ledger.  The encode path `debug_assert`s this
+/// message copies each embedded view's samples straight into the frame
+/// body, so the clone-ledger delta across an encode equals exactly the sum
+/// of the encoded views' [`CubeView::payload_bytes`] — no hidden copy is
+/// possible without moving the ledger.  The encode path `debug_assert`s this
 /// reconciliation, turning "zero-copy except at the serialization boundary"
 /// from a convention into a checked invariant.
 ///
 /// On the decode side a view is rebuilt over its own freshly-owned shard
-/// cube with [`CubeView::standalone`], which preserves the window's original
-/// scene coordinates ([`CubeView::x0`] / [`CubeView::row_start`]) so workers
-/// across a process boundary label results — e.g. `RgbStrip::row_start` —
-/// identically to in-process workers sharing the full cube.
+/// cube with [`CubeView::standalone`], which preserves the band's original
+/// scene row ([`CubeView::row_start`]) so workers across a process boundary
+/// label results — e.g. `RgbStrip::row_start` — identically to in-process
+/// workers sharing the full cube.
 #[derive(Debug, Clone)]
 pub struct CubeView {
     storage: Arc<HyperCube>,
-    x0: usize,
+    /// First row of the band in the backing storage.
     y0: usize,
-    width: usize,
     height: usize,
-    band0: usize,
-    bands: usize,
-    /// Scene coordinates the window originally described.  Equal to
-    /// `(x0, y0)` for views into the full scene cube; a decoded standalone
-    /// view has `x0 == y0 == 0` (its storage *is* the shard) but keeps the
-    /// scene origin here so coordinate-dependent results stay identical
-    /// across the wire.
-    origin_x: usize,
-    origin_y: usize,
+    /// Scene row the band starts at.  Equal to `y0` for views into the
+    /// scene cube; a decoded standalone view has `y0 == 0` (its storage
+    /// *is* the shard) but keeps the scene row here so coordinate-dependent
+    /// results stay identical across the wire.
+    row_start: usize,
 }
 
 impl CubeView {
     /// A view of the whole cube.
     pub fn full(storage: Arc<HyperCube>) -> Self {
-        let dims = storage.dims();
+        Self::standalone(storage, 0)
+    }
+
+    /// A full view over an owned shard cube that reports the scene row
+    /// `row_start` the shard was cut from.  This is the decode-side
+    /// constructor of the wire codec: the shard's samples were copied into
+    /// the frame on the sending side, so the receiver owns a standalone
+    /// cube but must still answer [`CubeView::row_start`] with the original
+    /// band position for results to be byte-identical to in-process
+    /// execution.
+    pub fn standalone(storage: Arc<HyperCube>, row_start: usize) -> Self {
+        let height = storage.height();
         Self {
             storage,
-            x0: 0,
             y0: 0,
-            width: dims.width,
-            height: dims.height,
-            band0: 0,
-            bands: dims.bands,
-            origin_x: 0,
-            origin_y: 0,
+            height,
+            row_start,
         }
     }
 
-    /// A full view over an owned shard cube that reports the scene
-    /// coordinates `(origin_x, origin_y)` the shard was cut from.  This is
-    /// the decode-side constructor of the wire codec: the shard's samples
-    /// were materialized into the frame on the sending side, so the
-    /// receiver owns a standalone cube but must still answer
-    /// [`CubeView::x0`] / [`CubeView::row_start`] with the original window
-    /// position for results to be byte-identical to in-process execution.
-    pub fn standalone(storage: Arc<HyperCube>, origin_x: usize, origin_y: usize) -> Self {
-        let dims = storage.dims();
-        Self {
-            storage,
-            x0: 0,
-            y0: 0,
-            width: dims.width,
-            height: dims.height,
-            band0: 0,
-            bands: dims.bands,
-            origin_x,
-            origin_y,
-        }
-    }
-
-    /// A view of the spatial window `[x0, x0+width) × [y0, y0+height)` over
-    /// every band.
-    pub fn window(
-        storage: Arc<HyperCube>,
-        x0: usize,
-        y0: usize,
-        width: usize,
-        height: usize,
-    ) -> Result<Self> {
-        if x0 + width > storage.width() {
-            return Err(HsiError::OutOfBounds {
-                what: "view x extent",
-                index: x0 + width,
-                bound: storage.width(),
-            });
-        }
+    /// A view of the row band `[y0, y0 + height)` of `storage`.
+    pub fn window(storage: Arc<HyperCube>, y0: usize, height: usize) -> Result<Self> {
         if y0 + height > storage.height() {
             return Err(HsiError::OutOfBounds {
                 what: "view y extent",
@@ -209,33 +169,12 @@ impl CubeView {
                 bound: storage.height(),
             });
         }
-        let bands = storage.bands();
         Ok(Self {
             storage,
-            x0,
             y0,
-            width,
             height,
-            band0: 0,
-            bands,
-            origin_x: x0,
-            origin_y: y0,
+            row_start: y0,
         })
-    }
-
-    /// Narrows the view to the band window `[band0, band0+bands)`; per-pixel
-    /// access becomes strided through the backing pixel's full band run.
-    pub fn with_band_window(mut self, band0: usize, bands: usize) -> Result<Self> {
-        if self.band0 + band0 + bands > self.band0 + self.bands {
-            return Err(HsiError::OutOfBounds {
-                what: "view band extent",
-                index: band0 + bands,
-                bound: self.bands,
-            });
-        }
-        self.band0 += band0;
-        self.bands = bands;
-        Ok(self)
     }
 
     /// The backing storage the view shares.
@@ -243,52 +182,41 @@ impl CubeView {
         &self.storage
     }
 
-    /// Dimensions of the *viewed* region (not the backing cube).
+    /// Dimensions of the *viewed* band (not the backing cube).
     pub fn dims(&self) -> CubeDims {
-        CubeDims::new(self.width, self.height, self.bands)
+        CubeDims::new(self.width(), self.height, self.bands())
     }
 
-    /// Width of the viewed window in pixels.
+    /// Width of the band in pixels: the backing cube's width.
     pub fn width(&self) -> usize {
-        self.width
+        self.storage.width()
     }
 
-    /// Height of the viewed window in pixels.
+    /// Height of the band in rows.
     pub fn height(&self) -> usize {
         self.height
     }
 
-    /// Number of bands the view exposes.
+    /// Number of spectral bands: the backing cube's.
     pub fn bands(&self) -> usize {
-        self.bands
+        self.storage.bands()
     }
 
-    /// First *scene* column of the window.  For views into the scene cube
-    /// this is the backing-cube column; for a decoded [`CubeView::standalone`]
-    /// view it is the column the shard was originally cut from.
-    // Deliberately not the `x0` *field* (the storage offset): the public
-    // coordinate system is the scene's, which `origin_x` tracks across a
-    // wire trip.
-    #[allow(clippy::misnamed_getters)]
-    pub fn x0(&self) -> usize {
-        self.origin_x
-    }
-
-    /// First *scene* row of the window (the sub-cube's `row_start`).  Like
-    /// [`CubeView::x0`], this survives a trip across the wire even though
-    /// the decoded view's backing storage starts at row zero.
+    /// First *scene* row of the band (the sub-cube's `row_start`).  This
+    /// survives a trip across the wire even though the decoded view's
+    /// backing storage starts at row zero.
     pub fn row_start(&self) -> usize {
-        self.origin_y
+        self.row_start
     }
 
-    /// Number of pixels in the window.
+    /// Number of pixels in the band.
     pub fn pixels(&self) -> usize {
-        self.width * self.height
+        self.width() * self.height
     }
 
     /// Number of samples the view exposes.
     pub fn samples(&self) -> usize {
-        self.pixels() * self.bands
+        self.pixels() * self.bands()
     }
 
     /// Payload size in bytes if this view were materialized or shipped by
@@ -297,14 +225,20 @@ impl CubeView {
         self.samples() * std::mem::size_of::<f64>()
     }
 
-    /// Flat offset in the backing storage of view pixel `(x, y)`'s first
-    /// exposed band.
-    fn pixel_offset(&self, x: usize, y: usize) -> Result<usize> {
-        if x >= self.width {
+    /// The band's samples: one contiguous slice of the shared storage.
+    fn run(&self) -> &[f64] {
+        let row = self.width() * self.bands();
+        &self.storage.samples()[self.y0 * row..(self.y0 + self.height) * row]
+    }
+
+    /// The spectral samples of view pixel `(x, y)` — a borrow of the shared
+    /// storage, no copy.
+    pub fn pixel(&self, x: usize, y: usize) -> Result<&[f64]> {
+        if x >= self.width() {
             return Err(HsiError::OutOfBounds {
                 what: "view x",
                 index: x,
-                bound: self.width,
+                bound: self.width(),
             });
         }
         if y >= self.height {
@@ -314,79 +248,37 @@ impl CubeView {
                 bound: self.height,
             });
         }
-        Ok(
-            ((self.y0 + y) * self.storage.width() + self.x0 + x) * self.storage.bands()
-                + self.band0,
-        )
+        let off = (y * self.width() + x) * self.bands();
+        Ok(&self.run()[off..off + self.bands()])
     }
 
-    /// The exposed spectral samples of view pixel `(x, y)` — a borrow of the
-    /// shared storage, no copy.
-    pub fn pixel(&self, x: usize, y: usize) -> Result<&[f64]> {
-        let off = self.pixel_offset(x, y)?;
-        Ok(&self.storage.samples()[off..off + self.bands])
-    }
-
-    /// One full window row as a contiguous sample slice.  Only possible when
-    /// the band window covers every backing band (otherwise pixels within
-    /// the row are not adjacent); callers needing per-band access use
-    /// [`CubeView::pixel`] or [`CubeView::iter_pixels`].
-    pub fn row_samples(&self, y: usize) -> Option<&[f64]> {
-        if self.band0 != 0 || self.bands != self.storage.bands() || y >= self.height {
-            return None;
-        }
-        let off = ((self.y0 + y) * self.storage.width() + self.x0) * self.storage.bands();
-        Some(&self.storage.samples()[off..off + self.width * self.bands])
-    }
-
-    /// Iterates the window's pixel slices in row-major order, striding
-    /// through the backing storage without copying.
+    /// Iterates the band's pixel slices in row-major order, without copying.
     pub fn iter_pixels(&self) -> impl Iterator<Item = &[f64]> + '_ {
-        let samples = self.storage.samples();
-        let storage_width = self.storage.width();
-        let storage_bands = self.storage.bands();
-        (0..self.height).flat_map(move |y| {
-            (0..self.width).map(move |x| {
-                let off =
-                    ((self.y0 + y) * storage_width + self.x0 + x) * storage_bands + self.band0;
-                &samples[off..off + self.bands]
-            })
-        })
+        self.run().chunks_exact(self.bands().max(1))
     }
 
-    /// Collects every window pixel as an owned [`Vector`] (the pixel-vector
-    /// type the screening and transform kernels operate on).
+    /// Collects every pixel of the band as an owned [`Vector`] (the
+    /// pixel-vector type the screening and transform kernels operate on).
     pub fn pixel_vectors(&self) -> Vec<Vector> {
         self.iter_pixels().map(Vector::from).collect()
     }
 
-    /// Hands the window's samples to `sink` in materialization order (BIP,
-    /// row-major) as the longest contiguous runs the backing layout allows —
-    /// whole rows, or single pixels under a band window.  This is the only
-    /// way pixel data leaves the shared storage — a true process or
+    /// Hands the band's samples to `sink` as the one contiguous run they
+    /// are (BIP, row-major) and returns what `sink` returns.  This is the
+    /// only way pixel data leaves the shared storage — a true process or
     /// serialization boundary — so the whole payload is charged to the
-    /// clone ledger: a serializer copies each run straight into its output
+    /// clone ledger: a serializer copies the run straight into its output
     /// with no owned cube in between.
-    pub fn copy_runs(&self, mut sink: impl FnMut(&[f64])) {
+    pub fn copy_runs<R>(&self, sink: impl FnOnce(&[f64]) -> R) -> R {
         charge_cloned_bytes(self.payload_bytes());
-        for y in 0..self.height {
-            if let Some(row) = self.row_samples(y) {
-                sink(row);
-            } else {
-                for x in 0..self.width {
-                    sink(self.pixel(x, y).expect("in bounds"));
-                }
-            }
-        }
+        sink(self.run())
     }
 
-    /// Deep-copies the viewed window into an owned cube: [`CubeView::copy_runs`]
+    /// Deep-copies the band into an owned cube: [`CubeView::copy_runs`]
     /// into fresh storage, charged to the clone ledger the same way.
     pub fn materialize(&self) -> HyperCube {
-        let dims = self.dims();
-        let mut samples = Vec::with_capacity(dims.samples());
-        self.copy_runs(|run| samples.extend_from_slice(run));
-        HyperCube::from_samples(dims, samples).expect("view dims are consistent")
+        HyperCube::from_samples(self.dims(), self.copy_runs(<[f64]>::to_vec))
+            .expect("view dims are consistent")
     }
 }
 
@@ -394,7 +286,7 @@ impl PartialEq for CubeView {
     /// Views are equal when they expose the same dimensions and the same
     /// sample values — regardless of which storage or offsets back them.
     fn eq(&self, other: &Self) -> bool {
-        self.dims() == other.dims() && self.iter_pixels().eq(other.iter_pixels())
+        self.dims() == other.dims() && self.run() == other.run()
     }
 }
 
@@ -431,12 +323,12 @@ mod tests {
     #[test]
     fn window_view_reads_the_right_pixels_without_copying() {
         let cube = coded_cube(5, 4, 3);
-        let view = CubeView::window(Arc::clone(&cube), 1, 2, 3, 2).unwrap();
+        let view = CubeView::window(Arc::clone(&cube), 2, 2).unwrap();
         assert_eq!(view.row_start(), 2);
-        assert_eq!(view.x0(), 1);
+        assert_eq!(view.dims(), CubeDims::new(5, 2, 3));
         for y in 0..2 {
-            for x in 0..3 {
-                assert_eq!(view.pixel(x, y).unwrap(), cube.pixel(x + 1, y + 2).unwrap());
+            for x in 0..5 {
+                assert_eq!(view.pixel(x, y).unwrap(), cube.pixel(x, y + 2).unwrap());
             }
         }
         // Storage is shared, not duplicated.
@@ -446,45 +338,18 @@ mod tests {
     #[test]
     fn window_rejects_out_of_bounds_extents() {
         let cube = coded_cube(3, 3, 2);
-        assert!(CubeView::window(Arc::clone(&cube), 2, 0, 2, 1).is_err());
-        assert!(CubeView::window(Arc::clone(&cube), 0, 2, 1, 2).is_err());
+        assert!(CubeView::window(Arc::clone(&cube), 2, 2).is_err());
+        assert!(CubeView::window(Arc::clone(&cube), 4, 0).is_err());
         let view = CubeView::full(cube);
         assert!(view.pixel(3, 0).is_err());
         assert!(view.pixel(0, 3).is_err());
     }
 
     #[test]
-    fn band_window_strides_within_pixels() {
-        let cube = coded_cube(2, 2, 5);
-        let view = CubeView::full(Arc::clone(&cube))
-            .with_band_window(1, 3)
-            .unwrap();
-        assert_eq!(view.bands(), 3);
-        assert_eq!(view.pixel(1, 1).unwrap(), &cube.pixel(1, 1).unwrap()[1..4]);
-        // Narrowing an already-narrow view is relative to the current window.
-        let narrower = view.with_band_window(1, 1).unwrap();
-        assert_eq!(
-            narrower.pixel(0, 0).unwrap(),
-            &cube.pixel(0, 0).unwrap()[2..3]
-        );
-        // Rows of a band-windowed view are not contiguous.
-        assert!(narrower.row_samples(0).is_none());
-    }
-
-    #[test]
-    fn band_window_rejects_overflow() {
-        let cube = coded_cube(2, 2, 4);
-        assert!(CubeView::full(Arc::clone(&cube))
-            .with_band_window(3, 2)
-            .is_err());
-        assert!(CubeView::full(cube).with_band_window(0, 5).is_err());
-    }
-
-    #[test]
     fn iter_pixels_matches_owned_window() {
         let cube = coded_cube(6, 5, 2);
-        let view = CubeView::window(Arc::clone(&cube), 2, 1, 3, 4).unwrap();
-        let owned = cube.window(2, 1, 3, 4).unwrap();
+        let view = CubeView::window(Arc::clone(&cube), 1, 4).unwrap();
+        let owned = cube.window(0, 1, 6, 4).unwrap();
         let from_view: Vec<&[f64]> = view.iter_pixels().collect();
         let from_owned: Vec<&[f64]> = owned.iter_pixels().collect();
         assert_eq!(from_view, from_owned);
@@ -494,30 +359,19 @@ mod tests {
     #[test]
     fn materialize_round_trips_and_charges_the_ledger() {
         let cube = coded_cube(4, 4, 3);
-        let view = CubeView::window(Arc::clone(&cube), 1, 1, 2, 3).unwrap();
+        let view = CubeView::window(Arc::clone(&cube), 1, 3).unwrap();
         let before = CloneLedger::snapshot();
         let owned = view.materialize();
-        assert_eq!(owned, cube.window(1, 1, 2, 3).unwrap());
+        assert_eq!(owned, cube.window(0, 1, 4, 3).unwrap());
         assert!(before.delta() >= view.payload_bytes() as u64);
-    }
-
-    #[test]
-    fn materialize_handles_band_windows() {
-        let cube = coded_cube(3, 2, 4);
-        let view = CubeView::full(Arc::clone(&cube))
-            .with_band_window(2, 2)
-            .unwrap();
-        let owned = view.materialize();
-        assert_eq!(owned.dims(), CubeDims::new(3, 2, 2));
-        assert_eq!(owned.pixel(2, 1).unwrap(), &cube.pixel(2, 1).unwrap()[2..4]);
     }
 
     #[test]
     fn views_compare_by_content() {
         let cube = coded_cube(4, 4, 2);
-        let a = CubeView::window(Arc::clone(&cube), 0, 1, 2, 2).unwrap();
-        let b = CubeView::window(Arc::clone(&cube), 0, 1, 2, 2).unwrap();
-        let c = CubeView::window(Arc::clone(&cube), 1, 1, 2, 2).unwrap();
+        let a = CubeView::window(Arc::clone(&cube), 1, 2).unwrap();
+        let b = CubeView::window(Arc::clone(&cube), 1, 2).unwrap();
+        let c = CubeView::window(Arc::clone(&cube), 2, 2).unwrap();
         assert_eq!(a, b);
         assert_ne!(a, c);
         // A clone is an Arc bump, equal by definition.
@@ -540,25 +394,25 @@ mod tests {
     #[test]
     fn standalone_view_preserves_scene_origin() {
         let cube = coded_cube(5, 4, 3);
-        let window = CubeView::window(Arc::clone(&cube), 1, 2, 3, 2).unwrap();
-        // Simulate the wire: materialize the window, rebuild a standalone
-        // view over the owned shard with the original scene coordinates.
+        let window = CubeView::window(Arc::clone(&cube), 2, 2).unwrap();
+        // Simulate the wire: materialize the band, rebuild a standalone
+        // view over the owned shard with the original scene row.
         let shard = Arc::new(window.materialize());
-        let decoded = CubeView::standalone(shard, window.x0(), window.row_start());
-        assert_eq!(decoded.x0(), 1);
+        let decoded = CubeView::standalone(shard, window.row_start());
         assert_eq!(decoded.row_start(), 2);
         assert_eq!(decoded.dims(), window.dims());
-        // Content-equal to the original window even though the storage and
+        // Content-equal to the original band even though the storage and
         // internal offsets differ.
         assert_eq!(decoded, window);
     }
 
     #[test]
     fn single_pixel_view_is_valid() {
-        let cube = coded_cube(3, 3, 2);
-        let view = CubeView::window(Arc::clone(&cube), 2, 2, 1, 1).unwrap();
+        // One row of a one-column cube is the smallest view there is.
+        let cube = coded_cube(1, 3, 2);
+        let view = CubeView::window(Arc::clone(&cube), 2, 1).unwrap();
         assert_eq!(view.pixels(), 1);
-        assert_eq!(view.pixel(0, 0).unwrap(), cube.pixel(2, 2).unwrap());
-        assert_eq!(view.materialize(), cube.window(2, 2, 1, 1).unwrap());
+        assert_eq!(view.pixel(0, 0).unwrap(), cube.pixel(0, 2).unwrap());
+        assert_eq!(view.materialize(), cube.window(0, 2, 1, 1).unwrap());
     }
 }

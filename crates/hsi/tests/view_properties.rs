@@ -1,9 +1,8 @@
 //! Property tests for the zero-copy message plane: for arbitrary cube
-//! dimensions and partition counts, every [`CubeView`] window must read
+//! dimensions and partition counts, every [`CubeView`] row band must read
 //! byte-identical (`f64` bit patterns, not approximate equality) to the
-//! owned copy the old `SubCubeSpec::extract` path produced — including edge
-//! partitions (more sub-cubes than rows), single-pixel windows and strided
-//! band windows.
+//! owned copy `HyperCube::window(0, y, w, h)` makes of the same rows —
+//! including edge partitions (more sub-cubes than rows) and single rows.
 
 use hsi::partition::{partition_rows, partition_views};
 use hsi::{CubeDims, CubeView, HyperCube};
@@ -41,8 +40,8 @@ proptest! {
 
     /// The headline property: for any dims and any partition count (often
     /// exceeding the row count, so the edge partitions and the cap kick
-    /// in), every partition view reads byte-identical to the owned
-    /// extracted sub-cube.
+    /// in), every partition view reads byte-identical to the owned window
+    /// of the same rows.
     #[test]
     fn partition_views_read_byte_identical_to_extract(
         w in 1usize..14,
@@ -58,101 +57,84 @@ proptest! {
         prop_assert_eq!(specs.len(), views.len());
         let mut covered_rows = 0;
         for (spec, view) in specs.iter().zip(&views) {
-            let owned = spec.extract(&cube).unwrap();
+            let owned = cube.window(0, spec.row_start, spec.width, spec.rows).unwrap();
             prop_assert_eq!(view.row_start(), spec.row_start);
-            prop_assert_eq!(view.dims(), owned.data.dims());
+            prop_assert_eq!(view.dims(), owned.dims());
             prop_assert_eq!(view.payload_bytes(), spec.payload_bytes());
-            prop_assert!(assert_bits_eq(view.iter_pixels(), owned.data.iter_pixels()));
+            prop_assert!(assert_bits_eq(view.iter_pixels(), owned.iter_pixels()));
             // Materializing the view reproduces the owned copy exactly.
-            prop_assert_eq!(&view.materialize(), &owned.data);
+            prop_assert_eq!(&view.materialize(), &owned);
             // Random-access pixel reads agree too.
             let (px, py) = (spec.width / 2, spec.rows / 2);
-            prop_assert_eq!(view.pixel(px, py).unwrap(), owned.data.pixel(px, py).unwrap());
+            prop_assert_eq!(view.pixel(px, py).unwrap(), owned.pixel(px, py).unwrap());
             covered_rows += spec.rows;
         }
         prop_assert_eq!(covered_rows, h);
     }
 
-    /// Single-pixel windows: the smallest possible view still reads the
-    /// exact backing samples.
+    /// Single-pixel views — one row of a one-column cube, the smallest view
+    /// there is — still read the exact backing samples.
     #[test]
     fn single_pixel_windows_are_byte_identical(
-        w in 1usize..12,
         h in 1usize..12,
         b in 1usize..9,
-        xs in 0usize..144,
         ys in 0usize..144,
         salt in -500.0..500.0f64,
     ) {
-        let dims = CubeDims::new(w, h, b);
+        let dims = CubeDims::new(1, h, b);
         let cube = coded_cube(dims, salt);
-        let (x, y) = (xs % w, ys % h);
-        let view = CubeView::window(Arc::clone(&cube), x, y, 1, 1).unwrap();
+        let y = ys % h;
+        let view = CubeView::window(Arc::clone(&cube), y, 1).unwrap();
         prop_assert_eq!(view.pixels(), 1);
-        let direct = cube.pixel(x, y).unwrap();
+        let direct = cube.pixel(0, y).unwrap();
         let through_view = view.pixel(0, 0).unwrap();
         prop_assert!(through_view
             .iter()
             .zip(direct.iter())
             .all(|(a, c)| a.to_bits() == c.to_bits()));
-        prop_assert_eq!(&view.materialize(), &cube.window(x, y, 1, 1).unwrap());
+        prop_assert_eq!(&view.materialize(), &cube.window(0, y, 1, 1).unwrap());
     }
 
-    /// Arbitrary spatial windows with arbitrary band sub-windows: strided
-    /// row *and* band access still reads the exact backing samples.
+    /// Arbitrary row bands `[y, y + rows)`, single rows included: every
+    /// pixel, the pixel iteration and the materialized copy read the exact
+    /// samples of `HyperCube::window(0, y, w, rows)`.
     #[test]
-    fn strided_band_windows_are_byte_identical(
+    fn row_bands_are_byte_identical_to_owned_windows(
         w in 1usize..12,
         h in 1usize..12,
         b in 1usize..9,
-        x0s in 0usize..144,
-        y0s in 0usize..144,
-        b0s in 0usize..9,
+        ys in 0usize..144,
+        rows_s in 0usize..144,
         salt in -500.0..500.0f64,
     ) {
         let dims = CubeDims::new(w, h, b);
         let cube = coded_cube(dims, salt);
-        let (x0, y0) = (x0s % w, y0s % h);
-        let (ww, wh) = (w - x0, h - y0);
-        let band0 = b0s % b;
-        let bands = b - band0;
-        let view = CubeView::window(Arc::clone(&cube), x0, y0, ww, wh)
-            .unwrap()
-            .with_band_window(band0, bands)
-            .unwrap();
-        prop_assert_eq!(view.bands(), bands);
-        for dy in 0..wh {
-            for dx in 0..ww {
-                let full = cube.pixel(x0 + dx, y0 + dy).unwrap();
-                let expect = &full[band0..band0 + bands];
+        let y = ys % h;
+        let rows = 1 + rows_s % (h - y);
+        let view = CubeView::window(Arc::clone(&cube), y, rows).unwrap();
+        let reference = cube.window(0, y, w, rows).unwrap();
+        prop_assert_eq!(view.row_start(), y);
+        prop_assert_eq!(view.dims(), reference.dims());
+        for dy in 0..rows {
+            for dx in 0..w {
                 let got = view.pixel(dx, dy).unwrap();
+                let expect = reference.pixel(dx, dy).unwrap();
                 prop_assert!(got
                     .iter()
                     .zip(expect.iter())
                     .all(|(a, c)| a.to_bits() == c.to_bits()));
             }
         }
-        // The materialized window equals manual extraction + band slicing.
-        let owned = view.materialize();
-        prop_assert_eq!(owned.dims(), CubeDims::new(ww, wh, bands));
-        let reference = cube.window(x0, y0, ww, wh).unwrap();
-        for dy in 0..wh {
-            for dx in 0..ww {
-                prop_assert_eq!(
-                    owned.pixel(dx, dy).unwrap(),
-                    &reference.pixel(dx, dy).unwrap()[band0..band0 + bands]
-                );
-            }
-        }
+        prop_assert!(assert_bits_eq(view.iter_pixels(), reference.iter_pixels()));
+        prop_assert_eq!(&view.materialize(), &reference);
     }
 
-    /// The old extract path always charges the clone ledger with the full
-    /// payload volume — the "before" number that makes the view plane's
-    /// measured `bytes_cloned = 0` meaningful.  (Exact-zero assertions for
-    /// view clones live in single-charger test binaries: `pct`'s message
-    /// and pipeline tests.)
+    /// Materializing every partition view charges the clone ledger with the
+    /// full payload volume: `CubeView::copy_runs` is where every deep copy
+    /// is counted.  (Exact-zero assertions for view clones live in
+    /// single-charger test binaries: `pct`'s message and pipeline tests.)
     #[test]
-    fn extract_charges_the_clone_ledger_with_payload_bytes(
+    fn materialize_charges_the_clone_ledger_with_payload_bytes(
         w in 1usize..10,
         h in 2usize..16,
         b in 1usize..6,
@@ -161,11 +143,11 @@ proptest! {
     ) {
         let dims = CubeDims::new(w, h, b);
         let cube = coded_cube(dims, salt);
-        let specs = partition_rows(dims, parts).unwrap();
-        let expected: usize = specs.iter().map(|s| s.payload_bytes()).sum();
+        let views = partition_views(&cube, parts).unwrap();
+        let expected: usize = views.iter().map(|v| v.payload_bytes()).sum();
         let ledger = hsi::CloneLedger::snapshot();
-        for spec in &specs {
-            spec.extract(&cube).unwrap();
+        for view in &views {
+            view.materialize();
         }
         // At least the payload volume was charged (concurrent tests may
         // charge the shared ledger on top).

@@ -21,7 +21,7 @@
 //! traffic described by [`OverheadModel`].
 
 use crate::{PctError, Result};
-use hsi::partition::{partition_rows, GranularityPolicy};
+use hsi::partition::partition_rows;
 use hsi::CubeDims;
 use netsim::{
     Actor, ActorContext, ActorId, ClusterSim, CostModel, Duration, NetworkModel, NodeId, NodeSpec,
@@ -39,8 +39,9 @@ pub struct SimParams {
     pub dims: CubeDims,
     /// Number of worker processors (the x-axis of Figures 4 and 5).
     pub workers: usize,
-    /// Sub-cube granularity (the Figure 5 knob).
-    pub granularity: GranularityPolicy,
+    /// Sub-cubes per worker (the Figure 5 knob: `#proc × 2`, `#proc × 3`,
+    /// …); at least one.
+    pub sub_cubes_per_worker: usize,
     /// Resiliency configuration (replication level and protocol overheads).
     pub overhead: OverheadModel,
     /// LAN model.
@@ -56,7 +57,7 @@ impl SimParams {
         Self {
             dims: CubeDims::paper_eval(),
             workers,
-            granularity: GranularityPolicy::PerWorkerMultiple(2),
+            sub_cubes_per_worker: 2,
             overhead: if resilient {
                 OverheadModel::paper_level_2()
             } else {
@@ -72,7 +73,7 @@ impl SimParams {
         Self {
             dims: CubeDims::paper_eval(),
             workers,
-            granularity: GranularityPolicy::PerWorkerMultiple(subcubes_per_worker),
+            sub_cubes_per_worker: subcubes_per_worker,
             overhead: OverheadModel::none(),
             network: NetworkModel::paper_lan(),
             cost: CostModel::paper(),
@@ -442,7 +443,7 @@ pub fn simulate_fusion(params: &SimParams) -> Result<SimReport> {
     let level = params.overhead.replication_level.max(1);
     let specs = partition_rows(
         params.dims,
-        params.granularity.sub_cube_count(params.workers),
+        params.workers * params.sub_cubes_per_worker.max(1),
     )?;
     let subcube_pixels: Vec<usize> = specs.iter().map(|s| s.pixels()).collect();
 
@@ -506,13 +507,6 @@ pub fn simulate_fusion(params: &SimParams) -> Result<SimReport> {
         messages: outcome.metrics.messages_sent,
         network_bytes: outcome.metrics.network_bytes,
     })
-}
-
-/// Convenience: the simulated sequential (single-worker, non-resilient) time
-/// used as the speed-up reference for Figure 4.
-pub fn reference_time(dims: CubeDims, cost: &CostModel) -> f64 {
-    cost.sequential_total(dims.pixels(), dims.bands)
-        .as_secs_f64()
 }
 
 #[cfg(test)]

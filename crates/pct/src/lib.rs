@@ -5,17 +5,16 @@
 //! image into a single colour-composite image using three techniques:
 //! spectral-angle classification (screening), principal component
 //! transformation, and human-centred colour mapping.  This crate provides
-//! the same eight-step pipeline on four substrates:
+//! the same eight-step pipeline on three substrates:
 //!
 //! | Implementation | Substrate | Purpose |
 //! |---|---|---|
 //! | [`sequential::SequentialPct`] | single thread | reference semantics; every other implementation is validated against it |
-//! | [`plan::Plan`] + [`distributed::handle_task`] | manager and worker sides, sans-IO, executed by the `service` scheduler over `scp` + `resilience` replica groups | the paper's message-passing implementation (and the service's seeded chain): replica groups with attack injection and regeneration (level 1 is the plain manager/worker run); [`plan::Plan::run_in_process`] is its in-process reference |
-//! | [`shared_memory::SharedMemoryPct`] | rayon thread pool | the paper's shared-memory-multiprocessor result (§4: within ~5 % of linear speed-up): the paper's [`plan::Plan`] run by [`plan::Plan::run_in_process`], each fan-out on the pool |
+//! | [`plan::Plan`] + [`distributed::handle_task`] | manager and worker sides, sans-IO, executed by the `service` scheduler over `scp` + `resilience` replica groups, or in process by [`plan::Plan::run_in_process`] on the rayon pool | the paper's message-passing implementation (and the service's seeded chain): replica groups with attack injection and regeneration (level 1 is the plain manager/worker run); run in process, the paper's protocol is its reference and the paper's shared-memory-multiprocessor result (§4: within ~5 % of linear speed-up) |
 //! | [`distributed_sim`] | `netsim` discrete-event cluster | regenerates Figures 4 and 5 on a simulated 16-node 100BaseT LAN |
 //!
-//! The manager side of the message-passing and shared-memory
-//! implementations is written once, sans-IO, in [`plan`], over both
+//! The manager side of the message-passing and shared-memory runs is
+//! written once, sans-IO, in [`plan`], over both
 //! protocols ([`plan::Protocol`]): the paper's and the seeded chain.  The worker side is
 //! [`distributed::handle_task`]; [`resilient`] keeps the replica groups
 //! alive.  ([`distributed_sim`] is cost-only — no pixels, its own message
@@ -44,12 +43,12 @@ mod regen;
 pub mod resilient;
 pub mod screening;
 pub mod sequential;
-pub mod shared_memory;
+#[cfg(test)]
+mod shared_memory;
 
 pub use config::{FusionOutput, PctConfig};
 pub use resilient::ResilientManagerState;
 pub use sequential::SequentialPct;
-pub use shared_memory::SharedMemoryPct;
 
 /// Errors produced by the fusion pipeline.
 #[derive(Debug)]

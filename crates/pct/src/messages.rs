@@ -6,7 +6,7 @@
 //! sets, partial covariance sums and colour-mapped image strips.  Heartbeats
 //! and shutdown are the only control messages.
 //!
-//! Sub-cube payloads travel as [`CubeView`]s: `Arc`-backed windows over the
+//! Sub-cube payloads travel as [`CubeView`]s: `Arc`-backed row bands of the
 //! shared full cube, so building a task, storing it for re-issue, and
 //! fanning it out to every member of a replica group are all reference-count
 //! bumps instead of pixel copies.  In-process the `scp` router moves
@@ -17,7 +17,7 @@
 //! The `Serialize`/`Deserialize` derives document that intent against the
 //! offline serde *shim* (whose traits are blanket markers).  Swapping in
 //! real serde now also requires a materializing serde impl for `CubeView`
-//! (encode the window as an owned sub-cube, decode into fresh storage) —
+//! (encode the band's samples, decode into fresh storage) —
 //! recorded as part of the shim-swap item in ROADMAP.md.
 
 use hsi::CubeView;

@@ -394,10 +394,10 @@ mod tests {
         let samples: Vec<f64> = pixels.iter().flat_map(|p| p.as_slice().to_vec()).collect();
         let cube = Arc::new(HyperCube::from_samples(dims, samples).unwrap());
         let whole = transform_cube(&spec, &cube).unwrap();
-        let view = CubeView::window(Arc::clone(&cube), 0, 1, 4, 2).unwrap();
+        let view = CubeView::window(Arc::clone(&cube), 1, 2).unwrap();
         let part = transform_view(&spec, &view).unwrap();
         assert_eq!(part, whole.window(0, 1, 4, 2).unwrap());
-        let mismatched = CubeView::full(cube).with_band_window(0, 2).unwrap();
+        let mismatched = CubeView::full(Arc::new(HyperCube::zeros(CubeDims::new(4, 3, 2))));
         assert!(transform_view(&spec, &mismatched).is_err());
     }
 
@@ -516,24 +516,19 @@ mod tests {
             let dims = CubeDims::new(7, 5, 33);
             let samples = samples(&mut rng, dims.pixels(), dims.bands);
             let cube = Arc::new(HyperCube::from_samples(dims, samples).unwrap());
-            let full = CubeView::full(Arc::clone(&cube));
             let views = [
-                ("full cube", full.clone()),
+                ("full cube", CubeView::full(Arc::clone(&cube))),
                 (
                     "row band",
-                    CubeView::window(Arc::clone(&cube), 0, 1, 7, 3).unwrap(),
+                    CubeView::window(Arc::clone(&cube), 1, 3).unwrap(),
                 ),
                 (
-                    "x window",
-                    CubeView::window(Arc::clone(&cube), 2, 0, 3, 5).unwrap(),
+                    "last rows",
+                    CubeView::window(Arc::clone(&cube), 3, 2).unwrap(),
                 ),
-                ("band window", full.with_band_window(5, 4).unwrap()),
                 (
-                    "x and band window",
-                    CubeView::window(Arc::clone(&cube), 1, 2, 5, 2)
-                        .unwrap()
-                        .with_band_window(1, 32)
-                        .unwrap(),
+                    "single row",
+                    CubeView::window(Arc::clone(&cube), 4, 1).unwrap(),
                 ),
             ];
             for (what, view) in views {

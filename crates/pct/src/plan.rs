@@ -8,7 +8,8 @@
 //! fans the transform out.  Both end in the same transform fan-out, and both
 //! are executed by the `service` scheduler, one plan per job.  The one
 //! in-process driver, [`Plan::run_in_process`], runs each fan-out on the
-//! rayon pool: it is the paper's reference and [`crate::SharedMemoryPct`].
+//! rayon pool: it is the paper's reference and its shared-memory variant
+//! (§4).
 //!
 //! Nothing here owns a thread (the in-process driver borrows the rayon
 //! pool), a mailbox, a clock, a telemetry handle or a simulator type.

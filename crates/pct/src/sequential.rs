@@ -10,7 +10,6 @@ use crate::pipeline::{derive_transform, transform_cube, TransformSpec};
 use crate::screening::screen_slices;
 use crate::Result;
 use hsi::HyperCube;
-use std::sync::Arc;
 
 /// The sequential fusion pipeline.
 #[derive(Debug, Clone)]
@@ -51,14 +50,6 @@ impl SequentialPct {
             unique_count,
             pixels: cube.pixels(),
         })
-    }
-
-    /// Runs the full pipeline over shared storage.  Sequential execution
-    /// never partitions, so this is already zero-copy; it exists so the
-    /// reference implementation has the same shared entry point as the
-    /// concurrent ones.
-    pub fn run_shared(&self, cube: &Arc<HyperCube>) -> Result<FusionOutput> {
-        self.run(cube)
     }
 }
 

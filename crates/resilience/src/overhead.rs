@@ -21,9 +21,6 @@ pub struct OverheadModel {
     /// duplicate suppression, acknowledgements).  The paper measures this at
     /// roughly 0.10.
     pub protocol_overhead: f64,
-    /// Heartbeat period in milliseconds (heartbeats consume a little network
-    /// bandwidth and manager attention).
-    pub heartbeat_period_ms: u64,
     /// Size of one heartbeat/acknowledgement control message in bytes.
     pub control_message_bytes: u64,
 }
@@ -34,7 +31,6 @@ impl OverheadModel {
         Self {
             replication_level: 1,
             protocol_overhead: 0.0,
-            heartbeat_period_ms: 0,
             control_message_bytes: 0,
         }
     }
@@ -55,7 +51,6 @@ impl OverheadModel {
         Self {
             replication_level: level,
             protocol_overhead: 0.10,
-            heartbeat_period_ms: 250,
             control_message_bytes: 64,
         }
     }

@@ -14,7 +14,7 @@
 //! * **shared-memory** — in-process executor threads that run whole jobs
 //!   start-to-finish against the shared `Arc` cube with **zero protocol
 //!   messages**: work arrives over a plain channel and the pipeline is the
-//!   sequential reference (`SequentialPct::run_shared`), which *is* the
+//!   sequential reference (`SequentialPct::run`), which *is* the
 //!   service's byte-identity contract.  Results return over a plain channel
 //!   too (they carry the full output); the executor then rings the
 //!   [`Doorbell`], the same wake-up clients use, so the blocked scheduler
@@ -167,7 +167,7 @@ impl InlineLane {
                     while let Ok(work) = rx.recv() {
                         let result =
                             match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                                SequentialPct::new(work.config).run_shared(&work.cube)
+                                SequentialPct::new(work.config).run(&work.cube)
                             })) {
                                 Ok(run) => run.map_err(|e| e.to_string()),
                                 Err(panic) => Err(format!(

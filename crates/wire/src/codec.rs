@@ -18,12 +18,14 @@
 //! | `PctConfig`     | `[screening_angle_rad f64][output_components u32]`  |
 //! | `CubeView`      | `[x0 u32][row_start u32][w u32][h u32][bands u32][f64 × w·h·bands]` |
 //!
-//! A `CubeView` encodes via [`CubeView::copy_runs`] — the charged deep-copy
-//! traversal, writing the window's samples straight into the frame — and
-//! decodes into a fresh owned shard wrapped in [`CubeView::standalone`],
-//! preserving the window's scene coordinates.  [`encode_message`]
-//! `debug_assert`s, via the thread-local clone ledger, that this is the
-//! *only* payload copy the encoder performed.
+//! A `CubeView` is a run of whole rows, so its `x0` is always 0: the word
+//! keeps the layout of the frames protocol 2 has always sent, and a view
+//! that names any other column is [`WireError::Malformed`].  A view encodes
+//! via [`CubeView::copy_runs`] — the charged deep copy, writing the band's
+//! samples straight into the frame — and decodes into a fresh owned shard
+//! wrapped in [`CubeView::standalone`], preserving the band's scene row.
+//! [`encode_message`] `debug_assert`s, via the thread-local clone ledger,
+//! that this is the *only* payload copy the encoder performed.
 //!
 //! A message is encoded into one buffer: [`encode_message`] allocates the
 //! frame at its exact size, reserves the header, writes the body behind it
@@ -128,7 +130,8 @@ fn put_bytes(out: &mut Vec<u8>, bytes: &[u8]) {
 }
 
 fn put_view(out: &mut Vec<u8>, view: &CubeView) {
-    put_u32(out, view.x0() as u32);
+    // x0: a view spans the full width.
+    put_u32(out, 0);
     put_u32(out, view.row_start() as u32);
     put_u32(out, view.width() as u32);
     put_u32(out, view.height() as u32);
@@ -465,7 +468,9 @@ impl<'a> Reader<'a> {
     }
 
     fn view(&mut self) -> Result<CubeView> {
-        let x0 = self.u32()? as usize;
+        if self.u32()? != 0 {
+            return Err(WireError::Malformed("view does not start at column 0"));
+        }
         let row_start = self.u32()? as usize;
         let width = self.u32()? as usize;
         let height = self.u32()? as usize;
@@ -480,7 +485,7 @@ impl<'a> Reader<'a> {
         )?;
         let shard = HyperCube::from_samples(CubeDims::new(width, height, bands), samples)
             .map_err(|_| WireError::Malformed("view dims inconsistent"))?;
-        Ok(CubeView::standalone(Arc::new(shard), x0, row_start))
+        Ok(CubeView::standalone(Arc::new(shard), row_start))
     }
 
     fn finish(self) -> Result<()> {
@@ -627,15 +632,11 @@ mod tests {
         decode_body(&body).unwrap()
     }
 
-    /// One message of every kind.  The views are the awkward case on
-    /// purpose: a window that starts mid-row and mid-band-run, so its rows
-    /// are strided through the backing cube and not even contiguous.
+    /// One message of every kind.  The views are a row band that starts
+    /// past row 0 of its backing cube, so neither its samples nor its scene
+    /// row start at zero.
     fn one_of_every_kind() -> Vec<WireMessage> {
-        let view = CubeView::window(Arc::clone(coded_view(7, 6, 5).storage()), 2, 1, 4, 3)
-            .unwrap()
-            .with_band_window(1, 3)
-            .unwrap();
-        assert!(view.row_samples(0).is_none());
+        let view = CubeView::window(Arc::clone(coded_view(7, 6, 5).storage()), 1, 3).unwrap();
         let vecs = vec![
             Vector::from_vec(vec![1.0, -2.5]),
             Vector::from_vec(vec![f64::MIN_POSITIVE, 0.0]),
@@ -719,174 +720,43 @@ mod tests {
 
     /// The encoder as first written — every field appended one element at a
     /// time, views through [`CubeView::materialize`], the body then wrapped
-    /// by [`frame::frame`] — kept as the reference that freezes the wire
-    /// format (protocol 1's, but for the `Hello`, which protocol 2 extended
-    /// by the numerics word): [`encode_message`] may get there any way it
-    /// likes, but not to different bytes.
-    fn reference_encode(msg: &WireMessage) -> Vec<u8> {
-        fn u32_(out: &mut Vec<u8>, v: usize) {
-            out.extend_from_slice(&(v as u32).to_le_bytes());
-        }
-        fn u64_(out: &mut Vec<u8>, v: u64) {
-            out.extend_from_slice(&v.to_le_bytes());
-        }
-        fn f64s(out: &mut Vec<u8>, vs: &[f64]) {
-            for v in vs {
-                out.extend_from_slice(&v.to_le_bytes());
-            }
-        }
-        fn vector(out: &mut Vec<u8>, v: &Vector) {
-            u32_(out, v.len());
-            f64s(out, v.as_slice());
-        }
-        fn vectors(out: &mut Vec<u8>, vs: &[Vector]) {
-            u32_(out, vs.len());
-            for v in vs {
-                vector(out, v);
-            }
-        }
-        fn matrix(out: &mut Vec<u8>, m: &Matrix) {
-            u32_(out, m.rows());
-            u32_(out, m.cols());
-            f64s(out, m.as_slice());
-        }
-        fn view(out: &mut Vec<u8>, view: &CubeView) {
-            let shard = view.materialize();
-            let dims = shard.dims();
-            for field in [
-                view.x0(),
-                view.row_start(),
-                dims.width,
-                dims.height,
-                dims.bands,
-            ] {
-                u32_(out, field);
-            }
-            f64s(out, shard.samples());
-        }
-        let out = &mut Vec::new();
-        let pct = match msg {
-            WireMessage::Hello { version, numerics } => {
-                out.push(0);
-                u32_(out, *version as usize);
-                u32_(out, *numerics as usize);
-                return frame::frame(out);
-            }
-            WireMessage::Pct(pct) => pct,
-        };
-        let (tag, task) = match pct {
-            PctMessage::ScreenTask { task, .. } => (1, task),
-            PctMessage::UniqueSet { task, .. } => (2, task),
-            PctMessage::CovarianceTask { task, .. } => (3, task),
-            PctMessage::CovarianceSum { task, .. } => (4, task),
-            PctMessage::TransformTask { task, .. } => (5, task),
-            PctMessage::RgbStrip { task, .. } => (6, task),
-            PctMessage::ScreenSeededTask { task, .. } => (7, task),
-            PctMessage::SeededUnique { task, .. } => (8, task),
-            PctMessage::DeriveTask { task, .. } => (9, task),
-            PctMessage::DerivedTransform { task, .. } => (10, task),
-            PctMessage::TaskFailed { task, .. } => (11, task),
-            PctMessage::Heartbeat => return frame::frame(&[12]),
-            PctMessage::Shutdown => return frame::frame(&[13]),
-        };
-        out.push(tag);
-        u64_(out, *task as u64);
-        match pct {
-            PctMessage::ScreenTask {
-                view: v,
-                threshold_rad,
-                ..
-            } => {
-                view(out, v);
-                f64s(out, &[*threshold_rad]);
-            }
-            PctMessage::UniqueSet { unique: vs, .. }
-            | PctMessage::SeededUnique { accepted: vs, .. } => vectors(out, vs),
-            PctMessage::CovarianceTask { mean, pixels, .. } => {
-                vector(out, mean);
-                vectors(out, pixels);
-            }
-            PctMessage::CovarianceSum {
-                packed,
-                bands,
-                count,
-                ..
-            } => {
-                u32_(out, packed.len());
-                f64s(out, packed);
-                u32_(out, *bands);
-                u64_(out, *count);
-            }
-            PctMessage::TransformTask {
-                view: v,
-                mean,
-                transform,
-                scales,
-                ..
-            } => {
-                view(out, v);
-                vector(out, mean);
-                matrix(out, transform);
-                u32_(out, scales.len());
-                for (lo, hi) in scales {
-                    f64s(out, &[*lo, *hi]);
-                }
-            }
-            PctMessage::RgbStrip {
-                row_start,
-                rows,
-                width,
-                rgb,
-                ..
-            } => {
-                for field in [*row_start, *rows, *width, rgb.len()] {
-                    u32_(out, field);
-                }
-                out.extend_from_slice(rgb);
-            }
-            PctMessage::ScreenSeededTask {
-                view: v,
-                seed,
-                threshold_rad,
-                ..
-            } => {
-                view(out, v);
-                vectors(out, seed);
-                f64s(out, &[*threshold_rad]);
-            }
-            PctMessage::DeriveTask { unique, config, .. } => {
-                vectors(out, unique);
-                f64s(out, &[config.screening_angle_rad]);
-                u32_(out, config.output_components);
-            }
-            PctMessage::DerivedTransform {
-                mean,
-                transform,
-                eigenvalues,
-                ..
-            } => {
-                vector(out, mean);
-                matrix(out, transform);
-                u32_(out, eigenvalues.len());
-                f64s(out, eigenvalues);
-            }
-            PctMessage::TaskFailed { error, .. } => {
-                u32_(out, error.len());
-                out.extend_from_slice(error.as_bytes());
-            }
-            PctMessage::Heartbeat | PctMessage::Shutdown => unreachable!("returned above"),
-        }
-        frame::frame(out)
-    }
-
+    /// by [`frame::frame`] — made these frames of [`one_of_every_kind`], kept
+    /// as `(length, FNV-1a 64 of the frame)`: the reference that freezes the
+    /// wire format (protocol 1's, but for the `Hello`, which protocol 2
+    /// extended by the numerics word).  [`encode_message`] may get there any
+    /// way it likes, but not to different bytes.
     #[test]
     fn wire_format_is_frozen_against_the_reference_encoder() {
-        for msg in one_of_every_kind() {
-            let frame = encode_message(&msg);
-            assert_eq!(frame, reference_encode(&msg), "{msg:?}");
+        let fnv = |frame: &[u8]| {
+            frame.iter().fold(0xcbf2_9ce4_8422_2325_u64, |hash, &byte| {
+                (hash ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3)
+            })
+        };
+        let reference = [
+            (21, 0x3749_95d3_c07f_4d50),
+            (889, 0x69f9_a94d_7aa8_bc89),
+            (65, 0x4946_f22d_134d_a653),
+            (85, 0xd25e_770a_c9c3_bc59),
+            (61, 0xef08_c6ed_71eb_50d5),
+            (977, 0x1936_900a_3158_0d50),
+            (43, 0xc042_6ff1_b77f_8017),
+            (933, 0xeb95_bcc6_39b7_e983),
+            (25, 0x55ea_c71d_e704_b296),
+            (77, 0x6ece_7890_fd2e_019f),
+            (109, 0xa40b_2d4f_a5df_2dc0),
+            (50, 0x4ef3_fb55_24d7_b3d0),
+            (13, 0x49ee_acf4_d944_a621),
+            (13, 0xd417_edcd_a890_ecba),
+        ];
+        let messages = one_of_every_kind();
+        assert_eq!(messages.len(), reference.len());
+        for (msg, pinned) in messages.iter().zip(reference) {
+            let frame = encode_message(msg);
+            assert_eq!((frame.len(), fnv(&frame)), pinned, "{msg:?}");
             // One buffer, allocated at the frame's exact size.
             assert_eq!(frame.capacity(), frame.len(), "{msg:?}");
         }
+        assert_eq!(PROTOCOL_VERSION, 2);
         // And against literal bytes, so the header layout, the polynomial
         // and the tag numbering are pinned to something no code here made.
         assert_eq!(
@@ -896,6 +766,33 @@ mod tests {
                 0
             ]
         );
+    }
+
+    /// A view whose `x0` word is not 0 names a column window no view can
+    /// be: every task kind that carries one decodes to `Malformed`, never to
+    /// a view, whatever the column.
+    #[test]
+    fn a_view_that_does_not_start_at_column_0_is_malformed() {
+        for msg in one_of_every_kind() {
+            let WireMessage::Pct(pct) = &msg else {
+                continue;
+            };
+            if pct.payload_bytes() == 0 {
+                continue;
+            }
+            let frame = encode_message(&msg);
+            let mut body = frame[FRAME_HEADER_BYTES..].to_vec();
+            // `[tag u8][task u64]`, then the view's x0 word.
+            assert_eq!(body[9..13], [0; 4], "{msg:?}");
+            for x0 in [1u32, 2, u32::MAX] {
+                body[9..13].copy_from_slice(&x0.to_le_bytes());
+                assert_eq!(
+                    decode_body(&body),
+                    Err(WireError::Malformed("view does not start at column 0")),
+                    "{msg:?} at x0 {x0}"
+                );
+            }
+        }
     }
 
     #[test]
@@ -910,7 +807,7 @@ mod tests {
             }
             Arc::new(c)
         };
-        let window = CubeView::window(Arc::clone(&cube), 2, 1, 3, 4).unwrap();
+        let window = CubeView::window(Arc::clone(&cube), 1, 4).unwrap();
         let msg = WireMessage::Pct(PctMessage::ScreenTask {
             task: 0,
             view: window.clone(),
@@ -920,7 +817,6 @@ mod tests {
         let WireMessage::Pct(PctMessage::ScreenTask { view, .. }) = decoded else {
             panic!("wrong variant");
         };
-        assert_eq!(view.x0(), 2);
         assert_eq!(view.row_start(), 1);
         assert_eq!(view, window);
     }

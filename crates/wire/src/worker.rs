@@ -3,10 +3,14 @@
 //!
 //! The loop mirrors the in-process worker loop
 //! ([`pct::resilient::member_loop`], which the service's standard lane and
-//! every replica member run) beat for beat so the scheduler's failure
-//! detector sees identical liveness behaviour from both lanes:
-//! a 25 ms receive tick, a heartbeat after every reply, and a heartbeat
-//! on every idle tick.  Tasks are computed by
+//! every replica member run) so the scheduler's failure detector sees the
+//! same liveness from both lanes: a 25 ms receive tick and a heartbeat on
+//! every idle tick.  One difference: after every message it is handed,
+//! answered or not, this loop also sends a heartbeat, and `member_loop`
+//! does not.  The scheduler counts any message as proof of life, so the
+//! in-process loop dropped its heartbeat after a reply; this one keeps it
+//! because fusebench's TCP round-trip probe sends a heartbeat and times
+//! the one this loop sends back.  Tasks are computed by
 //! [`pct::distributed::handle_task`] — the same function every in-process
 //! lane and the simulator use — so results are byte-identical by
 //! construction, and a task whose parts disagree in shape is answered

@@ -21,10 +21,13 @@ fn coded_cube(dims: CubeDims, salt: f64) -> Arc<HyperCube> {
     Arc::new(HyperCube::from_samples(dims, samples).expect("length matches"))
 }
 
-/// A window view over a salted cube, exercising non-zero origins.
-fn coded_view(w: usize, h: usize, b: usize, x0: usize, y0: usize, salt: f64) -> CubeView {
-    let cube = coded_cube(CubeDims::new(w + x0, h + y0, b), salt);
-    CubeView::window(cube, x0, y0, w, h).expect("window in bounds")
+/// Shard `pick` (modulo the shard count) of a salted `w × h × b` cube cut
+/// into `shards` row bands: non-zero scene rows, and single rows whenever
+/// there are more shards than rows.
+fn coded_view(w: usize, h: usize, b: usize, shards: usize, pick: usize, salt: f64) -> CubeView {
+    let cube = coded_cube(CubeDims::new(w, h, b), salt);
+    let mut views = hsi::partition::partition_views(&cube, shards).expect("partition");
+    views.swap_remove(pick % views.len())
 }
 
 fn coded_vectors(count: usize, bands: usize, salt: f64) -> Vec<Vector> {
@@ -59,20 +62,21 @@ fn assert_bits_round_trip(msg: &WireMessage) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
-    /// Screen tasks with arbitrary dims and window origins round-trip
-    /// bit-identical, including the scene coordinates workers label
-    /// results with.
+    /// Screen tasks over any shard of any partition — more shards than
+    /// rows included — round-trip bit-identical, including the scene row
+    /// workers label results with.
     #[test]
     fn screen_tasks_round_trip(
         w in 1usize..12,
         h in 1usize..16,
         b in 1usize..6,
-        x0 in 0usize..5,
-        y0 in 0usize..7,
+        shards in 1usize..24,
+        pick in 0usize..24,
         task in 0usize..1_000_000,
         salt in -100.0..100.0f64,
     ) {
-        let view = coded_view(w, h, b, x0, y0, salt);
+        let view = coded_view(w, h, b, shards, pick, salt);
+        let y0 = view.row_start();
         let msg = WireMessage::Pct(PctMessage::ScreenTask {
             task,
             view: view.clone(),
@@ -82,7 +86,6 @@ proptest! {
         let WireMessage::Pct(PctMessage::ScreenTask { view: dv, .. }) = &decoded else {
             panic!("variant changed across the wire");
         };
-        prop_assert_eq!(dv.x0(), x0);
         prop_assert_eq!(dv.row_start(), y0);
         prop_assert_eq!(&decoded, &msg);
         prop_assert_eq!(encode_message(&decoded), encode_message(&msg));
@@ -95,12 +98,14 @@ proptest! {
         w in 1usize..10,
         h in 1usize..10,
         b in 1usize..5,
+        shards in 1usize..16,
+        pick in 0usize..16,
         seed in 0usize..9,
         salt in -50.0..50.0f64,
     ) {
         let msg = WireMessage::Pct(PctMessage::ScreenSeededTask {
             task: 3,
-            view: coded_view(w, h, b, 0, 0, salt),
+            view: coded_view(w, h, b, shards, pick, salt),
             seed: coded_vectors(seed, b, salt),
             threshold_rad: 0.0874,
         });
@@ -114,6 +119,8 @@ proptest! {
         h in 1usize..10,
         b in 1usize..6,
         comps in 1usize..5,
+        shards in 1usize..16,
+        pick in 0usize..16,
         salt in -50.0..50.0f64,
     ) {
         let mean = coded_vectors(1, b, salt).pop().unwrap();
@@ -124,7 +131,7 @@ proptest! {
         ).unwrap();
         let msg = WireMessage::Pct(PctMessage::TransformTask {
             task: 5,
-            view: coded_view(w, h, b, 1, 2, salt),
+            view: coded_view(w, h, b, shards, pick, salt),
             mean,
             transform,
             scales: (0..comps).map(|i| (salt - i as f64, salt + i as f64)).collect(),
@@ -216,7 +223,7 @@ proptest! {
     ) {
         let msg = WireMessage::Pct(PctMessage::ScreenTask {
             task: 1,
-            view: coded_view(w, h, b, 0, 0, salt),
+            view: coded_view(w, h, b, 1, 0, salt),
             threshold_rad: 0.1,
         });
         let bytes = encode_message(&msg);

@@ -7,7 +7,8 @@ use ingest::{
     CubeSource as _, DirectorySource, IngestConfig, IngestPump, ShedReason, SheddingPolicy,
     SourceEvent, StreamDecoder,
 };
-use pct::{FusionOutput, PctConfig, SequentialPct, SharedMemoryPct};
+use pct::plan::Plan;
+use pct::{FusionOutput, PctConfig, SequentialPct};
 use resilience::DetectorConfig;
 use service::{
     BackendKind, ChaosPhase, ChaosPlan, CubeSource, FusionService, JobHandle, JobOutcome, JobSpec,
@@ -51,13 +52,15 @@ fn paper_job(cube: &hsi::HyperCube, groups: usize, level: usize) -> FusionOutput
 fn all_implementations_agree_on_the_fused_image() {
     let cube = test_scene(1);
     let sequential = SequentialPct::new(PctConfig::paper()).run(&cube).unwrap();
-    let pool = rayon::ThreadPoolBuilder::new()
-        .num_threads(2)
-        .build()
-        .unwrap();
-    let shared = pool
-        .install(|| SharedMemoryPct::new(PctConfig::paper()).run(&cube))
-        .unwrap();
+    let shards = hsi::partition::partition_rows(cube.dims(), 8).unwrap();
+    let shared = Plan::new(
+        Protocol::Paper,
+        Arc::new(cube.clone()),
+        PctConfig::paper(),
+        shards,
+    )
+    .run_in_process()
+    .unwrap();
     let [distributed, resilient] = [1, 2].map(|level| paper_job(&cube, 3, level));
 
     for (name, other) in [
@@ -76,8 +79,8 @@ fn all_implementations_agree_on_the_fused_image() {
     // Levels 1 and 2 run the same plan over the same decomposition, so
     // replication is transparent bit-for-bit.
     assert_eq!(distributed, resilient);
-    // Two threads cut the shared-memory run into eight shards: it is the
-    // paper's protocol over the partition of a four-group service.
+    // The shared-memory run over eight shards is the paper's protocol over
+    // the partition of a four-group service.
     assert_eq!(shared, paper_job(&cube, 4, 1));
 }
 
