@@ -4,9 +4,7 @@
 //! of floating-point products per matrix entry.  Naive summation loses
 //! precision when partial sums grow large; the paper's original C code used
 //! double accumulation, and this module goes one step further with
-//! compensated (Neumaier) summation plus a pairwise variant used by the
-//! parallel reduction paths so that sequential and distributed results agree
-//! to tight tolerances, which is what the cross-implementation tests assert.
+//! compensated (Neumaier) summation.
 
 /// Compensated (Neumaier/Kahan–Babuška) summation over an iterator.
 ///
@@ -25,20 +23,6 @@ pub fn neumaier_sum<I: IntoIterator<Item = f64>>(values: I) -> f64 {
         sum = t;
     }
     sum + compensation
-}
-
-/// Pairwise (cascade) summation over a slice.
-///
-/// Used by the tree-structured parallel reductions: the error behaviour of a
-/// binary reduction tree matches this function, so a distributed sum compared
-/// against `pairwise_sum` of the same data agrees to round-off.
-pub fn pairwise_sum(values: &[f64]) -> f64 {
-    const BASE: usize = 64;
-    if values.len() <= BASE {
-        return neumaier_sum(values.iter().copied());
-    }
-    let mid = values.len() / 2;
-    pairwise_sum(&values[..mid]) + pairwise_sum(&values[mid..])
 }
 
 /// Arithmetic mean using compensated summation. Returns `None` for empty input.
@@ -127,14 +111,6 @@ mod tests {
         // 1.0 + 1e100 - 1e100 == 1.0 with compensation, 0.0 naively.
         let values = [1.0, 1e100, 1.0, -1e100];
         assert_eq!(neumaier_sum(values.iter().copied()), 2.0);
-    }
-
-    #[test]
-    fn pairwise_matches_neumaier_on_well_conditioned_data() {
-        let values: Vec<f64> = (0..10_000).map(|i| (i as f64).sin()).collect();
-        let a = neumaier_sum(values.iter().copied());
-        let b = pairwise_sum(&values);
-        assert!((a - b).abs() < 1e-9);
     }
 
     #[test]

@@ -133,23 +133,6 @@ impl Vector {
         Ok(cos.acos())
     }
 
-    /// Squared Euclidean distance to another vector.
-    pub fn distance_sq(&self, other: &Vector) -> Result<f64> {
-        if self.len() != other.len() {
-            return Err(LinalgError::DimensionMismatch {
-                op: "distance_sq",
-                left: self.len(),
-                right: other.len(),
-            });
-        }
-        Ok(reduce::neumaier_sum(
-            self.data
-                .iter()
-                .zip(&other.data)
-                .map(|(a, b)| (a - b) * (a - b)),
-        ))
-    }
-
     /// Component-wise subtraction producing a new vector.
     pub fn sub_vec(&self, other: &Vector) -> Result<Vector> {
         if self.len() != other.len() {
@@ -406,15 +389,6 @@ mod tests {
         assert_eq!(&a + &b, a.add_vec(&b).unwrap());
         assert_eq!(&a - &b, a.sub_vec(&b).unwrap());
         assert_eq!(&a * 2.0, a.scale(2.0));
-    }
-
-    #[test]
-    fn distance_sq_matches_norm_of_difference() {
-        let a = v(&[1.0, 2.0, 3.0]);
-        let b = v(&[4.0, 6.0, 3.0]);
-        let d = a.distance_sq(&b).unwrap();
-        let diff = a.sub_vec(&b).unwrap();
-        assert!((d - diff.dot(&diff).unwrap()).abs() < 1e-12);
     }
 
     #[test]

@@ -10,7 +10,7 @@
 use crate::colormap::{map_components, ComponentScale};
 use crate::messages::{PctMessage, TaskId};
 use crate::pipeline::{derive_transform, project_pixels};
-use crate::screening::{screen_slices, screen_slices_seeded};
+use crate::screening::screen_slices_seeded;
 use crate::{PctError, Result};
 use hsi::{CubeView, RgbImage};
 use linalg::covariance::CovarianceAccumulator;
@@ -29,14 +29,6 @@ pub const MANAGER: &str = "manager";
 pub fn handle_task(msg: PctMessage) -> Option<PctMessage> {
     let failed = |task, error| Some(PctMessage::TaskFailed { task, error });
     match msg {
-        PctMessage::ScreenTask {
-            task,
-            view,
-            threshold_rad,
-        } => {
-            let unique = screen_slices(view.iter_pixels(), threshold_rad);
-            Some(PctMessage::UniqueSet { task, unique })
-        }
         PctMessage::CovarianceTask { task, mean, pixels } => {
             let bands = mean.len();
             let mut acc = CovarianceAccumulator::new(mean);
@@ -166,14 +158,18 @@ mod tests {
         let cube = Arc::new(small_scene());
         let spec = partition_rows(cube.dims(), 4).unwrap()[0];
         let view = spec.view(&cube).unwrap();
-        let reply = handle_task(PctMessage::ScreenTask {
+        let reply = handle_task(PctMessage::ScreenSeededTask {
             task: 9,
             view,
+            seed: Vec::new(),
             threshold_rad: PctConfig::paper().screening_angle_rad,
         })
         .unwrap();
         match reply {
-            PctMessage::UniqueSet { task, unique } => {
+            PctMessage::SeededUnique {
+                task,
+                accepted: unique,
+            } => {
                 assert_eq!(task, 9);
                 assert!(!unique.is_empty());
                 assert!(unique.len() < spec.pixels());
@@ -220,9 +216,10 @@ mod tests {
         let ledger = hsi::CloneLedger::snapshot();
         let tasks: Vec<PctMessage> = specs
             .iter()
-            .map(|spec| PctMessage::ScreenTask {
+            .map(|spec| PctMessage::ScreenSeededTask {
                 task: spec.id,
                 view: spec.view(&cube).unwrap(),
+                seed: Vec::new(),
                 threshold_rad: 0.1,
             })
             .collect();
@@ -308,9 +305,9 @@ mod tests {
     fn handle_task_ignores_non_task_messages() {
         assert!(handle_task(PctMessage::Heartbeat).is_none());
         assert!(handle_task(PctMessage::Shutdown).is_none());
-        assert!(handle_task(PctMessage::UniqueSet {
+        assert!(handle_task(PctMessage::SeededUnique {
             task: 0,
-            unique: vec![]
+            accepted: vec![]
         })
         .is_none());
     }

@@ -13,12 +13,6 @@
 //! messages by ownership transfer; at a true process boundary the `wire`
 //! codec calls [`CubeView::copy_runs`] during serialization (charged to the
 //! clone ledger), which is the only point pixels are copied.
-//!
-//! The `Serialize`/`Deserialize` derives document that intent against the
-//! offline serde *shim* (whose traits are blanket markers).  Swapping in
-//! real serde now also requires a materializing serde impl for `CubeView`
-//! (encode the band's samples, decode into fresh storage) —
-//! recorded as part of the shim-swap item in ROADMAP.md.
 
 use hsi::CubeView;
 use linalg::{Matrix, Vector};
@@ -30,22 +24,6 @@ pub type TaskId = usize;
 /// Messages of the fusion protocol.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum PctMessage {
-    /// Manager → worker: screen this sub-cube (step 1).
-    ScreenTask {
-        /// Work item identifier.
-        task: TaskId,
-        /// Zero-copy view of the sub-cube to screen.
-        view: CubeView,
-        /// Screening threshold in radians.
-        threshold_rad: f64,
-    },
-    /// Worker → manager: the unique set of a screened sub-cube (step 1 → 2).
-    UniqueSet {
-        /// Work item identifier.
-        task: TaskId,
-        /// Unique pixel vectors found in the sub-cube.
-        unique: Vec<Vector>,
-    },
     /// Manager → worker: accumulate the covariance sum of these unique-set
     /// vectors around the broadcast mean (step 4).
     CovarianceTask {
@@ -95,9 +73,11 @@ pub enum PctMessage {
         rgb: Vec<u8>,
     },
     /// Manager → worker: screen this sub-cube's pixels against an
-    /// already-accepted seed set (the service layer's exact screening chain:
-    /// folding consecutive sub-cubes through seeded screening reproduces
-    /// whole-image screening bit-for-bit).
+    /// already-accepted seed set (step 1).  The paper's fan-out sends an
+    /// empty seed, so each sub-cube is screened on its own; the service
+    /// layer's exact screening chain sends everything earlier links
+    /// accepted, so folding consecutive sub-cubes reproduces whole-image
+    /// screening bit-for-bit.
     ScreenSeededTask {
         /// Work item identifier.
         task: TaskId,
@@ -109,7 +89,8 @@ pub enum PctMessage {
         threshold_rad: f64,
     },
     /// Worker → manager: the vectors newly admitted by a seeded screening
-    /// task, in admission order.
+    /// task, in admission order (under an empty seed, the sub-cube's unique
+    /// set: step 1 → 2).
     SeededUnique {
         /// Work item identifier.
         task: TaskId,
@@ -154,8 +135,6 @@ impl PctMessage {
     /// A short label for traces and debugging.
     pub fn kind(&self) -> &'static str {
         match self {
-            PctMessage::ScreenTask { .. } => "screen-task",
-            PctMessage::UniqueSet { .. } => "unique-set",
             PctMessage::CovarianceTask { .. } => "covariance-task",
             PctMessage::CovarianceSum { .. } => "covariance-sum",
             PctMessage::TransformTask { .. } => "transform-task",
@@ -176,9 +155,9 @@ impl PctMessage {
     /// without a pixel payload.
     pub fn payload_bytes(&self) -> u64 {
         match self {
-            PctMessage::ScreenTask { view, .. }
-            | PctMessage::TransformTask { view, .. }
-            | PctMessage::ScreenSeededTask { view, .. } => view.payload_bytes() as u64,
+            PctMessage::TransformTask { view, .. } | PctMessage::ScreenSeededTask { view, .. } => {
+                view.payload_bytes() as u64
+            }
             _ => 0,
         }
     }
@@ -186,9 +165,7 @@ impl PctMessage {
     /// The task id carried by the message, if any.
     pub fn task(&self) -> Option<TaskId> {
         match self {
-            PctMessage::ScreenTask { task, .. }
-            | PctMessage::UniqueSet { task, .. }
-            | PctMessage::CovarianceTask { task, .. }
+            PctMessage::CovarianceTask { task, .. }
             | PctMessage::CovarianceSum { task, .. }
             | PctMessage::TransformTask { task, .. }
             | PctMessage::RgbStrip { task, .. }
@@ -208,32 +185,14 @@ mod tests {
 
     #[test]
     fn kinds_and_task_ids_are_reported() {
-        let msg = PctMessage::UniqueSet {
+        let msg = PctMessage::SeededUnique {
             task: 7,
-            unique: vec![],
+            accepted: vec![],
         };
-        assert_eq!(msg.kind(), "unique-set");
+        assert_eq!(msg.kind(), "seeded-unique");
         assert_eq!(msg.task(), Some(7));
         assert_eq!(PctMessage::Heartbeat.task(), None);
         assert_eq!(PctMessage::Shutdown.kind(), "shutdown");
-    }
-
-    #[test]
-    fn messages_round_trip_through_serde() {
-        // The protocol is designed to be serialisable for a real network
-        // transport; check a representative payload survives JSON-free
-        // round-tripping via the bincode-style serde data model (using the
-        // `serde_test`-less approach of encoding to a Vec with serde's
-        // self-describing format is unavailable offline, so we simply clone
-        // and compare — the derive guarantees the structure is serialisable).
-        let msg = PctMessage::CovarianceSum {
-            task: 3,
-            packed: vec![1.0, 2.0, 3.0],
-            bands: 2,
-            count: 9,
-        };
-        let copy = msg.clone();
-        assert_eq!(msg, copy);
     }
 
     #[test]
@@ -242,9 +201,10 @@ mod tests {
         use std::sync::Arc;
         let cube = Arc::new(HyperCube::zeros(CubeDims::new(4, 3, 2)));
         let view = CubeView::full(Arc::clone(&cube));
-        let msg = PctMessage::ScreenTask {
+        let msg = PctMessage::ScreenSeededTask {
             task: 0,
             view: view.clone(),
+            seed: Vec::new(),
             threshold_rad: 0.1,
         };
         assert_eq!(msg.payload_bytes(), (4 * 3 * 2 * 8) as u64);

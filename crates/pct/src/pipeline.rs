@@ -250,8 +250,11 @@ mod tests {
                 screening_angle_rad: degrees.to_radians(),
                 ..PctConfig::paper()
             };
-            let unique =
-                crate::screening::screen_slices(cube.iter_pixels(), config.screening_angle_rad);
+            let unique = crate::screening::screen_slices_seeded(
+                Vec::new(),
+                cube.iter_pixels(),
+                config.screening_angle_rad,
+            );
             assert!(unique.len() < dims.bands);
             let spec = derive_transform(&unique, &config).unwrap();
 

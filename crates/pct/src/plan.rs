@@ -217,7 +217,8 @@ enum Progress {
     /// The chain's single derive task; the unique set moves into it when
     /// issued.
     Derive(Vec<Vector>, Fanout<()>),
-    /// The paper's per-shard screening fan-out.
+    /// The paper's per-shard screening fan-out: every task seeded with
+    /// nothing, the unique sets merged in issue order.
     Screen(Fanout<Vec<Vector>>),
     /// The paper's covariance fan-out over the merged unique set.
     Covariance {
@@ -329,9 +330,10 @@ impl Plan {
                 })
             }),
             Progress::Screen(sets) => sets.issue(task, |index| {
-                Some(PctMessage::ScreenTask {
+                Some(PctMessage::ScreenSeededTask {
                     task,
                     view: shards.get(index)?.view(cube).ok()?,
+                    seed: Vec::new(),
                     threshold_rad,
                 })
             }),
@@ -404,10 +406,10 @@ impl Plan {
                 Ok(Step::Entered(Phase::Transform))
             }
             Progress::Screen(sets) => {
-                let PctMessage::UniqueSet { unique, .. } = result else {
+                let PctMessage::SeededUnique { accepted, .. } = result else {
                     return Ok(Step::Stale);
                 };
-                if !sets.fill(task, unique) {
+                if !sets.fill(task, accepted) {
                     return Ok(Step::Continue);
                 }
                 let sets = sets.take();
@@ -605,6 +607,11 @@ mod tests {
                 prop_assert!(!batch.is_empty(), "the plan stalled in {:?}", plan.phase());
                 shuffle(&mut batch, &mut rng);
                 for task in batch {
+                    // Link 0 is seeded with nothing, every later link with
+                    // what the links before it accepted.
+                    if let PctMessage::ScreenSeededTask { seed, .. } = &task {
+                        prop_assert_eq!(seed.is_empty(), task.task() == Some(1));
+                    }
                     let result = handle_task(task).unwrap();
                     echoes.push(result.clone());
                     let step = plan.accept(result).unwrap();
@@ -647,6 +654,10 @@ mod tests {
                 }
                 shuffle(&mut batch, &mut rng);
                 for task in batch {
+                    // The fan-out seeds every screen task with nothing.
+                    if let PctMessage::ScreenSeededTask { seed, .. } = &task {
+                        prop_assert!(seed.is_empty());
+                    }
                     let result = handle_task(task).unwrap();
                     echoes.push(result.clone());
                     let step = plan.accept(result.clone()).unwrap();
@@ -803,11 +814,14 @@ mod tests {
             assert_ne!(plan.accept(answer), Ok(Step::Stale));
         }
         let covariance = issue_all(&mut plan, &mut next);
-        let Some(PctMessage::UniqueSet { unique, .. }) = answers.first().cloned() else {
+        let Some(PctMessage::SeededUnique { accepted, .. }) = answers.first().cloned() else {
             panic!("a screening task answers with a unique set");
         };
         let task = covariance[0].task().unwrap();
-        for late in [answers[0].clone(), PctMessage::UniqueSet { task, unique }] {
+        for late in [
+            answers[0].clone(),
+            PctMessage::SeededUnique { task, accepted },
+        ] {
             assert_eq!(plan.accept(late), Ok(Step::Stale));
         }
         let steps: Vec<Step> = covariance
@@ -827,8 +841,8 @@ mod tests {
             other => panic!("expected InvalidConfig, got {other:?}"),
         };
         let empty_screening = run(|msg| {
-            if let PctMessage::UniqueSet { unique, .. } = msg {
-                unique.clear();
+            if let PctMessage::SeededUnique { accepted, .. } = msg {
+                accepted.clear();
             }
         });
         assert_eq!(empty_screening, "screening produced an empty unique set");

@@ -380,12 +380,13 @@ type Block<'a> = Vec<(&'a [f64], f64)>;
 /// An incrementally built unique set with cached member norms, an exact
 /// pivot index and the dense kernel (see the module's hot-path note).
 ///
-/// This is the screening engine shared by `screen_pixels`,
-/// [`screen_pixels_seeded`], their slice-fed forms and
-/// `merge_unique_sets`; the service layer's exact screening chain drives
-/// it through `screen_slices_seeded`.
+/// This is the screening engine behind `screen_slices_seeded` (and so
+/// `screen_pixels` and [`screen_pixels_seeded`]) and `merge_unique_sets`.
+/// Both protocols' step 1 drives it through `screen_slices_seeded`: the
+/// paper's fan-out with an empty seed, the service's chain with what the
+/// earlier links accepted.
 #[derive(Debug, Clone)]
-pub struct UniqueSet {
+pub(crate) struct UniqueSet {
     guard: AngleGuard,
     vectors: Vec<Vector>,
     /// Each member's fast norm.
@@ -416,7 +417,7 @@ pub struct UniqueSet {
 
 impl UniqueSet {
     /// Creates an empty unique set for the given screening threshold.
-    pub fn new(threshold_rad: f64) -> Self {
+    pub(crate) fn new(threshold_rad: f64) -> Self {
         Self::seeded(Vec::new(), threshold_rad)
     }
 
@@ -424,7 +425,7 @@ impl UniqueSet {
     /// already known to satisfy the screening rule (a previously computed
     /// unique set) and are therefore admitted without re-checking, in one
     /// pass.
-    pub fn seeded(seed: impl IntoIterator<Item = Vector>, threshold_rad: f64) -> Self {
+    pub(crate) fn seeded(seed: impl IntoIterator<Item = Vector>, threshold_rad: f64) -> Self {
         let mut set = Self {
             guard: AngleGuard::new(threshold_rad),
             vectors: Vec::new(),
@@ -448,17 +449,19 @@ impl UniqueSet {
     }
 
     /// Number of vectors in the set.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.vectors.len()
     }
 
     /// Whether the set is empty.
-    pub fn is_empty(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_empty(&self) -> bool {
         self.vectors.is_empty()
     }
 
     /// The vectors admitted so far, in admission order.
-    pub fn vectors(&self) -> &[Vector] {
+    #[cfg(test)]
+    pub(crate) fn vectors(&self) -> &[Vector] {
         &self.vectors
     }
 
@@ -484,11 +487,12 @@ impl UniqueSet {
 
     /// Admits `pixel` if it is unique against the current members; returns
     /// whether it was admitted.
-    pub fn admit(&mut self, pixel: &[f64]) -> bool {
+    #[cfg(test)]
+    pub(crate) fn admit(&mut self, pixel: &[f64]) -> bool {
         self.admit_one(pixel, fast_norm(pixel), &mut Windows::default())
     }
 
-    /// [`UniqueSet::admit`] over the pivot index, recording its window.
+    /// `UniqueSet::admit` over the pivot index, recording its window.
     fn admit_one(&mut self, pixel: &[f64], norm: f64, windows: &mut Windows) -> bool {
         match self.probe(pixel, norm, Kernel::Index, windows) {
             Some(angles) => {
@@ -872,16 +876,11 @@ fn block_size() -> usize {
 /// screening keeps every pixel (no screening).
 #[cfg(test)]
 pub(crate) fn screen_pixels(pixels: &[Vector], threshold_rad: f64) -> Vec<Vector> {
-    screen_slices(pixels.iter().map(Vector::as_slice), threshold_rad)
-}
-
-/// `screen_pixels` over borrowed pixel slices (`CubeView::iter_pixels`):
-/// only the admitted pixels are copied.
-pub(crate) fn screen_slices<'a>(
-    pixels: impl IntoIterator<Item = &'a [f64]>,
-    threshold_rad: f64,
-) -> Vec<Vector> {
-    screen_slices_seeded(Vec::new(), pixels, threshold_rad)
+    screen_slices_seeded(
+        Vec::new(),
+        pixels.iter().map(Vector::as_slice),
+        threshold_rad,
+    )
 }
 
 /// Greedy screening of `pixels` against an already-accepted `seed` set,
@@ -900,7 +899,9 @@ pub fn screen_pixels_seeded(seed: &[Vector], pixels: &[Vector], threshold_rad: f
     )
 }
 
-/// [`screen_pixels_seeded`] over an owned seed and borrowed pixel slices.
+/// [`screen_pixels_seeded`] over an owned seed and borrowed pixel slices
+/// (`CubeView::iter_pixels`): only the admitted pixels are copied.  An
+/// empty seed is step 1 on its own: `screen_pixels`.
 pub(crate) fn screen_slices_seeded<'a>(
     seed: Vec<Vector>,
     pixels: impl IntoIterator<Item = &'a [f64]>,
@@ -925,9 +926,10 @@ pub(crate) fn screen_slices_seeded<'a>(
 /// form: set k's survivors are exactly its members that no survivor of sets
 /// 0..k screens, so each member is tested against those alone.  Two facts
 /// make that exact.  Each set is an unseeded screen at the same threshold
-/// (a worker's answer to a `ScreenTask`), so the guard already found each of
-/// its members unique against every earlier member of the set; testing the
-/// set against its own survivors could only repeat those answers.  And the
+/// (a worker's answer to a `ScreenSeededTask` with an empty seed), so the
+/// guard already found each of its members unique against every earlier
+/// member of the set; testing the set against its own survivors could only
+/// repeat those answers.  And the
 /// guard's predicate is symmetric bit for bit — both tiers' dots sum the
 /// same commuted products in the same order, over a commuted product of the
 /// same two norms — so those answers hold whichever vector of a pair is the
@@ -1232,7 +1234,8 @@ mod tests {
             scene.dims = CubeDims::new(width, height, bands);
             let cube = SceneGenerator::new(scene).unwrap().generate();
             take_tier_counts();
-            let screened = screen_slices(cube.iter_pixels(), f64::to_radians(degrees));
+            let screened =
+                screen_slices_seeded(Vec::new(), cube.iter_pixels(), f64::to_radians(degrees));
             let (all, exact) = take_tier_counts();
             assert_eq!(
                 (screened.len(), all, exact),
@@ -1268,7 +1271,8 @@ mod tests {
                 .expect("seven runs")
         };
         let threshold = 5.0_f64.to_radians();
-        let screen = best(&mut || screen_slices(river.iter().copied(), threshold).len());
+        let screen =
+            best(&mut || screen_slices_seeded(Vec::new(), river.iter().copied(), threshold).len());
         let all_pairs = best(&mut || {
             let mut sum = 0.0;
             for (i, a) in river.iter().enumerate() {
@@ -1279,7 +1283,7 @@ mod tests {
             black_box(sum) as usize
         });
         assert_eq!(
-            screen_slices(river.iter().copied(), threshold).len(),
+            screen_slices_seeded(Vec::new(), river.iter().copied(), threshold).len(),
             river.len()
         );
         eprintln!("river: screen {screen:?}, all-pairs dot_fast {all_pairs:?}");

@@ -102,7 +102,7 @@ proptest! {
         let threshold = thresholds()[pick];
         let cube = scene(seed, side, side + 3, bands);
         take_tier_counts();
-        let fast = screen_slices(cube.iter_pixels(), threshold);
+        let fast = screen_slices_seeded(Vec::new(), cube.iter_pixels(), threshold);
         let (comparisons, exact) = take_tier_counts();
         let slow = naive_screen(&cube.pixel_vectors(), threshold);
         prop_assert_eq!(bits(&fast), bits(&slow), "seed {} bands {} threshold {}", seed, bands, threshold);
@@ -601,7 +601,7 @@ fn admission_work_is_bounded_at_320_by_320() {
     let elapsed = (0..3)
         .map(|_| {
             let start = std::time::Instant::now();
-            let unique = screen_slices(cube.iter_pixels(), 1e-4);
+            let unique = screen_slices_seeded(Vec::new(), cube.iter_pixels(), 1e-4);
             assert_eq!(unique.len(), 320 * 320);
             start.elapsed()
         })

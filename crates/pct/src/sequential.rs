@@ -7,7 +7,7 @@
 use crate::colormap::{map_cube, ComponentScale};
 use crate::config::{FusionOutput, PctConfig};
 use crate::pipeline::{derive_transform, transform_cube, TransformSpec};
-use crate::screening::screen_slices;
+use crate::screening::screen_slices_seeded;
 use crate::Result;
 use hsi::HyperCube;
 
@@ -32,7 +32,8 @@ impl SequentialPct {
     /// the unique-set size.  Exposed so tests and ablations can inspect the
     /// statistics phase without paying for the full transform.
     pub fn derive(&self, cube: &HyperCube) -> Result<(TransformSpec, usize)> {
-        let unique = screen_slices(cube.iter_pixels(), self.config.screening_angle_rad);
+        let threshold_rad = self.config.screening_angle_rad;
+        let unique = screen_slices_seeded(Vec::new(), cube.iter_pixels(), threshold_rad);
         let spec = derive_transform(&unique, &self.config)?;
         Ok((spec, unique.len()))
     }

@@ -342,9 +342,10 @@ mod tests {
         manager
             .send(
                 "rw0#0",
-                PctMessage::ScreenTask {
+                PctMessage::ScreenSeededTask {
                     task: 7,
                     view,
+                    seed: Vec::new(),
                     threshold_rad: 0.1,
                 },
             )
@@ -358,11 +359,11 @@ mod tests {
                 msg => break msg,
             }
         };
-        let PctMessage::UniqueSet { task, unique } = reply else {
+        let PctMessage::SeededUnique { task, accepted } = reply else {
             panic!("expected a unique set, got {reply:?}");
         };
         assert_eq!(task, 7);
-        assert_eq!(unique.len(), 2);
+        assert_eq!(accepted.len(), 2);
 
         manager.send("rw0#0", PctMessage::Shutdown).unwrap();
         lane.shutdown();

@@ -423,7 +423,7 @@ mod tests {
         }
         assert_eq!(report.bytes_cloned(), 7);
         let text = report.render();
-        assert!(text.contains("  build:  wire protocol v2, numerics n3\n"));
+        assert!(text.contains("  build:  wire protocol v3, numerics n3\n"));
         assert!(text.contains("1 completed"));
         assert!(text.contains("1 rejected"));
         assert!(text.contains("high-water mark 3"));

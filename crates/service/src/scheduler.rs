@@ -1486,16 +1486,22 @@ mod tests {
 
     #[test]
     fn one_turn_fans_a_paper_job_out_over_free_groups_and_a_chain_job_one_link() {
-        for (protocol, kind, dispatched) in [
-            (Protocol::Paper, "screen-task", 3),
-            (Protocol::Chain, "screen-seeded-task", 1),
-        ] {
+        for (protocol, dispatched) in [(Protocol::Paper, 3), (Protocol::Chain, 1)] {
             let mut scheduler = scheduler(3);
             let spec = job(BackendKind::Resilient).protocol(protocol).shards(3);
             submit(&scheduler, 1, spec.build().unwrap());
             scheduler.turn(scheduler.started, None);
-            let kinds: Vec<&str> = scheduler.tasks.values().map(|t| t.message.kind()).collect();
-            assert_eq!(kinds, vec![kind; dispatched], "{protocol:?}");
+            // Both screen with the seeded task: every task of the paper's
+            // fan-out, and the chain's first link, seeded with nothing.
+            let seeds: Vec<usize> = scheduler
+                .tasks
+                .values()
+                .map(|t| match &t.message {
+                    PctMessage::ScreenSeededTask { seed, .. } => seed.len(),
+                    other => panic!("{protocol:?} dispatched a {}", other.kind()),
+                })
+                .collect();
+            assert_eq!(seeds, vec![0; dispatched], "{protocol:?}");
             let free = free(&scheduler, BackendKind::Resilient);
             assert_eq!(free.len(), 3 - dispatched, "{protocol:?}");
             scheduler.finalize();

@@ -89,7 +89,7 @@ fn compute_cost(msg: &PctMessage) -> Duration {
         ..CostModel::paper()
     };
     match msg {
-        PctMessage::ScreenTask { view, .. } | PctMessage::ScreenSeededTask { view, .. } => {
+        PctMessage::ScreenSeededTask { view, .. } => {
             model.screening_work(view.pixels(), view.bands()) + model.per_task_overhead()
         }
         PctMessage::DeriveTask { unique, .. } => {
@@ -576,13 +576,13 @@ impl HostActor {
                     }
                 }
                 ServiceEvent::Dispatched { kind, .. } => {
-                    // What the task says of its job: the protocol it runs,
-                    // which must be the one it was submitted with, and its
-                    // phase (the paper's covariance fan-out is `derive`).
+                    // What the task says of its job: its phase (the paper's
+                    // covariance fan-out is `derive`) and, from the derive
+                    // phase on, the protocol it runs, which must be the one
+                    // it was submitted with.  Both protocols screen with the
+                    // seeded task, so a screen task witnesses no protocol.
                     let (ran, task_phase) = match kind {
-                        "screen-task" => (Protocol::Paper, "screen"),
                         "covariance-task" => (Protocol::Paper, "derive"),
-                        "screen-seeded-task" => (Protocol::Chain, "screen"),
                         "derive-task" => (Protocol::Chain, "derive"),
                         kind => (protocol, kind),
                     };

@@ -19,7 +19,7 @@
 //! | `CubeView`      | `[x0 u32][row_start u32][w u32][h u32][bands u32][f64 × w·h·bands]` |
 //!
 //! A `CubeView` is a run of whole rows, so its `x0` is always 0: the word
-//! keeps the layout of the frames protocol 2 has always sent, and a view
+//! keeps the view layout every protocol version has sent, and a view
 //! that names any other column is [`WireError::Malformed`].  A view encodes
 //! via [`CubeView::copy_runs`] — the charged deep copy, writing the band's
 //! samples straight into the frame — and decodes into a fresh owned shard
@@ -64,9 +64,9 @@ impl WireMessage {
 }
 
 // Body tags.  Stable protocol constants: renumbering is a version bump.
+// Tags 1 and 2 (protocol 2's unseeded screen task and its unique set) are
+// retired, not reused: a body carrying either is `WireError::UnknownTag`.
 const TAG_HELLO: u8 = 0;
-const TAG_SCREEN_TASK: u8 = 1;
-const TAG_UNIQUE_SET: u8 = 2;
 const TAG_COVARIANCE_TASK: u8 = 3;
 const TAG_COVARIANCE_SUM: u8 = 4;
 const TAG_TRANSFORM_TASK: u8 = 5;
@@ -152,21 +152,6 @@ fn encode_unsealed(msg: &WireMessage) -> Vec<u8> {
             out.push(TAG_HELLO);
             put_u32(&mut out, *version);
             put_u32(&mut out, *numerics);
-        }
-        WireMessage::Pct(PctMessage::ScreenTask {
-            task,
-            view,
-            threshold_rad,
-        }) => {
-            out.push(TAG_SCREEN_TASK);
-            put_u64(&mut out, *task as u64);
-            put_view(&mut out, view);
-            put_f64(&mut out, *threshold_rad);
-        }
-        WireMessage::Pct(PctMessage::UniqueSet { task, unique }) => {
-            out.push(TAG_UNIQUE_SET);
-            put_u64(&mut out, *task as u64);
-            put_vectors(&mut out, unique);
         }
         WireMessage::Pct(PctMessage::CovarianceTask { task, mean, pixels }) => {
             out.push(TAG_COVARIANCE_TASK);
@@ -293,8 +278,6 @@ fn body_len(msg: &WireMessage) -> usize {
         return 1 + 4 + 4;
     };
     match msg {
-        PctMessage::ScreenTask { view: v, .. } => TASK + view(v) + 8,
-        PctMessage::UniqueSet { unique, .. } => TASK + vectors(unique),
         PctMessage::CovarianceTask { mean, pixels, .. } => TASK + vector(mean) + vectors(pixels),
         PctMessage::CovarianceSum { packed, .. } => TASK + 4 + 8 * packed.len() + 4 + 8,
         PctMessage::TransformTask {
@@ -510,15 +493,6 @@ pub fn decode_body(body: &[u8]) -> Result<WireMessage> {
             // build had numerics version 1.
             numerics: if r.remaining() == 0 { 1 } else { r.u32()? },
         },
-        TAG_SCREEN_TASK => WireMessage::Pct(PctMessage::ScreenTask {
-            task: r.usize64()?,
-            view: r.view()?,
-            threshold_rad: r.f64()?,
-        }),
-        TAG_UNIQUE_SET => WireMessage::Pct(PctMessage::UniqueSet {
-            task: r.usize64()?,
-            unique: r.vectors()?,
-        }),
         TAG_COVARIANCE_TASK => WireMessage::Pct(PctMessage::CovarianceTask {
             task: r.usize64()?,
             mean: r.vector()?,
@@ -644,15 +618,6 @@ mod tests {
         let matrix = Matrix::from_row_major(2, 2, vec![1.0, 2.0, 3.0, 4.0]).unwrap();
         vec![
             WireMessage::hello(),
-            WireMessage::Pct(PctMessage::ScreenTask {
-                task: 7,
-                view: view.clone(),
-                threshold_rad: 0.087,
-            }),
-            WireMessage::Pct(PctMessage::UniqueSet {
-                task: 8,
-                unique: vecs.clone(),
-            }),
             WireMessage::Pct(PctMessage::CovarianceTask {
                 task: 9,
                 mean: vecs[0].clone(),
@@ -723,8 +688,9 @@ mod tests {
     /// by [`frame::frame`] — made these frames of [`one_of_every_kind`], kept
     /// as `(length, FNV-1a 64 of the frame)`: the reference that freezes the
     /// wire format (protocol 1's, but for the `Hello`, which protocol 2
-    /// extended by the numerics word).  [`encode_message`] may get there any
-    /// way it likes, but not to different bytes.
+    /// extended by the numerics word and protocol 3 announces as version 3,
+    /// and for tags 1 and 2, which protocol 3 retired).  [`encode_message`]
+    /// may get there any way it likes, but not to different bytes.
     #[test]
     fn wire_format_is_frozen_against_the_reference_encoder() {
         let fnv = |frame: &[u8]| {
@@ -733,9 +699,7 @@ mod tests {
             })
         };
         let reference = [
-            (21, 0x3749_95d3_c07f_4d50),
-            (889, 0x69f9_a94d_7aa8_bc89),
-            (65, 0x4946_f22d_134d_a653),
+            (21, 0x5ed5_2588_35f2_0189),
             (85, 0xd25e_770a_c9c3_bc59),
             (61, 0xef08_c6ed_71eb_50d5),
             (977, 0x1936_900a_3158_0d50),
@@ -756,13 +720,13 @@ mod tests {
             // One buffer, allocated at the frame's exact size.
             assert_eq!(frame.capacity(), frame.len(), "{msg:?}");
         }
-        assert_eq!(PROTOCOL_VERSION, 2);
+        assert_eq!(PROTOCOL_VERSION, 3);
         // And against literal bytes, so the header layout, the polynomial
         // and the tag numbering are pinned to something no code here made.
         assert_eq!(
             encode_message(&WireMessage::hello()),
             [
-                b'F', b'U', b'S', b'1', 9, 0, 0, 0, 0x3d, 0xbc, 0x99, 0xb6, 0, 2, 0, 0, 0, 3, 0, 0,
+                b'F', b'U', b'S', b'1', 9, 0, 0, 0, 0xa3, 0xbc, 0x33, 0x7a, 0, 3, 0, 0, 0, 3, 0, 0,
                 0
             ]
         );
@@ -808,13 +772,14 @@ mod tests {
             Arc::new(c)
         };
         let window = CubeView::window(Arc::clone(&cube), 1, 4).unwrap();
-        let msg = WireMessage::Pct(PctMessage::ScreenTask {
+        let msg = WireMessage::Pct(PctMessage::ScreenSeededTask {
             task: 0,
             view: window.clone(),
+            seed: Vec::new(),
             threshold_rad: 0.05,
         });
         let decoded = round_trip(msg);
-        let WireMessage::Pct(PctMessage::ScreenTask { view, .. }) = decoded else {
+        let WireMessage::Pct(PctMessage::ScreenSeededTask { view, .. }) = decoded else {
             panic!("wrong variant");
         };
         assert_eq!(view.row_start(), 1);
@@ -824,9 +789,10 @@ mod tests {
     #[test]
     fn encode_charges_exactly_the_view_payload_to_the_ledger() {
         let view = coded_view(5, 4, 3);
-        let msg = WireMessage::Pct(PctMessage::ScreenTask {
+        let msg = WireMessage::Pct(PctMessage::ScreenSeededTask {
             task: 1,
             view: view.clone(),
+            seed: Vec::new(),
             threshold_rad: 0.1,
         });
         let before = hsi::thread_cloned_bytes_total();
@@ -844,11 +810,18 @@ mod tests {
     #[test]
     fn unknown_tags_and_truncations_are_typed_errors() {
         assert_eq!(decode_body(&[200]), Err(WireError::UnknownTag(200)));
+        // Tags 1 and 2 are retired, not reused: not even protocol 2's empty
+        // unique set (`[tag][task u64][count u32]`) decodes under either.
+        for tag in [1, 2] {
+            let body = [[tag].as_slice(), &[0; 12]].concat();
+            assert_eq!(decode_body(&body), Err(WireError::UnknownTag(tag)));
+        }
         assert!(matches!(decode_body(&[]), Err(WireError::Truncated { .. })));
         // A screen task cut short mid-view.
-        let frame_bytes = encode_message(&WireMessage::Pct(PctMessage::ScreenTask {
+        let frame_bytes = encode_message(&WireMessage::Pct(PctMessage::ScreenSeededTask {
             task: 1,
             view: coded_view(3, 3, 2),
+            seed: Vec::new(),
             threshold_rad: 0.1,
         }));
         let mut reader = FrameReader::new();

@@ -23,7 +23,8 @@
 //!
 //! [`PROTOCOL_VERSION`] is bumped on **any** layout change — field order,
 //! widths, tag numbering, frame header (2 since the `Hello` carries the
-//! numerics word).  [`linalg::NUMERICS_VERSION`] is bumped by anything that
+//! numerics word, 3 since tags 1 and 2 — the unseeded screen task and its
+//! unique set — were retired for the one seeded screen task).  [`linalg::NUMERICS_VERSION`] is bumped by anything that
 //! can change a last bit of a kernel's output.  Peers exchange
 //! `Hello{version, numerics}` frames first; [`transport::handshake`] alone
 //! compares them — protocol first, [`WireError::VersionMismatch`], then
@@ -61,7 +62,7 @@ pub use transport::{handshake, loopback_pair, LoopbackTransport, TcpTransport, T
 
 /// Protocol version spoken by this build.  Bumped on any layout change;
 /// see the crate-level version policy.
-pub const PROTOCOL_VERSION: u32 = 2;
+pub const PROTOCOL_VERSION: u32 = 3;
 
 /// Typed failures of the wire layer.  Decoding never panics: malformed,
 /// truncated, corrupted or incompatible input always surfaces as one of

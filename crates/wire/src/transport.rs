@@ -303,7 +303,10 @@ mod tests {
         b.tx.send(crate::frame::frame(&[0, 1, 0, 0, 0])).unwrap();
         assert_eq!(
             handshake(&mut a, TICK).unwrap_err(),
-            WireError::VersionMismatch { ours: 2, theirs: 1 }
+            WireError::VersionMismatch {
+                ours: PROTOCOL_VERSION,
+                theirs: 1
+            }
         );
     }
 

@@ -95,20 +95,21 @@ mod tests {
         handshake(&mut manager, HANDSHAKE_TIMEOUT).unwrap();
 
         manager
-            .send(&WireMessage::Pct(PctMessage::ScreenTask {
+            .send(&WireMessage::Pct(PctMessage::ScreenSeededTask {
                 task: 4,
                 view: two_signature_view(),
+                seed: Vec::new(),
                 threshold_rad: 0.1,
             }))
             .unwrap();
 
         // First non-heartbeat reply is the unique set.
         let reply = next_reply(&mut manager);
-        let WireMessage::Pct(PctMessage::UniqueSet { task, unique }) = reply else {
+        let WireMessage::Pct(PctMessage::SeededUnique { task, accepted }) = reply else {
             panic!("expected a unique set, got {reply:?}");
         };
         assert_eq!(task, 4);
-        assert_eq!(unique.len(), 2);
+        assert_eq!(accepted.len(), 2);
 
         manager
             .send(&WireMessage::Pct(PctMessage::Shutdown))
@@ -170,16 +171,17 @@ mod tests {
             assert_eq!(Some(task), id);
         }
         manager
-            .send(&WireMessage::Pct(PctMessage::ScreenTask {
+            .send(&WireMessage::Pct(PctMessage::ScreenSeededTask {
                 task: 5,
                 view,
+                seed: Vec::new(),
                 threshold_rad: 0.1,
             }))
             .unwrap();
         let reply = next_reply(&mut manager);
         assert!(matches!(
             reply,
-            WireMessage::Pct(PctMessage::UniqueSet { task: 5, .. })
+            WireMessage::Pct(PctMessage::SeededUnique { task: 5, .. })
         ));
         manager
             .send(&WireMessage::Pct(PctMessage::Shutdown))

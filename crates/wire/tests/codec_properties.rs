@@ -77,13 +77,14 @@ proptest! {
     ) {
         let view = coded_view(w, h, b, shards, pick, salt);
         let y0 = view.row_start();
-        let msg = WireMessage::Pct(PctMessage::ScreenTask {
+        let msg = WireMessage::Pct(PctMessage::ScreenSeededTask {
             task,
             view: view.clone(),
+            seed: Vec::new(),
             threshold_rad: salt * 1e-3,
         });
         let decoded = round_trip(&msg);
-        let WireMessage::Pct(PctMessage::ScreenTask { view: dv, .. }) = &decoded else {
+        let WireMessage::Pct(PctMessage::ScreenSeededTask { view: dv, .. }) = &decoded else {
             panic!("variant changed across the wire");
         };
         prop_assert_eq!(dv.row_start(), y0);
@@ -155,7 +156,6 @@ proptest! {
         }
         let vectors = coded_vectors(n, b, salt);
         for msg in [
-            WireMessage::Pct(PctMessage::UniqueSet { task: 1, unique: vectors.clone() }),
             WireMessage::Pct(PctMessage::SeededUnique { task: 2, accepted: vectors.clone() }),
             WireMessage::Pct(PctMessage::CovarianceTask {
                 task: 3,
@@ -221,9 +221,10 @@ proptest! {
         cut in 0.0..1.0f64,
         salt in -10.0..10.0f64,
     ) {
-        let msg = WireMessage::Pct(PctMessage::ScreenTask {
+        let msg = WireMessage::Pct(PctMessage::ScreenSeededTask {
             task: 1,
             view: coded_view(w, h, b, 1, 0, salt),
+            seed: Vec::new(),
             threshold_rad: 0.1,
         });
         let bytes = encode_message(&msg);
@@ -319,9 +320,9 @@ proptest! {
 /// message — the transport buffering can never split a message apart.
 #[test]
 fn byte_dribbled_frames_reassemble() {
-    let msg = WireMessage::Pct(PctMessage::UniqueSet {
+    let msg = WireMessage::Pct(PctMessage::SeededUnique {
         task: 77,
-        unique: vec![Vector::from_vec(vec![1.5, -2.5, f64::EPSILON])],
+        accepted: vec![Vector::from_vec(vec![1.5, -2.5, f64::EPSILON])],
     });
     let bytes = encode_message(&msg);
     let mut reader = FrameReader::new();
@@ -336,8 +337,9 @@ fn byte_dribbled_frames_reassemble() {
 }
 
 /// Exact rows: the fixed message set of a three-shard fusion exchange on a
-/// 28×28×14 scene (handshake; a screening and a transform task per shard; a
-/// 17-vector unique-set reply; heartbeat; shutdown).  Its frame and byte
+/// 28×28×14 scene (handshake; a screening task with an empty seed and a
+/// transform task per shard; a 17-vector unique-set reply; heartbeat;
+/// shutdown).  Its frame and byte
 /// counts pin the binary layout — a deliberate layout change edits the
 /// literals in the same commit, with the reason — and the bytes this thread
 /// deep-copied while encoding are exactly the payload of the embedded views
@@ -358,9 +360,10 @@ fn fixed_message_set_pins_the_layout_and_reconciles_with_the_clone_ledger() {
 
     let mut messages = vec![WireMessage::hello()];
     for (i, view) in views.iter().enumerate() {
-        messages.push(WireMessage::Pct(PctMessage::ScreenTask {
+        messages.push(WireMessage::Pct(PctMessage::ScreenSeededTask {
             task: i,
             view: view.clone(),
+            seed: Vec::new(),
             threshold_rad: 0.0874,
         }));
         messages.push(WireMessage::Pct(PctMessage::TransformTask {
@@ -371,7 +374,10 @@ fn fixed_message_set_pins_the_layout_and_reconciles_with_the_clone_ledger() {
             scales: vec![(0.0, 1.0); 3],
         }));
     }
-    messages.push(WireMessage::Pct(PctMessage::UniqueSet { task: 7, unique }));
+    messages.push(WireMessage::Pct(PctMessage::SeededUnique {
+        task: 7,
+        accepted: unique,
+    }));
     messages.push(WireMessage::Pct(PctMessage::Heartbeat));
     messages.push(WireMessage::Pct(PctMessage::Shutdown));
 
@@ -381,7 +387,7 @@ fn fixed_message_set_pins_the_layout_and_reconciles_with_the_clone_ledger() {
     assert_eq!(hsi::thread_cloned_bytes_total() - before, view_payload);
 
     assert_eq!(encoded.len(), 10);
-    assert_eq!(encoded.iter().map(Vec::len).sum::<usize>(), 179466);
+    assert_eq!(encoded.iter().map(Vec::len).sum::<usize>(), 179478);
     for message in &messages {
         assert_eq!(&round_trip(message), message);
     }
