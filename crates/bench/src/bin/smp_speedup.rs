@@ -1,6 +1,9 @@
-//! Reproduces the paper's shared-memory claim (§4): "On a shared memory
-//! system, the concurrent algorithm presented here operates within 5% of
-//! linear speedup" because no communication is involved.
+//! Measures the configuration of the paper's shared-memory claim (§4): "On
+//! a shared memory system, the concurrent algorithm presented here operates
+//! within 5% of linear speedup" because no communication is involved.  The
+//! claim is not reproduced: on a 2-core machine 2 threads run little or no
+//! faster than 1, because one shard (the river rows) holds most of step 1's
+//! work and the rayon pool batches statically.
 //!
 //! Runs the paper's protocol in process (`Plan::run_in_process`, each
 //! fan-out on the rayon pool) on a synthetic scene with thread pools of

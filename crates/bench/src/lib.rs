@@ -7,7 +7,7 @@
 //! |---|---|
 //! | Figure 4 (speed-up with/without resiliency) | `cargo run -p bench --bin fig4_speedup --release` |
 //! | Figure 5 (granularity control) | `cargo run -p bench --bin fig5_granularity --release` |
-//! | §4 shared-memory claim (within ~5 % of linear) | `cargo run -p bench --bin smp_speedup --release` |
+//! | §4 shared-memory claim (within ~5 % of linear; measured, not reproduced) | `cargo run -p bench --bin smp_speedup --release` |
 //! | Replication-level ablation (extension of Figure 4) | `cargo run -p bench --bin replication_levels --release` |
 //!
 //! The figure rows are simulated seconds — deterministic, so this crate's

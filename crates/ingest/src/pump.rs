@@ -33,7 +33,7 @@ use service::{
 };
 use std::collections::HashMap;
 use std::sync::Arc;
-use std::time::{Duration, Instant, SystemTime};
+use std::time::Duration;
 use telemetry::{SpanId, Telemetry};
 
 /// The watermark deciding when arrivals are shed instead of submitted.
@@ -94,37 +94,20 @@ impl ByteGauge {
     }
 }
 
-/// One in-progress arrival: its decoder plus the telemetry bookkeeping of
-/// its `decode` span (Begin → End wall time).
+/// One in-progress arrival: its decoder plus its `decode` span (Begin →
+/// End).
 struct ActiveDecode {
     tag: String,
     decoder: StreamDecoder,
     span: Option<SpanId>,
-    /// Duration fallback when telemetry is disabled and the span returns
-    /// nothing.
-    started: Instant,
 }
 
-impl ActiveDecode {
-    /// Closes the decode span (marking errors) and returns its duration,
-    /// observed into `ingest_decode_seconds`.
-    fn close(self, telemetry: &Telemetry, error: bool) -> Duration {
-        Self::close_parts(telemetry, self.span, self.started, error)
-    }
-
-    /// [`ActiveDecode::close`] for a decode already taken apart (the End
-    /// path consumes the decoder before the span can be closed).
-    fn close_parts(
-        telemetry: &Telemetry,
-        span: Option<SpanId>,
-        started: Instant,
-        error: bool,
-    ) -> Duration {
-        let elapsed = telemetry
-            .span_end_with_detail(span, error.then_some("error"))
-            .unwrap_or_else(|| started.elapsed());
+/// Closes a `decode` span (marking errors), observing its duration into
+/// `ingest_decode_seconds`; with telemetry disabled there is no span and
+/// nothing is timed.
+fn close_decode_span(telemetry: &Telemetry, span: Option<SpanId>, error: bool) {
+    if let Some(elapsed) = telemetry.span_end_with_detail(span, error.then_some("error")) {
         telemetry.observe("ingest_decode_seconds", &[], elapsed);
-        elapsed
     }
 }
 
@@ -259,7 +242,6 @@ impl<'a> IngestPump<'a> {
         let ledger = CloneLedger::snapshot();
         let mut report = IngestReport {
             tenant: self.config.tenant,
-            started_at: Some(SystemTime::now()),
             ..IngestReport::default()
         };
         let ingest_span = self.telemetry.span_start("ingest", None, None, "");
@@ -278,7 +260,7 @@ impl<'a> IngestPump<'a> {
                         counters.decode_errors += 1;
                         self.telemetry.count("ingest_decode_errors_total", &[]);
                         if let Some(active) = decoder.take() {
-                            report.decode_time += active.close(&self.telemetry, true);
+                            close_decode_span(&self.telemetry, active.span, true);
                         }
                     }
                     Ok(SourceEvent::Begin { tag, header }) => {
@@ -289,13 +271,12 @@ impl<'a> IngestPump<'a> {
                         if let Some(active) = decoder.take() {
                             counters.decode_errors += 1;
                             self.telemetry.count("ingest_decode_errors_total", &[]);
-                            report.decode_time += active.close(&self.telemetry, true);
+                            close_decode_span(&self.telemetry, active.span, true);
                         }
                         counters.cubes_seen += 1;
                         self.telemetry.count("ingest_cubes_seen_total", &[]);
                         decoder = Some(ActiveDecode {
                             span: self.telemetry.span_start("decode", ingest_span, None, &tag),
-                            started: Instant::now(),
                             tag,
                             decoder: StreamDecoder::new(header),
                         });
@@ -307,7 +288,7 @@ impl<'a> IngestPump<'a> {
                                 counters.decode_errors += 1;
                                 self.telemetry.count("ingest_decode_errors_total", &[]);
                                 if let Some(active) = decoder.take() {
-                                    report.decode_time += active.close(&self.telemetry, true);
+                                    close_decode_span(&self.telemetry, active.span, true);
                                 }
                             }
                         }
@@ -321,15 +302,9 @@ impl<'a> IngestPump<'a> {
                             tag,
                             decoder: d,
                             span,
-                            started,
                         } = active;
                         let result = d.finish();
-                        report.decode_time += ActiveDecode::close_parts(
-                            &self.telemetry,
-                            span,
-                            started,
-                            result.is_err(),
-                        );
+                        close_decode_span(&self.telemetry, span, result.is_err());
                         let cube = match result {
                             Ok(cube) => cube,
                             Err(_) => {
@@ -386,7 +361,6 @@ impl<'a> IngestPump<'a> {
         report.store_evictions = self.store.evictions();
         report.bytes_cloned = ledger.delta();
         self.telemetry.span_end(ingest_span);
-        report.finished_at = Some(SystemTime::now());
         Ok(IngestRun {
             report,
             jobs,

@@ -1,10 +1,11 @@
 //! The [`IngestReport`]: per-source and aggregate accounting of one pump
 //! run — arrivals, chunks, assembled bytes, store dedup, shedding
-//! decisions, and job outcomes.
+//! decisions, and job outcomes.  It counts and does not time: decode time
+//! is the `decode` spans and the `ingest_decode_seconds` histogram of the
+//! service's telemetry.
 
 use service::TenantId;
 use std::collections::BTreeMap;
-use std::time::{Duration, SystemTime};
 
 /// Why the pump shed an arrival instead of submitting it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -79,7 +80,8 @@ impl SourceCounters {
     }
 }
 
-/// Aggregate accounting of one [`crate::IngestPump`] run.
+/// Aggregate accounting of one [`crate::IngestPump`] run: counts only, no
+/// duration or clock reading.
 #[derive(Debug, Clone, Default)]
 pub struct IngestReport {
     /// The tenant the pump submitted on behalf of.
@@ -103,14 +105,6 @@ pub struct IngestReport {
     /// Sub-cube payload bytes deep-copied during the run (clone-ledger
     /// delta): 0 on the streaming assembly + view message plane.
     pub bytes_cloned: u64,
-    /// Wall-clock time the pump run started.
-    pub started_at: Option<SystemTime>,
-    /// Wall-clock time the pump run finished (every job terminal).
-    pub finished_at: Option<SystemTime>,
-    /// Total Begin-to-End wall time spent assembling arrivals — sourced
-    /// from telemetry `decode` spans when enabled, from the pump's own
-    /// clock otherwise.
-    pub decode_time: Duration,
 }
 
 impl IngestReport {
@@ -156,17 +150,6 @@ impl IngestReport {
             "  jobs:   {} completed, {} failed, {} cancelled, {} timed out\n",
             self.jobs_completed, self.jobs_failed, self.jobs_cancelled, self.jobs_timed_out,
         ));
-        if let (Some(started), Some(finished)) = (self.started_at, self.finished_at) {
-            let wall = finished
-                .duration_since(started)
-                .unwrap_or(Duration::ZERO)
-                .as_secs_f64();
-            out.push_str(&format!(
-                "  time:   {:.3} s wall ({:.3} s decoding)\n",
-                wall,
-                self.decode_time.as_secs_f64(),
-            ));
-        }
         out
     }
 }
@@ -200,20 +183,6 @@ mod tests {
         assert!(text.contains("source a: 3 seen, 2 admitted"));
         assert!(text.contains("1 saturated"));
         assert!(text.contains("store:  1 hits, 2 misses"));
-    }
-
-    #[test]
-    fn wall_clock_and_decode_time_render() {
-        let mut report = IngestReport::default();
-        assert!(
-            !report.render().contains("s wall"),
-            "no time line without both wall-clock stamps"
-        );
-        report.started_at = Some(SystemTime::UNIX_EPOCH + Duration::from_secs(10));
-        report.finished_at = Some(SystemTime::UNIX_EPOCH + Duration::from_millis(12_500));
-        report.decode_time = Duration::from_millis(750);
-        let text = report.render();
-        assert!(text.contains("time:   2.500 s wall (0.750 s decoding)"));
     }
 
     #[test]

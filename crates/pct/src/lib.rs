@@ -10,7 +10,7 @@
 //! | Implementation | Substrate | Purpose |
 //! |---|---|---|
 //! | [`sequential::SequentialPct`] | single thread | reference semantics; every other implementation is validated against it |
-//! | [`plan::Plan`] + [`distributed::handle_task`] | manager and worker sides, sans-IO, executed by the `service` scheduler over `scp` + `resilience` replica groups, or in process by [`plan::Plan::run_in_process`] on the rayon pool | the paper's message-passing implementation (and the service's seeded chain): replica groups with attack injection and regeneration (level 1 is the plain manager/worker run); run in process, the paper's protocol is its reference and the paper's shared-memory-multiprocessor result (§4: within ~5 % of linear speed-up) |
+//! | [`plan::Plan`] + [`distributed::handle_task`] | manager and worker sides, sans-IO, executed by the `service` scheduler over `scp` + `resilience` replica groups, or in process by [`plan::Plan::run_in_process`] on the rayon pool | the paper's message-passing implementation (and the service's seeded chain): replica groups with attack injection and regeneration (level 1 is the plain manager/worker run); run in process, the paper's protocol is its reference and the configuration the paper's shared-memory-multiprocessor claim is measured on (§4: within ~5 % of linear speed-up) — a claim not reproduced here: `smp_speedup` shows little or no speed-up at 2 threads |
 //! | [`distributed_sim`] | `netsim` discrete-event cluster | regenerates Figures 4 and 5 on a simulated 16-node 100BaseT LAN |
 //!
 //! The manager side of the message-passing and shared-memory runs is

@@ -30,7 +30,7 @@ use crate::routing::{self, LaneSnapshot, Route};
 use crate::ServiceError;
 use std::collections::{BTreeMap, BinaryHeap};
 use std::sync::{Condvar, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Identifier of the tenant a job is submitted on behalf of.
 ///
@@ -254,8 +254,6 @@ impl<T> DrrQueue<T> {
 pub(crate) struct QueuedJob {
     /// The job's identifier.
     pub id: JobId,
-    /// When the front end accepted it (latency is measured from here).
-    pub submitted: Instant,
     /// The full specification.
     pub spec: JobSpec,
     /// The job's root telemetry span, opened at submission (`None` with
@@ -549,7 +547,6 @@ mod tests {
         use crate::job::CubeSource;
         QueuedJob {
             id,
-            submitted: Instant::now(),
             spec: JobSpec::builder(CubeSource::Synthetic(hsi::SceneConfig::small(id)))
                 .tenant(tenant)
                 .build()

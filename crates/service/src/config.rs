@@ -181,9 +181,10 @@ pub struct ServiceConfig {
     /// Deterministic chaos schedule: member kills anchored to scheduler
     /// dispatch events (empty by default).
     pub chaos: ChaosPlan,
-    /// Observability handle: spans, metrics and the flight recorder.
-    /// Disabled by default, in which case every instrumentation point
-    /// costs one branch.
+    /// Observability handle: spans, metrics and the flight recorder, and
+    /// the service's only instrument of time.  Disabled by default, in
+    /// which case every instrumentation point costs one branch and nothing
+    /// is timed.
     pub telemetry: Telemetry,
 }
 

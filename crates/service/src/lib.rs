@@ -31,8 +31,11 @@
 //! * **Results plane** — typed per-job outcomes through the handle,
 //!   cancellation, per-job timeouts, a subscribable [`ServiceEvent`] stream
 //!   ([`FusionService::subscribe`]) covering admission/dispatch/retransmit/
-//!   kill/regeneration/terminal transitions, and a [`ServiceReport`] with
-//!   queue-depth/latency/throughput and per-route counters.
+//!   kill/regeneration/terminal transitions, and a [`ServiceReport`] of
+//!   counts: jobs, tasks, the queue's high-water mark, per-route and
+//!   per-tenant counters.  Durations — phase, job latency, admission wait —
+//!   are the spans and histograms of [`ServiceConfig::telemetry`], measured
+//!   once and only there.
 //!
 //! ## Determinism
 //!
@@ -92,7 +95,7 @@ pub use handle::{JobHandle, JobOutcome};
 pub use job::{
     BackendKind, CubeSource, JobId, JobSpec, JobSpecBuilder, JobStatus, Priority, Protocol,
 };
-pub use report::{LatencyStats, RouteStats, ServiceReport, TenantStats};
+pub use report::{RouteStats, ServiceReport, TenantStats};
 pub use routing::{LaneLoad, LaneSnapshot, Route};
 pub use scheduler::HostedScheduler;
 pub use service::FusionService;

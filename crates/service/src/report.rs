@@ -1,11 +1,11 @@
-//! The [`ServiceReport`]: counters and latency statistics describing one
-//! service lifetime.
+//! The [`ServiceReport`]: the counters describing one service lifetime.
+//! It holds no duration: phase times, job latencies and admission waits
+//! are the telemetry spans and histograms of the run.
 
 use crate::admission::TenantId;
 use crate::events::ServiceEvent;
-use crate::job::{BackendKind, JobStatus, Priority};
+use crate::job::{BackendKind, JobStatus};
 use std::collections::BTreeMap;
-use std::time::{Duration, SystemTime};
 
 /// Per-tenant accounting.  `weight` and `jobs_admitted` are kept by the
 /// admission governor and folded into the report at shutdown; the rest is
@@ -35,35 +35,6 @@ pub struct RouteStats {
     /// Tasks dispatched onto this lane (a shared-memory whole-job dispatch
     /// counts once).
     pub tasks_dispatched: u64,
-}
-
-/// Latency statistics for one priority class.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct LatencyStats {
-    /// Number of completed jobs measured.
-    pub count: u64,
-    /// Sum of submit-to-completion latencies.
-    pub total: Duration,
-    /// Worst submit-to-completion latency.
-    pub max: Duration,
-}
-
-impl LatencyStats {
-    /// Records one completed job's latency.
-    pub fn record(&mut self, latency: Duration) {
-        self.count += 1;
-        self.total += latency;
-        self.max = self.max.max(latency);
-    }
-
-    /// Mean latency (zero when nothing was measured).
-    pub fn mean(&self) -> Duration {
-        if self.count == 0 {
-            Duration::ZERO
-        } else {
-            self.total / self.count as u32
-        }
-    }
 }
 
 /// Aggregate accounting of one service lifetime, returned by
@@ -139,18 +110,6 @@ pub struct ServiceReport {
     pub regenerations: usize,
     /// Members killed by attack injection during the run.
     pub members_attacked: Vec<String>,
-    /// Wall-clock lifetime of the scheduler.
-    pub elapsed: Duration,
-    /// Wall-clock time the scheduler thread started.
-    pub started_at: Option<SystemTime>,
-    /// Wall-clock time the scheduler finished (set at shutdown).
-    pub finished_at: Option<SystemTime>,
-    /// Total time jobs spent in each execution phase, keyed by phase name
-    /// (`screen`, `derive`, `transform`, `inline`) — sourced from telemetry
-    /// spans when enabled, from the scheduler's own clock otherwise.
-    pub phase_durations: BTreeMap<&'static str, Duration>,
-    /// Submit-to-completion latency per priority class.
-    pub latency: BTreeMap<Priority, LatencyStats>,
     /// Per-route accounting: jobs and tasks per execution lane, and how many
     /// lane choices came from the size rule.
     pub routes: BTreeMap<BackendKind, RouteStats>,
@@ -164,26 +123,6 @@ impl ServiceReport {
     /// both accounted phases.
     pub fn bytes_cloned(&self) -> u64 {
         self.bytes_cloned_screen + self.bytes_cloned_transform
-    }
-
-    /// Completed jobs per wall-clock second.
-    fn throughput_jobs_per_sec(&self) -> f64 {
-        let secs = self.elapsed.as_secs_f64();
-        if secs <= 0.0 {
-            0.0
-        } else {
-            self.jobs_completed as f64 / secs
-        }
-    }
-
-    /// Records one completed job's latency under its priority class.
-    pub(crate) fn record_latency(&mut self, priority: Priority, latency: Duration) {
-        self.latency.entry(priority).or_default().record(latency);
-    }
-
-    /// Accumulates one job's time spent in `phase`.
-    pub(crate) fn record_phase(&mut self, phase: &'static str, duration: Duration) {
-        *self.phase_durations.entry(phase).or_default() += duration;
     }
 
     /// Folds one event into the report: the only writer of the fold fields
@@ -246,11 +185,6 @@ impl ServiceReport {
             bytes_cloned_transform: measured.bytes_cloned_transform,
             payload_bytes_shipped: measured.payload_bytes_shipped,
             queue_high_water: measured.queue_high_water,
-            elapsed: measured.elapsed,
-            started_at: measured.started_at,
-            finished_at: measured.finished_at,
-            phase_durations: measured.phase_durations,
-            latency: measured.latency,
             ..self
         }
     }
@@ -344,45 +278,8 @@ impl ServiceReport {
                 self.workers_lost, self.tasks_reassigned, self.lane_failovers,
             ));
         }
-        out.push_str(&format!(
-            "  time:   {:.3} s elapsed -> {:.1} jobs/s throughput\n",
-            self.elapsed.as_secs_f64(),
-            self.throughput_jobs_per_sec(),
-        ));
-        if let (Some(started), Some(finished)) = (self.started_at, self.finished_at) {
-            out.push_str(&format!(
-                "  wall:   started {:.3}, finished {:.3} (unix)\n",
-                unix_secs(started),
-                unix_secs(finished),
-            ));
-        }
-        for (phase, duration) in &self.phase_durations {
-            out.push_str(&format!(
-                "  phase {:>9}: {:>8.3} s total\n",
-                phase,
-                duration.as_secs_f64(),
-            ));
-        }
-        for priority in Priority::ALL {
-            if let Some(stats) = self.latency.get(&priority) {
-                out.push_str(&format!(
-                    "  latency {:>6}: mean {:>8.3} ms, max {:>8.3} ms ({} jobs)\n",
-                    priority.label(),
-                    stats.mean().as_secs_f64() * 1e3,
-                    stats.max.as_secs_f64() * 1e3,
-                    stats.count,
-                ));
-            }
-        }
         out
     }
-}
-
-/// Seconds since the Unix epoch (0.0 for pre-epoch times).
-fn unix_secs(t: SystemTime) -> f64 {
-    t.duration_since(SystemTime::UNIX_EPOCH)
-        .map(|d| d.as_secs_f64())
-        .unwrap_or(0.0)
 }
 
 #[cfg(test)]
@@ -391,33 +288,14 @@ mod tests {
     use crate::events::one_of_each;
 
     #[test]
-    fn latency_stats_track_mean_and_max() {
-        let mut stats = LatencyStats::default();
-        assert_eq!(stats.mean(), Duration::ZERO);
-        stats.record(Duration::from_millis(10));
-        stats.record(Duration::from_millis(30));
-        assert_eq!(stats.count, 2);
-        assert_eq!(stats.mean(), Duration::from_millis(20));
-        assert_eq!(stats.max, Duration::from_millis(30));
-    }
-
-    #[test]
-    fn throughput_handles_zero_elapsed() {
-        let report = ServiceReport::default();
-        assert_eq!(report.throughput_jobs_per_sec(), 0.0);
-    }
-
-    #[test]
     fn render_mentions_the_headline_numbers() {
         let mut report = ServiceReport {
             queue_high_water: 3,
-            elapsed: Duration::from_secs(2),
             ..ServiceReport::default()
         };
         report.bytes_cloned_screen = 7;
         report.payload_bytes_shipped = 99;
         report.scheduler_turns = 11;
-        report.record_latency(Priority::High, Duration::from_millis(12));
         for event in &one_of_each() {
             report.record(event);
         }
@@ -430,32 +308,10 @@ mod tests {
         assert!(text.contains("0 heartbeats, 11 scheduler turns"));
         assert!(text.contains("7 payload bytes cloned"));
         assert!(text.contains("99 shipped by view"));
-        assert!(text.contains("latency   high"));
         assert!(text.contains("route      standard: 1 jobs (1 auto-routed), 0 completed, 1 tasks"));
         assert!(text.contains("route shared-memory: 0 jobs (0 auto-routed), 1 completed, 0 tasks"));
         assert!(text.contains("1 workers lost, 1 tasks reassigned, 1 lane failovers"));
         assert!(text.contains("1 regenerations, attacked members: [\"svc0#0\"]"));
-        assert!((report.throughput_jobs_per_sec() - 0.5).abs() < 1e-9);
-    }
-
-    #[test]
-    fn wall_clock_and_phase_durations_render() {
-        let mut report = ServiceReport {
-            started_at: Some(SystemTime::UNIX_EPOCH + Duration::from_secs(100)),
-            finished_at: Some(SystemTime::UNIX_EPOCH + Duration::from_secs(103)),
-            ..Default::default()
-        };
-        report.record_phase("screen", Duration::from_millis(250));
-        report.record_phase("screen", Duration::from_millis(250));
-        report.record_phase("derive", Duration::from_millis(100));
-        assert_eq!(
-            report.phase_durations.get("screen"),
-            Some(&Duration::from_millis(500))
-        );
-        let text = report.render();
-        assert!(text.contains("started 100.000, finished 103.000"));
-        assert!(text.contains("phase    screen:    0.500 s total"));
-        assert!(text.contains("phase    derive:    0.100 s total"));
     }
 
     #[test]

@@ -92,7 +92,7 @@ use resilience::{DetectorConfig, FailureDetector, MemberId};
 use std::collections::{BTreeMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant, SystemTime};
+use std::time::{Duration, Instant};
 use telemetry::{SpanId, Telemetry};
 
 use scp::{Envelope, ScpError, ThreadContext};
@@ -148,7 +148,6 @@ struct JobRun {
     /// over to run) on the shared-memory lane.
     plan: Plan,
     deadline: Option<Instant>,
-    submitted: Instant,
     /// Shared-memory lane: whether the whole job is already on an executor.
     inline_dispatched: bool,
     /// Root telemetry span of the job's phase tree (carried over from
@@ -156,40 +155,27 @@ struct JobRun {
     span: Option<SpanId>,
     /// The currently open phase span, a child of `span`.
     phase_span: Option<SpanId>,
-    /// Name of the current phase, labelling its histogram and report rows.
+    /// Name of the current phase, labelling its histogram.
     phase_name: &'static str,
-    /// When the current phase was entered — the report's duration source
-    /// when telemetry is disabled and spans return nothing.
-    phase_entered: Instant,
 }
 
 impl JobRun {
-    /// Closes the open phase span at `now`, accounting its duration into
-    /// the phase histogram and the report's per-phase totals, then opens the
-    /// span of `next` (when the job is moving on rather than terminating).
-    /// Takes the scheduler's parts, so it can run while the job is borrowed
-    /// out of the run table.
-    fn roll_phase(
-        &mut self,
-        telemetry: &Telemetry,
-        report: &mut ServiceReport,
-        id: JobId,
-        next: Option<&'static str>,
-        now: Instant,
-    ) {
-        let ended = telemetry
-            .span_end(self.phase_span.take())
-            .unwrap_or_else(|| now.saturating_duration_since(self.phase_entered));
-        telemetry.observe(
-            "fusiond_phase_duration_seconds",
-            &[("phase", self.phase_name)],
-            ended,
-        );
-        report.record_phase(self.phase_name, ended);
+    /// Closes the open phase span, observing its duration into the phase
+    /// histogram, then opens the span of `next` (when the job is moving on
+    /// rather than terminating).  With telemetry disabled there is no span
+    /// and nothing is timed.  Takes the telemetry handle, so it can run
+    /// while the job is borrowed out of the run table.
+    fn roll_phase(&mut self, telemetry: &Telemetry, id: JobId, next: Option<&'static str>) {
+        if let Some(ended) = telemetry.span_end(self.phase_span.take()) {
+            telemetry.observe(
+                "fusiond_phase_duration_seconds",
+                &[("phase", self.phase_name)],
+                ended,
+            );
+        }
         if let Some(name) = next {
             self.phase_span = telemetry.span_start(name, self.span, Some(id), "");
             self.phase_name = name;
-            self.phase_entered = now;
         }
     }
 }
@@ -281,10 +267,6 @@ impl Scheduler {
             .map(|lane| (lane, pool.slots(lane).into()))
             .collect();
         let chaos_fired = vec![false; chaos.kills.len()];
-        let report = ServiceReport {
-            started_at: Some(SystemTime::now()),
-            ..ServiceReport::default()
-        };
         Self {
             pool,
             ctx,
@@ -306,7 +288,7 @@ impl Scheduler {
             started,
             now: started,
             unsettled: false,
-            report,
+            report: ServiceReport::default(),
             chaos,
             chaos_fired,
             telemetry,
@@ -490,12 +472,10 @@ impl Scheduler {
                 self.governor
                     .resolve(queued.spec.route, bytes, &self.lane_snapshot());
             // Close the `queued` span: its duration *is* the admission wait.
-            let wait = self
-                .telemetry
-                .span_end(queued.queued_span)
-                .unwrap_or_else(|| self.now.saturating_duration_since(queued.submitted));
-            self.telemetry
-                .observe("fusiond_admission_wait_seconds", &[], wait);
+            if let Some(wait) = self.telemetry.span_end(queued.queued_span) {
+                self.telemetry
+                    .observe("fusiond_admission_wait_seconds", &[], wait);
+            }
             let phase_name = match backend {
                 BackendKind::SharedMemory => "inline",
                 _ => "screen",
@@ -510,12 +490,10 @@ impl Scheduler {
                 protocol: queued.spec.protocol,
                 plan: Plan::new(queued.spec.protocol, cube, queued.spec.config, shards),
                 deadline: queued.spec.timeout.map(|t| self.now + t),
-                submitted: queued.submitted,
                 inline_dispatched: false,
                 span: queued.span,
                 phase_span,
                 phase_name,
-                phase_entered: self.now,
             };
             self.status
                 .transition(queued.id, JobStatus::Running, None, None);
@@ -766,13 +744,7 @@ impl Scheduler {
                 match job.plan.accept(msg) {
                     Ok(Step::Continue | Step::Stale) => {}
                     Ok(Step::Entered(phase)) => {
-                        job.roll_phase(
-                            &self.telemetry,
-                            &mut self.report,
-                            id,
-                            Some(phase.name()),
-                            self.now,
-                        );
+                        job.roll_phase(&self.telemetry, id, Some(phase.name()));
                     }
                     Ok(Step::Complete) => self.complete_job(id, None),
                     Err(error) => self.fail_job(id, JobStatus::Failed, error),
@@ -791,17 +763,18 @@ impl Scheduler {
         if let Some(span) = self.recompute.remove(&id) {
             self.telemetry.span_end(Some(span));
         }
-        job.roll_phase(&self.telemetry, &mut self.report, id, None, self.now);
+        job.roll_phase(&self.telemetry, id, None);
         let (tenant, route) = (job.tenant, Some(job.backend));
         // Assembly runs after the roll, outside the `transform` span.
         match inline.map_or_else(|| job.plan.into_output(), Ok) {
             Ok(output) => {
-                self.telemetry
+                let latency = self
+                    .telemetry
                     .span_end_with_detail(job.span, Some("completed"));
-                let latency = self.now.saturating_duration_since(job.submitted);
-                self.telemetry
-                    .observe("fusiond_job_latency_seconds", &[], latency);
-                self.report.record_latency(job.priority, latency);
+                if let Some(latency) = latency {
+                    self.telemetry
+                        .observe("fusiond_job_latency_seconds", &[], latency);
+                }
                 let (completed, output) = (JobStatus::Completed, Some(output));
                 self.terminal_transition(id, tenant, completed, route, output, None);
             }
@@ -825,7 +798,7 @@ impl Scheduler {
         if let Some(span) = self.recompute.remove(&id) {
             self.telemetry.span_end(Some(span));
         }
-        job.roll_phase(&self.telemetry, &mut self.report, id, None, self.now);
+        job.roll_phase(&self.telemetry, id, None);
         self.telemetry
             .span_end_with_detail(job.span, Some(status.label()));
         let error = if error.is_empty() { None } else { Some(error) };
@@ -1083,13 +1056,7 @@ impl Scheduler {
                 // is abandoned rather than merged, and the phase tree rolls
                 // to `inline` like a natively-routed inline job's.
                 job.inline_dispatched = false;
-                job.roll_phase(
-                    &self.telemetry,
-                    &mut self.report,
-                    id,
-                    Some("inline"),
-                    self.now,
-                );
+                job.roll_phase(&self.telemetry, id, Some("inline"));
                 self.orphans.retain(|o| o.job != id);
             }
             let span = self.running.get(&id).and_then(|j| j.phase_span);
@@ -1194,8 +1161,6 @@ impl Scheduler {
         }
         self.pool.shutdown(&self.ctx);
         self.report.queue_high_water = self.governor.queue_high_water();
-        self.report.elapsed = self.started.elapsed();
-        self.report.finished_at = Some(SystemTime::now());
         let mut report = self.recorder.report().with_measurements(self.report);
         self.governor.fold_into(&mut report);
         report
@@ -1344,7 +1309,6 @@ mod tests {
         scheduler.status.insert(id, JobRecord::queued());
         let queued = QueuedJob {
             id,
-            submitted: Instant::now(),
             spec,
             span: None,
             queued_span: None,

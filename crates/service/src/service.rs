@@ -26,9 +26,6 @@ use std::thread::JoinHandle;
 use std::time::Instant;
 use telemetry::Telemetry;
 
-/// The submitters' clock: stamps each job's submission.
-type Clock = Arc<dyn Fn() -> Instant + Send + Sync>;
-
 /// A running fusion service: one scheduler thread driving one long-lived
 /// four-lane worker pool, fed through a bounded admission queue.
 ///
@@ -67,7 +64,6 @@ pub struct FusionService {
     next_job: AtomicU64,
     scheduler: Option<JoinHandle<ServiceReport>>,
     telemetry: Telemetry,
-    clock: Clock,
 }
 
 impl FusionService {
@@ -75,7 +71,7 @@ impl FusionService {
     pub fn start(config: ServiceConfig) -> Result<FusionService> {
         config.validate()?;
         let (pool, ctx) = WorkerPool::start(&config.pool, None)?;
-        let (mut service, scheduler) = Self::assemble(config, pool, ctx, Arc::new(Instant::now));
+        let (mut service, scheduler) = Self::assemble(config, pool, ctx, Instant::now());
         let handle = std::thread::Builder::new()
             .name("fusiond-scheduler".to_string())
             .spawn(move || scheduler.run())
@@ -86,16 +82,20 @@ impl FusionService {
 
     /// Builds the same service, governor and scheduler as
     /// [`FusionService::start`] for a host that drives them on its own clock
-    /// (the cluster simulator's virtual time), starting no thread.  Jobs are
-    /// stamped with `clock`.  Returns the service, the scheduler's driver,
-    /// and the mailboxes of the pool's members — at start, then each
-    /// replacement — with the kill switches the pool's injector holds for
-    /// them.  Standard and resilient lanes only; the final report comes from
+    /// (the cluster simulator's virtual time), starting no thread.  `epoch`
+    /// is the instant the host's time zero stands for: the scheduler's
+    /// failure detector counts its milliseconds from there, and the host
+    /// turns the scheduler at instants after it.  Nothing else reads a
+    /// clock: the spans of [`ServiceConfig::telemetry`] time the work, on
+    /// whatever clock that handle was built with.  Returns the service, the
+    /// scheduler's driver, and the mailboxes of the pool's members — at
+    /// start, then each replacement — with the kill switches the pool's
+    /// injector holds for them.  Standard and resilient lanes only; the final report comes from
     /// [`HostedScheduler::finish`].
     #[allow(clippy::type_complexity)]
     pub fn hosted(
         config: ServiceConfig,
-        clock: impl Fn() -> Instant + Send + Sync + 'static,
+        epoch: Instant,
     ) -> Result<(
         FusionService,
         HostedScheduler,
@@ -109,16 +109,17 @@ impl FusionService {
         }
         let (host, members) = std::sync::mpsc::channel();
         let (pool, ctx) = WorkerPool::start(&config.pool, Some(host))?;
-        let (service, scheduler) = Self::assemble(config, pool, ctx, Arc::new(clock));
+        let (service, scheduler) = Self::assemble(config, pool, ctx, epoch);
         Ok((service, HostedScheduler(scheduler), members))
     }
 
-    /// The service and its scheduler over a started pool.
+    /// The service and its scheduler over a started pool, the scheduler's
+    /// detector counting from `epoch`.
     fn assemble(
         config: ServiceConfig,
         pool: WorkerPool,
         ctx: ThreadContext<PctMessage>,
-        clock: Clock,
+        epoch: Instant,
     ) -> (FusionService, Scheduler) {
         let telemetry = config.telemetry.clone();
         let injector = pool.injector.clone();
@@ -134,7 +135,7 @@ impl FusionService {
         let shutdown_flag = Arc::new(AtomicBool::new(false));
         let recorder = Arc::new(Recorder::new(telemetry.clone()));
         let scheduler = Scheduler::new(
-            clock(),
+            epoch,
             pool,
             ctx,
             Arc::clone(&governor),
@@ -160,7 +161,6 @@ impl FusionService {
             next_job: AtomicU64::new(1),
             scheduler: None,
             telemetry,
-            clock,
         };
         (service, scheduler)
     }
@@ -209,7 +209,6 @@ impl FusionService {
         let queued_span = self.telemetry.span_start("queued", span, Some(id), "");
         let queued = QueuedJob {
             id,
-            submitted: (self.clock)(),
             spec,
             span,
             queued_span,
@@ -428,7 +427,6 @@ mod tests {
         assert_eq!(shm.jobs_routed, 1);
         assert_eq!(shm.auto_routed, 1);
         assert_eq!(shm.jobs_completed, 1);
-        assert!(report.latency.contains_key(&Priority::High));
     }
 
     #[test]

@@ -22,7 +22,6 @@ use std::cell::RefCell;
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 use std::rc::Rc;
-use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Instant;
 use telemetry::Telemetry;
@@ -80,7 +79,8 @@ pub struct ScenarioReport {
     pub detections: u32,
     /// Detection latencies in virtual nanoseconds, in detection order.
     pub detection_latency_ns: Vec<u64>,
-    /// The service's own report (its wall-clock fields cleared).
+    /// The service's own report, as [`service::HostedScheduler::finish`]
+    /// returned it: counts only, a function of the run.
     pub service: ServiceReport,
     /// Every service event, stamped with virtual nanoseconds.
     pub event_log: String,
@@ -267,7 +267,6 @@ impl SimHarness {
 
         let clock = SimClock::new();
         sim.bind_clock(clock.cell());
-        let cell = clock.cell();
         let telemetry = Telemetry::with_clock(Arc::new(clock), 1 << 12);
         let mut config = ServiceConfig::builder()
             .pool(PoolConfig {
@@ -290,10 +289,8 @@ impl SimHarness {
             .map_err(|e| self.fail(format!("config: {e}")))?;
         // Virtual time zero is this instant on the scheduler's clock.
         let epoch = Instant::now();
-        let (service, driver, pool) = FusionService::hosted(config, move || {
-            epoch + std::time::Duration::from_nanos(cell.load(Ordering::Relaxed))
-        })
-        .map_err(|e| self.fail(format!("service: {e}")))?;
+        let (service, driver, pool) =
+            FusionService::hosted(config, epoch).map_err(|e| self.fail(format!("service: {e}")))?;
         let events = service.subscribe();
         let joined = Box::new(move || {
             pool.try_recv().ok().map(|(mailbox, kill)| {
@@ -360,10 +357,7 @@ impl SimHarness {
             .filter(|s| s.name == "detect")
             .map(|s| s.duration_nanos())
             .collect();
-        let mut service = out.report.unwrap_or_default();
-        service.elapsed = std::time::Duration::ZERO;
-        service.started_at = None;
-        service.finished_at = None;
+        let service = out.report.unwrap_or_default();
         Ok(ScenarioReport {
             name: sc.name.clone(),
             seed: sc.seed,
@@ -640,6 +634,53 @@ mod tests {
         assert_eq!(report.kills, 1);
         assert_eq!(report.service.regenerations, 1);
         assert!(report.span_tree.contains("regenerate"));
+    }
+
+    /// The spans are the one instrument of time: every job, phase and
+    /// completion they close reaches its histogram, on virtual time.
+    #[test]
+    fn the_histograms_see_every_job_and_every_phase() {
+        let sc = Scenario::baseline("histograms", 7).with_chaos_kill(ChaosPhase::Screen, "rg0#0");
+        let report = SimHarness::new(sc).run().unwrap();
+        assert!(report.passed(), "{:?}", report.violations);
+        assert_eq!(report.kills, 1);
+        let metric = |series: &str| -> Option<f64> {
+            let value = |line: &str| line.strip_prefix(series)?.strip_prefix(' ')?.parse().ok();
+            report.metrics_snapshot.lines().find_map(value)
+        };
+        // Every closed span as (name, virtual nanoseconds, detail).
+        let spans: Vec<(&str, u64, &str)> = (report.span_tree.lines())
+            .map(|line| {
+                let (name, rest) = line.trim_start().split_once(" [").unwrap();
+                let (range, detail) = rest.split_once(']').unwrap();
+                let (start, end) = range
+                    .strip_suffix(" ns")
+                    .unwrap()
+                    .split_once(" ns .. ")
+                    .unwrap();
+                let nanos = end.parse::<u64>().unwrap() - start.parse::<u64>().unwrap();
+                (name, nanos, detail.trim_start())
+            })
+            .collect();
+        let completed: Vec<u64> = (spans.iter())
+            .filter(|&&(name, _, detail)| name == "job" && detail == "completed")
+            .map(|&(_, nanos, _)| nanos)
+            .collect();
+        let jobs = report.service.jobs_completed;
+        assert!(jobs > 0);
+        assert_eq!(completed.len() as u64, jobs);
+        assert_eq!(
+            metric("fusiond_job_latency_seconds_count"),
+            Some(jobs as f64)
+        );
+        let sum = std::time::Duration::from_nanos(completed.iter().sum()).as_secs_f64();
+        assert_eq!(metric("fusiond_job_latency_seconds_sum"), Some(sum));
+        for phase in ["screen", "derive", "transform", "inline"] {
+            let closed = spans.iter().filter(|&&(name, ..)| name == phase).count();
+            let series = format!("fusiond_phase_duration_seconds_count{{phase=\"{phase}\"}}");
+            assert_eq!(metric(&series).unwrap_or(0.0), closed as f64, "{phase}");
+        }
+        assert!(metric("fusiond_phase_duration_seconds_count{phase=\"screen\"}").is_some());
     }
 
     #[test]

@@ -1,13 +1,17 @@
 //! Offline shim of `rayon`.
 //!
-//! Implements the subset the shared-memory PCT pipeline uses —
-//! `slice.par_iter()`, `slice.par_chunks(n)`, `vec.into_par_iter()`,
-//! `.map(f).collect()` and `current_num_threads()` — with genuine data
-//! parallelism: items are split into one contiguous batch per available
-//! core and mapped on scoped OS threads, preserving input order in the
-//! collected output.  There is no
-//! work stealing; the map closures in this workspace are close enough to
-//! uniform that static batching keeps the cores busy.
+//! Implements the subset the workspace calls — `vec.into_par_iter()`,
+//! `.map(f).collect()`, `ThreadPoolBuilder` / `ThreadPool::install` and
+//! `current_num_threads()` — with genuine data parallelism: items are split
+//! into one contiguous batch per available core and mapped on scoped OS
+//! threads spawned for each operation, preserving input order in the
+//! collected output.
+//!
+//! There is no work stealing, and the closures it runs are not uniform.
+//! The paper's screening fan-out costs what its shard's unique pixels cost:
+//! on `smp_speedup`'s cube at 8 shards, shard 0 (the river rows) makes 91 %
+//! of step 1's comparisons.  The batch holding it finishes last while the
+//! other cores idle, so static batching leaves them underused.
 
 use std::cell::Cell;
 use std::num::NonZeroUsize;
@@ -99,34 +103,6 @@ impl ThreadPool {
 /// Import surface mirroring `rayon::prelude`.
 pub mod prelude {
     pub use crate::iter::IntoParallelIterator;
-    pub use crate::slice::ParallelSlice;
-}
-
-pub mod slice {
-    //! Parallel iteration over slices.
-
-    use super::iter::ParIter;
-
-    /// Extension trait providing `par_iter`/`par_chunks` on slices (and via
-    /// deref, on `Vec`).
-    pub trait ParallelSlice<T: Sync> {
-        /// A parallel iterator over the elements.
-        fn par_iter(&self) -> ParIter<&T>;
-
-        /// A parallel iterator over contiguous chunks of `chunk_size`
-        /// elements (the final chunk may be shorter).
-        fn par_chunks(&self, chunk_size: usize) -> ParIter<&[T]>;
-    }
-
-    impl<T: Sync> ParallelSlice<T> for [T] {
-        fn par_iter(&self) -> ParIter<&T> {
-            ParIter::new(self.iter().collect())
-        }
-
-        fn par_chunks(&self, chunk_size: usize) -> ParIter<&[T]> {
-            ParIter::new(self.chunks(chunk_size.max(1)).collect())
-        }
-    }
 }
 
 pub mod iter {
@@ -145,7 +121,7 @@ pub mod iter {
         type Item = T;
 
         fn into_par_iter(self) -> ParIter<T> {
-            ParIter::new(self)
+            ParIter { items: self }
         }
     }
 
@@ -155,10 +131,6 @@ pub mod iter {
     }
 
     impl<I: Send> ParIter<I> {
-        pub(crate) fn new(items: Vec<I>) -> Self {
-            Self { items }
-        }
-
         /// Maps every item through `f` in parallel.
         pub fn map<F, R>(self, f: F) -> ParMap<I, F>
         where
@@ -169,16 +141,6 @@ pub mod iter {
                 items: self.items,
                 f,
             }
-        }
-
-        /// Number of items the iterator will yield.
-        pub fn len(&self) -> usize {
-            self.items.len()
-        }
-
-        /// Whether the iterator is empty.
-        pub fn is_empty(&self) -> bool {
-            self.items.is_empty()
         }
     }
 
@@ -242,7 +204,7 @@ mod tests {
     #[test]
     fn par_iter_preserves_order() {
         let input: Vec<u64> = (0..10_000).collect();
-        let doubled: Vec<u64> = input.par_iter().map(|&x| x * 2).collect();
+        let doubled: Vec<u64> = input.clone().into_par_iter().map(|x| x * 2).collect();
         assert_eq!(doubled.len(), input.len());
         for (i, v) in doubled.iter().enumerate() {
             assert_eq!(*v, 2 * i as u64);
@@ -260,22 +222,9 @@ mod tests {
     }
 
     #[test]
-    fn par_chunks_covers_every_element_in_order() {
-        let input: Vec<u32> = (0..1_003).collect();
-        let sums: Vec<(usize, u64)> = input
-            .par_chunks(97)
-            .map(|c| (c.len(), c.iter().map(|&x| x as u64).sum()))
-            .collect();
-        let total: u64 = sums.iter().map(|&(_, s)| s).sum();
-        let count: usize = sums.iter().map(|&(n, _)| n).sum();
-        assert_eq!(count, 1_003);
-        assert_eq!(total, (0..1_003u64).sum());
-    }
-
-    #[test]
     fn empty_input_collects_empty() {
         let input: Vec<u8> = Vec::new();
-        let out: Vec<u8> = input.par_iter().map(|&x| x).collect();
+        let out: Vec<u8> = input.into_par_iter().map(|x| x).collect();
         assert!(out.is_empty());
     }
 
@@ -297,7 +246,7 @@ mod tests {
         assert!(ambient >= 1);
         let nested: Vec<usize> = (0..4u8)
             .collect::<Vec<_>>()
-            .par_iter()
+            .into_par_iter()
             .map(|_| super::current_num_threads())
             .collect();
         assert_eq!(nested.len(), 4);
